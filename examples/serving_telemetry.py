@@ -11,10 +11,12 @@ Walks the observability layer end-to-end:
    ``server.forward``).  The per-stage latency table shows exactly
    where the time went — the same table ``repro trace summarize``
    renders offline from an exported jsonl.
-2. **Reconcile the ledgers** — the metrics registry counts outcomes on
-   an independent path from the legacy stats dataclasses; the
-   conservation law (``submitted == served + ... ; lost == 0``) must
-   hold on both and they must agree term by term.
+2. **Check the ledger** — the metrics registry names the fleet's one
+   counter ledger (``fleet.*``) and the merged stats snapshot
+   (``stats.fleet.*``) as read-time views; the conservation law
+   (``submitted == served + ... ; lost == 0``, terms counted at
+   different event sites) must hold and the names must agree term by
+   term.
 3. **Golden trace** — the committed storm replayed under a
    :class:`~repro.serve.VirtualClock` twice produces byte-identical
    span jsonl: every timestamp is a pure function of the trace, so a
@@ -99,9 +101,9 @@ def main() -> None:
     assert len(roots) == args.reads
 
     # ---------------------------------------------------------------- #
-    # 2. Reconcile registry counters against the legacy stats views
+    # 2. Conservation law on the ledger, under every name it goes by
     # ---------------------------------------------------------------- #
-    print("\n-- conservation law, on both accounting paths")
+    print("\n-- conservation law, on the ledger and its views")
     reg, stats = tel.metrics, fleet.stats
     total = sum(reg.value(f"fleet.{k}") for k in CONSERVED)
     print(f"   counters: submitted={reg.value('fleet.submitted'):.0f} == "
@@ -110,7 +112,7 @@ def main() -> None:
         assert reg.value(f"fleet.{key}") == reg.value(f"stats.fleet.{key}") \
             == getattr(stats, key)
     assert stats.lost == 0
-    print(f"   every term matches the legacy view; lost={stats.lost}")
+    print(f"   every term matches the stats view; lost={stats.lost}")
 
     # ---------------------------------------------------------------- #
     # 3. Golden trace: the storm under a virtual clock, twice

@@ -19,10 +19,9 @@ The package implements, from scratch in NumPy:
 Quickstart::
 
     from repro import PoissonProblem2D, MGDiffNet, MultigridTrainer
-    from repro.data import DiffusivityDataset
 
     problem = PoissonProblem2D(resolution=32)
-    dataset = DiffusivityDataset(problem, n_samples=32, seed=0)
+    dataset = problem.make_dataset(32)
     model = MGDiffNet(ndim=2, base_filters=8, depth=2)
     trainer = MultigridTrainer(model, problem, dataset, strategy="half_v",
                                levels=3)

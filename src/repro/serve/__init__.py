@@ -40,9 +40,10 @@ FEM solve.  This package is the infrastructure realizing that claim:
   (:class:`Tracer` spans through submit → queue → batch → forward →
   tile → shard attempt → hedge → stream delivery, deterministic jsonl
   export) plus a metrics registry (:class:`MetricsRegistry` counters /
-  gauges / quantile sketches, legacy stats re-registered as read-time
-  views), enabled per server or fleet via ``enable_telemetry`` and off
-  (free) by default.
+  gauges / quantile sketches, the stats dataclasses and the fleet's
+  counter ledger named as read-time views), enabled per server or fleet
+  via ``enable_telemetry``; until then every layer holds the no-op
+  :data:`NULL_TRACER`.
 
 Quickstart::
 
@@ -90,10 +91,9 @@ from .server import (
 )
 from .spill_ledger import SpillLedger
 from .telemetry import (
-    NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry,
-    MirroredCounters, NullSpan, NullTracer, QuantileSketch, Span,
-    Telemetry, Tracer, export_jsonl, format_summary, parse_jsonl,
-    summarize_spans,
+    NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry, NullSpan,
+    NullTracer, QuantileSketch, Span, Telemetry, Tracer, export_jsonl,
+    format_summary, parse_jsonl, summarize_spans,
 )
 from .tiling import (
     TilePlan, autotune_tile, plan_tiles, receptive_halo,
@@ -128,6 +128,6 @@ __all__ = [
     "stream_tiled_forward", "stream_tiled_predict",
     "Telemetry", "Tracer", "Span", "NullSpan", "NullTracer",
     "NULL_SPAN", "NULL_TRACER", "Counter", "Gauge", "QuantileSketch",
-    "MetricsRegistry", "MirroredCounters", "export_jsonl", "parse_jsonl",
+    "MetricsRegistry", "export_jsonl", "parse_jsonl",
     "summarize_spans", "format_summary",
 ]

@@ -57,6 +57,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .telemetry.trace import NULL_SPAN, NULL_TRACER
+
 __all__ = ["PredictRequest", "RequestQueue", "MicroBatcher"]
 
 
@@ -77,10 +79,10 @@ class PredictRequest:
     stream: Any = None        # TileStream sink: set iff this request
     #                           streams tile records instead of resolving
     #                           one fused field (see server.submit_stream)
-    trace: Any = None         # telemetry context token: the request's
-    #                           root span (or None when tracing is off)
-    trace_queue: Any = None   # open "queue.wait" child span, finished
-    #                           when the request leaves the queue
+    trace: Any = NULL_SPAN    # telemetry context token: the request's
+    #                           root span (the null span when untraced)
+    trace_queue: Any = NULL_SPAN  # open "queue.wait" child span,
+    #                           finished when the request leaves the queue
 
     def group_key(self) -> tuple:
         """Requests sharing this key may run in one fused forward.
@@ -160,7 +162,7 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
-        self.tracer = None  # telemetry seam: set by enable_telemetry
+        self.tracer = NULL_TRACER  # enable_telemetry swaps the real one in
 
     def _admit(self, request: PredictRequest, batch: list[PredictRequest],
                source: "queue.Queue[PredictRequest]",
@@ -206,13 +208,10 @@ class MicroBatcher:
             except queue.Empty:
                 if stop is not None and stop.is_set():
                     return []
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            # The span starts when the first live member arrives — the
-            # coalescing hold is the stage being measured, not the idle
-            # wait for traffic to exist at all.
-            span = tracer.start("batch.collect", parent=batch[0].trace)
+        # The span starts when the first live member arrives — the
+        # coalescing hold is the stage being measured, not the idle
+        # wait for traffic to exist at all.
+        span = self.tracer.start("batch.collect", parent=batch[0].trace)
         deadline = time.perf_counter() + self.max_wait_ms / 1e3
         while len(batch) < self.max_batch:
             if batch[-1].expires_at is not None:
@@ -234,8 +233,7 @@ class MicroBatcher:
                             on_expired)
             except queue.Empty:
                 break
-        if span is not None:
-            span.finish(size=len(batch))
+        span.finish(size=len(batch))
         return batch
 
     @staticmethod

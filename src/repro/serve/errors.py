@@ -11,10 +11,13 @@ digest, the limit it hit) instead of surfacing a bare string.
 
 from __future__ import annotations
 
+from concurrent.futures import CancelledError
+
 from .cache import key_digest
+from .registry import RegistryError
 
 __all__ = ["ServeError", "DeadlineExceeded", "ServerOverloaded",
-           "TenantThrottled", "FleetUnavailable"]
+           "TenantThrottled", "FleetUnavailable", "VERDICTS", "verdict"]
 
 
 def _key_digest(key: tuple | None) -> str:
@@ -124,3 +127,32 @@ class FleetUnavailable(ServeError):
             f"request for model {model_name!r} failed on every replica "
             f"shard (attempted {self.attempted}); fleet unavailable for "
             f"this key until a shard is re-admitted")
+
+
+# The one place an exception becomes an outcome: each row is (exception
+# types, conservation-law term, span outcome label).  The term is what
+# ``FleetStats`` counts and the request's root span carries; attempt and
+# stream spans say ``error`` where the ledger says ``errors`` (the
+# golden trace pins both spellings).  First match wins, so the specific
+# ``ServeError`` subclasses must stay above the catch-all row.
+VERDICTS = (
+    ((ServerOverloaded,), "rejected", "rejected"),      # backpressure
+    ((TenantThrottled,), "throttled", "throttled"),     # tenant quota
+    ((DeadlineExceeded,), "expired", "expired"),
+    ((FleetUnavailable,), "unavailable", "unavailable"),
+    ((CancelledError,), "cancelled", "cancelled"),
+    ((ServeError, ValueError, RegistryError), "errors", "error"),
+)
+
+
+def verdict(exc: BaseException) -> tuple[str, str] | None:
+    """``(term, span label)`` of a request-level exception.
+
+    Policy verdicts and request errors belong to the caller and are
+    delivered as they are.  ``None`` means the exception says nothing
+    about the request: it is a *shard fault* — eject and fail over.
+    """
+    for types, term, label in VERDICTS:
+        if isinstance(exc, types):
+            return term, label
+    return None

@@ -35,6 +35,8 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
+from .telemetry.trace import NULL_TRACER
+
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
            "ProcessExecutor", "make_executor", "default_workers",
            "EXECUTOR_KINDS"]
@@ -55,10 +57,10 @@ class Executor:
 
     kind = "serial"
 
-    # Telemetry seam: a server with telemetry enabled binds its tracer
-    # here; parallel executors then wrap each ``map`` fan-out in an
-    # "executor.map" span.  Class-level None keeps the default free.
-    tracer = None
+    # A server with telemetry enabled binds its tracer here; parallel
+    # executors wrap each ``map`` fan-out in an "executor.map" span.
+    # The class-level null tracer keeps the default free.
+    tracer = NULL_TRACER
 
     @property
     def workers(self) -> int:
@@ -69,12 +71,9 @@ class Executor:
         raise NotImplementedError
 
     def _map_span(self, n: int):
-        """Open the fan-out span for an ``n``-item map (or None)."""
-        tracer = self.tracer
-        if tracer is None:
-            return None
-        return tracer.start("executor.map", kind=self.kind, items=n,
-                            workers=self.workers)
+        """Open the fan-out span for an ``n``-item map."""
+        return self.tracer.start("executor.map", kind=self.kind, items=n,
+                                 workers=self.workers)
 
     def imap_unordered(self, fn, items):
         """Yield ``(index, fn(item))`` pairs in *completion* order.
@@ -159,8 +158,7 @@ class ThreadExecutor(Executor):
         try:
             return list(self._ensure_pool().map(fn, items))
         finally:
-            if span is not None:
-                span.finish()
+            span.finish()
 
     def imap_unordered(self, fn, items):
         items = list(items)
@@ -241,8 +239,7 @@ class ProcessExecutor(Executor):
             # forward each); load balance beats batched dispatch.
             return self._ensure_pool().map(fn, items, chunksize=1)
         finally:
-            if span is not None:
-                span.finish()
+            span.finish()
 
     def imap_unordered(self, fn, items):
         items = list(items)

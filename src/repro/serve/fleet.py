@@ -50,7 +50,8 @@ way DNN-MG/GMT partition multigrid work across compute units:
   ``benchmarks/bench_fleet_scaling.py`` reports measured QPS next to the
   virtual interconnect seconds of the simulated fleet.
 
-Error discipline at the routing layer: *request* errors (bad ω arity,
+Error discipline at the routing layer (:func:`~repro.serve.errors.
+verdict`, one table for every read path): *request* errors (bad ω arity,
 ``DeadlineExceeded``, ``ServerOverloaded``, ``RegistryError``) belong to
 the caller and propagate without ejecting anyone; every other exception
 is a *shard fault* and triggers ejection + failover.
@@ -78,31 +79,35 @@ import numpy as np
 
 from ..distributed.comm import SimulatedCommunicator
 from .errors import (
-    DeadlineExceeded, FleetUnavailable, ServeError, ServerOverloaded,
-    TenantThrottled,
+    DeadlineExceeded, FleetUnavailable, TenantThrottled, verdict,
 )
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .resilience import HedgeTimer
-from .server import PredictionServer, ServerConfig, StreamStalled
-from .telemetry import MirroredCounters
+from .resilience import HedgeTimer, _register_resilience_views
+from .server import (
+    PredictionServer, ServerConfig, StreamStalled, _LatencyPercentiles,
+)
+from .telemetry import NULL_SPAN, NULL_TRACER
 
 __all__ = ["FleetConfig", "FleetStats", "Shard", "ShardedFleet"]
 
 _LAT_WINDOW = 10_000
 
+# The fleet's event counts: FleetStats fields the counter ledger owns
+# (``ShardedFleet._c``), named ``fleet.<term>`` in the metrics registry.
+_LEDGER_TERMS = (
+    "submitted", "served", "rejected", "expired", "errors", "cancelled",
+    "unavailable", "throttled", "failovers", "shard_faults", "hangs",
+    "probes", "readmissions", "spreads", "scale_ups", "scale_downs",
+    "decommissions", "reregistrations", "retried", "hedges", "hedged_wins",
+    "hedge_cancels", "breaker_open", "streams", "stream_tiles_delivered",
+    "stream_resumed")
+
 # FleetStats fields re-exported as ``stats.fleet.*`` metric views when
 # telemetry is enabled.  Views *read* the live stats snapshot, so the
 # numbers stay bitwise-identical to ``fleet.stats`` itself.
-_FLEET_VIEW_FIELDS = (
-    "shards", "healthy_shards", "submitted", "served", "rejected",
-    "expired", "errors", "cancelled", "unavailable", "throttled",
-    "failovers", "shard_faults", "hangs", "probes", "readmissions",
-    "spreads", "scale_ups", "scale_downs", "decommissions",
-    "reregistrations", "retried", "hedges", "hedged_wins",
-    "hedge_cancels", "breaker_open", "streams",
-    "stream_tiles_delivered", "stream_resumed", "requests",
-    "cache_hits", "dedup_hits", "batches", "batched_requests",
+_FLEET_VIEW_FIELDS = ("shards", "healthy_shards") + _LEDGER_TERMS + (
+    "requests", "cache_hits", "dedup_hits", "batches", "batched_requests",
     "tiled_forwards", "lost", "p50", "p99")
 
 
@@ -154,7 +159,7 @@ class Shard:
 
 
 @dataclass
-class FleetStats:
+class FleetStats(_LatencyPercentiles):
     """Merged fleet counters + summed per-shard serving statistics."""
 
     shards: int = 0
@@ -218,19 +223,6 @@ class FleetStats:
                                  + self.errors + self.cancelled
                                  + self.unavailable + self.throttled)
 
-    def percentile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
 
 class _RouteState:
     """Mutable routing record of one fleet request (guarded by the
@@ -239,8 +231,7 @@ class _RouteState:
     __slots__ = ("model_name", "omega", "resolution", "priority",
                  "deadline_s", "tenant", "replicas", "next_idx", "current",
                  "submitted_at", "attempt_started", "delivered",
-                 "health_retried", "ignore_health", "hedged", "inners",
-                 "trace")
+                 "ignore_health", "hedged", "inners", "trace")
 
     def __init__(self, model_name: str, omega: np.ndarray,
                  resolution: int | None, priority: int | None,
@@ -258,11 +249,10 @@ class _RouteState:
         self.submitted_at = time.monotonic()   # latency anchor (fixed)
         self.attempt_started = self.submitted_at  # hang detection (reset
         self.delivered = False                    # on every re-dispatch)
-        self.health_retried = False   # one last-resort pass used
         self.ignore_health = False    # last-resort pass: try ejected too
         self.hedged = False           # a backup dispatch was attempted
         self.inners: list[Future] = []   # attempts issued (for shedding)
-        self.trace = None             # root span token (telemetry on)
+        self.trace = NULL_SPAN        # root span token (the context)
 
 
 class _FleetFuture(Future):
@@ -303,9 +293,12 @@ class ShardedFleet:
         self.hedge = None
         self.breaker = None
         self._hedge_timer: HedgeTimer | None = None
-        # Telemetry seam: ``enable_telemetry`` threads one tracer +
-        # metrics registry through every shard.  None = telemetry off —
-        # the hot paths pay one attribute load and an ``is not None``.
+        # Tracing is a null object, not a seam: span sites call
+        # ``self.tracer`` unconditionally and ``enable_telemetry`` swaps
+        # the real one in, so traced, sampled-out and telemetry-off
+        # requests take one path.  ``telemetry`` is the bundle handle,
+        # for the few places that need its metrics *registry*.
+        self.tracer = NULL_TRACER
         self.telemetry = None
         self.shards: list[Shard] = []
         self._by_id: dict[str, Shard] = {}
@@ -324,14 +317,15 @@ class ShardedFleet:
         self._catalog: dict[str, str] = {}      # model name -> version
         self._latencies: list[float] = []
         self._probe_seq = 0
-        self._c = {k: 0 for k in (
-            "submitted", "served", "rejected", "expired", "errors",
-            "cancelled", "unavailable", "throttled", "failovers",
-            "shard_faults", "hangs", "probes", "readmissions", "spreads",
-            "scale_ups", "scale_downs", "decommissions",
-            "reregistrations", "retried", "hedges", "hedged_wins",
-            "hedge_cancels", "breaker_open", "streams",
-            "stream_tiles_delivered", "stream_resumed")}
+        # The counter ledger: the only store of fleet event counts,
+        # written through ``_count`` under the fleet lock.  ``stats``
+        # and the registry's ``fleet.*`` / ``stats.fleet.*`` names are
+        # read-time views over it.
+        self._c = dict.fromkeys(_LEDGER_TERMS, 0)
+
+    def _count(self, term: str, n: int = 1) -> None:
+        with self._lock:
+            self._c[term] += n
 
     @property
     def _r(self) -> int:
@@ -357,12 +351,12 @@ class ShardedFleet:
                 cfg = replace(cfg, cache_dir=str(Path(cfg.cache_dir)
                                                  / shard_id))
         shard = Shard(shard_id, PredictionServer(ModelRegistry(), cfg))
-        tel = self.telemetry
-        if tel is not None:
+        if self.telemetry is not None:
             # Shards born after enable_telemetry (autoscaler spawns)
             # join the same bundle.  Per-shard stats views would collide
             # across shards; the merged fleet views cover them.
-            shard.server.enable_telemetry(tel, register_views=False)
+            shard.server.enable_telemetry(self.telemetry,
+                                          register_views=False)
         return shard
 
     # ------------------------------------------------------------------ #
@@ -403,39 +397,32 @@ class ShardedFleet:
     def running(self) -> bool:
         return any(shard.server.running for shard in self.shards)
 
-    def enable_telemetry(self, telemetry,
-                         register_views: bool = True) -> None:
+    def enable_telemetry(self, telemetry) -> None:
         """Thread one telemetry bundle through the whole fleet.
 
-        Installs the tracer + metrics seam on this fleet and on every
-        shard server, present and future (``_make_shard`` wires shards
-        born later).  The fleet counter dict is swapped for a mirrored
-        one, so every increment also lands in an independent
-        ``fleet.*`` registry counter — the second accounting path the
-        conservation cross-check audits against ``FleetStats``.  With
-        ``register_views`` (default) the merged :class:`FleetStats`
-        fields are additionally re-registered as read-time
-        ``stats.fleet.*`` views; views read the live snapshot, never
-        shadow it, so today's numbers stay bitwise-identical.
-        Idempotent for a given bundle.
+        Swaps the real tracer in on this fleet and on every shard
+        server, present and future (``_make_shard`` wires shards born
+        later), and names the fleet's numbers in the metrics registry
+        as read-time views: ``fleet.<term>`` reads the counter ledger
+        directly, ``stats.fleet.<field>`` reads the merged
+        :class:`FleetStats` snapshot.  Views never shadow a value, so
+        the registry cannot drift from ``fleet.stats``.  Idempotent for
+        a given bundle.
         """
         with self._lock:
             self.telemetry = telemetry
-            if not isinstance(self._c, MirroredCounters):
-                self._c = MirroredCounters(self._c, telemetry.metrics,
-                                           prefix="fleet.")
+            self.tracer = telemetry.tracer
             shards = list(self.shards)
         for shard in shards:
             shard.server.enable_telemetry(telemetry, register_views=False)
-        if not register_views:
-            return
         reg = telemetry.metrics
+        for term in _LEDGER_TERMS:
+            reg.register_view(f"fleet.{term}", lambda t=term: self._c[t])
         for name in _FLEET_VIEW_FIELDS:
             reg.register_view(f"stats.fleet.{name}",
                               lambda n=name: getattr(self.stats, n))
         # Resilience seams may be installed before or after this call;
         # the views read the live seams either way.
-        from .resilience import _register_resilience_views
         _register_resilience_views(self, reg)
 
     # ------------------------------------------------------------------ #
@@ -548,43 +535,46 @@ class ShardedFleet:
         installed (``self.balancer``) the replica set is reordered per
         read (power-of-two-choices on queue depth) before dispatch.
         """
+        span = self.tracer.start("fleet.request", model=model_name)
+        try:
+            state = self._open(model_name, omega, resolution, priority,
+                               deadline_s, tenant)
+        except Exception as exc:
+            # Refused before dispatch (a throttle is counted, the
+            # caller's unknown model is not) — close the span to export it.
+            policy = verdict(exc)
+            span.finish(outcome=policy[1] if policy else "error")
+            raise
+        state.trace = span
+        out = _FleetFuture(state)
+        self._count("submitted")
+        self._dispatch(out, state, sync=True)
+        hedge = self.hedge
+        if hedge is not None and len(state.replicas) > 1 and not out.done():
+            self._arm_hedge(out, hedge)
+        return out
+
+    def _open(self, model_name: str, omega: np.ndarray,
+              resolution: int | None, priority: int | None,
+              deadline_s: float | None,
+              tenant: str | None) -> _RouteState:
+        """The request prologue shared by ``submit`` and ``stream``:
+        tenant admission, routing, replica ordering."""
         omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        tel = self.telemetry
-        span = None
-        if tel is not None:
-            span = tel.tracer.start("fleet.request", model=model_name)
         admission = self.admission
         if tenant is not None and admission is not None:
             retry_after = admission.try_acquire(tenant)
             if retry_after is not None:
-                with self._lock:
-                    self._c["submitted"] += 1
-                    self._c["throttled"] += 1
-                if span is not None:
-                    span.finish(outcome="throttled")
+                self._count("submitted")
+                self._count("throttled")
                 quota = admission.quota_for(tenant)
                 raise TenantThrottled(model_name, tenant, retry_after,
                                       rate=quota.rate, burst=quota.burst)
-        try:
-            _, replicas = self._route(model_name)
-        except RegistryError:
-            # An unknown model is the caller's error, raised before the
-            # request is ever counted — close the span so it exports.
-            if span is not None:
-                span.finish(outcome="error")
-            raise
-        replicas = self._order_replicas(model_name, replicas)
-        state = _RouteState(model_name, omega, resolution, priority,
-                            deadline_s, replicas, tenant=tenant)
-        state.trace = span
-        out = _FleetFuture(state)
-        with self._lock:
-            self._c["submitted"] += 1
-        self._dispatch(out, state, sync=True)
-        hedge = self.hedge
-        if hedge is not None and len(replicas) > 1 and not out.done():
-            self._arm_hedge(out, hedge)
-        return out
+        _, replicas = self._route(model_name)
+        return _RouteState(model_name, omega, resolution, priority,
+                           deadline_s,
+                           self._order_replicas(model_name, replicas),
+                           tenant=tenant)
 
     def _order_replicas(self, model_name: str,
                         replicas: list[Shard]) -> list[Shard]:
@@ -594,8 +584,7 @@ class ShardedFleet:
         if balancer is not None and len(replicas) > 1:
             ordered = balancer.order(replicas)
             if ordered[0] is not replicas[0]:
-                with self._lock:
-                    self._c["spreads"] += 1
+                self._count("spreads")
             replicas = ordered
         breaker = self.breaker
         if breaker is not None and len(replicas) > 1:
@@ -611,8 +600,7 @@ class ShardedFleet:
                 # else faults, the open circuit is still the last
                 # resort and conservation holds.
                 replicas = allowed + deflected
-                with self._lock:
-                    self._c["breaker_open"] += len(deflected)
+                self._count("breaker_open", len(deflected))
         return replicas
 
     def stream(self, model_name: str, omega: np.ndarray,
@@ -642,208 +630,94 @@ class ShardedFleet:
         backups and retry policies do not apply to streams (a stream is
         one stateful read, not a repeatable call).
         """
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        admission = self.admission
-        if tenant is not None and admission is not None:
-            retry_after = admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._lock:
-                    self._c["submitted"] += 1
-                    self._c["throttled"] += 1
-                quota = admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        _, replicas = self._route(model_name)
-        replicas = self._order_replicas(model_name, replicas)
-        return self._stream_iter(model_name, omega, resolution, priority,
-                                 deadline_s, tenant, replicas, tiles,
-                                 buffer_tiles)
+        return self._stream_run(
+            self._open(model_name, omega, resolution, priority, deadline_s,
+                       tenant), tiles, buffer_tiles)
 
-    def _stream_iter(self, model_name: str, omega: np.ndarray,
-                     resolution: int | None, priority: int | None,
-                     deadline_s: float | None, tenant: str | None,
-                     replicas: list[Shard], tiles, buffer_tiles: int):
-        """Telemetry front of :meth:`_stream_run`: one ``fleet.stream``
-        root span per consumed stream, an instant ``stream.tile`` child
-        per record handed out, outcome stamped with the same
-        conservation-law term the counters record."""
-        inner = self._stream_run(model_name, omega, resolution, priority,
-                                 deadline_s, tenant, replicas, tiles,
-                                 buffer_tiles)
-        tel = self.telemetry
-        if tel is None:
-            yield from inner
-            return
-        span = tel.tracer.start("fleet.stream", model=model_name)
-        tiles_out = 0
-        try:
-            for record in inner:
-                ts = tel.tracer.start("stream.tile", parent=span,
-                                      tile=record[0])
-                ts.finish()
-                tiles_out += 1
-                yield record
-        except GeneratorExit:
-            span.finish(outcome="cancelled", tiles=tiles_out)
-            inner.close()
-            raise
-        except ServerOverloaded:
-            span.finish(outcome="rejected", tiles=tiles_out)
-            raise
-        except TenantThrottled:
-            span.finish(outcome="throttled", tiles=tiles_out)
-            raise
-        except DeadlineExceeded:
-            span.finish(outcome="expired", tiles=tiles_out)
-            raise
-        except FleetUnavailable:
-            span.finish(outcome="unavailable", tiles=tiles_out)
-            raise
-        except Exception:
-            span.finish(outcome="error", tiles=tiles_out)
-            raise
-        else:
-            span.finish(outcome="served", tiles=tiles_out)
-
-    def _stream_run(self, model_name: str, omega: np.ndarray,
-                    resolution: int | None, priority: int | None,
-                    deadline_s: float | None, tenant: str | None,
-                    replicas: list[Shard], tiles, buffer_tiles: int):
+    def _stream_run(self, state: _RouteState, tiles, buffer_tiles: int):
         """Generator body of :meth:`stream` (runs on first ``next``).
 
         Submission is counted here, when iteration actually starts, so
         a stream opened but never consumed leaves the conservation law
-        untouched instead of permanently one short.
+        untouched instead of permanently one short.  One ``fleet.stream``
+        root span covers the consumed stream, with an instant
+        ``stream.tile`` child per record handed out.
         """
-        with self._lock:
-            self._c["submitted"] += 1
-            self._c["streams"] += 1
+        self._count("submitted")
+        self._count("streams")
+        span = self.tracer.start("fleet.stream", model=state.model_name)
         budget = self.config.shard_timeout_s
         delivered: set[int] = set()
         expected: set[int] | None = None   # fixed by the first replica
         remaining = tiles
-        next_idx = 0
-        health_retried = False
-        ignore_health = False
-        resuming = False
+
+        def end(term: str, label: str | None = None) -> None:
+            # The stream's one conservation-law term, stamped on the
+            # ledger and on the root span by the same call.
+            self._count(term)
+            span.finish(outcome=label or term, tiles=len(delivered))
+
         while True:
-            shard = None
-            with self._lock:
-                while next_idx < len(replicas):
-                    candidate = replicas[next_idx]
-                    next_idx += 1
-                    if candidate.healthy or ignore_health:
-                        shard = candidate
-                        break
-            if shard is None:
-                if not health_retried:
-                    # Same last resort as _dispatch: one pass ignoring
-                    # health marks before declaring the key unavailable.
-                    health_retried = True
-                    ignore_health = True
-                    next_idx = 0
-                    continue
-                with self._lock:
-                    self._c["unavailable"] += 1
-                raise FleetUnavailable(
-                    model_name, [s.id for s in replicas])
-            self._comm.send(omega.nbytes)      # routing hop: ω out
-            try:
-                source = shard.server.submit_stream(
-                    model_name, omega, resolution, priority=priority,
-                    deadline_s=deadline_s, tenant=tenant, tiles=remaining,
-                    buffer_tiles=buffer_tiles)
-            except ServerOverloaded:
-                with self._lock:
-                    self._c["rejected"] += 1
-                raise
-            except TenantThrottled:
-                with self._lock:
-                    self._c["throttled"] += 1
-                raise
-            except (ValueError, RegistryError, ServeError):
-                with self._lock:
-                    self._c["errors"] += 1
-                raise
-            except Exception as exc:
-                self._eject(shard, exc)
-                self._breaker_failure(model_name, shard)
-                with self._lock:
-                    self._c["failovers"] += 1
-                continue
-            if expected is None:
-                expected = set(source.tile_indices)
-            if resuming:
-                resuming = False
-                with self._lock:
-                    self._c["stream_resumed"] += 1
-            fault: BaseException | None = None
+            source = None
             hang = False
             try:
+                shard = self._next_replica(state)
+                self._comm.send(state.omega.nbytes)   # routing hop: ω out
+                source = shard.server.submit_stream(
+                    state.model_name, state.omega, state.resolution,
+                    priority=state.priority, deadline_s=state.deadline_s,
+                    tenant=state.tenant, tiles=remaining,
+                    buffer_tiles=buffer_tiles)
+                if expected is None:
+                    expected = set(source.tile_indices)
+                else:
+                    self._count("stream_resumed")
                 while True:
                     try:
-                        record = source.next_record(timeout=budget)
+                        i, sl, core = source.next_record(timeout=budget)
                     except StopIteration:
                         break
-                    except StreamStalled:
-                        fault = TimeoutError(
-                            f"shard {shard.id} stalled mid-stream past "
-                            f"shard_timeout_s={budget}")
-                        hang = True
-                        break
-                    except DeadlineExceeded as exc:
-                        with self._lock:
-                            self._c["expired"] += 1
-                        # Fleet-level progress across all attempts.
-                        exc.tiles_delivered = len(delivered)
-                        raise
-                    except ServerOverloaded:
-                        with self._lock:
-                            self._c["rejected"] += 1
-                        raise
-                    except TenantThrottled:
-                        with self._lock:
-                            self._c["throttled"] += 1
-                        raise
-                    except (ServeError, ValueError, RegistryError):
-                        with self._lock:
-                            self._c["errors"] += 1
-                        raise
-                    except Exception as exc:
-                        fault = exc
-                        break
-                    i, sl, core = record
                     if i in delivered:
                         continue   # failover guard: never re-sent
                     delivered.add(i)
-                    with self._lock:
-                        self._c["stream_tiles_delivered"] += 1
+                    self._count("stream_tiles_delivered")
                     self._comm.send(core.nbytes)   # response hop, per tile
+                    self.tracer.start("stream.tile", parent=span,
+                                      tile=i).finish()
                     yield i, sl, core
             except GeneratorExit:
-                with self._lock:
-                    self._c["cancelled"] += 1
+                end("cancelled")
                 source.close()
                 raise
-            if fault is None:
-                with self._lock:
-                    self._c["served"] += 1
-                self._readmit(shard)
-                self._breaker_success(model_name, shard)
+            except StreamStalled:
+                fault = TimeoutError(
+                    f"shard {shard.id} stalled mid-stream past "
+                    f"shard_timeout_s={budget}")
+                hang = True
+            except Exception as exc:
+                policy = verdict(exc)
+                if policy is not None:
+                    if isinstance(exc, DeadlineExceeded):
+                        # Fleet-level progress across all attempts.
+                        exc.tiles_delivered = len(delivered)
+                    end(*policy)
+                    raise
+                fault = exc
+            else:
+                end("served")
+                self._answered(state.model_name, shard)
                 return
-            source.close()
-            self._eject(shard, fault, hang=hang)
-            self._breaker_failure(model_name, shard)
-            with self._lock:
-                self._c["failovers"] += 1
-            remaining = sorted(expected - delivered)
-            if not remaining:
-                # The fault landed after the last tile reached the
-                # consumer: the stream is complete.
-                with self._lock:
-                    self._c["served"] += 1
-                return
-            resuming = True
+            if source is not None:
+                source.close()
+            self._fault(state.model_name, shard, fault, hang=hang)
+            self._count("failovers")
+            if expected is not None:
+                remaining = sorted(expected - delivered)
+                if not remaining:
+                    # The fault landed after the last tile reached the
+                    # consumer: the stream is complete.
+                    end("served")
+                    return
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
@@ -891,8 +765,7 @@ class ShardedFleet:
         """Count one policy-driven re-submit.  Retrying front-ends (the
         blocking ``predict``, the asyncio facade, the replay harness)
         all report here so ``FleetStats.retried`` covers every path."""
-        with self._lock:
-            self._c["retried"] += 1
+        self._count("retried")
 
     def await_result(self, future: Future, timeout: float | None = None):
         """``future.result`` with hang failover for fleet futures.
@@ -949,14 +822,13 @@ class ShardedFleet:
                     or elapsed < budget * 0.999):
                 return False
             state.current = None   # claim: exactly one caller fails over
-        self._eject(hung, TimeoutError(
+        self._fault(state.model_name, hung, TimeoutError(
             f"shard {hung.id} did not answer within "
             f"shard_timeout_s={budget}"), hang=True)
-        self._breaker_failure(state.model_name, hung)
         with self._lock:
             if state.delivered:
                 return False
-            self._c["failovers"] += 1
+            self._count("failovers")
         self._dispatch(future, state)
         return True
 
@@ -977,167 +849,157 @@ class ShardedFleet:
     # ------------------------------------------------------------------ #
     def _dispatch(self, out: Future, state: _RouteState,
                   sync: bool = False) -> None:
-        """Hand the request to the next healthy replica (loops past
-        shards that fault synchronously)."""
+        """Hand the request to the next replica worth trying (loops
+        past shards that fault synchronously)."""
         while True:
-            shard = None
-            with self._lock:
+            try:
+                shard = self._next_replica(state)
+            except FleetUnavailable as exc:
+                self._deliver(out, state, exc=exc, counter="unavailable")
+                if sync:
+                    raise
+                return
+            if not self._attempt(out, state, shard, sync=sync):
+                return
+
+    def _next_replica(self, state: _RouteState) -> Shard:
+        """Advance ``state`` to the next replica to try — the walk every
+        read (unary or stream) fails over along.  Exhausting the replica
+        set is the request's ``FleetUnavailable`` verdict."""
+        with self._lock:
+            while True:
                 while state.next_idx < len(state.replicas):
                     candidate = state.replicas[state.next_idx]
                     state.next_idx += 1
                     if candidate.healthy or state.ignore_health:
-                        shard = candidate
-                        break
-                state.current = shard
-                state.attempt_started = time.monotonic()
-            if shard is None:
-                if not state.health_retried:
-                    # Last resort before declaring the key unavailable:
-                    # one pass over the replica set *ignoring* health
-                    # marks.  Some ejections are false positives (the
-                    # hang budget includes queue wait), and unlike a
-                    # blocking probe this retry is safe from any thread
-                    # — a worker callback or the event loop.  A shard
-                    # that answers is re-admitted on delivery; a truly
-                    # dead one faults straight through to the
-                    # unavailable verdict below.
-                    state.health_retried = True
-                    state.ignore_health = True
-                    state.next_idx = 0
-                    continue
-                exc = FleetUnavailable(
-                    state.model_name, [s.id for s in state.replicas])
-                self._deliver(out, state, exc=exc, counter="unavailable")
-                if sync:
-                    raise exc from None
-                return
-            self._comm.send(state.omega.nbytes)   # routing hop: ω out
-            tel = self.telemetry
-            aspan = None
-            if tel is not None and state.trace is not None:
-                aspan = tel.tracer.start("fleet.attempt",
-                                         parent=state.trace, shard=shard.id)
-            try:
-                inner = shard.server.submit(
-                    state.model_name, state.omega, state.resolution,
-                    priority=state.priority, deadline_s=state.deadline_s,
-                    tenant=state.tenant, trace_parent=aspan)
-            except ServerOverloaded as exc:
-                # Backpressure is scheduling policy, not a shard fault:
-                # the caller sheds or retries; nobody gets ejected.
-                if aspan is not None:
-                    aspan.finish(outcome="rejected")
-                self._deliver(out, state, exc=exc, counter="rejected")
-                if sync:
-                    raise
-                return
-            except TenantThrottled as exc:
-                # Shard-level admission (a server with its own
-                # controller): policy, not a fault — account it under
-                # the throttle term of the conservation law.
-                if aspan is not None:
-                    aspan.finish(outcome="throttled")
-                self._deliver(out, state, exc=exc, counter="throttled")
-                if sync:
-                    raise
-                return
-            except (ValueError, RegistryError, ServeError) as exc:
-                if aspan is not None:
-                    aspan.finish(outcome="error")
-                self._deliver(out, state, exc=exc, counter="errors")
-                if sync:
-                    raise
-                return
-            except Exception as exc:
-                if aspan is not None:
-                    aspan.finish(outcome="fault",
-                                 error=type(exc).__name__)
-                self._eject(shard, exc)
-                self._breaker_failure(state.model_name, shard)
-                with self._lock:
-                    self._c["failovers"] += 1
-                continue
-            with self._lock:
-                state.inners.append(inner)
-            # Per-attempt anchor: the hedge policy must learn *service*
-            # latency of the attempt that answers, not submit-anchored
-            # wall time (which folds in hung primaries and hedge delays
-            # and would ratchet the quantile toward max_delay_s).
-            anchor = time.monotonic()
-            inner.add_done_callback(
-                lambda f, shard=shard, anchor=anchor, aspan=aspan:
-                self._on_done(out, state, shard, f, anchor, aspan))
-            return
+                        state.current = candidate
+                        state.attempt_started = time.monotonic()
+                        return candidate
+                if state.ignore_health:
+                    state.current = None
+                    raise FleetUnavailable(
+                        state.model_name, [s.id for s in state.replicas])
+                # Last resort before declaring the key unavailable: one
+                # pass over the replica set *ignoring* health marks.
+                # Some ejections are false positives (the hang budget
+                # includes queue wait), and unlike a blocking probe this
+                # retry is safe from any thread — a worker callback or
+                # the event loop.  A shard that answers is re-admitted
+                # on delivery; a truly dead one faults straight through
+                # to the unavailable verdict.
+                state.ignore_health = True
+                state.next_idx = 0
+
+    def _attempt(self, out: Future, state: _RouteState, shard: Shard,
+                 sync: bool = False, hedge: bool = False) -> bool:
+        """Issue one attempt — primary or hedged backup — on ``shard``:
+        comm hop, attempt span, shard ``submit``, done-callback.
+
+        Returns ``True`` when the shard refused synchronously without
+        settling the request (the caller moves on to another replica),
+        ``False`` once the attempt is in flight or a verdict was
+        delivered — which ``sync`` (the caller's own thread, initial
+        dispatch) also re-raises, like ``PredictionServer.submit``.
+        """
+        self._comm.send(state.omega.nbytes)   # routing hop: ω out
+        span = self.tracer.start(
+            "fleet.hedge" if hedge else "fleet.attempt",
+            parent=state.trace, shard=shard.id)
+        try:
+            inner = shard.server.submit(
+                state.model_name, state.omega, state.resolution,
+                priority=state.priority, deadline_s=state.deadline_s,
+                tenant=state.tenant, trace_parent=span)
+        except Exception as exc:
+            unsettled = self._settle(out, state, shard, exc, span, hedge)
+            if sync and not unsettled:
+                raise
+            return unsettled
+        with self._lock:
+            state.inners.append(inner)
+        # Per-attempt anchor: the hedge policy must learn *service*
+        # latency of the attempt that answers, not submit-anchored
+        # wall time (which folds in hung primaries and hedge delays
+        # and would ratchet the quantile toward max_delay_s).
+        anchor = time.monotonic()
+        inner.add_done_callback(
+            lambda f: self._on_done(out, state, shard, f, anchor, span,
+                                    hedge))
+        return False
 
     def _on_done(self, out: Future, state: _RouteState, shard: Shard,
-                 inner: Future, anchor: float | None = None,
-                 span=None) -> None:
-        """Classify a shard answer: deliver, or eject + fail over."""
+                 inner: Future, anchor: float, span,
+                 hedge: bool = False) -> None:
+        """Classify a shard answer: deliver, or eject + fail over.
+
+        A hedged backup runs the same path with three differences: a
+        win counts ``hedged_wins``, policy verdicts stay silent, and
+        nothing is ever re-dispatched (see :meth:`_settle`).
+        """
         try:
             exc = inner.exception()
         except CancelledError as cancel:
             exc = cancel
-        if exc is None:
-            value = inner.result()
-            won = self._deliver(out, state, result=value, counter="served",
-                                anchor=anchor)
-            if span is not None:
-                span.finish(outcome="served", won=won)
-            if won:
-                self._comm.send(value.nbytes)     # response hop: field back
-                # An answer is the strongest health probe there is: a
-                # shard serving from the ignore-health last-resort pass
-                # (ejected on a false hang) re-admits itself.
-                self._readmit(shard)
-                self._breaker_success(state.model_name, shard)
+        if exc is not None:
+            if self._settle(out, state, shard, exc, span, hedge) \
+                    and not hedge:
+                self._dispatch(out, state)
             return
-        if isinstance(exc, ServerOverloaded):
-            if span is not None:
-                span.finish(outcome="rejected")
-            self._deliver(out, state, exc=exc, counter="rejected")
-            return
-        if isinstance(exc, TenantThrottled):
-            if span is not None:
-                span.finish(outcome="throttled")
-            self._deliver(out, state, exc=exc, counter="throttled")
-            return
-        if isinstance(exc, DeadlineExceeded):
-            if span is not None:
-                span.finish(outcome="expired")
-            self._deliver(out, state, exc=exc, counter="expired")
-            return
-        if isinstance(exc, (ServeError, ValueError, RegistryError)):
-            if span is not None:
-                span.finish(outcome="error")
-            self._deliver(out, state, exc=exc, counter="errors")
-            return
-        if isinstance(exc, CancelledError):
+        value = inner.result()
+        won = self._deliver(out, state, result=value, counter="served",
+                            anchor=anchor)
+        span.finish(outcome="served", won=won)
+        if won:
+            if hedge:
+                self._count("hedged_wins")
+                policy = self.hedge
+                if policy is not None:
+                    policy.record_win()
+            self._comm.send(value.nbytes)     # response hop: field back
+            self._answered(state.model_name, shard)
+
+    def _settle(self, out: Future, state: _RouteState, shard: Shard,
+                exc: BaseException, span, hedge: bool) -> bool:
+        """An attempt ended in ``exc``, synchronously or through its
+        future: deliver the verdict, or record the fault.
+
+        Returns ``True`` when the request is left without a verdict and
+        should move on to another replica — for a primary attempt that
+        also claims the re-dispatch (and counts the failover).
+        """
+        term, label = verdict(exc) or (None, None)
+        if term is None:
+            # No verdict: the shard's fault, not the request's.
+            span.finish(outcome="fault", error=type(exc).__name__)
+            self._fault(state.model_name, shard, exc)
+        elif term == "cancelled":
             # A cancelled attempt is nobody's fault: hedge racing sheds
             # the losing inner future after the answer landed, and
             # ejecting the loser would punish a healthy replica for
             # being second.  An *undelivered* cancelled attempt (a
             # caller reached into the inner future) still fails over
             # below so the request is not lost — just without ejecting.
-            if span is not None:
-                span.finish(outcome="cancelled")
-            with self._lock:
-                if state.delivered:
-                    return
+            span.finish(outcome="cancelled")
+        elif hedge:
+            # The primary attempt still owns the request — a hedge must
+            # never *cause* a failure — so its policy verdicts are
+            # recorded on the span and otherwise dropped.
+            span.finish(outcome="policy", error=type(exc).__name__)
         else:
-            # Anything else is the shard's fault, not the request's.
-            if span is not None:
-                span.finish(outcome="fault", error=type(exc).__name__)
-            self._eject(shard, exc)
-            self._breaker_failure(state.model_name, shard)
+            span.finish(outcome=label)
+            self._deliver(out, state, exc=exc, counter=term)
+            return False
+        if hedge:
+            return True
         with self._lock:
             if state.delivered or state.current is not shard:
                 # A newer attempt owns this request (hang failover
                 # already moved on): record the fault, but a stale
                 # straggler must not burn the remaining replicas.
-                return
+                return False
             state.current = None          # claim the re-dispatch
-            self._c["failovers"] += 1
-        self._dispatch(out, state)
+            self._count("failovers")
+        return True
 
     def _deliver(self, out: Future, state: _RouteState, *,
                  result=None, exc: BaseException | None = None,
@@ -1172,16 +1034,17 @@ class ShardedFleet:
             return False
         latency = None
         now = time.monotonic()
+        if not live:
+            counter = "cancelled"
         with self._lock:
-            self._c[counter if live else "cancelled"] += 1
+            self._count(counter)
             if live and exc is None:
                 latency = now - state.submitted_at
                 self._latencies.append(latency)
                 if len(self._latencies) > _LAT_WINDOW:
                     del self._latencies[:len(self._latencies) - _LAT_WINDOW]
-        if state.trace is not None:
-            # Root span outcome == the conservation-law term counted.
-            state.trace.finish(outcome=counter if live else "cancelled")
+        # Root span outcome == the conservation-law term counted.
+        state.trace.finish(outcome=counter)
         if live:
             if exc is not None:
                 out.set_exception(exc)
@@ -1213,11 +1076,11 @@ class ShardedFleet:
         The hedge policy's dispatch primitive: the timer calls it after
         the quantile delay elapses, and deterministic tests call it
         directly.  Picks the first healthy replica that is not the
-        current owner (skipping open circuits), charges the routing
-        hop, and races the backup against the primary — the delivered
-        -guard in ``_deliver`` makes the race safe: first answer wins,
-        exactly one outcome is counted, the loser is cancelled.
-        Returns ``True`` when a backup was actually issued.
+        current owner (skipping open circuits) and races a backup
+        attempt against the primary — the delivered-guard in
+        ``_deliver`` makes the race safe: first answer wins, exactly
+        one outcome is counted, the loser is cancelled.  Returns
+        ``True`` when a backup was actually issued.
         """
         state = getattr(future, "state", None)
         hedge = self.hedge
@@ -1231,83 +1094,15 @@ class ShardedFleet:
             candidates = [s for s in state.replicas
                           if s.healthy and s is not primary]
         breaker = self.breaker
-        tel = self.telemetry
         for shard in candidates:
             if breaker is not None and not breaker.allow(
                     (state.model_name, shard.id)):
                 continue
-            self._comm.send(state.omega.nbytes)   # routing hop: ω out
-            hspan = None
-            if tel is not None and state.trace is not None:
-                hspan = tel.tracer.start("fleet.hedge",
-                                         parent=state.trace, shard=shard.id)
-            try:
-                inner = shard.server.submit(
-                    state.model_name, state.omega, state.resolution,
-                    priority=state.priority, deadline_s=state.deadline_s,
-                    tenant=state.tenant, trace_parent=hspan)
-            except (ServerOverloaded, TenantThrottled, ValueError,
-                    RegistryError, ServeError):
-                if hspan is not None:
-                    hspan.finish(outcome="policy")
-                continue     # policy verdicts: the primary decides
-            except Exception as exc:
-                if hspan is not None:
-                    hspan.finish(outcome="fault",
-                                 error=type(exc).__name__)
-                self._eject(shard, exc)
-                self._breaker_failure(state.model_name, shard)
-                continue
-            with self._lock:
-                self._c["hedges"] += 1
-                state.inners.append(inner)
-            hedge.record_hedge()
-            anchor = time.monotonic()
-            inner.add_done_callback(
-                lambda f, shard=shard, anchor=anchor, hspan=hspan:
-                self._on_hedge_done(future, state, shard, f, anchor, hspan))
-            return True
+            if not self._attempt(future, state, shard, hedge=True):
+                self._count("hedges")
+                hedge.record_hedge()
+                return True
         return False
-
-    def _on_hedge_done(self, out: Future, state: _RouteState,
-                       shard: Shard, inner: Future,
-                       anchor: float | None = None, span=None) -> None:
-        """Classify a backup answer: first answer wins, losing or
-        policy-rejected backups stay silent (the primary attempt still
-        owns the request — a hedge must never *cause* a failure), and
-        a backup shard fault ejects without re-dispatching."""
-        try:
-            exc = inner.exception()
-        except CancelledError:
-            if span is not None:
-                span.finish(outcome="cancelled")
-            return                       # shed straggler: already won
-        if exc is None:
-            value = inner.result()
-            won = self._deliver(out, state, result=value, counter="served",
-                                anchor=anchor)
-            if span is not None:
-                span.finish(outcome="served", won=won)
-            if won:
-                with self._lock:
-                    self._c["hedged_wins"] += 1
-                hedge = self.hedge
-                if hedge is not None:
-                    hedge.record_win()
-                self._comm.send(value.nbytes)     # response hop
-                self._readmit(shard)
-                self._breaker_success(state.model_name, shard)
-            return
-        if isinstance(exc, (CancelledError, ServerOverloaded,
-                            TenantThrottled, DeadlineExceeded, ServeError,
-                            ValueError, RegistryError)):
-            if span is not None:
-                span.finish(outcome="policy", error=type(exc).__name__)
-            return
-        if span is not None:
-            span.finish(outcome="fault", error=type(exc).__name__)
-        self._eject(shard, exc)
-        self._breaker_failure(state.model_name, shard)
 
     def _cancel_stragglers(self, state: _RouteState) -> None:
         """Cancel every unfinished attempt of a resolved hedge race.
@@ -1321,17 +1116,24 @@ class ShardedFleet:
         hedge = self.hedge
         for inner in pending:
             if inner.cancel():
-                with self._lock:
-                    self._c["hedge_cancels"] += 1
+                self._count("hedge_cancels")
                 if hedge is not None:
                     hedge.record_cancel()
 
-    def _breaker_success(self, model_name: str, shard: Shard) -> None:
+    def _answered(self, model_name: str, shard: Shard) -> None:
+        """A shard served a read of ``model_name`` — the strongest
+        health probe there is: a shard answering from the ignore-health
+        last-resort pass (ejected on a false hang) re-admits itself."""
+        self._readmit(shard)
         breaker = self.breaker
         if breaker is not None:
             breaker.record_success((model_name, shard.id))
 
-    def _breaker_failure(self, model_name: str, shard: Shard) -> None:
+    def _fault(self, model_name: str, shard: Shard, exc: BaseException,
+               hang: bool = False) -> None:
+        """A shard fault on a read of ``model_name``: eject the shard
+        and tell the (model, shard) breaker."""
+        self._eject(shard, exc, hang=hang)
         breaker = self.breaker
         if breaker is not None:
             breaker.record_failure((model_name, shard.id))
@@ -1347,7 +1149,7 @@ class ShardedFleet:
                 return
             shard.healthy = True
             shard.ejected_at = None
-            self._c["readmissions"] += 1
+            self._count("readmissions")
 
     def _eject(self, shard: Shard, exc: BaseException,
                hang: bool = False) -> None:
@@ -1358,9 +1160,9 @@ class ShardedFleet:
                 return
             shard.healthy = False
             shard.ejected_at = time.monotonic()
-            self._c["shard_faults"] += 1
+            self._count("shard_faults")
             if hang:
-                self._c["hangs"] += 1
+                self._count("hangs")
 
     @property
     def healthy_shards(self) -> list[str]:
@@ -1400,8 +1202,7 @@ class ShardedFleet:
                 shard = self._by_id.get(shard)
             if shard is None:
                 return False
-        with self._lock:
-            self._c["probes"] += 1
+        self._count("probes")
         if self._probe(shard, budget_s=timeout_s):
             self._readmit(shard)
             return True
@@ -1466,7 +1267,7 @@ class ShardedFleet:
                                 vnodes=self.config.vnodes)
             self._reconcile(new_ring)
             self._ring = new_ring
-            self._c["scale_ups"] += 1
+            self._count("scale_ups")
         return shard.id
 
     def retire_shard(self, shard_id: str | None = None,
@@ -1499,7 +1300,7 @@ class ShardedFleet:
             self._reconcile(new_ring)
             self._ring = new_ring
             del self._by_id[shard.id]
-            self._c["scale_downs"] += 1
+            self._count("scale_downs")
         # Drain outside the lock: waiting on the retiree's queue while
         # holding the fleet lock would stall every submit in the fleet.
         deadline = time.monotonic() + drain_timeout_s
@@ -1534,7 +1335,7 @@ class ShardedFleet:
             moves = self._reconcile(new_ring, exclude=(shard,))
             self._ring = new_ring
             del self._by_id[shard.id]
-            self._c["decommissions"] += 1
+            self._count("decommissions")
         threading.Thread(target=shard.server.close, daemon=True).start()
         return moves
 
@@ -1580,8 +1381,7 @@ class ShardedFleet:
                     name, source.model, source.problem, path=source.path,
                     meta=source.meta, version=version)
                 moves += 1
-        if moves:
-            self._c["reregistrations"] += moves
+        self._count("reregistrations", moves)
         return moves
 
     # Note there is deliberately no prune step after a membership

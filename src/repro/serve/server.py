@@ -62,6 +62,7 @@ from .cache import LRUCache, result_key
 from .errors import DeadlineExceeded, ServerOverloaded, TenantThrottled
 from .executor import Executor, SerialExecutor, make_executor
 from .registry import ModelEntry, ModelRegistry
+from .telemetry import NULL_SPAN, NULL_TRACER
 from .tiling import (
     autotune_tile, plan_tiles, receptive_halo, stream_tiled_predict,
     tiled_predict,
@@ -115,8 +116,26 @@ class ServerConfig:
     # seconds waited, bounding bulk-lane starvation; None = strict)
 
 
+class _LatencyPercentiles:
+    """p50/p99 over a ``latencies`` window (seconds) — the reading both
+    :class:`ServerStats` and the fleet's merged ``FleetStats`` report."""
+
+    def percentile(self, q: float) -> float:
+        if not self.latencies:
+            return 0.0
+        return float(np.percentile(np.asarray(self.latencies), q))
+
+    @property
+    def p50(self) -> float:
+        return self.percentile(50.0)
+
+    @property
+    def p99(self) -> float:
+        return self.percentile(99.0)
+
+
 @dataclass
-class ServerStats:
+class ServerStats(_LatencyPercentiles):
     """Aggregate serving statistics (latencies in seconds)."""
 
     requests: int = 0
@@ -138,19 +157,6 @@ class ServerStats:
         self.latencies.append(seconds)
         if len(self.latencies) > _LAT_WINDOW:
             del self.latencies[:len(self.latencies) - _LAT_WINDOW]
-
-    def percentile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
 
     @property
     def mean_batch_size(self) -> float:
@@ -321,8 +327,10 @@ class PredictionServer:
         # Optional per-tenant admission controller (see
         # repro.serve.control.admission); None admits everything.
         self.admission = None
-        # Optional telemetry bundle (see repro.serve.telemetry); None
-        # keeps every trace/metrics touchpoint a no-op attribute test.
+        # Span sites call ``self.tracer`` unconditionally: the null
+        # tracer until ``enable_telemetry`` swaps in the bundle's (see
+        # repro.serve.telemetry).  ``telemetry`` is the bundle handle.
+        self.tracer = NULL_TRACER
         self.telemetry = None
         self.cache = LRUCache(self.config.cache_bytes,
                               spill_dir=self.config.cache_dir,
@@ -380,8 +388,7 @@ class PredictionServer:
                 self._executor = make_executor(
                     self.config.executor, self.config.workers,
                     backend=self.config.backend)
-                if self.telemetry is not None:
-                    self._executor.tracer = self.telemetry.tracer
+                self._executor.tracer = self.tracer
             return self._executor
 
     def enable_telemetry(self, telemetry,
@@ -397,7 +404,7 @@ class PredictionServer:
         cover them.
         """
         self.telemetry = telemetry
-        self._batcher.tracer = telemetry.tracer
+        self.tracer = self._batcher.tracer = telemetry.tracer
         with self._executor_lock:
             if self._executor is not None:
                 self._executor.tracer = telemetry.tracer
@@ -407,13 +414,10 @@ class PredictionServer:
             for name in ("requests", "cache_hits", "dedup_hits", "batches",
                          "batched_requests", "tiled_forwards", "errors",
                          "rejected", "expired", "throttled", "streams",
-                         "stream_tiles", "queue_depth"):
+                         "stream_tiles", "queue_depth", "p50", "p99",
+                         "mean_batch_size"):
                 m.register_view(f"stats.server.{name}",
                                 lambda s=s, n=name: getattr(s, n))
-            m.register_view("stats.server.p50", lambda s=s: s.p50)
-            m.register_view("stats.server.p99", lambda s=s: s.p99)
-            m.register_view("stats.server.mean_batch_size",
-                            lambda s=s: s.mean_batch_size)
 
     def start(self) -> "PredictionServer":
         """Spawn the worker-thread pool (idempotent)."""
@@ -499,44 +503,24 @@ class PredictionServer:
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
-        if tenant is not None and self.admission is not None:
-            retry_after = self.admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._stats_lock:
-                    self.stats.throttled += 1
-                quota = self.admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        entry = self.registry.get(model_name)
-        r = int(resolution or entry.problem.resolution)
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        if omega.size != entry.problem.field.m:
-            # Reject here: a wrong-arity ω must never reach a worker,
-            # where it would poison the fused np.stack of its whole group.
-            raise ValueError(
-                f"model {model_name!r} expects omega of length "
-                f"{entry.problem.field.m}, got {omega.size}")
-        t0 = time.perf_counter()
-        tel = self.telemetry
-        span = None
-        if tel is not None:
-            # ``trace_parent`` is the caller's context token (a fleet
-            # attempt span, typically); None starts a fresh root, which
-            # is where trace sampling applies.
-            span = tel.tracer.start("server.request", parent=trace_parent,
-                                    model=model_name)
+        entry, request = self._resolve(model_name, omega, resolution,
+                                       priority, deadline_s, tenant)
+        # ``trace_parent`` is the caller's context token (a fleet
+        # attempt span, typically); None starts a fresh root, which is
+        # where trace sampling applies.
+        span = request.trace = self.tracer.start(
+            "server.request", parent=trace_parent, model=model_name)
 
-        future: Future = Future()
-        key = self._key(entry, omega, r)
+        future, key = request.future, request.key
         cached = self.cache.get(key)
         if cached is not None:
             with self._stats_lock:
                 self.stats.requests += 1
                 self.stats.cache_hits += 1
-                self.stats.observe_latency(time.perf_counter() - t0)
+                self.stats.observe_latency(
+                    time.perf_counter() - request.enqueued_at)
             future.set_result(cached)
-            if span is not None:
-                span.finish(outcome="cache_hit")
+            span.finish(outcome="cache_hit")
             return future
 
         # In-flight dedup: a twin already queued (or computing) resolves
@@ -549,23 +533,11 @@ class PredictionServer:
             with self._stats_lock:
                 self.stats.requests += 1
                 self.stats.dedup_hits += 1
-            if span is not None:
-                span.finish(outcome="dedup")
+            span.finish(outcome="dedup")
             return twin
 
-        if priority is None:
-            priority = self.config.default_priority
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        request = PredictRequest(
-            model_name=model_name, omega=omega, resolution=r, future=future,
-            key=key, priority=int(priority), deadline_s=deadline_s,
-            expires_at=(t0 + deadline_s if deadline_s is not None else None),
-            tenant=tenant, trace=span)
         if self.running:
-            if span is not None:
-                request.trace_queue = tel.tracer.start("queue.wait",
-                                                       parent=span)
+            request.trace_queue = self.tracer.start("queue.wait", parent=span)
             try:
                 self._queue.put(request, block=False)
             except queue.Full:
@@ -586,9 +558,8 @@ class PredictionServer:
                 # raising) guarantees no attached caller waits forever.
                 if future.set_running_or_notify_cancel():
                     future.set_exception(exc)
-                if span is not None:
-                    request.trace_queue.finish()
-                    span.finish(outcome="rejected")
+                request.trace_queue.finish()
+                span.finish(outcome="rejected")
                 raise exc from None
             with self._stats_lock:
                 self.stats.requests += 1
@@ -633,27 +604,9 @@ class PredictionServer:
         backpressure).  Streams bypass in-flight dedup — two identical
         streams each deliver their own records.
         """
-        if tenant is not None and self.admission is not None:
-            retry_after = self.admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._stats_lock:
-                    self.stats.throttled += 1
-                quota = self.admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        entry = self.registry.get(model_name)
-        r = int(resolution or entry.problem.resolution)
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        if omega.size != entry.problem.field.m:
-            raise ValueError(
-                f"model {model_name!r} expects omega of length "
-                f"{entry.problem.field.m}, got {omega.size}")
-        t0 = time.perf_counter()
-        if priority is None:
-            priority = self.config.default_priority
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        expires_at = t0 + deadline_s if deadline_s is not None else None
+        entry, request = self._resolve(model_name, omega, resolution,
+                                       priority, deadline_s, tenant)
+        r, key = request.resolution, request.key
 
         # Resolve the plan eagerly: tile identities must be fixed before
         # any compute so a resuming caller can name the undelivered set.
@@ -672,47 +625,70 @@ class PredictionServer:
                     raise ValueError(
                         f"tile index {t} out of range for "
                         f"{plan.num_tiles} tiles")
-        key = self._key(entry, omega, r)
-        stream = TileStream(model_name, key, shape, indices,
-                            buffer_tiles=buffer_tiles)
+        stream = request.stream = TileStream(
+            model_name, key, shape, indices, buffer_tiles=buffer_tiles)
         stream._plan, stream._tile, stream._halo = plan, tile, halo
 
         cached = self.cache.get(key)
         if cached is not None:
-            with self._stats_lock:
-                self.stats.requests += 1
-                self.stats.streams += 1
-                self.stats.cache_hits += 1
-            stream._gen = self._stream_cached(
-                stream, plan, cached, expires_at, deadline_s, t0)
-            return stream
-
-        request = PredictRequest(
-            model_name=model_name, omega=omega, resolution=r,
-            future=Future(), key=key, priority=int(priority),
-            deadline_s=deadline_s, expires_at=expires_at, tenant=tenant,
-            stream=stream)
-        request.future.add_done_callback(_stream_terminal(stream))
-        if self.running:
-            try:
-                self._queue.put(request, block=False)
-            except queue.Full:
-                with self._stats_lock:
-                    self.stats.rejected += 1
-                raise ServerOverloaded(
-                    model_name, key, pending=self._queue.qsize(),
-                    max_pending=self.config.max_pending) from None
-            with self._stats_lock:
-                self.stats.requests += 1
-                self.stats.streams += 1
-            return stream
+            stream._gen = self._stream_cached(request, cached)
+        else:
+            request.future.add_done_callback(_stream_terminal(stream))
+            if self.running:
+                try:
+                    self._queue.put(request, block=False)
+                except queue.Full:
+                    with self._stats_lock:
+                        self.stats.rejected += 1
+                    raise ServerOverloaded(
+                        model_name, key, pending=self._queue.qsize(),
+                        max_pending=self.config.max_pending) from None
+            else:
+                # Sync front-end: lazy pull-mode generator — each
+                # ``next`` runs one tile's compute on the consumer's
+                # thread.
+                stream._gen = self._stream_records(entry, request)
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.streams += 1
-        # Sync front-end: lazy pull-mode generator — each ``next`` runs
-        # one tile's compute on the consumer's thread.
-        stream._gen = self._stream_records(entry, request)
+            self.stats.cache_hits += cached is not None
         return stream
+
+    def _resolve(self, model_name: str, omega, resolution: int | None,
+                 priority: int | None, deadline_s: float | None,
+                 tenant: str | None) -> tuple[ModelEntry, PredictRequest]:
+        """The request prologue shared by ``submit`` and
+        ``submit_stream``: tenant admission, then the registry entry and
+        the keyed request — resolution, validated ω, defaulted
+        priority/deadline, all anchored at one ``enqueued_at``."""
+        if tenant is not None and self.admission is not None:
+            retry_after = self.admission.try_acquire(tenant)
+            if retry_after is not None:
+                with self._stats_lock:
+                    self.stats.throttled += 1
+                quota = self.admission.quota_for(tenant)
+                raise TenantThrottled(model_name, tenant, retry_after,
+                                      rate=quota.rate, burst=quota.burst)
+        entry = self.registry.get(model_name)
+        r = int(resolution or entry.problem.resolution)
+        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
+        if omega.size != entry.problem.field.m:
+            # Reject here: a wrong-arity ω must never reach a worker,
+            # where it would poison the fused np.stack of its whole group.
+            raise ValueError(
+                f"model {model_name!r} expects omega of length "
+                f"{entry.problem.field.m}, got {omega.size}")
+        if priority is None:
+            priority = self.config.default_priority
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        t0 = time.perf_counter()
+        return entry, PredictRequest(
+            model_name=model_name, omega=omega, resolution=r, future=Future(),
+            enqueued_at=t0, key=self._key(entry, omega, r),
+            priority=int(priority), deadline_s=deadline_s,
+            expires_at=(t0 + deadline_s if deadline_s is not None else None),
+            tenant=tenant)
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
@@ -789,10 +765,8 @@ class PredictionServer:
         if req.future.set_running_or_notify_cancel():
             return True
         self._drop_inflight(req)
-        if req.trace is not None:
-            if req.trace_queue is not None:
-                req.trace_queue.finish()
-            req.trace.finish(outcome="cancelled")
+        req.trace_queue.finish()
+        req.trace.finish(outcome="cancelled")
         return False
 
     def _expire_request(self, req: PredictRequest) -> None:
@@ -806,10 +780,8 @@ class PredictionServer:
                 # A stream that expires while queued delivered nothing.
                 tiles_delivered=(0 if req.stream is not None else None)))
         self._drop_inflight(req)
-        if req.trace is not None:
-            if req.trace_queue is not None:
-                req.trace_queue.finish()
-            req.trace.finish(outcome="expired")
+        req.trace_queue.finish()
+        req.trace.finish(outcome="expired")
 
     def _drop_inflight(self, req: PredictRequest) -> None:
         if req.key is None:
@@ -826,38 +798,30 @@ class PredictionServer:
         if not group:
             return
         r = group[0].resolution
-        tel = self.telemetry
-        fspan = None
-        if tel is not None:
-            for req in group:
-                if req.trace_queue is not None:
-                    req.trace_queue.finish()
-            parent = next((req.trace for req in group
-                           if req.trace is not None), None)
-            if parent is not None:
-                fspan = tel.tracer.start("server.forward", parent=parent,
-                                         batch=len(group))
+        for req in group:
+            req.trace_queue.finish()
+        # The fused forward hangs under the first traced member.
+        fspan = self.tracer.start(
+            "server.forward", batch=len(group),
+            parent=next((req.trace for req in group if req.trace),
+                        NULL_SPAN))
         try:
             omegas = np.stack([req.omega for req in group])
             # Only pass the span when tracing is live: chaos hooks and
             # tests wrap ``_forward(entry, omegas, resolution)`` and must
             # keep working verbatim with telemetry off.
             fields = (self._forward(entry, omegas, r, trace=fspan)
-                      if fspan is not None
-                      else self._forward(entry, omegas, r))
+                      if fspan else self._forward(entry, omegas, r))
         except Exception as exc:
-            if fspan is not None:
-                fspan.finish(error=type(exc).__name__)
+            fspan.finish(error=type(exc).__name__)
             with self._stats_lock:
                 self.stats.errors += len(group)
             for req in group:
                 self._drop_inflight(req)
                 req.future.set_exception(exc)
-                if req.trace is not None:
-                    req.trace.finish(outcome="error")
+                req.trace.finish(outcome="error")
             return
-        if fspan is not None:
-            fspan.finish()
+        fspan.finish()
         now = time.perf_counter()
         with self._stats_lock:
             self.stats.batches += 1
@@ -878,8 +842,7 @@ class PredictionServer:
             # arriving in between hits one of the two, never neither.
             self._drop_inflight(req)
             req.future.set_result(stored)
-            if req.trace is not None:
-                req.trace.finish(outcome="served")
+            req.trace.finish(outcome="served")
 
     def _process_stream(self, entry: ModelEntry,
                         req: PredictRequest) -> None:
@@ -958,21 +921,20 @@ class PredictionServer:
         if complete and out is not None:
             self.cache.put(req.key, out)
 
-    def _stream_cached(self, stream: TileStream, plan, cached: np.ndarray,
-                       expires_at: float | None, deadline_s: float | None,
-                       t0: float):
+    def _stream_cached(self, req: PredictRequest, cached: np.ndarray):
         """Stream a cache hit: slice the cached field per plan block (no
         compute), still honoring per-tile deadline checks."""
         n = 0
-        for i in stream.tile_indices:
-            if expires_at is not None and time.perf_counter() > expires_at:
+        for i in req.stream.tile_indices:
+            if req.expired():
                 with self._stats_lock:
                     self.stats.expired += 1
                 raise DeadlineExceeded(
-                    stream.model_name, stream.key,
-                    deadline_s=deadline_s or 0.0,
-                    waited_s=time.perf_counter() - t0, tiles_delivered=n)
-            sl = tuple(slice(a, b) for a, b in plan.blocks[i])
+                    req.model_name, req.key,
+                    deadline_s=req.deadline_s or 0.0,
+                    waited_s=time.perf_counter() - req.enqueued_at,
+                    tiles_delivered=n)
+            sl = tuple(slice(a, b) for a, b in req.stream._plan.blocks[i])
             with self._stats_lock:
                 self.stats.stream_tiles += 1
             yield i, sl, cached[sl]
@@ -997,7 +959,7 @@ class PredictionServer:
             yield i, sl, core[0]
 
     def _forward(self, entry: ModelEntry, omegas: np.ndarray,
-                 resolution: int, trace=None) -> np.ndarray:
+                 resolution: int, trace=NULL_SPAN) -> np.ndarray:
         """Fused forward — tiled when the grid exceeds the threshold, or
         always when an explicit tile size is configured.  The configured
         executor decides where the compute lands: tiled forwards fan
@@ -1016,13 +978,10 @@ class PredictionServer:
             # instead of re-pickling per tiled call.
             net_ref = (self._net_ref(entry) if executor.kind == "process"
                        else None)
-            tracer = (self.telemetry.tracer
-                      if self.telemetry is not None and trace is not None
-                      else None)
             return tiled_predict(entry.model, entry.problem, omegas,
                                  resolution=resolution, tile=tile, halo=halo,
                                  executor=executor, net_ref=net_ref,
-                                 tracer=tracer, trace_parent=trace)
+                                 tracer=self.tracer, trace_parent=trace)
         executor = self.executor
         if executor.kind == "process":
             payload = (entry.version, self._entry_blob(entry),

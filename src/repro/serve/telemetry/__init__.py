@@ -10,11 +10,14 @@ Two halves sharing one forgeable clock:
   quantile sketches, with the stack's legacy stats dataclasses
   re-registered as read-time views.
 
-:class:`Telemetry` bundles both.  Enablement follows the serving
-stack's seam idiom (``fleet.balancer``, ``fleet.retry``, ...): every
-layer carries ``telemetry = None`` by default and pays one attribute
-load + ``is not None`` test when it is off; ``enable_telemetry`` on a
-server or fleet threads one bundle through every layer underneath.
+:class:`Telemetry` bundles both.  Tracing is a null object, not a
+``None`` seam: every layer that can open a span (fleet, server,
+batcher, executor, tiling) holds :data:`NULL_TRACER` by default and
+every span slot defaults to :data:`NULL_SPAN`, so span sites are
+unconditional and a traced, a sampled-out and a telemetry-off request
+run the same code.  ``enable_telemetry`` on a server or fleet swaps the
+bundle's real tracer into every layer underneath and names the stack's
+numbers in the registry.
 
 Quickstart::
 
@@ -29,8 +32,7 @@ from __future__ import annotations
 
 import time
 
-from .metrics import (Counter, Gauge, MetricsRegistry, MirroredCounters,
-                      QuantileSketch)
+from .metrics import Counter, Gauge, MetricsRegistry, QuantileSketch
 from .trace import (NULL_SPAN, NULL_TRACER, NullSpan, NullTracer, Span,
                     Tracer, export_jsonl, format_summary, parse_jsonl,
                     summarize_spans)
@@ -39,7 +41,6 @@ __all__ = [
     "Telemetry",
     "Span", "Tracer", "NullSpan", "NullTracer", "NULL_SPAN", "NULL_TRACER",
     "Counter", "Gauge", "QuantileSketch", "MetricsRegistry",
-    "MirroredCounters",
     "export_jsonl", "parse_jsonl", "summarize_spans", "format_summary",
 ]
 

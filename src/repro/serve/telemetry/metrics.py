@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges, quantile sketches, views.
 
 One queryable surface for every number the serving stack produces.
-Three instrument kinds plus one adapter:
+Three instrument kinds plus views:
 
 * :class:`Counter` — monotone event count.
 * :class:`Gauge` — last-write-wins level with a bounded ``(t, value)``
@@ -10,20 +10,15 @@ Three instrument kinds plus one adapter:
 * :class:`QuantileSketch` — p50/p99 without storing raw samples: a
   geometric-bucket histogram (2% relative resolution) whose memory is
   O(distinct buckets), not O(observations).
-* :class:`MirroredCounters` — a drop-in ``dict`` that forwards every
-  increment into registry counters.  The fleet swaps its internal
-  counter dict for one of these when telemetry is enabled, which gives
-  the registry an *independent* accounting path: the counters
-  accumulate at the event sites themselves, while the ``stats.*``
-  views read the legacy dataclasses lazily.  If the two ever disagree,
-  one of them drifted — exactly what the conservation cross-check
-  tests catch.
 
-Views (:meth:`MetricsRegistry.register_view`) re-register the existing
-``ServerStats`` / ``FleetStats`` / ``ControlStats`` / resilience
-counters as zero-copy reads over the live objects, so the numbers the
-stack already reports stay bitwise-identical — the registry adds a
-name, it does not re-derive the value.
+Views (:meth:`MetricsRegistry.register_view`) name numbers the stack
+already keeps — ``ServerStats`` / ``FleetStats`` / ``ControlStats``,
+the resilience counters, and the fleet's counter ledger (``fleet.*``)
+— as zero-copy reads over the live objects.  The registry adds a name,
+it never stores a second copy, so it cannot drift from the stats the
+stack reports.  The audit that can fail is the conservation law itself
+(``submitted`` == the sum of outcome terms, i.e. ``lost == 0``), which
+compares counts taken at *different* event sites.
 """
 
 from __future__ import annotations
@@ -34,10 +29,7 @@ import threading
 import time
 from collections import deque
 
-__all__ = [
-    "Counter", "Gauge", "QuantileSketch", "MetricsRegistry",
-    "MirroredCounters",
-]
+__all__ = ["Counter", "Gauge", "QuantileSketch", "MetricsRegistry"]
 
 
 class Counter:
@@ -272,29 +264,3 @@ class MetricsRegistry:
         return json.dumps({k: scrub(v) for k, v in self.snapshot().items()},
                           sort_keys=True, indent=2) + "\n"
 
-
-class MirroredCounters(dict):
-    """A counter dict whose increments also land in a registry.
-
-    ``fleet._c["served"] += 1`` keeps working verbatim — ``dict``
-    semantics are inherited — but every delta is forwarded to the
-    registry counter ``<prefix><key>``.  Existing totals are seeded at
-    swap time so the mirror agrees from the first read.
-    """
-
-    def __init__(self, base: dict, registry: MetricsRegistry,
-                 prefix: str = "") -> None:
-        super().__init__(base)
-        self._registry = registry
-        self._prefix = prefix
-        for key, value in base.items():
-            if value:
-                registry.counter(prefix + str(key)).inc(value)
-            else:
-                registry.counter(prefix + str(key))
-
-    def __setitem__(self, key, value) -> None:
-        delta = value - self.get(key, 0)
-        super().__setitem__(key, value)
-        if delta:
-            self._registry.counter(self._prefix + str(key)).inc(delta)

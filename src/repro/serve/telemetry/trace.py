@@ -20,8 +20,8 @@ Design rules that make the golden-trace tests possible:
   uuids, so the export needs no scrubbing to compare equal.
 * **No-op when off** — the disabled tracer is :data:`NULL_TRACER`; it
   is falsy, returns the shared :data:`NULL_SPAN` from every call, and
-  allocates nothing.  Hot paths pay one attribute load and one truth
-  test.
+  allocates nothing.  Every layer holds it until telemetry is enabled,
+  so span sites are unconditional: off costs a no-op call, not a fork.
 * **Deterministic rendering** — :func:`export_jsonl` sorts keys and
   rounds every float to nanoseconds, exactly like the replay event
   log.

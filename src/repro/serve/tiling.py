@@ -53,6 +53,7 @@ from ..backend import get_pool
 from ..backend.tuning import MeasurementCache
 from ..core.inference import apply_bc_masks, prepare_batch_inputs
 from ..distributed.model_parallel import extract_padded_block
+from .telemetry.trace import NULL_TRACER
 
 __all__ = ["TilePlan", "receptive_halo", "plan_tiles", "tile_candidates",
            "autotune_tile", "tiled_forward", "tiled_predict",
@@ -255,6 +256,7 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
     if x.shape[2:] != plan.shape:
         raise ValueError(
             f"input spatial shape {x.shape[2:]} != plan shape {plan.shape}")
+    tracer = tracer or NULL_TRACER
     out = np.empty((x.shape[0], out_channels) + plan.shape, dtype=x.dtype)
     kind = getattr(executor, "kind", "serial")
     parallel = (executor is not None and kind != "serial"
@@ -265,8 +267,7 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
     if not parallel:
         pool = get_pool()
         for i, (block, core_dst) in enumerate(zip(plan.blocks, core_dsts)):
-            span = (tracer.start("tile.compute", parent=trace_parent, tile=i)
-                    if tracer is not None else None)
+            span = tracer.start("tile.compute", parent=trace_parent, tile=i)
             padded, core_src = _padded_block(x, block, plan.halo)
             # Pooled contiguous scratch: the slicing above yields a view.
             buf = pool.acquire(padded.shape, dtype=padded.dtype)
@@ -275,8 +276,7 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
                 core = _forward_tile(net, buf, core_src)
             finally:
                 pool.release(buf)
-                if span is not None:
-                    span.finish()
+                span.finish()
             out[(slice(None), slice(None)) + core_dst] = core
     elif kind == "process":
         if net_ref is not None:
@@ -290,10 +290,8 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
         # of tiling on exactly the megavoxel grids it exists for.
         wave = max(1, 2 * executor.workers)
         for w0 in range(0, plan.num_tiles, wave):
-            span = (tracer.start("tile.wave", parent=trace_parent,
-                                 first=w0,
-                                 count=min(wave, plan.num_tiles - w0))
-                    if tracer is not None else None)
+            span = tracer.start("tile.wave", parent=trace_parent, first=w0,
+                                count=min(wave, plan.num_tiles - w0))
             tasks = []
             for block in plan.blocks[w0:w0 + wave]:
                 padded, core_src = _padded_block(x, block, plan.halo)
@@ -303,14 +301,12 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
             cores = executor.map(_run_tile_task, tasks)
             for core_dst, core in zip(core_dsts[w0:w0 + wave], cores):
                 out[(slice(None), slice(None)) + core_dst] = core
-            if span is not None:
-                span.finish()
+            span.finish()
     else:  # thread executor: share the model, pool scratch per task
 
         def run(indexed_block) -> np.ndarray:
             i, block = indexed_block
-            span = (tracer.start("tile.compute", parent=trace_parent, tile=i)
-                    if tracer is not None else None)
+            span = tracer.start("tile.compute", parent=trace_parent, tile=i)
             padded, core_src = _padded_block(x, block, plan.halo)
             pool = get_pool()
             buf = pool.acquire(padded.shape, dtype=padded.dtype)
@@ -319,8 +315,7 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
                 return _forward_tile(net, buf, core_src)
             finally:
                 pool.release(buf)
-                if span is not None:
-                    span.finish()
+                span.finish()
 
         cores = executor.map(run, list(enumerate(plan.blocks)))
         for core_dst, core in zip(core_dsts, cores):

@@ -8,14 +8,14 @@ Contracts pinned here:
   the trace, never of the wall clock.
 * **Well-formed span trees** — no orphan ``parent_id``s, child
   intervals nested inside their parents, sequential ids.
-* **Conservation cross-check** — the ``fleet.*`` mirrored counters are
-  an accounting path *independent* of ``FleetStats`` (they accumulate
-  at the event sites, the ``stats.fleet.*`` views read the legacy
-  dataclass lazily).  Both must satisfy the request conservation law
-  and agree with each other, under storms and chaos alike.
+* **Conservation cross-check** — the ``fleet.*`` names read the
+  fleet's counter ledger, the ``stats.fleet.*`` views read the merged
+  ``FleetStats`` snapshot.  Both must satisfy the request conservation
+  law (``submitted`` and the outcome terms are counted at different
+  event sites) and agree with each other, under storms and chaos alike.
 * **Zero overhead when off** — the disabled tracer/span are falsy
-  no-ops; a server or fleet without telemetry carries only a ``None``
-  attribute.
+  no-ops; a server or fleet without telemetry holds the null tracer
+  and a ``None`` bundle handle.
 """
 
 import json
@@ -26,7 +26,7 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, Gauge,
-    MetricsRegistry, MirroredCounters, PredictionServer, QuantileSketch,
+    MetricsRegistry, PredictionServer, QuantileSketch,
     ReplayHarness, ResilienceConfig, RetryConfig, Scenario, ServerConfig,
     ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock, export_jsonl,
     format_summary, install_resilience, load_scenario, parse_jsonl,
@@ -263,20 +263,6 @@ class TestMetricsInstruments:
         assert sk.p50 == 0.0
         with pytest.raises(ValueError):
             sk.quantile(1.5)
-
-    def test_mirrored_counters_forward_deltas(self):
-        reg = MetricsRegistry()
-        base = {"served": 3, "errors": 0}
-        mirror = MirroredCounters(base, reg, prefix="fleet.")
-        assert reg.value("fleet.served") == 3      # seeded at swap
-        assert reg.value("fleet.errors") == 0
-        mirror["served"] += 1
-        mirror["errors"] += 2
-        mirror["new"] = 5                          # fresh key
-        assert mirror == {"served": 4, "errors": 2, "new": 5}
-        assert reg.value("fleet.served") == 4
-        assert reg.value("fleet.errors") == 2
-        assert reg.value("fleet.new") == 5
 
     def test_view_reregister_replaces(self):
         reg = MetricsRegistry()
