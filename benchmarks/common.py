@@ -8,10 +8,9 @@ Every ``bench_*.py`` accepts a shared CLI when run as a script::
 
     python benchmarks/bench_fig2_epoch_time.py --backend numpy --dtype float64
 
-``--backend`` selects a registered array backend (``repro.backend``),
-``--dtype`` the default floating precision, and ``--conv-plan`` forces a
-conv execution path — so backends and engines can be A/B-compared from
-the command line on identical workloads.
+``--backend`` selects a registered array backend (``repro.backend``) and
+``--dtype`` the default floating precision, so backends can be
+A/B-compared from the command line on identical workloads.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import MGDiffNet, MGTrainConfig
-from repro.backend import (
-    available_backends, set_backend, set_conv_plan_mode, set_default_dtype,
-)
+from repro.backend import available_backends, set_backend, set_default_dtype
 from repro.utils import format_table, write_csv
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -43,7 +40,7 @@ def write_bench_json(path: str | Path, bench: str, result: dict,
 
         {"schema": 1, "bench": <name>,
          "backend": <active backend>, "dtype": <default dtype>,
-         "conv_plan": <active conv mode>,
+         "conv_plan": "auto",
          "gate": "pass" | "fail" | "skip:<reason>" | null,
          "result": {...}}                       # bench-specific payload
 
@@ -51,14 +48,16 @@ def write_bench_json(path: str | Path, bench: str, result: dict,
     was skipped, e.g. no C compiler), so CI can distinguish "regressed"
     from "could not measure here".
     """
-    from repro.backend import get_backend, get_conv_plan_mode, get_default_dtype
+    from repro.backend import get_backend, get_default_dtype
 
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
         "bench": bench,
         "backend": get_backend().name,
         "dtype": np.dtype(get_default_dtype()).name,
-        "conv_plan": get_conv_plan_mode(),
+        # Constant (the shape heuristic is the only planner): kept so
+        # trajectory rows stay comparable with those recorded before.
+        "conv_plan": "auto",
         "gate": gate,
         "result": result,
     }
@@ -75,21 +74,13 @@ def report(name: str, header: Sequence[str], rows: list[Sequence]) -> None:
 
 
 def add_backend_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Attach the shared ``--backend``/``--dtype``/``--conv-plan`` flags."""
+    """Attach the shared ``--backend``/``--dtype`` flags."""
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
         help=f"array backend to activate (registered: {', '.join(available_backends())})")
     parser.add_argument(
         "--dtype", default=None, choices=["float32", "float64"],
         help="default floating dtype for tensors built from Python data")
-    parser.add_argument(
-        "--conv-plan", default=None,
-        choices=["auto", "im2col", "tensordot", "autotune"],
-        help="force a conv execution path (default: planner decides; "
-             "'autotune' times both engines and persists the winner)")
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="shorthand for --conv-plan autotune")
     return parser
 
 
@@ -110,10 +101,6 @@ def bench_cli(description: str = "repro benchmark",
         set_backend(args.backend)
     if args.dtype:
         set_default_dtype(args.dtype)
-    if args.conv_plan:
-        set_conv_plan_mode(args.conv_plan)
-    elif getattr(args, "autotune", False):
-        set_conv_plan_mode("autotune")
     return args
 
 

@@ -11,15 +11,10 @@ the same Sobol-sampled request load:
    each with a freshly initialised backend),
 4. a replay of the same load (every request a cache hit).
 
-``--autotune`` additionally switches the conv planner to measured
-autotuning: on first sight of each conv signature both engines are
-timed, the winner is locked in, and the decision table persists across
-restarts (keyed by host fingerprint).
-
 Usage::
 
     python examples/serving.py [--resolution 16] [--requests 64]
-    python examples/serving.py --executor process --autotune
+    python examples/serving.py --executor process
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import time
 import numpy as np
 
 from repro import MGDiffNet, MGTrainConfig, MultigridTrainer, PoissonProblem2D
-from repro.backend import set_conv_plan_mode
 from repro.data.sobol import sample_omega
 from repro.serve import ModelRegistry, PredictionServer, ServerConfig
 
@@ -44,12 +38,7 @@ def main() -> None:
     parser.add_argument("--executor", default="process",
                         choices=("serial", "thread", "process"),
                         help="compute layer for comparison step 3")
-    parser.add_argument("--autotune", action="store_true",
-                        help="measured conv autotuning (persisted per host)")
     args = parser.parse_args()
-
-    if args.autotune:
-        set_conv_plan_mode("autotune")
 
     problem = PoissonProblem2D(args.resolution)
     model = MGDiffNet(ndim=2, base_filters=8, depth=2, rng=0)

@@ -7,7 +7,9 @@ planning engine in :mod:`repro.backend.conv_plan`: per-offset
 the 3D U-Net run on modest hosts) or a single im2col/GEMM (fastest for
 the small-kernel/many-channel signatures of the U-Net trunk).  Plans are
 memoized per (shape, kernel, stride) signature, so steady-state training
-pays a dict lookup.
+pays a dict lookup.  Transposed convolutions always take the planner's
+output-scatter engine; the zero-stuff composition is kept as a plain
+function, the reference the parity tests compare it against.
 
 Layouts follow the common deep-learning convention:
 
@@ -26,9 +28,8 @@ import numpy as np
 from ..backend import ops as B
 from ..backend import realize
 from ..backend.conv_plan import (
-    get_conv_transpose_mode, plan_conv, plan_conv_transpose,
-    run_conv_backward, run_conv_forward, run_conv_transpose_backward,
-    run_conv_transpose_forward,
+    plan_conv, plan_conv_transpose, run_conv_backward, run_conv_forward,
+    run_conv_transpose_backward, run_conv_transpose_forward,
 )
 from .function import Context, Function
 from .tensor import Tensor
@@ -265,41 +266,49 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
     return ConvNd.apply(x, w, b, tuplify(stride, nd), tuplify(padding, nd))
 
 
-def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
-                      stride: int | Sequence[int] = 1,
-                      padding: int | Sequence[int] = 0,
-                      output_padding: int | Sequence[int] = 0) -> Tensor:
-    """Functional N-d transposed convolution.
-
-    Two numerically equivalent paths, selected by
-    :func:`repro.backend.conv_plan.set_conv_transpose_mode` (or
-    ``REPRO_CONVT_PLAN``):
-
-    * ``scatter`` (default) — the planned output-scatter GEMM engine
-      (:class:`ConvTransposeNd`): no zero-stuffed intermediate, dedicated
-      backward.
-    * ``compose`` — the original composition of differentiable
-      primitives (zero-stuffing, padding, weight flip, channel transpose,
-      stride-1 conv), kept as the parity reference.
-    """
+def _conv_transpose_args(x: Tensor, w: Tensor, stride, padding,
+                         output_padding):
+    """Per-axis ``(stride, padding, output_padding)`` of a transposed
+    convolution, validated against the kernel."""
     nd = x.ndim - 2
     stride_t = tuplify(stride, nd)
     padding_t = tuplify(padding, nd)
     outpad_t = tuplify(output_padding, nd)
-    kernel = w.shape[2:]
-    for k, p, op in zip(kernel, padding_t, outpad_t):
+    for k, p, op in zip(w.shape[2:], padding_t, outpad_t):
         if k - 1 - p < 0:
             raise ValueError("padding larger than kernel-1 is unsupported")
         if op >= max(stride_t):
             raise ValueError("output_padding must be < stride")
+    return stride_t, padding_t, outpad_t
 
-    if get_conv_transpose_mode() == "scatter":
-        return ConvTransposeNd.apply(x, w, b, stride_t, padding_t, outpad_t)
 
+def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
+                      stride: int | Sequence[int] = 1,
+                      padding: int | Sequence[int] = 0,
+                      output_padding: int | Sequence[int] = 0) -> Tensor:
+    """Functional N-d transposed convolution: the planned output-scatter
+    GEMM engine (:class:`ConvTransposeNd`) — no zero-stuffed
+    intermediate, dedicated backward."""
+    return ConvTransposeNd.apply(
+        x, w, b, *_conv_transpose_args(x, w, stride, padding, output_padding))
+
+
+def conv_transpose_nd_composed(x: Tensor, w: Tensor, b: Tensor | None = None,
+                               stride: int | Sequence[int] = 1,
+                               padding: int | Sequence[int] = 0,
+                               output_padding: int | Sequence[int] = 0
+                               ) -> Tensor:
+    """Reference semantics of :func:`conv_transpose_nd`: the composition
+    of differentiable primitives (zero-stuffing, padding, weight flip,
+    channel transpose, stride-1 conv) the scatter plan is tested against.
+    """
+    nd = x.ndim - 2
+    stride_t, padding_t, outpad_t = _conv_transpose_args(
+        x, w, stride, padding, output_padding)
     xz = ob.zero_stuff(x, stride_t) if any(s > 1 for s in stride_t) else x
     padw = [(0, 0), (0, 0)] + [
         (k - 1 - p, k - 1 - p + op)
-        for k, p, op in zip(kernel, padding_t, outpad_t)]
+        for k, p, op in zip(w.shape[2:], padding_t, outpad_t)]
     xp = ob.pad(xz, padw)
     wf = ob.flip(w, axis=tuple(range(2, 2 + nd)))
     wt = ob.moveaxis(wf, 0, 1)  # (Cout, Cin, *K)

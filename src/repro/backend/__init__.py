@@ -4,7 +4,7 @@ This package is the acceleration seam of the reproduction: every
 array-touching layer (``autograd``, ``nn``, ``fem``, ``multigrid``,
 ``distributed``) routes its hot-path math through the op-dispatch
 registry instead of calling NumPy directly, so an alternative backend
-(threaded, GPU, ...) is one new module, not a codebase-wide rewrite.
+(lazy/fused, GPU, ...) is one new module, not a codebase-wide rewrite.
 
 Public surface::
 
@@ -23,11 +23,6 @@ from .registry import (
     register_backend, available_backends, set_backend, get_backend,
     use_backend, ops,
 )
-from .threaded import ThreadedBackend
-
-# Lazily constructed so importing repro.backend never spins up a pool;
-# the executor itself is created on first threaded contraction.
-register_backend("threaded", ThreadedBackend)
 from .lazy import (
     LazyArray, LazyBackend, is_lazy, lazy_stats, realize, realize_all,
     reset_lazy_stats,
@@ -36,15 +31,11 @@ from .lazy import (
 register_backend("lazy", LazyBackend)
 from .conv_plan import (
     ConvSignature, ConvPlan, plan_conv, clear_plan_cache, plan_cache_info,
-    set_conv_plan_mode, get_conv_plan_mode,
     ConvTransposePlan, plan_conv_transpose,
-    set_conv_transpose_mode, get_conv_transpose_mode,
-    host_fingerprint, autotune_cache_path, set_autotune_cache_path,
-    autotune_table, clear_autotune_table, save_autotune_table,
 )
 
 __all__ = [
-    "ArrayBackend", "BackendOpError", "NumpyBackend", "ThreadedBackend",
+    "ArrayBackend", "BackendOpError", "NumpyBackend",
     "LazyBackend", "LazyArray", "realize", "realize_all", "is_lazy",
     "lazy_stats", "reset_lazy_stats",
     "BufferPool", "PoolStats", "get_pool",
@@ -52,11 +43,7 @@ __all__ = [
     "register_backend", "available_backends", "set_backend", "get_backend",
     "use_backend", "ops",
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
-    "plan_cache_info", "set_conv_plan_mode", "get_conv_plan_mode",
-    "ConvTransposePlan", "plan_conv_transpose",
-    "set_conv_transpose_mode", "get_conv_transpose_mode",
-    "host_fingerprint", "autotune_cache_path", "set_autotune_cache_path",
-    "autotune_table", "clear_autotune_table", "save_autotune_table",
+    "plan_cache_info", "ConvTransposePlan", "plan_conv_transpose",
 ]
 
 

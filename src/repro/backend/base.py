@@ -14,17 +14,17 @@ uses: arrays expose ``.shape``/``.dtype``/``.reshape``/``.astype``,
 support arithmetic operators and the reduction *methods* (``.sum``,
 ``.mean``, ...).  Free functions that NumPy exposes at module level
 (``tensordot``, ``pad``, ``where``, ...) are the dispatch seam: those must
-be called through the registry so an alternative backend (threaded, GPU)
+be called through the registry so an alternative backend (lazy, GPU)
 can substitute its own implementations one op at a time.
 
 Subclasses inherit their parent's op table and may override individual
 entries::
 
-    class ThreadedBackend(NumpyBackend):
-        name = "threaded"
+    class LazyBackend(NumpyBackend):
+        name = "lazy"
 
-    @ThreadedBackend.register_op("tensordot")
-    def _threaded_tensordot(a, b, axes): ...
+    @LazyBackend.register_op("tensordot")
+    def _lazy_tensordot(a, b, axes): ...
 """
 
 from __future__ import annotations

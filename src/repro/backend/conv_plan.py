@@ -18,46 +18,28 @@ and memoizes it, so the per-call planning cost in the training loop is a
 dict lookup.  The im2col scratch (the one large short-lived buffer) comes
 from the active backend's :class:`~repro.backend.pool.BufferPool`.
 
-``REPRO_CONV_PLAN`` (or :func:`set_conv_plan_mode`) forces ``im2col`` /
-``tensordot`` globally — used by the parity tests to drive both engines
-over identical inputs.
-
-**Measured autotuning** (mode ``autotune``): the heuristic thresholds
-above encode one host's cache sizes and BLAS behaviour.  In autotune mode
-the planner instead *times both engines* on first sight of a signature
-(synthetic data of exactly that shape, warm-up plus best-of-N) and locks
-in the measured winner.  Decisions are persisted to a JSON table keyed by
-a host fingerprint (``REPRO_AUTOTUNE_CACHE`` or
-``~/.cache/repro/conv_autotune.json``), so a server restart — or the next
-training run — skips re-timing entirely.  Signatures too large to time
-safely fall back to the heuristic and are recorded as such, so they are
-not re-examined either.
+The engine is a function of the signature alone: one network mixes both
+(the benchmark has a workload on each side of the choice), so there is
+no switch that forces one globally.  The parity tests drive both engines
+over identical inputs by substituting ``_decide``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
-import time
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from .registry import get_backend, ops as B
-from .tuning import MeasurementCache, host_fingerprint
 
 __all__ = [
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
-    "plan_cache_info", "set_conv_plan_mode", "get_conv_plan_mode",
-    "run_conv_forward", "run_conv_backward",
+    "plan_cache_info", "run_conv_forward", "run_conv_backward",
     "ConvTransposePlan", "plan_conv_transpose",
     "run_conv_transpose_forward", "run_conv_transpose_backward",
-    "set_conv_transpose_mode", "get_conv_transpose_mode",
-    "host_fingerprint", "autotune_cache_path", "set_autotune_cache_path",
-    "autotune_table", "clear_autotune_table", "save_autotune_table",
 ]
 
 # Heuristic thresholds (see _decide): taps = prod(kernel).
@@ -69,27 +51,10 @@ IM2COL_CACHE_PATCH_BYTES = 384 << 10  # patch must stay cache-resident (384 KiB)
 #                                     unless the thin-GEMM rescue applies
 IM2COL_MAX_PATCH_BYTES = 1 << 28    # 256 MiB absolute patch-matrix ceiling
 
-_VALID_MODES = ("auto", "im2col", "tensordot", "autotune")
-_mode = os.environ.get("REPRO_CONV_PLAN", "auto")
-if _mode not in _VALID_MODES:  # pragma: no cover - env misconfiguration
-    _mode = "auto"
-
 _CACHE_LOCK = threading.Lock()
-_PLAN_CACHE: dict[tuple, "ConvPlan"] = {}
+_PLAN_CACHE: dict[object, "ConvPlan"] = {}
 _cache_hits = 0
 _cache_misses = 0
-
-
-def set_conv_plan_mode(mode: str) -> None:
-    """Force a conv path globally: 'auto' (default), 'im2col', 'tensordot'."""
-    global _mode
-    if mode not in _VALID_MODES:
-        raise ValueError(f"mode must be one of {_VALID_MODES}, got {mode!r}")
-    _mode = mode
-
-
-def get_conv_plan_mode() -> str:
-    return _mode
 
 
 def clear_plan_cache() -> None:
@@ -142,23 +107,16 @@ class ConvSignature:
 
 @dataclass(frozen=True)
 class ConvPlan:
-    """A memoized execution decision for one conv signature.
-
-    ``path`` drives the forward pass.  ``backward_path`` may differ: the
-    autotuner times the two directions separately (the backward's
-    col2im scatter and dW contraction have their own crossover points);
-    heuristic and forced modes keep both directions on one engine.
-    """
+    """A memoized execution decision for one conv signature; ``path``
+    drives both the forward and the backward pass."""
 
     signature: ConvSignature
     path: str                     # 'im2col' | 'tensordot'
     reason: str
-    backward_path: str | None = None  # None: same engine as forward
 
 
-def _decide(sig: ConvSignature, mode: str) -> tuple[str, str]:
-    if mode != "auto":
-        return mode, f"forced by mode={mode!r}"
+def _decide(sig: ConvSignature) -> tuple[str, str]:
+    """The planner: ``(path, reason)`` from the signature alone."""
     taps = sig.taps
     cin = sig.w_shape[1]
     if taps == 1:
@@ -183,175 +141,21 @@ def _decide(sig: ConvSignature, mode: str) -> tuple[str, str]:
         f"patch {sig.patch_bytes >> 10} KiB")
 
 
-# --------------------------------------------------------------------- #
-# Measured autotuning: time both engines once per signature, persist the
-# winner keyed by host fingerprint.
-# --------------------------------------------------------------------- #
-
-AUTOTUNE_REPEATS = 3                  # best-of-N timing per engine
-AUTOTUNE_MAX_BYTES = 1 << 27          # skip timing above 128 MiB of input:
-#                                       a single probe would thrash memory,
-#                                       and the heuristic is reliable there
-
-_MEASURE_LOCK = threading.Lock()      # serializes engine timing only:
-#                                       concurrent probes would perturb
-#                                       each other's measurements, but
-#                                       table lookups for already-known
-#                                       signatures must never wait on a
-#                                       seconds-long timing run
-
-# The persisted measured-decision table: host-fingerprinted JSON managed
-# by the shared autotuner seam (repro.backend.tuning).  Memoized plans
-# may reference stale decisions when the table moves, hence the
-# invalidation hook.
-_MEASUREMENTS = MeasurementCache(
-    default_path=Path.home() / ".cache" / "repro" / "conv_autotune.json",
-    env_var="REPRO_AUTOTUNE_CACHE",
-    on_invalidate=lambda: clear_plan_cache())
-
-
-def autotune_cache_path() -> Path:
-    """Where the measured decision table lives on disk."""
-    return _MEASUREMENTS.path()
-
-
-def set_autotune_cache_path(path: str | os.PathLike | None) -> None:
-    """Override the persisted-table location (None restores the default)."""
-    _MEASUREMENTS.set_path(path)
-
-
-def save_autotune_table() -> Path | None:
-    """Persist pending measured decisions (atomic write); returns the
-    path written, or None when nothing changed."""
-    return _MEASUREMENTS.save()
-
-
-def autotune_table() -> dict[str, dict]:
-    """Snapshot of this host's measured decisions (sig key -> record)."""
-    return _MEASUREMENTS.snapshot()
-
-
-def clear_autotune_table(memory_only: bool = False) -> None:
-    """Drop the in-memory table (and, unless ``memory_only``, the file).
-
-    ``memory_only=True`` simulates a process restart: the next autotuned
-    plan reloads the persisted table from disk.
-    """
-    _MEASUREMENTS.clear(memory_only=memory_only)
-
-
-def _sig_key(sig: ConvSignature) -> str:
-    return (f"x{sig.x_shape}w{sig.w_shape}"
-            f"s{sig.stride}p{sig.padding}{sig.dtype}")
-
-
-def _time_engines(sig: ConvSignature) -> dict[str, float]:
-    """Best-of-N wall times of both engines, both directions.
-
-    Forward and backward are timed separately because the plan serves
-    both: a forward win (e.g. im2col's single fat GEMM) can coexist with
-    a backward loss (its col2im scatter), and training epochs are
-    backward-heavy while serving never runs one.
-    """
-    rng = np.random.default_rng(0)
-    dtype = np.dtype(sig.dtype)
-    n, cin = sig.x_shape[:2]
-    cout = sig.w_shape[0]
-    xp = rng.standard_normal((n, cin) + sig.padded_spatial).astype(dtype)
-    w = rng.standard_normal(sig.w_shape).astype(dtype)
-    out_spatial = sig.out_spatial
-    gmoved = rng.standard_normal((n,) + out_spatial + (cout,)).astype(dtype)
-
-    def best(run) -> float:
-        run()                                           # warm-up
-        t = math.inf
-        for _ in range(AUTOTUNE_REPEATS):
-            t0 = time.perf_counter()
-            run()
-            t = min(t, time.perf_counter() - t0)
-        return t
-
-    return {
-        "fwd_tensordot": best(
-            lambda: _forward_tensordot(xp, w, sig.stride, out_spatial)),
-        "fwd_im2col": best(
-            lambda: _forward_im2col(xp, w, sig.stride, out_spatial)),
-        "bwd_tensordot": best(
-            lambda: _backward_tensordot(xp, w, gmoved, sig.stride,
-                                        out_spatial)),
-        "bwd_im2col": best(
-            lambda: _backward_im2col(xp, w, gmoved, sig.stride,
-                                     out_spatial)),
-    }
-
-
-def _decide_autotune(sig: ConvSignature) -> tuple[str, str, str | None]:
-    key = _sig_key(sig)
-    rec = _MEASUREMENTS.get(key)
-    if rec is None:
-        rec = _measure_signature(sig, key)
-    if rec.get("measured"):
-        t = rec["times"]
-        reason = (
-            f"autotuned: fwd td {t['fwd_tensordot'] * 1e3:.2f} / i2c "
-            f"{t['fwd_im2col'] * 1e3:.2f} ms, bwd td "
-            f"{t['bwd_tensordot'] * 1e3:.2f} / i2c "
-            f"{t['bwd_im2col'] * 1e3:.2f} ms")
-        return rec["path"], reason, rec.get("backward_path")
-    return rec["path"], f"autotune fallback: {rec['reason']}", None
-
-
-def _measure_signature(sig: ConvSignature, key: str) -> dict:
-    heuristic_path, heuristic_reason = _decide(sig, "auto")
-    input_bytes = (math.prod(sig.x_shape[:2]) * math.prod(sig.padded_spatial)
-                   * np.dtype(sig.dtype).itemsize)
-    if sig.taps == 1 or input_bytes > AUTOTUNE_MAX_BYTES \
-            or sig.patch_bytes > IM2COL_MAX_PATCH_BYTES:
-        # Not worth (or not safe) to probe: trust the heuristic, but
-        # record the decision so restarts skip this signature too.
-        return _MEASUREMENTS.setdefault(
-            key, {"path": heuristic_path, "measured": False,
-                  "reason": heuristic_reason})
-    with _MEASURE_LOCK:
-        # Re-check after acquiring: another thread may have finished
-        # measuring this signature while we waited for its probe.
-        existing = _MEASUREMENTS.get(key)
-        if existing is not None:
-            return existing
-        times = _time_engines(sig)
-    return _MEASUREMENTS.setdefault(key, {
-        "path": ("im2col" if times["fwd_im2col"]
-                 < times["fwd_tensordot"] else "tensordot"),
-        "backward_path": ("im2col" if times["bwd_im2col"]
-                          < times["bwd_tensordot"]
-                          else "tensordot"),
-        "measured": True, "times": times,
-        "heuristic": heuristic_path,
-    })
-
-
 def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
     """Return the (memoized) execution plan for a conv signature."""
     global _cache_hits, _cache_misses
     sig = ConvSignature(tuple(x_shape), tuple(w_shape), tuple(stride),
                         tuple(padding), np.dtype(dtype).str)
-    mode = _mode
-    key = (sig, mode)
     with _CACHE_LOCK:
-        plan = _PLAN_CACHE.get(key)
+        plan = _PLAN_CACHE.get(sig)
         if plan is not None:
             _cache_hits += 1
             return plan
         _cache_misses += 1
-    backward_path = None
-    if mode == "autotune":
-        path, reason, backward_path = _decide_autotune(sig)
-    else:
-        path, reason = _decide(sig, mode)
-    plan = ConvPlan(signature=sig, path=path, reason=reason,
-                    backward_path=backward_path)
+    path, reason = _decide(sig)
+    plan = ConvPlan(signature=sig, path=path, reason=reason)
     with _CACHE_LOCK:
-        _PLAN_CACHE[key] = plan
+        _PLAN_CACHE[sig] = plan
     return plan
 
 
@@ -471,8 +275,7 @@ def _backward_im2col(xp, w, gmoved, stride, out_spatial):
 
 def run_conv_backward(plan: ConvPlan, xp, w, gmoved, stride, out_spatial):
     """Execute the planned backward pass; returns ``(dxp, dw)``."""
-    path = plan.backward_path or plan.path
-    if path == "im2col":
+    if plan.path == "im2col":
         return _backward_im2col(xp, w, gmoved, stride, out_spatial)
     return _backward_tensordot(xp, w, gmoved, stride, out_spatial)
 
@@ -486,29 +289,9 @@ def run_conv_backward(plan: ConvPlan, xp, w, gmoved, stride, out_spatial):
 # contract input channels against the whole kernel once (or per tap),
 # then scatter-add each tap's contribution into the output at offset
 # slices of step ``stride`` — writes touch exactly the nonzero work.
-#
-# ``REPRO_CONVT_PLAN`` / :func:`set_conv_transpose_mode` selects
-# ``scatter`` (default) or ``compose`` (the original differentiable
-# composition, kept as the parity reference).
+# The composition survives only as the parity reference
+# (``repro.autograd.ops_conv.conv_transpose_nd_composed``).
 # --------------------------------------------------------------------- #
-
-_CONVT_MODES = ("scatter", "compose")
-_convt_mode = os.environ.get("REPRO_CONVT_PLAN", "scatter")
-if _convt_mode not in _CONVT_MODES:  # pragma: no cover - env misconfig
-    _convt_mode = "scatter"
-
-
-def set_conv_transpose_mode(mode: str) -> None:
-    """Force the conv-transpose path: 'scatter' (default) or 'compose'."""
-    global _convt_mode
-    if mode not in _CONVT_MODES:
-        raise ValueError(f"mode must be one of {_CONVT_MODES}, got {mode!r}")
-    _convt_mode = mode
-
-
-def get_conv_transpose_mode() -> str:
-    return _convt_mode
-
 
 @dataclass(frozen=True)
 class ConvTransposePlan:

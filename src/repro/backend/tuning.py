@@ -1,20 +1,17 @@
-"""Host-fingerprinted measure-and-persist cache — the autotuner seam.
+"""Host-fingerprinted persistent record cache.
 
-Measured performance decisions (which conv engine wins, which JIT kernel
-was compiled) are only valid on the machine that measured them, so every
+Host-specific artefacts (which JIT kernel was compiled for which
+signature) are only valid on the machine that produced them, so every
 persisted record is partitioned under a digest of the performance-relevant
-host facts.  :class:`MeasurementCache` owns the mechanics every measuring
-subsystem needs and none should reimplement:
+host facts.  :class:`MeasurementCache` owns the mechanics:
 
 * a JSON table on disk, ``{"hosts": {<fingerprint>: {<key>: <record>}}}``,
 * an in-memory slice for this host, loaded lazily and saved atomically,
-* a path override seam (constructor env var / :meth:`set_path`) so tests
-  and deployments can isolate tables,
 * ``clear(memory_only=True)`` to simulate a process restart.
 
-The conv autotuner (:mod:`repro.backend.conv_plan`) and the lazy
-backend's JIT kernel index (:mod:`repro.backend.lazy.cjit`) are both
-instances of this class over different default paths.
+Its one user is the lazy backend's JIT kernel index
+(:mod:`repro.backend.lazy.cjit`), which places the table inside its
+(``REPRO_JIT_CACHE``-relocatable) kernel directory.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import os
 import platform
 import threading
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -48,58 +45,19 @@ def host_fingerprint() -> str:
 class MeasurementCache:
     """A host-partitioned key -> record JSON table with atomic persistence.
 
-    Parameters
-    ----------
-    default_path:
-        Where the table lives when neither the env var nor
-        :meth:`set_path` overrides it.
-    env_var:
-        Environment variable consulted for a path override (optional).
-    on_invalidate:
-        Called whenever the table location changes or is cleared, so the
-        owner can drop derived caches (e.g. memoized plans).
+    ``default_path`` is where the table lives on disk.
     """
 
-    def __init__(self, default_path: Path,
-                 env_var: str | None = None,
-                 on_invalidate: Callable[[], None] | None = None) -> None:
-        self._default_path = Path(default_path)
-        self._env_var = env_var
-        self._on_invalidate = on_invalidate
+    def __init__(self, default_path: Path) -> None:
+        self._path = Path(default_path)
         self._lock = threading.RLock()
-        self._path_override: Path | None = None
         self._host: dict[str, dict] | None = None
         self._dirty = False
 
-    # ------------------------------------------------------------------ #
-    # Location
-    # ------------------------------------------------------------------ #
     def path(self) -> Path:
         """Where the persisted table lives on disk."""
-        if self._path_override is not None:
-            return self._path_override
-        if self._env_var:
-            env = os.environ.get(self._env_var)
-            if env:
-                return Path(env)
-        return self._default_path
+        return self._path
 
-    def set_path(self, path: str | os.PathLike | None) -> None:
-        """Override the table location (``None`` restores the default).
-
-        Drops the in-memory slice so the next access reloads from the new
-        location, and fires ``on_invalidate`` so derived caches follow.
-        """
-        with self._lock:
-            self._path_override = None if path is None else Path(path)
-            self._host = None
-            self._dirty = False
-        if self._on_invalidate is not None:
-            self._on_invalidate()
-
-    # ------------------------------------------------------------------ #
-    # Records
-    # ------------------------------------------------------------------ #
     def _load(self) -> dict[str, dict]:
         """This host's slice of the persisted table (lock held)."""
         if self._host is None:
@@ -145,8 +103,6 @@ class MeasurementCache:
                     self.path().unlink()
                 except OSError:
                     pass
-        if self._on_invalidate is not None:
-            self._on_invalidate()
 
     def save(self) -> Path | None:
         """Persist pending records (read-merge-write, atomic replace);

@@ -55,14 +55,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_tile(text: str) -> "int | str":
-    """``--tile``: a core tile size, or 'autotune' for the measured
-    per-host winner."""
-    if text == "autotune":
-        return text
-    return _positive_int(text)
-
-
 def _parse_tenant_quota(text: str) -> tuple[float, float]:
     """``--tenant-quota RATE[:BURST]`` -> (rate req/s, burst capacity);
     burst defaults to 2x the rate."""
@@ -128,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override inference resolution")
     p.add_argument("--compare-fem", action="store_true")
     p.add_argument("--output", default=None, help=".vti output path")
-    p.add_argument("--tile", "--tile-size", type=_parse_tile, dest="tile",
-                   default=None, metavar="N|autotune",
+    p.add_argument("--tile", "--tile-size", type=_positive_int, dest="tile",
+                   default=None, metavar="N",
                    help="tiled inference with this core tile size "
-                        "(multiple of 2**depth); 'autotune' measures "
-                        "candidates once and persists the winner per host")
+                        "(multiple of 2**depth)")
     p.add_argument("--halo", type=int, default=None,
                    help="halo width for --tile (default: receptive field)")
     p.add_argument("--stream", action="store_true",
@@ -144,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan tiled inference across this worker pool")
     p.add_argument("--executor-workers", type=int, default=None,
                    help="pool size for --executor (default: CPU count)")
-    p.add_argument("--autotune", action="store_true",
-                   help="measured conv autotuning (persisted per host)")
     p.add_argument("--retries", type=int, default=0, metavar="N",
                    help="retry transient failures (I/O, executor faults) "
                         "up to N extra attempts with jittered backoff")
@@ -165,11 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-mb", type=int, default=64)
     p.add_argument("--backend", default=None,
-                   help="array backend workers pin (e.g. 'threaded')")
-    p.add_argument("--tile", "--tile-size", type=_parse_tile, dest="tile",
-                   default=None, metavar="N|autotune",
-                   help="force tiled forwards with this core tile size "
-                        "('autotune': measured winner, persisted per host)")
+                   help="array backend workers pin (e.g. 'lazy')")
+    p.add_argument("--tile", "--tile-size", type=_positive_int, dest="tile",
+                   default=None, metavar="N",
+                   help="force tiled forwards with this core tile size")
     p.add_argument("--tile-threshold", type=int, default=2 ** 21,
                    help="voxel count above which forwards are tiled")
     p.add_argument("--repeat", type=int, default=1,
@@ -191,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="latency budget per request; requests still "
                         "queued past it fail with DeadlineExceeded")
-    p.add_argument("--autotune", action="store_true",
-                   help="measured conv autotuning (persisted per host)")
     p.add_argument("--priority-aging", type=_parse_aging, default=None,
                    metavar="SECONDS",
                    help="age-escalation rate: a queued request overtakes "
@@ -349,15 +335,12 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     import time
 
-    from .backend import set_conv_plan_mode
     from .core.metrics import compare_fields
     from .serve import (
         ModelRegistry, RegistryError, make_executor, stream_tiled_predict,
         tiled_predict,
     )
 
-    if args.autotune:
-        set_conv_plan_mode("autotune")
     policy = None
     if args.retries > 0:
         from .serve import RetryConfig, RetryPolicy
@@ -537,14 +520,11 @@ def _write_telemetry(args, telemetry) -> None:
 def _cmd_serve(args) -> int:
     import time
 
-    from .backend import set_conv_plan_mode
     from .serve import (
         DeadlineExceeded, ModelRegistry, PredictionServer, RegistryError,
         ServerConfig, ServerOverloaded,
     )
 
-    if args.autotune:
-        set_conv_plan_mode("autotune")
     config = ServerConfig(
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         workers=args.workers, cache_bytes=args.cache_mb * 1024 * 1024,

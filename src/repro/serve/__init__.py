@@ -96,9 +96,8 @@ from .telemetry import (
     format_summary, parse_jsonl, summarize_spans,
 )
 from .tiling import (
-    TilePlan, autotune_tile, plan_tiles, receptive_halo,
-    stream_tiled_forward, stream_tiled_predict, tile_candidates,
-    tiled_forward, tiled_predict,
+    TilePlan, plan_tiles, receptive_halo, stream_tiled_forward,
+    stream_tiled_predict, tiled_forward, tiled_predict,
 )
 
 __all__ = [
@@ -123,8 +122,8 @@ __all__ = [
     "ModelEntry", "ModelRegistry", "RegistryError", "state_version",
     "PredictionServer", "ServerConfig", "ServerStats", "TileStream",
     "StreamStalled",
-    "TilePlan", "plan_tiles", "receptive_halo", "tile_candidates",
-    "autotune_tile", "tiled_forward", "tiled_predict",
+    "TilePlan", "plan_tiles", "receptive_halo",
+    "tiled_forward", "tiled_predict",
     "stream_tiled_forward", "stream_tiled_predict",
     "Telemetry", "Tracer", "Span", "NullSpan", "NullTracer",
     "NULL_SPAN", "NULL_TRACER", "Counter", "Gauge", "QuantileSketch",

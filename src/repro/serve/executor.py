@@ -13,8 +13,8 @@ a unit of serving compute runs:
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Full GIL
   escape for CPU-bound fleets.  Each worker re-initialises its array
   backend and dtype policy on startup (``_process_worker_init``): forked
-  children must never reuse the parent's backend instances, whose thread
-  pools and locked state do not survive a fork.
+  children must never reuse the parent's backend instances, whose locked
+  state does not survive a fork.
 
 Task functions submitted to a :class:`ProcessExecutor` must be module
 level (picklable); per-worker state such as unpickled models is cached in
@@ -82,7 +82,9 @@ class Executor:
         caller that needs positional identity (e.g. which tile a result
         belongs to) recovers it regardless of which worker finished
         first.  The serial implementation is lazy and in input order;
-        parallel executors submit everything and yield as results land.
+        parallel executors submit everything and yield as results land,
+        so callers bound what they hand over (the tile engine dispatches
+        in waves of ``2 x workers``).
         """
         for i, item in enumerate(items):
             yield i, fn(item)
@@ -166,8 +168,14 @@ class ThreadExecutor(Executor):
             return
         pool = self._ensure_pool()
         futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for fut in as_completed(futures):
-            yield futures[fut], fut.result()
+        try:
+            for fut in as_completed(futures):
+                yield futures[fut], fut.result()
+        finally:
+            # A consumer that closes the stream early (or a task that
+            # raised) must not leave the queued remainder computing.
+            for fut in futures:
+                fut.cancel()
 
     def warm(self) -> None:
         self._ensure_pool()
@@ -196,13 +204,6 @@ class ProcessExecutor(Executor):
                  start_method: str | None = None) -> None:
         self._workers = max(1, int(workers or default_workers()))
         self._backend, self._dtype = _capture_context(backend, dtype)
-        # Conv-plan mode and autotune table location are process-global
-        # state: fork inherits them, but spawn-started workers would
-        # silently fall back to defaults — capture and replay both.
-        from ..backend import autotune_cache_path, get_conv_plan_mode
-
-        self._conv_mode = get_conv_plan_mode()
-        self._autotune_path = str(autotune_cache_path())
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -225,8 +226,7 @@ class ProcessExecutor(Executor):
                 self._pool = ctx.Pool(
                     processes=self._workers,
                     initializer=_process_worker_init,
-                    initargs=(self._backend, self._dtype,
-                              self._conv_mode, self._autotune_path))
+                    initargs=(self._backend, self._dtype))
             return self._pool
 
     def map(self, fn, items) -> list:
@@ -306,30 +306,19 @@ def _thread_worker_init(backend: str, dtype: str) -> None:
     set_default_dtype(dtype)
 
 
-def _process_worker_init(backend: str, dtype: str,
-                         conv_mode: str = "auto",
-                         autotune_path: str | None = None) -> None:
+def _process_worker_init(backend: str, dtype: str) -> None:
     """Re-initialise the array layer in a freshly started/forked worker.
 
-    Backend instances carry thread pools, locks and pooled buffers; after
-    a fork those threads are gone and lock state is undefined, so the
-    child registers *fresh* instances before activating anything.  The
-    conv-plan mode and autotune table path are replayed too — spawn
-    workers start from module defaults, and a process fleet running the
-    heuristic planner while the parent autotuned would silently discard
-    the measured wins.
+    Backend instances carry locks, pending-op registries and pooled
+    buffers; after a fork lock state is undefined, so the child
+    re-registers every built-in backend *fresh* before activating
+    anything — a forked parent's memoized instance must never be reused.
     """
-    from ..backend import (
-        set_autotune_cache_path, set_conv_plan_mode, set_default_dtype,
-    )
+    from ..backend import LazyBackend, set_default_dtype
     from ..backend.numpy_backend import NumpyBackend
     from ..backend.registry import register_backend, set_backend
-    from ..backend.threaded import ThreadedBackend
 
     register_backend("numpy", NumpyBackend())
-    register_backend("threaded", ThreadedBackend)   # lazy factory
+    register_backend("lazy", LazyBackend)   # built on first use
     set_backend(backend)
     set_default_dtype(dtype)
-    if autotune_path is not None:
-        set_autotune_cache_path(autotune_path)
-    set_conv_plan_mode(conv_mode)

@@ -21,9 +21,8 @@ Front-ends:
 * **worker-thread** — ``start()`` spawns N worker threads; ``submit``
   returns a ``Future``; ``predict`` on a running server routes through
   the queue.  Workers pin the configured array backend (the registry's
-  op dispatch is thread-local), so e.g. the threaded backend
-  parallelizes inside a fused forward while workers overlap queue wait
-  with compute.
+  op dispatch is thread-local), so e.g. the lazy backend fuses inside a
+  forward while workers overlap queue wait with compute.
 * **asyncio** — :class:`repro.serve.aio.AsyncPredictionServer` wraps the
   worker-thread front-end's futures into awaitables.
 
@@ -64,8 +63,7 @@ from .executor import Executor, SerialExecutor, make_executor
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import NULL_SPAN, NULL_TRACER
 from .tiling import (
-    autotune_tile, plan_tiles, receptive_halo, stream_tiled_predict,
-    tiled_predict,
+    _resolve_plan, _tile_indices, stream_tiled_predict, tiled_predict,
 )
 
 __all__ = ["ServerConfig", "ServerStats", "PredictionServer",
@@ -99,8 +97,7 @@ class ServerConfig:
     cache_bytes: int = 64 * 1024 * 1024
     omega_step: float = 1e-6          # cache-key quantization lattice
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels
-    tile: "int | str | None" = None   # set: force tiling at this tile
-    #                                   size; "autotune": measured winner
+    tile: int | None = None           # set: force tiling at this tile size
     halo: int | None = None           # None: receptive-field halo
     backend: str | None = None        # backend workers pin (None: inherit)
     executor: str = "serial"          # compute layer: serial|thread|process
@@ -611,23 +608,12 @@ class PredictionServer:
         # Resolve the plan eagerly: tile identities must be fixed before
         # any compute so a resuming caller can name the undelivered set.
         tile, halo = self._tile_params(entry, r)
-        if tile == "autotune":
-            tile = autotune_tile(entry.model, entry.problem, r, halo,
-                                 self.executor)
         shape = entry.problem.grid(r).shape
-        plan = plan_tiles(shape, tile, halo, 2 ** entry.model.net.depth)
-        if tiles is None:
-            indices = tuple(range(plan.num_tiles))
-        else:
-            indices = tuple(int(t) for t in tiles)
-            for t in indices:
-                if not 0 <= t < plan.num_tiles:
-                    raise ValueError(
-                        f"tile index {t} out of range for "
-                        f"{plan.num_tiles} tiles")
+        plan = _resolve_plan(entry.model, shape, tile, halo)
         stream = request.stream = TileStream(
-            model_name, key, shape, indices, buffer_tiles=buffer_tiles)
-        stream._plan, stream._tile, stream._halo = plan, tile, halo
+            model_name, key, shape, _tile_indices(plan, tiles),
+            buffer_tiles=buffer_tiles)
+        stream._plan = plan
 
         cached = self.cache.get(key)
         if cached is not None:
@@ -892,8 +878,7 @@ class PredictionServer:
         out = None
         n = 0
         it = self._stream_tiles(entry, req.omega, req.resolution,
-                                stream.tile_indices, stream._tile,
-                                stream._halo)
+                                stream.tile_indices, plan.tile, plan.halo)
         try:
             while True:
                 if req.expired():
@@ -1032,10 +1017,10 @@ class PredictionServer:
                 del cache[version]
 
     def _tile_params(self, entry: ModelEntry,
-                     resolution: int) -> tuple[int, int]:
+                     resolution: int) -> tuple[int, int | None]:
+        """``(tile, halo)`` for the tile engine (``halo`` None: the
+        engine's receptive-field default)."""
         multiple = 2 ** entry.model.net.depth
-        halo = (self.config.halo if self.config.halo is not None
-                else receptive_halo(entry.model))
         tile = self.config.tile
         if tile is None:
             # Aim each tile's core at ~the threshold volume so the padded
@@ -1044,7 +1029,7 @@ class PredictionServer:
                 self.config.tile_threshold_voxels
                 ** (1.0 / entry.problem.ndim))))
             tile = min(resolution, (target // multiple) * multiple)
-        return tile, halo
+        return tile, self.config.halo
 
     def _key(self, entry: ModelEntry, omega: np.ndarray,
              resolution: int) -> tuple:

@@ -32,9 +32,13 @@ buffer pool; process workers receive the pickled network bytes with each
 task but *unpickle* it only once per model version (per-process cache) —
 the models are small, it is the fields that are megavoxel — and each
 child owns its own backend and pool (re-initialised by the executor's
-worker init).  Tasks go out in bounded waves and results are stitched in
-plan order on the caller, so memory stays bounded and the output is
-deterministic and bitwise equal to the sequential path.
+worker init).  Tasks go out in bounded waves and every core lands in its
+own disjoint destination, so memory stays bounded and the output is
+bitwise equal to the sequential path whatever the completion order.
+
+There is one tile loop, :func:`stream_tiled_forward`; the stitching entry
+points are folds over the streams.  Halo over-compute falls monotonically
+with tile size, so the right tile is the largest the memory budget allows.
 """
 
 from __future__ import annotations
@@ -42,30 +46,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import pickle
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..backend import get_pool
-from ..backend.tuning import MeasurementCache
 from ..core.inference import apply_bc_masks, prepare_batch_inputs
 from ..distributed.model_parallel import extract_padded_block
-from .telemetry.trace import NULL_TRACER
+from .telemetry.trace import NULL_SPAN, NULL_TRACER
 
-__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "tile_candidates",
-           "autotune_tile", "tiled_forward", "tiled_predict",
-           "stream_tiled_forward", "stream_tiled_predict"]
-
-# Measured tile-size winners, persisted per host (the best tile trades
-# per-tile overhead against working-set size — a property of this CPU's
-# caches, not of the model).  Same seam as the conv-engine autotuner:
-# host-fingerprinted JSON, env-var path override for test isolation.
-_TILE_MEASUREMENTS = MeasurementCache(
-    default_path=Path.home() / ".cache" / "repro" / "tile_autotune.json",
-    env_var="REPRO_TILE_AUTOTUNE_CACHE")
+__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "tiled_forward",
+           "tiled_predict", "stream_tiled_forward", "stream_tiled_predict"]
 
 
 @dataclass(frozen=True)
@@ -132,59 +124,31 @@ def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
                     multiple=multiple, blocks=blocks)
 
 
-def tile_candidates(shape: tuple[int, ...], multiple: int) -> list[int]:
-    """Aligned tile sizes worth measuring for a spatial ``shape``:
-    powers-of-two multiples of ``2**depth`` up to the untiled size."""
-    max_tile = min(shape)
-    candidates = []
-    t = multiple
-    while t < max_tile:
-        candidates.append(t)
-        t *= 2
-    if max_tile >= multiple and max_tile % multiple == 0:
-        candidates.append(max_tile)   # untiled: one block per axis
-    return candidates
-
-
-def autotune_tile(model, problem, resolution: int | None = None,
-                  halo: int | None = None, executor=None) -> int:
-    """Measure-and-persist the fastest tile size for this workload.
-
-    Times one full :func:`tiled_predict` per candidate (powers of two
-    from ``2**depth`` up to the untiled size) and records the winner in
-    the host-fingerprinted measurement cache, keyed by everything the
-    optimum depends on: dimensionality, resolution, network depth, halo
-    width, and the executor shape (tile-grain parallelism shifts the
-    optimum toward more, smaller tiles).  Subsequent calls are a cache
-    hit — the measurement runs once per host per key.
-    """
-    log_nu, _, _ = prepare_batch_inputs(
-        problem, np.zeros((1, problem.field.m)), resolution)
-    shape = log_nu.shape[2:]
-    net = model.net
-    multiple = 2 ** net.depth
+def _resolve_plan(model, shape: tuple[int, ...], tile: int | None,
+                  halo: int | None) -> TilePlan:
+    """The tiling prologue of every predict path: alignment unit from the
+    network depth, receptive-field halo and the untiled size as defaults."""
+    multiple = 2 ** model.net.depth
     if halo is None:
         halo = receptive_halo(model)
-    kind = getattr(executor, "kind", "serial")
-    workers = getattr(executor, "workers", 1)
-    key = (f"{len(shape)}d:r{max(shape)}:d{net.depth}:h{halo}"
-           f":{kind}x{workers}")
-    record = _TILE_MEASUREMENTS.get(key)
-    if record is None:
-        omega = np.full(problem.field.m, 0.5)
-        timings: dict[str, float] = {}
-        best_tile, best_dt = None, float("inf")
-        for tile in tile_candidates(shape, multiple):
-            t0 = time.perf_counter()
-            tiled_predict(model, problem, omega, resolution,
-                          tile=tile, halo=halo, executor=executor)
-            dt = time.perf_counter() - t0
-            timings[str(tile)] = dt
-            if dt < best_dt:
-                best_tile, best_dt = tile, dt
-        record = _TILE_MEASUREMENTS.setdefault(
-            key, {"tile": int(best_tile), "seconds": timings})
-    return int(record["tile"])
+    if tile is None:
+        tile = max(multiple, min(shape))
+    return plan_tiles(shape, tile, halo, multiple)
+
+
+def _tile_indices(plan: TilePlan, tiles=None) -> list[int]:
+    """The tile subset a stream delivers (``None``: all, in plan order);
+    each index in range and named once — delivery is exactly-once."""
+    if tiles is None:
+        return list(range(plan.num_tiles))
+    indices = [int(t) for t in tiles]
+    for t in indices:
+        if not 0 <= t < plan.num_tiles:
+            raise ValueError(
+                f"tile index {t} out of range for {plan.num_tiles} tiles")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate tile index in {indices}")
+    return indices
 
 
 def _padded_block(x: np.ndarray, block, halo: int):
@@ -229,24 +193,30 @@ def _run_tile_task(task) -> np.ndarray:
     return _forward_tile(_net_from_blob(version, blob), buf, core_src)
 
 
-def tiled_forward(net, x: np.ndarray, plan: TilePlan,
-                  out_channels: int = 1, executor=None,
-                  net_ref: tuple[str, bytes] | None = None,
-                  tracer=None, trace_parent=None) -> np.ndarray:
+def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
+                         net_ref: tuple[str, bytes] | None = None,
+                         tiles=None, tracer=None, trace_parent=None):
     """Run ``net`` (a spatially local module in eval mode) over halo-padded
-    tiles of ``x`` (shape (N, C, *spatial)) and stitch the full output.
+    tiles of ``x`` (shape (N, C, *spatial)), streaming cores as they complete.
 
-    The caller is responsible for eval mode; this function only manages
-    tiling, scratch buffers, stitching and — when ``executor`` is a
-    parallel :class:`~repro.serve.executor.Executor` — the fan-out of
-    independent tiles across its workers.
+    Yields ``(tile_index, core_slices, core)`` records where
+    ``tile_index`` is the tile's position in ``plan.blocks`` (a stable
+    identity independent of completion order), ``core_slices`` is the
+    spatial destination ``tuple[slice, ...]`` into the full field, and
+    ``core`` is a fresh ``(N, C, *core_shape)`` array.
+
+    The caller is responsible for eval mode; this function manages
+    tiling, scratch buffers and — when ``executor`` is a parallel
+    :class:`~repro.serve.executor.Executor` — the fan-out of independent
+    tiles across its workers.  ``tiles`` optionally restricts the stream
+    to a subset of tile indices (e.g. a fleet resuming a stream on a
+    replacement replica skips tiles the consumer already holds).
 
     ``net_ref`` is an optional ``(version, pickled net bytes)`` pair for
     the process-executor path: a long-running caller (the prediction
     server) serializes the network once per content version and replays
-    the cached blob on every call, instead of paying a fresh
-    ``pickle.dumps(net)`` per forward.  Without it the blob is built
-    here (one pickle per call — fine for one-shot CLI use).
+    the cached blob on every call.  Without it the blob is built here
+    (one pickle per call — fine for one-shot CLI use).
 
     ``tracer``/``trace_parent`` (optional telemetry) emit one
     "tile.compute" span per tile on the sequential and thread paths and
@@ -256,207 +226,126 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
     if x.shape[2:] != plan.shape:
         raise ValueError(
             f"input spatial shape {x.shape[2:]} != plan shape {plan.shape}")
+    indices = _tile_indices(plan, tiles)
     tracer = tracer or NULL_TRACER
-    out = np.empty((x.shape[0], out_channels) + plan.shape, dtype=x.dtype)
     kind = getattr(executor, "kind", "serial")
-    parallel = (executor is not None and kind != "serial"
-                and executor.workers > 1 and plan.num_tiles > 1)
-    core_dsts = [tuple(slice(start, stop) for start, stop in block)
-                 for block in plan.blocks]
 
-    if not parallel:
+    def core_dst(i: int) -> tuple[slice, ...]:
+        return tuple(slice(start, stop) for start, stop in plan.blocks[i])
+
+    def run(i: int) -> np.ndarray:
+        span = tracer.start("tile.compute", parent=trace_parent, tile=i)
+        padded, core_src = _padded_block(x, plan.blocks[i], plan.halo)
+        # Pooled contiguous scratch: the slicing above yields a view.
+        # Thread workers each resolve their own (thread-safe) pool.
         pool = get_pool()
-        for i, (block, core_dst) in enumerate(zip(plan.blocks, core_dsts)):
-            span = tracer.start("tile.compute", parent=trace_parent, tile=i)
-            padded, core_src = _padded_block(x, block, plan.halo)
-            # Pooled contiguous scratch: the slicing above yields a view.
-            buf = pool.acquire(padded.shape, dtype=padded.dtype)
-            np.copyto(buf, padded)
-            try:
-                core = _forward_tile(net, buf, core_src)
-            finally:
-                pool.release(buf)
-                span.finish()
-            out[(slice(None), slice(None)) + core_dst] = core
-    elif kind == "process":
-        if net_ref is not None:
-            version, blob = net_ref
-        else:
-            blob = pickle.dumps(net)
-            version = hashlib.sha1(blob).hexdigest()[:12]
-        # Dispatch in bounded waves so the parent never materializes
-        # contiguous copies of every padded tile at once — per wave it
-        # holds ~2 tiles per worker, preserving the bounded-memory point
-        # of tiling on exactly the megavoxel grids it exists for.
-        wave = max(1, 2 * executor.workers)
-        for w0 in range(0, plan.num_tiles, wave):
-            span = tracer.start("tile.wave", parent=trace_parent, first=w0,
-                                count=min(wave, plan.num_tiles - w0))
-            tasks = []
-            for block in plan.blocks[w0:w0 + wave]:
-                padded, core_src = _padded_block(x, block, plan.halo)
-                # Contiguous copy: a view pickles its whole base.
-                tasks.append((version, blob,
-                              np.ascontiguousarray(padded), core_src))
-            cores = executor.map(_run_tile_task, tasks)
-            for core_dst, core in zip(core_dsts[w0:w0 + wave], cores):
-                out[(slice(None), slice(None)) + core_dst] = core
+        buf = pool.acquire(padded.shape, dtype=padded.dtype)
+        np.copyto(buf, padded)
+        try:
+            return _forward_tile(net, buf, core_src)
+        finally:
+            pool.release(buf)
             span.finish()
-    else:  # thread executor: share the model, pool scratch per task
 
-        def run(indexed_block) -> np.ndarray:
-            i, block = indexed_block
-            span = tracer.start("tile.compute", parent=trace_parent, tile=i)
-            padded, core_src = _padded_block(x, block, plan.halo)
-            pool = get_pool()
-            buf = pool.acquire(padded.shape, dtype=padded.dtype)
-            np.copyto(buf, padded)
-            try:
-                return _forward_tile(net, buf, core_src)
-            finally:
-                pool.release(buf)
-                span.finish()
-
-        cores = executor.map(run, list(enumerate(plan.blocks)))
-        for core_dst, core in zip(core_dsts, cores):
-            out[(slice(None), slice(None)) + core_dst] = core
-    return out
-
-
-def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan,
-                         executor=None,
-                         net_ref: tuple[str, bytes] | None = None,
-                         tiles=None):
-    """Stream tile cores as they complete instead of stitching them.
-
-    Yields ``(tile_index, core_slices, core)`` records where
-    ``tile_index`` is the tile's position in ``plan.blocks`` (a stable
-    identity independent of completion order), ``core_slices`` is the
-    spatial destination ``tuple[slice, ...]`` into the full field, and
-    ``core`` is a fresh ``(N, C, *core_shape)`` array.  Assigning every
-    core via ``out[(slice(None), slice(None)) + core_slices] = core``
-    reproduces :func:`tiled_forward` bitwise — the per-tile compute is
-    the same code path; only delivery order differs.
-
-    ``tiles`` optionally restricts the stream to a subset of tile
-    indices (e.g. a fleet resuming a stream on a replacement replica
-    skips tiles the consumer already holds).
-    """
-    if x.shape[2:] != plan.shape:
-        raise ValueError(
-            f"input spatial shape {x.shape[2:]} != plan shape {plan.shape}")
-    if tiles is None:
-        indices = list(range(plan.num_tiles))
-    else:
-        indices = [int(t) for t in tiles]
-        for t in indices:
-            if not 0 <= t < plan.num_tiles:
-                raise ValueError(
-                    f"tile index {t} out of range for {plan.num_tiles} tiles")
-    core_dsts = {i: tuple(slice(start, stop) for start, stop in plan.blocks[i])
-                 for i in indices}
-    kind = getattr(executor, "kind", "serial")
-    parallel = (executor is not None and kind != "serial"
-                and executor.workers > 1 and len(indices) > 1)
-
-    if not parallel:
-        pool = get_pool()
+    if (executor is None or kind == "serial" or executor.workers <= 1
+            or len(indices) <= 1):
         for i in indices:
-            padded, core_src = _padded_block(x, plan.blocks[i], plan.halo)
-            buf = pool.acquire(padded.shape, dtype=padded.dtype)
-            np.copyto(buf, padded)
-            try:
-                core = _forward_tile(net, buf, core_src)
-            finally:
-                pool.release(buf)
-            yield i, core_dsts[i], core
-    elif kind == "process":
+            yield i, core_dst(i), run(i)
+        return
+
+    if kind == "process":
         if net_ref is not None:
             version, blob = net_ref
         else:
             blob = pickle.dumps(net)
             version = hashlib.sha1(blob).hexdigest()[:12]
-        # Bounded waves, as in tiled_forward: the parent holds contiguous
-        # copies of ~2 tiles per worker at a time.  Within a wave results
-        # stream out in completion order.
-        wave = max(1, 2 * executor.workers)
-        for w0 in range(0, len(indices), wave):
-            wave_ids = indices[w0:w0 + wave]
-            tasks = []
-            for i in wave_ids:
-                padded, core_src = _padded_block(x, plan.blocks[i], plan.halo)
-                tasks.append((version, blob,
-                              np.ascontiguousarray(padded), core_src))
-            for pos, core in executor.imap_unordered(_run_tile_task, tasks):
-                i = wave_ids[pos]
-                yield i, core_dsts[i], core
-    else:  # thread executor: share the model, pool scratch per task
 
-        def run(i) -> np.ndarray:
+        def remote_task(i: int):
             padded, core_src = _padded_block(x, plan.blocks[i], plan.halo)
-            pool = get_pool()
-            buf = pool.acquire(padded.shape, dtype=padded.dtype)
-            np.copyto(buf, padded)
-            try:
-                return _forward_tile(net, buf, core_src)
-            finally:
-                pool.release(buf)
+            # Contiguous copy: a view pickles its whole base.
+            return version, blob, np.ascontiguousarray(padded), core_src
 
-        for pos, core in executor.imap_unordered(run, indices):
-            i = indices[pos]
-            yield i, core_dsts[i], core
+    # Dispatch in bounded waves so the parent never materializes
+    # contiguous copies of every padded tile at once — per wave it holds
+    # ~2 tiles per worker, preserving the bounded-memory point of tiling
+    # on exactly the megavoxel grids it exists for — and a closed stream
+    # abandons at most one wave.  Within a wave results stream out in
+    # completion order.
+    wave = max(1, 2 * executor.workers)
+    for w0 in range(0, len(indices), wave):
+        wave_ids = indices[w0:w0 + wave]
+        if kind == "process":
+            wave_span = tracer.start("tile.wave", parent=trace_parent,
+                                     first=w0, count=len(wave_ids))
+            fn, tasks = _run_tile_task, [remote_task(i) for i in wave_ids]
+        else:  # thread executor: share the model, pool scratch per task
+            wave_span = NULL_SPAN
+            fn, tasks = run, wave_ids
+        fan_out = tracer.start("executor.map", kind=kind,
+                               items=len(wave_ids), workers=executor.workers)
+        try:
+            for pos, core in executor.imap_unordered(fn, tasks):
+                i = wave_ids[pos]
+                yield i, core_dst(i), core
+        finally:
+            fan_out.finish()
+            wave_span.finish()
+
+
+def tiled_forward(net, x: np.ndarray, plan: TilePlan,
+                  out_channels: int = 1, executor=None,
+                  net_ref: tuple[str, bytes] | None = None,
+                  tracer=None, trace_parent=None) -> np.ndarray:
+    """Stitch the full ``(N, out_channels, *plan.shape)`` output of
+    :func:`stream_tiled_forward` (same arguments): every tile's core
+    assigned to its disjoint destination."""
+    out = np.empty((x.shape[0], out_channels) + plan.shape, dtype=x.dtype)
+    for _, core_dst, core in stream_tiled_forward(
+            net, x, plan, executor=executor, net_ref=net_ref,
+            tracer=tracer, trace_parent=trace_parent):
+        out[(slice(None), slice(None)) + core_dst] = core
+    return out
 
 
 def stream_tiled_predict(model, problem, omegas: np.ndarray,
                          resolution: int | None = None,
-                         tile: "int | str | None" = None,
-                         halo: int | None = None, executor=None,
+                         tile: int | None = None, halo: int | None = None,
+                         executor=None,
                          net_ref: tuple[str, bytes] | None = None,
-                         tiles=None):
-    """Streaming counterpart of :func:`tiled_predict`.
+                         tiles=None, tracer=None, trace_parent=None):
+    """Tiled, streaming counterpart of
+    :func:`repro.core.inference.predict_batch`.
 
     Yields ``(tile_index, core_slices, core)`` records where ``core`` is
     the *masked* prediction for that core region, shape
     ``(B, *core_shape)``, and ``core_slices`` indexes the spatial axes of
     the assembled ``(B, *grid.shape)`` field.  Dirichlet masking
     (Algorithm 1 line 8) is pointwise, so masking each core is bitwise
-    identical to masking the stitched field — assembling every record
-    reproduces :func:`tiled_predict` exactly.
+    identical to masking the stitched field.
 
-    The generator holds the model in eval mode only while it is being
-    consumed; ``tiles`` restricts the stream to a subset of tile indices
-    for mid-stream resume.
+    ``tile``/``halo`` default to the untiled size and the network's
+    receptive-field halo; the remaining arguments are
+    :func:`stream_tiled_forward`'s.  The generator holds the model in
+    eval mode only while it is being consumed.
     """
-    if tile == "autotune":
-        tile = autotune_tile(model, problem, resolution, halo, executor)
     log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
-    shape = log_nu.shape[2:]
-
-    net = model.net
-    multiple = 2 ** net.depth
-    if halo is None:
-        halo = receptive_halo(model)
-    if tile is None:
-        tile = max(multiple, min(shape))
-    plan = plan_tiles(shape, tile, halo, multiple)
-
+    plan = _resolve_plan(model, log_nu.shape[2:], tile, halo)
     was_training = model.training
     model.eval()
     try:
         for i, core_dst, core in stream_tiled_forward(
-                net, log_nu, plan, executor=executor,
-                net_ref=net_ref, tiles=tiles):
+                model.net, log_nu, plan, executor=executor, net_ref=net_ref,
+                tiles=tiles, tracer=tracer, trace_parent=trace_parent):
             mask = (slice(None), slice(None)) + core_dst
-            yield i, core_dst, apply_bc_masks(
-                core, chi_int[mask], u_bc[mask])
+            yield i, core_dst, apply_bc_masks(core, chi_int[mask], u_bc[mask])
     finally:
         model.train(was_training)
 
 
 def tiled_predict(model, problem, omegas: np.ndarray,
                   resolution: int | None = None,
-                  tile: "int | str | None" = None,
-                  halo: int | None = None, executor=None,
+                  tile: int | None = None, halo: int | None = None,
+                  executor=None,
                   net_ref: tuple[str, bytes] | None = None,
                   tracer=None, trace_parent=None) -> np.ndarray:
     """Tiled counterpart of :func:`repro.core.inference.predict_batch`.
@@ -466,34 +355,16 @@ def tiled_predict(model, problem, omegas: np.ndarray,
     block at a time (per worker).  With the default (receptive-field)
     halo the result matches the single-pass forward to float roundoff.
     ``executor`` fans independent tiles across a worker pool; the
-    stitched field is identical to the sequential result.  ``net_ref``
-    (``(version, pickled net)``) lets a serving caller reuse one
-    serialization of the network across calls on the process path.
-    ``tile="autotune"`` resolves the size through :func:`autotune_tile`
-    (measured once per host/workload, persisted, then a cache hit).
+    stitched field is identical to the sequential result.  A fold over
+    :func:`stream_tiled_predict` (same arguments).
     """
-    if tile == "autotune":
-        tile = autotune_tile(model, problem, resolution, halo, executor)
-    log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
-    shape = log_nu.shape[2:]
-
-    net = model.net
-    multiple = 2 ** net.depth
-    if halo is None:
-        halo = receptive_halo(model)
-    if tile is None:
-        tile = max(multiple, min(shape))
-    plan = plan_tiles(shape, tile, halo, multiple)
-
-    was_training = model.training
-    model.eval()
-    try:
-        u_net = tiled_forward(net, log_nu, plan, out_channels=1,
-                              executor=executor, net_ref=net_ref,
-                              tracer=tracer, trace_parent=trace_parent)
-    finally:
-        model.train(was_training)
-
-    # Dirichlet masking (Algorithm 1 line 8) is pointwise, so applying it
-    # to the stitched field is identical to applying it per tile.
-    return apply_bc_masks(u_net, chi_int, u_bc)
+    shape = problem.grid(resolution or problem.resolution).shape
+    out = None
+    for _, core_dst, core in stream_tiled_predict(
+            model, problem, omegas, resolution, tile=tile, halo=halo,
+            executor=executor, net_ref=net_ref,
+            tracer=tracer, trace_parent=trace_parent):
+        if out is None:
+            out = np.empty(core.shape[:1] + shape, dtype=core.dtype)
+        out[(slice(None),) + core_dst] = core
+    return out

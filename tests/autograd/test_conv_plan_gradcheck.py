@@ -14,17 +14,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, conv_nd, conv_transpose_nd, gradcheck
-from repro.backend.conv_plan import clear_plan_cache, set_conv_plan_mode
 
 from tests.conftest import t64
-
-
-@pytest.fixture(autouse=True)
-def _fresh_planner():
-    clear_plan_cache()
-    yield
-    set_conv_plan_mode("auto")
-    clear_plan_cache()
 
 
 CONV_CASES = [
@@ -51,8 +42,9 @@ PATHS = ["tensordot", "im2col"]
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
-def test_conv_nd_gradcheck(path, x_shape, w_shape, stride, padding, rng):
-    set_conv_plan_mode(path)
+def test_conv_nd_gradcheck(path, x_shape, w_shape, stride, padding, rng,
+                           force_conv_path):
+    force_conv_path(path)
     x = t64(x_shape, rng)
     w = t64(w_shape, rng)
     b = t64((w_shape[0],), rng)
@@ -64,8 +56,8 @@ def test_conv_nd_gradcheck(path, x_shape, w_shape, stride, padding, rng):
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding,outpad",
                          TRANSPOSE_CASES)
 def test_conv_transpose_nd_gradcheck(path, x_shape, w_shape, stride, padding,
-                                     outpad, rng):
-    set_conv_plan_mode(path)
+                                     outpad, rng, force_conv_path):
+    force_conv_path(path)
     x = t64(x_shape, rng)
     w = t64(w_shape, rng)
     gradcheck(lambda a, ww: conv_transpose_nd(a, ww, stride=stride,
@@ -75,7 +67,7 @@ def test_conv_transpose_nd_gradcheck(path, x_shape, w_shape, stride, padding,
 
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
 def test_paths_agree_on_values_and_gradients(x_shape, w_shape, stride,
-                                             padding, rng):
+                                             padding, rng, force_conv_path):
     """The plan is invisible to numerics: outputs and every input gradient
     must agree between the two engines to float64 round-off."""
     x_data = rng.standard_normal(x_shape)
@@ -84,7 +76,7 @@ def test_paths_agree_on_values_and_gradients(x_shape, w_shape, stride,
 
     results = {}
     for path in PATHS:
-        set_conv_plan_mode(path)
+        force_conv_path(path)
         x = Tensor(x_data.copy(), requires_grad=True, dtype=np.float64)
         w = Tensor(w_data.copy(), requires_grad=True, dtype=np.float64)
         b = Tensor(b_data.copy(), requires_grad=True, dtype=np.float64)
@@ -97,11 +89,11 @@ def test_paths_agree_on_values_and_gradients(x_shape, w_shape, stride,
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_unet_forward_backward_on_both_paths(path, rng):
+def test_unet_forward_backward_on_both_paths(path, rng, force_conv_path):
     """A full 2D U-Net step runs on either forced path (smoke)."""
     from repro.nn.unet import UNet
 
-    set_conv_plan_mode(path)
+    force_conv_path(path)
     net = UNet(ndim=2, in_channels=2, base_filters=4, depth=2, rng=3)
     x = Tensor(rng.standard_normal((1, 2, 8, 8)).astype(np.float32),
                requires_grad=False)

@@ -8,18 +8,15 @@ import pytest
 
 from repro.backend.conv_plan import (
     IM2COL_MAX_PATCH_BYTES, ConvSignature, clear_plan_cache,
-    get_conv_plan_mode, plan_cache_info, plan_conv, run_conv_forward,
-    set_conv_plan_mode,
+    plan_cache_info, plan_conv, run_conv_forward,
 )
 
 
 @pytest.fixture(autouse=True)
 def _fresh_planner():
     clear_plan_cache()
-    set_conv_plan_mode("auto")
     yield
     clear_plan_cache()
-    set_conv_plan_mode("auto")
 
 
 class TestPlanSelection:
@@ -67,18 +64,6 @@ class TestPlanSelection:
         assert plan.path == "tensordot"
         assert "patch matrix" in plan.reason
 
-    def test_forced_modes(self):
-        args = ((2, 1, 8, 8), (4, 1, 3, 3), (1, 1), (0, 0), np.float32)
-        set_conv_plan_mode("im2col")
-        assert plan_conv(*args).path == "im2col"
-        set_conv_plan_mode("tensordot")
-        assert plan_conv(*args).path == "tensordot"
-        assert get_conv_plan_mode() == "tensordot"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            set_conv_plan_mode("winograd")
-
 
 class TestMemoization:
     def test_plans_are_cached_per_signature(self):
@@ -93,14 +78,6 @@ class TestMemoization:
         plan_conv((2, 8, 16, 16), (16, 8, 3, 3), (1, 1), (1, 1), np.float32)
         plan_conv((2, 8, 16, 16), (16, 8, 3, 3), (2, 2), (1, 1), np.float32)
         assert plan_cache_info()["size"] == 2
-
-    def test_mode_change_invalidates_lookup(self):
-        args = ((2, 8, 16, 16), (16, 8, 3, 3), (1, 1), (1, 1), np.float32)
-        auto_plan = plan_conv(*args)
-        set_conv_plan_mode("tensordot")
-        forced = plan_conv(*args)
-        assert forced.path == "tensordot"
-        assert forced is not auto_plan
 
 
 class TestEngineParity:
@@ -117,7 +94,8 @@ class TestEngineParity:
     ]
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CASES)
-    def test_forward_parity(self, x_shape, w_shape, stride, padding):
+    def test_forward_parity(self, x_shape, w_shape, stride, padding,
+                            force_conv_path):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(w_shape)
@@ -130,22 +108,22 @@ class TestEngineParity:
             (s - k) // st + 1
             for s, k, st in zip(xp.shape[2:], w_shape[2:], stride))
 
-        set_conv_plan_mode("tensordot")
+        force_conv_path("tensordot")
         ref = run_conv_forward(plan_conv(x_shape, w_shape, stride, padding,
                                          x.dtype), xp, w, stride, out_spatial)
-        set_conv_plan_mode("im2col")
+        force_conv_path("im2col")
         fast = run_conv_forward(plan_conv(x_shape, w_shape, stride, padding,
                                           x.dtype), xp, w, stride, out_spatial)
         np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12)
 
-    def test_im2col_uses_the_buffer_pool(self):
+    def test_im2col_uses_the_buffer_pool(self, force_conv_path):
         from repro.backend import get_pool
 
         pool = get_pool()
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 8, 12, 12)).astype(np.float32)
         w = rng.standard_normal((16, 8, 3, 3)).astype(np.float32)
-        set_conv_plan_mode("im2col")
+        force_conv_path("im2col")
         plan = plan_conv(x.shape, w.shape, (1, 1), (0, 0), x.dtype)
         out_spatial = (10, 10)
         run_conv_forward(plan, x, w, (1, 1), out_spatial)

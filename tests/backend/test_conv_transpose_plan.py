@@ -3,36 +3,30 @@
 The scatter engine must be numerically interchangeable with the original
 composition (zero-stuff, pad, flip, stride-1 conv) for every supported
 (stride, padding, output_padding) combination, in forward and in every
-gradient — that is what lets it be the default.  Also pinned: the plan
-memoizes, the 'tap' path is chosen above the patch ceiling, and both
-paths survive gradcheck.
+gradient — that is what lets it be the only production path.  Also
+pinned: the plan memoizes, the 'tap' path is chosen above the patch
+ceiling, and both paths survive gradcheck.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, conv_transpose_nd, gradcheck
+from repro.autograd.ops_conv import conv_transpose_nd_composed
 from repro.backend.conv_plan import (
     ConvTransposePlan, IM2COL_MAX_PATCH_BYTES, clear_plan_cache,
-    get_conv_transpose_mode, plan_conv_transpose, set_conv_transpose_mode,
+    plan_conv_transpose,
 )
-
-
-@pytest.fixture(autouse=True)
-def _scatter_after():
-    yield
-    set_conv_transpose_mode("scatter")
 
 
 def _both_modes(x, w, b, st, p, op):
     results = {}
-    for mode in ("scatter", "compose"):
-        set_conv_transpose_mode(mode)
+    for mode, fn in (("scatter", conv_transpose_nd),
+                     ("compose", conv_transpose_nd_composed)):
         xt = Tensor(x.copy(), requires_grad=True)
         wt = Tensor(w.copy(), requires_grad=True)
         bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
-        y = conv_transpose_nd(xt, wt, bt, stride=st, padding=p,
-                              output_padding=op)
+        y = fn(xt, wt, bt, stride=st, padding=p, output_padding=op)
         (y * y).sum().backward()
         results[mode] = (y.numpy(), xt.grad.copy(), wt.grad.copy(),
                          bt.grad.copy() if bt is not None else None)
@@ -90,7 +84,6 @@ class TestScatterParity:
 
 class TestScatterGradcheck:
     def test_gradcheck_strided_padded(self):
-        set_conv_transpose_mode("scatter")
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
@@ -99,7 +92,6 @@ class TestScatterGradcheck:
             x, w, b, stride=2, padding=1, output_padding=1), (x, w, b))
 
     def test_gradcheck_3d(self):
-        set_conv_transpose_mode("scatter")
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 2, 2, 2, 2)), requires_grad=True)
@@ -117,11 +109,3 @@ class TestPlanning:
         assert isinstance(p1, ConvTransposePlan)
         assert p1.path == "gemm"
         assert p1.reason
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            set_conv_transpose_mode("bogus")
-        assert get_conv_transpose_mode() in ("scatter", "compose")
-
-    def test_env_default_is_scatter(self):
-        assert get_conv_transpose_mode() == "scatter"

@@ -1,9 +1,8 @@
-"""MeasurementCache: the shared measure-and-persist seam.
+"""MeasurementCache: the host-partitioned persistent record table.
 
-The conv autotuner and the JIT kernel index both sit on this class, so
-its contracts are pinned once here: host partitioning, setdefault
-persistence, restart survival, read-merge-write saves and the
-invalidation hook.
+The JIT kernel index sits on this class; its contracts are pinned here:
+host partitioning, setdefault persistence, restart survival and
+read-merge-write saves.
 """
 
 import json
@@ -60,30 +59,6 @@ class TestMeasurementCache:
         assert cache.get("k") is None
         cache.setdefault("k", {"winner": "a"})
         assert cache.get("k") == {"winner": "a"}
-
-    def test_set_path_switches_tables(self, cache, tmp_path):
-        cache.setdefault("k", {"winner": "a"})
-        cache.set_path(tmp_path / "other.json")
-        assert cache.get("k") is None
-        cache.setdefault("k", {"winner": "b"})
-        cache.set_path(tmp_path / "table.json")
-        assert cache.get("k") == {"winner": "a"}
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_TUNING", str(tmp_path / "env.json"))
-        c = MeasurementCache(tmp_path / "default.json",
-                             env_var="REPRO_TEST_TUNING")
-        c.setdefault("k", {"winner": "a"})
-        assert (tmp_path / "env.json").exists()
-        assert not (tmp_path / "default.json").exists()
-
-    def test_on_invalidate_fires(self, tmp_path):
-        calls = []
-        c = MeasurementCache(tmp_path / "t.json",
-                             on_invalidate=lambda: calls.append(1))
-        c.set_path(tmp_path / "u.json")
-        c.clear()
-        assert len(calls) == 2
 
     def test_snapshot_is_a_copy(self, cache):
         cache.setdefault("k", {"winner": "a"})

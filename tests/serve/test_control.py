@@ -20,7 +20,6 @@ from repro.serve import (
     ShardedFleet, TenantQuota, TenantThrottled,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.tiling import autotune_tile, tile_candidates
 
 SEED = 20260808
 
@@ -715,52 +714,3 @@ class TestControlPlane:
         assert not plane.running
         assert plane.stats.readmissions >= 1
         assert fleet.stats.lost == 0
-
-
-# --------------------------------------------------------------------- #
-# Tile-size autotuning (MeasurementCache seam)
-# --------------------------------------------------------------------- #
-class TestTileAutotune:
-    def test_candidates_are_aligned_powers_of_two(self):
-        assert tile_candidates((16, 16), multiple=2) == [2, 4, 8, 16]
-        assert tile_candidates((32, 16), multiple=4) == [4, 8, 16]
-        assert tile_candidates((8, 8), multiple=8) == [8]
-
-    def test_measures_once_then_hits_the_cache(self, served, tmp_path,
-                                               monkeypatch):
-        from repro.serve import tiling
-        monkeypatch.setenv("REPRO_TILE_AUTOTUNE_CACHE",
-                           str(tmp_path / "tiles.json"))
-        tiling._TILE_MEASUREMENTS.clear(memory_only=True)
-        model, problem = served
-        calls = {"n": 0}
-        real = tiling.tiled_predict
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(tiling, "tiled_predict", counting)
-        tile = autotune_tile(model, problem)
-        assert tile in tile_candidates((16, 16), multiple=2)
-        measured = calls["n"]
-        assert measured == len(tile_candidates((16, 16), multiple=2))
-        assert autotune_tile(model, problem) == tile   # cache hit
-        assert calls["n"] == measured
-        # The record survives a simulated restart (persisted JSON).
-        tiling._TILE_MEASUREMENTS.clear(memory_only=True)
-        assert autotune_tile(model, problem) == tile
-        assert calls["n"] == measured
-
-    def test_autotuned_predict_matches_untiled(self, served, tmp_path,
-                                               monkeypatch):
-        from repro.core.inference import predict_batch
-        from repro.serve import tiling
-        monkeypatch.setenv("REPRO_TILE_AUTOTUNE_CACHE",
-                           str(tmp_path / "tiles.json"))
-        tiling._TILE_MEASUREMENTS.clear(memory_only=True)
-        model, problem = served
-        omega = np.random.default_rng(SEED).uniform(-3, 3, 4)
-        u = tiling.tiled_predict(model, problem, omega, tile="autotune")[0]
-        ref = predict_batch(model, problem, omega)[0]
-        np.testing.assert_allclose(u, ref, atol=1e-10)

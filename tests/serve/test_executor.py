@@ -31,6 +31,12 @@ def _backend_name(_):
     return get_backend().name
 
 
+def _backend_inherited(_):
+    from repro.backend import get_backend
+
+    return get_backend().name, hasattr(get_backend(), "from_parent")
+
+
 def _pool_identity(_):
     import os
     import threading
@@ -84,14 +90,21 @@ class TestMapSemantics:
             assert ex.map(_square, []) == []
 
     def test_thread_workers_pin_creator_backend(self):
-        with ThreadExecutor(2, backend="threaded") as ex:
+        with ThreadExecutor(2, backend="lazy") as ex:
             names = ex.map(_backend_name, range(4))
-        assert set(names) == {"threaded"}
+        assert set(names) == {"lazy"}
 
     def test_process_workers_reinit_backend(self):
-        with ProcessExecutor(2, backend="threaded") as ex:
-            names = ex.map(_backend_name, range(4))
-        assert set(names) == {"threaded"}
+        from repro.backend import get_backend, use_backend
+
+        # Memoize the parent's LazyBackend first: a forked child must
+        # build its own, not activate the inherited instance (whose locks
+        # and pending registry do not survive the fork).
+        with use_backend("lazy"):
+            get_backend().from_parent = True
+        with ProcessExecutor(2, backend="lazy") as ex:
+            seen = ex.map(_backend_inherited, range(4))
+        assert set(seen) == {("lazy", False)}
 
     def test_process_tasks_run_in_other_processes(self):
         import os

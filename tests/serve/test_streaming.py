@@ -31,7 +31,7 @@ from repro.core.inference import predict_batch
 from repro.serve import (
     AsyncPredictionServer, DeadlineExceeded, FleetConfig, ModelRegistry,
     PredictionServer, ServerConfig, ShardedFleet, make_executor,
-    stream_tiled_predict, tiled_predict,
+    plan_tiles, stream_tiled_forward, stream_tiled_predict, tiled_predict,
 )
 
 RNG = np.random.default_rng(19)
@@ -133,6 +133,47 @@ class TestStreamTiling:
         with pytest.raises(ValueError, match="tile"):
             list(stream_tiled_predict(model, problem, omegas, tile=8,
                                       tiles=[0, 99]))
+
+    def test_duplicate_tile_subset_rejected(self, small2d):
+        # Exactly-once at the source: a repeated index would deliver the
+        # tile twice while ``TileStream.num_tiles`` counts it twice.
+        problem, model, omegas, _ = small2d
+        with pytest.raises(ValueError, match="duplicate tile"):
+            list(stream_tiled_predict(model, problem, omegas, tile=8,
+                                      tiles=[0, 0]))
+        registry = ModelRegistry()   # (pins eval: not the shared model)
+        registry.register_model(
+            "m", MGDiffNet(ndim=2, base_filters=4, depth=1, rng=1), problem)
+        server = PredictionServer(registry, ServerConfig(tile=8))
+        with pytest.raises(ValueError, match="duplicate tile"):
+            server.submit_stream("m", omegas[0], tiles=[1, 2, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            server.submit_stream("m", omegas[0], tiles=[4])
+
+    def test_closed_stream_stops_computing(self):
+        # 16 tiles over 2 thread workers go out in waves of 4: closing
+        # after the first record cancels what has not started, so at
+        # most that one wave is ever computed.
+        class CountingNet:
+            calls = 0
+            lock = threading.Lock()
+
+            def __call__(self, x):
+                with self.lock:
+                    self.calls += 1
+                return x
+
+        net = CountingNet()
+        plan = plan_tiles((16, 16), tile=4, halo=0, multiple=1)
+        assert plan.num_tiles == 16
+        with make_executor("thread", 2) as executor:
+            stream = stream_tiled_forward(
+                net, np.zeros((1, 1, 16, 16), np.float32), plan,
+                executor=executor)
+            next(stream)
+            stream.close()
+        # The executor has drained: whatever was running has finished.
+        assert 1 <= net.calls <= 4
 
     def test_lazy_backend_parity_bitwise(self, small2d):
         problem, model, omegas, _ = small2d

@@ -5,7 +5,9 @@ import pytest
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.core.inference import predict_batch
-from repro.serve import make_executor, plan_tiles, receptive_halo, tiled_predict
+from repro.serve import (
+    Executor, make_executor, plan_tiles, receptive_halo, tiled_predict,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -161,10 +163,11 @@ class TestRaggedHaloParallel:
         np.testing.assert_array_equal(got, serial)
 
 
-class _InlineProcessExecutor:
-    """Executor that *claims* to be a process pool but runs inline —
-    the tiled path takes its pickled-blob branch deterministically,
-    with no real multiprocessing underneath."""
+class _InlineProcessExecutor(Executor):
+    """Executor that *claims* to be a process pool but runs inline (the
+    base class's serial ``imap_unordered``) — the tiled path takes its
+    pickled-blob branch deterministically, with no real multiprocessing
+    underneath."""
 
     kind = "process"
     workers = 2
