@@ -116,8 +116,7 @@ def test_adaptation_loss_recovers_quickly(benchmark):
         trainer = Trainer(model, problem, dataset, config)
         trainer.train_epochs(16, 12)
         loss_before = trainer.evaluate_loss(16)
-        model.adapt(rng=3)
-        trainer.sync_optimizer()
+        trainer.adapt(rng=3)
         loss_after_adapt = trainer.evaluate_loss(16)
         trainer.train_epochs(16, 12)  # 12 epochs x 1 batch = 12 updates
         loss_recovered = trainer.evaluate_loss(16)

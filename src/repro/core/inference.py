@@ -64,13 +64,8 @@ def predict_batch(model: MGDiffNet, problem: PoissonProblem,
                   resolution: int | None = None) -> np.ndarray:
     """Full-field predictions for a batch of ω, shape (B, *grid.shape)."""
     log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            u = model(Tensor(log_nu), chi_int, u_bc)
-    finally:
-        model.train(was_training)
+    with model.evaluating(), no_grad():
+        u = model(Tensor(log_nu), chi_int, u_bc)
     # .numpy() is the serve-boundary realize barrier for the lazy backend.
     return u.numpy()[:, 0].copy()
 

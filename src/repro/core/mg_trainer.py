@@ -3,8 +3,11 @@
 Executes a V / W / F / Half-V schedule over a resolution hierarchy:
 restriction visits train a fixed number of epochs, prolongation visits
 train to convergence, and (optionally) the architecture is adapted each
-time training moves to a finer level (Sec. 4.1.2).  Records everything
-needed for Table 1, Table 2, Fig. 7 and Fig. 8.
+time training moves to a finer level (Sec. 4.1.2).  The schedule only
+calls ``train_epochs`` / ``train_until_converged`` / ``adapt``, so it runs
+over any trainer: over a ``repro.distributed.DataParallelTrainer`` it is
+the paper's distributed multigrid.  Records everything needed for Table 1,
+Table 2, Fig. 7 and Fig. 8.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from .trainer import TrainConfig, Trainer, TrainResult
 __all__ = ["MGTrainConfig", "LevelRecord", "MGResult", "MultigridTrainer"]
 
 
-@dataclass
-class MGTrainConfig(TrainConfig):
-    """Training hyperparameters plus multigrid phase budgets."""
-
-    restriction_epochs: int = 4
-    max_epochs_per_level: int = 200
+# The phase budgets live on TrainConfig (any trainer's config can drive a
+# cycle); the old name stays importable.
+MGTrainConfig = TrainConfig
 
 
 @dataclass
@@ -93,8 +93,11 @@ class MultigridTrainer:
 
     Parameters
     ----------
-    model, problem, dataset:
-        As for :class:`repro.core.trainer.Trainer`.
+    model, problem, dataset, config:
+        As for :class:`repro.core.trainer.Trainer`, which they build.
+    trainer:
+        Run the cycle over this trainer instead (e.g. a data-parallel
+        one); the four arguments above are then unused.
     strategy:
         'v' | 'w' | 'f' | 'half_v' (Fig. 3).
     levels:
@@ -104,22 +107,22 @@ class MultigridTrainer:
         (Table 2 study).
     """
 
-    def __init__(self, model: MGDiffNet, problem: PoissonProblem, dataset,
+    def __init__(self, model: MGDiffNet | None = None,
+                 problem: PoissonProblem | None = None, dataset=None,
                  strategy: str = "half_v", levels: int = 3,
-                 config: MGTrainConfig | None = None, adapt: bool = False,
-                 adapt_rng: np.random.Generator | int | None = None) -> None:
-        self.model = model
-        self.problem = problem
-        self.dataset = dataset
+                 config: TrainConfig | None = None, adapt: bool = False,
+                 adapt_rng: np.random.Generator | int | None = None,
+                 trainer: Trainer | None = None) -> None:
+        self.trainer = trainer or Trainer(model, problem, dataset, config)
+        self.config = self.trainer.config
         self.strategy = strategy
         self.levels = levels
-        self.config = config or MGTrainConfig()
         self.adapt = adapt
         self.adapt_rng = make_rng(adapt_rng)
-        self.hierarchy = GridHierarchy(problem.resolution, levels,
-                                       min_resolution=model.min_resolution)
+        self.hierarchy = GridHierarchy(
+            self.trainer.problem.resolution, levels,
+            min_resolution=self.trainer.model.min_resolution)
         self.schedule: list[CycleStep] = build_schedule(strategy, levels)
-        self.trainer = Trainer(model, problem, dataset, self.config)
 
     # ------------------------------------------------------------------ #
     def train(self) -> MGResult:
@@ -127,12 +130,10 @@ class MultigridTrainer:
         start = time.perf_counter()
         prev_level: int | None = None
         for i, step in enumerate(self.schedule):
-            adapted = False
-            if (self.adapt and prev_level is not None
-                    and step.level < prev_level):
-                self.model.adapt(self.adapt_rng)
-                self.trainer.sync_optimizer()
-                adapted = True
+            adapted = (self.adapt and prev_level is not None
+                       and step.level < prev_level)
+            if adapted:
+                self.trainer.adapt(self.adapt_rng)
             res = self.hierarchy.resolution(step.level)
             if step.phase == "restriction":
                 tr = self.trainer.train_epochs(res, self.config.restriction_epochs)

@@ -70,13 +70,8 @@ class MGDiffNet(Module):
         log_nu = problem.field.log_nu(np.asarray(omega), grid)
         x = Tensor(log_nu[None, None].astype(np.float32))
         chi_int, u_bc = problem.masks(r)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                u = self.forward(x, chi_int, u_bc)
-        finally:
-            self.train(was_training)
+        with self.evaluating(), no_grad():
+            u = self.forward(x, chi_int, u_bc)
         return u.data[0, 0].copy()
 
     def adapt(self, rng: np.random.Generator | int | None = None) -> None:

@@ -1,10 +1,13 @@
-"""Single-resolution training loop (Algorithm 1 of the paper).
+"""Algorithm 1 of the paper, written once.
 
-The :class:`Trainer` runs data-free variational training: sample a
-mini-batch of coefficient fields, predict, impose BCs exactly, evaluate the
-FEM energy loss, and step the optimizer.  It exposes both fixed-epoch
-training (multigrid *restriction* phases) and early-stopped training
-(*prolongation* phases / baselines).
+:func:`backward_pass` is its body for one local mini-batch (predict with
+the BCs imposed exactly, FEM energy loss, back-propagate), the only place
+a training loss is back-propagated.  :class:`Trainer` owns the one epoch
+loop and the one phase loop, fronted by fixed-epoch training (multigrid
+*restriction* visits) and early-stopped training (*prolongation* visits /
+baselines).  A subclass overrides what a step *is* — the data-parallel
+trainer shards it over replicas — never the loops, so whatever drives a
+``Trainer`` (a multigrid cycle included) drives every trainer.
 """
 
 from __future__ import annotations
@@ -14,14 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from ..data.dataloader import BatchSampler
 from ..data.dataset import DiffusivityDataset
 from ..optim import Adam, SGD, EarlyStopping, Optimizer
+from ..utils.logging import get_logger
 from .mgdiffnet import MGDiffNet
 from .problem import PoissonProblem
 
-__all__ = ["TrainConfig", "TrainResult", "Trainer"]
+__all__ = ["TrainConfig", "TrainResult", "Trainer", "backward_pass",
+           "make_optimizer"]
 
 
 @dataclass
@@ -44,6 +49,10 @@ class TrainConfig:
     shuffle: bool = True
     log_every: int = 0
     max_time: float | None = None
+    # Multigrid phase budgets (Sec. 3.1.2), read by MultigridTrainer:
+    # epochs per restriction visit, epoch cap per prolongation visit.
+    restriction_epochs: int = 4
+    max_epochs_per_level: int = 200
 
 
 @dataclass
@@ -66,6 +75,27 @@ class TrainResult:
         return min(self.losses) if self.losses else float("nan")
 
 
+def make_optimizer(config: TrainConfig, params) -> Optimizer:
+    """The optimizer ``config`` names, over ``params``."""
+    kinds = {"adam": Adam, "sgd": SGD}
+    if config.optimizer not in kinds:
+        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    return kinds[config.optimizer](params, lr=config.lr,
+                                   weight_decay=config.weight_decay)
+
+
+def backward_pass(model: MGDiffNet, x: np.ndarray, nu: np.ndarray, masks,
+                  energy) -> float:
+    """Algorithm 1 for one local mini-batch, up to the optimizer step:
+    predict under the Dirichlet ``masks``, energy loss, ``backward()``.
+    Leaves the gradients on the parameters and returns the loss value; the
+    graph dies with this frame, before the next batch's forward."""
+    model.train()
+    loss = energy(model(Tensor(x), *masks), nu)
+    loss.backward()
+    return float(loss.data)
+
+
 class Trainer:
     """Algorithm 1 driver bound to a (model, problem, dataset) triple."""
 
@@ -76,116 +106,93 @@ class Trainer:
         self.problem = problem
         self.dataset = dataset
         self.config = config or TrainConfig()
-        self.optimizer = self._make_optimizer()
+        self.optimizer = make_optimizer(self.config, model.parameters())
         self.global_epoch = 0  # distinct shuffles across phases
 
-    def _make_optimizer(self) -> Optimizer:
-        cfg = self.config
-        params = self.model.parameters()
-        if cfg.optimizer == "adam":
-            return Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        if cfg.optimizer == "sgd":
-            return SGD(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-
-    def sync_optimizer(self) -> None:
-        """Refresh the optimizer after architectural adaptation."""
+    def adapt(self, rng: np.random.Generator | int | None = None) -> None:
+        """Architectural adaptation (Sec. 4.1.2): grow the model, then
+        re-collect its parameters into the optimizer."""
+        self.model.adapt(rng)
         self.optimizer.sync_params(self.model)
 
     # ------------------------------------------------------------------ #
-    def run_epoch(self, resolution: int) -> float:
-        """One epoch at the given resolution; returns the mean batch loss."""
-        cfg = self.config
+    def _level(self, resolution: int):
+        """(inputs, nus, masks, energy) of the dataset at a resolution."""
         inputs = self.dataset.inputs_at(resolution)
-        nus = self.dataset.nu_at(resolution)
-        chi_int, u_bc = self.problem.masks(resolution, dtype=inputs.dtype)
-        energy = self.problem.energy(resolution, reduction="mean")
+        return (inputs, self.dataset.nu_at(resolution),
+                self.problem.masks(resolution, dtype=inputs.dtype),
+                self.problem.energy(resolution, reduction="mean"))
+
+    def _new_result(self, resolution: int) -> TrainResult:
+        return TrainResult(resolution=resolution)
+
+    def _step(self, idx: np.ndarray, inputs, nus, masks, energy,
+              result: TrainResult | None) -> float:
+        """One optimizer update on global batch ``idx``; returns its loss."""
+        self.optimizer.zero_grad()
+        loss = backward_pass(self.model, inputs[idx], nus[idx], masks, energy)
+        self.optimizer.step()
+        return loss
+
+    def run_epoch(self, resolution: int,
+                  result: TrainResult | None = None) -> float:
+        """One epoch at the given resolution; returns the sample-weighted
+        mean batch loss.  ``result`` is the ledger a step may charge."""
+        cfg = self.config
+        level = self._level(resolution)
         sampler = BatchSampler(len(self.dataset), cfg.batch_size,
                                seed=cfg.seed, shuffle=cfg.shuffle)
-        self.model.train()
-        total, count = 0.0, 0
+        total = 0.0
         for idx in sampler.batches(self.global_epoch):
-            x = Tensor(inputs[idx])
-            u = self.model(x, chi_int, u_bc)
-            loss = energy(u, nus[idx])
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            total += float(loss.data) * len(idx)
-            count += len(idx)
+            total += self._step(idx, *level, result) * len(idx)
         self.global_epoch += 1
-        return total / max(count, 1)
+        return total / max(len(self.dataset), 1)
 
     def evaluate_loss(self, resolution: int) -> float:
         """Mean energy over the dataset without updating weights."""
-        from ..autograd import no_grad
-
-        inputs = self.dataset.inputs_at(resolution)
-        nus = self.dataset.nu_at(resolution)
-        chi_int, u_bc = self.problem.masks(resolution, dtype=inputs.dtype)
-        energy = self.problem.energy(resolution, reduction="mean")
+        inputs, nus, masks, energy = self._level(resolution)
         sampler = BatchSampler(len(self.dataset), self.config.batch_size,
                                shuffle=False)
-        self.model.eval()
-        total, count = 0.0, 0
-        with no_grad():
+        total = 0.0
+        with self.model.evaluating(), no_grad():
             for idx in sampler.batches(0):
-                u = self.model(Tensor(inputs[idx]), chi_int, u_bc)
+                u = self.model(Tensor(inputs[idx]), *masks)
                 total += float(energy(u, nus[idx]).data) * len(idx)
-                count += len(idx)
-        self.model.train()
-        return total / max(count, 1)
+        return total / max(len(self.dataset), 1)
 
     # ------------------------------------------------------------------ #
     def train_epochs(self, resolution: int, n_epochs: int) -> TrainResult:
         """Fixed-epoch training (multigrid restriction phase)."""
-        result = TrainResult(resolution=resolution)
-        start = time.perf_counter()
-        for _ in range(n_epochs):
-            t0 = time.perf_counter()
-            loss = self.run_epoch(resolution)
-            result.epoch_times.append(time.perf_counter() - t0)
-            result.losses.append(loss)
-            result.epochs_run += 1
-            self._maybe_log(result)
-            if self._out_of_time(start):
-                break
-        result.wall_time = time.perf_counter() - start
-        return result
+        return self._train(resolution, n_epochs, None)
 
     def train_until_converged(self, resolution: int,
                               max_epochs: int = 500) -> TrainResult:
         """Early-stopped training (prolongation phase / baseline)."""
         cfg = self.config
-        stopper = EarlyStopping(patience=cfg.patience, min_delta=cfg.min_delta,
-                                min_epochs=cfg.min_epochs)
-        result = TrainResult(resolution=resolution)
+        return self._train(resolution, max_epochs, EarlyStopping(
+            patience=cfg.patience, min_delta=cfg.min_delta,
+            min_epochs=cfg.min_epochs))
+
+    def _train(self, resolution: int, max_epochs: int,
+               stopper: EarlyStopping | None) -> TrainResult:
+        cfg = self.config
+        result = self._new_result(resolution)
         start = time.perf_counter()
         for _ in range(max_epochs):
             t0 = time.perf_counter()
-            loss = self.run_epoch(resolution)
+            loss = self.run_epoch(resolution, result)
             result.epoch_times.append(time.perf_counter() - t0)
             result.losses.append(loss)
             result.epochs_run += 1
-            self._maybe_log(result)
-            if stopper.update(loss):
+            if cfg.log_every and result.epochs_run % cfg.log_every == 0:
+                get_logger().info(
+                    "res=%d epoch=%d loss=%.6f (%.2fs)", resolution,
+                    result.epochs_run, loss, result.epoch_times[-1])
+            if stopper is not None and stopper.update(loss):
                 result.stopped_early = True
                 break
-            if self._out_of_time(start):
+            if (cfg.max_time is not None
+                    and time.perf_counter() - start >= cfg.max_time):
                 break
         result.wall_time = time.perf_counter() - start
         return result
-
-    # ------------------------------------------------------------------ #
-    def _maybe_log(self, result: TrainResult) -> None:
-        le = self.config.log_every
-        if le and result.epochs_run % le == 0:
-            from ..utils.logging import get_logger
-
-            get_logger().info(
-                "res=%d epoch=%d loss=%.6f (%.2fs)", result.resolution,
-                result.epochs_run, result.losses[-1], result.epoch_times[-1])
-
-    def _out_of_time(self, start: float) -> bool:
-        mt = self.config.max_time
-        return mt is not None and (time.perf_counter() - start) >= mt

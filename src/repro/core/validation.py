@@ -75,14 +75,9 @@ class Validator:
         nu = np.exp(log_nu)[:, None].astype(np.float32)
         x = Tensor(log_nu[:, None].astype(np.float32))
 
-        was_training = model.training
-        model.eval()
-        try:
-            with no_grad():
-                u = model(x, chi_int, u_bc)
-                j = float(energy(u, nu).data)
-        finally:
-            model.train(was_training)
+        with model.evaluating(), no_grad():
+            u = model(x, chi_int, u_bc)
+            j = float(energy(u, nu).data)
 
         errors: list[FieldErrors] = [
             compare_fields(u.data[i, 0], ref)

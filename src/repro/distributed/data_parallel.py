@@ -1,17 +1,21 @@
 """Data-parallel distributed training (Sec. 3.2 of the paper).
 
-``DataParallelTrainer`` maintains ``world_size`` genuine model replicas,
+``DataParallelTrainer`` is a :class:`~repro.core.trainer.Trainer` whose
+*step* is distributed: it maintains ``world_size`` genuine model replicas,
 splits every global mini-batch into equal local mini-batches (Eq. 15, via
 :func:`repro.data.dataloader.shard_batch`), computes local gradients per
 rank, averages them with a real ring all-reduce, and steps one optimizer
-per rank.  Because replicas stay synchronized, the trained model equals a
-single-worker run up to floating-point reassociation — the property the
-paper calls 'results independent of the number of workers'.
+per rank.  The epoch and phase loops are the base trainer's, so a multigrid
+cycle runs over it unchanged.  Because replicas stay synchronized, the
+trained model equals a single-worker run up to floating-point
+reassociation — the property the paper calls 'results independent of the
+number of workers'.
 
 Wall-clock cost of the *simulated* cluster is tracked on a virtual clock:
 per step, compute time is the max over ranks (each charged
 ``measured_sample_time * local_batch``) plus the modeled ring-allreduce
-time for ``Nw`` parameters over the chosen interconnect.
+time for ``Nw`` parameters over the chosen interconnect; a result reports
+the clock over its own call.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backend import get_pool, ops as B
-from ..autograd import Tensor
-from ..data.dataloader import BatchSampler, shard_batch
-from ..optim import Adam, SGD
+from ..core.trainer import (TrainConfig, Trainer, TrainResult, backward_pass,
+                            make_optimizer)
+from ..data.dataloader import shard_batch
+from ..utils.seeding import make_rng
 from .comm import SimulatedCommunicator
 
 __all__ = ["DPConfig", "DPResult", "DataParallelTrainer",
@@ -53,26 +58,19 @@ def unflatten_to_gradients(flat: np.ndarray, params) -> None:
 
 
 @dataclass
-class DPConfig:
-    """Distributed training configuration."""
+class DPConfig(TrainConfig):
+    """Distributed training: ``batch_size`` is global (paper: 64)."""
 
     world_size: int = 4
-    batch_size: int = 8          # global mini-batch (paper: 64)
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    shuffle: bool = True
     check_sync: bool = False     # assert replica synchronization each step
     sync_batchnorm_stats: bool = True
 
 
 @dataclass
-class DPResult:
-    """Outcome of a distributed training run."""
+class DPResult(TrainResult):
+    """Outcome of one distributed training call."""
 
-    world_size: int
-    losses: list[float] = field(default_factory=list)
-    measured_wall: float = 0.0
+    world_size: int = 1
     virtual_compute_seconds: float = 0.0
     virtual_comm_seconds: float = 0.0
     steps: int = 0
@@ -83,19 +81,24 @@ class DPResult:
     pool_high_water_bytes: int = 0
 
     @property
+    def measured_wall(self) -> float:
+        return self.wall_time
+
+    @property
     def virtual_epoch_seconds(self) -> float:
         n_epochs = max(len(self.losses), 1)
         return (self.virtual_compute_seconds + self.virtual_comm_seconds) / n_epochs
 
 
-class DataParallelTrainer:
+class DataParallelTrainer(Trainer):
     """Simulated-cluster data-parallel trainer.
 
     Parameters
     ----------
     model_factory:
         Zero-arg callable constructing one replica.  All replicas are
-        synchronized to replica 0's initial weights via a broadcast.
+        synchronized to replica 0's initial weights via a broadcast;
+        ``model`` is replica 0, the canonical trained model.
     problem, dataset:
         As for :class:`repro.core.trainer.Trainer`.  The dataset is
         augmented so its length is divisible by the global batch size and
@@ -110,87 +113,64 @@ class DataParallelTrainer:
     def __init__(self, model_factory, problem, dataset, config: DPConfig,
                  comm_time_model=None,
                  compute_time_per_sample: float | None = None) -> None:
-        cfg = config
-        if cfg.batch_size % cfg.world_size:
+        batch, world = config.batch_size, config.world_size
+        if batch % world:
             raise ValueError("global batch size must divide by world size")
-        self.config = cfg
-        self.problem = problem
-        self.dataset = dataset.padded_to_multiple(
-            np.lcm(cfg.batch_size, cfg.world_size))
-        self.comm = SimulatedCommunicator(cfg.world_size,
-                                          time_model=comm_time_model)
-        self.compute_time_per_sample = compute_time_per_sample
-
         # Build replicas and broadcast rank-0 weights.
-        self.replicas = [model_factory() for _ in range(cfg.world_size)]
+        self.replicas = [model_factory() for _ in range(world)]
         state = self.replicas[0].state_dict()
         for rep in self.replicas[1:]:
             rep.load_state_dict(state)
-        self.optimizers = [self._make_optimizer(rep) for rep in self.replicas]
-        self.global_epoch = 0
+        super().__init__(self.replicas[0], problem, dataset.padded_to_multiple(
+            np.lcm(batch, world)), config)
+        self.optimizers = [self.optimizer] + [
+            make_optimizer(config, rep.parameters())
+            for rep in self.replicas[1:]]
+        self.comm = SimulatedCommunicator(world, time_model=comm_time_model)
+        self.compute_time_per_sample = compute_time_per_sample
 
-    def _make_optimizer(self, model):
-        cfg = self.config
-        if cfg.optimizer == "adam":
-            return Adam(model.parameters(), lr=cfg.lr)
-        if cfg.optimizer == "sgd":
-            return SGD(model.parameters(), lr=cfg.lr)
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    def adapt(self, rng: np.random.Generator | int | None = None) -> None:
+        """Adapt every replica from one seed drawn from ``rng``, so the
+        fresh layers start identical on all ranks."""
+        seed = int(make_rng(rng).integers(2 ** 63))
+        for rep, opt in zip(self.replicas, self.optimizers):
+            rep.adapt(seed)
+            opt.sync_params(rep)
 
-    @property
-    def model(self):
-        """Rank-0 replica (the canonical trained model)."""
-        return self.replicas[0]
+    def _new_result(self, resolution: int) -> DPResult:
+        return DPResult(resolution, world_size=self.config.world_size)
 
     # ------------------------------------------------------------------ #
-    def train_epochs(self, resolution: int, n_epochs: int) -> DPResult:
-        cfg = self.config
-        result = DPResult(world_size=cfg.world_size)
-        inputs = self.dataset.inputs_at(resolution)
-        nus = self.dataset.nu_at(resolution)
-        chi_int, u_bc = self.problem.masks(resolution, dtype=inputs.dtype)
-        energy = self.problem.energy(resolution, reduction="mean")
-        sampler = BatchSampler(len(self.dataset), cfg.batch_size,
-                               seed=cfg.seed, shuffle=cfg.shuffle)
-        pool = get_pool()
-        start = time.perf_counter()
-        for _ in range(n_epochs):
-            recycled_before = pool.stats.bytes_recycled
-            epoch_loss, batch_count = 0.0, 0
-            for global_idx in sampler.batches(self.global_epoch):
-                loss = self._step(global_idx, inputs, nus, chi_int, u_bc,
-                                  energy, result)
-                epoch_loss += loss
-                batch_count += 1
-            result.losses.append(epoch_loss / max(batch_count, 1))
-            result.pool_bytes_recycled.append(
-                pool.stats.bytes_recycled - recycled_before)
-            if cfg.sync_batchnorm_stats:
-                self._sync_bn_stats()
-            self.global_epoch += 1
-        result.measured_wall = time.perf_counter() - start
+    def run_epoch(self, resolution: int,
+                  result: DPResult | None = None) -> float:
+        """The base epoch, then this epoch's pool and virtual-comm
+        accounting and the batch-norm averaging."""
+        result = result or self._new_result(resolution)
+        pool, log = get_pool(), self.comm.log
+        recycled_before = pool.stats.bytes_recycled
+        comm_before = log.virtual_comm_seconds
+        loss = super().run_epoch(resolution, result)
+        result.pool_bytes_recycled.append(
+            pool.stats.bytes_recycled - recycled_before)
         result.pool_high_water_bytes = pool.stats.high_water_bytes
-        result.virtual_comm_seconds = self.comm.log.virtual_comm_seconds
-        return result
+        result.virtual_comm_seconds += log.virtual_comm_seconds - comm_before
+        if self.config.sync_batchnorm_stats:
+            self._sync_bn_stats()
+        return loss
 
-    # ------------------------------------------------------------------ #
-    def _step(self, global_idx: np.ndarray, inputs, nus, chi_int, u_bc,
-              energy, result: DPResult) -> float:
-        cfg = self.config
-        shards = shard_batch(global_idx, cfg.world_size)
+    def _step(self, global_idx: np.ndarray, inputs, nus, masks, energy,
+              result: DPResult) -> float:
+        cfg, per_sample = self.config, self.compute_time_per_sample
         grads, losses, rank_times = [], [], []
-        for rank, (rep, opt, shard) in enumerate(
-                zip(self.replicas, self.optimizers, shards)):
+        for rep, opt, shard in zip(self.replicas, self.optimizers,
+                                   shard_batch(global_idx, cfg.world_size)):
             t0 = time.perf_counter()
-            rep.train()
-            x = Tensor(inputs[shard])
-            u = rep(x, chi_int, u_bc)
-            loss = energy(u, nus[shard])
             opt.zero_grad()
-            loss.backward()
-            rank_times.append(time.perf_counter() - t0)
+            losses.append(backward_pass(rep, inputs[shard], nus[shard],
+                                        masks, energy))
+            rank_times.append(time.perf_counter() - t0 if per_sample is None
+                              else per_sample * len(shard))
             grads.append(flatten_gradients(rep.parameters()))
-            losses.append(float(loss.data))
 
         reduced = self.comm.allreduce(grads, average=True)
         for rep, opt, g in zip(self.replicas, self.optimizers, reduced):
@@ -198,12 +178,7 @@ class DataParallelTrainer:
             opt.step()
 
         # Virtual clock: lockstep workers wait for the slowest.
-        if self.compute_time_per_sample is not None:
-            local_bs = len(global_idx) // cfg.world_size
-            result.virtual_compute_seconds += (
-                self.compute_time_per_sample * local_bs)
-        else:
-            result.virtual_compute_seconds += max(rank_times)
+        result.virtual_compute_seconds += max(rank_times)
         result.steps += 1
 
         if cfg.check_sync:
@@ -218,31 +193,18 @@ class DataParallelTrainer:
         Local batches see different samples, so running stats drift apart;
         averaging them keeps eval-mode behaviour rank-independent.
         """
-        names = [n for n, _ in self.replicas[0].named_buffers()]
-        for name in names:
-            stacked = []
-            for rep in self.replicas:
-                for n, buf in rep.named_buffers():
-                    if n == name:
-                        stacked.append(np.asarray(buf, dtype=np.float64))
-                        break
-            mean = B.mean(stacked, axis=0)
-            for rep in self.replicas:
-                self._set_buffer(rep, name, mean)
+        buffers = [dict(rep.named_buffers()) for rep in self.replicas]
+        state = {f"buffer:{name}": B.mean(
+            [np.asarray(b[name], dtype=np.float64) for b in buffers],
+            axis=0).astype(np.asarray(ref).dtype)
+            for name, ref in buffers[0].items()}
+        for rep in self.replicas:
+            rep.load_state_dict(state, strict=False)
 
-    @staticmethod
-    def _set_buffer(module, dotted: str, value: np.ndarray) -> None:
-        parts = dotted.split(".")
-        target = module
-        for p in parts[:-1]:
-            target = getattr(target, p)
-        old = target._buffers[parts[-1]]
-        target.update_buffer(parts[-1], value.astype(np.asarray(old).dtype))
-
-    def _assert_synced(self, atol: float = 0.0) -> None:
+    def _assert_synced(self) -> None:
         ref = self.replicas[0].state_dict()
         for i, rep in enumerate(self.replicas[1:], start=1):
             for k, v in rep.state_dict().items():
-                if not B.allclose(v, ref[k], atol=atol, rtol=0):
+                if not B.allclose(v, ref[k], atol=0, rtol=0):
                     raise AssertionError(
                         f"replica {i} desynchronized at {k!r}")

@@ -5,6 +5,7 @@ needed by MGDiffNet: parameter registration, train/eval modes, state dicts).
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Any, Iterator
 
 import numpy as np
@@ -102,6 +103,17 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self) -> Iterator["Module"]:
+        """Eval mode for the ``with`` body; the mode the module was in
+        comes back on exit, also when the body raises."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield self
+        finally:
+            self.train(was_training)
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Tensor
 from ..core.mgdiffnet import MGDiffNet
 from ..core.problem import PoissonProblem
+from ..core.trainer import backward_pass
 from ..optim import Adam
 
 __all__ = ["EpochTimePoint", "measure_epoch_time", "measure_sample_time"]
@@ -31,14 +31,11 @@ class EpochTimePoint:
 
 def _training_step(model: MGDiffNet, problem: PoissonProblem, optimizer,
                    x: np.ndarray, nu: np.ndarray, resolution: int) -> float:
-    chi_int, u_bc = problem.masks(resolution, dtype=x.dtype)
-    energy = problem.energy(resolution, reduction="mean")
-    u = model(Tensor(x), chi_int, u_bc)
-    loss = energy(u, nu)
     optimizer.zero_grad()
-    loss.backward()
+    loss = backward_pass(model, x, nu, problem.masks(resolution, dtype=x.dtype),
+                         problem.energy(resolution, reduction="mean"))
     optimizer.step()
-    return float(loss.data)
+    return loss
 
 
 def measure_sample_time(model: MGDiffNet, problem: PoissonProblem,

@@ -330,16 +330,12 @@ def stream_tiled_predict(model, problem, omegas: np.ndarray,
     """
     log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
     plan = _resolve_plan(model, log_nu.shape[2:], tile, halo)
-    was_training = model.training
-    model.eval()
-    try:
+    with model.evaluating():
         for i, core_dst, core in stream_tiled_forward(
                 model.net, log_nu, plan, executor=executor, net_ref=net_ref,
                 tiles=tiles, tracer=tracer, trace_parent=trace_parent):
             mask = (slice(None), slice(None)) + core_dst
             yield i, core_dst, apply_bc_masks(core, chi_int[mask], u_bc[mask])
-    finally:
-        model.train(was_training)
 
 
 def tiled_predict(model, problem, omegas: np.ndarray,

@@ -4,7 +4,7 @@ gradient flattening."""
 import numpy as np
 import pytest
 
-from repro import MGDiffNet, PoissonProblem2D
+from repro import MGDiffNet, PoissonProblem2D, TrainConfig, Trainer
 from repro.distributed import (DataParallelTrainer, DPConfig,
                                flatten_gradients, unflatten_to_gradients)
 from repro.nn import Parameter
@@ -111,6 +111,41 @@ class TestMechanics:
         assert r.virtual_compute_seconds == pytest.approx(2 * 2 * 0.5)
         assert r.virtual_comm_seconds == pytest.approx(2e-3)
         assert r.steps == 2
+
+    def test_virtual_clock_is_per_call(self, problem, dataset):
+        """The communicator's log is a lifetime total; a result reports
+        its own call, so repeated calls on one trainer do not drift."""
+        t = DataParallelTrainer(
+            _factory(), problem, dataset,
+            DPConfig(world_size=2, batch_size=4),
+            comm_time_model=lambda nbytes, p: 1e-3,
+            compute_time_per_sample=0.5)
+        results = [t.train_epochs(8, 1) for _ in range(3)]
+        for r in results:
+            assert r.virtual_comm_seconds == pytest.approx(2e-3)
+            assert r.virtual_epoch_seconds == pytest.approx(2.002)
+        assert t.comm.log.virtual_comm_seconds == pytest.approx(6e-3)
+
+    def test_weight_decay_is_applied(self, problem, dataset):
+        """One optimizer factory: a one-worker run equals the plain
+        trainer bitwise, weight decay included."""
+        def train(weight_decay):
+            t = DataParallelTrainer(
+                _factory(), problem, dataset,
+                DPConfig(world_size=1, batch_size=4,
+                         weight_decay=weight_decay))
+            t.train_epochs(8, 2)
+            return t.model.state_dict()
+
+        plain = Trainer(_factory()(), problem, dataset,
+                        TrainConfig(batch_size=4, weight_decay=0.1))
+        plain.train_epochs(8, 2)
+        decayed, want = train(0.1), plain.model.state_dict()
+        for k in want:
+            np.testing.assert_array_equal(decayed[k], want[k])
+        undecayed = train(0.0)
+        assert any(not np.array_equal(decayed[k], undecayed[k])
+                   for k in want)
 
     def test_bn_stats_synced_across_replicas(self, problem, dataset):
         t = DataParallelTrainer(_factory(use_batchnorm=True), problem, dataset,

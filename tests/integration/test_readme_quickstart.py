@@ -4,7 +4,9 @@ Both once called ``DiffusivityDataset(problem, n_samples=32, seed=0)``,
 a ``TypeError`` on the first line a new user pastes.  Each snippet is
 extracted from where it is published and executed up to and including
 the ``MultigridTrainer(...)`` construction — everything but the
-``train()`` call, so the check stays in the millisecond range.
+``train()`` call, so the check stays in the millisecond range.  The
+README's Training section (the three trainer compositions, at toy size)
+is executed whole.
 """
 
 from __future__ import annotations
@@ -49,3 +51,12 @@ def test_quickstart_runs_up_to_the_trainer(snippet) -> None:
          scope)
     assert len(scope["dataset"]) == 32
     assert scope["trainer"].levels == 3
+
+
+def test_training_section_runs(capsys) -> None:
+    section = README.read_text().split("## Training", 1)[1]
+    source = re.search(r"```python\n(.*?)\n```", section, re.S).group(1)
+    scope: dict = {}
+    exec(compile(source, "<README Training>", "exec"), scope)
+    assert [rec.level for rec in scope["result"].records] == [1, 2, 1]
+    assert len(ast.literal_eval(capsys.readouterr().out)) == 3

@@ -68,6 +68,22 @@ class TestModes:
         m.train()
         assert m.child[0].training
 
+    @pytest.mark.parametrize("was_training", [True, False])
+    def test_evaluating_restores_the_previous_mode(self, was_training):
+        m = _Toy().train(was_training)
+        with m.evaluating() as inside:
+            assert inside is m
+            assert not m.training and not m.child[0].training
+        assert m.training is was_training
+        assert m.child[0].training is was_training
+
+    def test_evaluating_restores_the_mode_when_the_body_raises(self):
+        m = _Toy()
+        with pytest.raises(RuntimeError, match="forward failed"):
+            with m.evaluating():
+                raise RuntimeError("forward failed")
+        assert m.training and m.child[0].training
+
     def test_zero_grad(self):
         m = _Toy()
         for p in m.parameters():
