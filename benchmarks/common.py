@@ -55,8 +55,8 @@ def write_bench_json(path: str | Path, bench: str, result: dict,
         "bench": bench,
         "backend": get_backend().name,
         "dtype": np.dtype(get_default_dtype()).name,
-        # Constant (the shape heuristic is the only planner): kept so
-        # trajectory rows stay comparable with those recorded before.
+        # Constant (there is one conv engine): kept so trajectory rows
+        # stay comparable with those recorded before.
         "conv_plan": "auto",
         "gate": gate,
         "result": result,

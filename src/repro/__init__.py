@@ -4,7 +4,7 @@ Megavoxel Domains* (Balu et al., SC 2021, arXiv:2104.14538).
 The package implements, from scratch in NumPy:
 
 * ``repro.backend``     — pluggable array backends, op dispatch, dtype
-                          policy, buffer pool, and the conv planner
+                          policy, buffer pool, and the conv engine
 * ``repro.autograd``    — reverse-mode AD with N-d convolutions
 * ``repro.nn``          — Module system and the dimension-agnostic U-Net
 * ``repro.optim``       — SGD/Adam, schedulers, early stopping

@@ -1,15 +1,18 @@
 """N-dimensional convolution, transposed convolution and pooling.
 
 The convolution is dimension agnostic (the same code path serves the 2D
-and 3D MGDiffNet variants).  *How* each conv executes is decided by the
-planning engine in :mod:`repro.backend.conv_plan`: per-offset
-``tensordot`` contractions (O(input) peak memory — the property that lets
-the 3D U-Net run on modest hosts) or a single im2col/GEMM (fastest for
-the small-kernel/many-channel signatures of the U-Net trunk).  Plans are
-memoized per (shape, kernel, stride) signature, so steady-state training
-pays a dict lookup.  Transposed convolutions always take the planner's
-output-scatter engine; the zero-stuff composition is kept as a plain
-function, the reference the parity tests compare it against.
+and 3D MGDiffNet variants).  Both :class:`ConvNd` and
+:class:`ConvTransposeNd` are thin autograd wrappers over the one engine
+in :mod:`repro.backend.conv_plan` — ``conv_forward``,
+``conv_backward_data``, ``conv_backward_weight`` — which works channels
+first throughout: outputs and gradients come back C-contiguous in the
+``(N, C, *spatial)`` layout every downstream op reads.  A transposed
+convolution is the adjoint of a convolution, so it runs the same three
+primitives with their roles swapped.  The geometry of each (shape,
+kernel, stride, padding) signature is memoized, so steady-state training
+pays a dict lookup; the input saved for backward is the unpadded one.
+The zero-stuff composition of the transposed convolution is kept as a
+plain function, the reference the parity tests compare against.
 
 Layouts follow the common deep-learning convention:
 
@@ -28,8 +31,7 @@ import numpy as np
 from ..backend import ops as B
 from ..backend import realize
 from ..backend.conv_plan import (
-    plan_conv, plan_conv_transpose, run_conv_backward, run_conv_forward,
-    run_conv_transpose_backward, run_conv_transpose_forward,
+    conv_backward_data, conv_backward_weight, conv_forward, plan_conv,
 )
 from .function import Context, Function
 from .tensor import Tensor
@@ -73,120 +75,94 @@ def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
                  for s, k, st, p, op in zip(spatial, kernel, stride, padding, output_padding))
 
 
+def _add_bias(out: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """The bias epilogue, dispatched through the registry so the lazy
+    backend can fuse conv -> bias-add -> activation."""
+    if b is None:
+        return out
+    return B.asarray(out) + realize(b).reshape((1, -1) + (1,) * (out.ndim - 2))
+
+
+def _bias_grad(ctx: Context, grad: np.ndarray) -> np.ndarray | None:
+    if not ctx.meta["has_bias"]:
+        return None
+    return grad.sum(axis=(0,) + tuple(range(2, grad.ndim)))
+
+
 class ConvNd(Function):
     """N-dimensional cross-correlation (the deep-learning 'convolution').
 
-    Execution strategy (tensordot vs im2col) is delegated to the memoized
-    conv planner; both paths are numerically equivalent and both are
-    exercised by the parity tests.
+    The *unpadded* input is what is saved for backward: the engine pads
+    into pooled scratch on both passes, so no padded copy outlives the
+    call.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                 stride: tuple[int, ...], padding: tuple[int, ...]) -> np.ndarray:
-        # The planner works on concrete strided buffers: crossing into it
+        # The engine works on concrete strided buffers: crossing into it
         # is a realize barrier for the lazy backend.
         x, w = realize(x), realize(w)
-        nd = x.ndim - 2
-        n, cin = x.shape[:2]
-        cout = w.shape[0]
-        kernel = w.shape[2:]
-        if w.shape[1] != cin:
-            raise ValueError(f"weight C_in {w.shape[1]} != input C_in {cin}")
+        if w.shape[1] != x.shape[1]:
+            raise ValueError(
+                f"weight C_in {w.shape[1]} != input C_in {x.shape[1]}")
+        conv_output_shape(x.shape[2:], w.shape[2:], stride, padding)
 
-        if any(padding):
-            padw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-            xp = realize(B.pad(x, padw))
-        else:
-            xp = x
-        out_spatial = conv_output_shape(xp.shape[2:], kernel, stride, (0,) * nd)
-
-        plan = plan_conv(x.shape, w.shape, stride, padding, x.dtype)
-        out = run_conv_forward(plan, xp, w, stride, out_spatial)
-        if b is not None:
-            # Dispatch the epilogue through the registry so the lazy
-            # backend can fuse conv -> bias-add -> activation.
-            out = B.asarray(out) + realize(b).reshape((1, cout) + (1,) * nd)
-
-        ctx.save_for_backward(xp, w)
-        ctx.meta.update(stride=stride, padding=padding, kernel=kernel,
-                        out_spatial=out_spatial, has_bias=b is not None,
-                        x_shape=x.shape, plan=plan)
-        return out
+        plan = plan_conv(x.shape, w.shape, stride, padding,
+                         np.result_type(x.dtype, w.dtype))
+        ctx.save_for_backward(x, w)
+        ctx.meta.update(plan=plan, has_bias=b is not None)
+        return _add_bias(conv_forward(plan, x, w), b)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        xp, w = ctx.saved
-        stride = ctx.meta["stride"]
-        padding = ctx.meta["padding"]
-        kernel = ctx.meta["kernel"]
-        out_spatial = ctx.meta["out_spatial"]
+        x, w = ctx.saved
         plan = ctx.meta["plan"]
-        nd = len(kernel)
-
         grad = realize(grad)
-        gmoved = realize(B.moveaxis(grad, 1, -1))            # (N, *So, Cout)
-        dxp, dw = run_conv_backward(plan, xp, w, gmoved, stride, out_spatial)
-        # Strip padding.
-        if any(padding):
-            sl = (slice(None), slice(None)) + tuple(
-                slice(p, s - p if p else None)
-                for p, s in zip(padding, dxp.shape[2:]))
-            dx = dxp[sl]
-        else:
-            dx = dxp
-        db = None
-        if ctx.meta["has_bias"]:
-            db = grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
-        return dx, dw, db, None, None
+        return (conv_backward_data(plan, grad, w),
+                conv_backward_weight(plan, x, grad),
+                _bias_grad(ctx, grad), None, None)
 
 
 class ConvTransposeNd(Function):
-    """N-dimensional transposed convolution via the output-scatter plan.
+    """N-dimensional transposed convolution: the adjoint of the
+    convolution that maps its output back onto its input.
 
-    Contracts input channels against the kernel and scatter-adds each tap
-    directly into the (strided) output — no zero-stuffed intermediate is
-    ever materialized, unlike the composed reference path.  The data
-    gradient is a planned *forward* convolution of the re-padded output
-    gradient, and the weight gradient a single strided-window
-    contraction, so both directions stay on the GEMM engines.
+    That convolution has the same weights (``(C_in, C_out, *K)`` is its
+    ``(C_out, C_in, *K)``), stride and padding, so the three engine
+    primitives serve with their roles swapped: forward is its data
+    gradient (no zero-stuffed intermediate, unlike the composed
+    reference), the data gradient is its forward, and the weight
+    gradient is its weight gradient with input and gradient exchanged.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                 stride: tuple[int, ...], padding: tuple[int, ...],
                 output_padding: tuple[int, ...]) -> np.ndarray:
-        # The scatter engines work on concrete strided buffers: crossing
-        # into them is a realize barrier for the lazy backend.
+        # The engine works on concrete strided buffers: crossing into it
+        # is a realize barrier for the lazy backend.
         x, w = realize(x), realize(w)
-        nd = x.ndim - 2
         cin, cout = w.shape[:2]
         if x.shape[1] != cin:
-            raise ValueError(f"weight C_in {w.shape[0]} != input C_in {x.shape[1]}")
+            raise ValueError(f"weight C_in {cin} != input C_in {x.shape[1]}")
 
-        plan = plan_conv_transpose(x.shape, w.shape, stride, padding,
-                                   output_padding, x.dtype)
-        out = run_conv_transpose_forward(plan, x, w)
-        if b is not None:
-            # Dispatch the epilogue through the registry so the lazy
-            # backend can fuse the bias-add into the following activation.
-            out = B.asarray(out) + realize(b).reshape((1, cout) + (1,) * nd)
-
+        out_spatial = conv_transpose_output_shape(
+            x.shape[2:], w.shape[2:], stride, padding, output_padding)
+        plan = plan_conv((x.shape[0], cout) + out_spatial, w.shape, stride,
+                         padding, np.result_type(x.dtype, w.dtype))
         ctx.save_for_backward(x, w)
-        ctx.meta.update(plan=plan, has_bias=b is not None, nd=nd)
-        return out
+        ctx.meta.update(plan=plan, has_bias=b is not None)
+        return _add_bias(conv_backward_data(plan, x, w), b)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         x, w = ctx.saved
         plan = ctx.meta["plan"]
-        nd = ctx.meta["nd"]
         grad = realize(grad)
-        dx, dw = run_conv_transpose_backward(plan, x, w, grad)
-        db = None
-        if ctx.meta["has_bias"]:
-            db = grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
-        return dx, dw, db, None, None, None
+        return (conv_forward(plan, grad, w),
+                conv_backward_weight(plan, grad, x),
+                _bias_grad(ctx, grad), None, None, None)
 
 
 class MaxPoolNd(Function):
@@ -274,11 +250,11 @@ def _conv_transpose_args(x: Tensor, w: Tensor, stride, padding,
     stride_t = tuplify(stride, nd)
     padding_t = tuplify(padding, nd)
     outpad_t = tuplify(output_padding, nd)
-    for k, p, op in zip(w.shape[2:], padding_t, outpad_t):
+    for k, st, p, op in zip(w.shape[2:], stride_t, padding_t, outpad_t):
         if k - 1 - p < 0:
             raise ValueError("padding larger than kernel-1 is unsupported")
-        if op >= max(stride_t):
-            raise ValueError("output_padding must be < stride")
+        if op >= st:
+            raise ValueError("output_padding must be < stride on every axis")
     return stride_t, padding_t, outpad_t
 
 
@@ -286,9 +262,8 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
                       stride: int | Sequence[int] = 1,
                       padding: int | Sequence[int] = 0,
                       output_padding: int | Sequence[int] = 0) -> Tensor:
-    """Functional N-d transposed convolution: the planned output-scatter
-    GEMM engine (:class:`ConvTransposeNd`) — no zero-stuffed
-    intermediate, dedicated backward."""
+    """Functional N-d transposed convolution (:class:`ConvTransposeNd`):
+    the conv engine run as an adjoint — no zero-stuffed intermediate."""
     return ConvTransposeNd.apply(
         x, w, b, *_conv_transpose_args(x, w, stride, padding, output_padding))
 
@@ -300,7 +275,7 @@ def conv_transpose_nd_composed(x: Tensor, w: Tensor, b: Tensor | None = None,
                                ) -> Tensor:
     """Reference semantics of :func:`conv_transpose_nd`: the composition
     of differentiable primitives (zero-stuffing, padding, weight flip,
-    channel transpose, stride-1 conv) the scatter plan is tested against.
+    channel transpose, stride-1 conv) it is tested against.
     """
     nd = x.ndim - 2
     stride_t, padding_t, outpad_t = _conv_transpose_args(

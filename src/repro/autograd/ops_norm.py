@@ -18,19 +18,24 @@ class BatchNorm(Function):
 
         dx = gamma * inv_std / M * (M*dy - sum(dy) - xhat * sum(dy*xhat))
 
-    where M is the number of reduced elements per channel.
+    where M is the number of reduced elements per channel.  ``mean`` and
+    ``var`` (per channel, biased) may be passed in by a caller that has
+    already reduced ``x`` — the module does, for its running estimates —
+    and must then be the statistics of this very ``x``: the backward
+    differentiates through them.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
+                eps: float = 1e-5, mean: np.ndarray | None = None,
+                var: np.ndarray | None = None) -> np.ndarray:
         nd = x.ndim - 2
         axes = (0,) + tuple(range(2, 2 + nd))
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / B.sqrt(var + eps)
-        xhat = (x - mean) * inv_std
         gshape = (1, -1) + (1,) * nd
+        if mean is None or var is None:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+        inv_std = 1.0 / B.sqrt(var.reshape(gshape) + eps)
+        xhat = (x - mean.reshape(gshape)) * inv_std
         out = gamma.reshape(gshape) * xhat + beta.reshape(gshape)
         m = x.size // x.shape[1]
         ctx.meta.update(xhat=xhat, inv_std=inv_std, axes=axes, m=m,
@@ -50,11 +55,12 @@ class BatchNorm(Function):
         sum_dy = grad.sum(axis=axes, keepdims=True)
         sum_dy_xhat = (grad * xhat).sum(axis=axes, keepdims=True)
         dx = gamma * inv_std / m * (m * grad - sum_dy - xhat * sum_dy_xhat)
-        return dx, dgamma, dbeta, None
+        return dx, dgamma, dbeta, None, None, None
 
 
 class BatchNormInference(Function):
-    """Evaluation-mode batch norm using fixed running statistics."""
+    """Evaluation-mode batch norm using fixed running statistics: one
+    per-channel affine map ``x * scale + shift``."""
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -62,31 +68,40 @@ class BatchNormInference(Function):
                 eps: float = 1e-5) -> np.ndarray:
         nd = x.ndim - 2
         gshape = (1, -1) + (1,) * nd
-        inv_std = 1.0 / B.sqrt(running_var.reshape(gshape) + eps)
-        xhat = (x - running_mean.reshape(gshape)) * inv_std
-        ctx.meta.update(xhat=xhat, inv_std=inv_std, gamma=gamma, gshape=gshape,
-                        axes=(0,) + tuple(range(2, 2 + nd)))
-        return gamma.reshape(gshape) * xhat + beta.reshape(gshape)
+        inv_std = 1.0 / B.sqrt(running_var + eps)
+        scale = gamma * inv_std
+        shift = beta - running_mean * scale
+        ctx.save_for_backward(x)
+        ctx.meta.update(mean=running_mean, inv_std=inv_std, scale=scale,
+                        gshape=gshape, axes=(0,) + tuple(range(2, 2 + nd)))
+        return x * scale.reshape(gshape) + shift.reshape(gshape)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        xhat = ctx.meta["xhat"]
-        inv_std = ctx.meta["inv_std"]
-        gamma = ctx.meta["gamma"].reshape(ctx.meta["gshape"])
+        x, = ctx.saved
+        gshape = ctx.meta["gshape"]
         axes = ctx.meta["axes"]
+        xhat = ((x - ctx.meta["mean"].reshape(gshape))
+                * ctx.meta["inv_std"].reshape(gshape))
         dgamma = (grad * xhat).sum(axis=axes)
         dbeta = grad.sum(axis=axes)
-        dx = grad * gamma * inv_std
+        dx = grad * ctx.meta["scale"].reshape(gshape)
         return dx, dgamma, dbeta, None, None, None
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray | None = None,
                running_var: np.ndarray | None = None,
-               training: bool = True, eps: float = 1e-5) -> Tensor:
-    """Apply batch normalization; see :class:`repro.nn.norm.BatchNorm`."""
+               training: bool = True, eps: float = 1e-5,
+               batch_stats: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> Tensor:
+    """Apply batch normalization; see :class:`repro.nn.norm.BatchNorm`.
+
+    ``batch_stats`` is the already-computed per-channel ``(mean, biased
+    var)`` of ``x`` for training mode (see :class:`BatchNorm`).
+    """
     if training:
-        return BatchNorm.apply(x, gamma, beta, eps)
+        return BatchNorm.apply(x, gamma, beta, eps, *(batch_stats or ()))
     if running_mean is None or running_var is None:
         raise ValueError("running statistics required in eval mode")
     return BatchNormInference.apply(x, gamma, beta, running_mean, running_var, eps)

@@ -12,7 +12,7 @@ Public surface::
     from repro.backend import set_backend, get_backend, use_backend
     from repro.backend import set_default_dtype, dtype_scope
     from repro.backend import get_pool          # pooled scratch buffers
-    from repro.backend import plan_conv         # planning conv engine
+    from repro.backend import plan_conv         # conv-engine geometry memo
 """
 
 from .base import ArrayBackend, BackendOpError
@@ -31,7 +31,6 @@ from .lazy import (
 register_backend("lazy", LazyBackend)
 from .conv_plan import (
     ConvSignature, ConvPlan, plan_conv, clear_plan_cache, plan_cache_info,
-    ConvTransposePlan, plan_conv_transpose,
 )
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
     "register_backend", "available_backends", "set_backend", "get_backend",
     "use_backend", "ops",
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
-    "plan_cache_info", "ConvTransposePlan", "plan_conv_transpose",
+    "plan_cache_info",
 ]
 
 

@@ -1,58 +1,77 @@
-"""Planning conv engine: choose *how* to execute each convolution.
+"""The convolution engine: tap-row column matrix -> GEMM, channels first.
 
-The N-d convolution dominates every epoch (``bench_fig2_epoch_time``),
-and the best execution strategy depends on the (shape, kernel, stride)
-signature:
+There is one engine, three primitives — :func:`conv_forward`,
+:func:`conv_backward_data`, :func:`conv_backward_weight` — and every
+N-d convolution and transposed convolution of the network and of the FEM
+energy runs through them.  All three work on one flat layout:
 
-* **per-offset tensordot** — ``k^d`` GEMMs of shape ``(N*So, Cin) @
-  (Cin, Cout)``; peak memory stays O(input).  Wins for big kernels, tiny
-  channel counts and megavoxel fields where the patch matrix would not
-  fit.
-* **im2col/GEMM** — one patch-matrix copy followed by a single
-  ``(N*So, Cin*k^d) @ (Cin*k^d, Cout)`` GEMM.  Wins for the small-kernel
-  /many-channel signatures of the U-Net trunk, where ``k^d`` separate
-  thin GEMMs leave BLAS underfed.
+* **The phase grid.**  The zero-padded input batch is copied once into
+  channel-major scratch ``src (R*Cin, N*cells)``: one block of ``Cin``
+  rows per *phase* (the residue of a kernel tap modulo the stride — one
+  phase at stride 1, ``s**d`` at ``k == s``: space-to-depth), each row
+  the flattened ``(N, *grid)`` samples of that phase, where ``grid =
+  out_spatial + (kernel - 1) // stride`` is the output grid plus the
+  halo the taps reach into.
+* **Tap rows.**  On that grid kernel tap ``t`` is a *flat shift*: output
+  column ``q`` reads ``src[phase_t rows, q + shift_t]``.  So a chunk of
+  the column matrix ``cols (T*Cin, m)`` is ``T`` contiguous row-block
+  copies — no gather, no transpose — and where the taps already lie
+  side by side in ``src`` (1x1 kernels, ``k == s`` down-sampling) it is
+  a view of ``src``.
+* **One GEMM per chunk.**  ``out[:, q:q+m] = Wm (Cout, T*Cin) @ cols``
+  lands in channels-first memory; the same ``cols`` feed ``dWm += g[:,
+  q:q+m] @ cols.T``; the data gradient is the same loop run phase by
+  phase over the zero-embedded output gradient, scattered back through
+  the inverse of the input copy.  Columns whose grid position lies in
+  the halo are computed and dropped by the final crop (1.05–1.13x
+  over-compute at the U-Net's sizes).
 
-``plan_conv`` maps a :class:`ConvSignature` to a :class:`ConvPlan` once
-and memoizes it, so the per-call planning cost in the training loop is a
-dict lookup.  The im2col scratch (the one large short-lived buffer) comes
-from the active backend's :class:`~repro.backend.pool.BufferPool`.
+A transposed convolution is the adjoint of the convolution with the same
+weights, stride and padding, so it has no engine of its own: its forward
+is :func:`conv_backward_data`, its data gradient :func:`conv_forward`,
+its weight gradient :func:`conv_backward_weight` with input and gradient
+swapped.
 
-The engine is a function of the signature alone: one network mixes both
-(the benchmark has a workload on each side of the choice), so there is
-no switch that forces one globally.  The parity tests drive both engines
-over identical inputs by substituting ``_decide``.
+``plan_conv`` memoizes the *geometry* of a :class:`ConvSignature` (grid,
+phases, tap shifts, chunk length), so steady-state training pays a dict
+lookup.  The chunk length is a function of the signature alone — never
+of pool state or thread count — so tiled, threaded, multi-process and
+sharded runs stay bitwise equal to serial ones.  All scratch of one call
+is carved from a single power-of-two 1-D buffer of the active backend's
+:class:`~repro.backend.pool.BufferPool`: layers of different shapes
+share buckets, so what the pool retains is bounded by the largest call,
+not by the number of distinct layer shapes.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
-from .registry import get_backend, ops as B
+from .registry import get_backend
 
 __all__ = [
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
-    "plan_cache_info", "run_conv_forward", "run_conv_backward",
-    "ConvTransposePlan", "plan_conv_transpose",
-    "run_conv_transpose_forward", "run_conv_transpose_backward",
+    "plan_cache_info", "conv_forward", "conv_backward_data",
+    "conv_backward_weight",
 ]
 
-# Heuristic thresholds (see _decide): taps = prod(kernel).
-IM2COL_MAX_TAPS = 64            # above: too many offsets, patch blows up
-IM2COL_MIN_GEMM_COLS = 16       # below: Cin*taps GEMM too thin to pay for the copy
-IM2COL_THIN_GEMM_COLS = 32      # at/below: per-offset GEMMs are so thin that
-#                                 im2col wins even for non-resident patches
-IM2COL_CACHE_PATCH_BYTES = 384 << 10  # patch must stay cache-resident (384 KiB)
-#                                     unless the thin-GEMM rescue applies
-IM2COL_MAX_PATCH_BYTES = 1 << 28    # 256 MiB absolute patch-matrix ceiling
+# One chunk of the column matrix should stay in L2 between the tap copies
+# that write it and the GEMM that reads it, and a thin layer's GEMM should
+# stay below the size at which the BLAS fans it over threads (waking them
+# costs more than a sub-0.1 ms GEMM): measured, copy-bound layers (Cout
+# <= 8) run 2-3x slower once a chunk passes ~1 MiB.  GEMM-bound wide
+# layers want enough columns per call instead, hence the floor.
+COLS_CHUNK_BYTES = 768 << 10
+MIN_CHUNK_COLS = 512
 
 _CACHE_LOCK = threading.Lock()
-_PLAN_CACHE: dict[object, "ConvPlan"] = {}
+_PLAN_CACHE: dict["ConvSignature", "ConvPlan"] = {}
 _cache_hits = 0
 _cache_misses = 0
 
@@ -73,7 +92,7 @@ def plan_cache_info() -> dict[str, int]:
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ConvSignature:
-    """Everything the planner needs to know about one conv call."""
+    """Everything the geometry of one conv call depends on."""
 
     x_shape: tuple[int, ...]      # unpadded input (N, Cin, *spatial)
     w_shape: tuple[int, ...]      # (Cout, Cin, *kernel)
@@ -98,51 +117,100 @@ class ConvSignature:
         return tuple((s - k) // st + 1 for s, k, st in
                      zip(self.padded_spatial, self.kernel, self.stride))
 
-    @property
-    def patch_bytes(self) -> int:
-        n, cin = self.x_shape[0], self.w_shape[1]
-        itemsize = np.dtype(self.dtype).itemsize
-        return n * math.prod(self.out_spatial) * cin * self.taps * itemsize
+
+# A row block of the column matrix: ``src[row:row + rows, shift + q]``.
+Block = tuple[int, int, int]
+Index = tuple[slice, ...]
 
 
 @dataclass(frozen=True)
 class ConvPlan:
-    """A memoized execution decision for one conv signature; ``path``
-    drives both the forward and the backward pass."""
+    """Memoized geometry of one conv signature (module docstring)."""
 
     signature: ConvSignature
-    path: str                     # 'im2col' | 'tensordot'
-    reason: str
+    out_shape: tuple[int, ...]    # (N, Cout, *out_spatial)
+    grid: tuple[int, ...]         # per-sample phase grid: out + tap halo
+    total: int                    # columns of the flat layout: N * prod(grid)
+    # Indices below address ``(C, N, *spatial)`` arrays.
+    valid: Index                  # where on the grid the outputs sit
+    # Per phase: (index into the unpadded input, index into the grid) —
+    # the zero-padding and the space-to-depth split as one strided copy.
+    phases: tuple[tuple[Index, Index], ...]
+    dense: bool                   # the phase copies cover the whole grid
+    lead: int                     # the largest flat tap shift
+    blocks: tuple[Block, ...]     # cols of the input, tap-major
+    # Per phase: (its taps, cols of the lead-embedded output gradient).
+    back: tuple[tuple[tuple[int, ...], tuple[Block, ...]], ...]
+    chunk: int                    # columns per chunk, forward / weight
+    back_chunk: int               # columns per chunk, data gradient
 
 
-def _decide(sig: ConvSignature) -> tuple[str, str]:
-    """The planner: ``(path, reason)`` from the signature alone."""
-    taps = sig.taps
-    cin = sig.w_shape[1]
-    if taps == 1:
-        return "tensordot", "1x1 kernel is already a single GEMM"
-    if taps > IM2COL_MAX_TAPS:
-        return "tensordot", f"kernel taps {taps} > {IM2COL_MAX_TAPS}"
-    if cin * taps < IM2COL_MIN_GEMM_COLS:
-        return "tensordot", (
-            f"GEMM width Cin*taps={cin * taps} < {IM2COL_MIN_GEMM_COLS}")
-    if sig.patch_bytes > IM2COL_MAX_PATCH_BYTES:
-        return "tensordot", (
-            f"patch matrix {sig.patch_bytes >> 20} MiB exceeds ceiling")
-    if (sig.patch_bytes > IM2COL_CACHE_PATCH_BYTES
-            and cin * taps > IM2COL_THIN_GEMM_COLS):
-        # The patch copy leaves cache and the per-offset GEMMs are wide
-        # enough to feed BLAS — the copy would be pure overhead.
-        return "tensordot", (
-            f"patch matrix {sig.patch_bytes >> 10} KiB not cache-resident "
-            f"and GEMM width {cin * taps} is BLAS-friendly")
-    return "im2col", (
-        f"small kernel ({taps} taps), GEMM width {cin * taps}, "
-        f"patch {sig.patch_bytes >> 10} KiB")
+def _chunk_cols(rows: int, itemsize: int) -> int:
+    return max(MIN_CHUNK_COLS, COLS_CHUNK_BYTES // (rows * itemsize))
+
+
+def _merge(blocks: list[Block]) -> tuple[Block, ...]:
+    """Fuse row-adjacent blocks with equal shifts: one copy, or — when a
+    single block remains — no copy at all."""
+    merged = [blocks[0]]
+    for row, rows, shift in blocks[1:]:
+        last_row, last_rows, last_shift = merged[-1]
+        if shift == last_shift and row == last_row + last_rows:
+            merged[-1] = (last_row, last_rows + rows, shift)
+        else:
+            merged.append((row, rows, shift))
+    return tuple(merged)
+
+
+def _geometry(sig: ConvSignature) -> ConvPlan:
+    n, cin = sig.x_shape[:2]
+    cout = sig.w_shape[0]
+    out_spatial = sig.out_spatial
+    grid = tuple(so + (k - 1) // st for so, k, st in
+                 zip(out_spatial, sig.kernel, sig.stride))
+    pitch = [math.prod(grid[i + 1:]) for i in range(len(grid))]
+    every = (slice(None), slice(None))                  # channels, samples
+    phase_of: dict[tuple[int, ...], int] = {}
+    taps = []                                           # (phase, flat shift)
+    for offset in product(*(range(k) for k in sig.kernel)):
+        residue = tuple(o % st for o, st in zip(offset, sig.stride))
+        taps.append((phase_of.setdefault(residue, len(phase_of)),
+                     sum(o // st * pt for o, st, pt in
+                         zip(offset, sig.stride, pitch))))
+    phases = []
+    for residue in phase_of:
+        x_sl, g_sl = [], []
+        for r, st, p, s, g in zip(residue, sig.stride, sig.padding,
+                                  sig.x_shape[2:], grid):
+            # Grid index i of this phase sits at padded coordinate
+            # r + st*i; keep those inside the unpadded input [p, p + s).
+            lo = max(0, -((r - p) // st))
+            hi = max(lo, min(g, -((r - p - s) // st)))
+            start = r + st * lo - p
+            x_sl.append(slice(start, start + (hi - lo) * st, st))
+            g_sl.append(slice(lo, hi))
+        phases.append((every + tuple(x_sl), every + tuple(g_sl)))
+    lead = taps[-1][1]
+    by_phase = [tuple(t for t, (ph, _) in enumerate(taps) if ph == phase)
+                for phase in range(len(phases))]
+    itemsize = np.dtype(sig.dtype).itemsize
+    return ConvPlan(
+        signature=sig, out_shape=(n, cout) + out_spatial, grid=grid,
+        total=n * math.prod(grid),
+        valid=every + tuple(slice(0, so) for so in out_spatial),
+        phases=tuple(phases),
+        dense=all(g_sl == every + tuple(slice(0, g) for g in grid)
+                  for _, g_sl in phases),
+        lead=lead,
+        blocks=_merge([(ph * cin, cin, shift) for ph, shift in taps]),
+        back=tuple((ts, tuple((0, cout, lead - taps[t][1]) for t in ts))
+                   for ts in by_phase),
+        chunk=_chunk_cols(len(taps) * cin, itemsize),
+        back_chunk=_chunk_cols(max(map(len, by_phase)) * cout, itemsize))
 
 
 def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
-    """Return the (memoized) execution plan for a conv signature."""
+    """Return the (memoized) geometry for a conv signature."""
     global _cache_hits, _cache_misses
     sig = ConvSignature(tuple(x_shape), tuple(w_shape), tuple(stride),
                         tuple(padding), np.dtype(dtype).str)
@@ -152,277 +220,155 @@ def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
             _cache_hits += 1
             return plan
         _cache_misses += 1
-    path, reason = _decide(sig)
-    plan = ConvPlan(signature=sig, path=path, reason=reason)
+    plan = _geometry(sig)
     with _CACHE_LOCK:
         _PLAN_CACHE[sig] = plan
     return plan
 
 
 # --------------------------------------------------------------------- #
-# Execution engines.  ``xp`` is the already-padded input (N, Cin, *Sp);
-# both engines return the channels-first output (N, Cout, *So) and must
-# agree numerically (asserted by the parity tests).
+# Scratch and layout helpers.
 # --------------------------------------------------------------------- #
 
-def _offset_slices(offset, out_spatial, stride):
-    return tuple(slice(o, o + (so - 1) * st + 1, st)
-                 for o, so, st in zip(offset, out_spatial, stride))
-
-
-def _forward_tensordot(xp, w, stride, out_spatial):
-    n = xp.shape[0]
-    cout = w.shape[0]
-    kernel = w.shape[2:]
-    # Accumulate in channels-last layout so each offset is one GEMM.
-    acc = B.zeros((n, *out_spatial, cout), dtype=xp.dtype)
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        xs = xp[(slice(None), slice(None)) + sl]        # (N, Cin, *So)
-        wo = w[(slice(None), slice(None)) + offset]      # (Cout, Cin)
-        acc += B.tensordot(xs, wo, axes=([1], [1]))      # (N, *So, Cout)
-    return B.moveaxis(acc, -1, 1)
-
-
-def _strided_windows(xp, kernel, stride, nd):
-    """Strided window view (N, Cin, *So, *K) of the padded input."""
-    win = B.sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + nd)))
-    if any(st > 1 for st in stride):
-        win = win[(slice(None), slice(None))
-                  + tuple(slice(None, None, st) for st in stride)]
-    return win
-
-
-def _forward_im2col(xp, w, stride, out_spatial):
-    nd = xp.ndim - 2
-    n, cin = xp.shape[:2]
-    cout = w.shape[0]
-    kernel = w.shape[2:]
-    taps = math.prod(kernel)
-    win = _strided_windows(xp, kernel, stride, nd)
-    # (N, *So, Cin, *K): one contiguous copy into a pooled patch matrix.
-    perm = (0,) + tuple(range(2, 2 + nd)) + (1,) + tuple(range(2 + nd, 2 + 2 * nd))
-    patches = win.transpose(perm)
-    rows = n * math.prod(out_spatial)
-    cols = cin * taps
+@contextmanager
+def _scratch(dtype, *sizes: int):
+    """1-D scratch arrays of the given lengths, carved from one pooled
+    power-of-two buffer (uninitialised; released on exit)."""
     pool = get_backend().pool
-    mat = pool.acquire((rows, cols), xp.dtype)
-    B.copyto(mat.reshape(patches.shape), patches)
-    out = B.matmul(mat, w.reshape(cout, cols).T)         # (rows, Cout)
-    pool.release(mat)
-    return B.moveaxis(out.reshape((n,) + tuple(out_spatial) + (cout,)), -1, 1)
+    buf = pool.acquire((1 << (sum(sizes) - 1).bit_length(),), dtype)
+    try:
+        yield [buf[end - size:end]
+               for size, end in zip(sizes, accumulate(sizes))]
+    finally:
+        pool.release(buf)
 
 
-def run_conv_forward(plan: ConvPlan, xp, w, stride, out_spatial):
-    """Execute the planned forward pass on a padded input."""
-    if plan.path == "im2col":
-        return _forward_im2col(xp, w, stride, out_spatial)
-    return _forward_tensordot(xp, w, stride, out_spatial)
+def _on_grid(plan: ConvPlan, flat: np.ndarray) -> np.ndarray:
+    """``(C, total)`` columns as ``(C, N, *grid)``."""
+    return flat.reshape((len(flat), -1) + plan.grid)
 
 
-# --------------------------------------------------------------------- #
-def _backward_tensordot(xp, w, gmoved, stride, out_spatial):
-    nd = len(out_spatial)
-    kernel = w.shape[2:]
-    dxp = B.zeros_like(xp)
-    dw = B.zeros_like(w)
-    contract_axes = [0] + list(range(1, 1 + nd))          # N + spatial of gmoved
-    xs_axes = [0] + list(range(2, 2 + nd))                # N + spatial of xs
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        idx = (slice(None), slice(None)) + sl
-        xs = xp[idx]
-        wo = w[(slice(None), slice(None)) + offset]
-        dw[(slice(None), slice(None)) + offset] = B.tensordot(
-            gmoved, xs, axes=(contract_axes, xs_axes))
-        dxs = B.tensordot(gmoved, wo, axes=([nd + 1], [0]))
-        dxp[idx] += B.moveaxis(dxs, -1, 1)
-    return dxp, dw
+def _gather(plan: ConvPlan, x: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Zero-pad and phase-split ``x (N, C, *S)`` into ``(R*C, total)``."""
+    c = x.shape[1]
+    if not plan.dense:
+        src.fill(0)
+    src = src.reshape(-1, plan.total)
+    xt = x.swapaxes(0, 1)
+    for ph, (x_sl, g_sl) in enumerate(plan.phases):
+        _on_grid(plan, src[ph * c:(ph + 1) * c])[g_sl] = xt[x_sl]
+    return src
 
 
-def _backward_im2col(xp, w, gmoved, stride, out_spatial):
-    nd = len(out_spatial)
-    n, cin = xp.shape[:2]
-    cout = w.shape[0]
-    kernel = w.shape[2:]
-    taps = math.prod(kernel)
-    rows = n * math.prod(out_spatial)
-    cols = cin * taps
-    win = _strided_windows(xp, kernel, stride, nd)        # (N, Cin, *So, *K)
-
-    # dW in one contraction over batch+spatial — the im2col GEMM of the
-    # backward pass (tensordot materializes the patch matrix internally).
-    dw = B.tensordot(
-        gmoved, win,
-        axes=(tuple(range(0, 1 + nd)), (0,) + tuple(range(2, 2 + nd)))
-    ).reshape(w.shape)                                    # (Cout, Cin, *K)
-
-    # dX: one big GEMM into a pooled column buffer, then col2im scatter.
-    pool = get_backend().pool
-    dcols = pool.acquire((rows, cols), xp.dtype)
-    B.matmul(gmoved.reshape(rows, cout), w.reshape(cout, cols), out=dcols)
-    dpat = B.moveaxis(
-        dcols.reshape((n,) + tuple(out_spatial) + (cin,) + tuple(kernel)),
-        1 + nd, 1)                                        # (N, Cin, *So, *K)
-    dxp = B.zeros_like(xp)
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        dxp[(slice(None), slice(None)) + sl] += dpat[
-            (slice(None), slice(None)) + (slice(None),) * nd + offset]
-    pool.release(dcols)
-    return dxp, dw
+def _embed(plan: ConvPlan, g: np.ndarray, buf: np.ndarray,
+           lead: int) -> np.ndarray:
+    """Zero-embed ``g (N, C, *So)`` on the grid behind ``lead`` zero
+    columns: ``(C, lead + total)``."""
+    gz = buf.reshape(g.shape[1], lead + plan.total)
+    gz.fill(0)
+    _on_grid(plan, gz[:, lead:])[plan.valid] = g.swapaxes(0, 1)
+    return gz
 
 
-def run_conv_backward(plan: ConvPlan, xp, w, gmoved, stride, out_spatial):
-    """Execute the planned backward pass; returns ``(dxp, dw)``."""
-    if plan.path == "im2col":
-        return _backward_im2col(xp, w, gmoved, stride, out_spatial)
-    return _backward_tensordot(xp, w, gmoved, stride, out_spatial)
+def _cols_size(blocks: tuple[Block, ...], chunk: int, length: int) -> int:
+    """Scratch one chunk of the column matrix needs (a lone block is
+    read in place)."""
+    if len(blocks) == 1:
+        return 0
+    return sum(rows for _, rows, _ in blocks) * min(chunk, length)
+
+
+def _columns(src: np.ndarray, blocks: tuple[Block, ...], j: int, m: int,
+             buf: np.ndarray) -> np.ndarray:
+    """Columns ``[j, j + m)`` of the column matrix whose row blocks are
+    ``blocks`` of ``src``."""
+    if len(blocks) == 1:
+        row, rows, shift = blocks[0]
+        return src[row:row + rows, j + shift:j + shift + m]
+    height = sum(rows for _, rows, _ in blocks)
+    cols = buf[:height * m].reshape(height, m)
+    at = 0
+    for row, rows, shift in blocks:
+        cols[at:at + rows] = src[row:row + rows, j + shift:j + shift + m]
+        at += rows
+    return cols
+
+
+def _tap_gemm(wm: np.ndarray, src: np.ndarray, blocks: tuple[Block, ...],
+              cols_buf: np.ndarray, dst: np.ndarray, chunk: int) -> None:
+    """``dst = wm @ cols(src)``, one chunk of columns at a time."""
+    length = dst.shape[1]
+    for j in range(0, length, chunk):
+        m = min(chunk, length - j)
+        np.matmul(wm, _columns(src, blocks, j, m, cols_buf),
+                  out=dst[:, j:j + m])
 
 
 # --------------------------------------------------------------------- #
-# Transposed convolution: output-scatter GEMM plan.
-#
-# The composed path (zero-stuff by the stride, pad, flip, stride-1 conv)
-# materializes a zero-stuffed input ~stride^d times the original and
-# then convolves mostly-zero data.  The scatter plan skips it entirely:
-# contract input channels against the whole kernel once (or per tap),
-# then scatter-add each tap's contribution into the output at offset
-# slices of step ``stride`` — writes touch exactly the nonzero work.
-# The composition survives only as the parity reference
-# (``repro.autograd.ops_conv.conv_transpose_nd_composed``).
+# The three primitives.  Arguments are concrete ndarrays (any strides);
+# results are fresh C-contiguous channels-first arrays.
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class ConvTransposePlan:
-    """Memoized execution decision for one conv-transpose signature.
-
-    ``path`` selects how the channel contraction is staged:
-
-    * ``'gemm'`` — one ``tensordot(x, w)`` over Cin producing the full
-      ``(N, *S, Cout, *K)`` tap tensor, then k^d scatter-adds.  Fastest
-      when the tap tensor fits comfortably in memory.
-    * ``'tap'``  — k^d thin per-tap GEMMs, O(input) peak memory; the
-      megavoxel-safe choice when the tap tensor would exceed the same
-      patch ceiling the im2col planner respects.
-    """
-
-    x_shape: tuple[int, ...]
-    w_shape: tuple[int, ...]
-    stride: tuple[int, ...]
-    padding: tuple[int, ...]
-    output_padding: tuple[int, ...]
-    path: str
-    reason: str
+def conv_forward(plan: ConvPlan, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``out (N, Cout, *So)`` of ``x (N, Cin, *S)`` and ``w (Cout, Cin, *K)``."""
+    dtype = np.dtype(plan.signature.dtype)
+    cout, cin = w.shape[:2]
+    length = plan.total - plan.lead               # the last valid column + 1
+    # (Cout, taps*Cin), tap-major like the cols of ``src``.
+    wm = np.ascontiguousarray(
+        w.reshape(cout, cin, -1).transpose(0, 2, 1), dtype).reshape(cout, -1)
+    out = np.empty(plan.out_shape, dtype)
+    with _scratch(dtype, len(plan.phases) * cin * plan.total,
+                  _cols_size(plan.blocks, plan.chunk, length),
+                  cout * plan.total) as (src, cols, flat):
+        src = _gather(plan, x, src)
+        flat = flat.reshape(cout, plan.total)
+        _tap_gemm(wm, src, plan.blocks, cols, flat[:, :length], plan.chunk)
+        out.swapaxes(0, 1)[...] = _on_grid(plan, flat)[plan.valid]
+    return out
 
 
-def plan_conv_transpose(x_shape, w_shape, stride, padding, output_padding,
-                        dtype) -> ConvTransposePlan:
-    """Return the (memoized) scatter plan for a conv-transpose call."""
-    global _cache_hits, _cache_misses
-    key = ("convT", tuple(x_shape), tuple(w_shape), tuple(stride),
-           tuple(padding), tuple(output_padding), np.dtype(dtype).str)
-    with _CACHE_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _cache_hits += 1
-            return plan
-        _cache_misses += 1
-    n = x_shape[0]
-    cout = w_shape[1]
-    taps = math.prod(w_shape[2:])
-    tap_bytes = (n * math.prod(x_shape[2:]) * cout * taps
-                 * np.dtype(dtype).itemsize)
-    if tap_bytes > IM2COL_MAX_PATCH_BYTES:
-        path, reason = "tap", (
-            f"tap tensor {tap_bytes >> 20} MiB exceeds patch ceiling")
-    else:
-        path, reason = "gemm", (
-            f"tap tensor {tap_bytes >> 10} KiB, single contraction")
-    plan = ConvTransposePlan(
-        x_shape=tuple(x_shape), w_shape=tuple(w_shape),
-        stride=tuple(stride), padding=tuple(padding),
-        output_padding=tuple(output_padding), path=path, reason=reason)
-    with _CACHE_LOCK:
-        _PLAN_CACHE[key] = plan
-    return plan
+def conv_backward_data(plan: ConvPlan, g: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+    """``dx (N, Cin, *S)`` from the output gradient ``g (N, Cout, *So)``."""
+    sig = plan.signature
+    dtype = np.dtype(sig.dtype)
+    cout, cin = w.shape[:2]
+    wt = w.reshape(cout, cin, -1)
+    dx = np.zeros(sig.x_shape, dtype)
+    dxt = dx.swapaxes(0, 1)
+    with _scratch(dtype, cout * (plan.lead + plan.total),
+                  max(_cols_size(blocks, plan.back_chunk, plan.total)
+                      for _, blocks in plan.back),
+                  cin * plan.total) as (gz, cols, dsrc):
+        gz = _embed(plan, g, gz, plan.lead)
+        dsrc = dsrc.reshape(cin, plan.total)
+        for (taps, blocks), (x_sl, g_sl) in zip(plan.back, plan.phases):
+            # (Cin, taps*Cout), tap-major like the cols of ``gz``.
+            wm = np.ascontiguousarray(
+                wt[:, :, taps].transpose(1, 2, 0), dtype).reshape(cin, -1)
+            _tap_gemm(wm, gz, blocks, cols, dsrc, plan.back_chunk)
+            dxt[x_sl] = _on_grid(plan, dsrc)[g_sl]
+    return dx
 
 
-def _convt_full_spatial(plan: ConvTransposePlan) -> tuple[int, ...]:
-    """Scatter extent before the padding crop: (S-1)*st + k + op."""
-    return tuple((s - 1) * st + k + op for s, st, k, op in zip(
-        plan.x_shape[2:], plan.stride, plan.w_shape[2:],
-        plan.output_padding))
-
-
-def _convt_scatter_slices(offset, spatial, stride):
-    """Output slices hit by one kernel tap: start=offset, step=stride."""
-    return tuple(slice(o, o + (s - 1) * st + 1, st)
-                 for o, s, st in zip(offset, spatial, stride))
-
-
-def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
-    """Output-scatter transposed convolution: returns (N, Cout, *So).
-
-    ``x`` is (N, Cin, *S), ``w`` is (Cin, Cout, *K).  No zero-stuffed
-    intermediate exists at any point.
-    """
-    from .lazy.graph import realize
-
-    x, w = realize(x), realize(w)
-    nd = x.ndim - 2
-    n = x.shape[0]
-    cout = w.shape[1]
-    kernel = w.shape[2:]
-    spatial = x.shape[2:]
-    full = _convt_full_spatial(plan)
-    # Accumulate channels-last so each tap scatter is one strided block.
-    acc = np.zeros((n,) + full + (cout,), dtype=x.dtype)
-    if plan.path == "gemm":
-        cols = realize(B.tensordot(x, w, axes=([1], [0])))
-        # cols: (N, *S, Cout, *K)
-        for offset in product(*(range(k) for k in kernel)):
-            sl = _convt_scatter_slices(offset, spatial, plan.stride)
-            acc[(slice(None),) + sl] += cols[(Ellipsis,) + offset]
-    else:
-        for offset in product(*(range(k) for k in kernel)):
-            wo = w[(slice(None), slice(None)) + offset]     # (Cin, Cout)
-            tap = realize(B.tensordot(x, wo, axes=([1], [0])))
-            sl = _convt_scatter_slices(offset, spatial, plan.stride)
-            acc[(slice(None),) + sl] += tap                  # (N, *S, Cout)
-    out = np.moveaxis(acc, -1, 1)
-    crop = tuple(slice(p, fs - p) for p, fs in zip(plan.padding, full))
-    return np.ascontiguousarray(out[(slice(None), slice(None)) + crop])
-
-
-def run_conv_transpose_backward(plan: ConvTransposePlan, x, w, grad):
-    """Gradients of the scatter forward; returns ``(dx, dw)``.
-
-    The data gradient of a transposed convolution is a *forward*
-    convolution of the (re-padded) output gradient with the same weights
-    — so it reuses the planned conv engines.  The weight gradient is one
-    contraction of the input against strided windows of the padded
-    gradient.
-    """
-    from .lazy.graph import realize
-
-    x, w, grad = realize(x), realize(w), realize(grad)
-    nd = x.ndim - 2
-    kernel = w.shape[2:]
-    spatial = x.shape[2:]
-    if any(plan.padding):
-        padw = ((0, 0), (0, 0)) + tuple((p, p) for p in plan.padding)
-        gp = np.pad(grad, padw)
-    else:
-        gp = grad
-    # dx: conv of gp with w (layout (Cin, Cout, *K) is exactly the conv
-    # weight layout with Cout_conv = Cin), same stride, zero padding.
-    conv_plan_ = plan_conv(gp.shape, w.shape, plan.stride,
-                           (0,) * nd, grad.dtype)
-    dx = realize(run_conv_forward(conv_plan_, gp, w, plan.stride, spatial))
-    # dw[ci, co, o] = sum_{n,i} x[n,ci,i] * gp[n,co, st*i + o].
-    win = _strided_windows(gp, kernel, plan.stride, nd)  # (N, Cout, *S, *K)
-    axes = ((0,) + tuple(range(2, 2 + nd)),
-            (0,) + tuple(range(2, 2 + nd)))
-    dw = realize(B.tensordot(x, win, axes=axes))         # (Cin, Cout, *K)
-    return dx, dw
+def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """``dw (Cout, Cin, *K)`` from the input and the output gradient."""
+    sig = plan.signature
+    dtype = np.dtype(sig.dtype)
+    cin, cout = x.shape[1], g.shape[1]
+    length = plan.total - plan.lead
+    dwm = np.zeros((cout, sig.taps * cin), dtype)
+    with _scratch(dtype, len(plan.phases) * cin * plan.total,
+                  _cols_size(plan.blocks, plan.chunk, length),
+                  cout * plan.total) as (src, cols, gz):
+        src = _gather(plan, x, src)
+        gz = _embed(plan, g, gz, 0)
+        for j in range(0, length, plan.chunk):
+            m = min(plan.chunk, length - j)
+            dwm += np.matmul(gz[:, j:j + m],
+                             _columns(src, plan.blocks, j, m, cols).T)
+    return np.ascontiguousarray(
+        dwm.reshape(cout, sig.taps, cin).transpose(0, 2, 1)
+    ).reshape(sig.w_shape)

@@ -58,13 +58,14 @@ class ConvNd(Module):
                        stride=self.stride, padding=self.padding)
 
     def plan_for(self, x_shape: tuple[int, ...], dtype=None) -> ConvPlan:
-        """The (memoized) execution plan this layer uses for an input shape.
+        """The (memoized) engine geometry this layer uses for an input shape.
 
-        Exposes the backend conv planner for profiling and tests: the same
+        Exposes the backend conv plan for profiling and tests: the same
         plan object drives :func:`repro.autograd.conv_nd` at call time.
-        ``dtype`` is the *input* dtype (plans are dtype-sensitive — patch
-        bytes double in float64); defaults to the weight dtype, which is
-        correct whenever inputs and weights share precision.
+        ``dtype`` is the *input* dtype (plans are dtype-sensitive — the
+        column chunk holds half as many float64 columns); defaults to the
+        weight dtype, which is correct whenever inputs and weights share
+        precision.
         """
         return plan_conv(x_shape, self.weight.shape, self.stride,
                          self.padding, dtype or self.weight.dtype)

@@ -55,7 +55,10 @@ class BatchNorm(Module):
                 ((1 - m) * self.running_var + m * unbiased).astype(stat_dtype))
             self.update_buffer("num_batches_tracked",
                                self.num_batches_tracked + 1)
-            return batch_norm(x, self.gamma, self.beta, training=True, eps=self.eps)
+            # The op normalizes with the statistics reduced above rather
+            # than reducing the activation a second time.
+            return batch_norm(x, self.gamma, self.beta, training=True,
+                              eps=self.eps, batch_stats=(batch_mean, batch_var))
         return batch_norm(x, self.gamma, self.beta,
                           running_mean=self.running_mean,
                           running_var=self.running_var,

@@ -1,11 +1,12 @@
-"""Output-scatter conv-transpose plan vs the composed reference path.
+"""Transposed convolution on the conv engine vs the composed reference.
 
-The scatter engine must be numerically interchangeable with the original
-composition (zero-stuff, pad, flip, stride-1 conv) for every supported
-(stride, padding, output_padding) combination, in forward and in every
-gradient — that is what lets it be the only production path.  Also
-pinned: the plan memoizes, the 'tap' path is chosen above the patch
-ceiling, and both paths survive gradcheck.
+``conv_transpose_nd`` runs the engine's primitives with their roles
+swapped (forward = the adjoint conv's data gradient).  It must be
+numerically interchangeable with the original composition (zero-stuff,
+pad, flip, stride-1 conv) for every supported (stride, padding,
+output_padding) combination, in forward and in every gradient — that is
+what lets it be the only production path.  Also pinned: it plans through
+the one memo, per-axis ``output_padding`` validation, and gradcheck.
 """
 
 import numpy as np
@@ -14,8 +15,7 @@ import pytest
 from repro.autograd import Tensor, conv_transpose_nd, gradcheck
 from repro.autograd.ops_conv import conv_transpose_nd_composed
 from repro.backend.conv_plan import (
-    ConvTransposePlan, IM2COL_MAX_PATCH_BYTES, clear_plan_cache,
-    plan_conv_transpose,
+    clear_plan_cache, plan_cache_info, plan_conv,
 )
 
 
@@ -62,25 +62,6 @@ class TestScatterParity:
             np.testing.assert_allclose(s_val, c_val, atol=1e-10, rtol=1e-10,
                                        err_msg=name)
 
-    def test_tap_path_matches_gemm_path(self, monkeypatch):
-        # Force the thin per-tap engine by shrinking the patch ceiling.
-        import repro.backend.conv_plan as cp
-
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((3, 2, 3, 3))
-        clear_plan_cache()
-        gemm = _both_modes(x, w, None, 2, 1, 1)["scatter"]
-        monkeypatch.setattr(cp, "IM2COL_MAX_PATCH_BYTES", 1)
-        clear_plan_cache()
-        plan = plan_conv_transpose(x.shape, w.shape, (2, 2), (1, 1), (1, 1),
-                                   x.dtype)
-        assert plan.path == "tap"
-        tap = _both_modes(x, w, None, 2, 1, 1)["scatter"]
-        clear_plan_cache()
-        for g, t in zip(gemm[:3], tap[:3]):
-            np.testing.assert_allclose(g, t, atol=1e-10, rtol=1e-10)
-
 
 class TestScatterGradcheck:
     def test_gradcheck_strided_padded(self):
@@ -100,12 +81,27 @@ class TestScatterGradcheck:
 
 class TestPlanning:
     def test_plan_memoized(self):
+        """One geometry memo serves both directions: the plan is that of
+        the adjoint convolution (output shape in, input shape out)."""
         clear_plan_cache()
-        p1 = plan_conv_transpose((1, 2, 8, 8), (2, 3, 3, 3), (2, 2), (1, 1),
-                                 (0, 0), np.float64)
-        p2 = plan_conv_transpose((1, 2, 8, 8), (2, 3, 3, 3), (2, 2), (1, 1),
-                                 (0, 0), np.float64)
-        assert p1 is p2
-        assert isinstance(p1, ConvTransposePlan)
-        assert p1.path == "gemm"
-        assert p1.reason
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((1, 2, 8, 8)))
+        w = Tensor(rng.standard_normal((2, 3, 3, 3)))
+        for _ in range(2):
+            y = conv_transpose_nd(x, w, stride=2, padding=1)
+        assert plan_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+        plan = plan_conv(y.shape, w.shape, (2, 2), (1, 1), y.dtype)
+        assert plan_cache_info() == {"hits": 2, "misses": 1, "size": 1}
+        assert plan.signature.out_spatial == x.shape[2:]
+        clear_plan_cache()
+
+
+class TestOutputPaddingValidation:
+    def test_checked_against_the_axis_own_stride(self):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        w = Tensor(np.zeros((2, 2, 3, 3)))
+        # 1 < max(stride) but not < the second axis's stride of 1.
+        with pytest.raises(ValueError, match="output_padding"):
+            conv_transpose_nd(x, w, stride=(2, 1), output_padding=(0, 1))
+        y = conv_transpose_nd(x, w, stride=(2, 1), output_padding=(1, 0))
+        assert y.shape == (1, 2, 10, 6)

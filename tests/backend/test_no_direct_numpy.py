@@ -32,7 +32,8 @@ ALLOWED = {
     "arange", "linspace",
     # dtypes and dtype predicates
     "dtype", "float16", "float32", "float64", "int32", "int64", "bool_",
-    "issubdtype", "floating", "integer", "ndarray", "generic", "isscalar",
+    "issubdtype", "result_type", "floating", "integer", "ndarray", "generic",
+    "isscalar",
     # scalar/index bookkeeping (shape metadata, not array math)
     "newaxis", "pi", "inf", "nan", "lcm", "indices", "meshgrid",
     "ravel_multi_index", "atleast_2d", "ndindex", "errstate",

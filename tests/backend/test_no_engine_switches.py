@@ -1,9 +1,10 @@
 """Guard: execution engines are chosen from shape, never from switches.
 
-The conv planner picks im2col vs tensordot per signature, the tile
-engine takes its tile size from the caller's memory budget, and there is
-one eager backend — an audit (README "Engine kill table") found every
-switch that overrode those choices losing on some benchmark workload.
+There is one conv engine whose geometry follows from the signature, the
+tile engine takes its tile size from the caller's memory budget, and
+there is one eager backend — an audit (README "Engine kill table") found
+every switch that overrode those choices losing on some benchmark
+workload.
 This walks the AST of every module under ``src/repro/`` and fails on an
 environment read outside the two seams that remain (the backend name in
 ``backend/registry.py``, the JIT's ``REPRO_JIT_*`` in ``backend/lazy/``),

@@ -22,22 +22,3 @@ def t64(array_or_shape, rng: np.random.Generator | None = None,
     else:
         data = np.asarray(array_or_shape, dtype=np.float64)
     return Tensor(data, requires_grad=requires_grad, dtype=np.float64)
-
-
-@pytest.fixture
-def force_conv_path(monkeypatch):
-    """``force_conv_path("im2col" | "tensordot")`` routes every conv
-    through one engine by substituting the planner's decision — the
-    parity tests' way to drive both engines over identical inputs (there
-    is no production switch).  The plan cache is cleared around it."""
-    from repro.backend import conv_plan
-
-    def force(path: str) -> None:
-        assert path in ("im2col", "tensordot"), path
-        conv_plan.clear_plan_cache()
-        monkeypatch.setattr(
-            conv_plan, "_decide", lambda sig: (path, f"forced {path!r} by test"))
-
-    conv_plan.clear_plan_cache()
-    yield force
-    conv_plan.clear_plan_cache()
