@@ -1,9 +1,9 @@
-"""Vectorized sparse FEM assembly on uniform grids.
+"""FEM assembly on uniform grids with Q1 elements and nodal data
+interpolated to Gauss points.
 
-Assembles the stiffness matrix of ``-div(nu grad u) = f`` with Q1 elements
-and nodal ν interpolated to Gauss points.  The assembly loops only over the
-(2^d)^2 local node pairs and the Gauss points; all per-element work is
-dense NumPy.
+The stiffness and mass matrices are CSR copies of the one stencil builder
+(:mod:`repro.fem.stencil`); the load vector is accumulated by slice-adds
+on the nodal array.  Nothing here builds index arrays or triplets.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import scipy.sparse as sp
 
 from ..backend import ops as B
 
-from .basis import local_nodes, shape_gradients, shape_values
+from .basis import gauss_interp, local_nodes, shape_values
 from .grid import UniformGrid
 from .quadrature import GaussRule
+from .stencil import StencilOperator, stencil_matrix
 
 __all__ = [
-    "interpolate_to_gauss", "element_stiffness_tensors",
+    "interpolate_to_gauss",
     "assemble_stiffness", "assemble_load", "assemble_mass",
 ]
 
@@ -32,92 +33,33 @@ def interpolate_to_gauss(grid: UniformGrid, nodal: np.ndarray,
     nodal = np.asarray(nodal)
     if nodal.shape != grid.shape:
         raise ValueError(f"nodal field shape {nodal.shape} != grid {grid.shape}")
-    nodes = local_nodes(grid.ndim)
-    values = shape_values(rule.points)  # (G, A)
-    r = grid.resolution
-    out = np.zeros((rule.n_points,) + grid.element_shape, dtype=nodal.dtype)
-    for a, offset in enumerate(nodes):
-        sl = tuple(slice(o, o + r - 1) for o in offset)
-        block = nodal[sl]
-        out += values[:, a].reshape((-1,) + (1,) * grid.ndim) * block[None]
-    return out
-
-
-def element_stiffness_tensors(grid: UniformGrid, rule: GaussRule) -> np.ndarray:
-    """Per-Gauss-point local stiffness tensors ``S[g, a, b]``.
-
-    ``K^e[a, b] = sum_g nu_g[e] * S[g, a, b]`` where
-
-        S[g, a, b] = w_g * detJ * (2/h)^2 * grad N_a(xi_g) . grad N_b(xi_g)
-
-    with ``detJ = (h/2)^d`` for the affine map to a cube of side ``h``.
-    """
-    h = grid.h
-    d = grid.ndim
-    grads = shape_gradients(rule.points)  # (G, A, d) in reference coords
-    det_j = (h / 2.0) ** d
-    scale = (2.0 / h) ** 2
-    # S[g,a,b] = w_g * detJ * scale * sum_k grads[g,a,k] grads[g,b,k]
-    dots = B.einsum("gak,gbk->gab", grads, grads)
-    return rule.weights[:, None, None] * det_j * scale * dots
-
-
-def _element_node_indices(grid: UniformGrid) -> list[np.ndarray]:
-    """For each local node offset, the flat global index of that node for
-    every element (C-order over elements)."""
-    em = np.indices(grid.element_shape)  # (d, *element_shape)
-    nodes = local_nodes(grid.ndim)
-    out = []
-    for offset in nodes:
-        multi = tuple(em[k] + offset[k] for k in range(grid.ndim))
-        out.append(np.ravel_multi_index(multi, grid.shape).ravel())
-    return out
+    return gauss_interp(nodal, rule)
 
 
 def assemble_stiffness(grid: UniformGrid, nu_nodal: np.ndarray,
                        rule: GaussRule | None = None) -> sp.csr_matrix:
     """Assemble the global stiffness matrix for nodal diffusivity ``nu``."""
-    rule = rule or GaussRule.create(grid.ndim, 2)
-    nu_gauss = interpolate_to_gauss(grid, np.asarray(nu_nodal, dtype=np.float64), rule)
-    s_tensors = element_stiffness_tensors(grid, rule)  # (G, A, A)
-    node_idx = _element_node_indices(grid)
-    n_local = len(node_idx)
-    ne = grid.num_elements
-    nu_flat = nu_gauss.reshape(rule.n_points, ne)  # (G, E)
-
-    rows = np.empty(n_local * n_local * ne, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(n_local * n_local * ne, dtype=np.float64)
-    pos = 0
-    for a in range(n_local):
-        for b in range(n_local):
-            v = s_tensors[:, a, b] @ nu_flat  # (E,)
-            rows[pos:pos + ne] = node_idx[a]
-            cols[pos:pos + ne] = node_idx[b]
-            vals[pos:pos + ne] = v
-            pos += ne
-    k = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(grid.num_nodes, grid.num_nodes))
-    return k.tocsr()
+    return StencilOperator(grid, nu_nodal, rule).to_csr()
 
 
 def assemble_load(grid: UniformGrid, f_nodal: np.ndarray | None,
                   rule: GaussRule | None = None) -> np.ndarray:
     """Assemble the load vector ``b_i = int f N_i`` for nodal forcing f."""
+    b = np.zeros(grid.shape, dtype=np.float64)
     if f_nodal is None:
-        return np.zeros(grid.num_nodes, dtype=np.float64)
+        return b.ravel()
     rule = rule or GaussRule.create(grid.ndim, 2)
-    f_gauss = interpolate_to_gauss(grid, np.asarray(f_nodal, dtype=np.float64), rule)
+    f_gauss = interpolate_to_gauss(
+        grid, np.asarray(f_nodal, dtype=np.float64), rule)
+    f_flat = f_gauss.reshape(rule.n_points, -1)
     values = shape_values(rule.points)  # (G, A)
     det_j = (grid.h / 2.0) ** grid.ndim
-    node_idx = _element_node_indices(grid)
-    ne = grid.num_elements
-    f_flat = f_gauss.reshape(rule.n_points, ne)
-    b = np.zeros(grid.num_nodes, dtype=np.float64)
-    for a in range(len(node_idx)):
+    r = grid.resolution
+    for a, offset in enumerate(local_nodes(grid.ndim)):
         contrib = (rule.weights * values[:, a]) @ f_flat * det_j
-        B.scatter_add(b, node_idx[a], contrib)
-    return b
+        nodes = tuple(slice(o, o + r - 1) for o in offset)
+        b[nodes] += contrib.reshape(grid.element_shape)
+    return b.ravel()
 
 
 def assemble_mass(grid: UniformGrid, rule: GaussRule | None = None) -> sp.csr_matrix:
@@ -126,19 +68,5 @@ def assemble_mass(grid: UniformGrid, rule: GaussRule | None = None) -> sp.csr_ma
     values = shape_values(rule.points)  # (G, A)
     det_j = (grid.h / 2.0) ** grid.ndim
     m_local = B.einsum("g,ga,gb->ab", rule.weights, values, values) * det_j
-    node_idx = _element_node_indices(grid)
-    n_local = len(node_idx)
-    ne = grid.num_elements
-    rows = np.empty(n_local * n_local * ne, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(n_local * n_local * ne, dtype=np.float64)
-    pos = 0
-    for a in range(n_local):
-        for b in range(n_local):
-            rows[pos:pos + ne] = node_idx[a]
-            cols[pos:pos + ne] = node_idx[b]
-            vals[pos:pos + ne] = m_local[a, b]
-            pos += ne
-    m = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(grid.num_nodes, grid.num_nodes))
-    return m.tocsr()
+    return stencil_matrix(m_local[None],
+                          np.ones((1,) + grid.element_shape)).tocsr()

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["local_nodes", "shape_values", "shape_gradients"]
+__all__ = ["local_nodes", "shape_values", "shape_gradients", "gauss_interp"]
 
 
 def local_nodes(ndim: int) -> np.ndarray:
@@ -62,3 +62,23 @@ def shape_gradients(points: np.ndarray) -> np.ndarray:
                 others = others * factors[:, :, j]
         grads[:, :, k] = g * others
     return grads
+
+
+def gauss_interp(nodal: np.ndarray, rule) -> np.ndarray:
+    """Interpolate nodal arrays ``[..., *R]`` to every element's Gauss
+    points: ``[..., G, *E]``, in the dtype of ``nodal``.
+
+    The one walk over an element's local nodes for data (ν, f, face
+    fluxes); leading axes are batch axes.
+    """
+    d = rule.points.shape[1]
+    values = shape_values(rule.points)              # (G, A)
+    elems = tuple(n - 1 for n in nodal.shape[-d:])
+    out = np.zeros(nodal.shape[:-d] + (rule.n_points,) + elems,
+                   dtype=nodal.dtype)
+    for a, offset in enumerate(local_nodes(d)):
+        block = nodal[(...,) + tuple(slice(o, o + e)
+                                     for o, e in zip(offset, elems))]
+        out += (values[:, a].reshape((-1,) + (1,) * d)
+                * block[(..., None) + (slice(None),) * d])
+    return out

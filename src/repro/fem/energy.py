@@ -23,7 +23,7 @@ import numpy as np
 
 from ..backend import ops as B
 from ..autograd import Tensor, conv_nd
-from .basis import local_nodes, shape_gradients, shape_values
+from .basis import gauss_interp, shape_gradients, shape_values
 from .grid import UniformGrid
 from .quadrature import GaussRule
 
@@ -73,21 +73,12 @@ class EnergyLoss:
         g = self.rule.n_points
         grads = shape_gradients(self.rule.points)   # (G, A, d) reference
         values = shape_values(self.rule.points)     # (G, A)
-        offsets = local_nodes(d)                    # (A, d)
-
-        # Derivative kernels: (G*d, 1, 2, [2, [2]]); physical scale 2/h.
-        dker = np.zeros((g * d, 1) + (2,) * d, dtype=np.float64)
-        for gi in range(g):
-            for k in range(d):
-                for a, off in enumerate(offsets):
-                    dker[(gi * d + k, 0) + tuple(off)] = (2.0 / h) * grads[gi, a, k]
-        # Interpolation kernels: (G, 1, 2, ...).
-        vker = np.zeros((g, 1) + (2,) * d, dtype=np.float64)
-        for gi in range(g):
-            for a, off in enumerate(offsets):
-                vker[(gi, 0) + tuple(off)] = values[gi, a]
-        self._dker = dker
-        self._vker = vker
+        # Local nodes run in C order of their offsets, so the A axis is the
+        # (2,)*d taps of a kernel.  Derivative kernels (G*d, 1, 2, [2, [2]]),
+        # physical scale 2/h; interpolation kernels (G, 1, 2, ...).
+        self._dker = ((2.0 / h) * B.moveaxis(grads, 1, 2)).reshape(
+            (g * d, 1) + (2,) * d)
+        self._vker = values.reshape((g, 1) + (2,) * d)
         self._det_j = (h / 2.0) ** d
         # Quadrature weights broadcast over (N, G, d, *E) and (N, G, *E).
         self._wg = self.rule.weights.copy()
@@ -127,8 +118,7 @@ class EnergyLoss:
         grads = grads.reshape((n, g, d) + elem_shape)
 
         # nu at Gauss points (constant w.r.t. the graph): (N, G, 1, *E).
-        nu_gauss = self._interp_numpy(nu_arr.astype(u.dtype))
-        nu_b = nu_gauss.reshape((n, g, 1) + elem_shape)
+        nu_b = gauss_interp(nu_arr.astype(u.dtype)[:, 0], self.rule)[:, :, None]
 
         # w_g detJ broadcast: (1, G, 1, *1).
         wdet = (self._wg * self._det_j).astype(u.dtype).reshape(
@@ -140,12 +130,12 @@ class EnergyLoss:
 
         if self.forcing is not None:
             u_gauss = conv_nd(u, vker)                       # (N, G, *E)
-            f_gauss = self._interp_numpy(
-                B.broadcast_to(self.forcing, u.shape).astype(u.dtype))
+            f_gauss = gauss_interp(
+                B.broadcast_to(self.forcing, u.shape).astype(u.dtype)[:, 0],
+                self.rule)
             wdet_f = (self._wg * self._det_j).astype(u.dtype).reshape(
                 (1, g) + (1,) * d)
-            load = (u_gauss * Tensor(f_gauss.reshape((n, g) + elem_shape))
-                    * Tensor(wdet_f))
+            load = u_gauss * Tensor(f_gauss) * Tensor(wdet_f)
             energy = energy - load.sum(axis=tuple(range(1, 2 + d)))
         if self.neumann:
             from .neumann import neumann_energy
@@ -156,24 +146,3 @@ class EnergyLoss:
     def __call__(self, u: Tensor, nu: Tensor | np.ndarray) -> Tensor:
         per = self.per_sample(u, nu)
         return per.mean() if self.reduction == "mean" else per.sum()
-
-    # ------------------------------------------------------------------ #
-    def _interp_numpy(self, field: np.ndarray) -> np.ndarray:
-        """Interpolate (N, 1, *R) nodal arrays to Gauss points: (N, G, *E).
-
-        Pure NumPy (no graph) — used for ν and f, which are data.
-        """
-        grid = self.grid
-        d = grid.ndim
-        r = grid.resolution
-        values = shape_values(self.rule.points)  # (G, A)
-        offsets = local_nodes(d)
-        n = field.shape[0]
-        out = np.zeros((n, self.rule.n_points) + grid.element_shape,
-                       dtype=field.dtype)
-        core = field[:, 0]
-        for a, off in enumerate(offsets):
-            sl = tuple(slice(o, o + r - 1) for o in off)
-            block = core[(slice(None),) + sl]
-            out += values[:, a].reshape((1, -1) + (1,) * d) * block[:, None]
-        return out

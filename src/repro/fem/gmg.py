@@ -11,6 +11,7 @@ equation, so corrections vanish on constrained nodes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,19 +21,26 @@ import scipy.sparse.linalg as spla
 from ..backend import ops as B
 from ..backend import realize
 
-from .assembly import assemble_load, assemble_stiffness
+from .assembly import assemble_load
 from .grid import UniformGrid
 from .quadrature import GaussRule
 from .solver import DirichletBC
+from .stencil import StencilOperator
 from .transfer import prolong_nested, restrict_nested
 
-__all__ = ["GeometricMultigrid", "GMGReport"]
+__all__ = ["GeometricMultigrid", "GMGReport", "FMGResult", "full_multigrid_solve"]
+
+COARSE_SIZE = 729
+
+# The coarse-level cycles one cycle makes at every level (paper Fig. 3,
+# `repro.multigrid.cycles`): V recurses once, W twice, F into F then V.
+_COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
 
 
 @dataclass
 class _Level:
     grid: UniformGrid
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     diag: np.ndarray
     dirichlet: np.ndarray  # flat boolean mask
 
@@ -70,7 +78,7 @@ class GeometricMultigrid:
     def __init__(self, grid: UniformGrid, nu_nodal: np.ndarray, bc: DirichletBC,
                  rule: GaussRule | None = None, n_smooth: tuple[int, int] = (2, 2),
                  omega: float = 2.0 / 3.0, max_levels: int | None = None,
-                 coarse_size: int = 729) -> None:
+                 coarse_size: int = COARSE_SIZE) -> None:
         self.rule = rule or GaussRule.create(grid.ndim, 2)
         self.n_pre, self.n_post = n_smooth
         self.omega = omega
@@ -78,28 +86,21 @@ class GeometricMultigrid:
         self.levels: list[_Level] = []
 
         nu = np.asarray(nu_nodal, dtype=np.float64)
-        g = grid
         mask = bc.mask
+        inject = (slice(None, None, 2),) * grid.ndim
         while True:
-            k = assemble_stiffness(g, nu, GaussRule.create(g.ndim, self.rule.order))
-            self.levels.append(_Level(grid=g, matrix=k, diag=k.diagonal(),
-                                      dirichlet=mask.ravel()))
-            if (max_levels is not None and len(self.levels) >= max_levels):
+            op = StencilOperator(grid, nu, self.rule)
+            self.levels.append(_Level(grid=grid, matrix=op.matrix,
+                                      diag=op.diag(), dirichlet=mask.ravel()))
+            if ((max_levels is not None and len(self.levels) >= max_levels)
+                    or grid.num_nodes <= coarse_size or not grid.can_coarsen()
+                    or grid.coarsen().resolution < 3):
                 break
-            if g.num_nodes <= coarse_size:
-                break
-            if not g.can_coarsen() or g.coarsen().resolution < 3:
-                break
-            g = g.coarsen()
-            nu = nu[tuple(slice(None, None, 2) for _ in range(g.ndim))]
-            mask = mask[tuple(slice(None, None, 2) for _ in range(g.ndim))]
+            grid, nu, mask = grid.coarsen(), nu[inject], mask[inject]
 
         # Direct solver on the coarsest interior block.
-        coarse = self.levels[-1]
-        interior = ~coarse.dirichlet
-        self._coarse_interior = interior
-        k_ii = coarse.matrix[interior][:, interior].tocsc()
-        self._coarse_lu = spla.splu(k_ii)
+        interior = self._coarse_interior = ~self.levels[-1].dirichlet
+        self._coarse_lu = spla.splu(op.to_csr()[interior][:, interior].tocsc())
         self.last_report: GMGReport | None = None
 
     @property
@@ -126,29 +127,23 @@ class GeometricMultigrid:
         x[self._coarse_interior] = self._coarse_lu.solve(b[self._coarse_interior])
         return x
 
-    def _cycle(self, li: int, b: np.ndarray, gamma: int,
-               f_cycle: bool = False) -> np.ndarray:
-        """Solve the level-``li`` homogeneous-Dirichlet error equation."""
+    def _cycle(self, li: int, b: np.ndarray, cycle: str) -> np.ndarray:
+        """One cycle on the level-``li`` homogeneous-Dirichlet error equation."""
         level = self.levels[li]
         if li == len(self.levels) - 1:
             return self._coarse_solve(b)
-        x = np.zeros_like(b)
-        x = self._smooth(level, x, b, self.n_pre)
+        x = self._smooth(level, np.zeros_like(b), b, self.n_pre)
         r = (b - level.matrix @ x)
         r *= ~level.dirichlet
         coarse = self.levels[li + 1]
         rc = restrict_nested(r.reshape(level.grid.shape), mode="dual").ravel()
         rc[coarse.dirichlet] = 0.0
-        visits = gamma if not f_cycle else max(gamma, 2)
         ec = np.zeros_like(rc)
-        for v in range(visits):
-            sub_gamma = gamma if not f_cycle or v > 0 else gamma
-            ec = ec + self._cycle(li + 1, rc - coarse.matrix @ ec, sub_gamma)
+        for sub_cycle in _COARSE_VISITS[cycle]:
+            ec = ec + self._cycle(li + 1, rc - coarse.matrix @ ec, sub_cycle)
         e = prolong_nested(ec.reshape(coarse.grid.shape)).ravel()
         e[level.dirichlet] = 0.0
-        x = x + e
-        x = self._smooth(level, x, b, self.n_post)
-        return x
+        return self._smooth(level, x + e, b, self.n_post)
 
     # ------------------------------------------------------------------ #
     def solve(self, f_nodal: np.ndarray | None = None, tol: float = 1e-9,
@@ -156,40 +151,83 @@ class GeometricMultigrid:
               x0: np.ndarray | None = None) -> np.ndarray:
         """Iterate multigrid cycles to relative residual ``tol``.
 
-        ``cycle``: 'v' (gamma=1), 'w' (gamma=2) or 'f' (extra first visit).
+        ``cycle``: 'v', 'w' or 'f' (paper Fig. 3).
         """
-        gamma = {"v": 1, "w": 2, "f": 1}[cycle]
-        f_cycle = cycle == "f"
+        if cycle not in _COARSE_VISITS:
+            raise ValueError(f"unknown cycle {cycle!r}; choose from "
+                             f"{sorted(_COARSE_VISITS)}")
         fine = self.levels[0]
         b = assemble_load(fine.grid, f_nodal, self.rule)
+        lift = self.bc.lift().ravel()
 
-        u = self.bc.lift().ravel() if x0 is None else np.asarray(
+        u = lift.copy() if x0 is None else np.asarray(
             x0, dtype=np.float64).ravel().copy()
-        u[fine.dirichlet] = self.bc.values.ravel()[fine.dirichlet]
+        u[fine.dirichlet] = lift[fine.dirichlet]
+
+        def residual(v: np.ndarray) -> np.ndarray:
+            r = b - fine.matrix @ v
+            r[fine.dirichlet] = 0.0
+            return r
 
         # Reference scale: residual of the plain Dirichlet lift, so that
         # warm starts (x0 near the solution) converge immediately instead
         # of chasing a tolerance relative to their own tiny residual.
-        r_ref = b - fine.matrix @ self.bc.lift().ravel()
-        r_ref[fine.dirichlet] = 0.0
-        norm0 = max(float(B.norm(r_ref)), 1e-300)
-
-        r = b - fine.matrix @ u
-        r[fine.dirichlet] = 0.0
-        rel = float(B.norm(r)) / norm0
-        history = [rel]
-        converged = rel < tol
+        norm0 = max(float(B.norm(residual(lift))), 1e-300)
+        r = residual(u)
+        history = [float(B.norm(r)) / norm0]
         it = 0
-        while not converged and it < max_cycles:
+        while not history[-1] < tol and it < max_cycles:
             it += 1
-            e = self._cycle(0, r, gamma, f_cycle=f_cycle)
-            u = u + e
-            r = b - fine.matrix @ u
-            r[fine.dirichlet] = 0.0
-            rel = float(B.norm(r)) / norm0
-            history.append(rel)
-            converged = rel < tol
+            u = u + self._cycle(0, r, cycle)
+            r = residual(u)
+            history.append(float(B.norm(r)) / norm0)
         self.last_report = GMGReport(iterations=it, residual=history[-1],
-                                     converged=converged,
+                                     converged=history[-1] < tol,
                                      residual_history=history)
         return u.reshape(fine.grid.shape)
+
+
+@dataclass
+class FMGResult:
+    """Per-level record of an FMG solve."""
+
+    resolutions: list[int]
+    cycles_per_level: list[int]
+    final_residual: float
+
+
+def full_multigrid_solve(grid: UniformGrid, nu_nodal: np.ndarray,
+                         bc: DirichletBC, f_nodal: np.ndarray | None = None,
+                         levels: int = 3, tol: float = 1e-9,
+                         max_cycles: int = 30
+                         ) -> tuple[np.ndarray, FMGResult]:
+    """FMG: solve coarse-to-fine, prolonging solutions as initial guesses
+    — the numerical analogue of the Half-V training cycle (paper Sec. 2.3/3.1).
+
+    Requires ``grid.resolution - 1`` divisible by ``2**(levels-1)`` so all
+    levels nest.  One hierarchy is built; rung ``k`` is solved on its
+    ``levels[k:]`` tail.  Returns the fine solution and per-level cycle
+    counts — which should be *small on the fine levels* (that is the point).
+    """
+    coarsest = (grid.resolution - 1) // 2 ** (levels - 1) + 1
+    if (grid.resolution - 1) % 2 ** (levels - 1) or coarsest < 3:
+        raise ValueError(
+            f"resolution {grid.resolution} does not nest {levels} levels")
+    gmg = GeometricMultigrid(
+        grid, nu_nodal, bc,
+        coarse_size=min(COARSE_SIZE, coarsest ** grid.ndim))
+    u, cycles, resolutions = None, [], []
+    for k in range(levels - 1, -1, -1):
+        # Rung k is the same solver on the levels[k:] tail — same levels,
+        # same coarsest LU — with the data injected onto its grid.
+        inject = (slice(None, None, 2 ** k),) * grid.ndim
+        rung = copy.copy(gmg)
+        rung.levels = gmg.levels[k:]
+        rung.bc = DirichletBC(mask=bc.mask[inject], values=bc.values[inject])
+        u = rung.solve(
+            None if f_nodal is None else np.asarray(f_nodal)[inject], tol=tol,
+            max_cycles=max_cycles, x0=None if u is None else prolong_nested(u))
+        cycles.append(rung.last_report.iterations)
+        resolutions.append(rung.levels[0].grid.resolution)
+    return u, FMGResult(resolutions=resolutions, cycles_per_level=cycles,
+                        final_residual=rung.last_report.residual)

@@ -122,7 +122,7 @@ def gmg_preconditioner(gmg, cycles: int = 1
         r_full[interior] = r_interior
         z = np.zeros_like(r_full)
         for _ in range(cycles):
-            z = z + gmg._cycle(0, r_full - gmg.levels[0].matrix @ z, gamma=1)
+            z = z + gmg._cycle(0, r_full - gmg.levels[0].matrix @ z, "v")
         return z[interior]
 
     return apply

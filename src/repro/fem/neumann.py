@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import ops as B
 from ..autograd import Tensor
-from .basis import local_nodes, shape_values
+from .assembly import assemble_load
 from .grid import UniformGrid
 from .quadrature import GaussRule
 
@@ -58,55 +57,23 @@ class NeumannBC:
         return arr
 
 
-def _face_load(grid: UniformGrid, bc: NeumannBC,
-               rule: GaussRule | None = None) -> np.ndarray:
-    """Surface load on the face as a nodal array of the face grid.
-
-    The face is a (d-1)-dimensional uniform grid; the surface integral of
-    ``h N_i`` is a lower-dimensional FEM load assembly.
-    """
-    d = grid.ndim
-    if d < 2:
-        raise ValueError("Neumann faces require ndim >= 2")
-    face_dim = d - 1
-    rule = rule or GaussRule.create(face_dim, 2)
-    h_vals = bc.face_values(grid)
-
-    r = grid.resolution
-    values = shape_values(rule.points)      # (G, A) on the face element
-    offsets = local_nodes(face_dim)
-    det_j = (grid.h / 2.0) ** face_dim
-
-    # Interpolate h to face Gauss points.
-    h_gauss = np.zeros((rule.n_points,) + (r - 1,) * face_dim)
-    for a, off in enumerate(offsets):
-        sl = tuple(slice(o, o + r - 1) for o in off)
-        h_gauss += values[:, a].reshape((-1,) + (1,) * face_dim) * h_vals[sl]
-
-    load = np.zeros((r,) * face_dim)
-    elem_idx = np.indices((r - 1,) * face_dim)
-    for a, off in enumerate(offsets):
-        contrib = B.einsum("g,g...->...",
-                           rule.weights * values[:, a], h_gauss) * det_j
-        target = tuple(elem_idx[k] + off[k] for k in range(face_dim))
-        B.scatter_add(load, target, contrib)
-    return load
-
-
 def assemble_neumann_load(grid: UniformGrid, bcs: list[NeumannBC],
                           rule: GaussRule | None = None) -> np.ndarray:
-    """Global load vector contribution of the flux conditions."""
-    b = np.zeros(grid.num_nodes)
+    """Global load vector contribution of the flux conditions.
+
+    A face is a (d-1)-dimensional uniform grid, and the surface integral
+    of ``h N_i`` over it is that grid's load assembly.
+    """
+    if grid.ndim < 2:
+        raise ValueError("Neumann faces require ndim >= 2")
+    face = UniformGrid(grid.ndim - 1, grid.resolution)
     full = np.zeros(grid.shape)
     for bc in bcs:
-        face_load = _face_load(grid, bc, rule)
         idx = [slice(None)] * grid.ndim
         idx[bc.axis] = 0 if bc.side == 0 else -1
-        scatter = np.zeros(grid.shape)
-        scatter[tuple(idx)] = face_load
-        full += scatter
-    b += full.ravel()
-    return b
+        full[tuple(idx)] += assemble_load(
+            face, bc.face_values(grid), rule).reshape(face.shape)
+    return full.ravel()
 
 
 def neumann_energy(u: Tensor, grid: UniformGrid, bcs: list[NeumannBC],

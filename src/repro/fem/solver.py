@@ -10,14 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..backend import ops as B
 
-from .assembly import assemble_load, assemble_stiffness
+from .assembly import assemble_load
 from .grid import UniformGrid
+from .krylov import conjugate_gradient, jacobi_preconditioner
+from .neumann import assemble_neumann_load
 from .quadrature import GaussRule
+from .stencil import StencilOperator
 
 __all__ = ["DirichletBC", "canonical_bc", "FEMSolver", "SolveReport"]
 
@@ -90,6 +92,15 @@ class FEMSolver:
         self.rule = rule or GaussRule.create(grid.ndim, 2)
         self.last_report: SolveReport | None = None
 
+    def _system(self, nu_nodal: np.ndarray, f_nodal: np.ndarray | None,
+                neumann: list | None) -> tuple[StencilOperator, np.ndarray]:
+        """The operator ``K(nu)`` and the load vector, fluxes included."""
+        op = StencilOperator(self.grid, nu_nodal, self.rule)
+        b = assemble_load(self.grid, f_nodal, self.rule)
+        if neumann:
+            b = b + assemble_neumann_load(self.grid, neumann, None)
+        return op, b
+
     def solve(self, nu_nodal: np.ndarray, bc: DirichletBC,
               f_nodal: np.ndarray | None = None, method: str = "auto",
               tol: float = 1e-10, maxiter: int | None = None,
@@ -101,20 +112,11 @@ class FEMSolver:
         ``neumann``: optional list of :class:`repro.fem.neumann.NeumannBC`
         flux conditions (zero-flux faces need no entry).
         """
-        grid = self.grid
-        k = assemble_stiffness(grid, nu_nodal, self.rule)
-        b = assemble_load(grid, f_nodal, self.rule)
-        if neumann:
-            from .neumann import assemble_neumann_load
-
-            b = b + assemble_neumann_load(grid, neumann, None)
-
-        mask_flat = bc.mask.ravel()
-        interior = ~mask_flat
+        op, b = self._system(nu_nodal, f_nodal, neumann)
+        interior = ~bc.mask.ravel()
         u = bc.lift().ravel()
-        rhs = b - k @ u
-        rhs_i = rhs[interior]
-        k_ii = k[interior][:, interior].tocsr()
+        rhs_i = (b - op @ u)[interior]
+        k_ii = op.to_csr()[interior][:, interior]
         n_int = int(interior.sum())
 
         if method == "auto":
@@ -124,29 +126,21 @@ class FEMSolver:
             x = spla.spsolve(k_ii.tocsc(), rhs_i)
             iters = 1
         elif method == "cg":
-            diag = k_ii.diagonal()
-            if B.any(diag <= 0):
-                raise RuntimeError("non-positive diagonal; K not SPD?")
-            m_inv = sp.diags(1.0 / diag)
-            iters = 0
-
-            def _count(_xk: np.ndarray) -> None:
-                nonlocal iters
-                iters += 1
-
-            x, info = spla.cg(k_ii, rhs_i, rtol=tol, maxiter=maxiter or 20 * n_int,
-                              M=m_inv, callback=_count)
-            if info != 0:
-                raise RuntimeError(f"CG failed to converge (info={info})")
+            x, report = conjugate_gradient(
+                k_ii, rhs_i, tol=tol, maxiter=maxiter,
+                preconditioner=jacobi_preconditioner(k_ii))
+            if not report.converged:
+                raise RuntimeError(
+                    f"CG failed to converge ({report.residual:.2e})")
+            iters = report.iterations
         else:
             raise ValueError(f"unknown method {method!r}")
 
         u[interior] += x
-        res = float(B.norm(rhs_i - k_ii @ x) /
-                    max(B.norm(rhs_i), 1e-30))
+        res = float(B.norm(rhs_i - k_ii @ x) / max(B.norm(rhs_i), 1e-30))
         self.last_report = SolveReport(method=method, iterations=iters,
                                        residual=res, n_dofs=n_int)
-        return u.reshape(grid.shape)
+        return u.reshape(self.grid.shape)
 
     def energy(self, u_nodal: np.ndarray, nu_nodal: np.ndarray,
                f_nodal: np.ndarray | None = None,
@@ -156,11 +150,5 @@ class FEMSolver:
         Used by tests to certify that :class:`repro.fem.energy.EnergyLoss`
         (the conv-stencil path) matches the assembled operator exactly.
         """
-        k = assemble_stiffness(self.grid, nu_nodal, self.rule)
-        b = assemble_load(self.grid, f_nodal, self.rule)
-        if neumann:
-            from .neumann import assemble_neumann_load
-
-            b = b + assemble_neumann_load(self.grid, neumann, None)
-        uf = np.asarray(u_nodal, dtype=np.float64).ravel()
-        return float(0.5 * uf @ (k @ uf) - b @ uf)
+        op, b = self._system(nu_nodal, f_nodal, neumann)
+        return op.energy(u_nodal, b)

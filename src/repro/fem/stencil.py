@@ -1,92 +1,151 @@
-"""Matrix-free application of the stiffness operator.
+"""The Q1 stiffness operator ``K(nu)`` of ``-div(nu grad u) = f``, written once.
 
-At megavoxel resolutions (512^3 = 134M nodes) even storing the assembled
-sparse matrix becomes expensive (27 entries/row -> ~29 GB in CSR).  This
-module applies ``K u`` directly from nodal ν via the same per-Gauss-point
-conv stencils as :class:`repro.fem.energy.EnergyLoss` — it is literally
-the energy gradient at ``b = 0``:
+On a uniform grid the assembled matrix *is* a 3^d-point variable-coefficient
+stencil: node ``j`` couples only to the nodes ``j - o``, ``o`` in
+``{-1, 0, 1}^d``, that share an element with it.  :func:`stencil_matrix`
+contracts the element tensors ``S[g, a, b]`` with ν at the Gauss points
+into one nodal coefficient array per offset, ``C[o][j] = K[j - o, j]``
+(``= K[j, j - o]``, K being symmetric), by slice-adds — no index arrays, no
+triplets, no sort.  Those arrays are the data of a scipy DIA matrix as they
+stand, and its mat-vec sums each row in column order exactly as CSR does.
 
-    K u == grad_u [ 1/2 B(u, u) ]
-
-Verified against the assembled matrix to machine precision in tests.
+Everything that needs K takes it from :class:`StencilOperator`: assembly
+(``assemble_stiffness`` is ``to_csr()``), the multigrid levels and the FMG
+ladder (``matrix``, ``diag()``; only the coarsest level is converted, for
+its LU), ``FEMSolver`` (``to_csr()``, ``energy``) and the CG that never
+forms a CSR (``solve_interior``).  All 3^d coefficients per node are
+stored; recomputing them from ν per application, for grids past 129^3, is
+the open half of ROADMAP item 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..autograd import Tensor
-from .energy import EnergyLoss
+from ..backend import ops as B
+from .basis import gauss_interp, local_nodes, shape_gradients
 from .grid import UniformGrid
+from .krylov import conjugate_gradient
 from .quadrature import GaussRule
 
-__all__ = ["StencilOperator"]
+__all__ = ["StencilOperator", "element_stiffness_tensors", "stencil_matrix"]
+
+
+def element_stiffness_tensors(grid: UniformGrid, rule: GaussRule) -> np.ndarray:
+    """Per-Gauss-point local stiffness tensors ``S[g, a, b]``.
+
+    ``K^e[a, b] = sum_g nu_g[e] * S[g, a, b]`` where
+
+        S[g, a, b] = w_g * detJ * (2/h)^2 * grad N_a(xi_g) . grad N_b(xi_g)
+
+    with ``detJ = (h/2)^d`` for the affine map to a cube of side ``h``.
+    """
+    h = grid.h
+    grads = shape_gradients(rule.points)  # (G, A, d) in reference coords
+    det_j = (h / 2.0) ** grid.ndim
+    scale = (2.0 / h) ** 2
+    dots = B.einsum("gak,gbk->gab", grads, grads)
+    return rule.weights[:, None, None] * det_j * scale * dots
+
+
+def stencil_matrix(tensors: np.ndarray, coeff: np.ndarray) -> sp.dia_matrix:
+    """The matrix ``sum_e sum_g coeff[g, e] * tensors[g, a, b]`` at
+    ``(e + a, e + b)``, for element tensors ``(G, A, A)`` and a Gauss-point
+    coefficient ``(G, *E)`` — stiffness with ν, mass with ones.
+
+    Local pair ``(a, b)`` lies on the diagonal ``flat(b) - flat(a)`` for
+    every element at once; its entries are added at their column nodes
+    ``e + b``, which is where DIA keeps them.  At resolution 2 distinct
+    stencil offsets share a flat diagonal (in 2D ``(0, 1)`` and ``(1, -1)``
+    are both +1) but never a column, so they add into one row.
+    """
+    elems = coeff.shape[1:]
+    d, r = len(elems), elems[0] + 1
+    nodes = local_nodes(d)
+    flat = nodes @ (r ** np.arange(d - 1, -1, -1))
+    diagonals = sorted({int(fb - fa) for fa in flat for fb in flat})
+    data = np.zeros((len(diagonals),) + (r,) * d)
+    per_gauss = coeff.reshape(len(coeff), -1)
+    for a, fa in enumerate(flat):
+        for b, (fb, node) in enumerate(zip(flat, nodes)):
+            columns = tuple(slice(o, o + r - 1) for o in node)
+            data[(diagonals.index(fb - fa),) + columns] += (
+                tensors[:, a, b] @ per_gauss).reshape(elems)
+    return sp.dia_matrix((data.reshape(len(diagonals), -1), diagonals),
+                         shape=(r ** d, r ** d))
 
 
 class StencilOperator:
-    """Matrix-free ``u -> K u`` for fixed nodal diffusivity.
+    """``K(nu)`` for fixed nodal diffusivity: linear, symmetric positive
+    semi-definite (definite on the interior of a Dirichlet problem).
 
     Parameters
     ----------
     grid, nu_nodal, rule:
-        As for assembly.  The operator is linear and symmetric positive
-        semi-definite (definite on the interior), so it can drive the
-        from-scratch CG solver without ever forming K.
+        Uniform grid, nodal ν of shape ``grid.shape`` and the Gauss rule
+        (2 points per dimension by default) ν is interpolated to.
+
+    ``matrix`` is the stencil in DIA form; vectors are flat or nodal.
     """
 
     def __init__(self, grid: UniformGrid, nu_nodal: np.ndarray,
                  rule: GaussRule | None = None) -> None:
+        nu = np.asarray(nu_nodal, dtype=np.float64)
+        if nu.shape != grid.shape:
+            raise ValueError(f"nu shape {nu.shape} != grid {grid.shape}")
         self.grid = grid
-        self.nu = np.asarray(nu_nodal, dtype=np.float64)
-        if self.nu.shape != grid.shape:
-            raise ValueError(f"nu shape {self.nu.shape} != grid {grid.shape}")
-        self._energy = EnergyLoss(grid, rule=rule, reduction="sum")
-        self._nu_batch = self.nu[None, None]
+        self.rule = rule or GaussRule.create(grid.ndim, 2)
+        self.matrix = stencil_matrix(
+            element_stiffness_tensors(grid, self.rule),
+            gauss_interp(nu, self.rule))
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.grid.num_nodes
-        return (n, n)
+        return self.matrix.shape
 
-    def matvec(self, u_flat: np.ndarray) -> np.ndarray:
-        """Apply K to a flat nodal vector."""
-        u_field = np.asarray(u_flat, dtype=np.float64).reshape(self.grid.shape)
-        u = Tensor(u_field[None, None], requires_grad=True, dtype=np.float64)
-        j = self._energy(u, self._nu_batch)
-        j.backward()
-        return u.grad[0, 0].reshape(-1).copy()
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """``K u`` as a flat vector."""
+        return self.matrix @ np.asarray(u, dtype=np.float64).ravel()
 
-    def __call__(self, u_flat: np.ndarray) -> np.ndarray:
-        return self.matvec(u_flat)
+    __matmul__ = matvec
+
+    def diag(self) -> np.ndarray:
+        """The main diagonal (the Jacobi smoother's scaling)."""
+        return self.matrix.diagonal()
+
+    def to_csr(self) -> sp.csr_matrix:
+        """K as CSR, for factorizations and row/column slicing."""
+        return self.matrix.tocsr()
+
+    def energy(self, u: np.ndarray, b: np.ndarray) -> float:
+        """Matrix form of the energy, ``1/2 u^T K u - b^T u``."""
+        u = np.asarray(u, dtype=np.float64).ravel()
+        return float(0.5 * u @ self.matvec(u) - b @ u)
 
     # ------------------------------------------------------------------ #
     def solve_interior(self, bc, f_nodal: np.ndarray | None = None,
                        tol: float = 1e-10, maxiter: int | None = None):
-        """Matrix-free CG solve of the Dirichlet-lifted system.
+        """CG solve of the Dirichlet-lifted system on the stencil itself.
 
-        Returns the nodal field; never assembles K.
+        Returns the nodal field; K is never converted to CSR.
         """
         from .assembly import assemble_load
-        from .krylov import conjugate_gradient
 
-        grid = self.grid
-        b = assemble_load(grid, f_nodal)
-        mask = bc.mask.ravel()
-        interior = ~mask
-        u_lift = bc.lift().ravel()
-        rhs = (b - self.matvec(u_lift))[interior]
+        interior = ~bc.mask.ravel()
+        u = bc.lift().ravel()
+        b = assemble_load(self.grid, f_nodal, self.rule)
+        rhs = (b - self.matvec(u))[interior]
 
         def apply_interior(v: np.ndarray) -> np.ndarray:
-            full = np.zeros(grid.num_nodes)
+            full = np.zeros(self.grid.num_nodes)
             full[interior] = v
             return self.matvec(full)[interior]
 
-        x, report = conjugate_gradient(apply_interior, rhs, tol=tol,
-                                       maxiter=maxiter)
-        if not report.converged:
-            raise RuntimeError(
-                f"matrix-free CG did not converge ({report.residual:.2e})")
-        u = u_lift.copy()
+        x, self.last_report = conjugate_gradient(apply_interior, rhs, tol=tol,
+                                                 maxiter=maxiter)
+        if not self.last_report.converged:
+            raise RuntimeError("matrix-free CG did not converge "
+                               f"({self.last_report.residual:.2e})")
         u[interior] += x
-        self.last_report = report
-        return u.reshape(grid.shape)
+        return u.reshape(self.grid.shape)

@@ -1,88 +1,6 @@
-"""Full Multigrid (FMG) driver for the GMG solver substrate.
+"""Full Multigrid (FMG): the driver lives next to the solver whose hierarchy
+it climbs, :mod:`repro.fem.gmg`; this module keeps its import path."""
 
-FMG solves the problem on the coarsest grid first and prolongs the
-*solution* as the initial guess for the next finer level — the numerical
-analogue of the Half-V training cycle (coarse first, no fine work until
-the coarse levels are converged), which is exactly the connection the
-paper draws in Sec. 2.3/3.1.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..fem.gmg import GeometricMultigrid
-from ..fem.grid import UniformGrid
-from ..fem.solver import DirichletBC
-from ..fem.transfer import prolong_nested
+from ..fem.gmg import FMGResult, full_multigrid_solve
 
 __all__ = ["FMGResult", "full_multigrid_solve"]
-
-
-@dataclass
-class FMGResult:
-    """Per-level record of an FMG solve."""
-
-    resolutions: list[int]
-    cycles_per_level: list[int]
-    final_residual: float
-
-
-def _restrict_problem(nu: np.ndarray, bc: DirichletBC, times: int
-                      ) -> tuple[np.ndarray, DirichletBC]:
-    """Injection-restrict ν and the Dirichlet data ``times`` levels."""
-    sl = tuple(slice(None, None, 2) for _ in range(nu.ndim))
-    for _ in range(times):
-        nu = nu[sl]
-        bc = DirichletBC(mask=bc.mask[sl], values=bc.values[sl])
-    return nu, bc
-
-
-def full_multigrid_solve(grid: UniformGrid, nu_nodal: np.ndarray,
-                         bc: DirichletBC, f_nodal: np.ndarray | None = None,
-                         levels: int = 3, tol: float = 1e-9,
-                         max_cycles: int = 30
-                         ) -> tuple[np.ndarray, FMGResult]:
-    """FMG: solve coarse-to-fine, prolonging solutions as initial guesses.
-
-    Requires ``grid.resolution - 1`` divisible by ``2**(levels-1)`` so all
-    levels nest.  Returns the fine solution and per-level cycle counts —
-    which should be *small on the fine levels* (that is the point).
-    """
-    nu = np.asarray(nu_nodal, dtype=np.float64)
-    for lvl in range(levels - 1):
-        if (grid.resolution - 1) % (2 ** (lvl + 1)):
-            raise ValueError(
-                f"resolution {grid.resolution} does not nest {levels} levels")
-
-    # Build the ladder of problems, coarsest first.
-    ladder: list[tuple[UniformGrid, np.ndarray, DirichletBC]] = []
-    g = grid
-    for lvl in range(levels):
-        nu_l, bc_l = _restrict_problem(nu, bc, lvl)
-        ladder.append((UniformGrid(grid.ndim,
-                                   (grid.resolution - 1) // 2 ** lvl + 1),
-                       nu_l, bc_l))
-    ladder.reverse()
-
-    u = None
-    cycles = []
-    last_res = 1.0
-    for g_l, nu_l, bc_l in ladder:
-        gmg = GeometricMultigrid(g_l, nu_l, bc_l)
-        f_l = None
-        if f_nodal is not None:
-            # Sample the forcing at this level's nodes.
-            stride = (grid.resolution - 1) // (g_l.resolution - 1)
-            sl = tuple(slice(None, None, stride) for _ in range(grid.ndim))
-            f_l = np.asarray(f_nodal)[sl]
-        x0 = None if u is None else prolong_nested(u)
-        u = gmg.solve(f_nodal=f_l, tol=tol, max_cycles=max_cycles,
-                      cycle="v", x0=x0)
-        cycles.append(gmg.last_report.iterations)
-        last_res = gmg.last_report.residual
-
-    return u, FMGResult(resolutions=[g_l.resolution for g_l, _, _ in ladder],
-                        cycles_per_level=cycles, final_residual=last_res)

@@ -96,6 +96,40 @@ class TestGMGSolver:
         w_iters = gmg.last_report.iterations
         assert w_iters <= v_iters + 1
 
+    @pytest.mark.parametrize("cycle", ["v", "w", "f"])
+    def test_cycle_visits_levels_in_the_training_schedule_order(
+            self, cycle, monkeypatch):
+        """Paper Fig. 3 has one definition: the solver visits levels in the
+        order ``cycle_levels`` gives the training schedule (1 = finest)."""
+        from repro.multigrid import cycle_levels
+
+        grid = UniformGrid(2, 33)
+        gmg = GeometricMultigrid(grid, _variable_nu(grid), canonical_bc(grid),
+                                 coarse_size=30)
+        assert gmg.num_levels == 4
+        visits = []
+        smooth, coarse_solve = gmg._smooth, gmg._coarse_solve
+
+        def recording_smooth(level, *args):
+            visits.append(1 + [l is level for l in gmg.levels].index(True))
+            return smooth(level, *args)
+
+        def recording_coarse_solve(b):
+            visits.append(gmg.num_levels)
+            return coarse_solve(b)
+
+        monkeypatch.setattr(gmg, "_smooth", recording_smooth)
+        monkeypatch.setattr(gmg, "_coarse_solve", recording_coarse_solve)
+        gmg.solve(cycle=cycle, max_cycles=1)
+        merged = [v for i, v in enumerate(visits) if i == 0 or v != visits[i - 1]]
+        assert merged == cycle_levels(cycle, gmg.num_levels)
+
+    def test_unknown_cycle_raises(self):
+        grid = UniformGrid(2, 9)
+        gmg = GeometricMultigrid(grid, np.ones(grid.shape), canonical_bc(grid))
+        with pytest.raises(ValueError):
+            gmg.solve(cycle="x")
+
     def test_level_count(self):
         grid = UniformGrid(2, 33)
         gmg = GeometricMultigrid(grid, np.ones(grid.shape),

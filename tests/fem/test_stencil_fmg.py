@@ -89,6 +89,23 @@ class TestFMG:
         gmg.solve(tol=1e-9)
         assert res.cycles_per_level[-1] <= gmg.last_report.iterations
 
+    def test_one_hierarchy_one_operator_per_level(self, monkeypatch):
+        """Every rung is solved on the tail of one hierarchy: a 4-level
+        FMG builds 4 operators, not one ladder per rung."""
+        from repro.fem import gmg
+
+        built = []
+
+        class Counting(gmg.StencilOperator):
+            def __init__(self, grid, *args):
+                built.append(grid.resolution)
+                super().__init__(grid, *args)
+
+        monkeypatch.setattr(gmg, "StencilOperator", Counting)
+        grid, nu, bc = self._problem(res=65)
+        full_multigrid_solve(grid, nu, bc, levels=4, tol=1e-9)
+        assert built == [65, 33, 17, 9]
+
     def test_non_nesting_raises(self):
         grid = UniformGrid(2, 12)
         with pytest.raises(ValueError):
