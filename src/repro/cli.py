@@ -337,21 +337,17 @@ def _cmd_predict(args) -> int:
 
     from .core.metrics import compare_fields
     from .serve import (
-        ModelRegistry, RegistryError, make_executor, stream_tiled_predict,
-        tiled_predict,
+        ModelRegistry, RegistryError, RetryConfig, RetryPolicy,
+        make_executor, retry_call, stream_tiled_predict,
     )
 
-    policy = None
-    if args.retries > 0:
-        from .serve import RetryConfig, RetryPolicy
-
-        # Local inference has no fleet to storm, but transient I/O or
-        # executor faults (a spill read race, a worker lost to an OOM
-        # kill) deserve the same budgeted, jittered second chance.
-        policy = RetryPolicy(
-            RetryConfig(max_attempts=args.retries + 1, budget_rate=1.0,
-                        budget_burst=max(1, args.retries)),
-            retryable=lambda exc: isinstance(exc, (OSError, RuntimeError)))
+    # Local inference has no fleet to storm, but transient I/O or
+    # executor faults (a spill read race, a worker lost to an OOM kill)
+    # deserve the same budgeted, jittered second chance.
+    policy = RetryPolicy(
+        RetryConfig(max_attempts=args.retries + 1, budget_rate=1.0,
+                    budget_burst=max(1, args.retries)),
+        retryable=lambda exc: isinstance(exc, (OSError, RuntimeError)))
     registry = ModelRegistry()
     try:
         entry = registry.load("model", args.checkpoint, validate=False)
@@ -361,54 +357,36 @@ def _cmd_predict(args) -> int:
     model, problem = entry.model, entry.problem
     resolution = args.resolution or problem.resolution
     executor = make_executor(args.executor, args.executor_workers)
+
+    def forward() -> np.ndarray:
+        """Assemble tile cores as the pool completes them; without
+        --tile the plan is one tile, i.e. the untiled forward."""
+        out = None
+        n_tiles = 0
+        t_start = time.perf_counter()
+        for _, sl, core in stream_tiled_predict(
+                model, problem, args.omega, resolution=resolution,
+                tile=args.tile, halo=args.halo, executor=executor):
+            if out is None:
+                first_s = time.perf_counter() - t_start
+                out = np.empty((core.shape[0],)
+                               + problem.grid(resolution).shape,
+                               dtype=core.dtype)
+            out[(slice(None),) + sl] = core
+            n_tiles += 1
+        if args.stream:
+            # The gap between the two latencies is the streaming win —
+            # a consumer (renderer, outer solver loop) starts on the
+            # first core while the rest are still computing.
+            print(f"streamed {n_tiles} tiles: first tile in "
+                  f"{first_s * 1e3:.1f} ms, full field in "
+                  f"{(time.perf_counter() - t_start) * 1e3:.1f} ms")
+        return out[0]
+
     try:
-        attempt = 0
-        while True:
-            try:
-                if args.stream:
-                    # Progressive delivery: assemble tile cores as the
-                    # pool completes them.  The gap between the two
-                    # latencies below is the streaming win — a consumer
-                    # (renderer, outer solver loop) starts on the first
-                    # core while the rest are still computing.
-                    grid_shape = problem.grid(resolution).shape
-                    out = None
-                    n_tiles = 0
-                    first_s = None
-                    t_start = time.perf_counter()
-                    for _, sl, core in stream_tiled_predict(
-                            model, problem, args.omega,
-                            resolution=resolution, tile=args.tile,
-                            halo=args.halo, executor=executor):
-                        if first_s is None:
-                            first_s = time.perf_counter() - t_start
-                        if out is None:
-                            out = np.empty((core.shape[0],) + grid_shape,
-                                           dtype=core.dtype)
-                        out[(slice(None),) + sl] = core
-                        n_tiles += 1
-                    full_s = time.perf_counter() - t_start
-                    u = out[0]
-                    print(f"streamed {n_tiles} tiles: first tile in "
-                          f"{first_s * 1e3:.1f} ms, full field in "
-                          f"{full_s * 1e3:.1f} ms")
-                elif args.tile is not None or args.halo is not None:
-                    u = tiled_predict(model, problem, args.omega,
-                                      resolution=resolution,
-                                      tile=args.tile, halo=args.halo,
-                                      executor=executor)[0]
-                else:
-                    u = model.predict(problem, args.omega,
-                                      resolution=resolution)
-                break
-            except (OSError, RuntimeError) as exc:
-                delay = None if policy is None else policy.plan(exc, attempt)
-                if delay is None:
-                    raise
-                attempt += 1
-                print(f"transient failure ({exc}); retrying in "
-                      f"{delay * 1e3:.0f} ms", file=sys.stderr)
-                time.sleep(delay)
+        u = retry_call(policy, forward, on_retry=lambda exc, delay: print(
+            f"transient failure ({exc}); retrying in {delay * 1e3:.0f} ms",
+            file=sys.stderr))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -430,8 +408,8 @@ def _cmd_predict(args) -> int:
 
 def _serve_request_loads(args, names, get_entry) -> dict[str, np.ndarray]:
     """Per-model request ω sets: the --omega-file rows, or Sobol samples
-    sized to each model's parameter space.  Shared by the single-server
-    and fleet paths so the two CLI modes replay identical workloads."""
+    sized to each model's parameter space — the same workload whether
+    the backend is one server or a fleet."""
     from .data.sobol import sample_omega
 
     file_omegas = (np.atleast_2d(np.loadtxt(args.omega_file, delimiter=","))
@@ -450,40 +428,28 @@ def _serve_request_loads(args, names, get_entry) -> dict[str, np.ndarray]:
 _RETRY_WALL_S = 30.0   # total retry wall-time cap per client submit
 
 
-def _submit_with_backoff(backend, name, omega, resolution, tenant=None,
-                         max_wait_s=_RETRY_WALL_S):
-    """With --max-pending the queue sheds load; this client applies the
-    intended response.  Backpressure gets seeded jittered exponential
-    backoff (2 ms doubling to a 100 ms cap — fixed delays from many
-    clients re-collide forever); a throttled tenant sleeps exactly the
-    ``retry_after_s`` its rejection names — the token bucket's own
-    refill horizon, not a guess.  Total retry wall-time is capped at
-    ``max_wait_s``: when the next delay cannot fit, the pending verdict
-    propagates to the caller instead of retrying unboundedly."""
-    import random
-    import time
+def _backoff_policy():
+    """The serve client's answer to load shedding, as a retry policy.
 
-    from .serve import ServerOverloaded, TenantThrottled
+    Backpressure gets seeded jittered exponential backoff (2 ms
+    doubling to a 100 ms cap — fixed delays from many clients re-collide
+    forever); a throttled tenant sleeps exactly the ``retry_after_s``
+    its rejection names, as ``plan`` does for every throttle.  What ends
+    a submit is the ``_RETRY_WALL_S`` cap the driver is handed, never
+    these counts (giving up early would silently drop the request): 1024
+    jittered tries at the 100 ms window sleep ~51 s (σ < 1 s), and one
+    ``plan`` call outlasts the microsecond a token refills in — so
+    ``denied`` and ``exhausted`` stay 0 (tested).
+    """
+    from .serve import (
+        RetryConfig, RetryPolicy, ServerOverloaded, TenantThrottled,
+    )
 
-    rng = random.Random(0)
-    deadline = time.monotonic() + max_wait_s
-    backoff = 0.002
-    while True:
-        try:
-            if tenant is None:
-                return backend.submit(name, omega, resolution)
-            return backend.submit(name, omega, resolution, tenant=tenant)
-        except ServerOverloaded:
-            delay = rng.uniform(0.0, backoff)
-            backoff = min(backoff * 2.0, 0.1)
-            if time.monotonic() + delay >= deadline:
-                raise
-            time.sleep(delay)
-        except TenantThrottled as exc:
-            delay = max(0.0, float(exc.retry_after_s))
-            if time.monotonic() + delay >= deadline:
-                raise
-            time.sleep(delay)
+    return RetryPolicy(
+        RetryConfig(max_attempts=1024, base_backoff_s=0.002,
+                    max_backoff_s=0.1, budget_rate=1e6, budget_burst=1e6),
+        retryable=lambda exc: isinstance(exc, (ServerOverloaded,
+                                               TenantThrottled)))
 
 
 def _serve_telemetry(args):
@@ -517,12 +483,58 @@ def _write_telemetry(args, telemetry) -> None:
         print(f"trace -> {args.trace_file} ({len(spans)} spans)")
 
 
+def _build_fleet(args, config):
+    """``--shards N``: the fleet, its resilience policies (``--retries``
+    / ``--retry-budget`` / ``--hedge`` / ``--breaker-after``) and — with
+    ``--control`` / ``--autoscale-min`` / ``--tenant-quota`` — the
+    control plane beside it.  Returns ``(fleet, plane or None)``."""
+    from .serve import (
+        BreakerConfig, ControlConfig, ControlPlane, FleetConfig,
+        HedgeConfig, ResilienceConfig, RetryConfig, ShardedFleet,
+        install_resilience,
+    )
+
+    fleet = ShardedFleet(FleetConfig(
+        shards=args.shards, replicas=args.replicas,
+        shard_timeout_s=args.shard_timeout, server=config))
+    retry_cfg = None
+    if args.retries > 0 or args.retry_budget is not None:
+        rate, burst = args.retry_budget or (2.0, 8.0)
+        retry_cfg = RetryConfig(max_attempts=max(args.retries, 1) + 1,
+                                budget_rate=rate, budget_burst=burst)
+    install_resilience(fleet, ResilienceConfig(
+        retry=retry_cfg,
+        hedge=(HedgeConfig(quantile=args.hedge)
+               if args.hedge is not None else None),
+        breaker=(BreakerConfig(failure_threshold=args.breaker_after,
+                               reset_after_s=args.breaker_reset)
+                 if args.breaker_after is not None else None)))
+    plane = None
+    if (args.control or args.autoscale_min is not None
+            or args.tenant_quota is not None):
+        rate, burst = args.tenant_quota or (None, None)
+        plane = ControlPlane(fleet, ControlConfig(
+            tenant_rate=rate, tenant_burst=burst,
+            autoscale=args.autoscale_min is not None,
+            autoscale_min=args.autoscale_min or 1,
+            autoscale_max=(args.autoscale_max or
+                           max(args.shards, args.autoscale_min or 1))))
+    return fleet, plane
+
+
 def _cmd_serve(args) -> int:
+    """``repro serve``: build the backend — one ``PredictionServer``, or
+    with ``--shards N`` a ``ShardedFleet`` plus its policies — load the
+    checkpoints, push the request load through one submit/drain loop
+    (every client retry goes through ``retry_call``) and report."""
+    import contextlib
     import time
+    from concurrent.futures import Future
 
     from .serve import (
-        DeadlineExceeded, ModelRegistry, PredictionServer, RegistryError,
-        ServerConfig, ServerOverloaded,
+        DeadlineExceeded, FleetUnavailable, ModelRegistry, PredictionServer,
+        RegistryError, ServerConfig, ServerOverloaded, TenantThrottled,
+        retry_call,
     )
 
     config = ServerConfig(
@@ -536,47 +548,77 @@ def _cmd_serve(args) -> int:
         max_pending=args.max_pending,
         default_deadline_s=args.default_deadline,
         priority_aging_s=args.priority_aging)
-    if args.shards > 1:
-        return _serve_fleet(args, config)
-    registry = ModelRegistry()
+    sharded = args.shards > 1
+    telemetry = _serve_telemetry(args)
     try:
+        if sharded:
+            backend, plane = _build_fleet(args, config)
+            models = backend          # load / names / get, fanned out
+        else:
+            backend, plane = PredictionServer(ModelRegistry(), config), None
+            models = backend.registry
+        if telemetry is not None:
+            backend.enable_telemetry(telemetry)
         for spec in args.checkpoint:
             name, _, path = spec.rpartition("=")
-            entry = registry.load(name or "model", path or spec)
-            print(f"loaded {entry}")
-    except RegistryError as exc:
+            entry = models.load(name or "model", path or spec)
+            print(f"loaded {entry}" + (
+                f" -> replicas {backend.replicas_for(name or 'model')}"
+                if sharded else ""))
+    except (RegistryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    server = PredictionServer(registry, config)
-    telemetry = _serve_telemetry(args)
-    if telemetry is not None:
-        server.enable_telemetry(telemetry)
-    names = registry.names()
-    loads = _serve_request_loads(args, names, registry.get)
+    names = models.names()
+    loads = _serve_request_loads(args, names, models.get)
+    backoff = _backoff_policy()
+    # A fleet's futures drain through await_result, so --shard-timeout
+    # ejects hung shards on this path too, and its installed retry
+    # policy re-submits transient verdicts; one server has neither.
+    wait, retry, note_retry = (
+        (backend.await_result, backend.retry, backend.note_retry)
+        if sharded else (Future.result, None, None))
+    shed = (DeadlineExceeded, FleetUnavailable, ServerOverloaded,
+            TenantThrottled)   # verdicts counted in the backend's stats
+
+    def submit(name, w):
+        """One submit under the backoff policy; ``None`` when it is
+        still shed after the wall-time cap (or the key is unavailable
+        right now) — reported below from the stats."""
+        try:
+            return retry_call(
+                backoff, lambda: backend.submit(name, w, args.resolution,
+                                                tenant=args.tenant),
+                max_wait_s=_RETRY_WALL_S)
+        except shed:
+            return None
+
+    def drain(name, w, future):
+        """Await one pipelined future; a transient verdict re-submits
+        through the backend's retry policy (each retry a fresh,
+        individually conserved submit).  ``ServerOverloaded`` can arrive
+        through the future when a failover re-dispatch lands on a full
+        replica queue."""
+        first = [future]
+
+        def attempt() -> None:
+            f = first.pop() if first else submit(name, w)
+            if f is not None:
+                wait(f)
+
+        try:
+            retry_call(retry, attempt, on_retry=note_retry)
+        except shed:
+            pass
 
     t0 = time.perf_counter()
     try:
-        with server:
-            def submit(name, w):
-                try:
-                    return _submit_with_backoff(
-                        server, name, w, args.resolution)
-                except ServerOverloaded:
-                    # Still shedding after the full retry wall-time cap:
-                    # already counted in stats.rejected — report there.
-                    return None
-
+        with backend, (plane or contextlib.nullcontext()):
             for _ in range(max(1, args.repeat)):
-                futures = [(name, submit(name, w))
+                futures = [(name, w, submit(name, w))
                            for name in names for w in loads[name]]
-                for _, f in futures:
-                    if f is None:
-                        continue
-                    try:
-                        f.result()
-                    except DeadlineExceeded:
-                        pass  # reported below via stats.expired
+                for pending in futures:
+                    drain(*pending)
             # Every future has resolved: measure before the with-block
             # exit so worker join + pool teardown don't deflate QPS.
             wall = time.perf_counter() - t0
@@ -585,9 +627,18 @@ def _cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        server.close()
+        backend.close()
 
-    s, c = server.stats, server.cache.stats
+    if sharded:
+        _report_fleet(args, backend, plane, wall)
+    else:
+        _report_server(backend, wall)
+    _write_telemetry(args, telemetry)
+    return 0
+
+
+def _report_server(server, wall: float) -> None:
+    s, c, config = server.stats, server.cache.stats, server.config
     print(f"served {s.requests} requests in {wall:.3f}s "
           f"({s.requests / wall:.1f} QPS) with {config.workers} "
           f"{config.executor} worker(s)")
@@ -601,144 +652,9 @@ def _cmd_serve(args) -> int:
           f"{c.evictions} evictions, {c.spill_hits} spill hits, "
           f"{c.spill_writes} spill writes, {c.spill_evictions} spill "
           f"evictions")
-    _write_telemetry(args, telemetry)
-    return 0
 
 
-def _serve_fleet(args, config) -> int:
-    """``repro serve --shards N --replicas R``: the sharded fleet path.
-
-    ``--control`` layers the SLO control plane on top: backoff health
-    probes, p2c read spreading, and optionally per-tenant admission
-    (``--tenant-quota``) and queue-depth autoscaling
-    (``--autoscale-min/--autoscale-max``).  ``--retries`` /
-    ``--retry-budget`` / ``--hedge`` / ``--breaker-after`` install the
-    client-side resilience policies on the fleet's seams.
-    """
-    import contextlib
-    import time
-
-    from .serve import (
-        BreakerConfig, ControlConfig, ControlPlane, DeadlineExceeded,
-        FleetUnavailable, HedgeConfig, RegistryError, ResilienceConfig,
-        RetryConfig, ServerOverloaded, TenantThrottled, install_resilience,
-    )
-    from .serve.fleet import FleetConfig, ShardedFleet
-
-    fleet = ShardedFleet(FleetConfig(
-        shards=args.shards, replicas=args.replicas,
-        shard_timeout_s=args.shard_timeout, server=config))
-    telemetry = _serve_telemetry(args)
-    if telemetry is not None:
-        fleet.enable_telemetry(telemetry)
-    use_resilience = (args.retries > 0 or args.retry_budget is not None
-                      or args.hedge is not None
-                      or args.breaker_after is not None)
-    if use_resilience:
-        retry_cfg = None
-        if args.retries > 0 or args.retry_budget is not None:
-            rate, burst = (args.retry_budget
-                           if args.retry_budget is not None else (2.0, 8.0))
-            retry_cfg = RetryConfig(max_attempts=max(args.retries, 1) + 1,
-                                    budget_rate=rate, budget_burst=burst)
-        try:
-            install_resilience(fleet, ResilienceConfig(
-                retry=retry_cfg,
-                hedge=(HedgeConfig(quantile=args.hedge)
-                       if args.hedge is not None else None),
-                breaker=(BreakerConfig(
-                    failure_threshold=args.breaker_after,
-                    reset_after_s=args.breaker_reset)
-                    if args.breaker_after is not None else None)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    plane = None
-    use_control = (args.control or args.autoscale_min is not None
-                   or args.tenant_quota is not None)
-    if use_control:
-        rate, burst = (args.tenant_quota if args.tenant_quota is not None
-                       else (None, None))
-        autoscale = args.autoscale_min is not None
-        plane = ControlPlane(fleet, ControlConfig(
-            tenant_rate=rate, tenant_burst=burst,
-            autoscale=autoscale,
-            autoscale_min=args.autoscale_min or 1,
-            autoscale_max=(args.autoscale_max or
-                           max(args.shards, args.autoscale_min or 1))))
-    try:
-        for spec in args.checkpoint:
-            name, _, path = spec.rpartition("=")
-            entry = fleet.load(name or "model", path or spec)
-            print(f"loaded {entry} -> replicas "
-                  f"{fleet.replicas_for(name or 'model')}")
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    names = fleet.names()
-    loads = _serve_request_loads(args, names, fleet.get)
-
-    def submit(name, w):
-        try:
-            return _submit_with_backoff(fleet, name, w, args.resolution,
-                                        tenant=args.tenant)
-        except FleetUnavailable:
-            # Every replica for this key is down *right now*; already
-            # counted in stats.unavailable — shed and report below.
-            return None
-        except (ServerOverloaded, TenantThrottled):
-            # Still shedding / throttling after the retry wall-time
-            # cap; counted in the fleet stats — report there.
-            return None
-
-    def drain(name, w, f):
-        """Await one future; transient verdicts re-submit through the
-        installed retry policy (each retry a fresh conserved submit)."""
-        attempt = 0
-        while True:
-            if f is not None:
-                try:
-                    # await_result (not f.result): --shard-timeout
-                    # ejects hung shards on this path too.
-                    fleet.await_result(f)
-                    return
-                except (DeadlineExceeded, FleetUnavailable,
-                        ServerOverloaded, TenantThrottled) as exc:
-                    # ServerOverloaded can arrive through the future
-                    # when a failover re-dispatch lands on a full
-                    # replica queue; everything here is reported below
-                    # via the fleet stats.
-                    pending = exc
-            else:
-                return
-            policy = fleet.retry
-            delay = (None if policy is None
-                     else policy.plan(pending, attempt))
-            if delay is None:
-                return
-            attempt += 1
-            fleet.note_retry()
-            if delay > 0:
-                time.sleep(delay)
-            f = submit(name, w)
-
-    t0 = time.perf_counter()
-    try:
-        with fleet, (plane if plane is not None
-                     else contextlib.nullcontext()):
-            for _ in range(max(1, args.repeat)):
-                futures = [(name, w, submit(name, w))
-                           for name in names for w in loads[name]]
-                for name, w, f in futures:
-                    drain(name, w, f)
-            wall = time.perf_counter() - t0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        fleet.close()
-
+def _report_fleet(args, fleet, plane, wall: float) -> None:
     s = fleet.stats
     print(f"served {s.served} of {s.submitted} requests in {wall:.3f}s "
           f"({s.served / wall:.1f} QPS) across {s.shards} shards "
@@ -751,7 +667,7 @@ def _serve_fleet(args, config) -> int:
           f"{s.throttled} throttled; "
           f"faults: {s.shard_faults} ejections, {s.failovers} failovers, "
           f"{s.readmissions} readmissions; lost: {s.lost}")
-    if use_resilience:
+    if (fleet.retry, fleet.hedge, fleet.breaker) != (None, None, None):
         print(f"resilience: {s.retried} retried, {s.hedges} hedges "
               f"({s.hedged_wins} wins, {s.hedge_cancels} cancelled), "
               f"{s.breaker_open} breaker deflections")
@@ -773,8 +689,6 @@ def _serve_fleet(args, config) -> int:
         state = "up" if row["healthy"] else "DOWN"
         print(f"  {sid} [{state}] requests={row['requests']} "
               f"cache_hits={row['cache_hits']} models={row['models']}")
-    _write_telemetry(args, telemetry)
-    return 0
 
 
 def _cmd_trace(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..nn.module import Module
 from ..nn.unet import UNet
 from ..utils.seeding import make_rng
@@ -60,19 +60,11 @@ class MGDiffNet(Module):
     # ------------------------------------------------------------------ #
     def predict(self, problem, omega: np.ndarray,
                 resolution: int | None = None) -> np.ndarray:
-        """Full-field inference for one parameter vector ω.
+        """Full-field inference for one parameter vector ω: the single
+        row of :func:`repro.core.inference.predict_batch`."""
+        from .inference import predict_batch   # inference imports this module
 
-        Applies the dataset input transform ('log'), runs the network in
-        eval mode under ``no_grad`` and returns the nodal field.
-        """
-        r = resolution or problem.resolution
-        grid = problem.grid(r)
-        log_nu = problem.field.log_nu(np.asarray(omega), grid)
-        x = Tensor(log_nu[None, None].astype(np.float32))
-        chi_int, u_bc = problem.masks(r)
-        with self.evaluating(), no_grad():
-            u = self.forward(x, chi_int, u_bc)
-        return u.data[0, 0].copy()
+        return predict_batch(self, problem, omega, resolution)[0]
 
     def adapt(self, rng: np.random.Generator | int | None = None) -> None:
         """Architectural adaptation (Sec. 4.1.2); see

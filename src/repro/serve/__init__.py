@@ -23,13 +23,18 @@ FEM solve.  This package is the infrastructure realizing that claim:
 * resilience policies (:func:`install_resilience`) — budgeted retries
   (:class:`RetryPolicy`), quantile-delayed hedged reads
   (:class:`HedgePolicy`) and per-(model, shard) circuit breakers
-  (:class:`CircuitBreaker`) on the fleet's call path;
+  (:class:`CircuitBreaker`) on the fleet's call path; every client
+  retry loop is :func:`retry_call`, every quota and budget a
+  :class:`~repro.serve.resilience.TokenBucket`;
 * trace replay (:class:`ReplayHarness`) — deterministic scenario
   scripts (heavy-tailed arrivals, zipfian popularity, diurnal
   envelopes, coordinated fault schedules) replayed against a live
   fleet with byte-identical event logs per seed;
 * :func:`tiled_predict` — exact full-field inference on grids too large
-  for one forward pass, via ``2**depth``-aligned halo-padded tiles;
+  for one forward pass, via ``2**depth``-aligned halo-padded tiles; it
+  is also the server's forward (the untiled field is the one-tile
+  plan; only a process executor ships an untiled batch to its pool
+  whole);
 * streaming tiled inference — :func:`stream_tiled_predict` yields tile
   cores as they complete, :meth:`PredictionServer.submit_stream` routes
   them through the priority/deadline/backpressure machinery
@@ -84,7 +89,7 @@ from .replay import (
 from .resilience import (
     BreakerConfig, CircuitBreaker, HedgeConfig, HedgePolicy, HedgeTimer,
     ResilienceConfig, RetryConfig, RetryPolicy, install_resilience,
-    uninstall_resilience,
+    retry_call, uninstall_resilience,
 )
 from .server import (
     PredictionServer, ServerConfig, ServerStats, StreamStalled, TileStream,
@@ -115,7 +120,7 @@ __all__ = [
     "SpillLedger",
     "RetryConfig", "RetryPolicy", "HedgeConfig", "HedgePolicy",
     "BreakerConfig", "CircuitBreaker", "HedgeTimer", "ResilienceConfig",
-    "install_resilience", "uninstall_resilience",
+    "install_resilience", "uninstall_resilience", "retry_call",
     "ArrivalSpec", "PopularitySpec", "TenantSpec", "FaultSpec",
     "Scenario", "TraceEvent", "VirtualClock", "ReplayHarness",
     "ReplayReport", "build_trace", "event_log", "load_scenario",

@@ -19,6 +19,9 @@ compete under exactly the same policy.  Rejections surface naturally:
 expired requests, and ``submit`` raises
 :class:`~repro.serve.errors.ServerOverloaded` synchronously when
 ``max_pending`` overflows — shed or retry with backoff in the client.
+:meth:`AsyncPredictionServer.predict` does the latter when the back-end
+carries a retry policy: it is the one ``await``-ing twin of the
+synchronous driver, :func:`repro.serve.resilience.retry_call`.
 
 Quickstart::
 
@@ -161,33 +164,26 @@ class AsyncPredictionServer:
                       tenant: str | None = None) -> np.ndarray:
         """One awaited prediction (async counterpart of ``predict``).
 
-        When the wrapped back-end is a fleet with a retry policy
-        installed (``fleet.retry``), transient verdicts —
-        ``FleetUnavailable``, ``ServerOverloaded``, ``TenantThrottled``
-        — are re-submitted after the policy's backoff, awaited with
-        ``asyncio.sleep`` so the loop keeps spinning.  Same semantics
-        as the blocking ``ShardedFleet.predict`` retry loop: each retry
-        is a fresh, individually conserved submit.
+        The ``await``-ing twin of :func:`repro.serve.resilience.
+        retry_call`: with a retry policy on the wrapped back-end
+        (``fleet.retry``) each failed attempt is put to ``policy.plan``
+        — same calls, same order as the blocking driver — and a granted
+        backoff is awaited with ``asyncio.sleep`` so the loop keeps
+        spinning.  Each retry is a fresh, individually conserved submit.
         """
         policy = getattr(self.server, "retry", None)
-        attempt = 0
+        n = 0
         while True:
             try:
                 return await self.submit(
                     model_name, omega, resolution, priority=priority,
                     deadline_s=deadline_s, tenant=tenant)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                if policy is None:
-                    raise
-                delay = policy.plan(exc, attempt)
+            except Exception as exc:   # CancelledError passes through
+                delay = None if policy is None else policy.plan(exc, n)
                 if delay is None:
                     raise
-                attempt += 1
-                note = getattr(self.server, "note_retry", None)
-                if note is not None:
-                    note()
+                n += 1
+                self.server.note_retry(exc, delay)
                 if delay > 0:
                     await asyncio.sleep(delay)
 

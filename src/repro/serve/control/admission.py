@@ -10,11 +10,12 @@ token, and an empty bucket raises a keyed
 (when the bucket will next hold a token) — the polite client sleeps
 exactly that long instead of hammering.
 
-The controller is pure policy: no threads, no background refill — the
-bucket is refilled lazily from the elapsed clock at each ``try_acquire``
-(the standard lazy token bucket), so an injected clock makes every
-decision deterministic under test.  Thread-safe: fleets call
-``try_acquire`` from many client threads at once.
+The controller is pure policy: no threads, no background refill — each
+tenant's :class:`~repro.serve.resilience.TokenBucket` (the same class
+that meters the retry budget) is refilled lazily from the elapsed clock
+at each ``try_acquire``, so an injected clock makes every decision
+deterministic under test.  Thread-safe: fleets call ``try_acquire``
+from many client threads at once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
+
+from ..resilience import TokenBucket
 
 __all__ = ["TenantQuota", "AdmissionController"]
 
@@ -41,12 +44,12 @@ class TenantQuota:
             raise ValueError("burst must be >= 1 (or nothing ever admits)")
 
 
-class _Bucket:
-    __slots__ = ("tokens", "updated_at", "admitted", "throttled")
+class _Tenant:
+    __slots__ = ("quota", "bucket", "admitted", "throttled")
 
-    def __init__(self, tokens: float, now: float) -> None:
-        self.tokens = tokens
-        self.updated_at = now
+    def __init__(self, quota: TenantQuota) -> None:
+        self.quota = quota
+        self.bucket = TokenBucket(quota.rate, quota.burst)
         self.admitted = 0
         self.throttled = 0
 
@@ -67,18 +70,17 @@ class AdmissionController:
         self.default_quota = default_quota
         self._clock = clock
         self._lock = threading.Lock()
-        self._quotas: dict[str, TenantQuota] = {}
-        self._buckets: dict[str, _Bucket] = {}
+        self._tenants: dict[str, _Tenant] = {}
 
     def set_quota(self, tenant: str, quota: TenantQuota) -> None:
         """Pin a tenant's budget (resets its bucket to a full burst)."""
         with self._lock:
-            self._quotas[tenant] = quota
-            self._buckets[tenant] = _Bucket(quota.burst, self._clock())
+            self._tenants[tenant] = _Tenant(quota)
 
     def quota_for(self, tenant: str) -> TenantQuota:
         with self._lock:
-            return self._quotas.get(tenant, self.default_quota)
+            record = self._tenants.get(tenant)
+        return record.quota if record is not None else self.default_quota
 
     def try_acquire(self, tenant: str, cost: float = 1.0) -> float | None:
         """Spend ``cost`` tokens from ``tenant``'s bucket.
@@ -89,37 +91,30 @@ class AdmissionController:
         """
         now = self._clock()
         with self._lock:
-            quota = self._quotas.get(tenant, self.default_quota)
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = _Bucket(quota.burst, now)
-                self._buckets[tenant] = bucket
-            # Lazy refill: tokens accrued since the last decision.
-            elapsed = max(0.0, now - bucket.updated_at)
-            bucket.tokens = min(quota.burst,
-                                bucket.tokens + elapsed * quota.rate)
-            bucket.updated_at = now
-            if bucket.tokens >= cost:
-                bucket.tokens -= cost
-                bucket.admitted += 1
-                return None
-            bucket.throttled += 1
-            return (cost - bucket.tokens) / quota.rate
+            record = self._tenants.get(tenant)
+            if record is None:
+                record = self._tenants[tenant] = _Tenant(self.default_quota)
+            retry_after = record.bucket.take(now, cost)
+            if retry_after is None:
+                record.admitted += 1
+            else:
+                record.throttled += 1
+            return retry_after
 
     def snapshot(self) -> dict[str, dict]:
         """Per-tenant accounting: admitted / throttled / tokens left."""
         with self._lock:
-            return {tenant: {"admitted": b.admitted,
-                             "throttled": b.throttled,
-                             "tokens": b.tokens}
-                    for tenant, b in self._buckets.items()}
+            return {tenant: {"admitted": r.admitted,
+                             "throttled": r.throttled,
+                             "tokens": r.bucket.tokens}
+                    for tenant, r in self._tenants.items()}
 
     @property
     def admitted(self) -> int:
         with self._lock:
-            return sum(b.admitted for b in self._buckets.values())
+            return sum(r.admitted for r in self._tenants.values())
 
     @property
     def throttled(self) -> int:
         with self._lock:
-            return sum(b.throttled for b in self._buckets.values())
+            return sum(r.throttled for r in self._tenants.values())

@@ -64,7 +64,6 @@ class Autoscaler:
         self.up_streak = int(up_streak)
         self.down_streak = int(down_streak)
         self.drain_timeout_s = float(drain_timeout_s)
-        self._clock = clock
         self._up = 0
         self._down = 0
         self.scale_ups = 0

@@ -54,7 +54,6 @@ class ControlConfig:
     # default) so simultaneously-ejected shards don't probe in
     # lockstep; 0.0 restores the exact deterministic schedule.
     probe_jitter: float = 1.0
-    probe_seed: int = 0
     # Load spreading (power-of-two-choices).
     balance: bool = True
     balance_seed: int = 0
@@ -128,8 +127,7 @@ class ControlPlane:
             probe_timeout_s=cfg.probe_timeout_s,
             permanent_after=cfg.permanent_after,
             clock=clock,
-            jitter=cfg.probe_jitter,
-            seed=cfg.probe_seed)
+            jitter=cfg.probe_jitter)
         self.balancer = (PowerOfTwoBalancer(seed=cfg.balance_seed)
                          if cfg.balance else None)
         self.admission = None

@@ -38,6 +38,8 @@ import random
 import time
 from typing import TYPE_CHECKING, Callable
 
+from ..resilience import backoff_window, jittered
+
 if TYPE_CHECKING:
     from ..fleet import ShardedFleet
 
@@ -50,9 +52,6 @@ class _ProbeRecord:
     def __init__(self) -> None:
         self.fails = 0
         self.next_probe_at = 0.0   # 0 → probe immediately
-
-    def backoff(self, base: float, cap: float) -> float:
-        return min(cap, base * 2.0 ** max(0, self.fails - 1))
 
 
 class HealthProber:
@@ -162,14 +161,12 @@ class HealthProber:
                 self.reregistrations += moves
                 self._records.pop(shard.id, None)
                 continue
-            window = record.backoff(self.base_backoff_s,
-                                    self.max_backoff_s)
-            if self.jitter > 0.0:
-                # Full jitter: shards ejected together draw different
-                # waits from the shared seeded RNG (consumed in the
-                # deterministic fleet.shards iteration order, so the
-                # whole jittered schedule is still reproducible).
-                window *= (1.0 - self.jitter
-                           + self.jitter * self._rng.random())
-            record.next_probe_at = now + window
+            # Shards ejected together draw different waits from the
+            # shared seeded RNG (consumed in the deterministic
+            # fleet.shards iteration order, so the whole jittered
+            # schedule is still reproducible).
+            record.next_probe_at = now + jittered(
+                backoff_window(self.base_backoff_s, self.max_backoff_s,
+                               record.fails - 1),
+                self._rng, self.jitter)
         return probed

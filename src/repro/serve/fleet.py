@@ -19,12 +19,13 @@ way DNN-MG/GMT partition multigrid work across compute units:
   unavailable / throttled (``FleetStats.lost == 0`` is the invariant
   the fault-injection suite enforces).
 * **Recovery** — ``check_health()`` probes ejected shards with a real
-  tiny prediction and re-admits the ones that answer, after an optional
-  ``probe_after_s`` cool-down.  Routing also self-heals: when a key's
-  whole replica set is ejected, dispatch makes one last pass ignoring
-  health marks (non-blocking — safe from worker callbacks and event
-  loops), and a shard that serves the answer is re-admitted on the
-  spot, so a burst of false hang ejections cannot black-hole a key.
+  tiny prediction and re-admits the ones that answer (the control
+  plane's prober adds a backoff schedule).  Routing also self-heals:
+  when a key's whole replica set is ejected, dispatch makes one last
+  pass ignoring health marks (non-blocking — safe from worker
+  callbacks and event loops), and a shard that serves the answer is
+  re-admitted on the spot, so a burst of false hang ejections cannot
+  black-hole a key.
 * **Control seams** — ``self.balancer`` (when installed) reorders each
   read's replica set by live queue depth (power-of-two-choices) and
   ``self.admission`` rations submits per tenant (token buckets →
@@ -83,7 +84,9 @@ from .errors import (
 )
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .resilience import HedgeTimer, _register_resilience_views
+from .resilience import (
+    HedgeTimer, _register_resilience_views, retry_call,
+)
 from .server import (
     PredictionServer, ServerConfig, StreamStalled, _LatencyPercentiles,
 )
@@ -125,7 +128,6 @@ class FleetConfig:
     # one last pass ignoring health marks, and a shard that answers is
     # re-admitted on the spot.  None disables hang detection.
     shard_timeout_s: float | None = None
-    probe_after_s: float = 0.0        # cool-down before a probe retries
     server: ServerConfig = field(default_factory=ServerConfig)
     # (message_bytes, world_size) -> seconds; None counts bytes only.
     time_model: Callable[[int, int], float] | None = None
@@ -143,7 +145,7 @@ class Shard:
         self.id = shard_id
         self.server = server
         self.healthy = True
-        self.ejected_at: float | None = None  # monotonic eject stamp
+        self.ejected_at: float | None = None  # error-eject stamp
         self.fault_count = 0
         self.last_error: BaseException | None = None
 
@@ -625,10 +627,12 @@ class ShardedFleet:
         (abandoning the generator mid-stream counts ``cancelled`` when
         it is closed).  A terminal
         :class:`~repro.serve.errors.DeadlineExceeded` carries the
-        fleet-level ``tiles_delivered`` across all attempts.  Policy
-        verdicts surface on the first ``next``, not at call time; hedged
-        backups and retry policies do not apply to streams (a stream is
-        one stateful read, not a repeatable call).
+        fleet-level ``tiles_delivered`` across all attempts.  The
+        prologue (``_open``) runs eagerly, so a tenant throttle and an
+        unknown model raise here, at call time; only the shard's own
+        verdicts wait for the first ``next``.  Hedged backups and retry
+        policies do not apply to streams (a stream is one stateful
+        read, not a repeatable call).
         """
         return self._stream_run(
             self._open(model_name, omega, resolution, priority, deadline_s,
@@ -705,7 +709,8 @@ class ShardedFleet:
                 fault = exc
             else:
                 end("served")
-                self._answered(state.model_name, shard)
+                self._answered(state.model_name, shard,
+                               state.attempt_started)
                 return
             if source is not None:
                 source.close()
@@ -735,36 +740,25 @@ class ShardedFleet:
 
         With a retry policy installed (``self.retry``) a transient
         verdict — :class:`FleetUnavailable`, :class:`ServerOverloaded`,
-        :class:`TenantThrottled` — is re-submitted after the policy's
+        :class:`TenantThrottled` — is re-submitted by
+        :func:`~repro.serve.resilience.retry_call` after the policy's
         jittered backoff (``retry_after_s`` for throttles), as long as
         the fleet-wide retry budget grants a token.  Every retry is a
         fresh submit, so each attempt is individually conserved and
         ``retried`` counts the extras.
         """
-        policy = self.retry
-        attempt = 0
-        while True:
-            try:
-                return self.await_result(
-                    self.submit(model_name, omega, resolution,
-                                priority=priority, deadline_s=deadline_s,
-                                tenant=tenant),
-                    timeout)
-            except Exception as exc:
-                if policy is None:
-                    raise
-                delay = policy.plan(exc, attempt)
-                if delay is None:
-                    raise
-                attempt += 1
-                self.note_retry()
-                if delay > 0:
-                    time.sleep(delay)
+        return retry_call(
+            self.retry,
+            lambda: self.await_result(
+                self.submit(model_name, omega, resolution, priority=priority,
+                            deadline_s=deadline_s, tenant=tenant), timeout),
+            on_retry=self.note_retry)
 
-    def note_retry(self) -> None:
-        """Count one policy-driven re-submit.  Retrying front-ends (the
-        blocking ``predict``, the asyncio facade, the replay harness)
-        all report here so ``FleetStats.retried`` covers every path."""
+    def note_retry(self, *_) -> None:
+        """Count one policy-driven re-submit — the ``on_retry`` hook
+        every retrying front-end (the blocking ``predict``, the asyncio
+        facade, the replay harness, the CLI) reports through, so
+        ``FleetStats.retried`` covers every path."""
         self._count("retried")
 
     def await_result(self, future: Future, timeout: float | None = None):
@@ -956,7 +950,7 @@ class ShardedFleet:
                 if policy is not None:
                     policy.record_win()
             self._comm.send(value.nbytes)     # response hop: field back
-            self._answered(state.model_name, shard)
+            self._answered(state.model_name, shard, anchor)
 
     def _settle(self, out: Future, state: _RouteState, shard: Shard,
                 exc: BaseException, span, hedge: bool) -> bool:
@@ -1120,10 +1114,23 @@ class ShardedFleet:
                 if hedge is not None:
                     hedge.record_cancel()
 
-    def _answered(self, model_name: str, shard: Shard) -> None:
+    def _answered(self, model_name: str, shard: Shard,
+                  dispatched_at: float) -> None:
         """A shard served a read of ``model_name`` — the strongest
-        health probe there is: a shard answering from the ignore-health
-        last-resort pass (ejected on a false hang) re-admits itself."""
+        health probe there is: a shard ejected on a false hang (the
+        budget includes queue wait) re-admits itself with its next
+        answer, prober or no prober.
+
+        After an *error* ejection only an attempt dispatched after it is
+        evidence, though: a forward that was already computing when its
+        host died answers late, and re-admitting on that straggler would
+        hide the dead shard from the prober (which probes unhealthy
+        shards only) until live traffic happened to fault on it again.
+        Such a shard comes back through a probe (``check_health`` or the
+        control plane's prober) or the ignore-health last-resort pass."""
+        ejected_at = shard.ejected_at
+        if ejected_at is not None and dispatched_at < ejected_at:
+            return
         self._readmit(shard)
         breaker = self.breaker
         if breaker is not None:
@@ -1159,7 +1166,9 @@ class ShardedFleet:
             if not shard.healthy:
                 return
             shard.healthy = False
-            shard.ejected_at = time.monotonic()
+            # A hang is a suspicion any answer refutes; an error is a
+            # fact that answers dispatched before it cannot overturn.
+            shard.ejected_at = None if hang else time.monotonic()
             self._count("shard_faults")
             if hang:
                 self._count("hangs")
@@ -1170,22 +1179,11 @@ class ShardedFleet:
             return [s.id for s in self.shards if s.healthy]
 
     def check_health(self) -> list[str]:
-        """Probe ejected shards past their cool-down; re-admit the ones
-        that answer a real (tiny) prediction.  Returns re-admitted ids."""
-        now = time.monotonic()
-        candidates = []
+        """Probe every ejected shard; re-admit the ones that answer a
+        real (tiny) prediction.  Returns re-admitted ids."""
         with self._lock:
-            for shard in self.shards:
-                if shard.healthy:
-                    continue
-                ejected = shard.ejected_at or 0.0
-                if now - ejected >= self.config.probe_after_s:
-                    candidates.append(shard)
-        readmitted = []
-        for shard in candidates:
-            if self.probe_shard(shard):
-                readmitted.append(shard.id)
-        return readmitted
+            candidates = [s for s in self.shards if not s.healthy]
+        return [s.id for s in candidates if self.probe_shard(s)]
 
     def probe_shard(self, shard: "Shard | str",
                     timeout_s: float | None = None) -> bool:

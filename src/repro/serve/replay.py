@@ -26,8 +26,10 @@ applies to numerics — identical seed + scenario ⇒ identical timeline:
   fault events drive per-shard chaos hooks (kill = submit raises,
   hang = forward blocks until released), and the drain phase re-runs
   transient verdicts through the fleet's installed
-  :class:`~repro.serve.resilience.RetryPolicy`.  The report carries
-  the outcome census, the fleet stats (``lost == 0`` is the
+  :class:`~repro.serve.resilience.RetryPolicy` via
+  :func:`~repro.serve.resilience.retry_call`, whose injected ``sleep``
+  is the harness's virtual-clock, ``time_scale``-d one.  The report
+  carries the outcome census, the fleet stats (``lost == 0`` is the
   acceptance gate), and the event log that produced them.
 * :class:`VirtualClock` — a forgeable now() for the deterministic unit
   tests of the policies themselves (the trace generator needs no clock
@@ -57,6 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FleetUnavailable, ServerOverloaded, TenantThrottled
+from .resilience import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fleet import Shard, ShardedFleet
@@ -630,22 +633,18 @@ class ReplayHarness:
         """Final verdict of one request, retrying transient failures
         through the fleet's retry policy.  Returns the outcome label
         ("served" or the terminal exception class name)."""
-        policy = self.fleet.retry
-        attempt = 0
-        while True:
-            if future is not None:
-                try:
-                    self.fleet.await_result(future, self.request_timeout_s)
-                    return "served"
-                except Exception as raised:
-                    exc = raised
-            delay = None if policy is None else policy.plan(exc, attempt)
-            if delay is None:
-                return type(exc).__name__
-            attempt += 1
-            self.fleet.note_retry()
-            if delay > 0:
-                self._sleep(delay * self.time_scale)
-            future, exc = self._submit(ev)
-            if future is None and exc is None:  # pragma: no cover
-                return "unknown"
+        first = [(future, exc)]   # the paced submit's outcome, used once
+
+        def attempt() -> None:
+            held, refused = first.pop() if first else self._submit(ev)
+            if refused is not None:
+                raise refused
+            self.fleet.await_result(held, self.request_timeout_s)
+
+        try:
+            retry_call(self.fleet.retry, attempt,
+                       sleep=lambda dt: self._sleep(dt * self.time_scale),
+                       on_retry=self.fleet.note_retry)
+        except Exception as raised:
+            return type(raised).__name__
+        return "served"

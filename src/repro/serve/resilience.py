@@ -29,6 +29,17 @@ under an injected clock/seed so the chaos suite can pin exact behavior:
   -clock discipline; ``allow`` also performs the transition lazily so no
   background thread is required.
 
+The mechanisms under the policies are written once, here.
+:func:`retry_call` is the only synchronous retry loop — ``attempt()`` →
+classify → ``policy.plan`` → count → sleep → again — behind
+``ShardedFleet.predict``, the replay harness's drain, ``repro predict
+--retries`` and the CLI's serve submit/drain; its sleep is injected, and
+its one ``await``-ing twin is ``AsyncPredictionServer.predict``.
+:class:`TokenBucket` is the lazy bucket behind the retry budget *and*
+per-tenant admission (:mod:`repro.serve.control.admission`);
+:func:`backoff_window` / :func:`jittered` are the ``min(cap, base·2ⁿ)``
+window and its seeded jitter, shared with the health prober.
+
 Wiring: :func:`install_resilience` sets the fleet's ``retry`` / ``hedge``
 / ``breaker`` seams (``None`` by default, like ``balancer`` and
 ``admission``).  Every new outcome these policies create is folded into
@@ -71,7 +82,61 @@ __all__ = [
     "RetryConfig", "RetryPolicy", "HedgeConfig", "HedgePolicy",
     "BreakerConfig", "CircuitBreaker", "ResilienceConfig",
     "install_resilience", "uninstall_resilience", "HedgeTimer",
+    "TokenBucket", "backoff_window", "jittered", "retry_call",
 ]
+
+
+# --------------------------------------------------------------------- #
+# The token bucket and the backoff window (written once, used by the
+# retry budget, per-tenant admission and the health prober)
+# --------------------------------------------------------------------- #
+class TokenBucket:
+    """Lazy token bucket: ``burst`` capacity refilled at ``rate``/s.
+
+    Pure arithmetic on an injected ``now`` — no clock, no thread, no
+    lock (the owner serializes) — so every decision is deterministic
+    under a forged clock.  Over any window of ``t`` seconds it grants at
+    most ``burst + rate * t`` tokens.
+    """
+
+    __slots__ = ("rate", "burst", "tokens", "updated_at")
+
+    def __init__(self, rate: float, burst: float) -> None:
+        self.rate = rate
+        self.burst = burst
+        self.tokens = burst             # starts full
+        self.updated_at: float | None = None
+
+    def take(self, now: float, cost: float = 1.0) -> float | None:
+        """Spend ``cost`` tokens at time ``now``: ``None`` when granted,
+        else the seconds until the bucket will hold ``cost`` again."""
+        if self.updated_at is not None:
+            elapsed = max(0.0, now - self.updated_at)
+            self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
+        self.updated_at = now
+        if self.tokens >= cost:
+            self.tokens -= cost
+            return None
+        return (cost - self.tokens) / self.rate
+
+
+def backoff_window(base: float, cap: float, n: int) -> float:
+    """Exponential backoff window after ``n`` failures: ``min(cap,
+    base * 2**n)``."""
+    return min(cap, base * 2.0 ** n)
+
+
+def jittered(window: float, rng: random.Random, jitter: float = 1.0) -> float:
+    """A wait drawn uniformly from ``[(1 - jitter) * window, window]``.
+
+    ``jitter=1`` is AWS-style full jitter — the same float as
+    ``rng.uniform(0, window)``, one draw — which de-correlates callers
+    that failed together; ``jitter=0`` is the exact window and draws
+    nothing.
+    """
+    if jitter <= 0.0:
+        return window
+    return window * (1.0 - jitter + jitter * rng.random())
 
 
 # --------------------------------------------------------------------- #
@@ -125,8 +190,8 @@ class RetryPolicy:
         self._retryable = retryable
         self._rng = random.Random(self.config.seed)
         self._lock = threading.Lock()
-        self._tokens = float(self.config.budget_burst)
-        self._updated_at: float | None = None
+        self._budget = TokenBucket(self.config.budget_rate,
+                                   float(self.config.budget_burst))
         self.retries = 0       # plans granted
         self.denied = 0        # plans refused by an empty budget
         self.exhausted = 0     # plans refused by max_attempts
@@ -141,7 +206,7 @@ class RetryPolicy:
     def tokens(self) -> float:
         """Current budget level (diagnostics; refilled lazily)."""
         with self._lock:
-            return self._tokens
+            return self._budget.tokens
 
     def budget_ceiling(self, window_s: float) -> float:
         """Most retries the budget can possibly grant in ``window_s``."""
@@ -165,23 +230,56 @@ class RetryPolicy:
             if attempt + 1 >= cfg.max_attempts:
                 self.exhausted += 1
                 return None
-            # Lazy refill, then spend — the admission controller's
-            # token-bucket idiom, pointed at our own retries.
-            if self._updated_at is not None:
-                elapsed = max(0.0, now - self._updated_at)
-                self._tokens = min(cfg.budget_burst,
-                                   self._tokens + elapsed * cfg.budget_rate)
-            self._updated_at = now
-            if self._tokens < 1.0:
+            if self._budget.take(now) is not None:
                 self.denied += 1
                 return None
-            self._tokens -= 1.0
             self.retries += 1
             if isinstance(exc, TenantThrottled):
                 return max(0.0, float(exc.retry_after_s))
-            window = min(cfg.max_backoff_s,
-                         cfg.base_backoff_s * 2.0 ** attempt)
-            return self._rng.uniform(0.0, window)
+            return jittered(backoff_window(cfg.base_backoff_s,
+                                           cfg.max_backoff_s, attempt),
+                            self._rng)
+
+
+def retry_call(policy: RetryPolicy | None, attempt: Callable[[], object], *,
+               sleep: Callable[[float], None] = time.sleep,
+               on_retry: Callable[[BaseException, float], None] | None = None,
+               max_wait_s: float | None = None,
+               clock: Callable[[], float] = time.monotonic):
+    """The synchronous retry loop: ``attempt()`` until it returns, the
+    policy gives up, or the wall-clock cap would be overrun.
+
+    ``attempt`` performs one whole try — submit *and* wait — and raises
+    its verdict; a pipelined client that already holds a future passes
+    an ``attempt`` whose first call waits on it and whose later calls
+    re-submit (the CLI drain and the replay drain each close over what
+    they hold — a future-or-``None``, a ``(future, refusal)`` pair — in
+    three lines; with two callers holding different things there is no
+    shared adapter).  Each failure is put to ``policy.plan`` (``None``
+    policy: nothing is retried); a granted delay is announced to
+    ``on_retry(exc, delay)`` and slept through the injected ``sleep``.
+    With ``max_wait_s``, a delay that would end past that many seconds
+    after entry is not slept: the pending verdict propagates.  The cap
+    can only be judged once the delay is known, so that last plan is
+    already granted — one budget token, one ``policy.retries`` — but it
+    is not announced: ``on_retry`` counts exactly the retries made.  The
+    asyncio twin is :meth:`repro.serve.aio.AsyncPredictionServer.predict`.
+    """
+    deadline = None if max_wait_s is None else clock() + max_wait_s
+    n = 0
+    while True:
+        try:
+            return attempt()
+        except Exception as exc:
+            delay = None if policy is None else policy.plan(exc, n)
+            if delay is None or (deadline is not None
+                                 and clock() + delay >= deadline):
+                raise
+            n += 1
+            if on_retry is not None:
+                on_retry(exc, delay)
+            if delay > 0:
+                sleep(delay)
 
 
 # --------------------------------------------------------------------- #

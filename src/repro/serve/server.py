@@ -33,14 +33,21 @@ orders dequeue under saturation, expires stale requests with a keyed
 ``max_pending`` set — rejects overflow synchronously with a keyed
 ``ServerOverloaded`` (counted in ``stats.rejected``).
 
-Where the *compute* of a fused forward runs is pluggable
-(:mod:`repro.serve.executor`): ``executor='serial'`` keeps it inline on
-the worker thread; ``'thread'`` fans tiled megavoxel forwards across a
-shared thread pool; ``'process'`` escapes the GIL entirely — whole fused
-forwards are dispatched to a process pool (and tiled forwards fan their
-tiles across it), with the worker threads reduced to queueing/stitching
-front-ends.  Identical requests arriving while a twin is queued attach to
-the in-flight future instead of recomputing (``dedup_hits``).
+On the calling side of the GIL there is one forward: a fused batch is a
+:func:`~repro.serve.tiling.tiled_predict` call, and the untiled field is
+its one-tile plan (the tile is the whole grid unless ``config.tile`` or
+``tile_threshold_voxels`` says otherwise — bitwise equal to
+:func:`repro.core.inference.predict_batch`).  Where the tiles run is
+pluggable (:mod:`repro.serve.executor`): ``executor='serial'`` keeps
+them inline on the worker thread; ``'thread'`` fans the tiles of a
+megavoxel forward across a shared thread pool; ``'process'`` escapes the
+GIL entirely — tiled forwards fan their tiles across a process pool, and
+an untiled batch is shipped to it whole (only ω crosses the pipe; the
+worker synthesises log ν, runs ``predict_batch`` and masks, none of it
+under this process's GIL), with the worker threads reduced to
+queueing/stitching front-ends.  Identical
+requests arriving while a twin is queued attach to the in-flight future
+instead of recomputing (``dedup_hits``).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from ..backend import set_backend
 from ..core.inference import predict_batch
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import LRUCache, result_key
-from .errors import DeadlineExceeded, ServerOverloaded, TenantThrottled
+from .errors import DeadlineExceeded, ServerOverloaded
 from .executor import Executor, SerialExecutor, make_executor
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import NULL_SPAN, NULL_TRACER
@@ -81,10 +88,8 @@ def _predict_batch_remote(payload) -> np.ndarray:
     version, blob, omegas, resolution = payload
     pair = _REMOTE_ENTRY_CACHE.get(version)
     if pair is None:
-        pair = pickle.loads(blob)
-        _REMOTE_ENTRY_CACHE[version] = pair
-    model, problem = pair
-    return predict_batch(model, problem, omegas, resolution=resolution)
+        pair = _REMOTE_ENTRY_CACHE[version] = pickle.loads(blob)
+    return predict_batch(*pair, omegas, resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,6 @@ class ServerConfig:
     max_wait_ms: float = 2.0
     workers: int = 1
     cache_bytes: int = 64 * 1024 * 1024
-    omega_step: float = 1e-6          # cache-key quantization lattice
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels
     tile: int | None = None           # set: force tiling at this tile size
     halo: int | None = None           # None: receptive-field halo
@@ -106,7 +110,6 @@ class ServerConfig:
     shared_spill: bool = False        # coordinate the budget across all
     # instances sharing cache_dir via the cross-process spill ledger
     max_pending: int = 0              # >0: bound the queue (backpressure)
-    default_priority: int = 0         # priority for submits that set none
     default_deadline_s: float | None = None  # latency budget default
     priority_aging_s: float | None = None  # age-escalation rate (see
     # RequestQueue: a request overtakes one priority level per aging_s
@@ -144,7 +147,7 @@ class ServerStats(_LatencyPercentiles):
     errors: int = 0
     rejected: int = 0          # max_pending backpressure rejections
     expired: int = 0           # deadlines missed before a fused forward
-    throttled: int = 0         # per-tenant admission-control rejections
+    throttled: int = 0         # view name kept; admission is the fleet's
     streams: int = 0           # streaming requests accepted
     stream_tiles: int = 0      # tile records emitted by streams
     queue_depth: int = 0       # gauge: pending + in-flight at last read
@@ -321,9 +324,6 @@ class PredictionServer:
                  config: ServerConfig | None = None) -> None:
         self.registry = registry
         self.config = config or ServerConfig()
-        # Optional per-tenant admission controller (see
-        # repro.serve.control.admission); None admits everything.
-        self.admission = None
         # Span sites call ``self.tracer`` unconditionally: the null
         # tracer until ``enable_telemetry`` swaps in the bundle's (see
         # repro.serve.telemetry).  ``telemetry`` is the bundle handle.
@@ -484,19 +484,16 @@ class PredictionServer:
         """Queue one prediction; returns a Future of the (full-field)
         NumPy array.  Cache hits resolve immediately without queueing.
 
-        ``priority`` (default ``config.default_priority``) orders the
-        request queue: under saturation higher priorities dequeue first.
+        ``priority`` (default 0) orders the request queue: under
+        saturation higher priorities dequeue first.
         ``deadline_s`` (default ``config.default_deadline_s``) grants a
         latency budget from now; a request still queued when it runs out
         fails with a keyed :class:`DeadlineExceeded` instead of wasting a
         fused forward.  When ``config.max_pending`` bounds the queue, an
         overflowing submit raises :class:`ServerOverloaded` synchronously
         (and counts it in ``stats.rejected``) — shed or retry with
-        backoff.  ``tenant`` names the request's accounting principal:
-        with an admission controller installed a tenant past its
-        token-bucket quota is rejected synchronously with a keyed
-        :class:`TenantThrottled` (counted in ``stats.throttled``) before
-        the request consumes any server state — cache lookups included.
+        backoff.  ``tenant`` names the request's accounting principal
+        (quotas are the fleet's business: ``ShardedFleet.admission``).
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
@@ -583,10 +580,10 @@ class PredictionServer:
         :class:`TileStream` yielding ``(tile_index, core_slices, core)``
         records as tile forwards complete.
 
-        The request rides the same machinery as :meth:`submit` —
-        admission control, the priority/deadline queue, ``max_pending``
-        backpressure — but resolves progressively: the first record
-        arrives after one tile forward instead of after the full field.
+        The request rides the same machinery as :meth:`submit` — the
+        priority/deadline queue, ``max_pending`` backpressure — but
+        resolves progressively: the first record arrives after one tile
+        forward instead of after the full field.
         The deadline is enforced *per tile*: before each tile's compute
         the budget is re-checked, and an expired stream terminates with
         a keyed :class:`DeadlineExceeded` carrying
@@ -644,17 +641,9 @@ class PredictionServer:
                  priority: int | None, deadline_s: float | None,
                  tenant: str | None) -> tuple[ModelEntry, PredictRequest]:
         """The request prologue shared by ``submit`` and
-        ``submit_stream``: tenant admission, then the registry entry and
-        the keyed request — resolution, validated ω, defaulted
-        priority/deadline, all anchored at one ``enqueued_at``."""
-        if tenant is not None and self.admission is not None:
-            retry_after = self.admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._stats_lock:
-                    self.stats.throttled += 1
-                quota = self.admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
+        ``submit_stream``: the registry entry and the keyed request —
+        resolution, validated ω, defaulted priority/deadline, all
+        anchored at one ``enqueued_at``."""
         entry = self.registry.get(model_name)
         r = int(resolution or entry.problem.resolution)
         omega = np.asarray(omega, dtype=np.float64).reshape(-1)
@@ -664,15 +653,13 @@ class PredictionServer:
             raise ValueError(
                 f"model {model_name!r} expects omega of length "
                 f"{entry.problem.field.m}, got {omega.size}")
-        if priority is None:
-            priority = self.config.default_priority
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         t0 = time.perf_counter()
         return entry, PredictRequest(
             model_name=model_name, omega=omega, resolution=r, future=Future(),
             enqueued_at=t0, key=self._key(entry, omega, r),
-            priority=int(priority), deadline_s=deadline_s,
+            priority=int(priority or 0), deadline_s=deadline_s,
             expires_at=(t0 + deadline_s if deadline_s is not None else None),
             tenant=tenant)
 
@@ -934,87 +921,80 @@ class PredictionServer:
         The chaos/replay layer wraps this method to gate or fault a
         shard's stream production, mirroring its ``_forward`` hook.
         """
-        executor = self.executor
-        net_ref = (self._net_ref(entry) if executor.kind == "process"
-                   else None)
         for i, sl, core in stream_tiled_predict(
                 entry.model, entry.problem, omega.reshape(1, -1),
                 resolution=resolution, tile=tile, halo=halo,
-                executor=executor, net_ref=net_ref, tiles=tiles):
+                executor=self.executor, net_ref=self._net_ref(entry),
+                tiles=tiles):
             yield i, sl, core[0]
 
     def _forward(self, entry: ModelEntry, omegas: np.ndarray,
                  resolution: int, trace=NULL_SPAN) -> np.ndarray:
-        """Fused forward — tiled when the grid exceeds the threshold, or
-        always when an explicit tile size is configured.  The configured
-        executor decides where the compute lands: tiled forwards fan
-        their tiles across it; whole forwards are shipped to a process
-        pool when one is configured.  ``trace`` is the forward span:
-        tiled forwards hang their per-tile spans under it."""
-        voxels = resolution ** entry.problem.ndim
-        if (self.config.tile is not None
-                or voxels > self.config.tile_threshold_voxels):
+        """Fused forward on the configured executor: one
+        :func:`tiled_predict` call, whose tile is the whole grid — the
+        one-tile plan *is* the untiled forward — unless an explicit tile
+        size is configured or the grid exceeds the voxel threshold; only
+        those forwards count as ``tiled_forwards`` and hang per-tile
+        spans under ``trace`` (the forward span).
+
+        The one measured exception: an untiled batch on a process
+        executor goes to the pool whole, so only ω crosses the pipe and
+        the worker synthesises log ν, runs the net and masks.  Sending
+        the one-tile plan's input field instead does that work on this
+        thread, under the GIL all shards of a fleet share: server CPU
+        per forward 92 → 187 ms, +50 MB server RSS at 64³ B=8
+        (CHANGES.md, PR 20) — a trade, not a copy."""
+        executor = self.executor
+        tiled = (self.config.tile is not None
+                 or resolution ** entry.problem.ndim
+                 > self.config.tile_threshold_voxels)
+        if executor.kind == "process" and not tiled:
+            payload = (entry.version,
+                       self._blob(self._payload_blobs, entry,
+                                  (entry.model, entry.problem)),
+                       omegas, resolution)
+            return executor.map(_predict_batch_remote, [payload])[0]
+        tile = halo = None
+        if tiled:
             with self._stats_lock:
                 self.stats.tiled_forwards += 1
             tile, halo = self._tile_params(entry, resolution)
-            executor = self.executor
-            # Process path: replay the version-cached net blob so a
-            # long-running server serializes each model exactly once
-            # instead of re-pickling per tiled call.
-            net_ref = (self._net_ref(entry) if executor.kind == "process"
-                       else None)
-            return tiled_predict(entry.model, entry.problem, omegas,
-                                 resolution=resolution, tile=tile, halo=halo,
-                                 executor=executor, net_ref=net_ref,
-                                 tracer=self.tracer, trace_parent=trace)
-        executor = self.executor
-        if executor.kind == "process":
-            payload = (entry.version, self._entry_blob(entry),
-                       omegas, resolution)
-            return executor.map(_predict_batch_remote, [payload])[0]
-        return predict_batch(entry.model, entry.problem, omegas,
-                             resolution=resolution)
+        return tiled_predict(entry.model, entry.problem, omegas,
+                             resolution=resolution, tile=tile, halo=halo,
+                             executor=executor, net_ref=self._net_ref(entry),
+                             tracer=self.tracer if tiled else NULL_TRACER,
+                             trace_parent=trace)
 
-    def _entry_blob(self, entry: ModelEntry) -> bytes:
-        """Pickled (model, problem) for process workers, cached per
-        content version so repeated requests reuse one serialization."""
-        # Serialize under the lock: pickling happens once per content
-        # version by contract, and a check-then-act window would let
+    def _net_ref(self, entry: ModelEntry) -> tuple[str, bytes] | None:
+        """``(version, pickled net)`` for a process executor's tile
+        tasks; ``None`` on the others, which share the live model."""
+        if self.executor.kind != "process":
+            return None
+        return entry.version, self._blob(self._net_blobs, entry,
+                                         entry.model.net)
+
+    def _blob(self, cache: dict[str, bytes], entry: ModelEntry,
+              part) -> bytes:
+        """Pickled ``part`` of ``entry`` for process workers, cached in
+        ``cache`` per content version so a long-running server
+        serializes each model once instead of re-pickling per forward."""
+        # Serialize under the lock: a check-then-act window would let
         # concurrent workers each build a model-sized blob after a hot
         # swap.  Holding the lock through a (rare) pickle is cheaper
         # than N transient copies of a large model.
         with self._blob_lock:
-            blob = self._payload_blobs.get(entry.version)
+            blob = cache.get(entry.version)
             if blob is None:
-                blob = pickle.dumps((entry.model, entry.problem))
-                self._payload_blobs[entry.version] = blob
-                self._prune_blobs()
+                blob = cache[entry.version] = pickle.dumps(part)
+                # Versions only change on a hot swap, so pruning the
+                # blobs of versions the registry no longer serves runs
+                # once per new version — without it a long-running
+                # server leaks one model-sized blob per retrain.
+                live = {e.version for e in self.registry.entries()}
+                for blobs in (self._payload_blobs, self._net_blobs):
+                    for version in [v for v in blobs if v not in live]:
+                        del blobs[version]
         return blob
-
-    def _net_ref(self, entry: ModelEntry) -> tuple[str, bytes]:
-        """``(version, pickled net)`` for tiled process forwards, cached
-        per content version — the same amortization ``_entry_blob``
-        gives fused forwards, applied to the tiled path."""
-        with self._blob_lock:
-            blob = self._net_blobs.get(entry.version)
-            if blob is None:
-                blob = pickle.dumps(entry.model.net)
-                self._net_blobs[entry.version] = blob
-                self._prune_blobs()
-        return entry.version, blob
-
-    def _prune_blobs(self) -> None:
-        """Drop cached blobs of versions the registry no longer serves
-        (``_blob_lock`` held by the caller).
-
-        Versions only ever change on a hot swap, so this runs once per
-        new version, not per request — without it a long-running server
-        would leak one model-sized blob per retrain forever.
-        """
-        live = {e.version for e in self.registry.entries()}
-        for cache in (self._payload_blobs, self._net_blobs):
-            for version in [v for v in cache if v not in live]:
-                del cache[version]
 
     def _tile_params(self, entry: ModelEntry,
                      resolution: int) -> tuple[int, int | None]:
@@ -1034,7 +1014,7 @@ class PredictionServer:
     def _key(self, entry: ModelEntry, omega: np.ndarray,
              resolution: int) -> tuple:
         return result_key(entry.version, entry.problem_signature(), omega,
-                          resolution, step=self.config.omega_step)
+                          resolution)
 
     def __repr__(self) -> str:
         s = self.stats

@@ -179,18 +179,13 @@ def _forward_tile(net, buf: np.ndarray, core_src) -> np.ndarray:
 _PROC_NET_CACHE: dict[str, object] = {}
 
 
-def _net_from_blob(version: str, blob: bytes):
-    net = _PROC_NET_CACHE.get(version)
-    if net is None:
-        net = pickle.loads(blob)
-        _PROC_NET_CACHE[version] = net
-    return net
-
-
 def _run_tile_task(task) -> np.ndarray:
     """Module-level tile task for process executors (must pickle)."""
     version, blob, buf, core_src = task
-    return _forward_tile(_net_from_blob(version, blob), buf, core_src)
+    net = _PROC_NET_CACHE.get(version)
+    if net is None:
+        net = _PROC_NET_CACHE[version] = pickle.loads(blob)
+    return _forward_tile(net, buf, core_src)
 
 
 def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,

@@ -169,6 +169,43 @@ class TestServerExecutors:
             server.close()
         np.testing.assert_allclose(got, ref, atol=1e-5)
 
+    @pytest.mark.parametrize("kind", ["serial", "process"])
+    def test_untiled_forward_is_the_one_tile_plan_bitwise(self, served,
+                                                          kind):
+        """Below the tile threshold the server's forward is the tile
+        engine's one-tile plan — or, under a process executor, the whole
+        batch shipped to the pool (only ω crosses the pipe) — and either
+        way the served field *is* ``predict_batch`` (bitwise, not
+        <= 1e-5).  It is not a "tiled forward": the counter stays 0 and
+        no per-tile span hangs under ``server.forward``."""
+        from repro.serve import Telemetry
+
+        model, problem, registry = served
+        omegas = RNG.uniform(-3, 3, size=(3, 4))
+        telemetry = Telemetry()
+        server = PredictionServer(registry, ServerConfig(
+            workers=2, executor=kind, cache_bytes=0))
+        server.enable_telemetry(telemetry)
+        try:
+            # Sync front-end: one request, one forward, no batching race.
+            single = server.predict("m", omegas[0])
+            fused = server._forward(registry.get("m"), omegas, 32)
+            if kind == "process":       # the batch left the GIL
+                assert server.executor._pool is not None
+        finally:
+            server.close()
+        np.testing.assert_array_equal(
+            single, predict_batch(model, problem, omegas[0])[0])
+        np.testing.assert_array_equal(
+            fused, predict_batch(model, problem, omegas))
+        assert server.stats.tiled_forwards == 0
+        # One (model, problem) blob for the whole-batch task, no tile task.
+        assert (len(server._payload_blobs), len(server._net_blobs)) == (
+            (1, 0) if kind == "process" else (0, 0))
+        names = {span.name for span in telemetry.tracer.spans()}
+        assert "server.forward" in names
+        assert not names & {"tile.compute", "tile.wave"}
+
     def test_process_executor_tiled_forwards(self, served):
         model, problem, registry = served
         omegas = RNG.uniform(-3, 3, size=(3, 4))

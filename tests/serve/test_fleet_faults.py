@@ -305,6 +305,68 @@ class TestRecovery:
             fleet.check_health()
         assert fleet.stats.healthy_shards == 3
 
+    def test_answer_dispatched_before_ejection_does_not_readmit(
+            self, served):
+        """A forward that was already computing when its host died
+        answers *after* another request's fault ejected the shard.
+        That straggler is not health evidence: re-admitting on it would
+        hide the dead shard from the prober (it probes unhealthy shards
+        only) until live traffic happened to fault on it again."""
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        chaos = _Chaos(primary)
+        chaos.hang()                      # gates A's forward
+        wa, wb = np.random.default_rng(SEED + 10).uniform(-3, 3, (2, 4))
+        with fleet:
+            a = fleet.submit("m", wa)
+            assert chaos.entered.wait(timeout=30)   # A computes on primary
+            chaos.kill()                  # the host dies under it
+            ub = fleet.submit("m", wb).result(timeout=30)   # B: replica
+            assert not primary.healthy    # B's fault ejected the primary
+            chaos.release.set()           # A answers, dispatched pre-eject
+            ua = a.result(timeout=30)
+        # The worker threads are joined: every done-callback has run.
+        for w, u in ((wa, ua), (wb, ub)):
+            np.testing.assert_allclose(
+                u, predict_batch(model, problem, w)[0], atol=1e-5)
+        assert not primary.healthy
+        s = fleet.stats
+        assert s.shard_faults == 1 and s.readmissions == 0
+        assert s.served == 2 and s.lost == 0
+
+    def test_false_hang_heals_on_a_late_answer_without_a_prober(
+            self, served):
+        """The other side of the straggler rule: a slow-but-live shard
+        ejected on a *hang* (the budget includes queue wait) re-admits
+        itself when a request that was already queued on it answers —
+        no prober installed, no ``check_health()`` call.  A hang is a
+        suspicion any answer refutes; only an error ejection discounts
+        answers dispatched before it."""
+        model, problem = served
+        fleet = _fleet(shard_timeout_s=0.25)
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        chaos = _Chaos(primary)
+        chaos.hang()                      # gates A's forward
+        wa, wb = np.random.default_rng(SEED + 11).uniform(-3, 3, (2, 4))
+        with fleet:
+            a = fleet.submit("m", wa)
+            assert chaos.entered.wait(timeout=30)   # A computes on primary
+            b = fleet.submit("m", wb)     # B queues behind it
+            ua = fleet.await_result(a, timeout=30)  # budget out: replica
+            assert not primary.healthy and fleet.stats.hangs == 1
+            chaos.restore()               # slow, not dead
+            ub = b.result(timeout=30)     # dispatched pre-eject, primary
+        for w, u in ((wa, ua), (wb, ub)):
+            np.testing.assert_allclose(
+                u, predict_batch(model, problem, w)[0], atol=1e-5)
+        assert primary.healthy
+        s = fleet.stats
+        assert s.shard_faults == 1 and s.readmissions == 1
+        assert s.served == 2 and s.lost == 0
+
     def test_all_replicas_down_raises_fleet_unavailable(self, served):
         model, problem = served
         fleet = _fleet(shards=3, replicas=2)

@@ -19,7 +19,9 @@ Contracts pinned here:
   ``FleetStats.lost == 0`` in all of it.
 """
 
+import asyncio
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    AdmissionController, BreakerConfig, CircuitBreaker, FleetConfig,
-    HedgeConfig, HedgePolicy, ResilienceConfig, RetryConfig, RetryPolicy,
-    ServerConfig, ServerOverloaded, ShardedFleet, TenantQuota,
-    TenantThrottled, VirtualClock, install_resilience, uninstall_resilience,
+    AdmissionController, AsyncPredictionServer, BreakerConfig,
+    CircuitBreaker, FleetConfig, HedgeConfig, HedgePolicy, ResilienceConfig,
+    RetryConfig, RetryPolicy, ServerConfig, ServerOverloaded, ShardedFleet,
+    TenantQuota, TenantThrottled, VirtualClock, aio, install_resilience,
+    retry_call, uninstall_resilience,
 )
 from repro.serve.errors import FleetUnavailable
 
@@ -164,6 +167,126 @@ class TestRetryPolicy:
                     dict(budget_rate=0.0), dict(budget_burst=0.5)):
             with pytest.raises(ValueError):
                 RetryConfig(**bad)
+
+
+class _Script:
+    """A back-end whose ``submit`` follows a failure script: each entry
+    is an exception to raise, or ``None`` to answer.  Carries the
+    fleet's two retry hooks (``retry`` / ``note_retry``)."""
+
+    def __init__(self, policy, script):
+        self.retry = policy
+        self.script = list(script)
+        self.retried = 0
+
+    def submit(self, *args, **kwargs):
+        exc = self.script.pop(0)
+        if exc is not None:
+            raise exc
+        future = Future()
+        future.set_result("field")
+        return future
+
+    def note_retry(self, *_):
+        self.retried += 1
+
+
+class _RecordingPolicy(RetryPolicy):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def plan(self, exc, attempt, now=None):
+        self.asked.append((type(exc).__name__, attempt))
+        return super().plan(exc, attempt, now)
+
+
+class TestRetryDriver:
+    """``retry_call`` (sync) and ``AsyncPredictionServer.predict`` (its
+    awaiting twin) are the only two retry loops; same script in, same
+    ``plan`` calls, same sleeps, same ``retried`` out."""
+
+    SCRIPT = (_overloaded, lambda: _throttled(0.125), _unavailable,
+              _overloaded, lambda: None)
+
+    def _policy(self):
+        return _RecordingPolicy(
+            RetryConfig(max_attempts=8, budget_burst=8.0, seed=11),
+            clock=VirtualClock())
+
+    def _sync(self):
+        backend = _Script(self._policy(), [make() for make in self.SCRIPT])
+        slept = []
+        out = retry_call(backend.retry,
+                         lambda: backend.submit("m", None).result(),
+                         sleep=slept.append, on_retry=backend.note_retry)
+        return out, backend, slept
+
+    def _async(self, monkeypatch):
+        backend = _Script(self._policy(), [make() for make in self.SCRIPT])
+        slept = []
+
+        async def forged_sleep(dt):
+            slept.append(dt)
+
+        monkeypatch.setattr(aio.asyncio, "sleep", forged_sleep)
+        out = asyncio.run(AsyncPredictionServer(backend).predict("m", None))
+        return out, backend, slept
+
+    def test_sync_and_async_drivers_ask_the_same_plans(self, monkeypatch):
+        s_out, s_backend, s_slept = self._sync()
+        a_out, a_backend, a_slept = self._async(monkeypatch)
+        assert s_out == a_out == "field"
+        assert s_backend.retry.asked == a_backend.retry.asked == [
+            ("ServerOverloaded", 0), ("TenantThrottled", 1),
+            ("FleetUnavailable", 2), ("ServerOverloaded", 3)]
+        assert s_slept == a_slept          # same seed, same jitter draws
+        assert s_slept[1] == 0.125         # the throttle's own horizon
+        assert s_backend.retried == a_backend.retried == 4
+        assert s_backend.retry.retries == 4
+
+    def test_gives_up_with_the_last_verdict(self):
+        policy = self._policy()
+        backend = _Script(policy, [_overloaded(), ValueError("bad omega")])
+        slept = []
+        with pytest.raises(ValueError):
+            retry_call(policy, lambda: backend.submit("m", None),
+                       sleep=slept.append, on_retry=backend.note_retry)
+        assert policy.asked == [("ServerOverloaded", 0), ("ValueError", 1)]
+        assert len(slept) == backend.retried == 1
+
+    def test_no_policy_is_one_attempt(self):
+        backend = _Script(None, [_overloaded(), None])
+        with pytest.raises(ServerOverloaded):
+            retry_call(None, lambda: backend.submit("m", None))
+        assert len(backend.script) == 1    # the second try never happened
+
+    def test_wall_clock_cap_propagates_the_pending_verdict(self):
+        """A delay that would end past ``max_wait_s`` is not slept: the
+        verdict in hand propagates (the CLI client's 30 s cap)."""
+        clock = VirtualClock(start=100.0)
+        policy = RetryPolicy(RetryConfig(max_attempts=99, budget_burst=99.0),
+                             clock=clock)
+        slept = []
+
+        def sleep(dt):
+            slept.append(dt)
+            clock.advance(dt)
+
+        def attempt():
+            raise _throttled(0.4)
+
+        announced = []
+        with pytest.raises(TenantThrottled):
+            retry_call(policy, attempt, sleep=sleep, max_wait_s=1.0,
+                       clock=clock,
+                       on_retry=lambda exc, delay: announced.append(delay))
+        assert slept == [0.4, 0.4]         # a third would end at 1.2 s
+        assert clock.now == pytest.approx(100.8)
+        # The counting hook saw exactly the retries made; the policy had
+        # already granted the plan the cap then declined to sleep.
+        assert announced == slept
+        assert policy.retries == len(slept) + 1
 
 
 class TestHedgePolicy:

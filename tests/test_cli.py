@@ -178,6 +178,27 @@ class TestServe:
         assert "served 12 requests" in out
         assert "backpressure rejections" in out
 
+    def test_serve_backoff_policy_never_gives_up_on_its_own(
+            self, trained_checkpoint, capsys, monkeypatch):
+        # The backoff is one budgeted RetryPolicy shared by every submit
+        # of the run; were its budget or attempt cap ever reached, the
+        # request would be dropped with nothing on stdout.  A long shed
+        # -heavy run pins that only the wall-clock cap can end a submit.
+        from repro import cli
+
+        policies = []
+        build = cli._backoff_policy
+        monkeypatch.setattr(
+            cli, "_backoff_policy",
+            lambda: policies.append(build()) or policies[-1])
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "500", "--max-batch", "2",
+                     "--max-pending", "2", "--workers", "1"]) == 0
+        assert "served 500 requests" in capsys.readouterr().out
+        [policy] = policies
+        assert policy.retries > 0
+        assert policy.denied == 0 and policy.exhausted == 0
+
     def test_serve_default_deadline_reports_expiries(
             self, trained_checkpoint, capsys):
         # An impossible budget expires every non-hit request; the run
@@ -212,6 +233,19 @@ class TestServeFleet:
         assert "lost: 0" in out                 # conservation law
         assert "interconnect (simulated)" in out
         assert out.count("[up]") == 3
+
+    def test_serve_fleet_completes_under_backpressure(
+            self, trained_checkpoint, capsys):
+        # The same client loop as the single server: a shed submit is
+        # re-submitted under the backoff policy, so every request is
+        # served and each rejection is a conserved submit of its own.
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "12", "--max-batch", "2",
+                     "--max-pending", "2", "--workers", "1",
+                     "--shards", "2", "--replicas", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "served 12 of " in out
+        assert "lost: 0" in out
 
     def test_serve_fleet_omega_file(self, trained_checkpoint, tmp_path,
                                     capsys):
@@ -289,6 +323,19 @@ class TestServeResilience:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", "--checkpoint", "x.npz",
                                            "--retry-budget", bad])
+
+    def test_predict_stream_reports_tiles_and_the_same_field(
+            self, trained_checkpoint, capsys):
+        # --stream only selects what is printed: the field is the same
+        # fold over the same tile stream.
+        assert main(["predict", "--checkpoint", str(trained_checkpoint),
+                     "--tile", "4"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["predict", "--checkpoint", str(trained_checkpoint),
+                     "--tile", "4", "--stream"]) == 0
+        streamed = capsys.readouterr().out.splitlines()
+        assert streamed[0].startswith("streamed 4 tiles: first tile in ")
+        assert streamed[1:] == plain
 
     def test_predict_retries_flag(self, trained_checkpoint, capsys):
         assert main(["predict", "--checkpoint", str(trained_checkpoint),
