@@ -48,13 +48,20 @@ class no_grad:
 
 
 class Context:
-    """Scratch space a Function uses to stash values for backward."""
+    """Scratch space a Function uses to stash values for backward.
 
-    __slots__ = ("saved", "meta")
+    ``needs_input_grad`` holds one flag per positional argument of
+    ``forward``: whether anything upstream will read that argument's
+    gradient.  ``backward`` may return ``None`` in place of a gradient
+    whose flag is false, and ``forward`` may skip what only it needs.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("saved", "meta", "needs_input_grad")
+
+    def __init__(self, needs_input_grad: tuple[bool, ...] = ()) -> None:
         self.saved: tuple = ()
         self.meta: dict[str, Any] = {}
+        self.needs_input_grad = needs_input_grad
 
     def save_for_backward(self, *arrays: Any) -> None:
         self.saved = arrays
@@ -88,13 +95,13 @@ class Function:
     def apply(cls, *args: Any, **kwargs: Any):
         from .tensor import Tensor
 
-        ctx = Context()
+        ctx = Context(
+            tuple(isinstance(a, Tensor) and a.requires_grad for a in args)
+            if is_grad_enabled() else (False,) * len(args))
         raw_args = tuple(a.data if isinstance(a, Tensor) else a for a in args)
         out_data = cls.forward(ctx, *raw_args, **kwargs)
 
-        requires = is_grad_enabled() and any(
-            isinstance(a, Tensor) and a.requires_grad for a in args
-        )
+        requires = any(ctx.needs_input_grad)
         out = Tensor(out_data, requires_grad=requires)
         if requires:
             out._ctx = ctx

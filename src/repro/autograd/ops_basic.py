@@ -30,8 +30,9 @@ class Add(Function):
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        sa, sb = ctx.meta["shapes"]
-        return unbroadcast(grad, sa), unbroadcast(grad, sb)
+        return tuple(unbroadcast(grad, shape) if needed else None
+                     for shape, needed in zip(ctx.meta["shapes"],
+                                              ctx.needs_input_grad))
 
 
 class Sub(Function):
@@ -55,7 +56,9 @@ class Mul(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a, b = ctx.saved
-        return unbroadcast(grad * b, a.shape), unbroadcast(grad * a, b.shape)
+        need_a, need_b = ctx.needs_input_grad
+        return (unbroadcast(grad * b, a.shape) if need_a else None,
+                unbroadcast(grad * a, b.shape) if need_b else None)
 
 
 class Div(Function):

@@ -84,7 +84,7 @@ def _add_bias(out: np.ndarray, b: np.ndarray | None) -> np.ndarray:
 
 
 def _bias_grad(ctx: Context, grad: np.ndarray) -> np.ndarray | None:
-    if not ctx.meta["has_bias"]:
+    if not ctx.needs_input_grad[2]:
         return None
     return grad.sum(axis=(0,) + tuple(range(2, grad.ndim)))
 
@@ -111,16 +111,17 @@ class ConvNd(Function):
         plan = plan_conv(x.shape, w.shape, stride, padding,
                          np.result_type(x.dtype, w.dtype))
         ctx.save_for_backward(x, w)
-        ctx.meta.update(plan=plan, has_bias=b is not None)
+        ctx.meta["plan"] = plan
         return _add_bias(conv_forward(plan, x, w), b)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         x, w = ctx.saved
         plan = ctx.meta["plan"]
+        need_x, need_w = ctx.needs_input_grad[:2]
         grad = realize(grad)
-        return (conv_backward_data(plan, grad, w),
-                conv_backward_weight(plan, x, grad),
+        return (conv_backward_data(plan, grad, w) if need_x else None,
+                conv_backward_weight(plan, x, grad) if need_w else None,
                 _bias_grad(ctx, grad), None, None)
 
 
@@ -152,16 +153,17 @@ class ConvTransposeNd(Function):
         plan = plan_conv((x.shape[0], cout) + out_spatial, w.shape, stride,
                          padding, np.result_type(x.dtype, w.dtype))
         ctx.save_for_backward(x, w)
-        ctx.meta.update(plan=plan, has_bias=b is not None)
+        ctx.meta["plan"] = plan
         return _add_bias(conv_backward_data(plan, x, w), b)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         x, w = ctx.saved
         plan = ctx.meta["plan"]
+        need_x, need_w = ctx.needs_input_grad[:2]
         grad = realize(grad)
-        return (conv_forward(plan, grad, w),
-                conv_backward_weight(plan, grad, x),
+        return (conv_forward(plan, grad, w) if need_x else None,
+                conv_backward_weight(plan, grad, x) if need_w else None,
                 _bias_grad(ctx, grad), None, None, None)
 
 

@@ -129,6 +129,9 @@ class Tensor:
                 raise RuntimeError("grad must be supplied for non-scalar outputs")
             grad = B.ones_like(self.data)
         grad = B.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.shape:
+            raise ValueError(
+                f"grad shape {grad.shape} != tensor shape {self.shape}")
 
         topo: list[Tensor] = []
         visited: set[int] = set()

@@ -2,8 +2,9 @@
 
 There is one engine, three primitives — :func:`conv_forward`,
 :func:`conv_backward_data`, :func:`conv_backward_weight` — and every
-N-d convolution and transposed convolution of the network and of the FEM
-energy runs through them.  All three work on one flat layout:
+N-d convolution and transposed convolution of the network runs through
+them; a fourth, :func:`conv_energy`, is the FEM energy (below).  All
+work on one flat layout:
 
 * **The phase grid.**  The zero-padded input batch is copied once into
   channel-major scratch ``src (R*Cin, N*cells)``: one block of ``Cin``
@@ -32,6 +33,16 @@ is :func:`conv_backward_data`, its data gradient :func:`conv_forward`,
 its weight gradient :func:`conv_backward_weight` with input and gradient
 swapped.
 
+The FEM energy is a quadratic form in a fixed-stencil convolution ``W``
+of the one-channel nodal field, ``1/2 <Wx, c o Wx>`` with ``c`` a second
+fixed-stencil convolution of the coefficient field, and its gradient is
+``W^T (c o Wx)``.  :func:`conv_energy` evaluates both *chunk by chunk* on
+the same grid and tap shifts — tap rows of ``x`` and of the coefficient,
+two GEMMs, an in-place scale, a float64-accumulated sum, the transposed
+GEMM and one shifted add per tap — so the ``(N, Cout, *So)`` array ``Wx``
+that the three primitives would materialise (24 channels for trilinear
+elements) never exists.
+
 ``plan_conv`` memoizes the *geometry* of a :class:`ConvSignature` (grid,
 phases, tap shifts, chunk length), so steady-state training pays a dict
 lookup.  The chunk length is a function of the signature alone — never
@@ -58,7 +69,7 @@ from .registry import get_backend
 __all__ = [
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
     "plan_cache_info", "conv_forward", "conv_backward_data",
-    "conv_backward_weight",
+    "conv_backward_weight", "conv_energy",
 ]
 
 # One chunk of the column matrix should stay in L2 between the tap copies
@@ -372,3 +383,75 @@ def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
     return np.ascontiguousarray(
         dwm.reshape(cout, sig.taps, cin).transpose(0, 2, 1)
     ).reshape(sig.w_shape)
+
+
+def conv_energy(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
+                coeff: np.ndarray, v: np.ndarray, adjoint: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The quadratic form of a one-channel stride-1 convolution, fused.
+
+    With ``W`` the unpadded convolution of ``plan`` (``x (N, 1, *S)``,
+    ``w (Cout, 1, *K)``) and ``c = V coeff`` the convolution of ``coeff (N,
+    1, *S)`` with ``v (G, 1, *K)``, row ``g`` of ``c`` scaling output
+    channels ``[g*Cout/G, (g+1)*Cout/G)`` of ``W``, returns
+
+    * ``1/2 <Wx, c o Wx>`` per sample, ``(N,)`` float64, and
+    * ``W^T (c o Wx)``, ``(N, 1, *S)`` — or ``None`` when not ``adjoint``.
+
+    Samples are walked one at a time with the same chunks, so a sample's
+    results do not depend on what else is in the batch.
+    """
+    sig = plan.signature
+    dtype = np.dtype(sig.dtype)
+    rows, taps, groups = sig.w_shape[0], sig.taps, len(v)
+    if (sig.w_shape[1] != 1 or any(sig.padding) or set(sig.stride) != {1}
+            or rows % groups or v.shape[1:] != sig.w_shape[1:]):
+        raise ValueError(
+            "conv_energy needs a one-channel, unpadded, stride-1 plan and "
+            f"coefficient kernels dividing its {rows} output channels, got "
+            f"w {sig.w_shape}, v {v.shape}, stride {sig.stride}, padding "
+            f"{sig.padding}")
+    n = sig.x_shape[0]
+    cells = plan.total // n
+    length = cells - plan.lead                    # the last valid column + 1
+    chunk = min(_chunk_cols(2 * taps + groups + 2 * rows, dtype.itemsize),
+                length)
+    wm = np.ascontiguousarray(w.reshape(rows, taps), dtype)
+    wt = np.ascontiguousarray(wm.T)
+    vm = np.ascontiguousarray(v.reshape(groups, taps), dtype)
+    # With one channel and no padding a flat sample *is* its phase grid.
+    xs = np.ascontiguousarray(x, dtype).reshape(n, 1, cells)
+    cs = np.ascontiguousarray(coeff, dtype).reshape(n, 1, cells)
+    out = np.zeros((n, cells), dtype) if adjoint else None
+    energy = np.zeros(n)
+    with _scratch(dtype, cells, _cols_size(plan.blocks, chunk, length),
+                  groups * chunk, rows * chunk, rows * chunk, taps * chunk
+                  ) as (valid, cols, c, wx, q, back):
+        # Columns in the tap halo hold no output: their coefficient is 0.
+        valid.fill(0)
+        valid.reshape(plan.grid)[plan.valid[2:]] = 1
+        for i in range(n):
+            for j in range(0, length, chunk):
+                m = min(chunk, length - j)
+                c_m = c[:groups * m].reshape(groups, m)
+                wx_m = wx[:rows * m].reshape(rows, m)
+                q_m = q[:rows * m].reshape(rows, m)
+                np.matmul(vm, _columns(cs[i], plan.blocks, j, m, cols),
+                          out=c_m)
+                c_m *= valid[j:j + m]
+                np.matmul(wm, _columns(xs[i], plan.blocks, j, m, cols),
+                          out=wx_m)
+                np.multiply(wx_m.reshape(groups, -1, m), c_m[:, None],
+                            out=q_m.reshape(groups, -1, m))
+                # Per column in the working dtype (Cout terms of one
+                # sign when c >= 0), across columns in float64.
+                np.multiply(wx_m, q_m, out=wx_m)
+                energy[i] += np.add.reduce(wx_m, axis=0, out=c_m[0]).sum(
+                    dtype=np.float64)
+                if adjoint:
+                    back_m = back[:taps * m].reshape(taps, m)
+                    np.matmul(wt, q_m, out=back_m)
+                    for row, (_, _, shift) in zip(back_m, plan.blocks):
+                        out[i, j + shift:j + shift + m] += row
+    energy *= 0.5
+    return energy, None if out is None else out.reshape(sig.x_shape)

@@ -5,12 +5,17 @@ The loss is the discrete energy functional
     J(u) = 1/2 B(u, u) - L(u)
          = 1/2 sum_e sum_g w_g detJ nu(x_g) |grad u(x_g)|^2
            -     sum_e sum_g w_g detJ f(x_g) u(x_g)
+         = 1/2 u^T K(nu) u - b^T u
 
-evaluated as a *convolution* of the nodal field with fixed Q1 stencils:
-for each Gauss point the map from nodal values to the gradient (or value)
-at that point of every element is a 2^d-tap correlation.  This expresses
-J through :mod:`repro.autograd` ops, so `dJ/du` comes from backprop and is
-*exactly* ``K u - b`` of the assembled system (verified in tests).
+and it is one autograd op.  Its forward is one pass of the matrix-free
+stiffness kernel (:func:`repro.fem.stencil.apply_stiffness`), which
+returns the quadratic term summed over Gauss points *and* ``K u``; forcing
+and Neumann fluxes are linear in ``u`` and enter through the assembled
+load vector ``b``.  The forward saves ``dJ/du = K u - b``, so the backward
+pass is a scaling of that field by the incoming gradient — no graph of
+Gauss-point tensors is recorded, and the gradient is *exactly* the
+residual of the assembled system (verified in tests against the op-by-op
+chain this replaced, ``tests/fem/energy_oracle.py``).
 
 Minimizing J over admissible fields (Dirichlet data imposed exactly by the
 masking of Algorithm 1) therefore reproduces the FEM solution — this is
@@ -21,13 +26,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ops as B
-from ..autograd import Tensor, conv_nd
-from .basis import gauss_interp, shape_gradients, shape_values
+from ..autograd import Context, Function, Tensor
+from ..backend import realize
+from .assembly import assemble_load
 from .grid import UniformGrid
+from .neumann import assemble_neumann_load
 from .quadrature import GaussRule
+from .stencil import apply_stiffness
 
 __all__ = ["EnergyLoss"]
+
+
+class Energy(Function):
+    """Per-sample ``J(u) = 1/2 u^T K(nu) u - b^T u`` of ``u (N, 1, *R)``."""
+
+    @staticmethod
+    def forward(ctx: Context, u: np.ndarray, nu: np.ndarray,
+                b: np.ndarray | None, rule: GaussRule) -> np.ndarray:
+        # The kernel works on concrete buffers: a realize barrier for the
+        # lazy backend, like the conv engine's.
+        u, nu = realize(u), realize(nu)
+        energy, residual = apply_stiffness(
+            u[:, 0], nu[:, 0], rule, adjoint=ctx.needs_input_grad[0])
+        if b is not None:
+            # One dot per sample, so a sample's J does not depend on the
+            # batch it arrived in (a batched gemv may sum in another order).
+            load = b.ravel()
+            energy -= [sample @ load for sample in u.reshape(len(u), -1)]
+            if residual is not None:
+                residual -= b
+        ctx.save_for_backward(residual)
+        return energy.astype(u.dtype)
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray):
+        (residual,) = ctx.saved
+        scale = realize(grad).reshape((-1, 1) + (1,) * (residual.ndim - 1))
+        return scale * residual[:, None], None, None, None
 
 
 class EnergyLoss:
@@ -45,6 +80,8 @@ class EnergyLoss:
         'mean' (default) averages per-sample energies over the batch,
         'sum' adds them — 'sum' with a single sample is the exact
         matrix-form energy used in the consistency tests.
+    neumann:
+        Optional list of :class:`repro.fem.neumann.NeumannBC` fluxes.
 
     Call with ``u``: Tensor (N, 1, \\*grid.shape) and ``nu``: Tensor or
     ndarray of the same shape; returns a scalar Tensor.
@@ -63,85 +100,28 @@ class EnergyLoss:
         if self.forcing is not None and self.forcing.shape != grid.shape:
             raise ValueError("forcing shape must match grid")
         self.neumann = list(neumann) if neumann else []
-        self._build_kernels()
-        self._weight_cache: dict[type, tuple[Tensor, Tensor]] = {}
+        # Everything linear in u, as one nodal load (None: J is quadratic).
+        self._load: np.ndarray | None = None
+        if self.forcing is not None or self.neumann:
+            load = assemble_load(grid, self.forcing, self.rule)
+            if self.neumann:
+                load = load + assemble_neumann_load(grid, self.neumann)
+            self._load = load.reshape(grid.shape)
 
-    # ------------------------------------------------------------------ #
-    def _build_kernels(self) -> None:
-        d = self.grid.ndim
-        h = self.grid.h
-        g = self.rule.n_points
-        grads = shape_gradients(self.rule.points)   # (G, A, d) reference
-        values = shape_values(self.rule.points)     # (G, A)
-        # Local nodes run in C order of their offsets, so the A axis is the
-        # (2,)*d taps of a kernel.  Derivative kernels (G*d, 1, 2, [2, [2]]),
-        # physical scale 2/h; interpolation kernels (G, 1, 2, ...).
-        self._dker = ((2.0 / h) * B.moveaxis(grads, 1, 2)).reshape(
-            (g * d, 1) + (2,) * d)
-        self._vker = values.reshape((g, 1) + (2,) * d)
-        self._det_j = (h / 2.0) ** d
-        # Quadrature weights broadcast over (N, G, d, *E) and (N, G, *E).
-        self._wg = self.rule.weights.copy()
-
-    def _weights_for(self, dtype: np.dtype) -> tuple[Tensor, Tensor]:
-        key = dtype.type
-        if key not in self._weight_cache:
-            self._weight_cache[key] = (
-                Tensor(self._dker.astype(dtype)),
-                Tensor(self._vker.astype(dtype)),
-            )
-        return self._weight_cache[key]
-
-    # ------------------------------------------------------------------ #
     def per_sample(self, u: Tensor, nu: Tensor | np.ndarray) -> Tensor:
         """Per-sample energies as a Tensor of shape (N,)."""
         grid = self.grid
         d = grid.ndim
-        g = self.rule.n_points
         if u.ndim != d + 2 or u.shape[1] != 1:
             raise ValueError(
                 f"u must have shape (N, 1, {'x'.join([str(grid.resolution)] * d)}), "
                 f"got {u.shape}")
         if u.shape[2:] != grid.shape:
             raise ValueError(f"u spatial shape {u.shape[2:]} != grid {grid.shape}")
-
         nu_arr = nu.data if isinstance(nu, Tensor) else np.asarray(nu)
         if nu_arr.shape != u.shape:
             raise ValueError(f"nu shape {nu_arr.shape} != u shape {u.shape}")
-
-        dker, vker = self._weights_for(u.dtype)
-        n = u.shape[0]
-        elem_shape = grid.element_shape
-
-        # Gradients at Gauss points: (N, G*d, *E) -> (N, G, d, *E).
-        grads = conv_nd(u, dker)
-        grads = grads.reshape((n, g, d) + elem_shape)
-
-        # nu at Gauss points (constant w.r.t. the graph): (N, G, 1, *E).
-        nu_b = gauss_interp(nu_arr.astype(u.dtype)[:, 0], self.rule)[:, :, None]
-
-        # w_g detJ broadcast: (1, G, 1, *1).
-        wdet = (self._wg * self._det_j).astype(u.dtype).reshape(
-            (1, g, 1) + (1,) * d)
-
-        sq = grads * grads
-        integrand = sq * Tensor(nu_b) * Tensor(wdet)
-        energy = integrand.sum(axis=tuple(range(1, 3 + d))) * 0.5  # (N,)
-
-        if self.forcing is not None:
-            u_gauss = conv_nd(u, vker)                       # (N, G, *E)
-            f_gauss = gauss_interp(
-                B.broadcast_to(self.forcing, u.shape).astype(u.dtype)[:, 0],
-                self.rule)
-            wdet_f = (self._wg * self._det_j).astype(u.dtype).reshape(
-                (1, g) + (1,) * d)
-            load = u_gauss * Tensor(f_gauss) * Tensor(wdet_f)
-            energy = energy - load.sum(axis=tuple(range(1, 2 + d)))
-        if self.neumann:
-            from .neumann import neumann_energy
-
-            energy = energy + neumann_energy(u, grid, self.neumann)
-        return energy
+        return Energy.apply(u, nu_arr, self._load, self.rule)
 
     def __call__(self, u: Tensor, nu: Tensor | np.ndarray) -> Tensor:
         per = self.per_sample(u, nu)

@@ -13,9 +13,14 @@ Everything that needs K takes it from :class:`StencilOperator`: assembly
 (``assemble_stiffness`` is ``to_csr()``), the multigrid levels and the FMG
 ladder (``matrix``, ``diag()``; only the coarsest level is converted, for
 its LU), ``FEMSolver`` (``to_csr()``, ``energy``) and the CG that never
-forms a CSR (``solve_interior``).  All 3^d coefficients per node are
-stored; recomputing them from ν per application, for grids past 129^3, is
-the open half of ROADMAP item 2.
+forms a CSR (``solve_interior``).  It stores all 3^d coefficients per node.
+
+:func:`apply_stiffness` is the same operator with nothing stored: ``K(nu) u
+= D^T diag(nu w) D u`` recomputed from ν on every application, batched, in
+one fused kernel that also returns ``1/2 u^T K u`` — the FEM energy loss
+(:mod:`repro.fem.energy`) and any residual on a grid too large for stored
+coefficients.  Giving ``StencilOperator.matvec`` that form is the open
+half of ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..backend import ops as B
-from .basis import gauss_interp, local_nodes, shape_gradients
+from ..backend.conv_plan import conv_energy, plan_conv
+from .basis import gauss_interp, local_nodes, shape_gradients, shape_values
 from .grid import UniformGrid
 from .krylov import conjugate_gradient
 from .quadrature import GaussRule
 
-__all__ = ["StencilOperator", "element_stiffness_tensors", "stencil_matrix"]
+__all__ = ["StencilOperator", "apply_stiffness", "element_stiffness_tensors",
+           "stencil_matrix"]
 
 
 def element_stiffness_tensors(grid: UniformGrid, rule: GaussRule) -> np.ndarray:
@@ -74,6 +81,44 @@ def stencil_matrix(tensors: np.ndarray, coeff: np.ndarray) -> sp.dia_matrix:
                 tensors[:, a, b] @ per_gauss).reshape(elems)
     return sp.dia_matrix((data.reshape(len(diagonals), -1), diagonals),
                          shape=(r ** d, r ** d))
+
+
+def apply_stiffness(u: np.ndarray, nu: np.ndarray, rule: GaussRule, *,
+                    adjoint: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Matrix-free ``K(nu) u`` for a batch of nodal fields.
+
+    ``u`` (floating) and ``nu`` (cast to ``u``'s dtype) have shape ``(N,
+    *grid.shape)`` on the unit hypercube.  Returns the per-sample ``1/2 u^T
+    K(nu) u`` (float64, summed over Gauss points, where every term is
+    non-negative) and ``K(nu) u`` shaped like ``u`` — ``None`` with
+    ``adjoint=False``, which skips the ``D^T`` half of the work.
+
+    Local nodes run in C order of their offsets, so the ``2^d`` columns of
+    the gradient table ``D (G*d, 2^d)`` (physical scale ``2/h``) and of
+    the ν interpolation ``(G, 2^d)`` (``w_g detJ`` folded in) are the taps
+    of two convolution kernels; nothing of size ``G*d`` per element is
+    ever stored.
+    """
+    d = rule.points.shape[1]
+    if (u.ndim != d + 1 or len(set(u.shape[1:])) != 1 or u.shape[1] < 2
+            or not np.issubdtype(u.dtype, np.floating)):
+        raise ValueError(
+            f"u must be a floating (N, {'x'.join('R' * d)}) array with "
+            f"R >= 2 for a {d}-d rule, got {u.dtype} {u.shape}")
+    if nu.shape != u.shape:
+        raise ValueError(f"nu shape {nu.shape} != u shape {u.shape}")
+    h = 1.0 / (u.shape[1] - 1)
+    g = rule.n_points
+    dker = ((2.0 / h) * B.moveaxis(shape_gradients(rule.points), 1, 2)
+            ).reshape((g * d, 1) + (2,) * d)
+    vker = ((rule.weights * (h / 2.0) ** d)[:, None]
+            * shape_values(rule.points)).reshape((g, 1) + (2,) * d)
+    plan = plan_conv((len(u), 1) + u.shape[1:], dker.shape, (1,) * d,
+                     (0,) * d, u.dtype)
+    energy, ku = conv_energy(plan, u[:, None], dker, nu[:, None], vker,
+                             adjoint=adjoint)
+    return energy, None if ku is None else ku[:, 0]
 
 
 class StencilOperator:

@@ -71,6 +71,24 @@ class TestBackward:
         (x * 3.0).backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_seed_with_too_few_axes_is_rejected_up_front(self):
+        """A (3,) seed on a (2, 3) output used to die inside
+        ``unbroadcast`` ("cannot reshape array of size 3")."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"grad shape \(3,\) != tensor "
+                                             r"shape \(2, 3\)"):
+            (x * 2.0).backward(np.ones(3))
+        assert x.grad is None
+
+    def test_seed_with_extra_axes_is_rejected_not_summed(self):
+        """A (4, 2, 3) seed on a (2, 3) output used to be summed over its
+        leading axis without a word."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"grad shape \(4, 2, 3\) != "
+                                             r"tensor shape \(2, 3\)"):
+            (x * 2.0).backward(np.ones((4, 2, 3)))
+        assert x.grad is None
+
     def test_diamond_graph_accumulation(self):
         # x feeds two paths that rejoin: grad must be summed once each.
         x = Tensor(np.array([3.0]), requires_grad=True)

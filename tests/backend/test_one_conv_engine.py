@@ -72,6 +72,8 @@ def test_the_deleted_engines_stay_deleted(module: str) -> None:
 
 
 def test_the_engine_is_three_primitives() -> None:
+    """... plus the one fused kernel on the same geometry, the FEM energy
+    (``conv_energy``: quadratic form and its gradient, chunk by chunk)."""
     from repro.backend import conv_plan
 
     assert PRIMITIVES <= set(conv_plan.__all__)
@@ -79,7 +81,7 @@ def test_the_engine_is_three_primitives() -> None:
               if callable(getattr(conv_plan, name))
               and not isinstance(getattr(conv_plan, name), type)}
     assert public - PRIMITIVES == {"plan_conv", "clear_plan_cache",
-                                   "plan_cache_info"}
+                                   "plan_cache_info", "conv_energy"}
 
 
 def test_guard_catches_the_old_engines() -> None:

@@ -7,6 +7,12 @@ coarsening ladder for FMG and most hand-written walks over an element's
 local nodes were measured and deleted (README "Engine kill table"); this
 walks the AST of ``src/repro/fem`` (and the FMG re-export) and fails where
 they would grow back.
+
+The FEM energy loss is one fused op over that same operator applied
+matrix-free (``apply_stiffness`` -> ``backend.conv_plan.conv_energy``); the
+op-by-op chain on the autograd tape (a ``conv_nd`` with the derivative
+kernels, ``Mul``s, axis ``sum``s, an autograd Neumann term) was measured
+and moved to ``tests/fem/energy_oracle.py``, and must not grow back either.
 """
 
 from __future__ import annotations
@@ -91,6 +97,43 @@ def test_every_consumer_takes_k_from_the_one_builder() -> None:
     assert "GeometricMultigrid" in users["gmg.py"]      # FMG's one hierarchy
 
 
+def _chain_violations(source: str) -> list[str]:
+    """Idioms of the op-by-op energy chain in ``fem/energy.py``: a conv or
+    an interpolation on the tape, a reduction over Gauss-point axes (the
+    batch reduction ``per.sum()`` takes no axis), the autograd flux term."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        names = [getattr(node, f, None) for f in ("id", "attr", "name")]
+        bad += [f"{node.lineno}: {n}" for n in names
+                if n in ("conv_nd", "neumann_energy", "gauss_interp")]
+        if (isinstance(node, ast.Call) and _called(node) == "sum"
+                and (node.args or node.keywords)):
+            bad.append(f"{node.lineno}: .sum(axis)")
+    return bad
+
+
+def test_the_energy_loss_is_one_op_over_the_one_kernel() -> None:
+    bad = _chain_violations((SRC / "fem" / "energy.py").read_text())
+    assert not bad, (
+        "the op-by-op energy chain is growing back in fem/energy.py — the "
+        f"loss is apply_stiffness plus a load vector: {bad}")
+    defined, callers = [], {"apply_stiffness": [], "conv_energy": []}
+    for path in sorted(SRC.rglob("*.py")):
+        where = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "apply_stiffness"):
+                defined.append(where)
+            if isinstance(node, ast.FunctionDef):
+                for name in callers:
+                    if any(isinstance(n, ast.Call) and _called(n) == name
+                           for n in ast.walk(node)):
+                        callers[name].append(f"{where}:{node.name}")
+    assert defined == ["fem/stencil.py"]
+    assert callers["conv_energy"] == ["fem/stencil.py:apply_stiffness"]
+    assert callers["apply_stiffness"] == ["fem/energy.py:forward"]
+
+
 def test_guard_catches_the_old_copies() -> None:
     """The guard itself must flag every idiom it names (meta-test)."""
     bad = _violations(
@@ -114,3 +157,14 @@ def test_guard_catches_the_old_copies() -> None:
     assert sum("round trip" in k for k in kinds) == 1
     assert _local_node_walkers(
         "def f(d):\n    return local_nodes(d)\ndef g():\n    pass\n") == ["f"]
+    chain = _chain_violations(
+        "from ..autograd import Tensor, conv_nd\n"
+        "def per_sample(u, nu):\n"
+        "    grads = conv_nd(u, dker)\n"
+        "    nu_b = gauss_interp(nu, rule)\n"
+        "    energy = (grads * grads * nu_b).sum(axis=(1, 2)) * 0.5\n"
+        "    return energy + neumann_energy(u, grid, bcs)\n"
+        "def __call__(u, nu):\n"
+        "    return per_sample(u, nu).sum()\n")
+    assert sorted(v.split(": ")[1] for v in chain) == [
+        ".sum(axis)", "conv_nd", "conv_nd", "gauss_interp", "neumann_energy"]

@@ -6,9 +6,11 @@
 
 * a naive dense assembly — a Python loop over elements, Gauss points and
   local nodes written out below, importing nothing from ``repro.fem``; and
-* the autograd gradient of the conv-stencil ``EnergyLoss`` at ``f = 0``,
-  which is how ``StencilOperator.matvec`` was computed before it held
-  coefficients: the conv-kernel derivation of K stays an independent check.
+* the gradient of the fused ``EnergyLoss`` at ``f = 0`` — the matrix-free
+  ``D^T diag(nu w) D u`` of ``fem.stencil.apply_stiffness``, which holds no
+  coefficients at all: stored K, naive dense assembly and matrix-free
+  ``K u`` check each other.  (The op-by-op chain the fused loss replaced
+  is the oracle of ``test_energy_kernel.py``.)
 
 Resolution 2 is in range on purpose: there distinct stencil offsets share
 one flat diagonal of the matrix and must be summed.
@@ -53,7 +55,8 @@ def naive_stiffness(ndim: int, res: int, nu: np.ndarray, order: int) -> np.ndarr
 
 def autograd_matvec(grid: UniformGrid, nu: np.ndarray, rule: GaussRule,
                     v: np.ndarray) -> np.ndarray:
-    """``K v`` as the gradient of ``1/2 B(u, u)`` at ``u = v``."""
+    """``K v`` as the gradient of ``1/2 B(u, u)`` at ``u = v``: the fused
+    loss saves the matrix-free ``K u`` in its forward."""
     u = Tensor(v.reshape(grid.shape)[None, None], requires_grad=True,
                dtype=np.float64)
     EnergyLoss(grid, rule=rule, reduction="sum")(u, nu[None, None]).backward()
