@@ -42,7 +42,7 @@ import numpy as np
 
 from repro import MGDiffNet, PoissonProblem3D
 from repro.serve import (
-    FleetConfig, ServerConfig, ShardedFleet, make_executor,
+    FleetConfig, ServerConfig, ShardedFleet, make_executor, receptive_halo,
     stream_tiled_predict, tiled_predict,
 )
 from repro.serve.executor import default_workers
@@ -56,10 +56,10 @@ BASE_FILTERS = 4
 DEPTH = 1
 
 # First-byte experiment: 64^3 (the ISSUE floor), 2x2x2 tiles of 32^3
-# core + 8 halo.
+# core under the engine's own halo (the emitting sweep's 2 cells; the
+# whole-network engine this bench was first recorded on needed 8).
 RESOLUTION = 64
 TILE = 32
-HALO = 8
 
 # Kill experiment: same tile topology at 32^3 so the fleet round stays
 # CI-cheap; the mechanics under test (resume, conservation) are
@@ -83,10 +83,10 @@ def _measure_first_byte(resolution: int, executor_kind: str) -> dict:
     try:
         # Warm plans/pools so neither path pays one-time setup.
         tiled_predict(model, problem, omega, resolution=resolution,
-                      tile=TILE, halo=HALO, executor=executor)
+                      tile=TILE, executor=executor)
         t0 = time.perf_counter()
         full = tiled_predict(model, problem, omega, resolution=resolution,
-                             tile=TILE, halo=HALO, executor=executor)
+                             tile=TILE, executor=executor)
         full_s = time.perf_counter() - t0
 
         out = np.empty_like(full)
@@ -95,7 +95,7 @@ def _measure_first_byte(resolution: int, executor_kind: str) -> dict:
         t0 = time.perf_counter()
         for _, sl, core in stream_tiled_predict(
                 model, problem, omega, resolution=resolution,
-                tile=TILE, halo=HALO, executor=executor):
+                tile=TILE, executor=executor):
             if first_s is None:
                 first_s = time.perf_counter() - t0
             out[(slice(None),) + sl] = core
@@ -116,7 +116,7 @@ def _measure_kill() -> dict:
     fleet = ShardedFleet(FleetConfig(
         shards=2, replicas=2,
         server=ServerConfig(max_batch=4, max_wait_ms=0.5, workers=1,
-                            cache_bytes=0, tile=FLEET_TILE, halo=HALO)))
+                            cache_bytes=0, tile=FLEET_TILE)))
     fleet.register_model("m", model, problem)
     # One-shot fault shared by both replicas: whichever shard serves the
     # stream first yields one tile, then its generator raises — the
@@ -138,7 +138,7 @@ def _measure_kill() -> dict:
 
     expected = tiled_predict(model, problem, omega,
                              resolution=FLEET_RESOLUTION,
-                             tile=FLEET_TILE, halo=HALO)[0]
+                             tile=FLEET_TILE)[0]
     out = np.empty_like(expected)
     seen: list[int] = []
     with fleet:
@@ -159,7 +159,8 @@ def _measure_kill() -> dict:
 def _run(resolution: int = RESOLUTION) -> dict:
     executor_kind = "thread" if default_workers() >= 2 else "serial"
     return {"base_filters": BASE_FILTERS, "depth": DEPTH,
-            "tile": TILE, "halo": HALO, "cpus": default_workers(),
+            "tile": TILE, "halo": receptive_halo(_build()[0]),
+            "cpus": default_workers(),
             "first_byte": _measure_first_byte(resolution, executor_kind),
             "kill": _measure_kill()}
 

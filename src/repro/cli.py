@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tiled inference with this core tile size "
                         "(multiple of 2**depth)")
     p.add_argument("--halo", type=int, default=None,
-                   help="halo width for --tile (default: receptive field)")
+                   help="even halo of the emitting tile sweep for --tile "
+                        "(default: the decoder tail's radius)")
     p.add_argument("--stream", action="store_true",
                    help="stream tile cores as they complete (tiled path; "
                         "honours --tile/--halo/--executor) and report "

@@ -74,18 +74,15 @@ class LogPermeabilityField:
         if omegas.shape[1] != self.m:
             raise ValueError(f"omega has {omegas.shape[1]} modes, expected {self.m}")
 
-        ax = grid.axes[0]
-        modes = [self._mode_1d(ax) for _ in range(self.ndim)]  # each (m, R)
-        # Tensor-product basis: basis[i] = outer product over dims.
-        lam = self.lambdas
-        # einsum over dims: (m,R) x (m,R) [x (m,R)] -> (m, R, R[, R])
-        if self.ndim == 1:
-            basis = modes[0]
-        elif self.ndim == 2:
-            basis = np.einsum("mi,mj->mij", modes[0], modes[1])
-        else:
-            basis = np.einsum("mi,mj,mk->mijk", modes[0], modes[1], modes[2])
-        out = np.tensordot(omegas * lam[None, :], basis, axes=([1], [0]))
+        # The field is rank-m separable, sum_m c_bm X_mi (Y_mj Z_mk): one
+        # (B*R, m) x (m, R**(ndim-1)) GEMM, never the (m, R**ndim) basis.
+        mode = self._mode_1d(grid.axes[0])                      # (m, R)
+        rest = np.ones((self.m, 1))
+        for _ in range(self.ndim - 1):
+            rest = (rest[:, :, None] * mode[:, None, :]).reshape(self.m, -1)
+        left = (omegas * self.lambdas)[:, None, :] * mode.T     # (B, R, m)
+        out = (left.reshape(-1, self.m) @ rest).reshape(
+            len(omegas), *grid.shape)
         return out[0] if single else out
 
     def evaluate(self, omega: np.ndarray, grid: UniformGrid) -> np.ndarray:

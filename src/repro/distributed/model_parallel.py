@@ -11,6 +11,13 @@ Provided here for stride-1 'same'/'valid' convolution stacks — the shape
 of computation that dominates inference of the trained solver — with
 per-layer halo-traffic accounting.  Exactness against the single-rank
 result is asserted in tests to machine precision.
+
+The forward half of Sec. 5 for the whole U-Net — stride-2 down/up-sampling,
+skip connections, N-d blocks rather than slabs — lives in the tile engine,
+:mod:`repro.serve.tiling`: level-wise sweeps in which every block pays only
+its own stage's conv radius as halo, built on :func:`extract_padded_block`
+below.  This module keeps the rank-to-rank exchange and its traffic
+accounting; the backward half (spatial model-parallel *training*) is open.
 """
 
 from __future__ import annotations

@@ -185,14 +185,22 @@ class UNet(Module):
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor) -> Tensor:
         self.check_input(x)
-        skips: list[Tensor] = []
-        for i in range(self.depth):
-            x = self.enc_blocks[i](x)
-            skips.append(x)
-            x = self.downs[i](x)
-        x = self.bottleneck(x)
-        for i, up in enumerate(self.ups):
-            x = up(x, skips[self.depth - 1 - i])
+        return self.head(self.levels(x))
+
+    def levels(self, x: Tensor, level: int = 0) -> Tensor:
+        """The U from ``level`` down to the bottleneck and back up: maps
+        the encoder input at that level's resolution to the decoder
+        output at the same resolution.  ``forward`` is level 0 plus
+        :meth:`head`; the tile engine (:mod:`repro.serve.tiling`) enters
+        at the first level that fits in one block."""
+        if level == self.depth:
+            return self.bottleneck(x)
+        skip = self.enc_blocks[level](x)
+        x = self.levels(self.downs[level](skip), level + 1)
+        return self.ups[self.depth - 1 - level](x, skip)
+
+    def head(self, x: Tensor) -> Tensor:
+        """Refinements, the 1x1 output conv and the final activation."""
         for ref in self.refinements:
             x = ref(x)
         x = self.out_conv(x)

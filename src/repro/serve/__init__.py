@@ -31,8 +31,9 @@ FEM solve.  This package is the infrastructure realizing that claim:
   envelopes, coordinated fault schedules) replayed against a live
   fleet with byte-identical event logs per seed;
 * :func:`tiled_predict` — exact full-field inference on grids too large
-  for one forward pass, via ``2**depth``-aligned halo-padded tiles; it
-  is also the server's forward (the untiled field is the one-tile
+  for one forward pass, by level-wise tile sweeps over the U-Net (each
+  level pays only its own conv radius as halo); it is also the server's
+  forward (the untiled field is the one-tile
   plan; only a process executor ships an untiled batch to its pool
   whole);
 * streaming tiled inference — :func:`stream_tiled_predict` yields tile

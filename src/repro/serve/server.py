@@ -102,7 +102,7 @@ class ServerConfig:
     cache_bytes: int = 64 * 1024 * 1024
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels
     tile: int | None = None           # set: force tiling at this tile size
-    halo: int | None = None           # None: receptive-field halo
+    halo: int | None = None           # None: the emitting sweep's own
     backend: str | None = None        # backend workers pin (None: inherit)
     executor: str = "serial"          # compute layer: serial|thread|process
     cache_dir: str | None = None      # set: spill the LRU to disk (npz)
@@ -999,7 +999,7 @@ class PredictionServer:
     def _tile_params(self, entry: ModelEntry,
                      resolution: int) -> tuple[int, int | None]:
         """``(tile, halo)`` for the tile engine (``halo`` None: the
-        engine's receptive-field default)."""
+        engine's default, the emitting sweep's own radius)."""
         multiple = 2 ** entry.model.net.depth
         tile = self.config.tile
         if tile is None:

@@ -75,6 +75,25 @@ class TestEvaluation:
         expected = f1.lambdas[0] * np.einsum("i,j,k->ijk", m, m, m)
         np.testing.assert_allclose(ln, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_gemm_matches_materialised_basis(self, ndim):
+        """The rank-m GEMM equals the (m, R**ndim) tensor-product basis
+        contraction it replaced (kept here as the reference)."""
+        f = LogPermeabilityField(ndim)
+        grid = UniformGrid(ndim, 7)
+        omegas = np.random.default_rng(ndim).uniform(-3, 3, (3, f.m))
+        mode = f._mode_1d(grid.axes[0])
+        basis = mode
+        for _ in range(ndim - 1):
+            basis = basis[..., None] * mode.reshape(
+                (f.m,) + (1,) * (basis.ndim - 1) + (-1,))
+        expected = np.tensordot(omegas * f.lambdas, basis, axes=([1], [0]))
+        got = f.log_nu(omegas, grid)
+        assert got.shape == (3,) + grid.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f.log_nu(omegas[1], grid), got[1],
+                                   rtol=0, atol=1e-14)
+
     def test_batch_matches_single(self):
         f = LogPermeabilityField(2)
         grid = UniformGrid(2, 9)

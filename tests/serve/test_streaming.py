@@ -33,6 +33,7 @@ from repro.serve import (
     PredictionServer, ServerConfig, ShardedFleet, make_executor,
     plan_tiles, stream_tiled_forward, stream_tiled_predict, tiled_predict,
 )
+from repro.serve.telemetry.trace import NULL_SPAN
 
 RNG = np.random.default_rng(19)
 
@@ -151,29 +152,35 @@ class TestStreamTiling:
             server.submit_stream("m", omegas[0], tiles=[4])
 
     def test_closed_stream_stops_computing(self):
-        # 16 tiles over 2 thread workers go out in waves of 4: closing
-        # after the first record cancels what has not started, so at
-        # most that one wave is ever computed.
-        class CountingNet:
-            calls = 0
-            lock = threading.Lock()
+        # The emitting (level-0 up) sweep's 16 blocks go out over 2
+        # thread workers in waves of 4: closing after the first record
+        # cancels what has not started, so at most that one wave is ever
+        # computed.  (The down sweep and the coarse level run in full
+        # before the first record can leave.)
+        class CountingTracer:
+            def __init__(self):
+                self.sweeps = []
+                self.lock = threading.Lock()
 
-            def __call__(self, x):
-                with self.lock:
-                    self.calls += 1
-                return x
+            def start(self, name, parent=None, **attrs):
+                if name == "tile.compute":
+                    with self.lock:
+                        self.sweeps.append(attrs["sweep"])
+                return NULL_SPAN
 
-        net = CountingNet()
-        plan = plan_tiles((16, 16), tile=4, halo=0, multiple=1)
+        net = MGDiffNet(ndim=2, base_filters=2, depth=1, rng=0).net.eval()
+        plan = plan_tiles((32, 32), tile=8, halo=2, multiple=2)
         assert plan.num_tiles == 16
+        tracer = CountingTracer()
         with make_executor("thread", 2) as executor:
             stream = stream_tiled_forward(
-                net, np.zeros((1, 1, 16, 16), np.float32), plan,
-                executor=executor)
+                net, np.zeros((1, 1, 32, 32), np.float32), plan,
+                executor=executor, tracer=tracer)
             next(stream)
             stream.close()
         # The executor has drained: whatever was running has finished.
-        assert 1 <= net.calls <= 4
+        assert tracer.sweeps.count("down") == 16
+        assert 1 <= tracer.sweeps.count("up") <= 4
 
     def test_lazy_backend_parity_bitwise(self, small2d):
         problem, model, omegas, _ = small2d

@@ -1,13 +1,19 @@
 """Tiled inference: exactness against the single-pass forward."""
 
+import collections
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    Executor, make_executor, plan_tiles, receptive_halo, tiled_predict,
+    Executor, make_executor, plan_tiles, receptive_halo,
+    stream_tiled_forward, tiled_predict,
 )
+from repro.serve.telemetry.trace import NULL_SPAN
 
 RNG = np.random.default_rng(7)
 
@@ -35,8 +41,13 @@ class TestPlan:
             plan_tiles((16, 16), tile=6, halo=4, multiple=4)
 
     def test_misaligned_halo_rejected(self):
-        with pytest.raises(ValueError, match="halo"):
-            plan_tiles((16, 16), tile=8, halo=2, multiple=4)
+        # The halo is the emitting sweep's margin: it must be even (a
+        # padded block maps onto whole cells of the level below), not a
+        # multiple of 2**depth as the whole-network halo had to be.
+        for halo in (-2, 1, 3):
+            with pytest.raises(ValueError, match="halo"):
+                plan_tiles((16, 16), tile=8, halo=halo, multiple=4)
+        assert plan_tiles((16, 16), tile=8, halo=2, multiple=4).halo == 2
 
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -45,16 +56,30 @@ class TestPlan:
 
 class TestReceptiveHalo:
     def test_halo_is_alignment_multiple(self):
+        # Two k3 blocks (encoder + decoder) behind a k1 output conv: the
+        # emitting sweep reads 2 cells whatever the depth — the coarse
+        # levels pay their own halos in their own sweeps.
         for depth in (1, 2, 3):
             model = MGDiffNet(ndim=2, base_filters=4, depth=depth, rng=0)
-            halo = receptive_halo(model)
-            assert halo % (2 ** depth) == 0 and halo > 0
+            assert receptive_halo(model) == 2
 
     def test_adaptation_widens_halo(self):
         model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=0)
         before = receptive_halo(model)
-        model.adapt(rng=1)
-        assert receptive_halo(model) >= before
+        model.adapt(rng=1)     # + one k3 transposed conv and one k3 conv
+        assert receptive_halo(model) == before + 2
+
+    def test_halo_is_read_from_kernel_sizes(self):
+        from repro.nn import ConvNd
+
+        model = MGDiffNet(ndim=2, base_filters=4, depth=2, rng=0)
+        net = model.net
+        net.out_conv = ConvNd(2, 4, 1, kernel_size=5, padding=2, rng=0)
+        assert receptive_halo(model) == 4
+        net.downs[0] = ConvNd(2, 4, 4, kernel_size=3, stride=2, padding=1,
+                              rng=0)
+        with pytest.raises(ValueError, match="kernel == stride"):
+            tiled_predict(model, PoissonProblem2D(16), _omegas(1), tile=8)
 
 
 class TestExactness2D:
@@ -161,6 +186,105 @@ class TestRaggedHaloParallel:
             got = tiled_predict(model, problem, omegas, tile=8, halo=8,
                                 executor=executor)
         np.testing.assert_array_equal(got, serial)
+
+
+class _SweepCounter:
+    """Tracer counting ``tile.compute`` spans per (level, sweep)."""
+
+    def __init__(self):
+        self.spans = collections.Counter()
+
+    def start(self, name, parent=None, **attrs):
+        if name == "tile.compute":
+            self.spans[attrs["level"], attrs["sweep"]] += 1
+        return NULL_SPAN
+
+
+class TestResumeCost:
+    """A ``tiles=`` subset runs only the blocks of each sweep in its
+    dependency cone, so resuming a stream costs its cone, not a field."""
+
+    def _spans(self, net, x, plan, tiles):
+        counter = _SweepCounter()
+        delivered = [i for i, _, _ in stream_tiled_forward(
+            net, x, plan, tiles=tiles, tracer=counter)]
+        assert sorted(delivered) == sorted(
+            range(plan.num_tiles) if tiles is None else tiles)
+        return dict(counter.spans)
+
+    def test_one_tile_of_a_4x4x4_plan(self):
+        net = MGDiffNet(ndim=3, base_filters=2, depth=1, rng=0).net.eval()
+        x = RNG.standard_normal((1, 1, 32, 32, 32)).astype(np.float32)
+        plan = plan_tiles((32, 32, 32), tile=8, halo=2, multiple=2)
+        assert plan.num_tiles == 64
+        # Full stream: 64 down blocks, the 16^3 bottleneck whole, 64 up
+        # blocks — 129 spans.
+        assert self._spans(net, x, plan, None) == {
+            (0, "down"): 64, (1, "whole"): 1, (0, "up"): 64}
+        # A corner tile: its core grown by the halo (2) is [0, 10)^3, the
+        # bottleneck reads [0, 6)^3 coarse cells of it, i.e. the 2^3 down
+        # blocks under [0, 12)^3 — 10 spans, not 129.
+        assert self._spans(net, x, plan, [0]) == {
+            (0, "down"): 8, (1, "whole"): 1, (0, "up"): 1}
+        # An interior tile has neighbours on both sides: 3^3 down blocks.
+        assert self._spans(net, x, plan, [21]) == {
+            (0, "down"): 27, (1, "whole"): 1, (0, "up"): 1}
+
+    def test_cone_narrows_level_by_level(self):
+        # 2-D, depth 2, 8x8 tiles of 16: level 1 is 4x4 blocks, the 32^2
+        # bottleneck runs whole.  161 spans for the field; the corner
+        # tile needs one up block per level, the 2x2 level-1 down blocks
+        # feeding the bottleneck under it and the 5x5 level-0 down blocks
+        # feeding those — 32 spans.
+        net = MGDiffNet(ndim=2, base_filters=2, depth=2, rng=0).net.eval()
+        x = RNG.standard_normal((1, 1, 128, 128)).astype(np.float32)
+        plan = plan_tiles((128, 128), tile=16, halo=2, multiple=4)
+        assert self._spans(net, x, plan, None) == {
+            (0, "down"): 64, (1, "down"): 16, (2, "whole"): 1,
+            (1, "up"): 16, (0, "up"): 64}
+        assert self._spans(net, x, plan, [0]) == {
+            (0, "down"): 25, (1, "down"): 4, (2, "whole"): 1,
+            (1, "up"): 1, (0, "up"): 1}
+
+
+# Run in a fresh interpreter: inside a long session an earlier test has
+# usually set a higher RSS peak already.
+FIELD_256 = """
+import resource
+import numpy as np
+from repro import MGDiffNet, PoissonProblem3D
+from repro.autograd import Tensor, no_grad
+from repro.core.inference import prepare_batch_inputs
+from repro.serve.tiling import tiled_predict
+
+problem = PoissonProblem3D(256)
+model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=1)
+omega = np.random.default_rng(0).uniform(-3.0, 3.0, 4)
+field = tiled_predict(model, problem, omega, tile=64)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+assert field.shape == (1, 256, 256, 256) and np.isfinite(field).all()
+# An interior tile against the plain forward of the 128^3 box around it:
+# 32 cells of margin exceed the network's receptive radius.
+log_nu, _, _ = prepare_batch_inputs(problem, omega)
+with model.evaluating(), no_grad():
+    box = model.net(Tensor(log_nu[:, :, 32:160, 32:160, 32:160])).numpy()
+err = np.abs(field[0, 64:128, 64:128, 64:128]
+             - box[0, 0, 32:96, 32:96, 32:96]).max()
+assert err <= 1e-5, err
+print(peak_mb)
+"""
+
+
+@pytest.mark.slow
+def test_a_256_cubed_field_fits_in_640_mb() -> None:
+    """16.8 M voxels through the level-wise sweeps in one process: the
+    float64/float32 input fields, the masks, the stitched output and the
+    coarse pyramid — measured 536 MB here (the whole-network halo engine
+    peaked at 709 MB on the same field)."""
+    done = subprocess.run([sys.executable, "-c", FIELD_256], text=True,
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 640.0
 
 
 class _InlineProcessExecutor(Executor):
