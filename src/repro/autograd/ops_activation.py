@@ -91,7 +91,7 @@ class LeakyReLU(Function):
     def backward(ctx: Context, grad: np.ndarray):
         mask = ctx.meta["mask"]
         slope = ctx.meta["slope"]
-        return grad * B.where(mask, 1.0, slope).astype(grad.dtype), None
+        return B.where(mask, grad, slope * grad), None
 
 
 class Abs(Function):

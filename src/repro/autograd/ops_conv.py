@@ -76,8 +76,8 @@ def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
 
 
 def _add_bias(out: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """The bias epilogue, dispatched through the registry so the lazy
-    backend can fuse conv -> bias-add -> activation."""
+    """The transposed conv's bias epilogue, dispatched through the registry
+    so the lazy backend can fuse bias-add -> activation."""
     if b is None:
         return out
     return B.asarray(out) + realize(b).reshape((1, -1) + (1,) * (out.ndim - 2))
@@ -94,12 +94,17 @@ class ConvNd(Function):
 
     The *unpadded* input is what is saved for backward: the engine pads
     into pooled scratch on both passes, so no padded copy outlives the
-    call.
+    call.  The bias is added — and with ``negative_slope`` the LeakyReLU
+    applied, forward only — by the engine, chunk by chunk.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                stride: tuple[int, ...], padding: tuple[int, ...]) -> np.ndarray:
+                stride: tuple[int, ...], padding: tuple[int, ...],
+                negative_slope: float | None = None) -> np.ndarray:
+        if negative_slope is not None and any(ctx.needs_input_grad):
+            raise ValueError("the fused LeakyReLU has no backward: apply "
+                             "leaky_relu as its own op when recording")
         # The engine works on concrete strided buffers: crossing into it
         # is a realize barrier for the lazy backend.
         x, w = realize(x), realize(w)
@@ -112,7 +117,8 @@ class ConvNd(Function):
                          np.result_type(x.dtype, w.dtype))
         ctx.save_for_backward(x, w)
         ctx.meta["plan"] = plan
-        return _add_bias(conv_forward(plan, x, w), b)
+        return conv_forward(plan, x, w, None if b is None else realize(b),
+                            negative_slope)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
@@ -122,7 +128,7 @@ class ConvNd(Function):
         grad = realize(grad)
         return (conv_backward_data(plan, grad, w) if need_x else None,
                 conv_backward_weight(plan, x, grad) if need_w else None,
-                _bias_grad(ctx, grad), None, None)
+                _bias_grad(ctx, grad), None, None, None)
 
 
 class ConvTransposeNd(Function):
@@ -238,10 +244,13 @@ class AvgPoolNd(Function):
 
 def conv_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
             stride: int | Sequence[int] = 1,
-            padding: int | Sequence[int] = 0) -> Tensor:
-    """Functional N-d convolution over Tensor operands."""
+            padding: int | Sequence[int] = 0,
+            negative_slope: float | None = None) -> Tensor:
+    """Functional N-d convolution over Tensor operands; with
+    ``negative_slope`` (under ``no_grad`` only) conv -> LeakyReLU."""
     nd = x.ndim - 2
-    return ConvNd.apply(x, w, b, tuplify(stride, nd), tuplify(padding, nd))
+    return ConvNd.apply(x, w, b, tuplify(stride, nd), tuplify(padding, nd),
+                        negative_slope)
 
 
 def _conv_transpose_args(x: Tensor, w: Tensor, stride, padding,

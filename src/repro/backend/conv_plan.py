@@ -1,4 +1,4 @@
-"""The convolution engine: tap-row column matrix -> GEMM, channels first.
+"""The convolution engine: tap-run column matrix -> GEMM, channels first.
 
 There is one engine, three primitives — :func:`conv_forward`,
 :func:`conv_backward_data`, :func:`conv_backward_weight` — and every
@@ -14,18 +14,28 @@ work on one flat layout:
   out_spatial + (kernel - 1) // stride`` is the output grid plus the
   halo the taps reach into.
 * **Tap rows.**  On that grid kernel tap ``t`` is a *flat shift*: output
-  column ``q`` reads ``src[phase_t rows, q + shift_t]``.  So a chunk of
-  the column matrix ``cols (T*Cin, m)`` is ``T`` contiguous row-block
-  copies — no gather, no transpose — and where the taps already lie
-  side by side in ``src`` (1x1 kernels, ``k == s`` down-sampling) it is
-  a view of ``src``.
-* **One GEMM per chunk.**  ``out[:, q:q+m] = Wm (Cout, T*Cin) @ cols``
-  lands in channels-first memory; the same ``cols`` feed ``dWm += g[:,
-  q:q+m] @ cols.T``; the data gradient is the same loop run phase by
-  phase over the zero-embedded output gradient, scattered back through
-  the inverse of the input copy.  Columns whose grid position lies in
-  the halo are computed and dropped by the final crop (1.05–1.13x
-  over-compute at the U-Net's sizes).
+  column ``q`` reads ``src[phase_t rows, q + shift_t]``.  The ``v`` taps
+  along a stride-1 last axis read the *same* rows at shifts ``s, s+1,
+  ..., s+v-1`` — a *run* — so a chunk of ``m`` columns copies one row
+  block of ``m + v - 1`` columns per run, ``cols (R*Cin, m+v-1)`` for
+  ``R = T/v`` runs (9 blocks, not 27, for a k3 3-D conv), and the taps
+  of a run are column-shifted views of it.  No gather, no transpose;
+  where the runs already lie side by side in ``src`` (1x1 kernels, ``k
+  == s`` down-sampling) ``cols`` is a view of ``src``.  A strided last
+  axis has ``v = 1``: the same loop, each tap its own run.
+* **One GEMM per chunk.**  The weights are stacked by tap-in-run, ``P
+  (v*Cout, R*Cin)``, so ``P @ cols`` holds tap ``i``'s partial product
+  in row group ``i`` and ``out[:, q:q+m]`` is the sum of the groups at
+  column offsets ``0 .. v-1``: one GEMM and ``v - 1`` shifted adds (with
+  ``v = 1`` the GEMM lands in ``out``), then the optional per-channel
+  bias and LeakyReLU on the chunk while it is in cache, all in
+  channels-first memory.  The data gradient is the same loop run phase
+  by phase over the zero-embedded output gradient (a run's taps in
+  reverse, since their shifts descend), scattered back through the
+  inverse of the input copy; the weight gradient reads the same ``cols``,
+  ``dW_i += g[:, q:q+m] @ cols[:, i:i+m].T`` per tap-in-run ``i``.
+  Columns whose grid position lies in the halo are computed and dropped
+  by the final crop (1.05–1.13x over-compute at the U-Net's sizes).
 
 A transposed convolution is the adjoint of the convolution with the same
 weights, stride and padding, so it has no engine of its own: its forward
@@ -44,10 +54,12 @@ that the three primitives would materialise (24 channels for trilinear
 elements) never exists.
 
 ``plan_conv`` memoizes the *geometry* of a :class:`ConvSignature` (grid,
-phases, tap shifts, chunk length), so steady-state training pays a dict
-lookup.  The chunk length is a function of the signature alone — never
-of pool state or thread count — so tiled, threaded, multi-process and
-sharded runs stay bitwise equal to serial ones.  All scratch of one call
+phases, runs and their shifts, chunk length), so steady-state training
+pays a dict lookup.  The chunk length is a function of the signature
+alone — never of pool state or thread count — and counts every scratch
+row a chunk holds (copied rows plus the ``v*Cout`` partial products), so
+tiled, threaded, multi-process and sharded runs stay bitwise equal to
+serial ones and a chunk's bytes do not depend on ``v``.  All scratch of one call
 is carved from a single power-of-two 1-D buffer of the active backend's
 :class:`~repro.backend.pool.BufferPool`: layers of different shapes
 share buckets, so what the pool retains is bounded by the largest call,
@@ -129,7 +141,7 @@ class ConvSignature:
                      zip(self.padded_spatial, self.kernel, self.stride))
 
 
-# A row block of the column matrix: ``src[row:row + rows, shift + q]``.
+# A copied row block of the column matrix: ``src[row:row + rows, shift + q]``.
 Block = tuple[int, int, int]
 Index = tuple[slice, ...]
 
@@ -149,8 +161,10 @@ class ConvPlan:
     phases: tuple[tuple[Index, Index], ...]
     dense: bool                   # the phase copies cover the whole grid
     lead: int                     # the largest flat tap shift
-    blocks: tuple[Block, ...]     # cols of the input, tap-major
-    # Per phase: (its taps, cols of the lead-embedded output gradient).
+    run: int                      # v: unit-shift taps read from one block
+    blocks: tuple[Block, ...]     # cols of the input, one block per run
+    # Per phase: (its taps, run by run in the order their views ascend;
+    # cols of the lead-embedded output gradient, one block per run).
     back: tuple[tuple[tuple[int, ...], tuple[Block, ...]], ...]
     chunk: int                    # columns per chunk, forward / weight
     back_chunk: int               # columns per chunk, data gradient
@@ -202,9 +216,16 @@ def _geometry(sig: ConvSignature) -> ConvPlan:
             g_sl.append(slice(lo, hi))
         phases.append((every + tuple(x_sl), every + tuple(g_sl)))
     lead = taps[-1][1]
-    by_phase = [tuple(t for t, (ph, _) in enumerate(taps) if ph == phase)
+    # The taps along a stride-1 last axis share a phase and sit at flat
+    # shifts s, s+1, ..., s+v-1: one run, one copied block.
+    v = sig.kernel[-1] if sig.stride[-1] == 1 else 1
+    runs = taps[::v]
+    by_phase = [tuple(r for r, (ph, _) in enumerate(runs) if ph == phase)
                 for phase in range(len(phases))]
     itemsize = np.dtype(sig.dtype).itemsize
+    # A chunk holds its copied rows plus, when the GEMM cannot land in
+    # the output (v > 1), v stacked partial products per output row.
+    stacked = (v > 1) * v
     return ConvPlan(
         signature=sig, out_shape=(n, cout) + out_spatial, grid=grid,
         total=n * math.prod(grid),
@@ -212,12 +233,16 @@ def _geometry(sig: ConvSignature) -> ConvPlan:
         phases=tuple(phases),
         dense=all(g_sl == every + tuple(slice(0, g) for g in grid)
                   for _, g_sl in phases),
-        lead=lead,
-        blocks=_merge([(ph * cin, cin, shift) for ph, shift in taps]),
-        back=tuple((ts, tuple((0, cout, lead - taps[t][1]) for t in ts))
-                   for ts in by_phase),
-        chunk=_chunk_cols(len(taps) * cin, itemsize),
-        back_chunk=_chunk_cols(max(map(len, by_phase)) * cout, itemsize))
+        lead=lead, run=v,
+        blocks=_merge([(ph * cin, cin, shift) for ph, shift in runs]),
+        # The gradient of tap i of a run reads v-1-i columns into the
+        # block copied for the run's last tap.
+        back=tuple((tuple(r * v + i for r in rs for i in reversed(range(v))),
+                    tuple((0, cout, lead - runs[r][1] - (v - 1)) for r in rs))
+                   for rs in by_phase),
+        chunk=_chunk_cols(len(runs) * cin + stacked * cout, itemsize),
+        back_chunk=_chunk_cols(
+            max(map(len, by_phase)) * cout + stacked * cin, itemsize))
 
 
 def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
@@ -281,12 +306,12 @@ def _embed(plan: ConvPlan, g: np.ndarray, buf: np.ndarray,
     return gz
 
 
-def _cols_size(blocks: tuple[Block, ...], chunk: int, length: int) -> int:
-    """Scratch one chunk of the column matrix needs (a lone block is
-    read in place)."""
+def _cols_size(blocks: tuple[Block, ...], width: int) -> int:
+    """Scratch ``width`` columns of the column matrix need (a lone block
+    is read in place)."""
     if len(blocks) == 1:
         return 0
-    return sum(rows for _, rows, _ in blocks) * min(chunk, length)
+    return sum(rows for _, rows, _ in blocks) * width
 
 
 def _columns(src: np.ndarray, blocks: tuple[Block, ...], j: int, m: int,
@@ -306,13 +331,30 @@ def _columns(src: np.ndarray, blocks: tuple[Block, ...], j: int, m: int,
 
 
 def _tap_gemm(wm: np.ndarray, src: np.ndarray, blocks: tuple[Block, ...],
-              cols_buf: np.ndarray, dst: np.ndarray, chunk: int) -> None:
-    """``dst = wm @ cols(src)``, one chunk of columns at a time."""
-    length = dst.shape[1]
+              v: int, cols_buf: np.ndarray, part_buf: np.ndarray,
+              dst: np.ndarray, chunk: int, bias: np.ndarray | None = None,
+              slope: float | None = None) -> None:
+    """``dst = sum_i (wm @ cols(src))[rows of tap i, i:i + m]`` one chunk
+    of ``m`` columns at a time, ``wm (v*rows, height)`` stacking the
+    ``v`` taps of every run (``part_buf``: the ``v > 1`` stacked products
+    of a chunk); then the per-row ``bias`` and the LeakyReLU ``slope``
+    while the chunk is still in cache."""
+    rows, length = dst.shape
     for j in range(0, length, chunk):
         m = min(chunk, length - j)
-        np.matmul(wm, _columns(src, blocks, j, m, cols_buf),
-                  out=dst[:, j:j + m])
+        out = dst[:, j:j + m]
+        width = m + v - 1
+        part = out if v == 1 else part_buf[:v * rows * width].reshape(-1, width)
+        np.matmul(wm, _columns(src, blocks, j, width, cols_buf), out=part)
+        for i in range(1, v):
+            np.add(part[:rows, :m] if i == 1 else out,
+                   part[i * rows:(i + 1) * rows, i:i + m], out=out)
+        if bias is not None:
+            out += bias
+        if slope is not None:
+            # LeakyReLU is max(x, slope * x) up to slope 1, the min above.
+            (np.maximum if slope <= 1 else np.minimum)(out, slope * out,
+                                                       out=out)
 
 
 # --------------------------------------------------------------------- #
@@ -320,21 +362,31 @@ def _tap_gemm(wm: np.ndarray, src: np.ndarray, blocks: tuple[Block, ...],
 # results are fresh C-contiguous channels-first arrays.
 # --------------------------------------------------------------------- #
 
-def conv_forward(plan: ConvPlan, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``out (N, Cout, *So)`` of ``x (N, Cin, *S)`` and ``w (Cout, Cin, *K)``."""
+def conv_forward(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
+                 bias: np.ndarray | None = None,
+                 slope: float | None = None) -> np.ndarray:
+    """``out (N, Cout, *So)`` of ``x (N, Cin, *S)`` and ``w (Cout, Cin, *K)``,
+    plus the per-channel ``bias (Cout,)``, through LeakyReLU(``slope``)."""
     dtype = np.dtype(plan.signature.dtype)
     cout, cin = w.shape[:2]
+    v = plan.run
     length = plan.total - plan.lead               # the last valid column + 1
-    # (Cout, taps*Cin), tap-major like the cols of ``src``.
+    # (v*Cout, runs*Cin): run-major like the cols of ``src``, the taps of
+    # a run stacked down the rows.
     wm = np.ascontiguousarray(
-        w.reshape(cout, cin, -1).transpose(0, 2, 1), dtype).reshape(cout, -1)
+        w.reshape(cout, cin, -1, v).transpose(3, 0, 2, 1), dtype
+    ).reshape(v * cout, -1)
+    if bias is not None:
+        bias = np.asarray(bias, dtype).reshape(cout, 1)
     out = np.empty(plan.out_shape, dtype)
+    width = min(plan.chunk, length) + v - 1       # of one chunk's scratch
     with _scratch(dtype, len(plan.phases) * cin * plan.total,
-                  _cols_size(plan.blocks, plan.chunk, length),
-                  cout * plan.total) as (src, cols, flat):
+                  _cols_size(plan.blocks, width), (v > 1) * v * cout * width,
+                  cout * plan.total) as (src, cols, part, flat):
         src = _gather(plan, x, src)
         flat = flat.reshape(cout, plan.total)
-        _tap_gemm(wm, src, plan.blocks, cols, flat[:, :length], plan.chunk)
+        _tap_gemm(wm, src, plan.blocks, v, cols, part, flat[:, :length],
+                  plan.chunk, bias, slope)
         out.swapaxes(0, 1)[...] = _on_grid(plan, flat)[plan.valid]
     return out
 
@@ -345,20 +397,23 @@ def conv_backward_data(plan: ConvPlan, g: np.ndarray,
     sig = plan.signature
     dtype = np.dtype(sig.dtype)
     cout, cin = w.shape[:2]
+    v = plan.run
     wt = w.reshape(cout, cin, -1)
     dx = np.zeros(sig.x_shape, dtype)
     dxt = dx.swapaxes(0, 1)
+    width = min(plan.back_chunk, plan.total) + v - 1
     with _scratch(dtype, cout * (plan.lead + plan.total),
-                  max(_cols_size(blocks, plan.back_chunk, plan.total)
-                      for _, blocks in plan.back),
-                  cin * plan.total) as (gz, cols, dsrc):
+                  max(_cols_size(blocks, width) for _, blocks in plan.back),
+                  (v > 1) * v * cin * width,
+                  cin * plan.total) as (gz, cols, part, dsrc):
         gz = _embed(plan, g, gz, plan.lead)
         dsrc = dsrc.reshape(cin, plan.total)
         for (taps, blocks), (x_sl, g_sl) in zip(plan.back, plan.phases):
-            # (Cin, taps*Cout), tap-major like the cols of ``gz``.
+            # (v*Cin, runs*Cout), run-major like the cols of ``gz``.
             wm = np.ascontiguousarray(
-                wt[:, :, taps].transpose(1, 2, 0), dtype).reshape(cin, -1)
-            _tap_gemm(wm, gz, blocks, cols, dsrc, plan.back_chunk)
+                wt[:, :, taps].reshape(cout, cin, -1, v).transpose(3, 1, 2, 0),
+                dtype).reshape(v * cin, -1)
+            _tap_gemm(wm, gz, blocks, v, cols, part, dsrc, plan.back_chunk)
             dxt[x_sl] = _on_grid(plan, dsrc)[g_sl]
     return dx
 
@@ -369,19 +424,22 @@ def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
     sig = plan.signature
     dtype = np.dtype(sig.dtype)
     cin, cout = x.shape[1], g.shape[1]
+    v = plan.run
     length = plan.total - plan.lead
-    dwm = np.zeros((cout, sig.taps * cin), dtype)
+    # Tap i of every run: (v, Cout, runs*Cin).
+    dwm = np.zeros((v, cout, sig.taps // v * cin), dtype)
     with _scratch(dtype, len(plan.phases) * cin * plan.total,
-                  _cols_size(plan.blocks, plan.chunk, length),
+                  _cols_size(plan.blocks, min(plan.chunk, length) + v - 1),
                   cout * plan.total) as (src, cols, gz):
         src = _gather(plan, x, src)
         gz = _embed(plan, g, gz, 0)
         for j in range(0, length, plan.chunk):
             m = min(plan.chunk, length - j)
-            dwm += np.matmul(gz[:, j:j + m],
-                             _columns(src, plan.blocks, j, m, cols).T)
+            run_cols = _columns(src, plan.blocks, j, m + v - 1, cols)
+            for i in range(v):
+                dwm[i] += np.matmul(gz[:, j:j + m], run_cols[:, i:i + m].T)
     return np.ascontiguousarray(
-        dwm.reshape(cout, sig.taps, cin).transpose(0, 2, 1)
+        dwm.reshape(v, cout, -1, cin).transpose(1, 3, 2, 0)
     ).reshape(sig.w_shape)
 
 
@@ -424,7 +482,10 @@ def conv_energy(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
     cs = np.ascontiguousarray(coeff, dtype).reshape(n, 1, cells)
     out = np.zeros((n, cells), dtype) if adjoint else None
     energy = np.zeros(n)
-    with _scratch(dtype, cells, _cols_size(plan.blocks, chunk, length),
+    # One row per tap: the quadratic form reads each tap's product.
+    blocks = tuple((0, 1, shift + i) for _, _, shift in plan.blocks
+                   for i in range(plan.run))
+    with _scratch(dtype, cells, _cols_size(blocks, chunk),
                   groups * chunk, rows * chunk, rows * chunk, taps * chunk
                   ) as (valid, cols, c, wx, q, back):
         # Columns in the tap halo hold no output: their coefficient is 0.
@@ -436,10 +497,10 @@ def conv_energy(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
                 c_m = c[:groups * m].reshape(groups, m)
                 wx_m = wx[:rows * m].reshape(rows, m)
                 q_m = q[:rows * m].reshape(rows, m)
-                np.matmul(vm, _columns(cs[i], plan.blocks, j, m, cols),
+                np.matmul(vm, _columns(cs[i], blocks, j, m, cols),
                           out=c_m)
                 c_m *= valid[j:j + m]
-                np.matmul(wm, _columns(xs[i], plan.blocks, j, m, cols),
+                np.matmul(wm, _columns(xs[i], blocks, j, m, cols),
                           out=wx_m)
                 np.multiply(wx_m.reshape(groups, -1, m), c_m[:, None],
                             out=q_m.reshape(groups, -1, m))
@@ -451,7 +512,7 @@ def conv_energy(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
                 if adjoint:
                     back_m = back[:taps * m].reshape(taps, m)
                     np.matmul(wt, q_m, out=back_m)
-                    for row, (_, _, shift) in zip(back_m, plan.blocks):
+                    for row, (_, _, shift) in zip(back_m, blocks):
                         out[i, j + shift:j + shift + m] += row
     energy *= 0.5
     return energy, None if out is None else out.reshape(sig.x_shape)

@@ -41,7 +41,7 @@ _COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
 class _Level:
     grid: UniformGrid
     matrix: sp.dia_matrix
-    diag: np.ndarray
+    jacobi: np.ndarray     # omega / diag on interior nodes, 0 on Dirichlet
     dirichlet: np.ndarray  # flat boolean mask
 
 
@@ -90,8 +90,11 @@ class GeometricMultigrid:
         inject = (slice(None, None, 2),) * grid.ndim
         while True:
             op = StencilOperator(grid, nu, self.rule)
-            self.levels.append(_Level(grid=grid, matrix=op.matrix,
-                                      diag=op.diag(), dirichlet=mask.ravel()))
+            diag, dirichlet = op.diag(), mask.ravel()
+            self.levels.append(_Level(
+                grid=grid, matrix=op.matrix, dirichlet=dirichlet,
+                jacobi=realize(omega * B.where(diag != 0, 1.0 / diag, 0.0)
+                               * ~dirichlet)))
             if ((max_levels is not None and len(self.levels) >= max_levels)
                     or grid.num_nodes <= coarse_size or not grid.can_coarsen()
                     or grid.coarsen().resolution < 3):
@@ -108,17 +111,21 @@ class GeometricMultigrid:
         return len(self.levels)
 
     # ------------------------------------------------------------------ #
-    def _smooth(self, level: _Level, x: np.ndarray, b: np.ndarray,
+    def _smooth(self, level: _Level, x: np.ndarray | None, b: np.ndarray,
                 sweeps: int) -> np.ndarray:
-        interior = ~level.dirichlet
-        inv_d = B.where(level.diag != 0, 1.0 / level.diag, 0.0)
+        """``sweeps`` damped-Jacobi sweeps on ``K x = b``; ``x=None`` is
+        the zero guess, whose first sweep needs no ``K @ x``."""
+        jacobi = B.asarray(level.jacobi)
+        if x is None:
+            x = jacobi * b if sweeps else np.zeros_like(b)
+            sweeps -= 1
         for _ in range(sweeps):
             # The spmv is a realize barrier: under the lazy backend the
             # previous sweep's damped-Jacobi update chain executes here
             # as one fused kernel.
             x = realize(x)
             r = b - level.matrix @ x
-            x = x + self.omega * inv_d * r * interior
+            x = x + jacobi * r
         return realize(x)
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
@@ -132,14 +139,15 @@ class GeometricMultigrid:
         level = self.levels[li]
         if li == len(self.levels) - 1:
             return self._coarse_solve(b)
-        x = self._smooth(level, np.zeros_like(b), b, self.n_pre)
+        x = self._smooth(level, None, b, self.n_pre)
         r = (b - level.matrix @ x)
         r *= ~level.dirichlet
         coarse = self.levels[li + 1]
         rc = restrict_nested(r.reshape(level.grid.shape), mode="dual").ravel()
         rc[coarse.dirichlet] = 0.0
-        ec = np.zeros_like(rc)
-        for sub_cycle in _COARSE_VISITS[cycle]:
+        first, *rest = _COARSE_VISITS[cycle]
+        ec = self._cycle(li + 1, rc, first)     # the coarse error starts at 0
+        for sub_cycle in rest:
             ec = ec + self._cycle(li + 1, rc - coarse.matrix @ ec, sub_cycle)
         e = prolong_nested(ec.reshape(coarse.grid.shape)).ravel()
         e[level.dirichlet] = 0.0

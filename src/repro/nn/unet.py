@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, concat
+from ..autograd import Tensor, concat, conv_nd, is_grad_enabled
+from ..backend import ops as B
 from ..utils.seeding import make_rng, spawn_rngs
 from .activation import LeakyReLU, Sigmoid
 from .container import ModuleList, Sequential
@@ -34,6 +35,13 @@ class ConvBlock(Module):
     ``use_batchnorm`` selects the paper's BatchNorm; pass
     ``norm='group'`` instead for the batch-size-robust GroupNorm variant
     (relevant at the paper's local batch of 2).
+
+    In evaluation mode under ``no_grad`` a BatchNorm block is *one* engine
+    call: the running-statistics affine ``y * s + t`` is folded into the
+    conv's weights and bias per call (``w * s``, ``b * s + t``: a few
+    microseconds, and never stale) and the engine applies bias and
+    LeakyReLU chunk by chunk.  With the tape on, in training mode or with
+    another norm the block runs op by op.
     """
 
     def __init__(self, ndim: int, in_channels: int, out_channels: int,
@@ -60,9 +68,19 @@ class ConvBlock(Module):
         self.act = LeakyReLU(negative_slope)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = self.conv(x)
-        if self.bn is not None:
-            x = self.bn(x)
+        bn, conv = self.bn, self.conv
+        if (isinstance(bn, BatchNorm) and not self.training
+                and not is_grad_enabled()):
+            scale = bn.gamma.data / B.sqrt(bn.running_var + bn.eps)
+            shift = bn.beta.data - bn.running_mean * scale
+            if conv.bias is not None:
+                shift = shift + conv.bias.data * scale
+            return conv_nd(
+                x, conv.weight.data * scale.reshape((-1,) + (1,) * (x.ndim - 1)),
+                shift, conv.stride, conv.padding, self.act.negative_slope)
+        x = conv(x)
+        if bn is not None:
+            x = bn(x)
         return self.act(x)
 
 

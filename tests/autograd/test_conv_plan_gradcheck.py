@@ -128,9 +128,11 @@ def test_unet_forward_backward_on_both_paths(path, rng, monkeypatch):
     grads = [p.grad for p in net.parameters() if p.grad is not None]
     assert grads and all(np.isfinite(g).all() for g in grads)
 
-    def reference_forward(plan, x, w):
+    def reference_forward(plan, x, w, bias, slope):
+        assert slope is None            # a training-mode block is op by op
         sig = plan.signature
-        return ORACLES[path](x, w, sig.stride, sig.padding)
+        return (ORACLES[path](x, w, sig.stride, sig.padding)
+                + bias.reshape(1, -1, 1, 1))
 
     monkeypatch.setattr(ops_conv, "conv_forward", reference_forward)
     with no_grad():

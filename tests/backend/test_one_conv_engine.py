@@ -105,3 +105,64 @@ def test_guard_catches_the_old_engines() -> None:
     assert kinds.count("engine") == 3
     assert kinds.count("branch") == 1
     assert kinds.count("moveaxis") == 1       # not the weight flip
+
+
+# --------------------------------------------------------------------- #
+# One column builder.  The taps of a run are views of one copied block
+# (``ConvPlan.run``; one tap per run is the same loop run once), so the
+# engine has one ``_columns`` and GEMMs only where columns are consumed.
+# --------------------------------------------------------------------- #
+GEMM_SITES = {"_tap_gemm", "conv_backward_weight", "conv_energy"}
+MODULE_NAMES = {"__all__", "COLS_CHUNK_BYTES", "MIN_CHUNK_COLS", "_CACHE_LOCK",
+                "_PLAN_CACHE", "_cache_hits", "_cache_misses", "Block",
+                "Index"}
+SELECTOR = re.compile(r"path|mode|builder|engine|kind|form|variant|stacked|"
+                      r"use_\w+|\w+_views?")
+
+
+def _conv_plan_tree() -> ast.Module:
+    return ast.parse((SRC / "backend/conv_plan.py").read_text())
+
+
+def _sites(tree: ast.Module, called: str) -> set[str]:
+    """Top-level functions whose body calls ``called``."""
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and _called(n) == called
+                    for n in ast.walk(fn))}
+
+
+def test_gemms_and_columns_live_where_columns_are_consumed() -> None:
+    tree = _conv_plan_tree()
+    assert _sites(tree, "matmul") == GEMM_SITES
+    assert _sites(tree, "_columns") == GEMM_SITES
+    # ... and nothing else multiplies matrices (``a @ b``, ``dot``, ...).
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.BinOp)
+                and isinstance(n.op, ast.MatMult)]
+    for other in ("dot", "tensordot", "einsum"):
+        assert not _sites(tree, other), other
+    builders = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and re.search(r"col", fn.name)}
+    assert builders == {"_columns", "_cols_size", "_chunk_cols"}
+
+
+def test_nothing_selects_between_column_builders() -> None:
+    """No plan field, module global or environment variable picks a
+    builder: the run length is geometry, derived from the signature."""
+    import dataclasses
+
+    from repro.backend.conv_plan import ConvPlan, ConvSignature
+
+    tree = _conv_plan_tree()
+    assigned = {t.id for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign)
+                          else [node.target]) if isinstance(t, ast.Name)}
+    assert assigned == MODULE_NAMES
+    assert "environ" not in {name for _, name in _identifiers(tree)}
+    for cls in (ConvPlan, ConvSignature):
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        assert not [n for n in fields if SELECTOR.fullmatch(n)], fields
+        assert "str" not in {t for n, t in fields.items() if n != "dtype"}
+    # The signature is shapes, stride, padding and dtype — what a caller
+    # has, not what a caller wants.
+    assert set(fields) == {"x_shape", "w_shape", "stride", "padding", "dtype"}
