@@ -11,7 +11,8 @@ host facts.  :class:`MeasurementCache` owns the mechanics:
 
 Its one user is the lazy backend's JIT kernel index
 (:mod:`repro.backend.lazy.cjit`), which places the table inside its
-(``REPRO_JIT_CACHE``-relocatable) kernel directory.
+(``REPRO_JIT_CACHE``-relocatable) kernel directory.  :func:`default_workers`
+is the one CPU count, for the serving executors and the stencil mat-vec.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["host_fingerprint", "MeasurementCache"]
+__all__ = ["default_workers", "host_fingerprint", "MeasurementCache"]
+
+
+def default_workers() -> int:
+    """Worker count matching the cores this process may actually use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def host_fingerprint() -> str:

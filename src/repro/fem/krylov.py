@@ -8,6 +8,7 @@ PETSc, which the paper's native implementation builds on).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,7 +18,15 @@ import scipy.sparse as sp
 from ..backend import ops as B
 
 __all__ = ["CGReport", "conjugate_gradient", "jacobi_preconditioner",
-           "gmg_preconditioner"]
+           "gmg_preconditioner", "inner"]
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` of two flat vectors, summed by NumPy's own loop: a BLAS
+    ``ddot`` leaves OpenBLAS's threads spinning on the cores the stencil's
+    row-block mat-vec needs (on 2 cores, a 65³ GMG solve 650–750 ms with
+    it against 430–540 ms without, a stencil CG 5.6 s against 3.9 s)."""
+    return float(B.einsum("i,i->", a, b))
 
 
 @dataclass
@@ -62,27 +71,27 @@ def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray] | sp.spmatrix,
     r = b - apply_a(x)
     z = preconditioner(r) if preconditioner else r
     p = z.copy()
-    rz = float(r @ z)
-    norm_b = max(float(B.norm(b)), 1e-300)
-    history = [float(B.norm(r)) / norm_b]
+    rz = inner(r, z)
+    norm_b = max(math.sqrt(inner(b, b)), 1e-300)
+    history = [math.sqrt(inner(r, r)) / norm_b]
     converged = history[0] < tol
     it = 0
     while not converged and it < maxiter:
         it += 1
         ap = apply_a(p)
-        pap = float(p @ ap)
+        pap = inner(p, ap)
         if pap <= 0:
             raise RuntimeError("operator is not positive definite in CG")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rel = float(B.norm(r)) / norm_b
+        rel = math.sqrt(inner(r, r)) / norm_b
         history.append(rel)
         if rel < tol:
             converged = True
             break
         z = preconditioner(r) if preconditioner else r
-        rz_new = float(r @ z)
+        rz_new = inner(r, z)
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
@@ -115,14 +124,15 @@ def gmg_preconditioner(gmg, cycles: int = 1
     symmetric enough in practice for CG when used with equal pre/post
     smoothing (Jacobi is symmetric), which our configuration guarantees.
     """
-    interior = ~gmg.levels[0].dirichlet
+    fine = gmg.levels[0]
+    interior = ~fine.dirichlet
 
     def apply(r_interior: np.ndarray) -> np.ndarray:
-        r_full = np.zeros(gmg.levels[0].grid.num_nodes)
+        r_full = np.zeros(fine.grid.num_nodes)
         r_full[interior] = r_interior
-        z = np.zeros_like(r_full)
-        for _ in range(cycles):
-            z = z + gmg._cycle(0, r_full - gmg.levels[0].matrix @ z, "v")
+        z = gmg._cycle(0, r_full, "v")          # the first cycle starts at 0
+        for _ in range(cycles - 1):
+            z = z + gmg._cycle(0, r_full - fine.op @ z, "v")
         return z[interior]
 
     return apply

@@ -29,12 +29,12 @@ replicate the serving configuration exactly.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
+from ..backend.tuning import default_workers
 from .telemetry.trace import NULL_TRACER
 
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
@@ -42,14 +42,6 @@ __all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
            "EXECUTOR_KINDS"]
 
 EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-def default_workers() -> int:
-    """Worker count matching the cores this process may actually use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 class Executor:
