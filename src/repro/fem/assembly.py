@@ -13,10 +13,10 @@ import scipy.sparse as sp
 
 from ..backend import ops as B
 
-from .basis import gauss_interp, local_nodes, shape_values
+from .basis import gauss_interp, local_nodes, node_slices, shape_values
 from .grid import UniformGrid
 from .quadrature import GaussRule
-from .stencil import StencilOperator, stencil_matrix
+from .stencil import StencilOperator, full_csr, stencil_matrix
 
 __all__ = [
     "interpolate_to_gauss",
@@ -54,11 +54,10 @@ def assemble_load(grid: UniformGrid, f_nodal: np.ndarray | None,
     f_flat = f_gauss.reshape(rule.n_points, -1)
     values = shape_values(rule.points)  # (G, A)
     det_j = (grid.h / 2.0) ** grid.ndim
-    r = grid.resolution
     for a, offset in enumerate(local_nodes(grid.ndim)):
         contrib = (rule.weights * values[:, a]) @ f_flat * det_j
-        nodes = tuple(slice(o, o + r - 1) for o in offset)
-        b[nodes] += contrib.reshape(grid.element_shape)
+        b[node_slices(offset, grid.resolution)] += contrib.reshape(
+            grid.element_shape)
     return b.ravel()
 
 
@@ -68,5 +67,5 @@ def assemble_mass(grid: UniformGrid, rule: GaussRule | None = None) -> sp.csr_ma
     values = shape_values(rule.points)  # (G, A)
     det_j = (grid.h / 2.0) ** grid.ndim
     m_local = B.einsum("g,ga,gb->ab", rule.weights, values, values) * det_j
-    return stencil_matrix(m_local[None],
-                          np.ones((1,) + grid.element_shape)).tocsr()
+    return full_csr(stencil_matrix(m_local[None],
+                                   np.ones((1,) + grid.element_shape)))

@@ -11,12 +11,19 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["local_nodes", "shape_values", "shape_gradients", "gauss_interp"]
+__all__ = ["local_nodes", "node_slices", "shape_values", "shape_gradients",
+           "gauss_interp"]
 
 
 def local_nodes(ndim: int) -> np.ndarray:
     """Binary local-node offsets, shape (2^d, d), lexicographic order."""
     return np.array(list(product((0, 1), repeat=ndim)), dtype=np.int64)
+
+
+def node_slices(node, resolution: int) -> tuple[slice, ...]:
+    """Local node ``node`` of every element at once: the slices of a nodal
+    array of side ``resolution`` that line up with its element array."""
+    return tuple(slice(o, o + resolution - 1) for o in node)
 
 
 def shape_values(points: np.ndarray) -> np.ndarray:

@@ -7,6 +7,14 @@ damped-Jacobi smoothing, full-weighting restriction / multilinear
 prolongation, and V / W / F cycles.  Dirichlet conditions are handled in
 residual-correction form: every level solves a homogeneous-Dirichlet error
 equation, so corrections vanish on constrained nodes.
+
+Cycles run in ``CYCLE_DTYPE`` (float32) under a float64 residual, as
+classical iterative refinement: ``solve`` keeps iterate, residual and
+norms in float64 on each level's ``op``, and a cycle only computes the
+correction to that residual on the float32 copy ``cycle_op``
+(:meth:`GeometricMultigrid.correct`), so ``tol`` means what it did and the
+cycle counts are the float64 cycle's.  A one-level hierarchy is an exact
+LU solve and stays float64.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ __all__ = ["GeometricMultigrid", "GMGReport", "FMGResult", "full_multigrid_solve
 
 COARSE_SIZE = 729
 
+# The precision every multigrid cycle runs in (see the module docstring).
+CYCLE_DTYPE = np.float32
+
 # The coarse-level cycles one cycle makes at every level (paper Fig. 3,
 # `repro.multigrid.cycles`): V recurses once, W twice, F into F then V.
 _COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
@@ -41,7 +52,8 @@ _COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
 @dataclass
 class _Level:
     grid: UniformGrid
-    op: StencilOperator
+    op: StencilOperator        # float64: solve's residual, the coarsest LU
+    cycle_op: StencilOperator  # op in CYCLE_DTYPE: the cycle's products
     jacobi: np.ndarray     # omega / diag on interior nodes, 0 on Dirichlet
     dirichlet: np.ndarray  # flat boolean mask
 
@@ -93,9 +105,10 @@ class GeometricMultigrid:
             op = StencilOperator(grid, nu, self.rule)
             diag, dirichlet = op.diag(), mask.ravel()
             self.levels.append(_Level(
-                grid=grid, op=op, dirichlet=dirichlet,
+                grid=grid, op=op, cycle_op=op.astype(CYCLE_DTYPE),
+                dirichlet=dirichlet,
                 jacobi=realize(omega * B.where(diag != 0, 1.0 / diag, 0.0)
-                               * ~dirichlet)))
+                               * ~dirichlet).astype(CYCLE_DTYPE)))
             if ((max_levels is not None and len(self.levels) >= max_levels)
                     or grid.num_nodes <= coarse_size or not grid.can_coarsen()
                     or grid.coarsen().resolution < 3):
@@ -125,7 +138,7 @@ class GeometricMultigrid:
             # previous sweep's damped-Jacobi update chain executes here
             # as one fused kernel.
             x = realize(x)
-            r = b - level.op @ x
+            r = b - level.cycle_op @ x
             x = x + jacobi * r
         return realize(x)
 
@@ -141,7 +154,7 @@ class GeometricMultigrid:
         if li == len(self.levels) - 1:
             return self._coarse_solve(b)
         x = self._smooth(level, None, b, self.n_pre)
-        r = (b - level.op @ x)
+        r = (b - level.cycle_op @ x)
         r *= ~level.dirichlet
         coarse = self.levels[li + 1]
         rc = restrict_nested(r.reshape(level.grid.shape), mode="dual").ravel()
@@ -149,10 +162,19 @@ class GeometricMultigrid:
         first, *rest = _COARSE_VISITS[cycle]
         ec = self._cycle(li + 1, rc, first)     # the coarse error starts at 0
         for sub_cycle in rest:
-            ec = ec + self._cycle(li + 1, rc - coarse.op @ ec, sub_cycle)
+            ec = ec + self._cycle(li + 1, rc - coarse.cycle_op @ ec,
+                                  sub_cycle)
         e = prolong_nested(ec.reshape(coarse.grid.shape)).ravel()
         e[level.dirichlet] = 0.0
         return self._smooth(level, x + e, b, self.n_post)
+
+    def correct(self, r: np.ndarray, cycle: str = "v") -> np.ndarray:
+        """The float64 correction one ``cycle`` makes for the fine-level
+        residual ``r``, run in ``CYCLE_DTYPE``; a one-level hierarchy
+        solves ``K e = r`` exactly instead."""
+        if len(self.levels) == 1:
+            return self._coarse_solve(r)
+        return self._cycle(0, r.astype(CYCLE_DTYPE), cycle).astype(np.float64)
 
     # ------------------------------------------------------------------ #
     def solve(self, f_nodal: np.ndarray | None = None, tol: float = 1e-9,
@@ -188,7 +210,7 @@ class GeometricMultigrid:
         it = 0
         while not history[-1] < tol and it < max_cycles:
             it += 1
-            u = u + self._cycle(0, r, cycle)
+            u = u + self.correct(r, cycle)
             r = residual(u)
             history.append(math.sqrt(inner(r, r)) / norm0)
         self.last_report = GMGReport(iterations=it, residual=history[-1],

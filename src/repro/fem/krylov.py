@@ -130,9 +130,9 @@ def gmg_preconditioner(gmg, cycles: int = 1
     def apply(r_interior: np.ndarray) -> np.ndarray:
         r_full = np.zeros(fine.grid.num_nodes)
         r_full[interior] = r_interior
-        z = gmg._cycle(0, r_full, "v")          # the first cycle starts at 0
+        z = gmg.correct(r_full)                 # the first cycle starts at 0
         for _ in range(cycles - 1):
-            z = z + gmg._cycle(0, r_full - fine.op @ z, "v")
+            z = z + gmg.correct(r_full - fine.op @ z)
         return z[interior]
 
     return apply

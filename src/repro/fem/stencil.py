@@ -4,32 +4,34 @@ On a uniform grid the assembled matrix *is* a 3^d-point variable-coefficient
 stencil: node ``j`` couples only to the nodes ``j - o``, ``o`` in
 ``{-1, 0, 1}^d``, that share an element with it.  :func:`stencil_matrix`
 contracts the element tensors ``S[g, a, b]`` with ν at the Gauss points
-into one nodal coefficient array per offset, ``C[o][j] = K[j - o, j]``
-(``= K[j, j - o]``, K being symmetric), by slice-adds — no index arrays, no
-triplets, no sort.  Those arrays are the data of a scipy DIA matrix as they
-stand, and its mat-vec sums each row in column order exactly as CSR does.
+into one nodal coefficient array per offset ``o >= 0`` (K is symmetric:
+14 of 27 in 3-D), ``C[o][j] = K[j - o, j]``, by slice-adds — no index
+arrays, no triplets, no sort.  They are the upper half of a scipy DIA
+matrix as they stand; DIA keeps diagonals by *column*, so diagonal ``-o``
+is upper row ``o`` from column ``o`` on, a view.
 
 Everything that needs K takes it from :class:`StencilOperator`: assembly
-(``assemble_stiffness`` is ``to_csr()``), the multigrid levels and the FMG
-ladder (the operator itself; only the coarsest level is converted, for its
-LU), ``FEMSolver`` (``to_csr()``, ``energy``) and the CG that never forms a
-CSR (``solve_interior``).  It stores all 3^d coefficients per node, and its
-mat-vec runs in row blocks on the host's cores: DIA keeps the coefficients
-by *column*, so rows ``lo:hi`` are the same data under offsets shifted by
-``lo`` — a view, not a copy — and each block sums its rows in the order
-the whole matrix does, so the product is bitwise ``matrix @ x``.
+(``assemble_stiffness`` is ``to_csr()``, :func:`full_csr` being the one
+full form), the multigrid levels and the FMG ladder (the operator and its
+float32 ``astype``; only the coarsest level is converted, for its LU),
+``FEMSolver`` (``to_csr()``, ``energy``) and the CG that never forms a
+CSR (``solve_interior``).  The mat-vec runs in row blocks on the host's
+cores — rows ``lo:hi`` are the same data under offsets shifted by ``lo``
+— adding the diagonals in ascending offset order as scipy's DIA kernel
+does, so the product is bitwise the full matrix's.
 
 :func:`apply_stiffness` is the same operator with nothing stored: ``K(nu) u
 = D^T diag(nu w) D u`` recomputed from ν on every application, batched, in
 one fused kernel that also returns ``1/2 u^T K u`` — the FEM energy loss
 (:mod:`repro.fem.energy`) and any residual on a grid whose coefficients do
 not fit in memory.  Where they fit, the stored form is the faster one: at
-65³ in float64 on a 2-core host one ``apply_stiffness`` costs 30–35 ms,
-the stored DIA product 9 ms and its row-block split 5–6 ms.
+65³ on a 2-core host one float64 ``apply_stiffness`` costs 30–35 ms, the
+stored half's split product 4–6 ms in float64 and 1.2–1.7 ms in float32.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,18 +42,21 @@ from scipy.sparse._sparsetools import dia_matvec
 from ..backend import ops as B
 from ..backend.conv_plan import conv_energy, plan_conv
 from ..backend.tuning import default_workers
-from .basis import gauss_interp, local_nodes, shape_gradients, shape_values
+from .basis import (gauss_interp, local_nodes, node_slices, shape_gradients,
+                    shape_values)
 from .grid import UniformGrid
-from .krylov import conjugate_gradient
+from .krylov import conjugate_gradient, inner
 from .quadrature import GaussRule
 
 __all__ = ["StencilOperator", "apply_stiffness", "element_stiffness_tensors",
-           "stencil_matrix"]
+           "full_csr", "stencil_matrix"]
 
 # Fewest rows a mat-vec block may have.  Measured on a 2-core host, 3-D
-# stencils: splitting 33³ = 35 937 rows in two wins (0.47 -> 0.40 ms),
-# 17³ = 4 913 loses (0.06 -> 0.10 ms), 65³ nearly halves (9.6 -> 5.8 ms).
-MIN_BLOCK_ROWS = 16384
+# stencils stored as the upper half, float64 / float32 per product: split
+# in two, 33³ = 35 937 rows ties / loses (0.47 / 0.24 -> 0.46 / 0.43 ms),
+# 41³ = 68 921 wins (1.06 / 0.48 -> 0.69 / 0.41 ms), 65³ more than
+# halves (10.0 / 4.7 -> 5.6 / 1.4 ms).
+MIN_BLOCK_ROWS = 32768
 
 
 def _new_pool() -> None:
@@ -85,30 +90,45 @@ def element_stiffness_tensors(grid: UniformGrid, rule: GaussRule) -> np.ndarray:
 
 
 def stencil_matrix(tensors: np.ndarray, coeff: np.ndarray) -> sp.dia_matrix:
-    """The matrix ``sum_e sum_g coeff[g, e] * tensors[g, a, b]`` at
-    ``(e + a, e + b)``, for element tensors ``(G, A, A)`` and a Gauss-point
+    """The upper half — diagonals with offset ``>= 0`` — of the symmetric
+    matrix ``sum_e sum_g coeff[g, e] * tensors[g, a, b]`` at ``(e + a, e +
+    b)``, for symmetric element tensors ``(G, A, A)`` and a Gauss-point
     coefficient ``(G, *E)`` — stiffness with ν, mass with ones.
 
     Local pair ``(a, b)`` lies on the diagonal ``flat(b) - flat(a)`` for
     every element at once; its entries are added at their column nodes
-    ``e + b``, which is where DIA keeps them.  At resolution 2 distinct
-    stencil offsets share a flat diagonal (in 2D ``(0, 1)`` and ``(1, -1)``
-    are both +1) but never a column, so they add into one row.
+    ``e + b``, which is where DIA keeps them.  Pairs below the diagonal
+    are never formed (:func:`full_csr` mirrors the half).  At resolution 2
+    distinct stencil offsets share a flat diagonal (in 2D ``(0, 1)`` and
+    ``(1, -1)`` are both +1) but never a column, so they add into one row.
     """
     elems = coeff.shape[1:]
     d, r = len(elems), elems[0] + 1
     nodes = local_nodes(d)
     flat = nodes @ (r ** np.arange(d - 1, -1, -1))
-    diagonals = sorted({int(fb - fa) for fa in flat for fb in flat})
-    data = np.zeros((len(diagonals),) + (r,) * d)
+    offsets = sorted({int(fb - fa) for fa in flat for fb in flat if fb >= fa})
+    data = np.zeros((len(offsets),) + (r,) * d)
     per_gauss = coeff.reshape(len(coeff), -1)
     for a, fa in enumerate(flat):
         for b, (fb, node) in enumerate(zip(flat, nodes)):
-            columns = tuple(slice(o, o + r - 1) for o in node)
-            data[(diagonals.index(fb - fa),) + columns] += (
-                tensors[:, a, b] @ per_gauss).reshape(elems)
-    return sp.dia_matrix((data.reshape(len(diagonals), -1), diagonals),
+            if fb >= fa:
+                data[(offsets.index(fb - fa),) + node_slices(node, r)] += (
+                    tensors[:, a, b] @ per_gauss).reshape(elems)
+    return sp.dia_matrix((data.reshape(len(offsets), -1), offsets),
                          shape=(r ** d, r ** d))
+
+
+def full_csr(upper: sp.dia_matrix) -> sp.csr_matrix:
+    """The symmetric matrix whose upper half is ``upper`` (offsets ``0 =
+    o_0 < o_1 < ...``), as CSR: row ``-o`` of the full DIA is upper row
+    ``o`` moved ``o`` columns left."""
+    n, offsets = upper.shape[0], upper.offsets
+    lower = np.zeros((len(offsets) - 1, n), upper.dtype)
+    for row, o, src in zip(lower, offsets[:0:-1], upper.data[:0:-1]):
+        row[:n - o] = src[o:]
+    return sp.dia_matrix((B.concatenate([lower, upper.data]),
+                          B.concatenate([-offsets[:0:-1], offsets])),
+                         shape=upper.shape).tocsr()
 
 
 def apply_stiffness(u: np.ndarray, nu: np.ndarray, rule: GaussRule, *,
@@ -159,9 +179,11 @@ class StencilOperator:
         Uniform grid, nodal ν of shape ``grid.shape`` and the Gauss rule
         (2 points per dimension by default) ν is interpolated to.
 
-    ``matrix`` is the stencil in DIA form and ``blocks`` its row blocks,
-    ``(lo, rows lo:hi of matrix)``, one per core the row count can keep
-    busy; vectors are flat or nodal.
+    ``upper`` is K's upper half in DIA form (:func:`stencil_matrix`) and
+    ``blocks`` its row blocks, ``(lo, hi, calls)``, one per core the row
+    count can keep busy; each call is an ``(offsets, data)`` pair of views
+    of ``upper``: the lower diagonals one each, then the upper half whole.
+    Vectors are flat or nodal, in the operator's dtype (``astype``).
     """
 
     def __init__(self, grid: UniformGrid, nu_nodal: np.ndarray,
@@ -171,54 +193,75 @@ class StencilOperator:
             raise ValueError(f"nu shape {nu.shape} != grid {grid.shape}")
         self.grid = grid
         self.rule = rule or GaussRule.create(grid.ndim, 2)
-        m = self.matrix = stencil_matrix(
-            element_stiffness_tensors(grid, self.rule),
-            gauss_interp(nu, self.rule))
+        self.upper = stencil_matrix(element_stiffness_tensors(grid, self.rule),
+                                    gauss_interp(nu, self.rule))
+        self._split()
+
+    def _split(self) -> None:
+        m = self.upper
         n = m.shape[0]
         k = max(1, min(default_workers(), n // MIN_BLOCK_ROWS))
         bounds = [n * i // k for i in range(k + 1)]
-        self.blocks = [(lo, sp.dia_matrix((m.data, m.offsets + lo),
-                                          shape=(hi - lo, n)))
+        # Ascending offsets: -o_max .. -o_1, then 0 .. o_max.
+        lower = [(-o, row[o:][None])
+                 for o, row in zip(m.offsets[:0:-1], m.data[:0:-1])]
+        self.blocks = [(lo, hi, [(np.array([o + lo]), data)
+                                 for o, data in lower]
+                        + [(m.offsets + lo, m.data)])
                        for lo, hi in zip(bounds, bounds[1:])]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.upper.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.upper.dtype
+
+    def astype(self, dtype) -> StencilOperator:
+        """This operator with its coefficients cast to ``dtype``."""
+        op = copy.copy(self)
+        op.upper = self.upper.astype(dtype)
+        op._split()
+        return op
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """``K u`` as a flat vector."""
-        x = np.asarray(u, dtype=np.float64).ravel()
-        if len(self.blocks) == 1:
-            return self.matrix @ x
+        """``K u`` as a flat vector of the operator's dtype."""
+        x = np.asarray(u, dtype=self.dtype).ravel()
         if x.size != self.shape[1]:     # the kernel below reads x unchecked
             raise ValueError(f"dimension mismatch: {x.size} values for "
                              f"a {self.shape} operator")
-        # Blocks add into slices of one zeroed output, as ``matrix @ x``
+        # Blocks add into slices of one zeroed output, as scipy's ``@``
         # adds into its own (``rows @ x`` per thread cost +4 MB RSS at 65³).
-        out = np.zeros(self.shape[0])
+        out = np.zeros(self.shape[0], self.dtype)
 
-        def run(block: tuple[int, sp.dia_matrix]) -> None:
-            lo, rows = block
-            dia_matvec(*rows.shape, len(rows.offsets), rows.data.shape[1],
-                       rows.offsets, rows.data, x, out[lo:lo + rows.shape[0]])
+        def run(block) -> None:
+            lo, hi, calls = block
+            y = out[lo:hi]
+            for offsets, data in calls:
+                dia_matvec(hi - lo, x.size, len(offsets), data.shape[1],
+                           offsets, data, x, y)
 
-        list(_pool.map(run, self.blocks))
+        if len(self.blocks) == 1:
+            run(self.blocks[0])
+        else:
+            list(_pool.map(run, self.blocks))
         return out
 
     __matmul__ = matvec
 
     def diag(self) -> np.ndarray:
         """The main diagonal (the Jacobi smoother's scaling)."""
-        return self.matrix.diagonal()
+        return self.upper.diagonal()
 
     def to_csr(self) -> sp.csr_matrix:
         """K as CSR, for factorizations and row/column slicing."""
-        return self.matrix.tocsr()
+        return full_csr(self.upper)
 
     def energy(self, u: np.ndarray, b: np.ndarray) -> float:
         """Matrix form of the energy, ``1/2 u^T K u - b^T u``."""
         u = np.asarray(u, dtype=np.float64).ravel()
-        return float(0.5 * u @ self.matvec(u) - b @ u)
+        return 0.5 * inner(u, self.matvec(u)) - inner(b, u)
 
     # ------------------------------------------------------------------ #
     def solve_interior(self, bc, f_nodal: np.ndarray | None = None,
