@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import ops as B
+from ..backend import realize
 from .function import Context, Function
 from .tensor import Tensor
 
-__all__ = ["exp", "log", "sigmoid", "tanh", "relu", "leaky_relu", "abs_", "softplus"]
+__all__ = ["exp", "log", "sigmoid", "tanh", "relu", "leaky_relu", "leaky_forward",
+           "leaky_factor", "abs_", "softplus"]
 
 
 class Exp(Function):
@@ -36,15 +38,19 @@ class Log(Function):
         return (grad / a,)
 
 
+def _logistic(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) as 0.5 + 0.5 * tanh(a / 2): stable for any a, and
+    one pass per step instead of boolean-indexed copies."""
+    out = B.tanh(a * 0.5)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 class Sigmoid(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        # Numerically stable logistic.
-        out = B.empty_like(a)
-        pos = a >= 0
-        out[pos] = 1.0 / (1.0 + B.exp(-a[pos]))
-        e = B.exp(a[~pos])
-        out[~pos] = e / (1.0 + e)
+        out = _logistic(a)
         ctx.save_for_backward(out)
         return out
 
@@ -79,19 +85,45 @@ class ReLU(Function):
         return (grad * ctx.meta["mask"],)
 
 
+def leaky_forward(a: np.ndarray, negative_slope: float,
+                  inplace: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-free LeakyReLU: ``max(a, s*a)`` (``min`` for s > 1), bitwise
+    ``where(a > 0, a, s*a)``.  Returns ``(out, a > 0)``, the mask being
+    what :func:`leaky_factor` takes; ``inplace`` writes ``out`` over ``a``."""
+    mask = a > 0
+    sa = negative_slope * a
+    out = (B.maximum if negative_slope <= 1 else B.minimum)(
+        a, sa, out=a if inplace else sa)
+    return out, mask
+
+
+def leaky_factor(mask: np.ndarray, negative_slope: float,
+                 dtype) -> np.ndarray:
+    """The LeakyReLU derivative as a fresh array: 1 where ``mask``, the
+    slope elsewhere, so ``grad * f`` is bitwise ``where(mask, grad,
+    s*grad)`` at a fifth of its cost."""
+    f = mask.astype(dtype)
+    if 0 <= negative_slope <= 1:
+        return B.maximum(f, negative_slope, out=f)
+    # Any other slope: (~mask) * s + mask is exact too (s + 0, +-0 + 1).
+    g = (~mask).astype(dtype)
+    g *= negative_slope
+    g += f
+    return g
+
+
 class LeakyReLU(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-        mask = a > 0
-        ctx.meta["mask"] = mask
+        out, ctx.meta["mask"] = leaky_forward(realize(a), negative_slope)
         ctx.meta["slope"] = negative_slope
-        return B.where(mask, a, negative_slope * a)
+        return out
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        mask = ctx.meta["mask"]
-        slope = ctx.meta["slope"]
-        return B.where(mask, grad, slope * grad), None
+        f = leaky_factor(ctx.meta["mask"], ctx.meta["slope"], grad.dtype)
+        f *= realize(grad)
+        return f, None
 
 
 class Abs(Function):
@@ -114,12 +146,7 @@ class Softplus(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         (a,) = ctx.saved
-        sig = B.empty_like(a)
-        pos = a >= 0
-        sig[pos] = 1.0 / (1.0 + B.exp(-a[pos]))
-        e = B.exp(a[~pos])
-        sig[~pos] = e / (1.0 + e)
-        return (grad * sig,)
+        return (grad * _logistic(a),)
 
 
 def exp(a: Tensor) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, batch_norm
+from ..autograd.ops_norm import batch_stats
 from ..backend.dtype import get_default_dtype
 from .module import Module, Parameter
 from . import init
@@ -33,15 +34,16 @@ class BatchNorm(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=dtype))
         self.register_buffer("num_batches_tracked", np.zeros((), dtype=np.int64))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, negative_slope: float | None = None) -> Tensor:
+        """``negative_slope`` appends a LeakyReLU, fused into the op in
+        training mode (what :class:`~repro.nn.unet.ConvBlock` passes)."""
         if x.shape[1] != self.num_features:
             raise ValueError(
                 f"BatchNorm expected {self.num_features} channels, got {x.shape[1]}")
         if self.training:
-            nd = x.ndim - 2
-            axes = (0,) + tuple(range(2, 2 + nd))
-            batch_mean = x.data.mean(axis=axes)
-            batch_var = x.data.var(axis=axes)
+            # One reduction feeds the running estimates and the op.
+            stats = batch_stats(x.data)
+            batch_mean, batch_var = stats[:2]
             m = self.momentum
             stat_dtype = np.asarray(self.running_mean).dtype
             self.update_buffer(
@@ -55,14 +57,14 @@ class BatchNorm(Module):
                 ((1 - m) * self.running_var + m * unbiased).astype(stat_dtype))
             self.update_buffer("num_batches_tracked",
                                self.num_batches_tracked + 1)
-            # The op normalizes with the statistics reduced above rather
-            # than reducing the activation a second time.
             return batch_norm(x, self.gamma, self.beta, training=True,
-                              eps=self.eps, batch_stats=(batch_mean, batch_var))
+                              eps=self.eps, batch_stats=stats,
+                              negative_slope=negative_slope)
         return batch_norm(x, self.gamma, self.beta,
                           running_mean=self.running_mean,
                           running_var=self.running_var,
-                          training=False, eps=self.eps)
+                          training=False, eps=self.eps,
+                          negative_slope=negative_slope)
 
     def __repr__(self) -> str:
         return f"BatchNorm({self.num_features}, eps={self.eps}, momentum={self.momentum})"

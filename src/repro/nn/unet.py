@@ -40,8 +40,11 @@ class ConvBlock(Module):
     call: the running-statistics affine ``y * s + t`` is folded into the
     conv's weights and bias per call (``w * s``, ``b * s + t``: a few
     microseconds, and never stale) and the engine applies bias and
-    LeakyReLU chunk by chunk.  With the tape on, in training mode or with
-    another norm the block runs op by op.
+    LeakyReLU chunk by chunk.  In training mode a BatchNorm block is two
+    tape ops, the conv and BatchNorm with the LeakyReLU fused in as its
+    epilogue (:class:`repro.autograd.ops_norm.BatchNorm`).  An
+    evaluation-mode block with the tape on, and every GroupNorm or
+    ``norm='none'`` block, runs op by op.
     """
 
     def __init__(self, ndim: int, in_channels: int, out_channels: int,
@@ -79,6 +82,8 @@ class ConvBlock(Module):
                 x, conv.weight.data * scale.reshape((-1,) + (1,) * (x.ndim - 1)),
                 shift, conv.stride, conv.padding, self.act.negative_slope)
         x = conv(x)
+        if isinstance(bn, BatchNorm):
+            return bn(x, negative_slope=self.act.negative_slope)
         if bn is not None:
             x = bn(x)
         return self.act(x)

@@ -53,6 +53,16 @@ class TestNumericalStability:
         assert np.all(np.isfinite(y))
         np.testing.assert_allclose(y, [0.0, 0.5, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-7),
+                                           (np.float64, 1e-15)])
+    def test_sigmoid_is_accurate_in_each_dtype(self, dtype, tol):
+        x = np.linspace(-40.0, 40.0, 200_001).astype(dtype)
+        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        y = Tensor(x).sigmoid().data
+        assert y.dtype == dtype
+        assert np.abs(y - ref).max() <= tol
+        assert y.min() >= 0.0 and y.max() <= 1.0
+
     def test_softplus_large_input_no_overflow(self):
         x = Tensor(np.array([800.0]))
         assert np.isfinite(softplus(x).data).all()

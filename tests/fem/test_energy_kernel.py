@@ -24,6 +24,7 @@ from repro.fem import (EnergyLoss, GaussRule, NeumannBC, UniformGrid,
                        assemble_load, assemble_neumann_load)
 from repro.fem.stencil import StencilOperator, apply_stiffness
 from tests.fem.energy_oracle import chain_energy
+from tests.peak_rss import PEAK_MB
 
 # float32: a few ulp per Gauss-point term, summed in float64.
 VALUE_RTOL = {np.float32: 1e-6, np.float64: 1e-12}
@@ -160,10 +161,10 @@ def test_rejects_what_it_cannot_compute() -> None:
             apply_stiffness(u, nu, rule)
 
 
-# Run in a fresh interpreter: inside a long session an earlier test has
-# usually set a higher RSS peak already and the growth would read 0.
-FIELD_129 = """
-import resource
+# Run in a fresh interpreter that reads its own peak (``VmHWM``, see
+# tests/peak_rss.py): this process's peak, or a ``ru_maxrss`` inherited
+# from it, would hide the field's.
+FIELD_129 = PEAK_MB + """
 import numpy as np
 from repro.fem import GaussRule
 from repro.fem.stencil import apply_stiffness
@@ -174,15 +175,15 @@ u = rng.standard_normal((1, r, r, r))
 nu = np.exp(0.3 * rng.standard_normal((1, r, r, r)))
 rule = GaussRule.create(3, 2)
 apply_stiffness(u[:, :9, :9, :9], nu[:, :9, :9, :9], rule)   # imports, BLAS
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_mb()
 energy, ku = apply_stiffness(u, nu, rule)
-grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+grown = peak_mb() - before
 # K is symmetric positive semi-definite with constants in its kernel.
 assert ku.shape == u.shape and energy[0] > 0
 assert abs(0.5 * np.vdot(u, ku) - energy[0]) <= 1e-10 * energy[0]
 flat, _ = apply_stiffness(np.ones_like(u), nu, rule)
 assert flat[0] <= 1e-20 * energy[0]
-print(grown / 1024.0)
+print(grown)
 """
 
 

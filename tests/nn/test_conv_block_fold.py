@@ -1,7 +1,8 @@
 """An evaluation-mode BatchNorm ``ConvBlock`` under ``no_grad`` is one
 engine call — BatchNorm folded into the weights and bias, bias and
-LeakyReLU applied by the engine — and every other block is the op-by-op
-chain it always was.
+LeakyReLU applied by the engine — a training-mode BatchNorm block is the
+conv plus one BatchNorm op with LeakyReLU fused in, and every other block
+is the op-by-op chain it always was.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def _op_by_op(block: ConvBlock, x: Tensor) -> Tensor:
     if block.bn is not None:
         y = block.bn(y)
     return block.act(y)
+
+
+def _fused_oracle(block: ConvBlock, y: np.ndarray) -> np.ndarray:
+    """Training BatchNorm + LeakyReLU in the fused op's arithmetic, in
+    plain NumPy: contiguous (N, C, S) statistics, the affine, max(y, s*y)."""
+    bn, s = block.bn, block.act.negative_slope
+    n, c = y.shape[:2]
+    y3 = y.reshape(n, c, -1)
+    m = y3.size // c
+    mean = y3.sum(axis=2).sum(axis=0) / m
+    var = ((y3 - mean[:, None]) ** 2).sum(axis=2).sum(axis=0) / m
+    xhat = (y3 - mean[:, None]) * (1.0 / np.sqrt(var + bn.eps))[:, None]
+    out = xhat * bn.gamma.data[:, None] + bn.beta.data[:, None]
+    return np.maximum(out, s * out).reshape(y.shape)
 
 
 def _applies(run) -> dict[str, int]:
@@ -96,8 +111,7 @@ class TestFoldedBlock:
 class TestEveryOtherBlockIsOpByOp:
     @pytest.mark.parametrize("kwargs,training", [
         ({"norm": "group"}, False), ({"norm": "none"}, False),
-        ({"use_batchnorm": False}, False), ({}, True),
-        ({"norm": "group"}, True)])
+        ({"use_batchnorm": False}, False), ({"norm": "group"}, True)])
     def test_bit_identical_to_the_chain(self, kwargs, training):
         block = _block(2, np.float32, **kwargs).train(training)
         x = _input(2, np.float32)
@@ -108,6 +122,22 @@ class TestEveryOtherBlockIsOpByOp:
             # (Training-mode BatchNorm normalizes with batch statistics,
             # so the running ones it updates per call do not enter.)
             np.testing.assert_array_equal(got, _op_by_op(block, x).data)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5),
+                                           (np.float64, 1e-12)])
+    def test_training_batchnorm_block_fuses_the_activation(self, ndim, dtype,
+                                                           tol):
+        block = _block(ndim, dtype).train()
+        x = _input(ndim, dtype)
+        with no_grad():
+            got = block(x).data
+            names = _applies(lambda: block(x))
+            assert names == {"ConvNd": 1, "BatchNorm": 1}
+            np.testing.assert_array_equal(
+                got, _fused_oracle(block, block.conv(x).data))
+            ref = _op_by_op(block, x).data
+        assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
 
     def test_training_mode_records_the_tape(self):
         block = _block(2, np.float32)

@@ -14,6 +14,7 @@ from repro.serve import (
     stream_tiled_forward, tiled_predict,
 )
 from repro.serve.telemetry.trace import NULL_SPAN
+from tests.peak_rss import PEAK_MB
 
 RNG = np.random.default_rng(7)
 
@@ -247,10 +248,10 @@ class TestResumeCost:
             (1, "up"): 1, (0, "up"): 1}
 
 
-# Run in a fresh interpreter: inside a long session an earlier test has
-# usually set a higher RSS peak already.
-FIELD_256 = """
-import resource
+# Run in a fresh interpreter that reads its own peak (``VmHWM``, see
+# tests/peak_rss.py): this process's peak, or a ``ru_maxrss`` inherited
+# from it, would hide the field's.
+FIELD_256 = PEAK_MB + """
 import numpy as np
 from repro import MGDiffNet, PoissonProblem3D
 from repro.autograd import Tensor, no_grad
@@ -261,7 +262,7 @@ problem = PoissonProblem3D(256)
 model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=1)
 omega = np.random.default_rng(0).uniform(-3.0, 3.0, 4)
 field = tiled_predict(model, problem, omega, tile=64)
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+peak = peak_mb()
 assert field.shape == (1, 256, 256, 256) and np.isfinite(field).all()
 # An interior tile against the plain forward of the 128^3 box around it:
 # 32 cells of margin exceed the network's receptive radius.
@@ -271,7 +272,7 @@ with model.evaluating(), no_grad():
 err = np.abs(field[0, 64:128, 64:128, 64:128]
              - box[0, 0, 32:96, 32:96, 32:96]).max()
 assert err <= 1e-5, err
-print(peak_mb)
+print(peak)
 """
 
 
