@@ -22,7 +22,7 @@ import numpy as np
 from repro.data import LogPermeabilityField
 from repro.fem import (UniformGrid, GeometricMultigrid, assemble_stiffness,
                        canonical_bc, conjugate_gradient, gmg_preconditioner)
-from repro.multigrid import full_multigrid_solve
+from repro.fem.gmg import full_multigrid_solve
 
 try:
     from .common import bench_cli, report, write_bench_json

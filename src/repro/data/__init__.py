@@ -5,12 +5,10 @@ from .sobol import SobolSampler, sample_omega
 from .diffusivity import LogPermeabilityField, DEFAULT_A
 from .dataset import DiffusivityDataset
 from .dataloader import BatchSampler, shard_batch
-from .augmentation import symmetry_axes, reflect_field, augment_batch
 
 __all__ = [
     "SobolSampler", "sample_omega",
     "LogPermeabilityField", "DEFAULT_A",
     "DiffusivityDataset",
     "BatchSampler", "shard_batch",
-    "symmetry_axes", "reflect_field", "augment_batch",
 ]

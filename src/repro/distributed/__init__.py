@@ -1,19 +1,17 @@
 """Simulated distributed runtime: ring all-reduce, MPI-style collectives,
-and the data-parallel trainer with Eq. 15 sharding."""
+and the data-parallel trainer with Eq. 15 sharding.
+
+Spatial (model-parallel) decomposition of one field is the tile engine,
+:mod:`repro.serve.tiling`."""
 
 from .ring import ring_allreduce, RingStats
 from .comm import SimulatedCommunicator, CommLog
 from .data_parallel import (DataParallelTrainer, DPConfig, DPResult,
                             flatten_gradients, unflatten_to_gradients)
-from .model_parallel import (HaloStats, ModelParallelConvStack,
-                             halo_exchange, model_parallel_conv,
-                             split_slabs, join_slabs)
 
 __all__ = [
     "ring_allreduce", "RingStats",
     "SimulatedCommunicator", "CommLog",
     "DataParallelTrainer", "DPConfig", "DPResult",
     "flatten_gradients", "unflatten_to_gradients",
-    "HaloStats", "ModelParallelConvStack", "halo_exchange",
-    "model_parallel_conv", "split_slabs", "join_slabs",
 ]

@@ -4,11 +4,9 @@ schedules (V / W / F / Half-V)."""
 from .hierarchy import GridHierarchy
 from .transfer import resample_linear, restrict_field, prolong_field
 from .cycles import CycleStep, cycle_levels, build_schedule, STRATEGIES
-from .fmg import full_multigrid_solve, FMGResult
 
 __all__ = [
     "GridHierarchy",
     "resample_linear", "restrict_field", "prolong_field",
     "CycleStep", "cycle_levels", "build_schedule", "STRATEGIES",
-    "full_multigrid_solve", "FMGResult",
 ]

@@ -95,7 +95,6 @@ from .resilience import (
 from .server import (
     PredictionServer, ServerConfig, ServerStats, StreamStalled, TileStream,
 )
-from .spill_ledger import SpillLedger
 from .telemetry import (
     NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry, NullSpan,
     NullTracer, QuantileSketch, Span, Telemetry, Tracer, export_jsonl,
@@ -118,7 +117,6 @@ __all__ = [
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
-    "SpillLedger",
     "RetryConfig", "RetryPolicy", "HedgeConfig", "HedgePolicy",
     "BreakerConfig", "CircuitBreaker", "HedgeTimer", "ResilienceConfig",
     "install_resilience", "uninstall_resilience", "retry_call",

@@ -27,13 +27,9 @@ than the whole budget is not written at all (admitting it would wipe the
 tier just to be evicted next).  ``None`` keeps the pre-budget behavior:
 unbounded disk, pruned only by version.
 
-**Shared spill** (``shared_spill=True``): several cache instances —
-across threads *and processes* — share one directory and one budget,
-coordinating every write/touch through the cross-process
-:class:`~repro.serve.spill_ledger.SpillLedger` instead of per-instance
-books.  Entries deduplicate (same key => same file name), and an
-eviction performed by one instance is reflected in the books of
-whichever instance observes it next.
+The budget is kept from this instance's own books, so one spill
+directory has one writing cache: a sharded fleet gives every shard its
+own subdirectory.
 """
 
 from __future__ import annotations
@@ -140,8 +136,7 @@ class LRUCache:
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024,
                  spill_dir: str | os.PathLike | None = None,
-                 spill_max_bytes: int | None = None,
-                 shared_spill: bool = False) -> None:
+                 spill_max_bytes: int | None = None) -> None:
         self.max_bytes = int(max_bytes)
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.spill_max_bytes = (int(spill_max_bytes)
@@ -153,22 +148,6 @@ class LRUCache:
         # mtime order so the recency ranking survives restarts (reads
         # mirror their touch to the file's mtime).
         self._spill_files: OrderedDict[str, int] = OrderedDict()
-        # With shared_spill the budget is enforced by the cross-process
-        # ledger, not these books (which then only track what *this*
-        # instance has seen).  A ledger without a budget has nothing to
-        # coordinate, so spill_max_bytes is required: silently degrading
-        # to per-instance accounting would leave multiple writers on one
-        # directory with no coordination at all.
-        self._ledger = None
-        if shared_spill and self.spill_dir is not None:
-            if self.spill_max_bytes is None:
-                raise ValueError(
-                    "shared_spill=True requires spill_max_bytes: the "
-                    "cross-process ledger coordinates a byte budget, and "
-                    "without one shards would share the spill directory "
-                    "with uncoordinated per-instance accounting")
-            from .spill_ledger import SpillLedger
-            self._ledger = SpillLedger(self.spill_dir, self.spill_max_bytes)
         self.stats = CacheStats()
         if self.spill_dir is not None:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
@@ -178,14 +157,8 @@ class LRUCache:
             for path in sorted(self.spill_dir.glob("*.npz"),
                                key=lambda p: p.stat().st_mtime_ns):
                 self._spill_files[path.name] = path.stat().st_size
-            if self._ledger is not None:
-                evicted, total = self._ledger.ensure_budget()
-                for name, _ in evicted:
-                    self._spill_files.pop(name, None)
-                self.stats.spill_bytes = total
-            else:
-                self.stats.spill_bytes = sum(self._spill_files.values())
-                self._enforce_spill_budget()
+            self.stats.spill_bytes = sum(self._spill_files.values())
+            self._enforce_spill_budget()
 
     def get(self, key: tuple) -> np.ndarray | None:
         with self._lock:
@@ -277,11 +250,8 @@ class LRUCache:
         with self._lock:
             self.stats.spill_writes += 1
             self._spill_files[path.name] = size
-            if self._ledger is not None:
-                self._ledger_use(path.name, size)
-            else:
-                self.stats.spill_bytes += size
-                self._enforce_spill_budget()
+            self.stats.spill_bytes += size
+            self._enforce_spill_budget()
 
     def _touch_spill(self, path: Path) -> None:
         """Move a spill file to most-recently-used (persisted via mtime)."""
@@ -292,29 +262,11 @@ class LRUCache:
             return
         with self._lock:
             # (Re)register at most-recently-used; incremental accounting
-            # keeps spill hits O(1).  A file written by another instance
-            # sharing the directory enters this instance's books on
-            # first touch (old is None).
+            # keeps spill hits O(1).
             old = self._spill_files.pop(path.name, None)
             self._spill_files[path.name] = size
-            if self._ledger is not None:
-                self._ledger_use(path.name, size)
-            else:
-                self.stats.spill_bytes += size - (old or 0)
-                self._enforce_spill_budget()
-
-    def _ledger_use(self, name: str, size: int) -> None:
-        """Route a write/touch through the shared ledger (lock held).
-
-        The ledger evicts over-budget files itself — including files
-        other instances wrote — and reports the directory's true byte
-        total, which replaces this instance's incremental count.
-        """
-        evicted, total = self._ledger.record_use(name, size)
-        for evicted_name, _ in evicted:
-            self._spill_files.pop(evicted_name, None)
-            self.stats.spill_evictions += 1
-        self.stats.spill_bytes = total
+            self.stats.spill_bytes += size - (old or 0)
+            self._enforce_spill_budget()
 
     def _enforce_spill_budget(self) -> None:
         """Evict least-recently-used spill files over budget (lock held)."""
@@ -329,9 +281,7 @@ class LRUCache:
     def _forget_spill(self, path: Path) -> None:
         with self._lock:
             size = self._spill_files.pop(path.name, None)
-            if self._ledger is not None:
-                self.stats.spill_bytes = self._ledger.remove(path.name)
-            elif size is not None:
+            if size is not None:
                 self.stats.spill_bytes -= size
 
     def _load_spilled(self, key: tuple) -> np.ndarray | None:

@@ -131,11 +131,6 @@ class FleetConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     # (message_bytes, world_size) -> seconds; None counts bytes only.
     time_model: Callable[[int, int], float] | None = None
-    # True: all shards spill into ONE directory under one byte budget,
-    # coordinated by the cross-process spill ledger (entries deduplicate
-    # across replicas).  False: each shard owns a private subdirectory
-    # with an independent budget.
-    shared_spill: bool = False
 
 
 class Shard:
@@ -342,16 +337,9 @@ class ShardedFleet:
             self._next_shard += 1
         cfg = self.config.server
         if cfg.cache_dir is not None:
-            if self.config.shared_spill:
-                # One directory, one budget: every shard spills into
-                # the same tier, coordinated by the spill ledger.
-                # Replicas of one model share a single npz on disk.
-                cfg = replace(cfg, shared_spill=True)
-            else:
-                # Each simulated host owns its spill directory:
-                # budgets and LRU accounting are per-instance.
-                cfg = replace(cfg, cache_dir=str(Path(cfg.cache_dir)
-                                                 / shard_id))
+            # Each simulated host owns its spill directory: budgets and
+            # LRU accounting are per-instance.
+            cfg = replace(cfg, cache_dir=str(Path(cfg.cache_dir) / shard_id))
         shard = Shard(shard_id, PredictionServer(ModelRegistry(), cfg))
         if self.telemetry is not None:
             # Shards born after enable_telemetry (autoscaler spawns)

@@ -107,8 +107,6 @@ class ServerConfig:
     executor: str = "serial"          # compute layer: serial|thread|process
     cache_dir: str | None = None      # set: spill the LRU to disk (npz)
     spill_max_bytes: int | None = None  # byte budget for the spill tier
-    shared_spill: bool = False        # coordinate the budget across all
-    # instances sharing cache_dir via the cross-process spill ledger
     max_pending: int = 0              # >0: bound the queue (backpressure)
     default_deadline_s: float | None = None  # latency budget default
     priority_aging_s: float | None = None  # age-escalation rate (see
@@ -331,8 +329,7 @@ class PredictionServer:
         self.telemetry = None
         self.cache = LRUCache(self.config.cache_bytes,
                               spill_dir=self.config.cache_dir,
-                              spill_max_bytes=self.config.spill_max_bytes,
-                              shared_spill=self.config.shared_spill)
+                              spill_max_bytes=self.config.spill_max_bytes)
         self.stats = ServerStats()
         self._batcher = MicroBatcher(self.config.max_batch,
                                      self.config.max_wait_ms)

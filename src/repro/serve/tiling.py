@@ -4,7 +4,8 @@ A full U-Net forward at megavoxel resolution holds ``base_filters`` x the
 input field in activations per layer — far beyond what one forward pass
 can afford.  This module runs the network as *level-wise tile sweeps* —
 the forward half of the spatial model parallelism the paper's Sec. 5
-leaves open — and stitches an exact full-field result:
+leaves open; the backward half (spatial model-parallel *training*) is
+still open — and stitches an exact full-field result:
 
 * at U-Net level ``l`` a *down sweep* runs the encoder block and the
   down-sampling block by block, writing each core into the whole array
@@ -21,8 +22,8 @@ leaves open — and stitches an exact full-field result:
   from their kernel sizes and kept even so a padded block maps onto whole
   cells of the level below — no block pays the network's receptive field;
 * at the physical domain boundary a block is cropped instead of padded
-  (:func:`repro.distributed.model_parallel.extract_padded_block`), so the
-  network's own zero padding applies there as in the full-field forward.
+  (:func:`extract_padded_block`), so the network's own zero padding
+  applies there as in the full-field forward.
 
 In eval mode every layer of MGDiffNet is spatially local (convolutions,
 transposed convolutions, pointwise activations, BatchNorm with running
@@ -60,11 +61,11 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..backend import get_pool
 from ..core.inference import apply_bc_masks, prepare_batch_inputs
-from ..distributed.model_parallel import extract_padded_block
 from .telemetry.trace import NULL_SPAN, NULL_TRACER
 
-__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "tiled_forward",
-           "tiled_predict", "stream_tiled_forward", "stream_tiled_predict"]
+__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "extract_padded_block",
+           "tiled_forward", "tiled_predict", "stream_tiled_forward",
+           "stream_tiled_predict"]
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,31 @@ def _cone(net, shape, tile: int, halo: int, needed, level: int = 0):
                     for box in coarse_reads],
                    _sweep_halo(net, level, up=False))
     return ([(down, up)] if tiled else []) + deeper, reads
+
+
+def extract_padded_block(x: np.ndarray, axis: int, start: int, stop: int,
+                         halo: int) -> tuple[np.ndarray, int]:
+    """Slice ``x[..., start:stop, ...]`` along ``axis`` with up to ``halo``
+    extra layers of neighbouring data on each side.
+
+    Where a neighbour exists the halo is real data, and at the domain
+    boundary the block is simply *cropped* (no zero fill), so a 'same'
+    convolution applied to the block pads the physical boundary exactly
+    like the full-field computation does.
+
+    Returns ``(block, core_offset)`` where ``block`` is a view of ``x`` and
+    ``core_offset`` is the index of ``start`` inside it along ``axis``.
+    """
+    size = x.shape[axis]
+    if not (0 <= start < stop <= size):
+        raise ValueError(f"block [{start}, {stop}) outside axis of size {size}")
+    if halo < 0:
+        raise ValueError("halo must be >= 0")
+    lo = max(start - halo, 0)
+    hi = min(stop + halo, size)
+    index = [slice(None)] * x.ndim
+    index[axis] = slice(lo, hi)
+    return x[tuple(index)], start - lo
 
 
 def _stage_inputs(x: np.ndarray, coarse, block, halo: int):

@@ -27,8 +27,7 @@ from repro import PoissonProblem3D
 from repro.fem import (GaussRule, GeometricMultigrid, UniformGrid,
                        assemble_mass, assemble_stiffness, canonical_bc,
                        conjugate_gradient, gmg_preconditioner)
-from repro.fem.gmg import CYCLE_DTYPE
-from repro.multigrid.fmg import full_multigrid_solve
+from repro.fem.gmg import CYCLE_DTYPE, full_multigrid_solve
 
 from tests.fem import gmg_oracle, stencil_oracle
 

@@ -6,7 +6,7 @@ import pytest
 from repro.fem import (UniformGrid, FEMSolver, assemble_stiffness,
                        canonical_bc)
 from repro.fem.stencil import StencilOperator
-from repro.multigrid.fmg import full_multigrid_solve
+from repro.fem.gmg import full_multigrid_solve
 
 
 @pytest.fixture

@@ -8,6 +8,14 @@ halo on every tile, ``net(Tensor(buf))`` inside the tile loop, the halo
 from the hand-derived ``4 * 2**depth - 3 + 2 * n_ref`` — was measured
 (README "Engine kill table", ``docs/pr22_level_tiling.md``) and deleted;
 this walks the module's AST and fails where it would grow back.
+
+The same holds package-wide for two second implementations nothing
+selected: the stride-1 slab engine (``distributed/model_parallel.py``),
+which the tile sweeps cover along with stride-2 sampling and skips, and
+the cross-process spill ledger, a second set of books for the disk
+budget each ``LRUCache`` already keeps.  Their names may not come back
+anywhere in ``src/repro``, and the block extractor the tile engine cuts
+halos with has one definition, in ``serve/tiling.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +23,26 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-TILING = (Path(__file__).resolve().parents[2]
-          / "src" / "repro" / "serve" / "tiling.py")
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
+TILING = PACKAGE / "serve" / "tiling.py"
 
 BANNED_NAMES = {
     "_forward_tile": "the whole-network tile forward",
     "_run_tile_task": "the whole-network process task",
     "_padded_block": "the single-halo block extractor",
 }
+# Package-wide: the deleted slab engine and spill ledger, and the option
+# that selected the ledger (as a keyword, parameter or config field).
+BANNED_FORKS = {
+    "halo_exchange": "the slab halo exchange",
+    "split_slabs": "the slab split",
+    "join_slabs": "the slab join",
+    "model_parallel_conv": "the slab conv",
+    "ModelParallelConvStack": "the slab conv stack",
+    "SpillLedger": "the cross-process spill ledger",
+    "shared_spill": "the shared-spill option",
+}
+BANNED_MODULES = ("model_parallel", "spill_ledger")
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -87,6 +107,27 @@ def _violations(source: str) -> list[str]:
     return bad
 
 
+def _forks(source: str) -> list[str]:
+    """Uses of the deleted slab engine or spill ledger in one module."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        names = [getattr(node, f, None) for f in ("id", "attr", "name", "arg")]
+        bad += [f"{getattr(node, 'lineno', '?')}: {BANNED_FORKS[n]} ({n})"
+                for n in names if n in BANNED_FORKS]
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[-1] in BANNED_MODULES):
+            bad.append(f"{node.lineno}: import of {node.module}")
+    return bad
+
+
+def _definitions(name: str) -> list[str]:
+    """Modules of ``src/repro`` defining a function ``name``."""
+    return [str(path.relative_to(PACKAGE))
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for fn in _functions(ast.parse(path.read_text()))
+            if fn == name]
+
+
 def test_the_halo_recompute_engine_stays_deleted() -> None:
     bad = _violations(TILING.read_text())
     assert not bad, (
@@ -113,6 +154,41 @@ def test_one_stage_runner_behind_both_sweeps_and_the_process_task() -> None:
     assert sum(name == "sweep" for name in functions) == 1
     assert len([c for c in _calls(tree)
                 if getattr(c.func, "attr", None) == "imap_unordered"]) == 1
+
+
+def test_the_slab_engine_and_spill_ledger_stay_deleted() -> None:
+    assert not [p for m in BANNED_MODULES for p in PACKAGE.rglob(f"{m}.py")]
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _forks(path.read_text())]
+    assert not bad, (
+        "a deleted second implementation is growing back — spatial "
+        "decomposition is serve/tiling.py, the spill budget is "
+        "LRUCache's own:\n  " + "\n  ".join(bad))
+
+
+def test_one_block_extractor_in_the_tile_engine() -> None:
+    assert _definitions("extract_padded_block") == ["serve/tiling.py"]
+
+
+def test_guard_catches_the_deleted_forks() -> None:
+    """The package-wide guard flags every idiom it names (meta-test)."""
+    text = "\n".join(_forks(
+        "from ..distributed.model_parallel import halo_exchange\n"
+        "from .spill_ledger import SpillLedger\n"
+        "def f(x, layer, stack):\n"
+        "    slabs = split_slabs(x, 2)\n"
+        "    slabs = model_parallel_conv(layer, slabs)\n"
+        "    return join_slabs(slabs), stack.ModelParallelConvStack\n"
+        "class Config:\n"
+        "    shared_spill: bool = False\n"
+        "def cache(spill_dir, shared_spill=False):\n"
+        "    return LRUCache(spill_dir, shared_spill=True)\n"))
+    for name in BANNED_FORKS:
+        assert f"({name})" in text, name
+    assert text.count("(shared_spill)") == 3      # field, parameter, keyword
+    assert "import of distributed.model_parallel" in text
+    assert "import of spill_ledger" in text
 
 
 def test_guard_catches_the_old_engine() -> None:

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.core.inference import predict_batch
@@ -14,6 +16,7 @@ from repro.serve import (
     stream_tiled_forward, tiled_predict,
 )
 from repro.serve.telemetry.trace import NULL_SPAN
+from repro.serve.tiling import extract_padded_block
 from tests.peak_rss import PEAK_MB
 
 RNG = np.random.default_rng(7)
@@ -53,6 +56,37 @@ class TestPlan:
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             plan_tiles((18, 16), tile=8, halo=4, multiple=4)
+
+
+@st.composite
+def _block_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    axis = draw(st.integers(0, len(shape) - 1))
+    start = draw(st.integers(0, shape[axis] - 1))
+    stop = draw(st.integers(start + 1, shape[axis]))
+    return shape, axis, start, stop, draw(st.integers(0, 8))
+
+
+class TestExtractPaddedBlock:
+    @given(case=_block_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_block_is_the_cropped_halo_view(self, case):
+        shape, axis, start, stop, halo = case
+        x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        block, off = extract_padded_block(x, axis, start, stop, halo)
+        lo = max(start - halo, 0)
+        hi = min(stop + halo, shape[axis])
+        np.testing.assert_array_equal(
+            block, np.take(x, np.arange(lo, hi), axis=axis))
+        assert off == start - lo
+        assert not block.flags.owndata and np.shares_memory(block, x)
+
+    @pytest.mark.parametrize("start, stop, halo", [
+        (-1, 2, 0), (2, 2, 0), (3, 2, 0), (0, 9, 0), (0, 2, -1)])
+    def test_bad_range_or_halo_raises(self, start, stop, halo):
+        x = np.zeros((2, 8))
+        with pytest.raises(ValueError):
+            extract_padded_block(x, 1, start, stop, halo)
 
 
 class TestReceptiveHalo:
