@@ -38,6 +38,7 @@ import hashlib
 import os
 import threading
 import time
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -289,9 +290,15 @@ class LRUCache:
         if path is None or not path.exists():
             return None
         try:
+            # A bare .npy loads as an array, which is no context manager
+            # (TypeError); a truncated zip raises BadZipFile, an empty
+            # file EOFError; a non-npy member loads as bytes.
             with np.load(path, allow_pickle=False) as data:
                 value = data["value"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, EOFError, TypeError,
+                zipfile.BadZipFile):
+            value = None
+        if not isinstance(value, np.ndarray):
             # Torn or foreign file: drop it so it cannot shadow recompute.
             path.unlink(missing_ok=True)
             self._forget_spill(path)

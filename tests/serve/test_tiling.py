@@ -88,6 +88,22 @@ class TestExtractPaddedBlock:
         with pytest.raises(ValueError):
             extract_padded_block(x, 1, start, stop, halo)
 
+    def test_halo_is_neighbour_data_cropped_at_boundary(self):
+        x = np.arange(8, dtype=np.float32).reshape(1, 1, 8)
+        left, off = extract_padded_block(x, 2, 0, 4, halo=1)
+        np.testing.assert_array_equal(left[0, 0], [0, 1, 2, 3, 4])
+        assert off == 0
+        right, off = extract_padded_block(x, 2, 4, 8, halo=1)
+        np.testing.assert_array_equal(right[0, 0], [3, 4, 5, 6, 7])
+        assert off == 1
+
+    def test_zero_halo_is_the_core_view(self):
+        x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        block, off = extract_padded_block(x, 1, 1, 2, halo=0)
+        assert off == 0 and block.shape == (2, 1, 4)
+        assert not block.flags.owndata and np.shares_memory(block, x)
+        np.testing.assert_array_equal(block, x[:, 1:2])
+
 
 class TestReceptiveHalo:
     def test_halo_is_alignment_multiple(self):
