@@ -240,30 +240,25 @@ class LRUCache:
         try:
             np.savez(tmp, value=np.ascontiguousarray(value))
             os.replace(tmp, path)
-            # A fresh write is this entry's first use: stamp it into the
-            # same strictly-increasing recency order as touches, so two
-            # writes landing inside one filesystem-mtime tick cannot tie.
-            _touch_monotonic(path)
-            size = path.stat().st_size
         except OSError:
             tmp.unlink(missing_ok=True)
             return
-        with self._lock:
-            self.stats.spill_writes += 1
-            self._spill_files[path.name] = size
-            self.stats.spill_bytes += size
-            self._enforce_spill_budget()
+        # A fresh write is this entry's first use.
+        self._touch_spill(path, write=True)
 
-    def _touch_spill(self, path: Path) -> None:
-        """Move a spill file to most-recently-used (persisted via mtime)."""
-        try:
-            _touch_monotonic(path)
-            size = path.stat().st_size
-        except OSError:
-            return
+    def _touch_spill(self, path: Path, write: bool = False) -> None:
+        """Move a spill file to most-recently-used (persisted via mtime)
+        and (re)count it at its size.  Stamp, stat and count share the
+        lock evictions hold: a file evicted meanwhile is never counted
+        again, and two writers racing on one key count it once."""
         with self._lock:
-            # (Re)register at most-recently-used; incremental accounting
-            # keeps spill hits O(1).
+            try:
+                _touch_monotonic(path)
+                size = path.stat().st_size
+            except OSError:
+                return
+            self.stats.spill_writes += write
+            # Incremental accounting keeps spill hits O(1).
             old = self._spill_files.pop(path.name, None)
             self._spill_files[path.name] = size
             self.stats.spill_bytes += size - (old or 0)
@@ -279,8 +274,10 @@ class LRUCache:
             self.stats.spill_bytes -= size
             self.stats.spill_evictions += 1
 
-    def _forget_spill(self, path: Path) -> None:
+    def _drop_spill(self, path: Path) -> None:
+        """Delete a spill file and uncount it."""
         with self._lock:
+            path.unlink(missing_ok=True)
             size = self._spill_files.pop(path.name, None)
             if size is not None:
                 self.stats.spill_bytes -= size
@@ -289,19 +286,20 @@ class LRUCache:
         path = self._spill_path(key)
         if path is None or not path.exists():
             return None
+        value = None
         try:
-            # A bare .npy loads as an array, which is no context manager
-            # (TypeError); a truncated zip raises BadZipFile, an empty
-            # file EOFError; a non-npy member loads as bytes.
-            with np.load(path, allow_pickle=False) as data:
-                value = data["value"]
-        except (OSError, ValueError, KeyError, EOFError, TypeError,
-                zipfile.BadZipFile):
-            value = None
+            # A bare .npy loads as an array, not an archive; a truncated
+            # zip raises BadZipFile, an empty file EOFError; a non-npy
+            # member loads as bytes.
+            data = np.load(path, allow_pickle=False)
+            if isinstance(data, np.lib.npyio.NpzFile):
+                with data:
+                    value = data["value"]
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            pass
         if not isinstance(value, np.ndarray):
             # Torn or foreign file: drop it so it cannot shadow recompute.
-            path.unlink(missing_ok=True)
-            self._forget_spill(path)
+            self._drop_spill(path)
             return None
         value.flags.writeable = False
         self._touch_spill(path)
@@ -317,8 +315,7 @@ class LRUCache:
         for path in self.spill_dir.glob("*.npz"):
             version = path.name.rsplit("-", 1)[0]
             if version not in live:
-                path.unlink(missing_ok=True)
-                self._forget_spill(path)
+                self._drop_spill(path)
                 removed += 1
         return removed
 

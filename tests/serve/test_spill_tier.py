@@ -3,23 +3,27 @@
 Contracts pinned here:
 
 * **Garbage never serves** — a torn or foreign file under a key's spill
-  name (empty, truncated, not a zip, a bare .npy, the wrong member, a
-  pickled object) is a miss: it is deleted, deregistered from the
-  budget, and the recomputed value replaces it on the next write.
+  name (empty, truncated, not a zip, a bare .npy, the wrong member) is a
+  miss: it is deleted, deregistered from the budget, and the recomputed
+  value replaces it on the next write.  Nothing in it is ever unpickled.
 * **Budget from the instance's own books** — a restart adopts whatever
   the directory holds at its stat size, garbage included, and trims it
-  to ``spill_max_bytes``; sibling directories never evict each other.
+  to ``spill_max_bytes``; sibling directories never evict each other;
+  threads writing into one cache, even racing on one key, keep the books
+  equal to the directory.
 * **Restart across processes** — a cache in a fresh process reads the
   files another process's cache left behind.
 * **One layout** — a fleet spills into one ``shard-NN`` subdirectory per
-  shard; the ``shared_spill`` options are gone.
+  shard, and prunes every one of them.
 """
 
 import io
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+import threading
 import zipfile
 from pathlib import Path
 
@@ -28,7 +32,11 @@ import pytest
 
 import repro
 from repro.serve import FleetConfig, LRUCache, ServerConfig, ShardedFleet
+from repro.serve import cache as cache_mod
 from repro.serve.cache import spill_file_name
+from tests.properties.test_cache_invariants import (
+    MEM_BUDGET, N_OPS, SEEDS, SPILL_BUDGET, _check_cache, _value,
+)
 
 VALUE = np.arange(256, dtype=np.float64)
 
@@ -53,24 +61,26 @@ def _zip(members: dict) -> bytes:
     return buf.getvalue()
 
 
+def _bit_flip(blob: bytes, offset: int) -> bytes:
+    return blob[:offset] + bytes([blob[offset] ^ 0xFF]) + blob[offset + 1:]
+
+
 GOOD = _npz(value=VALUE)
 
+# One file per way a read can fail: numpy raises (EOFError, ValueError,
+# BadZipFile), loads a bare array instead of an archive, misses the
+# member (KeyError), finds a member that is not an array, or fails the
+# member's CRC.
 GARBAGE = {
     "empty": b"",
     "text": b"not an npz",
-    "json": b'{"value": [1, 2, 3]}',
-    "npy_magic_only": b"\x93NUMPY",
     "bare_npy": _npy(VALUE),
     "zip_magic_only": b"PK\x03\x04",
     "npz_first_half": GOOD[:len(GOOD) // 2],
     "npz_tail_cut": GOOD[:-10],
     "npz_wrong_member": _npz(other=VALUE),
-    "npz_object_array": _npz(value=np.array([{"a": 1}], dtype=object)),
-    "empty_zip": _zip({}),
     "zip_non_npy_member": _zip({"value.npy": b"garbage"}),
-    "zip_truncated_npy_member": _zip({"value.npy": _npy(VALUE)[:100]}),
-    "pickle": pickle.dumps({"value": VALUE}),
-    "random_bytes": np.random.default_rng(0).bytes(512),
+    "npz_bad_crc": _bit_flip(GOOD, len(GOOD) // 2),
 }
 BLOBS = pytest.mark.parametrize("blob", list(GARBAGE.values()),
                                 ids=list(GARBAGE))
@@ -145,6 +155,74 @@ class TestGarbageSpillFile:
         assert cache.get(("v1", 5)) is not None
 
 
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+    return VALUE
+
+
+class _Tripwire:
+    """Records any attempt to unpickle it."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _unpickle(blob: bytes):
+    data = np.load(io.BytesIO(blob), allow_pickle=True)
+    return data["value"] if isinstance(data, np.lib.npyio.NpzFile) else data
+
+
+@pytest.mark.parametrize("blob", [
+    pickle.dumps(_Tripwire()),
+    _npz(value=np.array([_Tripwire()], dtype=object)),
+], ids=["pickle", "npz_object_array"])
+def test_spill_file_is_never_unpickled(tmp_path, blob):
+    TRIPPED.clear()
+    _unpickle(blob)
+    assert TRIPPED, "the tripwire must fire when unpickled"
+    TRIPPED.clear()
+    cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
+    path = _plant(tmp_path, ("v1", "a"), blob)
+    assert cache.get(("v1", "a")) is None
+    assert not TRIPPED
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_invariants_hold_when_files_tear_between_runs(seed, tmp_path):
+    """The random-op machine of ``test_cache_invariants`` with one more
+    op: a key's file is overwritten with garbage and the cache restarts
+    (a crash or a foreign writer between runs).  A get never serves the
+    garbage, and the books match the directory after every op."""
+    rng = np.random.default_rng(seed)
+    keys = [("v1", i) for i in range(8)]
+    blobs = list(GARBAGE.values())
+    make = lambda: LRUCache(max_bytes=MEM_BUDGET, spill_dir=tmp_path,
+                            spill_max_bytes=SPILL_BUDGET)
+    cache = make()
+    model: dict[tuple, list[np.ndarray]] = {}
+    for step in range(N_OPS):
+        ctx = f"seed={seed} step={step}"
+        op = rng.choice(["put", "get", "tear"], p=[0.45, 0.45, 0.10])
+        key = keys[int(rng.integers(len(keys)))]
+        if op == "put":
+            value = _value(rng)
+            cache.put(key, value)
+            model.setdefault(key, []).append(value.copy())
+        elif op == "get":
+            got = cache.get(key)
+            if got is not None:
+                assert any(v.dtype == got.dtype and np.array_equal(got, v)
+                           for v in model.get(key, [])), ctx
+        else:
+            _plant(tmp_path, key, blobs[int(rng.integers(len(blobs)))])
+            cache = make()
+        _check_cache(cache, ctx)
+
+
 class TestPerInstanceBudget:
     def test_restart_adopts_files_at_stat_size(self, tmp_path):
         (tmp_path / "v0-old.npz").write_bytes(b"x" * 100)
@@ -209,32 +287,95 @@ class TestPerInstanceBudget:
         np.testing.assert_array_equal(parent.get(("v1", "sig", 6)), VALUE + 6)
         assert parent.get(("v1", "sig", 0)) is None
 
+    def test_racing_writes_of_one_key_count_once(self, tmp_path,
+                                                 monkeypatch):
+        # Both writers pass the exists() check before either publishes.
+        barrier = threading.Barrier(2)
+        savez = np.savez
 
-@pytest.mark.parametrize("make", [
-    lambda: LRUCache(shared_spill=True),
-    lambda: ServerConfig(shared_spill=True),
-    lambda: FleetConfig(shared_spill=True),
-], ids=["LRUCache", "ServerConfig", "FleetConfig"])
-def test_shared_spill_option_is_gone(make):
-    with pytest.raises(TypeError, match="shared_spill"):
-        make()
+        def savez_together(*args, **kwargs):
+            barrier.wait(timeout=30)
+            savez(*args, **kwargs)
+
+        monkeypatch.setattr(cache_mod.np, "savez", savez_together)
+        cache = LRUCache(max_bytes=0, spill_dir=tmp_path)
+        writers = [threading.Thread(target=cache.put,
+                                    args=(("v1", "a"), VALUE))
+                   for _ in range(2)]
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join()
+        assert cache.stats.spill_writes == 2
+        assert cache.stats.spill_bytes == _disk_total(tmp_path) > 0
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    def test_threads_share_one_budget(self, tmp_path):
+        budget = int(3.5 * _npz_size(tmp_path))
+        spill = tmp_path / "spill"
+        cache = LRUCache(max_bytes=0, spill_dir=spill, spill_max_bytes=budget)
+        served = []
+
+        def work(t):
+            for i in range(12):
+                cache.put(("v1", t, i), VALUE + i)
+                got = cache.get(("v1", t, i // 2))
+                served.append(got is None or np.array_equal(got, VALUE + i // 2))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(served)
+        assert cache.stats.spill_bytes == _disk_total(spill) <= budget
+        assert cache.stats.spill_evictions == 48 - 3
+
+    def test_crashed_writers_temp_file_is_adopted_and_evicted(self, tmp_path):
+        size = _npz_size(tmp_path)
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        tmp = spill / "v1-0123456789abcdef0123.77.88.tmp.npz"
+        tmp.write_bytes(GOOD[:-10])
+        os.utime(tmp, ns=(0, 0))                # older than any write
+        cache = LRUCache(max_bytes=0, spill_dir=spill,
+                         spill_max_bytes=int(2.5 * size))
+        assert cache.stats.spill_bytes == tmp.stat().st_size
+        cache.put(("v1", "a"), VALUE)
+        cache.put(("v1", "b"), VALUE + 1)
+        assert not tmp.exists()
+        assert cache.stats.spill_bytes == _disk_total(spill) == 2 * size
+
+    @pytest.mark.parametrize("memory", [0, 1 << 20], ids=["disk_only", "memory"])
+    def test_lost_spill_dir_still_serves(self, tmp_path, memory):
+        spill = tmp_path / "spill"
+        cache = LRUCache(max_bytes=memory, spill_dir=spill)
+        shutil.rmtree(spill)
+        stored = cache.put(("v1", "a"), VALUE)
+        assert (stored is None) == (memory == 0)
+        got = cache.get(("v1", "a"))
+        assert (got is None) == (memory == 0)
+        assert cache.stats.spill_writes == 0 == cache.stats.spill_bytes
+        assert not list(tmp_path.rglob("*.npz"))
+
+    def test_vanished_file_is_a_miss(self, tmp_path):
+        cache = LRUCache(max_bytes=0, spill_dir=tmp_path)
+        cache.put(("v1", "a"), VALUE)
+        (tmp_path / spill_file_name(("v1", "a"))).unlink()
+        assert cache.get(("v1", "a")) is None
+        assert cache.stats.misses == 1
+
+    def test_prune_drops_torn_files_of_dead_versions(self, tmp_path):
+        cache = LRUCache(max_bytes=0, spill_dir=tmp_path)
+        _plant(tmp_path, ("v0", "a"), GOOD[:-10])
+        cache.put(("v1", "a"), VALUE)
+        fresh = LRUCache(max_bytes=0, spill_dir=tmp_path)
+        assert fresh.prune_spill(["v1"]) == 1
+        assert fresh.stats.spill_bytes == _disk_total(tmp_path)
+        np.testing.assert_array_equal(fresh.get(("v1", "a")), VALUE)
 
 
 class TestFleetSpill:
-    def test_fleet_private_dirs_without_flag(self, tmp_path):
-        from repro import MGDiffNet, PoissonProblem2D
-        fleet = ShardedFleet(FleetConfig(
-            shards=2, replicas=2,
-            server=ServerConfig(cache_dir=str(tmp_path), cache_bytes=0)))
-        try:
-            model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=0)
-            fleet.register_model("m", model, PoissonProblem2D(16))
-            fleet.predict("m", np.linspace(0.2, 0.8, 4))
-        finally:
-            fleet.close()
-        subdirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
-        assert subdirs == ["shard-00", "shard-01"]
-
     def test_repeat_request_served_from_shard_spill(self, tmp_path):
         from repro import MGDiffNet, PoissonProblem2D
         fleet = ShardedFleet(FleetConfig(
@@ -253,6 +394,49 @@ class TestFleetSpill:
         finally:
             fleet.close()
         assert spill_hits >= 1
-        # Every file lives in a shard's own subdirectory.
+        # Every file lives in a shard's own subdirectory, one per shard.
+        subdirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+        assert subdirs == ["shard-00", "shard-01", "shard-02"]
         assert not list(tmp_path.glob("*.npz"))
+        assert list(tmp_path.glob("shard-*/*.npz"))
+
+    def test_restarted_fleet_serves_from_its_shard_dirs(self, tmp_path):
+        from repro import MGDiffNet, PoissonProblem2D
+        model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=0)
+        om = np.linspace(0.2, 0.8, 4)
+        fields, hits = [], []
+        for _ in range(2):
+            fleet = ShardedFleet(FleetConfig(
+                shards=2, replicas=1,
+                server=ServerConfig(cache_dir=str(tmp_path), cache_bytes=0)))
+            try:
+                fleet.register_model("m", model, PoissonProblem2D(16))
+                fields.append(fleet.predict("m", om))
+                hits.append(sum(s.server.cache.stats.spill_hits
+                                for s in fleet.shards))
+            finally:
+                fleet.close()
+        np.testing.assert_array_equal(fields[0], fields[1])
+        assert hits == [0, 1]
+
+    def test_prune_reaches_every_shard_dir(self, tmp_path):
+        from repro import MGDiffNet, PoissonProblem2D
+        fleet = ShardedFleet(FleetConfig(
+            shards=2, replicas=2,
+            server=ServerConfig(cache_dir=str(tmp_path), cache_bytes=0)))
+        try:
+            problem = PoissonProblem2D(16)
+            fleet.register_model(
+                "m", MGDiffNet(ndim=2, base_filters=4, depth=1, rng=0), problem)
+            for w in (0.2, 0.4, 0.6):
+                fleet.predict("m", np.full(4, w))
+            old = sorted(tmp_path.glob("shard-*/*.npz"))
+            # A retrained checkpoint under the same name: a new version.
+            fleet.register_model(
+                "m", MGDiffNet(ndim=2, base_filters=4, depth=1, rng=1), problem)
+            fleet.predict("m", np.full(4, 0.2))
+            assert fleet.prune_spill() == len(old) > 0
+        finally:
+            fleet.close()
+        assert not any(p.exists() for p in old)
         assert list(tmp_path.glob("shard-*/*.npz"))

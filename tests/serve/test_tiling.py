@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
+from repro.autograd import Tensor, no_grad
 from repro.core.inference import predict_batch
 from repro.serve import (
     Executor, make_executor, plan_tiles, receptive_halo,
-    stream_tiled_forward, tiled_predict,
+    stream_tiled_forward, tiled_forward, tiled_predict,
 )
 from repro.serve.telemetry.trace import NULL_SPAN
 from repro.serve.tiling import extract_padded_block
@@ -56,6 +57,23 @@ class TestPlan:
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             plan_tiles((18, 16), tile=8, halo=4, multiple=4)
+
+    @given(multiple=st.sampled_from([1, 2, 4]),
+           cells=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           tile_cells=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_cores_partition_any_domain(self, multiple, cells, tile_cells):
+        shape = tuple(multiple * c for c in cells)
+        tile = multiple * tile_cells
+        plan = plan_tiles(shape, tile=tile, halo=0, multiple=multiple)
+        seen = np.zeros(shape, dtype=int)
+        for block in plan.blocks:
+            for (start, stop), size in zip(block, shape):
+                assert start % tile == 0
+                assert stop == min(start + tile, size)
+            seen[tuple(slice(a, b) for a, b in block)] += 1
+        assert (seen == 1).all()
+        assert plan.num_tiles == np.prod([-(-s // tile) for s in shape])
 
 
 @st.composite
@@ -164,6 +182,16 @@ class TestExactness2D:
         ref = predict_batch(model, problem, omegas)
         got = tiled_predict(model, problem, omegas, tile=16)
         assert np.abs(got - ref).max() <= 1e-5
+
+    def test_tiled_forward_of_a_bare_net(self):
+        net = MGDiffNet(ndim=2, base_filters=4, depth=2, rng=6).net.eval()
+        x = RNG.standard_normal((2, 1, 16, 16)).astype(np.float32)
+        with no_grad():
+            ref = net(Tensor(x)).numpy()
+        whole = plan_tiles((16, 16), tile=16, halo=2, multiple=4)
+        np.testing.assert_array_equal(tiled_forward(net, x, whole), ref)
+        tiled = plan_tiles((16, 16), tile=4, halo=2, multiple=4)
+        assert np.abs(tiled_forward(net, x, tiled) - ref).max() <= 1e-5
 
     def test_adapted_model_exact_with_default_halo(self):
         problem = PoissonProblem2D(16)

@@ -234,6 +234,17 @@ class TestServeFleet:
         assert "interconnect (simulated)" in out
         assert out.count("[up]") == 3
 
+    def test_serve_sharded_fleet_spills_per_shard(
+            self, trained_checkpoint, tmp_path, capsys):
+        cache_dir = tmp_path / "spill"
+        assert main(["serve", "--checkpoint", f"demo={trained_checkpoint}",
+                     "--requests", "6", "--shards", "2", "--replicas", "1",
+                     "--cache-dir", str(cache_dir), "--spill-mb", "1"]) == 0
+        assert "lost: 0" in capsys.readouterr().out
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "shard-00", "shard-01"]
+        assert list(cache_dir.glob("shard-*/*.npz"))
+
     def test_serve_fleet_completes_under_backpressure(
             self, trained_checkpoint, capsys):
         # The same client loop as the single server: a shed submit is
