@@ -9,11 +9,11 @@ flag regressions against it.
 Usage::
 
     # After a benchmark run: fold the artifact into the trajectory.
-    python trajectory.py append BENCH_control_plane.json
+    python trajectory.py append BENCH_fleet_scaling.json
 
     # Gate: compare the newest entry against the previous one.
-    python trajectory.py compare --bench control_plane \
-        --metric result.skew.1.p99_ms --direction lower --tolerance 0.25
+    python trajectory.py compare --bench fleet_scaling \
+        --metric result.rows.2.p99_ms --direction lower --tolerance 0.25
 
 ``compare`` exits 0 when there is nothing to compare (fewer than two
 entries for the bench, or the metric missing from either side) and when

@@ -46,7 +46,7 @@ STORM = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" \
     / "storm.json"
 
 CONSERVED = ("served", "rejected", "expired", "errors", "cancelled",
-             "unavailable", "throttled")
+             "unavailable")
 
 
 def _fleet(shards=2, replicas=2, **kw):

@@ -55,9 +55,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_tenant_quota(text: str) -> tuple[float, float]:
-    """``--tenant-quota RATE[:BURST]`` -> (rate req/s, burst capacity);
-    burst defaults to 2x the rate."""
+def _parse_rate_burst(text: str) -> tuple[float, float]:
+    """``--retry-budget RATE[:BURST]`` -> (rate tokens/s, burst
+    capacity); burst defaults to 2x the rate."""
     rate_text, _, burst_text = text.partition(":")
     try:
         rate = float(rate_text)
@@ -197,29 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --shards>1: eject a shard that does not "
                         "answer within this budget and fail over")
     p.add_argument("--control", action="store_true",
-                   help="with --shards>1: run the control plane (backoff "
-                        "health probes + power-of-two-choices read "
-                        "spreading) beside the fleet")
-    p.add_argument("--autoscale-min", type=_positive_int, default=None,
-                   metavar="N",
-                   help="with --control: queue-depth autoscaling, lower "
-                        "shard bound (implies --autoscale-max)")
-    p.add_argument("--autoscale-max", type=_positive_int, default=None,
-                   metavar="N",
-                   help="with --control: autoscaling upper shard bound")
-    p.add_argument("--tenant-quota", type=_parse_tenant_quota, default=None,
-                   metavar="RATE[:BURST]",
-                   help="with --control: per-tenant token-bucket admission "
-                        "(RATE req/s sustained, BURST back-to-back; "
-                        "default burst 2*RATE)")
-    p.add_argument("--tenant", default=None,
-                   help="tenant name the synthetic request load is "
-                        "accounted to (default: unmetered)")
+                   help="with --shards>1: run the control plane beside "
+                        "the fleet (backoff health probes that re-admit "
+                        "ejected shards)")
     p.add_argument("--retries", type=int, default=0, metavar="N",
                    help="with --shards>1: re-submit transient failures "
-                        "(unavailable / overloaded / throttled) up to N "
-                        "extra attempts, metered by the retry budget")
-    p.add_argument("--retry-budget", type=_parse_tenant_quota, default=None,
+                        "(unavailable / overloaded) up to N extra "
+                        "attempts, metered by the retry budget")
+    p.add_argument("--retry-budget", type=_parse_rate_burst, default=None,
                    metavar="RATE[:BURST]",
                    help="token bucket bounding fleet-wide retries "
                         "(RATE tokens/s sustained, BURST back-to-back; "
@@ -434,23 +419,19 @@ def _backoff_policy():
 
     Backpressure gets seeded jittered exponential backoff (2 ms
     doubling to a 100 ms cap — fixed delays from many clients re-collide
-    forever); a throttled tenant sleeps exactly the ``retry_after_s``
-    its rejection names, as ``plan`` does for every throttle.  What ends
-    a submit is the ``_RETRY_WALL_S`` cap the driver is handed, never
-    these counts (giving up early would silently drop the request): 1024
-    jittered tries at the 100 ms window sleep ~51 s (σ < 1 s), and one
-    ``plan`` call outlasts the microsecond a token refills in — so
-    ``denied`` and ``exhausted`` stay 0 (tested).
+    forever).  What ends a submit is the ``_RETRY_WALL_S`` cap
+    ``retry_call`` is handed, never these counts (giving up early would
+    silently drop the request): 1024 jittered tries at the 100 ms window
+    sleep ~51 s (σ < 1 s), and one ``plan`` call outlasts the
+    microsecond a token refills in — so ``denied`` and ``exhausted``
+    stay 0 (tested).
     """
-    from .serve import (
-        RetryConfig, RetryPolicy, ServerOverloaded, TenantThrottled,
-    )
+    from .serve import RetryConfig, RetryPolicy, ServerOverloaded
 
     return RetryPolicy(
         RetryConfig(max_attempts=1024, base_backoff_s=0.002,
                     max_backoff_s=0.1, budget_rate=1e6, budget_burst=1e6),
-        retryable=lambda exc: isinstance(exc, (ServerOverloaded,
-                                               TenantThrottled)))
+        retryable=lambda exc: isinstance(exc, ServerOverloaded))
 
 
 def _serve_telemetry(args):
@@ -487,12 +468,11 @@ def _write_telemetry(args, telemetry) -> None:
 def _build_fleet(args, config):
     """``--shards N``: the fleet, its resilience policies (``--retries``
     / ``--retry-budget`` / ``--hedge`` / ``--breaker-after``) and — with
-    ``--control`` / ``--autoscale-min`` / ``--tenant-quota`` — the
-    control plane beside it.  Returns ``(fleet, plane or None)``."""
+    ``--control`` — the control plane beside it.  Returns ``(fleet,
+    plane or None)``."""
     from .serve import (
-        BreakerConfig, ControlConfig, ControlPlane, FleetConfig,
-        HedgeConfig, ResilienceConfig, RetryConfig, ShardedFleet,
-        install_resilience,
+        BreakerConfig, ControlPlane, FleetConfig, HedgeConfig,
+        ResilienceConfig, RetryConfig, ShardedFleet, install_resilience,
     )
 
     fleet = ShardedFleet(FleetConfig(
@@ -510,16 +490,7 @@ def _build_fleet(args, config):
         breaker=(BreakerConfig(failure_threshold=args.breaker_after,
                                reset_after_s=args.breaker_reset)
                  if args.breaker_after is not None else None)))
-    plane = None
-    if (args.control or args.autoscale_min is not None
-            or args.tenant_quota is not None):
-        rate, burst = args.tenant_quota or (None, None)
-        plane = ControlPlane(fleet, ControlConfig(
-            tenant_rate=rate, tenant_burst=burst,
-            autoscale=args.autoscale_min is not None,
-            autoscale_min=args.autoscale_min or 1,
-            autoscale_max=(args.autoscale_max or
-                           max(args.shards, args.autoscale_min or 1))))
+    plane = ControlPlane(fleet) if args.control else None
     return fleet, plane
 
 
@@ -534,8 +505,7 @@ def _cmd_serve(args) -> int:
 
     from .serve import (
         DeadlineExceeded, FleetUnavailable, ModelRegistry, PredictionServer,
-        RegistryError, ServerConfig, ServerOverloaded, TenantThrottled,
-        retry_call,
+        RegistryError, ServerConfig, ServerOverloaded, retry_call,
     )
 
     config = ServerConfig(
@@ -579,8 +549,8 @@ def _cmd_serve(args) -> int:
     wait, retry, note_retry = (
         (backend.await_result, backend.retry, backend.note_retry)
         if sharded else (Future.result, None, None))
-    shed = (DeadlineExceeded, FleetUnavailable, ServerOverloaded,
-            TenantThrottled)   # verdicts counted in the backend's stats
+    # Verdicts counted in the backend's stats.
+    shed = (DeadlineExceeded, FleetUnavailable, ServerOverloaded)
 
     def submit(name, w):
         """One submit under the backoff policy; ``None`` when it is
@@ -588,8 +558,7 @@ def _cmd_serve(args) -> int:
         right now) — reported below from the stats."""
         try:
             return retry_call(
-                backoff, lambda: backend.submit(name, w, args.resolution,
-                                                tenant=args.tenant),
+                backoff, lambda: backend.submit(name, w, args.resolution),
                 max_wait_s=_RETRY_WALL_S)
         except shed:
             return None
@@ -664,8 +633,7 @@ def _report_fleet(args, fleet, plane, wall: float) -> None:
     print(f"latency p50 {s.p50 * 1e3:.2f} ms, p99 {s.p99 * 1e3:.2f} ms; "
           f"{s.batches} batches, {s.cache_hits} cache hits, "
           f"{s.dedup_hits} dedup hits, {s.tiled_forwards} tiled forwards")
-    print(f"scheduling: {s.rejected} rejections, {s.expired} expired, "
-          f"{s.throttled} throttled; "
+    print(f"scheduling: {s.rejected} rejections, {s.expired} expired; "
           f"faults: {s.shard_faults} ejections, {s.failovers} failovers, "
           f"{s.readmissions} readmissions; lost: {s.lost}")
     if (fleet.retry, fleet.hedge, fleet.breaker) != (None, None, None):
@@ -680,12 +648,7 @@ def _report_fleet(args, fleet, plane, wall: float) -> None:
         print(f"control plane: {cs.ticks} ticks, {cs.probes} probes "
               f"({cs.backoffs} backed off), {cs.readmissions} readmissions, "
               f"{cs.decommissions} decommissions "
-              f"({cs.reregistrations} re-registrations); "
-              f"spread: {cs.balance_diversions}/{cs.balance_decisions} "
-              f"reads diverted; scale: +{cs.scale_ups}/-{cs.scale_downs}")
-        for tenant, row in sorted(cs.tenants.items()):
-            print(f"  tenant {tenant}: {row['admitted']} admitted, "
-                  f"{row['throttled']} throttled")
+              f"({cs.reregistrations} re-registrations)")
     for sid, row in s.per_shard.items():
         state = "up" if row["healthy"] else "DOWN"
         print(f"  {sid} [{state}] requests={row['requests']} "

@@ -15,16 +15,15 @@ FEM solve.  This package is the infrastructure realizing that claim:
 * :class:`ShardedFleet` — consistent-hash routing of registry entries
   and request load over N server shards (simulated hosts) with R-way
   replication, fault ejection + failover, and probed re-admission;
-* :class:`ControlPlane` — SLO policy loops over a live fleet:
-  backoff-scheduled self-healing probes (:class:`HealthProber`),
-  power-of-two-choices read spreading (:class:`PowerOfTwoBalancer`),
-  per-tenant token-bucket admission (:class:`AdmissionController`) and
-  queue-depth autoscaling (:class:`Autoscaler`);
+* :class:`ControlPlane` — the self-healing loop over a live fleet:
+  backoff-scheduled health probes (:class:`HealthProber`) that
+  re-admit recovered shards and decommission permanently lost ones,
+  plus per-tick SLO gauges;
 * resilience policies (:func:`install_resilience`) — budgeted retries
   (:class:`RetryPolicy`), quantile-delayed hedged reads
   (:class:`HedgePolicy`) and per-(model, shard) circuit breakers
   (:class:`CircuitBreaker`) on the fleet's call path; every client
-  retry loop is :func:`retry_call`, every quota and budget a
+  retry loop is :func:`retry_call`, its budget a
   :class:`~repro.serve.resilience.TokenBucket`;
 * trace replay (:class:`ReplayHarness`) — deterministic scenario
   scripts (heavy-tailed arrivals, zipfian popularity, diurnal
@@ -67,13 +66,9 @@ Quickstart::
 from .aio import AsyncPredictionServer
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import CacheStats, LRUCache, quantize_omega, result_key
-from .control import (
-    AdmissionController, Autoscaler, ControlConfig, ControlPlane,
-    ControlStats, HealthProber, PowerOfTwoBalancer, TenantQuota,
-)
+from .control import ControlConfig, ControlPlane, ControlStats, HealthProber
 from .errors import (
     DeadlineExceeded, FleetUnavailable, ServeError, ServerOverloaded,
-    TenantThrottled,
 )
 from .executor import (
     EXECUTOR_KINDS, Executor, ProcessExecutor, SerialExecutor,
@@ -109,11 +104,8 @@ __all__ = [
     "AsyncPredictionServer",
     "MicroBatcher", "PredictRequest", "RequestQueue",
     "CacheStats", "LRUCache", "quantize_omega", "result_key",
-    "ServeError", "DeadlineExceeded", "ServerOverloaded",
-    "TenantThrottled", "FleetUnavailable",
-    "AdmissionController", "TenantQuota", "PowerOfTwoBalancer",
-    "HealthProber", "Autoscaler",
-    "ControlConfig", "ControlPlane", "ControlStats",
+    "ServeError", "DeadlineExceeded", "ServerOverloaded", "FleetUnavailable",
+    "HealthProber", "ControlConfig", "ControlPlane", "ControlStats",
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",

@@ -96,21 +96,18 @@ class AsyncPredictionServer:
     def submit(self, model_name: str, omega: np.ndarray,
                resolution: int | None = None, *,
                priority: int | None = None,
-               deadline_s: float | None = None,
-               tenant: str | None = None) -> "asyncio.Future":
+               deadline_s: float | None = None) -> "asyncio.Future":
         """Queue one prediction; returns an awaitable of the full field.
 
         Must be called with a running event loop.  Cache hits come back
         already resolved; queue overflow (``max_pending``) raises
-        :class:`ServerOverloaded` here, synchronously, per-tenant quota
-        exhaustion raises :class:`TenantThrottled` likewise, and bad
-        requests (wrong ω arity, unknown model) raise exactly as on the
-        sync path — backpressure and validation must not hide behind an
+        :class:`ServerOverloaded` here, synchronously, and bad requests
+        (wrong ω arity, unknown model) raise exactly as on the sync
+        path — backpressure and validation must not hide behind an
         ``await``.
         """
         future = self.server.submit(model_name, omega, resolution,
-                                    priority=priority, deadline_s=deadline_s,
-                                    tenant=tenant)
+                                    priority=priority, deadline_s=deadline_s)
         wrapped = asyncio.wrap_future(future)
         hang_failover = getattr(self.server, "hang_failover", None)
         budget = getattr(getattr(self.server, "config", None),
@@ -160,8 +157,7 @@ class AsyncPredictionServer:
     async def predict(self, model_name: str, omega: np.ndarray,
                       resolution: int | None = None, *,
                       priority: int | None = None,
-                      deadline_s: float | None = None,
-                      tenant: str | None = None) -> np.ndarray:
+                      deadline_s: float | None = None) -> np.ndarray:
         """One awaited prediction (async counterpart of ``predict``).
 
         The ``await``-ing twin of :func:`repro.serve.resilience.
@@ -177,7 +173,7 @@ class AsyncPredictionServer:
             try:
                 return await self.submit(
                     model_name, omega, resolution, priority=priority,
-                    deadline_s=deadline_s, tenant=tenant)
+                    deadline_s=deadline_s)
             except Exception as exc:   # CancelledError passes through
                 delay = None if policy is None else policy.plan(exc, n)
                 if delay is None:
@@ -191,7 +187,6 @@ class AsyncPredictionServer:
                      resolution: int | None = None, *,
                      priority: int | None = None,
                      deadline_s: float | None = None,
-                     tenant: str | None = None,
                      buffer_tiles: int = 2):
         """Async iterator of ``(tile_index, core_slices, core)`` records.
 
@@ -217,8 +212,7 @@ class AsyncPredictionServer:
             or self.server.submit_stream
         source = await loop.run_in_executor(None, lambda: open_stream(
             model_name, omega, resolution, priority=priority,
-            deadline_s=deadline_s, tenant=tenant,
-            buffer_tiles=buffer_tiles))
+            deadline_s=deadline_s, buffer_tiles=buffer_tiles))
         it = iter(source)
         done = object()   # StopIteration cannot cross run_in_executor
 
@@ -242,13 +236,12 @@ class AsyncPredictionServer:
     async def predict_many(self, model_name: str, omegas: np.ndarray,
                            resolution: int | None = None, *,
                            priority: int | None = None,
-                           deadline_s: float | None = None,
-                           tenant: str | None = None) -> np.ndarray:
+                           deadline_s: float | None = None) -> np.ndarray:
         """Submit a lane of ω concurrently and gather, shape (B, *grid)."""
         omegas = np.atleast_2d(np.asarray(omegas, dtype=np.float64))
         fields = await asyncio.gather(*[
             self.submit(model_name, w, resolution, priority=priority,
-                        deadline_s=deadline_s, tenant=tenant)
+                        deadline_s=deadline_s)
             for w in omegas])
         return np.stack(fields)
 

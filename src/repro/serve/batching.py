@@ -75,7 +75,6 @@ class PredictRequest:
     priority: int = 0         # higher dequeues first under saturation
     deadline_s: float | None = None   # latency budget granted at submit
     expires_at: float | None = None   # absolute perf_counter expiry
-    tenant: str | None = None         # admission-control accounting key
     stream: Any = None        # TileStream sink: set iff this request
     #                           streams tile records instead of resolving
     #                           one fused field (see server.submit_stream)

@@ -1,25 +1,16 @@
-"""SLO-driven control plane over a :class:`~repro.serve.fleet.
-ShardedFleet`: self-healing probes, power-of-two-choices load
-spreading, per-tenant admission control, and queue-depth autoscaling.
+"""Self-healing control plane over a :class:`~repro.serve.fleet.
+ShardedFleet`: backoff-scheduled health probes with permanent-loss
+decommissioning, and per-tick SLO gauges.
 
-The fleet (PR 5) is mechanism — eject, probe, re-admit, route.  This
-package is policy: closed loops that call those primitives so the fleet
-meets its SLOs without an operator.  Every loop exposes a deterministic
-``tick(now)`` core for forged-clock unit tests; the
-:class:`ControlPlane` facade composes them and optionally runs them on
-a real background thread.
+The fleet is mechanism — eject, probe, re-admit, decommission, route.
+This package is the policy loop that calls those primitives so ejected
+shards come back (or are replaced) without an operator.  The prober
+exposes a deterministic ``tick(now)`` core for forged-clock unit tests;
+the :class:`ControlPlane` facade runs it, optionally on a real
+background thread.
 """
 
-from .admission import AdmissionController, TenantQuota
-from .autoscale import Autoscaler
-from .balance import PowerOfTwoBalancer
 from .plane import ControlConfig, ControlPlane, ControlStats
 from .prober import HealthProber
 
-__all__ = [
-    "AdmissionController", "TenantQuota",
-    "Autoscaler",
-    "PowerOfTwoBalancer",
-    "HealthProber",
-    "ControlConfig", "ControlPlane", "ControlStats",
-]
+__all__ = ["HealthProber", "ControlConfig", "ControlPlane", "ControlStats"]

@@ -1,36 +1,29 @@
-"""The control plane: one facade wiring healing, spreading, quotas and
-elasticity onto a live fleet.
+"""The control plane: the health prober's loop over a live fleet, plus
+the per-tick SLO gauges.
 
-PR 5's fleet is mechanism: it *can* eject, probe, re-admit, rebalance —
-if someone calls the right method at the right time.  This module is
-the policy loop that does the calling, structured the way the priority
--aging scheduler was: a **deterministic core** (``tick(now)`` — pure
-function of the injected clock and the fleet's state, unit-testable
-with forged clocks) and an **optional real-time shell** (``start()``
-spawns a daemon thread that ticks every ``tick_interval_s``;
-``stop()`` joins it).  Chaos tests run the thread for realism; unit
-tests call ``tick`` directly and never sleep.
+The fleet is mechanism: it *can* eject, probe, re-admit and decommission
+— if someone calls the right method at the right time.  This module is
+the loop that does the calling, structured the way the priority-aging
+scheduler was: a **deterministic core** (``tick(now)`` — pure function
+of the injected clock and the fleet's state, unit-testable with forged
+clocks) and an **optional real-time shell** (``start()`` spawns a daemon
+thread that ticks every ``tick_interval_s``; ``stop()`` joins it).
+Chaos tests run the thread for realism; unit tests call ``tick``
+directly and never sleep.
 
-Installation is explicit and reversible: constructing a
-:class:`ControlPlane` installs the p2c balancer and the admission
-controller onto the fleet's seams (``fleet.balancer`` /
-``fleet.admission``); ``uninstall()`` puts the ``None``s back.  The
-prober and autoscaler hold no fleet state at all — they only call
-public fleet primitives (``probe_shard`` / ``decommission_shard`` /
-``add_shard`` / ``retire_shard``), each of which preserves the request
-conservation law on its own, so the composed loop does too.
+The plane installs nothing on the fleet's request path.  The prober
+holds no fleet state at all — it only calls public fleet primitives
+(``probe_shard`` / ``decommission_shard``), each of which preserves the
+request conservation law on its own, so the loop does too.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .admission import AdmissionController, TenantQuota
-from .autoscale import Autoscaler
-from .balance import PowerOfTwoBalancer
 from .prober import HealthProber
 
 if TYPE_CHECKING:
@@ -38,12 +31,15 @@ if TYPE_CHECKING:
 
 __all__ = ["ControlConfig", "ControlStats", "ControlPlane"]
 
+# ControlStats counters, re-registered as ``stats.control.*`` views.
+_STAT_NAMES = ("ticks", "probes", "backoffs", "readmissions",
+               "decommissions", "reregistrations")
+
 
 @dataclass(frozen=True)
 class ControlConfig:
     """Tunables of one :class:`ControlPlane`."""
 
-    # Self-healing (prober).
     probe_base_backoff_s: float = 0.05
     probe_max_backoff_s: float = 2.0
     probe_timeout_s: float = 1.0
@@ -54,21 +50,6 @@ class ControlConfig:
     # default) so simultaneously-ejected shards don't probe in
     # lockstep; 0.0 restores the exact deterministic schedule.
     probe_jitter: float = 1.0
-    # Load spreading (power-of-two-choices).
-    balance: bool = True
-    balance_seed: int = 0
-    # Admission control: None leaves tenants unmetered.
-    tenant_rate: float | None = None
-    tenant_burst: float | None = None   # default: 2 * rate
-    # Elasticity.
-    autoscale: bool = False
-    autoscale_min: int = 1
-    autoscale_max: int = 8
-    scale_up_depth: float = 8.0
-    scale_down_depth: float = 0.5
-    up_streak: int = 2
-    down_streak: int = 3
-    drain_timeout_s: float = 10.0
     # Real-time shell.
     tick_interval_s: float = 0.05
 
@@ -83,14 +64,6 @@ class ControlStats:
     readmissions: int = 0
     decommissions: int = 0
     reregistrations: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
-    balance_decisions: int = 0
-    balance_diversions: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    tenants: dict = field(default_factory=dict)
-    last_depth: float = 0.0
 
 
 class ControlPlane:
@@ -105,7 +78,7 @@ class ControlPlane:
     Usage (real time)::
 
         with fleet, ControlPlane(fleet, cfg) as plane:
-            ... serve traffic; the plane heals/spreads/scales behind ...
+            ... serve traffic; the plane heals behind ...
         plane.stats.readmissions
     """
 
@@ -128,41 +101,15 @@ class ControlPlane:
             permanent_after=cfg.permanent_after,
             clock=clock,
             jitter=cfg.probe_jitter)
-        self.balancer = (PowerOfTwoBalancer(seed=cfg.balance_seed)
-                         if cfg.balance else None)
-        self.admission = None
-        if cfg.tenant_rate is not None:
-            burst = (cfg.tenant_burst if cfg.tenant_burst is not None
-                     else 2.0 * cfg.tenant_rate)
-            self.admission = AdmissionController(
-                TenantQuota(rate=cfg.tenant_rate, burst=burst),
-                clock=clock)
-        self.autoscaler = None
-        if cfg.autoscale:
-            self.autoscaler = Autoscaler(
-                fleet,
-                min_shards=cfg.autoscale_min,
-                max_shards=cfg.autoscale_max,
-                scale_up_depth=cfg.scale_up_depth,
-                scale_down_depth=cfg.scale_down_depth,
-                up_streak=cfg.up_streak,
-                down_streak=cfg.down_streak,
-                drain_timeout_s=cfg.drain_timeout_s,
-                clock=clock)
-        # Install the per-request policies onto the fleet's seams.
-        fleet.balancer = self.balancer if self.balancer else fleet.balancer
-        fleet.admission = self.admission if self.admission else fleet.admission
 
     # ------------------------------------------------------------------ #
     # Deterministic core
     # ------------------------------------------------------------------ #
     def tick(self, now: float | None = None) -> None:
-        """One control-loop body: heal, then (maybe) scale."""
+        """One control-loop body: heal, then stamp the SLO gauges."""
         now = self._clock() if now is None else now
         self._ticks += 1
         self.prober.tick(now)
-        if self.autoscaler is not None:
-            self.autoscaler.tick(now)
         telemetry = getattr(self.fleet, "telemetry", None)
         if telemetry is not None:
             self._record_slo(telemetry, now)
@@ -180,10 +127,7 @@ class ControlPlane:
         reg = telemetry.metrics
         if not self._views_registered:
             self._views_registered = True
-            for name in ("ticks", "probes", "backoffs", "readmissions",
-                         "decommissions", "reregistrations", "scale_ups",
-                         "scale_downs", "balance_decisions",
-                         "balance_diversions", "admitted", "throttled"):
+            for name in _STAT_NAMES:
                 reg.register_view(f"stats.control.{name}",
                                   lambda n=name: getattr(self.stats, n))
         stats = self.fleet.stats
@@ -218,13 +162,6 @@ class ControlPlane:
         if thread is not None:
             thread.join(timeout=30.0)
 
-    def uninstall(self) -> None:
-        """Remove the per-request policies from the fleet's seams."""
-        if self.fleet.balancer is self.balancer:
-            self.fleet.balancer = None
-        if self.fleet.admission is self.admission:
-            self.fleet.admission = None
-
     def __enter__(self) -> "ControlPlane":
         return self.start()
 
@@ -240,33 +177,15 @@ class ControlPlane:
     # ------------------------------------------------------------------ #
     @property
     def stats(self) -> ControlStats:
-        out = ControlStats(
+        prober = self.prober
+        return ControlStats(
             ticks=self._ticks,
-            probes=self.prober.probes,
-            backoffs=self.prober.backoffs,
-            readmissions=self.prober.readmissions,
-            decommissions=self.prober.decommissions,
-            reregistrations=self.prober.reregistrations)
-        if self.autoscaler is not None:
-            out.scale_ups = self.autoscaler.scale_ups
-            out.scale_downs = self.autoscaler.scale_downs
-            out.last_depth = self.autoscaler.last_depth
-        if self.balancer is not None:
-            out.balance_decisions = self.balancer.decisions
-            out.balance_diversions = self.balancer.diversions
-        if self.admission is not None:
-            out.admitted = self.admission.admitted
-            out.throttled = self.admission.throttled
-            out.tenants = self.admission.snapshot()
-        return out
+            probes=prober.probes,
+            backoffs=prober.backoffs,
+            readmissions=prober.readmissions,
+            decommissions=prober.decommissions,
+            reregistrations=prober.reregistrations)
 
     def __repr__(self) -> str:
-        parts = ["prober"]
-        if self.balancer is not None:
-            parts.append("p2c")
-        if self.admission is not None:
-            parts.append("admission")
-        if self.autoscaler is not None:
-            parts.append("autoscale")
         state = "running" if self.running else "idle"
-        return f"ControlPlane({'+'.join(parts)}, {state})"
+        return f"ControlPlane(prober, {state})"

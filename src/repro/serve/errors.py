@@ -17,7 +17,7 @@ from .cache import key_digest
 from .registry import RegistryError
 
 __all__ = ["ServeError", "DeadlineExceeded", "ServerOverloaded",
-           "TenantThrottled", "FleetUnavailable", "VERDICTS", "verdict"]
+           "FleetUnavailable", "VERDICTS", "verdict"]
 
 
 def _key_digest(key: tuple | None) -> str:
@@ -86,30 +86,6 @@ class ServerOverloaded(ServeError):
             f"{max_pending}")
 
 
-class TenantThrottled(ServeError):
-    """A tenant's token bucket is empty (admission control, not load).
-
-    Raised synchronously by ``submit`` when an
-    :class:`~repro.serve.control.admission.AdmissionController` is
-    installed and the request's tenant has exhausted its quota.  Unlike
-    :class:`ServerOverloaded` this is *per-tenant* policy: the server
-    may be idle — the tenant has simply spent its budget.  Retryable
-    after ``retry_after_s`` (when the bucket will hold one token again).
-    """
-
-    def __init__(self, model_name: str, tenant: str,
-                 retry_after_s: float, rate: float, burst: float) -> None:
-        self.model_name = model_name
-        self.tenant = tenant
-        self.retry_after_s = float(retry_after_s)
-        self.rate = float(rate)
-        self.burst = float(burst)
-        super().__init__(
-            f"tenant {tenant!r} throttled on model {model_name!r}: "
-            f"token bucket empty (rate={rate:g}/s, burst={burst:g}); "
-            f"retry after {self.retry_after_s * 1e3:.1f} ms")
-
-
 class FleetUnavailable(ServeError):
     """Every replica shard for a request's routing key is down.
 
@@ -137,7 +113,6 @@ class FleetUnavailable(ServeError):
 # ``ServeError`` subclasses must stay above the catch-all row.
 VERDICTS = (
     ((ServerOverloaded,), "rejected", "rejected"),      # backpressure
-    ((TenantThrottled,), "throttled", "throttled"),     # tenant quota
     ((DeadlineExceeded,), "expired", "expired"),
     ((FleetUnavailable,), "unavailable", "unavailable"),
     ((CancelledError,), "cancelled", "cancelled"),

@@ -16,8 +16,8 @@ way DNN-MG/GMT partition multigrid work across compute units:
   re-dispatched to the next replica; the caller sees the replica's
   answer, not the fault.  Requests are conserved: every submit ends as
   exactly one of served / rejected / expired / errors / cancelled /
-  unavailable / throttled (``FleetStats.lost == 0`` is the invariant
-  the fault-injection suite enforces).
+  unavailable (``FleetStats.lost == 0`` is the invariant the
+  fault-injection suite enforces).
 * **Recovery** — ``check_health()`` probes ejected shards with a real
   tiny prediction and re-admits the ones that answer (the control
   plane's prober adds a backoff schedule).  Routing also self-heals:
@@ -26,13 +26,12 @@ way DNN-MG/GMT partition multigrid work across compute units:
   callbacks and event loops), and a shard that serves the answer is
   re-admitted on the spot, so a burst of false hang ejections cannot
   black-hole a key.
-* **Control seams** — ``self.balancer`` (when installed) reorders each
-  read's replica set by live queue depth (power-of-two-choices) and
-  ``self.admission`` rations submits per tenant (token buckets →
-  ``TenantThrottled``); membership is elastic (``add_shard`` /
-  ``retire_shard`` / ``decommission_shard`` rebuild the ring with
-  minimal key movement, re-registering models reconcile-before-swap).
-  The :mod:`repro.serve.control` plane drives all of these.
+* **Permanent loss** — ``decommission_shard`` removes a shard for good:
+  the ring is rebuilt without it (consistent hashing moves only its
+  keys) and its models are re-registered from a live holder onto the
+  survivors the new ring assigns, reconcile-before-swap.  The
+  :mod:`repro.serve.control` plane's prober calls it after
+  ``permanent_after`` failed probes.
 * **Resilience seams** — ``self.retry`` / ``self.hedge`` /
   ``self.breaker`` (installed by :func:`~repro.serve.resilience.
   install_resilience`) add call-level healing: ``predict`` re-submits
@@ -79,9 +78,7 @@ from typing import Callable
 import numpy as np
 
 from ..distributed.comm import SimulatedCommunicator
-from .errors import (
-    DeadlineExceeded, FleetUnavailable, TenantThrottled, verdict,
-)
+from .errors import DeadlineExceeded, FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
 from .resilience import (
@@ -100,11 +97,10 @@ _LAT_WINDOW = 10_000
 # (``ShardedFleet._c``), named ``fleet.<term>`` in the metrics registry.
 _LEDGER_TERMS = (
     "submitted", "served", "rejected", "expired", "errors", "cancelled",
-    "unavailable", "throttled", "failovers", "shard_faults", "hangs",
-    "probes", "readmissions", "spreads", "scale_ups", "scale_downs",
-    "decommissions", "reregistrations", "retried", "hedges", "hedged_wins",
-    "hedge_cancels", "breaker_open", "streams", "stream_tiles_delivered",
-    "stream_resumed")
+    "unavailable", "failovers", "shard_faults", "hangs", "probes",
+    "readmissions", "decommissions", "reregistrations", "retried",
+    "hedges", "hedged_wins", "hedge_cancels", "breaker_open", "streams",
+    "stream_tiles_delivered", "stream_resumed")
 
 # FleetStats fields re-exported as ``stats.fleet.*`` metric views when
 # telemetry is enabled.  Views *read* the live stats snapshot, so the
@@ -147,7 +143,8 @@ class Shard:
     @property
     def queue_depth(self) -> int:
         """Live load gauge (pending + in-flight) of this shard's server
-        — the signal p2c read spreading and the autoscaler key on."""
+        — reported per shard in ``FleetStats.per_shard`` and summed
+        into the control plane's ``slo.queue_depth`` gauge."""
         return self.server.queue_depth()
 
     def __repr__(self) -> str:
@@ -169,17 +166,12 @@ class FleetStats(_LatencyPercentiles):
     errors: int = 0            # request-level errors (bad ω, registry)
     cancelled: int = 0         # caller cancelled the fleet future
     unavailable: int = 0       # every replica down (FleetUnavailable)
-    throttled: int = 0         # per-tenant admission (TenantThrottled)
     # Fault machinery.
     failovers: int = 0         # re-dispatches after a shard fault
     shard_faults: int = 0      # ejections (errors + hangs + kills)
     hangs: int = 0             # ejections specifically for timeouts
     probes: int = 0
     readmissions: int = 0
-    # Control-plane machinery (load spreading + elasticity).
-    spreads: int = 0           # p2c reads diverted off the primary
-    scale_ups: int = 0         # shards spawned (add_shard)
-    scale_downs: int = 0       # shards drained + retired (retire_shard)
     decommissions: int = 0     # permanently lost shards removed
     reregistrations: int = 0   # (key, shard) re-registrations on moves
     # Resilience machinery (retry budgets, hedged reads, breakers).
@@ -218,7 +210,7 @@ class FleetStats(_LatencyPercentiles):
         """Requests unaccounted for — zero is the conservation law."""
         return self.submitted - (self.served + self.rejected + self.expired
                                  + self.errors + self.cancelled
-                                 + self.unavailable + self.throttled)
+                                 + self.unavailable)
 
 
 class _RouteState:
@@ -226,20 +218,18 @@ class _RouteState:
     fleet lock where it races with dispatch/failover)."""
 
     __slots__ = ("model_name", "omega", "resolution", "priority",
-                 "deadline_s", "tenant", "replicas", "next_idx", "current",
+                 "deadline_s", "replicas", "next_idx", "current",
                  "submitted_at", "attempt_started", "delivered",
                  "ignore_health", "hedged", "inners", "trace")
 
     def __init__(self, model_name: str, omega: np.ndarray,
                  resolution: int | None, priority: int | None,
-                 deadline_s: float | None, replicas: list[Shard],
-                 tenant: str | None = None) -> None:
+                 deadline_s: float | None, replicas: list[Shard]) -> None:
         self.model_name = model_name
         self.omega = omega
         self.resolution = resolution
         self.priority = priority
         self.deadline_s = deadline_s
-        self.tenant = tenant
         self.replicas = replicas
         self.next_idx = 0
         self.current: Shard | None = None
@@ -277,11 +267,6 @@ class ShardedFleet:
             raise ValueError("shards must be >= 1")
         if self.config.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        # Control-plane seams: a balancer reorders a key's replica set
-        # per read (power-of-two-choices on queue depth); an admission
-        # controller rations submits per tenant.  None = PR-5 behavior.
-        self.balancer = None
-        self.admission = None
         # Resilience seams: a retry policy re-submits transient verdicts
         # under a token-bucket budget; a hedge policy races slow reads
         # against a backup replica; a circuit breaker deprioritizes
@@ -299,12 +284,10 @@ class ShardedFleet:
         self.telemetry = None
         self.shards: list[Shard] = []
         self._by_id: dict[str, Shard] = {}
-        self._retired: list[Shard] = []   # drained / decommissioned
-        self._next_shard = 0              # monotone id source: shard ids
-        #                                   never recycle across scaling
+        self._retired: list[Shard] = []   # decommissioned
         self._lock = threading.RLock()
-        for _ in range(self.config.shards):
-            shard = self._make_shard()
+        for i in range(self.config.shards):
+            shard = self._make_shard(f"shard-{i:02d}")
             self.shards.append(shard)
             self._by_id[shard.id] = shard
         self._ring = HashRing([s.id for s in self.shards],
@@ -327,27 +310,17 @@ class ShardedFleet:
     @property
     def _r(self) -> int:
         """Live replication degree: the configured R capped by the
-        *current* shard count (membership is dynamic now)."""
+        *current* shard count (decommissioning shrinks it)."""
         return min(self.config.replicas, max(1, len(self.shards)))
 
-    def _make_shard(self) -> Shard:
-        """Build one shard (server + health record) under a fresh id."""
-        with self._lock:
-            shard_id = f"shard-{self._next_shard:02d}"
-            self._next_shard += 1
+    def _make_shard(self, shard_id: str) -> Shard:
+        """Build one shard (server + health record)."""
         cfg = self.config.server
         if cfg.cache_dir is not None:
             # Each simulated host owns its spill directory: budgets and
             # LRU accounting are per-instance.
             cfg = replace(cfg, cache_dir=str(Path(cfg.cache_dir) / shard_id))
-        shard = Shard(shard_id, PredictionServer(ModelRegistry(), cfg))
-        if self.telemetry is not None:
-            # Shards born after enable_telemetry (autoscaler spawns)
-            # join the same bundle.  Per-shard stats views would collide
-            # across shards; the merged fleet views cover them.
-            shard.server.enable_telemetry(self.telemetry,
-                                          register_views=False)
-        return shard
+        return Shard(shard_id, PredictionServer(ModelRegistry(), cfg))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -391,13 +364,13 @@ class ShardedFleet:
         """Thread one telemetry bundle through the whole fleet.
 
         Swaps the real tracer in on this fleet and on every shard
-        server, present and future (``_make_shard`` wires shards born
-        later), and names the fleet's numbers in the metrics registry
-        as read-time views: ``fleet.<term>`` reads the counter ledger
-        directly, ``stats.fleet.<field>`` reads the merged
-        :class:`FleetStats` snapshot.  Views never shadow a value, so
-        the registry cannot drift from ``fleet.stats``.  Idempotent for
-        a given bundle.
+        server (per-shard stats views would collide across shards; the
+        merged fleet views cover them), and names the fleet's numbers in
+        the metrics registry as read-time views: ``fleet.<term>`` reads
+        the counter ledger directly, ``stats.fleet.<field>`` reads the
+        merged :class:`FleetStats` snapshot.  Views never shadow a value,
+        so the registry cannot drift from ``fleet.stats``.  Idempotent
+        for a given bundle.
         """
         with self._lock:
             self.telemetry = telemetry
@@ -504,8 +477,7 @@ class ShardedFleet:
     def submit(self, model_name: str, omega: np.ndarray,
                resolution: int | None = None, *,
                priority: int | None = None,
-               deadline_s: float | None = None,
-               tenant: str | None = None) -> Future:
+               deadline_s: float | None = None) -> Future:
         """Route one prediction to its replica set; returns a Future.
 
         The primary healthy replica gets the request; a shard fault
@@ -515,23 +487,14 @@ class ShardedFleet:
         and an exhausted replica set (``FleetUnavailable``) raise
         synchronously on the initial dispatch — during an asynchronous
         failover they arrive through the future instead.
-
-        With an admission controller installed (``self.admission``) a
-        ``tenant``-tagged request first spends one token from that
-        tenant's bucket; an empty bucket raises
-        :class:`~repro.serve.errors.TenantThrottled` synchronously.
-        Throttled requests still count as submitted — the conservation
-        law covers them via the ``throttled`` counter.  With a balancer
-        installed (``self.balancer``) the replica set is reordered per
-        read (power-of-two-choices on queue depth) before dispatch.
         """
         span = self.tracer.start("fleet.request", model=model_name)
         try:
             state = self._open(model_name, omega, resolution, priority,
-                               deadline_s, tenant)
+                               deadline_s)
         except Exception as exc:
-            # Refused before dispatch (a throttle is counted, the
-            # caller's unknown model is not) — close the span to export it.
+            # Refused before dispatch (the caller's unknown model is not
+            # counted) — close the span to export it.
             policy = verdict(exc)
             span.finish(outcome=policy[1] if policy else "error")
             raise
@@ -546,36 +509,19 @@ class ShardedFleet:
 
     def _open(self, model_name: str, omega: np.ndarray,
               resolution: int | None, priority: int | None,
-              deadline_s: float | None,
-              tenant: str | None) -> _RouteState:
+              deadline_s: float | None) -> _RouteState:
         """The request prologue shared by ``submit`` and ``stream``:
-        tenant admission, routing, replica ordering."""
+        routing, replica ordering."""
         omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        admission = self.admission
-        if tenant is not None and admission is not None:
-            retry_after = admission.try_acquire(tenant)
-            if retry_after is not None:
-                self._count("submitted")
-                self._count("throttled")
-                quota = admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
         _, replicas = self._route(model_name)
         return _RouteState(model_name, omega, resolution, priority,
                            deadline_s,
-                           self._order_replicas(model_name, replicas),
-                           tenant=tenant)
+                           self._order_replicas(model_name, replicas))
 
     def _order_replicas(self, model_name: str,
                         replicas: list[Shard]) -> list[Shard]:
-        """Apply the balancer (p2c spread) and breaker (open circuits to
-        the back of the line, never out of it) to a read's replica set."""
-        balancer = self.balancer
-        if balancer is not None and len(replicas) > 1:
-            ordered = balancer.order(replicas)
-            if ordered[0] is not replicas[0]:
-                self._count("spreads")
-            replicas = ordered
+        """Apply the breaker (open circuits to the back of the line,
+        never out of it) to a read's replica set."""
         breaker = self.breaker
         if breaker is not None and len(replicas) > 1:
             allowed: list[Shard] = []
@@ -597,7 +543,6 @@ class ShardedFleet:
                resolution: int | None = None, *,
                priority: int | None = None,
                deadline_s: float | None = None,
-               tenant: str | None = None,
                tiles=None, buffer_tiles: int = 2):
         """Routed streaming read: a generator of ``(tile_index,
         core_slices, core)`` records with *mid-stream* failover.
@@ -611,20 +556,19 @@ class ShardedFleet:
         ``stream_tiles_delivered`` and charges the per-tile response hop
         to the comm model.  The conservation law covers streams like any
         other submit: each ends in exactly one of served / rejected /
-        expired / errors / cancelled / unavailable / throttled
-        (abandoning the generator mid-stream counts ``cancelled`` when
-        it is closed).  A terminal
-        :class:`~repro.serve.errors.DeadlineExceeded` carries the
-        fleet-level ``tiles_delivered`` across all attempts.  The
-        prologue (``_open``) runs eagerly, so a tenant throttle and an
-        unknown model raise here, at call time; only the shard's own
-        verdicts wait for the first ``next``.  Hedged backups and retry
-        policies do not apply to streams (a stream is one stateful
-        read, not a repeatable call).
+        expired / errors / cancelled / unavailable (abandoning the
+        generator mid-stream counts ``cancelled`` when it is closed).
+        A terminal :class:`~repro.serve.errors.DeadlineExceeded` carries
+        the fleet-level ``tiles_delivered`` across all attempts.  The
+        prologue (``_open``) runs eagerly, so an unknown model raises
+        here, at call time; only the shard's own verdicts wait for the
+        first ``next``.  Hedged backups and retry policies do not apply
+        to streams (a stream is one stateful read, not a repeatable
+        call).
         """
         return self._stream_run(
-            self._open(model_name, omega, resolution, priority, deadline_s,
-                       tenant), tiles, buffer_tiles)
+            self._open(model_name, omega, resolution, priority, deadline_s),
+            tiles, buffer_tiles)
 
     def _stream_run(self, state: _RouteState, tiles, buffer_tiles: int):
         """Generator body of :meth:`stream` (runs on first ``next``).
@@ -658,8 +602,7 @@ class ShardedFleet:
                 source = shard.server.submit_stream(
                     state.model_name, state.omega, state.resolution,
                     priority=state.priority, deadline_s=state.deadline_s,
-                    tenant=state.tenant, tiles=remaining,
-                    buffer_tiles=buffer_tiles)
+                    tiles=remaining, buffer_tiles=buffer_tiles)
                 if expected is None:
                     expected = set(source.tile_indices)
                 else:
@@ -716,8 +659,7 @@ class ShardedFleet:
                 resolution: int | None = None,
                 timeout: float | None = None, *,
                 priority: int | None = None,
-                deadline_s: float | None = None,
-                tenant: str | None = None) -> np.ndarray:
+                deadline_s: float | None = None) -> np.ndarray:
         """Blocking routed prediction with hang failover.
 
         With ``config.shard_timeout_s`` set, a shard that neither
@@ -727,19 +669,18 @@ class ShardedFleet:
         asynchronously.  ``timeout`` bounds the overall wait.
 
         With a retry policy installed (``self.retry``) a transient
-        verdict — :class:`FleetUnavailable`, :class:`ServerOverloaded`,
-        :class:`TenantThrottled` — is re-submitted by
-        :func:`~repro.serve.resilience.retry_call` after the policy's
-        jittered backoff (``retry_after_s`` for throttles), as long as
-        the fleet-wide retry budget grants a token.  Every retry is a
-        fresh submit, so each attempt is individually conserved and
-        ``retried`` counts the extras.
+        verdict — :class:`FleetUnavailable`, :class:`ServerOverloaded` —
+        is re-submitted by :func:`~repro.serve.resilience.retry_call`
+        after the policy's jittered backoff, as long as the fleet-wide
+        retry budget grants a token.  Every retry is a fresh submit, so
+        each attempt is individually conserved and ``retried`` counts
+        the extras.
         """
         return retry_call(
             self.retry,
             lambda: self.await_result(
                 self.submit(model_name, omega, resolution, priority=priority,
-                            deadline_s=deadline_s, tenant=tenant), timeout),
+                            deadline_s=deadline_s), timeout),
             on_retry=self.note_retry)
 
     def note_retry(self, *_) -> None:
@@ -818,11 +759,10 @@ class ShardedFleet:
                      resolution: int | None = None,
                      timeout: float | None = None, *,
                      priority: int | None = None,
-                     deadline_s: float | None = None,
-                     tenant: str | None = None) -> np.ndarray:
+                     deadline_s: float | None = None) -> np.ndarray:
         omegas = np.atleast_2d(np.asarray(omegas, dtype=np.float64))
         futures = [self.submit(model_name, w, resolution, priority=priority,
-                               deadline_s=deadline_s, tenant=tenant)
+                               deadline_s=deadline_s)
                    for w in omegas]
         return np.stack([self.await_result(f, timeout) for f in futures])
 
@@ -891,7 +831,7 @@ class ShardedFleet:
             inner = shard.server.submit(
                 state.model_name, state.omega, state.resolution,
                 priority=state.priority, deadline_s=state.deadline_s,
-                tenant=state.tenant, trace_parent=span)
+                trace_parent=span)
         except Exception as exc:
             unsettled = self._settle(out, state, shard, exc, span, hedge)
             if sync and not unsettled:
@@ -1223,89 +1163,19 @@ class ShardedFleet:
         return True
 
     # ------------------------------------------------------------------ #
-    # Elastic membership: spawn / drain / decommission shards
+    # Permanent loss: decommission a shard, re-replicate its keys
     # ------------------------------------------------------------------ #
-    def add_shard(self) -> str:
-        """Spawn one shard and rebalance routing onto it; returns its id.
-
-        Ordering is reconcile-before-swap: the new ring is computed,
-        every model it routes to the newcomer is registered *first*,
-        and only then does the ring swap in — routing never targets a
-        shard that has not got the model yet.  Consistent hashing keeps
-        the movement minimal: only keys whose replica set gains the new
-        shard re-register; everything else stays put.
-
-        Old owners displaced by the newcomer keep their registration as
-        a *grace copy*: requests routed just before the swap are already
-        queued on them and must still find the model.  Grace copies cost
-        a registry reference (the model object is shared), are never
-        routed to by the new ring, and make membership changes safe
-        against in-flight work by construction instead of by timing.
-        """
-        shard = self._make_shard()
-        shard.server.executor.warm()
-        if self.running:
-            shard.server.start()
-        with self._lock:
-            self.shards.append(shard)
-            self._by_id[shard.id] = shard
-            new_ring = HashRing([s.id for s in self.shards],
-                                vnodes=self.config.vnodes)
-            self._reconcile(new_ring)
-            self._ring = new_ring
-            self._count("scale_ups")
-        return shard.id
-
-    def retire_shard(self, shard_id: str | None = None,
-                     drain_timeout_s: float = 30.0) -> str:
-        """Drain one shard out of the fleet and tear it down; its id.
-
-        Default victim is the least-loaded healthy shard (lowest queue
-        depth) — retiring the busiest one would maximize disruption.
-        The shard leaves the ring first (reconcile-before-swap moves
-        its keys to the survivors), keeps its registry so in-flight and
-        queued work still completes, is drained up to
-        ``drain_timeout_s``, and only then closed.  Requests routed
-        before the swap that fault on the closed server fail over along
-        their replica list as usual — conservation holds throughout.
-        """
-        with self._lock:
-            if len(self.shards) <= 1:
-                raise ValueError("cannot retire the last shard")
-            if shard_id is None:
-                victims = [s for s in self.shards if s.healthy]
-                victims = victims or list(self.shards)
-                shard = min(victims, key=lambda s: s.queue_depth)
-            else:
-                shard = self._by_id[shard_id]
-            self.shards.remove(shard)
-            self._retired.append(shard)   # stays a re-registration
-            #                               source for _reconcile
-            new_ring = HashRing([s.id for s in self.shards],
-                                vnodes=self.config.vnodes)
-            self._reconcile(new_ring)
-            self._ring = new_ring
-            del self._by_id[shard.id]
-            self._count("scale_downs")
-        # Drain outside the lock: waiting on the retiree's queue while
-        # holding the fleet lock would stall every submit in the fleet.
-        deadline = time.monotonic() + drain_timeout_s
-        while (shard.server.queue_depth() > 0
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-        shard.server.close()
-        return shard.id
-
     def decommission_shard(self, shard_id: str) -> int:
         """Remove a permanently lost shard and re-replicate its keys.
 
         The prober's last resort after ``permanent_after`` consecutive
         probe failures: the shard leaves the ring, survivors that the
         new ring assigns its keys get fresh registrations (copied from
-        any remaining holder), and teardown is *best effort* on a
-        daemon thread — joining a hung server's workers could block
-        forever, and a dead host owes nobody a clean shutdown.  Returns
-        the number of (key, shard) re-registrations performed.
+        a live holder) *before* the new ring swaps in, and
+        teardown is *best effort* on a daemon thread — joining a hung
+        server's workers could block forever, and a dead host owes
+        nobody a clean shutdown.  Returns the number of (key, shard)
+        re-registrations performed.
         """
         with self._lock:
             shard = self._by_id.get(shard_id)
@@ -1318,66 +1188,50 @@ class ShardedFleet:
             self._retired.append(shard)
             new_ring = HashRing([s.id for s in self.shards],
                                 vnodes=self.config.vnodes)
-            moves = self._reconcile(new_ring, exclude=(shard,))
+            moves = self._reconcile(new_ring)
             self._ring = new_ring
             del self._by_id[shard.id]
             self._count("decommissions")
         threading.Thread(target=shard.server.close, daemon=True).start()
         return moves
 
-    def _reconcile(self, ring: HashRing, exclude: tuple = ()) -> int:
+    def _reconcile(self, ring: HashRing) -> int:
         """Register every catalogued model onto the replicas the *new*
-        ring assigns it, copying the entry from any current holder.
+        ring assigns it, copying the entry from a live holder.
 
-        Called with the fleet lock held, BEFORE the ring swaps in.
-        ``exclude`` names shards that must not serve as a copy source
-        (a decommissioned host is gone; its registry is unreachable by
-        assumption even if the simulation could still read it).
+        Called with the fleet lock held, after the lost shard has left
+        ``self.shards`` and BEFORE the ring swaps in.  Only live shards
+        are copy sources: a decommissioned host is gone, its registry
+        unreachable by assumption even though the simulation could still
+        read it — so a key whose every holder was lost stays lost.
         Returns the number of (key, shard) registrations performed.
         """
         moves = 0
-        r = min(self.config.replicas, max(1, len(self.shards)))
-        dropped = {s.id for s in exclude}
         for name, version in list(self._catalog.items()):
-            desired = ring.lookup((name, version), n=r)
-            source = None
-            for holder in list(self.shards) + list(self._retired):
-                if holder.id in dropped:
-                    continue
+            holders = {}
+            for shard in self.shards:
                 try:
-                    entry = holder.server.registry.get(name)
-                except Exception:
+                    entry = shard.server.registry.get(name)
+                except RegistryError:
                     continue
                 if entry.version == version:
-                    source = entry
-                    break
-            if source is None:
+                    holders[shard.id] = entry
+            if not holders:
                 continue   # no surviving holder; nothing to copy from
-            for sid in desired:
-                target = self._by_id.get(sid)
-                if target is None:
+            source = next(iter(holders.values()))
+            for sid in ring.lookup((name, version), n=self._r):
+                if sid in holders:
                     continue
-                try:
-                    have = target.server.registry.get(name)
-                except Exception:
-                    have = None
-                if have is not None and have.version == version:
-                    continue
-                target.server.registry.register_model(
+                self._by_id[sid].server.registry.register_model(
                     name, source.model, source.problem, path=source.path,
                     meta=source.meta, version=version)
                 moves += 1
         self._count("reregistrations", moves)
         return moves
 
-    # Note there is deliberately no prune step after a membership
-    # change.  Shrinking the ring never takes a key away from a
-    # survivor (the R-walk only swaps the removed member for the next
-    # distinct one), and on growth the displaced owners keep grace
-    # copies: a request routed against the old ring may already sit in
-    # their queue, and unregistering under it would fail that request
-    # for no fault of its own.  Grace copies are registry references —
-    # the model object is shared — and the ring never routes to them.
+    # Note there is deliberately no prune step after a decommission:
+    # shrinking the ring never takes a key away from a survivor (the
+    # R-walk only swaps the removed member for the next distinct one).
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -1397,8 +1251,8 @@ class ShardedFleet:
         merged.send_calls = log.send_calls
         merged.send_bytes = log.send_bytes
         merged.virtual_comm_seconds = log.virtual_comm_seconds
-        # Retired shards are summed too: their serving history must not
-        # vanish from the fleet totals when the autoscaler scales down.
+        # Decommissioned shards are summed too: their serving history
+        # must not vanish from the fleet totals.
         for shard in live + retired:
             s = shard.server.stats
             merged.requests += s.requests

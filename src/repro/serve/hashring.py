@@ -3,10 +3,11 @@
 The sharded serving fleet spreads registry entries and request load
 across shards by hashing the routing key — ``(model name, content
 version)`` — onto a ring of virtual nodes.  Consistent hashing is the
-right discipline for a fleet whose membership changes (shards ejected on
-fault, re-admitted after a probe): when one of N shards leaves, only the
-~K/N keys it owned move, instead of the wholesale reshuffle a modular
-hash would cause.
+right discipline for a fleet that can lose a member for good (a shard
+decommissioned after repeated failed probes): when one of N shards
+leaves, only the ~K/N keys it owned move, instead of the wholesale
+reshuffle a modular hash would cause.  (An ejected shard stays on the
+ring — reads fail over past it along the replica order.)
 
 Two properties the routing layer depends on (pinned by
 ``tests/properties/test_hash_ring.py``):

@@ -11,7 +11,9 @@ applies to numerics — identical seed + scenario ⇒ identical timeline:
 * :class:`Scenario` — a JSON-loadable script: arrival process
   (lognormal or exponential inter-arrivals, optional diurnal rate
   envelope), model popularity (zipfian or uniform), tenant mix
-  (weights, priorities, deadlines) and a coordinated fault schedule
+  (weights, priorities, deadlines — the tenant name is a label in the
+  event log; the fleet sees only priority and deadline) and a
+  coordinated fault schedule
   ("kill shard 2 at t=3s", "hang shard 0 for 2s at t=5s", "flap
   shard 1").
 * :func:`build_trace` — expands a scenario into a flat, timestamped
@@ -58,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FleetUnavailable, ServerOverloaded, TenantThrottled
+from .errors import FleetUnavailable, ServerOverloaded
 from .resilience import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -346,7 +348,7 @@ class VirtualClock:
     """A now() that moves only when told to.
 
     Inject it as the ``clock`` of any policy with deterministic tick
-    semantics (retry budget, circuit breaker, prober, autoscaler) and
+    semantics (retry budget, circuit breaker, prober) and
     drive time from the test: ``clock.advance(0.5)``.
     """
 
@@ -624,9 +626,9 @@ class ReplayHarness:
         try:
             future = self.fleet.submit(
                 ev.model, np.asarray(ev.omega), priority=ev.priority,
-                deadline_s=ev.deadline_s, tenant=ev.tenant)
+                deadline_s=ev.deadline_s)
             return future, None
-        except (FleetUnavailable, ServerOverloaded, TenantThrottled) as exc:
+        except (FleetUnavailable, ServerOverloaded) as exc:
             return None, exc
 
     def _drain(self, ev: TraceEvent, future, exc) -> str:

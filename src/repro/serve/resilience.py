@@ -1,7 +1,7 @@
 """Client-side resilience: retry budgets, hedged reads, circuit breakers.
 
-The fleet's server-side machinery (failover, probing, autoscaling) heals
-*shards*; this module heals *calls*.  Three policies, each deterministic
+The fleet's server-side machinery (failover, probing, decommissioning)
+heals *shards*; this module heals *calls*.  Three policies, each deterministic
 under an injected clock/seed so the chaos suite can pin exact behavior:
 
 * :class:`RetryPolicy` — seeded exponential backoff with **full jitter**
@@ -11,9 +11,7 @@ under an injected clock/seed so the chaos suite can pin exact behavior:
   ``budget_rate`` tokens/s up to ``budget_burst``, so a degraded fleet
   sees at most ``burst + rate * t`` extra requests no matter how many
   callers are failing — retries can never become the storm they are
-  meant to ride out.  A :class:`~repro.serve.errors.TenantThrottled`
-  rejection is retried after exactly its ``retry_after_s`` (the bucket's
-  own refill horizon) instead of a blind backoff.
+  meant to ride out.
 * :class:`HedgePolicy` — tail-latency insurance: after a quantile of the
   observed latency distribution elapses without an answer, issue one
   backup request to a *different* replica; first answer wins, the loser
@@ -35,14 +33,12 @@ classify → ``policy.plan`` → count → sleep → again — behind
 ``ShardedFleet.predict``, the replay harness's drain, ``repro predict
 --retries`` and the CLI's serve submit/drain; its sleep is injected, and
 its one ``await``-ing twin is ``AsyncPredictionServer.predict``.
-:class:`TokenBucket` is the lazy bucket behind the retry budget *and*
-per-tenant admission (:mod:`repro.serve.control.admission`);
+:class:`TokenBucket` is the lazy bucket behind the retry budget;
 :func:`backoff_window` / :func:`jittered` are the ``min(cap, base·2ⁿ)``
 window and its seeded jitter, shared with the health prober.
 
 Wiring: :func:`install_resilience` sets the fleet's ``retry`` / ``hedge``
-/ ``breaker`` seams (``None`` by default, like ``balancer`` and
-``admission``).  Every new outcome these policies create is folded into
+/ ``breaker`` seams (``None`` by default).  Every new outcome these policies create is folded into
 the fleet's conservation law — each retry is a fresh, individually
 -accounted submit; a hedge winner counts ``served`` (+``hedged_wins``)
 exactly once via the fleet's delivered-guard; a breaker deflection
@@ -73,7 +69,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
-from .errors import FleetUnavailable, ServerOverloaded, TenantThrottled
+from .errors import FleetUnavailable, ServerOverloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fleet import ShardedFleet
@@ -88,7 +84,7 @@ __all__ = [
 
 # --------------------------------------------------------------------- #
 # The token bucket and the backoff window (written once, used by the
-# retry budget, per-tenant admission and the health prober)
+# retry budget and the health prober)
 # --------------------------------------------------------------------- #
 class TokenBucket:
     """Lazy token bucket: ``burst`` capacity refilled at ``rate``/s.
@@ -176,9 +172,9 @@ class RetryPolicy:
 
     ``retryable`` (constructor arg) overrides the default
     classification — by default only the transient serving verdicts
-    retry (:class:`FleetUnavailable`, :class:`ServerOverloaded`,
-    :class:`TenantThrottled`); request-level errors (bad ω, unknown
-    model, expired deadline) never do.
+    retry (:class:`FleetUnavailable`, :class:`ServerOverloaded`);
+    request-level errors (bad ω, unknown model, expired deadline) never
+    do.
     """
 
     def __init__(self, config: RetryConfig | None = None,
@@ -199,8 +195,7 @@ class RetryPolicy:
     def retryable(self, exc: BaseException) -> bool:
         if self._retryable is not None:
             return self._retryable(exc)
-        return isinstance(exc, (FleetUnavailable, ServerOverloaded,
-                                TenantThrottled))
+        return isinstance(exc, (FleetUnavailable, ServerOverloaded))
 
     @property
     def tokens(self) -> float:
@@ -219,8 +214,7 @@ class RetryPolicy:
 
         ``attempt`` is the 0-based index of the attempt that just
         failed.  A granted plan spends one budget token; the delay is
-        full-jittered except for :class:`TenantThrottled`, which is
-        honored at exactly its ``retry_after_s``.
+        full-jittered.
         """
         if not self.retryable(exc):
             return None
@@ -234,8 +228,6 @@ class RetryPolicy:
                 self.denied += 1
                 return None
             self.retries += 1
-            if isinstance(exc, TenantThrottled):
-                return max(0.0, float(exc.retry_after_s))
             return jittered(backoff_window(cfg.base_backoff_s,
                                            cfg.max_backoff_s, attempt),
                             self._rng)
@@ -469,7 +461,7 @@ class CircuitBreaker:
 
         The deterministic counterpart of the lazy transition in
         ``allow`` — a control loop can drive the breaker with a forged
-        clock exactly like the prober and the autoscaler.
+        clock exactly like the prober.
         """
         now = self._clock() if now is None else now
         moved: list[Hashable] = []

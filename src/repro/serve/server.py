@@ -145,7 +145,6 @@ class ServerStats(_LatencyPercentiles):
     errors: int = 0
     rejected: int = 0          # max_pending backpressure rejections
     expired: int = 0           # deadlines missed before a fused forward
-    throttled: int = 0         # view name kept; admission is the fleet's
     streams: int = 0           # streaming requests accepted
     stream_tiles: int = 0      # tile records emitted by streams
     queue_depth: int = 0       # gauge: pending + in-flight at last read
@@ -363,10 +362,9 @@ class PredictionServer:
         """Cheap load gauge: requests pending in the queue plus those a
         worker has drained but not yet resolved.
 
-        This is the primitive both power-of-two-choices read spreading
-        and the autoscaler consume — ``unfinished_tasks`` is exactly
-        put-count minus ``task_done``-count, so a request counts from
-        accepted submit to resolution.  The reading is also stamped on
+        ``unfinished_tasks`` is exactly put-count minus
+        ``task_done``-count, so a request counts from accepted submit to
+        resolution.  The reading is also stamped on
         ``stats.queue_depth`` so stats snapshots carry the gauge.
         """
         with self._queue.mutex:
@@ -407,7 +405,7 @@ class PredictionServer:
             s = self.stats
             for name in ("requests", "cache_hits", "dedup_hits", "batches",
                          "batched_requests", "tiled_forwards", "errors",
-                         "rejected", "expired", "throttled", "streams",
+                         "rejected", "expired", "streams",
                          "stream_tiles", "queue_depth", "p50", "p99",
                          "mean_batch_size"):
                 m.register_view(f"stats.server.{name}",
@@ -476,7 +474,6 @@ class PredictionServer:
                resolution: int | None = None, *,
                priority: int | None = None,
                deadline_s: float | None = None,
-               tenant: str | None = None,
                trace_parent=None) -> Future:
         """Queue one prediction; returns a Future of the (full-field)
         NumPy array.  Cache hits resolve immediately without queueing.
@@ -489,13 +486,12 @@ class PredictionServer:
         fused forward.  When ``config.max_pending`` bounds the queue, an
         overflowing submit raises :class:`ServerOverloaded` synchronously
         (and counts it in ``stats.rejected``) — shed or retry with
-        backoff.  ``tenant`` names the request's accounting principal
-        (quotas are the fleet's business: ``ShardedFleet.admission``).
+        backoff.
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
         entry, request = self._resolve(model_name, omega, resolution,
-                                       priority, deadline_s, tenant)
+                                       priority, deadline_s)
         # ``trace_parent`` is the caller's context token (a fleet
         # attempt span, typically); None starts a fresh root, which is
         # where trace sampling applies.
@@ -571,7 +567,6 @@ class PredictionServer:
                       resolution: int | None = None, *,
                       priority: int | None = None,
                       deadline_s: float | None = None,
-                      tenant: str | None = None,
                       tiles=None, buffer_tiles: int = 2) -> TileStream:
         """Stream one prediction tile by tile; returns a
         :class:`TileStream` yielding ``(tile_index, core_slices, core)``
@@ -596,7 +591,7 @@ class PredictionServer:
         streams each deliver their own records.
         """
         entry, request = self._resolve(model_name, omega, resolution,
-                                       priority, deadline_s, tenant)
+                                       priority, deadline_s)
         r, key = request.resolution, request.key
 
         # Resolve the plan eagerly: tile identities must be fixed before
@@ -635,8 +630,8 @@ class PredictionServer:
         return stream
 
     def _resolve(self, model_name: str, omega, resolution: int | None,
-                 priority: int | None, deadline_s: float | None,
-                 tenant: str | None) -> tuple[ModelEntry, PredictRequest]:
+                 priority: int | None, deadline_s: float | None
+                 ) -> tuple[ModelEntry, PredictRequest]:
         """The request prologue shared by ``submit`` and
         ``submit_stream``: the registry entry and the keyed request —
         resolution, validated ω, defaulted priority/deadline, all
@@ -657,30 +652,26 @@ class PredictionServer:
             model_name=model_name, omega=omega, resolution=r, future=Future(),
             enqueued_at=t0, key=self._key(entry, omega, r),
             priority=int(priority or 0), deadline_s=deadline_s,
-            expires_at=(t0 + deadline_s if deadline_s is not None else None),
-            tenant=tenant)
+            expires_at=(t0 + deadline_s if deadline_s is not None else None))
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
                 timeout: float | None = None, *,
                 priority: int | None = None,
-                deadline_s: float | None = None,
-                tenant: str | None = None) -> np.ndarray:
+                deadline_s: float | None = None) -> np.ndarray:
         """Blocking single prediction (sync front-end)."""
         return self.submit(model_name, omega, resolution, priority=priority,
-                           deadline_s=deadline_s,
-                           tenant=tenant).result(timeout)
+                           deadline_s=deadline_s).result(timeout)
 
     def predict_many(self, model_name: str, omegas: np.ndarray,
                      resolution: int | None = None,
                      timeout: float | None = None, *,
                      priority: int | None = None,
-                     deadline_s: float | None = None,
-                     tenant: str | None = None) -> np.ndarray:
+                     deadline_s: float | None = None) -> np.ndarray:
         """Submit a batch of ω and gather results, shape (B, *grid)."""
         omegas = np.atleast_2d(np.asarray(omegas, dtype=np.float64))
         futures = [self.submit(model_name, w, resolution, priority=priority,
-                               deadline_s=deadline_s, tenant=tenant)
+                               deadline_s=deadline_s)
                    for w in omegas]
         return np.stack([f.result(timeout) for f in futures])
 

@@ -1,18 +1,17 @@
 """Token-bucket invariants on a forged clock (hypothesis-driven).
 
-:class:`repro.serve.resilience.TokenBucket` is the one lazy bucket behind
-both the retry budget (:class:`RetryPolicy`) and per-tenant admission
-(:class:`AdmissionController`).  Three properties:
+:class:`repro.serve.resilience.TokenBucket` is the lazy bucket behind the
+retry budget (:class:`RetryPolicy`).  Three properties:
 
 * **the brake** — over *any* window of ``t`` seconds the granted cost
   never exceeds ``burst + rate * t``, whatever the arrival pattern;
 * **an honest refusal** — the wait a refusal returns is when the next
   ``take`` succeeds: refused just before it, granted at it (up to the
   one-ulp rounding of ``(cost - tokens) / rate * rate``);
-* **same decisions as before the bucket was shared** — the two
-  hand-written refills it replaced (kept below, verbatim arithmetic, as
-  the oracle) make bitwise-identical decisions on any recorded
-  ``(now, cost)`` sequence, and the retry delays are the same floats
+* **same decisions as the hand-written refill it replaced** — the
+  retry budget's old refill (kept below, verbatim arithmetic, as the
+  oracle) makes bitwise-identical decisions on any recorded sequence of
+  failures, and the retry delays are the same floats
   ``rng.uniform(0, window)`` drew, one draw per grant.
 """
 
@@ -25,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
-    AdmissionController, RetryConfig, RetryPolicy, ServerOverloaded,
-    TenantQuota, VirtualClock,
+    RetryConfig, RetryPolicy, ServerOverloaded, VirtualClock,
 )
 from repro.serve.resilience import TokenBucket, backoff_window, jittered
 
@@ -78,24 +76,8 @@ def test_a_refusal_names_when_the_next_take_succeeds(rate, burst, steps):
 
 
 # --------------------------------------------------------------------- #
-# The two refills TokenBucket replaced, kept as the decision oracle
+# The refill TokenBucket replaced, kept as the decision oracle
 # --------------------------------------------------------------------- #
-def _old_admission(rate: float, burst: float, decisions):
-    """``AdmissionController.try_acquire`` before the shared bucket."""
-    tokens = updated_at = None
-    for now, cost in decisions:
-        if tokens is None:
-            tokens, updated_at = burst, now
-        elapsed = max(0.0, now - updated_at)
-        tokens = min(burst, tokens + elapsed * rate)
-        updated_at = now
-        if tokens >= cost:
-            tokens -= cost
-            yield None, tokens
-        else:
-            yield (cost - tokens) / rate, tokens
-
-
 def _old_retry_budget(cfg: RetryConfig, failures):
     """``RetryPolicy.plan`` (budget + jitter) before the shared bucket."""
     rng = random.Random(cfg.seed)
@@ -111,22 +93,6 @@ def _old_retry_budget(cfg: RetryConfig, failures):
         tokens -= 1.0
         window = min(cfg.max_backoff_s, cfg.base_backoff_s * 2.0 ** attempt)
         yield rng.uniform(0.0, window), tokens
-
-
-@settings(max_examples=200, deadline=None)
-@given(rate=RATES, burst=BURSTS, steps=STEPS)
-def test_admission_replays_the_old_decisions(rate, burst, steps):
-    now, decisions = 0.0, []
-    for dt, cost in steps:
-        now += dt
-        decisions.append((now, cost))
-    clock = VirtualClock()
-    ctrl = AdmissionController(TenantQuota(rate, burst), clock=clock)
-    for (dt, cost), (retry_after, tokens) in zip(
-            steps, _old_admission(rate, burst, decisions)):
-        clock.advance(dt)
-        assert ctrl.try_acquire("t", cost) == retry_after
-        assert ctrl.snapshot()["t"]["tokens"] == tokens
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,23 +1,27 @@
-"""Unit tests of the control plane's deterministic cores.
+"""Unit tests of the control plane's deterministic core.
 
-Every loop body (admission, balancing, probing, autoscaling) is a pure
-function of an injectable clock and the fleet state it reads, so these
-tests forge the clock and stub the fleet — no sleeps, no threads, no
-timing assertions.  The real-fleet integration (chaos storms with the
-plane running) lives in ``test_control_scenarios.py``.
+The prober's loop body is a pure function of an injectable clock and
+the fleet state it reads, so these tests forge the clock and stub the
+fleet — no sleeps, no threads, no timing assertions.  The membership
+path the prober drives (``decommission_shard``) is checked on real
+fleets, including a hypothesis property over fleet shapes.  The
+real-fleet integration (chaos storms with the plane running) lives in
+``test_control_scenarios.py``.
 """
 
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    AdmissionController, Autoscaler, ControlConfig, ControlPlane,
-    FleetConfig, HealthProber, MicroBatcher, PowerOfTwoBalancer,
-    PredictRequest, PredictionServer, RequestQueue, ServerConfig,
-    ShardedFleet, TenantQuota, TenantThrottled,
+    ControlConfig, ControlPlane, ControlStats, FleetConfig, HealthProber,
+    MicroBatcher, PredictRequest, PredictionServer, RegistryError,
+    RequestQueue, ServerConfig, ShardedFleet, Telemetry, VirtualClock,
 )
 from repro.serve.registry import ModelRegistry
 
@@ -40,132 +44,24 @@ class _ForgedClock:
 
 
 # --------------------------------------------------------------------- #
-# Admission: token buckets
-# --------------------------------------------------------------------- #
-class TestAdmission:
-    def test_burst_then_throttle_then_refill(self):
-        clock = _ForgedClock()
-        ctrl = AdmissionController(TenantQuota(rate=10.0, burst=3.0),
-                                   clock=clock)
-        assert [ctrl.try_acquire("t") for _ in range(3)] == [None] * 3
-        retry = ctrl.try_acquire("t")
-        assert retry == pytest.approx(0.1)     # 1 token / 10 per second
-        clock.t += 0.05                        # half a token: still dry
-        assert ctrl.try_acquire("t") == pytest.approx(0.05)
-        clock.t += 0.05                        # bucket holds exactly 1
-        assert ctrl.try_acquire("t") is None
-
-    def test_bucket_caps_at_burst(self):
-        clock = _ForgedClock()
-        ctrl = AdmissionController(TenantQuota(rate=100.0, burst=2.0),
-                                   clock=clock)
-        clock.t += 1e6                         # eons idle: still only 2
-        assert ctrl.try_acquire("t") is None
-        assert ctrl.try_acquire("t") is None
-        assert ctrl.try_acquire("t") is not None
-
-    def test_tenants_are_isolated(self):
-        clock = _ForgedClock()
-        ctrl = AdmissionController(TenantQuota(rate=1.0, burst=1.0),
-                                   clock=clock)
-        ctrl.set_quota("vip", TenantQuota(rate=1.0, burst=100.0))
-        assert ctrl.try_acquire("noisy") is None
-        assert ctrl.try_acquire("noisy") is not None   # noisy is dry...
-        for _ in range(50):                            # ...vip is not
-            assert ctrl.try_acquire("vip") is None
-        snap = ctrl.snapshot()
-        assert snap["noisy"]["throttled"] == 1
-        assert snap["vip"]["admitted"] == 50
-        assert ctrl.admitted == 51 and ctrl.throttled == 1
-
-    def test_quota_validation(self):
-        with pytest.raises(ValueError):
-            TenantQuota(rate=0.0, burst=5.0)
-        with pytest.raises(ValueError):
-            TenantQuota(rate=1.0, burst=0.5)
-
-
-# --------------------------------------------------------------------- #
-# Balancing: power of two choices
+# Probing: backoff schedule and permanent loss (stub fleet)
 # --------------------------------------------------------------------- #
 class _StubShard:
-    def __init__(self, sid, depth, healthy=True):
+    def __init__(self, sid, healthy=True):
         self.id = sid
-        self.queue_depth = depth
         self.healthy = healthy
 
     def __repr__(self):
         return self.id
 
 
-class TestPowerOfTwo:
-    def test_picks_shallower_of_sampled_pair(self):
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        hot = _StubShard("a", depth=50)
-        cold = _StubShard("b", depth=0)
-        order = balancer.order([hot, cold])
-        # Two replicas: the sample is always {a, b}; cold must win.
-        assert order == [cold, hot]
-        assert balancer.diversions == 1
-
-    def test_tie_keeps_ring_order(self):
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        a, b = _StubShard("a", 3), _StubShard("b", 3)
-        for _ in range(20):
-            assert balancer.order([a, b])[0] is a
-        assert balancer.diversions == 0
-
-    def test_result_always_contains_all_replicas(self):
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        replicas = [_StubShard(f"s{i}", i) for i in range(4)]
-        for _ in range(50):
-            order = balancer.order(list(replicas))
-            assert sorted(s.id for s in order) == \
-                sorted(s.id for s in replicas)
-
-    def test_unhealthy_replicas_never_promoted(self):
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        down = _StubShard("down", 0, healthy=False)
-        up1, up2 = _StubShard("up1", 5), _StubShard("up2", 9)
-        for _ in range(50):
-            assert balancer.order([down, up1, up2])[0] is not down
-
-    def test_single_healthy_replica_keeps_ring_order(self):
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        replicas = [_StubShard("a", 9),
-                    _StubShard("b", 0, healthy=False)]
-        assert balancer.order(replicas) == replicas
-        assert balancer.decisions == 0
-
-    def test_seeded_replay_is_deterministic(self):
-        replicas = [_StubShard(f"s{i}", i % 3) for i in range(5)]
-        runs = []
-        for _ in range(2):
-            balancer = PowerOfTwoBalancer(seed=7)
-            runs.append([balancer.order(list(replicas))[0].id
-                         for _ in range(30)])
-        assert runs[0] == runs[1]
-
-    def test_spreads_load_off_hot_primary(self):
-        """Under a 'hot primary' gauge the two-choice rule must divert
-        most reads — the property the skew benchmark gates end to end."""
-        balancer = PowerOfTwoBalancer(seed=SEED)
-        hot = _StubShard("hot", 100)
-        cold = _StubShard("cold", 1)
-        picks = [balancer.order([hot, cold])[0].id for _ in range(100)]
-        assert picks.count("cold") == 100
-
-
-# --------------------------------------------------------------------- #
-# Probing: backoff schedule and permanent loss (stub fleet)
-# --------------------------------------------------------------------- #
 class _StubFleet:
     """Just enough fleet for the prober: shards, probe, decommission."""
 
     def __init__(self, shard_ids, probe_results=None):
         import threading
         self._lock = threading.RLock()
-        self.shards = [_StubShard(sid, 0) for sid in shard_ids]
+        self.shards = [_StubShard(sid) for sid in shard_ids]
         self.probe_results = probe_results or {}   # sid -> bool
         self.probe_log = []
         self.decommissioned = []
@@ -319,100 +215,6 @@ class TestProberJitter:
 
 
 # --------------------------------------------------------------------- #
-# Autoscaling: hysteresis over a stub fleet
-# --------------------------------------------------------------------- #
-class _ScalingStubFleet(_StubFleet):
-    def __init__(self, depths):
-        super().__init__([f"s{i}" for i in range(len(depths))])
-        for shard, depth in zip(self.shards, depths):
-            shard.queue_depth = depth
-        self.added = 0
-        self.retired = 0
-
-    def set_depths(self, depth):
-        for shard in self.shards:
-            shard.queue_depth = depth
-
-    def add_shard(self):
-        self.added += 1
-        shard = _StubShard(f"new{self.added}", 0)
-        self.shards.append(shard)
-        return shard.id
-
-    def retire_shard(self, shard_id=None, drain_timeout_s=None):
-        self.retired += 1
-        victim = self.shards[-1]
-        self.shards = self.shards[:-1]
-        return victim.id
-
-
-class TestAutoscaler:
-    def test_scale_up_needs_the_full_streak(self):
-        fleet = _ScalingStubFleet([10.0, 10.0])
-        scaler = Autoscaler(fleet, min_shards=1, max_shards=4,
-                            scale_up_depth=8.0, scale_down_depth=1.0,
-                            up_streak=3, down_streak=2)
-        assert scaler.tick() is None
-        assert scaler.tick() is None
-        assert scaler.tick() == "up"
-        assert fleet.added == 1
-
-    def test_dead_band_resets_streaks(self):
-        fleet = _ScalingStubFleet([10.0, 10.0])
-        scaler = Autoscaler(fleet, min_shards=1, max_shards=4,
-                            scale_up_depth=8.0, scale_down_depth=1.0,
-                            up_streak=2, down_streak=2)
-        assert scaler.tick() is None       # 1 of 2
-        fleet.set_depths(4.0)              # moderate load: dead band
-        assert scaler.tick() is None       # streak reset
-        fleet.set_depths(10.0)
-        assert scaler.tick() is None       # back to 1 of 2
-        assert scaler.tick() == "up"
-
-    def test_scale_down_drains_at_low_load(self):
-        fleet = _ScalingStubFleet([0.0, 0.0, 0.0])
-        scaler = Autoscaler(fleet, min_shards=2, max_shards=4,
-                            scale_up_depth=8.0, scale_down_depth=0.5,
-                            up_streak=2, down_streak=2)
-        assert scaler.tick() is None
-        assert scaler.tick() == "down"
-        assert fleet.retired == 1
-        assert len(fleet.shards) == 2
-        # At min_shards the scaler stays quiescent however idle.
-        for _ in range(5):
-            assert scaler.tick() is None
-        assert fleet.retired == 1
-
-    def test_bounds_are_respected(self):
-        fleet = _ScalingStubFleet([10.0, 10.0])
-        scaler = Autoscaler(fleet, min_shards=1, max_shards=3,
-                            scale_up_depth=8.0, scale_down_depth=0.5,
-                            up_streak=1, down_streak=1)
-        assert scaler.tick() == "up"       # 3 shards: at max now
-        fleet.set_depths(10.0)
-        for _ in range(5):
-            assert scaler.tick() is None
-        assert len(fleet.shards) == 3
-
-    def test_unhealthy_shards_do_not_dilute_the_gauge(self):
-        fleet = _ScalingStubFleet([10.0, 10.0, 0.0])
-        fleet.shards[2].healthy = False    # idle because it gets nothing
-        scaler = Autoscaler(fleet, min_shards=1, max_shards=4,
-                            scale_up_depth=8.0, scale_down_depth=0.5,
-                            up_streak=1, down_streak=1)
-        assert scaler.tick() == "up"       # mean over healthy = 10, not 6.7
-
-    def test_parameter_validation(self):
-        fleet = _ScalingStubFleet([0.0])
-        with pytest.raises(ValueError):
-            Autoscaler(fleet, min_shards=3, max_shards=2)
-        with pytest.raises(ValueError):
-            Autoscaler(fleet, scale_up_depth=1.0, scale_down_depth=2.0)
-        with pytest.raises(ValueError):
-            Autoscaler(fleet, up_streak=0)
-
-
-# --------------------------------------------------------------------- #
 # EDF hold shrink in the micro-batcher
 # --------------------------------------------------------------------- #
 class TestDeadlineAwareHold:
@@ -504,7 +306,7 @@ class TestQueueDepth:
 
 
 # --------------------------------------------------------------------- #
-# Fleet integration: admission + membership on a real fleet
+# Fleet integration: permanent-loss membership on a real fleet
 # --------------------------------------------------------------------- #
 def _small_fleet(shards=3, replicas=2, **server_kw):
     kw = dict(max_batch=4, max_wait_ms=0.5, workers=1, cache_bytes=0)
@@ -513,109 +315,86 @@ def _small_fleet(shards=3, replicas=2, **server_kw):
                                     server=ServerConfig(**kw)))
 
 
-class TestFleetAdmission:
-    def test_throttled_requests_conserve(self, served):
-        model, problem = served
-        fleet = _small_fleet()
-        fleet.register_model("m", model, problem)
-        clock = _ForgedClock()
-        fleet.admission = AdmissionController(
-            TenantQuota(rate=10.0, burst=2.0), clock=clock)
-        rng = np.random.default_rng(SEED)
-        with fleet:
-            fleet.predict("m", rng.uniform(-3, 3, 4), tenant="t")
-            fleet.predict("m", rng.uniform(-3, 3, 4), tenant="t")
-            with pytest.raises(TenantThrottled) as info:
-                fleet.predict("m", rng.uniform(-3, 3, 4), tenant="t")
-            assert info.value.tenant == "t"
-            assert info.value.retry_after_s == pytest.approx(0.1)
-            # Untagged traffic is never metered.
-            fleet.predict("m", rng.uniform(-3, 3, 4))
-        s = fleet.stats
-        assert s.submitted == 4
-        assert s.served == 3 and s.throttled == 1
-        assert s.lost == 0
-
-    def test_async_facade_threads_tenant_through(self, served):
-        import asyncio
-        from repro.serve import AsyncPredictionServer
-        model, problem = served
-        fleet = _small_fleet()
-        fleet.register_model("m", model, problem)
-        fleet.admission = AdmissionController(
-            TenantQuota(rate=10.0, burst=1.0), clock=_ForgedClock())
-
-        async def scenario():
-            async with AsyncPredictionServer(fleet) as aserver:
-                await aserver.predict("m", np.zeros(4), tenant="t")
-                with pytest.raises(TenantThrottled):
-                    await aserver.predict("m", np.ones(4), tenant="t")
-
-        asyncio.run(scenario())
-        assert fleet.stats.lost == 0
-
-
 class TestFleetMembership:
-    def test_add_shard_rebalances_with_minimal_movement(self, served):
-        model, problem = served
-        fleet = _small_fleet(shards=3, replicas=2)
-        names = [f"m{i}" for i in range(6)]
-        for name in names:
-            fleet.register_model(name, model, problem)
-        before = {name: fleet.replicas_for(name) for name in names}
-        rng = np.random.default_rng(SEED + 1)
-        with fleet:
-            new_id = fleet.add_shard()
-            # Every key routes to live replicas holding its model.
-            for name in names:
-                replicas = fleet.replicas_for(name)
-                for sid in replicas:
-                    shard = next(s for s in fleet.shards if s.id == sid)
-                    assert name in shard.server.registry.names()
-                u = fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
-                assert u.shape == (16, 16)
-        after = {name: fleet.replicas_for(name) for name in names}
-        moved = [n for n in names if set(after[n]) != set(before[n])]
-        unmoved = [n for n in names if after[n] == before[n]]
-        # Consistent hashing: some keys moved onto the new shard, but
-        # not all of them — and only onto the newcomer.
-        assert new_id == "shard-03"
-        for name in moved:
-            assert new_id in set(after[name])
-        assert unmoved, "adding one shard must not reshuffle every key"
-        s = fleet.stats
-        assert s.scale_ups == 1 and s.lost == 0
-
-    def test_retire_shard_drains_and_survivors_serve(self, served):
-        model, problem = served
-        fleet = _small_fleet(shards=3, replicas=2)
-        names = [f"m{i}" for i in range(4)]
-        for name in names:
-            fleet.register_model(name, model, problem)
-        rng = np.random.default_rng(SEED + 2)
-        with fleet:
-            retired_id = fleet.retire_shard(drain_timeout_s=10.0)
-            assert retired_id not in [s.id for s in fleet.shards]
-            for name in names:
-                replicas = fleet.replicas_for(name)
-                assert retired_id not in replicas
-                for sid in replicas:
-                    shard = next(s for s in fleet.shards if s.id == sid)
-                    assert name in shard.server.registry.names()
-                u = fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
-                assert u.shape == (16, 16)
-        s = fleet.stats
-        assert s.scale_downs == 1 and s.lost == 0
-        assert s.shards == 2
-
     def test_cannot_remove_the_last_shard(self, served):
         model, problem = served
         fleet = _small_fleet(shards=1, replicas=1)
         fleet.register_model("m", model, problem)
         with pytest.raises(ValueError):
-            fleet.retire_shard()
-        with pytest.raises(ValueError):
             fleet.decommission_shard(fleet.shards[0].id)
+        assert len(fleet.shards) == 1
+
+    def test_ejection_keeps_the_shard_on_the_ring(self, served):
+        """Only a decommission changes membership: an ejected shard
+        keeps its ring points and reads fail over past it."""
+        model, problem = served
+        fleet = _small_fleet(shards=3, replicas=2)
+        names = [f"m{i}" for i in range(4)]
+        for name in names:
+            fleet.register_model(name, model, problem)
+        routes = {name: fleet.replicas_for(name) for name in names}
+        victim = fleet.shards[0]
+        fleet._eject(victim, ConnectionError("gone"))
+        assert {name: fleet.replicas_for(name) for name in names} == routes
+        rng = np.random.default_rng(SEED + 6)
+        for name in names:
+            fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
+        assert victim.server.stats.requests == 0
+        s = fleet.stats
+        assert s.shards == 3 and s.served == len(names) and s.lost == 0
+
+    def test_fleet_totals_keep_a_decommissioned_shards_history(
+            self, served):
+        model, problem = served
+        fleet = _small_fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        victim = fleet._by_id[fleet.replicas_for("m")[0]]
+        rng = np.random.default_rng(SEED + 7)
+        for _ in range(3):                       # unstarted: the primary
+            fleet.predict("m", rng.uniform(-3, 3, 4))   # serves inline
+        assert victim.server.stats.requests == 3
+        before = fleet.stats
+        fleet.decommission_shard(victim.id)
+        after = fleet.stats
+        assert victim.id not in after.per_shard
+        assert (after.requests, after.batches) == (before.requests,
+                                                   before.batches)
+
+    def test_request_in_flight_on_a_decommissioned_shard_resolves(
+            self, served):
+        """Teardown drains: a forward already running on the removed
+        shard finishes and its answer is delivered, not lost."""
+        import threading
+        model, problem = served
+        fleet = _small_fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        victim = fleet._by_id[fleet.replicas_for("m")[0]]
+        entered, release = threading.Event(), threading.Event()
+        forward = victim.server._forward
+
+        def held(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30)
+            return forward(*args, **kwargs)
+
+        victim.server._forward = held
+        with fleet:
+            future = fleet.submit("m", np.zeros(4))
+            assert entered.wait(timeout=30)
+            fleet.decommission_shard(victim.id)
+            assert victim.id not in fleet.replicas_for("m")
+            release.set()
+            assert future.result(timeout=30).shape == (16, 16)
+        s = fleet.stats
+        assert s.served == 1 and s.failovers == 0 and s.lost == 0
+
+    def test_unknown_shard_is_a_no_op(self, served):
+        model, problem = served
+        fleet = _small_fleet(shards=2, replicas=2)
+        fleet.register_model("m", model, problem)
+        assert fleet.decommission_shard("shard-99") == 0
+        s = fleet.stats
+        assert s.shards == 2 and s.decommissions == 0
 
     def test_decommission_rereplicates_lost_keys(self, served):
         model, problem = served
@@ -643,30 +422,126 @@ class TestFleetMembership:
         assert s.reregistrations == moves
         assert s.lost == 0
 
-    def test_shard_ids_never_recycle(self, served):
+
+def _holdings(fleet) -> dict[str, set[str]]:
+    """Shard id -> names registered on it, for every live shard."""
+    return {s.id: set(s.server.registry.names()) for s in fleet.shards}
+
+
+def _check_decommission(fleet, victim_id: str, names: list[str]):
+    """Decommission one shard and check the membership invariants.
+
+    Returns the names no live shard holds any more (a key whose every
+    holder was the lost shard: only possible at one replica)."""
+    before = _holdings(fleet)
+    del before[victim_id]
+    routes = {name: fleet.replicas_for(name) for name in names}
+    reregs = fleet.stats.reregistrations
+    moves = fleet.decommission_shard(victim_id)
+    after = _holdings(fleet)
+    assert set(after) == set(before)
+    # Minimal movement: a key the lost shard did not serve keeps its
+    # replica list; one it did keeps every surviving replica.
+    for name, route in routes.items():
+        now = fleet.replicas_for(name)
+        if victim_id not in route:
+            assert now == route, name
+        else:
+            assert set(route) - {victim_id} <= set(now), name
+    # No survivor loses a registration ...
+    for sid, held in before.items():
+        assert held <= after[sid], sid
+    # ... every new (key, shard) registration is counted, once ...
+    assert moves == sum(len(after[sid] - before[sid]) for sid in before)
+    assert fleet.stats.reregistrations - reregs == moves
+    # ... and a key with a surviving holder sits on every replica the
+    # new ring assigns it.  A key without one is not copied back from
+    # the lost host.
+    orphans = [n for n in names if not any(n in held
+                                           for held in before.values())]
+    for name in names:
+        replica_ids = fleet.replicas_for(name)
+        assert victim_id not in replica_ids
+        assert len(replica_ids) == min(fleet.config.replicas,
+                                       len(fleet.shards))
+        if name not in orphans:
+            assert all(name in after[sid] for sid in replica_ids), name
+        else:
+            assert not any(name in held for held in after.values())
+    return orphans
+
+
+def _read_each(fleet, names, orphans, rng):
+    """One read per model: served unless orphaned, never lost."""
+    before = fleet.stats
+    for name in names:
+        if name in orphans:
+            with pytest.raises(RegistryError):
+                fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
+        else:
+            u = fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
+            assert u.shape == (16, 16)
+    after = fleet.stats
+    assert after.served - before.served == len(names) - len(orphans)
+    assert after.errors - before.errors == len(orphans)
+    assert after.lost == 0
+
+
+# (shards, replicas, models, victim index), shards in 2..5.
+FLEET_SHAPES = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3), st.integers(1, 6), st.integers(0, n - 1)))
+
+
+class TestDecommissionProperties:
+    """The membership path the prober drives, over fleet shapes.
+
+    The fleets stay unstarted, so every read runs inline on the test's
+    thread: a property example costs a few tiny forwards, no threads.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=FLEET_SHAPES)
+    def test_decommission_keeps_every_surviving_key_replicated(
+            self, served, shape):
+        n_shards, replicas, n_models, victim = shape
         model, problem = served
-        fleet = _small_fleet(shards=2, replicas=1)
-        fleet.register_model("m", model, problem)
-        with fleet:
-            retired = fleet.retire_shard()
-            added = fleet.add_shard()
-        assert added not in (retired, fleet.shards[0].id)
+        fleet = _small_fleet(shards=n_shards, replicas=replicas)
+        names = [f"m{i}" for i in range(n_models)]
+        for name in names:
+            fleet.register_model(name, model, problem)
+        orphans = _check_decommission(fleet, fleet.shards[victim].id, names)
+        if min(replicas, n_shards) > 1:
+            assert orphans == []          # R >= 2 always leaves a holder
+        _read_each(fleet, names, orphans, np.random.default_rng(SEED))
+        assert fleet.stats.decommissions == 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(shards=st.integers(3, 5), replicas=st.integers(1, 3),
+           n_models=st.integers(1, 6), data=st.data())
+    def test_a_second_loss_never_resurrects_from_the_first(
+            self, served, shards, replicas, n_models, data):
+        """Two hosts lost in turn: the first is no copy source for the
+        second reconcile, so a key orphaned by the first stays orphaned
+        and every other key is back at full replication both times."""
+        model, problem = served
+        fleet = _small_fleet(shards=shards, replicas=replicas)
+        names = [f"m{i}" for i in range(n_models)]
+        for name in names:
+            fleet.register_model(name, model, problem)
+        ids = [s.id for s in fleet.shards]
+        first, second = data.draw(st.permutations(ids))[:2]
+        orphans = _check_decommission(fleet, first, names)
+        later = _check_decommission(fleet, second, names)
+        assert set(orphans) <= set(later)
+        _read_each(fleet, names, later, np.random.default_rng(SEED + 5))
+        s = fleet.stats
+        assert s.decommissions == 2 and s.shards == shards - 2
 
 
 # --------------------------------------------------------------------- #
 # ControlPlane facade
 # --------------------------------------------------------------------- #
 class TestControlPlane:
-    def test_installs_and_uninstalls_fleet_seams(self, served):
-        model, problem = served
-        fleet = _small_fleet()
-        fleet.register_model("m", model, problem)
-        plane = ControlPlane(fleet, ControlConfig(tenant_rate=100.0))
-        assert fleet.balancer is plane.balancer
-        assert fleet.admission is plane.admission
-        plane.uninstall()
-        assert fleet.balancer is None and fleet.admission is None
-
     def test_deterministic_tick_probes_with_backoff(self, served):
         model, problem = served
         fleet = _small_fleet()
@@ -714,3 +589,107 @@ class TestControlPlane:
         assert not plane.running
         assert plane.stats.readmissions >= 1
         assert fleet.stats.lost == 0
+
+    def test_tick_decommissions_a_dead_shard(self, served):
+        """Forged clock, no thread: ``permanent_after`` failed probes
+        hand the shard to ``decommission_shard``, whose re-registrations
+        the plane and the fleet count alike."""
+        model, problem = served
+        fleet = _small_fleet(shards=3, replicas=2)
+        names = [f"m{i}" for i in range(4)]
+        for name in names:
+            fleet.register_model(name, model, problem)
+        plane = ControlPlane(fleet, ControlConfig(
+            probe_base_backoff_s=1.0, probe_max_backoff_s=1.0,
+            probe_timeout_s=5.0, permanent_after=2, probe_jitter=0.0),
+            clock=_ForgedClock())
+        victim = fleet._by_id[fleet.replicas_for("m0")[0]]
+        victim.server.submit = lambda *a, **k: (_ for _ in ()).throw(
+            ConnectionError("gone"))
+        fleet._eject(victim, ConnectionError("gone"))
+        plane.tick(now=0.0)                     # first failed probe
+        assert victim in fleet.shards
+        plane.tick(now=1.0)                     # second: decommissioned
+        assert victim not in fleet.shards
+        ps, fs = plane.stats, fleet.stats
+        assert ps.decommissions == fs.decommissions == 1
+        assert ps.reregistrations == fs.reregistrations >= 1
+        for name in names:
+            for sid in fleet.replicas_for(name):
+                assert name in fleet._by_id[sid].server.registry.names()
+        rng = np.random.default_rng(SEED + 4)
+        for name in names:
+            fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
+        assert fleet.stats.served == len(names)
+        assert fleet.stats.lost == 0
+
+    def test_stats_views_mirror_the_prober_counters(self, served):
+        model, problem = served
+        fleet = _small_fleet()
+        fleet.register_model("m", model, problem)
+        telemetry = Telemetry(clock=VirtualClock())
+        fleet.enable_telemetry(telemetry)
+        plane = ControlPlane(fleet, ControlConfig(probe_jitter=0.0),
+                             clock=_ForgedClock())
+        victim = fleet._by_id[fleet.replicas_for("m")[0]]
+        victim.server.submit = lambda *a, **k: (_ for _ in ()).throw(
+            ConnectionError("gone"))
+        fleet._eject(victim, ConnectionError("gone"))
+        for t in (0.0, 0.01, 10.0):             # probe, back off, probe
+            plane.tick(now=t)
+        reg = telemetry.metrics
+        views = sorted(n for n in reg.names()
+                       if n.startswith("stats.control."))
+        counters = [f.name for f in fields(ControlStats)]
+        assert views == sorted(f"stats.control.{n}" for n in counters)
+        stats = plane.stats
+        for name in counters:
+            assert reg.value(f"stats.control.{name}") == getattr(stats, name)
+        assert (stats.ticks, stats.probes, stats.backoffs) == (3, 2, 1)
+        assert reg.value("control.ticks") == 3
+
+    def test_views_register_on_the_first_telemetry_visible_tick(
+            self, served):
+        model, problem = served
+        fleet = _small_fleet()
+        fleet.register_model("m", model, problem)
+        plane = ControlPlane(fleet, clock=_ForgedClock())
+        plane.tick(now=0.0)                     # no telemetry yet
+        telemetry = Telemetry(clock=VirtualClock())
+        fleet.enable_telemetry(telemetry)
+        reg = telemetry.metrics
+        assert "stats.control.ticks" not in reg.names()
+        plane.tick(now=1.0)
+        assert reg.value("stats.control.ticks") == 2    # every tick
+        assert reg.value("control.ticks") == 1          # visible ones
+        history = reg.gauge("slo.healthy_shards").history
+        assert history == [(1.0, 3.0)]
+
+    def test_start_and_stop_are_idempotent(self, served):
+        model, problem = served
+        fleet = _small_fleet()
+        fleet.register_model("m", model, problem)
+        plane = ControlPlane(fleet, ControlConfig(tick_interval_s=0.01))
+        assert not plane.running
+        assert plane.start() is plane
+        thread = plane._thread
+        assert plane.start() is plane and plane._thread is thread
+        plane.stop()
+        plane.stop()
+        assert not plane.running and not thread.is_alive()
+        with plane:                             # restartable after a stop
+            assert plane.running
+        assert not plane.running
+        assert plane.stats.ticks >= 2
+        assert repr(plane) == "ControlPlane(prober, idle)"
+
+    def test_config_and_stats_are_the_prober_and_its_loop(self):
+        """The plane's settable values are the prober's five and the
+        tick interval; its counters are the prober's five and ticks."""
+        assert [f.name for f in fields(ControlConfig)] == [
+            "probe_base_backoff_s", "probe_max_backoff_s",
+            "probe_timeout_s", "permanent_after", "probe_jitter",
+            "tick_interval_s"]
+        assert [f.name for f in fields(ControlStats)] == [
+            "ticks", "probes", "backoffs", "readmissions",
+            "decommissions", "reregistrations"]

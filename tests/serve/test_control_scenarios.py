@@ -8,12 +8,11 @@ The acceptance bar for the control plane, pinned as tests:
   the killed shard decommissioned and its keys re-replicated, zero
   requests lost, and ZERO calls to the operator seams
   (``fleet.check_health`` / ``fleet.register_model``).
-* **Autoscaling under a load step** — a queue-depth step drives scale
-  up, the backlog drains, and the fleet scales back to the floor; no
-  request is lost or double-served and the answers stay exact.
-* **Admission under storm** — a metered tenant saturating its bucket
-  keeps the conservation law intact (throttles are an outcome, not a
-  leak).
+* **SLO trajectory** — under a load step, then a kill the prober turns
+  into a decommission, the registry's per-tick gauges record the whole
+  path: the healthy-shard count dipping when the shard is ejected and
+  staying at the survivors once it is removed, p99 observed every tick,
+  queue depth spiking during the step.
 
 Same harness idiom as ``test_fleet_faults.py``: seeds fixed, faults
 armed by submission count (never by sleep), hangs released by events.
@@ -29,8 +28,7 @@ from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
     ControlConfig, ControlPlane, FleetConfig, FleetUnavailable,
-    ServerConfig, ServerOverloaded, ShardedFleet, Telemetry,
-    TenantThrottled, VirtualClock,
+    ServerConfig, ServerOverloaded, ShardedFleet, Telemetry, VirtualClock,
 )
 
 SEED = 20260728
@@ -91,7 +89,7 @@ class _Chaos:
 
 
 def _storm(fleet, names, n_clients=4, per_client=12, arm_chaos=None,
-           arm_after=8, deadline_s=None, tenant=None):
+           arm_after=8, deadline_s=None):
     barrier = threading.Barrier(n_clients)
     submitted = threading.Semaphore(0)
     futures, sync_errors = [], []
@@ -106,11 +104,10 @@ def _storm(fleet, names, n_clients=4, per_client=12, arm_chaos=None,
             priority = int(rng.integers(0, 6))
             try:
                 f = fleet.submit(name, omega, priority=priority,
-                                 deadline_s=deadline_s, tenant=tenant)
+                                 deadline_s=deadline_s)
                 with lock:
                     futures.append((name, omega, f))
-            except (ServerOverloaded, FleetUnavailable,
-                    TenantThrottled) as exc:
+            except (ServerOverloaded, FleetUnavailable) as exc:
                 with lock:
                     sync_errors.append(exc)
             submitted.release()
@@ -173,9 +170,9 @@ def _forbid_operator(fleet):
 def _distinct_fault_pair(fleet, names):
     """A (kill, hang) shard pair such that the storm genuinely exercises
     both faults yet every key stays servable: neither jointly owns any
-    model's full replica set, the kill victim holds at least one model
-    (so re-replication has work to do) and the hang victim is primary
-    for at least one (so requests genuinely stall on it)."""
+    model's full replica set, and each is primary for at least one
+    model — so live reads fault on the kill victim (ejecting it, with
+    re-replication work to do) and genuinely stall on the hang victim."""
     ids = [s.id for s in fleet.shards]
     replica_sets = [fleet.replicas_for(n) for n in names]
     for a in ids:
@@ -184,7 +181,7 @@ def _distinct_fault_pair(fleet, names):
                 continue
             if any(set(rs) <= {a, b} for rs in replica_sets):
                 continue
-            if not any(a in rs for rs in replica_sets):
+            if not any(rs[0] == a for rs in replica_sets):
                 continue
             if not any(rs[0] == b for rs in replica_sets):
                 continue
@@ -196,7 +193,7 @@ class TestSelfHealingStorm:
     def test_kill_and_hang_storm_heals_without_operator(self, served):
         model, problem = served
         fleet = _fleet(shards=4, replicas=2, shard_timeout_s=0.25)
-        names = [f"m{i}" for i in range(5)]
+        names = [f"m{i}" for i in range(4)]
         for name in names:
             fleet.register_model(name, model, problem)
         kill_victim, hang_victim = _distinct_fault_pair(fleet, names)
@@ -284,10 +281,10 @@ class TestSelfHealingStorm:
         primary = _shard(fleet, fleet.replicas_for("m")[0])
         chaos = _Chaos(primary)
         calls = _forbid_operator(fleet)
-        # balance=False so the first read deterministically hits the
-        # (broken) primary and trips the ejection.
+        # The first read deterministically hits the (broken) primary and
+        # trips the ejection.
         plane = ControlPlane(fleet, ControlConfig(
-            balance=False, probe_base_backoff_s=0.02,
+            probe_base_backoff_s=0.02,
             probe_max_backoff_s=0.1, probe_timeout_s=1.0,
             tick_interval_s=0.01))
         rng = np.random.default_rng(SEED + 7)
@@ -329,125 +326,15 @@ class TestSelfHealingStorm:
         assert calls == {"check_health": 0, "register_model": 0}
 
 
-class TestAutoscalerUnderLoad:
-    def test_load_step_scales_up_then_back_down(self, served):
-        """Queue-depth step -> scale up; backlog drains -> scale back to
-        the floor.  Ticks are driven manually so the scaling sequence is
-        deterministic; nothing is lost or double-served."""
-        model, problem = served
-        fleet = _fleet(shards=2, replicas=2)
-        names = ["m0", "m1"]
-        for name in names:
-            fleet.register_model(name, model, problem)
-        plane = ControlPlane(fleet, ControlConfig(
-            balance=False, autoscale=True, autoscale_min=2,
-            autoscale_max=4, scale_up_depth=2.0, scale_down_depth=0.5,
-            up_streak=1, down_streak=2, drain_timeout_s=10.0))
-        hangs = [_Chaos(s) for s in fleet.shards]
-        rng = np.random.default_rng(SEED)
-
-        with fleet:
-            for chaos in hangs:
-                chaos.hang()
-            futures = []
-            for i in range(16):
-                name = names[i % 2]
-                omega = rng.uniform(-3, 3, 4)
-                futures.append((name, omega,
-                                fleet.submit(name, omega)))
-
-            plane.tick()                      # depth step observed
-            assert len(fleet.shards) == 3     # scaled up
-            assert plane.stats.scale_ups == 1
-            assert plane.stats.last_depth >= 2.0
-
-            for chaos in hangs:               # load step ends
-                chaos.restore()
-            results, request_errors = _drain(futures)
-            assert not request_errors
-
-            # Depth is back to ~0: two quiet ticks retire one shard ...
-            deadline = time.monotonic() + 30.0
-            while len(fleet.shards) > 2 and time.monotonic() < deadline:
-                plane.tick()
-                time.sleep(0.01)
-            assert len(fleet.shards) == 2
-            assert plane.stats.scale_downs >= 1
-
-            # ... and the floor holds however long the quiet lasts.
-            for _ in range(5):
-                plane.tick()
-            assert len(fleet.shards) == 2
-
-            # Survivors still hold every key and answer exactly.
-            extra = 0
-            for name in names:
-                for sid in fleet.replicas_for(name):
-                    assert name in \
-                        _shard(fleet, sid).server.registry.names()
-                omega = rng.uniform(-3, 3, 4)
-                u = fleet.predict(name, omega, timeout=30)
-                ref = predict_batch(model, problem, omega)[0]
-                np.testing.assert_allclose(u, ref, atol=1e-5)
-                extra += 1
-
-        _assert_fields_match(served, results)
-        s = fleet.stats
-        assert s.lost == 0
-        # Exactly-once: every request served once, none duplicated.
-        assert len(results) == 16
-        assert s.served == 16 + extra
-        assert s.submitted == 16 + extra
-        assert s.scale_ups == 1 and s.scale_downs >= 1
-
-
-class TestAdmissionUnderStorm:
-    def test_saturating_tenant_conserves_with_throttles(self, served):
-        """A metered tenant blowing through its bucket mid-storm turns
-        the excess into *throttles*, never losses — with the balancer
-        spreading whatever is admitted."""
-        model, problem = served
-        fleet = _fleet(shards=3, replicas=2)
-        names = [f"m{i}" for i in range(3)]
-        for name in names:
-            fleet.register_model(name, model, problem)
-        plane = ControlPlane(fleet, ControlConfig(
-            balance=True, balance_seed=SEED,
-            tenant_rate=5.0, tenant_burst=10.0))
-
-        with fleet, plane:
-            futures, sync_errors = _storm(fleet, names, n_clients=4,
-                                          per_client=12, tenant="noisy")
-            results, request_errors = _drain(futures)
-
-        assert not request_errors
-        throttles = [e for e in sync_errors
-                     if isinstance(e, TenantThrottled)]
-        assert throttles, "storm must overrun a 5/s, burst-10 bucket"
-        for exc in throttles[:3]:
-            assert exc.tenant == "noisy"
-            assert exc.retry_after_s > 0
-        _assert_fields_match(served, results)
-
-        s = fleet.stats
-        assert s.lost == 0
-        assert s.throttled == len(throttles)
-        assert s.served == len(results)
-        assert s.submitted == 48
-        assert len(results) + len(sync_errors) == 48
-        ps = plane.stats
-        assert ps.throttled == len(throttles)
-        assert ps.admitted == 48 - len(throttles)
-        assert ps.tenants["noisy"]["throttled"] == len(throttles)
-
-
 class TestSLOTrajectory:
     def test_storm_records_per_tick_slo_trajectory(self, served):
-        """Load step -> scale up, kill -> decommission, with telemetry
-        live: the registry's SLO gauges carry the whole per-tick
-        trajectory (healthy shards 3 -> 4 -> 3, p99 observed, queue
-        depth spiking during the step), timestamped from the plane's
-        forged clock, and both accounting paths still reconcile."""
+        """Load step, then kill -> decommission, with telemetry live and
+        no operator: the registry's SLO gauges carry the whole per-tick
+        trajectory, timestamped from the plane's forged clock.  Healthy
+        shards read 3 through the step, 2 once the killed shard is
+        ejected (still a member), and 2 after the prober removes it;
+        p99 is stamped on every tick; queue depth spikes in the step.
+        Both accounting paths still reconcile."""
         model, problem = served
         fleet = _fleet(shards=3, replicas=2, shard_timeout_s=0.25)
         names = ["m0", "m1"]
@@ -458,9 +345,6 @@ class TestSLOTrajectory:
         reg = telemetry.metrics
         clock = VirtualClock()
         plane = ControlPlane(fleet, ControlConfig(
-            balance=False, autoscale=True, autoscale_min=3,
-            autoscale_max=4, scale_up_depth=2.0, scale_down_depth=0.5,
-            up_streak=1, down_streak=10 ** 6,   # never scale back down
             probe_base_backoff_s=0.05, probe_max_backoff_s=0.2,
             probe_timeout_s=0.25, permanent_after=2),
             clock=clock)
@@ -471,12 +355,10 @@ class TestSLOTrajectory:
             plane.tick()
 
         with fleet:
-            tick()                                 # healthy baseline
-            assert reg.value("slo.healthy_shards") == 3.0
+            tick()                                 # 1: healthy baseline
             for _ in range(8):
                 fleet.predict(names[0], rng.uniform(-3, 3, 4), timeout=30)
-            tick()
-            assert reg.value("slo.p99_ms") > 0.0
+            tick()                                 # 2: p99 observed
 
             # Load step: hang every shard, pile up a backlog.
             hangs = [_Chaos(s) for s in fleet.shards]
@@ -487,9 +369,7 @@ class TestSLOTrajectory:
                 name = names[i % 2]
                 omega = rng.uniform(-3, 3, 4)
                 futures.append((name, omega, fleet.submit(name, omega)))
-            tick()                                 # depth step observed
-            assert len(fleet.shards) == 4
-            assert plane.stats.scale_ups == 1
+            tick()                                 # 3: depth step observed
             for chaos in hangs:
                 chaos.restore()
             results, request_errors = _drain(futures)
@@ -502,34 +382,32 @@ class TestSLOTrajectory:
             u = fleet.predict("m0", rng.uniform(-3, 3, 4), timeout=30)
             assert u.shape == (16, 16)             # replica answered
             assert not victim.healthy
-            deadline = time.monotonic() + 30.0
-            while (victim.id in [s.id for s in fleet.shards]
-                   and time.monotonic() < deadline):
-                tick()
-                time.sleep(0.01)
-            assert victim.id not in [s.id for s in fleet.shards]
-            tick()                                 # record healed level
+            tick()                                 # 4: first failed probe
+            assert victim in fleet.shards
+            tick()                                 # 5: decommissioned
+            assert victim not in fleet.shards
+            tick()                                 # 6: healed level
+            for name in names:
+                assert victim.id not in fleet.replicas_for(name)
+                fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
 
         assert fleet.stats.lost == 0
         assert len(results) == 24
-        ticks = plane.stats.ticks
-        assert reg.value("control.ticks") == ticks
+        assert plane.stats.ticks == 6
+        assert reg.value("control.ticks") == 6
         hist = reg.gauge("slo.healthy_shards").history
-        assert len(hist) == ticks
-        times = [t for t, _ in hist]
-        assert times == sorted(times)              # per-tick, in order
-        assert len(set(times)) == len(times)
-        values = [v for _, v in hist]
-        assert values[0] == 3.0                    # baseline
-        assert max(values) == 4.0                  # the scale-up
-        assert values[-1] == 3.0                   # healed after the kill
-        p99s = [v for _, v in reg.gauge("slo.p99_ms").history]
-        assert len(p99s) == ticks
-        assert any(v > 0.0 for v in p99s) and min(p99s) >= 0.0
+        assert [t for t, _ in hist] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [v for _, v in hist] == [3.0, 3.0, 3.0, 2.0, 2.0, 2.0]
+        p99s = reg.gauge("slo.p99_ms").history
+        assert [t for t, _ in p99s] == [t for t, _ in hist]
+        assert p99s[0][1] == 0.0                   # nothing served yet
+        assert all(v > 0.0 for _, v in p99s[1:])
         depths = [v for _, v in reg.gauge("slo.queue_depth").history]
+        assert depths[0] == 0.0
         assert max(depths) >= 2.0                  # the load step
-        # Views and mirrored counters agree with the legacy stats.
-        assert reg.value("stats.control.scale_ups") == 1
+        # Views and mirrored counters agree with the fleet's stats.
         assert reg.value("stats.control.decommissions") == 1
+        assert reg.value("stats.control.reregistrations") == \
+            fleet.stats.reregistrations >= 1
         assert reg.value("stats.fleet.submitted") == fleet.stats.submitted
         assert reg.value("fleet.served") == fleet.stats.served

@@ -8,9 +8,8 @@
   virtual-clock sleep it injects into the driver); neither grows back a
   ``while True:`` that submits or plans.
 * **One token bucket.**  ``TokenBucket(...)`` is constructed by the
-  retry budget (``resilience.py``) and per-tenant admission
-  (``control/admission.py``); no other class under ``src/repro/serve``
-  keeps its own ``…updated_at`` refill stamp.
+  retry budget (``resilience.py``) only; no other class under
+  ``src/repro/serve`` keeps its own ``…updated_at`` refill stamp.
 * **One forward on the calling side of the GIL.**  ``serve/server.py``
   pickles in one place (the version-cached blob helper);
   ``PredictionServer._forward`` is one ``tiled_predict`` call — the
@@ -118,7 +117,7 @@ def test_no_hand_written_retry_loop_in_the_clients() -> None:
 # --------------------------------------------------------------------- #
 # One bucket
 # --------------------------------------------------------------------- #
-def test_token_bucket_has_two_owners_and_no_private_copy() -> None:
+def test_token_bucket_has_one_owner_and_no_private_copy() -> None:
     owners, stamps = set(), {}
     for path in sorted(SERVE.rglob("*.py")):
         tree = _tree(path)
@@ -126,7 +125,7 @@ def test_token_bucket_has_two_owners_and_no_private_copy() -> None:
             owners.add(_rel(path))
         for cls in _refill_stamp_classes(tree):
             stamps[cls] = _rel(path)
-    assert owners == {"serve/resilience.py", "serve/control/admission.py"}
+    assert owners == {"serve/resilience.py"}
     assert stamps == {"TokenBucket": "serve/resilience.py"}
 
 

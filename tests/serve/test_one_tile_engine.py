@@ -16,12 +16,21 @@ the cross-process spill ledger, a second set of books for the disk
 budget each ``LRUCache`` already keeps.  Their names may not come back
 anywhere in ``src/repro``, and the block extractor the tile engine cuts
 halos with has one definition, in ``serve/tiling.py``.
+
+Likewise for three fleet features that no benchmark metric needed:
+power-of-two-choices read spreading, per-tenant admission, and the
+queue-depth autoscaler with the elastic ``add_shard``/``retire_shard``
+it drove.  Their names, and ``tenant`` as a request parameter or field,
+may not come back in ``src/repro``; the replay trace's tenant label is
+the one exception.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 TILING = PACKAGE / "serve" / "tiling.py"
@@ -43,6 +52,22 @@ BANNED_FORKS = {
     "shared_spill": "the shared-spill option",
 }
 BANNED_MODULES = ("model_parallel", "spill_ledger")
+# Package-wide: the fleet features no benchmark metric needed — read
+# spreading, tenant admission, autoscaling and the elastic membership it
+# drove — and the per-request ``tenant`` they threaded through the stack.
+BANNED_FLEET_FEATURES = {
+    "PowerOfTwoBalancer": "the p2c read balancer",
+    "AdmissionController": "per-tenant admission",
+    "TenantQuota": "the per-tenant quota",
+    "Autoscaler": "the queue-depth autoscaler",
+    "TenantThrottled": "the tenant-throttle verdict",
+    "add_shard": "elastic scale-up",
+    "retire_shard": "elastic scale-down",
+}
+BANNED_FLEET_MODULES = ("admission", "balance", "autoscale")
+# The one ``tenant`` left: the replay trace's event label (the event log
+# is byte-pinned), which the harness never hands to the fleet.
+TENANT_LABEL = "TraceEvent"
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -120,6 +145,45 @@ def _forks(source: str) -> list[str]:
     return bad
 
 
+def _fleet_features(source: str) -> list[str]:
+    """Uses of the deleted fleet features in one module, and ``tenant``
+    as a parameter, keyword, field, slot or attribute anywhere but the
+    replay trace's event label."""
+    tree = ast.parse(source)
+    label = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == TENANT_LABEL:
+            label |= {id(n) for n in ast.walk(node)}
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == TENANT_LABEL):
+            label |= {id(k) for k in node.keywords}
+    bad = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        names = [getattr(node, f, None) for f in ("id", "attr", "name")]
+        bad += [f"{line}: {BANNED_FLEET_FEATURES[n]} ({n})"
+                for n in names if n in BANNED_FLEET_FEATURES]
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[-1] in BANNED_FLEET_MODULES):
+            bad.append(f"{line}: import of {node.module}")
+        if id(node) in label:
+            continue
+        slots = (isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__slots__"
+                         for t in node.targets)
+                 and any(isinstance(c, ast.Constant) and c.value == "tenant"
+                         for c in ast.walk(node.value)))
+        if (slots
+                or isinstance(node, (ast.arg, ast.keyword))
+                and node.arg == "tenant"
+                or isinstance(node, ast.AnnAssign)
+                and getattr(node.target, "id", None) == "tenant"
+                or isinstance(node, ast.Attribute) and node.attr == "tenant"
+                and isinstance(node.ctx, ast.Store)):
+            bad.append(f"{line}: the tenant request field (tenant)")
+    return bad
+
+
 def _definitions(name: str) -> list[str]:
     """Modules of ``src/repro`` defining a function ``name``."""
     return [str(path.relative_to(PACKAGE))
@@ -165,6 +229,64 @@ def test_the_slab_engine_and_spill_ledger_stay_deleted() -> None:
         "a deleted second implementation is growing back — spatial "
         "decomposition is serve/tiling.py, the spill budget is "
         "LRUCache's own:\n  " + "\n  ".join(bad))
+
+
+def test_the_deleted_fleet_features_stay_deleted() -> None:
+    assert not [p for m in BANNED_FLEET_MODULES
+                for p in (PACKAGE / "serve" / "control").glob(f"{m}.py")]
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _fleet_features(path.read_text())]
+    assert not bad, (
+        "a deleted fleet feature is growing back — the fleet reads its "
+        "replica set in ring order, admits every request, and changes "
+        "membership only by decommissioning a lost shard:\n  "
+        + "\n  ".join(bad))
+
+
+# One source line per idiom the fleet guard must flag.
+FLEET_IDIOMS = {
+    "PowerOfTwoBalancer": "fleet.balancer = PowerOfTwoBalancer(seed=0)\n",
+    "AdmissionController": "gate = AdmissionController(quota)\n",
+    "TenantQuota": "quota = TenantQuota(rate=1.0, burst=2.0)\n",
+    "Autoscaler": "from .autoscale import Autoscaler\n",
+    "TenantThrottled": "raise TenantThrottled('m', 't', 0.1, 1.0, 2.0)\n",
+    "add_shard": "fleet.add_shard()\n",
+    "retire_shard": "fleet.retire_shard(drain_timeout_s=1.0)\n",
+    "tenant parameter": "def submit(self, name, omega, tenant=None):\n"
+                        "    pass\n",
+    "tenant keyword": "fleet.submit(name, omega, tenant='t')\n",
+    "tenant field": "class PredictRequest:\n    tenant: str | None = None\n",
+    "tenant slot": "class _RouteState:\n    __slots__ = ('omega', 'tenant')\n",
+    "tenant attribute": "def __init__(self, tenant):\n"
+                        "    self.tenant = tenant\n",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(FLEET_IDIOMS))
+def test_fleet_guard_catches_each_deleted_idiom(idiom: str) -> None:
+    """The fleet guard flags every idiom it names (meta-test)."""
+    hits = _fleet_features(FLEET_IDIOMS[idiom])
+    assert hits, idiom
+    if idiom.startswith("tenant"):
+        assert all("(tenant)" in hit for hit in hits), hits
+    else:
+        assert any(f"({idiom})" in hit for hit in hits), hits
+
+
+def test_fleet_guard_allows_the_replay_tenant_label() -> None:
+    """The replay trace keeps the tenant as a label of its events (the
+    event log is byte-pinned); it is never handed to the fleet."""
+    assert _fleet_features(
+        "class TraceEvent:\n"
+        "    tenant: str | None = None\n"
+        "def expand(scenario, rng):\n"
+        "    tenant = scenario.tenants[0]\n"
+        "    return TraceEvent(t=0.0, seq=0, kind='request',\n"
+        "                      tenant=tenant.name)\n"
+        "def keys(ev):\n"
+        "    return [getattr(ev, k) for k in ('model', 'tenant')]\n"
+    ) == []
 
 
 def test_one_block_extractor_in_the_tile_engine() -> None:

@@ -4,8 +4,7 @@ Contracts pinned here:
 
 * **Retry policy** — full-jitter backoff windows are honored exactly
   under a seeded RNG and forged clock; the token-bucket budget caps
-  retries at ``burst + rate * t`` whatever the failure rate; throttles
-  are retried at exactly their ``retry_after_s``.
+  retries at ``burst + rate * t`` whatever the failure rate.
 * **Circuit breaker** — the closed → open → half-open machine under a
   forged clock: threshold trips, cool-down rejections, trial slots,
   deterministic ``tick``, and the re-arm that keeps a half-open
@@ -29,11 +28,10 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    AdmissionController, AsyncPredictionServer, BreakerConfig,
-    CircuitBreaker, FleetConfig, HedgeConfig, HedgePolicy, ResilienceConfig,
-    RetryConfig, RetryPolicy, ServerConfig, ServerOverloaded, ShardedFleet,
-    TenantQuota, TenantThrottled, VirtualClock, aio, install_resilience,
-    retry_call, uninstall_resilience,
+    AsyncPredictionServer, BreakerConfig, CircuitBreaker, FleetConfig,
+    HedgeConfig, HedgePolicy, ResilienceConfig, RetryConfig, RetryPolicy,
+    ServerConfig, ServerOverloaded, ShardedFleet, VirtualClock, aio,
+    install_resilience, retry_call, uninstall_resilience,
 )
 from repro.serve.errors import FleetUnavailable
 
@@ -60,10 +58,6 @@ def _unavailable() -> FleetUnavailable:
     return FleetUnavailable("m", ["shard-00"])
 
 
-def _throttled(after_s: float) -> TenantThrottled:
-    return TenantThrottled("m", "t", after_s, rate=1.0, burst=1.0)
-
-
 class TestRetryPolicy:
     def test_non_retryable_returns_none(self):
         clock = VirtualClock()
@@ -73,7 +67,7 @@ class TestRetryPolicy:
 
     def test_transient_verdicts_are_retryable_by_default(self):
         policy = RetryPolicy(RetryConfig(), clock=VirtualClock())
-        for exc in (_overloaded(), _unavailable(), _throttled(0.1)):
+        for exc in (_overloaded(), _unavailable()):
             assert policy.retryable(exc)
         assert not policy.retryable(RuntimeError("shard exploded"))
 
@@ -112,11 +106,6 @@ class TestRetryPolicy:
 
         assert delays(5) == delays(5)
         assert delays(5) != delays(6)
-
-    def test_throttle_honored_at_exact_retry_after(self):
-        policy = RetryPolicy(RetryConfig(), clock=VirtualClock())
-        assert policy.plan(_throttled(0.125), 0) == 0.125
-        assert policy.plan(_throttled(-1.0), 1) == 0.0   # never negative
 
     def test_budget_denies_then_refills(self):
         clock = VirtualClock()
@@ -201,13 +190,26 @@ class _RecordingPolicy(RetryPolicy):
         return super().plan(exc, attempt, now)
 
 
+class _FixedDelay(RetryPolicy):
+    """A granted plan backs off exactly ``delay`` seconds (the budget
+    and attempt cap still decide whether it is granted)."""
+
+    def __init__(self, delay, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delay = delay
+
+    def plan(self, exc, attempt, now=None):
+        granted = super().plan(exc, attempt, now)
+        return None if granted is None else self.delay
+
+
 class TestRetryDriver:
     """``retry_call`` (sync) and ``AsyncPredictionServer.predict`` (its
     awaiting twin) are the only two retry loops; same script in, same
     ``plan`` calls, same sleeps, same ``retried`` out."""
 
-    SCRIPT = (_overloaded, lambda: _throttled(0.125), _unavailable,
-              _overloaded, lambda: None)
+    SCRIPT = (_overloaded, _unavailable, _unavailable, _overloaded,
+              lambda: None)
 
     def _policy(self):
         return _RecordingPolicy(
@@ -238,10 +240,9 @@ class TestRetryDriver:
         a_out, a_backend, a_slept = self._async(monkeypatch)
         assert s_out == a_out == "field"
         assert s_backend.retry.asked == a_backend.retry.asked == [
-            ("ServerOverloaded", 0), ("TenantThrottled", 1),
+            ("ServerOverloaded", 0), ("FleetUnavailable", 1),
             ("FleetUnavailable", 2), ("ServerOverloaded", 3)]
         assert s_slept == a_slept          # same seed, same jitter draws
-        assert s_slept[1] == 0.125         # the throttle's own horizon
         assert s_backend.retried == a_backend.retried == 4
         assert s_backend.retry.retries == 4
 
@@ -265,8 +266,8 @@ class TestRetryDriver:
         """A delay that would end past ``max_wait_s`` is not slept: the
         verdict in hand propagates (the CLI client's 30 s cap)."""
         clock = VirtualClock(start=100.0)
-        policy = RetryPolicy(RetryConfig(max_attempts=99, budget_burst=99.0),
-                             clock=clock)
+        policy = _FixedDelay(0.4, RetryConfig(max_attempts=99,
+                                              budget_burst=99.0), clock=clock)
         slept = []
 
         def sleep(dt):
@@ -274,10 +275,10 @@ class TestRetryDriver:
             clock.advance(dt)
 
         def attempt():
-            raise _throttled(0.4)
+            raise _overloaded()
 
         announced = []
-        with pytest.raises(TenantThrottled):
+        with pytest.raises(ServerOverloaded):
             retry_call(policy, attempt, sleep=sleep, max_wait_s=1.0,
                        clock=clock,
                        on_retry=lambda exc, delay: announced.append(delay))
@@ -539,25 +540,6 @@ class TestFleetRetryIntegration:
         assert fleet.stats.retried == 1
         assert fleet.retry.denied == 1
         assert fleet.stats.lost == 0
-
-    def test_throttled_request_retries_after_quota_refills(self, served):
-        model, problem = served
-        fleet = _fleet(shards=1, replicas=1)
-        fleet.register_model("m", model, problem)
-        fleet.admission = AdmissionController(
-            TenantQuota(rate=200.0, burst=1.0))
-        install_resilience(fleet, ResilienceConfig(retry=RetryConfig(
-            max_attempts=5)))
-        with fleet:
-            fleet.predict("m", np.zeros(4), tenant="t", timeout=30)
-            # Bucket now empty: the second predict is throttled, waits
-            # retry_after_s (~5 ms at rate 200), then succeeds.
-            fleet.predict("m", np.ones(4), tenant="t", timeout=30)
-        s = fleet.stats
-        assert s.throttled >= 1
-        assert s.retried >= 1
-        assert s.served == 2
-        assert s.lost == 0
 
     def test_non_retryable_error_raises_immediately(self, served):
         model, problem = served

@@ -18,6 +18,7 @@ Contracts pinned here:
   and a ``None`` bundle handle.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,9 +26,8 @@ import pytest
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, Gauge,
-    MetricsRegistry, PredictionServer, QuantileSketch,
-    ReplayHarness, ResilienceConfig, RetryConfig, Scenario, ServerConfig,
+    NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, FleetStats,
+    Gauge, MetricsRegistry, PredictionServer, QuantileSketch, ReplayHarness, ResilienceConfig, RetryConfig, Scenario, ServerConfig,
     ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock, export_jsonl,
     format_summary, install_resilience, load_scenario, parse_jsonl,
     summarize_spans,
@@ -38,7 +38,16 @@ STORM_JSON = (Path(__file__).resolve().parents[2]
 
 # The request conservation law: submitted == sum of terminal outcomes.
 CONSERVED = ("served", "rejected", "expired", "errors", "cancelled",
-             "unavailable", "throttled")
+             "unavailable")
+
+# sha256 of the storm replay's jsonl artifacts (the golden-trace recipe
+# in ``_virtual_run``).
+STORM_DIGESTS = {
+    "event_log":
+        "c6303bb7a0dc9c7b736a50c4b5e573c12f974341ebe1fd2e744427377b4c1b05",
+    "span_log":
+        "1428dbe504993bc31d8c39e740e48f97426f15b9f700fd0025a89e717cbe00ce",
+}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +99,16 @@ class TestGoldenTrace:
         _, _, b = _virtual_run(served, scenario)
         assert a.span_log() == b.span_log()
         assert len(a.span_log().splitlines()) > 100
+
+    @pytest.mark.parametrize("artifact", sorted(STORM_DIGESTS))
+    def test_storm_logs_match_their_pinned_digests(self, served, artifact):
+        """Byte-identical across runs is not enough: the logs are pinned
+        to the bytes earlier commits produced, so a change that reshapes
+        what the fleet does under the storm shows up here."""
+        _, _, report = _virtual_run(served, load_scenario(STORM_JSON))
+        text = report.log if artifact == "event_log" else report.span_log()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == STORM_DIGESTS[artifact]
 
     def test_span_tree_is_well_formed(self, served):
         scenario = load_scenario(STORM_JSON)
@@ -167,6 +186,20 @@ def _assert_reconciled(fleet, telemetry):
 
 
 class TestConservationCrossCheck:
+    def test_exactly_the_six_outcome_terms_close_the_law(self, served):
+        """Of every ``fleet.<term>`` the registry names, one submit ending
+        in it is accounted for exactly when it is an outcome term; the
+        machinery counts (failovers, retries, hedges, ...) never close
+        the law."""
+        fleet, telemetry, _ = _virtual_run(
+            served, _scenario(duration_s=0.2))
+        terms = {n[len("fleet."):] for n in telemetry.metrics.names()
+                 if n.startswith("fleet.")}
+        assert terms == set(fleet._c)
+        closing = {t for t in terms - {"submitted"}
+                   if FleetStats(submitted=1, **{t: 1}).lost == 0}
+        assert closing == set(CONSERVED)
+
     def test_storm_virtual(self, served):
         fleet, telemetry, report = _virtual_run(
             served, load_scenario(STORM_JSON))

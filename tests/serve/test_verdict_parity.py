@@ -25,14 +25,13 @@ from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     DeadlineExceeded, FleetConfig, FleetUnavailable, RegistryError,
     ServeError, ServerConfig, ServerOverloaded, ShardedFleet, Telemetry,
-    TenantThrottled, errors,
+    errors,
 )
 from repro.serve.errors import VERDICTS, verdict
 
 CASES = {
     "overloaded": lambda: ServerOverloaded("m", None, pending=1,
                                            max_pending=1),
-    "throttled": lambda: TenantThrottled("m", "t", 0.1, rate=1.0, burst=1.0),
     "deadline": lambda: DeadlineExceeded("m", None, deadline_s=0.1,
                                          waited_s=0.2),
     "unavailable": lambda: FleetUnavailable("m", ["shard-xx"]),
@@ -104,7 +103,7 @@ def _run(served, exc, sync, read):
         assert raised is exc        # the verdict is delivered as it is
     after = fleet.stats
     terms = [t for t in ("served", "rejected", "expired", "errors",
-                         "cancelled", "unavailable", "throttled")
+                         "cancelled", "unavailable")
              if getattr(after, t) - getattr(before, t)]
     assert len(terms) == 1 and after.submitted - before.submitted == 1
     root = "fleet.request" if read == "unary" else "fleet.stream"
@@ -134,7 +133,7 @@ def test_every_serve_error_has_an_explicit_row():
     serve_errors = [getattr(errors, name) for name in errors.__all__
                     if isinstance(getattr(errors, name), type)
                     and issubclass(getattr(errors, name), ServeError)]
-    assert len(serve_errors) >= 5
+    assert len(serve_errors) >= 4
     for cls in serve_errors:
         assert cls in listed, f"{cls.__name__} has no row in VERDICTS"
 

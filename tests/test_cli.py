@@ -298,6 +298,37 @@ class TestServeFleet:
                 build_parser().parse_args(["serve", "--checkpoint", "x.npz",
                                            flag, "0"])
 
+    def test_serve_fleet_with_control_plane(self, trained_checkpoint,
+                                            capsys):
+        assert main(["serve", "--checkpoint", f"demo={trained_checkpoint}",
+                     "--requests", "8", "--shards", "2", "--replicas", "2",
+                     "--control"]) == 0
+        out = capsys.readouterr().out
+        assert "served 8 of 8 requests" in out
+        assert "lost: 0" in out
+        [line] = [ln for ln in out.splitlines()
+                  if ln.startswith("control plane:")]
+        # A healthy fleet: the plane ticks but has nothing to heal.
+        assert " 0 probes (0 backed off), 0 readmissions, " \
+               "0 decommissions (0 re-registrations)" in line
+
+    def test_control_flag_on_one_server_runs_no_plane(
+            self, trained_checkpoint, capsys):
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "4", "--control"]) == 0
+        out = capsys.readouterr().out
+        assert "served 4 requests" in out
+        assert "control plane:" not in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tenant", "noisy"), ("--tenant-quota", "5:10"),
+        ("--autoscale-min", "2"), ("--autoscale-max", "4")])
+    def test_deleted_control_flags_rejected_by_parser(self, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--checkpoint", "x.npz",
+                                       "--shards", "2", "--control",
+                                       flag, value])
+
 
 class TestServeResilience:
     def test_full_resilience_stack_over_fleet(self, trained_checkpoint,
@@ -334,6 +365,15 @@ class TestServeResilience:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", "--checkpoint", "x.npz",
                                            "--retry-budget", bad])
+
+    @pytest.mark.parametrize("text,expected", [
+        ("4", (4.0, 8.0)),          # burst defaults to twice the rate
+        ("4:6", (4.0, 6.0)),
+        ("0.5:1", (0.5, 1.0))])
+    def test_retry_budget_parses_rate_and_burst(self, text, expected):
+        args = build_parser().parse_args(["serve", "--checkpoint", "x.npz",
+                                          "--retry-budget", text])
+        assert args.retry_budget == expected
 
     def test_predict_stream_reports_tiles_and_the_same_field(
             self, trained_checkpoint, capsys):
