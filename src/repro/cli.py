@@ -71,16 +71,6 @@ def _parse_rate_burst(text: str) -> tuple[float, float]:
     return rate, burst
 
 
-def _parse_aging(text: str) -> float | None:
-    """``--priority-aging``: positive rate, or 0 as a spelling of
-    'strict priority' (the default)."""
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"priority aging must be >= 0, got {value}")
-    return value or None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Distributed multigrid neural solvers "
@@ -180,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="latency budget per request; requests still "
                         "queued past it fail with DeadlineExceeded")
-    p.add_argument("--priority-aging", type=_parse_aging, default=None,
-                   metavar="SECONDS",
-                   help="age-escalation rate: a queued request overtakes "
-                        "one priority level per this many seconds waited "
-                        "(bounds bulk-lane starvation; default: strict)")
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="shard the registry and request load over this "
                         "many simulated hosts (consistent-hash routed; "
@@ -517,8 +502,7 @@ def _cmd_serve(args) -> int:
         spill_max_bytes=(args.spill_mb * 1024 * 1024
                          if args.spill_mb is not None else None),
         max_pending=args.max_pending,
-        default_deadline_s=args.default_deadline,
-        priority_aging_s=args.priority_aging)
+        default_deadline_s=args.default_deadline)
     sharded = args.shards > 1
     telemetry = _serve_telemetry(args)
     try:

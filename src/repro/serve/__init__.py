@@ -10,8 +10,6 @@ FEM solve.  This package is the infrastructure realizing that claim:
   bounded-queue backpressure, dynamic micro-batching, size-bounded LRU
   result cache (optionally disk-spilled under a byte budget), sync and
   worker-thread front-ends;
-* :class:`AsyncPredictionServer` — ``asyncio`` facade wrapping submitted
-  futures into awaitables under the same scheduling policy;
 * :class:`ShardedFleet` — consistent-hash routing of registry entries
   and request load over N server shards (simulated hosts) with R-way
   replication, fault ejection + failover, and probed re-admission;
@@ -36,14 +34,11 @@ FEM solve.  This package is the infrastructure realizing that claim:
   plan; only a process executor ships an untiled batch to its pool
   whole);
 * streaming tiled inference — :func:`stream_tiled_predict` yields tile
-  cores as they complete, :meth:`PredictionServer.submit_stream` routes
-  them through the priority/deadline/backpressure machinery
-  (:class:`TileStream`), :meth:`AsyncPredictionServer.stream` is the
-  ``async for`` face, and :meth:`ShardedFleet.stream` fails over
-  mid-stream without re-sending delivered tiles;
+  cores as they complete (``repro predict --stream``), the same
+  generator :func:`tiled_predict` stitches;
 * unified telemetry (:class:`Telemetry`) — request tracing
   (:class:`Tracer` spans through submit → queue → batch → forward →
-  tile → shard attempt → hedge → stream delivery, deterministic jsonl
+  tile → shard attempt → hedge, deterministic jsonl
   export) plus a metrics registry (:class:`MetricsRegistry` counters /
   gauges / quantile sketches, the stats dataclasses and the fleet's
   counter ledger named as read-time views), enabled per server or fleet
@@ -63,7 +58,6 @@ Quickstart::
     u = server.predict("poisson2d", omega)   # sync front-end, cached
 """
 
-from .aio import AsyncPredictionServer
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import CacheStats, LRUCache, quantize_omega, result_key
 from .control import ControlConfig, ControlPlane, ControlStats, HealthProber
@@ -87,9 +81,7 @@ from .resilience import (
     ResilienceConfig, RetryConfig, RetryPolicy, install_resilience,
     retry_call, uninstall_resilience,
 )
-from .server import (
-    PredictionServer, ServerConfig, ServerStats, StreamStalled, TileStream,
-)
+from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
     NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry, NullSpan,
     NullTracer, QuantileSketch, Span, Telemetry, Tracer, export_jsonl,
@@ -101,7 +93,6 @@ from .tiling import (
 )
 
 __all__ = [
-    "AsyncPredictionServer",
     "MicroBatcher", "PredictRequest", "RequestQueue",
     "CacheStats", "LRUCache", "quantize_omega", "result_key",
     "ServeError", "DeadlineExceeded", "ServerOverloaded", "FleetUnavailable",
@@ -116,8 +107,7 @@ __all__ = [
     "Scenario", "TraceEvent", "VirtualClock", "ReplayHarness",
     "ReplayReport", "build_trace", "event_log", "load_scenario",
     "ModelEntry", "ModelRegistry", "RegistryError", "state_version",
-    "PredictionServer", "ServerConfig", "ServerStats", "TileStream",
-    "StreamStalled",
+    "PredictionServer", "ServerConfig", "ServerStats",
     "TilePlan", "plan_tiles", "receptive_halo",
     "tiled_forward", "tiled_predict",
     "stream_tiled_forward", "stream_tiled_predict",

@@ -27,15 +27,6 @@ Scheduling discipline (the seam PR 2 left open, filled here):
   (``RequestQueue(maxsize=...)``) turns overload into synchronous
   ``queue.Full`` at ``put`` time, which the server surfaces as a keyed
   ``ServerOverloaded`` rejection.
-* **Priority aging** — strict priority can starve the bulk lane under
-  sustained interactive load.  With ``aging_s`` set the heap is keyed
-  by *virtual start time* ``enqueued_at - priority * aging_s``: a
-  priority-p request behaves like a priority-0 request enqueued
-  ``p * aging_s`` earlier, so a bulk request that has waited longer
-  than ``Δpriority * aging_s`` dequeues ahead of a fresher interactive
-  one.  Low-priority wait behind a saturated high lane is thereby
-  bounded by ``max_priority * aging_s`` plus one drain, instead of
-  unbounded.
 * **Deadline-aware hold shrink (EDF)** — ``max_wait_ms`` trades batch
   size for latency under the assumption that every request can afford
   the hold.  A request whose deadline expires *inside* the hold window
@@ -75,23 +66,13 @@ class PredictRequest:
     priority: int = 0         # higher dequeues first under saturation
     deadline_s: float | None = None   # latency budget granted at submit
     expires_at: float | None = None   # absolute perf_counter expiry
-    stream: Any = None        # TileStream sink: set iff this request
-    #                           streams tile records instead of resolving
-    #                           one fused field (see server.submit_stream)
     trace: Any = NULL_SPAN    # telemetry context token: the request's
     #                           root span (the null span when untraced)
     trace_queue: Any = NULL_SPAN  # open "queue.wait" child span,
     #                           finished when the request leaves the queue
 
     def group_key(self) -> tuple:
-        """Requests sharing this key may run in one fused forward.
-
-        A streaming request can never fuse — its result is a sequence of
-        tile records, not a slot in a stacked batch — so it gets a key
-        unique to itself and always forms a singleton group.
-        """
-        if self.stream is not None:
-            return (self.model_name, self.resolution, id(self))
+        """Requests sharing this key may run in one fused forward."""
         return (self.model_name, self.resolution)
 
     def expired(self, now: float | None = None) -> bool:
@@ -111,30 +92,15 @@ class RequestQueue(queue.PriorityQueue):
     one priority level.  ``maxsize > 0`` bounds pending requests; a
     non-blocking ``put`` on a full queue raises ``queue.Full``, which is
     the backpressure signal the server turns into ``ServerOverloaded``.
-
-    ``aging_s`` switches the key to the virtual start time
-    ``enqueued_at - priority * aging_s`` (heap-safe because it is fixed
-    at ``put``): strict priority still wins between fresh requests, but
-    a request that has waited ``Δpriority * aging_s`` overtakes — the
-    anti-starvation bound.  ``None`` (default) keeps strict priority.
     """
 
-    def __init__(self, maxsize: int = 0,
-                 aging_s: float | None = None) -> None:
+    def __init__(self, maxsize: int = 0) -> None:
         super().__init__(maxsize)
-        if aging_s is not None and aging_s <= 0:
-            raise ValueError("aging_s must be positive (or None)")
-        self.aging_s = aging_s
         self._seq = itertools.count()
-
-    def _rank(self, request: PredictRequest) -> float:
-        if self.aging_s is None:
-            return -request.priority
-        return request.enqueued_at - request.priority * self.aging_s
 
     def put(self, request: PredictRequest, block: bool = True,
             timeout: float | None = None) -> None:
-        super().put((self._rank(request), next(self._seq), request),
+        super().put((-request.priority, next(self._seq), request),
                     block, timeout)
 
     def get(self, block: bool = True,

@@ -3,8 +3,7 @@ the per-tick SLO gauges.
 
 The fleet is mechanism: it *can* eject, probe, re-admit and decommission
 — if someone calls the right method at the right time.  This module is
-the loop that does the calling, structured the way the priority-aging
-scheduler was: a **deterministic core** (``tick(now)`` — pure function
+the loop that does the calling, in two parts: a **deterministic core** (``tick(now)`` — pure function
 of the injected clock and the fleet's state, unit-testable with forged
 clocks) and an **optional real-time shell** (``start()`` spawns a daemon
 thread that ticks every ``tick_interval_s``; ``stop()`` joins it).

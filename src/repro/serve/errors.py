@@ -42,28 +42,18 @@ class DeadlineExceeded(ServeError, TimeoutError):
     compute was *never started*, so an expired request costs the server
     only its queue slot.  Also a :class:`TimeoutError`, so generic
     timeout handling in clients catches it.
-
-    A *streaming* request can expire mid-delivery: ``tiles_delivered``
-    then counts the tile records the consumer already received, so a
-    progressive client knows exactly how much of the field it holds.
     """
 
     def __init__(self, model_name: str, key: tuple | None,
-                 deadline_s: float, waited_s: float,
-                 tiles_delivered: int | None = None) -> None:
+                 deadline_s: float, waited_s: float) -> None:
         self.model_name = model_name
         self.key_digest = _key_digest(key)
         self.deadline_s = float(deadline_s)
         self.waited_s = float(waited_s)
-        self.tiles_delivered = (
-            None if tiles_delivered is None else int(tiles_delivered))
-        suffix = ("" if self.tiles_delivered is None else
-                  f" ({self.tiles_delivered} stream tiles delivered)")
         super().__init__(
             f"request {self.key_digest} for model {model_name!r} expired: "
             f"waited {waited_s * 1e3:.1f} ms against a deadline of "
-            f"{deadline_s * 1e3:.1f} ms without entering a fused forward"
-            + suffix)
+            f"{deadline_s * 1e3:.1f} ms without entering a fused forward")
 
 
 class ServerOverloaded(ServeError):
@@ -107,9 +97,9 @@ class FleetUnavailable(ServeError):
 
 # The one place an exception becomes an outcome: each row is (exception
 # types, conservation-law term, span outcome label).  The term is what
-# ``FleetStats`` counts and the request's root span carries; attempt and
-# stream spans say ``error`` where the ledger says ``errors`` (the
-# golden trace pins both spellings).  First match wins, so the specific
+# ``FleetStats`` counts and the request's root span carries; attempt
+# spans say ``error`` where the ledger says ``errors`` (the golden trace
+# pins both spellings).  First match wins, so the specific
 # ``ServeError`` subclasses must stay above the catch-all row.
 VERDICTS = (
     ((ServerOverloaded,), "rejected", "rejected"),      # backpressure

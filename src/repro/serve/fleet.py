@@ -23,7 +23,7 @@ way DNN-MG/GMT partition multigrid work across compute units:
   plane's prober adds a backoff schedule).  Routing also self-heals:
   when a key's whole replica set is ejected, dispatch makes one last
   pass ignoring health marks (non-blocking — safe from worker
-  callbacks and event loops), and a shard that serves the answer is
+  callbacks and the hedge timer), and a shard that serves the answer is
   re-admitted on the spot, so a burst of false hang ejections cannot
   black-hole a key.
 * **Permanent loss** — ``decommission_shard`` removes a shard for good:
@@ -84,9 +84,7 @@ from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
 from .resilience import (
     HedgeTimer, _register_resilience_views, retry_call,
 )
-from .server import (
-    PredictionServer, ServerConfig, StreamStalled, _LatencyPercentiles,
-)
+from .server import PredictionServer, ServerConfig, _LatencyPercentiles
 from .telemetry import NULL_SPAN, NULL_TRACER
 
 __all__ = ["FleetConfig", "FleetStats", "Shard", "ShardedFleet"]
@@ -99,8 +97,7 @@ _LEDGER_TERMS = (
     "submitted", "served", "rejected", "expired", "errors", "cancelled",
     "unavailable", "failovers", "shard_faults", "hangs", "probes",
     "readmissions", "decommissions", "reregistrations", "retried",
-    "hedges", "hedged_wins", "hedge_cancels", "breaker_open", "streams",
-    "stream_tiles_delivered", "stream_resumed")
+    "hedges", "hedged_wins", "hedge_cancels", "breaker_open")
 
 # FleetStats fields re-exported as ``stats.fleet.*`` metric views when
 # telemetry is enabled.  Views *read* the live stats snapshot, so the
@@ -183,14 +180,6 @@ class FleetStats(_LatencyPercentiles):
     hedged_wins: int = 0       # served answers that came from a backup
     hedge_cancels: int = 0     # losing attempts shed after delivery
     breaker_open: int = 0      # replicas deprioritized by open circuits
-    # Streaming reads.  A stream is one submit and ends in exactly one
-    # conservation-law term like any other request; these count its
-    # progress: tile records handed to the consumer (each delivered at
-    # most once, across failovers) and mid-stream resumes on a
-    # replacement replica.
-    streams: int = 0           # streaming submits accepted
-    stream_tiles_delivered: int = 0
-    stream_resumed: int = 0    # mid-stream failovers that resumed
     # Summed per-shard ServerStats counters.
     requests: int = 0
     cache_hits: int = 0
@@ -256,9 +245,8 @@ class ShardedFleet:
 
     API-compatible with :class:`PredictionServer` where it matters —
     ``submit`` / ``predict`` / ``predict_many`` / ``start`` / ``stop`` /
-    ``close`` / context manager — so the asyncio facade
-    (:class:`~repro.serve.aio.AsyncPredictionServer`) and the CLI client
-    loop work unchanged on a fleet.
+    ``close`` / context manager — so the CLI client loop works unchanged
+    on a fleet (draining its futures through :meth:`await_result`).
     """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
@@ -490,8 +478,11 @@ class ShardedFleet:
         """
         span = self.tracer.start("fleet.request", model=model_name)
         try:
-            state = self._open(model_name, omega, resolution, priority,
-                               deadline_s)
+            omega = np.asarray(omega, dtype=np.float64).reshape(-1)
+            _, replicas = self._route(model_name)
+            state = _RouteState(model_name, omega, resolution, priority,
+                                deadline_s,
+                                self._order_replicas(model_name, replicas))
         except Exception as exc:
             # Refused before dispatch (the caller's unknown model is not
             # counted) — close the span to export it.
@@ -506,17 +497,6 @@ class ShardedFleet:
         if hedge is not None and len(state.replicas) > 1 and not out.done():
             self._arm_hedge(out, hedge)
         return out
-
-    def _open(self, model_name: str, omega: np.ndarray,
-              resolution: int | None, priority: int | None,
-              deadline_s: float | None) -> _RouteState:
-        """The request prologue shared by ``submit`` and ``stream``:
-        routing, replica ordering."""
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        _, replicas = self._route(model_name)
-        return _RouteState(model_name, omega, resolution, priority,
-                           deadline_s,
-                           self._order_replicas(model_name, replicas))
 
     def _order_replicas(self, model_name: str,
                         replicas: list[Shard]) -> list[Shard]:
@@ -538,122 +518,6 @@ class ShardedFleet:
                 replicas = allowed + deflected
                 self._count("breaker_open", len(deflected))
         return replicas
-
-    def stream(self, model_name: str, omega: np.ndarray,
-               resolution: int | None = None, *,
-               priority: int | None = None,
-               deadline_s: float | None = None,
-               tiles=None, buffer_tiles: int = 2):
-        """Routed streaming read: a generator of ``(tile_index,
-        core_slices, core)`` records with *mid-stream* failover.
-
-        Tiles the consumer already holds are never re-sent: the first
-        replica fixes the tile-index set, and when a shard faults or
-        stalls past ``shard_timeout_s`` mid-stream, the replacement
-        replica is asked for exactly the undelivered subset
-        (``submit_stream(..., tiles=...)``) — counted ``stream_resumed``
-        — while every record handed out increments
-        ``stream_tiles_delivered`` and charges the per-tile response hop
-        to the comm model.  The conservation law covers streams like any
-        other submit: each ends in exactly one of served / rejected /
-        expired / errors / cancelled / unavailable (abandoning the
-        generator mid-stream counts ``cancelled`` when it is closed).
-        A terminal :class:`~repro.serve.errors.DeadlineExceeded` carries
-        the fleet-level ``tiles_delivered`` across all attempts.  The
-        prologue (``_open``) runs eagerly, so an unknown model raises
-        here, at call time; only the shard's own verdicts wait for the
-        first ``next``.  Hedged backups and retry policies do not apply
-        to streams (a stream is one stateful read, not a repeatable
-        call).
-        """
-        return self._stream_run(
-            self._open(model_name, omega, resolution, priority, deadline_s),
-            tiles, buffer_tiles)
-
-    def _stream_run(self, state: _RouteState, tiles, buffer_tiles: int):
-        """Generator body of :meth:`stream` (runs on first ``next``).
-
-        Submission is counted here, when iteration actually starts, so
-        a stream opened but never consumed leaves the conservation law
-        untouched instead of permanently one short.  One ``fleet.stream``
-        root span covers the consumed stream, with an instant
-        ``stream.tile`` child per record handed out.
-        """
-        self._count("submitted")
-        self._count("streams")
-        span = self.tracer.start("fleet.stream", model=state.model_name)
-        budget = self.config.shard_timeout_s
-        delivered: set[int] = set()
-        expected: set[int] | None = None   # fixed by the first replica
-        remaining = tiles
-
-        def end(term: str, label: str | None = None) -> None:
-            # The stream's one conservation-law term, stamped on the
-            # ledger and on the root span by the same call.
-            self._count(term)
-            span.finish(outcome=label or term, tiles=len(delivered))
-
-        while True:
-            source = None
-            hang = False
-            try:
-                shard = self._next_replica(state)
-                self._comm.send(state.omega.nbytes)   # routing hop: ω out
-                source = shard.server.submit_stream(
-                    state.model_name, state.omega, state.resolution,
-                    priority=state.priority, deadline_s=state.deadline_s,
-                    tiles=remaining, buffer_tiles=buffer_tiles)
-                if expected is None:
-                    expected = set(source.tile_indices)
-                else:
-                    self._count("stream_resumed")
-                while True:
-                    try:
-                        i, sl, core = source.next_record(timeout=budget)
-                    except StopIteration:
-                        break
-                    if i in delivered:
-                        continue   # failover guard: never re-sent
-                    delivered.add(i)
-                    self._count("stream_tiles_delivered")
-                    self._comm.send(core.nbytes)   # response hop, per tile
-                    self.tracer.start("stream.tile", parent=span,
-                                      tile=i).finish()
-                    yield i, sl, core
-            except GeneratorExit:
-                end("cancelled")
-                source.close()
-                raise
-            except StreamStalled:
-                fault = TimeoutError(
-                    f"shard {shard.id} stalled mid-stream past "
-                    f"shard_timeout_s={budget}")
-                hang = True
-            except Exception as exc:
-                policy = verdict(exc)
-                if policy is not None:
-                    if isinstance(exc, DeadlineExceeded):
-                        # Fleet-level progress across all attempts.
-                        exc.tiles_delivered = len(delivered)
-                    end(*policy)
-                    raise
-                fault = exc
-            else:
-                end("served")
-                self._answered(state.model_name, shard,
-                               state.attempt_started)
-                return
-            if source is not None:
-                source.close()
-            self._fault(state.model_name, shard, fault, hang=hang)
-            self._count("failovers")
-            if expected is not None:
-                remaining = sorted(expected - delivered)
-                if not remaining:
-                    # The fault landed after the last tile reached the
-                    # consumer: the stream is complete.
-                    end("served")
-                    return
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
@@ -685,8 +549,8 @@ class ShardedFleet:
 
     def note_retry(self, *_) -> None:
         """Count one policy-driven re-submit — the ``on_retry`` hook
-        every retrying front-end (the blocking ``predict``, the asyncio
-        facade, the replay harness, the CLI) reports through, so
+        every retrying front-end (the blocking ``predict``, the replay
+        harness, the CLI) reports through, so
         ``FleetStats.retried`` covers every path."""
         self._count("retried")
 
@@ -718,18 +582,16 @@ class ShardedFleet:
                     # wait lapsing and here; the next result() call
                     # returns the stored outcome immediately.
                     continue
-                if not self.hang_failover(future):
+                if not self._hang_failover(future):
                     if (deadline is not None
                             and time.monotonic() >= deadline):
                         raise
 
-    def hang_failover(self, future: Future) -> bool:
+    def _hang_failover(self, future: Future) -> bool:
         """Eject the shard a fleet future has been waiting on past
         ``shard_timeout_s`` and re-dispatch to the next replica.
 
-        The non-blocking hang-recovery primitive shared by every
-        front-end: ``await_result`` calls it after a wait times out, and
-        the asyncio facade calls it from the event loop.  Returns
+        ``await_result`` calls it after a wait times out.  Returns
         ``True`` when a failover was performed, ``False`` when there is
         nothing to do (no fleet state, budget not yet elapsed on the
         current attempt, or the answer already landed).
@@ -786,8 +648,8 @@ class ShardedFleet:
 
     def _next_replica(self, state: _RouteState) -> Shard:
         """Advance ``state`` to the next replica to try — the walk every
-        read (unary or stream) fails over along.  Exhausting the replica
-        set is the request's ``FleetUnavailable`` verdict."""
+        read fails over along.  Exhausting the replica set is the
+        request's ``FleetUnavailable`` verdict."""
         with self._lock:
             while True:
                 while state.next_idx < len(state.replicas):
@@ -806,7 +668,7 @@ class ShardedFleet:
                 # Some ejections are false positives (the hang budget
                 # includes queue wait), and unlike a blocking probe this
                 # retry is safe from any thread — a worker callback or
-                # the event loop.  A shard that answers is re-admitted
+                # the hedge timer.  A shard that answers is re-admitted
                 # on delivery; a truly dead one faults straight through
                 # to the unavailable verdict.
                 state.ignore_health = True

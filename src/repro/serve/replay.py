@@ -379,14 +379,11 @@ class VirtualClock:
 class ShardChaos:
     """Reversible fault injection on one shard's server.
 
-    ``kill`` makes ``submit`` *and* ``submit_stream`` raise (the fleet
-    sees a shard fault and fails over — a mid-scenario stream resumes
-    its undelivered tiles on a replica); ``hang`` gates ``_forward``
-    and the per-tile ``_stream_tiles`` generator on an event (requests
-    and streams stall until ``release`` — or until the fleet's hang
-    budget ejects the shard); ``restore`` undoes everything.  The same
-    mechanics as the single-fault chaos suite, packaged for scenario
-    scripts.
+    ``kill`` makes ``submit`` raise (the fleet sees a shard fault and
+    fails over); ``hang`` gates ``_forward`` on an event (requests stall
+    until ``release`` — or until the fleet's hang budget ejects the
+    shard); ``restore`` undoes everything.  The same mechanics as the
+    single-fault chaos suite, packaged for scenario scripts.
 
     Re-entrant faults are safe: a second ``hang`` before the first is
     released swaps in a fresh gate but *sets the superseded one first*,
@@ -401,9 +398,7 @@ class ShardChaos:
         self.shard = shard
         self.clock = clock
         self._submit = shard.server.submit
-        self._submit_stream = shard.server.submit_stream
         self._forward = shard.server._forward
-        self._stream_tiles = shard.server._stream_tiles
         self._release = threading.Event()
         self._release.set()
 
@@ -412,7 +407,6 @@ class ShardChaos:
             raise ConnectionError(
                 f"{self.shard.id} is down (scripted kill)")
         self.shard.server.submit = dead
-        self.shard.server.submit_stream = dead
 
     def hang(self, until: float | None = None) -> None:
         # Swap the gate first, then open the superseded one: any thread
@@ -425,10 +419,9 @@ class ShardChaos:
         release = self._release = threading.Event()
         prev.set()
         forward = self._forward
-        stream_tiles = self._stream_tiles
         clock = self.clock
 
-        def stall() -> None:
+        def stalled(*args, **kwargs):
             if clock is not None and until is not None:
                 # Virtual time: a hang becomes "the forward takes until
                 # the scripted release".  Blocking would deadlock the
@@ -443,29 +436,16 @@ class ShardChaos:
                         clock.advance(until - now)
             else:
                 release.wait()
-
-        def stalled(*args, **kwargs):
-            stall()
             return forward(*args, **kwargs)
 
-        def stalled_stream(*args, **kwargs):
-            # Generator: the wait lands on first next(), i.e. on the
-            # server's stream worker — the consumer side observes a
-            # stalled next_record() and the fleet's budget ejects us.
-            stall()
-            yield from stream_tiles(*args, **kwargs)
-
         self.shard.server._forward = stalled
-        self.shard.server._stream_tiles = stalled_stream
 
     def release(self) -> None:
         self._release.set()
         self.shard.server._forward = self._forward
-        self.shard.server._stream_tiles = self._stream_tiles
 
     def restore(self) -> None:
         self.shard.server.submit = self._submit
-        self.shard.server.submit_stream = self._submit_stream
         self.release()
 
 

@@ -28,11 +28,10 @@ under an injected clock/seed so the chaos suite can pin exact behavior:
   background thread is required.
 
 The mechanisms under the policies are written once, here.
-:func:`retry_call` is the only synchronous retry loop — ``attempt()`` →
+:func:`retry_call` is the only retry loop — ``attempt()`` →
 classify → ``policy.plan`` → count → sleep → again — behind
 ``ShardedFleet.predict``, the replay harness's drain, ``repro predict
---retries`` and the CLI's serve submit/drain; its sleep is injected, and
-its one ``await``-ing twin is ``AsyncPredictionServer.predict``.
+--retries`` and the CLI's serve submit/drain; its sleep is injected.
 :class:`TokenBucket` is the lazy bucket behind the retry budget;
 :func:`backoff_window` / :func:`jittered` are the ``min(cap, base·2ⁿ)``
 window and its seeded jitter, shared with the health prober.
@@ -238,7 +237,7 @@ def retry_call(policy: RetryPolicy | None, attempt: Callable[[], object], *,
                on_retry: Callable[[BaseException, float], None] | None = None,
                max_wait_s: float | None = None,
                clock: Callable[[], float] = time.monotonic):
-    """The synchronous retry loop: ``attempt()`` until it returns, the
+    """The one retry loop: ``attempt()`` until it returns, the
     policy gives up, or the wall-clock cap would be overrun.
 
     ``attempt`` performs one whole try — submit *and* wait — and raises
@@ -254,8 +253,7 @@ def retry_call(policy: RetryPolicy | None, attempt: Callable[[], object], *,
     after entry is not slept: the pending verdict propagates.  The cap
     can only be judged once the delay is known, so that last plan is
     already granted — one budget token, one ``policy.retries`` — but it
-    is not announced: ``on_retry`` counts exactly the retries made.  The
-    asyncio twin is :meth:`repro.serve.aio.AsyncPredictionServer.predict`.
+    is not announced: ``on_retry`` counts exactly the retries made.
     """
     deadline = None if max_wait_s is None else clock() + max_wait_s
     n = 0

@@ -23,8 +23,6 @@ Front-ends:
   the queue.  Workers pin the configured array backend (the registry's
   op dispatch is thread-local), so e.g. the lazy backend fuses inside a
   forward while workers overlap queue wait with compute.
-* **asyncio** — :class:`repro.serve.aio.AsyncPredictionServer` wraps the
-  worker-thread front-end's futures into awaitables.
 
 The queue is a priority heap with deadlines and backpressure (see
 :mod:`repro.serve.batching`): ``submit(..., priority=, deadline_s=)``
@@ -69,12 +67,9 @@ from .errors import DeadlineExceeded, ServerOverloaded
 from .executor import Executor, SerialExecutor, make_executor
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import NULL_SPAN, NULL_TRACER
-from .tiling import (
-    _resolve_plan, _tile_indices, stream_tiled_predict, tiled_predict,
-)
+from .tiling import tiled_predict
 
-__all__ = ["ServerConfig", "ServerStats", "PredictionServer",
-           "TileStream", "StreamStalled"]
+__all__ = ["ServerConfig", "ServerStats", "PredictionServer"]
 
 _LAT_WINDOW = 10_000
 
@@ -109,9 +104,6 @@ class ServerConfig:
     spill_max_bytes: int | None = None  # byte budget for the spill tier
     max_pending: int = 0              # >0: bound the queue (backpressure)
     default_deadline_s: float | None = None  # latency budget default
-    priority_aging_s: float | None = None  # age-escalation rate (see
-    # RequestQueue: a request overtakes one priority level per aging_s
-    # seconds waited, bounding bulk-lane starvation; None = strict)
 
 
 class _LatencyPercentiles:
@@ -145,8 +137,6 @@ class ServerStats(_LatencyPercentiles):
     errors: int = 0
     rejected: int = 0          # max_pending backpressure rejections
     expired: int = 0           # deadlines missed before a fused forward
-    streams: int = 0           # streaming requests accepted
-    stream_tiles: int = 0      # tile records emitted by streams
     queue_depth: int = 0       # gauge: pending + in-flight at last read
     latencies: list = field(default_factory=list)
 
@@ -158,160 +148,6 @@ class ServerStats(_LatencyPercentiles):
     @property
     def mean_batch_size(self) -> float:
         return self.batched_requests / self.batches if self.batches else 0.0
-
-
-class StreamStalled(RuntimeError):
-    """``TileStream.next_record(timeout=...)`` found no record in time.
-
-    Deliberately *not* a :class:`TimeoutError`: a stalled wait must be
-    distinguishable from a :class:`DeadlineExceeded` terminal (which is
-    one), because the fleet treats the former as a shard hang (eject +
-    resume elsewhere) and the latter as the request's own verdict.
-    """
-
-
-class _StreamClosed(Exception):
-    """Internal: the consumer closed the stream; the producer stops."""
-
-
-def _stream_terminal(stream: "TileStream"):
-    """Done-callback relaying a stream request's terminal outcome.
-
-    The future resolves strictly after the last ``_emit``, so the
-    terminal lands behind every buffered record — a consumer drains all
-    delivered tiles before seeing the stream end (or its error).
-    """
-    def relay(future: Future) -> None:
-        if future.cancelled():
-            stream._finish(None)
-            return
-        stream._finish(future.exception())
-    return relay
-
-
-class TileStream:
-    """Consumer handle for one streaming tiled prediction.
-
-    Iterating yields ``(tile_index, core_slices, core)`` records:
-    ``tile_index`` identifies the tile in plan order (stable regardless
-    of completion order), ``core_slices`` is the spatial ``tuple`` of
-    slices into the full ``(*grid.shape)`` field, and ``core`` is the
-    masked prediction for that region.  Assembling every record via
-    ``out[core_slices] = core`` reproduces the non-streamed prediction
-    bitwise.
-
-    Two modes, chosen by the server:
-
-    * **pull** — the stream wraps a generator; each ``next`` runs the
-      tile compute on the consumer's thread (sync front-end, cache
-      hits).  Backpressure is inherent.
-    * **push** — a server worker produces records into a bounded buffer
-      (``buffer_tiles``); when the consumer falls behind, the producer's
-      ``_emit`` blocks, which stalls that worker thread — a slow
-      consumer backpressures the pool instead of accumulating tiles.
-
-    A terminal :class:`DeadlineExceeded` (per-tile deadline checks)
-    carries ``tiles_delivered`` so a progressive client knows exactly
-    how much of the field it holds.  ``close()`` releases the producer
-    early; subsequent ``next`` raises ``StopIteration``.
-    """
-
-    def __init__(self, model_name: str, key: tuple | None,
-                 shape: tuple[int, ...], tile_indices,
-                 buffer_tiles: int = 2) -> None:
-        self.model_name = model_name
-        self.key = key
-        self.shape = tuple(shape)
-        self.tile_indices = tuple(int(i) for i in tile_indices)
-        self.num_tiles = len(self.tile_indices)
-        self.delivered = 0
-        self._gen = None                      # pull mode
-        self._cond = threading.Condition()    # push mode
-        self._buf: list = []
-        self._capacity = max(1, int(buffer_tiles))
-        self._terminal: tuple | None = None   # ("end", None) | ("error", e)
-        self._closed = False
-
-    # -- consumer side ------------------------------------------------- #
-    def __iter__(self) -> "TileStream":
-        return self
-
-    def __next__(self):
-        return self.next_record()
-
-    def next_record(self, timeout: float | None = None):
-        """The next tile record; raises :class:`StreamStalled` when no
-        record (or terminal) arrives within ``timeout`` seconds.
-
-        In pull mode the compute runs here, on the calling thread, and
-        ``timeout`` cannot apply.
-        """
-        if self._gen is not None:
-            if self._closed:
-                raise StopIteration
-            record = next(self._gen)   # StopIteration/terminals propagate
-            self.delivered += 1
-            return record
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise StopIteration
-                if self._buf:
-                    record = self._buf.pop(0)
-                    self.delivered += 1
-                    self._cond.notify_all()   # free a blocked producer
-                    return record
-                if self._terminal is not None:
-                    kind, exc = self._terminal
-                    if kind == "error":
-                        raise exc
-                    raise StopIteration
-                wait = None
-                if deadline is not None:
-                    wait = deadline - time.monotonic()
-                    if wait <= 0:
-                        raise StreamStalled(
-                            f"stream for model {self.model_name!r} "
-                            f"produced no tile within {timeout} s")
-                self._cond.wait(wait)
-
-    def close(self) -> None:
-        """Stop consuming; a push-mode producer unblocks and stops."""
-        if self._gen is not None:
-            self._closed = True
-            self._gen.close()
-            return
-        with self._cond:
-            self._closed = True
-            self._buf.clear()
-            self._cond.notify_all()
-
-    # -- producer side (server internals) ------------------------------ #
-    def _emit(self, record) -> None:
-        """Blocking bounded put; raises ``_StreamClosed`` after close."""
-        with self._cond:
-            while len(self._buf) >= self._capacity:
-                if self._closed:
-                    raise _StreamClosed
-                self._cond.wait()
-            if self._closed:
-                raise _StreamClosed
-            self._buf.append(record)
-            self._cond.notify_all()
-
-    def _finish(self, exc: BaseException | None = None) -> None:
-        """Install the terminal outcome (first one wins)."""
-        with self._cond:
-            if self._terminal is None:
-                self._terminal = ("error", exc) if exc is not None \
-                    else ("end", None)
-            self._cond.notify_all()
-
-    def __repr__(self) -> str:
-        return (f"TileStream(model={self.model_name!r}, "
-                f"tiles={self.num_tiles}, delivered={self.delivered})")
 
 
 class PredictionServer:
@@ -332,11 +168,8 @@ class PredictionServer:
         self.stats = ServerStats()
         self._batcher = MicroBatcher(self.config.max_batch,
                                      self.config.max_wait_ms)
-        # Priority heap, bounded when max_pending asks for backpressure;
-        # priority_aging_s switches it to age-escalating virtual-start-
-        # time order so the bulk lane cannot starve.
-        self._queue = RequestQueue(maxsize=max(0, self.config.max_pending),
-                                   aging_s=self.config.priority_aging_s)
+        # Priority heap, bounded when max_pending asks for backpressure.
+        self._queue = RequestQueue(maxsize=max(0, self.config.max_pending))
         self._stop = threading.Event()
         self._workers: list[threading.Thread] = []
         self._stats_lock = threading.Lock()
@@ -405,9 +238,8 @@ class PredictionServer:
             s = self.stats
             for name in ("requests", "cache_hits", "dedup_hits", "batches",
                          "batched_requests", "tiled_forwards", "errors",
-                         "rejected", "expired", "streams",
-                         "stream_tiles", "queue_depth", "p50", "p99",
-                         "mean_batch_size"):
+                         "rejected", "expired", "queue_depth", "p50",
+                         "p99", "mean_batch_size"):
                 m.register_view(f"stats.server.{name}",
                                 lambda s=s, n=name: getattr(s, n))
 
@@ -490,8 +322,23 @@ class PredictionServer:
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
-        entry, request = self._resolve(model_name, omega, resolution,
-                                       priority, deadline_s)
+        entry = self.registry.get(model_name)
+        r = int(resolution or entry.problem.resolution)
+        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
+        if omega.size != entry.problem.field.m:
+            # Reject here: a wrong-arity ω must never reach a worker,
+            # where it would poison the fused np.stack of its whole group.
+            raise ValueError(
+                f"model {model_name!r} expects omega of length "
+                f"{entry.problem.field.m}, got {omega.size}")
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        t0 = time.perf_counter()
+        request = PredictRequest(
+            model_name=model_name, omega=omega, resolution=r, future=Future(),
+            enqueued_at=t0, key=self._key(entry, omega, r),
+            priority=int(priority or 0), deadline_s=deadline_s,
+            expires_at=(t0 + deadline_s if deadline_s is not None else None))
         # ``trace_parent`` is the caller's context token (a fleet
         # attempt span, typically); None starts a fresh root, which is
         # where trace sampling applies.
@@ -563,97 +410,6 @@ class PredictionServer:
             self._process_group(entry, [request])
         return future
 
-    def submit_stream(self, model_name: str, omega: np.ndarray,
-                      resolution: int | None = None, *,
-                      priority: int | None = None,
-                      deadline_s: float | None = None,
-                      tiles=None, buffer_tiles: int = 2) -> TileStream:
-        """Stream one prediction tile by tile; returns a
-        :class:`TileStream` yielding ``(tile_index, core_slices, core)``
-        records as tile forwards complete.
-
-        The request rides the same machinery as :meth:`submit` — the
-        priority/deadline queue, ``max_pending`` backpressure — but
-        resolves progressively: the first record arrives after one tile
-        forward instead of after the full field.
-        The deadline is enforced *per tile*: before each tile's compute
-        the budget is re-checked, and an expired stream terminates with
-        a keyed :class:`DeadlineExceeded` carrying
-        ``tiles_delivered``-so-far.  A cache hit streams the cached
-        field's tile cores without compute; a fully delivered stream
-        fills the cache like a fused forward would.
-
-        ``tiles`` restricts the stream to a subset of tile indices (the
-        fleet's mid-stream resume uses this); ``buffer_tiles`` bounds
-        how many completed-but-unconsumed records a running server
-        buffers before the producing worker blocks (slow-consumer
-        backpressure).  Streams bypass in-flight dedup — two identical
-        streams each deliver their own records.
-        """
-        entry, request = self._resolve(model_name, omega, resolution,
-                                       priority, deadline_s)
-        r, key = request.resolution, request.key
-
-        # Resolve the plan eagerly: tile identities must be fixed before
-        # any compute so a resuming caller can name the undelivered set.
-        tile, halo = self._tile_params(entry, r)
-        shape = entry.problem.grid(r).shape
-        plan = _resolve_plan(entry.model, shape, tile, halo)
-        stream = request.stream = TileStream(
-            model_name, key, shape, _tile_indices(plan, tiles),
-            buffer_tiles=buffer_tiles)
-        stream._plan = plan
-
-        cached = self.cache.get(key)
-        if cached is not None:
-            stream._gen = self._stream_cached(request, cached)
-        else:
-            request.future.add_done_callback(_stream_terminal(stream))
-            if self.running:
-                try:
-                    self._queue.put(request, block=False)
-                except queue.Full:
-                    with self._stats_lock:
-                        self.stats.rejected += 1
-                    raise ServerOverloaded(
-                        model_name, key, pending=self._queue.qsize(),
-                        max_pending=self.config.max_pending) from None
-            else:
-                # Sync front-end: lazy pull-mode generator — each
-                # ``next`` runs one tile's compute on the consumer's
-                # thread.
-                stream._gen = self._stream_records(entry, request)
-        with self._stats_lock:
-            self.stats.requests += 1
-            self.stats.streams += 1
-            self.stats.cache_hits += cached is not None
-        return stream
-
-    def _resolve(self, model_name: str, omega, resolution: int | None,
-                 priority: int | None, deadline_s: float | None
-                 ) -> tuple[ModelEntry, PredictRequest]:
-        """The request prologue shared by ``submit`` and
-        ``submit_stream``: the registry entry and the keyed request —
-        resolution, validated ω, defaulted priority/deadline, all
-        anchored at one ``enqueued_at``."""
-        entry = self.registry.get(model_name)
-        r = int(resolution or entry.problem.resolution)
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        if omega.size != entry.problem.field.m:
-            # Reject here: a wrong-arity ω must never reach a worker,
-            # where it would poison the fused np.stack of its whole group.
-            raise ValueError(
-                f"model {model_name!r} expects omega of length "
-                f"{entry.problem.field.m}, got {omega.size}")
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        t0 = time.perf_counter()
-        return entry, PredictRequest(
-            model_name=model_name, omega=omega, resolution=r, future=Future(),
-            enqueued_at=t0, key=self._key(entry, omega, r),
-            priority=int(priority or 0), deadline_s=deadline_s,
-            expires_at=(t0 + deadline_s if deadline_s is not None else None))
-
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
                 timeout: float | None = None, *,
@@ -701,11 +457,7 @@ class PredictionServer:
                             if claimed:
                                 req.future.set_exception(exc)
                         continue
-                    if group[0].stream is not None:
-                        # Streams form singleton groups by construction.
-                        self._process_stream(entry, group[0])
-                    else:
-                        self._process_group(entry, group)
+                    self._process_group(entry, group)
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -714,14 +466,13 @@ class PredictionServer:
         """Claim a request's future for resolution; ``False`` when the
         client already cancelled it while it was queued.
 
-        The asyncio facade makes cancellation routine (``wait_for``
-        timeouts, ``gather`` cancelling siblings), and ``wrap_future``
-        propagates it to the pending server future — after which
-        ``set_result``/``set_exception`` would raise InvalidStateError
-        and kill the worker thread.  Claiming marks the future RUNNING,
-        so later cancels fail cleanly instead; a request whose claim
-        fails is dropped without compute, its dedup slot released so a
-        resubmit computes fresh.
+        ``Future.cancel()`` is public — a client may drop a queued
+        request, and a hedged fleet read sheds its losing attempt with
+        it — after which ``set_result``/``set_exception`` would raise
+        InvalidStateError and kill the worker thread.  Claiming marks the
+        future RUNNING, so later cancels fail cleanly instead; a request
+        whose claim fails is dropped without compute, its dedup slot
+        released so a resubmit computes fresh.
         """
         if req.future.set_running_or_notify_cancel():
             return True
@@ -737,9 +488,7 @@ class PredictionServer:
         if self._claim(req):
             req.future.set_exception(DeadlineExceeded(
                 req.model_name, req.key, deadline_s=req.deadline_s or 0.0,
-                waited_s=time.perf_counter() - req.enqueued_at,
-                # A stream that expires while queued delivered nothing.
-                tiles_delivered=(0 if req.stream is not None else None)))
+                waited_s=time.perf_counter() - req.enqueued_at))
         self._drop_inflight(req)
         req.trace_queue.finish()
         req.trace.finish(outcome="expired")
@@ -804,117 +553,6 @@ class PredictionServer:
             self._drop_inflight(req)
             req.future.set_result(stored)
             req.trace.finish(outcome="served")
-
-    def _process_stream(self, entry: ModelEntry,
-                        req: PredictRequest) -> None:
-        """Produce one stream's tile records on a worker thread.
-
-        Records go into the stream's bounded buffer (``_emit`` blocks
-        when the consumer lags — the backpressure seam); the terminal
-        outcome travels through ``req.future``, whose done-callback
-        relays it into the stream *behind* every buffered record.
-        """
-        stream = req.stream
-        if not self._claim(req):
-            stream._finish(None)
-            return
-        try:
-            for record in self._stream_records(entry, req):
-                stream._emit(record)
-        except _StreamClosed:
-            # Consumer walked away mid-stream: nothing left to report.
-            req.future.set_result(None)
-        except Exception as exc:
-            if not isinstance(exc, DeadlineExceeded):
-                with self._stats_lock:
-                    self.stats.errors += 1
-            req.future.set_exception(exc)
-        else:
-            with self._stats_lock:
-                self.stats.observe_latency(
-                    time.perf_counter() - req.enqueued_at)
-            req.future.set_result(None)
-
-    def _stream_records(self, entry: ModelEntry, req: PredictRequest):
-        """Generator of one stream's records, deadline-checked per tile.
-
-        The budget is re-checked *before* each tile's compute, so an
-        expired stream dies early — with a keyed
-        :class:`DeadlineExceeded` carrying ``tiles_delivered`` — instead
-        of finishing the field nobody is waiting for.  A stream that
-        covers every tile assembles the full field on the side and fills
-        the cache, exactly as a fused forward would.
-        """
-        stream = req.stream
-        plan = stream._plan
-        with self._stats_lock:
-            self.stats.tiled_forwards += 1
-        complete = set(stream.tile_indices) == set(range(plan.num_tiles))
-        out = None
-        n = 0
-        it = self._stream_tiles(entry, req.omega, req.resolution,
-                                stream.tile_indices, plan.tile, plan.halo)
-        try:
-            while True:
-                if req.expired():
-                    with self._stats_lock:
-                        self.stats.expired += 1
-                    raise DeadlineExceeded(
-                        req.model_name, req.key,
-                        deadline_s=req.deadline_s or 0.0,
-                        waited_s=time.perf_counter() - req.enqueued_at,
-                        tiles_delivered=n)
-                try:
-                    i, sl, core = next(it)
-                except StopIteration:
-                    break
-                if complete:
-                    if out is None:
-                        out = np.empty(stream.shape, dtype=core.dtype)
-                    out[sl] = core
-                with self._stats_lock:
-                    self.stats.stream_tiles += 1
-                yield i, sl, core
-                n += 1
-        finally:
-            it.close()
-        if complete and out is not None:
-            self.cache.put(req.key, out)
-
-    def _stream_cached(self, req: PredictRequest, cached: np.ndarray):
-        """Stream a cache hit: slice the cached field per plan block (no
-        compute), still honoring per-tile deadline checks."""
-        n = 0
-        for i in req.stream.tile_indices:
-            if req.expired():
-                with self._stats_lock:
-                    self.stats.expired += 1
-                raise DeadlineExceeded(
-                    req.model_name, req.key,
-                    deadline_s=req.deadline_s or 0.0,
-                    waited_s=time.perf_counter() - req.enqueued_at,
-                    tiles_delivered=n)
-            sl = tuple(slice(a, b) for a, b in req.stream._plan.blocks[i])
-            with self._stats_lock:
-                self.stats.stream_tiles += 1
-            yield i, sl, cached[sl]
-            n += 1
-
-    def _stream_tiles(self, entry: ModelEntry, omega: np.ndarray,
-                      resolution: int, tiles, tile, halo):
-        """Raw tile-record generator — the stream compute seam.
-
-        Yields ``(tile_index, core_slices, core)`` with ``core`` of
-        shape ``(*core_shape)`` (the single-request batch dim dropped).
-        The chaos/replay layer wraps this method to gate or fault a
-        shard's stream production, mirroring its ``_forward`` hook.
-        """
-        for i, sl, core in stream_tiled_predict(
-                entry.model, entry.problem, omega.reshape(1, -1),
-                resolution=resolution, tile=tile, halo=halo,
-                executor=self.executor, net_ref=self._net_ref(entry),
-                tiles=tiles):
-            yield i, sl, core[0]
 
     def _forward(self, entry: ModelEntry, omegas: np.ndarray,
                  resolution: int, trace=NULL_SPAN) -> np.ndarray:

@@ -3,9 +3,8 @@
 Two halves sharing one forgeable clock:
 
 * :mod:`~repro.serve.telemetry.trace` — per-request spans (queue wait,
-  batch collect, forward, tile compute, shard attempt, hedge, stream
-  tile) ring-buffered per tracer and exportable as deterministic
-  jsonl.
+  batch collect, forward, tile compute, shard attempt, hedge)
+  ring-buffered per tracer and exportable as deterministic jsonl.
 * :mod:`~repro.serve.telemetry.metrics` — named counters / gauges /
   quantile sketches, with the stack's legacy stats dataclasses
   re-registered as read-time views.

@@ -333,10 +333,10 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
     sweeps, scratch buffers and — when ``executor`` is a parallel
     :class:`~repro.serve.executor.Executor` — the fan-out of each sweep's
     independent blocks across its workers.  ``tiles`` optionally
-    restricts the stream to a subset of tile indices (e.g. a fleet
-    resuming a stream on a replacement replica skips tiles the consumer
-    already holds); every sweep then runs only the blocks in those
-    tiles' dependency cone (:func:`_cone`).
+    restricts the stream to a subset of tile indices (e.g. a caller that
+    already holds the other tiles, or wants one region first); every
+    sweep then runs only the blocks in those tiles' dependency cone
+    (:func:`_cone`).
 
     ``net_ref`` is an optional ``(version, pickled net bytes)`` pair for
     the process-executor path: a long-running caller (the prediction

@@ -1,12 +1,12 @@
-"""Sharded fleet semantics: routing, registry fan-out, stats, facade.
+"""Sharded fleet semantics: routing, registry fan-out, stats, cancel.
 
 The fault-injection storms live in ``test_fleet_faults.py``; this file
 pins the deterministic contracts — where writes land, where reads
-route, that routed answers equal single-server answers, and that the
-asyncio facade is shard-aware without modification.
+route, that routed answers equal single-server answers, and what a
+cancelled fleet future counts.
 """
 
-import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    AsyncPredictionServer, FleetConfig, ModelRegistry, PredictionServer,
-    RegistryError, ServerConfig, ShardedFleet, state_version,
+    FleetConfig, ModelRegistry, PredictionServer, RegistryError,
+    ServerConfig, ShardedFleet, state_version,
 )
 
 RNG = np.random.default_rng(7)
@@ -202,121 +202,81 @@ class TestRoutedServing:
             assert shard.id in shard.server.config.cache_dir
 
 
-class TestShardAwareAioFacade:
-    def test_async_predict_over_fleet(self, served):
-        model, problem = served
-        fleet = _fleet()
-        fleet.register_model("m", model, problem)
-        omega = RNG.uniform(-3, 3, 4)
-
-        async def run():
-            async with AsyncPredictionServer(fleet) as aserver:
-                return await aserver.predict("m", omega)
-
-        u = asyncio.run(run())
-        np.testing.assert_allclose(u, predict_batch(model, problem, omega)[0],
-                                   atol=1e-5)
-        assert fleet.stats.lost == 0
-        assert not fleet.running       # __aexit__ closed the fleet
-
-    def test_async_failover_is_transparent(self, served):
-        """An awaited request served by a replica after the primary
-        faults resolves normally — shard-awareness for free."""
-        model, problem = served
-        fleet = _fleet()
-        fleet.register_model("m", model, problem)
-        primary = next(s for s in fleet.shards
-                       if s.id == fleet.replicas_for("m")[0])
-
-        def boom(entry, omegas, resolution):
-            raise RuntimeError("injected fault")
-
-        primary.server._forward = boom
-        omega = RNG.uniform(-3, 3, 4)
-
-        async def run():
-            async with AsyncPredictionServer(fleet) as aserver:
-                return await aserver.predict("m", omega)
-
-        u = asyncio.run(run())
-        np.testing.assert_allclose(u, predict_batch(model, problem, omega)[0],
-                                   atol=1e-5)
-        assert not primary.healthy
-        assert fleet.stats.failovers >= 1
-
-    def test_async_hang_failover(self, served):
-        """A hung shard is ejected from the event loop too: the facade
-        re-waits in shard_timeout_s slices and calls hang_failover, so
-        an await recovers instead of blocking forever."""
+class TestCancellation:
+    def test_cancelled_fleet_future_counts_cancelled(self, served):
+        """A caller cancels its pending fleet future while the shard is
+        still computing: the late answer is counted ``cancelled``, never
+        ``served``, the books balance, and the fleet keeps serving."""
         import threading
 
         model, problem = served
-        fleet = ShardedFleet(FleetConfig(
-            shards=3, replicas=2, shard_timeout_s=0.25,
-            server=ServerConfig(max_batch=4, max_wait_ms=0,
-                                cache_bytes=0)))
+        fleet = _fleet(shards=2, replicas=1)
         fleet.register_model("m", model, problem)
-        primary = next(s for s in fleet.shards
-                       if s.id == fleet.replicas_for("m")[0])
-        release = threading.Event()
-        forward = primary.server._forward
-
-        def hung(entry, omegas, resolution):
-            assert release.wait(timeout=60)
-            return forward(entry, omegas, resolution)
-
-        primary.server._forward = hung
-        omega = RNG.uniform(-3, 3, 4)
-
-        async def run():
-            async with AsyncPredictionServer(fleet) as aserver:
-                u = await asyncio.wait_for(aserver.predict("m", omega), 30)
-                release.set()
-                return u
-
-        u = asyncio.run(run())
-        np.testing.assert_allclose(u, predict_batch(model, problem, omega)[0],
-                                   atol=1e-5)
-        assert not primary.healthy
-        s = fleet.stats
-        assert s.hangs == 1
-        assert s.served == 1 and s.lost == 0
-
-    def test_async_client_timeout_sheds_fleet_request(self, served):
-        """A client-side asyncio timeout cancels the underlying fleet
-        request (the hang guard's shield must not swallow it) — counted
-        as cancelled, never served, books balanced."""
-        import threading
-
-        model, problem = served
-        fleet = ShardedFleet(FleetConfig(
-            shards=2, replicas=1, shard_timeout_s=30.0,
-            server=ServerConfig(max_batch=2, max_wait_ms=0,
-                                cache_bytes=0)))
-        fleet.register_model("m", model, problem)
-        primary = next(s for s in fleet.shards
-                       if s.id == fleet.replicas_for("m")[0])
+        primary = fleet._by_id[fleet.replicas_for("m")[0]]
         entered = threading.Event()
         release = threading.Event()
         forward = primary.server._forward
 
-        def hung(entry, omegas, resolution):
-            entered.set()
-            assert release.wait(timeout=60)
+        def held(entry, omegas, resolution):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30)
             return forward(entry, omegas, resolution)
 
-        primary.server._forward = hung
+        primary.server._forward = held
         omega = RNG.uniform(-3, 3, 4)
-
-        async def run():
-            async with AsyncPredictionServer(fleet) as aserver:
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(aserver.predict("m", omega), 0.5)
-                assert entered.wait(timeout=30)
-                release.set()
-
-        asyncio.run(run())          # __aexit__ drains the worker
+        with fleet:
+            doomed = fleet.submit("m", np.full(4, 5.0))
+            assert entered.wait(timeout=30)
+            assert doomed.cancel()
+            release.set()
+            u = fleet.predict("m", omega, timeout=30)
+        np.testing.assert_allclose(u, predict_batch(model, problem, omega)[0],
+                                   atol=1e-5)
         s = fleet.stats
-        assert s.cancelled == 1
-        assert s.served == 0
+        assert s.submitted == 2
+        assert s.cancelled == 1 and s.served == 1
         assert s.lost == 0
+        assert primary.healthy       # a cancelled read ejects nobody
+
+    def test_cancel_during_failover_counts_cancelled_once(self, served):
+        """The caller cancels while the primary is computing; the primary
+        then faults, and the failover's answer from the replica is the
+        cancelled delivery — one term, the shard still ejected."""
+        import threading
+
+        model, problem = served
+        fleet = _fleet(shards=2, replicas=2)
+        fleet.register_model("m", model, problem)
+        primary = fleet._by_id[fleet.replicas_for("m")[0]]
+        entered = threading.Event()
+        release = threading.Event()
+
+        def dying(entry, omegas, resolution):
+            entered.set()
+            assert release.wait(timeout=30)
+            raise RuntimeError("primary died mid-forward")
+
+        primary.server._forward = dying
+        with fleet:
+            doomed = fleet.submit("m", np.full(4, 5.0))
+            assert entered.wait(timeout=30)
+            assert doomed.cancel()
+            release.set()
+            deadline = time.monotonic() + 30
+            while fleet.stats.cancelled == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        s = fleet.stats
+        assert (s.submitted, s.cancelled, s.served) == (1, 1, 0)
+        assert s.failovers == 1 and s.shard_faults == 1
+        assert not primary.healthy
+        assert s.lost == 0
+
+
+def test_every_read_is_submit_or_predict():
+    """One request path: the stream front-ends are gone and the fleet's
+    hang failover is private to ``await_result``."""
+    assert not hasattr(PredictionServer, "submit_stream")
+    assert not hasattr(ShardedFleet, "stream")
+    assert not hasattr(ShardedFleet, "hang_failover")
+    assert hasattr(ShardedFleet, "await_result")

@@ -1,8 +1,7 @@
 """Guard: everything around the fleet's read path is written once.
 
 * **One retry driver.**  ``policy.plan(...)`` is asked from
-  ``serve/resilience.py`` (``retry_call``, the synchronous loop) and
-  ``serve/aio.py`` (its ``await``-ing twin) and nowhere else under
+  ``serve/resilience.py`` (``retry_call``) and nowhere else under
   ``src/repro``; ``cli.py`` never sleeps on its own and
   ``serve/replay.py`` only inside ``ReplayHarness._sleep`` (the
   virtual-clock sleep it injects into the driver); neither grows back a
@@ -96,10 +95,10 @@ def _refill_stamp_classes(tree: ast.AST) -> list[str]:
 # --------------------------------------------------------------------- #
 # One retry driver
 # --------------------------------------------------------------------- #
-def test_plan_is_asked_by_the_two_drivers_only() -> None:
+def test_plan_is_asked_by_the_one_driver_only() -> None:
     callers = {_rel(p) for p in sorted(SRC.rglob("*.py"))
                if _method_calls(_tree(p), "plan")}
-    assert callers == {"serve/resilience.py", "serve/aio.py"}
+    assert callers == {"serve/resilience.py"}
 
 
 def test_cli_and_replay_do_not_sleep_on_their_own() -> None:

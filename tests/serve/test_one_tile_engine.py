@@ -23,6 +23,14 @@ queue-depth autoscaler with the elastic ``add_shard``/``retire_shard``
 it drove.  Their names, and ``tenant`` as a request parameter or field,
 may not come back in ``src/repro``; the replay trace's tenant label is
 the one exception.
+
+And for the second request path: every served read is one ``submit`` →
+queue → fused forward → ``Future``.  The streaming front-ends
+(``submit_stream``/``TileStream``, the fleet's mid-stream resume), the
+asyncio facade (``repro.serve.aio``) and priority aging had no benchmark
+metric and were deleted; their names may not come back in
+``src/repro``.  The tile engine's own generator,
+``stream_tiled_predict``, is the library stream and stays.
 """
 
 from __future__ import annotations
@@ -68,6 +76,20 @@ BANNED_FLEET_MODULES = ("admission", "balance", "autoscale")
 # The one ``tenant`` left: the replay trace's event label (the event log
 # is byte-pinned), which the harness never hands to the fleet.
 TENANT_LABEL = "TraceEvent"
+# Package-wide: the second request path — streaming front-ends, the
+# asyncio facade — and priority aging, as identifiers or as the string
+# names the fleet's counter ledger and the stats views key on.
+BANNED_REQUEST_PATHS = {
+    "submit_stream": "the server's streaming front-end",
+    "TileStream": "the streaming consumer handle",
+    "StreamStalled": "the stream stall verdict",
+    "AsyncPredictionServer": "the asyncio facade",
+    "priority_aging_s": "the priority-aging option",
+    "aging_s": "the aging queue rate",
+    "tiles_delivered": "stream progress on DeadlineExceeded",
+    "stream_resumed": "the fleet's mid-stream resume counter",
+}
+BANNED_REQUEST_MODULE = "aio"
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -184,6 +206,28 @@ def _fleet_features(source: str) -> list[str]:
     return bad
 
 
+def _request_paths(source: str) -> list[str]:
+    """Uses of the deleted second request path or priority aging in one
+    module: a banned name as an identifier, parameter, keyword, import
+    or whole string constant, and any import of an ``aio`` module."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        names = [getattr(node, f, None) for f in ("id", "attr", "name", "arg")]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+        bad += [f"{line}: {BANNED_REQUEST_PATHS[n]} ({n})"
+                for n in names if n in BANNED_REQUEST_PATHS]
+        modules = []
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        if any(m.split(".")[-1] == BANNED_REQUEST_MODULE for m in modules):
+            bad.append(f"{line}: import of the asyncio facade module")
+    return bad
+
+
 def _definitions(name: str) -> list[str]:
     """Modules of ``src/repro`` defining a function ``name``."""
     return [str(path.relative_to(PACKAGE))
@@ -242,6 +286,56 @@ def test_the_deleted_fleet_features_stay_deleted() -> None:
         "replica set in ring order, admits every request, and changes "
         "membership only by decommissioning a lost shard:\n  "
         + "\n  ".join(bad))
+
+
+def test_the_second_request_path_stays_deleted() -> None:
+    assert not list(PACKAGE.rglob(f"{BANNED_REQUEST_MODULE}.py"))
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _request_paths(path.read_text())]
+    assert not bad, (
+        "a deleted request path is growing back — every served read is "
+        "one submit -> queue -> fused forward -> Future, in strict "
+        "priority order:\n  " + "\n  ".join(bad))
+
+
+# One source line per idiom the request-path guard must flag.
+REQUEST_PATH_IDIOMS = {
+    "submit_stream": "stream = server.submit_stream(name, omega)\n",
+    "TileStream": "def submit(self) -> TileStream:\n    pass\n",
+    "StreamStalled": "class StreamStalled(RuntimeError):\n    pass\n",
+    "AsyncPredictionServer": "aserver = AsyncPredictionServer(server)\n",
+    "priority_aging_s": "class ServerConfig:\n"
+                        "    priority_aging_s: float | None = None\n",
+    "aging_s": "def __init__(self, maxsize=0, aging_s=None):\n    pass\n",
+    "tiles_delivered": "raise DeadlineExceeded(m, k, 1.0, 2.0,"
+                       " tiles_delivered=3)\n",
+    "stream_resumed": "_LEDGER_TERMS = ('served', 'stream_resumed')\n",
+    "aio module": "from .aio import facade\n",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(REQUEST_PATH_IDIOMS))
+def test_request_path_guard_catches_each_deleted_idiom(idiom: str) -> None:
+    """The request-path guard flags every idiom it names (meta-test)."""
+    hits = _request_paths(REQUEST_PATH_IDIOMS[idiom])
+    if idiom == "aio module":
+        assert hits == ["1: import of the asyncio facade module"], hits
+    else:
+        assert any(f"({idiom})" in hit for hit in hits), hits
+
+
+def test_request_path_guard_allows_the_library_stream() -> None:
+    """The tile engine's generator and ``repro predict --stream`` stay:
+    neither is a banned name, and prose may mention the deleted ones."""
+    assert _request_paths(
+        '"""Not submit_stream: the library generator."""\n'
+        "from .tiling import stream_tiled_predict\n"
+        "def predict(args):\n"
+        "    if args.stream:\n"
+        "        for i, sl, core in stream_tiled_predict(m, p, w):\n"
+        "            pass\n"
+    ) == []
 
 
 # One source line per idiom the fleet guard must flag.

@@ -328,9 +328,8 @@ class TestCommittedStorm:
 
 
 # --------------------------------------------------------------------- #
-# Chaos hooks: stream coverage + re-entrant faults + abort hygiene
+# Chaos hooks: re-entrant faults + abort hygiene
 # --------------------------------------------------------------------- #
-import threading
 import time
 
 import numpy as np
@@ -338,19 +337,15 @@ import numpy as np
 from repro.serve.replay import ShardChaos
 
 
-class TestShardChaosStreams:
-    """The fault actuators must cover the streaming path too, and must
-    stay reversible under re-entry and mid-run aborts.
+class TestShardChaosHygiene:
+    """The fault actuators must stay reversible under re-entry and
+    mid-run aborts.
 
-    Regressions pinned:
-
-    * a second ``hang`` before the first released used to swap in a
-      fresh Event and *orphan* the previous one — threads parked on the
-      superseded gate were unreachable by ``release``/``restore`` and
-      hung forever (a leaked shard after the harness's ``finally``);
-    * ``kill`` only downed ``submit``, so a scripted dead shard kept
-      accepting streams; ``hang`` only gated ``_forward``, so streams
-      sailed through a scripted stall.
+    Regression pinned: a second ``hang`` before the first released used
+    to swap in a fresh Event and *orphan* the previous one — threads
+    parked on the superseded gate were unreachable by ``release``/
+    ``restore`` and hung forever (a leaked shard after the harness's
+    ``finally``).
     """
 
     def _one_shard_fleet(self, served) -> ShardedFleet:
@@ -361,35 +356,6 @@ class TestShardChaosStreams:
                                 cache_bytes=0, tile=8)))
         fleet.register_model("m0", model, problem)
         return fleet
-
-    def test_kill_also_downs_submit_stream(self, served):
-        fleet = self._one_shard_fleet(served)
-        shard = fleet.shards[0]
-        chaos = ShardChaos(shard)
-        chaos.kill()
-        with pytest.raises(ConnectionError):
-            shard.server.submit_stream("m0", np.zeros(4))
-        chaos.restore()
-        stream = shard.server.submit_stream("m0", np.zeros(4))
-        assert sorted(i for i, _, _ in stream) == \
-            list(range(stream.num_tiles))
-
-    def test_hang_gates_stream_production_until_release(self, served):
-        fleet = self._one_shard_fleet(served)
-        shard = fleet.shards[0]
-        chaos = ShardChaos(shard)
-        chaos.hang()
-        stream = shard.server.submit_stream("m0", np.zeros(4))
-        got: list[int] = []
-        consumer = threading.Thread(
-            target=lambda: got.extend(i for i, _, _ in stream))
-        consumer.start()
-        time.sleep(0.15)
-        assert got == []                      # production is gated
-        chaos.release()
-        consumer.join(timeout=30)
-        assert not consumer.is_alive()
-        assert sorted(got) == list(range(stream.num_tiles))
 
     def test_second_hang_frees_the_superseded_gates_waiters(self, served):
         fleet = self._one_shard_fleet(served)
@@ -423,8 +389,7 @@ class TestShardChaosStreams:
             duration_s=0.4, models=("m0",),
             arrivals=ArrivalSpec(rate=50.0),
             faults=(FaultSpec(t=0.0, op="hang", shard=0, duration_s=5.0),))
-        originals = [(s.server.submit, s.server.submit_stream,
-                      s.server._forward, s.server._stream_tiles)
+        originals = [(s.server.submit, s.server._forward)
                      for s in fleet.shards]
         with fleet:
             harness = ReplayHarness(fleet, scenario)
@@ -438,8 +403,7 @@ class TestShardChaosStreams:
                     harness.run()         # ...while the hang is live
             finally:
                 del fleet.submit
-            assert [(s.server.submit, s.server.submit_stream,
-                     s.server._forward, s.server._stream_tiles)
+            assert [(s.server.submit, s.server._forward)
                     for s in fleet.shards] == originals
             # The hung shard did not leak: serving resumes at once.
             fleet.predict("m0", np.full(4, 0.25), timeout=30)

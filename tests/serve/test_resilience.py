@@ -18,7 +18,6 @@ Contracts pinned here:
   ``FleetStats.lost == 0`` in all of it.
 """
 
-import asyncio
 import time
 from concurrent.futures import Future
 
@@ -28,10 +27,10 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    AsyncPredictionServer, BreakerConfig, CircuitBreaker, FleetConfig,
-    HedgeConfig, HedgePolicy, ResilienceConfig, RetryConfig, RetryPolicy,
-    ServerConfig, ServerOverloaded, ShardedFleet, VirtualClock, aio,
-    install_resilience, retry_call, uninstall_resilience,
+    BreakerConfig, CircuitBreaker, FleetConfig, HedgeConfig, HedgePolicy,
+    ResilienceConfig, RetryConfig, RetryPolicy, ServerConfig,
+    ServerOverloaded, ShardedFleet, VirtualClock, install_resilience,
+    retry_call, uninstall_resilience,
 )
 from repro.serve.errors import FleetUnavailable
 
@@ -204,9 +203,8 @@ class _FixedDelay(RetryPolicy):
 
 
 class TestRetryDriver:
-    """``retry_call`` (sync) and ``AsyncPredictionServer.predict`` (its
-    awaiting twin) are the only two retry loops; same script in, same
-    ``plan`` calls, same sleeps, same ``retried`` out."""
+    """``retry_call`` is the one retry loop: a script in, the ``plan``
+    calls in script order, seeded sleeps, ``retried`` out."""
 
     SCRIPT = (_overloaded, _unavailable, _unavailable, _overloaded,
               lambda: None)
@@ -224,27 +222,14 @@ class TestRetryDriver:
                          sleep=slept.append, on_retry=backend.note_retry)
         return out, backend, slept
 
-    def _async(self, monkeypatch):
-        backend = _Script(self._policy(), [make() for make in self.SCRIPT])
-        slept = []
-
-        async def forged_sleep(dt):
-            slept.append(dt)
-
-        monkeypatch.setattr(aio.asyncio, "sleep", forged_sleep)
-        out = asyncio.run(AsyncPredictionServer(backend).predict("m", None))
-        return out, backend, slept
-
-    def test_sync_and_async_drivers_ask_the_same_plans(self, monkeypatch):
-        s_out, s_backend, s_slept = self._sync()
-        a_out, a_backend, a_slept = self._async(monkeypatch)
-        assert s_out == a_out == "field"
-        assert s_backend.retry.asked == a_backend.retry.asked == [
+    def test_driver_asks_the_plans_in_script_order(self):
+        out, backend, slept = self._sync()
+        assert out == "field"
+        assert backend.retry.asked == [
             ("ServerOverloaded", 0), ("FleetUnavailable", 1),
             ("FleetUnavailable", 2), ("ServerOverloaded", 3)]
-        assert s_slept == a_slept          # same seed, same jitter draws
-        assert s_backend.retried == a_backend.retried == 4
-        assert s_backend.retry.retries == 4
+        assert len(slept) == backend.retried == backend.retry.retries == 4
+        assert self._sync()[2] == slept    # same seed, same jitter draws
 
     def test_gives_up_with_the_last_verdict(self):
         policy = self._policy()

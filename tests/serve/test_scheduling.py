@@ -1,8 +1,8 @@
 """Deterministic scheduling semantics: priorities, deadlines, backpressure.
 
-Every test here pins an ordering or rejection the async front-end's
-latency story depends on, using events — never sleeps — to hold the
-single worker in a known state while the queue is arranged.
+Every test here pins an ordering or rejection the server's latency
+story depends on, using events — never sleeps — to hold the single
+worker in a known state while the queue is arranged.
 """
 
 import queue
@@ -12,8 +12,11 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D
+from repro.core.inference import predict_batch
 from repro.serve import (
     DeadlineExceeded, MicroBatcher, ModelRegistry, PredictRequest,
     PredictionServer, RequestQueue, ServerConfig, ServerOverloaded,
@@ -30,8 +33,7 @@ def _request(priority=0, tag=0.0, deadline_s=None, enqueued_at=None):
                          priority=priority, deadline_s=deadline_s,
                          expires_at=expires)
     if enqueued_at is not None:
-        # Forged timestamps make aging tests deterministic: the heap
-        # rank is computed from enqueued_at at put() time.
+        # Forged arrival stamps: the queue order must not read them.
         req.enqueued_at = enqueued_at
     return req
 
@@ -103,92 +105,184 @@ class TestRequestQueue:
         assert [r.omega[0] for r in batch] == [3, 1]
 
 
-class TestPriorityAging:
-    """aging_s keys the heap by virtual start time
-    ``enqueued_at - priority * aging_s``: fresh requests still order by
-    priority, but a request that has waited ``Δpriority * aging_s``
-    overtakes — the starvation bound the ROADMAP asked for."""
+class TestQueueOrderProperty:
+    """Strict priority is the one queue order.  Over any interleaving of
+    ``put`` and ``get`` — arrival stamps forged anywhere from far past
+    to future, so no age term can hide — ``get`` returns the pending
+    request with the highest priority, earliest arrival first, and a
+    bounded queue raises ``queue.Full`` exactly when ``maxsize``
+    requests are pending."""
 
-    def test_fresh_requests_still_order_by_priority(self):
+    @settings(max_examples=80, deadline=None)
+    @given(maxsize=st.integers(0, 5),
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("put"), st.integers(-3, 3),
+                         st.floats(-100.0, 100.0)),
+               st.just(("get",))), max_size=40))
+    def test_get_order_and_bound(self, maxsize, ops):
+        q = RequestQueue(maxsize=maxsize)
+        pending: list[tuple[int, int]] = []     # model: (priority, seq)
         now = time.perf_counter()
-        q = RequestQueue(aging_s=0.1)
-        q.put(_request(priority=0, tag=1, enqueued_at=now))
-        q.put(_request(priority=5, tag=2, enqueued_at=now))
-        assert [q.get().omega[0] for _ in range(2)] == [2, 1]
+        for seq, op in enumerate(ops):
+            if op[0] == "put":
+                _, priority, age = op
+                req = _request(priority=priority, tag=float(seq),
+                               enqueued_at=now - age)
+                if maxsize and len(pending) == maxsize:
+                    with pytest.raises(queue.Full):
+                        q.put(req, block=False)
+                    continue
+                q.put(req, block=False)
+                pending.append((priority, seq))
+            elif pending:
+                best = min(pending, key=lambda e: (-e[0], e[1]))
+                pending.remove(best)
+                assert q.get_nowait().omega[0] == best[1]
+            else:
+                with pytest.raises(queue.Empty):
+                    q.get_nowait()
+        assert q.qsize() == len(pending)
 
-    def test_aged_low_priority_overtakes_fresh_high(self):
-        now = time.perf_counter()
-        q = RequestQueue(aging_s=0.1)
-        # The bulk request has waited 1 s — ten priority levels of age
-        # credit at aging_s=0.1 — so it beats a fresh priority-5 one.
-        q.put(_request(priority=0, tag=1, enqueued_at=now - 1.0))
-        q.put(_request(priority=5, tag=2, enqueued_at=now))
-        assert [q.get().omega[0] for _ in range(2)] == [1, 2]
 
-    def test_age_below_the_bound_does_not_overtake(self):
-        now = time.perf_counter()
-        q = RequestQueue(aging_s=0.1)
-        # 0.3 s of age is only three levels — not enough against Δ5.
-        q.put(_request(priority=0, tag=1, enqueued_at=now - 0.3))
-        q.put(_request(priority=5, tag=2, enqueued_at=now))
-        assert [q.get().omega[0] for _ in range(2)] == [2, 1]
-
-    def test_fifo_within_a_priority_level_preserved(self):
-        now = time.perf_counter()
-        q = RequestQueue(aging_s=0.5)
-        for i, tag in enumerate((1, 2, 3)):
-            q.put(_request(priority=3, tag=tag, enqueued_at=now + i * 1e-4))
-        assert [q.get().omega[0] for _ in range(3)] == [1, 2, 3]
-
-    def test_invalid_aging_rejected(self):
-        with pytest.raises(ValueError):
-            RequestQueue(aging_s=0.0)
-        with pytest.raises(ValueError):
-            RequestQueue(aging_s=-1.0)
-
-    def test_starvation_regression_end_to_end(self, served):
-        """The deterministic regression: with the single worker blocked,
-        an aged bulk request dequeues ahead of a sustained fresh
-        high-priority lane — under strict priority (aging off) the same
-        arrangement starves it to the back."""
-        *_, registry = served
-
-        def run(aging_s):
-            server = PredictionServer(registry, ServerConfig(
-                max_batch=1, max_wait_ms=0, workers=1, cache_bytes=0,
-                priority_aging_s=aging_s))
-            hook = _BlockedWorker(server)
-            with server:
-                filler = hook.block()
-                now = time.perf_counter()
-                # A bulk request that has already waited 10 s...
-                aged = _request(priority=0, tag=1.0, enqueued_at=now - 10.0)
-                server._queue.put(aged)
-                # ...behind a sustained stream of fresh interactive ones.
-                fresh = [_request(priority=5, tag=100.0 + i, enqueued_at=now)
-                         for i in range(3)]
-                for req in fresh:
-                    server._queue.put(req)
-                hook.release.set()
-                for req in [aged] + fresh:
-                    req.future.result(timeout=30)
-                filler.result(timeout=30)
-            return hook.order
-
-        # Aged bulk request escalates past the interactive lane...
-        assert run(aging_s=1.0) == [1.0, 100.0, 101.0, 102.0]
-        # ...but strict priority (the default) starves it to the back.
-        assert run(aging_s=None) == [100.0, 101.0, 102.0, 1.0]
-
-    def test_server_config_wires_aging_into_queue(self, served):
-        *_, registry = served
+class TestCancellation:
+    def test_cancelled_request_does_not_kill_worker(self, served):
+        """``Future.cancel()`` on a queued request: the worker skips it
+        instead of dying on InvalidStateError when it would resolve it,
+        releases its dedup slot, and keeps serving."""
+        model, problem, registry = served
         server = PredictionServer(registry, ServerConfig(
-            priority_aging_s=0.25))
-        assert server._queue.aging_s == 0.25
-        assert PredictionServer(registry)._queue.aging_s is None
+            max_batch=1, max_wait_ms=0, workers=1, cache_bytes=0))
+        hook = _BlockedWorker(server)
+        # No draining stop: a dead worker would leave the queue unjoinable.
+        server.start()
+        try:
+            filler = hook.block()
+            doomed = server.submit("m", np.full(4, 5.0))
+            assert doomed.cancel()
+            hook.release.set()
+            filler.result(timeout=30)
+            # The worker survived the cancelled request and still
+            # serves: a fresh submit resolves correctly.
+            omega = RNG.uniform(-3, 3, 4)
+            u = server.submit("m", omega).result(timeout=30)
+        finally:
+            server.stop(drain=False)
+        np.testing.assert_allclose(
+            u, predict_batch(model, problem, omega)[0], atol=1e-6)
+        assert doomed.cancelled()
+        assert 5.0 not in hook.order            # never computed
+        assert server.stats.errors == 0
+        assert not server._inflight     # cancelled dedup slot released
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_cancelled_member_leaves_its_fused_group(self, served,
+                                                     executor):
+        """A request cancelled while queued is dropped from the batch it
+        was drained into; its companions still run as one fused forward
+        and get their own fields, on every executor (a process pool
+        receives the fused batch whole)."""
+        model, problem, registry = served
+        server = PredictionServer(registry, ServerConfig(
+            max_batch=4, max_wait_ms=0, workers=1, cache_bytes=0,
+            executor=executor))
+        hook = _BlockedWorker(server)
+        omegas = RNG.uniform(-3, 3, size=(3, 4))
+        server.start()
+        try:
+            filler = hook.block()
+            futures = [server.submit("m", w) for w in omegas]
+            assert futures[1].cancel()
+            hook.release.set()
+            filler.result(timeout=30)
+            kept = [futures[0].result(timeout=30),
+                    futures[2].result(timeout=30)]
+        finally:
+            server.stop(drain=False)
+            server.close()
+        ref = predict_batch(model, problem, omegas[[0, 2]])
+        np.testing.assert_allclose(np.stack(kept), ref, atol=1e-6)
+        assert hook.order == [omegas[0, 0], omegas[2, 0]]
+        assert server.stats.batches == 2            # filler + one fused
+        assert server.stats.batched_requests == 3
+        assert server.stats.errors == 0
+        assert not server._inflight
+
+    def test_cancel_after_the_claim_fails_cleanly(self, served):
+        """A cancel that arrives once the worker has claimed the request
+        (its forward is running) returns False; the caller still gets
+        the field and nothing is counted as an error."""
+        model, problem, registry = served
+        server = PredictionServer(registry, ServerConfig(
+            max_batch=1, max_wait_ms=0, workers=1, cache_bytes=0))
+        hook = _BlockedWorker(server)
+        server.start()
+        try:
+            running = hook.block()       # the worker is inside its forward
+            assert not running.cancel()
+            hook.release.set()
+            u = running.result(timeout=30)
+        finally:
+            server.stop(drain=False)
+        np.testing.assert_allclose(
+            u, predict_batch(model, problem, np.full(4, -1.0))[0],
+            atol=1e-6)
+        assert not running.cancelled()
+        assert server.stats.errors == 0 and server.stats.batches == 1
+
+
+class TestGrouping:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((8, 16)),
+                              st.integers(-2, 2)), max_size=12))
+    def test_groups_partition_by_model_and_resolution(self, specs):
+        """Every request fuses: groups partition the drained batch by
+        (model, resolution) alone — priority never splits a group —
+        each group keeps batch order, groups keep first-seen order."""
+        batch = [PredictRequest(model_name=m, omega=np.full(4, float(i)),
+                                resolution=r, future=Future(), priority=p)
+                 for i, (m, r, p) in enumerate(specs)]
+        groups = MicroBatcher.group_compatible(batch)
+        assert sorted(r.omega[0] for g in groups for r in g) == \
+            list(range(len(batch)))
+        keys = [(g[0].model_name, g[0].resolution) for g in groups]
+        firsts = list(dict.fromkeys((m, r) for m, r, _ in specs))
+        assert keys == firsts
+        for key, group in zip(keys, groups):
+            assert all((r.model_name, r.resolution) == key for r in group)
+            tags = [r.omega[0] for r in group]
+            assert tags == sorted(tags)
 
 
 class TestCollectExpiry:
+    @settings(max_examples=60, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(-2, 2), st.booleans()),
+                          max_size=12),
+           max_batch=st.integers(1, 5))
+    def test_collect_drains_a_prefix_of_the_queue_order(self, specs,
+                                                        max_batch):
+        """``collect`` consumes the queue in (-priority, arrival) order:
+        past-due requests go to the hook and take no slot, the batch is
+        the first ``max_batch`` live ones, the rest stay queued, and
+        every consumed expiry is marked done for ``join``."""
+        q = RequestQueue()
+        for i, (priority, dead) in enumerate(specs):
+            q.put(_request(priority=priority, tag=float(i),
+                           deadline_s=-1.0 if dead else None))
+        order = sorted(range(len(specs)), key=lambda i: (-specs[i][0], i))
+        want_batch, want_expired, rest = [], [], list(order)
+        while rest and len(want_batch) < max_batch:
+            i = rest.pop(0)
+            (want_expired if specs[i][1] else want_batch).append(i)
+        stop = threading.Event()
+        stop.set()                       # an all-expired queue ends empty
+        expired = []
+        batch = MicroBatcher(max_batch=max_batch, max_wait_ms=0).collect(
+            q, stop=stop, poll_s=0.001, on_expired=expired.append)
+        assert [r.omega[0] for r in batch] == want_batch
+        assert [r.omega[0] for r in expired] == want_expired
+        assert [q.get_nowait().omega[0] for _ in rest] == rest
+        assert q.unfinished_tasks == len(specs) - len(want_expired)
+
     def test_expired_request_routed_to_hook_not_batch(self):
         q = RequestQueue()
         dead = _request(tag=1, deadline_s=-1.0)     # already past due

@@ -3,6 +3,7 @@
 import collections
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.autograd import Tensor, no_grad
+from repro.backend import set_backend
 from repro.core.inference import predict_batch
 from repro.serve import (
     Executor, make_executor, plan_tiles, receptive_halo,
-    stream_tiled_forward, tiled_forward, tiled_predict,
+    stream_tiled_forward, stream_tiled_predict, tiled_forward, tiled_predict,
 )
 from repro.serve.telemetry.trace import NULL_SPAN
 from repro.serve.tiling import extract_padded_block
@@ -467,3 +469,162 @@ class TestNetBlobReuse:
                             net_ref=("v0", blob))
         assert counted == []                  # the cached blob was replayed
         np.testing.assert_array_equal(got, serial)
+
+
+def _assemble(records, shape, batch, dtype=np.float64):
+    """Stitch tiling-layer records (core shape ``(B, *core)``)."""
+    out = np.empty((batch,) + shape, dtype=dtype)
+    ids = []
+    for i, sl, core in records:
+        out[(slice(None),) + sl] = core
+        ids.append(i)
+    return out, ids
+
+
+class TestStreamTiling:
+    """:func:`stream_tiled_predict` yields ``(tile_index, core_slices,
+    core)`` records whose assembly is *bitwise* equal to
+    :func:`tiled_predict`, whatever the executor, tile raggedness or
+    backend; tile indices are deterministic even when completion order
+    is not."""
+
+    @pytest.fixture(scope="class")
+    def small2d(self):
+        problem = PoissonProblem2D(16)
+        model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=1)
+        omegas = _omegas(2)
+        ref = tiled_predict(model, problem, omegas, tile=8)
+        return problem, model, omegas, ref
+
+    def test_serial_assembly_bitwise_equal(self, small2d):
+        problem, model, omegas, ref = small2d
+        got, ids = _assemble(
+            stream_tiled_predict(model, problem, omegas, tile=8),
+            (16, 16), 2)
+        np.testing.assert_array_equal(got, ref)
+        assert sorted(ids) == list(range(4))
+
+    def test_thread_assembly_bitwise_equal(self, small2d):
+        problem, model, omegas, ref = small2d
+        with make_executor("thread", 2) as executor:
+            got, ids = _assemble(
+                stream_tiled_predict(model, problem, omegas, tile=8,
+                                     executor=executor),
+                (16, 16), 2)
+        np.testing.assert_array_equal(got, ref)
+        assert sorted(ids) == list(range(4))
+
+    def test_process_assembly_bitwise_equal(self, small2d):
+        problem, model, omegas, ref = small2d
+        with make_executor("process", 2) as executor:
+            got, ids = _assemble(
+                stream_tiled_predict(model, problem, omegas, tile=8,
+                                     executor=executor),
+                (16, 16), 2)
+        np.testing.assert_array_equal(got, ref)
+        assert sorted(ids) == list(range(4))
+
+    def test_ragged_halo_wider_than_remainder(self):
+        # 12^3 with tile=8 leaves remainder 4 < halo 8 on every axis:
+        # the ragged corner the aligned benchmarks never see.
+        problem = PoissonProblem3D(12)
+        model = MGDiffNet(ndim=3, base_filters=4, depth=1, rng=5)
+        omegas = _omegas(2)
+        ref = predict_batch(model, problem, omegas)
+        exact = tiled_predict(model, problem, omegas, tile=8, halo=8)
+        got, ids = _assemble(
+            stream_tiled_predict(model, problem, omegas, tile=8, halo=8),
+            (12, 12, 12), 2)
+        np.testing.assert_array_equal(got, exact)
+        assert np.abs(got - ref).max() <= 1e-5
+        assert sorted(ids) == list(range(8))
+
+    def test_single_tile_stream(self):
+        # The whole grid in one tile: exactly one record, full cover.
+        problem = PoissonProblem2D(16)
+        model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=2)
+        omegas = _omegas(1)
+        records = list(stream_tiled_predict(model, problem, omegas,
+                                            tile=16))
+        assert len(records) == 1
+        i, sl, core = records[0]
+        assert i == 0 and core.shape == (1, 16, 16)
+        np.testing.assert_array_equal(
+            core, tiled_predict(model, problem, omegas, tile=16))
+
+    def test_tile_subset_yields_only_requested(self, small2d):
+        problem, model, omegas, ref = small2d
+        records = list(stream_tiled_predict(model, problem, omegas,
+                                            tile=8, tiles=[3, 1]))
+        assert sorted(i for i, _, _ in records) == [1, 3]
+        for i, sl, core in records:
+            np.testing.assert_array_equal(core,
+                                          ref[(slice(None),) + sl])
+
+    @pytest.mark.parametrize("tiles", [[0, 99], [4], [-1]])
+    def test_bad_tile_subset_rejected(self, small2d, tiles):
+        # Four tiles: an index past the end, or negative (which would
+        # otherwise wrap to the last tile), names the plan's bound.
+        problem, model, omegas, _ = small2d
+        with pytest.raises(ValueError, match="out of range for 4 tiles"):
+            list(stream_tiled_predict(model, problem, omegas, tile=8,
+                                      tiles=tiles))
+
+    def test_duplicate_tile_subset_rejected(self, small2d):
+        # Exactly-once at the source: a repeated index would deliver the
+        # tile twice.
+        problem, model, omegas, _ = small2d
+        with pytest.raises(ValueError, match="duplicate tile"):
+            list(stream_tiled_predict(model, problem, omegas, tile=8,
+                                      tiles=[0, 0]))
+
+    def test_closed_stream_stops_computing(self):
+        # The emitting (level-0 up) sweep's 16 blocks go out over 2
+        # thread workers in waves of 4: closing after the first record
+        # cancels what has not started, so at most that one wave is ever
+        # computed.  (The down sweep and the coarse level run in full
+        # before the first record can leave.)
+        class CountingTracer:
+            def __init__(self):
+                self.sweeps = []
+                self.lock = threading.Lock()
+
+            def start(self, name, parent=None, **attrs):
+                if name == "tile.compute":
+                    with self.lock:
+                        self.sweeps.append(attrs["sweep"])
+                return NULL_SPAN
+
+        net = MGDiffNet(ndim=2, base_filters=2, depth=1, rng=0).net.eval()
+        plan = plan_tiles((32, 32), tile=8, halo=2, multiple=2)
+        assert plan.num_tiles == 16
+        tracer = CountingTracer()
+        with make_executor("thread", 2) as executor:
+            stream = stream_tiled_forward(
+                net, np.zeros((1, 1, 32, 32), np.float32), plan,
+                executor=executor, tracer=tracer)
+            next(stream)
+            stream.close()
+        # The executor has drained: whatever was running has finished.
+        assert tracer.sweeps.count("down") == 16
+        assert 1 <= tracer.sweeps.count("up") <= 4
+
+    def test_lazy_backend_parity_bitwise(self, small2d):
+        problem, model, omegas, _ = small2d
+        set_backend("lazy")
+        try:
+            ref = tiled_predict(model, problem, omegas, tile=8)
+            got, _ = _assemble(
+                stream_tiled_predict(model, problem, omegas, tile=8),
+                (16, 16), 2)
+        finally:
+            set_backend("numpy")
+        np.testing.assert_array_equal(got, ref)
+
+    def test_early_close_restores_train_mode(self, small2d):
+        problem, model, omegas, _ = small2d
+        gen = stream_tiled_predict(model, problem, omegas, tile=8)
+        next(gen)
+        assert not model.net.training      # eval pinned while consuming
+        gen.close()
+        assert model.net.training          # restored on early close

@@ -1,19 +1,20 @@
-"""One verdict table: unary and stream reads classify a shard's
-exception identically.
+"""One verdict table: a shard's exception becomes the same outcome
+whether the shard refuses synchronously or through the attempt future.
 
 ``repro.serve.errors.verdict`` is the only place an exception becomes a
 conservation-law term.  The parity test drives one stub shard that
-raises each exception class in turn — synchronously from ``submit`` /
-``submit_stream``, and asynchronously through the attempt future /
-``next_record`` — and checks the unary and the stream path count the
-*same* ``FleetStats`` term, stamp the paired root-span outcome, eject
-the shard only when there is no verdict (a shard fault), and conserve
-the request.
+raises each exception class in turn — synchronously from ``submit``,
+and asynchronously through the attempt future — read through both fleet
+front-ends (``submit(...).result()`` and the blocking ``predict``, which
+drains through ``await_result``), and checks every combination counts
+the *same* ``FleetStats`` term, stamps the paired root- and attempt-span
+outcomes, ejects the shard only when there is no verdict (a shard
+fault), and conserves the request.
 
-``CancelledError`` has a row but no parity case: a cancelled unary
-attempt is a shed hedge loser, so it reaches no verdict at all — the
-request moves to the next replica without ejecting anyone (pinned by
-the hedging tests in ``test_resilience.py``).
+``CancelledError`` has a row but no parity case: a cancelled attempt is
+a shed hedge loser, so it reaches no verdict at all — the request moves
+to the next replica without ejecting anyone (pinned by the hedging
+tests in ``test_resilience.py``).
 """
 
 from concurrent.futures import CancelledError, Future
@@ -48,21 +49,6 @@ def served():
             PoissonProblem2D(16))
 
 
-class _FailedSource:
-    """A stream handle whose first record is the exception."""
-
-    tile_indices = (0,)
-
-    def __init__(self, exc):
-        self._exc = exc
-
-    def next_record(self, timeout=None):
-        raise self._exc
-
-    def close(self):
-        pass
-
-
 def _stub(server, exc, sync):
     """Make every read on ``server`` end in ``exc``."""
     def submit(*args, **kwargs):
@@ -72,18 +58,13 @@ def _stub(server, exc, sync):
         future.set_exception(exc)
         return future
 
-    def submit_stream(*args, **kwargs):
-        if sync:
-            raise exc
-        return _FailedSource(exc)
-
-    server.submit, server.submit_stream = submit, submit_stream
+    server.submit = submit
 
 
 def _run(served, exc, sync, read):
     """One read against a 2-replica fleet whose primary always raises
-    ``exc``.  Returns (term counted, root-span outcome, primary still
-    healthy, lost)."""
+    ``exc``.  Returns (term counted, root-span outcome, attempt-span
+    outcome, primary still healthy, lost)."""
     model, problem = served
     fleet = ShardedFleet(FleetConfig(
         shards=2, replicas=2, server=ServerConfig(workers=1, cache_bytes=0)))
@@ -95,10 +76,10 @@ def _run(served, exc, sync, read):
     before = fleet.stats
     omega = np.full(problem.field.m, 0.25)
     try:
-        if read == "unary":
+        if read == "submit":
             fleet.submit("m", omega).result(timeout=30)
         else:
-            list(fleet.stream("m", omega))
+            fleet.predict("m", omega, timeout=30)
     except type(exc) as raised:
         assert raised is exc        # the verdict is delivered as it is
     after = fleet.stats
@@ -106,26 +87,31 @@ def _run(served, exc, sync, read):
                          "cancelled", "unavailable")
              if getattr(after, t) - getattr(before, t)]
     assert len(terms) == 1 and after.submitted - before.submitted == 1
-    root = "fleet.request" if read == "unary" else "fleet.stream"
-    (span,) = [s for s in telemetry.tracer.spans() if s.name == root]
-    return terms[0], span.attrs["outcome"], primary.healthy, after.lost
+    spans = telemetry.tracer.spans()
+    (root,) = [s for s in spans if s.name == "fleet.request"]
+    attempt = next(s for s in spans if s.name == "fleet.attempt"
+                   and s.attrs["shard"] == primary.id)
+    return (terms[0], root.attrs["outcome"], attempt.attrs["outcome"],
+            primary.healthy, after.lost)
 
 
+@pytest.mark.parametrize("read", ["submit", "predict"])
 @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_unary_and_stream_agree_with_the_table(served, case, sync):
+def test_sync_and_async_refusals_agree_with_the_table(served, case, sync,
+                                                      read):
     exc = CASES[case]()
     # A fault has no verdict: the shard is ejected and the replica
     # serves the request.
-    term, label = verdict(exc) or ("served", "served")
-    u_term, u_outcome, u_healthy, u_lost = _run(served, exc, sync, "unary")
-    s_term, s_outcome, s_healthy, s_lost = _run(served, exc, sync, "stream")
-    assert u_term == s_term == term
-    # The request root says the ledger's word; the stream root says the
-    # span label (``error`` for ``errors``) — the golden trace pins both.
-    assert (u_outcome, s_outcome) == (term, label)
-    assert u_healthy == s_healthy == (verdict(exc) is not None)
-    assert u_lost == s_lost == 0
+    term, label = verdict(exc) or ("served", "fault")
+    got_term, root, attempt, healthy, lost = _run(served, exc, sync, read)
+    assert got_term == term
+    # The request root says the ledger's word; the primary's attempt
+    # span says the span label (``error`` for ``errors``) — the golden
+    # trace pins both.
+    assert (root, attempt) == (term, label)
+    assert healthy == (verdict(exc) is not None)
+    assert lost == 0
 
 
 def test_every_serve_error_has_an_explicit_row():

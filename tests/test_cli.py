@@ -273,24 +273,11 @@ class TestServeFleet:
                      "--shards", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_priority_aging_flag_accepted(self, trained_checkpoint,
-                                                capsys):
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "4", "--priority-aging", "0.5"]) == 0
-        assert "served 4 requests" in capsys.readouterr().out
-
-    def test_priority_aging_zero_means_strict(self, trained_checkpoint,
-                                              capsys):
-        # 0 is a natural spelling of "strict priority" — it must behave
-        # like the default, not crash server construction.
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "4", "--priority-aging", "0"]) == 0
-        assert "served 4 requests" in capsys.readouterr().out
-
-    def test_negative_priority_aging_rejected_by_parser(self):
+    def test_priority_aging_flag_is_gone(self):
+        # Strict priority is the one queue order: there is no rate to set.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--checkpoint", "x.npz",
-                                       "--priority-aging", "-1"])
+                                       "--priority-aging", "0.5"])
 
     def test_zero_shards_or_replicas_rejected_by_parser(self):
         for flag in ("--shards", "--replicas"):
