@@ -1,4 +1,4 @@
-"""Distributed data-parallel training on the simulated cluster
+"""Distributed data-parallel training, ranks in forked processes
 (paper Sec. 3.2 / Figs. 4-6).
 
 Demonstrates:

@@ -42,10 +42,25 @@ __all__ = [
     "register_backend", "available_backends", "set_backend", "get_backend",
     "use_backend", "ops",
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
-    "plan_cache_info",
+    "plan_cache_info", "reset_after_fork",
 ]
 
 
 def get_pool() -> BufferPool:
     """The active backend's pooled buffer allocator."""
     return get_backend().pool
+
+
+def reset_after_fork(backend: str, dtype: str) -> None:
+    """Re-initialise the array layer in a freshly forked process.
+
+    Backend instances carry locks, pending-op registries and pooled
+    buffers; after a fork lock state is undefined, so the child
+    re-registers every built-in backend *fresh* before activating
+    ``backend`` at ``dtype`` — a forked parent's memoized instance must
+    never be reused.
+    """
+    register_backend("numpy", NumpyBackend())
+    register_backend("lazy", LazyBackend)   # built on first use
+    set_backend(backend)
+    set_default_dtype(dtype)

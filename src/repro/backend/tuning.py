@@ -12,11 +12,17 @@ host facts.  :class:`MeasurementCache` owns the mechanics:
 Its one user is the lazy backend's JIT kernel index
 (:mod:`repro.backend.lazy.cjit`), which places the table inside its
 (``REPRO_JIT_CACHE``-relocatable) kernel directory.  :func:`default_workers`
-is the one CPU count, for the serving executors and the stencil mat-vec.
+is the one CPU count, for the serving executors, the stencil mat-vec and
+the data-parallel rank processes; :func:`pin_blas_threads` (applied when
+a ``DataParallelTrainer`` is built) holds numpy's bundled OpenBLAS to one
+thread, so rank processes do not oversubscribe the cores and a GEMM's
+summation order does not depend on the host's core count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +33,8 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["default_workers", "host_fingerprint", "MeasurementCache"]
+__all__ = ["blas_threads", "default_workers", "host_fingerprint",
+           "pin_blas_threads", "MeasurementCache"]
 
 
 def default_workers() -> int:
@@ -36,6 +43,44 @@ def default_workers() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (the copy numpy loaded), or None when
+    numpy was built against another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs on; None when there is none."""
+    lib = _numpy_openblas()
+    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+
+
+def pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; True when it now does.
+
+    Parallelism here is across processes and the stencil's row blocks,
+    never inside one GEMM: a second BLAS thread bought no speed, spun
+    the idle core, and changed the bits of a reduction with the host's
+    core count.
+    """
+    lib = _numpy_openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+    return blas_threads() == 1
 
 
 def host_fingerprint() -> str:

@@ -173,6 +173,11 @@ class Trainer:
             patience=cfg.patience, min_delta=cfg.min_delta,
             min_epochs=cfg.min_epochs))
 
+    def _agree(self, early: bool, late: bool) -> tuple[bool, bool]:
+        """The (early-stopped, out-of-time) verdict every worker acts on;
+        one process acts on its own."""
+        return early, late
+
     def _train(self, resolution: int, max_epochs: int,
                stopper: EarlyStopping | None) -> TrainResult:
         cfg = self.config
@@ -188,11 +193,12 @@ class Trainer:
                 get_logger().info(
                     "res=%d epoch=%d loss=%.6f (%.2fs)", resolution,
                     result.epochs_run, loss, result.epoch_times[-1])
-            if stopper is not None and stopper.update(loss):
-                result.stopped_early = True
-                break
-            if (cfg.max_time is not None
-                    and time.perf_counter() - start >= cfg.max_time):
+            early, late = self._agree(
+                stopper is not None and stopper.update(loss),
+                cfg.max_time is not None
+                and time.perf_counter() - start >= cfg.max_time)
+            result.stopped_early = early
+            if early or late:
                 break
         result.wall_time = time.perf_counter() - start
         return result

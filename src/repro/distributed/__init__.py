@@ -1,5 +1,5 @@
-"""Simulated distributed runtime: ring all-reduce, MPI-style collectives,
-and the data-parallel trainer with Eq. 15 sharding.
+"""Distributed runtime: ring all-reduce, MPI-style collectives, and the
+data-parallel trainer with Eq. 15 sharding, its ranks in forked processes.
 
 Spatial (model-parallel) decomposition of one field is the tile engine,
 :mod:`repro.serve.tiling`."""

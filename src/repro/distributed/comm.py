@@ -1,8 +1,10 @@
-"""Simulated MPI communicator.
+"""MPI-style communicator over rank-indexed buffers.
 
 Mirrors the mpi4py collective surface (allreduce / bcast / allgather /
 barrier, plus point-to-point ``send`` charging for the serving fleet's
-routing hops) over ranks that live in one process.  Semantics are exact —
+routing hops).  A collective takes every rank's buffer and returns every
+rank's result: each data-parallel rank process runs it over all ranks'
+rows, read from shared memory, and keeps its own.  Semantics are exact —
 the Eq. 15 determinism arguments hold bit-for-bit — while *cost* is
 tracked in a virtual clock fed by the performance model (Table 6
 interconnects).
@@ -22,7 +24,7 @@ __all__ = ["CommLog", "SimulatedCommunicator"]
 
 @dataclass
 class CommLog:
-    """Accumulated communication record of a simulated communicator."""
+    """Accumulated communication record of a communicator."""
 
     allreduce_calls: int = 0
     allreduce_bytes: int = 0
@@ -34,12 +36,12 @@ class CommLog:
 
 
 class SimulatedCommunicator:
-    """A COMM_WORLD over ``world_size`` in-process ranks.
+    """A COMM_WORLD over ``world_size`` ranks.
 
-    Collectives take *lists indexed by rank* and return the same; this is
-    the natural shape for a sequential simulation of SPMD code.  An
-    optional ``time_model`` callable (message_bytes, world_size) -> seconds
-    charges each collective to the virtual clock.
+    Collectives take *lists indexed by rank* and return the same, so every
+    process that calls one with the same buffers computes the same
+    result.  An optional ``time_model`` callable (message_bytes,
+    world_size) -> seconds charges each collective to the virtual clock.
     """
 
     def __init__(self, world_size: int, time_model=None) -> None:
@@ -48,9 +50,9 @@ class SimulatedCommunicator:
         self.world_size = world_size
         self.time_model = time_model
         self.log = CommLog()
-        # Collectives run in the sequential simulation loop, but the
-        # serving fleet charges point-to-point hops from concurrent
-        # worker threads — counter increments must not be lost.
+        # Collectives run in the training step loop, but the serving
+        # fleet charges point-to-point hops from concurrent worker
+        # threads — counter increments must not be lost.
         self._send_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

@@ -1,7 +1,7 @@
 """Ring all-reduce (Sergeev & Del Balso / Baidu) — the collective behind
 the paper's gradient averaging (Sec. 3.2).
 
-Implements the genuine two-phase algorithm over simulated ranks:
+Implements the genuine two-phase algorithm over rank-indexed buffers:
 
 1. *scatter-reduce*: p-1 steps; after step s, each rank holds a partial
    sum of one more chunk.  Rank r ends up owning the fully reduced chunk

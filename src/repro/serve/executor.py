@@ -12,7 +12,7 @@ a unit of serving compute runs:
   BLAS calls (tiled megavoxel forwards do).
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Full GIL
   escape for CPU-bound fleets.  Each worker re-initialises its array
-  backend and dtype policy on startup (``_process_worker_init``): forked
+  backend and dtype policy on startup (``reset_after_fork``): forked
   children must never reuse the parent's backend instances, whose locked
   state does not survive a fork.
 
@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
+from ..backend import reset_after_fork
 from ..backend.tuning import default_workers
 from .telemetry.trace import NULL_TRACER
 
@@ -217,7 +218,7 @@ class ProcessExecutor(Executor):
                 ctx = multiprocessing.get_context(self._start_method)
                 self._pool = ctx.Pool(
                     processes=self._workers,
-                    initializer=_process_worker_init,
+                    initializer=reset_after_fork,
                     initargs=(self._backend, self._dtype))
             return self._pool
 
@@ -294,23 +295,5 @@ def _capture_context(backend: str | None,
 def _thread_worker_init(backend: str, dtype: str) -> None:
     from ..backend import set_backend, set_default_dtype
 
-    set_backend(backend)
-    set_default_dtype(dtype)
-
-
-def _process_worker_init(backend: str, dtype: str) -> None:
-    """Re-initialise the array layer in a freshly started/forked worker.
-
-    Backend instances carry locks, pending-op registries and pooled
-    buffers; after a fork lock state is undefined, so the child
-    re-registers every built-in backend *fresh* before activating
-    anything — a forked parent's memoized instance must never be reused.
-    """
-    from ..backend import LazyBackend, set_default_dtype
-    from ..backend.numpy_backend import NumpyBackend
-    from ..backend.registry import register_backend, set_backend
-
-    register_backend("numpy", NumpyBackend())
-    register_backend("lazy", LazyBackend)   # built on first use
     set_backend(backend)
     set_default_dtype(dtype)
