@@ -1,50 +1,33 @@
-"""TRACE REPLAY — scripted failure weather + hedged-read tail insurance.
+"""TRACE REPLAY — scripted failure weather against a retrying fleet.
 
-Two experiments on a live fleet, gated for CI:
-
-* **Storm replay** — the committed ``scenarios/storm.json`` (zipfian
-  popularity, lognormal arrivals under a diurnal envelope, two-tenant
-  priority mix) is replayed against a 3-shard fleet with the full
-  resilience stack installed while the scripted faults land: shard 1
-  flaps twice, shard 2 is killed for 2.5 s, shard 0 hangs for 2 s.
-  Measured: the outcome census, resilience counters and wall time.
-* **Hedged reads** — one replica of a 2-way replicated key is 10x
-  slower (hot host); every read funnels through it primary-only.  With
-  :class:`~repro.serve.resilience.HedgePolicy` installed, a backup
-  request fires on the cold replica after the tracked latency quantile
-  and the first answer wins.  Measured: request p99 with and without
-  hedging over the same read storm.
+The committed ``scenarios/storm.json`` (zipfian popularity, lognormal
+arrivals under a diurnal envelope, two-tenant priority mix) is replayed
+against a 3-shard fleet with a budgeted retry policy on its ``retry``
+seam while the scripted faults land: shard 1 flaps twice, shard 2 is
+killed for 2.5 s, shard 0 hangs for 2 s.  Measured: the outcome census,
+the retry and failover counters and wall time.
 
 Gates (exit nonzero on failure):
 
 * **determinism** — rebuilding the storm trace from the scenario
   yields a byte-identical event log, always;
-* **conservation** — ``FleetStats.lost == 0`` in every mode, always;
+* **conservation** — ``FleetStats.lost == 0``, always;
 * **retry budget** — retries granted during the storm never exceed
-  ``budget_burst + budget_rate * wall``, always;
-* **hedge p99** — on hosts with >= 4 CPUs, hedged p99 must beat
-  unhedged p99 outright under the 10:1 replica skew.  Hosts without
-  the cores record the skip reason in the JSON instead (on a 1-core
-  container the backup request just queues behind the primary).
+  ``budget_burst + budget_rate * wall``, always.
 
-``--json BENCH_replay.json`` is uploaded by CI's replay-smoke job and
-appended to ``benchmarks/results/trajectory.jsonl``.
+``--json BENCH_replay.json`` is uploaded by CI's resilience-smoke job.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 from repro import MGDiffNet, PoissonProblem2D
-from repro.data.sobol import sample_omega
 from repro.serve import (
-    BreakerConfig, FleetConfig, HedgeConfig, ReplayHarness, ResilienceConfig,
-    RetryConfig, ServerConfig, ShardedFleet, build_trace, event_log,
-    install_resilience, load_scenario,
+    FleetConfig, ReplayHarness, RetryConfig, RetryPolicy, ServerConfig,
+    ShardedFleet, build_trace, event_log, load_scenario,
 )
-from repro.serve.executor import default_workers
 
 try:
     from .common import bench_cli, report, write_bench_json
@@ -56,17 +39,10 @@ BASE_FILTERS = 4
 DEPTH = 1
 SEED = 20260808
 OMEGA_DIM = 4
-MIN_CPUS = 4          # below this the hedge gate records a skip
 SCENARIO = Path(__file__).resolve().parent / "scenarios" / "storm.json"
 
 # Storm replay: 8 s of scenario time crushed 4x by default.
 TIME_SCALE = 0.25
-
-# Hedge experiment: service times 10:1 (hot primary vs cold replica).
-N_READS = 60
-HOT_DELAY_S = 0.020
-COLD_DELAY_S = 0.002
-HEDGE_MAX_DELAY_S = 0.008
 
 
 def _storm_fleet(time_scale: float) -> ShardedFleet:
@@ -86,14 +62,11 @@ def _storm_fleet(time_scale: float) -> ShardedFleet:
 
 
 def _run_storm(scenario_path: Path, time_scale: float) -> dict:
-    """Replay the committed storm with the full resilience stack on."""
+    """Replay the committed storm with budgeted retries on."""
     scenario = load_scenario(scenario_path)
     fleet = _storm_fleet(time_scale)
-    install_resilience(fleet, ResilienceConfig(
-        retry=RetryConfig(max_attempts=4, budget_rate=4.0,
-                          budget_burst=12.0, seed=SEED),
-        hedge=HedgeConfig(quantile=95.0, max_delay_s=0.05),
-        breaker=BreakerConfig(failure_threshold=3, reset_after_s=0.5)))
+    fleet.retry = RetryPolicy(RetryConfig(max_attempts=4, budget_rate=4.0,
+                                          budget_burst=12.0, seed=SEED))
     with fleet:
         harness = ReplayHarness(fleet, scenario, time_scale=time_scale,
                                 omega_dim=OMEGA_DIM)
@@ -106,87 +79,29 @@ def _run_storm(scenario_path: Path, time_scale: float) -> dict:
             "time_scale": time_scale, "events": rep.events,
             "requests": rep.requests, "outcomes": rep.outcomes,
             "wall_s": rep.wall_s, "served": rep.served,
-            "retried": s.retried, "hedges": s.hedges,
-            "hedged_wins": s.hedged_wins, "breaker_open": s.breaker_open,
-            "failovers": s.failovers, "lost": s.lost,
+            "retried": s.retried, "failovers": s.failovers, "lost": s.lost,
             "retries_granted": policy.retries,
             "retry_ceiling": policy.budget_ceiling(rep.wall_s),
             "deterministic": replayed == rep.log}
 
 
-def _slow(server, delay_s: float) -> None:
-    forward = server._forward
-
-    def delayed(entry, omegas, resolution):
-        time.sleep(delay_s)
-        return forward(entry, omegas, resolution)
-
-    server._forward = delayed
-
-
-def _measure_hedge(hedged: bool, n_reads: int) -> dict:
-    """Sequential reads against a hot primary, with/without hedging."""
-    problem = PoissonProblem2D(RESOLUTION)
-    model = MGDiffNet(ndim=2, base_filters=BASE_FILTERS, depth=DEPTH,
-                      rng=42)
-    fleet = ShardedFleet(FleetConfig(
-        shards=2, replicas=2,
-        server=ServerConfig(max_batch=8, max_wait_ms=0.5, workers=1,
-                            cache_bytes=0)))
-    fleet.register_model("m", model, problem)
-    primary_id, replica_id = fleet.replicas_for("m")
-    by_id = {s.id: s for s in fleet.shards}
-    _slow(by_id[primary_id].server, HOT_DELAY_S)
-    _slow(by_id[replica_id].server, COLD_DELAY_S)
-    if hedged:
-        install_resilience(fleet, ResilienceConfig(hedge=HedgeConfig(
-            quantile=90.0, min_delay_s=0.001,
-            max_delay_s=HEDGE_MAX_DELAY_S, warmup=8, window=128)))
-    omegas = sample_omega(n_reads, OMEGA_DIM)
-    with fleet:
-        fleet.predict("m", omegas[0], timeout=60)      # warm both paths
-        t0 = time.perf_counter()
-        for w in omegas:
-            fleet.predict("m", w, timeout=60)
-        wall = time.perf_counter() - t0
-    s = fleet.stats
-    return {"mode": "hedged" if hedged else "unhedged",
-            "wall_s": wall, "qps": n_reads / wall,
-            "p50_ms": s.p50 * 1e3, "p99_ms": s.p99 * 1e3,
-            "hedges": s.hedges, "wins": s.hedged_wins,
-            "cancelled": s.hedge_cancels, "lost": s.lost}
-
-
-def _run(scenario_path: Path = SCENARIO, time_scale: float = TIME_SCALE,
-         n_reads: int = N_READS) -> dict:
-    storm = _run_storm(scenario_path, time_scale)
-    hedge = {"unhedged": _measure_hedge(hedged=False, n_reads=n_reads),
-             "hedged": _measure_hedge(hedged=True, n_reads=n_reads)}
+def _run(scenario_path: Path = SCENARIO,
+         time_scale: float = TIME_SCALE) -> dict:
     return {"resolution": RESOLUTION, "base_filters": BASE_FILTERS,
-            "depth": DEPTH, "n_reads": n_reads,
-            "hot_delay_s": HOT_DELAY_S, "cold_delay_s": COLD_DELAY_S,
-            "cpus": default_workers(), "storm": storm, "hedge": hedge}
+            "depth": DEPTH, "storm": _run_storm(scenario_path, time_scale)}
 
 
 def _report(result: dict) -> None:
     st = result["storm"]
     report("replay: scripted storm",
            ["scenario", "requests", "served", "retried", "failovers",
-            "breaker_open", "lost", "wall_s"],
+            "lost", "wall_s"],
            [[st["scenario"], st["requests"], st["served"], st["retried"],
-             st["failovers"], st["breaker_open"], st["lost"],
-             round(st["wall_s"], 2)]])
-    report("replay: hedged reads under 10:1 replica skew",
-           ["mode", "qps", "p50_ms", "p99_ms", "hedges", "wins"],
-           [[r["mode"], round(r["qps"], 1), round(r["p50_ms"], 2),
-             round(r["p99_ms"], 2), r["hedges"], r["wins"]]
-            for r in (result["hedge"]["unhedged"],
-                      result["hedge"]["hedged"])])
+             st["failovers"], st["lost"], round(st["wall_s"], 2)]])
 
 
 def _gate(result: dict) -> int:
-    """Determinism, conservation and the budget cap always; the hedge
-    p99 comparison when cores allow."""
+    """Determinism, conservation and the budget cap."""
     status = 0
     st = result["storm"]
     if not st["deterministic"]:
@@ -210,50 +125,20 @@ def _gate(result: dict) -> int:
               f"{st['served']} served, lost=0, "
               f"{st['retries_granted']} retries <= "
               f"ceiling {st['retry_ceiling']:.1f}, log deterministic")
-
-    plain, hedged = result["hedge"]["unhedged"], result["hedge"]["hedged"]
-    for row in (plain, hedged):
-        if row["lost"] != 0:
-            print(f"FAIL: {row['mode']} fleet lost {row['lost']} "
-                  f"requests (conservation violated)")
-            status = 1
-    cpus = result["cpus"]
-    if cpus >= MIN_CPUS:
-        result["hedge_gate"] = "enforced"
-        if hedged["p99_ms"] >= plain["p99_ms"]:
-            print(f"FAIL: hedged p99 {hedged['p99_ms']:.2f} ms does not "
-                  f"beat unhedged p99 {plain['p99_ms']:.2f} ms under "
-                  f"10:1 replica skew")
-            status = 1
-        else:
-            print(f"hedge gate ok: hedged p99 {hedged['p99_ms']:.2f} ms "
-                  f"< unhedged {plain['p99_ms']:.2f} ms "
-                  f"({hedged['wins']} wins / {hedged['hedges']} hedges)")
-    else:
-        result["hedge_gate"] = (
-            f"skipped: host has {cpus} CPU(s) < {MIN_CPUS}")
-        print(f"hedge gate skipped ({cpus} CPU(s) available); measured "
-              f"hedged p99 {hedged['p99_ms']:.2f} ms vs unhedged "
-              f"{plain['p99_ms']:.2f} ms")
     return status
 
 
 def test_replay_bench(benchmark):
-    # Downscaled for wall time: the shape under test is conservation,
-    # determinism and the retry-budget cap; the hedge p99 comparison is
-    # gated at full size in __main__ (CI replay-smoke job).
-    result = benchmark.pedantic(
-        lambda: _run(time_scale=0.25, n_reads=16),
-        rounds=1, iterations=1)
+    # The shape under test is conservation, determinism and the
+    # retry-budget cap.
+    result = benchmark.pedantic(lambda: _run(time_scale=0.25),
+                                rounds=1, iterations=1)
     _report(result)
     st = result["storm"]
     assert st["deterministic"]
     assert st["requests"] > 0
     assert st["lost"] == 0
     assert st["retries_granted"] <= st["retry_ceiling"]
-    for mode in ("unhedged", "hedged"):
-        assert result["hedge"][mode]["lost"] == 0
-    assert result["hedge"]["hedged"]["hedges"] > 0
 
 
 if __name__ == "__main__":
@@ -262,12 +147,11 @@ if __name__ == "__main__":
                        help="scenario JSON to replay")
         p.add_argument("--time-scale", type=float, default=TIME_SCALE,
                        help="timestamp multiplier (0.25 = 4x speed)")
-        p.add_argument("--reads", type=int, default=N_READS)
         p.add_argument("--json", default=None, metavar="PATH",
                        help="also write a JSON artifact (used by CI)")
 
     args = bench_cli("bench_replay", extra_args=extra)
-    result = _run(Path(args.scenario), args.time_scale, args.reads)
+    result = _run(Path(args.scenario), args.time_scale)
     _report(result)
     status = _gate(result)
     if args.json:

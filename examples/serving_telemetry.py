@@ -1,16 +1,18 @@
-"""Unified telemetry: trace a hedged request, reconcile the ledgers.
+"""Unified telemetry: trace a failover, reconcile the ledgers.
 
 Walks the observability layer end-to-end:
 
-1. **Trace a hedged read** — one replica of a 2-way replicated key is
-   10x slower.  With hedging installed and a :class:`~repro.serve.
-   Telemetry` bundle enabled, every read leaves a span tree:
-   ``fleet.request`` roots, ``fleet.attempt`` per shard try,
-   ``fleet.hedge`` when the backup fires, and under each attempt the
-   server-side stages (``queue.wait``, ``batch.collect``,
-   ``server.forward``).  The per-stage latency table shows exactly
-   where the time went — the same table ``repro trace summarize``
-   renders offline from an exported jsonl.
+1. **Trace a failover** — the primary of a 2-way replicated key is
+   killed (its submit raises).  With a :class:`~repro.serve.Telemetry`
+   bundle enabled, every read leaves a span tree: ``fleet.request``
+   roots and one ``fleet.attempt`` per shard try, with the server-side
+   stages (``queue.wait``, ``batch.collect``, ``server.forward``) under
+   the attempt that was served.  The first read shows the failover: a
+   ``fleet.attempt`` that ends in ``outcome=fault`` on the dead
+   primary, then a second attempt on the replica.  Later reads skip the
+   ejected primary.  The per-stage latency table shows exactly where
+   the time went — the same table ``repro trace summarize`` renders
+   offline from an exported jsonl.
 2. **Check the ledger** — the metrics registry names the fleet's one
    counter ledger (``fleet.*``) and the merged stats snapshot
    (``stats.fleet.*``) as read-time views; the conservation law
@@ -31,15 +33,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import time
 from pathlib import Path
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.data.sobol import sample_omega
 from repro.serve import (
-    FleetConfig, HedgeConfig, ReplayHarness, ResilienceConfig, RetryConfig,
-    ServerConfig, ShardedFleet, Telemetry, VirtualClock, export_jsonl,
-    format_summary, install_resilience, load_scenario, summarize_spans,
+    FleetConfig, ReplayHarness, RetryConfig, RetryPolicy, ServerConfig,
+    ShardedFleet, Telemetry, VirtualClock, export_jsonl, format_summary,
+    load_scenario, summarize_spans,
 )
 
 STORM = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" \
@@ -56,14 +57,11 @@ def _fleet(shards=2, replicas=2, **kw):
                             cache_bytes=0), **kw))
 
 
-def _slow(server, delay_s):
-    forward = server._forward
+def _kill(server):
+    def dead(*args, **kwargs):
+        raise ConnectionError("scripted kill")
 
-    def delayed(entry, omegas, resolution, **kw):
-        time.sleep(delay_s)
-        return forward(entry, omegas, resolution, **kw)
-
-    server._forward = delayed
+    server.submit = dead
 
 
 def main() -> None:
@@ -76,16 +74,13 @@ def main() -> None:
     model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=42)
 
     # ---------------------------------------------------------------- #
-    # 1. Trace hedged reads against a hot primary
+    # 1. Trace reads while the primary is dead
     # ---------------------------------------------------------------- #
-    print("-- tracing hedged reads: primary 10x slower than its replica")
+    print("-- tracing reads: the primary is killed, its replica serves")
     fleet = _fleet()
     fleet.register_model("m", model, problem)
-    primary_id, _ = fleet.replicas_for("m")
-    for shard in fleet.shards:
-        _slow(shard.server, 0.02 if shard.id == primary_id else 0.002)
-    install_resilience(fleet, ResilienceConfig(hedge=HedgeConfig(
-        quantile=90.0, max_delay_s=0.008, warmup=8)))
+    primary_id, replica_id = fleet.replicas_for("m")
+    _kill(next(s.server for s in fleet.shards if s.id == primary_id))
     tel = Telemetry()
     fleet.enable_telemetry(tel)
     with fleet:
@@ -94,11 +89,18 @@ def main() -> None:
 
     spans = tel.tracer.spans()
     print(format_summary(summarize_spans(spans)))
-    hedges = [s for s in spans if s.name == "fleet.hedge"]
     roots = [s for s in spans if s.name == "fleet.request"]
-    print(f"   {len(roots)} request trees, {len(hedges)} hedge spans "
-          f"({fleet.stats.hedged_wins} backup wins)")
+    first_root = min(s.span_id for s in roots)
+    first = sorted((s for s in spans if s.name == "fleet.attempt"
+                    and s.parent_id == first_root),
+                   key=lambda s: s.span_id)
+    print("   first read: " + " -> ".join(
+        f"{s.attrs['shard']} {s.attrs['outcome']}" for s in first))
+    print(f"   {len(roots)} request trees, {fleet.stats.failovers} "
+          f"failover, {fleet.stats.shard_faults} ejection")
     assert len(roots) == args.reads
+    assert [(s.attrs["shard"], s.attrs["outcome"]) for s in first] == [
+        (primary_id, "fault"), (replica_id, "served")]
 
     # ---------------------------------------------------------------- #
     # 2. Conservation law on the ledger, under every name it goes by
@@ -127,8 +129,8 @@ def main() -> None:
         fleet = _fleet(shards=3)
         for name in scenario.models:
             fleet.register_model(name, model, problem)
-        install_resilience(fleet, ResilienceConfig(retry=RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02)))
+        fleet.retry = RetryPolicy(RetryConfig(
+            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         fleet.enable_telemetry(tel)
         report = ReplayHarness(fleet, scenario, clock=clock,
                                telemetry=tel).run()

@@ -194,20 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="token bucket bounding fleet-wide retries "
                         "(RATE tokens/s sustained, BURST back-to-back; "
                         "default 2:8)")
-    p.add_argument("--hedge", type=float, nargs="?", const=95.0,
-                   default=None, metavar="QUANTILE",
-                   help="with --shards>1: hedge slow reads — race a "
-                        "backup request on another replica once this "
-                        "tracked latency quantile elapses (default 95)")
-    p.add_argument("--breaker-after", type=_positive_int, default=None,
-                   metavar="N",
-                   help="with --shards>1: open a (model, shard) circuit "
-                        "after N consecutive faults and prefer other "
-                        "replicas until it heals")
-    p.add_argument("--breaker-reset", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="cool-down before an open circuit half-opens "
-                        "and admits trial requests (default 1.0)")
     p.add_argument("--metrics-file", default=None, metavar="PATH",
                    help="enable telemetry and write the metrics-registry "
                         "snapshot (counters, gauges, quantile sketches) "
@@ -451,30 +437,21 @@ def _write_telemetry(args, telemetry) -> None:
 
 
 def _build_fleet(args, config):
-    """``--shards N``: the fleet, its resilience policies (``--retries``
-    / ``--retry-budget`` / ``--hedge`` / ``--breaker-after``) and — with
-    ``--control`` — the control plane beside it.  Returns ``(fleet,
-    plane or None)``."""
+    """``--shards N``: the fleet, its retry policy (``--retries`` /
+    ``--retry-budget``) and — with ``--control`` — the control plane
+    beside it.  Returns ``(fleet, plane or None)``."""
     from .serve import (
-        BreakerConfig, ControlPlane, FleetConfig, HedgeConfig,
-        ResilienceConfig, RetryConfig, ShardedFleet, install_resilience,
+        ControlPlane, FleetConfig, RetryConfig, RetryPolicy, ShardedFleet,
     )
 
     fleet = ShardedFleet(FleetConfig(
         shards=args.shards, replicas=args.replicas,
         shard_timeout_s=args.shard_timeout, server=config))
-    retry_cfg = None
     if args.retries > 0 or args.retry_budget is not None:
         rate, burst = args.retry_budget or (2.0, 8.0)
-        retry_cfg = RetryConfig(max_attempts=max(args.retries, 1) + 1,
-                                budget_rate=rate, budget_burst=burst)
-    install_resilience(fleet, ResilienceConfig(
-        retry=retry_cfg,
-        hedge=(HedgeConfig(quantile=args.hedge)
-               if args.hedge is not None else None),
-        breaker=(BreakerConfig(failure_threshold=args.breaker_after,
-                               reset_after_s=args.breaker_reset)
-                 if args.breaker_after is not None else None)))
+        fleet.retry = RetryPolicy(RetryConfig(
+            max_attempts=max(args.retries, 1) + 1,
+            budget_rate=rate, budget_burst=burst))
     plane = ControlPlane(fleet) if args.control else None
     return fleet, plane
 
@@ -620,10 +597,8 @@ def _report_fleet(args, fleet, plane, wall: float) -> None:
     print(f"scheduling: {s.rejected} rejections, {s.expired} expired; "
           f"faults: {s.shard_faults} ejections, {s.failovers} failovers, "
           f"{s.readmissions} readmissions; lost: {s.lost}")
-    if (fleet.retry, fleet.hedge, fleet.breaker) != (None, None, None):
-        print(f"resilience: {s.retried} retried, {s.hedges} hedges "
-              f"({s.hedged_wins} wins, {s.hedge_cancels} cancelled), "
-              f"{s.breaker_open} breaker deflections")
+    if fleet.retry is not None:
+        print(f"resilience: {s.retried} retried")
     print(f"interconnect (simulated): {s.send_calls} hops, "
           f"{s.send_bytes >> 20} MiB, "
           f"{s.virtual_comm_seconds * 1e3:.2f} ms virtual")

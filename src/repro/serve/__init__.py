@@ -17,12 +17,9 @@ FEM solve.  This package is the infrastructure realizing that claim:
   backoff-scheduled health probes (:class:`HealthProber`) that
   re-admit recovered shards and decommission permanently lost ones,
   plus per-tick SLO gauges;
-* resilience policies (:func:`install_resilience`) — budgeted retries
-  (:class:`RetryPolicy`), quantile-delayed hedged reads
-  (:class:`HedgePolicy`) and per-(model, shard) circuit breakers
-  (:class:`CircuitBreaker`) on the fleet's call path; every client
-  retry loop is :func:`retry_call`, its budget a
-  :class:`~repro.serve.resilience.TokenBucket`;
+* budgeted retries (:class:`RetryPolicy`, set as ``fleet.retry``) on
+  the fleet's call path; every client retry loop is :func:`retry_call`,
+  its budget a :class:`~repro.serve.resilience.TokenBucket`;
 * trace replay (:class:`ReplayHarness`) — deterministic scenario
   scripts (heavy-tailed arrivals, zipfian popularity, diurnal
   envelopes, coordinated fault schedules) replayed against a live
@@ -38,7 +35,7 @@ FEM solve.  This package is the infrastructure realizing that claim:
   generator :func:`tiled_predict` stitches;
 * unified telemetry (:class:`Telemetry`) — request tracing
   (:class:`Tracer` spans through submit → queue → batch → forward →
-  tile → shard attempt → hedge, deterministic jsonl
+  tile → shard attempt, deterministic jsonl
   export) plus a metrics registry (:class:`MetricsRegistry` counters /
   gauges / quantile sketches, the stats dataclasses and the fleet's
   counter ledger named as read-time views), enabled per server or fleet
@@ -76,11 +73,7 @@ from .replay import (
     Scenario, TenantSpec, TraceEvent, VirtualClock, build_trace, event_log,
     load_scenario,
 )
-from .resilience import (
-    BreakerConfig, CircuitBreaker, HedgeConfig, HedgePolicy, HedgeTimer,
-    ResilienceConfig, RetryConfig, RetryPolicy, install_resilience,
-    retry_call, uninstall_resilience,
-)
+from .resilience import RetryConfig, RetryPolicy, retry_call
 from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
     NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry, NullSpan,
@@ -100,9 +93,7 @@ __all__ = [
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
-    "RetryConfig", "RetryPolicy", "HedgeConfig", "HedgePolicy",
-    "BreakerConfig", "CircuitBreaker", "HedgeTimer", "ResilienceConfig",
-    "install_resilience", "uninstall_resilience", "retry_call",
+    "RetryConfig", "RetryPolicy", "retry_call",
     "ArrivalSpec", "PopularitySpec", "TenantSpec", "FaultSpec",
     "Scenario", "TraceEvent", "VirtualClock", "ReplayHarness",
     "ReplayReport", "build_trace", "event_log", "load_scenario",

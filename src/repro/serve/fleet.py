@@ -23,27 +23,19 @@ way DNN-MG/GMT partition multigrid work across compute units:
   plane's prober adds a backoff schedule).  Routing also self-heals:
   when a key's whole replica set is ejected, dispatch makes one last
   pass ignoring health marks (non-blocking — safe from worker
-  callbacks and the hedge timer), and a shard that serves the answer is
-  re-admitted on the spot, so a burst of false hang ejections cannot
-  black-hole a key.
+  callbacks), and a shard that serves the answer is re-admitted on the
+  spot, so a burst of false hang ejections cannot black-hole a key.
 * **Permanent loss** — ``decommission_shard`` removes a shard for good:
   the ring is rebuilt without it (consistent hashing moves only its
   keys) and its models are re-registered from a live holder onto the
   survivors the new ring assigns, reconcile-before-swap.  The
   :mod:`repro.serve.control` plane's prober calls it after
   ``permanent_after`` failed probes.
-* **Resilience seams** — ``self.retry`` / ``self.hedge`` /
-  ``self.breaker`` (installed by :func:`~repro.serve.resilience.
-  install_resilience`) add call-level healing: ``predict`` re-submits
-  transient verdicts under a token-bucket retry budget (each retry is
-  a fresh, individually conserved submit, counted ``retried``); slow
-  reads race a backup request on a different replica after a
-  quantile-tracked delay (first answer wins via the delivered-guard,
-  losers are cancelled — ``hedges`` / ``hedged_wins`` /
-  ``hedge_cancels``); open circuits per (model, shard) push a replica
-  to the back of the dispatch order without ever dropping it
-  (``breaker_open``).  ``FleetStats.lost == 0`` holds with all three
-  switched on.
+* **Retry seam** — ``self.retry`` (a :class:`~repro.serve.resilience.
+  RetryPolicy`, ``None`` by default) adds call-level healing:
+  ``predict`` re-submits transient verdicts under a token-bucket retry
+  budget.  Each retry is a fresh, individually conserved submit, counted
+  ``retried``, so ``FleetStats.lost == 0`` holds with it on.
 * **Cost model** — every routing hop (ω out, full field back) is charged
   to a :class:`~repro.distributed.comm.SimulatedCommunicator`, so the
   fig10-style scaling story extends to serving:
@@ -81,9 +73,7 @@ from ..distributed.comm import SimulatedCommunicator
 from .errors import DeadlineExceeded, FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .resilience import (
-    HedgeTimer, _register_resilience_views, retry_call,
-)
+from .resilience import retry_call
 from .server import PredictionServer, ServerConfig, _LatencyPercentiles
 from .telemetry import NULL_SPAN, NULL_TRACER
 
@@ -96,8 +86,7 @@ _LAT_WINDOW = 10_000
 _LEDGER_TERMS = (
     "submitted", "served", "rejected", "expired", "errors", "cancelled",
     "unavailable", "failovers", "shard_faults", "hangs", "probes",
-    "readmissions", "decommissions", "reregistrations", "retried",
-    "hedges", "hedged_wins", "hedge_cancels", "breaker_open")
+    "readmissions", "decommissions", "reregistrations", "retried")
 
 # FleetStats fields re-exported as ``stats.fleet.*`` metric views when
 # telemetry is enabled.  Views *read* the live stats snapshot, so the
@@ -171,15 +160,9 @@ class FleetStats(_LatencyPercentiles):
     readmissions: int = 0
     decommissions: int = 0     # permanently lost shards removed
     reregistrations: int = 0   # (key, shard) re-registrations on moves
-    # Resilience machinery (retry budgets, hedged reads, breakers).
-    # A retry is a *fresh* submit — individually conserved — so none of
-    # these are terms of the conservation law: ``hedged_wins`` is a
-    # subset of ``served``, ``breaker_open`` reorders rather than drops.
+    # A retry is a *fresh* submit — individually conserved — so it is
+    # not a term of the conservation law.
     retried: int = 0           # policy-driven re-submits performed
-    hedges: int = 0            # backup requests issued
-    hedged_wins: int = 0       # served answers that came from a backup
-    hedge_cancels: int = 0     # losing attempts shed after delivery
-    breaker_open: int = 0      # replicas deprioritized by open circuits
     # Summed per-shard ServerStats counters.
     requests: int = 0
     cache_hits: int = 0
@@ -209,7 +192,7 @@ class _RouteState:
     __slots__ = ("model_name", "omega", "resolution", "priority",
                  "deadline_s", "replicas", "next_idx", "current",
                  "submitted_at", "attempt_started", "delivered",
-                 "ignore_health", "hedged", "inners", "trace")
+                 "ignore_health", "trace")
 
     def __init__(self, model_name: str, omega: np.ndarray,
                  resolution: int | None, priority: int | None,
@@ -226,8 +209,6 @@ class _RouteState:
         self.attempt_started = self.submitted_at  # hang detection (reset
         self.delivered = False                    # on every re-dispatch)
         self.ignore_health = False    # last-resort pass: try ejected too
-        self.hedged = False           # a backup dispatch was attempted
-        self.inners: list[Future] = []   # attempts issued (for shedding)
         self.trace = NULL_SPAN        # root span token (the context)
 
 
@@ -247,6 +228,11 @@ class ShardedFleet:
     ``submit`` / ``predict`` / ``predict_many`` / ``start`` / ``stop`` /
     ``close`` / context manager — so the CLI client loop works unchanged
     on a fleet (draining its futures through :meth:`await_result`).
+
+    Every read takes one path: the ring's replica list in ring order,
+    one attempt at a time, the next replica only after a fault.
+    ``submit`` starts no thread of the fleet's own: attempts finish on
+    the shards' worker threads (or inline, on an unstarted fleet).
     """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
@@ -255,14 +241,9 @@ class ShardedFleet:
             raise ValueError("shards must be >= 1")
         if self.config.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        # Resilience seams: a retry policy re-submits transient verdicts
-        # under a token-bucket budget; a hedge policy races slow reads
-        # against a backup replica; a circuit breaker deprioritizes
-        # (model, shard) pairs that keep faulting.  None = PR-7 behavior.
+        # The resilience seam: a retry policy re-submits transient
+        # verdicts under a token-bucket budget.  None = no retries.
         self.retry = None
-        self.hedge = None
-        self.breaker = None
-        self._hedge_timer: HedgeTimer | None = None
         # Tracing is a null object, not a seam: span sites call
         # ``self.tracer`` unconditionally and ``enable_telemetry`` swaps
         # the real one in, so traced, sampled-out and telemetry-off
@@ -331,10 +312,6 @@ class ShardedFleet:
             shard.server.stop(drain=drain)
 
     def close(self) -> None:
-        with self._lock:
-            timer, self._hedge_timer = self._hedge_timer, None
-        if timer is not None:
-            timer.close()
         for shard in self.shards:
             shard.server.close()
 
@@ -356,7 +333,8 @@ class ShardedFleet:
         merged fleet views cover them), and names the fleet's numbers in
         the metrics registry as read-time views: ``fleet.<term>`` reads
         the counter ledger directly, ``stats.fleet.<field>`` reads the
-        merged :class:`FleetStats` snapshot.  Views never shadow a value,
+        merged :class:`FleetStats` snapshot, ``stats.retry.<counter>``
+        reads the retry seam.  Views never shadow a value,
         so the registry cannot drift from ``fleet.stats``.  Idempotent
         for a given bundle.
         """
@@ -372,9 +350,11 @@ class ShardedFleet:
         for name in _FLEET_VIEW_FIELDS:
             reg.register_view(f"stats.fleet.{name}",
                               lambda n=name: getattr(self.stats, n))
-        # Resilience seams may be installed before or after this call;
-        # the views read the live seams either way.
-        _register_resilience_views(self, reg)
+        # The retry seam may be set before or after this call, or not at
+        # all: the views read it live, and an empty seam reads 0.
+        for attr in ("retries", "denied", "exhausted", "tokens"):
+            reg.register_view(f"stats.retry.{attr}",
+                              lambda a=attr: getattr(self.retry, a, 0))
 
     # ------------------------------------------------------------------ #
     # Registry writes: fan out to every replica of the routing key
@@ -481,8 +461,7 @@ class ShardedFleet:
             omega = np.asarray(omega, dtype=np.float64).reshape(-1)
             _, replicas = self._route(model_name)
             state = _RouteState(model_name, omega, resolution, priority,
-                                deadline_s,
-                                self._order_replicas(model_name, replicas))
+                                deadline_s, replicas)
         except Exception as exc:
             # Refused before dispatch (the caller's unknown model is not
             # counted) — close the span to export it.
@@ -493,31 +472,7 @@ class ShardedFleet:
         out = _FleetFuture(state)
         self._count("submitted")
         self._dispatch(out, state, sync=True)
-        hedge = self.hedge
-        if hedge is not None and len(state.replicas) > 1 and not out.done():
-            self._arm_hedge(out, hedge)
         return out
-
-    def _order_replicas(self, model_name: str,
-                        replicas: list[Shard]) -> list[Shard]:
-        """Apply the breaker (open circuits to the back of the line,
-        never out of it) to a read's replica set."""
-        breaker = self.breaker
-        if breaker is not None and len(replicas) > 1:
-            allowed: list[Shard] = []
-            deflected: list[Shard] = []
-            for candidate in replicas:
-                (allowed if breaker.allow((model_name, candidate.id))
-                 else deflected).append(candidate)
-            if allowed and deflected:
-                # Open circuits go to the back of the line, never out
-                # of it: a breaker deflects load toward replicas that
-                # answer, but must not drop a request — when everything
-                # else faults, the open circuit is still the last
-                # resort and conservation holds.
-                replicas = allowed + deflected
-                self._count("breaker_open", len(deflected))
-        return replicas
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
@@ -607,7 +562,7 @@ class ShardedFleet:
                     or elapsed < budget * 0.999):
                 return False
             state.current = None   # claim: exactly one caller fails over
-        self._fault(state.model_name, hung, TimeoutError(
+        self._eject(hung, TimeoutError(
             f"shard {hung.id} did not answer within "
             f"shard_timeout_s={budget}"), hang=True)
         with self._lock:
@@ -667,17 +622,17 @@ class ShardedFleet:
                 # pass over the replica set *ignoring* health marks.
                 # Some ejections are false positives (the hang budget
                 # includes queue wait), and unlike a blocking probe this
-                # retry is safe from any thread — a worker callback or
-                # the hedge timer.  A shard that answers is re-admitted
-                # on delivery; a truly dead one faults straight through
-                # to the unavailable verdict.
+                # retry is safe from any thread, a worker callback
+                # included.  A shard that answers is re-admitted on
+                # delivery; a truly dead one faults straight through to
+                # the unavailable verdict.
                 state.ignore_health = True
                 state.next_idx = 0
 
     def _attempt(self, out: Future, state: _RouteState, shard: Shard,
-                 sync: bool = False, hedge: bool = False) -> bool:
-        """Issue one attempt — primary or hedged backup — on ``shard``:
-        comm hop, attempt span, shard ``submit``, done-callback.
+                 sync: bool = False) -> bool:
+        """Issue one attempt on ``shard``: comm hop, attempt span, shard
+        ``submit``, done-callback.
 
         Returns ``True`` when the shard refused synchronously without
         settling the request (the caller moves on to another replica),
@@ -686,95 +641,67 @@ class ShardedFleet:
         dispatch) also re-raises, like ``PredictionServer.submit``.
         """
         self._comm.send(state.omega.nbytes)   # routing hop: ω out
-        span = self.tracer.start(
-            "fleet.hedge" if hedge else "fleet.attempt",
-            parent=state.trace, shard=shard.id)
+        span = self.tracer.start("fleet.attempt", parent=state.trace,
+                                 shard=shard.id)
         try:
             inner = shard.server.submit(
                 state.model_name, state.omega, state.resolution,
                 priority=state.priority, deadline_s=state.deadline_s,
                 trace_parent=span)
         except Exception as exc:
-            unsettled = self._settle(out, state, shard, exc, span, hedge)
+            unsettled = self._settle(out, state, shard, exc, span)
             if sync and not unsettled:
                 raise
             return unsettled
-        with self._lock:
-            state.inners.append(inner)
-        # Per-attempt anchor: the hedge policy must learn *service*
-        # latency of the attempt that answers, not submit-anchored
-        # wall time (which folds in hung primaries and hedge delays
-        # and would ratchet the quantile toward max_delay_s).
-        anchor = time.monotonic()
+        dispatched_at = time.monotonic()
         inner.add_done_callback(
-            lambda f: self._on_done(out, state, shard, f, anchor, span,
-                                    hedge))
+            lambda f: self._on_done(out, state, shard, f, dispatched_at,
+                                    span))
         return False
 
     def _on_done(self, out: Future, state: _RouteState, shard: Shard,
-                 inner: Future, anchor: float, span,
-                 hedge: bool = False) -> None:
-        """Classify a shard answer: deliver, or eject + fail over.
-
-        A hedged backup runs the same path with three differences: a
-        win counts ``hedged_wins``, policy verdicts stay silent, and
-        nothing is ever re-dispatched (see :meth:`_settle`).
-        """
+                 inner: Future, dispatched_at: float, span) -> None:
+        """Classify a shard answer: deliver, or eject + fail over."""
         try:
             exc = inner.exception()
         except CancelledError as cancel:
             exc = cancel
         if exc is not None:
-            if self._settle(out, state, shard, exc, span, hedge) \
-                    and not hedge:
+            if self._settle(out, state, shard, exc, span):
                 self._dispatch(out, state)
             return
         value = inner.result()
-        won = self._deliver(out, state, result=value, counter="served",
-                            anchor=anchor)
+        won = self._deliver(out, state, result=value, counter="served")
         span.finish(outcome="served", won=won)
         if won:
-            if hedge:
-                self._count("hedged_wins")
-                policy = self.hedge
-                if policy is not None:
-                    policy.record_win()
             self._comm.send(value.nbytes)     # response hop: field back
-            self._answered(state.model_name, shard, anchor)
+            self._answered(shard, dispatched_at)
 
     def _settle(self, out: Future, state: _RouteState, shard: Shard,
-                exc: BaseException, span, hedge: bool) -> bool:
+                exc: BaseException, span) -> bool:
         """An attempt ended in ``exc``, synchronously or through its
         future: deliver the verdict, or record the fault.
 
         Returns ``True`` when the request is left without a verdict and
-        should move on to another replica — for a primary attempt that
-        also claims the re-dispatch (and counts the failover).
+        should move on to another replica; the caller then owns the
+        re-dispatch (the failover is counted here).
         """
         term, label = verdict(exc) or (None, None)
         if term is None:
             # No verdict: the shard's fault, not the request's.
             span.finish(outcome="fault", error=type(exc).__name__)
-            self._fault(state.model_name, shard, exc)
+            self._eject(shard, exc)
         elif term == "cancelled":
-            # A cancelled attempt is nobody's fault: hedge racing sheds
-            # the losing inner future after the answer landed, and
-            # ejecting the loser would punish a healthy replica for
-            # being second.  An *undelivered* cancelled attempt (a
-            # caller reached into the inner future) still fails over
-            # below so the request is not lost — just without ejecting.
+            # A cancelled attempt is nobody's fault: something reached
+            # into the shard's future (a caller, a client-side drop),
+            # and the shard that would have answered is healthy.  The
+            # request still fails over below so it is not lost — just
+            # without ejecting anyone.
             span.finish(outcome="cancelled")
-        elif hedge:
-            # The primary attempt still owns the request — a hedge must
-            # never *cause* a failure — so its policy verdicts are
-            # recorded on the span and otherwise dropped.
-            span.finish(outcome="policy", error=type(exc).__name__)
         else:
             span.finish(outcome=label)
             self._deliver(out, state, exc=exc, counter=term)
             return False
-        if hedge:
-            return True
         with self._lock:
             if state.delivered or state.current is not shard:
                 # A newer attempt owns this request (hang failover
@@ -787,26 +714,14 @@ class ShardedFleet:
 
     def _deliver(self, out: Future, state: _RouteState, *,
                  result=None, exc: BaseException | None = None,
-                 counter: str = "served",
-                 anchor: float | None = None) -> bool:
+                 counter: str = "served") -> bool:
         """Resolve the fleet future exactly once and count the outcome.
 
         Returns ``False`` when this call lost the delivery race (a hang
         failover already answered) or the caller cancelled — stragglers
-        must neither overwrite the result nor double-count.
-
-        ``anchor`` is the winning attempt's dispatch stamp.  Client
-        latency (``_latencies``) stays submit-anchored — a request that
-        burned ``shard_timeout_s`` on a hung primary must report that
-        wait — but the hedge policy's window gets ``now - anchor``, the
-        *service* latency of the attempt that actually answered.
-        Feeding submit-anchored samples would poison the quantile: every
-        hedged win and hang failover folds the primary's wait into the
-        sample, ratcheting the delay toward ``max_delay_s`` and
-        disabling hedging exactly when it is needed.  Failed, cancelled
-        and breaker-deflected attempts never reach this observation at
-        all (``exc`` delivery records no sample; stragglers bounce off
-        the delivered-guard above).
+        must neither overwrite the result nor double-count.  Latency is
+        submit-anchored: a request that burned ``shard_timeout_s`` on a
+        hung primary reports that wait.
         """
         with self._lock:
             if state.delivered:
@@ -816,15 +731,13 @@ class ShardedFleet:
             live = out.set_running_or_notify_cancel()
         except InvalidStateError:  # pragma: no cover - delivered guards this
             return False
-        latency = None
         now = time.monotonic()
         if not live:
             counter = "cancelled"
         with self._lock:
             self._count(counter)
             if live and exc is None:
-                latency = now - state.submitted_at
-                self._latencies.append(latency)
+                self._latencies.append(now - state.submitted_at)
                 if len(self._latencies) > _LAT_WINDOW:
                     del self._latencies[:len(self._latencies) - _LAT_WINDOW]
         # Root span outcome == the conservation-law term counted.
@@ -834,80 +747,10 @@ class ShardedFleet:
                 out.set_exception(exc)
             else:
                 out.set_result(result)
-        hedge = self.hedge
-        if hedge is not None and latency is not None:
-            hedge.observe(now - anchor if anchor is not None else latency)
-        if state.hedged:
-            self._cancel_stragglers(state)
         return live
 
-    # ------------------------------------------------------------------ #
-    # Hedged reads + circuit-breaker bookkeeping
-    # ------------------------------------------------------------------ #
-    def _arm_hedge(self, out: "_FleetFuture", hedge) -> None:
-        """Schedule a backup dispatch at now + the policy's tracked
-        quantile delay (the timer thread is created lazily)."""
-        with self._lock:
-            timer = self._hedge_timer
-            if timer is None:
-                timer = self._hedge_timer = HedgeTimer()
-        timer.schedule(time.monotonic() + hedge.delay_s(),
-                       lambda: self.hedge_dispatch(out))
-
-    def hedge_dispatch(self, future: Future) -> bool:
-        """Issue one backup request for a still-pending fleet read.
-
-        The hedge policy's dispatch primitive: the timer calls it after
-        the quantile delay elapses, and deterministic tests call it
-        directly.  Picks the first healthy replica that is not the
-        current owner (skipping open circuits) and races a backup
-        attempt against the primary — the delivered-guard in
-        ``_deliver`` makes the race safe: first answer wins, exactly
-        one outcome is counted, the loser is cancelled.  Returns
-        ``True`` when a backup was actually issued.
-        """
-        state = getattr(future, "state", None)
-        hedge = self.hedge
-        if state is None or hedge is None or future.done():
-            return False
-        with self._lock:
-            if state.delivered or state.hedged or state.current is None:
-                return False
-            state.hedged = True
-            primary = state.current
-            candidates = [s for s in state.replicas
-                          if s.healthy and s is not primary]
-        breaker = self.breaker
-        for shard in candidates:
-            if breaker is not None and not breaker.allow(
-                    (state.model_name, shard.id)):
-                continue
-            if not self._attempt(future, state, shard, hedge=True):
-                self._count("hedges")
-                hedge.record_hedge()
-                return True
-        return False
-
-    def _cancel_stragglers(self, state: _RouteState) -> None:
-        """Cancel every unfinished attempt of a resolved hedge race.
-
-        Queued losers are shed before they burn a worker slot (counted
-        ``hedge_cancels``); already-running ones finish and bounce off
-        the delivered-guard.
-        """
-        with self._lock:
-            pending = [f for f in state.inners if not f.done()]
-        hedge = self.hedge
-        for inner in pending:
-            if inner.cancel():
-                self._count("hedge_cancels")
-                if hedge is not None:
-                    hedge.record_cancel()
-
-    def _answered(self, model_name: str, shard: Shard,
-                  dispatched_at: float) -> None:
-        """A shard served a read of ``model_name`` — the strongest
-        health probe there is: a shard ejected on a false hang (the
+    def _answered(self, shard: Shard, dispatched_at: float) -> None:
+        """A shard served a read — the strongest health probe there is: a shard ejected on a false hang (the
         budget includes queue wait) re-admits itself with its next
         answer, prober or no prober.
 
@@ -922,18 +765,6 @@ class ShardedFleet:
         if ejected_at is not None and dispatched_at < ejected_at:
             return
         self._readmit(shard)
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.record_success((model_name, shard.id))
-
-    def _fault(self, model_name: str, shard: Shard, exc: BaseException,
-               hang: bool = False) -> None:
-        """A shard fault on a read of ``model_name``: eject the shard
-        and tell the (model, shard) breaker."""
-        self._eject(shard, exc, hang=hang)
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.record_failure((model_name, shard.id))
 
     # ------------------------------------------------------------------ #
     # Health

@@ -27,8 +27,8 @@ applies to numerics — identical seed + scenario ⇒ identical timeline:
   their timestamps (``time_scale`` stretches or crushes the clock),
   fault events drive per-shard chaos hooks (kill = submit raises,
   hang = forward blocks until released), and the drain phase re-runs
-  transient verdicts through the fleet's installed
-  :class:`~repro.serve.resilience.RetryPolicy` via
+  transient verdicts through the fleet's ``retry`` seam (a
+  :class:`~repro.serve.resilience.RetryPolicy`) via
   :func:`~repro.serve.resilience.retry_call`, whose injected ``sleep``
   is the harness's virtual-clock, ``time_scale``-d one.  The report
   carries the outcome census, the fleet stats (``lost == 0`` is the
@@ -348,8 +348,8 @@ class VirtualClock:
     """A now() that moves only when told to.
 
     Inject it as the ``clock`` of any policy with deterministic tick
-    semantics (retry budget, circuit breaker, prober) and
-    drive time from the test: ``clock.advance(0.5)``.
+    semantics (retry budget, prober, tracer) and drive time from the
+    test: ``clock.advance(0.5)``.
     """
 
     def __init__(self, start: float = 0.0) -> None:

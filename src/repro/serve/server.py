@@ -467,9 +467,8 @@ class PredictionServer:
         client already cancelled it while it was queued.
 
         ``Future.cancel()`` is public — a client may drop a queued
-        request, and a hedged fleet read sheds its losing attempt with
-        it — after which ``set_result``/``set_exception`` would raise
-        InvalidStateError and kill the worker thread.  Claiming marks the
+        request with it — after which ``set_result``/``set_exception``
+        would raise InvalidStateError and kill the worker thread.  Claiming marks the
         future RUNNING, so later cancels fail cleanly instead; a request
         whose claim fails is dropped without compute, its dedup slot
         released so a resubmit computes fresh.

@@ -3,7 +3,7 @@
 Two halves sharing one forgeable clock:
 
 * :mod:`~repro.serve.telemetry.trace` — per-request spans (queue wait,
-  batch collect, forward, tile compute, shard attempt, hedge)
+  batch collect, forward, tile compute, shard attempt)
   ring-buffered per tracer and exportable as deterministic jsonl.
 * :mod:`~repro.serve.telemetry.metrics` — named counters / gauges /
   quantile sketches, with the stack's legacy stats dataclasses

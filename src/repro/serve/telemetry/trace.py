@@ -2,8 +2,8 @@
 
 The serving stack's question after PR 8 was never "how many requests
 failed" — the counters pin that — but "where did *this* request's time
-go": queue wait vs batch collect vs tile fan-out vs shard hops vs a
-hedge that fired.  A :class:`Span` is one timed stage; a
+go": queue wait vs batch collect vs tile fan-out vs shard hops and
+the failovers between them.  A :class:`Span` is one timed stage; a
 :class:`Tracer` hands them out, stamps them from a forgeable monotonic
 clock, and keeps the most recent ones in a bounded ring so tracing can
 stay on in production without growing memory.

@@ -6,6 +6,7 @@ route, that routed answers equal single-server answers, and what a
 cancelled fleet future counts.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -200,6 +201,51 @@ class TestRoutedServing:
         assert len(dirs) == 3
         for shard in fleet.shards:
             assert shard.id in shard.server.config.cache_dir
+
+
+    def test_reads_walk_the_replica_set_in_ring_order(self, served):
+        """One dispatch order: every attempt goes to the ring's next
+        replica, primary first, whatever happened to earlier reads."""
+        model, problem = served
+        fleet = _fleet(shards=4, replicas=3)
+        fleet.register_model("m", model, problem)
+        order = fleet.replicas_for("m")
+        tried = []
+        for shard in fleet.shards:
+            real = shard.server.submit
+
+            def submit(*args, _id=shard.id, _real=real, **kwargs):
+                tried.append(_id)
+                if _id != order[-1]:
+                    raise RuntimeError("scripted fault")
+                return _real(*args, **kwargs)
+
+            shard.server.submit = submit
+        fleet.predict("m", RNG.uniform(-3, 3, 4))
+        assert tried == order
+        # The faulted shards are ejected, so the next read goes straight
+        # to the last healthy replica.
+        tried.clear()
+        fleet.predict("m", RNG.uniform(-3, 3, 4))
+        assert tried == order[-1:]
+        s = fleet.stats
+        assert (s.served, s.failovers, s.shard_faults, s.lost) == (2, 2, 2, 0)
+
+    def test_submit_starts_no_thread(self, served):
+        """A read runs on the caller's thread and the shards' workers:
+        the fleet itself starts no thread, however many reads it
+        routes."""
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        with fleet:
+            fleet.predict("m", RNG.uniform(-3, 3, 4), timeout=30)
+            before = set(threading.enumerate())
+            futures = [fleet.submit("m", w)
+                       for w in RNG.uniform(-3, 3, (8, 4))]
+            for f in futures:
+                f.result(timeout=30)
+            assert set(threading.enumerate()) - before == set()
 
 
 class TestCancellation:

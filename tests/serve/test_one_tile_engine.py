@@ -31,6 +31,14 @@ asyncio facade (``repro.serve.aio``) and priority aging had no benchmark
 metric and were deleted; their names may not come back in
 ``src/repro``.  The tile engine's own generator,
 ``stream_tiled_predict``, is the library stream and stays.
+
+And for the two resilience policies no benchmark metric needed: hedged
+reads (a timer thread racing backup attempts) and the per-(model,
+shard) circuit breaker.  The fleet keeps one resilience seam,
+``fleet.retry``, set by plain assignment, so the install/uninstall
+wrappers went with them.  Their names, the ``--hedge`` /
+``--breaker-*`` flags, and any identifier or token string containing
+``hedge`` or ``breaker`` may not come back in ``src/repro``.
 """
 
 from __future__ import annotations
@@ -90,6 +98,26 @@ BANNED_REQUEST_PATHS = {
     "stream_resumed": "the fleet's mid-stream resume counter",
 }
 BANNED_REQUEST_MODULE = "aio"
+# Package-wide: hedged reads, the circuit breaker and the wrappers that
+# installed them, as identifiers or whole string constants.
+BANNED_RESILIENCE = {
+    "HedgePolicy": "the hedge policy",
+    "HedgeConfig": "the hedge config",
+    "HedgeTimer": "the hedge timer thread",
+    "CircuitBreaker": "the circuit breaker",
+    "BreakerConfig": "the breaker config",
+    "ResilienceConfig": "the resilience bundle",
+    "install_resilience": "the seam installer",
+    "uninstall_resilience": "the seam uninstaller",
+    "hedge_dispatch": "the backup dispatch",
+    "breaker_open": "the breaker deflection counter",
+    "--hedge": "the hedge flag",
+    "--breaker-after": "the breaker threshold flag",
+    "--breaker-reset": "the breaker cool-down flag",
+}
+# Any identifier, or string without whitespace (a flag, a ledger term,
+# a span or view name), containing one of these is a regrowth.
+RESILIENCE_STEMS = ("hedge", "breaker")
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -228,6 +256,27 @@ def _request_paths(source: str) -> list[str]:
     return bad
 
 
+def _resilience(source: str) -> list[str]:
+    """Uses of the deleted hedge and breaker in one module: a banned
+    name as an identifier, parameter, keyword, import or whole string
+    constant, and any identifier or whitespace-free string containing
+    ``hedge`` or ``breaker``.  Prose (docstrings, messages) is free."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        names = [getattr(node, f, None) for f in ("id", "attr", "name", "arg")]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and not any(c.isspace() for c in node.value):
+            names.append(node.value)
+        names = [n for n in names if isinstance(n, str)]
+        bad += [f"{line}: {BANNED_RESILIENCE[n]} ({n})"
+                for n in names if n in BANNED_RESILIENCE]
+        bad += [f"{line}: a {stem} identifier ({n})"
+                for n in names if n not in BANNED_RESILIENCE
+                for stem in RESILIENCE_STEMS if stem in n.lower()]
+    return bad
+
+
 def _definitions(name: str) -> list[str]:
     """Modules of ``src/repro`` defining a function ``name``."""
     return [str(path.relative_to(PACKAGE))
@@ -297,6 +346,68 @@ def test_the_second_request_path_stays_deleted() -> None:
         "a deleted request path is growing back — every served read is "
         "one submit -> queue -> fused forward -> Future, in strict "
         "priority order:\n  " + "\n  ".join(bad))
+
+
+def test_hedged_reads_and_the_breaker_stay_deleted() -> None:
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _resilience(path.read_text())]
+    assert not bad, (
+        "a deleted resilience policy is growing back — a read walks its "
+        "replica set in ring order, one attempt at a time, and the one "
+        "resilience seam is fleet.retry:\n  " + "\n  ".join(bad))
+
+
+# One source line per idiom the resilience guard must flag.
+RESILIENCE_IDIOMS = {
+    "HedgePolicy": "fleet.hedge = HedgePolicy(config)\n",
+    "HedgeConfig": "from .resilience import HedgeConfig\n",
+    "HedgeTimer": "class HedgeTimer:\n    pass\n",
+    "CircuitBreaker": "if isinstance(policy, CircuitBreaker):\n    pass\n",
+    "BreakerConfig": "def f(config: BreakerConfig):\n    pass\n",
+    "ResilienceConfig": "cfg = ResilienceConfig(retry=None)\n",
+    "install_resilience": "install_resilience(fleet)\n",
+    "uninstall_resilience": "def uninstall_resilience(fleet):\n    pass\n",
+    "hedge_dispatch": "fleet.hedge_dispatch(future)\n",
+    "breaker_open": "_LEDGER_TERMS = ('served', 'breaker_open')\n",
+    "--hedge": "p.add_argument('--hedge', type=float)\n",
+    "--breaker-after": "p.add_argument('--breaker-after', type=int)\n",
+    "--breaker-reset": "p.add_argument('--breaker-reset', type=float)\n",
+}
+RESILIENCE_STEM_IDIOMS = {
+    "hedge": "self.hedge = None\n",
+    "_arm_hedge": "def _arm_hedge(self, out):\n    pass\n",
+    "hedged": "state.hedged = True\n",
+    "breaker": "def _fault(self, shard, breaker=None):\n    pass\n",
+    "fleet.hedge": "span = tracer.start('fleet.hedge')\n",
+    "stats.breaker.": "reg.register_view(f'stats.breaker.{a}', read)\n",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(RESILIENCE_IDIOMS))
+def test_resilience_guard_catches_each_deleted_name(idiom: str) -> None:
+    """The resilience guard flags every name it lists (meta-test)."""
+    hits = _resilience(RESILIENCE_IDIOMS[idiom])
+    assert any(f"({idiom})" in hit for hit in hits), hits
+
+
+@pytest.mark.parametrize("idiom", sorted(RESILIENCE_STEM_IDIOMS))
+def test_resilience_guard_catches_any_hedge_or_breaker_token(
+        idiom: str) -> None:
+    """Unlisted identifiers and tokens with the stems are flagged too."""
+    hits = _resilience(RESILIENCE_STEM_IDIOMS[idiom])
+    assert any(f"identifier ({idiom})" in hit for hit in hits), hits
+
+
+def test_resilience_guard_allows_prose_and_the_retry_seam() -> None:
+    """Docstrings and messages may name the deleted policies; the retry
+    seam and its views are not banned."""
+    assert _resilience(
+        '"""Hedged reads and the circuit breaker were deleted."""\n'
+        "fleet.retry = RetryPolicy(RetryConfig(max_attempts=3))\n"
+        "reg.register_view('stats.retry.retries', read)\n"
+        "raise ValueError('no hedge here')\n"
+    ) == []
 
 
 # One source line per idiom the request-path guard must flag.

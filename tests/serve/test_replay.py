@@ -27,9 +27,8 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     ArrivalSpec, FaultSpec, FleetConfig, PopularitySpec, ReplayHarness,
-    ResilienceConfig, RetryConfig, Scenario, ServerConfig, ShardedFleet,
-    TenantSpec, VirtualClock, build_trace, event_log, install_resilience,
-    load_scenario,
+    RetryConfig, RetryPolicy, Scenario, ServerConfig, ShardedFleet,
+    TenantSpec, VirtualClock, build_trace, event_log, load_scenario,
 )
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
@@ -265,8 +264,8 @@ class TestReplayHarness:
         fleet = _fleet(shards=3, shard_timeout_s=0.2)
         fleet.register_model("m0", model, problem)
         fleet.register_model("m1", model, problem)
-        install_resilience(fleet, ResilienceConfig(retry=RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02)))
+        fleet.retry = RetryPolicy(RetryConfig(
+            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         with fleet:
             harness = ReplayHarness(fleet, scenario)
             report = harness.run()
@@ -300,8 +299,8 @@ class TestReplayHarness:
             faults=(FaultSpec(t=0.1, op="kill", shard=0),))  # never restored
         fleet = _fleet(shards=2)
         fleet.register_model("m0", model, problem)
-        install_resilience(fleet, ResilienceConfig(retry=RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02)))
+        fleet.retry = RetryPolicy(RetryConfig(
+            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         originals = [s.server.submit for s in fleet.shards]
         with fleet:
             report = ReplayHarness(fleet, scenario).run()

@@ -11,11 +11,15 @@ the *same* ``FleetStats`` term, stamps the paired root- and attempt-span
 outcomes, ejects the shard only when there is no verdict (a shard
 fault), and conserves the request.
 
-``CancelledError`` has a row but no parity case: a cancelled attempt is
-a shed hedge loser, so it reaches no verdict at all — the request moves
-to the next replica without ejecting anyone (pinned by the hedging
-tests in ``test_resilience.py``).
+``CancelledError`` has a row but no parity case: when a shard's attempt
+future is cancelled before it answers, nobody is at fault — something
+reached into the shard's future, and the shard is healthy.  The attempt
+reaches no verdict of its own; the request moves to the next replica
+without ejecting anyone and counts exactly one outcome, the replica's
+(pinned by the cancelled-attempt cases below).
 """
+
+import threading
 
 from concurrent.futures import CancelledError, Future
 
@@ -131,3 +135,79 @@ def test_specific_rows_win_over_the_serve_error_catch_all():
     assert verdict(CancelledError()) == ("cancelled", "cancelled")
     assert verdict(TimeoutError()) is None      # a hang is a shard fault
     assert verdict(KeyError("x")) is None
+
+
+def _cancelling_stub(server, issued, cancel):
+    """Make every read on ``server`` return an attempt future that is
+    never answered — already cancelled with ``cancel``, else pending;
+    ``issued`` collects them for the test to cancel."""
+    def submit(*args, **kwargs):
+        future = Future()
+        if cancel:
+            future.cancel()
+        issued.append(future)
+        return future
+
+    server.submit = submit
+
+
+def _cancelled_attempt_fleet(served, cancel=False):
+    model, problem = served
+    fleet = ShardedFleet(FleetConfig(
+        shards=2, replicas=2, server=ServerConfig(workers=1, cache_bytes=0)))
+    fleet.register_model("m", model, problem)
+    telemetry = Telemetry()
+    fleet.enable_telemetry(telemetry)
+    primary_id, replica_id = fleet.replicas_for("m")
+    issued: list[Future] = []
+    _cancelling_stub(fleet._by_id[primary_id].server, issued, cancel)
+    return fleet, telemetry, issued, primary_id, replica_id
+
+
+def _assert_moved_on(fleet, telemetry, primary_id, replica_id):
+    """The request failed over once, ejected nobody and was served by
+    the replica: one outcome, ``lost == 0``."""
+    s = fleet.stats
+    assert s.submitted == 1 and s.served == 1 and s.lost == 0
+    assert (s.rejected, s.expired, s.errors, s.cancelled,
+            s.unavailable) == (0, 0, 0, 0, 0)
+    assert s.failovers == 1 and s.shard_faults == 0
+    assert fleet.healthy_shards == [sh.id for sh in fleet.shards]
+    spans = telemetry.tracer.spans()
+    attempts = sorted((sp for sp in spans if sp.name == "fleet.attempt"),
+                      key=lambda sp: sp.span_id)
+    assert [(sp.attrs["shard"], sp.attrs["outcome"]) for sp in attempts] \
+        == [(primary_id, "cancelled"), (replica_id, "served")]
+    (root,) = [sp for sp in spans if sp.name == "fleet.request"]
+    assert root.attrs["outcome"] == "served"
+
+
+@pytest.mark.parametrize("read", ["submit", "predict"])
+def test_attempt_already_cancelled_moves_on(served, read):
+    """The shard hands back an attempt future that is already
+    cancelled: the done-callback runs inline, on the dispatching
+    thread."""
+    fleet, telemetry, issued, primary_id, replica_id = \
+        _cancelled_attempt_fleet(served, cancel=True)
+    omega = np.full(served[1].field.m, 0.25)
+    if read == "submit":
+        out = fleet.submit("m", omega).result(timeout=30)
+    else:
+        out = fleet.predict("m", omega, timeout=30)
+    assert out.shape and len(issued) == 1
+    _assert_moved_on(fleet, telemetry, primary_id, replica_id)
+
+
+def test_attempt_cancelled_in_flight_moves_on(served):
+    """The attempt is pending when it is cancelled, from another thread
+    than the one that dispatched it: the fleet future stays pending
+    until then, and resolves from the replica after."""
+    fleet, telemetry, issued, primary_id, replica_id = \
+        _cancelled_attempt_fleet(served)
+    out = fleet.submit("m", np.full(served[1].field.m, 0.25))
+    assert not out.done() and len(issued) == 1
+    canceller = threading.Thread(target=issued[0].cancel)
+    canceller.start()
+    canceller.join()
+    assert out.result(timeout=30).shape
+    _assert_moved_on(fleet, telemetry, primary_id, replica_id)
