@@ -181,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="with --shards>1: eject a shard that does not "
                         "answer within this budget and fail over")
-    p.add_argument("--control", action="store_true",
-                   help="with --shards>1: run the control plane beside "
-                        "the fleet (backoff health probes that re-admit "
-                        "ejected shards)")
     p.add_argument("--retries", type=int, default=0, metavar="N",
                    help="with --shards>1: re-submit transient failures "
                         "(unavailable / overloaded) up to N extra "
@@ -196,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 2:8)")
     p.add_argument("--metrics-file", default=None, metavar="PATH",
                    help="enable telemetry and write the metrics-registry "
-                        "snapshot (counters, gauges, quantile sketches) "
+                        "snapshot (counters, views, quantile sketches) "
                         "to this JSON file on exit")
     p.add_argument("--trace-file", default=None, metavar="PATH",
                    help="enable telemetry and write the captured request "
@@ -437,12 +433,9 @@ def _write_telemetry(args, telemetry) -> None:
 
 
 def _build_fleet(args, config):
-    """``--shards N``: the fleet, its retry policy (``--retries`` /
-    ``--retry-budget``) and — with ``--control`` — the control plane
-    beside it.  Returns ``(fleet, plane or None)``."""
-    from .serve import (
-        ControlPlane, FleetConfig, RetryConfig, RetryPolicy, ShardedFleet,
-    )
+    """``--shards N``: the fleet and its retry policy (``--retries`` /
+    ``--retry-budget``)."""
+    from .serve import FleetConfig, RetryConfig, RetryPolicy, ShardedFleet
 
     fleet = ShardedFleet(FleetConfig(
         shards=args.shards, replicas=args.replicas,
@@ -452,8 +445,7 @@ def _build_fleet(args, config):
         fleet.retry = RetryPolicy(RetryConfig(
             max_attempts=max(args.retries, 1) + 1,
             budget_rate=rate, budget_burst=burst))
-    plane = ControlPlane(fleet) if args.control else None
-    return fleet, plane
+    return fleet
 
 
 def _cmd_serve(args) -> int:
@@ -461,7 +453,6 @@ def _cmd_serve(args) -> int:
     with ``--shards N`` a ``ShardedFleet`` plus its policies — load the
     checkpoints, push the request load through one submit/drain loop
     (every client retry goes through ``retry_call``) and report."""
-    import contextlib
     import time
     from concurrent.futures import Future
 
@@ -484,10 +475,10 @@ def _cmd_serve(args) -> int:
     telemetry = _serve_telemetry(args)
     try:
         if sharded:
-            backend, plane = _build_fleet(args, config)
+            backend = _build_fleet(args, config)
             models = backend          # load / names / get, fanned out
         else:
-            backend, plane = PredictionServer(ModelRegistry(), config), None
+            backend = PredictionServer(ModelRegistry(), config)
             models = backend.registry
         if telemetry is not None:
             backend.enable_telemetry(telemetry)
@@ -544,7 +535,7 @@ def _cmd_serve(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        with backend, (plane or contextlib.nullcontext()):
+        with backend:
             for _ in range(max(1, args.repeat)):
                 futures = [(name, w, submit(name, w))
                            for name in names for w in loads[name]]
@@ -561,7 +552,7 @@ def _cmd_serve(args) -> int:
         backend.close()
 
     if sharded:
-        _report_fleet(args, backend, plane, wall)
+        _report_fleet(args, backend, wall)
     else:
         _report_server(backend, wall)
     _write_telemetry(args, telemetry)
@@ -585,7 +576,7 @@ def _report_server(server, wall: float) -> None:
           f"evictions")
 
 
-def _report_fleet(args, fleet, plane, wall: float) -> None:
+def _report_fleet(args, fleet, wall: float) -> None:
     s = fleet.stats
     print(f"served {s.served} of {s.submitted} requests in {wall:.3f}s "
           f"({s.served / wall:.1f} QPS) across {s.shards} shards "
@@ -602,12 +593,6 @@ def _report_fleet(args, fleet, plane, wall: float) -> None:
     print(f"interconnect (simulated): {s.send_calls} hops, "
           f"{s.send_bytes >> 20} MiB, "
           f"{s.virtual_comm_seconds * 1e3:.2f} ms virtual")
-    if plane is not None:
-        cs = plane.stats
-        print(f"control plane: {cs.ticks} ticks, {cs.probes} probes "
-              f"({cs.backoffs} backed off), {cs.readmissions} readmissions, "
-              f"{cs.decommissions} decommissions "
-              f"({cs.reregistrations} re-registrations)")
     for sid, row in s.per_shard.items():
         state = "up" if row["healthy"] else "DOWN"
         print(f"  {sid} [{state}] requests={row['requests']} "

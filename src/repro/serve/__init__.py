@@ -12,11 +12,8 @@ FEM solve.  This package is the infrastructure realizing that claim:
   worker-thread front-ends;
 * :class:`ShardedFleet` — consistent-hash routing of registry entries
   and request load over N server shards (simulated hosts) with R-way
-  replication, fault ejection + failover, and probed re-admission;
-* :class:`ControlPlane` — the self-healing loop over a live fleet:
-  backoff-scheduled health probes (:class:`HealthProber`) that
-  re-admit recovered shards and decommission permanently lost ones,
-  plus per-tick SLO gauges;
+  replication, fault ejection + failover, and re-admission when a
+  shard answers (a served read, or an operator's ``check_health()``);
 * budgeted retries (:class:`RetryPolicy`, set as ``fleet.retry``) on
   the fleet's call path; every client retry loop is :func:`retry_call`,
   its budget a :class:`~repro.serve.resilience.TokenBucket`;
@@ -37,7 +34,7 @@ FEM solve.  This package is the infrastructure realizing that claim:
   (:class:`Tracer` spans through submit → queue → batch → forward →
   tile → shard attempt, deterministic jsonl
   export) plus a metrics registry (:class:`MetricsRegistry` counters /
-  gauges / quantile sketches, the stats dataclasses and the fleet's
+  quantile sketches, the stats dataclasses and the fleet's
   counter ledger named as read-time views), enabled per server or fleet
   via ``enable_telemetry``; until then every layer holds the no-op
   :data:`NULL_TRACER`.
@@ -57,7 +54,6 @@ Quickstart::
 
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import CacheStats, LRUCache, quantize_omega, result_key
-from .control import ControlConfig, ControlPlane, ControlStats, HealthProber
 from .errors import (
     DeadlineExceeded, FleetUnavailable, ServeError, ServerOverloaded,
 )
@@ -76,9 +72,9 @@ from .replay import (
 from .resilience import RetryConfig, RetryPolicy, retry_call
 from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
-    NULL_SPAN, NULL_TRACER, Counter, Gauge, MetricsRegistry, NullSpan,
-    NullTracer, QuantileSketch, Span, Telemetry, Tracer, export_jsonl,
-    format_summary, parse_jsonl, summarize_spans,
+    NULL_SPAN, NULL_TRACER, Counter, MetricsRegistry, NullSpan, NullTracer,
+    QuantileSketch, Span, Telemetry, Tracer, export_jsonl, format_summary,
+    parse_jsonl, summarize_spans,
 )
 from .tiling import (
     TilePlan, plan_tiles, receptive_halo, stream_tiled_forward,
@@ -89,7 +85,6 @@ __all__ = [
     "MicroBatcher", "PredictRequest", "RequestQueue",
     "CacheStats", "LRUCache", "quantize_omega", "result_key",
     "ServeError", "DeadlineExceeded", "ServerOverloaded", "FleetUnavailable",
-    "HealthProber", "ControlConfig", "ControlPlane", "ControlStats",
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
@@ -103,7 +98,7 @@ __all__ = [
     "tiled_forward", "tiled_predict",
     "stream_tiled_forward", "stream_tiled_predict",
     "Telemetry", "Tracer", "Span", "NullSpan", "NullTracer",
-    "NULL_SPAN", "NULL_TRACER", "Counter", "Gauge", "QuantileSketch",
+    "NULL_SPAN", "NULL_TRACER", "Counter", "QuantileSketch",
     "MetricsRegistry", "export_jsonl", "parse_jsonl",
     "summarize_spans", "format_summary",
 ]

@@ -81,9 +81,11 @@ class FleetUnavailable(ServeError):
 
     Raised by :class:`~repro.serve.fleet.ShardedFleet` when routing
     exhausts the key's replica set — each shard either unhealthy at
-    dispatch time or faulted while serving the request.  Retryable after
-    shards recover (``check_health`` re-admits probed shards); the
-    attempted replica order is carried for log correlation.
+    dispatch time or faulted while serving the request.  Retryable: the
+    next read of the key makes a last pass that ignores health marks,
+    and a shard that answers it (or an operator's ``check_health()``
+    probe) is re-admitted.  The attempted replica order is carried for
+    log correlation.
     """
 
     def __init__(self, model_name: str, attempted: list[str]) -> None:

@@ -18,19 +18,20 @@ way DNN-MG/GMT partition multigrid work across compute units:
   exactly one of served / rejected / expired / errors / cancelled /
   unavailable (``FleetStats.lost == 0`` is the invariant the
   fault-injection suite enforces).
-* **Recovery** — ``check_health()`` probes ejected shards with a real
-  tiny prediction and re-admits the ones that answer (the control
-  plane's prober adds a backoff schedule).  Routing also self-heals:
-  when a key's whole replica set is ejected, dispatch makes one last
-  pass ignoring health marks (non-blocking — safe from worker
-  callbacks), and a shard that serves the answer is re-admitted on the
-  spot, so a burst of false hang ejections cannot black-hole a key.
+* **Recovery** — an ejected shard comes back three ways, with no
+  background loop: it serves an answer dispatched after its ejection
+  (``_answered``); a key whose whole replica set is ejected makes one
+  last dispatch pass ignoring health marks (non-blocking — safe from
+  worker callbacks), and a shard that serves it is re-admitted on the
+  spot, so a burst of false hang ejections cannot black-hole a key; or
+  an operator calls ``check_health()``, which probes every ejected
+  shard with a real tiny prediction and re-admits the ones that answer.
 * **Permanent loss** — ``decommission_shard`` removes a shard for good:
   the ring is rebuilt without it (consistent hashing moves only its
   keys) and its models are re-registered from a live holder onto the
-  survivors the new ring assigns, reconcile-before-swap.  The
-  :mod:`repro.serve.control` plane's prober calls it after
-  ``permanent_after`` failed probes.
+  survivors the new ring assigns, reconcile-before-swap.  The caller
+  decides that a host is lost; the fleet never decommissions on its
+  own.
 * **Retry seam** — ``self.retry`` (a :class:`~repro.serve.resilience.
   RetryPolicy`, ``None`` by default) adds call-level healing:
   ``predict`` re-submits transient verdicts under a token-bucket retry
@@ -128,9 +129,8 @@ class Shard:
 
     @property
     def queue_depth(self) -> int:
-        """Live load gauge (pending + in-flight) of this shard's server
-        — reported per shard in ``FleetStats.per_shard`` and summed
-        into the control plane's ``slo.queue_depth`` gauge."""
+        """Live load (pending + in-flight) of this shard's server —
+        reported per shard in ``FleetStats.per_shard``."""
         return self.server.queue_depth()
 
     def __repr__(self) -> str:
@@ -750,17 +750,17 @@ class ShardedFleet:
         return live
 
     def _answered(self, shard: Shard, dispatched_at: float) -> None:
-        """A shard served a read — the strongest health probe there is: a shard ejected on a false hang (the
-        budget includes queue wait) re-admits itself with its next
-        answer, prober or no prober.
+        """A shard served a read — the strongest health probe there is:
+        a shard ejected on a false hang (the budget includes queue wait)
+        re-admits itself with its next answer.
 
         After an *error* ejection only an attempt dispatched after it is
         evidence, though: a forward that was already computing when its
         host died answers late, and re-admitting on that straggler would
-        hide the dead shard from the prober (which probes unhealthy
-        shards only) until live traffic happened to fault on it again.
-        Such a shard comes back through a probe (``check_health`` or the
-        control plane's prober) or the ignore-health last-resort pass."""
+        mark a dead shard healthy until live traffic happened to fault
+        on it again.  Such a shard comes back by answering a read
+        dispatched later — the ignore-health last-resort pass sends it
+        one — or through an operator's ``check_health()``."""
         ejected_at = shard.ejected_at
         if ejected_at is not None and dispatched_at < ejected_at:
             return
@@ -800,60 +800,38 @@ class ShardedFleet:
             return [s.id for s in self.shards if s.healthy]
 
     def check_health(self) -> list[str]:
-        """Probe every ejected shard; re-admit the ones that answer a
-        real (tiny) prediction.  Returns re-admitted ids."""
+        """Probe every ejected shard; re-admit the ones that answer.
+        Returns the re-admitted ids.
+
+        Each probe is one real prediction through the shard's own
+        front-end.  A unique probe ω defeats the result cache (a cached
+        field would mask a still-broken forward path); a shard serving
+        no models is trivially healthy.  The probe must be able to
+        succeed on a shard that was ejected for being *slow*, not
+        broken, so its budget sits well above the hang threshold and it
+        jumps any backlog that caused the false ejection.
+        """
+        budget_s = max(30.0, 4 * (self.config.shard_timeout_s or 0.0))
         with self._lock:
             candidates = [s for s in self.shards if not s.healthy]
-        return [s.id for s in candidates if self.probe_shard(s)]
-
-    def probe_shard(self, shard: "Shard | str",
-                    timeout_s: float | None = None) -> bool:
-        """Probe one shard (by object or id); re-admit on success.
-
-        The control-plane prober's entry point: unlike ``check_health``
-        this targets exactly one shard and accepts an explicit probe
-        budget, so a *hung* shard costs the prober ``timeout_s`` per
-        attempt instead of the generous default recovery budget.
-        Returns ``True`` when the shard answered and was re-admitted.
-        """
-        if isinstance(shard, str):
-            with self._lock:
-                shard = self._by_id.get(shard)
-            if shard is None:
-                return False
-        self._count("probes")
-        if self._probe(shard, budget_s=timeout_s):
+        readmitted = []
+        for shard in candidates:
+            self._count("probes")
+            entries = shard.server.registry.entries()
+            if entries:
+                entry = entries[0]
+                with self._lock:
+                    self._probe_seq += 1
+                    omega = np.full(entry.problem.field.m,
+                                    1e-3 * self._probe_seq)
+                try:
+                    shard.server.predict(entry.name, omega, timeout=budget_s,
+                                         priority=2 ** 31)
+                except Exception:
+                    continue
             self._readmit(shard)
-            return True
-        return False
-
-    def _probe(self, shard: Shard, budget_s: float | None = None) -> bool:
-        """One real prediction through the shard's own front-end.
-
-        A unique probe ω defeats the result cache (a cached field would
-        mask a still-broken forward path); a shard serving no models is
-        trivially healthy.
-        """
-        entries = shard.server.registry.entries()
-        if not entries:
-            return True
-        entry = entries[0]
-        with self._lock:
-            self._probe_seq += 1
-            seq = self._probe_seq
-        omega = np.full(entry.problem.field.m, 1e-3 * seq)
-        if budget_s is None:
-            # The probe must be able to succeed on a shard that was
-            # ejected for being *slow*, not broken: give it a budget
-            # well above the hang threshold and let it jump any backlog
-            # that caused the false ejection in the first place.
-            budget_s = max(30.0, 4 * (self.config.shard_timeout_s or 0.0))
-        try:
-            shard.server.predict(entry.name, omega, timeout=budget_s,
-                                 priority=2 ** 31)
-        except Exception:
-            return False
-        return True
+            readmitted.append(shard.id)
+        return readmitted
 
     # ------------------------------------------------------------------ #
     # Permanent loss: decommission a shard, re-replicate its keys
@@ -861,11 +839,10 @@ class ShardedFleet:
     def decommission_shard(self, shard_id: str) -> int:
         """Remove a permanently lost shard and re-replicate its keys.
 
-        The prober's last resort after ``permanent_after`` consecutive
-        probe failures: the shard leaves the ring, survivors that the
-        new ring assigns its keys get fresh registrations (copied from
-        a live holder) *before* the new ring swaps in, and
-        teardown is *best effort* on a daemon thread — joining a hung
+        The caller declares the host lost; the shard leaves the ring,
+        survivors that the new ring assigns its keys get fresh
+        registrations (copied from a live holder) *before* the new ring
+        swaps in, and teardown is *best effort* on a daemon thread — joining a hung
         server's workers could block forever, and a dead host owes
         nobody a clean shutdown.  Returns the number of (key, shard)
         re-registrations performed.

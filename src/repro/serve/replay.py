@@ -348,7 +348,7 @@ class VirtualClock:
     """A now() that moves only when told to.
 
     Inject it as the ``clock`` of any policy with deterministic tick
-    semantics (retry budget, prober, tracer) and drive time from the
+    semantics (retry budget, tracer) and drive time from the
     test: ``clock.advance(0.5)``.
     """
 

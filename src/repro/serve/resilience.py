@@ -21,7 +21,7 @@ classify → ``policy.plan`` → count → sleep → again — behind
 --retries`` and the CLI's serve submit/drain; its sleep is injected.
 :class:`TokenBucket` is the lazy bucket behind the retry budget;
 :func:`backoff_window` / :func:`jittered` are the ``min(cap, base·2ⁿ)``
-window and its seeded jitter, shared with the health prober.
+window and its seeded jitter behind the retry backoff.
 
 Wiring: the fleet has one resilience seam, ``fleet.retry`` (``None`` by
 default), set by plain assignment.  Each retry is a fresh,
@@ -55,8 +55,8 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# The token bucket and the backoff window (written once, used by the
-# retry budget and the health prober)
+# The token bucket and the backoff window (the retry budget and the
+# retry backoff)
 # --------------------------------------------------------------------- #
 class TokenBucket:
     """Lazy token bucket: ``burst`` capacity refilled at ``rate``/s.

@@ -331,6 +331,12 @@ class PredictionServer:
             raise ValueError(
                 f"model {model_name!r} expects omega of length "
                 f"{entry.problem.field.m}, got {omega.size}")
+        if not np.isfinite(omega).all():
+            # A NaN key never equals itself: it would miss the cache on
+            # every call and cache a non-finite field each time.
+            raise ValueError(
+                f"model {model_name!r} needs a finite omega, got "
+                f"{omega.tolist()}")
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         t0 = time.perf_counter()

@@ -1,12 +1,12 @@
 """Unified telemetry for the serving stack: tracing + metrics.
 
-Two halves sharing one forgeable clock:
+Two halves; the tracer runs on one forgeable clock:
 
 * :mod:`~repro.serve.telemetry.trace` — per-request spans (queue wait,
   batch collect, forward, tile compute, shard attempt)
   ring-buffered per tracer and exportable as deterministic jsonl.
-* :mod:`~repro.serve.telemetry.metrics` — named counters / gauges /
-  quantile sketches, with the stack's legacy stats dataclasses
+* :mod:`~repro.serve.telemetry.metrics` — named counters / quantile
+  sketches, with the stack's legacy stats dataclasses
   re-registered as read-time views.
 
 :class:`Telemetry` bundles both.  Tracing is a null object, not a
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 
-from .metrics import Counter, Gauge, MetricsRegistry, QuantileSketch
+from .metrics import Counter, MetricsRegistry, QuantileSketch
 from .trace import (NULL_SPAN, NULL_TRACER, NullSpan, NullTracer, Span,
                     Tracer, export_jsonl, format_summary, parse_jsonl,
                     summarize_spans)
@@ -39,13 +39,13 @@ from .trace import (NULL_SPAN, NULL_TRACER, NullSpan, NullTracer, Span,
 __all__ = [
     "Telemetry",
     "Span", "Tracer", "NullSpan", "NullTracer", "NULL_SPAN", "NULL_TRACER",
-    "Counter", "Gauge", "QuantileSketch", "MetricsRegistry",
+    "Counter", "QuantileSketch", "MetricsRegistry",
     "export_jsonl", "parse_jsonl", "summarize_spans", "format_summary",
 ]
 
 
 class Telemetry:
-    """One tracer + one metrics registry on one clock.
+    """One tracer on one clock, plus one metrics registry.
 
     ``clock`` must be monotonic; pass a
     :class:`~repro.serve.replay.VirtualClock` for deterministic
@@ -58,4 +58,4 @@ class Telemetry:
         self.clock = clock
         self.tracer = Tracer(clock=clock, capacity=trace_capacity,
                              sample_every=trace_sample)
-        self.metrics = MetricsRegistry(clock=clock)
+        self.metrics = MetricsRegistry()

@@ -1,19 +1,15 @@
-"""Metrics registry: counters, gauges, quantile sketches, views.
+"""Metrics registry: counters, quantile sketches, views.
 
 One queryable surface for every number the serving stack produces.
-Three instrument kinds plus views:
+Two instrument kinds plus views:
 
 * :class:`Counter` — monotone event count.
-* :class:`Gauge` — last-write-wins level with a bounded ``(t, value)``
-  history, so SLO trajectories (p99 over the storm, healthy shards
-  over the faults) are assertable per tick, not just terminally.
 * :class:`QuantileSketch` — p50/p99 without storing raw samples: a
   geometric-bucket histogram (2% relative resolution) whose memory is
   O(distinct buckets), not O(observations).
 
 Views (:meth:`MetricsRegistry.register_view`) name numbers the stack
-already keeps — ``ServerStats`` / ``FleetStats`` / ``ControlStats``,
-the resilience counters, and the fleet's counter ledger (``fleet.*``)
+already keeps — ``ServerStats`` / ``FleetStats``, the retry counters, and the fleet's counter ledger (``fleet.*``)
 — as zero-copy reads over the live objects.  The registry adds a name,
 it never stores a second copy, so it cannot drift from the stats the
 stack reports.  The audit that can fail is the conservation law itself
@@ -26,10 +22,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
-from collections import deque
 
-__all__ = ["Counter", "Gauge", "QuantileSketch", "MetricsRegistry"]
+__all__ = ["Counter", "QuantileSketch", "MetricsRegistry"]
 
 
 class Counter:
@@ -51,36 +45,6 @@ class Counter:
     @property
     def value(self):
         return self._value
-
-
-class Gauge:
-    """A last-write-wins level with a bounded ``(t, value)`` history."""
-
-    __slots__ = ("name", "_value", "_history", "_clock", "_lock")
-
-    def __init__(self, name: str, clock=time.monotonic,
-                 history: int = 512) -> None:
-        self.name = name
-        self._value = 0.0
-        self._clock = clock
-        self._history: deque[tuple[float, float]] = deque(maxlen=history)
-        self._lock = threading.Lock()
-
-    def set(self, value: float, t: float | None = None) -> None:
-        if t is None:
-            t = self._clock()
-        with self._lock:
-            self._value = value
-            self._history.append((t, value))
-
-    @property
-    def value(self):
-        return self._value
-
-    @property
-    def history(self) -> list[tuple[float, float]]:
-        with self._lock:
-            return list(self._history)
 
 
 class QuantileSketch:
@@ -167,22 +131,20 @@ class QuantileSketch:
 class MetricsRegistry:
     """Named instruments plus views over the stack's legacy stats.
 
-    ``counter``/``gauge``/``histogram`` get-or-create; a name may hold
+    ``counter``/``histogram`` get-or-create; a name may hold
     exactly one kind.  ``register_view(name, fn)`` binds a zero-arg
     callable evaluated at read time — re-registering the same name
     replaces the view (enabling telemetry twice is harmless).
     """
 
-    def __init__(self, clock=time.monotonic) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._hists: dict[str, QuantileSketch] = {}
         self._views: dict[str, object] = {}
 
     def _check_name(self, name: str, own: dict) -> None:
-        for kind in (self._counters, self._gauges, self._hists, self._views):
+        for kind in (self._counters, self._hists, self._views):
             if kind is not own and name in kind:
                 raise ValueError(
                     f"metric name {name!r} already registered as a "
@@ -194,15 +156,6 @@ class MetricsRegistry:
             if inst is None:
                 self._check_name(name, self._counters)
                 inst = self._counters[name] = Counter(name)
-            return inst
-
-    def gauge(self, name: str, history: int = 512) -> Gauge:
-        with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                self._check_name(name, self._gauges)
-                inst = self._gauges[name] = Gauge(
-                    name, clock=self.clock, history=history)
             return inst
 
     def histogram(self, name: str, gamma: float = 1.02) -> QuantileSketch:
@@ -223,8 +176,6 @@ class MetricsRegistry:
         with self._lock:
             if name in self._counters:
                 return self._counters[name].value
-            if name in self._gauges:
-                return self._gauges[name].value
             if name in self._hists:
                 return self._hists[name].summary()
             view = self._views.get(name)
@@ -234,8 +185,8 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._counters) | set(self._gauges)
-                          | set(self._hists) | set(self._views))
+            return sorted(set(self._counters) | set(self._hists)
+                          | set(self._views))
 
     def snapshot(self) -> dict:
         """Flat name -> value dict of everything, views evaluated now.
@@ -245,12 +196,10 @@ class MetricsRegistry:
         (easy to diff, easy to jsonl)."""
         with self._lock:
             counters = {n: c.value for n, c in self._counters.items()}
-            gauges = {n: g.value for n, g in self._gauges.items()}
             hists = {n: h.summary() for n, h in self._hists.items()}
             views = dict(self._views)
         out: dict[str, object] = {}
         out.update(counters)
-        out.update(gauges)
         for name, summary in hists.items():
             for key in ("count", "mean", "p50", "p99"):
                 out[f"{name}.{key}"] = summary[key]

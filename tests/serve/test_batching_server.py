@@ -12,7 +12,7 @@ from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
     MicroBatcher, ModelRegistry, PredictRequest, PredictionServer,
-    ServerConfig,
+    RequestQueue, ServerConfig,
 )
 
 RNG = np.random.default_rng(11)
@@ -107,13 +107,24 @@ class TestSyncFrontend:
         server.predict("m", omega + 1e-8)
         assert server.stats.cache_hits == 1
 
-    def test_wrong_arity_omega_rejected_at_submit(self, served):
-        # Must fail fast in submit: inside a worker it would poison the
-        # fused np.stack of its whole micro-batch group.
+    @pytest.mark.parametrize("omega,match", [
+        ([0.0, 0.0, 0.0], "length 4"),
+        ([np.nan, 0.0, 0.0, 0.0], "finite"),
+        ([np.inf, 0.0, 0.0, 0.0], "finite"),
+        ([0.0, 0.0, -np.inf, 0.0], "finite"),
+    ], ids=["arity", "nan", "inf", "-inf"])
+    def test_wrong_arity_omega_rejected_at_submit(self, served, omega, match):
+        # Must fail fast in submit: inside a worker a wrong arity would
+        # poison the fused np.stack of its whole micro-batch group, and a
+        # NaN key never equals itself, so every call would miss the cache
+        # and cache one more non-finite field.
         *_, registry = served
         server = PredictionServer(registry)
-        with pytest.raises(ValueError, match="length 4"):
-            server.submit("m", np.zeros(3))
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                server.submit("m", np.array(omega))
+        assert server.stats.requests == 0
+        assert len(server.cache) == 0
 
     def test_served_fields_read_only_on_miss_and_hit(self, served):
         *_, registry = served
@@ -147,6 +158,25 @@ class TestWorkerFrontend:
         np.testing.assert_allclose(got, ref, atol=1e-6)
         assert server.stats.batches < len(omegas)  # coalescing happened
         assert server.stats.mean_batch_size > 1.0
+
+    def test_non_finite_omega_leaves_its_batch_mates_served(self, served):
+        """A NaN ω between two good ones in one coalescing window is
+        refused at submit; the fused forward of the others is intact."""
+        model, problem, registry = served
+        omegas = RNG.uniform(-3, 3, size=(2, 4))
+        ref = predict_batch(model, problem, omegas)
+        server = PredictionServer(registry, ServerConfig(
+            max_batch=4, max_wait_ms=50, workers=1, cache_bytes=0))
+        with server:
+            first = server.submit("m", omegas[0])
+            with pytest.raises(ValueError, match="finite"):
+                server.submit("m", np.array([0.0, np.nan, 0.0, 0.0]))
+            second = server.submit("m", omegas[1])
+            got = np.stack([first.result(timeout=30),
+                            second.result(timeout=30)])
+        np.testing.assert_allclose(got, ref, atol=1e-6)
+        assert np.isfinite(got).all()
+        assert server.stats.requests == 2 and server.stats.errors == 0
 
     def test_predict_many_roundtrip(self, served):
         model, problem, registry = served
@@ -287,3 +317,81 @@ class TestWorkerFrontend:
         got = server.predict_many("m", omegas)
         np.testing.assert_allclose(got, ref, atol=1e-5)
         assert server.stats.tiled_forwards >= 1
+
+
+# --------------------------------------------------------------------- #
+# EDF hold shrink in the micro-batcher
+# --------------------------------------------------------------------- #
+class TestDeadlineAwareHold:
+    def _request(self, expires_in=None):
+        now = time.perf_counter()
+        return PredictRequest(
+            model_name="m", omega=np.zeros(4), resolution=16, future=None,
+            expires_at=None if expires_in is None else now + expires_in)
+
+    def test_tight_deadline_shrinks_the_hold(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=500.0)
+        source = RequestQueue()
+        source.put(self._request(expires_in=0.01))
+        t0 = time.perf_counter()
+        batch = batcher.collect(source)
+        elapsed = time.perf_counter() - t0
+        assert len(batch) == 1
+        # Dispatched at the request's slack (~10ms), not the 500ms hold.
+        assert elapsed < 0.25
+
+    def test_relaxed_requests_keep_the_full_hold(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=60.0)
+        source = RequestQueue()
+        source.put(self._request())
+        t0 = time.perf_counter()
+        batch = batcher.collect(source)
+        elapsed = time.perf_counter() - t0
+        assert len(batch) == 1
+        assert elapsed >= 0.05
+
+    def test_late_companion_can_shrink_further(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=500.0)
+        source = RequestQueue()
+        source.put(self._request(expires_in=30.0))   # relaxed
+        source.put(self._request(expires_in=0.01))   # tight companion
+        t0 = time.perf_counter()
+        batch = batcher.collect(source)
+        elapsed = time.perf_counter() - t0
+        assert len(batch) == 2
+        assert elapsed < 0.25
+
+
+# --------------------------------------------------------------------- #
+# Queue-depth gauge
+# --------------------------------------------------------------------- #
+class TestQueueDepth:
+    def test_idle_server_reports_zero(self, served):
+        *_, registry = served
+        server = PredictionServer(registry, ServerConfig(workers=1))
+        assert server.queue_depth() == 0
+        assert server.stats.queue_depth == 0
+
+    def test_queued_and_inflight_requests_count(self, served):
+        *_, registry = served
+        server = PredictionServer(registry, ServerConfig(
+            workers=1, max_batch=1, max_wait_ms=0, cache_bytes=0))
+        entered, release = threading.Event(), threading.Event()
+        forward = server._forward
+
+        def hung(entry, omegas, resolution):
+            entered.set()
+            assert release.wait(timeout=30)
+            return forward(entry, omegas, resolution)
+
+        server._forward = hung
+        with server:
+            first = server.submit("m", np.zeros(4))
+            assert entered.wait(timeout=30)
+            second = server.submit("m", np.ones(4))
+            # One in flight (hung in the forward) + one pending.
+            assert server.queue_depth() == 2
+            release.set()
+            first.result(30)
+            second.result(30)
+            assert server.queue_depth() == 0

@@ -10,6 +10,9 @@ The fleet's contract under faults, pinned deterministically:
   from replicas and match the single-server field to <= 1e-5.
 * **Recovery** — an ejected shard whose fault clears is re-admitted by
   a health probe and traffic returns to it.
+* **Probing** — ``check_health()`` probes only ejected, live shards,
+  once per call, with a fresh ω, a budget above the hang threshold and
+  a priority above any client's.
 
 The chaos harness injects faults the way an operator would see them:
 
@@ -310,8 +313,8 @@ class TestRecovery:
         """A forward that was already computing when its host died
         answers *after* another request's fault ejected the shard.
         That straggler is not health evidence: re-admitting on it would
-        hide the dead shard from the prober (it probes unhealthy shards
-        only) until live traffic happened to fault on it again."""
+        mark the dead shard healthy until live traffic happened to fault
+        on it again."""
         model, problem = served
         fleet = _fleet()
         fleet.register_model("m", model, problem)
@@ -391,6 +394,195 @@ class TestRecovery:
         assert s.unavailable == 1
         assert s.served == 1
         assert s.lost == 0
+
+
+def _probe_calls(shard):
+    """Record the keyword arguments of every ``predict`` the shard's
+    front-end receives, passing each call through."""
+    calls = []
+    predict = shard.server.predict
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return predict(*args, **kwargs)
+    shard.server.predict = recorded
+    return calls
+
+
+def _distinct_fault_pair(fleet, names):
+    """A (kill, hang) shard pair such that the storm exercises both
+    faults yet every key stays servable: neither pair jointly owns any
+    model's full replica set, and each is primary for at least one
+    model."""
+    ids = [s.id for s in fleet.shards]
+    replica_sets = [fleet.replicas_for(n) for n in names]
+    for a in ids:
+        for b in ids:
+            if a == b or any(set(rs) <= {a, b} for rs in replica_sets):
+                continue
+            if (any(rs[0] == a for rs in replica_sets)
+                    and any(rs[0] == b for rs in replica_sets)):
+                return _shard(fleet, a), _shard(fleet, b)
+    raise AssertionError("no disjoint fault pair under this ring layout")
+
+
+class TestCheckHealth:
+    """``check_health()`` is the fleet's one probe path: what it probes,
+    with which budget and ω, and what it leaves alone."""
+
+    def test_healthy_fleet_probes_nothing(self, served):
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        calls = [_probe_calls(s) for s in fleet.shards]
+        with fleet:
+            assert fleet.check_health() == []
+        assert all(c == [] for c in calls)
+        assert all(s.server.stats.requests == 0 for s in fleet.shards)
+        assert fleet.stats.probes == 0 and fleet.stats.readmissions == 0
+
+    @pytest.mark.parametrize("shard_timeout_s,budget_s", [
+        (None, 30.0), (0.25, 30.0), (20.0, 80.0)])
+    def test_probe_budget_is_four_hang_budgets_with_a_30s_floor(
+            self, served, shard_timeout_s, budget_s):
+        """The probe must succeed on a shard ejected for being slow, so
+        its budget sits well above the hang threshold."""
+        model, problem = served
+        fleet = _fleet(shard_timeout_s=shard_timeout_s)
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        calls = _probe_calls(primary)
+        fleet._eject(primary, TimeoutError("slow"), hang=True)
+        with fleet:
+            assert fleet.check_health() == [primary.id]
+        [(_, kwargs)] = calls
+        assert kwargs["timeout"] == pytest.approx(budget_s)
+
+    def test_probe_outranks_every_client_priority(self, served):
+        """A probe jumps the backlog that may have caused a false
+        ejection: its priority is above any a client sends."""
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        calls = _probe_calls(primary)
+        fleet._eject(primary, TimeoutError("slow"), hang=True)
+        with fleet:
+            fleet.check_health()
+        [(_, kwargs)] = calls
+        assert kwargs["priority"] >= 2 ** 31
+
+    def test_probe_is_never_answered_from_the_cache(self, served):
+        """Each probe sends a fresh ω: a field cached by an earlier
+        probe must not vouch for a forward path that broke since."""
+        model, problem = served
+        fleet = _fleet(cache_bytes=1 << 20)
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        calls = _probe_calls(primary)
+        with fleet:
+            fleet._eject(primary, TimeoutError("slow"), hang=True)
+            assert fleet.check_health() == [primary.id]
+            _Chaos(primary).error()
+            fleet._eject(primary, RuntimeError("broken"))
+            assert fleet.check_health() == []
+            assert not primary.healthy
+        first, second = (args[1] for args, _ in calls)
+        assert not np.array_equal(first, second)
+        assert primary.server.stats.cache_hits == 0
+        s = fleet.stats
+        assert s.probes == 2 and s.readmissions == 1
+
+    def test_shard_serving_no_models_is_readmitted_without_a_request(
+            self, served):
+        model, problem = served
+        fleet = _fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        [idle] = [s for s in fleet.shards
+                  if s.id not in fleet.replicas_for("m")]
+        calls = _probe_calls(idle)
+        fleet._eject(idle, RuntimeError("flap"))
+        with fleet:
+            assert fleet.check_health() == [idle.id]
+        assert idle.healthy and calls == []
+        assert idle.server.stats.requests == 0
+        assert fleet.stats.probes == 1 and fleet.stats.readmissions == 1
+
+    def test_every_ejected_shard_is_probed_once_per_call(self, served):
+        model, problem = served
+        fleet = _fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        for shard in fleet.shards:
+            fleet._eject(shard, TimeoutError("slow"), hang=True)
+        with fleet:
+            assert sorted(fleet.check_health()) == \
+                sorted(s.id for s in fleet.shards)
+            assert fleet.check_health() == []
+        s = fleet.stats
+        assert s.probes == 3 and s.readmissions == 3
+        assert s.healthy_shards == 3
+
+    def test_decommissioned_shard_is_never_probed(self, served):
+        model, problem = served
+        fleet = _fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        victim = _shard(fleet, fleet.replicas_for("m")[0])
+        calls = _probe_calls(victim)
+        fleet._eject(victim, RuntimeError("host lost"))
+        with fleet:
+            fleet.decommission_shard(victim.id)
+            assert fleet.check_health() == []
+        assert calls == [] and not victim.healthy
+        assert fleet.stats.probes == 0
+        assert victim.id not in [s.id for s in fleet.shards]
+
+    def test_kill_and_hang_storm_heals_through_the_operator_path(
+            self, served):
+        """One shard dies for good and one hangs transiently mid-storm.
+        Nothing is lost; the operator decommissions the dead shard (its
+        keys re-replicate on the survivors) and ``check_health()`` —
+        or the hung shard's own late answer — brings the other back."""
+        model, problem = served
+        fleet = _fleet(shards=4, replicas=2, shard_timeout_s=0.25)
+        names = [f"m{i}" for i in range(4)]
+        for name in names:
+            fleet.register_model(name, model, problem)
+        kill_victim, hang_victim = _distinct_fault_pair(fleet, names)
+        chaos_kill, chaos_hang = _Chaos(kill_victim), _Chaos(hang_victim)
+
+        def arm():
+            chaos_kill.kill()
+            chaos_hang.hang()
+
+        with fleet:
+            futures, sync_errors = _storm(fleet, names, arm_chaos=arm)
+            results, request_errors = [], []
+            for name, omega, f in futures:
+                try:
+                    results.append(
+                        (name, omega, fleet.await_result(f, timeout=60)))
+                except Exception as exc:
+                    request_errors.append((name, omega, exc))
+            chaos_hang.restore()
+            assert fleet.decommission_shard(kill_victim.id) >= 1
+            fleet.check_health()
+            assert hang_victim.healthy
+            assert fleet.stats.healthy_shards == 3
+            rng = np.random.default_rng(SEED + 99)
+            for name in names:
+                replicas = fleet.replicas_for(name)
+                assert kill_victim.id not in replicas
+                assert len(replicas) == 2
+                assert all(name in _shard(fleet, sid).server.registry.names()
+                           for sid in replicas)
+                u = fleet.predict(name, rng.uniform(-3, 3, 4), timeout=30)
+                assert u.shape == (16, 16)
+        assert sync_errors == [] and request_errors == []
+        assert len(results) == 48
+        _assert_fields_match(served, results)
+        s = fleet.stats
+        assert s.lost == 0
+        assert s.decommissions == 1 and s.reregistrations >= 1
 
 
 class TestChaosStorms:

@@ -39,11 +39,22 @@ shard) circuit breaker.  The fleet keeps one resilience seam,
 wrappers went with them.  Their names, the ``--hedge`` /
 ``--breaker-*`` flags, and any identifier or token string containing
 ``hedge`` or ``breaker`` may not come back in ``src/repro``.
+
+And for the control plane: a background thread that ticked a health
+prober (backoff-scheduled probes, optional decommission) and stamped
+SLO gauges.  No benchmark built it, and its only caller ran it with the
+defaults, which never decommission.  The fleet heals through the
+answers it serves, its ignore-health last pass and an operator's
+``check_health()``, the one probe path.  The ``serve/control/`` package,
+its names, the per-shard ``probe_shard``, the ``Gauge`` instrument, the
+``--control`` flag and the ``stats.control.*`` views may not appear
+anywhere in ``src/repro``, prose included.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +129,18 @@ BANNED_RESILIENCE = {
 # Any identifier, or string without whitespace (a flag, a ledger term,
 # a span or view name), containing one of these is a regrowth.
 RESILIENCE_STEMS = ("hedge", "breaker")
+# Package-wide, in any text (code, strings, comments, docstrings): the
+# deleted control plane, its per-shard probe, gauges, flag and views.
+BANNED_CONTROL = {
+    "ControlPlane": r"\bControlPlane\b",
+    "ControlConfig": r"\bControlConfig\b",
+    "ControlStats": r"\bControlStats\b",
+    "HealthProber": r"\bHealthProber\b",
+    "probe_shard": r"\bprobe_shard\b",
+    "Gauge": r"\bGauge\b",
+    "--control": r"--control(?![\w-])",
+    "stats.control": r"\bstats\.control\b",
+}
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -277,6 +300,14 @@ def _resilience(source: str) -> list[str]:
     return bad
 
 
+def _control_plane(source: str) -> list[str]:
+    """Lines of one module naming the deleted control plane."""
+    return [f"{line}: {name}"
+            for line, text in enumerate(source.splitlines(), 1)
+            for name, pattern in BANNED_CONTROL.items()
+            if re.search(pattern, text)]
+
+
 def _definitions(name: str) -> list[str]:
     """Modules of ``src/repro`` defining a function ``name``."""
     return [str(path.relative_to(PACKAGE))
@@ -326,7 +357,7 @@ def test_the_slab_engine_and_spill_ledger_stay_deleted() -> None:
 
 def test_the_deleted_fleet_features_stay_deleted() -> None:
     assert not [p for m in BANNED_FLEET_MODULES
-                for p in (PACKAGE / "serve" / "control").glob(f"{m}.py")]
+                for p in PACKAGE.rglob(f"{m}.py")]
     bad = [f"{path.relative_to(PACKAGE)}:{hit}"
            for path in sorted(PACKAGE.rglob("*.py"))
            for hit in _fleet_features(path.read_text())]
@@ -356,6 +387,50 @@ def test_hedged_reads_and_the_breaker_stay_deleted() -> None:
         "a deleted resilience policy is growing back — a read walks its "
         "replica set in ring order, one attempt at a time, and the one "
         "resilience seam is fleet.retry:\n  " + "\n  ".join(bad))
+
+
+def test_the_control_plane_stays_deleted() -> None:
+    assert not (PACKAGE / "serve" / "control").exists()
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _control_plane(path.read_text())]
+    assert not bad, (
+        "the deleted control plane is growing back — ejected shards come "
+        "back through served answers and check_health(), with no "
+        "background loop:\n  " + "\n  ".join(bad))
+
+
+# One source line per idiom the control-plane guard must flag.
+CONTROL_IDIOMS = {
+    "ControlPlane": "plane = ControlPlane(fleet) if args.control else None\n",
+    "ControlConfig": "from .control import ControlConfig\n",
+    "ControlStats": "def stats(self) -> ControlStats:\n    pass\n",
+    "HealthProber": "self.prober = HealthProber(fleet, jitter=1.0)\n",
+    "probe_shard": "if self.fleet.probe_shard(shard, timeout_s=1.0):\n"
+                   "    pass\n",
+    "Gauge": "inst = self._gauges[name] = Gauge(name, clock=self.clock)\n",
+    "--control": "p.add_argument('--control', action='store_true')\n",
+    "stats.control": "reg.register_view(f'stats.control.{name}', read)\n",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(CONTROL_IDIOMS))
+def test_control_guard_catches_each_deleted_name(idiom: str) -> None:
+    """The control-plane guard flags every name it lists (meta-test)."""
+    assert _control_plane(CONTROL_IDIOMS[idiom]) == [f"1: {idiom}"]
+
+
+def test_control_guard_allows_the_fleets_own_health_path() -> None:
+    """``check_health``, ``decommission_shard``, the ``probes`` ledger
+    term, queue-depth readings and unrelated flags are not banned."""
+    assert _control_plane(
+        "readmitted = fleet.check_health()\n"
+        "fleet.decommission_shard('shard-01')\n"
+        "self._count('probes')\n"
+        "depth = shard.queue_depth  # a load gauge, read on demand\n"
+        "p.add_argument('--controller-url')\n"
+        "reg.register_view('stats.fleet.healthy_shards', read)\n"
+    ) == []
 
 
 # One source line per idiom the resilience guard must flag.

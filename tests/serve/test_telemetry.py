@@ -27,11 +27,10 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, FleetStats,
-    FleetUnavailable, Gauge, MetricsRegistry, PredictionServer,
-    QuantileSketch, ReplayHarness, RetryConfig, RetryPolicy, Scenario,
-    ServerConfig, ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock,
-    export_jsonl, format_summary, load_scenario, parse_jsonl,
-    summarize_spans,
+    FleetUnavailable, MetricsRegistry, PredictionServer, QuantileSketch,
+    ReplayHarness, RetryConfig, RetryPolicy, Scenario, ServerConfig,
+    ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock, export_jsonl,
+    format_summary, load_scenario, parse_jsonl, summarize_spans,
 )
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
@@ -270,6 +269,28 @@ class TestConservationCrossCheck:
         fleet.retry = None
         assert reg.value("stats.retry.retries") == 0
 
+    def test_health_views_follow_ejection_and_probe(self, served):
+        """Shard health is read through the fleet's views, with no gauge
+        sampling it: ``stats.fleet.healthy_shards`` drops on an ejection
+        and recovers after ``check_health()``, which ``fleet.probes``
+        counts."""
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        telemetry = Telemetry()
+        fleet.enable_telemetry(telemetry)
+        reg = telemetry.metrics
+        assert reg.value("stats.fleet.healthy_shards") == 3
+        victim = fleet.shards[0]
+        fleet._eject(victim, RuntimeError("flap"))
+        assert reg.value("stats.fleet.healthy_shards") == 2
+        assert reg.value("fleet.shard_faults") == 1
+        with fleet:
+            assert fleet.check_health() == [victim.id]
+        assert reg.value("stats.fleet.healthy_shards") == 3
+        assert reg.value("fleet.probes") == 1
+        assert reg.value("stats.fleet.readmissions") == 1
+
 
 # --------------------------------------------------------------------- #
 # Instruments
@@ -284,19 +305,6 @@ class TestMetricsInstruments:
         assert reg.counter("c") is c               # get-or-create
         with pytest.raises(ValueError):
             c.inc(-1)
-
-    def test_gauge_history_is_bounded_and_stamped(self):
-        clock = VirtualClock()
-        reg = MetricsRegistry(clock=clock)
-        g = reg.gauge("g", history=8)
-        for i in range(20):
-            clock.advance(1.0)
-            g.set(float(i))
-        assert g.value == 19.0
-        hist = g.history
-        assert len(hist) == 8                      # bounded ring
-        assert hist[-1] == (20.0, 19.0)            # stamped from clock
-        assert [v for _, v in hist] == [float(i) for i in range(12, 20)]
 
     def test_quantile_sketch_within_bucket_resolution(self):
         sk = QuantileSketch("lat", gamma=1.02)
@@ -329,7 +337,7 @@ class TestMetricsInstruments:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ValueError, match="different kind"):
-            reg.gauge("x")
+            reg.histogram("x")
         with pytest.raises(ValueError, match="different kind"):
             reg.register_view("x", lambda: 0)
         with pytest.raises(KeyError):
@@ -338,15 +346,14 @@ class TestMetricsInstruments:
     def test_snapshot_flattens_histograms(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
         reg.histogram("h").observe(10.0)
         reg.register_view("v", lambda: 7)
         snap = reg.snapshot()
-        assert snap["c"] == 2 and snap["g"] == 1.5 and snap["v"] == 7
+        assert snap["c"] == 2 and snap["v"] == 7
         assert snap["h.count"] == 1 and snap["h.mean"] == 10.0
         parsed = json.loads(reg.to_json())
         assert parsed["c"] == 2
-        assert reg.names() == ["c", "g", "h", "v"]
+        assert reg.names() == ["c", "h", "v"]
 
 
 # --------------------------------------------------------------------- #

@@ -159,6 +159,16 @@ class TestServe:
                      "--omega-file", str(omega_file)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.1,nan,0.3,0.4", "inf,0.2,0.3,0.4"],
+                             ids=["nan", "inf"])
+    def test_serve_non_finite_omega_file_fails_cleanly(
+            self, trained_checkpoint, tmp_path, capsys, row):
+        omega_file = tmp_path / "bad.csv"
+        omega_file.write_text(f"0.1,0.2,0.3,0.4\n{row}\n")
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--omega-file", str(omega_file)]) == 1
+        assert "finite omega" in capsys.readouterr().err
+
     def test_serve_explicit_tile_forces_tiling(self, trained_checkpoint,
                                                capsys):
         assert main(["serve", "--checkpoint", str(trained_checkpoint),
@@ -267,6 +277,17 @@ class TestServeFleet:
                      "--shards", "2", "--replicas", "1"]) == 0
         assert "served 2 of 2 requests" in capsys.readouterr().out
 
+    def test_serve_fleet_non_finite_omega_file_fails_cleanly(
+            self, trained_checkpoint, tmp_path, capsys):
+        # A request error, not a shard fault: the run stops on it
+        # instead of ejecting the replicas that refused it.
+        omega_file = tmp_path / "bad.csv"
+        omega_file.write_text("0.1,0.2,0.3,0.4\n0.1,nan,0.3,0.4\n")
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--omega-file", str(omega_file),
+                     "--shards", "2", "--replicas", "1"]) == 1
+        assert "finite omega" in capsys.readouterr().err
+
     def test_serve_fleet_missing_checkpoint_fails_cleanly(
             self, tmp_path, capsys):
         assert main(["serve", "--checkpoint", str(tmp_path / "nope.npz"),
@@ -285,36 +306,13 @@ class TestServeFleet:
                 build_parser().parse_args(["serve", "--checkpoint", "x.npz",
                                            flag, "0"])
 
-    def test_serve_fleet_with_control_plane(self, trained_checkpoint,
-                                            capsys):
-        assert main(["serve", "--checkpoint", f"demo={trained_checkpoint}",
-                     "--requests", "8", "--shards", "2", "--replicas", "2",
-                     "--control"]) == 0
-        out = capsys.readouterr().out
-        assert "served 8 of 8 requests" in out
-        assert "lost: 0" in out
-        [line] = [ln for ln in out.splitlines()
-                  if ln.startswith("control plane:")]
-        # A healthy fleet: the plane ticks but has nothing to heal.
-        assert " 0 probes (0 backed off), 0 readmissions, " \
-               "0 decommissions (0 re-registrations)" in line
-
-    def test_control_flag_on_one_server_runs_no_plane(
-            self, trained_checkpoint, capsys):
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "4", "--control"]) == 0
-        out = capsys.readouterr().out
-        assert "served 4 requests" in out
-        assert "control plane:" not in out
-
     @pytest.mark.parametrize("flag,value", [
         ("--tenant", "noisy"), ("--tenant-quota", "5:10"),
         ("--autoscale-min", "2"), ("--autoscale-max", "4")])
     def test_deleted_control_flags_rejected_by_parser(self, flag, value):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--checkpoint", "x.npz",
-                                       "--shards", "2", "--control",
-                                       flag, value])
+                                       "--shards", "2", flag, value])
 
 
 class TestServeResilience:
