@@ -1,21 +1,22 @@
-"""TRACE REPLAY — scripted failure weather against a retrying fleet.
+"""TRACE REPLAY — scripted failure weather against a failing-over fleet.
 
 The committed ``scenarios/storm.json`` (zipfian popularity, lognormal
 arrivals under a diurnal envelope, two-tenant priority mix) is replayed
-against a 3-shard fleet with a budgeted retry policy on its ``retry``
-seam while the scripted faults land: shard 1 flaps twice, shard 2 is
-killed for 2.5 s, shard 0 hangs for 2 s.  Measured: the outcome census,
-the retry and failover counters and wall time.
+against a 3-shard fleet while the scripted faults land: shard 1 flaps
+twice, shard 2 is killed for 2.5 s, shard 0 hangs for 2 s.  Each request
+is submitted once; failover is the only healing.  Measured: the outcome
+census, the failover counter and wall time.
 
 Gates (exit nonzero on failure):
 
 * **determinism** — rebuilding the storm trace from the scenario
   yields a byte-identical event log, always;
 * **conservation** — ``FleetStats.lost == 0``, always;
-* **retry budget** — retries granted during the storm never exceed
-  ``budget_burst + budget_rate * wall``, always.
+* **healing** — every request is served (``served == requests``),
+  always: with one replica of every key alive at each moment of the
+  storm, failover alone answers them all.
 
-``--json BENCH_replay.json`` is uploaded by CI's resilience-smoke job.
+``--json BENCH_replay.json`` is uploaded by CI's replay-smoke job.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    FleetConfig, ReplayHarness, RetryConfig, RetryPolicy, ServerConfig,
-    ShardedFleet, build_trace, event_log, load_scenario,
+    FleetConfig, ReplayHarness, ServerConfig, ShardedFleet, build_trace,
+    event_log, load_scenario,
 )
 
 try:
@@ -37,7 +38,6 @@ except ImportError:  # pragma: no cover - script mode
 RESOLUTION = 16
 BASE_FILTERS = 4
 DEPTH = 1
-SEED = 20260808
 OMEGA_DIM = 4
 SCENARIO = Path(__file__).resolve().parent / "scenarios" / "storm.json"
 
@@ -62,11 +62,9 @@ def _storm_fleet(time_scale: float) -> ShardedFleet:
 
 
 def _run_storm(scenario_path: Path, time_scale: float) -> dict:
-    """Replay the committed storm with budgeted retries on."""
+    """Replay the committed storm."""
     scenario = load_scenario(scenario_path)
     fleet = _storm_fleet(time_scale)
-    fleet.retry = RetryPolicy(RetryConfig(max_attempts=4, budget_rate=4.0,
-                                          budget_burst=12.0, seed=SEED))
     with fleet:
         harness = ReplayHarness(fleet, scenario, time_scale=time_scale,
                                 omega_dim=OMEGA_DIM)
@@ -74,14 +72,11 @@ def _run_storm(scenario_path: Path, time_scale: float) -> dict:
     # Same (scenario, seed) expanded again must render byte-identically.
     replayed = event_log(build_trace(scenario, omega_dim=OMEGA_DIM))
     s = rep.stats
-    policy = fleet.retry
     return {"scenario": rep.scenario, "seed": rep.seed,
             "time_scale": time_scale, "events": rep.events,
             "requests": rep.requests, "outcomes": rep.outcomes,
             "wall_s": rep.wall_s, "served": rep.served,
-            "retried": s.retried, "failovers": s.failovers, "lost": s.lost,
-            "retries_granted": policy.retries,
-            "retry_ceiling": policy.budget_ceiling(rep.wall_s),
+            "failovers": s.failovers, "lost": s.lost,
             "deterministic": replayed == rep.log}
 
 
@@ -94,14 +89,14 @@ def _run(scenario_path: Path = SCENARIO,
 def _report(result: dict) -> None:
     st = result["storm"]
     report("replay: scripted storm",
-           ["scenario", "requests", "served", "retried", "failovers",
-            "lost", "wall_s"],
-           [[st["scenario"], st["requests"], st["served"], st["retried"],
-             st["failovers"], st["lost"], round(st["wall_s"], 2)]])
+           ["scenario", "requests", "served", "failovers", "lost",
+            "wall_s"],
+           [[st["scenario"], st["requests"], st["served"], st["failovers"],
+             st["lost"], round(st["wall_s"], 2)]])
 
 
 def _gate(result: dict) -> int:
-    """Determinism, conservation and the budget cap."""
+    """Determinism, conservation and healing."""
     status = 0
     st = result["storm"]
     if not st["deterministic"]:
@@ -115,22 +110,18 @@ def _gate(result: dict) -> int:
         print(f"FAIL: storm fleet lost {st['lost']} requests "
               f"(conservation violated under scripted faults)")
         status = 1
-    if st["retries_granted"] > st["retry_ceiling"]:
-        print(f"FAIL: {st['retries_granted']} retries granted exceed "
-              f"the budget ceiling {st['retry_ceiling']:.1f} over "
-              f"{st['wall_s']:.1f} s")
+    if st["served"] != st["requests"]:
+        print(f"FAIL: storm fleet served {st['served']} of "
+              f"{st['requests']} requests (outcomes {st['outcomes']})")
         status = 1
     if status == 0:
-        print(f"storm gates ok: {st['requests']} requests, "
-              f"{st['served']} served, lost=0, "
-              f"{st['retries_granted']} retries <= "
-              f"ceiling {st['retry_ceiling']:.1f}, log deterministic")
+        print(f"storm gates ok: {st['requests']} requests, all served, "
+              f"lost=0, {st['failovers']} failovers, log deterministic")
     return status
 
 
 def test_replay_bench(benchmark):
-    # The shape under test is conservation, determinism and the
-    # retry-budget cap.
+    # The shape under test is conservation, determinism and healing.
     result = benchmark.pedantic(lambda: _run(time_scale=0.25),
                                 rounds=1, iterations=1)
     _report(result)
@@ -138,7 +129,7 @@ def test_replay_bench(benchmark):
     assert st["deterministic"]
     assert st["requests"] > 0
     assert st["lost"] == 0
-    assert st["retries_granted"] <= st["retry_ceiling"]
+    assert st["served"] == st["requests"]
 
 
 if __name__ == "__main__":

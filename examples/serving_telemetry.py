@@ -38,9 +38,9 @@ from pathlib import Path
 from repro import MGDiffNet, PoissonProblem2D
 from repro.data.sobol import sample_omega
 from repro.serve import (
-    FleetConfig, ReplayHarness, RetryConfig, RetryPolicy, ServerConfig,
-    ShardedFleet, Telemetry, VirtualClock, export_jsonl, format_summary,
-    load_scenario, summarize_spans,
+    FleetConfig, ReplayHarness, ServerConfig, ShardedFleet, Telemetry,
+    VirtualClock, export_jsonl, format_summary, load_scenario,
+    summarize_spans,
 )
 
 STORM = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" \
@@ -129,8 +129,6 @@ def main() -> None:
         fleet = _fleet(shards=3)
         for name in scenario.models:
             fleet.register_model(name, model, problem)
-        fleet.retry = RetryPolicy(RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         fleet.enable_telemetry(tel)
         report = ReplayHarness(fleet, scenario, clock=clock,
                                telemetry=tel).run()

@@ -55,22 +55,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_rate_burst(text: str) -> tuple[float, float]:
-    """``--retry-budget RATE[:BURST]`` -> (rate tokens/s, burst
-    capacity); burst defaults to 2x the rate."""
-    rate_text, _, burst_text = text.partition(":")
-    try:
-        rate = float(rate_text)
-        burst = float(burst_text) if burst_text else 2.0 * rate
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected RATE[:BURST], got {text!r}") from None
-    if rate <= 0 or burst < 1:
-        raise argparse.ArgumentTypeError(
-            f"need rate > 0 and burst >= 1, got rate={rate} burst={burst}")
-    return rate, burst
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Distributed multigrid neural solvers "
@@ -126,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan tiled inference across this worker pool")
     p.add_argument("--executor-workers", type=int, default=None,
                    help="pool size for --executor (default: CPU count)")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="retry transient failures (I/O, executor faults) "
-                        "up to N extra attempts with jittered backoff")
 
     p = sub.add_parser("serve", help="batching/caching prediction server")
     p.add_argument("--checkpoint", action="append", required=True,
@@ -164,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="byte budget (MiB) for --cache-dir; LRU files "
                         "are evicted over budget (default: unbounded)")
     p.add_argument("--max-pending", type=int, default=0,
-                   help="bound the request queue; overflowing submits "
-                        "are rejected with backpressure (0: unbounded)")
+                   help="bound the request queue (overflowing submits "
+                        "are rejected with backpressure) and keep at most "
+                        "this many requests outstanding (0: unbounded)")
     p.add_argument("--default-deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="latency budget per request; requests still "
@@ -181,15 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="with --shards>1: eject a shard that does not "
                         "answer within this budget and fail over")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="with --shards>1: re-submit transient failures "
-                        "(unavailable / overloaded) up to N extra "
-                        "attempts, metered by the retry budget")
-    p.add_argument("--retry-budget", type=_parse_rate_burst, default=None,
-                   metavar="RATE[:BURST]",
-                   help="token bucket bounding fleet-wide retries "
-                        "(RATE tokens/s sustained, BURST back-to-back; "
-                        "default 2:8)")
     p.add_argument("--metrics-file", default=None, metavar="PATH",
                    help="enable telemetry and write the metrics-registry "
                         "snapshot (counters, views, quantile sketches) "
@@ -290,17 +263,9 @@ def _cmd_predict(args) -> int:
 
     from .core.metrics import compare_fields
     from .serve import (
-        ModelRegistry, RegistryError, RetryConfig, RetryPolicy,
-        make_executor, retry_call, stream_tiled_predict,
+        ModelRegistry, RegistryError, make_executor, stream_tiled_predict,
     )
 
-    # Local inference has no fleet to storm, but transient I/O or
-    # executor faults (a spill read race, a worker lost to an OOM kill)
-    # deserve the same budgeted, jittered second chance.
-    policy = RetryPolicy(
-        RetryConfig(max_attempts=args.retries + 1, budget_rate=1.0,
-                    budget_burst=max(1, args.retries)),
-        retryable=lambda exc: isinstance(exc, (OSError, RuntimeError)))
     registry = ModelRegistry()
     try:
         entry = registry.load("model", args.checkpoint, validate=False)
@@ -310,13 +275,12 @@ def _cmd_predict(args) -> int:
     model, problem = entry.model, entry.problem
     resolution = args.resolution or problem.resolution
     executor = make_executor(args.executor, args.executor_workers)
-
-    def forward() -> np.ndarray:
-        """Assemble tile cores as the pool completes them; without
-        --tile the plan is one tile, i.e. the untiled forward."""
-        out = None
-        n_tiles = 0
-        t_start = time.perf_counter()
+    # Assemble tile cores as the pool completes them; without --tile the
+    # plan is one tile, i.e. the untiled forward.
+    out = None
+    n_tiles = 0
+    t_start = time.perf_counter()
+    try:
         for _, sl, core in stream_tiled_predict(
                 model, problem, args.omega, resolution=resolution,
                 tile=args.tile, halo=args.halo, executor=executor):
@@ -327,24 +291,19 @@ def _cmd_predict(args) -> int:
                                dtype=core.dtype)
             out[(slice(None),) + sl] = core
             n_tiles += 1
-        if args.stream:
-            # The gap between the two latencies is the streaming win —
-            # a consumer (renderer, outer solver loop) starts on the
-            # first core while the rest are still computing.
-            print(f"streamed {n_tiles} tiles: first tile in "
-                  f"{first_s * 1e3:.1f} ms, full field in "
-                  f"{(time.perf_counter() - t_start) * 1e3:.1f} ms")
-        return out[0]
-
-    try:
-        u = retry_call(policy, forward, on_retry=lambda exc, delay: print(
-            f"transient failure ({exc}); retrying in {delay * 1e3:.0f} ms",
-            file=sys.stderr))
+        full_s = time.perf_counter() - t_start
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         executor.close()
+    if args.stream:
+        # The gap between the two latencies is the streaming win — a
+        # consumer (renderer, outer solver loop) starts on the first
+        # core while the rest are still computing.
+        print(f"streamed {n_tiles} tiles: first tile in "
+              f"{first_s * 1e3:.1f} ms, full field in {full_s * 1e3:.1f} ms")
+    u = out[0]
     print(f"predicted field at {resolution}^{problem.ndim}: "
           f"range [{u.min():.4f}, {u.max():.4f}]")
     if args.compare_fem:
@@ -378,29 +337,6 @@ def _serve_request_loads(args, names, get_entry) -> dict[str, np.ndarray]:
     return loads
 
 
-_RETRY_WALL_S = 30.0   # total retry wall-time cap per client submit
-
-
-def _backoff_policy():
-    """The serve client's answer to load shedding, as a retry policy.
-
-    Backpressure gets seeded jittered exponential backoff (2 ms
-    doubling to a 100 ms cap — fixed delays from many clients re-collide
-    forever).  What ends a submit is the ``_RETRY_WALL_S`` cap
-    ``retry_call`` is handed, never these counts (giving up early would
-    silently drop the request): 1024 jittered tries at the 100 ms window
-    sleep ~51 s (σ < 1 s), and one ``plan`` call outlasts the
-    microsecond a token refills in — so ``denied`` and ``exhausted``
-    stay 0 (tested).
-    """
-    from .serve import RetryConfig, RetryPolicy, ServerOverloaded
-
-    return RetryPolicy(
-        RetryConfig(max_attempts=1024, base_backoff_s=0.002,
-                    max_backoff_s=0.1, budget_rate=1e6, budget_burst=1e6),
-        retryable=lambda exc: isinstance(exc, ServerOverloaded))
-
-
 def _serve_telemetry(args):
     """Build the telemetry bundle when any ``--metrics-file`` /
     ``--trace-file`` flag asks for it; ``None`` keeps serving free."""
@@ -432,33 +368,27 @@ def _write_telemetry(args, telemetry) -> None:
         print(f"trace -> {args.trace_file} ({len(spans)} spans)")
 
 
-def _build_fleet(args, config):
-    """``--shards N``: the fleet and its retry policy (``--retries`` /
-    ``--retry-budget``)."""
-    from .serve import FleetConfig, RetryConfig, RetryPolicy, ShardedFleet
-
-    fleet = ShardedFleet(FleetConfig(
-        shards=args.shards, replicas=args.replicas,
-        shard_timeout_s=args.shard_timeout, server=config))
-    if args.retries > 0 or args.retry_budget is not None:
-        rate, burst = args.retry_budget or (2.0, 8.0)
-        fleet.retry = RetryPolicy(RetryConfig(
-            max_attempts=max(args.retries, 1) + 1,
-            budget_rate=rate, budget_burst=burst))
-    return fleet
-
-
 def _cmd_serve(args) -> int:
     """``repro serve``: build the backend — one ``PredictionServer``, or
-    with ``--shards N`` a ``ShardedFleet`` plus its policies — load the
-    checkpoints, push the request load through one submit/drain loop
-    (every client retry goes through ``retry_call``) and report."""
+    with ``--shards N`` a ``ShardedFleet`` — load the checkpoints, push
+    the request load through one submit/drain loop and report.
+
+    With ``--max-pending N`` the client keeps at most N requests
+    outstanding: it drains the oldest future before it submits the
+    next.  A request leaves the queue before its future resolves
+    (expired ones included), so the client never overflows a queue of
+    that bound.  A verdict that still arrives (``ServerOverloaded``,
+    ``FleetUnavailable``, ``DeadlineExceeded``) is counted in the
+    backend's stats and reported, not retried.
+    """
     import time
+    from collections import deque
     from concurrent.futures import Future
 
     from .serve import (
-        DeadlineExceeded, FleetUnavailable, ModelRegistry, PredictionServer,
-        RegistryError, ServerConfig, ServerOverloaded, retry_call,
+        DeadlineExceeded, FleetConfig, FleetUnavailable, ModelRegistry,
+        PredictionServer, RegistryError, ServerConfig, ServerOverloaded,
+        ShardedFleet,
     )
 
     config = ServerConfig(
@@ -473,9 +403,15 @@ def _cmd_serve(args) -> int:
         default_deadline_s=args.default_deadline)
     sharded = args.shards > 1
     telemetry = _serve_telemetry(args)
+    # Verdicts counted in the backend's stats.
+    shed = (DeadlineExceeded, FleetUnavailable, ServerOverloaded)
+    window: deque[Future] = deque()
+    backend = None
     try:
         if sharded:
-            backend = _build_fleet(args, config)
+            backend = ShardedFleet(FleetConfig(
+                shards=args.shards, replicas=args.replicas,
+                shard_timeout_s=args.shard_timeout, server=config))
             models = backend          # load / names / get, fanned out
         else:
             backend = PredictionServer(ModelRegistry(), config)
@@ -488,68 +424,43 @@ def _cmd_serve(args) -> int:
             print(f"loaded {entry}" + (
                 f" -> replicas {backend.replicas_for(name or 'model')}"
                 if sharded else ""))
-    except (RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        names = models.names()
+        loads = _serve_request_loads(args, names, models.get)
+        # A fleet's futures drain through await_result, so
+        # --shard-timeout ejects hung shards on this path too.
+        wait = backend.await_result if sharded else Future.result
 
-    names = models.names()
-    loads = _serve_request_loads(args, names, models.get)
-    backoff = _backoff_policy()
-    # A fleet's futures drain through await_result, so --shard-timeout
-    # ejects hung shards on this path too, and its installed retry
-    # policy re-submits transient verdicts; one server has neither.
-    wait, retry, note_retry = (
-        (backend.await_result, backend.retry, backend.note_retry)
-        if sharded else (Future.result, None, None))
-    # Verdicts counted in the backend's stats.
-    shed = (DeadlineExceeded, FleetUnavailable, ServerOverloaded)
+        def drain_oldest() -> None:
+            try:
+                wait(window.popleft())
+            except shed:
+                pass
 
-    def submit(name, w):
-        """One submit under the backoff policy; ``None`` when it is
-        still shed after the wall-time cap (or the key is unavailable
-        right now) — reported below from the stats."""
-        try:
-            return retry_call(
-                backoff, lambda: backend.submit(name, w, args.resolution),
-                max_wait_s=_RETRY_WALL_S)
-        except shed:
-            return None
-
-    def drain(name, w, future):
-        """Await one pipelined future; a transient verdict re-submits
-        through the backend's retry policy (each retry a fresh,
-        individually conserved submit).  ``ServerOverloaded`` can arrive
-        through the future when a failover re-dispatch lands on a full
-        replica queue."""
-        first = [future]
-
-        def attempt() -> None:
-            f = first.pop() if first else submit(name, w)
-            if f is not None:
-                wait(f)
-
-        try:
-            retry_call(retry, attempt, on_retry=note_retry)
-        except shed:
-            pass
-
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         with backend:
             for _ in range(max(1, args.repeat)):
-                futures = [(name, w, submit(name, w))
-                           for name in names for w in loads[name]]
-                for pending in futures:
-                    drain(*pending)
+                for name in names:
+                    for w in loads[name]:
+                        if 0 < args.max_pending <= len(window):
+                            drain_oldest()
+                        try:
+                            window.append(
+                                backend.submit(name, w, args.resolution))
+                        except shed:
+                            pass
+                while window:
+                    drain_oldest()
             # Every future has resolved: measure before the with-block
             # exit so worker join + pool teardown don't deflate QPS.
             wall = time.perf_counter() - t0
-    except ValueError as exc:
-        # Bad request parameters (ω arity, tile/halo alignment, ...).
+    except (RegistryError, ValueError, OSError) as exc:
+        # A missing checkpoint or --omega-file, an unparsable ω row, bad
+        # request parameters (ω arity, tile/halo alignment, ...).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        backend.close()
+        if backend is not None:
+            backend.close()
 
     if sharded:
         _report_fleet(args, backend, wall)
@@ -585,11 +496,10 @@ def _report_fleet(args, fleet, wall: float) -> None:
     print(f"latency p50 {s.p50 * 1e3:.2f} ms, p99 {s.p99 * 1e3:.2f} ms; "
           f"{s.batches} batches, {s.cache_hits} cache hits, "
           f"{s.dedup_hits} dedup hits, {s.tiled_forwards} tiled forwards")
-    print(f"scheduling: {s.rejected} rejections, {s.expired} expired; "
+    print(f"scheduling: {s.rejected} rejections, {s.expired} expired, "
+          f"{s.unavailable} unavailable; "
           f"faults: {s.shard_faults} ejections, {s.failovers} failovers, "
           f"{s.readmissions} readmissions; lost: {s.lost}")
-    if fleet.retry is not None:
-        print(f"resilience: {s.retried} retried")
     print(f"interconnect (simulated): {s.send_calls} hops, "
           f"{s.send_bytes >> 20} MiB, "
           f"{s.virtual_comm_seconds * 1e3:.2f} ms virtual")

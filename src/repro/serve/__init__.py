@@ -14,9 +14,7 @@ FEM solve.  This package is the infrastructure realizing that claim:
   and request load over N server shards (simulated hosts) with R-way
   replication, fault ejection + failover, and re-admission when a
   shard answers (a served read, or an operator's ``check_health()``);
-* budgeted retries (:class:`RetryPolicy`, set as ``fleet.retry``) on
-  the fleet's call path; every client retry loop is :func:`retry_call`,
-  its budget a :class:`~repro.serve.resilience.TokenBucket`;
+  failover is the one way a read heals, with no call-level retry;
 * trace replay (:class:`ReplayHarness`) — deterministic scenario
   scripts (heavy-tailed arrivals, zipfian popularity, diurnal
   envelopes, coordinated fault schedules) replayed against a live
@@ -69,7 +67,6 @@ from .replay import (
     Scenario, TenantSpec, TraceEvent, VirtualClock, build_trace, event_log,
     load_scenario,
 )
-from .resilience import RetryConfig, RetryPolicy, retry_call
 from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
     NULL_SPAN, NULL_TRACER, Counter, MetricsRegistry, NullSpan, NullTracer,
@@ -88,7 +85,6 @@ __all__ = [
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
-    "RetryConfig", "RetryPolicy", "retry_call",
     "ArrivalSpec", "PopularitySpec", "TenantSpec", "FaultSpec",
     "Scenario", "TraceEvent", "VirtualClock", "ReplayHarness",
     "ReplayReport", "build_trace", "event_log", "load_scenario",

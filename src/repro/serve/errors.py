@@ -1,8 +1,8 @@
 """Keyed serving errors: every rejection names the request it rejects.
 
 The serving front-ends fail requests for reasons the *client* must be
-able to tell apart programmatically — an expired deadline is retryable
-with a longer budget, an overloaded queue is retryable after backoff,
+able to tell apart programmatically — an expired deadline (the budget
+was too short), an overloaded queue (too many requests outstanding) —
 and both are distinct from a genuinely broken request (``ValueError``)
 or a broken model (``RegistryError``).  Mirroring ``CheckpointError``,
 each error spells out the offending request (model name, cache key
@@ -60,8 +60,9 @@ class ServerOverloaded(ServeError):
     """The bounded request queue is full (``max_pending`` reached).
 
     Raised synchronously by ``submit`` — backpressure must reach the
-    caller *before* the request consumes server state, so clients can
-    shed or retry with backoff.
+    caller *before* the request consumes server state.  A client that
+    keeps at most ``max_pending`` requests outstanding never sees it
+    from one server.
     """
 
     def __init__(self, model_name: str, key: tuple | None,
@@ -81,10 +82,10 @@ class FleetUnavailable(ServeError):
 
     Raised by :class:`~repro.serve.fleet.ShardedFleet` when routing
     exhausts the key's replica set — each shard either unhealthy at
-    dispatch time or faulted while serving the request.  Retryable: the
-    next read of the key makes a last pass that ignores health marks,
-    and a shard that answers it (or an operator's ``check_health()``
-    probe) is re-admitted.  The attempted replica order is carried for
+    dispatch time or faulted while serving the request.  The verdict is
+    the request's; the key is not lost: the next read of it makes a last
+    pass that ignores health marks, and a shard that answers it (or an
+    operator's ``check_health()`` probe) is re-admitted.  The attempted replica order is carried for
     log correlation.
     """
 

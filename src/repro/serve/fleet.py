@@ -32,11 +32,6 @@ way DNN-MG/GMT partition multigrid work across compute units:
   survivors the new ring assigns, reconcile-before-swap.  The caller
   decides that a host is lost; the fleet never decommissions on its
   own.
-* **Retry seam** — ``self.retry`` (a :class:`~repro.serve.resilience.
-  RetryPolicy`, ``None`` by default) adds call-level healing:
-  ``predict`` re-submits transient verdicts under a token-bucket retry
-  budget.  Each retry is a fresh, individually conserved submit, counted
-  ``retried``, so ``FleetStats.lost == 0`` holds with it on.
 * **Cost model** — every routing hop (ω out, full field back) is charged
   to a :class:`~repro.distributed.comm.SimulatedCommunicator`, so the
   fig10-style scaling story extends to serving:
@@ -47,7 +42,9 @@ Error discipline at the routing layer (:func:`~repro.serve.errors.
 verdict`, one table for every read path): *request* errors (bad ω arity,
 ``DeadlineExceeded``, ``ServerOverloaded``, ``RegistryError``) belong to
 the caller and propagate without ejecting anyone; every other exception
-is a *shard fault* and triggers ejection + failover.
+is a *shard fault* and triggers ejection + failover.  There is no
+call-level retry on top: failover is the one way a read heals, and a
+verdict reaches the caller once.
 
 Quickstart::
 
@@ -74,7 +71,6 @@ from ..distributed.comm import SimulatedCommunicator
 from .errors import DeadlineExceeded, FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .resilience import retry_call
 from .server import PredictionServer, ServerConfig, _LatencyPercentiles
 from .telemetry import NULL_SPAN, NULL_TRACER
 
@@ -87,7 +83,7 @@ _LAT_WINDOW = 10_000
 _LEDGER_TERMS = (
     "submitted", "served", "rejected", "expired", "errors", "cancelled",
     "unavailable", "failovers", "shard_faults", "hangs", "probes",
-    "readmissions", "decommissions", "reregistrations", "retried")
+    "readmissions", "decommissions", "reregistrations")
 
 # FleetStats fields re-exported as ``stats.fleet.*`` metric views when
 # telemetry is enabled.  Views *read* the live stats snapshot, so the
@@ -160,9 +156,6 @@ class FleetStats(_LatencyPercentiles):
     readmissions: int = 0
     decommissions: int = 0     # permanently lost shards removed
     reregistrations: int = 0   # (key, shard) re-registrations on moves
-    # A retry is a *fresh* submit — individually conserved — so it is
-    # not a term of the conservation law.
-    retried: int = 0           # policy-driven re-submits performed
     # Summed per-shard ServerStats counters.
     requests: int = 0
     cache_hits: int = 0
@@ -241,9 +234,6 @@ class ShardedFleet:
             raise ValueError("shards must be >= 1")
         if self.config.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        # The resilience seam: a retry policy re-submits transient
-        # verdicts under a token-bucket budget.  None = no retries.
-        self.retry = None
         # Tracing is a null object, not a seam: span sites call
         # ``self.tracer`` unconditionally and ``enable_telemetry`` swaps
         # the real one in, so traced, sampled-out and telemetry-off
@@ -333,8 +323,7 @@ class ShardedFleet:
         merged fleet views cover them), and names the fleet's numbers in
         the metrics registry as read-time views: ``fleet.<term>`` reads
         the counter ledger directly, ``stats.fleet.<field>`` reads the
-        merged :class:`FleetStats` snapshot, ``stats.retry.<counter>``
-        reads the retry seam.  Views never shadow a value,
+        merged :class:`FleetStats` snapshot.  Views never shadow a value,
         so the registry cannot drift from ``fleet.stats``.  Idempotent
         for a given bundle.
         """
@@ -350,11 +339,6 @@ class ShardedFleet:
         for name in _FLEET_VIEW_FIELDS:
             reg.register_view(f"stats.fleet.{name}",
                               lambda n=name: getattr(self.stats, n))
-        # The retry seam may be set before or after this call, or not at
-        # all: the views read it live, and an empty seam reads 0.
-        for attr in ("retries", "denied", "exhausted", "tokens"):
-            reg.register_view(f"stats.retry.{attr}",
-                              lambda a=attr: getattr(self.retry, a, 0))
 
     # ------------------------------------------------------------------ #
     # Registry writes: fan out to every replica of the routing key
@@ -485,29 +469,13 @@ class ShardedFleet:
         answers nor errors within the budget is treated as hung: it is
         ejected and the request re-dispatched to the next replica —
         the blocking counterpart of the error-failover ``submit`` does
-        asynchronously.  ``timeout`` bounds the overall wait.
-
-        With a retry policy installed (``self.retry``) a transient
-        verdict — :class:`FleetUnavailable`, :class:`ServerOverloaded` —
-        is re-submitted by :func:`~repro.serve.resilience.retry_call`
-        after the policy's jittered backoff, as long as the fleet-wide
-        retry budget grants a token.  Every retry is a fresh submit, so
-        each attempt is individually conserved and ``retried`` counts
-        the extras.
+        asynchronously.  ``timeout`` bounds the overall wait.  A verdict
+        (``ServerOverloaded``, ``FleetUnavailable``, ...) raises once:
+        the fleet heals shards, and a read heals through its failover.
         """
-        return retry_call(
-            self.retry,
-            lambda: self.await_result(
-                self.submit(model_name, omega, resolution, priority=priority,
-                            deadline_s=deadline_s), timeout),
-            on_retry=self.note_retry)
-
-    def note_retry(self, *_) -> None:
-        """Count one policy-driven re-submit — the ``on_retry`` hook
-        every retrying front-end (the blocking ``predict``, the replay
-        harness, the CLI) reports through, so
-        ``FleetStats.retried`` covers every path."""
-        self._count("retried")
+        return self.await_result(
+            self.submit(model_name, omega, resolution, priority=priority,
+                        deadline_s=deadline_s), timeout)
 
     def await_result(self, future: Future, timeout: float | None = None):
         """``future.result`` with hang failover for fleet futures.
@@ -622,7 +590,7 @@ class ShardedFleet:
                 # pass over the replica set *ignoring* health marks.
                 # Some ejections are false positives (the hang budget
                 # includes queue wait), and unlike a blocking probe this
-                # retry is safe from any thread, a worker callback
+                # pass is safe from any thread, a worker callback
                 # included.  A shard that answers is re-admitted on
                 # delivery; a truly dead one faults straight through to
                 # the unavailable verdict.

@@ -26,11 +26,8 @@ applies to numerics — identical seed + scenario ⇒ identical timeline:
   :class:`~repro.serve.fleet.ShardedFleet`: requests are paced to
   their timestamps (``time_scale`` stretches or crushes the clock),
   fault events drive per-shard chaos hooks (kill = submit raises,
-  hang = forward blocks until released), and the drain phase re-runs
-  transient verdicts through the fleet's ``retry`` seam (a
-  :class:`~repro.serve.resilience.RetryPolicy`) via
-  :func:`~repro.serve.resilience.retry_call`, whose injected ``sleep``
-  is the harness's virtual-clock, ``time_scale``-d one.  The report
+  hang = forward blocks until released), and the drain phase awaits
+  every request once, through the fleet's hang failover.  The report
   carries the outcome census, the fleet stats (``lost == 0`` is the
   acceptance gate), and the event log that produced them.
 * :class:`VirtualClock` — a forgeable now() for the deterministic unit
@@ -61,7 +58,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FleetUnavailable, ServerOverloaded
-from .resilience import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fleet import Shard, ShardedFleet
@@ -347,8 +343,8 @@ def event_log(events: list[TraceEvent]) -> str:
 class VirtualClock:
     """A now() that moves only when told to.
 
-    Inject it as the ``clock`` of any policy with deterministic tick
-    semantics (retry budget, tracer) and drive time from the
+    Inject it as the ``clock`` of anything with deterministic tick
+    semantics (the replay harness, the tracer) and drive time from the
     test: ``clock.advance(0.5)``.
     """
 
@@ -488,9 +484,8 @@ class ReplayHarness:
     ``time_scale`` multiplies every timestamp (0.25 replays a scenario
     at 4x speed); the trace itself is untouched, so the *log* stays
     byte-identical across speeds.  Requests go through
-    ``fleet.submit``; transient verdicts are re-submitted in the drain
-    phase through the fleet's installed retry policy (if any) — each
-    retry a fresh, individually conserved submit.  Fault events drive
+    ``fleet.submit`` once each, and each outcome is the verdict the
+    fleet delivered: failover is the only healing.  Fault events drive
     :class:`ShardChaos` hooks on the fleet's shards by index.  Every
     hook is restored before the drain, whatever happens mid-run.
 
@@ -555,7 +550,7 @@ class ReplayHarness:
                 if ev.kind == "release":
                     releases.setdefault(ev.shard % len(chaos),
                                         []).append(ev.t)
-        records: list[tuple[TraceEvent, object, BaseException | None]] = []
+        records: list[tuple[object, BaseException | None]] = []
         start = self._now()
         try:
             for ev in self.trace:
@@ -564,8 +559,7 @@ class ReplayHarness:
                 if delay > 0:
                     self._sleep(delay)
                 if ev.kind == "request":
-                    future, exc = self._submit(ev)
-                    records.append((ev, future, exc))
+                    records.append(self._submit(ev))
                     continue
                 hook = chaos[ev.shard % len(chaos)]
                 if ev.kind == "kill":
@@ -588,8 +582,8 @@ class ReplayHarness:
             for hook in chaos.values():
                 hook.restore()
         outcomes: Counter = Counter()
-        for ev, future, exc in records:
-            outcomes[self._drain(ev, future, exc)] += 1
+        for future, refused in records:
+            outcomes[self._drain(future, refused)] += 1
         wall = self._now() - start
         spans = ([span.to_dict()
                   for span in self.telemetry.tracer.spans()]
@@ -601,8 +595,8 @@ class ReplayHarness:
             log=event_log(self.trace), spans=spans)
 
     def _submit(self, ev: TraceEvent):
-        """One paced submit; transient sync verdicts become pending
-        retry material instead of aborting the run."""
+        """One paced submit; a transient sync verdict is recorded as the
+        request's outcome instead of aborting the run."""
         try:
             future = self.fleet.submit(
                 ev.model, np.asarray(ev.omega), priority=ev.priority,
@@ -611,22 +605,13 @@ class ReplayHarness:
         except (FleetUnavailable, ServerOverloaded) as exc:
             return None, exc
 
-    def _drain(self, ev: TraceEvent, future, exc) -> str:
-        """Final verdict of one request, retrying transient failures
-        through the fleet's retry policy.  Returns the outcome label
-        ("served" or the terminal exception class name)."""
-        first = [(future, exc)]   # the paced submit's outcome, used once
-
-        def attempt() -> None:
-            held, refused = first.pop() if first else self._submit(ev)
-            if refused is not None:
-                raise refused
-            self.fleet.await_result(held, self.request_timeout_s)
-
+    def _drain(self, future, refused) -> str:
+        """Final verdict of one request: "served", or the class name of
+        the exception that refused or failed it."""
+        if refused is not None:
+            return type(refused).__name__
         try:
-            retry_call(self.fleet.retry, attempt,
-                       sleep=lambda dt: self._sleep(dt * self.time_scale),
-                       on_retry=self.fleet.note_retry)
+            self.fleet.await_result(future, self.request_timeout_s)
         except Exception as raised:
             return type(raised).__name__
         return "served"

@@ -317,8 +317,8 @@ class PredictionServer:
         fails with a keyed :class:`DeadlineExceeded` instead of wasting a
         fused forward.  When ``config.max_pending`` bounds the queue, an
         overflowing submit raises :class:`ServerOverloaded` synchronously
-        (and counts it in ``stats.rejected``) — shed or retry with
-        backoff.
+        (and counts it in ``stats.rejected``); a client that keeps at
+        most ``max_pending`` requests outstanding never sees it.
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
@@ -386,7 +386,7 @@ class PredictionServer:
                 # a later identical submit must compute, not attach to
                 # a future nothing will resolve).  A rejection is not an
                 # accepted request: it counts in ``rejected``, not in
-                # ``requests``, so retried submits don't inflate QPS.
+                # ``requests``, so refused submits don't inflate QPS.
                 self._drop_inflight(request)
                 with self._stats_lock:
                     self.stats.rejected += 1

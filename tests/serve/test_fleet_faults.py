@@ -691,3 +691,55 @@ class TestChaosStorms:
         assert s.shard_faults == 0        # backpressure never ejects
         assert primary.healthy
         assert s.lost == 0
+
+    def test_kill_and_restore_mid_sequence_serves_every_predict(
+            self, served):
+        """Kill the primary, then restore it, between blocking
+        ``predict`` calls: each call is one submit, the kill costs one
+        ejection and one failover, and every call is served."""
+        model, problem = served
+        fleet = _fleet(shards=3, replicas=2)
+        fleet.register_model("m", model, problem)
+        victim = _shard(fleet, fleet.replicas_for("m")[0])
+        chaos = _Chaos(victim)
+        omegas = np.random.default_rng(SEED + 7).uniform(-1, 1, (30, 4))
+        with fleet:
+            for i, w in enumerate(omegas):
+                if i == 5:
+                    chaos.kill()
+                if i == 20:
+                    chaos.restore()
+                fleet.predict("m", w, timeout=30)
+        s = fleet.stats
+        assert s.submitted == s.served == 30
+        assert s.lost == 0
+        assert s.failovers == s.shard_faults == 1
+
+    def test_predict_surfaces_a_verdict_once(self, served):
+        """A verdict is the caller's: ``predict`` raises it after one
+        submit, and the next call is a fresh request."""
+        model, problem = served
+        fleet = _fleet(shards=1, replicas=1)
+        fleet.register_model("m", model, problem)
+        server = fleet.shards[0].server
+        real = server.submit
+        refusals = iter([ServerOverloaded("m", None, 9, 9)])
+
+        def refuse_once(*args, **kwargs):
+            exc = next(refusals, None)
+            if exc is not None:
+                raise exc
+            return real(*args, **kwargs)
+
+        server.submit = refuse_once
+        omega = np.linspace(0.2, 0.8, 4)
+        with fleet:
+            with pytest.raises(ServerOverloaded):
+                fleet.predict("m", omega, timeout=30)
+            assert (fleet.stats.submitted, fleet.stats.rejected) == (1, 1)
+            u = fleet.predict("m", omega, timeout=30)
+        np.testing.assert_allclose(
+            u, predict_batch(model, problem, omega)[0], atol=1e-12)
+        s = fleet.stats
+        assert (s.submitted, s.served, s.rejected, s.lost) == (2, 1, 1, 0)
+        assert s.shard_faults == 0

@@ -1,14 +1,10 @@
 """Guard: everything around the fleet's read path is written once.
 
-* **One retry driver.**  ``policy.plan(...)`` is asked from
-  ``serve/resilience.py`` (``retry_call``) and nowhere else under
-  ``src/repro``; ``cli.py`` never sleeps on its own and
-  ``serve/replay.py`` only inside ``ReplayHarness._sleep`` (the
-  virtual-clock sleep it injects into the driver); neither grows back a
-  ``while True:`` that submits or plans.
-* **One token bucket.**  ``TokenBucket(...)`` is constructed by the
-  retry budget (``resilience.py``) only; no other class under
-  ``src/repro/serve`` keeps its own ``…updated_at`` refill stamp.
+* **No client retry loop.**  Every read is submitted once and heals
+  through the fleet's failover.  ``cli.py`` never sleeps and
+  ``serve/replay.py`` only inside ``ReplayHarness._sleep`` (its pacing
+  sleep, on the real or the virtual clock); neither they nor
+  ``serve/fleet.py`` grow back a ``while True:`` that submits.
 * **One forward on the calling side of the GIL.**  ``serve/server.py``
   pickles in one place (the version-cached blob helper);
   ``PredictionServer._forward`` is one ``tiled_predict`` call — the
@@ -34,10 +30,6 @@ def _tree(path: Path) -> ast.AST:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _rel(path: Path) -> str:
-    return path.relative_to(SRC).as_posix()
-
-
 def _method_calls(tree: ast.AST, attr: str) -> list[ast.Call]:
     """Every ``<expr>.<attr>(...)`` call in ``tree``."""
     return [n for n in ast.walk(tree)
@@ -61,11 +53,11 @@ def _enclosing_function(tree: ast.AST, target: ast.AST) -> str | None:
 
 
 def _hand_written_loops(tree: ast.AST) -> list[int]:
-    """Lines of ``while True:`` loops whose body submits or plans."""
+    """Lines of ``while True:`` loops whose body submits."""
     return [n.lineno for n in ast.walk(tree)
             if isinstance(n, ast.While)
             and isinstance(n.test, ast.Constant) and n.test.value is True
-            and (_method_calls(n, "submit") or _method_calls(n, "plan"))]
+            and _method_calls(n, "submit")]
 
 
 def _constructors(tree: ast.AST, name: str) -> list[ast.Call]:
@@ -75,32 +67,9 @@ def _constructors(tree: ast.AST, name: str) -> list[ast.Call]:
             and n.func.id == name]
 
 
-def _refill_stamp_classes(tree: ast.AST) -> list[str]:
-    """Classes that assign ``self.<…updated_at>`` — a private bucket."""
-    out = []
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for n in ast.walk(cls):
-            targets = (n.targets if isinstance(n, ast.Assign)
-                       else [n.target] if isinstance(
-                           n, (ast.AnnAssign, ast.AugAssign)) else [])
-            if any(isinstance(t, ast.Attribute)
-                   and t.attr.endswith("updated_at") for t in targets):
-                out.append(cls.name)
-                break
-    return out
-
-
 # --------------------------------------------------------------------- #
-# One retry driver
+# No client retry loop
 # --------------------------------------------------------------------- #
-def test_plan_is_asked_by_the_one_driver_only() -> None:
-    callers = {_rel(p) for p in sorted(SRC.rglob("*.py"))
-               if _method_calls(_tree(p), "plan")}
-    assert callers == {"serve/resilience.py"}
-
-
 def test_cli_and_replay_do_not_sleep_on_their_own() -> None:
     assert _time_sleeps(_tree(SRC / "cli.py")) == []
     replay = _tree(SERVE / "replay.py")
@@ -111,21 +80,6 @@ def test_cli_and_replay_do_not_sleep_on_their_own() -> None:
 def test_no_hand_written_retry_loop_in_the_clients() -> None:
     for path in (SRC / "cli.py", SERVE / "replay.py", SERVE / "fleet.py"):
         assert _hand_written_loops(_tree(path)) == [], path.name
-
-
-# --------------------------------------------------------------------- #
-# One bucket
-# --------------------------------------------------------------------- #
-def test_token_bucket_has_one_owner_and_no_private_copy() -> None:
-    owners, stamps = set(), {}
-    for path in sorted(SERVE.rglob("*.py")):
-        tree = _tree(path)
-        if _constructors(tree, "TokenBucket"):
-            owners.add(_rel(path))
-        for cls in _refill_stamp_classes(tree):
-            stamps[cls] = _rel(path)
-    assert owners == {"serve/resilience.py"}
-    assert stamps == {"TokenBucket": "serve/resilience.py"}
 
 
 # --------------------------------------------------------------------- #
@@ -165,40 +119,29 @@ def test_guard_catches_the_copies() -> None:
         "    if self.config.tile is None:\n"
         "        return predict_batch(entry.model, entry.problem, omegas)\n"
         "    return tiled_predict(entry.model, entry.problem, omegas)\n"
-        "class Limiter:\n"
-        "    def __init__(self):\n"
-        "        self._updated_at: float | None = None\n"
-        "    def refill(self, now):\n"
-        "        self._updated_at = now\n"
         "def drain(fleet, f):\n"
-        "    attempt = 0\n"
+        "    delay = 0.002\n"
         "    while True:\n"
         "        try:\n"
         "            return fleet.submit('m', 0).result()\n"
-        "        except Exception as exc:\n"
-        "            delay = fleet.retry.plan(exc, attempt)\n"
+        "        except ServerOverloaded:\n"
         "            time.sleep(delay)\n"
         "def blobs(a, b):\n"
-        "    return pickle.dumps(a), pickle.dumps(b), TokenBucket(1, 2)\n")
-    assert len(_method_calls(bad, "plan")) == 1
+        "    return pickle.dumps(a), pickle.dumps(b)\n")
     sleeps = _time_sleeps(bad)
     assert len(sleeps) == 1
     assert _enclosing_function(bad, sleeps[0]) == "drain"
-    assert _hand_written_loops(bad) == [13]
-    assert _refill_stamp_classes(bad) == ["Limiter"]
-    assert len(_constructors(bad, "TokenBucket")) == 1
+    assert _hand_written_loops(bad) == [8]
     assert len(_pickle_dumps(bad)) == 2
     assert [_enclosing_function(bad, c)
             for c in _constructors(bad, "predict_batch")] == ["_forward"]
 
 
-def test_guard_allows_the_driver_shape() -> None:
+def test_guard_allows_the_one_shot_shape() -> None:
     ok = ast.parse(
         "def predict(self, name, omega):\n"
-        "    '''Mentions policy.plan( and time.sleep( in prose only.'''\n"
-        "    return retry_call(self.retry,\n"
-        "                      lambda: self.submit(name, omega).result(),\n"
-        "                      on_retry=self.note_retry)\n"
+        "    '''Mentions while True: and time.sleep( in prose only.'''\n"
+        "    return self.await_result(self.submit(name, omega))\n"
         "def _sleep(self, dt):\n"
         "    time.sleep(dt)\n"
         "def wait(self):\n"
@@ -206,7 +149,5 @@ def test_guard_allows_the_driver_shape() -> None:
         "        if self.done():\n"
         "            return\n"
         "        self.clock.sleep(0.1)\n")
-    assert _method_calls(ok, "plan") == []
     assert _hand_written_loops(ok) == []
     assert [_enclosing_function(ok, c) for c in _time_sleeps(ok)] == ["_sleep"]
-    assert _refill_stamp_classes(ok) == []

@@ -34,9 +34,8 @@ metric and were deleted; their names may not come back in
 
 And for the two resilience policies no benchmark metric needed: hedged
 reads (a timer thread racing backup attempts) and the per-(model,
-shard) circuit breaker.  The fleet keeps one resilience seam,
-``fleet.retry``, set by plain assignment, so the install/uninstall
-wrappers went with them.  Their names, the ``--hedge`` /
+shard) circuit breaker, with the install/uninstall wrappers that set
+them on the fleet.  Their names, the ``--hedge`` /
 ``--breaker-*`` flags, and any identifier or token string containing
 ``hedge`` or ``breaker`` may not come back in ``src/repro``.
 
@@ -49,6 +48,17 @@ answers it serves, its ignore-health last pass and an operator's
 its names, the per-shard ``probe_shard``, the ``Gauge`` instrument, the
 ``--control`` flag and the ``stats.control.*`` views may not appear
 anywhere in ``src/repro``, prose included.
+
+And for client retry, the last resilience seam: fired by no fault script
+the repo has, and the CLI's one use of it, backing off from its own
+queue overflow, is replaced by a client window inside the queue bound.
+Every read heals through the fleet's failover, and the fleet has no
+seam left: ``ShardedFleet.__init__`` sets no public attribute beyond
+its config, tracer, telemetry handle and shard list.
+``serve/resilience.py``, its names, ``fleet.retry`` with ``note_retry``
+and the ``stats.retry.*`` views, and the ``--retries`` /
+``--retry-budget`` flags may not appear anywhere in ``src/repro``, prose
+included.
 """
 
 from __future__ import annotations
@@ -141,6 +151,23 @@ BANNED_CONTROL = {
     "--control": r"--control(?![\w-])",
     "stats.control": r"\bstats\.control\b",
 }
+# Package-wide, in any text: the deleted client retry layer, its fleet
+# seam and views, and the CLI flags that set it.
+BANNED_RETRY = {
+    "RetryPolicy": r"\bRetryPolicy\b",
+    "RetryConfig": r"\bRetryConfig\b",
+    "TokenBucket": r"\bTokenBucket\b",
+    "retry_call": r"\bretry_call\b",
+    "backoff_window": r"\bbackoff_window\b",
+    "note_retry": r"\bnote_retry\b",
+    "fleet.retry": r"\bfleet\.retry\b",
+    "stats.retry": r"\bstats\.retry\b",
+    "--retries": r"--retries(?![\w-])",
+    "--retry-budget": r"--retry-budget(?![\w-])",
+}
+# The public attributes a fleet is built with; anything else set in
+# ``ShardedFleet.__init__`` is a seam a caller assigns a policy to.
+FLEET_PUBLIC_ATTRIBUTES = {"config", "tracer", "telemetry", "shards"}
 # The net's layers a stage chains; only _run_stage may call them.
 LAYERS = {"enc_blocks", "downs", "ups", "head", "bottleneck", "refinements",
           "out_conv", "final_act"}
@@ -308,6 +335,29 @@ def _control_plane(source: str) -> list[str]:
             if re.search(pattern, text)]
 
 
+def _retry(source: str) -> list[str]:
+    """Lines of one module naming the deleted retry layer."""
+    return [f"{line}: {name}"
+            for line, text in enumerate(source.splitlines(), 1)
+            for name, pattern in BANNED_RETRY.items()
+            if re.search(pattern, text)]
+
+
+def _init_public_attributes(source: str, cls: str) -> set[str]:
+    """Public ``self.<name>`` attributes assigned in ``cls.__init__``."""
+    [init] = [fn for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ClassDef) and node.name == cls
+              for fn in node.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+    return {t.attr for node in ast.walk(init)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign)
+                      else [node.target])
+            if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"
+            and not t.attr.startswith("_")}
+
+
 def _definitions(name: str) -> list[str]:
     """Modules of ``src/repro`` defining a function ``name``."""
     return [str(path.relative_to(PACKAGE))
@@ -385,8 +435,24 @@ def test_hedged_reads_and_the_breaker_stay_deleted() -> None:
            for hit in _resilience(path.read_text())]
     assert not bad, (
         "a deleted resilience policy is growing back — a read walks its "
-        "replica set in ring order, one attempt at a time, and the one "
-        "resilience seam is fleet.retry:\n  " + "\n  ".join(bad))
+        "replica set in ring order, one attempt at a time, and the fleet "
+        "has no resilience seam:\n  " + "\n  ".join(bad))
+    seams = _init_public_attributes(
+        (PACKAGE / "serve" / "fleet.py").read_text(), "ShardedFleet")
+    assert seams == FLEET_PUBLIC_ATTRIBUTES, (
+        "ShardedFleet grew a public attribute — a fleet has no seam a "
+        f"caller assigns a policy to: {sorted(seams)}")
+
+
+def test_retry_stays_deleted() -> None:
+    assert not (PACKAGE / "serve" / "resilience.py").exists()
+    bad = [f"{path.relative_to(PACKAGE)}:{hit}"
+           for path in sorted(PACKAGE.rglob("*.py"))
+           for hit in _retry(path.read_text())]
+    assert not bad, (
+        "the deleted retry layer is growing back — a read heals through "
+        "the fleet's failover, and the CLI client keeps its window inside "
+        "the queue bound:\n  " + "\n  ".join(bad))
 
 
 def test_the_control_plane_stays_deleted() -> None:
@@ -398,6 +464,52 @@ def test_the_control_plane_stays_deleted() -> None:
         "the deleted control plane is growing back — ejected shards come "
         "back through served answers and check_health(), with no "
         "background loop:\n  " + "\n  ".join(bad))
+
+
+# One source line per name the retry guard must flag.
+RETRY_IDIOMS = {
+    "RetryPolicy": "fleet.seam = RetryPolicy(config)\n",
+    "RetryConfig": "from .resilience import RetryConfig\n",
+    "TokenBucket": "self._budget = TokenBucket(rate, burst)\n",
+    "retry_call": "return retry_call(policy, attempt)\n",
+    "backoff_window": "delay = backoff_window(0.005, 0.5, n)\n",
+    "note_retry": "self._count('retried')  # see note_retry\n",
+    "fleet.retry": "Set ``fleet.retry`` to retry transient verdicts.\n",
+    "stats.retry": "reg.register_view(f'stats.retry.{attr}', read)\n",
+    "--retries": "p.add_argument('--retries', type=int, default=0)\n",
+    "--retry-budget": "p.add_argument('--retry-budget', default=None)\n",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(RETRY_IDIOMS))
+def test_retry_guard_catches_each_deleted_name(idiom: str) -> None:
+    """The retry guard flags every name it lists, prose included."""
+    assert _retry(RETRY_IDIOMS[idiom]) == [f"1: {idiom}"]
+
+
+def test_retry_guard_allows_the_failover_vocabulary() -> None:
+    """The word "retry", failover, the queue bound, the replay's pacing
+    sleep and a retrained model are not banned."""
+    assert _retry(
+        '"""No client retry: a verdict reaches the caller once."""\n'
+        "self._count('failovers')\n"
+        "p.add_argument('--max-pending', type=int, default=0)\n"
+        "self.retrying = self.clock.sleep(dt)\n"
+        "# A retrained model routes to a different replica set.\n"
+    ) == []
+
+
+def test_fleet_seam_pin_catches_a_new_public_attribute() -> None:
+    """The no-seam pin reads ``__init__``'s public assignments only."""
+    source = ("class ShardedFleet:\n"
+              "    def __init__(self, config):\n"
+              "        self.config = config\n"
+              "        self.retry = None\n"
+              "        self._lock = None\n"
+              "    def start(self):\n"
+              "        self.started = True\n")
+    assert _init_public_attributes(source, "ShardedFleet") == {
+        "config", "retry"}
 
 
 # One source line per idiom the control-plane guard must flag.
@@ -474,13 +586,13 @@ def test_resilience_guard_catches_any_hedge_or_breaker_token(
     assert any(f"identifier ({idiom})" in hit for hit in hits), hits
 
 
-def test_resilience_guard_allows_prose_and_the_retry_seam() -> None:
-    """Docstrings and messages may name the deleted policies; the retry
-    seam and its views are not banned."""
+def test_resilience_guard_allows_prose_and_the_failover_names() -> None:
+    """Docstrings and messages may name the deleted policies; failover
+    and the fleet's own counters are not banned."""
     assert _resilience(
         '"""Hedged reads and the circuit breaker were deleted."""\n'
-        "fleet.retry = RetryPolicy(RetryConfig(max_attempts=3))\n"
-        "reg.register_view('stats.retry.retries', read)\n"
+        "self._count('failovers')\n"
+        "reg.register_view('stats.fleet.shard_faults', read)\n"
         "raise ValueError('no hedge here')\n"
     ) == []
 

@@ -27,8 +27,8 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     ArrivalSpec, FaultSpec, FleetConfig, PopularitySpec, ReplayHarness,
-    RetryConfig, RetryPolicy, Scenario, ServerConfig, ShardedFleet,
-    TenantSpec, VirtualClock, build_trace, event_log, load_scenario,
+    Scenario, ServerConfig, ShardedFleet, TenantSpec, VirtualClock,
+    build_trace, event_log, load_scenario,
 )
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
@@ -264,8 +264,6 @@ class TestReplayHarness:
         fleet = _fleet(shards=3, shard_timeout_s=0.2)
         fleet.register_model("m0", model, problem)
         fleet.register_model("m1", model, problem)
-        fleet.retry = RetryPolicy(RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         with fleet:
             harness = ReplayHarness(fleet, scenario)
             report = harness.run()
@@ -273,7 +271,7 @@ class TestReplayHarness:
         assert report.requests > 0
         assert sum(report.outcomes.values()) == report.requests
         assert report.lost == 0
-        assert report.served == report.requests     # everything healed
+        assert report.served == report.requests     # failover healed all
         assert report.log == event_log(build_trace(
             scenario, omega_dim=int(problem.field.m)))
 
@@ -299,8 +297,6 @@ class TestReplayHarness:
             faults=(FaultSpec(t=0.1, op="kill", shard=0),))  # never restored
         fleet = _fleet(shards=2)
         fleet.register_model("m0", model, problem)
-        fleet.retry = RetryPolicy(RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         originals = [s.server.submit for s in fleet.shards]
         with fleet:
             report = ReplayHarness(fleet, scenario).run()

@@ -27,10 +27,10 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
     NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, FleetStats,
-    FleetUnavailable, MetricsRegistry, PredictionServer, QuantileSketch,
-    ReplayHarness, RetryConfig, RetryPolicy, Scenario, ServerConfig,
-    ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock, export_jsonl,
-    format_summary, load_scenario, parse_jsonl, summarize_spans,
+    MetricsRegistry, PredictionServer, QuantileSketch, ReplayHarness,
+    Scenario, ServerConfig, ShardedFleet, Telemetry, TenantSpec, Tracer,
+    VirtualClock, export_jsonl, format_summary, load_scenario, parse_jsonl,
+    summarize_spans,
 )
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
@@ -74,16 +74,14 @@ def _scenario(**kw) -> Scenario:
 
 def _virtual_run(served, scenario, *, trace_sample=1):
     """The golden-trace recipe: shared VirtualClock, *unstarted* fleet
-    (submits process inline on the single pacing thread), budgeted
-    retries.  Returns (fleet, telemetry, report)."""
+    (submits process inline on the single pacing thread), no client
+    retry.  Returns (fleet, telemetry, report)."""
     model, problem = served
     clock = VirtualClock()
     telemetry = Telemetry(clock=clock, trace_sample=trace_sample)
     fleet = _fleet(shards=3)
     for name in scenario.models:
         fleet.register_model(name, model, problem)
-    fleet.retry = RetryPolicy(RetryConfig(
-        max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
     report = ReplayHarness(fleet, scenario, clock=clock,
                            telemetry=telemetry).run()
     return fleet, telemetry, report
@@ -189,7 +187,7 @@ class TestConservationCrossCheck:
     def test_exactly_the_six_outcome_terms_close_the_law(self, served):
         """Of every ``fleet.<term>`` the registry names, one submit ending
         in it is accounted for exactly when it is an outcome term; the
-        machinery counts (failovers, retries, probes, ...) never close
+        machinery counts (failovers, hangs, probes, ...) never close
         the law."""
         fleet, telemetry, _ = _virtual_run(
             served, _scenario(duration_s=0.2))
@@ -224,8 +222,6 @@ class TestConservationCrossCheck:
         fleet = _fleet(shards=3, shard_timeout_s=0.2)
         fleet.register_model("m0", model, problem)
         fleet.register_model("m1", model, problem)
-        fleet.retry = RetryPolicy(RetryConfig(
-            max_attempts=4, base_backoff_s=0.002, max_backoff_s=0.02))
         with fleet:
             report = ReplayHarness(fleet, scenario,
                                    telemetry=telemetry).run()
@@ -239,35 +235,13 @@ class TestConservationCrossCheck:
         assert report.served == report.requests
         _assert_reconciled(fleet, telemetry)
 
-    def test_resilience_views_registered(self, served):
-        fleet, telemetry, _ = _virtual_run(
-            served, _scenario(duration_s=0.3))
-        reg = telemetry.metrics
-        names = {n for n in reg.names() if n.startswith("stats.retry.")}
-        assert names == {"stats.retry.retries", "stats.retry.denied",
-                         "stats.retry.exhausted", "stats.retry.tokens"}
-        assert not [n for n in reg.names()
-                    if n.startswith(("stats.hedge.", "stats.breaker."))]
-        assert reg.value("stats.retry.retries") == fleet.retry.retries
-
-    def test_retry_views_read_the_live_seam(self, served):
-        """``enable_telemetry`` names the retry counters whether or not
-        a policy is set yet: an empty seam reads 0, and a policy
-        assigned afterwards is what the views read."""
-        fleet = _fleet()
-        telemetry = Telemetry()
-        fleet.enable_telemetry(telemetry)
-        reg = telemetry.metrics
-        assert reg.value("stats.retry.retries") == 0
-        assert reg.value("stats.retry.tokens") == 0
-        fleet.retry = RetryPolicy(RetryConfig(budget_burst=3.0),
-                                  clock=VirtualClock())
-        assert reg.value("stats.retry.tokens") == 3.0
-        assert fleet.retry.plan(FleetUnavailable("m", []), 0) is not None
-        assert reg.value("stats.retry.retries") == 1
-        assert reg.value("stats.retry.tokens") == 2.0
-        fleet.retry = None
-        assert reg.value("stats.retry.retries") == 0
+    def test_no_resilience_views_registered(self, served):
+        """The fleet has no resilience seam, so telemetry names no
+        retry, hedge or breaker counters."""
+        _, telemetry, _ = _virtual_run(served, _scenario(duration_s=0.3))
+        assert not [n for n in telemetry.metrics.names()
+                    if n.startswith(("stats.retry.", "stats.hedge.",
+                                     "stats.breaker.", "fleet.retr"))]
 
     def test_health_views_follow_ejection_and_probe(self, served):
         """Shard health is read through the fleet's views, with no gauge

@@ -177,37 +177,42 @@ class TestServe:
         assert "0 tiled forwards" not in out
         assert "tiled forwards" in out
 
-    def test_serve_bounded_queue_completes_under_backpressure(
+    def test_serve_client_window_stays_inside_the_queue_bound(
             self, trained_checkpoint, capsys):
-        # A tiny queue forces rejections; the CLI client backs off and
-        # retries, so the run still serves every request.
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "12", "--max-batch", "2",
-                     "--max-pending", "2", "--workers", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "served 12 requests" in out
-        assert "backpressure rejections" in out
-
-    def test_serve_backoff_policy_never_gives_up_on_its_own(
-            self, trained_checkpoint, capsys, monkeypatch):
-        # The backoff is one budgeted RetryPolicy shared by every submit
-        # of the run; were its budget or attempt cap ever reached, the
-        # request would be dropped with nothing on stdout.  A long shed
-        # -heavy run pins that only the wall-clock cap can end a submit.
-        from repro import cli
-
-        policies = []
-        build = cli._backoff_policy
-        monkeypatch.setattr(
-            cli, "_backoff_policy",
-            lambda: policies.append(build()) or policies[-1])
+        # A tiny queue under a long run: the client keeps at most
+        # --max-pending requests outstanding, so nothing is shed and
+        # every request is served once.
         assert main(["serve", "--checkpoint", str(trained_checkpoint),
                      "--requests", "500", "--max-batch", "2",
                      "--max-pending", "2", "--workers", "1"]) == 0
-        assert "served 500 requests" in capsys.readouterr().out
-        [policy] = policies
-        assert policy.retries > 0
-        assert policy.denied == 0 and policy.exhausted == 0
+        out = capsys.readouterr().out
+        assert "served 500 requests" in out
+        assert "0 backpressure rejections" in out
+        assert "/ 500 misses" in out           # no request computed twice
+
+    @pytest.mark.parametrize("shards", ["1", "2"],
+                             ids=["one-server", "shards2"])
+    @pytest.mark.parametrize("content", [None, "0.1,0.2,0.3,0.4\nabc,1,2,3\n"],
+                             ids=["missing", "non-numeric"])
+    def test_serve_unreadable_omega_file_fails_cleanly(
+            self, trained_checkpoint, tmp_path, capsys, monkeypatch,
+            shards, content):
+        # An --omega-file that cannot be read or parsed is reported as
+        # an error, and the backend that was built is closed.
+        from repro.serve import PredictionServer
+
+        closed = []
+        close = PredictionServer.close
+        monkeypatch.setattr(PredictionServer, "close",
+                            lambda self: closed.append(self) or close(self))
+        omega_file = tmp_path / "omegas.csv"
+        if content is not None:
+            omega_file.write_text(content)
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--omega-file", str(omega_file),
+                     "--shards", shards]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert len(closed) == int(shards)
 
     def test_serve_default_deadline_reports_expiries(
             self, trained_checkpoint, capsys):
@@ -255,17 +260,18 @@ class TestServeFleet:
             "shard-00", "shard-01"]
         assert list(cache_dir.glob("shard-*/*.npz"))
 
-    def test_serve_fleet_completes_under_backpressure(
+    def test_serve_fleet_client_window_stays_inside_the_queue_bound(
             self, trained_checkpoint, capsys):
-        # The same client loop as the single server: a shed submit is
-        # re-submitted under the backoff policy, so every request is
-        # served and each rejection is a conserved submit of its own.
+        # The same client loop as the single server: with at most
+        # --max-pending requests outstanding fleet-wide, no shard queue
+        # overflows, so the fleet counts each request once.
         assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "12", "--max-batch", "2",
+                     "--requests", "500", "--max-batch", "2",
                      "--max-pending", "2", "--workers", "1",
-                     "--shards", "2", "--replicas", "1"]) == 0
+                     "--shards", "3"]) == 0
         out = capsys.readouterr().out
-        assert "served 12 of " in out
+        assert "served 500 of 500 requests" in out
+        assert "0 rejections" in out
         assert "lost: 0" in out
 
     def test_serve_fleet_omega_file(self, trained_checkpoint, tmp_path,
@@ -316,47 +322,16 @@ class TestServeFleet:
 
 
 class TestServeResilience:
-    def test_retries_over_fleet(self, trained_checkpoint, capsys):
-        assert main(["serve", "--checkpoint", f"demo={trained_checkpoint}",
-                     "--requests", "8", "--shards", "3", "--replicas", "2",
-                     "--retries", "2", "--retry-budget", "4:8"]) == 0
-        out = capsys.readouterr().out
-        assert "served 8 of 8 requests" in out
-        assert "lost: 0" in out
-        [line] = [ln for ln in out.splitlines()
-                  if ln.startswith("resilience:")]
-        assert line == "resilience: 0 retried"    # a healthy fleet
-
-    def test_no_retry_policy_prints_no_resilience_line(
-            self, trained_checkpoint, capsys):
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "4", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "served 4 of 4 requests" in out
-        assert "resilience:" not in out
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--hedge", "95"), ("--breaker-after", "3"),
-        ("--breaker-reset", "0.5")])
-    def test_deleted_resilience_flags_rejected_by_parser(self, flag, value):
+    @pytest.mark.parametrize("command,flag,value", [
+        ("serve", "--hedge", "95"), ("serve", "--breaker-after", "3"),
+        ("serve", "--breaker-reset", "0.5"), ("serve", "--retries", "2"),
+        ("serve", "--retry-budget", "4:8"), ("predict", "--retries", "2")])
+    def test_deleted_resilience_flags_rejected_by_parser(self, command, flag,
+                                                         value):
+        argv = [command, "--checkpoint", "x.npz", flag, value]
+        build_parser().parse_args(argv[:3])     # the rest of argv parses
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--checkpoint", "x.npz",
-                                       "--shards", "2", flag, value])
-
-    def test_retry_budget_rejected_by_parser(self):
-        for bad in ("0:5", "4:0.5", "nope"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["serve", "--checkpoint", "x.npz",
-                                           "--retry-budget", bad])
-
-    @pytest.mark.parametrize("text,expected", [
-        ("4", (4.0, 8.0)),          # burst defaults to twice the rate
-        ("4:6", (4.0, 6.0)),
-        ("0.5:1", (0.5, 1.0))])
-    def test_retry_budget_parses_rate_and_burst(self, text, expected):
-        args = build_parser().parse_args(["serve", "--checkpoint", "x.npz",
-                                          "--retry-budget", text])
-        assert args.retry_budget == expected
+            build_parser().parse_args(argv)
 
     def test_predict_stream_reports_tiles_and_the_same_field(
             self, trained_checkpoint, capsys):
@@ -370,8 +345,3 @@ class TestServeResilience:
         streamed = capsys.readouterr().out.splitlines()
         assert streamed[0].startswith("streamed 4 tiles: first tile in ")
         assert streamed[1:] == plain
-
-    def test_predict_retries_flag(self, trained_checkpoint, capsys):
-        assert main(["predict", "--checkpoint", str(trained_checkpoint),
-                     "--retries", "2"]) == 0
-        assert capsys.readouterr().out
