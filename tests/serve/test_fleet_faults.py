@@ -743,3 +743,23 @@ class TestChaosStorms:
         s = fleet.stats
         assert (s.submitted, s.served, s.rejected, s.lost) == (2, 1, 1, 0)
         assert s.shard_faults == 0
+
+    def test_predict_surfaces_an_expired_deadline_once(self, served):
+        """A dead-on-arrival deadline through ``predict`` raises
+        ``DeadlineExceeded`` to the caller: a request verdict, counted
+        expired, that ejects no shard and is not re-submitted."""
+        model, problem = served
+        fleet = _fleet(shards=2, replicas=2)
+        fleet.register_model("m", model, problem)
+        omega = np.linspace(-0.5, 0.5, 4)
+        with fleet:
+            with pytest.raises(DeadlineExceeded):
+                fleet.predict("m", omega, deadline_s=-1.0, timeout=30)
+            assert (fleet.stats.submitted, fleet.stats.expired) == (1, 1)
+            u = fleet.predict("m", omega, timeout=30)
+        np.testing.assert_allclose(
+            u, predict_batch(model, problem, omega)[0], atol=1e-12)
+        s = fleet.stats
+        assert (s.submitted, s.served, s.expired, s.lost) == (2, 1, 1, 0)
+        assert s.shard_faults == s.failovers == 0
+        assert s.healthy_shards == 2

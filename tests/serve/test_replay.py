@@ -26,9 +26,10 @@ import pytest
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    ArrivalSpec, FaultSpec, FleetConfig, PopularitySpec, ReplayHarness,
-    Scenario, ServerConfig, ShardedFleet, TenantSpec, VirtualClock,
-    build_trace, event_log, load_scenario,
+    ArrivalSpec, DeadlineExceeded, FaultSpec, FleetConfig, FleetUnavailable,
+    PopularitySpec, ReplayHarness, Scenario, ServerConfig, ServerOverloaded,
+    ShardedFleet, TenantSpec, VirtualClock, build_trace, event_log,
+    load_scenario,
 )
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
@@ -306,6 +307,81 @@ class TestReplayHarness:
             assert [s.server.submit for s in fleet.shards] == originals
 
 
+    def test_refused_submits_are_outcomes_named_by_their_verdict(
+            self, served):
+        """A paced submit the fleet refuses is that request's outcome,
+        labelled with the verdict's class name; it is submitted once."""
+        model, problem = served
+        fleet = _fleet(shards=2)
+        fleet.register_model("m0", model, problem)
+        fleet.register_model("m1", model, problem)
+        submit, calls = fleet.submit, []
+
+        def refuse_some(model_name, omega, **kwargs):
+            calls.append(model_name)
+            if len(calls) % 3 == 1:
+                raise ServerOverloaded(model_name, None, 4, 4)
+            if len(calls) % 3 == 2:
+                raise FleetUnavailable(model_name, ["shard-00"])
+            return submit(model_name, omega, **kwargs)
+
+        fleet.submit = refuse_some
+        with fleet:
+            report = ReplayHarness(
+                fleet, _scenario(duration_s=0.5,
+                                 arrivals=ArrivalSpec(rate=30.0))).run()
+        n = report.requests
+        assert len(calls) == n > 3
+        assert report.outcomes == {"ServerOverloaded": -(-n // 3),
+                                   "FleetUnavailable": (n + 1) // 3,
+                                   "served": n // 3}
+        assert fleet.stats.submitted == fleet.stats.served == n // 3
+        assert report.lost == 0
+
+    def test_drain_awaits_each_request_once(self, served):
+        """A verdict delivered through a request's future is its outcome:
+        the drain awaits every accepted request exactly once."""
+        model, problem = served
+        fleet = _fleet(shards=2)
+        fleet.register_model("m0", model, problem)
+        fleet.register_model("m1", model, problem)
+        await_result, awaited = fleet.await_result, []
+
+        def expire_first(future, timeout=None):
+            awaited.append(future)
+            result = await_result(future, timeout)
+            if len(awaited) == 1:
+                raise DeadlineExceeded("m0", None, 0.01, 0.02)
+            return result
+
+        fleet.await_result = expire_first
+        with fleet:
+            report = ReplayHarness(
+                fleet, _scenario(duration_s=0.5,
+                                 arrivals=ArrivalSpec(rate=30.0))).run()
+        assert len(awaited) == len(set(map(id, awaited))) == report.requests
+        assert report.outcomes == {"DeadlineExceeded": 1,
+                                   "served": report.requests - 1}
+
+    def test_a_dead_fleet_reports_every_request_unavailable(self, served):
+        """With every shard killed and none restored there is nothing to
+        fail over to: each request ends FleetUnavailable, none is lost."""
+        model, problem = served
+        scenario = _scenario(
+            duration_s=0.4, models=("m0",),
+            arrivals=ArrivalSpec(rate=30.0),
+            faults=(FaultSpec(t=0.0, op="kill", shard=0),
+                    FaultSpec(t=0.0, op="kill", shard=1)))
+        fleet = _fleet(shards=2)
+        fleet.register_model("m0", model, problem)
+        with fleet:
+            report = ReplayHarness(fleet, scenario).run()
+        assert report.requests > 0
+        assert report.outcomes == {"FleetUnavailable": report.requests}
+        assert report.served == 0
+        assert report.lost == 0
+
+
 class TestCommittedStorm:
     def test_storm_json_parses_and_expands_deterministically(self):
         scenario = load_scenario(STORM_JSON)
@@ -320,6 +396,44 @@ class TestCommittedStorm:
         b = event_log(build_trace(scenario, omega_dim=4))
         assert a == b
         assert len(a.splitlines()) > 100
+
+
+class TestReplayBenchGate:
+    """``benchmarks/bench_replay.py``'s gate: determinism, conservation
+    and healing — every storm request served, failover the only cure."""
+
+    HEALTHY = {"scenario": "storm", "requests": 224, "served": 224,
+               "outcomes": {"served": 224}, "failovers": 3, "lost": 0,
+               "deterministic": True}
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        import importlib
+
+        monkeypatch.syspath_prepend(str(STORM_JSON.parents[2]))
+        return importlib.import_module("benchmarks.bench_replay")._gate
+
+    def test_a_healed_storm_passes(self, gate, capsys):
+        assert gate({"storm": dict(self.HEALTHY)}) == 0
+        assert capsys.readouterr().out.startswith(
+            "storm gates ok: 224 requests, all served, lost=0, "
+            "3 failovers")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("served", 223, "served 223 of 224 requests"),
+        ("lost", 1, "lost 1 requests"),
+        ("deterministic", False, "byte-identical event log"),
+        ("requests", 0, "produced no requests")],
+        ids=["short", "lost", "nondeterministic", "empty"])
+    def test_each_broken_gate_fails_the_run(self, gate, capsys, field,
+                                            value, message):
+        st = dict(self.HEALTHY, **{field: value})
+        if field == "served":
+            st["outcomes"] = {"served": 223, "FleetUnavailable": 1}
+        assert gate({"storm": st}) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: " in out and message in out
+        assert "storm gates ok" not in out
 
 
 # --------------------------------------------------------------------- #

@@ -345,3 +345,120 @@ class TestServeResilience:
         streamed = capsys.readouterr().out.splitlines()
         assert streamed[0].startswith("streamed 4 tiles: first tile in ")
         assert streamed[1:] == plain
+
+    @pytest.mark.parametrize("window", ["1", "3"])
+    @pytest.mark.parametrize("shards", ["1", "2"],
+                             ids=["one-server", "shards2"])
+    def test_serve_client_never_exceeds_its_window(
+            self, trained_checkpoint, capsys, monkeypatch, shards, window):
+        # At every submit the client holds at most --max-pending - 1
+        # unresolved requests: it drained the oldest before this one.
+        from repro.serve import PredictionServer
+
+        futures, peaks = [], []
+        submit = PredictionServer.submit
+
+        def watched(self, *args, **kwargs):
+            peaks.append(sum(not f.done() for f in futures))
+            futures.append(submit(self, *args, **kwargs))
+            return futures[-1]
+
+        monkeypatch.setattr(PredictionServer, "submit", watched)
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "40", "--max-batch", "2",
+                     "--max-pending", window, "--workers", "1",
+                     "--shards", shards]) == 0
+        assert len(futures) == 40
+        assert max(peaks) < int(window)
+        out = capsys.readouterr().out
+        if shards == "1":
+            assert "served 40 requests" in out
+            assert "0 backpressure rejections" in out
+        else:
+            assert "served 40 of 40 requests" in out
+            assert "0 rejections" in out
+
+    @pytest.mark.parametrize("shards", ["1", "2"],
+                             ids=["one-server", "shards2"])
+    def test_serve_counts_a_shed_verdict_once(
+            self, trained_checkpoint, capsys, monkeypatch, shards):
+        # A ServerOverloaded that still arrives is the request's outcome:
+        # the client counts it and moves on, it never re-submits.
+        from repro.serve import PredictionServer, ServerOverloaded
+
+        calls = []
+        submit = PredictionServer.submit
+
+        def refuse_first(self, model_name, *args, **kwargs):
+            calls.append(model_name)
+            if len(calls) == 1:
+                raise ServerOverloaded(model_name, None, 2, 2)
+            return submit(self, model_name, *args, **kwargs)
+
+        monkeypatch.setattr(PredictionServer, "submit", refuse_first)
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "4", "--shards", shards]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 4
+        if shards == "1":
+            assert "served 3 requests" in out
+        else:
+            assert "served 3 of 4 requests" in out
+            assert "1 rejections" in out
+            assert "lost: 0" in out
+
+    def test_predict_failure_surfaces_once(self, trained_checkpoint,
+                                           monkeypatch):
+        # No call-level retry: a backend failure reaches the caller on
+        # the first attempt, and the executor is still closed.
+        import repro.serve as serve
+
+        calls, closed = [], []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("tile worker fell over")
+            yield  # pragma: no cover - makes this a generator
+
+        make = serve.make_executor
+
+        def tracked(*args, **kwargs):
+            executor = make(*args, **kwargs)
+            close = executor.close
+            executor.close = lambda: closed.append(1) or close()
+            return executor
+
+        monkeypatch.setattr(serve, "stream_tiled_predict", failing)
+        monkeypatch.setattr(serve, "make_executor", tracked)
+        with pytest.raises(RuntimeError, match="fell over"):
+            main(["predict", "--checkpoint", str(trained_checkpoint)])
+        assert len(calls) == 1
+        assert closed == [1]
+
+    def test_serve_fleet_counts_unavailable_verdicts_once(
+            self, trained_checkpoint, capsys, monkeypatch):
+        # Every shard faults on submit: each request ends FleetUnavailable
+        # after one pass over its replicas, is reported, and is not sent
+        # again — the run still exits cleanly with nothing lost.
+        from repro.serve import PredictionServer, ShardedFleet
+
+        def dead(self, *args, **kwargs):
+            raise RuntimeError("shard is down")
+
+        calls = []
+        submit = ShardedFleet.submit
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(PredictionServer, "submit", dead)
+        monkeypatch.setattr(ShardedFleet, "submit", counted)
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "4", "--shards", "2",
+                     "--replicas", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "served 0 of 4 requests" in out
+        assert "4 unavailable" in out
+        assert "lost: 0" in out
+        assert len(calls) == 4
