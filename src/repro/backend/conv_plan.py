@@ -426,8 +426,8 @@ def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
     cin, cout = x.shape[1], g.shape[1]
     v = plan.run
     length = plan.total - plan.lead
-    # Tap i of every run: (v, Cout, runs*Cin).
-    dwm = np.zeros((v, cout, sig.taps // v * cin), dtype)
+    # Tap i of every run, transposed: (v, runs*Cin, Cout).
+    dwt = np.zeros((v, sig.taps // v * cin, cout), dtype)
     with _scratch(dtype, len(plan.phases) * cin * plan.total,
                   _cols_size(plan.blocks, min(plan.chunk, length) + v - 1),
                   cout * plan.total) as (src, cols, gz):
@@ -437,9 +437,9 @@ def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
             m = min(plan.chunk, length - j)
             run_cols = _columns(src, plan.blocks, j, m + v - 1, cols)
             for i in range(v):
-                dwm[i] += np.matmul(gz[:, j:j + m], run_cols[:, i:i + m].T)
+                dwt[i] += np.matmul(run_cols[:, i:i + m], gz[:, j:j + m].T)
     return np.ascontiguousarray(
-        dwm.reshape(v, cout, -1, cin).transpose(1, 3, 2, 0)
+        dwt.reshape(v, -1, cin, cout).transpose(3, 2, 1, 0)
     ).reshape(sig.w_shape)
 
 

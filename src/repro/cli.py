@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=None,
                    help="override serving resolution")
     p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument("--max-wait-ms", type=float, default=2.0)
+    p.add_argument("--max-wait-ms", type=float, default=2.0,
+                   help="longest hold of a batch's first request, paid "
+                        "only while requests arrive within it on average")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-mb", type=int, default=64)
     p.add_argument("--backend", default=None,

@@ -3,8 +3,9 @@
 A single ω query is a (1, 1, *grid) forward; the GEMMs inside are far
 from their throughput regime.  Batching B compatible requests into one
 (B, 1, *grid) forward amortizes planning, im2col and Python dispatch —
-the classic dynamic-batching trade of a little latency (bounded by
-``max_wait_ms``) for a lot of throughput.
+the classic dynamic-batching trade of a little latency (a hold of at
+most ``max_wait_ms``, paid only when a companion is due inside it) for
+a lot of throughput.
 
 The batcher is policy only: it owns no threads.  A server worker calls
 ``collect`` to drain one micro-batch and then groups it into fusable
@@ -116,8 +117,9 @@ class MicroBatcher:
     max_batch:
         Upper bound on requests fused into one forward.
     max_wait_ms:
-        How long to hold the *first* request of a batch while waiting for
-        companions.  0 disables coalescing (every request runs alone).
+        The longest hold of a batch's *first* request for companions,
+        paid only while the mean gap between arrivals is at most this.
+        0 never holds: a batch is whatever is already queued.
     """
 
     def __init__(self, max_batch: int = 8, max_wait_ms: float = 2.0) -> None:
@@ -127,6 +129,10 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
+        # Mean arrival gap (s), from 0 so a fresh batcher holds.  A race
+        # between workers only nudges it, so it takes no lock.
+        self._mean_gap = 0.0
+        self._last_arrival: float | None = None
         self.tracer = NULL_TRACER  # enable_telemetry swaps the real one in
 
     def _admit(self, request: PredictRequest, batch: list[PredictRequest],
@@ -137,8 +143,13 @@ class MicroBatcher:
         Expired requests never occupy a batch slot: they are consumed
         here (including the ``task_done`` their ``get`` owes the queue's
         drain accounting) so a saturated queue full of dead requests
-        cannot starve the live ones behind them.
+        cannot starve the live ones behind them.  Both kinds update the
+        mean arrival gap (weight 1/16; an out-of-order stamp is gap 0).
         """
+        t, last = request.enqueued_at, self._last_arrival
+        if last is not None:
+            self._mean_gap += (max(t - last, 0.0) - self._mean_gap) / 16
+        self._last_arrival = t if last is None else max(t, last)
         if on_expired is not None and request.expired():
             on_expired(request)
             if hasattr(source, "task_done"):
@@ -160,7 +171,8 @@ class MicroBatcher:
         when ``stop`` is set and the queue is empty — the worker's signal
         to exit.
 
-        The hold window is deadline-aware: a member whose ``expires_at``
+        The hold is ``max_wait_ms`` while the mean arrival gap is at most
+        that, else 0; it is deadline-aware: a member whose ``expires_at``
         falls before the ``max_wait_ms`` deadline shrinks the hold to
         that expiry (EDF on the coalescing window), so holding for
         companions can never itself expire a request already drained.
@@ -177,7 +189,9 @@ class MicroBatcher:
         # coalescing hold is the stage being measured, not the idle
         # wait for traffic to exist at all.
         span = self.tracer.start("batch.collect", parent=batch[0].trace)
-        deadline = time.perf_counter() + self.max_wait_ms / 1e3
+        hold = self.max_wait_ms / 1e3
+        deadline = time.perf_counter() + (hold if self._mean_gap <= hold
+                                          else 0.0)
         while len(batch) < self.max_batch:
             if batch[-1].expires_at is not None:
                 # The member drained last is the only one not yet

@@ -92,7 +92,8 @@ class ServerConfig:
     """Tunables of one :class:`PredictionServer`."""
 
     max_batch: int = 8
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 2.0          # longest batch hold, paid only
+    #                                   when a companion is due inside it
     workers: int = 1
     cache_bytes: int = 64 * 1024 * 1024
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels

@@ -1,6 +1,7 @@
 """Micro-batching policy and the prediction server front-ends."""
 
 import queue
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -360,6 +361,141 @@ class TestDeadlineAwareHold:
         elapsed = time.perf_counter() - t0
         assert len(batch) == 2
         assert elapsed < 0.25
+
+
+# --------------------------------------------------------------------- #
+# Adaptive hold: held only while the mean arrival gap is within it
+# --------------------------------------------------------------------- #
+class TestAdaptiveHold:
+    """The gap estimate is driven by explicit ``enqueued_at`` stamps, so
+    a "stream" costs no sleeps; only the final lone ``collect`` is timed."""
+
+    @staticmethod
+    def _stamped(t, expires_in=None):
+        return PredictRequest(
+            model_name="m", omega=np.zeros(4), resolution=16, future=None,
+            enqueued_at=t,
+            expires_at=None if expires_in is None
+            else time.perf_counter() + expires_in)
+
+    def _stream(self, batcher, gap_s, n, start):
+        """Admit ``n`` arrivals ``gap_s`` apart; return the next stamp."""
+        for i in range(n):
+            batcher._admit(self._stamped(start + i * gap_s), [], None, None)
+        return start + n * gap_s
+
+    def _lone_collect(self, batcher, t, expires_in=None):
+        source = RequestQueue()
+        source.put(self._stamped(t, expires_in))
+        t0 = time.perf_counter()
+        batch = batcher.collect(source)
+        assert len(batch) == 1
+        return time.perf_counter() - t0
+
+    def test_sparse_stream_dispatches_at_once(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=500.0)
+        t = self._stream(batcher, 1.0, 40, start=0.0)
+        # Arrivals 1 s apart never bring a companion inside a 0.5 s hold.
+        assert self._lone_collect(batcher, t) < 0.25
+
+    def test_dense_stream_keeps_the_full_hold(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=60.0)
+        t = self._stream(batcher, 1e-4, 40, start=0.0)
+        assert self._lone_collect(batcher, t) >= 0.05
+
+    def test_one_long_gap_does_not_end_a_dense_hold(self):
+        # A mean, not the last gap: one 1 s straggler after a dense
+        # stream moves the estimate by 1/16 s, inside a 100 ms hold.
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=100.0)
+        t = self._stream(batcher, 1e-4, 40, start=0.0)
+        assert self._lone_collect(batcher, t + 1.0) >= 0.09
+
+    def test_sparse_then_dense_regains_the_hold_within_40_arrivals(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=100.0)
+        t = self._stream(batcher, 1.0, 40, start=0.0)
+        assert self._lone_collect(batcher, t) < 0.05
+        # Five dense arrivals do not yet outweigh forty sparse ones...
+        t = self._stream(batcher, 1e-4, 4, start=t + 1e-4)
+        assert self._lone_collect(batcher, t) < 0.05
+        # ...and forty (this lone request the last) do.
+        t = self._stream(batcher, 1e-4, 34, start=t + 1e-4)
+        assert self._lone_collect(batcher, t) >= 0.09
+
+    def test_out_of_order_stamps_count_as_gap_zero(self):
+        # Priority order dequeues stamps out of order; a stamp older
+        # than the newest seen is no evidence of a sparse stream.
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=60.0)
+        t = self._stream(batcher, -1.0, 40, start=100.0)
+        assert self._lone_collect(batcher, t) >= 0.05
+
+    def test_expired_requests_count_as_arrivals(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=500.0)
+        source, expired = RequestQueue(), []
+        for i in range(40):
+            source.put(self._stamped(float(i), expires_in=-1.0))
+        source.put(self._stamped(40.0))
+        t0 = time.perf_counter()
+        batch = batcher.collect(source, on_expired=expired.append)
+        assert len(batch) == 1 and len(expired) == 40
+        assert time.perf_counter() - t0 < 0.25
+
+    def test_edf_still_shrinks_a_held_batch(self):
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=500.0)
+        t = self._stream(batcher, 1e-4, 40, start=0.0)
+        # Dense: the hold is on, and the 10 ms deadline still cuts it.
+        assert self._lone_collect(batcher, t, expires_in=0.01) < 0.25
+
+    def test_racing_workers_serve_everything_once(self):
+        """Workers share one batcher's estimate without a lock: with more
+        workers than cores and a tiny switch interval, every request is
+        still served exactly once and the estimate stays a gap."""
+        batcher = MicroBatcher(max_batch=4, max_wait_ms=1.0)
+        source = RequestQueue()
+        for i in range(400):
+            source.put(self._stamped(i * 1e-3))
+        stop, served = threading.Event(), []
+        stop.set()                              # exit once drained
+
+        def drain():
+            while batch := batcher.collect(source, stop=stop, poll_s=0.01):
+                served.extend(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=drain) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert sorted(r.enqueued_at for r in served) == \
+            [i * 1e-3 for i in range(400)]
+        assert 0.0 <= batcher._mean_gap <= 0.4
+
+    def test_server_trickle_does_not_wait_out_the_hold(self, served):
+        """A submit every 30 ms against a 20 ms hold: after the estimate
+        settles no request waits the hold out, so the median queue wait
+        (submit → forward, the hold included) is far below it."""
+        from repro.serve import Telemetry, summarize_spans
+
+        *_, registry = served
+        server = PredictionServer(registry, ServerConfig(
+            max_batch=8, max_wait_ms=20.0, workers=1, cache_bytes=0))
+        telemetry = Telemetry()
+        server.enable_telemetry(telemetry)
+        with server:
+            futures = []
+            for w in RNG.uniform(-3, 3, size=(60, 4)):
+                futures.append(server.submit("m", w))
+                time.sleep(0.03)
+            for f in futures:
+                f.result(timeout=30)
+        wait = summarize_spans(telemetry.tracer.spans())["queue.wait"]
+        assert wait["count"] == 60
+        assert wait["p50_s"] < 0.010
 
 
 # --------------------------------------------------------------------- #
