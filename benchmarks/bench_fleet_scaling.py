@@ -10,11 +10,8 @@ time scales with ranks.
 Measured here: a fixed mixed-model request storm against fleets of 1, 2
 and 4 shards (R=1 so each key has one home and the load partition is
 pure).  Each shard runs ``executor='process'`` with one worker — the
-fleet's parallelism *is* the shard count.  Every run also replays the
-routing hops through ``SimulatedCommunicator`` with a Bridges-2-like
-interconnect model, so the JSON reports virtual comm seconds next to
-measured wall time — the simulated-fleet cost the ROADMAP's scale-out
-story tracks.
+fleet's parallelism *is* the shard count.  Everything reported is
+measured wall time; no interconnect is modelled.
 
 Gates (exit nonzero on failure):
 
@@ -37,7 +34,6 @@ import numpy as np
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.data.sobol import sample_omega
-from repro.perf import BRIDGES2_CPU
 from repro.serve import FleetConfig, ServerConfig, ShardedFleet
 from repro.serve.executor import default_workers
 
@@ -58,18 +54,12 @@ MIN_SPEEDUP = 1.5
 TOL = 1e-5
 
 
-def _time_model(message_bytes: int, world_size: int) -> float:
-    """Alpha-beta point-to-point cost on a Bridges-2-like interconnect."""
-    return (message_bytes / BRIDGES2_CPU.bandwidth_bytes_per_s
-            + BRIDGES2_CPU.latency_s)
-
-
 def _make_fleet(shards: int) -> tuple[ShardedFleet, MGDiffNet,
                                       PoissonProblem2D]:
     problem = PoissonProblem2D(RESOLUTION)
     model = MGDiffNet(ndim=2, base_filters=BASE_FILTERS, depth=DEPTH, rng=42)
     fleet = ShardedFleet(FleetConfig(
-        shards=shards, replicas=1, time_model=_time_model,
+        shards=shards, replicas=1,
         server=ServerConfig(max_batch=MAX_BATCH, max_wait_ms=2.0,
                             workers=1, cache_bytes=0, executor="process")))
     # One set of weights under N names: N routing keys spread over the
@@ -106,9 +96,7 @@ def _measure(shards: int, n_requests: int, rounds: int) -> dict:
     return {"shards": shards, "wall_s": best,
             "qps": n_requests / best,
             "p50_ms": s.p50 * 1e3, "p99_ms": s.p99 * 1e3,
-            "divergence": divergence,
-            "virtual_comm_s": s.virtual_comm_seconds,
-            "send_calls": s.send_calls, "lost": s.lost}
+            "divergence": divergence, "lost": s.lost}
 
 
 def _run(n_requests: int = N_REQUESTS, rounds: int = ROUNDS,
@@ -125,11 +113,10 @@ def _run(n_requests: int = N_REQUESTS, rounds: int = ROUNDS,
 
 def _report(result: dict) -> None:
     report("fleet_scaling",
-           ["shards", "qps", "speedup", "p99_ms", "virtual_comm_ms",
-            "divergence"],
+           ["shards", "qps", "speedup", "p99_ms", "divergence"],
            [[r["shards"], round(r["qps"], 1), round(r["speedup"], 2),
-             round(r["p99_ms"], 2), round(r["virtual_comm_s"] * 1e3, 3),
-             f"{r['divergence']:.1e}"] for r in result["rows"]])
+             round(r["p99_ms"], 2), f"{r['divergence']:.1e}"]
+            for r in result["rows"]])
 
 
 def _gate(result: dict) -> int:

@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "only while requests arrive within it on average")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-mb", type=int, default=64)
-    p.add_argument("--backend", default=None,
-                   help="array backend workers pin (e.g. 'lazy')")
     p.add_argument("--tile", "--tile-size", type=_positive_int, dest="tile",
                    default=None, metavar="N",
                    help="force tiled forwards with this core tile size")
@@ -140,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("serial", "thread", "process"),
                    help="compute layer for the worker fleet (process "
                         "escapes the GIL for CPU-bound inference)")
-    p.add_argument("--cache-dir", default=None,
-                   help="spill the result cache to this directory "
-                        "(one npz per entry; survives restarts)")
-    p.add_argument("--spill-mb", type=int, default=None,
-                   help="byte budget (MiB) for --cache-dir; LRU files "
-                        "are evicted over budget (default: unbounded)")
     p.add_argument("--max-pending", type=int, default=0,
                    help="bound the request queue (overflowing submits "
                         "are rejected with backpressure) and keep at most "
@@ -396,12 +388,8 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         workers=args.workers, cache_bytes=args.cache_mb * 1024 * 1024,
-        backend=args.backend, tile=args.tile,
-        tile_threshold_voxels=args.tile_threshold,
-        executor=args.executor, cache_dir=args.cache_dir,
-        spill_max_bytes=(args.spill_mb * 1024 * 1024
-                         if args.spill_mb is not None else None),
-        max_pending=args.max_pending,
+        tile=args.tile, tile_threshold_voxels=args.tile_threshold,
+        executor=args.executor, max_pending=args.max_pending,
         default_deadline_s=args.default_deadline)
     sharded = args.shards > 1
     telemetry = _serve_telemetry(args)
@@ -484,9 +472,7 @@ def _report_server(server, wall: float) -> None:
           f"{s.expired} expired deadlines")
     print(f"cache: {c.hits} hits / {c.misses} misses "
           f"({100 * c.hit_rate:.0f}%), {c.bytes_cached >> 20} MiB resident, "
-          f"{c.evictions} evictions, {c.spill_hits} spill hits, "
-          f"{c.spill_writes} spill writes, {c.spill_evictions} spill "
-          f"evictions")
+          f"{c.evictions} evictions")
 
 
 def _report_fleet(args, fleet, wall: float) -> None:
@@ -502,9 +488,6 @@ def _report_fleet(args, fleet, wall: float) -> None:
           f"{s.unavailable} unavailable; "
           f"faults: {s.shard_faults} ejections, {s.failovers} failovers, "
           f"{s.readmissions} readmissions; lost: {s.lost}")
-    print(f"interconnect (simulated): {s.send_calls} hops, "
-          f"{s.send_bytes >> 20} MiB, "
-          f"{s.virtual_comm_seconds * 1e3:.2f} ms virtual")
     for sid, row in s.per_shard.items():
         state = "up" if row["healthy"] else "DOWN"
         print(f"  {sid} [{state}] requests={row['requests']} "
@@ -517,7 +500,8 @@ def _cmd_trace(args) -> int:
     try:
         with open(args.file) as fh:
             spans = parse_jsonl(fh.read())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # A missing file, or a line that is not a span (names the line).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not spans:

@@ -1,8 +1,7 @@
 """MPI-style communicator over rank-indexed buffers.
 
 Mirrors the mpi4py collective surface (allreduce / bcast / allgather /
-barrier, plus point-to-point ``send`` charging for the serving fleet's
-routing hops).  A collective takes every rank's buffer and returns every
+barrier).  A collective takes every rank's buffer and returns every
 rank's result: each data-parallel rank process runs it over all ranks'
 rows, read from shared memory, and keeps its own.  Semantics are exact —
 the Eq. 15 determinism arguments hold bit-for-bit — while *cost* is
@@ -12,8 +11,7 @@ interconnects).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +28,6 @@ class CommLog:
     allreduce_bytes: int = 0
     broadcast_calls: int = 0
     barrier_calls: int = 0
-    send_calls: int = 0
-    send_bytes: int = 0
     virtual_comm_seconds: float = 0.0
 
 
@@ -50,10 +46,6 @@ class SimulatedCommunicator:
         self.world_size = world_size
         self.time_model = time_model
         self.log = CommLog()
-        # Collectives run in the training step loop, but the serving
-        # fleet charges point-to-point hops from concurrent worker
-        # threads — counter increments must not be lost.
-        self._send_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def allreduce(self, buffers: list[np.ndarray], average: bool = False
@@ -82,21 +74,6 @@ class SimulatedCommunicator:
         gathered = [b.copy() for b in buffers]
         self._charge(sum(b.nbytes for b in buffers))
         return [list(gathered) for _ in range(self.world_size)]
-
-    def send(self, message_bytes: int) -> None:
-        """Charge one point-to-point message to the virtual clock.
-
-        The serving fleet uses this for its routing hops (request ω out
-        to a shard, full field back), extending the Table 6 cost model
-        from collectives to the request/response traffic of a simulated
-        multi-host fleet.  Semantically a no-op — the simulation moves
-        the actual arrays in-process — only the clock and the byte
-        counters advance.
-        """
-        with self._send_lock:
-            self.log.send_calls += 1
-            self.log.send_bytes += int(message_bytes)
-            self._charge(int(message_bytes))
 
     def barrier(self) -> None:
         self.log.barrier_calls += 1

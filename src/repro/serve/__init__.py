@@ -7,9 +7,8 @@ FEM solve.  This package is the infrastructure realizing that claim:
 * :class:`ModelRegistry` — named, versioned, validated checkpoint
   entries (``load``/``register_model``/``get``);
 * :class:`PredictionServer` — priority/deadline request queue with
-  bounded-queue backpressure, dynamic micro-batching, size-bounded LRU
-  result cache (optionally disk-spilled under a byte budget), sync and
-  worker-thread front-ends;
+  bounded-queue backpressure, dynamic micro-batching, byte-bounded
+  in-memory LRU result cache, sync and worker-thread front-ends;
 * :class:`ShardedFleet` — consistent-hash routing of registry entries
   and request load over N server shards (simulated hosts) with R-way
   replication, fault ejection + failover, and re-admission when a

@@ -21,13 +21,8 @@ __all__ = ["ServeError", "DeadlineExceeded", "ServerOverloaded",
 
 
 def _key_digest(key: tuple | None) -> str:
-    """Digest of a request's cache key for error messages.
-
-    The raw key embeds the full quantized ω tuple — too noisy for a log
-    line — but the shared :func:`~repro.serve.cache.key_digest` lets
-    operators correlate an error with its cache/spill entry exactly
-    (spill file names embed the identical digest).
-    """
+    """:func:`~repro.serve.cache.key_digest` of a request's cache key: the
+    raw key embeds the full quantized ω, too noisy for a log line."""
     return key_digest(key) if key is not None else "unkeyed"
 
 

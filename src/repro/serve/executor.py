@@ -113,7 +113,7 @@ class SerialExecutor(Executor):
 
 
 class ThreadExecutor(Executor):
-    """Shared thread pool; pool threads pin the creator's backend/dtype.
+    """Shared thread pool; pool threads run the creator's backend/dtype.
 
     The array-backend choice is thread-local (see
     :mod:`repro.backend.registry`), so without the initializer a pool
@@ -123,11 +123,9 @@ class ThreadExecutor(Executor):
 
     kind = "thread"
 
-    def __init__(self, workers: int | None = None,
-                 backend: str | None = None,
-                 dtype: str | None = None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self._workers = max(1, int(workers or default_workers()))
-        self._backend, self._dtype = _capture_context(backend, dtype)
+        self._backend, self._dtype = _capture_context()
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
@@ -192,11 +190,9 @@ class ProcessExecutor(Executor):
     kind = "process"
 
     def __init__(self, workers: int | None = None,
-                 backend: str | None = None,
-                 dtype: str | None = None,
                  start_method: str | None = None) -> None:
         self._workers = max(1, int(workers or default_workers()))
-        self._backend, self._dtype = _capture_context(backend, dtype)
+        self._backend, self._dtype = _capture_context()
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -253,16 +249,14 @@ class ProcessExecutor(Executor):
             pool.join()
 
 
-def make_executor(kind: str, workers: int | None = None,
-                  backend: str | None = None,
-                  dtype: str | None = None) -> Executor:
+def make_executor(kind: str, workers: int | None = None) -> Executor:
     """Build an executor by kind: ``serial`` | ``thread`` | ``process``."""
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
-        return ThreadExecutor(workers, backend=backend, dtype=dtype)
+        return ThreadExecutor(workers)
     if kind == "process":
-        return ProcessExecutor(workers, backend=backend, dtype=dtype)
+        return ProcessExecutor(workers)
     raise ValueError(
         f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")
 
@@ -280,16 +274,11 @@ def _indexed_call(payload):
 # --------------------------------------------------------------------- #
 # Worker initialisation
 # --------------------------------------------------------------------- #
-def _capture_context(backend: str | None,
-                     dtype: str | None) -> tuple[str, str]:
-    """Resolve (backend name, dtype name), defaulting to the caller's."""
+def _capture_context() -> tuple[str, str]:
+    """The creating thread's (backend name, dtype name)."""
     from ..backend import get_backend, get_default_dtype
 
-    if backend is None:
-        backend = get_backend().name
-    if dtype is None:
-        dtype = np.dtype(get_default_dtype()).name
-    return backend, np.dtype(dtype).name
+    return get_backend().name, np.dtype(get_default_dtype()).name
 
 
 def _thread_worker_init(backend: str, dtype: str) -> None:

@@ -3,14 +3,14 @@
 One :class:`~repro.serve.server.PredictionServer` scales to the cores of
 one host; the paper's claim is a *fleet*.  This module spreads the model
 registry and the request load across N server shards — each with its own
-worker pool, compute executor, result cache and spill directory — the
-way DNN-MG/GMT partition multigrid work across compute units:
+worker pool, compute executor and result cache — the way DNN-MG/GMT
+partition multigrid work across compute units:
 
 * **Routing** — a consistent-hash ring (:class:`~repro.serve.hashring.
   HashRing`) over ``(model name, content version)`` assigns every model
   an R-way replica set.  Reads go to the primary and fail over along
-  the replica order; writes (``register_model``/``load``/``unregister``/
-  ``prune_spill``) fan out to every replica.
+  the replica order; writes (``register_model``/``load``/
+  ``unregister``) fan out to every replica.
 * **Failover** — a shard that raises, hangs past ``shard_timeout_s`` or
   is killed is *ejected* (marked unhealthy) and its in-flight request is
   re-dispatched to the next replica; the caller sees the replica's
@@ -32,11 +32,6 @@ way DNN-MG/GMT partition multigrid work across compute units:
   survivors the new ring assigns, reconcile-before-swap.  The caller
   decides that a host is lost; the fleet never decommissions on its
   own.
-* **Cost model** — every routing hop (ω out, full field back) is charged
-  to a :class:`~repro.distributed.comm.SimulatedCommunicator`, so the
-  fig10-style scaling story extends to serving:
-  ``benchmarks/bench_fleet_scaling.py`` reports measured QPS next to the
-  virtual interconnect seconds of the simulated fleet.
 
 Error discipline at the routing layer (:func:`~repro.serve.errors.
 verdict`, one table for every read path): *request* errors (bad ω arity,
@@ -61,13 +56,10 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distributed.comm import SimulatedCommunicator
 from .errors import DeadlineExceeded, FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
@@ -108,8 +100,11 @@ class FleetConfig:
     # re-admitted on the spot.  None disables hang detection.
     shard_timeout_s: float | None = None
     server: ServerConfig = field(default_factory=ServerConfig)
-    # (message_bytes, world_size) -> seconds; None counts bytes only.
-    time_model: Callable[[int, int], float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.shard_timeout_s is not None and not self.shard_timeout_s > 0:
+            raise ValueError(f"shard_timeout_s must be > 0 or None, got "
+                             f"{self.shard_timeout_s}")
 
 
 class Shard:
@@ -122,12 +117,6 @@ class Shard:
         self.ejected_at: float | None = None  # error-eject stamp
         self.fault_count = 0
         self.last_error: BaseException | None = None
-
-    @property
-    def queue_depth(self) -> int:
-        """Live load (pending + in-flight) of this shard's server —
-        reported per shard in ``FleetStats.per_shard``."""
-        return self.server.queue_depth()
 
     def __repr__(self) -> str:
         state = "healthy" if self.healthy else "ejected"
@@ -163,10 +152,6 @@ class FleetStats(_LatencyPercentiles):
     batches: int = 0
     batched_requests: int = 0
     tiled_forwards: int = 0
-    # Simulated interconnect (routing hops through the comm layer).
-    send_calls: int = 0
-    send_bytes: int = 0
-    virtual_comm_seconds: float = 0.0
     latencies: list = field(default_factory=list)
     per_shard: dict = field(default_factory=dict)
 
@@ -251,8 +236,6 @@ class ShardedFleet:
             self._by_id[shard.id] = shard
         self._ring = HashRing([s.id for s in self.shards],
                               vnodes=self.config.vnodes)
-        self._comm = SimulatedCommunicator(
-            self.config.shards, time_model=self.config.time_model)
         self._catalog: dict[str, str] = {}      # model name -> version
         self._latencies: list[float] = []
         self._probe_seq = 0
@@ -274,12 +257,8 @@ class ShardedFleet:
 
     def _make_shard(self, shard_id: str) -> Shard:
         """Build one shard (server + health record)."""
-        cfg = self.config.server
-        if cfg.cache_dir is not None:
-            # Each simulated host owns its spill directory: budgets and
-            # LRU accounting are per-instance.
-            cfg = replace(cfg, cache_dir=str(Path(cfg.cache_dir) / shard_id))
-        return Shard(shard_id, PredictionServer(ModelRegistry(), cfg))
+        return Shard(shard_id,
+                     PredictionServer(ModelRegistry(), self.config.server))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -386,14 +365,6 @@ class ShardedFleet:
             shard.server.registry.unregister(name)
         with self._lock:
             self._catalog.pop(name, None)
-
-    def prune_spill(self) -> int:
-        """Fan spill pruning out to every shard; total files removed."""
-        removed = 0
-        for shard in self.shards:
-            live = {e.version for e in shard.server.registry.entries()}
-            removed += shard.server.cache.prune_spill(live)
-        return removed
 
     def names(self) -> tuple[str, ...]:
         with self._lock:
@@ -599,7 +570,7 @@ class ShardedFleet:
 
     def _attempt(self, out: Future, state: _RouteState, shard: Shard,
                  sync: bool = False) -> bool:
-        """Issue one attempt on ``shard``: comm hop, attempt span, shard
+        """Issue one attempt on ``shard``: attempt span, shard
         ``submit``, done-callback.
 
         Returns ``True`` when the shard refused synchronously without
@@ -608,7 +579,6 @@ class ShardedFleet:
         delivered — which ``sync`` (the caller's own thread, initial
         dispatch) also re-raises, like ``PredictionServer.submit``.
         """
-        self._comm.send(state.omega.nbytes)   # routing hop: ω out
         span = self.tracer.start("fleet.attempt", parent=state.trace,
                                  shard=shard.id)
         try:
@@ -642,7 +612,6 @@ class ShardedFleet:
         won = self._deliver(out, state, result=value, counter="served")
         span.finish(outcome="served", won=won)
         if won:
-            self._comm.send(value.nbytes)     # response hop: field back
             self._answered(shard, dispatched_at)
 
     def _settle(self, out: Future, state: _RouteState, shard: Shard,
@@ -885,10 +854,6 @@ class ShardedFleet:
                 **self._c)
             live = list(self.shards)
             retired = list(self._retired)
-        log = self._comm.log
-        merged.send_calls = log.send_calls
-        merged.send_bytes = log.send_bytes
-        merged.virtual_comm_seconds = log.virtual_comm_seconds
         # Decommissioned shards are summed too: their serving history
         # must not vanish from the fleet totals.
         for shard in live + retired:
@@ -907,7 +872,7 @@ class ShardedFleet:
                 "requests": s.requests,
                 "cache_hits": s.cache_hits,
                 "errors": s.errors,
-                "queue_depth": shard.queue_depth,
+                "queue_depth": shard.server.queue_depth(),
                 "models": list(shard.server.registry.names()),
             }
         return merged

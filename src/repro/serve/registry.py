@@ -1,11 +1,11 @@
 """Model registry: named, versioned, validated serving entries.
 
 A registry turns checkpoints on disk into live serving entries.  Each
-entry pins the model together with its :class:`PoissonProblem` template,
-the dtype/backend it was loaded under, and a content *version* (a hash
-of the parameter bytes) that keys the result cache — reloading a
-retrained checkpoint under the same name changes the version and thereby
-invalidates every cached field automatically.
+entry pins the model together with its :class:`PoissonProblem` template
+and a content *version* (a hash of the parameter bytes) that keys the
+result cache — reloading a retrained checkpoint under the same name
+changes the version and thereby invalidates every cached field
+automatically.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any
 
 import numpy as np
 
-from ..backend import get_backend, get_default_dtype
 from ..core.checkpoint import CheckpointError, load_checkpoint
 from ..core.mgdiffnet import MGDiffNet
 from ..core.problem import PoissonProblem
@@ -51,8 +50,6 @@ class ModelEntry:
     version: str
     path: Path | None = None
     meta: dict[str, Any] = field(default_factory=dict)
-    dtype: str = "float32"
-    backend: str = "numpy"
 
     def problem_signature(self) -> tuple:
         """Hashable identity of the PDE family this model was trained on."""
@@ -148,9 +145,7 @@ class ModelRegistry:
         return ModelEntry(
             name=name, model=model, problem=problem,
             version=version or state_version(model), path=path,
-            meta=dict(meta or {}),
-            dtype=np.dtype(get_default_dtype()).name,
-            backend=get_backend().name)
+            meta=dict(meta or {}))
 
     @staticmethod
     def _smoke_test(entry: ModelEntry) -> None:

@@ -20,9 +20,7 @@ Front-ends:
   thread; nothing to start or stop.
 * **worker-thread** — ``start()`` spawns N worker threads; ``submit``
   returns a ``Future``; ``predict`` on a running server routes through
-  the queue.  Workers pin the configured array backend (the registry's
-  op dispatch is thread-local), so e.g. the lazy backend fuses inside a
-  forward while workers overlap queue wait with compute.
+  the queue.
 
 The queue is a priority heap with deadlines and backpressure (see
 :mod:`repro.serve.batching`): ``submit(..., priority=, deadline_s=)``
@@ -59,7 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import set_backend
 from ..core.inference import predict_batch
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import LRUCache, result_key
@@ -99,10 +96,7 @@ class ServerConfig:
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels
     tile: int | None = None           # set: force tiling at this tile size
     halo: int | None = None           # None: the emitting sweep's own
-    backend: str | None = None        # backend workers pin (None: inherit)
     executor: str = "serial"          # compute layer: serial|thread|process
-    cache_dir: str | None = None      # set: spill the LRU to disk (npz)
-    spill_max_bytes: int | None = None  # byte budget for the spill tier
     max_pending: int = 0              # >0: bound the queue (backpressure)
     default_deadline_s: float | None = None  # latency budget default
 
@@ -163,9 +157,7 @@ class PredictionServer:
         # repro.serve.telemetry).  ``telemetry`` is the bundle handle.
         self.tracer = NULL_TRACER
         self.telemetry = None
-        self.cache = LRUCache(self.config.cache_bytes,
-                              spill_dir=self.config.cache_dir,
-                              spill_max_bytes=self.config.spill_max_bytes)
+        self.cache = LRUCache(self.config.cache_bytes)
         self.stats = ServerStats()
         self._batcher = MicroBatcher(self.config.max_batch,
                                      self.config.max_wait_ms)
@@ -211,9 +203,8 @@ class PredictionServer:
         """The compute executor (created lazily from the config)."""
         with self._executor_lock:
             if self._executor is None:
-                self._executor = make_executor(
-                    self.config.executor, self.config.workers,
-                    backend=self.config.backend)
+                self._executor = make_executor(self.config.executor,
+                                               self.config.workers)
                 self._executor.tracer = self.tracer
             return self._executor
 
@@ -442,9 +433,6 @@ class PredictionServer:
     # Worker internals
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
-        if self.config.backend is not None:
-            # Backend choice is thread-local; each worker pins its own.
-            set_backend(self.config.backend)
         while True:
             batch = self._batcher.collect(self._queue, stop=self._stop,
                                           on_expired=self._expire_request)

@@ -251,8 +251,20 @@ def export_jsonl(spans) -> str:
 
 
 def parse_jsonl(text: str) -> list[dict]:
-    """Inverse of :func:`export_jsonl` (blank lines ignored)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """Inverse of :func:`export_jsonl` (blank lines ignored).  A line
+    that is not a JSON object with a ``name`` raises ``ValueError``
+    naming its line number."""
+    spans = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                span = json.loads(line)
+            except ValueError:
+                span = None
+            if not isinstance(span, dict) or "name" not in span:
+                raise ValueError(f"line {lineno}: not a span object")
+            spans.append(span)
+    return spans
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -353,7 +353,7 @@ class TestJitCache:
 
 
 class TestFleetStormUnderLazy:
-    def test_storm_conserves_and_matches_eager(self):
+    def test_storm_conserves_and_matches_eager(self, monkeypatch):
         import threading
 
         from repro import MGDiffNet, PoissonProblem2D
@@ -362,11 +362,14 @@ class TestFleetStormUnderLazy:
 
         model = MGDiffNet(ndim=2, base_filters=4, depth=1, rng=1)
         problem = PoissonProblem2D(16)
+        # The process-wide backend: every thread that never picked one
+        # (the clients, and the tile pools they create) runs lazy.
+        monkeypatch.setenv("REPRO_BACKEND", "lazy")
+        reset_lazy_stats()
         fleet = ShardedFleet(FleetConfig(
             shards=2, replicas=2,
             server=ServerConfig(max_batch=4, max_wait_ms=0.5, workers=1,
-                                cache_bytes=0, backend="lazy",
-                                executor="thread")))
+                                cache_bytes=0, executor="thread")))
         try:
             fleet.register_model("m", model, problem)
             futures, lock = [], threading.Lock()
@@ -394,5 +397,6 @@ class TestFleetStormUnderLazy:
             stats = fleet.stats
             assert stats.lost == 0
             assert stats.served == len(futures)
+            assert lazy_stats()["clusters"] > 0   # the forwards ran lazy
         finally:
             fleet.close()

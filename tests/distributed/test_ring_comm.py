@@ -108,6 +108,15 @@ class TestCommunicator:
         comm.allreduce([np.ones(1000) for _ in range(4)])
         assert comm.log.virtual_comm_seconds > 0
 
+    @pytest.mark.parametrize("collective", ["broadcast", "allgather"])
+    def test_every_collective_charges_the_virtual_clock(self, collective):
+        comm = SimulatedCommunicator(4, time_model=lambda nbytes, p: 1e-3)
+        if collective == "broadcast":
+            comm.broadcast(np.ones(8), root=1)
+        else:
+            comm.allgather([np.ones(8) for _ in range(4)])
+        assert comm.log.virtual_comm_seconds == pytest.approx(1e-3)
+
     def test_wrong_buffer_count(self):
         comm = SimulatedCommunicator(3)
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Randomized-op invariant tests for the serving cache and buffer pool.
 
 Unit tests pin single behaviors; these machines drive :class:`LRUCache`
-(memory + budgeted disk-spill tiers) and :class:`BufferPool` through
-~1k random operations per seed and re-check the structural invariants
-after *every* op — the byte bounds, accounting identities and aliasing
-rules the concurrent server leans on.  Failures print the seed and op
-index, so any counterexample replays deterministically.
+(the byte-bounded memory LRU) and :class:`BufferPool` through ~1k random
+operations per seed and re-check the structural invariants after
+*every* op — the byte bounds, accounting identities and aliasing rules
+the concurrent server leans on.  Failures print the seed and op index,
+so any counterexample replays deterministically.
 """
+
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -18,107 +22,115 @@ SEEDS = [0, 1, 2, 3, 4]
 N_OPS = 1000
 
 MEM_BUDGET = 4 * 1024
-SPILL_BUDGET = 12 * 1024
 
 
 def _value(rng: np.random.Generator) -> np.ndarray:
-    # Sizes straddle both budgets: most entries fit, some are too big
-    # for memory, a few too big even for the spill tier.
+    # Sizes straddle the budget: most entries fit, some are too big.
     side = int(rng.choice([2, 4, 8, 16, 24, 40, 64]))
     return rng.standard_normal((side, side)).astype(np.float32)
 
 
 def _check_cache(cache: LRUCache, ctx: str) -> None:
     """Structural invariants that must hold after every operation."""
+    # Snapshot under the lock, assert outside it: a failing assert's
+    # explanation reprs the cache, which takes the same lock.
     with cache._lock:
-        entry_bytes = sum(v.nbytes for v in cache._entries.values())
-        assert cache.stats.bytes_cached == entry_bytes, ctx
-        assert cache.stats.entries == len(cache._entries), ctx
-        assert cache.stats.bytes_cached <= cache.max_bytes, \
-            f"{ctx}: memory budget exceeded"
-        for v in cache._entries.values():
-            assert not v.flags.writeable, f"{ctx}: mutable cached entry"
-    if cache.spill_dir is not None:
-        disk = sum(p.stat().st_size
-                   for p in cache.spill_dir.glob("*.npz"))
-        assert cache.stats.spill_bytes == disk, \
-            f"{ctx}: spill accounting drifted from the directory"
-        if cache.spill_max_bytes is not None:
-            assert disk <= cache.spill_max_bytes, \
-                f"{ctx}: spill budget exceeded"
+        values = list(cache._entries.values())
+        bytes_cached, entries = cache.stats.bytes_cached, cache.stats.entries
+    assert bytes_cached == sum(v.nbytes for v in values), ctx
+    assert entries == len(values), ctx
+    assert bytes_cached <= cache.max_bytes, f"{ctx}: memory budget exceeded"
+    for v in values:
+        assert not v.flags.writeable, f"{ctx}: mutable cached entry"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lru_cache_invariants_under_random_ops(seed, tmp_path):
+def test_lru_cache_invariants_under_random_ops(seed):
     rng = np.random.default_rng(seed)
     keys = [(f"v{v}", i) for v in (1, 2) for i in range(8)]
-    make = lambda: LRUCache(max_bytes=MEM_BUDGET, spill_dir=tmp_path,
-                            spill_max_bytes=SPILL_BUDGET)
-    cache = make()
-    # Every value ever put per key.  The memory tier serves the *last*
-    # put, but the disk tier is first-write-wins (a re-put of an
-    # existing file only refreshes recency — by design: keys are
-    # content-addressed up to ω quantization, so all values of one key
-    # agree within tolerance), so a get may legitimately surface any
-    # previously put value — just never a perturbed or foreign one.
-    model: dict[tuple, list[np.ndarray]] = {}
+    cache = LRUCache(max_bytes=MEM_BUDGET)
+    # A reference LRU: key -> last value put, least recent first.  The
+    # cache must hold exactly these keys in exactly this order and serve
+    # the last put bit for bit.
+    model: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
     for step in range(N_OPS):
         ctx = f"seed={seed} step={step}"
-        op = rng.choice(["put", "get", "clear", "prune", "restart"],
-                        p=[0.42, 0.42, 0.06, 0.05, 0.05])
+        op = rng.choice(["put", "get", "clear"], p=[0.47, 0.47, 0.06])
         key = keys[int(rng.integers(len(keys)))]
         if op == "put":
             value = _value(rng)
             stored = cache.put(key, value)
-            if stored is not None:
+            if value.nbytes > MEM_BUDGET:
+                assert stored is None, ctx
+            else:
                 assert not stored.flags.writeable, ctx
                 np.testing.assert_array_equal(stored, value, err_msg=ctx)
-            model.setdefault(key, []).append(value.copy())
+                model.pop(key, None)
+                model[key] = value.copy()
+                while sum(v.nbytes for v in model.values()) > MEM_BUDGET:
+                    model.popitem(last=False)
         elif op == "get":
             got = cache.get(key)
-            # Either tier may have evicted (or prune/restart dropped it),
-            # but a served value must be bit-exact against some put for
-            # this key — in particular the spill round-trip through npz
-            # must not perturb a single bit.
-            if got is not None:
-                assert key in model, f"{ctx}: value appeared from nowhere"
-                assert any(v.dtype == got.dtype and np.array_equal(got, v)
-                           for v in model[key]), \
-                    f"{ctx}: served value matches no put for this key"
+            if key in model:
+                assert got is not None, f"{ctx}: live entry missed"
+                np.testing.assert_array_equal(got, model[key], err_msg=ctx)
                 assert not got.flags.writeable, ctx
-        elif op == "clear":
+                model.move_to_end(key)
+            else:
+                assert got is None, f"{ctx}: evicted entry served"
+        else:
             cache.clear()
-        elif op == "prune":
-            # Keep one version alive; pruned keys may survive in memory
-            # (prune is a disk-tier operation) but never serve stale data.
-            live = f"v{int(rng.integers(1, 3))}"
-            cache.prune_spill([live])
-        else:  # restart: a fresh instance over the same directory
-            cache = make()
+            model.clear()
         _check_cache(cache, ctx)
+        assert list(cache._entries) == list(model), f"{ctx}: LRU order"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_spill_round_trip_bit_exact_across_restart(seed, tmp_path):
-    """Direct spill round-trip: what one instance writes, a cold one
-    must reload bit-identically (float32 and float64 payloads)."""
-    rng = np.random.default_rng(seed)
-    writer = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path,
-                      spill_max_bytes=1 << 20)
-    values = {}
-    for i in range(16):
-        dtype = np.float64 if i % 2 else np.float32
-        value = rng.standard_normal((9, 7)).astype(dtype)
-        values[("v1", i)] = value
-        writer.put(("v1", i), value)
-    reader = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path,
-                      spill_max_bytes=1 << 20)
-    for key, value in values.items():
-        got = reader.get(key)
-        assert got is not None and got.dtype == value.dtype
-        np.testing.assert_array_equal(got, value)
-    assert reader.stats.spill_hits == len(values)
+def test_lru_cache_invariants_under_concurrent_ops(seed):
+    """Four threads drive one cache at random; the byte books close
+    exactly and every served value is one some thread put for its key."""
+    cache = LRUCache(max_bytes=MEM_BUDGET)
+    keys = [("v1", i) for i in range(8)]
+    puts: dict[tuple, list[np.ndarray]] = {k: [] for k in keys}
+    puts_lock = threading.Lock()
+    wrong = []
+    gets = [0] * 4
+    start = threading.Barrier(4)
+
+    def work(worker: int) -> None:
+        rng = np.random.default_rng([seed, worker])
+        start.wait(timeout=30)
+        for _ in range(N_OPS // 4):
+            key = keys[int(rng.integers(len(keys)))]
+            if rng.random() < 0.5:
+                value = _value(rng)
+                with puts_lock:
+                    puts[key].append(value)
+                cache.put(key, value)
+            else:
+                gets[worker] += 1
+                got = cache.get(key)
+                if got is not None:
+                    with puts_lock:
+                        known = list(puts[key])
+                    if not any(np.array_equal(got, v) for v in known):
+                        wrong.append(key)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)          # interleave inside put/get
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong, f"seed={seed}: served values nobody put: {wrong}"
+    _check_cache(cache, f"seed={seed} after join")
+    assert cache.stats.hits + cache.stats.misses == sum(gets)
 
 
 POOL_BUDGET = 64 * 1024

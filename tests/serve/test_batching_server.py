@@ -100,6 +100,20 @@ class TestSyncFrontend:
         assert server.stats.cache_hits == 1
         assert server.cache.stats.hits == 1
 
+    def test_a_restarted_server_starts_cold(self, served):
+        # The cache is memory only: a new server over the same registry
+        # and config recomputes what the old one cached.
+        *_, registry = served
+        omega = RNG.uniform(-3, 3, 4)
+        first = PredictionServer(registry)
+        first.predict("m", omega)
+        first.close()
+        fresh = PredictionServer(registry)
+        np.testing.assert_array_equal(fresh.predict("m", omega),
+                                      first.predict("m", omega))
+        assert fresh.cache.stats.hits == 0
+        assert fresh.cache.stats.misses == 1
+
     def test_quantized_omegas_share_cache_entry(self, served):
         *_, registry = served
         server = PredictionServer(registry)

@@ -1,5 +1,8 @@
 """LRU result cache: hit/eviction semantics and key quantization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,17 @@ class TestLRU:
         cache.put(("big",), _field(1.0))
         assert len(cache) == 0
 
+    def test_oversized_entry_evicts_nothing(self):
+        # Admitting it would wipe the hot set just to be evicted next.
+        one = _field(0.0).nbytes
+        cache = LRUCache(max_bytes=2 * one)
+        cache.put(("a",), _field(1.0))
+        cache.put(("b",), _field(2.0))
+        assert cache.put(("big",), _field(3.0, n=16)) is None
+        assert ("a",) in cache and ("b",) in cache
+        assert cache.stats.evictions == 0
+        assert cache.stats.bytes_cached == 2 * one
+
     def test_replacement_updates_bytes(self):
         cache = LRUCache(max_bytes=1 << 20)
         cache.put(("k",), _field(1.0))
@@ -92,226 +106,64 @@ class TestLRU:
         assert len(cache) == 0 and cache.stats.bytes_cached == 0
 
 
-class TestSpill:
-    """Disk tier: persistence across 'restarts', self-invalidation."""
+class TestConcurrentMemoryTier:
+    """The memory tier is the whole cache: its one lock keeps the byte
+    books exact under concurrent writers."""
 
-    def test_put_writes_one_npz_per_entry(self, tmp_path):
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        cache.put(("v1", "a"), _field(1.0))
-        cache.put(("v1", "b"), _field(2.0))
-        assert len(list(tmp_path.glob("*.npz"))) == 2
-        assert cache.stats.spill_writes == 2
+    def test_four_threads_share_one_byte_budget(self):
+        one = _field(0.0).nbytes
+        cache = LRUCache(max_bytes=5 * one)
+        served = []
+        start = threading.Barrier(4)
 
-    def test_reload_after_restart(self, tmp_path):
-        LRUCache(max_bytes=1 << 20, spill_dir=tmp_path).put(
-            ("v1", "a"), _field(3.0))
-        fresh = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        got = fresh.get(("v1", "a"))
-        np.testing.assert_array_equal(got, _field(3.0))
-        assert fresh.stats.spill_hits == 1
-        assert fresh.stats.hits == 1 and fresh.stats.misses == 0
-        # Promoted to memory: the second get never touches disk.
-        fresh.get(("v1", "a"))
-        assert fresh.stats.spill_hits == 1 and fresh.stats.hits == 2
+        def work(t):
+            start.wait(timeout=30)
+            for i in range(40):
+                cache.put((t, i), _field(100 * t + i))
+                got = cache.get((t, i // 2))
+                served.append(got is None
+                              or np.array_equal(got, _field(100 * t + i // 2)))
 
-    def test_spilled_fields_read_only(self, tmp_path):
-        LRUCache(max_bytes=1 << 20, spill_dir=tmp_path).put(
-            ("v1", "a"), _field(1.0))
-        got = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path).get(
-            ("v1", "a"))
-        with pytest.raises(ValueError):
-            got[0, 0] = 9.0
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # interleave inside put/get
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(served)
+        assert len(cache) == 5
+        assert cache.stats.bytes_cached == 5 * one <= cache.max_bytes
+        # 160 distinct admissions into a 5-entry budget: all but five go.
+        assert cache.stats.evictions == 160 - 5
+        assert cache.stats.hits + cache.stats.misses == 160
 
-    def test_version_keys_do_not_collide(self, tmp_path):
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        cache.put(("v1", "a"), _field(1.0))
-        cache.put(("v2", "a"), _field(2.0))
-        fresh = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        np.testing.assert_array_equal(fresh.get(("v1", "a")), _field(1.0))
-        np.testing.assert_array_equal(fresh.get(("v2", "a")), _field(2.0))
-
-    def test_stale_version_unreachable_and_prunable(self, tmp_path):
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        cache.put(("v1", "a"), _field(1.0))
-        cache.put(("v2", "a"), _field(2.0))
-        fresh = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        assert fresh.prune_spill(live_versions=["v2"]) == 1
-        assert fresh.get(("v1", "a")) is None
-        np.testing.assert_array_equal(fresh.get(("v2", "a")), _field(2.0))
-
-    def test_eviction_from_memory_keeps_disk_copy(self, tmp_path):
-        field = _field(1.0)
-        cache = LRUCache(max_bytes=field.nbytes, spill_dir=tmp_path)
-        cache.put(("v1", "a"), field)
-        cache.put(("v1", "b"), _field(2.0))      # evicts 'a' from memory
-        assert cache.stats.evictions == 1
-        np.testing.assert_array_equal(cache.get(("v1", "a")), _field(1.0))
-        assert cache.stats.spill_hits == 1
-
-    def test_oversized_entry_spills_but_not_admitted(self, tmp_path):
-        cache = LRUCache(max_bytes=8, spill_dir=tmp_path)
-        assert cache.put(("v1", "big"), _field(1.0)) is None
-        assert len(cache) == 0
-        assert len(list(tmp_path.glob("*.npz"))) == 1
-
-    def test_oversized_spill_hit_does_not_thrash_memory(self, tmp_path):
-        small = _field(1.0, n=4)
-        cache = LRUCache(max_bytes=small.nbytes, spill_dir=tmp_path)
-        cache.put(("v1", "small"), small)
-        cache.put(("v1", "big"), _field(2.0, n=32))   # spill-only
-        # Reading the oversized entry serves from disk without evicting
-        # the resident hot set.
-        np.testing.assert_array_equal(cache.get(("v1", "big")),
-                                      _field(2.0, n=32))
-        assert cache.stats.evictions == 0
-        np.testing.assert_array_equal(cache.get(("v1", "small")), small)
-        assert cache.stats.hits == 2
-
-    def test_corrupt_spill_file_treated_as_miss(self, tmp_path):
-        from repro.serve.cache import spill_file_name
-
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        path = tmp_path / spill_file_name(("v1", "a"))
-        path.write_bytes(b"not an npz")
-        assert cache.get(("v1", "a")) is None
-        assert not path.exists()        # dropped so it cannot shadow
-
-    def test_no_spill_dir_means_memory_only(self, tmp_path):
+    def test_racing_puts_of_one_key_count_its_bytes_once(self):
         cache = LRUCache(max_bytes=1 << 20)
-        cache.put(("v1", "a"), _field(1.0))
-        assert cache.stats.spill_writes == 0
-        assert cache.spill_dir is None
+        start = threading.Barrier(8)
 
+        def put(v):
+            start.wait(timeout=30)
+            for _ in range(200):
+                cache.put(("k",), _field(v))
 
-class TestSpillBudget:
-    """Bounded disk tier: LRU file eviction under spill_max_bytes."""
-
-    def _cache(self, tmp_path, budget):
-        return LRUCache(max_bytes=1 << 20, spill_dir=tmp_path,
-                        spill_max_bytes=budget)
-
-    def _dir_bytes(self, tmp_path):
-        return sum(p.stat().st_size for p in tmp_path.glob("*.npz"))
-
-    def test_writes_stay_within_budget(self, tmp_path):
-        budget = 3 * 1024
-        cache = self._cache(tmp_path, budget)
-        for i in range(16):
-            cache.put(("v1", i), _field(float(i)))
-        assert self._dir_bytes(tmp_path) <= budget
-        assert cache.stats.spill_bytes == self._dir_bytes(tmp_path)
-        assert cache.stats.spill_evictions > 0
-
-    def test_least_recently_used_file_evicted_first(self, tmp_path):
-        one_file = None
-        cache = self._cache(tmp_path, 1 << 20)
-        cache.put(("v1", 0), _field(0.0))
-        one_file = self._dir_bytes(tmp_path)
-        # Budget for exactly two files; touch 'a' so 'b' is the LRU.
-        cache = self._cache(tmp_path, int(2.5 * one_file))
-        cache.put(("v1", "a"), _field(1.0))
-        cache.put(("v1", "b"), _field(2.0))
-        cache.clear()                       # force gets to hit the disk
-        assert cache.get(("v1", "a")) is not None
-        cache.clear()
-        cache.put(("v1", "c"), _field(3.0))  # evicts one file: 'b'
-        cache.clear()
-        assert cache.get(("v1", "b")) is None
-        np.testing.assert_array_equal(cache.get(("v1", "a")), _field(1.0))
-        cache.clear()
-        np.testing.assert_array_equal(cache.get(("v1", "c")), _field(3.0))
-
-    def test_oversized_value_not_written(self, tmp_path):
-        cache = self._cache(tmp_path, 64)
-        cache.put(("v1", "small"), _field(1.0, n=2))
-        files_before = set(tmp_path.glob("*.npz"))
-        cache.put(("v1", "huge"), _field(2.0, n=64))
-        # The huge value must not wipe the tier just to be evicted next.
-        assert set(tmp_path.glob("*.npz")) == files_before
-
-    def test_budget_recovered_after_restart(self, tmp_path):
-        cache = self._cache(tmp_path, 1 << 20)
-        for i in range(4):
-            cache.put(("v1", i), _field(float(i)))
-        on_disk = self._dir_bytes(tmp_path)
-        fresh = self._cache(tmp_path, 1 << 20)
-        assert fresh.stats.spill_bytes == on_disk
-        # A tighter budget on restart trims the directory immediately.
-        trimmed = self._cache(tmp_path, on_disk // 2)
-        assert self._dir_bytes(tmp_path) <= on_disk // 2
-        assert trimmed.stats.spill_bytes == self._dir_bytes(tmp_path)
-
-    def test_prune_updates_accounting(self, tmp_path):
-        cache = self._cache(tmp_path, 1 << 20)
-        cache.put(("v1", "a"), _field(1.0))
-        cache.put(("v2", "a"), _field(2.0))
-        before = cache.stats.spill_bytes
-        assert cache.prune_spill(["v2"]) == 1
-        assert cache.stats.spill_bytes < before
-        assert cache.stats.spill_bytes == self._dir_bytes(tmp_path)
-
-    def test_unbudgeted_spill_unchanged(self, tmp_path):
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path)
-        for i in range(8):
-            cache.put(("v1", i), _field(float(i)))
-        assert cache.stats.spill_evictions == 0
-        assert len(list(tmp_path.glob("*.npz"))) == 8
-
-
-class TestSpillRecencyTies:
-    """Regression: spill recency must survive a coarse-mtime filesystem.
-
-    The old ``os.utime(path)`` stamped the current clock; two touches
-    inside one filesystem-mtime tick tied, and the restart re-seed
-    (sorted by mtime) broke the tie by directory-scan order — i.e.
-    arbitrarily.  Touches now stamp an explicit, process-wide strictly
-    increasing nanosecond counter, making the persisted order total
-    even when the clock itself never advances.
-    """
-
-    def _frozen_clock(self, monkeypatch):
-        # The worst case: a clock that never moves between touches.
-        from repro.serve import cache as cache_mod
-
-        monkeypatch.setattr(cache_mod.time, "time_ns",
-                            lambda: 1_700_000_000_000_000_000)
-
-    def test_touch_stamps_strictly_increasing_mtimes(self, tmp_path,
-                                                     monkeypatch):
-        from repro.serve.cache import _touch_monotonic
-
-        self._frozen_clock(monkeypatch)
-        paths = []
-        for i in range(4):
-            path = tmp_path / f"f{i}.npz"
-            path.write_bytes(b"x")
-            _touch_monotonic(path)
-            paths.append(path)
-        stamps = [p.stat().st_mtime_ns for p in paths]
-        assert stamps == sorted(stamps)
-        assert len(set(stamps)) == len(stamps)   # no ties, ever
-
-    def test_restart_lru_order_survives_tied_clock(self, tmp_path,
-                                                   monkeypatch):
-        self._frozen_clock(monkeypatch)
-        cache = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path,
-                         spill_max_bytes=1 << 20)
-        for name in ("a", "b", "c"):
-            cache.put(("v1", name), _field(1.0))
-        one_file = next(tmp_path.glob("*.npz")).stat().st_size
-        # Touch order under the frozen clock: b, then a ('c' is LRU
-        # from its write; 'b' older than 'a' from the touches).
-        cache.clear()
-        assert cache.get(("v1", "b")) is not None
-        cache.clear()
-        assert cache.get(("v1", "a")) is not None
-        # Restart with room for exactly two files: the re-seeded
-        # recency must evict 'c' (least recent), not whichever file the
-        # directory scan happened to list first.
-        fresh = LRUCache(max_bytes=1 << 20, spill_dir=tmp_path,
-                         spill_max_bytes=int(2.5 * one_file))
-        fresh.clear()
-        assert fresh.get(("v1", "c")) is None
-        np.testing.assert_array_equal(fresh.get(("v1", "b")), _field(1.0))
-        fresh.clear()
-        np.testing.assert_array_equal(fresh.get(("v1", "a")), _field(1.0))
+        threads = [threading.Thread(target=put, args=(float(v),))
+                   for v in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # interleave inside put
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(cache) == 1
+        assert cache.stats.bytes_cached == _field(0.0).nbytes
+        assert cache.stats.evictions == 0
+        assert cache.get(("k",))[0, 0] in {float(v) for v in range(8)}

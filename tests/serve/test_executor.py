@@ -37,6 +37,12 @@ def _backend_inherited(_):
     return get_backend().name, hasattr(get_backend(), "from_parent")
 
 
+def _default_dtype(_):
+    from repro.backend import get_default_dtype
+
+    return np.dtype(get_default_dtype()).name
+
+
 def _pool_identity(_):
     import os
     import threading
@@ -90,7 +96,11 @@ class TestMapSemantics:
             assert ex.map(_square, []) == []
 
     def test_thread_workers_pin_creator_backend(self):
-        with ThreadExecutor(2, backend="lazy") as ex:
+        from repro.backend import use_backend
+
+        with use_backend("lazy"):
+            ex = ThreadExecutor(2)
+        with ex:
             names = ex.map(_backend_name, range(4))
         assert set(names) == {"lazy"}
 
@@ -102,9 +112,30 @@ class TestMapSemantics:
         # and pending registry do not survive the fork).
         with use_backend("lazy"):
             get_backend().from_parent = True
-        with ProcessExecutor(2, backend="lazy") as ex:
+            ex = ProcessExecutor(2)
+        with ex:
             seen = ex.map(_backend_inherited, range(4))
         assert set(seen) == {("lazy", False)}
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_workers_run_the_creators_dtype(self, kind):
+        from repro.backend import dtype_scope
+
+        with dtype_scope("float64"):
+            ex = make_executor(kind, 2)
+        with ex:
+            assert set(ex.map(_default_dtype, range(4))) == {"float64"}
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_workers_keep_the_backend_they_were_created_under(self, kind):
+        # Captured at construction: the creator switching afterwards, or
+        # the pool starting outside the creator's scope, changes nothing.
+        from repro.backend import use_backend
+
+        with use_backend("lazy"):
+            ex = make_executor(kind, 2)
+        with use_backend("numpy"), ex:
+            assert set(ex.map(_backend_name, range(4))) == {"lazy"}
 
     def test_process_tasks_run_in_other_processes(self):
         import os
@@ -155,6 +186,24 @@ class TestTiledParity:
 
 
 class TestServerExecutors:
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_server_pool_runs_the_backend_it_was_started_under(self, served,
+                                                               kind):
+        # No per-server backend option: the pool is built when the server
+        # starts and captures the starting thread's backend.
+        from repro.backend import use_backend
+
+        *_, registry = served
+        server = PredictionServer(registry, ServerConfig(workers=2,
+                                                         executor=kind))
+        try:
+            with use_backend("lazy"):
+                server.start()
+            assert set(server.executor.map(_backend_name, range(4))) == {
+                "lazy"}
+        finally:
+            server.close()
+
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_worker_frontend_parity(self, served, kind):
         model, problem, registry = served

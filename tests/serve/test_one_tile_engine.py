@@ -12,8 +12,8 @@ this walks the module's AST and fails where it would grow back.
 The same holds package-wide for two second implementations nothing
 selected: the stride-1 slab engine (``distributed/model_parallel.py``),
 which the tile sweeps cover along with stride-2 sampling and skips, and
-the cross-process spill ledger, a second set of books for the disk
-budget each ``LRUCache`` already keeps.  Their names may not come back
+the cross-process spill ledger, a second set of books for a disk tier
+the cache no longer has.  Their names may not come back
 anywhere in ``src/repro``, and the block extractor the tile engine cuts
 halos with has one definition, in ``serve/tiling.py``.
 
@@ -401,8 +401,8 @@ def test_the_slab_engine_and_spill_ledger_stay_deleted() -> None:
            for hit in _forks(path.read_text())]
     assert not bad, (
         "a deleted second implementation is growing back — spatial "
-        "decomposition is serve/tiling.py, the spill budget is "
-        "LRUCache's own:\n  " + "\n  ".join(bad))
+        "decomposition is serve/tiling.py, and the result cache is "
+        "LRUCache's byte-bounded memory tier:\n  " + "\n  ".join(bad))
 
 
 def test_the_deleted_fleet_features_stay_deleted() -> None:

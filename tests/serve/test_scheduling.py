@@ -368,8 +368,8 @@ class TestDeadlines:
         assert info.value.model_name == "m"
         assert info.value.deadline_s == pytest.approx(0.01)
         assert info.value.waited_s >= 0.01
-        # The digest matches the spill file-name digest exactly, so a
-        # logged rejection correlates with its cache entry on disk.
+        # The digest is the request's cache-key digest exactly, so a
+        # logged rejection correlates with the key it names.
         from repro.serve.cache import key_digest
 
         assert info.value.key_digest == key_digest(

@@ -405,6 +405,16 @@ class TestTracer:
 # --------------------------------------------------------------------- #
 # Summaries + CLI
 # --------------------------------------------------------------------- #
+# One line per way an exported span file can be malformed.
+MALFORMED_LINES = {
+    "torn": '{"name": "fleet.attempt", "du',
+    "number": "42",
+    "no-name": '{"dur": 0.25, "attrs": {}}',
+    "array": '[{"name": "fleet.request"}]',
+    "null": "null",
+}
+
+
 class TestSummarize:
     def _spans(self):
         clock = VirtualClock()
@@ -446,6 +456,30 @@ class TestSummarize:
         assert main(["trace", "summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "fleet.request" in out and "stage" in out
+
+    @pytest.mark.parametrize("bad", list(MALFORMED_LINES.values()),
+                             ids=list(MALFORMED_LINES))
+    def test_parse_jsonl_names_the_bad_line(self, bad):
+        # The blank second line still counts: the number is the file's.
+        text = '{"name": "fleet.request", "dur": 0.1}\n\n' + bad + "\n"
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            parse_jsonl(text)
+
+    def test_parse_jsonl_skips_blank_lines(self):
+        text = '\n{"name": "a", "dur": 0.5}\n   \n{"name": "b"}\n'
+        assert [s["name"] for s in parse_jsonl(text)] == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", list(MALFORMED_LINES.values()),
+                             ids=list(MALFORMED_LINES))
+    def test_trace_summarize_cli_rejects_a_malformed_file(self, tmp_path,
+                                                          capsys, bad):
+        from repro.cli import main
+        path = tmp_path / "spans.jsonl"
+        path.write_text('{"name": "fleet.request", "dur": 0.1}\n' + bad)
+        assert main(["trace", "summarize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 2: ")
+        assert captured.out == ""
 
     def test_trace_summarize_cli_rejects_empty(self, tmp_path, capsys):
         from repro.cli import main

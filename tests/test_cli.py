@@ -1,5 +1,7 @@
 """CLI tests (in-process invocation of repro.cli.main)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -224,15 +226,6 @@ class TestServe:
         out = capsys.readouterr().out
         assert "6 expired deadlines" in out
 
-    def test_serve_spill_budget(self, trained_checkpoint, tmp_path,
-                                capsys):
-        cache_dir = tmp_path / "spill"
-        assert main(["serve", "--checkpoint", str(trained_checkpoint),
-                     "--requests", "6", "--cache-dir", str(cache_dir),
-                     "--spill-mb", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "spill writes" in out
-        assert cache_dir.exists()
 
 
 class TestServeFleet:
@@ -246,19 +239,8 @@ class TestServeFleet:
         assert "served 16 of 16 requests" in out
         assert "across 3 shards" in out
         assert "lost: 0" in out                 # conservation law
-        assert "interconnect (simulated)" in out
+        assert "interconnect" not in out        # no modelled hops
         assert out.count("[up]") == 3
-
-    def test_serve_sharded_fleet_spills_per_shard(
-            self, trained_checkpoint, tmp_path, capsys):
-        cache_dir = tmp_path / "spill"
-        assert main(["serve", "--checkpoint", f"demo={trained_checkpoint}",
-                     "--requests", "6", "--shards", "2", "--replicas", "1",
-                     "--cache-dir", str(cache_dir), "--spill-mb", "1"]) == 0
-        assert "lost: 0" in capsys.readouterr().out
-        assert sorted(p.name for p in cache_dir.iterdir()) == [
-            "shard-00", "shard-01"]
-        assert list(cache_dir.glob("shard-*/*.npz"))
 
     def test_serve_fleet_client_window_stays_inside_the_queue_bound(
             self, trained_checkpoint, capsys):
@@ -319,6 +301,29 @@ class TestServeFleet:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--checkpoint", "x.npz",
                                        "--shards", "2", flag, value])
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_serve_rejects_a_non_positive_shard_timeout(
+            self, trained_checkpoint, capsys, budget):
+        # Before the check every shard was ejected as hung and the run
+        # reported "served 0 of 8 ... 0 healthy".
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--shards", "2", "--shard-timeout", budget,
+                     "--requests", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: shard_timeout_s must be > 0")
+        assert "served" not in captured.out
+
+    def test_serve_cache_line_reports_the_memory_tier_only(
+            self, trained_checkpoint, capsys):
+        assert main(["serve", "--checkpoint", str(trained_checkpoint),
+                     "--requests", "6", "--repeat", "2"]) == 0
+        [line] = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("cache: ")]
+        assert re.fullmatch(r"cache: 6 hits / 6 misses \(50%\), \d+ MiB "
+                            r"resident, 0 evictions", line), line
 
 
 class TestServeResilience:
