@@ -11,6 +11,8 @@ convolution is the adjoint of a convolution, so it runs the same three
 primitives with their roles swapped.  The geometry of each (shape,
 kernel, stride, padding) signature is memoized, so steady-state training
 pays a dict lookup; the input saved for backward is the unpadded one.
+A convolution may take its input as channel parts (the decoder's
+up-sampled map and its skip), read in place instead of concatenated.
 The zero-stuff composition of the transposed convolution is kept as a
 plain function, the reference the parity tests compare against.
 
@@ -24,6 +26,7 @@ Layouts follow the common deep-learning convention:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +86,8 @@ def _add_bias(out: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     return B.asarray(out) + realize(b).reshape((1, -1) + (1,) * (out.ndim - 2))
 
 
-def _bias_grad(ctx: Context, grad: np.ndarray) -> np.ndarray | None:
-    if not ctx.needs_input_grad[2]:
+def _bias_grad(needed: bool, grad: np.ndarray) -> np.ndarray | None:
+    if not needed:
         return None
     return grad.sum(axis=(0,) + tuple(range(2, grad.ndim)))
 
@@ -92,43 +95,61 @@ def _bias_grad(ctx: Context, grad: np.ndarray) -> np.ndarray | None:
 class ConvNd(Function):
     """N-dimensional cross-correlation (the deep-learning 'convolution').
 
-    The *unpadded* input is what is saved for backward: the engine pads
-    into pooled scratch on both passes, so no padded copy outlives the
-    call.  The bias is added — and with ``negative_slope`` the LeakyReLU
-    applied, forward only — by the engine, chunk by chunk.
+    The input comes last, as one or more channel *parts* whose
+    concatenation along the channels is the convolved tensor: the
+    decoder passes ``(up, skip)`` and the engine copies each part
+    straight into its scratch, so the concatenation is never built.  The
+    data gradient splits into the parts' gradients as ``Concat`` splits
+    its own.  The *unpadded* parts are what is saved for backward: the
+    engine pads into pooled scratch on both passes, so no padded copy
+    outlives the call.  The bias is added — and with ``negative_slope``
+    the LeakyReLU applied, forward only — by the engine, chunk by chunk.
     """
 
     @staticmethod
-    def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+    def forward(ctx: Context, w: np.ndarray, b: np.ndarray | None,
                 stride: tuple[int, ...], padding: tuple[int, ...],
-                negative_slope: float | None = None) -> np.ndarray:
+                negative_slope: float | None, *parts: np.ndarray
+                ) -> np.ndarray:
         if negative_slope is not None and any(ctx.needs_input_grad):
             raise ValueError("the fused LeakyReLU has no backward: apply "
                              "leaky_relu as its own op when recording")
         # The engine works on concrete strided buffers: crossing into it
         # is a realize barrier for the lazy backend.
-        x, w = realize(x), realize(w)
-        if w.shape[1] != x.shape[1]:
+        w, parts = realize(w), tuple(realize(x) for x in parts)
+        lead = parts[0].shape
+        for x in parts:
+            if x.shape[:1] + x.shape[2:] != lead[:1] + lead[2:]:
+                raise ValueError(f"channel parts {x.shape} and {lead} "
+                                 f"differ outside the channel axis")
+        sizes = [x.shape[1] for x in parts]
+        x_shape = lead[:1] + (sum(sizes),) + lead[2:]
+        if w.shape[1] != x_shape[1]:
             raise ValueError(
-                f"weight C_in {w.shape[1]} != input C_in {x.shape[1]}")
-        conv_output_shape(x.shape[2:], w.shape[2:], stride, padding)
+                f"weight C_in {w.shape[1]} != input C_in {x_shape[1]}")
+        conv_output_shape(x_shape[2:], w.shape[2:], stride, padding)
 
-        plan = plan_conv(x.shape, w.shape, stride, padding,
-                         np.result_type(x.dtype, w.dtype))
-        ctx.save_for_backward(x, w)
+        plan = plan_conv(x_shape, w.shape, stride, padding,
+                         np.result_type(*(x.dtype for x in parts), w.dtype))
+        ctx.save_for_backward(parts, w)
         ctx.meta["plan"] = plan
-        return conv_forward(plan, x, w, None if b is None else realize(b),
+        ctx.meta["splits"] = list(accumulate(sizes))[:-1]
+        return conv_forward(plan, parts, w, None if b is None else realize(b),
                             negative_slope)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        x, w = ctx.saved
+        parts, w = ctx.saved
         plan = ctx.meta["plan"]
-        need_x, need_w = ctx.needs_input_grad[:2]
+        need_w = ctx.needs_input_grad[0]
         grad = realize(grad)
-        return (conv_backward_data(plan, grad, w) if need_x else None,
-                conv_backward_weight(plan, x, grad) if need_w else None,
-                _bias_grad(ctx, grad), None, None, None)
+        dparts = (None,) * len(parts)
+        if any(ctx.needs_input_grad[5:]):
+            dparts = B.split(conv_backward_data(plan, grad, w),
+                             ctx.meta["splits"], axis=1)
+        return (conv_backward_weight(plan, parts, grad) if need_w else None,
+                _bias_grad(ctx.needs_input_grad[1], grad), None, None, None,
+                *dparts)
 
 
 class ConvTransposeNd(Function):
@@ -170,7 +191,7 @@ class ConvTransposeNd(Function):
         grad = realize(grad)
         return (conv_forward(plan, grad, w) if need_x else None,
                 conv_backward_weight(plan, grad, x) if need_w else None,
-                _bias_grad(ctx, grad), None, None, None)
+                _bias_grad(ctx.needs_input_grad[2], grad), None, None, None)
 
 
 class MaxPoolNd(Function):
@@ -242,15 +263,19 @@ class AvgPoolNd(Function):
         return dx, None
 
 
-def conv_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
+def conv_nd(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
             stride: int | Sequence[int] = 1,
             padding: int | Sequence[int] = 0,
             negative_slope: float | None = None) -> Tensor:
     """Functional N-d convolution over Tensor operands; with
-    ``negative_slope`` (under ``no_grad`` only) conv -> LeakyReLU."""
-    nd = x.ndim - 2
-    return ConvNd.apply(x, w, b, tuplify(stride, nd), tuplify(padding, nd),
-                        negative_slope)
+    ``negative_slope`` (under ``no_grad`` only) conv -> LeakyReLU.
+
+    ``x`` may be a list or tuple of channel parts: the convolution of
+    ``concat(x, axis=1)``, computed without building it."""
+    parts = tuple(x) if isinstance(x, (list, tuple)) else (x,)
+    nd = parts[0].ndim - 2
+    return ConvNd.apply(w, b, tuplify(stride, nd), tuplify(padding, nd),
+                        negative_slope, *parts)
 
 
 def _conv_transpose_args(x: Tensor, w: Tensor, stride, padding,

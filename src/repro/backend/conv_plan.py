@@ -12,7 +12,10 @@ work on one flat layout:
   phase at stride 1, ``s**d`` at ``k == s``: space-to-depth), each row
   the flattened ``(N, *grid)`` samples of that phase, where ``grid =
   out_spatial + (kernel - 1) // stride`` is the output grid plus the
-  halo the taps reach into.
+  halo the taps reach into.  An input given as channel parts (the
+  decoder's up-sampled map and its skip) is copied part by part into
+  the rows its concatenation would fill, so that concatenation is never
+  built.
 * **Tap rows.**  On that grid kernel tap ``t`` is a *flat shift*: output
   column ``q`` reads ``src[phase_t rows, q + shift_t]``.  The ``v`` taps
   along a stride-1 last axis read the *same* rows at shifts ``s, s+1,
@@ -60,10 +63,10 @@ alone — never of pool state or thread count — and counts every scratch
 row a chunk holds (copied rows plus the ``v*Cout`` partial products), so
 tiled, threaded, multi-process and sharded runs stay bitwise equal to
 serial ones and a chunk's bytes do not depend on ``v``.  All scratch of one call
-is carved from a single power-of-two 1-D buffer of the active backend's
-:class:`~repro.backend.pool.BufferPool`: layers of different shapes
-share buckets, so what the pool retains is bounded by the largest call,
-not by the number of distinct layer shapes.
+is carved from the calling thread's arena in the active backend's
+:class:`~repro.backend.pool.BufferPool`, which grows to the thread's
+largest call: what the engine retains is one arena per thread, as large
+as that call, however many layer shapes have run.
 """
 
 from __future__ import annotations
@@ -268,15 +271,14 @@ def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
 
 @contextmanager
 def _scratch(dtype, *sizes: int):
-    """1-D scratch arrays of the given lengths, carved from one pooled
-    power-of-two buffer (uninitialised; released on exit)."""
-    pool = get_backend().pool
-    buf = pool.acquire((1 << (sum(sizes) - 1).bit_length(),), dtype)
-    try:
+    """1-D scratch arrays of the given lengths, carved in order from this
+    thread's arena of the active backend's pool (uninitialised; the arena
+    parks again on exit)."""
+    dtype = np.dtype(dtype)
+    with get_backend().pool.arena(sum(sizes) * dtype.itemsize) as raw:
+        buf = raw.view(dtype)
         yield [buf[end - size:end]
                for size, end in zip(sizes, accumulate(sizes))]
-    finally:
-        pool.release(buf)
 
 
 def _on_grid(plan: ConvPlan, flat: np.ndarray) -> np.ndarray:
@@ -284,15 +286,24 @@ def _on_grid(plan: ConvPlan, flat: np.ndarray) -> np.ndarray:
     return flat.reshape((len(flat), -1) + plan.grid)
 
 
-def _gather(plan: ConvPlan, x: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Zero-pad and phase-split ``x (N, C, *S)`` into ``(R*C, total)``."""
-    c = x.shape[1]
+def _gather(plan: ConvPlan, x: np.ndarray | tuple[np.ndarray, ...],
+            src: np.ndarray) -> np.ndarray:
+    """Zero-pad and phase-split ``x (N, C, *S)`` into ``(R*C, total)``.
+
+    ``x`` may also be a tuple of channel parts ``(N, C_i, *S)``, read as
+    their concatenation along the channels: each lands in its rows of
+    every phase block, and the concatenation never exists."""
+    c = plan.signature.x_shape[1]
     if not plan.dense:
         src.fill(0)
     src = src.reshape(-1, plan.total)
-    xt = x.swapaxes(0, 1)
     for ph, (x_sl, g_sl) in enumerate(plan.phases):
-        _on_grid(plan, src[ph * c:(ph + 1) * c])[g_sl] = xt[x_sl]
+        row = ph * c
+        for part in x if isinstance(x, tuple) else (x,):
+            rows = part.shape[1]
+            _on_grid(plan, src[row:row + rows])[g_sl] = \
+                part.swapaxes(0, 1)[x_sl]
+            row += rows
     return src
 
 
@@ -362,11 +373,14 @@ def _tap_gemm(wm: np.ndarray, src: np.ndarray, blocks: tuple[Block, ...],
 # results are fresh C-contiguous channels-first arrays.
 # --------------------------------------------------------------------- #
 
-def conv_forward(plan: ConvPlan, x: np.ndarray, w: np.ndarray,
+def conv_forward(plan: ConvPlan, x: np.ndarray | tuple[np.ndarray, ...],
+                 w: np.ndarray,
                  bias: np.ndarray | None = None,
                  slope: float | None = None) -> np.ndarray:
     """``out (N, Cout, *So)`` of ``x (N, Cin, *S)`` and ``w (Cout, Cin, *K)``,
-    plus the per-channel ``bias (Cout,)``, through LeakyReLU(``slope``)."""
+    plus the per-channel ``bias (Cout,)``, through LeakyReLU(``slope``).
+    ``x`` may be a tuple of channel parts whose concatenation is the
+    input: the copy into scratch reads them where they lie."""
     dtype = np.dtype(plan.signature.dtype)
     cout, cin = w.shape[:2]
     v = plan.run
@@ -418,12 +432,14 @@ def conv_backward_data(plan: ConvPlan, g: np.ndarray,
     return dx
 
 
-def conv_backward_weight(plan: ConvPlan, x: np.ndarray,
+def conv_backward_weight(plan: ConvPlan,
+                         x: np.ndarray | tuple[np.ndarray, ...],
                          g: np.ndarray) -> np.ndarray:
-    """``dw (Cout, Cin, *K)`` from the input and the output gradient."""
+    """``dw (Cout, Cin, *K)`` from the input (an array, or a tuple of its
+    channel parts as for :func:`conv_forward`) and the output gradient."""
     sig = plan.signature
     dtype = np.dtype(sig.dtype)
-    cin, cout = x.shape[1], g.shape[1]
+    cin, cout = sig.x_shape[1], g.shape[1]
     v = plan.run
     length = plan.total - plan.lead
     # Tap i of every run, transposed: (v, runs*Cin, Cout).

@@ -14,9 +14,12 @@ Its one user is the lazy backend's JIT kernel index
 (``REPRO_JIT_CACHE``-relocatable) kernel directory.  :func:`default_workers`
 is the one CPU count, for the serving executors, the stencil mat-vec and
 the data-parallel rank processes; :func:`pin_blas_threads` (applied when
-a ``DataParallelTrainer`` is built) holds numpy's bundled OpenBLAS to one
-thread, so rank processes do not oversubscribe the cores and a GEMM's
-summation order does not depend on the host's core count.
+a ``DataParallelTrainer`` is built, and in every process-executor child)
+holds numpy's bundled OpenBLAS to one thread, so rank processes do not
+oversubscribe the cores and a GEMM's summation order does not depend on
+the host's core count.  :func:`hold_one_blas_thread` does the same for
+as long as a multi-worker thread executor is open, and
+:func:`release_blas_thread` restores the count the first hold found.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Any
 import numpy as np
 
 __all__ = ["blas_threads", "default_workers", "host_fingerprint",
-           "pin_blas_threads", "MeasurementCache"]
+           "hold_one_blas_thread", "pin_blas_threads", "release_blas_thread",
+           "MeasurementCache"]
 
 
 def default_workers() -> int:
@@ -69,18 +73,57 @@ def blas_threads() -> int | None:
     return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
 
 
+# Open holds of hold_one_blas_thread, and the count the first one found.
+_HOLD_LOCK = threading.Lock()
+_holds = 0
+_held_from: int | None = None
+
+
 def pin_blas_threads() -> bool:
     """Run numpy's bundled OpenBLAS on one thread; True when it now does.
 
     Parallelism here is across processes and the stencil's row blocks,
     never inside one GEMM: a second BLAS thread bought no speed, spun
     the idle core, and changed the bits of a reduction with the host's
-    core count.
+    core count.  The pin is for good: a hold released later keeps it.
     """
+    global _held_from
     lib = _numpy_openblas()
     if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+        with _HOLD_LOCK:
+            lib.scipy_openblas_set_num_threads64_(1)
+            if _holds:
+                _held_from = 1
     return blas_threads() == 1
+
+
+def hold_one_blas_thread() -> None:
+    """Run OpenBLAS on one thread until the matching
+    :func:`release_blas_thread`.  Holds nest; the first saves the count
+    it found.  Tile threads are the parallelism: two of them each fanning
+    a GEMM over both cores ran slower than one thread alone."""
+    global _holds, _held_from
+    lib = _numpy_openblas()
+    if lib is None:
+        return
+    with _HOLD_LOCK:
+        if not _holds:
+            _held_from = int(lib.scipy_openblas_get_num_threads64_())
+            lib.scipy_openblas_set_num_threads64_(1)
+        _holds += 1
+
+
+def release_blas_thread() -> None:
+    """End one :func:`hold_one_blas_thread`; the last restores the count
+    the first found (or keeps a :func:`pin_blas_threads` made since)."""
+    global _holds
+    lib = _numpy_openblas()
+    if lib is None:
+        return
+    with _HOLD_LOCK:
+        _holds -= 1
+        if not _holds:
+            lib.scipy_openblas_set_num_threads64_(_held_from)
 
 
 def host_fingerprint() -> str:

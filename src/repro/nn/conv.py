@@ -50,10 +50,13 @@ class ConvNd(Module):
             wshape, rng, negative_slope=negative_slope))
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != self.ndim + 2:
-            raise ValueError(
-                f"expected {self.ndim + 2}-d input (N, C, spatial), got {x.ndim}-d")
+    def forward(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
+        """Convolve ``x``, or the channel concatenation of the parts in a
+        tuple ``x`` without building it (:func:`repro.autograd.conv_nd`)."""
+        for part in x if isinstance(x, tuple) else (x,):
+            if part.ndim != self.ndim + 2:
+                raise ValueError(f"expected {self.ndim + 2}-d input "
+                                 f"(N, C, spatial), got {part.ndim}-d")
         return conv_nd(x, self.weight, self.bias,
                        stride=self.stride, padding=self.padding)
 

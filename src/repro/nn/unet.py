@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, concat, conv_nd, is_grad_enabled
+from ..autograd import Tensor, conv_nd, is_grad_enabled
 from ..backend import ops as B
 from ..utils.seeding import make_rng, spawn_rngs
 from .activation import LeakyReLU, Sigmoid
@@ -70,16 +70,20 @@ class ConvBlock(Module):
             raise ValueError(f"unknown norm {norm!r}")
         self.act = LeakyReLU(negative_slope)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
+        """The block on ``x``, or on the channel concatenation of the
+        parts in a tuple ``x`` (:class:`UpBlock`'s ``(up, skip)``), which
+        the conv reads without building it."""
         bn, conv = self.bn, self.conv
         if (isinstance(bn, BatchNorm) and not self.training
                 and not is_grad_enabled()):
+            w = conv.weight.data
             scale = bn.gamma.data / B.sqrt(bn.running_var + bn.eps)
             shift = bn.beta.data - bn.running_mean * scale
             if conv.bias is not None:
                 shift = shift + conv.bias.data * scale
             return conv_nd(
-                x, conv.weight.data * scale.reshape((-1,) + (1,) * (x.ndim - 1)),
+                x, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)),
                 shift, conv.stride, conv.padding, self.act.negative_slope)
         x = conv(x)
         if isinstance(bn, BatchNorm):
@@ -90,7 +94,9 @@ class ConvBlock(Module):
 
 
 class UpBlock(Module):
-    """ConvTranspose(x2) -> concat skip -> ConvBlock."""
+    """ConvTranspose(x2) -> ConvBlock over the channels of the result and
+    the skip: the block's conv reads the two as channel parts, so their
+    concatenation is never built."""
 
     def __init__(self, ndim: int, in_channels: int, skip_channels: int,
                  out_channels: int, rng: np.random.Generator,
@@ -102,9 +108,7 @@ class UpBlock(Module):
                                rng, negative_slope, use_batchnorm)
 
     def forward(self, x: Tensor, skip: Tensor) -> Tensor:
-        x = self.upconv(x)
-        x = concat([x, skip], axis=1)
-        return self.block(x)
+        return self.block((self.upconv(x), skip))
 
 
 class RefinementBlock(Module):

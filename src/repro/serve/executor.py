@@ -9,12 +9,16 @@ a unit of serving compute runs:
   the right default for small fields and single-core hosts.
 * :class:`ThreadExecutor` — a shared ``ThreadPoolExecutor``.  Cheap
   fan-out that wins whenever tasks spend their time inside GIL-releasing
-  BLAS calls (tiled megavoxel forwards do).
+  BLAS calls (tiled megavoxel forwards do).  With more than one worker
+  it holds OpenBLAS at one thread from construction to ``close``: the
+  workers are the parallelism, and BLAS threads on top oversubscribed
+  the cores.
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Full GIL
   escape for CPU-bound fleets.  Each worker re-initialises its array
   backend and dtype policy on startup (``reset_after_fork``): forked
   children must never reuse the parent's backend instances, whose locked
-  state does not survive a fork.
+  state does not survive a fork.  Each also runs OpenBLAS on one thread,
+  as data-parallel rank processes do.
 
 Task functions submitted to a :class:`ProcessExecutor` must be module
 level (picklable); per-worker state such as unpickled models is cached in
@@ -35,7 +39,10 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 import numpy as np
 
 from ..backend import reset_after_fork
-from ..backend.tuning import default_workers
+from ..backend.tuning import (
+    default_workers, hold_one_blas_thread, pin_blas_threads,
+    release_blas_thread,
+)
 from .telemetry.trace import NULL_TRACER
 
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
@@ -118,7 +125,8 @@ class ThreadExecutor(Executor):
     The array-backend choice is thread-local (see
     :mod:`repro.backend.registry`), so without the initializer a pool
     thread would silently fall back to the process default backend
-    instead of the one the caller configured.
+    instead of the one the caller configured.  With more than one worker
+    the executor holds OpenBLAS at one thread until :meth:`close`.
     """
 
     kind = "thread"
@@ -128,6 +136,9 @@ class ThreadExecutor(Executor):
         self._backend, self._dtype = _capture_context()
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
+        self._holds_blas = self._workers > 1
+        if self._holds_blas:
+            hold_one_blas_thread()
 
     @property
     def workers(self) -> int:
@@ -174,12 +185,16 @@ class ThreadExecutor(Executor):
     def close(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
+            held, self._holds_blas = self._holds_blas, False
         if pool is not None:
             pool.shutdown(wait=True)
+        if held:
+            release_blas_thread()
 
 
 class ProcessExecutor(Executor):
-    """``multiprocessing`` pool with per-worker backend re-initialisation.
+    """``multiprocessing`` pool with per-worker backend re-initialisation
+    and OpenBLAS pinned to one thread in every worker.
 
     The pool is created lazily (spinning up processes is not free) and
     the default start method prefers ``fork`` where available: children
@@ -214,7 +229,7 @@ class ProcessExecutor(Executor):
                 ctx = multiprocessing.get_context(self._start_method)
                 self._pool = ctx.Pool(
                     processes=self._workers,
-                    initializer=reset_after_fork,
+                    initializer=_process_worker_init,
                     initargs=(self._backend, self._dtype))
             return self._pool
 
@@ -279,6 +294,11 @@ def _capture_context() -> tuple[str, str]:
     from ..backend import get_backend, get_default_dtype
 
     return get_backend().name, np.dtype(get_default_dtype()).name
+
+
+def _process_worker_init(backend: str, dtype: str) -> None:
+    reset_after_fork(backend, dtype)
+    pin_blas_threads()
 
 
 def _thread_worker_init(backend: str, dtype: str) -> None:

@@ -13,11 +13,15 @@ still open — and stitches an exact full-field result:
   that fits in one block (the bottleneck at the latest) the rest of the
   network runs whole — each level is 1/2^d of the volume above it;
 * an *up sweep* then recomputes the level's skip on each block, up-samples
-  the matching slab of the result below and runs the decoder block; at
-  level 0 it also runs the network head and emits the tile's core.  The
-  full-resolution skip is never stored: only the coarse pyramid (input
-  and result of the deeper levels, ~``base_filters / 2`` field sizes in
-  total) outlives a block;
+  the matching slab of the result below and runs the decoder block, whose
+  conv reads the up-sampled map and the skip as two channel parts (their
+  concatenation is never built); at level 0 it also runs the network head
+  and emits the tile's core.  The full-resolution skip is never stored:
+  only the coarse pyramid (input and result of the deeper levels,
+  ~``base_filters / 2`` field sizes in total) outlives a block.  Within a
+  block, the conv engine's scratch is one arena per thread, as large as
+  the largest conv call (the pool's, :meth:`BufferPool.arena`), so a
+  worker's memory is that block's activations plus one arena;
 * every sweep's halo is the radius of the layers its stage chains, read
   from their kernel sizes and kept even so a padded block maps onto whole
   cells of the level below — no block pays the network's receptive field;
@@ -34,7 +38,8 @@ forward up to the rounding of a GEMM evaluated at another column offset
 The blocks of one sweep are *independent* (disjoint cores, read-only
 input): pass an :class:`~repro.serve.executor.Executor` to fan them
 across a thread or process pool.  Thread workers share the model and the
-(thread-safe) :class:`BufferPool` the block scratch comes from; process
+(thread-safe) :class:`BufferPool` the block scratch comes from, each
+with its own conv arena in it; process
 workers receive the pickled network bytes with each task but *unpickle*
 it only once per model version (per-process cache) — the models are
 small, it is the fields that are megavoxel — and each child owns its own

@@ -130,6 +130,7 @@ def test_unet_forward_backward_on_both_paths(path, rng, monkeypatch):
 
     def reference_forward(plan, x, w, bias, slope):
         assert slope is None            # a training-mode block is op by op
+        x = np.concatenate(x, axis=1)   # the input's channel parts
         sig = plan.signature
         return (ORACLES[path](x, w, sig.stride, sig.padding)
                 + bias.reshape(1, -1, 1, 1))

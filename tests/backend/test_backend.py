@@ -188,6 +188,114 @@ class TestBufferPool:
         assert get_pool() is get_backend().pool
 
 
+class TestArena:
+    """One scratch arena per thread: reuse is a hit, it grows to the
+    largest request, a nested request never aliases it, and it leaves
+    the count when its thread ends."""
+
+    def test_reuse_is_a_hit_and_the_arena_grows_to_the_largest_call(self):
+        pool = BufferPool()
+        with pool.arena(5000) as a:
+            first = a.ctypes.data
+            assert a.dtype == np.uint8 and a.shape == (5000,)
+        with pool.arena(3000) as a:
+            assert a.ctypes.data == first and a.shape == (3000,)
+        assert (pool.stats.hits, pool.stats.misses) == (1, 1)
+        assert pool.stats.bytes_recycled == 3000
+        with pool.arena(9000):
+            pass
+        assert pool.stats.misses == 2
+        # One arena parked, in whole pages: the 5000-byte one was dropped.
+        assert pool.stats.bytes_pooled == pool.stats.high_water_bytes == 12288
+
+    def test_a_nested_call_gets_its_own_arena_and_the_larger_is_kept(self):
+        pool = BufferPool()
+        with pool.arena(100) as outer:
+            outer[:] = 1
+            with pool.arena(20000) as inner:
+                assert not np.shares_memory(inner, outer)
+                inner[:] = 2
+            assert (outer == 1).all()
+        assert pool.stats.bytes_pooled == 20480
+        with pool.arena(20000):
+            assert pool.stats.hits == 1
+
+    def test_each_thread_has_its_own_arena_which_dies_with_it(self):
+        import threading
+
+        pool = BufferPool()
+        with pool.arena(4096) as mine:
+            ptr = mine.ctypes.data
+        seen = []
+
+        def work():
+            with pool.arena(4096) as theirs:
+                seen.append(theirs.ctypes.data)
+            seen.append(pool.stats.bytes_pooled)
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+        assert seen[0] != ptr and seen[1] == 2 * 4096
+        assert pool.stats.bytes_pooled == 4096
+
+    def test_threads_never_share_an_arena_and_the_count_holds(self):
+        """Six threads on two cores, switching every microsecond: no
+        thread sees another's bytes in its arena, every call is a hit or
+        a miss, and once all have ended no arena is left in the count."""
+        import sys
+        import threading
+
+        pool, calls, clobbered = BufferPool(), 300, []
+
+        def work(tag: int) -> None:
+            sizes = np.random.default_rng(tag).integers(1, 20000, calls)
+            for n in sizes:
+                with pool.arena(int(n)) as mine:
+                    mine.fill(tag)
+                    if not (mine == tag).all():
+                        clobbered.append(tag)
+
+        threads = [threading.Thread(target=work, args=(tag,))
+                   for tag in range(1, 7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clobbered
+        assert pool.stats.hits + pool.stats.misses == 6 * calls
+        assert pool.stats.bytes_pooled == 0
+
+    def test_max_bytes_caps_what_is_kept(self):
+        pool = BufferPool(max_bytes=8192)
+        with pool.arena(10000):
+            pass
+        assert pool.stats.bytes_pooled == 0 and pool.stats.evictions == 1
+        with pool.arena(100):
+            pass
+        assert pool.stats.bytes_pooled == 4096
+
+    def test_clear_and_disabled(self):
+        pool = BufferPool()
+        with pool.arena(100):
+            pass
+        pool.clear()
+        assert pool.stats.bytes_pooled == 0
+        with pool.arena(100):
+            pass
+        assert pool.stats.misses == 2
+        off = BufferPool(enabled=False)
+        with off.arena(100) as a:
+            assert a.shape == (100,)
+        assert off.stats.bytes_pooled == 0 and off.stats.hits == 0
+
+
 class TestRingAllreduceUsesPool:
     def test_ring_allreduce_pool_reuse(self):
         from repro.distributed.ring import ring_allreduce

@@ -88,3 +88,47 @@ def test_one_openblas_lookup():
     users = sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
                    if "scipy_openblas" in p.read_text())
     assert users == ["backend/tuning.py"]
+
+
+EXECUTORS = """
+from repro.backend.tuning import blas_threads
+from repro.serve import make_executor
+
+def task(_):
+    return blas_threads()
+
+with make_executor("process", 2) as pool:
+    child = set(pool.map(task, range(4)))
+with make_executor("thread", 2) as one, make_executor("thread", 2) as two:
+    held = blas_threads()
+    one.close()
+    still = blas_threads()
+with make_executor("thread", 1):
+    single = blas_threads()
+
+import sys, threading
+
+def churn():
+    for _ in range(50):
+        make_executor("thread", 2).close()
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=churn) for _ in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+print(sorted(child), held, still, blas_threads(), single)
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(default_workers() < 2,
+                    reason="OpenBLAS caps its threads at the CPU count")
+def test_executor_workers_run_blas_on_one_thread():
+    """Process children run OpenBLAS on one thread while the parent keeps
+    its two; thread executors with two workers hold it at one until the
+    last of them closes (also when six threads open and close them at
+    once), and a one-worker executor leaves it alone."""
+    assert _run(EXECUTORS, 2) == "[1] 1 1 2 2"

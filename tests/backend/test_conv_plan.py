@@ -314,6 +314,30 @@ class TestScratch:
         # eight; shared buckets may only add smaller ones.
         assert after_eight < 2 * after_two
 
+    def test_the_pool_keeps_one_arena_the_size_of_the_largest_call(
+            self, monkeypatch):
+        """Every call carves its scratch from one per-thread arena, so
+        after the eight layers the pool holds exactly one buffer, no
+        larger than the largest call's scratch rounded up to whole pages
+        (power-of-two buckets per size class held 1.5-2x that)."""
+        from repro.backend.pool import ARENA_ALIGN
+
+        requests = []
+        scratch = conv_plan._scratch
+
+        def spy(dtype, *sizes):
+            requests.append(sum(sizes) * np.dtype(dtype).itemsize)
+            return scratch(dtype, *sizes)
+
+        monkeypatch.setattr(conv_plan, "_scratch", spy)
+        with use_backend(NumpyBackend()):
+            self._run(self.LAYERS)
+            stats = get_pool().stats
+        assert len(requests) == 3 * len(self.LAYERS)
+        largest = -(-max(requests) // ARENA_ALIGN) * ARENA_ALIGN
+        assert stats.bytes_pooled == stats.high_water_bytes <= largest
+        assert stats.hits >= len(requests) - 3
+
     def test_threaded_tiles_equal_serial_across_column_chunks(
             self, monkeypatch):
         """The chunk length is a function of the signature alone, so

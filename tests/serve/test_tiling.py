@@ -360,12 +360,35 @@ print(peak)
 def test_a_256_cubed_field_fits_in_640_mb() -> None:
     """16.8 M voxels through the level-wise sweeps in one process: the
     float64/float32 input fields, the masks, the stitched output and the
-    coarse pyramid — measured 536 MB here (the whole-network halo engine
-    peaked at 709 MB on the same field)."""
+    coarse pyramid — measured 474 MB on a 2-vCPU x86-64 VM (512 MB with a
+    pooled scratch buffer per size class and the decoder's skip
+    concatenated; the whole-network halo engine peaked at 709 MB)."""
     done = subprocess.run([sys.executable, "-c", FIELD_256], text=True,
                           capture_output=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) <= 640.0
+
+
+def test_a_warm_tiled_field_allocates_no_skip_concatenation() -> None:
+    """Every allocation of one warm 64^3 field by 32^3 tiles, traced: the
+    cores, the coarse pyramid and each block's activations — but no
+    ``concat([up, skip])`` per up-sweep block, which the decoder conv
+    now reads as two channel parts.  Measured 5.18 MiB; with the
+    concatenation the same field peaked at 5.90 MiB."""
+    import tracemalloc
+
+    model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=1)
+    problem = PoissonProblem3D(64)
+    omega = np.array([0.3, 1.5, 0.1, -1.2])
+    tiled_predict(model, problem, omega, tile=32)     # plans, pool arena
+    tracemalloc.start()
+    try:
+        field = tiled_predict(model, problem, omega, tile=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.shape == (1, 64, 64, 64)
+    assert peak < 5.5 * 2 ** 20, peak / 2 ** 20
 
 
 class _InlineProcessExecutor(Executor):
