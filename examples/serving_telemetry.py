@@ -19,11 +19,14 @@ Walks the observability layer end-to-end:
    (``submitted == served + ... ; lost == 0``, terms counted at
    different event sites) must hold and the names must agree term by
    term.
-3. **Golden trace** — the committed storm replayed under a
-   :class:`~repro.serve.VirtualClock` twice produces byte-identical
-   span jsonl: every timestamp is a pure function of the trace, so a
-   trace diff is a semantic diff (the contract pinned by
-   ``tests/serve/test_telemetry.py``).
+3. **Heal a hang through plain futures** — the primary of a fleet with
+   ``shard_timeout_s`` set hangs mid-forward.  Nothing drains through a
+   helper: each read is ``submit(...).result()``, and the fleet's
+   watchdog ejects the hung shard ``shard_timeout_s`` after dispatch
+   and re-dispatches to the replica.  The per-stage table shows where
+   the time went: the ``fleet.request`` roots and the hung attempts
+   (closed when the hang clears) carry the hang budget; the replica's
+   attempts take milliseconds.
 
 Usage::
 
@@ -33,18 +36,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
+import threading
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.data.sobol import sample_omega
 from repro.serve import (
-    FleetConfig, ReplayHarness, ServerConfig, ShardedFleet, Telemetry,
-    VirtualClock, export_jsonl, format_summary, load_scenario,
+    FleetConfig, ServerConfig, ShardedFleet, Telemetry, format_summary,
     summarize_spans,
 )
-
-STORM = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" \
-    / "storm.json"
 
 CONSERVED = ("served", "rejected", "expired", "errors", "cancelled",
              "unavailable")
@@ -117,30 +116,34 @@ def main() -> None:
     print(f"   every term matches the stats view; lost={stats.lost}")
 
     # ---------------------------------------------------------------- #
-    # 3. Golden trace: the storm under a virtual clock, twice
+    # 3. A hung primary, healed through plain submit(...).result()
     # ---------------------------------------------------------------- #
-    scenario = load_scenario(STORM)
-    print(f"\n-- golden trace: {scenario.name!r} (seed {scenario.seed}) "
-          f"under a virtual clock, twice")
+    budget = 0.25
+    print(f"\n-- a hung primary, shard_timeout_s={budget}: plain futures heal")
+    fleet = _fleet(shard_timeout_s=budget)
+    fleet.register_model("m", model, problem)
+    primary = next(s.server for s in fleet.shards
+                   if s.id == fleet.replicas_for("m")[0])
+    release = threading.Event()
+    forward = primary._forward
 
-    def run():
-        clock = VirtualClock()
-        tel = Telemetry(clock=clock)
-        fleet = _fleet(shards=3)
-        for name in scenario.models:
-            fleet.register_model(name, model, problem)
-        fleet.enable_telemetry(tel)
-        report = ReplayHarness(fleet, scenario, clock=clock,
-                               telemetry=tel).run()
-        return export_jsonl(tel.tracer.spans()), report
+    def hung(entry, omegas, resolution, trace):
+        release.wait(timeout=60)
+        return forward(entry, omegas, resolution, trace=trace)
 
-    first, report = run()
-    second, _ = run()
-    print(f"   {report.requests} requests -> "
-          f"{len(first.splitlines())} spans; lost={report.lost}")
-    print(f"   byte-identical across runs: {first == second}")
-    assert first == second
-    assert report.lost == 0
+    primary._forward = hung
+    tel = Telemetry()
+    fleet.enable_telemetry(tel)
+    with fleet:
+        futures = [fleet.submit("m", w) for w in sample_omega(4, 4)]
+        fields = [f.result(timeout=60) for f in futures]
+        release.set()
+    stats = fleet.stats
+    print(format_summary(summarize_spans(tel.tracer.spans())))
+    print(f"   {len(fields)} reads served, {stats.hangs} hang ejection, "
+          f"{stats.failovers} failovers; lost={stats.lost}")
+    assert stats.hangs == 1 and stats.served == len(fields)
+    assert stats.lost == 0
     print("\nevery request accounted for, every millisecond attributed")
 
 

@@ -416,13 +416,10 @@ def _cmd_serve(args) -> int:
                 if sharded else ""))
         names = models.names()
         loads = _serve_request_loads(args, names, models.get)
-        # A fleet's futures drain through await_result, so
-        # --shard-timeout ejects hung shards on this path too.
-        wait = backend.await_result if sharded else Future.result
 
         def drain_oldest() -> None:
             try:
-                wait(window.popleft())
+                window.popleft().result()
             except shed:
                 pass
 

@@ -13,11 +13,9 @@ FEM solve.  This package is the infrastructure realizing that claim:
   and request load over N server shards (simulated hosts) with R-way
   replication, fault ejection + failover, and re-admission when a
   shard answers (a served read, or an operator's ``check_health()``);
-  failover is the one way a read heals, with no call-level retry;
-* trace replay (:class:`ReplayHarness`) — deterministic scenario
-  scripts (heavy-tailed arrivals, zipfian popularity, diurnal
-  envelopes, coordinated fault schedules) replayed against a live
-  fleet with byte-identical event logs per seed;
+  failover is the one way a read heals, with no call-level retry, and
+  with ``shard_timeout_s`` set a started fleet's watchdog fails over
+  hung attempts, so a plain ``submit(...).result()`` heals too;
 * :func:`tiled_predict` — exact full-field inference on grids too large
   for one forward pass, by level-wise tile sweeps over the U-Net (each
   level pays only its own conv radius as halo); it is also the server's
@@ -61,11 +59,6 @@ from .executor import (
 from .fleet import FleetConfig, FleetStats, Shard, ShardedFleet
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .replay import (
-    ArrivalSpec, FaultSpec, PopularitySpec, ReplayHarness, ReplayReport,
-    Scenario, TenantSpec, TraceEvent, VirtualClock, build_trace, event_log,
-    load_scenario,
-)
 from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
     NULL_SPAN, NULL_TRACER, Counter, MetricsRegistry, NullSpan, NullTracer,
@@ -84,9 +77,6 @@ __all__ = [
     "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
     "ProcessExecutor", "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
-    "ArrivalSpec", "PopularitySpec", "TenantSpec", "FaultSpec",
-    "Scenario", "TraceEvent", "VirtualClock", "ReplayHarness",
-    "ReplayReport", "build_trace", "event_log", "load_scenario",
     "ModelEntry", "ModelRegistry", "RegistryError", "state_version",
     "PredictionServer", "ServerConfig", "ServerStats",
     "TilePlan", "plan_tiles", "receptive_halo",

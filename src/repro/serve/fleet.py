@@ -14,12 +14,18 @@ partition multigrid work across compute units:
 * **Failover** — a shard that raises, hangs past ``shard_timeout_s`` or
   is killed is *ejected* (marked unhealthy) and its in-flight request is
   re-dispatched to the next replica; the caller sees the replica's
-  answer, not the fault.  Requests are conserved: every submit ends as
-  exactly one of served / rejected / expired / errors / cancelled /
-  unavailable (``FleetStats.lost == 0`` is the invariant the
-  fault-injection suite enforces).
+  answer, not the fault.  Hangs are the fleet's own job: with
+  ``shard_timeout_s`` set, a started fleet runs one watchdog thread
+  that expires each attempt that long after its dispatch
+  (:meth:`ShardedFleet.expire_hung`), so every fleet future heals,
+  a plain ``submit(...).result()`` included.  Requests are conserved:
+  every submit ends as exactly one of served / rejected / expired /
+  errors / cancelled / unavailable (``FleetStats.lost == 0`` is the
+  invariant the fault-injection suite and the fleet simulation
+  enforce).
 * **Recovery** — an ejected shard comes back three ways, with no
-  background loop: it serves an answer dispatched after its ejection
+  background loop: it answers a read — any answer after a hang
+  ejection, one dispatched after the ejection after an error
   (``_answered``); a key whose whole replica set is ejected makes one
   last dispatch pass ignoring health marks (non-blocking — safe from
   worker callbacks), and a shard that serves it is re-admitted on the
@@ -54,13 +60,12 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import CancelledError, Future, InvalidStateError
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeadlineExceeded, FleetUnavailable, verdict
+from .errors import FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
 from .server import PredictionServer, ServerConfig, _LatencyPercentiles
@@ -168,9 +173,9 @@ class _RouteState:
     fleet lock where it races with dispatch/failover)."""
 
     __slots__ = ("model_name", "omega", "resolution", "priority",
-                 "deadline_s", "replicas", "next_idx", "current",
+                 "deadline_s", "replicas", "next_idx", "current", "attempt",
                  "submitted_at", "attempt_started", "delivered",
-                 "ignore_health", "trace")
+                 "ignore_health", "trace", "future")
 
     def __init__(self, model_name: str, omega: np.ndarray,
                  resolution: int | None, priority: int | None,
@@ -182,21 +187,14 @@ class _RouteState:
         self.deadline_s = deadline_s
         self.replicas = replicas
         self.next_idx = 0
-        self.current: Shard | None = None
+        self.current: Shard | None = None   # the live attempt's shard
+        self.attempt = 0    # the live attempt's number: a claim bumps it
         self.submitted_at = time.monotonic()   # latency anchor (fixed)
         self.attempt_started = self.submitted_at  # hang detection (reset
         self.delivered = False                    # on every re-dispatch)
         self.ignore_health = False    # last-resort pass: try ejected too
         self.trace = NULL_SPAN        # root span token (the context)
-
-
-class _FleetFuture(Future):
-    """A Future that remembers its routing state (hang failover needs
-    to know which shard currently owns the attempt)."""
-
-    def __init__(self, state: _RouteState) -> None:
-        super().__init__()
-        self.state = state
+        self.future = Future()        # the caller's handle
 
 
 class ShardedFleet:
@@ -205,12 +203,15 @@ class ShardedFleet:
     API-compatible with :class:`PredictionServer` where it matters —
     ``submit`` / ``predict`` / ``predict_many`` / ``start`` / ``stop`` /
     ``close`` / context manager — so the CLI client loop works unchanged
-    on a fleet (draining its futures through :meth:`await_result`).
+    on a fleet: its futures are plain ``Future`` objects.
 
     Every read takes one path: the ring's replica list in ring order,
     one attempt at a time, the next replica only after a fault.
-    ``submit`` starts no thread of the fleet's own: attempts finish on
-    the shards' worker threads (or inline, on an unstarted fleet).
+    ``submit`` starts no thread: attempts finish on the shards' worker
+    threads (or inline, on an unstarted fleet).  The fleet's one thread
+    is the watchdog a started fleet runs when ``shard_timeout_s`` is
+    set; it calls :meth:`expire_hung`, which the caller of an unstarted
+    fleet calls itself.
     """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
@@ -239,6 +240,12 @@ class ShardedFleet:
         self._catalog: dict[str, str] = {}      # model name -> version
         self._latencies: list[float] = []
         self._probe_seq = 0
+        # In-flight attempts, oldest dispatch first: every dispatch
+        # re-inserts its request at the back, delivery removes it, so
+        # the hang deadlines (dispatch + shard_timeout_s) are in order.
+        self._armed: dict[_RouteState, None] = {}
+        self._watchdog: threading.Thread | None = None
+        self._watch_stop = threading.Event()
         # The counter ledger: the only store of fleet event counts,
         # written through ``_count`` under the fleet lock.  ``stats``
         # and the registry's ``fleet.*`` / ``stats.fleet.*`` names are
@@ -264,7 +271,8 @@ class ShardedFleet:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ShardedFleet":
-        """Start every shard's worker fleet (idempotent).
+        """Start every shard's worker fleet and, with ``shard_timeout_s``
+        set, the hang watchdog (idempotent).
 
         All compute executors are warmed *before* any worker thread
         exists anywhere: a fork-based pool on shard k must not fork a
@@ -274,13 +282,29 @@ class ShardedFleet:
             shard.server.executor.warm()
         for shard in self.shards:
             shard.server.start()
+        with self._lock:
+            if (self.config.shard_timeout_s is not None
+                    and self._watchdog is None):
+                self._watch_stop.clear()
+                self._watchdog = threading.Thread(
+                    target=self._watch, name="fleet-watchdog", daemon=True)
+                self._watchdog.start()
         return self
 
+    def _stop_watchdog(self) -> None:
+        with self._lock:
+            watchdog, self._watchdog = self._watchdog, None
+        if watchdog is not None:
+            self._watch_stop.set()
+            watchdog.join()
+
     def stop(self, drain: bool = True) -> None:
+        self._stop_watchdog()
         for shard in self.shards:
             shard.server.stop(drain=drain)
 
     def close(self) -> None:
+        self._stop_watchdog()
         for shard in self.shards:
             shard.server.close()
 
@@ -424,92 +448,23 @@ class ShardedFleet:
             span.finish(outcome=policy[1] if policy else "error")
             raise
         state.trace = span
-        out = _FleetFuture(state)
         self._count("submitted")
-        self._dispatch(out, state, sync=True)
-        return out
+        self._dispatch(state, sync=True)
+        return state.future
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
                 timeout: float | None = None, *,
                 priority: int | None = None,
                 deadline_s: float | None = None) -> np.ndarray:
-        """Blocking routed prediction with hang failover.
+        """Blocking routed prediction: ``submit(...).result(timeout)``.
 
-        With ``config.shard_timeout_s`` set, a shard that neither
-        answers nor errors within the budget is treated as hung: it is
-        ejected and the request re-dispatched to the next replica —
-        the blocking counterpart of the error-failover ``submit`` does
-        asynchronously.  ``timeout`` bounds the overall wait.  A verdict
-        (``ServerOverloaded``, ``FleetUnavailable``, ...) raises once:
-        the fleet heals shards, and a read heals through its failover.
+        A verdict (``ServerOverloaded``, ``FleetUnavailable``, ...)
+        raises once: the fleet heals shards, and a read heals through
+        its failover — a hung shard's included, by the watchdog.
         """
-        return self.await_result(
-            self.submit(model_name, omega, resolution, priority=priority,
-                        deadline_s=deadline_s), timeout)
-
-    def await_result(self, future: Future, timeout: float | None = None):
-        """``future.result`` with hang failover for fleet futures.
-
-        Blocking callers that hold raw ``submit`` futures (the CLI
-        client loop, ``predict_many``) drain through here so
-        ``config.shard_timeout_s`` ejects hung shards on their path
-        too, not only in ``predict``.  Non-fleet futures just wait.
-        """
-        shard_budget = self.config.shard_timeout_s
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        while True:
-            wait = shard_budget
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return future.result(0)
-                wait = remaining if wait is None else min(wait, remaining)
-            try:
-                return future.result(wait)
-            except DeadlineExceeded:
-                raise                      # request-level, not a hang
-            except FutureTimeout:
-                if future.done():
-                    # The answer landed in the race window between the
-                    # wait lapsing and here; the next result() call
-                    # returns the stored outcome immediately.
-                    continue
-                if not self._hang_failover(future):
-                    if (deadline is not None
-                            and time.monotonic() >= deadline):
-                        raise
-
-    def _hang_failover(self, future: Future) -> bool:
-        """Eject the shard a fleet future has been waiting on past
-        ``shard_timeout_s`` and re-dispatch to the next replica.
-
-        ``await_result`` calls it after a wait times out.  Returns
-        ``True`` when a failover was performed, ``False`` when there is
-        nothing to do (no fleet state, budget not yet elapsed on the
-        current attempt, or the answer already landed).
-        """
-        state = getattr(future, "state", None)
-        budget = self.config.shard_timeout_s
-        if state is None or budget is None or future.done():
-            return False
-        with self._lock:
-            elapsed = time.monotonic() - state.attempt_started
-            hung = state.current
-            if (hung is None or state.delivered
-                    or elapsed < budget * 0.999):
-                return False
-            state.current = None   # claim: exactly one caller fails over
-        self._eject(hung, TimeoutError(
-            f"shard {hung.id} did not answer within "
-            f"shard_timeout_s={budget}"), hang=True)
-        with self._lock:
-            if state.delivered:
-                return False
-            self._count("failovers")
-        self._dispatch(future, state)
-        return True
+        return self.submit(model_name, omega, resolution, priority=priority,
+                           deadline_s=deadline_s).result(timeout)
 
     def predict_many(self, model_name: str, omegas: np.ndarray,
                      resolution: int | None = None,
@@ -520,30 +475,81 @@ class ShardedFleet:
         futures = [self.submit(model_name, w, resolution, priority=priority,
                                deadline_s=deadline_s)
                    for w in omegas]
-        return np.stack([self.await_result(f, timeout) for f in futures])
+        return np.stack([f.result(timeout) for f in futures])
+
+    # ------------------------------------------------------------------ #
+    # Hang detection
+    # ------------------------------------------------------------------ #
+    def expire_hung(self, now: float) -> int:
+        """Fail over every attempt dispatched ``shard_timeout_s`` or
+        more before ``now``: eject its shard as hung and re-dispatch the
+        request to the next replica.  Returns the number of failovers.
+
+        The watchdog calls it with ``time.monotonic()``; on an unstarted
+        fleet (submits run inline) the caller drives it.  A re-dispatch
+        re-arms the request with a fresh deadline, so one call never
+        expires an attempt it issued itself.
+        """
+        budget = self.config.shard_timeout_s
+        if budget is None:
+            return 0
+        with self._lock:
+            due = []
+            for state in self._armed:
+                if state.attempt_started + budget > now:
+                    break
+                due.append(state)
+            claimed = []
+            for state in due:
+                del self._armed[state]
+                if state.current is not None and not state.delivered:
+                    claimed.append((state, state.current))
+                    state.current = None   # claim: one failover per attempt
+                    state.attempt += 1
+        for state, hung in claimed:
+            self._eject(hung, TimeoutError(
+                f"shard {hung.id} did not answer within "
+                f"shard_timeout_s={budget}"), hang=True)
+            with self._lock:
+                if state.delivered:
+                    continue
+                self._count("failovers")
+            self._dispatch(state)
+        return len(claimed)
+
+    def _watch(self) -> None:
+        """The watchdog: sleep until the oldest attempt is due, expire."""
+        budget = self.config.shard_timeout_s
+        wait = budget
+        while not self._watch_stop.wait(max(wait, 0.0)):
+            self.expire_hung(time.monotonic())
+            with self._lock:
+                oldest = next(iter(self._armed), None)
+                wait = (budget if oldest is None else
+                        oldest.attempt_started + budget - time.monotonic())
 
     # ------------------------------------------------------------------ #
     # Dispatch, failover, delivery
     # ------------------------------------------------------------------ #
-    def _dispatch(self, out: Future, state: _RouteState,
-                  sync: bool = False) -> None:
+    def _dispatch(self, state: _RouteState, sync: bool = False) -> None:
         """Hand the request to the next replica worth trying (loops
         past shards that fault synchronously)."""
         while True:
             try:
-                shard = self._next_replica(state)
+                shard, attempt = self._next_replica(state)
             except FleetUnavailable as exc:
-                self._deliver(out, state, exc=exc, counter="unavailable")
+                self._deliver(state, exc=exc, counter="unavailable")
                 if sync:
                     raise
                 return
-            if not self._attempt(out, state, shard, sync=sync):
+            if not self._attempt(state, shard, attempt, sync=sync):
                 return
 
-    def _next_replica(self, state: _RouteState) -> Shard:
+    def _next_replica(self, state: _RouteState) -> tuple[Shard, int]:
         """Advance ``state`` to the next replica to try — the walk every
-        read fails over along.  Exhausting the replica set is the
-        request's ``FleetUnavailable`` verdict."""
+        read fails over along — and return it with the attempt's
+        number.  Exhausting the replica set is the request's
+        ``FleetUnavailable`` verdict."""
         with self._lock:
             while True:
                 while state.next_idx < len(state.replicas):
@@ -552,7 +558,9 @@ class ShardedFleet:
                     if candidate.healthy or state.ignore_health:
                         state.current = candidate
                         state.attempt_started = time.monotonic()
-                        return candidate
+                        self._armed.pop(state, None)     # re-arm
+                        self._armed[state] = None
+                        return candidate, state.attempt
                 if state.ignore_health:
                     state.current = None
                     raise FleetUnavailable(
@@ -568,7 +576,7 @@ class ShardedFleet:
                 state.ignore_health = True
                 state.next_idx = 0
 
-    def _attempt(self, out: Future, state: _RouteState, shard: Shard,
+    def _attempt(self, state: _RouteState, shard: Shard, attempt: int,
                  sync: bool = False) -> bool:
         """Issue one attempt on ``shard``: attempt span, shard
         ``submit``, done-callback.
@@ -587,17 +595,17 @@ class ShardedFleet:
                 priority=state.priority, deadline_s=state.deadline_s,
                 trace_parent=span)
         except Exception as exc:
-            unsettled = self._settle(out, state, shard, exc, span)
+            unsettled = self._settle(state, shard, attempt, exc, span)
             if sync and not unsettled:
                 raise
             return unsettled
         dispatched_at = time.monotonic()
         inner.add_done_callback(
-            lambda f: self._on_done(out, state, shard, f, dispatched_at,
+            lambda f: self._on_done(state, shard, attempt, f, dispatched_at,
                                     span))
         return False
 
-    def _on_done(self, out: Future, state: _RouteState, shard: Shard,
+    def _on_done(self, state: _RouteState, shard: Shard, attempt: int,
                  inner: Future, dispatched_at: float, span) -> None:
         """Classify a shard answer: deliver, or eject + fail over."""
         try:
@@ -605,16 +613,15 @@ class ShardedFleet:
         except CancelledError as cancel:
             exc = cancel
         if exc is not None:
-            if self._settle(out, state, shard, exc, span):
-                self._dispatch(out, state)
+            if self._settle(state, shard, attempt, exc, span):
+                self._dispatch(state)
             return
         value = inner.result()
-        won = self._deliver(out, state, result=value, counter="served")
+        won = self._deliver(state, result=value, counter="served")
         span.finish(outcome="served", won=won)
-        if won:
-            self._answered(shard, dispatched_at)
+        self._answered(shard, dispatched_at)
 
-    def _settle(self, out: Future, state: _RouteState, shard: Shard,
+    def _settle(self, state: _RouteState, shard: Shard, attempt: int,
                 exc: BaseException, span) -> bool:
         """An attempt ended in ``exc``, synchronously or through its
         future: deliver the verdict, or record the fault.
@@ -637,19 +644,21 @@ class ShardedFleet:
             span.finish(outcome="cancelled")
         else:
             span.finish(outcome=label)
-            self._deliver(out, state, exc=exc, counter=term)
+            self._deliver(state, exc=exc, counter=term)
             return False
         with self._lock:
-            if state.delivered or state.current is not shard:
-                # A newer attempt owns this request (hang failover
-                # already moved on): record the fault, but a stale
-                # straggler must not burn the remaining replicas.
+            if state.delivered or state.attempt != attempt:
+                # The watchdog already moved on from this attempt (its
+                # re-dispatch may even be on this same shard): record
+                # the fault, but a stale straggler must not burn the
+                # remaining replicas.
                 return False
             state.current = None          # claim the re-dispatch
+            state.attempt += 1
             self._count("failovers")
         return True
 
-    def _deliver(self, out: Future, state: _RouteState, *,
+    def _deliver(self, state: _RouteState, *,
                  result=None, exc: BaseException | None = None,
                  counter: str = "served") -> bool:
         """Resolve the fleet future exactly once and count the outcome.
@@ -664,10 +673,9 @@ class ShardedFleet:
             if state.delivered:
                 return False
             state.delivered = True
-        try:
-            live = out.set_running_or_notify_cancel()
-        except InvalidStateError:  # pragma: no cover - delivered guards this
-            return False
+            self._armed.pop(state, None)
+        out = state.future
+        live = out.set_running_or_notify_cancel()
         now = time.monotonic()
         if not live:
             counter = "cancelled"
@@ -687,9 +695,11 @@ class ShardedFleet:
         return live
 
     def _answered(self, shard: Shard, dispatched_at: float) -> None:
-        """A shard served a read — the strongest health probe there is:
-        a shard ejected on a false hang (the budget includes queue wait)
-        re-admits itself with its next answer.
+        """A shard answered a read — the strongest health probe there
+        is, whether or not the answer won its delivery race: a shard
+        ejected on a false hang (the budget includes queue wait)
+        re-admits itself with its next answer, a straggler the watchdog
+        already failed over included.
 
         After an *error* ejection only an attempt dispatched after it is
         evidence, though: a forward that was already computing when its
@@ -710,8 +720,8 @@ class ShardedFleet:
         """Mark a shard healthy again (probe success, or a served
         answer from the last-resort ignore-health pass)."""
         with self._lock:
-            if shard.healthy:
-                return
+            if shard.healthy or self._by_id.get(shard.id) is not shard:
+                return            # healthy, or decommissioned for good
             shard.healthy = True
             shard.ejected_at = None
             self._count("readmissions")

@@ -511,11 +511,7 @@ class PredictionServer:
                         NULL_SPAN))
         try:
             omegas = np.stack([req.omega for req in group])
-            # Only pass the span when tracing is live: chaos hooks and
-            # tests wrap ``_forward(entry, omegas, resolution)`` and must
-            # keep working verbatim with telemetry off.
-            fields = (self._forward(entry, omegas, r, trace=fspan)
-                      if fspan else self._forward(entry, omegas, r))
+            fields = self._forward(entry, omegas, r, trace=fspan)
         except Exception as exc:
             fspan.finish(error=type(exc).__name__)
             with self._stats_lock:

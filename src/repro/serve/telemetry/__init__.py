@@ -47,9 +47,10 @@ __all__ = [
 class Telemetry:
     """One tracer on one clock, plus one metrics registry.
 
-    ``clock`` must be monotonic; pass a
-    :class:`~repro.serve.replay.VirtualClock` for deterministic
-    replays.  ``trace_sample=N`` keeps one request trace in N;
+    ``clock`` must be monotonic; pass a clock that moves only when
+    told to (the fleet simulation's ``VirtualClock``) for
+    deterministic span logs.  ``trace_sample=N`` keeps one request
+    trace in N;
     ``trace_capacity`` bounds the span ring.
     """
 

@@ -11,11 +11,10 @@ stay on in production without growing memory.
 Design rules that make the golden-trace tests possible:
 
 * **Forgeable clock** — the tracer never calls ``time`` directly; it
-  calls whatever ``clock`` it was built with.  Under a
-  :class:`~repro.serve.replay.VirtualClock` every timestamp is a pure
-  function of the replayed trace, so the exported jsonl is
-  byte-identical across runs (same contract as
-  :func:`~repro.serve.replay.event_log`).
+  calls whatever ``clock`` it was built with.  Under a clock that moves
+  only when told to (``tests/serve/test_fleet_sim.py``'s
+  ``VirtualClock``) every timestamp is a pure function of the driven
+  program, so the exported jsonl is byte-identical across runs.
 * **Sequential span ids** — ids are a process-local counter, not
   uuids, so the export needs no scrubbing to compare equal.
 * **No-op when off** — the disabled tracer is :data:`NULL_TRACER`; it
@@ -23,8 +22,7 @@ Design rules that make the golden-trace tests possible:
   allocates nothing.  Every layer holds it until telemetry is enabled,
   so span sites are unconditional: off costs a no-op call, not a fork.
 * **Deterministic rendering** — :func:`export_jsonl` sorts keys and
-  rounds every float to nanoseconds, exactly like the replay event
-  log.
+  rounds every float to nanoseconds.
 
 Propagation is by value, not by ambient context: the span object *is*
 the context token.  ``server.submit(..., trace_parent=span)`` hangs

@@ -234,10 +234,10 @@ class TestWorkerFrontend:
         started = threading.Event()
         release = threading.Event()
 
-        def slow_forward(entry, omegas, resolution):
+        def slow_forward(entry, omegas, resolution, trace):
             started.set()
             release.wait(timeout=30)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
 
         server._forward = slow_forward
         omega = RNG.uniform(-3, 3, 4)
@@ -306,9 +306,9 @@ class TestWorkerFrontend:
         release = threading.Event()
         forward = server._forward
 
-        def slow_forward(entry, omegas, resolution):
+        def slow_forward(entry, omegas, resolution, trace):
             release.wait(timeout=30)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
 
         server._forward = slow_forward
         omega = RNG.uniform(-3, 3, 4)
@@ -529,10 +529,10 @@ class TestQueueDepth:
         entered, release = threading.Event(), threading.Event()
         forward = server._forward
 
-        def hung(entry, omegas, resolution):
+        def hung(entry, omegas, resolution, trace):
             entered.set()
             assert release.wait(timeout=30)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
 
         server._forward = hung
         with server:

@@ -279,11 +279,11 @@ class TestCancellation:
         release = threading.Event()
         forward = primary.server._forward
 
-        def held(entry, omegas, resolution):
+        def held(entry, omegas, resolution, trace):
             if not entered.is_set():
                 entered.set()
                 assert release.wait(timeout=30)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
 
         primary.server._forward = held
         omega = RNG.uniform(-3, 3, 4)
@@ -314,7 +314,7 @@ class TestCancellation:
         entered = threading.Event()
         release = threading.Event()
 
-        def dying(entry, omegas, resolution):
+        def dying(entry, omegas, resolution, trace):
             entered.set()
             assert release.wait(timeout=30)
             raise RuntimeError("primary died mid-forward")
@@ -572,9 +572,11 @@ class TestDecommissionProperties:
 
 
 def test_every_read_is_submit_or_predict():
-    """One request path: the stream front-ends are gone and the fleet's
-    hang failover is private to ``await_result``."""
+    """One request path: the stream front-ends are gone, and hang
+    failover is the fleet's watchdog, not a drain helper a caller must
+    know to use."""
     assert not hasattr(PredictionServer, "submit_stream")
     assert not hasattr(ShardedFleet, "stream")
     assert not hasattr(ShardedFleet, "hang_failover")
-    assert hasattr(ShardedFleet, "await_result")
+    assert not hasattr(ShardedFleet, "await_result")
+    assert not hasattr(ShardedFleet, "_hang_failover")

@@ -13,19 +13,26 @@ The fleet's contract under faults, pinned deterministically:
 * **Probing** — ``check_health()`` probes only ejected, live shards,
   once per call, with a fresh ω, a budget above the hang threshold and
   a priority above any client's.
+* **Hang expiry** — ``expire_hung(now)`` fails over exactly the
+  attempts dispatched ``shard_timeout_s`` before ``now``, re-arms on
+  every re-dispatch, and is a no-op without a budget; a started fleet
+  runs one watchdog thread for it, only when ``shard_timeout_s`` is set.
 
 The chaos harness injects faults the way an operator would see them:
 
 * ``error``  — the shard's forward raises mid-batch;
 * ``kill``   — the shard's submit itself dies (process gone);
-* ``hang``   — the forward blocks until released (detected via
-  ``shard_timeout_s`` ejection in the blocking front-end).
+* ``hang``   — the forward blocks until released (detected by the
+  fleet's watchdog, ``shard_timeout_s`` after the attempt's dispatch,
+  on every fleet future).
 
 Seeds are fixed; synchronization is via events and counters, never
 sleeps on the assertion path.
 """
 
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -71,7 +78,7 @@ class _Chaos:
         self.entered = threading.Event()   # a hung forward has begun
 
     def error(self):
-        def boom(entry, omegas, resolution):
+        def boom(entry, omegas, resolution, trace):
             raise RuntimeError(f"injected error on {self.shard.id}")
         self.shard.server._forward = boom
 
@@ -83,10 +90,10 @@ class _Chaos:
     def hang(self):
         forward = self._forward
 
-        def hung(entry, omegas, resolution):
+        def hung(entry, omegas, resolution, trace):
             self.entered.set()
             assert self.release.wait(timeout=60)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
         self.shard.server._forward = hung
 
     def restore(self):
@@ -214,10 +221,31 @@ class TestSingleFaultFailover:
         # the shard_timeout_s burned on the hung primary must show up.
         assert s.p50 >= 0.25
 
+    def test_plain_submit_result_heals_a_hung_primary(self, served):
+        """No drain helper: a plain ``submit(...).result()`` on a hung
+        primary returns the replica's field, because the fleet's
+        watchdog — not the caller — expires the attempt."""
+        model, problem = served
+        fleet = _fleet(shard_timeout_s=0.25)
+        fleet.register_model("m", model, problem)
+        primary = _shard(fleet, fleet.replicas_for("m")[0])
+        chaos = _Chaos(primary)
+        chaos.hang()
+        omega = np.random.default_rng(SEED + 12).uniform(-3, 3, 4)
+        with fleet:
+            u = fleet.submit("m", omega).result(timeout=10)
+            assert not primary.healthy
+            chaos.release.set()
+        np.testing.assert_allclose(
+            u, predict_batch(model, problem, omega)[0], atol=1e-5)
+        s = fleet.stats
+        assert s.hangs == 1
+        assert s.served == 1 and s.lost == 0
+
     def test_hang_failover_on_raw_submit_futures(self, served):
-        """await_result gives submit/drain clients (the CLI loop,
-        predict_many) the same hang ejection predict() has — the
-        --shard-timeout flag must work on that path too."""
+        """Submit/drain clients (the CLI loop, predict_many) get the
+        same hang ejection predict() has — the --shard-timeout flag
+        must work on that path too."""
         model, problem = served
         fleet = _fleet(shard_timeout_s=0.25)
         fleet.register_model("m", model, problem)
@@ -228,7 +256,7 @@ class TestSingleFaultFailover:
         omegas = rng.uniform(-3, 3, (2, 4))
         with fleet:
             futures = [fleet.submit("m", w) for w in omegas]
-            fields = [fleet.await_result(f, timeout=30) for f in futures]
+            fields = [f.result(timeout=30) for f in futures]
             assert not primary.healthy
             chaos.release.set()
         for w, u in zip(omegas, fields):
@@ -252,6 +280,171 @@ class TestSingleFaultFailover:
             chaos.error()
             after = fleet.predict("m", omega, timeout=30)
         np.testing.assert_allclose(after, before, atol=1e-5)
+
+
+def _watchdogs() -> set:
+    return {t for t in threading.enumerate() if t.name == "fleet-watchdog"}
+
+
+class _Held:
+    """A hung host on an *unstarted* fleet: the shard's submit hands
+    back a pending future, which the test resolves later (a late
+    answer or a late error)."""
+
+    def __init__(self, shard):
+        self.futures: list[Future] = []
+        shard.server.submit = self.submit
+
+    def submit(self, *args, **kwargs) -> Future:
+        future = Future()
+        self.futures.append(future)
+        return future
+
+
+class TestHangWatchdog:
+    """``expire_hung`` driven with an explicit ``now`` on an unstarted
+    fleet (submits run inline), and the watchdog thread's lifecycle."""
+
+    BUDGET = 10.0
+
+    def _held_fleet(self, served, hold=1, shard_timeout_s=BUDGET):
+        """A 3-shard R=2 fleet whose first ``hold`` replicas of ``m``
+        hang; returns (fleet, replicas, helds, ω, reference field)."""
+        model, problem = served
+        fleet = _fleet(shard_timeout_s=shard_timeout_s)
+        fleet.register_model("m", model, problem)
+        replicas = [_shard(fleet, i) for i in fleet.replicas_for("m")]
+        helds = [_Held(shard) for shard in replicas[:hold]]
+        omega = np.random.default_rng(SEED + 40).uniform(-3, 3, 4)
+        return (fleet, replicas, helds, omega,
+                predict_batch(model, problem, omega)[0])
+
+    def test_no_watchdog_thread_without_a_hang_budget(self, served):
+        model, problem = served
+        fleet = _fleet()
+        fleet.register_model("m", model, problem)
+        before = _watchdogs()
+        with fleet:
+            assert _watchdogs() == before
+            fleet.predict("m", np.zeros(4), timeout=30)
+            assert _watchdogs() == before
+
+    def test_one_watchdog_per_started_fleet_stopped_with_it(self, served):
+        """Starting twice runs one watchdog; ``stop`` wakes it from its
+        wait (far shorter than the budget) and joins it; a restart runs
+        a fresh one, which ``close`` joins too."""
+        fleet = _fleet(shard_timeout_s=100.0)
+        before = _watchdogs()
+        fleet.start()
+        fleet.start()
+        first = _watchdogs() - before
+        assert len(first) == 1
+        t0 = time.monotonic()
+        fleet.stop()
+        assert time.monotonic() - t0 < 50.0
+        assert not any(t.is_alive() for t in first)
+        fleet.start()
+        second = _watchdogs() - before
+        assert len(second) == 1 and not second & first
+        fleet.close()
+        assert _watchdogs() - before == set()
+
+    def test_without_a_budget_nothing_ever_expires(self, served):
+        fleet, (primary, _), (held,), omega, ref = self._held_fleet(
+            served, shard_timeout_s=None)
+        future = fleet.submit("m", omega)
+        assert fleet.expire_hung(float("inf")) == 0
+        assert primary.healthy and not future.done()
+        held.futures[0].set_result(ref)
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        s = fleet.stats
+        assert s.hangs == 0 and s.served == 1 and s.lost == 0
+
+    def test_only_attempts_due_by_now_fail_over(self, served):
+        fleet, (primary, replica), _, omega, ref = self._held_fleet(served)
+        t0 = time.monotonic()
+        future = fleet.submit("m", omega)
+        t1 = time.monotonic()
+        assert fleet.expire_hung(t0 + self.BUDGET / 2) == 0
+        assert primary.healthy and not future.done()
+        assert fleet.expire_hung(t1 + self.BUDGET) == 1
+        assert not primary.healthy and replica.healthy
+        assert primary.ejected_at is None        # a hang, not an error
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        s = fleet.stats
+        assert s.hangs == 1 and s.failovers == 1
+        assert s.served == 1 and s.lost == 0
+
+    def test_a_redispatch_rearms_with_a_fresh_deadline(self, served):
+        """Both replicas hang: one call expires the primary's attempt
+        but never the replica attempt it dispatched itself; that one
+        expires a budget after its own dispatch."""
+        fleet, (primary, replica), helds, omega, ref = self._held_fleet(
+            served, hold=2)
+        future = fleet.submit("m", omega)
+        now = time.monotonic() + self.BUDGET
+        assert fleet.expire_hung(now) == 1
+        assert [len(h.futures) for h in helds] == [1, 1]
+        assert fleet.expire_hung(now) == 0
+        assert replica.healthy and not future.done()
+        assert fleet.expire_hung(time.monotonic() + self.BUDGET) == 1
+        assert not replica.healthy and not future.done()
+        # The ignore-health pass: back to the (still hung) primary.
+        assert [len(h.futures) for h in helds] == [2, 1]
+        helds[0].futures[1].set_result(ref)
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        s = fleet.stats
+        assert s.hangs == 2 and s.failovers == 2
+        assert s.served == 1 and s.lost == 0
+
+    def test_late_answers_after_expiry_deliver_once_and_readmit(
+            self, served):
+        """The replica's answer wins; the hung primary's late answer
+        delivers nothing twice but refutes its hang ejection."""
+        fleet, (primary, replica), helds, omega, ref = self._held_fleet(
+            served, hold=2)
+        future = fleet.submit("m", omega)
+        deliveries = []
+        future.add_done_callback(deliveries.append)
+        assert fleet.expire_hung(time.monotonic() + self.BUDGET) == 1
+        helds[1].futures[0].set_result(ref)
+        assert deliveries == [future]
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        assert not primary.healthy
+        helds[0].futures[0].set_result(ref + 1.0)
+        assert deliveries == [future] and primary.healthy
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        s = fleet.stats
+        assert s.hangs == 1 and s.readmissions == 1
+        assert s.served == 1 and s.submitted == 1 and s.lost == 0
+
+    def test_a_delivered_request_is_disarmed(self, served):
+        fleet, (primary, _), (held,), omega, ref = self._held_fleet(served)
+        future = fleet.submit("m", omega)
+        held.futures[0].set_result(ref)
+        assert future.done()
+        assert fleet.expire_hung(float("inf")) == 0
+        assert primary.healthy
+        s = fleet.stats
+        assert s.hangs == 0 and s.failovers == 0 and s.served == 1
+
+    def test_a_stragglers_late_error_does_not_fail_over_again(self, served):
+        """After expiry the primary's attempt is a straggler: its late
+        error is recorded on the shard but must not re-dispatch the
+        request past the live replica attempt."""
+        fleet, (primary, replica), helds, omega, ref = self._held_fleet(
+            served, hold=2)
+        future = fleet.submit("m", omega)
+        assert fleet.expire_hung(time.monotonic() + self.BUDGET) == 1
+        faults = primary.fault_count
+        helds[0].futures[0].set_exception(RuntimeError("late error"))
+        assert primary.fault_count == faults + 1
+        assert [len(h.futures) for h in helds] == [1, 1]
+        assert fleet.stats.failovers == 1 and not future.done()
+        helds[1].futures[0].set_result(ref)
+        np.testing.assert_allclose(future.result(timeout=0), ref, atol=1e-5)
+        s = fleet.stats
+        assert s.failovers == 1 and s.served == 1 and s.lost == 0
 
 
 class TestRecovery:
@@ -358,7 +551,7 @@ class TestRecovery:
             a = fleet.submit("m", wa)
             assert chaos.entered.wait(timeout=30)   # A computes on primary
             b = fleet.submit("m", wb)     # B queues behind it
-            ua = fleet.await_result(a, timeout=30)  # budget out: replica
+            ua = a.result(timeout=30)     # budget out: replica
             assert not primary.healthy and fleet.stats.hangs == 1
             chaos.restore()               # slow, not dead
             ub = b.result(timeout=30)     # dispatched pre-eject, primary
@@ -559,8 +752,7 @@ class TestCheckHealth:
             results, request_errors = [], []
             for name, omega, f in futures:
                 try:
-                    results.append(
-                        (name, omega, fleet.await_result(f, timeout=60)))
+                    results.append((name, omega, f.result(timeout=60)))
                 except Exception as exc:
                     request_errors.append((name, omega, exc))
             chaos_hang.restore()

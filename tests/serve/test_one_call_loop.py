@@ -1,10 +1,10 @@
 """Guard: everything around the fleet's read path is written once.
 
 * **No client retry loop.**  Every read is submitted once and heals
-  through the fleet's failover.  ``cli.py`` never sleeps and
-  ``serve/replay.py`` only inside ``ReplayHarness._sleep`` (its pacing
-  sleep, on the real or the virtual clock); neither they nor
-  ``serve/fleet.py`` grow back a ``while True:`` that submits.
+  through the fleet's failover.  ``cli.py`` and ``serve/fleet.py``
+  never call ``time.sleep`` (the fleet's hang watchdog waits on an
+  event until the oldest attempt is due), and neither grows back a
+  ``while True:`` that submits.
 * **One forward on the calling side of the GIL.**  ``serve/server.py``
   pickles in one place (the version-cached blob helper);
   ``PredictionServer._forward`` is one ``tiled_predict`` call — the
@@ -70,15 +70,13 @@ def _constructors(tree: ast.AST, name: str) -> list[ast.Call]:
 # --------------------------------------------------------------------- #
 # No client retry loop
 # --------------------------------------------------------------------- #
-def test_cli_and_replay_do_not_sleep_on_their_own() -> None:
+def test_cli_and_fleet_do_not_sleep_on_their_own() -> None:
     assert _time_sleeps(_tree(SRC / "cli.py")) == []
-    replay = _tree(SERVE / "replay.py")
-    sleeps = _time_sleeps(replay)
-    assert [_enclosing_function(replay, c) for c in sleeps] == ["_sleep"]
+    assert _time_sleeps(_tree(SERVE / "fleet.py")) == []
 
 
 def test_no_hand_written_retry_loop_in_the_clients() -> None:
-    for path in (SRC / "cli.py", SERVE / "replay.py", SERVE / "fleet.py"):
+    for path in (SRC / "cli.py", SERVE / "fleet.py"):
         assert _hand_written_loops(_tree(path)) == [], path.name
 
 
@@ -141,7 +139,7 @@ def test_guard_allows_the_one_shot_shape() -> None:
     ok = ast.parse(
         "def predict(self, name, omega):\n"
         "    '''Mentions while True: and time.sleep( in prose only.'''\n"
-        "    return self.await_result(self.submit(name, omega))\n"
+        "    return self.submit(name, omega).result()\n"
         "def _sleep(self, dt):\n"
         "    time.sleep(dt)\n"
         "def wait(self):\n"

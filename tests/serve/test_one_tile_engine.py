@@ -20,9 +20,8 @@ halos with has one definition, in ``serve/tiling.py``.
 Likewise for three fleet features that no benchmark metric needed:
 power-of-two-choices read spreading, per-tenant admission, and the
 queue-depth autoscaler with the elastic ``add_shard``/``retire_shard``
-it drove.  Their names, and ``tenant`` as a request parameter or field,
-may not come back in ``src/repro``; the replay trace's tenant label is
-the one exception.
+it drove.  Their names, and ``tenant`` as a parameter, keyword, field,
+slot or attribute, may not come back anywhere in ``src/repro``.
 
 And for the second request path: every served read is one ``submit`` →
 queue → fused forward → ``Future``.  The streaming front-ends
@@ -102,9 +101,6 @@ BANNED_FLEET_FEATURES = {
     "retire_shard": "elastic scale-down",
 }
 BANNED_FLEET_MODULES = ("admission", "balance", "autoscale")
-# The one ``tenant`` left: the replay trace's event label (the event log
-# is byte-pinned), which the harness never hands to the fleet.
-TENANT_LABEL = "TraceEvent"
 # Package-wide: the second request path — streaming front-ends, the
 # asyncio facade — and priority aging, as identifiers or as the string
 # names the fleet's counter ledger and the stats views key on.
@@ -247,18 +243,9 @@ def _forks(source: str) -> list[str]:
 
 def _fleet_features(source: str) -> list[str]:
     """Uses of the deleted fleet features in one module, and ``tenant``
-    as a parameter, keyword, field, slot or attribute anywhere but the
-    replay trace's event label."""
-    tree = ast.parse(source)
-    label = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == TENANT_LABEL:
-            label |= {id(n) for n in ast.walk(node)}
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == TENANT_LABEL):
-            label |= {id(k) for k in node.keywords}
+    as a parameter, keyword, field, slot or attribute."""
     bad = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         line = getattr(node, "lineno", "?")
         names = [getattr(node, f, None) for f in ("id", "attr", "name")]
         bad += [f"{line}: {BANNED_FLEET_FEATURES[n]} ({n})"
@@ -266,8 +253,6 @@ def _fleet_features(source: str) -> list[str]:
         if (isinstance(node, ast.ImportFrom) and node.module
                 and node.module.split(".")[-1] in BANNED_FLEET_MODULES):
             bad.append(f"{line}: import of {node.module}")
-        if id(node) in label:
-            continue
         slots = (isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "__slots__"
                          for t in node.targets)
@@ -652,6 +637,8 @@ FLEET_IDIOMS = {
     "tenant slot": "class _RouteState:\n    __slots__ = ('omega', 'tenant')\n",
     "tenant attribute": "def __init__(self, tenant):\n"
                         "    self.tenant = tenant\n",
+    # A trace event's label is a field like any other.
+    "tenant label": "class TraceEvent:\n    tenant: str | None = None\n",
 }
 
 
@@ -664,21 +651,6 @@ def test_fleet_guard_catches_each_deleted_idiom(idiom: str) -> None:
         assert all("(tenant)" in hit for hit in hits), hits
     else:
         assert any(f"({idiom})" in hit for hit in hits), hits
-
-
-def test_fleet_guard_allows_the_replay_tenant_label() -> None:
-    """The replay trace keeps the tenant as a label of its events (the
-    event log is byte-pinned); it is never handed to the fleet."""
-    assert _fleet_features(
-        "class TraceEvent:\n"
-        "    tenant: str | None = None\n"
-        "def expand(scenario, rng):\n"
-        "    tenant = scenario.tenants[0]\n"
-        "    return TraceEvent(t=0.0, seq=0, kind='request',\n"
-        "                      tenant=tenant.name)\n"
-        "def keys(ev):\n"
-        "    return [getattr(ev, k) for k in ('model', 'tenant')]\n"
-    ) == []
 
 
 def test_one_block_extractor_in_the_tile_engine() -> None:

@@ -57,13 +57,13 @@ class _BlockedWorker:
         self.release = threading.Event()
         forward = server._forward
 
-        def hooked(entry, omegas, resolution):
+        def hooked(entry, omegas, resolution, trace):
             if not self.started.is_set():
                 self.started.set()
                 assert self.release.wait(timeout=30)
             else:
                 self.order.extend(float(w[0]) for w in omegas)
-            return forward(entry, omegas, resolution)
+            return forward(entry, omegas, resolution, trace=trace)
 
         server._forward = hooked
 

@@ -9,6 +9,13 @@ overrides on the executors), and the fleet's *modelled* interconnect (a
 a cost model).  ``serve_fleet2d`` builds a fleet with a memory cache and
 the serial executor and sets none of them, so they were deleted.
 
+Two more went when hang failover moved into the fleet: the
+``await_result`` drain helper (the watchdog heals every fleet future,
+so no caller needs one) and the storm replay (``serve/replay.py``:
+scenarios, traces, event logs, scripted chaos and its harness), which
+no workload ran and ``tests/serve/test_fleet_sim.py``'s state machine
+replaced.
+
 The cache is the byte-bounded memory LRU; pools still run their
 creator's backend and dtype; the fleet measures what it serves and
 models nothing.  The deleted names may not appear anywhere under
@@ -48,6 +55,15 @@ BANNED_SERVED = {
     "send_calls": r"\bsend_calls\b",
     "virtual_comm_seconds": r"\bvirtual_comm_seconds\b",
     "ServerConfig.backend": r"\b(?:ServerConfig|config)\.backend\b",
+    # The drain helper and the storm replay.
+    "await_result": r"\bawait_result\b",
+    "ReplayHarness": r"\bReplayHarness\b",
+    "Scenario": r"\bScenario\b",
+    "ShardChaos": r"\bShardChaos\b",
+    "TenantSpec": r"\bTenantSpec\b",
+    "build_trace": r"\bbuild_trace\b",
+    "event_log": r"\bevent_log\b",
+    "serve.replay": r"\bserve\.replay\b|from \.replay\b",
 }
 # Dataclass fields that held the deleted features' settings and counts.
 DELETED_FIELDS = [
@@ -159,6 +175,14 @@ SERVED_IDIOMS = {
     "send_calls": "merged.send_calls = log.send_calls\n",
     "virtual_comm_seconds": "# charged to virtual_comm_seconds\n",
     "ServerConfig.backend": "set_backend(self.config.backend)\n",
+    "await_result": "u = fleet.await_result(fleet.submit(name, omega))\n",
+    "ReplayHarness": "report = ReplayHarness(fleet, scenario).run()\n",
+    "Scenario": "scenario = Scenario(name='storm', seed=7)\n",
+    "ShardChaos": "chaos = ShardChaos(shard)\n",
+    "TenantSpec": "tenants = (TenantSpec('bulk', weight=2.0),)\n",
+    "build_trace": "events = build_trace(scenario)\n",
+    "event_log": "log = event_log(events)\n",
+    "serve.replay": "from repro.serve.replay import VirtualClock\n",
 }
 
 
@@ -170,13 +194,16 @@ def test_guard_catches_each_deleted_name(idiom: str) -> None:
 
 def test_guard_allows_the_vocabulary_that_stays() -> None:
     """The memory budget, the executors' creator capture, the backend
-    module and a process child's re-initialisation are not banned."""
+    module, a process child's re-initialisation, the watchdog's expiry
+    and a replayed request set are not banned."""
     assert _served_features(
         "cache = LRUCache(self.config.cache_bytes)\n"
         "self._backend, self._dtype = _capture_context()\n"
         "from ..backend import reset_after_fork\n"
         "initargs=(self._backend, self._dtype)\n"
         "# .numpy() realizes the fused forward under the lazy backend.\n"
+        "fleet.expire_hung(time.monotonic())  # the watchdog's one call\n"
+        "# replay the request set (a second pass hits the cache)\n"
     ) == []
 
 

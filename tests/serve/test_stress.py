@@ -18,6 +18,7 @@ unlucky.
 """
 
 import faulthandler
+import sys
 import threading
 
 import numpy as np
@@ -26,7 +27,8 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    ModelRegistry, PredictionServer, ServerConfig, ServerOverloaded,
+    FleetConfig, FleetUnavailable, ModelRegistry, PredictionServer,
+    ServerConfig, ServerOverloaded, ShardedFleet,
 )
 
 RNG = np.random.default_rng(47)
@@ -195,3 +197,55 @@ class TestProcessExecutorStorm:
         assert not server._inflight
         # close() released the pool; the next use would rebuild lazily.
         assert server._executor is None
+
+
+class TestWatchdogStorm:
+    def test_watchdog_racing_every_answer_loses_nothing(self, served):
+        """A 2 ms hang budget against ~ms forwards: the fleet's watchdog
+        expires attempts while shard workers answer them, under a 1 µs
+        switch interval and more clients than cores.  Every future
+        resolves (served, or unavailable once every replica has been
+        expired on it), every served field is its own ω's, and the
+        ledger loses nothing."""
+        model, problem, _ = served
+        fleet = ShardedFleet(FleetConfig(
+            shards=3, replicas=2, shard_timeout_s=0.002,
+            server=ServerConfig(max_batch=2, max_wait_ms=0.0, workers=1,
+                                cache_bytes=0)))
+        fleet.register_model("m", model, problem)
+        omegas = RNG.uniform(-3, 3, (6, 8, 4))
+        barrier = threading.Barrier(len(omegas))
+        served_rows, verdicts, errors = [], [], []
+
+        def client(rows) -> None:
+            try:
+                barrier.wait(timeout=30)
+                for w, f in [(w, fleet.submit("m", w)) for w in rows]:
+                    try:
+                        served_rows.append((w, f.result(timeout=60)))
+                    except FleetUnavailable as exc:
+                        verdicts.append(exc)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fleet:
+                threads = [threading.Thread(target=client, args=(rows,),
+                                            daemon=True) for rows in omegas]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=90)
+                    assert not t.is_alive(), "client thread wedged"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        s = fleet.stats
+        assert s.submitted == 48 and s.lost == 0
+        assert (s.served, s.unavailable) == (len(served_rows), len(verdicts))
+        assert len(served_rows) + len(verdicts) == 48
+        for w, u in served_rows:
+            np.testing.assert_allclose(
+                u, predict_batch(model, problem, w)[0], atol=1e-5)

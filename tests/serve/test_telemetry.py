@@ -1,53 +1,40 @@
-"""Unified telemetry: golden traces, conservation cross-checks, metrics.
+"""Unified telemetry: sampling, conservation cross-checks, metrics.
 
 Contracts pinned here:
 
-* **Golden traces** — a seeded replay of the committed storm scenario
-  under a shared :class:`VirtualClock` exports *byte-identical* span
-  jsonl across two fresh runs: every timestamp is a pure function of
-  the trace, never of the wall clock.
-* **Well-formed span trees** — no orphan ``parent_id``s, child
-  intervals nested inside their parents, sequential ids.
+* **Sampling** — one root in N is traced, and an unsampled root
+  suppresses its whole subtree.
 * **Conservation cross-check** — the ``fleet.*`` names read the
   fleet's counter ledger, the ``stats.fleet.*`` views read the merged
   ``FleetStats`` snapshot.  Both must satisfy the request conservation
   law (``submitted`` and the outcome terms are counted at different
-  event sites) and agree with each other, under storms and chaos alike.
+  event sites) and agree with each other, inline and under live chaos.
 * **Zero overhead when off** — the disabled tracer/span are falsy
   no-ops; a server or fleet without telemetry holds the null tracer
   and a ``None`` bundle handle.
+
+The golden traces (byte-identical span jsonl, well-formed span trees,
+root outcomes that are conservation terms) are the fleet simulation's:
+``tests/serve/test_fleet_sim.py``.
 """
 
-import hashlib
 import json
-from pathlib import Path
+import threading
 
+import numpy as np
 import pytest
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, FleetStats,
-    MetricsRegistry, PredictionServer, QuantileSketch, ReplayHarness,
-    Scenario, ServerConfig, ShardedFleet, Telemetry, TenantSpec, Tracer,
-    VirtualClock, export_jsonl, format_summary, load_scenario, parse_jsonl,
-    summarize_spans,
+    NULL_SPAN, NULL_TRACER, FleetConfig, FleetStats, MetricsRegistry,
+    PredictionServer, QuantileSketch, ServerConfig, ShardedFleet, Telemetry,
+    Tracer, export_jsonl, format_summary, parse_jsonl, summarize_spans,
 )
-
-STORM_JSON = (Path(__file__).resolve().parents[2]
-              / "benchmarks" / "scenarios" / "storm.json")
+from tests.serve.test_fleet_sim import VirtualClock
 
 # The request conservation law: submitted == sum of terminal outcomes.
 CONSERVED = ("served", "rejected", "expired", "errors", "cancelled",
              "unavailable")
-
-# sha256 of the storm replay's jsonl artifacts (the golden-trace recipe
-# in ``_virtual_run``).
-STORM_DIGESTS = {
-    "event_log":
-        "c6303bb7a0dc9c7b736a50c4b5e573c12f974341ebe1fd2e744427377b4c1b05",
-    "span_log":
-        "1428dbe504993bc31d8c39e740e48f97426f15b9f700fd0025a89e717cbe00ce",
-}
 
 
 @pytest.fixture(scope="module")
@@ -64,105 +51,45 @@ def _fleet(shards=3, **fleet_kw) -> ShardedFleet:
                             cache_bytes=0), **fleet_kw))
 
 
-def _scenario(**kw) -> Scenario:
-    kw.setdefault("name", "unit")
-    kw.setdefault("seed", 7)
-    kw.setdefault("duration_s", 1.0)
-    kw.setdefault("models", ("m0", "m1"))
-    return Scenario(**kw)
+def _kill(server) -> None:
+    def dead(*args, **kwargs):
+        raise ConnectionError("killed")
+    server.submit = dead
 
 
-def _virtual_run(served, scenario, *, trace_sample=1):
-    """The golden-trace recipe: shared VirtualClock, *unstarted* fleet
-    (submits process inline on the single pacing thread), no client
-    retry.  Returns (fleet, telemetry, report)."""
+def _inline_run(served, requests, *, trace_sample=1, kill_primary=False):
+    """Seeded reads on an *unstarted* fleet (submits run inline) under a
+    shared VirtualClock; with ``kill_primary`` the primary of ``m0`` is
+    dead, so its reads fail over.  Returns (fleet, telemetry)."""
     model, problem = served
     clock = VirtualClock()
     telemetry = Telemetry(clock=clock, trace_sample=trace_sample)
     fleet = _fleet(shards=3)
-    for name in scenario.models:
+    for name in ("m0", "m1"):
         fleet.register_model(name, model, problem)
-    report = ReplayHarness(fleet, scenario, clock=clock,
-                           telemetry=telemetry).run()
-    return fleet, telemetry, report
+    fleet.enable_telemetry(telemetry)
+    if kill_primary:
+        _kill(fleet._by_id[fleet.replicas_for("m0")[0]].server)
+    rng = np.random.default_rng(7)
+    for i in range(requests):
+        clock.advance(0.01)
+        fleet.submit(f"m{i % 2}", rng.uniform(-1, 1, 4)).result()
+    return fleet, telemetry
 
 
-# --------------------------------------------------------------------- #
-# Golden traces
-# --------------------------------------------------------------------- #
-class TestGoldenTrace:
-    def test_storm_span_log_is_byte_identical(self, served):
-        scenario = load_scenario(STORM_JSON)
-        _, _, a = _virtual_run(served, scenario)
-        _, _, b = _virtual_run(served, scenario)
-        assert a.span_log() == b.span_log()
-        assert len(a.span_log().splitlines()) > 100
+def _roots(telemetry):
+    return [s for s in telemetry.tracer.spans() if s.name == "fleet.request"]
 
-    @pytest.mark.parametrize("artifact", sorted(STORM_DIGESTS))
-    def test_storm_logs_match_their_pinned_digests(self, served, artifact):
-        """Byte-identical across runs is not enough: the logs are pinned
-        to the bytes earlier commits produced, so a change that reshapes
-        what the fleet does under the storm shows up here."""
-        _, _, report = _virtual_run(served, load_scenario(STORM_JSON))
-        text = report.log if artifact == "event_log" else report.span_log()
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == STORM_DIGESTS[artifact]
 
-    def test_span_tree_is_well_formed(self, served):
-        scenario = load_scenario(STORM_JSON)
-        _, _, report = _virtual_run(served, scenario)
-        spans = parse_jsonl(report.span_log())
-        assert spans
-        by_id = {s["span_id"] for s in spans}
-        assert len(by_id) == len(spans)            # unique ids
-        ids = [s["span_id"] for s in spans]
-        assert ids == sorted(ids)                  # export is id-ordered
-        intervals = {s["span_id"]: (s["start"], s["end"]) for s in spans}
-        for s in spans:
-            assert s["end"] >= s["start"]
-            parent = s.get("parent_id")
-            if parent is None:
-                continue
-            assert parent in by_id, f"orphan span {s['span_id']}"
-            p_start, p_end = intervals[parent]
-            assert p_start <= s["start"]           # child opened inside
-            assert s["end"] <= p_end               # ... and closed inside
-
-    def test_root_outcomes_are_conservation_terms(self, served):
-        scenario = load_scenario(STORM_JSON)
-        _, _, report = _virtual_run(served, scenario)
-        roots = [s for s in parse_jsonl(report.span_log())
-                 if s["name"] == "fleet.request"]
-        assert len(roots) == report.requests
-        outcomes = {s["attrs"]["outcome"] for s in roots}
-        assert outcomes <= set(CONSERVED)
-        assert sum(1 for s in roots
-                   if s["attrs"]["outcome"] == "served") == report.served
-
-    def test_virtual_hang_advances_time_without_blocking(self, served):
-        """The storm schedules a hang; under the virtual clock the
-        stalled wrapper advances time to the release instead of
-        sleeping, so some span durations are positive."""
-        scenario = load_scenario(STORM_JSON)
-        _, _, report = _virtual_run(served, scenario)
-        durs = [s["dur"] for s in parse_jsonl(report.span_log())]
-        assert max(durs) > 0.0
-
+class TestSampling:
     def test_sampling_traces_one_root_in_n(self, served):
-        scenario = _scenario(arrivals=ArrivalSpec(rate=40.0))
-        _, _, dense = _virtual_run(served, scenario, trace_sample=1)
-        _, _, sparse = _virtual_run(served, scenario, trace_sample=4)
-
-        def roots(report):
-            return [s for s in parse_jsonl(report.span_log())
-                    if s["name"] == "fleet.request"]
-
-        n_dense, n_sparse = len(roots(dense)), len(roots(sparse))
-        assert n_dense == dense.requests
+        _, dense = _inline_run(served, 12, trace_sample=1)
+        _, sparse = _inline_run(served, 12, trace_sample=4)
+        n_dense, n_sparse = len(_roots(dense)), len(_roots(sparse))
+        assert n_dense == 12
         # Unsampled roots suppress their whole subtree.
         assert n_sparse == -(-n_dense // 4)
-        assert len(parse_jsonl(sparse.span_log())) < len(
-            parse_jsonl(dense.span_log()))
+        assert len(sparse.tracer.spans()) < len(dense.tracer.spans())
 
 
 # --------------------------------------------------------------------- #
@@ -189,8 +116,7 @@ class TestConservationCrossCheck:
         in it is accounted for exactly when it is an outcome term; the
         machinery counts (failovers, hangs, probes, ...) never close
         the law."""
-        fleet, telemetry, _ = _virtual_run(
-            served, _scenario(duration_s=0.2))
+        fleet, telemetry = _inline_run(served, 4, kill_primary=True)
         terms = {n[len("fleet."):] for n in telemetry.metrics.names()
                  if n.startswith("fleet.")}
         assert terms == set(fleet._c)
@@ -198,47 +124,54 @@ class TestConservationCrossCheck:
                    if FleetStats(submitted=1, **{t: 1}).lost == 0}
         assert closing == set(CONSERVED)
 
-    def test_storm_virtual(self, served):
-        fleet, telemetry, report = _virtual_run(
-            served, load_scenario(STORM_JSON))
-        assert report.requests > 0
-        _assert_reconciled(fleet, telemetry)
-
     def test_chaos_live(self, served):
-        """Kill + hang + flap against a *started* fleet, real clock:
-        the mirrored counters accumulate from worker threads and must
-        still reconcile exactly."""
+        """Kill + hang against a *started* fleet, real clock: the
+        mirrored counters accumulate from worker threads and the
+        watchdog, and must still reconcile exactly."""
         model, problem = served
-        scenario = _scenario(
-            name="chaos", seed=11, duration_s=1.2,
-            arrivals=ArrivalSpec(rate=40.0),
-            tenants=(TenantSpec("interactive", weight=1.0, priority=5),
-                     TenantSpec("bulk", weight=2.0)),
-            faults=(FaultSpec(t=0.2, op="flap", shard=1, period_s=0.3,
-                              count=2),
-                    FaultSpec(t=0.4, op="kill", shard=2, duration_s=0.5),
-                    FaultSpec(t=0.6, op="hang", shard=0, duration_s=0.3)))
         telemetry = Telemetry()
         fleet = _fleet(shards=3, shard_timeout_s=0.2)
         fleet.register_model("m0", model, problem)
         fleet.register_model("m1", model, problem)
+        fleet.enable_telemetry(telemetry)
+        dead, slow = fleet.shards[0].server, fleet.shards[1].server
+        _kill(dead)
+        release = threading.Event()
+        forward = slow._forward
+
+        def hung(entry, omegas, resolution, trace):
+            assert release.wait(timeout=60)
+            return forward(entry, omegas, resolution, trace=trace)
+
+        slow._forward = hung
+        rng = np.random.default_rng(11)
         with fleet:
-            report = ReplayHarness(fleet, scenario,
-                                   telemetry=telemetry).run()
-        assert report.requests > 0
+            futures = []
+            for i in range(16):
+                try:
+                    futures.append(fleet.submit(f"m{i % 2}",
+                                                rng.uniform(-1, 1, 4)))
+                except Exception:
+                    pass                 # a verdict, counted all the same
+            for future in futures:
+                try:
+                    future.result(timeout=30)
+                except Exception:
+                    pass
+            release.set()
+        s = fleet.stats
+        assert s.submitted == 16 and s.shard_faults >= 1 and s.hangs >= 1
         _assert_reconciled(fleet, telemetry)
 
     def test_flat_load_no_faults(self, served):
-        fleet, telemetry, report = _virtual_run(
-            served, _scenario(duration_s=0.5,
-                              arrivals=ArrivalSpec(rate=30.0)))
-        assert report.served == report.requests
+        fleet, telemetry = _inline_run(served, 15)
+        assert fleet.stats.served == 15
         _assert_reconciled(fleet, telemetry)
 
     def test_no_resilience_views_registered(self, served):
         """The fleet has no resilience seam, so telemetry names no
         retry, hedge or breaker counters."""
-        _, telemetry, _ = _virtual_run(served, _scenario(duration_s=0.3))
+        _, telemetry = _inline_run(served, 3, kill_primary=True)
         assert not [n for n in telemetry.metrics.names()
                     if n.startswith(("stats.retry.", "stats.hedge.",
                                      "stats.breaker.", "fleet.retr"))]
@@ -448,11 +381,9 @@ class TestSummarize:
 
     def test_trace_summarize_cli(self, served, tmp_path, capsys):
         from repro.cli import main
-        _, _, report = _virtual_run(
-            served, _scenario(duration_s=0.3,
-                              arrivals=ArrivalSpec(rate=20.0)))
+        _, telemetry = _inline_run(served, 6, kill_primary=True)
         path = tmp_path / "spans.jsonl"
-        path.write_text(report.span_log())
+        path.write_text(telemetry.tracer.export_jsonl())
         assert main(["trace", "summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "fleet.request" in out and "stage" in out

@@ -6,7 +6,7 @@ conservation-law term.  The parity test drives one stub shard that
 raises each exception class in turn — synchronously from ``submit``,
 and asynchronously through the attempt future — read through both fleet
 front-ends (``submit(...).result()`` and the blocking ``predict``, which
-drains through ``await_result``), and checks every combination counts
+is ``submit(...).result(timeout)`` too), and checks every combination counts
 the *same* ``FleetStats`` term, stamps the paired root- and attempt-span
 outcomes, ejects the shard only when there is no verdict (a shard
 fault), and conserves the request.
