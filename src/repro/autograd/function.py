@@ -13,9 +13,12 @@ order by :meth:`repro.autograd.tensor.Tensor.backward`.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any
 
 import numpy as np
+
+from . import profiler
 
 __all__ = ["Context", "Function", "no_grad", "is_grad_enabled"]
 
@@ -95,6 +98,8 @@ class Function:
     def apply(cls, *args: Any, **kwargs: Any):
         from .tensor import Tensor
 
+        profiles = profiler.running
+        t0 = time.perf_counter() if profiles else 0.0
         ctx = Context(
             tuple(isinstance(a, Tensor) and a.requires_grad for a in args)
             if is_grad_enabled() else (False,) * len(args))
@@ -107,6 +112,9 @@ class Function:
             out._ctx = ctx
             out._fn = cls
             out._parents = tuple(a if isinstance(a, Tensor) else None for a in args)
+        if profiles:
+            profiler.record(profiles, "forward", cls.__name__,
+                            time.perf_counter() - t0)
         return out
 
 

@@ -1,20 +1,27 @@
 """Op-level profiler for the autograd engine.
 
-'No optimization without measuring' — this context manager hooks
-``Function.apply`` and the backward dispatcher to record per-op call
-counts and wall time, so hot spots (invariably the N-d convolutions) can
-be identified without external tooling.
+'No optimization without measuring' — while a :class:`profile` is open,
+``Function.apply`` and ``Tensor.backward``'s per-node dispatch time every
+op into it, so hot spots (invariably the N-d convolutions) can be
+identified without external tooling.
+
+Both read one module-level tuple, :data:`running`, of the profiles that
+are open.  Opening and closing replace the tuple, never mutate it, so an
+op reads it once without a lock, and profiles may close in any order (two
+threads' sessions interleave).  Profiles are process-wide: an op on any
+thread records into every open profile, and a backward step into the
+profiles open when it runs.
 """
 
 from __future__ import annotations
 
-import time
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .function import Function
+from ..backend import PoolStats, get_pool
 
-__all__ = ["OpStats", "PoolReport", "Profile", "profile"]
+__all__ = ["OpStats", "Profile", "profile"]
 
 
 @dataclass
@@ -30,39 +37,17 @@ class OpStats:
 
 
 @dataclass
-class PoolReport:
-    """Buffer-pool activity observed during one profiling session.
-
-    Deltas of the active backend's :class:`repro.backend.PoolStats`
-    between ``__enter__`` and ``__exit__`` — plus the pool's (cumulative)
-    high-water mark, the number to size ``max_bytes`` from.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    bytes_recycled: int = 0
-    high_water_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def line(self) -> str:
-        return (f"buffer pool: {self.hits} hits / {self.misses} misses "
-                f"({100 * self.hit_rate:.0f}%), "
-                f"{self.bytes_recycled >> 20} MiB recycled, "
-                f"high water {self.high_water_bytes >> 20} MiB")
-
-
-@dataclass
 class Profile:
-    """Result of a profiling session."""
+    """Result of a profiling session.
+
+    ``pool`` is the active backend's buffer-pool activity over the
+    session: the counters as deltas, ``bytes_pooled`` and
+    ``high_water_bytes`` as read at its close.
+    """
 
     forward: dict[str, OpStats] = field(default_factory=dict)
     backward: dict[str, OpStats] = field(default_factory=dict)
-    pool: PoolReport | None = None
+    pool: PoolStats | None = None
 
     def total_seconds(self) -> float:
         return (sum(s.seconds for s in self.forward.values())
@@ -82,9 +67,27 @@ class Profile:
         for name, s in rows:
             lines.append(f"{name:<28}{s.calls:>8}{s.seconds:>10.4f}"
                          f"{s.ms_per_call:>10.3f}{100 * s.seconds / total:>6.1f}%")
-        if self.pool is not None:
-            lines.append(self.pool.line())
+        p = self.pool
+        if p is not None:
+            lines.append(f"buffer pool: {p.hits} hits / {p.misses} misses "
+                         f"({100 * p.hit_rate:.0f}%), "
+                         f"{p.bytes_recycled >> 20} MiB recycled, "
+                         f"high water {p.high_water_bytes >> 20} MiB")
         return "\n".join(lines)
+
+
+running: tuple[Profile, ...] = ()
+_running_lock = threading.Lock()
+
+
+def record(profiles: tuple[Profile, ...], direction: str, name: str,
+           seconds: float) -> None:
+    """Count one ``direction`` ("forward" or "backward") call of op
+    ``name`` taking ``seconds`` into each of ``profiles``."""
+    for prof in profiles:
+        stats = getattr(prof, direction).setdefault(name, OpStats())
+        stats.calls += 1
+        stats.seconds += seconds
 
 
 class profile:
@@ -98,53 +101,22 @@ class profile:
     """
 
     def __enter__(self) -> Profile:
-        from ..backend import get_pool
-
+        global running
         self.result = Profile()
         self._pool_before = get_pool().stats.snapshot()
-        self._orig_apply = Function.apply.__func__
-
-        profiler = self.result
-
-        def timed_apply(cls, *args, **kwargs):
-            t0 = time.perf_counter()
-            out = self._orig_apply(cls, *args, **kwargs)
-            dt = time.perf_counter() - t0
-            stats = profiler.forward.setdefault(cls.__name__, OpStats())
-            stats.calls += 1
-            stats.seconds += dt
-            # Wrap backward dispatch once per op instance.
-            if out._fn is not None:
-                fn = out._fn
-                orig_backward = fn.backward
-
-                class _Timed(fn):  # type: ignore[misc, valid-type]
-                    @staticmethod
-                    def backward(ctx, grad):
-                        t0 = time.perf_counter()
-                        res = orig_backward(ctx, grad)
-                        dt = time.perf_counter() - t0
-                        bstats = profiler.backward.setdefault(
-                            fn.__name__, OpStats())
-                        bstats.calls += 1
-                        bstats.seconds += dt
-                        return res
-
-                _Timed.__name__ = fn.__name__
-                out._fn = _Timed
-            return out
-
-        Function.apply = classmethod(timed_apply)
+        with _running_lock:
+            running = running + (self.result,)
         return self.result
 
     def __exit__(self, *exc) -> None:
-        from ..backend import get_pool
-
-        Function.apply = classmethod(self._orig_apply)
-        after, before = get_pool().stats, self._pool_before
-        self.result.pool = PoolReport(
+        global running
+        with _running_lock:
+            running = tuple(p for p in running if p is not self.result)
+        after, before = get_pool().stats.snapshot(), self._pool_before
+        self.result.pool = PoolStats(
             hits=after.hits - before.hits,
             misses=after.misses - before.misses,
             evictions=after.evictions - before.evictions,
+            bytes_pooled=after.bytes_pooled,
             bytes_recycled=after.bytes_recycled - before.bytes_recycled,
             high_water_bytes=after.high_water_bytes)

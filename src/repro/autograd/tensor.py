@@ -10,6 +10,7 @@ each is fully general (arbitrary rank, broadcasting where meaningful).
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from ..backend import ops as B
 from ..backend import is_lazy, realize
 from ..backend.dtype import get_default_dtype, set_default_dtype
+from . import profiler
 from .function import Context, Function, is_grad_enabled
 
 __all__ = ["Tensor", "set_default_dtype", "get_default_dtype"]
@@ -161,7 +163,12 @@ class Tensor:
                 else:
                     node.grad = node.grad + g
                 continue
+            profiles = profiler.running
+            t0 = time.perf_counter() if profiles else 0.0
             parent_grads = node._fn.backward(node._ctx, g)
+            if profiles:
+                profiler.record(profiles, "backward", node._fn.__name__,
+                                time.perf_counter() - t0)
             if not isinstance(parent_grads, tuple):
                 parent_grads = (parent_grads,)
             for p, pg in zip(node._parents, parent_grads):

@@ -11,7 +11,7 @@ Public surface::
     from repro.backend import ops as B          # op dispatcher
     from repro.backend import set_backend, get_backend, use_backend
     from repro.backend import set_default_dtype, dtype_scope
-    from repro.backend import get_pool          # pooled scratch buffers
+    from repro.backend import get_pool          # per-thread scratch arenas
     from repro.backend import plan_conv         # conv-engine geometry memo
 """
 
@@ -47,7 +47,7 @@ __all__ = [
 
 
 def get_pool() -> BufferPool:
-    """The active backend's pooled buffer allocator."""
+    """The active backend's scratch-arena pool."""
     return get_backend().pool
 
 

@@ -247,14 +247,12 @@ class LazyArray:
         """Concrete NumPy array for this node (realizes)."""
         return self._realize()
 
-    def _pool_buffer(self) -> np.ndarray | None:
-        """Realized buffer for :class:`~repro.backend.pool.BufferPool`
-        recycling; ``None`` (drop, don't force) while pending."""
-        return self._buf
-
-    def __array__(self, dtype: Any = None) -> np.ndarray:
+    def __array__(self, dtype: Any = None, copy: bool | None = None
+                  ) -> np.ndarray:
         buf = self._realize()
-        return buf.astype(dtype) if dtype is not None else buf
+        if dtype is not None:
+            return buf.astype(dtype)
+        return buf.copy() if copy else buf
 
     # ------------------------------------------------------------------ #
     # Shape metadata (no realization)

@@ -45,11 +45,11 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..backend import get_backend, get_default_dtype, get_pool, ops as B
+from ..backend import get_backend, get_default_dtype, ops as B
 from ..backend import reset_after_fork
 from ..backend.tuning import blas_threads, default_workers, pin_blas_threads
 from ..core.trainer import (TrainConfig, Trainer, TrainResult, backward_pass,
@@ -290,12 +290,6 @@ class DPResult(TrainResult):
     virtual_compute_seconds: float = 0.0
     virtual_comm_seconds: float = 0.0
     steps: int = 0
-    # Buffer-pool accounting of the calling process (allocation traffic
-    # its pool absorbed): per-epoch recycled bytes, and the pool's
-    # high-water mark after the run — the number to size
-    # BufferPool.max_bytes from.
-    pool_bytes_recycled: list[int] = field(default_factory=list)
-    pool_high_water_bytes: int = 0
 
     @property
     def measured_wall(self) -> float:
@@ -429,8 +423,8 @@ class DataParallelTrainer(Trainer):
 
     def run_epoch(self, resolution: int,
                   result: DPResult | None = None) -> float:
-        """The base epoch, then this epoch's pool and virtual-comm
-        accounting and the batch-norm averaging."""
+        """The base epoch, then this epoch's virtual-comm accounting and
+        the batch-norm averaging."""
         if self._group is None:     # an epoch outside ``_train``
             self._group = self._new_group(1)
             try:
@@ -438,13 +432,9 @@ class DataParallelTrainer(Trainer):
             finally:
                 self._group = None
         result = result or self._new_result(resolution)
-        pool, log = get_pool(), self.comm.log
-        recycled_before = pool.stats.bytes_recycled
+        log = self.comm.log
         comm_before = log.virtual_comm_seconds
         loss = super().run_epoch(resolution, result)
-        result.pool_bytes_recycled.append(
-            pool.stats.bytes_recycled - recycled_before)
-        result.pool_high_water_bytes = pool.stats.high_water_bytes
         result.virtual_comm_seconds += log.virtual_comm_seconds - comm_before
         if self.config.sync_batchnorm_stats:
             self._sync_bn_stats()

@@ -15,11 +15,10 @@ Every step's per-rank traffic is accounted, so tests can check the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import get_pool, ops as B
 
 __all__ = ["RingStats", "ring_allreduce"]
 
@@ -92,15 +91,8 @@ def ring_allreduce(buffers: list[np.ndarray], average: bool = False
         return [out], stats
 
     chunks = _chunk_slices(n, p)
-    # Per-rank accumulation buffers come from the backend pool: gradient
-    # fusion buffers are identical in shape every step, so steady-state
-    # training reuses the same p allocations instead of churning them.
-    pool = get_pool()
-    work = []
-    for b in buffers:
-        w = pool.acquire(b.shape, np.float64)
-        B.copyto(w, b)
-        work.append(w)
+    # Per-rank float64 accumulation rows, one fresh copy of each input.
+    work = [np.array(b, dtype=np.float64) for b in buffers]
 
     # Phase 1: scatter-reduce.  At step s, rank r sends chunk (r - s) mod p
     # to rank (r + 1) mod p, which accumulates it.
@@ -135,7 +127,4 @@ def ring_allreduce(buffers: list[np.ndarray], average: bool = False
     if average:
         for w in work:
             w /= p
-    out = [w.astype(buffers[0].dtype) for w in work]
-    for w in work:
-        pool.release(w)
-    return out, stats
+    return [w.astype(buffers[0].dtype) for w in work], stats

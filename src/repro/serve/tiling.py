@@ -37,10 +37,9 @@ forward up to the rounding of a GEMM evaluated at another column offset
 
 The blocks of one sweep are *independent* (disjoint cores, read-only
 input): pass an :class:`~repro.serve.executor.Executor` to fan them
-across a thread or process pool.  Thread workers share the model and the
-(thread-safe) :class:`BufferPool` the block scratch comes from, each
-with its own conv arena in it; process
-workers receive the pickled network bytes with each task but *unpickle*
+across a thread or process pool.  Thread workers share the model and read
+their blocks as views of the shared input, each with its own conv arena
+in the (thread-safe) :class:`BufferPool`; process workers receive the pickled network bytes with each task but *unpickle*
 it only once per model version (per-process cache) — the models are
 small, it is the fields that are megavoxel — and each child owns its own
 backend and pool.  Tasks go out in bounded waves and every core lands in
@@ -64,7 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..backend import get_pool
 from ..core.inference import apply_bc_masks, prepare_batch_inputs
 from .telemetry.trace import NULL_SPAN, NULL_TRACER
 
@@ -335,7 +333,7 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
     leaves after the down sweep and the coarse levels have run.
 
     The caller is responsible for eval mode; this function manages the
-    sweeps, scratch buffers and — when ``executor`` is a parallel
+    sweeps and — when ``executor`` is a parallel
     :class:`~repro.serve.executor.Executor` — the fan-out of each sweep's
     independent blocks across its workers.  ``tiles`` optionally
     restricts the stream to a subset of tile indices (e.g. a caller that
@@ -400,16 +398,12 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
             span = tracer.start("tile.compute", parent=trace_parent, tile=i,
                                 level=level,
                                 sweep="down" if coarse is None else "up")
-            padded, slab, core = _stage_inputs(x, coarse, blocks[i], halo)
-            # Pooled contiguous scratch: the slicing above yields a view.
-            # Thread workers each resolve their own (thread-safe) pool.
-            pool = get_pool()
-            buf = pool.acquire(padded.shape, dtype=padded.dtype)
-            np.copyto(buf, padded)
+            # The stage reads the halo-padded view in place: its first
+            # conv copies it into column scratch anyway.
             try:
-                return _run_stage(net, level, buf, slab, core)
+                return _run_stage(net, level,
+                                  *_stage_inputs(x, coarse, blocks[i], halo))
             finally:
-                pool.release(buf)
                 span.finish()
 
         if not parallel or len(ids) <= 1:
@@ -438,7 +432,7 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
                 wave_span = tracer.start("tile.wave", parent=trace_parent,
                                          first=w0, count=len(wave_ids))
                 fn, tasks = _run_stage_task, [remote_task(i) for i in wave_ids]
-            else:  # thread executor: share the model, pool scratch per task
+            else:  # thread executor: share the model and the input
                 wave_span = NULL_SPAN
                 fn, tasks = run, wave_ids
             fan_out = tracer.start("executor.map", kind=kind,

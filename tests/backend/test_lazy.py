@@ -260,6 +260,26 @@ class TestInterop:
         np.testing.assert_array_equal(np.asarray(np.matmul(a, lazy)),
                                       np.arange(16.0).reshape(4, 4))
 
+    def test_array_protocol_copies_only_when_asked(self):
+        """``np.array`` of a lazy node is a fresh (optionally cast) copy
+        and ``np.asarray`` the realized buffer itself, with no NumPy 2
+        ``copy=`` deprecation warning on either."""
+        import warnings
+
+        set_backend("lazy")
+        from repro.backend import ops as B
+
+        lazy = B.asarray(np.arange(4, dtype=np.float32)) * 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            view = np.asarray(lazy)
+            copy = np.array(lazy)
+            wide = np.array(lazy, dtype=np.float64)
+        assert np.asarray(lazy) is view
+        assert not np.shares_memory(copy, view)
+        assert wide.dtype == np.float64
+        np.testing.assert_array_equal(wide, [0, 2, 4, 6])
+
     def test_setitem_is_a_barrier(self):
         set_backend("lazy")
         from repro.backend import ops as B

@@ -164,15 +164,17 @@ class TestMechanics:
                                 DPConfig(world_size=1, batch_size=2,
                                          optimizer="lbfgs"))
 
-    def test_pool_metrics_recorded_per_epoch(self, problem, dataset):
-        t = DataParallelTrainer(_factory(), problem, dataset,
-                                DPConfig(world_size=2, batch_size=4))
-        r = t.train_epochs(8, 3)
-        assert len(r.pool_bytes_recycled) == 3
-        assert all(b >= 0 for b in r.pool_bytes_recycled)
-        # Warm epochs recycle conv scratch through the pool: after the
-        # first epoch primed the free lists, traffic must be absorbed.
-        assert r.pool_bytes_recycled[-1] > 0
+    def test_warm_epochs_recycle_conv_scratch_through_the_pool(
+            self, problem, dataset):
         from repro.backend import get_pool
 
-        assert r.pool_high_water_bytes == get_pool().stats.high_water_bytes
+        t = DataParallelTrainer(_factory(), problem, dataset,
+                                DPConfig(world_size=2, batch_size=4))
+        t.train_epochs(8, 1)
+        before = get_pool().stats.snapshot()
+        t.train_epochs(8, 2)
+        after = get_pool().stats
+        # After the first epoch grew this thread's arena, every conv call
+        # of a warm epoch is a hit on it.
+        assert after.bytes_recycled > before.bytes_recycled
+        assert after.misses == before.misses

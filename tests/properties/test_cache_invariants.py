@@ -1,10 +1,11 @@
 """Randomized-op invariant tests for the serving cache and buffer pool.
 
 Unit tests pin single behaviors; these machines drive :class:`LRUCache`
-(the byte-bounded memory LRU) and :class:`BufferPool` through ~1k random
-operations per seed and re-check the structural invariants after
-*every* op — the byte bounds, accounting identities and aliasing rules
-the concurrent server leans on.  Failures print the seed and op index,
+(the byte-bounded memory LRU) and :class:`BufferPool` (one scratch arena
+per thread) through ~1k random operations per seed and re-check the
+structural invariants after *every* op — the byte bounds, accounting
+identities and aliasing rules the concurrent server and the conv engine
+lean on.  Failures print the seed and op index,
 so any counterexample replays deterministically.
 """
 
@@ -134,67 +135,127 @@ def test_lru_cache_invariants_under_concurrent_ops(seed):
 
 
 POOL_BUDGET = 64 * 1024
-POOL_SHAPES = [(8,), (16, 16), (32, 32), (7, 9), (64, 64)]
+MAX_ARENA = 40_000       # rounded up to 40 KiB: a few parked ones pass the budget
 
 
-def _check_pool(pool: BufferPool, high_water_before: int, ctx: str) -> None:
+def _check_pool(pool: BufferPool, high_water_before: int, ctx: str) -> int:
+    """The byte books of the parked arenas; returns the high-water mark
+    read, for the next check's monotonicity."""
     with pool._lock:
-        free_bytes = sum(a.nbytes for bucket in pool._free.values()
-                         for a in bucket)
-        assert pool.stats.bytes_pooled == free_bytes, ctx
-        assert pool.stats.bytes_pooled <= pool.max_bytes, \
-            f"{ctx}: pool budget exceeded"
-        assert pool.stats.high_water_bytes >= high_water_before, \
-            f"{ctx}: high-water mark went backwards"
-        assert pool.stats.high_water_bytes >= pool.stats.bytes_pooled, ctx
+        parked = [arena for arena, in pool._parked.values()
+                  if arena is not None]
+        pooled = pool.stats.bytes_pooled
+        high_water = pool.stats.high_water_bytes
+    assert pooled == sum(a.nbytes for a in parked), ctx
+    assert pooled <= pool.max_bytes, f"{ctx}: pool budget exceeded"
+    assert high_water >= high_water_before, \
+        f"{ctx}: high-water mark went backwards"
+    assert high_water >= pooled, ctx
+    return high_water
+
+
+def _overlaps(arena: np.ndarray, others) -> bool:
+    return any(np.shares_memory(arena, other) for other in others)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_buffer_pool_invariants_under_random_ops(seed):
+    """Random nested ``arena`` calls and ``clear`` on one thread: no two
+    live arenas overlap, none is written by another call, and the books
+    close after every op."""
     rng = np.random.default_rng(seed)
     pool = BufferPool(max_bytes=POOL_BUDGET)
-    leased: dict[int, np.ndarray] = {}      # id -> live buffer we hold
+    held: list[tuple[object, int, np.ndarray]] = []   # innermost last
+    high_water = opens = 0
 
     for step in range(N_OPS):
         ctx = f"seed={seed} step={step}"
-        high_water = pool.stats.high_water_bytes
-        op = rng.choice(["acquire", "release", "zeros", "clear"],
-                        p=[0.45, 0.40, 0.10, 0.05])
-        if op in ("acquire", "zeros"):
-            shape = POOL_SHAPES[int(rng.integers(len(POOL_SHAPES)))]
-            dtype = np.float32 if rng.integers(2) else np.float64
-            arr = (pool.zeros(shape, dtype) if op == "zeros"
-                   else pool.acquire(shape, dtype))
-            assert arr.shape == tuple(shape) and arr.dtype == dtype, ctx
-            if op == "zeros":
-                assert not arr.any(), ctx
-            # No double-lease: the pool must never hand out memory that
-            # is still leased.  Holding every leased array keeps its id
-            # stable, so an id collision here is a real aliasing bug.
-            assert id(arr) not in leased, f"{ctx}: double-leased buffer"
-            arr.fill(step)          # dirty it: the next lessee must cope
-            leased[id(arr)] = arr
-        elif op == "release" and leased:
-            key = list(leased)[int(rng.integers(len(leased)))]
-            pool.release(leased.pop(key))
+        op = rng.choice(["open", "close", "clear"], p=[0.5, 0.45, 0.05])
+        if op == "open" and len(held) < 6:
+            nbytes = int(rng.integers(1, MAX_ARENA))
+            scope = pool.arena(nbytes)
+            arena = scope.__enter__()
+            opens += 1
+            assert arena.shape == (nbytes,) and arena.dtype == np.uint8, ctx
+            assert not _overlaps(arena, [a for _, _, a in held]), \
+                f"{ctx}: two live arenas overlap"
+            tag = step % 255 + 1
+            arena.fill(tag)
+            held.append((scope, tag, arena))
+        elif op == "close" and held:
+            scope, tag, arena = held.pop()
+            assert (arena == tag).all(), f"{ctx}: a live arena was written"
+            scope.__exit__(None, None, None)
         elif op == "clear":
             pool.clear()
-        _check_pool(pool, high_water, ctx)
+        high_water = _check_pool(pool, high_water, ctx)
 
-    # Conservation: every acquire was either a recycled hit or a miss.
-    assert pool.stats.hits + pool.stats.misses > 0
-    assert pool.stats.bytes_recycled >= 0
+    while held:
+        held.pop()[0].__exit__(None, None, None)
+    _check_pool(pool, high_water, f"seed={seed} end")
+    assert pool.stats.hits + pool.stats.misses == opens
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_pool_never_hands_out_released_views(seed):
-    """Releasing a view must evict it, not pool aliased memory."""
-    rng = np.random.default_rng(seed)
+def test_buffer_pool_invariants_under_concurrent_ops(seed):
+    """Four threads open nested arenas at random and one in thirty ops
+    clears the pool: no live arena overlaps another thread's or is
+    written by it, the books close at every check, and once the threads
+    have ended no arena is left in the count."""
     pool = BufferPool(max_bytes=POOL_BUDGET)
-    base = pool.acquire((32, 32))
-    evictions = pool.stats.evictions
-    pool.release(base[:16])          # a view: not poolable
-    assert pool.stats.evictions == evictions + 1
-    fresh = pool.acquire((16, 32))
-    assert fresh.base is None
-    assert not np.shares_memory(fresh, base)
+    live: dict[int, np.ndarray] = {}
+    live_lock = threading.Lock()
+    errors: list[str] = []
+    opens = [0] * 4
+    start = threading.Barrier(4)
+
+    def work(worker: int) -> None:
+        rng = np.random.default_rng([seed, worker])
+        held, high_water = [], 0
+        start.wait(timeout=30)
+        for step in range(N_OPS // 4):
+            ctx = f"seed={seed} worker={worker} step={step}"
+            op = rng.choice(["open", "close", "clear"], p=[0.5, 0.47, 0.03])
+            if op == "open" and len(held) < 4:
+                scope = pool.arena(int(rng.integers(1, MAX_ARENA // 2)))
+                arena = scope.__enter__()
+                opens[worker] += 1
+                arena.fill(worker + 1)
+                with live_lock:
+                    if _overlaps(arena, live.values()):
+                        errors.append(f"{ctx}: two live arenas overlap")
+                    live[id(scope)] = arena
+                held.append(scope)
+            elif op == "close" and held:
+                scope = held.pop()
+                with live_lock:
+                    arena = live.pop(id(scope))
+                if not (arena == worker + 1).all():
+                    errors.append(f"{ctx}: a live arena was written")
+                scope.__exit__(None, None, None)
+            elif op == "clear":
+                pool.clear()
+            try:
+                high_water = _check_pool(pool, high_water, ctx)
+            except AssertionError as exc:
+                errors.append(str(exc))
+        while held:
+            with live_lock:
+                live.pop(id(held[-1]))
+            held.pop().__exit__(None, None, None)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)          # interleave inside arena/park
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:5]
+    _check_pool(pool, 0, f"seed={seed} after join")
+    assert pool.stats.bytes_pooled == 0
+    assert pool.stats.hits + pool.stats.misses == sum(opens)

@@ -391,6 +391,48 @@ def test_a_warm_tiled_field_allocates_no_skip_concatenation() -> None:
     assert peak < 5.5 * 2 ** 20, peak / 2 ** 20
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_warm_tiled_field_parks_one_arena_per_thread_and_nothing_else(
+        monkeypatch, workers) -> None:
+    """The sweep hands each stage its halo-padded view, so after a warm
+    64^3 field by 32^3 tiles the pool holds exactly one buffer per thread
+    that ran a conv: its arena, that thread's largest call's scratch in
+    whole pages, and no copy of any block."""
+    from repro.backend import NumpyBackend, conv_plan, get_pool, use_backend
+    from repro.backend import registry
+    from repro.backend.pool import ARENA_ALIGN
+
+    # Thread workers resolve the creator's backend by name: a fresh
+    # "numpy" gives every thread of this field, and no other, one pool.
+    backend = NumpyBackend()
+    monkeypatch.setitem(registry._BACKENDS, "numpy", backend)
+    largest: dict[int, int] = collections.defaultdict(int)
+    scratch = conv_plan._scratch
+
+    def spy(dtype, *sizes):
+        me = threading.get_ident()
+        largest[me] = max(largest[me], sum(sizes) * np.dtype(dtype).itemsize)
+        return scratch(dtype, *sizes)
+
+    monkeypatch.setattr(conv_plan, "_scratch", spy)
+    model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=1)
+    problem = PoissonProblem3D(64)
+    omega = np.array([0.3, 1.5, 0.1, -1.2])
+    with use_backend(backend):
+        executor = make_executor("thread" if workers > 1 else "serial",
+                                 workers=workers)
+        try:
+            for _ in range(2):
+                tiled_predict(model, problem, omega, tile=32,
+                              executor=executor)
+            stats = get_pool().stats.snapshot()     # workers still alive
+        finally:
+            executor.close()
+    arenas = sum(-(-n // ARENA_ALIGN) * ARENA_ALIGN for n in largest.values())
+    assert stats.bytes_pooled == stats.high_water_bytes == arenas
+    assert stats.evictions == 0
+
+
 class _InlineProcessExecutor(Executor):
     """Executor that *claims* to be a process pool but runs inline (the
     base class's serial ``imap_unordered``) — the tiled path takes its
