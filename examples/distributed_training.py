@@ -45,6 +45,7 @@ def main() -> None:
     drift = max(np.abs(states[1][k] - states[4][k]).max() for k in states[1])
     print(f"max parameter drift p=1 vs p=4: {drift:.2e} "
           f"(float32 rounding only)\n")
+    assert drift < 1e-4, f"Eq. 15 broken: drift {drift:.2e}"
 
     # ------------------------------------------------------------------ #
     print("=== Ring all-reduce communication volume ===")

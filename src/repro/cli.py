@@ -385,12 +385,6 @@ def _cmd_serve(args) -> int:
         ShardedFleet,
     )
 
-    config = ServerConfig(
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        workers=args.workers, cache_bytes=args.cache_mb * 1024 * 1024,
-        tile=args.tile, tile_threshold_voxels=args.tile_threshold,
-        executor=args.executor, max_pending=args.max_pending,
-        default_deadline_s=args.default_deadline)
     sharded = args.shards > 1
     telemetry = _serve_telemetry(args)
     # Verdicts counted in the backend's stats.
@@ -398,6 +392,12 @@ def _cmd_serve(args) -> int:
     window: deque[Future] = deque()
     backend = None
     try:
+        config = ServerConfig(
+            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+            workers=args.workers, cache_bytes=args.cache_mb * 1024 * 1024,
+            tile=args.tile, tile_threshold_voxels=args.tile_threshold,
+            executor=args.executor, max_pending=args.max_pending,
+            default_deadline_s=args.default_deadline)
         if sharded:
             backend = ShardedFleet(FleetConfig(
                 shards=args.shards, replicas=args.replicas,
@@ -441,8 +441,9 @@ def _cmd_serve(args) -> int:
             # exit so worker join + pool teardown don't deflate QPS.
             wall = time.perf_counter() - t0
     except (RegistryError, ValueError, OSError) as exc:
-        # A missing checkpoint or --omega-file, an unparsable ω row, bad
-        # request parameters (ω arity, tile/halo alignment, ...).
+        # A missing checkpoint or --omega-file, an unparsable ω row, a
+        # bad server setting, bad request parameters (ω arity, tile/halo
+        # alignment, ...).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -325,6 +325,8 @@ class DataParallelTrainer(Trainer):
                  comm_time_model=None,
                  compute_time_per_sample: float | None = None) -> None:
         batch, world = config.batch_size, config.world_size
+        if world < 1:
+            raise ValueError(f"world_size must be >= 1, got {world}")
         if batch % world:
             raise ValueError("global batch size must divide by world size")
         pin_blas_threads()      # rank processes must not oversubscribe cores

@@ -125,7 +125,7 @@ class MicroBatcher:
     def __init__(self, max_batch: int = 8, max_wait_ms: float = 2.0) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
+        if not max_wait_ms >= 0:             # NaN too
             raise ValueError("max_wait_ms must be >= 0")
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)

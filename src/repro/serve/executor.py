@@ -264,16 +264,21 @@ class ProcessExecutor(Executor):
             pool.join()
 
 
+def check_executor_kind(kind: str) -> None:
+    """Reject a ``kind`` that names no executor."""
+    if kind not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")
+
+
 def make_executor(kind: str, workers: int | None = None) -> Executor:
     """Build an executor by kind: ``serial`` | ``thread`` | ``process``."""
+    check_executor_kind(kind)
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(workers)
-    if kind == "process":
-        return ProcessExecutor(workers)
-    raise ValueError(
-        f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")
+    return ProcessExecutor(workers)
 
 
 def _indexed_call(payload):

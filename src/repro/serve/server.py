@@ -61,10 +61,11 @@ from ..core.inference import predict_batch
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import LRUCache, result_key
 from .errors import DeadlineExceeded, ServerOverloaded
-from .executor import Executor, SerialExecutor, make_executor
+from .executor import (Executor, SerialExecutor, check_executor_kind,
+                       make_executor)
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import NULL_SPAN, NULL_TRACER
-from .tiling import tiled_predict
+from .tiling import check_halo, tiled_predict
 
 __all__ = ["ServerConfig", "ServerStats", "PredictionServer"]
 
@@ -99,6 +100,24 @@ class ServerConfig:
     executor: str = "serial"          # compute layer: serial|thread|process
     max_pending: int = 0              # >0: bound the queue (backpressure)
     default_deadline_s: float | None = None  # latency budget default
+    #                                   (<= 0: already spent)
+
+    def __post_init__(self) -> None:
+        """Reject a setting no forward could run with, here rather than
+        as an error counted on every request.  The halo and the executor
+        kind go through their owners' checks; ``max_batch`` and
+        ``max_wait_ms`` are the batcher's, which the server builds."""
+        lowest = dict(workers=1, cache_bytes=0, tile_threshold_voxels=0,
+                      max_pending=0)
+        if self.tile is not None:
+            lowest["tile"] = 1
+        for name, low in lowest.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got "
+                                 f"{getattr(self, name)!r}")
+        if self.halo is not None:
+            check_halo(self.halo)
+        check_executor_kind(self.executor)
 
 
 class _LatencyPercentiles:
@@ -162,7 +181,7 @@ class PredictionServer:
         self._batcher = MicroBatcher(self.config.max_batch,
                                      self.config.max_wait_ms)
         # Priority heap, bounded when max_pending asks for backpressure.
-        self._queue = RequestQueue(maxsize=max(0, self.config.max_pending))
+        self._queue = RequestQueue(maxsize=self.config.max_pending)
         self._stop = threading.Event()
         self._workers: list[threading.Thread] = []
         self._stats_lock = threading.Lock()
@@ -244,7 +263,7 @@ class PredictionServer:
         # already running compute threads (locks may be held mid-fork).
         self.executor.warm()
         self._stop.clear()
-        for i in range(max(1, self.config.workers)):
+        for i in range(self.config.workers):
             t = threading.Thread(target=self._worker_loop,
                                  name=f"repro-serve-{i}", daemon=True)
             t.start()

@@ -141,6 +141,13 @@ def _blocks(shape: tuple[int, ...], tile: int):
     return tuple(itertools.product(*per_axis))
 
 
+def check_halo(halo: int) -> None:
+    """Reject a halo that is negative or odd: a padded block must map
+    onto whole cells of the next level."""
+    if halo < 0 or halo % 2:
+        raise ValueError(f"halo {halo} must be even and non-negative")
+
+
 def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
                multiple: int) -> TilePlan:
     """Partition a spatial ``shape`` into aligned core blocks.
@@ -153,8 +160,7 @@ def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
     if tile < multiple or tile % multiple:
         raise ValueError(
             f"tile {tile} must be a positive multiple of {multiple}")
-    if halo < 0 or halo % 2:
-        raise ValueError(f"halo {halo} must be even and non-negative")
+    check_halo(halo)
     for s in shape:
         if s % multiple:
             raise ValueError(

@@ -1,0 +1,206 @@
+"""What deleted code must not grow back: one row per denied name.
+
+``tests/test_denylist.py`` checks every row against ``src/repro`` and
+plants every row into a scratch module to prove its checker sees it.
+
+A row is ``Row(kind, name, scope, pr, carrier, plant=None)``:
+
+* ``kind`` picks the checker:
+
+  - ``text``: ``name`` is a regex searched in every line, prose
+    included, between non-word, non-``-`` characters;
+  - ``ident``: ``name`` is a case-insensitive glob matched against every
+    AST identifier: names, attributes and their dotted chains
+    (``time.sleep``), def and class names, parameters, keywords, import
+    aliases and whitespace-free string constants;
+  - ``def``: a function or class defined as ``name``, or
+    ``Owner.member``: a method of, or a ``self.member =`` in, ``Owner``;
+  - ``field``: ``Owner.field``, a class-body annotation (a dataclass
+    field) of class ``Owner`` or a parameter of ``Owner`` (a function)
+    or of ``Owner.__init__``;
+  - ``flag``: an ``add_argument`` option ``name`` or one that ``name``
+    abbreviates (argparse would accept it);
+  - ``env``: an ``os.environ`` / ``os.getenv`` read whose key matches the
+    glob ``name`` (``*``: any read, literal key or not);
+  - ``import``: an import edge to, or a module at, a dotted path with a
+    component matching the glob ``name``.
+
+* ``scope``: space-separated path prefixes under ``src/repro`` the row
+  applies to; ``!prefix`` excludes; no includes means every module.
+* ``pr``: the PR that deleted the thing.
+* ``carrier``: the test that now carries the guarantee the deleted code
+  claimed to give (``path::name``; the table test checks it exists).
+* ``plant``: a source line the checker must flag, where the name alone
+  is not one (regex text rows).
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Row(NamedTuple):
+    kind: str
+    name: str
+    scope: str
+    pr: int
+    carrier: str
+    plant: str | None = None
+
+
+def _rows(kind, names, scope, pr, carrier):
+    return [Row(kind, name, scope, pr, carrier) for name in names]
+
+
+# Carriers: the behavioural tests that pin what replaced each deletion.
+CACHE = "tests/serve/test_cache.py::TestConcurrentMemoryTier"
+CREATOR_BACKEND = ("tests/serve/test_executor.py::TestMapSemantics::"
+                   "test_workers_keep_the_backend_they_were_created_under")
+RING_ORDER = ("tests/serve/test_fleet.py::TestRoutedServing::"
+              "test_reads_walk_the_replica_set_in_ring_order")
+CONSERVATION = ("tests/serve/test_fleet.py::TestRoutedServing::"
+                "test_stats_merge_and_conservation")
+HEALS = ("tests/serve/test_fleet_faults.py::TestSingleFaultFailover::"
+         "test_plain_submit_result_heals_a_hung_primary")
+FLEET_SIM = ("tests/serve/test_fleet_sim.py::"
+             "test_seeded_program_keeps_every_invariant")
+TILING_PARITY = ("tests/properties/test_tiling_parity.py::"
+                 "test_tiled_inference_parity")
+PRIORITY = ("tests/serve/test_scheduling.py::TestPriorityEndToEnd::"
+            "test_high_priority_jumps_saturated_queue")
+CHECK_HEALTH = ("tests/serve/test_fleet_faults.py::TestCheckHealth::"
+                "test_kill_and_hang_storm_heals_through_the_operator_path")
+CLIENT_WINDOW = ("tests/test_cli.py::TestServe::"
+                 "test_serve_client_window_stays_inside_the_queue_bound")
+TELEMETRY_LAW = ("tests/serve/test_telemetry.py::TestConservationCrossCheck::"
+                 "test_exactly_the_six_outcome_terms_close_the_law")
+CONV_ORACLE = ("tests/backend/test_conv_plan.py::TestEngineProperty::"
+               "test_forward_dx_dw_match_the_tap_loop")
+EQ15 = "tests/distributed/test_data_parallel.py::TestWorkerInvariance"
+ONE_LOOP = ("tests/core/test_trainers.py::TestMultigridTrainer::"
+            "test_cycle_over_one_worker_equals_the_plain_cycle_bitwise")
+K_ONCE = "tests/fem/test_operator.py::test_matches_a_naive_dense_assembly"
+CG = "tests/fem/test_krylov.py::TestPlainCG::test_matches_direct_solve"
+FMG = ("tests/fem/test_stencil_fmg.py::TestFMG::"
+       "test_one_hierarchy_one_operator_per_level")
+ENERGY = "tests/fem/test_energy_kernel.py::test_value_matches_the_chain"
+
+SERVE = "serve/"
+EXECUTORS = ("make_executor", "ThreadExecutor", "ProcessExecutor")
+CONV = "backend/conv_plan.py autograd/ops_conv.py"
+TRAINING = "core/ distributed/ perf/ !core/trainer.py"
+# A tracer or span slot compared against None, either way round.
+_TRACED = r"(?:\w+\.)*(?:\w*span|trace|tracer|trace_queue|trace_parent)"
+
+ROWS: list[Row] = [
+    # PR 14: tracing is a null object, never None.
+    Row("text", _TRACED + r" is (?:not )?None", SERVE, 14, TELEMETRY_LAW,
+        "if req.trace_queue is not None:"),
+    Row("text", r"None is (?:not )?" + _TRACED, SERVE, 14, TELEMETRY_LAW,
+        "if None is aspan:"),
+    # PR 16: engines are chosen from shape; no environment switches.
+    Row("env", "*", "!backend/registry.py !backend/lazy/", 16, CONV_ORACLE),
+    *_rows("env", ("REPRO_CONV_PLAN", "REPRO_THREADS"), "", 16, CONV_ORACLE),
+    # ... and the autotune tables, whose reads went through a parameter.
+    *_rows("text", ("REPRO_AUTOTUNE_CACHE", "REPRO_TILE_AUTOTUNE_CACHE"), "",
+           16, CONV_ORACLE),
+    *_rows("ident", ("*autotune*", "set_*_mode"), "", 16, CONV_ORACLE),
+    # PR 17: Algorithm 1 is written once, in core/trainer.py.
+    *_rows("ident", ("*.backward", "BatchSampler", "EarlyStopping"),
+           TRAINING, 17, ONE_LOOP),
+    Row("import", "distributed", "core/", 17, EQ15),
+    # PR 18: one conv engine, no shape heuristic choosing between two.
+    *_rows("ident", ("IM2COL_*", "path"), CONV, 18, CONV_ORACLE),
+    *_rows("def", ("_decide", "_forward_*", "_backward_*", "run_conv_*"),
+           CONV, 18, CONV_ORACLE),
+    # PR 19: K(nu) is written once, in fem/stencil.py.
+    Row("ident", "coo_matrix", "fem/", 19, K_ONCE),
+    Row("ident", "*.add.at", "fem/", 19, K_ONCE),
+    Row("ident", "scatter_add", "fem/", 19, K_ONCE),
+    Row("ident", "_element_node_indices", "fem/", 19, K_ONCE),
+    Row("ident", "*.backward", "fem/", 19, K_ONCE),
+    # scipy's CG, in code or prose (``method="cg"`` names the one CG).
+    Row("text", r"""(?<!['"])cg(?!['"])""", "fem/", 19, CG,
+        "x = spla.cg(k, b)"),
+    Row("ident", "_interp_numpy", "fem/", 19, ENERGY),
+    Row("ident", "_restrict_problem", "fem/", 19, FMG),
+    Row("ident", "assemble_stiffness", "fem/gmg.py", 19, FMG),
+    # PR 20: the clients sleep nowhere; the fleet heals by failover.
+    Row("ident", "time.sleep", "cli.py serve/fleet.py", 20, CLIENT_WINDOW),
+    # PR 21: the energy loss is one op, not an op-by-op chain.
+    *_rows("ident", ("conv_nd", "neumann_energy", "gauss_interp"),
+           "fem/energy.py", 21, ENERGY),
+    # PR 22: level-wise tile sweeps, not whole-network halo recompute.
+    *_rows("ident", ("_forward_tile", "_run_tile_task", "_padded_block"),
+           "serve/tiling.py", 22, TILING_PARITY),
+    # PR 30: the slab model-parallel engine and the shared spill ledger.
+    *_rows("ident", ("halo_exchange", "split_slabs", "join_slabs",
+                     "model_parallel_conv", "ModelParallelConvStack",
+                     "SpillLedger", "shared_spill"), "", 30, TILING_PARITY),
+    *_rows("import", ("model_parallel", "spill_ledger"), "", 30,
+           TILING_PARITY),
+    # PR 31: read spreading, tenant admission and autoscaling.
+    *_rows("ident", ("PowerOfTwoBalancer", "AdmissionController",
+                     "TenantQuota", "Autoscaler", "TenantThrottled",
+                     "add_shard", "retire_shard", "tenant"), "", 31,
+           RING_ORDER),
+    *_rows("import", ("admission", "balance", "autoscale"), "", 31,
+           RING_ORDER),
+    # PR 32: one request path and strict priority.
+    *_rows("ident", ("submit_stream", "TileStream", "StreamStalled",
+                     "AsyncPredictionServer", "priority_aging_s", "aging_s",
+                     "tiles_delivered", "stream_resumed"), "", 32, PRIORITY),
+    Row("import", "aio", "", 32, PRIORITY),
+    # PR 34: hedged reads and the circuit breaker.
+    *_rows("ident", ("*hedge*", "*breaker*", "ResilienceConfig",
+                     "install_resilience", "uninstall_resilience"), "", 34,
+           RING_ORDER),
+    *_rows("flag", ("--hedge", "--breaker-after", "--breaker-reset"),
+           "cli.py", 34, RING_ORDER),
+    # PR 35: the control plane; the fleet heals through check_health().
+    *_rows("text", ("ControlPlane", "ControlConfig", "ControlStats",
+                    "HealthProber", "probe_shard", "Gauge", "stats.control",
+                    "--control"), "", 35, CHECK_HEALTH),
+    Row("flag", "--control", "cli.py", 35, CHECK_HEALTH),
+    Row("import", "control", SERVE, 35, CHECK_HEALTH),
+    # PR 36: client retry and its token-bucket budget.
+    *_rows("text", ("RetryPolicy", "RetryConfig", "TokenBucket", "retry_call",
+                    "backoff_window", "note_retry", "fleet.retry",
+                    "stats.retry", "--retries", "--retry-budget"), "", 36,
+           CLIENT_WINDOW),
+    *_rows("flag", ("--retries", "--retry-budget"), "cli.py", 36,
+           CLIENT_WINDOW),
+    Row("import", "resilience", "", 36, CLIENT_WINDOW),
+    # PR 38: the disk spill tier, worker backend pinning and the fleet's
+    # simulated interconnect.
+    *_rows("text", ("spill_dir", "spill_max_bytes", "cache_dir", "prune_spill",
+                    "spill_file_name"), SERVE, 38, CACHE),
+    *_rows("text", ("ServerConfig.backend", "config.backend"), SERVE, 38,
+           CREATOR_BACKEND),
+    *_rows("text", ("time_model", "send_calls", "virtual_comm_seconds",
+                    "repro.distributed", "..distributed"), SERVE, 38,
+           CONSERVATION),
+    Row("import", "distributed", SERVE, 38, CONSERVATION),
+    *_rows("field", ("ServerConfig.cache_dir", "ServerConfig.spill_max_bytes",
+                     "CacheStats.spill_hits", "CacheStats.spill_writes",
+                     "CacheStats.spill_bytes", "CacheStats.spill_evictions"),
+           "", 38, CACHE),
+    *_rows("field", ("ServerConfig.backend", "ModelEntry.dtype",
+                     "ModelEntry.backend",
+                     *(f"{e}.{p}" for e in EXECUTORS
+                       for p in ("backend", "dtype"))), "", 38,
+           CREATOR_BACKEND),
+    *_rows("field", ("FleetConfig.time_model", "FleetStats.send_calls",
+                     "FleetStats.send_bytes",
+                     "FleetStats.virtual_comm_seconds",
+                     "CommLog.send_calls", "CommLog.send_bytes"), "", 38,
+           CONSERVATION),
+    *_rows("flag", ("--cache-dir", "--spill-mb"), "cli.py", 38, CACHE),
+    Row("flag", "--backend", "cli.py", 38, CREATOR_BACKEND),
+    # PR 41: the drain helper and the storm replay.
+    Row("text", "await_result", SERVE, 41, HEALS),
+    *_rows("text", ("ReplayHarness", "Scenario", "ShardChaos", "TenantSpec",
+                    "build_trace", "event_log", "serve.replay"), SERVE, 41,
+           FLEET_SIM),
+    Row("import", "replay", SERVE, 41, FLEET_SIM),
+]

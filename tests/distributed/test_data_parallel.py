@@ -100,6 +100,12 @@ class TestMechanics:
             DataParallelTrainer(_factory(), problem, dataset,
                                 DPConfig(world_size=3, batch_size=4))
 
+    @pytest.mark.parametrize("world", [0, -1])
+    def test_world_size_below_one_rejected(self, problem, dataset, world):
+        with pytest.raises(ValueError, match="world_size"):
+            DataParallelTrainer(_factory(), problem, dataset,
+                                DPConfig(world_size=world, batch_size=4))
+
     def test_virtual_clock_components(self, problem, dataset):
         t = DataParallelTrainer(
             _factory(), problem, dataset,

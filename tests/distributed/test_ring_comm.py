@@ -77,6 +77,12 @@ class TestCommunicator:
         assert comm.log.allreduce_calls == 1
         assert comm.log.allreduce_bytes > 0
 
+    def test_has_no_point_to_point_send(self):
+        # The fleet was its only caller; the DP collectives stay.
+        assert not hasattr(SimulatedCommunicator, "send")
+        assert {"allreduce", "broadcast", "allgather", "barrier"} <= set(
+            dir(SimulatedCommunicator))
+
     def test_broadcast(self):
         comm = SimulatedCommunicator(4)
         out = comm.broadcast(np.arange(3), root=0)

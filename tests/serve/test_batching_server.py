@@ -79,6 +79,27 @@ class TestMicroBatcher:
             MicroBatcher(max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(max_wait_ms=-1)
+        with pytest.raises(ValueError):
+            MicroBatcher(max_wait_ms=float("nan"))
+
+
+class TestServerConfig:
+    """A setting no forward could run with fails at construction, not as
+    an error counted on every request."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("executor", "bogus"), ("halo", 3), ("halo", -2), ("tile", 0),
+        ("workers", 0), ("cache_bytes", -5), ("cache_bytes", float("nan")),
+        ("tile_threshold_voxels", -1), ("max_pending", -1),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})
+
+    def test_edge_values_construct(self):
+        ServerConfig(cache_bytes=0, max_wait_ms=0.0, halo=0, tile=1,
+                     max_pending=0, tile_threshold_voxels=0,
+                     default_deadline_s=-1.0, executor="process")
 
 
 class TestSyncFrontend:

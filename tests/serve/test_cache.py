@@ -1,5 +1,6 @@
 """LRU result cache: hit/eviction semantics and key quantization."""
 
+import inspect
 import sys
 import threading
 
@@ -167,3 +168,9 @@ class TestConcurrentMemoryTier:
         assert cache.stats.bytes_cached == _field(0.0).nbytes
         assert cache.stats.evictions == 0
         assert cache.get(("k",))[0, 0] in {float(v) for v in range(8)}
+
+
+def test_cache_takes_only_a_byte_budget():
+    # No disk tier (spill_dir, spill_max_bytes) and nothing else: a byte
+    # budget is the cache's one setting.
+    assert list(inspect.signature(LRUCache).parameters) == ["max_bytes"]

@@ -325,6 +325,9 @@ class TestHangWatchdog:
         fleet.register_model("m", model, problem)
         before = _watchdogs()
         with fleet:
+            # The slot too: a watchdog started without a budget dies at
+            # once, so a thread count alone can miss it.
+            assert fleet._watchdog is None
             assert _watchdogs() == before
             fleet.predict("m", np.zeros(4), timeout=30)
             assert _watchdogs() == before

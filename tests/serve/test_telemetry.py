@@ -20,6 +20,7 @@ root outcomes that are conservation terms) are the fleet simulation's:
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,16 @@ class TestTracer:
         assert NULL_TRACER.export_jsonl() == ""
         with NULL_SPAN as s:
             assert s is NULL_SPAN
+
+    def test_null_objects_are_used_by_production_modules(self):
+        """Every layer holds the null objects (no ``is None`` forks on a
+        tracer or span: a ``tests/denylist.py`` row), not a fixture only
+        this test imports."""
+        serve = Path(__file__).resolve().parents[2] / "src/repro/serve"
+        users = {p.name for p in serve.glob("*.py")
+                 if "NULL_TRACER" in p.read_text()}
+        assert {"fleet.py", "server.py", "batching.py", "executor.py",
+                "tiling.py"} <= users
 
     def test_unsampled_parent_suppresses_subtree(self):
         tracer = Tracer(sample_every=2)

@@ -147,6 +147,18 @@ class TestServe:
                      str(tmp_path / "nope.npz")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--workers", "0", "workers"), ("--cache-mb", "-5", "cache_bytes"),
+        ("--max-pending", "-1", "max_pending")])
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_serve_bad_server_setting_fails_cleanly(self, tmp_path, capsys,
+                                                    flag, value, field,
+                                                    shards):
+        assert main(["serve", "--checkpoint", str(tmp_path / "nope.npz"),
+                     "--shards", shards, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_predict_misaligned_tile_fails_cleanly(self, trained_checkpoint,
                                                    capsys):
         assert main(["predict", "--checkpoint", str(trained_checkpoint),

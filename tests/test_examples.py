@@ -1,8 +1,8 @@
-"""The serving examples run end to end.
+"""Every example runs end to end.
 
-Each example asserts its own claims (fields match, nothing lost, a
-killed or hung shard heals); this runs them as a user would, in a
-fresh interpreter, and fails on a nonzero exit.
+Each example asserts its own claims (worker-count independence, served
+fields match, nothing lost, a killed shard heals); this runs them as a
+user would, in a fresh interpreter, and fails on a nonzero exit.
 """
 
 import os
@@ -15,8 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["serving.py", "serving_fleet.py",
-                                    "serving_telemetry.py"])
+SCRIPTS = sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+
+
+def test_there_are_at_most_three_examples():
+    assert 0 < len(SCRIPTS) <= 3, SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
