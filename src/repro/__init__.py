@@ -7,7 +7,7 @@ The package implements, from scratch in NumPy:
                           policy, buffer pool, and the conv engine
 * ``repro.autograd``    — reverse-mode AD with N-d convolutions
 * ``repro.nn``          — Module system and the dimension-agnostic U-Net
-* ``repro.optim``       — SGD/Adam, schedulers, early stopping
+* ``repro.optim``       — Adam, early stopping
 * ``repro.fem``         — FEM substrate: assembly, solvers, geometric
                           multigrid, and the differentiable energy loss
 * ``repro.data``        — Sobol sampling and the Eq. 10 diffusivity family

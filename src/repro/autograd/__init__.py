@@ -13,15 +13,12 @@ Public surface::
 from .function import Function, Context, no_grad, is_grad_enabled
 from .tensor import Tensor, set_default_dtype, get_default_dtype
 from .ops_basic import (
-    add, sub, mul, div, neg, power, matmul, reshape, transpose, moveaxis,
-    getitem, pad, concat, flip, where, clip, zero_stuff,
+    add, sub, mul, neg, reshape, moveaxis, pad, concat, flip, zero_stuff,
 )
-from .ops_reduce import sum_ as sum, mean, max_ as max, min_ as min  # noqa: A001
-from .ops_activation import (
-    exp, log, sigmoid, tanh, relu, leaky_relu, abs_ as abs, softplus,  # noqa: A001
-)
+from .ops_reduce import sum_ as sum, mean  # noqa: A001
+from .ops_activation import sigmoid, leaky_relu
 from .ops_conv import (
-    conv_nd, conv_transpose_nd, max_pool_nd, avg_pool_nd,
+    conv_nd, conv_transpose_nd, max_pool_nd,
     conv_output_shape, conv_transpose_output_shape, tuplify,
 )
 from .ops_norm import batch_norm
@@ -31,11 +28,9 @@ from .profiler import profile, Profile, OpStats
 __all__ = [
     "Tensor", "Function", "Context", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype",
-    "add", "sub", "mul", "div", "neg", "power", "matmul", "reshape",
-    "transpose", "moveaxis", "getitem", "pad", "concat", "flip", "where",
-    "clip", "zero_stuff", "sum", "mean", "max", "min",
-    "exp", "log", "sigmoid", "tanh", "relu", "leaky_relu", "abs", "softplus",
-    "conv_nd", "conv_transpose_nd", "max_pool_nd", "avg_pool_nd",
+    "add", "sub", "mul", "neg", "reshape", "moveaxis", "pad", "concat",
+    "flip", "zero_stuff", "sum", "mean", "sigmoid", "leaky_relu",
+    "conv_nd", "conv_transpose_nd", "max_pool_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",
     "batch_norm", "gradcheck", "numerical_gradient",
     "profile", "Profile", "OpStats",

@@ -1,4 +1,4 @@
-"""Pointwise nonlinearities and transcendental functions."""
+"""Pointwise nonlinearities: the U-Net's LeakyReLU and Sigmoid."""
 
 from __future__ import annotations
 
@@ -9,33 +9,7 @@ from ..backend import realize
 from .function import Context, Function
 from .tensor import Tensor
 
-__all__ = ["exp", "log", "sigmoid", "tanh", "relu", "leaky_relu", "leaky_forward",
-           "leaky_factor", "abs_", "softplus"]
-
-
-class Exp(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        out = B.exp(a)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (out,) = ctx.saved
-        return (grad * out,)
-
-
-class Log(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        ctx.save_for_backward(a)
-        return B.log(a)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (a,) = ctx.saved
-        return (grad / a,)
+__all__ = ["sigmoid", "leaky_relu", "leaky_forward", "leaky_factor"]
 
 
 def _logistic(a: np.ndarray) -> np.ndarray:
@@ -60,29 +34,6 @@ class Sigmoid(Function):
         return (grad * out * (1.0 - out),)
 
 
-class Tanh(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        out = B.tanh(a)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (out,) = ctx.saved
-        return (grad * (1.0 - out * out),)
-
-
-class ReLU(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        mask = a > 0
-        ctx.meta["mask"] = mask
-        return a * mask
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        return (grad * ctx.meta["mask"],)
 
 
 def leaky_forward(a: np.ndarray, negative_slope: float,
@@ -126,56 +77,11 @@ class LeakyReLU(Function):
         return f, None
 
 
-class Abs(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        ctx.meta["sign"] = B.sign(a)
-        return B.abs(a)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        return (grad * ctx.meta["sign"],)
-
-
-class Softplus(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        ctx.save_for_backward(a)
-        return B.logaddexp(0.0, a).astype(a.dtype)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (a,) = ctx.saved
-        return (grad * _logistic(a),)
-
-
-def exp(a: Tensor) -> Tensor:
-    return Exp.apply(a)
-
-
-def log(a: Tensor) -> Tensor:
-    return Log.apply(a)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     return Sigmoid.apply(a)
 
 
-def tanh(a: Tensor) -> Tensor:
-    return Tanh.apply(a)
-
-
-def relu(a: Tensor) -> Tensor:
-    return ReLU.apply(a)
-
-
 def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
     return LeakyReLU.apply(a, negative_slope)
-
-
-def abs_(a: Tensor) -> Tensor:
-    return Abs.apply(a)
-
-
-def softplus(a: Tensor) -> Tensor:
-    return Softplus.apply(a)

@@ -1,4 +1,4 @@
-"""Elementwise arithmetic, linear algebra and shape-manipulation ops.
+"""Elementwise arithmetic and shape-manipulation ops.
 
 All ops broadcast following NumPy semantics; backward passes reduce
 gradients back to the operand shapes via :func:`unbroadcast`.
@@ -7,7 +7,7 @@ gradients back to the operand shapes via :func:`unbroadcast`.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,9 +16,8 @@ from .function import Context, Function, unbroadcast
 from .tensor import Tensor
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "power", "matmul", "reshape",
-    "transpose", "moveaxis", "getitem", "pad", "concat", "flip", "where",
-    "clip", "zero_stuff",
+    "add", "sub", "mul", "neg", "reshape", "moveaxis", "pad", "concat",
+    "flip", "zero_stuff",
 ]
 
 
@@ -61,18 +60,6 @@ class Mul(Function):
                 unbroadcast(grad * a, b.shape) if need_b else None)
 
 
-class Div(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ctx.save_for_backward(a, b)
-        return a / b
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        a, b = ctx.saved
-        ga = unbroadcast(grad / b, a.shape)
-        gb = unbroadcast(-grad * a / (b * b), b.shape)
-        return ga, gb
 
 
 class Neg(Function):
@@ -85,43 +72,8 @@ class Neg(Function):
         return (-grad,)
 
 
-class Power(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, exponent: float) -> np.ndarray:
-        ctx.save_for_backward(a)
-        ctx.meta["p"] = exponent
-        return a ** exponent
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (a,) = ctx.saved
-        p = ctx.meta["p"]
-        return grad * p * a ** (p - 1.0), None
 
 
-class MatMul(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ctx.save_for_backward(a, b)
-        return a @ b
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        a, b = ctx.saved
-        if a.ndim == 1 and b.ndim == 1:
-            return grad * b, grad * a
-        if a.ndim == 1:
-            ga = grad @ B.swapaxes(b, -1, -2)
-            gb = B.outer(a, grad) if b.ndim == 2 else a[:, None] * grad[None, :]
-            return ga, gb
-        if b.ndim == 1:
-            ga = grad[..., None] * b
-            # grad shape == a.shape[:-1]; gb = sum over all leading axes.
-            gb = B.einsum("...i,...->i", a, grad)
-            return ga, gb
-        ga = grad @ B.swapaxes(b, -1, -2)
-        gb = B.swapaxes(a, -1, -2) @ grad
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
 
 
 class Reshape(Function):
@@ -135,19 +87,6 @@ class Reshape(Function):
         return grad.reshape(ctx.meta["shape"]), None
 
 
-class Transpose(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
-        if axes is None:
-            axes = tuple(reversed(range(a.ndim)))
-        ctx.meta["axes"] = axes
-        return B.transpose(a, axes)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        axes = ctx.meta["axes"]
-        inv = B.argsort(axes)
-        return B.transpose(grad, inv), None
 
 
 class MoveAxis(Function):
@@ -161,19 +100,6 @@ class MoveAxis(Function):
         return B.moveaxis(grad, ctx.meta["dst"], ctx.meta["src"]), None, None
 
 
-class GetItem(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, idx: Any) -> np.ndarray:
-        ctx.meta["shape"] = a.shape
-        ctx.meta["idx"] = idx
-        ctx.meta["dtype"] = a.dtype
-        return a[idx]
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        out = B.zeros(ctx.meta["shape"], dtype=ctx.meta["dtype"])
-        B.scatter_add(out, ctx.meta["idx"], grad)
-        return out, None
 
 
 class Pad(Function):
@@ -225,31 +151,8 @@ class Flip(Function):
         return B.flip(grad, axis=ctx.meta["axis"]).copy(), None
 
 
-class Where(Function):
-    @staticmethod
-    def forward(ctx: Context, cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ctx.meta["cond"] = cond
-        ctx.meta["shapes"] = (a.shape, b.shape)
-        return B.where(cond, a, b)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        cond = ctx.meta["cond"]
-        sa, sb = ctx.meta["shapes"]
-        ga = unbroadcast(B.where(cond, grad, 0.0), sa)
-        gb = unbroadcast(B.where(cond, 0.0, grad), sb)
-        return None, ga, gb
 
 
-class Clip(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        ctx.meta["mask"] = (a >= lo) & (a <= hi)
-        return B.clip(a, lo, hi)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        return grad * ctx.meta["mask"], None, None
 
 
 class ZeroStuff(Function):
@@ -293,36 +196,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Mul.apply(a, b)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return Div.apply(a, b)
-
-
 def neg(a: Tensor) -> Tensor:
     return Neg.apply(a)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    return Power.apply(a, exponent)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return MatMul.apply(a, b)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Reshape.apply(a, shape)
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    return Transpose.apply(a, axes)
-
-
 def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
     return MoveAxis.apply(a, source, destination)
-
-
-def getitem(a: Tensor, idx: Any) -> Tensor:
-    return GetItem.apply(a, idx)
 
 
 def pad(a: Tensor, pad_width: Sequence[tuple[int, int]], value: float = 0.0) -> Tensor:
@@ -335,14 +218,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def flip(a: Tensor, axis: int | tuple[int, ...]) -> Tensor:
     return Flip.apply(a, axis)
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    return Where.apply(cond, a, b)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    return Clip.apply(a, lo, hi)
 
 
 def zero_stuff(a: Tensor, stride: tuple[int, ...], first_axis: int = 2) -> Tensor:

@@ -1,4 +1,4 @@
-"""N-dimensional convolution, transposed convolution and pooling.
+"""N-dimensional convolution, transposed convolution and max pooling.
 
 The convolution is dimension agnostic (the same code path serves the 2D
 and 3D MGDiffNet variants).  Both :class:`ConvNd` and
@@ -25,7 +25,6 @@ Layouts follow the common deep-learning convention:
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Sequence
 
@@ -41,7 +40,7 @@ from .tensor import Tensor
 from . import ops_basic as ob
 
 __all__ = [
-    "conv_nd", "conv_transpose_nd", "max_pool_nd", "avg_pool_nd",
+    "conv_nd", "conv_transpose_nd", "max_pool_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",
 ]
 
@@ -228,40 +227,6 @@ class MaxPoolNd(Function):
         return dx, None
 
 
-class AvgPoolNd(Function):
-    """Non-overlapping average pooling (stride == kernel)."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
-        nd = x.ndim - 2
-        spatial = x.shape[2:]
-        for s, k in zip(spatial, kernel):
-            if s % k:
-                raise ValueError(f"spatial size {s} not divisible by pool {k}")
-        new_shape = x.shape[:2]
-        for s, k in zip(spatial, kernel):
-            new_shape += (s // k, k)
-        pool_axes = tuple(3 + 2 * i for i in range(nd))
-        out = x.reshape(new_shape).mean(axis=pool_axes)
-        ctx.meta.update(pool_axes=pool_axes, x_shape=x.shape, kernel=kernel,
-                        count=math.prod(kernel))
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        pool_axes = ctx.meta["pool_axes"]
-        kernel = ctx.meta["kernel"]
-        shape = ctx.meta["x_shape"]
-        g = grad / ctx.meta["count"]
-        for ax in pool_axes:
-            g = B.expand_dims(g, ax)
-        # Broadcast each singleton pool axis back to its kernel extent.
-        target = list(g.shape)
-        for k, ax in zip(kernel, pool_axes):
-            target[ax] = k
-        dx = B.broadcast_to(g, target).reshape(shape).copy()
-        return dx, None
-
 
 def conv_nd(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
             stride: int | Sequence[int] = 1,
@@ -329,8 +294,3 @@ def conv_transpose_nd_composed(x: Tensor, w: Tensor, b: Tensor | None = None,
 def max_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:
     nd = x.ndim - 2
     return MaxPoolNd.apply(x, tuplify(kernel, nd))
-
-
-def avg_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:
-    nd = x.ndim - 2
-    return AvgPoolNd.apply(x, tuplify(kernel, nd))

@@ -1,4 +1,4 @@
-"""Reduction operations: sum, mean, max, min."""
+"""Reduction operations: sum and mean."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from ..backend import ops as B
 from .function import Context, Function
 from .tensor import Tensor
 
-__all__ = ["sum_", "mean", "max_", "min_"]
+__all__ = ["sum_", "mean"]
 
 
 def _normalize_axis(axis, ndim: int) -> tuple[int, ...]:
@@ -59,53 +59,6 @@ class Mean(Function):
         return (B.broadcast_to(grad, shape) / ctx.meta["count"]).copy(), None, None
 
 
-class Max(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        out = a.max(axis=axis, keepdims=True)
-        axes = _normalize_axis(axis, a.ndim)
-        # Ties split gradient evenly (matches subgradient convention).
-        mask = (a == out)
-        counts = mask.sum(axis=tuple(axes), keepdims=True)
-        ctx.meta["mask"] = mask
-        ctx.meta["counts"] = counts
-        ctx.meta["axis"] = axes
-        ctx.meta["keepdims"] = keepdims
-        if not keepdims:
-            out = out.squeeze(axis=tuple(axes)) if axis is not None else out.reshape(())
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        axes = ctx.meta["axis"]
-        if not ctx.meta["keepdims"]:
-            for ax in sorted(axes):
-                grad = B.expand_dims(grad, ax)
-        return grad * ctx.meta["mask"] / ctx.meta["counts"], None, None
-
-
-class Min(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        out = a.min(axis=axis, keepdims=True)
-        axes = _normalize_axis(axis, a.ndim)
-        mask = (a == out)
-        counts = mask.sum(axis=tuple(axes), keepdims=True)
-        ctx.meta["mask"] = mask
-        ctx.meta["counts"] = counts
-        ctx.meta["axis"] = axes
-        ctx.meta["keepdims"] = keepdims
-        if not keepdims:
-            out = out.squeeze(axis=tuple(axes)) if axis is not None else out.reshape(())
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        axes = ctx.meta["axis"]
-        if not ctx.meta["keepdims"]:
-            for ax in sorted(axes):
-                grad = B.expand_dims(grad, ax)
-        return grad * ctx.meta["mask"] / ctx.meta["counts"], None, None
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -114,11 +67,3 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Mean.apply(a, axis=axis, keepdims=keepdims)
-
-
-def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return Max.apply(a, axis=axis, keepdims=keepdims)
-
-
-def min_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return Min.apply(a, axis=axis, keepdims=keepdims)

@@ -108,17 +108,6 @@ class Tensor:
     def ones(*shape: int, requires_grad: bool = False, dtype: Any = None) -> "Tensor":
         return Tensor(B.ones(shape, dtype=dtype or get_default_dtype()), requires_grad)
 
-    @staticmethod
-    def randn(*shape: int, rng: np.random.Generator | None = None,
-              requires_grad: bool = False, dtype: Any = None) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape).astype(
-            dtype or get_default_dtype()), requires_grad)
-
-    @staticmethod
-    def from_numpy(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(arr, requires_grad)
-
     # ------------------------------------------------------------------ #
     # Backward
     # ------------------------------------------------------------------ #
@@ -212,31 +201,10 @@ class Tensor:
     def __rmul__(self, other: Any) -> "Tensor":
         return self._binary(other, "mul", swap=True)
 
-    def __truediv__(self, other: Any) -> "Tensor":
-        return self._binary(other, "div")
-
-    def __rtruediv__(self, other: Any) -> "Tensor":
-        return self._binary(other, "div", swap=True)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.matmul(self, other)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.power(self, exponent)
-
     def __neg__(self) -> "Tensor":
         from . import ops_basic as ob
 
         return ob.neg(self)
-
-    def __getitem__(self, idx: Any) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.getitem(self, idx)
 
     # ------------------------------------------------------------------ #
     # Common method forms
@@ -251,11 +219,6 @@ class Tensor:
 
         return ord.mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        from . import ops_reduce as ord
-
-        return ord.max_(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape: int) -> "Tensor":
         from . import ops_basic as ob
 
@@ -263,52 +226,17 @@ class Tensor:
             shape = tuple(shape[0])
         return ob.reshape(self, shape)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.transpose(self, axes or None)
-
     def flip(self, axis: int | tuple[int, ...]) -> "Tensor":
         from . import ops_basic as ob
 
         return ob.flip(self, axis)
-
-    def exp(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.exp(self)
-
-    def log(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.log(self)
 
     def sigmoid(self) -> "Tensor":
         from . import ops_activation as oa
 
         return oa.sigmoid(self)
 
-    def tanh(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.tanh(self)
-
-    def relu(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.relu(self)
-
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         from . import ops_activation as oa
 
         return oa.leaky_relu(self, negative_slope)
-
-    def abs(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.abs_(self)
-
-    def sqrt(self) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.power(self, 0.5)

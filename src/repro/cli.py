@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-params", type=int, default=1_000_000)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--local-batch", type=int, default=2)
-    p.add_argument("--max-workers", type=int, default=512)
+    p.add_argument("--max-workers", type=_positive_int, default=512)
 
     sub.add_parser("info", help="version and component summary")
     return parser
@@ -221,16 +221,20 @@ def _cmd_train(args) -> int:
     from .core.mgdiffnet import MGDiffNet
     from .core.problem import PoissonProblem
 
-    problem = PoissonProblem(args.ndim, args.resolution)
-    dataset = problem.make_dataset(args.samples)
-    model = MGDiffNet(ndim=args.ndim, base_filters=args.base_filters,
-                      depth=args.depth, rng=args.seed)
-    config = MGTrainConfig(batch_size=args.batch_size, lr=args.lr,
-                           max_epochs_per_level=args.max_epochs,
-                           seed=args.seed)
-    trainer = MultigridTrainer(model, problem, dataset,
-                               strategy=args.strategy, levels=args.levels,
-                               config=config)
+    try:
+        problem = PoissonProblem(args.ndim, args.resolution)
+        dataset = problem.make_dataset(args.samples)
+        model = MGDiffNet(ndim=args.ndim, base_filters=args.base_filters,
+                          depth=args.depth, rng=args.seed)
+        config = MGTrainConfig(batch_size=args.batch_size, lr=args.lr,
+                               max_epochs_per_level=args.max_epochs,
+                               seed=args.seed)
+        trainer = MultigridTrainer(model, problem, dataset,
+                                   strategy=args.strategy, levels=args.levels,
+                                   config=config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     result = trainer.train()
     print(f"trained {args.strategy} x{args.levels} levels in "
           f"{result.total_time:.1f}s, final loss {result.final_loss:.5f}")

@@ -2,7 +2,7 @@
 
 Long multigrid runs on shared clusters need resumability; this module
 serializes everything required to continue training bit-for-bit (modulo
-the wall clock): model parameters, buffers, Adam/SGD moments, and the
+the wall clock): model parameters, buffers, Adam moments, and the
 trainer's epoch counter.
 """
 

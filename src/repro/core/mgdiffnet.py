@@ -38,8 +38,7 @@ class MGDiffNet(Module):
         self.net = UNet(ndim=ndim, in_channels=1, out_channels=1,
                         base_filters=base_filters, depth=depth,
                         negative_slope=negative_slope, downsample=downsample,
-                        use_batchnorm=use_batchnorm,
-                        final_activation="sigmoid", rng=make_rng(rng))
+                        use_batchnorm=use_batchnorm, rng=make_rng(rng))
 
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor, chi_int: np.ndarray, u_bc: np.ndarray) -> Tensor:

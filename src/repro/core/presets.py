@@ -42,8 +42,7 @@ def paper_multigrid_config() -> MGTrainConfig:
     """Sec. 4.1 training hyperparameters (multigrid strategy study)."""
     return MGTrainConfig(
         batch_size=64,          # 'global batch size of 64'
-        lr=1e-5,                # 'learning rate of 1e-5'
-        optimizer="adam",       # 'Adam optimizer'
+        lr=1e-5,                # 'learning rate of 1e-5' (Adam)
         restriction_epochs=4,   # 'trained for a fixed number of epochs'
         max_epochs_per_level=10_000,
         patience=20,            # early-stopping convergence criterion

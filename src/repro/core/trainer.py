@@ -20,7 +20,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..data.dataloader import BatchSampler
 from ..data.dataset import DiffusivityDataset
-from ..optim import Adam, SGD, EarlyStopping, Optimizer
+from ..optim import Adam, EarlyStopping, Optimizer
 from ..utils.logging import get_logger
 from .mgdiffnet import MGDiffNet
 from .problem import PoissonProblem
@@ -40,8 +40,6 @@ class TrainConfig:
 
     batch_size: int = 8
     lr: float = 1e-3
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
     patience: int = 8
     min_delta: float = 1e-3
     min_epochs: int = 3
@@ -76,12 +74,8 @@ class TrainResult:
 
 
 def make_optimizer(config: TrainConfig, params) -> Optimizer:
-    """The optimizer ``config`` names, over ``params``."""
-    kinds = {"adam": Adam, "sgd": SGD}
-    if config.optimizer not in kinds:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
-    return kinds[config.optimizer](params, lr=config.lr,
-                                   weight_decay=config.weight_decay)
+    """The paper's optimizer, Adam at ``config.lr``, over ``params``."""
+    return Adam(params, lr=config.lr)
 
 
 def backward_pass(model: MGDiffNet, x: np.ndarray, nu: np.ndarray, masks,

@@ -26,7 +26,7 @@ class GridHierarchy:
     levels:
         Number of levels (paper uses 3 or 4).
     min_resolution:
-        Lower bound for the coarsest level (the network's
+        What every level must be a multiple of (the network's
         ``2**depth`` divisibility requirement).
     """
 
@@ -42,10 +42,11 @@ class GridHierarchy:
             raise ValueError(
                 f"finest resolution {self.finest_resolution} not divisible "
                 f"by 2**(levels-1) = {div}")
-        if self.coarsest_resolution < self.min_resolution:
+        coarsest = self.coarsest_resolution
+        if coarsest < self.min_resolution or coarsest % self.min_resolution:
             raise ValueError(
-                f"coarsest level resolution {self.coarsest_resolution} < "
-                f"minimum {self.min_resolution}")
+                f"coarsest level resolution {coarsest} is not a multiple "
+                f"of {self.min_resolution} (2**depth)")
 
     def resolution(self, level: int) -> int:
         """Voxel resolution of ``level`` (1 = finest)."""

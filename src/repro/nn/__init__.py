@@ -10,9 +10,8 @@ from .container import Sequential, ModuleList
 from .conv import (ConvNd, Conv2d, Conv3d, ConvTransposeNd,
                    ConvTranspose2d, ConvTranspose3d)
 from .norm import BatchNorm
-from .groupnorm import GroupNorm
-from .activation import LeakyReLU, ReLU, Sigmoid, Tanh
-from .pooling import MaxPool, AvgPool
+from .activation import LeakyReLU, Sigmoid
+from .pooling import MaxPool
 from .unet import UNet, ConvBlock, UpBlock, RefinementBlock
 from . import init
 
@@ -20,8 +19,7 @@ __all__ = [
     "Module", "Parameter", "Sequential", "ModuleList",
     "ConvNd", "Conv2d", "Conv3d",
     "ConvTransposeNd", "ConvTranspose2d", "ConvTranspose3d",
-    "BatchNorm", "GroupNorm", "LeakyReLU", "ReLU", "Sigmoid", "Tanh",
-    "MaxPool", "AvgPool",
+    "BatchNorm", "LeakyReLU", "Sigmoid", "MaxPool",
     "UNet", "ConvBlock", "UpBlock", "RefinementBlock",
     "init",
 ]

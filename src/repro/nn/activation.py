@@ -6,7 +6,7 @@ from ..autograd import Tensor
 from ..autograd import ops_activation as oa
 from .module import Module
 
-__all__ = ["LeakyReLU", "ReLU", "Sigmoid", "Tanh"]
+__all__ = ["LeakyReLU", "Sigmoid"]
 
 
 class LeakyReLU(Module):
@@ -23,14 +23,6 @@ class LeakyReLU(Module):
         return f"LeakyReLU({self.negative_slope})"
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return oa.relu(x)
-
-    def __repr__(self) -> str:
-        return "ReLU()"
-
-
 class Sigmoid(Module):
     """Sigmoid — the final activation of the paper's U-Net; its [0, 1]
     range matches the Dirichlet data ``u(0,·)=1, u(1,·)=0``."""
@@ -40,11 +32,3 @@ class Sigmoid(Module):
 
     def __repr__(self) -> str:
         return "Sigmoid()"
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return oa.tanh(x)
-
-    def __repr__(self) -> str:
-        return "Tanh()"

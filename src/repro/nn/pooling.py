@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ..autograd import Tensor, max_pool_nd, avg_pool_nd
+from ..autograd import Tensor, max_pool_nd
 from .module import Module
 
-__all__ = ["MaxPool", "AvgPool"]
+__all__ = ["MaxPool"]
 
 
 class MaxPool(Module):
@@ -18,15 +18,3 @@ class MaxPool(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool({self.kernel})"
-
-
-class AvgPool(Module):
-    def __init__(self, kernel: int = 2) -> None:
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool_nd(x, self.kernel)
-
-    def __repr__(self) -> str:
-        return f"AvgPool({self.kernel})"

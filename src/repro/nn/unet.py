@@ -30,11 +30,8 @@ __all__ = ["ConvBlock", "UpBlock", "RefinementBlock", "UNet"]
 
 
 class ConvBlock(Module):
-    """Conv(k3, same) -> norm -> LeakyReLU — the paper's basic block.
-
-    ``use_batchnorm`` selects the paper's BatchNorm; pass
-    ``norm='group'`` instead for the batch-size-robust GroupNorm variant
-    (relevant at the paper's local batch of 2).
+    """Conv(k3, same) -> BatchNorm -> LeakyReLU — the paper's basic block
+    (``use_batchnorm=False`` drops the norm: conv -> LeakyReLU).
 
     In evaluation mode under ``no_grad`` a BatchNorm block is *one* engine
     call: the running-statistics affine ``y * s + t`` is folded into the
@@ -43,31 +40,17 @@ class ConvBlock(Module):
     LeakyReLU chunk by chunk.  In training mode a BatchNorm block is two
     tape ops, the conv and BatchNorm with the LeakyReLU fused in as its
     epilogue (:class:`repro.autograd.ops_norm.BatchNorm`).  An
-    evaluation-mode block with the tape on, and every GroupNorm or
-    ``norm='none'`` block, runs op by op.
+    evaluation-mode block with the tape on, and every block without a
+    norm, runs op by op.
     """
 
     def __init__(self, ndim: int, in_channels: int, out_channels: int,
                  rng: np.random.Generator, negative_slope: float = 0.01,
-                 use_batchnorm: bool = True, norm: str | None = None) -> None:
+                 use_batchnorm: bool = True) -> None:
         super().__init__()
         self.conv = ConvNd(ndim, in_channels, out_channels, kernel_size=3,
                            padding=1, rng=rng, negative_slope=negative_slope)
-        if norm is None:
-            norm = "batch" if use_batchnorm else "none"
-        if norm == "batch":
-            self.bn: Module | None = BatchNorm(out_channels)
-        elif norm == "group":
-            from .groupnorm import GroupNorm
-
-            groups = min(4, out_channels)
-            while out_channels % groups:
-                groups -= 1
-            self.bn = GroupNorm(groups, out_channels)
-        elif norm == "none":
-            self.bn = None
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
+        self.bn = BatchNorm(out_channels) if use_batchnorm else None
         self.act = LeakyReLU(negative_slope)
 
     def forward(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
@@ -75,8 +58,7 @@ class ConvBlock(Module):
         parts in a tuple ``x`` (:class:`UpBlock`'s ``(up, skip)``), which
         the conv reads without building it."""
         bn, conv = self.bn, self.conv
-        if (isinstance(bn, BatchNorm) and not self.training
-                and not is_grad_enabled()):
+        if bn is not None and not self.training and not is_grad_enabled():
             w = conv.weight.data
             scale = bn.gamma.data / B.sqrt(bn.running_var + bn.eps)
             shift = bn.beta.data - bn.running_mean * scale
@@ -86,10 +68,8 @@ class ConvBlock(Module):
                 x, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)),
                 shift, conv.stride, conv.padding, self.act.negative_slope)
         x = conv(x)
-        if isinstance(bn, BatchNorm):
-            return bn(x, negative_slope=self.act.negative_slope)
         if bn is not None:
-            x = bn(x)
+            return bn(x, negative_slope=self.act.negative_slope)
         return self.act(x)
 
 
@@ -150,15 +130,15 @@ class UNet(Module):
         must be divisible by ``2**depth``.
     downsample:
         ``"conv"`` uses a stride-2 convolution, ``"maxpool"`` a 2x pool.
-    final_activation:
-        ``"sigmoid"`` (paper) or ``None`` for unconstrained output.
+
+    The output passes through a Sigmoid (paper), whose [0, 1] range
+    matches the Dirichlet data.
     """
 
     def __init__(self, ndim: int, in_channels: int = 1, out_channels: int = 1,
                  base_filters: int = 16, depth: int = 3,
                  negative_slope: float = 0.01, downsample: str = "conv",
                  use_batchnorm: bool = True,
-                 final_activation: str | None = "sigmoid",
                  rng: np.random.Generator | int | None = None) -> None:
         super().__init__()
         rng = make_rng(rng)
@@ -202,12 +182,7 @@ class UNet(Module):
         self.refinements = ModuleList()
         self.out_conv = ConvNd(ndim, filters[0], out_channels, kernel_size=1,
                                rng=next(rngs))
-        if final_activation == "sigmoid":
-            self.final_act: Module | None = Sigmoid()
-        elif final_activation is None:
-            self.final_act = None
-        else:
-            raise ValueError(f"unknown final activation {final_activation!r}")
+        self.final_act = Sigmoid()
 
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor) -> Tensor:
@@ -230,10 +205,7 @@ class UNet(Module):
         """Refinements, the 1x1 output conv and the final activation."""
         for ref in self.refinements:
             x = ref(x)
-        x = self.out_conv(x)
-        if self.final_act is not None:
-            x = self.final_act(x)
-        return x
+        return self.final_act(self.out_conv(x))
 
     def check_input(self, x: Tensor) -> None:
         if x.ndim != self.ndim + 2:

@@ -1,13 +1,8 @@
-"""Optimization: SGD/Adam, LR schedules, early stopping."""
+"""Optimization: the paper's Adam, at a fixed learning rate, and early
+stopping."""
 
 from .optimizer import Optimizer
-from .sgd import SGD
 from .adam import Adam
-from .lr_scheduler import LRScheduler, StepLR, ExponentialLR, CosineAnnealingLR
 from .early_stopping import EarlyStopping
 
-__all__ = [
-    "Optimizer", "SGD", "Adam",
-    "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
-    "EarlyStopping",
-]
+__all__ = ["Optimizer", "Adam", "EarlyStopping"]

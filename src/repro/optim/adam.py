@@ -23,14 +23,13 @@ class Adam(Optimizer):
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+                 eps: float = 1e-8) -> None:
         super().__init__(params, lr)
         b1, b2 = betas
         if not 0.0 <= b1 < 1.0 or not 0.0 <= b2 < 1.0:
             raise ValueError(f"invalid betas {betas}")
         self.betas = (float(b1), float(b2))
         self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
 
     def step(self) -> None:
         self._step_count += 1
@@ -39,8 +38,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             st = self.state.setdefault(i, {})
             if "m" not in st:
                 st["m"] = np.zeros_like(p.data)

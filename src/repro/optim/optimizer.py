@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -36,11 +36,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-    def add_param_group(self, params: Sequence[Parameter]) -> None:
-        """Register additional parameters (used by architectural
-        adaptation, which appends freshly initialized layers mid-run)."""
-        self.params.extend(params)
 
     def sync_params(self, module) -> None:
         """Re-collect parameters from a module after structural surgery.

@@ -76,7 +76,8 @@ __all__ = ["FleetConfig", "FleetStats", "Shard", "ShardedFleet"]
 _LAT_WINDOW = 10_000
 
 # The fleet's event counts: FleetStats fields the counter ledger owns
-# (``ShardedFleet._c``), named ``fleet.<term>`` in the metrics registry.
+# (``ShardedFleet._c``), named ``stats.fleet.<term>`` in the metrics
+# registry.
 _LEDGER_TERMS = (
     "submitted", "served", "rejected", "expired", "errors", "cancelled",
     "unavailable", "failovers", "shard_faults", "hangs", "probes",
@@ -248,8 +249,8 @@ class ShardedFleet:
         self._watch_stop = threading.Event()
         # The counter ledger: the only store of fleet event counts,
         # written through ``_count`` under the fleet lock.  ``stats``
-        # and the registry's ``fleet.*`` / ``stats.fleet.*`` names are
-        # read-time views over it.
+        # and the registry's ``stats.fleet.*`` names are read-time views
+        # over it.
         self._c = dict.fromkeys(_LEDGER_TERMS, 0)
 
     def _count(self, term: str, n: int = 1) -> None:
@@ -323,12 +324,11 @@ class ShardedFleet:
 
         Swaps the real tracer in on this fleet and on every shard
         server (per-shard stats views would collide across shards; the
-        merged fleet views cover them), and names the fleet's numbers in
-        the metrics registry as read-time views: ``fleet.<term>`` reads
-        the counter ledger directly, ``stats.fleet.<field>`` reads the
-        merged :class:`FleetStats` snapshot.  Views never shadow a value,
-        so the registry cannot drift from ``fleet.stats``.  Idempotent
-        for a given bundle.
+        merged fleet views cover them), and names each of the fleet's
+        numbers once in the metrics registry, as a read-time view
+        ``stats.fleet.<field>`` of the merged :class:`FleetStats`
+        snapshot.  Views never shadow a value, so the registry cannot
+        drift from ``fleet.stats``.  Idempotent for a given bundle.
         """
         with self._lock:
             self.telemetry = telemetry
@@ -337,8 +337,6 @@ class ShardedFleet:
         for shard in shards:
             shard.server.enable_telemetry(telemetry, register_views=False)
         reg = telemetry.metrics
-        for term in _LEDGER_TERMS:
-            reg.register_view(f"fleet.{term}", lambda t=term: self._c[t])
         for name in _FLEET_VIEW_FIELDS:
             reg.register_view(f"stats.fleet.{name}",
                               lambda n=name: getattr(self.stats, n))

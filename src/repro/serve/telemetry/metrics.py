@@ -9,12 +9,13 @@ Two instrument kinds plus views:
   O(distinct buckets), not O(observations).
 
 Views (:meth:`MetricsRegistry.register_view`) name numbers the stack
-already keeps — ``ServerStats`` / ``FleetStats`` and the fleet's counter
-ledger (``fleet.*``) — as zero-copy reads over the live objects.  The registry adds a name,
-it never stores a second copy, so it cannot drift from the stats the
-stack reports.  The audit that can fail is the conservation law itself
-(``submitted`` == the sum of outcome terms, i.e. ``lost == 0``), which
-compares counts taken at *different* event sites.
+already keeps — ``ServerStats`` / ``FleetStats``, whose event counts
+are the fleet's counter ledger — as zero-copy reads over the live
+objects.  The registry adds one name per number, never a second copy,
+so it cannot drift from the stats the stack reports.  The audit that
+can fail is the conservation law itself (``submitted`` == the sum of
+outcome terms, i.e. ``lost == 0``), which compares counts taken at
+*different* event sites.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import (Tensor, gradcheck, concat, pad, flip, where, clip,
-                            zero_stuff, moveaxis)
+from repro.autograd import (Tensor, gradcheck, concat, pad, flip, zero_stuff,
+                            moveaxis)
 
 from tests.conftest import t64
 
@@ -35,42 +35,10 @@ class TestArithmetic:
         a, b = t64((4, 3), rng), t64((3,), rng)
         gradcheck(lambda a, b: a * b, [a, b])
 
-    def test_div(self, rng):
-        a = t64((3, 3), rng)
-        b = t64(rng.uniform(0.5, 2.0, (3, 3)))
-        gradcheck(lambda a, b: a / b, [a, b])
-
-    def test_div_broadcast_denominator(self, rng):
-        a = t64((3, 3), rng)
-        b = t64(rng.uniform(0.5, 2.0, (1, 3)))
-        gradcheck(lambda a, b: a / b, [a, b])
-
     def test_neg(self, rng):
         a = t64((5,), rng)
         gradcheck(lambda a: -a, [a])
 
-    def test_power(self, rng):
-        a = t64(rng.uniform(0.5, 2.0, (4,)))
-        gradcheck(lambda a: a ** 3, [a])
-        gradcheck(lambda a: a ** 0.5, [a], rtol=1e-3)
-
-
-class TestMatmul:
-    def test_2d_2d(self, rng):
-        a, b = t64((3, 4), rng), t64((4, 5), rng)
-        gradcheck(lambda a, b: a @ b, [a, b])
-
-    def test_batched(self, rng):
-        a, b = t64((2, 3, 4), rng), t64((2, 4, 5), rng)
-        gradcheck(lambda a, b: a @ b, [a, b])
-
-    def test_batched_broadcast(self, rng):
-        a, b = t64((2, 3, 4), rng), t64((4, 5), rng)
-        gradcheck(lambda a, b: a @ b, [a, b])
-
-    def test_vec_vec(self, rng):
-        a, b = t64((4,), rng), t64((4,), rng)
-        gradcheck(lambda a, b: a @ b, [a, b])
 
 
 class TestShapes:
@@ -81,15 +49,6 @@ class TestShapes:
     def test_reshape_tuple_arg(self, rng):
         a = t64((2, 6), rng)
         assert a.reshape((4, 3)).shape == (4, 3)
-
-    def test_transpose_default(self, rng):
-        a = t64((2, 3, 4), rng)
-        gradcheck(lambda a: a.transpose(), [a])
-        assert a.transpose().shape == (4, 3, 2)
-
-    def test_transpose_axes(self, rng):
-        a = t64((2, 3, 4), rng)
-        gradcheck(lambda a: a.transpose(1, 0, 2), [a])
 
     def test_moveaxis(self, rng):
         a = t64((2, 3, 4), rng)
@@ -121,29 +80,6 @@ class TestShapes:
     def test_concat_axis1(self, rng):
         a, b = t64((2, 2), rng), t64((2, 3), rng)
         gradcheck(lambda a, b: concat([a, b], axis=1), [a, b])
-
-
-class TestSelection:
-    def test_getitem_slice_grad(self, rng):
-        a = t64((4, 5), rng)
-        gradcheck(lambda a: a[1:3, ::2], [a])
-
-    def test_getitem_repeated_index_accumulates(self):
-        a = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-        y = a[np.array([0, 0, 1])]
-        y.sum().backward()
-        np.testing.assert_allclose(a.grad, [2.0, 1.0])
-
-    def test_where(self, rng):
-        cond = rng.standard_normal((3, 3)) > 0
-        a, b = t64((3, 3), rng), t64((3, 3), rng)
-        gradcheck(lambda a, b: where(cond, a, b), [a, b])
-
-    def test_clip(self, rng):
-        a = t64(rng.uniform(-2, 2, (10,)))
-        # Keep away from clip boundaries for finite differences.
-        a.data[np.abs(np.abs(a.data) - 1.0) < 0.05] = 0.0
-        gradcheck(lambda a: clip(a, -1.0, 1.0), [a])
 
 
 class TestZeroStuff:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import (Tensor, conv_nd, conv_transpose_nd, max_pool_nd,
-                            avg_pool_nd, conv_output_shape,
-                            conv_transpose_output_shape, gradcheck, tuplify)
+                            conv_output_shape, conv_transpose_output_shape,
+                            gradcheck, tuplify)
 
 from tests.conftest import t64
 
@@ -181,22 +181,11 @@ class TestPooling:
         out = max_pool_nd(Tensor(x), 2).data[0, 0]
         np.testing.assert_allclose(out, [[5, 7], [13, 15]])
 
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = avg_pool_nd(Tensor(x), 2).data[0, 0]
-        np.testing.assert_allclose(out, [[2.5, 4.5], [10.5, 12.5]])
-
     def test_maxpool_grad(self, rng):
         x = t64(rng.permutation(32).astype(np.float64).reshape(1, 2, 4, 4))
         gradcheck(lambda x: max_pool_nd(x, 2), [x])
-
-    def test_avgpool_grad_3d(self, rng):
-        x = t64((1, 1, 4, 4, 4), rng)
-        gradcheck(lambda x: avg_pool_nd(x, 2), [x])
 
     def test_indivisible_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 5, 4)).astype(np.float32))
         with pytest.raises(ValueError):
             max_pool_nd(x, 2)
-        with pytest.raises(ValueError):
-            avg_pool_nd(x, 2)

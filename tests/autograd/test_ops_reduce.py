@@ -46,27 +46,3 @@ class TestMean:
     def test_value(self):
         a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
         assert a.mean().item() == pytest.approx(2.5)
-
-
-class TestMaxMin:
-    def test_max_all(self, rng):
-        a = t64(rng.permutation(20).astype(np.float64))
-        gradcheck(lambda a: a.max(), [a])
-
-    def test_max_axis(self, rng):
-        a = t64(rng.permutation(24).astype(np.float64).reshape(4, 6))
-        gradcheck(lambda a: a.max(axis=1), [a])
-        gradcheck(lambda a: a.max(axis=0, keepdims=True), [a])
-
-    def test_max_tie_splits_gradient(self):
-        a = Tensor(np.array([2.0, 2.0, 1.0]), requires_grad=True,
-                   dtype=np.float64)
-        a.max().backward()
-        np.testing.assert_allclose(a.grad, [0.5, 0.5, 0.0])
-
-    def test_min(self, rng):
-        from repro.autograd import min as amin
-
-        a = t64(rng.permutation(12).astype(np.float64).reshape(3, 4))
-        gradcheck(lambda a: amin(a, axis=1), [a])
-        np.testing.assert_allclose(amin(a).data, a.data.min())

@@ -43,8 +43,6 @@ class TestConstruction:
     def test_constructors(self):
         assert np.all(Tensor.ones(2, 2).data == 1)
         assert np.all(Tensor.zeros(2, 2).data == 0)
-        r = Tensor.randn(5, 5, rng=np.random.default_rng(0))
-        assert r.shape == (5, 5)
 
 
 class TestBackward:
@@ -139,30 +137,20 @@ class TestNoGrad:
 
 
 class TestOperators:
-    def test_radd_rsub_rmul_rdiv(self):
+    def test_radd_rsub_rmul(self):
         x = Tensor(np.array([2.0]))
         np.testing.assert_allclose((1.0 + x).data, [3.0])
         np.testing.assert_allclose((5.0 - x).data, [3.0])
         np.testing.assert_allclose((3.0 * x).data, [6.0])
-        np.testing.assert_allclose((8.0 / x).data, [4.0])
 
-    def test_neg_pow_sqrt(self):
+    def test_neg(self):
         x = Tensor(np.array([4.0]))
         np.testing.assert_allclose((-x).data, [-4.0])
-        np.testing.assert_allclose((x ** 2).data, [16.0])
-        np.testing.assert_allclose(x.sqrt().data, [2.0])
 
     def test_scalar_operand_matches_tensor_dtype(self):
         x = Tensor(np.ones(2, dtype=np.float64))
         y = x * 0.5
         assert y.dtype == np.float64
-
-    def test_getitem(self):
-        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-        y = x[0, 1:]
-        np.testing.assert_allclose(y.data, [1.0, 2.0])
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, [[0, 1, 1], [0, 0, 0]])
 
     def test_len_repr_item(self):
         x = Tensor(np.zeros((4, 2)))

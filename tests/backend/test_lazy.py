@@ -117,8 +117,8 @@ class TestEquivalence:
         def step():
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((16, 8)), requires_grad=True)
-            w = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
-            y = (x @ w).tanh()
+            w = Tensor(rng.standard_normal((8,)), requires_grad=True)
+            y = (x * w).sum(axis=1).sigmoid()
             loss = (y * y).mean()
             loss.backward()
             return loss.numpy(), x.grad.copy(), w.grad.copy()
@@ -138,7 +138,8 @@ class TestEquivalence:
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        gradcheck(lambda a, b: ((a * b).tanh() + a.exp()).sum(), (a, b))
+        gradcheck(lambda a, b: ((a * b).sigmoid() + a.leaky_relu(0.1)).sum(),
+                  (a, b))
 
     def test_gmg_vcycle_identical(self):
         from repro.fem import GeometricMultigrid, UniformGrid, canonical_bc

@@ -39,7 +39,12 @@ class TestPaperConfigs:
         cfg = paper_multigrid_config()
         assert cfg.batch_size == 64
         assert cfg.lr == pytest.approx(1e-5)
-        assert cfg.optimizer == "adam"
+        from repro.core.trainer import make_optimizer
+        from repro.nn import Parameter
+        from repro.optim import Adam
+
+        opt = make_optimizer(cfg, [Parameter(np.zeros(1))])
+        assert type(opt) is Adam and opt.lr == cfg.lr  # 'Adam optimizer'
 
     def test_gpu_scaling_setup(self):
         s = PAPER_GPU_SCALING

@@ -96,10 +96,6 @@ class TestTrainer:
         r16 = t.train_epochs(16, 1)
         assert r8.resolution == 8 and r16.resolution == 16
 
-    def test_unknown_optimizer_raises(self, make_trainer):
-        with pytest.raises(ValueError):
-            make_trainer(optimizer="newton")
-
 
 class TestDataParallelTrainerOneWorker(TestTrainer):
     world_size = 1

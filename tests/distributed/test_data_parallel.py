@@ -4,7 +4,7 @@ gradient flattening."""
 import numpy as np
 import pytest
 
-from repro import MGDiffNet, PoissonProblem2D, TrainConfig, Trainer
+from repro import MGDiffNet, PoissonProblem2D
 from repro.distributed import (DataParallelTrainer, DPConfig,
                                flatten_gradients, unflatten_to_gradients)
 from repro.nn import Parameter
@@ -132,27 +132,6 @@ class TestMechanics:
             assert r.virtual_epoch_seconds == pytest.approx(2.002)
         assert t.comm.log.virtual_comm_seconds == pytest.approx(6e-3)
 
-    def test_weight_decay_is_applied(self, problem, dataset):
-        """One optimizer factory: a one-worker run equals the plain
-        trainer bitwise, weight decay included."""
-        def train(weight_decay):
-            t = DataParallelTrainer(
-                _factory(), problem, dataset,
-                DPConfig(world_size=1, batch_size=4,
-                         weight_decay=weight_decay))
-            t.train_epochs(8, 2)
-            return t.model.state_dict()
-
-        plain = Trainer(_factory()(), problem, dataset,
-                        TrainConfig(batch_size=4, weight_decay=0.1))
-        plain.train_epochs(8, 2)
-        decayed, want = train(0.1), plain.model.state_dict()
-        for k in want:
-            np.testing.assert_array_equal(decayed[k], want[k])
-        undecayed = train(0.0)
-        assert any(not np.array_equal(decayed[k], undecayed[k])
-                   for k in want)
-
     def test_bn_stats_synced_across_replicas(self, problem, dataset):
         t = DataParallelTrainer(_factory(use_batchnorm=True), problem, dataset,
                                 DPConfig(world_size=2, batch_size=4,
@@ -163,12 +142,6 @@ class TestMechanics:
         for k in b0:
             np.testing.assert_allclose(np.asarray(b0[k]), np.asarray(b1[k]),
                                        rtol=1e-6)
-
-    def test_unknown_optimizer(self, problem, dataset):
-        with pytest.raises(ValueError):
-            DataParallelTrainer(_factory(), problem, dataset,
-                                DPConfig(world_size=1, batch_size=2,
-                                         optimizer="lbfgs"))
 
     def test_warm_epochs_recycle_conv_scratch_through_the_pool(
             self, problem, dataset):

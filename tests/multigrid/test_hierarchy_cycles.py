@@ -22,6 +22,10 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             GridHierarchy(16, 3, min_resolution=8)  # coarsest 4 < 8
 
+    def test_coarsest_level_is_a_multiple_of_min_resolution(self):
+        with pytest.raises(ValueError, match="not a multiple of 8"):
+            GridHierarchy(24, 2, min_resolution=8)  # coarsest 12
+
     def test_level_bounds(self):
         h = GridHierarchy(32, 2)
         with pytest.raises(ValueError):

@@ -259,6 +259,15 @@ MUTANTS: list[Mutant] = [
            "running = running + (self.result,)", "running = (self.result,)",
            ("tests/autograd/test_profiler.py::TestProfiler::"
             "test_profiles_may_close_in_any_order",)),
+    # -- the op set (PR 44) ----------------------------------------------- #
+    Mutant("an op nothing applies", "src/repro/autograd/ops_activation.py",
+           "class Sigmoid(Function):",
+           "class Tanh(Function):\n"
+           "    @staticmethod\n"
+           "    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:\n"
+           "        return B.tanh(a)\n\n\n"
+           "class Sigmoid(Function):",
+           ("tests/autograd/test_op_reach.py::test_every_op_is_reached",)),
     # -- the FEM loss and the GMG baseline (PRs 19, 21, 25, 26) ---------- #
     Mutant("the energy drops its one half", "src/repro/backend/conv_plan.py",
            "    energy *= 0.5\n", "    energy *= 0.25\n",

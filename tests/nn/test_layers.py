@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.nn import (Conv2d, Conv3d, ConvTranspose2d, ConvTranspose3d,
-                      BatchNorm, LeakyReLU, Sigmoid, MaxPool, AvgPool, init)
+                      BatchNorm, LeakyReLU, Sigmoid, MaxPool, init)
 
 
 @pytest.fixture
@@ -93,10 +93,6 @@ class TestActivationsPooling:
     def test_maxpool_layer(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)).astype(np.float32))
         assert MaxPool(2)(x).shape == (1, 1, 2, 2)
-
-    def test_avgpool_layer_3d(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 4, 4, 4)).astype(np.float32))
-        assert AvgPool(2)(x).shape == (1, 1, 2, 2, 2)
 
 
 class TestInit:

@@ -147,23 +147,23 @@ class TestContainers:
         assert s[-1].negative_slope == 0.2
 
     def test_sequential_forward(self):
-        from repro.nn import ReLU
+        from repro.nn import LeakyReLU
 
-        s = Sequential(ReLU(), ReLU())
+        s = Sequential(LeakyReLU(0.5), LeakyReLU(0.5))
         x = Tensor(np.array([-1.0, 2.0]))
-        np.testing.assert_allclose(s(x).data, [0.0, 2.0])
+        np.testing.assert_allclose(s(x).data, [-0.25, 2.0])
 
     def test_sequential_append(self):
-        from repro.nn import ReLU
+        from repro.nn import LeakyReLU
 
-        s = Sequential(ReLU())
-        s.append(ReLU())
+        s = Sequential(LeakyReLU())
+        s.append(LeakyReLU())
         assert len(s) == 2
 
     def test_modulelist_set_get(self):
-        from repro.nn import ReLU, Sigmoid
+        from repro.nn import LeakyReLU, Sigmoid
 
-        ml = ModuleList([ReLU(), ReLU()])
+        ml = ModuleList([LeakyReLU(), LeakyReLU()])
         ml[1] = Sigmoid()
         assert isinstance(ml[1], Sigmoid)
         assert len(list(iter(ml))) == 2
@@ -174,8 +174,8 @@ class TestContainers:
             ml()
 
     def test_modulelist_index_error(self):
-        from repro.nn import ReLU
+        from repro.nn import LeakyReLU
 
-        ml = ModuleList([ReLU()])
+        ml = ModuleList([LeakyReLU()])
         with pytest.raises(IndexError):
             ml[3]

@@ -50,8 +50,6 @@ class TestShapes:
             UNet(ndim=2, depth=0, rng=0)
         with pytest.raises(ValueError):
             UNet(ndim=2, downsample="bilinear", rng=0)
-        with pytest.raises(ValueError):
-            UNet(ndim=2, final_activation="tanh", rng=0)
 
 
 class TestBehaviour:
@@ -59,11 +57,6 @@ class TestBehaviour:
         net = UNet(ndim=2, base_filters=4, depth=1, rng=0)
         y = net(_x(rng, (2, 1, 8, 8))).data
         assert np.all((y >= 0) & (y <= 1))
-
-    def test_no_final_activation(self, rng):
-        net = UNet(ndim=2, base_filters=4, depth=1, final_activation=None, rng=0)
-        y = net(_x(rng, (4, 1, 8, 8))).data
-        assert y.min() < 0 or y.max() > 1  # unconstrained head
 
     def test_maxpool_downsample_variant(self, rng):
         net = UNet(ndim=2, base_filters=4, depth=2, downsample="maxpool", rng=0)
@@ -76,8 +69,8 @@ class TestBehaviour:
 
     def test_gradients_reach_all_parameters(self, rng):
         net = UNet(ndim=2, base_filters=4, depth=2, rng=0)
-        y = net(_x(rng, (2, 1, 8, 8)))
-        ((y - 0.5) ** 2).mean().backward()
+        d = net(_x(rng, (2, 1, 8, 8))) - 0.5
+        (d * d).mean().backward()
         missing = [n for n, p in net.named_parameters() if p.grad is None]
         assert not missing, f"no grad for {missing}"
 

@@ -1,44 +1,8 @@
-"""LR schedulers and early stopping."""
+"""Early stopping: the convergence criterion of every prolongation visit."""
 
-import numpy as np
 import pytest
 
-from repro.nn import Parameter
-from repro.optim import (SGD, StepLR, ExponentialLR, CosineAnnealingLR,
-                         EarlyStopping)
-
-
-def _opt(lr=1.0):
-    return SGD([Parameter(np.ones(1))], lr=lr)
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = _opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(5)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01, 0.01])
-
-    def test_exponential(self):
-        opt = _opt()
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_cosine_endpoints(self):
-        opt = _opt()
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_monotone_decrease(self):
-        opt = _opt()
-        sched = CosineAnnealingLR(opt, t_max=20)
-        lrs = [sched.step() for _ in range(20)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
+from repro.optim import EarlyStopping
 
 
 class TestEarlyStopping:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import SGD, Adam
+from repro.optim import Adam
 
 
 def _quadratic_params(rng):
@@ -16,49 +16,6 @@ def _quadratic_params(rng):
 
 def _grad_step(p, target):
     p.grad = 2.0 * (p.data - target)
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        rng = np.random.default_rng(0)
-        p, target = _quadratic_params(rng)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            _grad_step(p, target)
-            opt.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        rng = np.random.default_rng(0)
-        p1, target = _quadratic_params(rng)
-        p2 = Parameter(p1.data.copy())
-        plain = SGD([p1], lr=0.01)
-        mom = SGD([p2], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            _grad_step(p1, target); plain.step()
-            _grad_step(p2, target); mom.step()
-        assert np.linalg.norm(p2.data - target) < np.linalg.norm(p1.data - target)
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.ones(4, dtype=np.float64))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.zeros(4)
-        opt.step()
-        assert np.all(p.data < 1.0)
-
-    def test_none_grad_skipped(self):
-        p = Parameter(np.ones(2, dtype=np.float64))
-        SGD([p], lr=0.1).step()
-        np.testing.assert_array_equal(p.data, 1.0)
-
-    def test_invalid_hyperparams(self):
-        p = Parameter(np.ones(1))
-        with pytest.raises(ValueError):
-            SGD([p], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -79,6 +36,18 @@ class TestAdam:
             p.grad = np.array([scale])
             opt.step()
             assert abs(p.data[0]) == pytest.approx(0.01, rel=1e-5)
+
+    def test_none_grad_skipped(self):
+        p = Parameter(np.ones(2, dtype=np.float64))
+        Adam([p], lr=0.1).step()
+        np.testing.assert_array_equal(p.data, 1.0)
+
+    def test_invalid_hyperparams(self):
+        p = Parameter(np.ones(1))
+        with pytest.raises(ValueError):
+            Adam([p], lr=-1.0)
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
     def test_invalid_betas(self):
         p = Parameter(np.ones(1))

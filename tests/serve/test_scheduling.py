@@ -73,6 +73,21 @@ class _BlockedWorker:
         assert self.started.wait(timeout=30)
         return filler
 
+    def result(self, future: Future, timeout: float = 30.0):
+        """``future.result(timeout)`` that fails as soon as a worker
+        thread has died, not after the whole timeout: a dead worker
+        resolves nothing more."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                return future.result(timeout=0.05)
+            except TimeoutError:
+                dead = [t.name for t in self.server._workers
+                        if not t.is_alive()]
+                assert not dead, f"server worker thread died: {dead}"
+                if time.monotonic() >= deadline:
+                    raise
+
 
 class TestRequestQueue:
     def test_higher_priority_dequeues_first(self):
@@ -160,11 +175,11 @@ class TestCancellation:
             doomed = server.submit("m", np.full(4, 5.0))
             assert doomed.cancel()
             hook.release.set()
-            filler.result(timeout=30)
+            hook.result(filler)
             # The worker survived the cancelled request and still
             # serves: a fresh submit resolves correctly.
             omega = RNG.uniform(-3, 3, 4)
-            u = server.submit("m", omega).result(timeout=30)
+            u = hook.result(server.submit("m", omega))
         finally:
             server.stop(drain=False)
         np.testing.assert_allclose(
@@ -193,9 +208,8 @@ class TestCancellation:
             futures = [server.submit("m", w) for w in omegas]
             assert futures[1].cancel()
             hook.release.set()
-            filler.result(timeout=30)
-            kept = [futures[0].result(timeout=30),
-                    futures[2].result(timeout=30)]
+            hook.result(filler)
+            kept = [hook.result(futures[0]), hook.result(futures[2])]
         finally:
             server.stop(drain=False)
             server.close()

@@ -4,11 +4,12 @@ Contracts pinned here:
 
 * **Sampling** — one root in N is traced, and an unsampled root
   suppresses its whole subtree.
-* **Conservation cross-check** — the ``fleet.*`` names read the
-  fleet's counter ledger, the ``stats.fleet.*`` views read the merged
-  ``FleetStats`` snapshot.  Both must satisfy the request conservation
+* **Conservation cross-check** — the ``stats.fleet.*`` views, one name
+  per fleet number, read the merged ``FleetStats`` snapshot of the
+  fleet's counter ledger.  They must satisfy the request conservation
   law (``submitted`` and the outcome terms are counted at different
-  event sites) and agree with each other, inline and under live chaos.
+  event sites) and agree with ``fleet.stats``, inline and under live
+  chaos.
 * **Zero overhead when off** — the disabled tracer/span are falsy
   no-ops; a server or fleet without telemetry holds the null tracer
   and a ``None`` bundle handle.
@@ -94,33 +95,33 @@ class TestSampling:
 
 
 # --------------------------------------------------------------------- #
-# Conservation cross-check: registry counters vs legacy stats views
+# Conservation cross-check: the registry's views vs the stats snapshot
 # --------------------------------------------------------------------- #
 def _assert_reconciled(fleet, telemetry):
-    """Both accounting paths satisfy the law and agree term by term."""
+    """The registry's views satisfy the law and agree term by term with
+    ``fleet.stats``."""
     reg = telemetry.metrics
     stats = fleet.stats
     assert stats.lost == 0
-    submitted = reg.value("fleet.submitted")
-    assert submitted == sum(reg.value(f"fleet.{k}") for k in CONSERVED)
+    submitted = reg.value("stats.fleet.submitted")
+    assert submitted == sum(reg.value(f"stats.fleet.{k}") for k in CONSERVED)
     for name in ("submitted",) + CONSERVED:
-        counter = reg.value(f"fleet.{name}")      # event-site mirror
-        view = reg.value(f"stats.fleet.{name}")   # lazy legacy read
-        legacy = getattr(stats, name)
-        assert counter == view == legacy, (
-            f"{name}: counter={counter} view={view} stats={legacy}")
+        view = reg.value(f"stats.fleet.{name}")
+        assert view == getattr(stats, name), (
+            f"{name}: view={view} stats={getattr(stats, name)}")
 
 
 class TestConservationCrossCheck:
     def test_exactly_the_six_outcome_terms_close_the_law(self, served):
-        """Of every ``fleet.<term>`` the registry names, one submit ending
-        in it is accounted for exactly when it is an outcome term; the
-        machinery counts (failovers, hangs, probes, ...) never close
-        the law."""
+        """Of every ledger term, each named once in the registry as
+        ``stats.fleet.<term>``, one submit ending in it is accounted for
+        exactly when it is an outcome term; the machinery counts
+        (failovers, hangs, probes, ...) never close the law."""
         fleet, telemetry = _inline_run(served, 4, kill_primary=True)
-        terms = {n[len("fleet."):] for n in telemetry.metrics.names()
-                 if n.startswith("fleet.")}
-        assert terms == set(fleet._c)
+        names = telemetry.metrics.names()
+        assert not [n for n in names if n.startswith("fleet.")]
+        terms = set(fleet._c)
+        assert {f"stats.fleet.{t}" for t in terms} <= set(names)
         closing = {t for t in terms - {"submitted"}
                    if FleetStats(submitted=1, **{t: 1}).lost == 0}
         assert closing == set(CONSERVED)
@@ -180,8 +181,8 @@ class TestConservationCrossCheck:
     def test_health_views_follow_ejection_and_probe(self, served):
         """Shard health is read through the fleet's views, with no gauge
         sampling it: ``stats.fleet.healthy_shards`` drops on an ejection
-        and recovers after ``check_health()``, which ``fleet.probes``
-        counts."""
+        and recovers after ``check_health()``, which
+        ``stats.fleet.probes`` counts."""
         model, problem = served
         fleet = _fleet()
         fleet.register_model("m", model, problem)
@@ -192,11 +193,11 @@ class TestConservationCrossCheck:
         victim = fleet.shards[0]
         fleet._eject(victim, RuntimeError("flap"))
         assert reg.value("stats.fleet.healthy_shards") == 2
-        assert reg.value("fleet.shard_faults") == 1
+        assert reg.value("stats.fleet.shard_faults") == 1
         with fleet:
             assert fleet.check_health() == [victim.id]
         assert reg.value("stats.fleet.healthy_shards") == 3
-        assert reg.value("fleet.probes") == 1
+        assert reg.value("stats.fleet.probes") == 1
         assert reg.value("stats.fleet.readmissions") == 1
 
 

@@ -61,8 +61,27 @@ class TestScaling:
         assert "speedup" in out
         assert "8" in out
 
+    def test_max_workers_below_one_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--max-workers", "0"])
+        assert exc.value.code == 2
+        assert "--max-workers: must be >= 1" in capsys.readouterr().err
+
 
 class TestTrainPredict:
+    @pytest.mark.parametrize("flags,message", [
+        (["--levels", "0"], "levels must be >= 1"),
+        (["--lr", "-1"], "invalid learning rate"),
+        (["--resolution", "12", "--levels", "2"],
+         "coarsest level resolution 6 is not a multiple of 4"),
+    ], ids=["levels-0", "negative-lr", "coarse-level-indivisible"])
+    def test_train_bad_setting_fails_cleanly(self, flags, message, capsys):
+        assert main(["train", "--samples", "2", "--max-epochs", "1",
+                     "--base-filters", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "trained" not in captured.out
+
     def test_train_then_predict_roundtrip(self, tmp_path, capsys):
         ck = tmp_path / "model.npz"
         assert main(["train", "--resolution", "8", "--samples", "4",
