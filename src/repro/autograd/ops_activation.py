@@ -12,19 +12,14 @@ from .tensor import Tensor
 __all__ = ["sigmoid", "leaky_relu", "leaky_forward", "leaky_factor"]
 
 
-def _logistic(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)) as 0.5 + 0.5 * tanh(a / 2): stable for any a, and
-    one pass per step instead of boolean-indexed copies."""
-    out = B.tanh(a * 0.5)
-    out *= 0.5
-    out += 0.5
-    return out
-
-
 class Sigmoid(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        out = _logistic(a)
+        # 1 / (1 + exp(-a)) as 0.5 + 0.5 * tanh(a / 2): stable for any a,
+        # and one pass per step instead of boolean-indexed copies.
+        out = B.tanh(a * 0.5)
+        out *= 0.5
+        out += 0.5
         ctx.save_for_backward(out)
         return out
 
@@ -32,8 +27,6 @@ class Sigmoid(Function):
     def backward(ctx: Context, grad: np.ndarray):
         (out,) = ctx.saved
         return (grad * out * (1.0 - out),)
-
-
 
 
 def leaky_forward(a: np.ndarray, negative_slope: float,
@@ -75,8 +68,6 @@ class LeakyReLU(Function):
         f = leaky_factor(ctx.meta["mask"], ctx.meta["slope"], grad.dtype)
         f *= realize(grad)
         return f, None
-
-
 
 
 def sigmoid(a: Tensor) -> Tensor:

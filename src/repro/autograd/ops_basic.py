@@ -60,8 +60,6 @@ class Mul(Function):
                 unbroadcast(grad * a, b.shape) if need_b else None)
 
 
-
-
 class Neg(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
@@ -70,10 +68,6 @@ class Neg(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         return (-grad,)
-
-
-
-
 
 
 class Reshape(Function):
@@ -87,8 +81,6 @@ class Reshape(Function):
         return grad.reshape(ctx.meta["shape"]), None
 
 
-
-
 class MoveAxis(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, source: int, destination: int) -> np.ndarray:
@@ -98,8 +90,6 @@ class MoveAxis(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         return B.moveaxis(grad, ctx.meta["dst"], ctx.meta["src"]), None, None
-
-
 
 
 class Pad(Function):
@@ -149,10 +139,6 @@ class Flip(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         return B.flip(grad, axis=ctx.meta["axis"]).copy(), None
-
-
-
-
 
 
 class ZeroStuff(Function):

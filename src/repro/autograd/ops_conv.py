@@ -227,7 +227,6 @@ class MaxPoolNd(Function):
         return dx, None
 
 
-
 def conv_nd(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
             stride: int | Sequence[int] = 1,
             padding: int | Sequence[int] = 0,

@@ -59,8 +59,6 @@ class Mean(Function):
         return (B.broadcast_to(grad, shape) / ctx.meta["count"]).copy(), None, None
 
 
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Sum.apply(a, axis=axis, keepdims=keepdims)
 

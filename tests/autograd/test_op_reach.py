@@ -35,12 +35,12 @@ from tests.autograd.test_conv_parts import conv_nd_composed
 from tests.fem.energy_oracle import chain_energy
 
 
-def defined_ops() -> set[str]:
-    """Names of the ``Function`` subclasses of every ``repro`` module."""
+def defined_subclasses(base: type = Function) -> set[str]:
+    """Names of the ``base`` subclasses of every ``repro`` module."""
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if not info.name.endswith("__main__"):
             importlib.import_module(info.name)
-    found, todo = set(), [Function]
+    found, todo = set(), [base]
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
@@ -120,7 +120,7 @@ def test_every_op_is_reached(tmp_path, capsys, monkeypatch) -> None:
         _oracles()
     capsys.readouterr()
     reached = set(prof.forward) | set(prof.backward)
-    defined = defined_ops()
+    defined = defined_subclasses()
     assert not reached - defined, "recorded an op defined outside repro"
     assert defined == reached, (
         f"defined in repro but applied by nothing: "

@@ -40,7 +40,6 @@ class TestArithmetic:
         gradcheck(lambda a: -a, [a])
 
 
-
 class TestShapes:
     def test_reshape(self, rng):
         a = t64((2, 6), rng)

@@ -21,6 +21,7 @@ import functools
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -68,6 +69,20 @@ def test_loops_and_optimizer_factory_are_defined_once() -> None:
     for name in ("train_epochs", "train_until_converged", "make_optimizer"):
         assert [p for p, n in defined if n == name] == ["core/trainer.py"], name
     assert not [(p, n) for p, n in defined if n == "_make_optimizer"]
+
+
+def test_adam_is_the_one_optimizer() -> None:
+    """Training is Adam at a fixed learning rate: the factory builds it from
+    ``config.lr`` alone, and no other ``Optimizer`` is defined in ``repro``."""
+    from repro.core.trainer import TrainConfig, make_optimizer
+    from repro.nn import Parameter
+    from repro.optim import Adam, Optimizer
+    from tests.autograd.test_op_reach import defined_subclasses
+
+    opt = make_optimizer(TrainConfig(lr=3e-3), [Parameter(np.ones(2))])
+    assert type(opt) is Adam and opt.lr == 3e-3
+    assert defined_subclasses(Optimizer) == {"Adam"}
+
 
 def test_data_parallel_dataclasses_redeclare_no_base_field() -> None:
     from repro.core.trainer import TrainConfig, TrainResult

@@ -8,7 +8,7 @@ worker in a known state while the queue is arranged.
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
 import numpy as np
 import pytest
@@ -78,15 +78,13 @@ class _BlockedWorker:
         thread has died, not after the whole timeout: a dead worker
         resolves nothing more."""
         deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return future.result(timeout=0.05)
-            except TimeoutError:
-                dead = [t.name for t in self.server._workers
-                        if not t.is_alive()]
-                assert not dead, f"server worker thread died: {dead}"
-                if time.monotonic() >= deadline:
-                    raise
+        while not wait([future], timeout=0.05).done:
+            dead = [t.name for t in self.server._workers
+                    if not t.is_alive()]
+            assert not dead, f"server worker thread died: {dead}"
+            if time.monotonic() >= deadline:
+                break
+        return future.result(timeout=0)
 
 
 class TestRequestQueue:
