@@ -2,23 +2,17 @@
 
 Eager NumPy executes ``x + omega * inv_d * r * interior`` as four
 full-size temporaries streamed through memory; the lazy backend fuses
-the chain into one kernel (JIT-compiled C when a compiler exists, a
-single interpreted pass otherwise).  This bench times the damped-Jacobi
-update — the GMG smoother's hot chain — and a fused reduction at
-megavoxel-adjacent sizes and gates:
-
-* **jit**: fused C kernels must be >= 1.3x eager (gated only when a C
-  compiler is detected; otherwise the JSON records the skip reason);
-* **interpreter**: the no-compiler fallback must never be worse than
-  1.2x slower than eager — laziness has to pay for itself or get out
-  of the way.
+the chain into one cluster and interprets it through scratch buffers it
+recycles.  This bench times the damped-Jacobi update — the GMG
+smoother's hot chain — and a fused reduction at megavoxel-adjacent
+sizes, and gates the interpreter at no worse than 1.2x slower than
+eager: laziness has to pay for itself or get out of the way.
 
 ``--json BENCH_lazy_fusion.json`` is uploaded by CI's lazy-smoke job.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -32,7 +26,6 @@ except ImportError:  # pragma: no cover - script mode
 SIZE = 1 << 21          # 16 MiB float64 operands: well past cache
 SWEEPS = 8              # chain executions per timed round
 REPEATS = 5             # best-of
-JIT_SPEEDUP_GATE = 1.3
 INTERP_SLOWDOWN_GATE = 1.2
 
 
@@ -84,20 +77,12 @@ def _lazy_reduce(x, r, sweeps):
     return total
 
 
-def _lazy_mode(workload, jit: bool):
-    """Run ``workload`` under the lazy backend with/without the JIT."""
+def _lazy_mode(workload):
+    """Run ``workload`` under the lazy backend."""
     from repro.backend import use_backend
 
-    prev = os.environ.pop("REPRO_JIT_DISABLE", None)
-    if not jit:
-        os.environ["REPRO_JIT_DISABLE"] = "1"
-    try:
-        with use_backend("lazy"):
-            return workload()
-    finally:
-        os.environ.pop("REPRO_JIT_DISABLE", None)
-        if prev is not None:
-            os.environ["REPRO_JIT_DISABLE"] = prev
+    with use_backend("lazy"):
+        return workload()
 
 
 def _timed(fn) -> float:
@@ -123,7 +108,6 @@ def _time_modes(modes: dict, repeats: int = REPEATS) -> dict[str, float]:
 
 def _run(size: int = SIZE, sweeps: int = SWEEPS) -> dict:
     from repro.backend import lazy_stats, reset_lazy_stats
-    from repro.backend.lazy import jit_enabled
 
     x, r, diag, interior = _operands(size)
     workloads = {
@@ -132,21 +116,13 @@ def _run(size: int = SIZE, sweeps: int = SWEEPS) -> dict:
         "reduce": (lambda: _eager_reduce(x, r, sweeps),
                    lambda: _lazy_reduce(x, r, sweeps)),
     }
-    result: dict = {"size": size, "sweeps": sweeps,
-                    "jit_available": jit_enabled(), "rows": []}
+    result: dict = {"size": size, "sweeps": sweeps, "rows": []}
     for name, (eager_fn, lazy_fn) in workloads.items():
         # Equivalence first: the speed is worthless if the answer moved.
         eager_val = np.asarray(eager_fn())
         np.testing.assert_allclose(
-            np.asarray(_lazy_mode(lazy_fn, jit=False)), eager_val,
-            atol=1e-9, rtol=1e-9)
-        modes = {"eager": eager_fn,
-                 "interp": lambda: _lazy_mode(lazy_fn, jit=False)}
-        if jit_enabled():
-            np.testing.assert_allclose(
-                np.asarray(_lazy_mode(lazy_fn, jit=True)), eager_val,
-                atol=1e-9, rtol=1e-9)     # also warms the kernel cache
-            modes["jit"] = lambda: _lazy_mode(lazy_fn, jit=True)
+            np.asarray(_lazy_mode(lazy_fn)), eager_val, atol=1e-9, rtol=1e-9)
+        modes = {"eager": eager_fn, "interp": lambda: _lazy_mode(lazy_fn)}
         reset_lazy_stats()
         best = _time_modes(modes)
         stats = lazy_stats()
@@ -155,10 +131,6 @@ def _run(size: int = SIZE, sweeps: int = SWEEPS) -> dict:
                "interp_ratio": best["interp"] / best["eager"],
                "fused_ops": stats["fused_ops"],
                "clusters": stats["clusters"]}
-        if "jit" in best:
-            row["jit_s"] = best["jit"]
-            row["jit_speedup"] = best["eager"] / best["jit"]
-            row["jit_runs"] = stats["jit_runs"]
         result["rows"].append(row)
     return result
 
@@ -167,16 +139,12 @@ def _report(result: dict) -> None:
     rows = []
     for row in result["rows"]:
         rows.append([row["workload"], f"{row['eager_s'] * 1e3:.1f}",
-                     f"{row.get('jit_s', float('nan')) * 1e3:.1f}"
-                     if "jit_s" in row else "-",
-                     f"{row.get('jit_speedup', 0):.2f}x"
-                     if "jit_speedup" in row else "-",
                      f"{row['interp_s'] * 1e3:.1f}",
                      f"{row['interp_ratio']:.2f}x",
                      row["clusters"], row["fused_ops"]])
     report("lazy_fusion",
-           ["workload", "eager_ms", "jit_ms", "jit_speedup",
-            "interp_ms", "interp_vs_eager", "clusters", "fused_ops"], rows)
+           ["workload", "eager_ms", "interp_ms", "interp_vs_eager",
+            "clusters", "fused_ops"], rows)
 
 
 def _gate(result: dict) -> tuple[int, str]:
@@ -188,18 +156,6 @@ def _gate(result: dict) -> tuple[int, str]:
                   f"{row['interp_ratio']:.2f}x slower than eager "
                   f"(> {INTERP_SLOWDOWN_GATE}x)")
             status = 1
-    if not result["jit_available"]:
-        reason = "skip:no C compiler detected"
-        print("jit speedup gate skipped: no C compiler on host")
-        return status, reason if status == 0 else "fail"
-    best = max(row.get("jit_speedup", 0.0) for row in result["rows"])
-    if best < JIT_SPEEDUP_GATE:
-        print(f"FAIL: best fused-JIT speedup {best:.2f}x < "
-              f"{JIT_SPEEDUP_GATE}x over eager")
-        status = 1
-    else:
-        print(f"jit gate ok: best fused speedup {best:.2f}x "
-              f">= {JIT_SPEEDUP_GATE}x")
     return status, "pass" if status == 0 else "fail"
 
 

@@ -1,4 +1,4 @@
-"""Lazy op-graph backend: record, fuse, JIT-compile, realize.
+"""Lazy op-graph backend: record, fuse, interpret, realize.
 
 Public surface::
 
@@ -6,19 +6,25 @@ Public surface::
     from repro.backend.lazy import realize, realize_all, is_lazy
     from repro.backend.lazy import lazy_stats, reset_lazy_stats
 
-``lazy_stats()`` merges the scheduler's fusion counters with the JIT
-cache's compile/load counters — the observability hook the determinism
-and cache round-trip tests (and ``bench_lazy_fusion``) are built on.
+``lazy_stats()`` returns the scheduler's counters: ``clusters`` (fused
+clusters realized), ``fused_ops`` (ops folded into them) and
+``interpreted_runs`` (clusters the NumPy interpreter ran, which is every
+cluster).  The fusion tests and ``bench_lazy_fusion`` read them.
 """
 
 from .graph import LazyArray, is_lazy, realize, realize_all
 from .ops_lazy import LazyBackend
 from .schedule import schedule_stats as lazy_stats
 from .schedule import reset_schedule_stats as reset_lazy_stats
-from .cjit import jit_cache_dir, jit_enabled, kernel_index
 
 __all__ = [
     "LazyBackend", "LazyArray", "realize", "realize_all", "is_lazy",
     "lazy_stats", "reset_lazy_stats",
-    "jit_cache_dir", "jit_enabled", "kernel_index",
 ]
+
+
+def jit_enabled() -> bool:
+    """Always False: there is no compiled path.  Kept for its one caller,
+    ``bench/workloads/solve_gmg3d.py``, which reports it as
+    ``backend.lazy.jit_available``."""
+    return False

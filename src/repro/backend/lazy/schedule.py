@@ -1,28 +1,22 @@
-"""Schedule the lazy graph: fuse chains, pick an executor, run.
+"""Schedule the lazy graph: fuse chains, interpret, collapse.
 
 ``realize_node`` turns one pending :class:`~.graph.LazyArray` into a
 concrete buffer.  The only pending node kinds are elementwise and reduce
 ops (everything else executes eagerly at record time), so scheduling is
 cluster extraction: starting from the node, pending elementwise parents
 with a single consumer are inlined into one fused expression; shared or
-already-realized parents become kernel *inputs*.  A reduce node fuses
-its whole elementwise input chain, so e.g. ``sqrt(sum(x*x))`` runs as
-one pass over ``x``.
+already-realized parents become the cluster's *leaves*.  A reduce node
+fuses its whole elementwise input chain, so e.g. ``sqrt(sum(x*x))`` runs
+as one pass over ``x``.
 
-Each fused cluster carries a canonical **signature** — the expression
-DAG shape, leaf dtypes and broadcast pattern, but *not* shapes or
-constant values — so the same chain recorded anywhere (any iteration,
-any process) maps to the same compiled kernel.  Clusters whose output
-clears ``REPRO_JIT_MIN_SIZE`` are lowered to generated C via
-:mod:`.cjit` when a compiler is present; everything else (and every
-cluster when no compiler exists) runs on the NumPy interpreter, which
-evaluates the same expression tree op by op — semantically identical,
-just without the memory-traffic win.
+Every cluster runs on the NumPy interpreter, which evaluates the
+expression tree op by op and streams a chain through one or two scratch
+buffers it owns (never a leaf).  It applies the ufuncs eager NumPy
+would, in the same order, so a chain's answer is eager's.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any
 
@@ -30,48 +24,26 @@ import numpy as np
 
 from .graph import ELEMENTWISE_OPS, LazyArray, REDUCE_OPS
 
-__all__ = ["realize_node", "schedule_stats", "reset_schedule_stats",
-           "MIN_JIT_SIZE"]
-
-
-def _min_jit_size() -> int:
-    try:
-        return int(os.environ.get("REPRO_JIT_MIN_SIZE", "4096"))
-    except ValueError:  # pragma: no cover - env misconfiguration
-        return 4096
-
-
-MIN_JIT_SIZE = _min_jit_size()
+__all__ = ["realize_node", "schedule_stats", "reset_schedule_stats"]
 
 _STATS_LOCK = threading.Lock()
 _stats = {
-    "clusters": 0,          # fused clusters executed (any executor)
+    "clusters": 0,          # fused clusters executed
     "fused_ops": 0,         # elementwise/reduce ops folded into clusters
-    "jit_runs": 0,          # clusters executed by a compiled C kernel
     "interpreted_runs": 0,  # clusters executed by the NumPy interpreter
 }
-_recent_signatures: list[str] = []
 
 
 def schedule_stats() -> dict[str, Any]:
-    """Snapshot of scheduler counters plus the JIT cache's."""
-    from . import cjit
-
+    """Snapshot of the scheduler's counters."""
     with _STATS_LOCK:
-        out = dict(_stats)
-        out["recent_signatures"] = list(_recent_signatures[-32:])
-    out.update(cjit.jit_stats())
-    return out
+        return dict(_stats)
 
 
 def reset_schedule_stats() -> None:
-    from . import cjit
-
     with _STATS_LOCK:
         for k in _stats:
             _stats[k] = 0
-        _recent_signatures.clear()
-    cjit.reset_jit_stats()
 
 
 # --------------------------------------------------------------------- #
@@ -79,40 +51,20 @@ def reset_schedule_stats() -> None:
 # --------------------------------------------------------------------- #
 
 class _Cluster:
-    """One fused computation: an expression DAG over concrete leaves."""
+    """One fused computation: an expression DAG whose leaves are
+    ``("in", value)``, a concrete buffer or a float constant."""
 
-    __slots__ = ("expr", "leaves", "consts", "reduce", "axis", "keepdims",
-                 "iter_shape", "out_shape", "out_dtype", "n_ops")
+    __slots__ = ("expr", "reduce", "axis", "keepdims", "out_shape",
+                 "out_dtype", "n_ops")
 
     def __init__(self) -> None:
         self.expr: tuple | None = None
-        self.leaves: list[np.ndarray] = []
-        self.consts: list[float] = []
         self.reduce: str | None = None
         self.axis: tuple[int, ...] = ()
         self.keepdims = False
-        self.iter_shape: tuple[int, ...] = ()
         self.out_shape: tuple[int, ...] = ()
         self.out_dtype: np.dtype = np.dtype(np.float64)
         self.n_ops = 0
-
-    def signature(self) -> str:
-        """Canonical kernel identity: structure, not shapes or values."""
-        leaf_sig = ",".join(
-            f"{np.dtype(l.dtype).char}"
-            f"{'F' if (l.shape == self.iter_shape and l.flags['C_CONTIGUOUS']) else 'B'}"
-            for l in self.leaves)
-        red = (f"|red:{self.reduce}" if self.reduce else "")
-        return (f"{_expr_repr(self.expr)}|in:{leaf_sig}"
-                f"|out:{np.dtype(self.out_dtype).char}"
-                f"|rank:{len(self.iter_shape)}{red}")
-
-
-def _expr_repr(expr: tuple) -> str:
-    kind = expr[0]
-    if kind in ("in", "const"):
-        return f"{kind}{expr[1]}"
-    return f"{kind}({','.join(_expr_repr(c) for c in expr[1:])})"
 
 
 def _extract(node: LazyArray) -> _Cluster:
@@ -123,27 +75,16 @@ def _extract(node: LazyArray) -> _Cluster:
     elementwise parents are inlined.
     """
     cluster = _Cluster()
-    leaf_index: dict[int, int] = {}
-
-    def leaf(buf: np.ndarray) -> tuple:
-        key = id(buf)
-        idx = leaf_index.get(key)
-        if idx is None:
-            idx = len(cluster.leaves)
-            cluster.leaves.append(buf)
-            leaf_index[key] = idx
-        return ("in", idx)
 
     def build(p: Any) -> tuple:
         if not isinstance(p, LazyArray):
-            cluster.consts.append(float(p))
-            return ("const", len(cluster.consts) - 1)
+            return ("in", float(p))
         if p._buf is not None:
-            return leaf(p._buf)
+            return ("in", p._buf)
         if p._op in ELEMENTWISE_OPS and p._consumers <= 1:
             cluster.n_ops += 1
             return (p._op,) + tuple(build(q) for q in p._parents)
-        return leaf(realize_node(p))
+        return ("in", realize_node(p))
 
     if node._op in REDUCE_OPS:
         (src,) = node._parents
@@ -152,7 +93,6 @@ def _extract(node: LazyArray) -> _Cluster:
         cluster.keepdims = node._extra["keepdims"]
         cluster.n_ops += 1
         if isinstance(src, LazyArray):
-            cluster.iter_shape = src.shape
             if src._buf is None and src._op in ELEMENTWISE_OPS \
                     and src._consumers <= 1:
                 cluster.n_ops += 1
@@ -163,7 +103,6 @@ def _extract(node: LazyArray) -> _Cluster:
         else:  # pragma: no cover - reduce of a scalar
             cluster.expr = build(src)
     else:
-        cluster.iter_shape = node.shape
         cluster.n_ops += 1
         cluster.expr = (node._op,) + tuple(build(q) for q in node._parents)
     cluster.out_shape = node.shape
@@ -197,15 +136,13 @@ def _interpret(cluster: _Cluster) -> np.ndarray:
     evaluation allocated (never leaves).  An op whose ufunc takes
     ``out=`` writes into an owned operand when shape and dtype already
     match exactly — a fused chain then streams through one or two
-    scratch buffers instead of allocating per op, which is what lets the
-    no-compiler fallback keep pace with (or beat) eager NumPy.
+    scratch buffers instead of allocating per op, which is what lets it
+    keep pace with (or beat) eager NumPy.
     """
     def ev(expr: tuple) -> tuple[Any, bool]:
         kind = expr[0]
         if kind == "in":
-            return cluster.leaves[expr[1]], False
-        if kind == "const":
-            return cluster.consts[expr[1]], False
+            return expr[1], False
         vals = []
         owned_flags = []
         for child in expr[1:]:
@@ -238,78 +175,15 @@ def _interpret(cluster: _Cluster) -> np.ndarray:
     return out
 
 
-# --------------------------------------------------------------------- #
-# Execution
-# --------------------------------------------------------------------- #
-
-def _jit_eligible(cluster: _Cluster) -> bool:
-    from . import cjit
-
-    if not cjit.jit_enabled():
-        return False
-    if cluster.out_dtype.char not in ("f", "d"):
-        return False
-    n = 1
-    for s in cluster.iter_shape:
-        n *= s
-    if n < MIN_JIT_SIZE or len(cluster.iter_shape) > 8:
-        return False
-    if cluster.reduce is not None:
-        # C reductions are full reductions to a scalar over flat
-        # contiguous leaves only.
-        if cluster.keepdims or set(cluster.axis) != set(
-                range(len(cluster.iter_shape))):
-            return False
-        for l in cluster.leaves:
-            if l.shape != cluster.iter_shape \
-                    or not l.flags["C_CONTIGUOUS"]:
-                return False
-    for l in cluster.leaves:
-        c = np.dtype(l.dtype).char
-        if c not in ("f", "d", "?"):
-            return False
-        if c in ("f", "d") and np.dtype(l.dtype) != cluster.out_dtype:
-            return False            # mixed precision: interpreter
-        try:
-            np.broadcast_shapes(l.shape, cluster.iter_shape)
-        except ValueError:  # pragma: no cover - record-time guarantee
-            return False
-        if np.broadcast_shapes(l.shape, cluster.iter_shape) \
-                != cluster.iter_shape:
-            return False
-    return True
-
-
-def _execute(cluster: _Cluster) -> np.ndarray | None:
-    """Try the C path; ``None`` means fall back to the interpreter."""
-    from . import cjit
-
-    kernel = cjit.get_kernel(cluster.signature(), cluster)
-    if kernel is None:
-        return None
-    return cjit.run_kernel(kernel, cluster)
-
-
 def realize_node(node: LazyArray) -> np.ndarray:
     """Realize one pending node (and, transitively, what it needs)."""
     if node._buf is not None:
         return node._buf
     cluster = _extract(node)
-    out: np.ndarray | None = None
-    if _jit_eligible(cluster):
-        out = _execute(cluster)
-    if out is not None:
-        with _STATS_LOCK:
-            _stats["jit_runs"] += 1
-    else:
-        out = _interpret(cluster)
-        with _STATS_LOCK:
-            _stats["interpreted_runs"] += 1
+    out = _interpret(cluster)
     with _STATS_LOCK:
         _stats["clusters"] += 1
         _stats["fused_ops"] += cluster.n_ops
-        _recent_signatures.append(cluster.signature())
-        if len(_recent_signatures) > 256:
-            del _recent_signatures[:128]
+        _stats["interpreted_runs"] += 1
     node._collapse(out)
     return out

@@ -180,7 +180,10 @@ class _RankGroup:
         except ChildProcessError:        # reaped elsewhere
             status = None
         self._status[index] = status
-        if status != 0:                  # wake everyone still waiting
+        # Wake everyone still waiting.  A broken barrier has no waiters,
+        # and its lock may have died with a process ``abort`` killed:
+        # aborting it again would block this thread, and ``abort``, for good.
+        if status != 0 and not self.barrier.broken:
             self.barrier.abort()
 
     def join(self) -> dict[int, tuple]:
@@ -495,12 +498,22 @@ class DataParallelTrainer(Trainer):
             self.replicas[r].load_state_dict(state, strict=False)
 
     def _assert_synced(self) -> None:
-        """Every replica's state equals rank 0's, checked in every process."""
+        """Every replica's state equals rank 0's.
+
+        Every process publishes its ranks' rows; only the caller's
+        compares them.  A forked process that raised here would break
+        the barrier, and a caller released by that barrier but not yet
+        past it would see the break, not the divergence.  So the forked
+        processes carry on, and the caller's ``AssertionError`` ends
+        them through ``abort``.
+        """
         group = self._group
         rows = group.table("sync")
         for r in group.ranks:
             rows[r] = _as_row(self.replicas[r].state_dict().values())
         group.wait()
+        if group.index:
+            return
         for i in range(1, self.config.world_size):
             for name, at, _, _ in self._state:
                 if not B.allclose(rows[i, at], rows[0, at], atol=0, rtol=0):

@@ -86,6 +86,7 @@ FMG = ("tests/fem/test_stencil_fmg.py::TestFMG::"
 ENERGY = "tests/fem/test_energy_kernel.py::test_value_matches_the_chain"
 REACH = "tests/autograd/test_op_reach.py::test_every_op_is_reached"
 ADAM = "tests/core/test_one_training_loop.py::test_adam_is_the_one_optimizer"
+INTERPRETER = "tests/backend/test_lazy.py::TestInterpreter"
 # No behavioural test sees these grow back (a ``/`` rebuilt on ``Mul``
 # applies no new op): the row is its own guard.
 ROW = "tests/test_denylist.py::test_row_is_absent"
@@ -104,7 +105,7 @@ ROWS: list[Row] = [
     Row("text", r"None is (?:not )?" + _TRACED, SERVE, 14, TELEMETRY_LAW,
         "if None is aspan:"),
     # PR 16: engines are chosen from shape; no environment switches.
-    Row("env", "*", "!backend/registry.py !backend/lazy/", 16, CONV_ORACLE),
+    Row("env", "*", "!backend/registry.py", 16, CONV_ORACLE),
     *_rows("env", ("REPRO_CONV_PLAN", "REPRO_THREADS"), "", 16, CONV_ORACLE),
     # ... and the autotune tables, whose reads went through a parameter.
     *_rows("text", ("REPRO_AUTOTUNE_CACHE", "REPRO_TILE_AUTOTUNE_CACHE"), "",
@@ -232,4 +233,12 @@ ROWS: list[Row] = [
            ROW),
     *_rows("field", ("TrainConfig.optimizer", "TrainConfig.weight_decay",
                      "Adam.weight_decay"), "", 44, ROW),
+    # PR 45: the lazy backend's C JIT, its host-fingerprinted kernel cache
+    # and its environment switches; the interpreter runs every cluster.
+    Row("import", "cjit", "", 45, INTERPRETER),
+    *_rows("def", ("MeasurementCache", "host_fingerprint", "kernel_index",
+                   "jit_cache_dir", "render_source", "get_kernel",
+                   "run_kernel"), "", 45, INTERPRETER),
+    Row("env", "REPRO_JIT_*", "", 45, INTERPRETER),
+    Row("import", "subprocess", "backend/", 45, INTERPRETER),
 ]

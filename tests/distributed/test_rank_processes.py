@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -240,6 +241,19 @@ class TestParity:
 
     def test_check_sync_raises_on_planted_divergence(self, monkeypatch,
                                                      problem, dataset):
+        """The caller raises the divergence even when, released by the
+        sync barrier, it lags before leaving it: a forked process that
+        compared too would break the barrier in that window."""
+        caller, real_wait = os.getpid(), dp._RankGroup.wait
+
+        def wait(group):
+            real_wait(group)
+            if os.getpid() == caller and group.barrier is not None:
+                time.sleep(0.2)     # a released waiter's re-check window
+                if group.barrier.broken:
+                    raise threading.BrokenBarrierError
+
+        monkeypatch.setattr(dp._RankGroup, "wait", wait)
         _workers(monkeypatch, 2)
         t = DataParallelTrainer(_factory(), problem, dataset,
                                 DPConfig(world_size=2, batch_size=4,
@@ -247,7 +261,8 @@ class TestParity:
         p = t.replicas[1].parameters()[0]
         p.data = p.data + 1e-3
         before = _children()
-        with pytest.raises(AssertionError, match="replica 1 desynchronized"):
+        with _deadline(60), pytest.raises(AssertionError,
+                                          match="replica 1 desynchronized"):
             t.train_epochs(RES, 1)
         assert _children() == before
 
@@ -304,6 +319,36 @@ class TestFailure:
         t = self._trainer(monkeypatch, problem, dataset)
         real = self._plant(monkeypatch, t, 0, 2, self._raise)
         self._fails(monkeypatch, t, real, ValueError, "planted failure")
+
+    def test_abort_reaps_a_process_killed_holding_the_barrier_lock(
+            self, monkeypatch):
+        """``abort`` breaks the barrier, then kills.  A process woken by the
+        break may die holding the barrier's lock; reaping it must not
+        block on that lock."""
+        group = dp._RankGroup(2, 2, {"held": 1}, 8)
+        held = group.table("held")
+        before = _children()
+        group.fork()
+        if group.index:
+            try:
+                while not group.barrier.broken:
+                    time.sleep(0.001)
+                group.barrier._cond.acquire()
+                held[1, 0] = 1
+                time.sleep(60)
+            finally:
+                os._exit(0)
+        kill = os.kill
+
+        def kill_once_held(pid, sig):
+            while not held[1, 0]:
+                time.sleep(0.001)
+            kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill_once_held)
+        with _deadline(30):
+            group.abort()
+        assert _children() == before
 
     def test_rank_process_killed(self, monkeypatch, problem, dataset):
         t = self._trainer(monkeypatch, problem, dataset)

@@ -158,6 +158,18 @@ MUTANTS: list[Mutant] = [
            "else np.zeros_like(p.data)", "else np.ones_like(p.data)",
            ("tests/distributed/test_data_parallel.py::TestFlattening::"
             "test_missing_grad_is_zero",)),
+    Mutant("every process compares the sync rows",
+           "src/repro/distributed/data_parallel.py",
+           "        group.wait()\n        if group.index:\n            return\n",
+           "        group.wait()\n",
+           ("tests/distributed/test_rank_processes.py::TestParity::"
+            "test_check_sync_raises_on_planted_divergence",)),
+    Mutant("the reaper aborts a broken barrier again",
+           "src/repro/distributed/data_parallel.py",
+           "if status != 0 and not self.barrier.broken:",
+           "if status != 0:",
+           ("tests/distributed/test_rank_processes.py::TestFailure::"
+            "test_abort_reaps_a_process_killed_holding_the_barrier_lock",)),
     Mutant("world_size 0 accepted", "src/repro/distributed/data_parallel.py",
            "        if world < 1:\n", "        if world < 0:\n",
            ("tests/distributed/test_data_parallel.py::TestMechanics::"
@@ -259,6 +271,12 @@ MUTANTS: list[Mutant] = [
            "running = running + (self.result,)", "running = (self.result,)",
            ("tests/autograd/test_profiler.py::TestProfiler::"
             "test_profiles_may_close_in_any_order",)),
+    # -- the lazy backend's interpreter (PR 45) --------------------------- #
+    Mutant("the interpreter reuses a leaf as scratch",
+           "src/repro/backend/lazy/schedule.py",
+           "if o and isinstance(v, np.ndarray)",
+           "if isinstance(v, np.ndarray)",
+           ("tests/backend/test_lazy.py::TestInterpreter",)),
     # -- the op set (PR 44) ----------------------------------------------- #
     Mutant("an op nothing applies", "src/repro/autograd/ops_activation.py",
            "class Sigmoid(Function):",
