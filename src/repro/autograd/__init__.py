@@ -12,9 +12,7 @@ Public surface::
 
 from .function import Function, Context, no_grad, is_grad_enabled
 from .tensor import Tensor, set_default_dtype, get_default_dtype
-from .ops_basic import (
-    add, sub, mul, neg, reshape, moveaxis, pad, concat, flip, zero_stuff,
-)
+from .ops_basic import add, sub, mul
 from .ops_reduce import sum_ as sum, mean  # noqa: A001
 from .ops_activation import sigmoid, leaky_relu
 from .ops_conv import (
@@ -22,16 +20,14 @@ from .ops_conv import (
     conv_output_shape, conv_transpose_output_shape, tuplify,
 )
 from .ops_norm import batch_norm
-from .gradcheck import gradcheck, numerical_gradient
 from .profiler import profile, Profile, OpStats
 
 __all__ = [
     "Tensor", "Function", "Context", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype",
-    "add", "sub", "mul", "neg", "reshape", "moveaxis", "pad", "concat",
-    "flip", "zero_stuff", "sum", "mean", "sigmoid", "leaky_relu",
+    "add", "sub", "mul", "sum", "mean", "sigmoid", "leaky_relu",
     "conv_nd", "conv_transpose_nd", "max_pool_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",
-    "batch_norm", "gradcheck", "numerical_gradient",
+    "batch_norm",
     "profile", "Profile", "OpStats",
 ]

@@ -37,7 +37,6 @@ from ..backend.conv_plan import (
 )
 from .function import Context, Function
 from .tensor import Tensor
-from . import ops_basic as ob
 
 __all__ = [
     "conv_nd", "conv_transpose_nd", "max_pool_nd",
@@ -266,28 +265,6 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
     the conv engine run as an adjoint — no zero-stuffed intermediate."""
     return ConvTransposeNd.apply(
         x, w, b, *_conv_transpose_args(x, w, stride, padding, output_padding))
-
-
-def conv_transpose_nd_composed(x: Tensor, w: Tensor, b: Tensor | None = None,
-                               stride: int | Sequence[int] = 1,
-                               padding: int | Sequence[int] = 0,
-                               output_padding: int | Sequence[int] = 0
-                               ) -> Tensor:
-    """Reference semantics of :func:`conv_transpose_nd`: the composition
-    of differentiable primitives (zero-stuffing, padding, weight flip,
-    channel transpose, stride-1 conv) it is tested against.
-    """
-    nd = x.ndim - 2
-    stride_t, padding_t, outpad_t = _conv_transpose_args(
-        x, w, stride, padding, output_padding)
-    xz = ob.zero_stuff(x, stride_t) if any(s > 1 for s in stride_t) else x
-    padw = [(0, 0), (0, 0)] + [
-        (k - 1 - p, k - 1 - p + op)
-        for k, p, op in zip(w.shape[2:], padding_t, outpad_t)]
-    xp = ob.pad(xz, padw)
-    wf = ob.flip(w, axis=tuple(range(2, 2 + nd)))
-    wt = ob.moveaxis(wf, 0, 1)  # (Cout, Cin, *K)
-    return conv_nd(xp, wt, b, stride=1, padding=0)
 
 
 def max_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:

@@ -97,7 +97,8 @@ class BatchNorm(Function):
 
 class BatchNormInference(Function):
     """Evaluation-mode batch norm using fixed running statistics: one
-    per-channel affine map ``x * scale + shift``."""
+    per-channel affine map ``x * scale + shift``, forward only (nothing
+    trains through an evaluation-mode network)."""
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -108,22 +109,7 @@ class BatchNormInference(Function):
         inv_std = 1.0 / B.sqrt(running_var + eps)
         scale = gamma * inv_std
         shift = beta - running_mean * scale
-        ctx.save_for_backward(x)
-        ctx.meta.update(mean=running_mean, inv_std=inv_std, scale=scale,
-                        gshape=gshape, axes=(0,) + tuple(range(2, 2 + nd)))
         return x * scale.reshape(gshape) + shift.reshape(gshape)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, = ctx.saved
-        gshape = ctx.meta["gshape"]
-        axes = ctx.meta["axes"]
-        xhat = ((x - ctx.meta["mean"].reshape(gshape))
-                * ctx.meta["inv_std"].reshape(gshape))
-        dgamma = (grad * xhat).sum(axis=axes)
-        dbeta = grad.sum(axis=axes)
-        dx = grad * ctx.meta["scale"].reshape(gshape)
-        return dx, dgamma, dbeta, None, None, None
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -16,7 +16,6 @@ profiles open when it runs.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..backend import PoolStats, get_pool
@@ -30,10 +29,6 @@ class OpStats:
 
     calls: int = 0
     seconds: float = 0.0
-
-    @property
-    def ms_per_call(self) -> float:
-        return self.seconds / self.calls * 1e3 if self.calls else 0.0
 
 
 @dataclass
@@ -52,28 +47,6 @@ class Profile:
     def total_seconds(self) -> float:
         return (sum(s.seconds for s in self.forward.values())
                 + sum(s.seconds for s in self.backward.values()))
-
-    def table(self, top: int = 10) -> str:
-        """Render the hottest ops, forward and backward merged."""
-        merged: dict[str, OpStats] = defaultdict(OpStats)
-        for direction, stats in (("fwd", self.forward), ("bwd", self.backward)):
-            for name, s in stats.items():
-                key = f"{name}.{direction}"
-                merged[key].calls += s.calls
-                merged[key].seconds += s.seconds
-        rows = sorted(merged.items(), key=lambda kv: -kv[1].seconds)[:top]
-        total = max(self.total_seconds(), 1e-12)
-        lines = [f"{'op':<28}{'calls':>8}{'total s':>10}{'ms/call':>10}{'%':>7}"]
-        for name, s in rows:
-            lines.append(f"{name:<28}{s.calls:>8}{s.seconds:>10.4f}"
-                         f"{s.ms_per_call:>10.3f}{100 * s.seconds / total:>6.1f}%")
-        p = self.pool
-        if p is not None:
-            lines.append(f"buffer pool: {p.hits} hits / {p.misses} misses "
-                         f"({100 * p.hit_rate:.0f}%), "
-                         f"{p.bytes_recycled >> 20} MiB recycled, "
-                         f"high water {p.high_water_bytes >> 20} MiB")
-        return "\n".join(lines)
 
 
 running: tuple[Profile, ...] = ()
@@ -97,7 +70,7 @@ class profile:
 
         with profile() as prof:
             loss = model(x, chi, ubc); loss.backward()
-        print(prof.table())
+        prof.forward["ConvNd"].seconds
     """
 
     def __enter__(self) -> Profile:

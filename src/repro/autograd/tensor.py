@@ -70,43 +70,12 @@ class Tensor:
         """Return the underlying array (no copy; realizes lazy graphs)."""
         return realize(self.data)
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(
-                f"Tensor.item() requires a single-element tensor, "
-                f"got shape {self.shape} ({self.size} elements)")
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Return a view of the data severed from the autodiff graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype: Any) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False, dtype: Any = None) -> "Tensor":
-        return Tensor(B.zeros(shape, dtype=dtype or get_default_dtype()), requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False, dtype: Any = None) -> "Tensor":
-        return Tensor(B.ones(shape, dtype=dtype or get_default_dtype()), requires_grad)
 
     # ------------------------------------------------------------------ #
     # Backward
@@ -201,11 +170,6 @@ class Tensor:
     def __rmul__(self, other: Any) -> "Tensor":
         return self._binary(other, "mul", swap=True)
 
-    def __neg__(self) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.neg(self)
-
     # ------------------------------------------------------------------ #
     # Common method forms
     # ------------------------------------------------------------------ #
@@ -218,25 +182,3 @@ class Tensor:
         from . import ops_reduce as ord
 
         return ord.mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        from . import ops_basic as ob
-
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ob.reshape(self, shape)
-
-    def flip(self, axis: int | tuple[int, ...]) -> "Tensor":
-        from . import ops_basic as ob
-
-        return ob.flip(self, axis)
-
-    def sigmoid(self) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.sigmoid(self)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        from . import ops_activation as oa
-
-        return oa.leaky_relu(self, negative_slope)

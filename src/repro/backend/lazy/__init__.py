@@ -7,9 +7,8 @@ Public surface::
     from repro.backend.lazy import lazy_stats, reset_lazy_stats
 
 ``lazy_stats()`` returns the scheduler's counters: ``clusters`` (fused
-clusters realized), ``fused_ops`` (ops folded into them) and
-``interpreted_runs`` (clusters the NumPy interpreter ran, which is every
-cluster).  The fusion tests and ``bench_lazy_fusion`` read them.
+clusters realized, each run by the NumPy interpreter) and ``fused_ops``
+(ops folded into them).  The fusion tests and ``bench_lazy_fusion`` read them.
 """
 
 from .graph import LazyArray, is_lazy, realize, realize_all

@@ -28,9 +28,8 @@ __all__ = ["realize_node", "schedule_stats", "reset_schedule_stats"]
 
 _STATS_LOCK = threading.Lock()
 _stats = {
-    "clusters": 0,          # fused clusters executed
+    "clusters": 0,          # fused clusters executed by the interpreter
     "fused_ops": 0,         # elementwise/reduce ops folded into clusters
-    "interpreted_runs": 0,  # clusters executed by the NumPy interpreter
 }
 
 
@@ -184,6 +183,5 @@ def realize_node(node: LazyArray) -> np.ndarray:
     with _STATS_LOCK:
         _stats["clusters"] += 1
         _stats["fused_ops"] += cluster.n_ops
-        _stats["interpreted_runs"] += 1
     node._collapse(out)
     return out

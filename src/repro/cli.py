@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "answer within this budget and fail over")
     p.add_argument("--metrics-file", default=None, metavar="PATH",
                    help="enable telemetry and write the metrics-registry "
-                        "snapshot (counters, views, quantile sketches) "
-                        "to this JSON file on exit")
+                        "snapshot (views and quantile sketches) to this "
+                        "JSON file on exit")
     p.add_argument("--trace-file", default=None, metavar="PATH",
                    help="enable telemetry and write the captured request "
                         "spans to this jsonl file on exit "
@@ -272,29 +272,27 @@ def _cmd_predict(args) -> int:
         return 1
     model, problem = entry.model, entry.problem
     resolution = args.resolution or problem.resolution
-    executor = make_executor(args.executor, args.executor_workers)
     # Assemble tile cores as the pool completes them; without --tile the
     # plan is one tile, i.e. the untiled forward.
     out = None
     n_tiles = 0
     t_start = time.perf_counter()
     try:
-        for _, sl, core in stream_tiled_predict(
-                model, problem, args.omega, resolution=resolution,
-                tile=args.tile, halo=args.halo, executor=executor):
-            if out is None:
-                first_s = time.perf_counter() - t_start
-                out = np.empty((core.shape[0],)
-                               + problem.grid(resolution).shape,
-                               dtype=core.dtype)
-            out[(slice(None),) + sl] = core
-            n_tiles += 1
-        full_s = time.perf_counter() - t_start
+        with make_executor(args.executor, args.executor_workers) as executor:
+            for _, sl, core in stream_tiled_predict(
+                    model, problem, args.omega, resolution=resolution,
+                    tile=args.tile, halo=args.halo, executor=executor):
+                if out is None:
+                    first_s = time.perf_counter() - t_start
+                    out = np.empty((core.shape[0],)
+                                   + problem.grid(resolution).shape,
+                                   dtype=core.dtype)
+                out[(slice(None),) + sl] = core
+                n_tiles += 1
+            full_s = time.perf_counter() - t_start
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        executor.close()
     if args.stream:
         # The gap between the two latencies is the streaming win — a
         # consumer (renderer, outer solver loop) starts on the first

@@ -5,8 +5,6 @@ hardware) the hyperparameters reported in Sec. 4:
 
 * U-Net: depth 3, base filters 16 doubling with depth, LeakyReLU inner
   activations, Sigmoid head (Sec. 4.1).
-* Multigrid study: Adam, lr 1e-5, global batch 64, 65536 Sobol samples,
-  up to 4 levels (Sec. 4.1).
 * GPU scaling study: 1024 samples at 256^3, local batch 2, Adam lr 1e-4
   (Sec. 4.2.1).
 * CPU scaling study: 512^3 on Bridges2, 1 process/node, local batch 2
@@ -24,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mgdiffnet import MGDiffNet
-from .mg_trainer import MGTrainConfig
 
-__all__ = ["PaperScalingSetup", "paper_unet", "paper_multigrid_config",
-           "PAPER_GPU_SCALING", "PAPER_CPU_SCALING"]
+__all__ = ["PaperScalingSetup", "paper_unet", "PAPER_GPU_SCALING",
+           "PAPER_CPU_SCALING"]
 
 
 def paper_unet(ndim: int, rng: np.random.Generator | int | None = None
@@ -36,18 +33,6 @@ def paper_unet(ndim: int, rng: np.random.Generator | int | None = None
     Sigmoid output, batch-norm blocks."""
     return MGDiffNet(ndim=ndim, base_filters=16, depth=3,
                      negative_slope=0.01, use_batchnorm=True, rng=rng)
-
-
-def paper_multigrid_config() -> MGTrainConfig:
-    """Sec. 4.1 training hyperparameters (multigrid strategy study)."""
-    return MGTrainConfig(
-        batch_size=64,          # 'global batch size of 64'
-        lr=1e-5,                # 'learning rate of 1e-5' (Adam)
-        restriction_epochs=4,   # 'trained for a fixed number of epochs'
-        max_epochs_per_level=10_000,
-        patience=20,            # early-stopping convergence criterion
-        min_delta=1e-3,
-    )
 
 
 @dataclass(frozen=True)
@@ -61,10 +46,6 @@ class PaperScalingSetup:
     max_workers: int
     devices_per_node: int
     cluster: str
-
-    @property
-    def global_batch_at(self) -> int:
-        return self.local_batch * self.max_workers
 
 
 #: Fig. 9: 256^3 on Azure NDv2, 1024 maps, local batch 2 (14 GB/sample),

@@ -21,7 +21,6 @@ from ..autograd import Tensor, no_grad
 from ..data.dataloader import BatchSampler
 from ..data.dataset import DiffusivityDataset
 from ..optim import Adam, EarlyStopping, Optimizer
-from ..utils.logging import get_logger
 from .mgdiffnet import MGDiffNet
 from .problem import PoissonProblem
 
@@ -45,7 +44,6 @@ class TrainConfig:
     min_epochs: int = 3
     seed: int = 0
     shuffle: bool = True
-    log_every: int = 0
     max_time: float | None = None
     # Multigrid phase budgets (Sec. 3.1.2), read by MultigridTrainer:
     # epochs per restriction visit, epoch cap per prolongation visit.
@@ -67,10 +65,6 @@ class TrainResult:
     @property
     def final_loss(self) -> float:
         return self.losses[-1] if self.losses else float("nan")
-
-    @property
-    def best_loss(self) -> float:
-        return min(self.losses) if self.losses else float("nan")
 
 
 def make_optimizer(config: TrainConfig, params) -> Optimizer:
@@ -183,10 +177,6 @@ class Trainer:
             result.epoch_times.append(time.perf_counter() - t0)
             result.losses.append(loss)
             result.epochs_run += 1
-            if cfg.log_every and result.epochs_run % cfg.log_every == 0:
-                get_logger().info(
-                    "res=%d epoch=%d loss=%.6f (%.2fs)", resolution,
-                    result.epochs_run, loss, result.epoch_times[-1])
             early, late = self._agree(
                 stopper is not None and stopper.update(loss),
                 cfg.max_time is not None

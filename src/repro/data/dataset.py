@@ -82,13 +82,6 @@ class DiffusivityDataset:
                 self.omegas, grid, dtype=self.dtype, log=False)
         return self._cache[key]
 
-    def clear_cache(self, resolution: int | None = None) -> None:
-        if resolution is None:
-            self._cache.clear()
-        else:
-            for kind in ("in", "nu"):
-                self._cache.pop((resolution, kind), None)
-
     # ------------------------------------------------------------------ #
     def padded_to_multiple(self, multiple: int) -> "DiffusivityDataset":
         """Dataset augmented so ``len`` is divisible by ``multiple``.
@@ -106,8 +99,3 @@ class DiffusivityDataset:
         return DiffusivityDataset(self.field, 0, dtype=self.dtype,
                                   input_transform=self.input_transform,
                                   omegas=omegas)
-
-    def subset(self, indices: np.ndarray) -> "DiffusivityDataset":
-        return DiffusivityDataset(self.field, 0, dtype=self.dtype,
-                                  input_transform=self.input_transform,
-                                  omegas=self.omegas[np.asarray(indices)])

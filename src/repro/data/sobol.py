@@ -85,10 +85,6 @@ class SobolSampler:
         self._x = x
         return out
 
-    def reset(self) -> None:
-        self._x = np.zeros(self.dimension, dtype=np.uint64)
-        self._count = 0
-
 
 def sample_omega(n: int, m: int = 4, omega_range: tuple[float, float] = (-3.0, 3.0),
                  skip: int = 1, engine: str = "own") -> np.ndarray:

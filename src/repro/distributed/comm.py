@@ -1,7 +1,7 @@
 """MPI-style communicator over rank-indexed buffers.
 
-Mirrors the mpi4py collective surface (allreduce / bcast / allgather /
-barrier).  A collective takes every rank's buffer and returns every
+Mirrors mpi4py's ``allreduce``, the one collective data parallelism
+needs.  A collective takes every rank's buffer and returns every
 rank's result: each data-parallel rank process runs it over all ranks'
 rows, read from shared memory, and keeps its own.  Semantics are exact —
 the Eq. 15 determinism arguments hold bit-for-bit — while *cost* is
@@ -26,8 +26,6 @@ class CommLog:
 
     allreduce_calls: int = 0
     allreduce_bytes: int = 0
-    broadcast_calls: int = 0
-    barrier_calls: int = 0
     virtual_comm_seconds: float = 0.0
 
 
@@ -57,26 +55,6 @@ class SimulatedCommunicator:
         self.log.allreduce_bytes += stats.total_bytes
         self._charge(stats.message_bytes)
         return reduced
-
-    def broadcast(self, value: np.ndarray, root: int = 0) -> list[np.ndarray]:
-        """Broadcast root's array to all ranks (tree topology assumed for
-        the cost model: log2(p) hops)."""
-        if not 0 <= root < self.world_size:
-            raise ValueError(f"invalid root {root}")
-        value = np.asarray(value)
-        self.log.broadcast_calls += 1
-        self._charge(value.nbytes)
-        return [value.copy() for _ in range(self.world_size)]
-
-    def allgather(self, buffers: list[np.ndarray]) -> list[list[np.ndarray]]:
-        """Each rank receives the list of every rank's buffer."""
-        self._check(buffers)
-        gathered = [b.copy() for b in buffers]
-        self._charge(sum(b.nbytes for b in buffers))
-        return [list(gathered) for _ in range(self.world_size)]
-
-    def barrier(self) -> None:
-        self.log.barrier_calls += 1
 
     # ------------------------------------------------------------------ #
     def _check(self, buffers: list[np.ndarray]) -> None:

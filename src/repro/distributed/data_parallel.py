@@ -45,7 +45,7 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -384,7 +384,6 @@ class DataParallelTrainer(Trainer):
             if group.index:
                 reset_after_fork(get_backend().name,
                                  np.dtype(get_default_dtype()).name)
-                self.config = replace(self.config, log_every=0)  # rank 0 logs
             result = super()._train(resolution, max_epochs, stopper)
             if group.index:
                 group.hand_back({r: self._rank_state(r) for r in group.ranks})

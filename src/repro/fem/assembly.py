@@ -1,7 +1,7 @@
 """FEM assembly on uniform grids with Q1 elements and nodal data
 interpolated to Gauss points.
 
-The stiffness and mass matrices are CSR copies of the one stencil builder
+The stiffness matrix is a CSR copy of the one stencil builder
 (:mod:`repro.fem.stencil`); the load vector is accumulated by slice-adds
 on the nodal array.  Nothing here builds index arrays or triplets.
 """
@@ -11,16 +11,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..backend import ops as B
-
 from .basis import gauss_interp, local_nodes, node_slices, shape_values
 from .grid import UniformGrid
 from .quadrature import GaussRule
-from .stencil import StencilOperator, full_csr, stencil_matrix
+from .stencil import StencilOperator
 
 __all__ = [
     "interpolate_to_gauss",
-    "assemble_stiffness", "assemble_load", "assemble_mass",
+    "assemble_stiffness", "assemble_load",
 ]
 
 
@@ -60,12 +58,3 @@ def assemble_load(grid: UniformGrid, f_nodal: np.ndarray | None,
             grid.element_shape)
     return b.ravel()
 
-
-def assemble_mass(grid: UniformGrid, rule: GaussRule | None = None) -> sp.csr_matrix:
-    """Assemble the (consistent) mass matrix ``M_ij = int N_i N_j``."""
-    rule = rule or GaussRule.create(grid.ndim, 2)
-    values = shape_values(rule.points)  # (G, A)
-    det_j = (grid.h / 2.0) ** grid.ndim
-    m_local = B.einsum("g,ga,gb->ab", rule.weights, values, values) * det_j
-    return full_csr(stencil_matrix(m_local[None],
-                                   np.ones((1,) + grid.element_shape)))

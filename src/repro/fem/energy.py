@@ -8,14 +8,14 @@ The loss is the discrete energy functional
          = 1/2 u^T K(nu) u - b^T u
 
 and it is one autograd op.  Its forward is one pass of the matrix-free
-stiffness kernel (:func:`repro.fem.stencil.apply_stiffness`), which
-returns the quadratic term summed over Gauss points *and* ``K u``; forcing
-and Neumann fluxes are linear in ``u`` and enter through the assembled
-load vector ``b``.  The forward saves ``dJ/du = K u - b``, so the backward
-pass is a scaling of that field by the incoming gradient — no graph of
-Gauss-point tensors is recorded, and the gradient is *exactly* the
-residual of the assembled system (verified in tests against the op-by-op
-chain this replaced, ``tests/fem/energy_oracle.py``).
+stiffness kernel (:func:`repro.fem.stencil.apply_stiffness`), which returns
+the quadratic term summed over Gauss points *and* ``K u``; forcing is
+linear in ``u`` and enters through the assembled load vector ``b``.  The
+forward saves ``dJ/du = K u - b``, so the backward pass is a scaling of
+that field by the incoming gradient — no graph of Gauss-point tensors is
+recorded, and the gradient is *exactly* the residual of the assembled
+system (verified in tests against the op-by-op chain this replaced,
+``tests/fem/energy_oracle.py``).
 
 Minimizing J over admissible fields (Dirichlet data imposed exactly by the
 masking of Algorithm 1) therefore reproduces the FEM solution — this is
@@ -30,7 +30,6 @@ from ..autograd import Context, Function, Tensor
 from ..backend import realize
 from .assembly import assemble_load
 from .grid import UniformGrid
-from .neumann import assemble_neumann_load
 from .quadrature import GaussRule
 from .stencil import apply_stiffness
 
@@ -80,8 +79,6 @@ class EnergyLoss:
         'mean' (default) averages per-sample energies over the batch,
         'sum' adds them — 'sum' with a single sample is the exact
         matrix-form energy used in the consistency tests.
-    neumann:
-        Optional list of :class:`repro.fem.neumann.NeumannBC` fluxes.
 
     Call with ``u``: Tensor (N, 1, \\*grid.shape) and ``nu``: Tensor or
     ndarray of the same shape; returns a scalar Tensor.
@@ -89,8 +86,7 @@ class EnergyLoss:
 
     def __init__(self, grid: UniformGrid, rule: GaussRule | None = None,
                  forcing: np.ndarray | None = None,
-                 reduction: str = "mean",
-                 neumann: list | None = None) -> None:
+                 reduction: str = "mean") -> None:
         if reduction not in ("mean", "sum"):
             raise ValueError(f"unknown reduction {reduction!r}")
         self.grid = grid
@@ -99,14 +95,11 @@ class EnergyLoss:
         self.forcing = None if forcing is None else np.asarray(forcing, dtype=np.float64)
         if self.forcing is not None and self.forcing.shape != grid.shape:
             raise ValueError("forcing shape must match grid")
-        self.neumann = list(neumann) if neumann else []
         # Everything linear in u, as one nodal load (None: J is quadratic).
         self._load: np.ndarray | None = None
-        if self.forcing is not None or self.neumann:
-            load = assemble_load(grid, self.forcing, self.rule)
-            if self.neumann:
-                load = load + assemble_neumann_load(grid, self.neumann)
-            self._load = load.reshape(grid.shape)
+        if self.forcing is not None:
+            self._load = assemble_load(grid, self.forcing,
+                                       self.rule).reshape(grid.shape)
 
     def per_sample(self, u: Tensor, nu: Tensor | np.ndarray) -> Tensor:
         """Per-sample energies as a Tensor of shape (N,)."""

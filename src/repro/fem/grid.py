@@ -40,10 +40,6 @@ class UniformGrid:
         return self.resolution ** self.ndim
 
     @property
-    def num_elements(self) -> int:
-        return (self.resolution - 1) ** self.ndim
-
-    @property
     def element_shape(self) -> tuple[int, ...]:
         return (self.resolution - 1,) * self.ndim
 
@@ -65,24 +61,12 @@ class UniformGrid:
     # ------------------------------------------------------------------ #
     # Index algebra
     # ------------------------------------------------------------------ #
-    def ravel_index(self, multi_index: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Flatten multi-dimensional node indices (C order)."""
-        return np.ravel_multi_index(multi_index, self.shape)
-
     def face_mask(self, axis: int, side: int) -> np.ndarray:
         """Boolean nodal mask of the grid face ``axis``/``side`` (0=lo, 1=hi)."""
         mask = np.zeros(self.shape, dtype=bool)
         idx = [slice(None)] * self.ndim
         idx[axis] = 0 if side == 0 else -1
         mask[tuple(idx)] = True
-        return mask
-
-    def boundary_mask(self) -> np.ndarray:
-        """Boolean nodal mask of the entire boundary."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.ndim):
-            mask |= self.face_mask(ax, 0)
-            mask |= self.face_mask(ax, 1)
         return mask
 
     # ------------------------------------------------------------------ #
@@ -97,10 +81,6 @@ class UniformGrid:
         if not self.can_coarsen():
             raise ValueError(f"grid of resolution {self.resolution} cannot coarsen")
         return UniformGrid(self.ndim, (self.resolution - 1) // 2 + 1)
-
-    def refine(self) -> "UniformGrid":
-        """Grid with twice the elements per dimension."""
-        return UniformGrid(self.ndim, (self.resolution - 1) * 2 + 1)
 
     def __repr__(self) -> str:
         return f"UniformGrid({self.ndim}d, {'x'.join([str(self.resolution)] * self.ndim)})"

@@ -69,7 +69,3 @@ class GaussRule:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def integrate_constant(self) -> float:
-        """Sum of weights == measure of the reference cube (2^ndim)."""
-        return float(self.weights.sum())

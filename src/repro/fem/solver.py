@@ -17,7 +17,6 @@ from ..backend import ops as B
 from .assembly import assemble_load
 from .grid import UniformGrid
 from .krylov import conjugate_gradient, jacobi_preconditioner
-from .neumann import assemble_neumann_load
 from .quadrature import GaussRule
 from .stencil import StencilOperator
 
@@ -50,10 +49,6 @@ class DirichletBC:
     def interior_indicator(self) -> np.ndarray:
         """Float characteristic function of the interior (paper's chi_int)."""
         return (~self.mask).astype(np.float64)
-
-    def boundary_indicator(self) -> np.ndarray:
-        """Float characteristic function of the Dirichlet set (chi_b)."""
-        return self.mask.astype(np.float64)
 
 
 def canonical_bc(grid: UniformGrid) -> DirichletBC:
@@ -92,27 +87,22 @@ class FEMSolver:
         self.rule = rule or GaussRule.create(grid.ndim, 2)
         self.last_report: SolveReport | None = None
 
-    def _system(self, nu_nodal: np.ndarray, f_nodal: np.ndarray | None,
-                neumann: list | None) -> tuple[StencilOperator, np.ndarray]:
-        """The operator ``K(nu)`` and the load vector, fluxes included."""
-        op = StencilOperator(self.grid, nu_nodal, self.rule)
-        b = assemble_load(self.grid, f_nodal, self.rule)
-        if neumann:
-            b = b + assemble_neumann_load(self.grid, neumann, None)
-        return op, b
+    def _system(self, nu_nodal: np.ndarray, f_nodal: np.ndarray | None
+                ) -> tuple[StencilOperator, np.ndarray]:
+        """The operator ``K(nu)`` and the load vector."""
+        return (StencilOperator(self.grid, nu_nodal, self.rule),
+                assemble_load(self.grid, f_nodal, self.rule))
 
     def solve(self, nu_nodal: np.ndarray, bc: DirichletBC,
               f_nodal: np.ndarray | None = None, method: str = "auto",
-              tol: float = 1e-10, maxiter: int | None = None,
-              neumann: list | None = None) -> np.ndarray:
+              tol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
         """Return the nodal solution field of shape ``grid.shape``.
 
         ``method``: 'direct' (sparse LU), 'cg' (Jacobi-preconditioned
         conjugate gradients) or 'auto' (direct below 50k interior dofs).
-        ``neumann``: optional list of :class:`repro.fem.neumann.NeumannBC`
-        flux conditions (zero-flux faces need no entry).
+        Faces outside ``bc.mask`` are zero-flux and need no term.
         """
-        op, b = self._system(nu_nodal, f_nodal, neumann)
+        op, b = self._system(nu_nodal, f_nodal)
         interior = ~bc.mask.ravel()
         u = bc.lift().ravel()
         rhs_i = (b - op @ u)[interior]
@@ -143,12 +133,11 @@ class FEMSolver:
         return u.reshape(self.grid.shape)
 
     def energy(self, u_nodal: np.ndarray, nu_nodal: np.ndarray,
-               f_nodal: np.ndarray | None = None,
-               neumann: list | None = None) -> float:
+               f_nodal: np.ndarray | None = None) -> float:
         """Matrix form of the energy: ``1/2 u^T K u - b^T u``.
 
         Used by tests to certify that :class:`repro.fem.energy.EnergyLoss`
         (the conv-stencil path) matches the assembled operator exactly.
         """
-        op, b = self._system(nu_nodal, f_nodal, neumann)
+        op, b = self._system(nu_nodal, f_nodal)
         return op.energy(u_nodal, b)

@@ -14,11 +14,11 @@ Everything that needs K takes it from :class:`StencilOperator`: assembly
 (``assemble_stiffness`` is ``to_csr()``, :func:`full_csr` being the one
 full form), the multigrid levels and the FMG ladder (the operator and its
 float32 ``astype``; only the coarsest level is converted, for its LU),
-``FEMSolver`` (``to_csr()``, ``energy``) and the CG that never forms a
-CSR (``solve_interior``).  The mat-vec runs in row blocks on the host's
-cores — rows ``lo:hi`` are the same data under offsets shifted by ``lo``
-— adding the diagonals in ascending offset order as scipy's DIA kernel
-does, so the product is bitwise the full matrix's.
+``FEMSolver`` (``to_csr()``, ``energy``) and the Krylov solves.  The mat-vec
+runs in row blocks on the host's cores — rows ``lo:hi`` are the same data
+under offsets shifted by ``lo`` — adding the diagonals in ascending offset
+order as scipy's DIA kernel does, so the product is bitwise the full
+matrix's.
 
 :func:`apply_stiffness` is the same operator with nothing stored: ``K(nu) u
 = D^T diag(nu w) D u`` recomputed from ν on every application, batched, in
@@ -45,7 +45,7 @@ from ..backend.tuning import default_workers
 from .basis import (gauss_interp, local_nodes, node_slices, shape_gradients,
                     shape_values)
 from .grid import UniformGrid
-from .krylov import conjugate_gradient, inner
+from .krylov import inner
 from .quadrature import GaussRule
 
 __all__ = ["StencilOperator", "apply_stiffness", "element_stiffness_tensors",
@@ -262,30 +262,3 @@ class StencilOperator:
         """Matrix form of the energy, ``1/2 u^T K u - b^T u``."""
         u = np.asarray(u, dtype=np.float64).ravel()
         return 0.5 * inner(u, self.matvec(u)) - inner(b, u)
-
-    # ------------------------------------------------------------------ #
-    def solve_interior(self, bc, f_nodal: np.ndarray | None = None,
-                       tol: float = 1e-10, maxiter: int | None = None):
-        """CG solve of the Dirichlet-lifted system on the stencil itself.
-
-        Returns the nodal field; K is never converted to CSR.
-        """
-        from .assembly import assemble_load
-
-        interior = ~bc.mask.ravel()
-        u = bc.lift().ravel()
-        b = assemble_load(self.grid, f_nodal, self.rule)
-        rhs = (b - self.matvec(u))[interior]
-
-        def apply_interior(v: np.ndarray) -> np.ndarray:
-            full = np.zeros(self.grid.num_nodes)
-            full[interior] = v
-            return self.matvec(full)[interior]
-
-        x, self.last_report = conjugate_gradient(apply_interior, rhs, tol=tol,
-                                                 maxiter=maxiter)
-        if not self.last_report.converged:
-            raise RuntimeError("matrix-free CG did not converge "
-                               f"({self.last_report.residual:.2e})")
-        u[interior] += x
-        return u.reshape(self.grid.shape)

@@ -2,11 +2,11 @@
 schedules (V / W / F / Half-V)."""
 
 from .hierarchy import GridHierarchy
-from .transfer import resample_linear, restrict_field, prolong_field
+from .transfer import resample_linear
 from .cycles import CycleStep, cycle_levels, build_schedule, STRATEGIES
 
 __all__ = [
     "GridHierarchy",
-    "resample_linear", "restrict_field", "prolong_field",
+    "resample_linear",
     "CycleStep", "cycle_levels", "build_schedule", "STRATEGIES",
 ]

@@ -55,12 +55,5 @@ class GridHierarchy:
         return self.finest_resolution // (2 ** (level - 1))
 
     @property
-    def resolutions(self) -> list[int]:
-        return [self.resolution(l) for l in range(1, self.levels + 1)]
-
-    @property
     def coarsest_resolution(self) -> int:
         return self.finest_resolution // (2 ** (self.levels - 1))
-
-    def __iter__(self):
-        return iter(range(1, self.levels + 1))

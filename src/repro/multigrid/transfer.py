@@ -14,7 +14,7 @@ import numpy as np
 
 from ..backend import ops as B
 
-__all__ = ["resample_linear", "restrict_field", "prolong_field"]
+__all__ = ["resample_linear"]
 
 
 def _resample_axis(arr: np.ndarray, axis: int, new_size: int) -> np.ndarray:
@@ -46,24 +46,3 @@ def resample_linear(field: np.ndarray, new_resolution: int,
         out = _resample_axis(out, ax, new_resolution)
     return out
 
-
-def restrict_field(field: np.ndarray, factor: int = 2,
-                   spatial_axes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Restrict a nodal field to a ``factor``-times coarser level."""
-    axes = spatial_axes if spatial_axes is not None else tuple(range(field.ndim))
-    new_res = field.shape[axes[0]] // factor
-    for ax in axes:
-        if field.shape[ax] != field.shape[axes[0]]:
-            raise ValueError("anisotropic fields not supported")
-    return resample_linear(field, new_res, axes)
-
-
-def prolong_field(field: np.ndarray, factor: int = 2,
-                  spatial_axes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Prolong a nodal field to a ``factor``-times finer level."""
-    axes = spatial_axes if spatial_axes is not None else tuple(range(field.ndim))
-    new_res = field.shape[axes[0]] * factor
-    for ax in axes:
-        if field.shape[ax] != field.shape[axes[0]]:
-            raise ValueError("anisotropic fields not supported")
-    return resample_linear(field, new_res, axes)

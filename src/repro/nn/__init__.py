@@ -6,9 +6,8 @@ dimension-agnostic :class:`UNet` used by MGDiffNet.
 """
 
 from .module import Module, Parameter
-from .container import Sequential, ModuleList
-from .conv import (ConvNd, Conv2d, Conv3d, ConvTransposeNd,
-                   ConvTranspose2d, ConvTranspose3d)
+from .container import ModuleList
+from .conv import ConvNd, ConvTransposeNd
 from .norm import BatchNorm
 from .activation import LeakyReLU, Sigmoid
 from .pooling import MaxPool
@@ -16,9 +15,8 @@ from .unet import UNet, ConvBlock, UpBlock, RefinementBlock
 from . import init
 
 __all__ = [
-    "Module", "Parameter", "Sequential", "ModuleList",
-    "ConvNd", "Conv2d", "Conv3d",
-    "ConvTransposeNd", "ConvTranspose2d", "ConvTranspose3d",
+    "Module", "Parameter", "ModuleList",
+    "ConvNd", "ConvTransposeNd",
     "BatchNorm", "LeakyReLU", "Sigmoid", "MaxPool",
     "UNet", "ConvBlock", "UpBlock", "RefinementBlock",
     "init",

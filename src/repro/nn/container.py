@@ -4,41 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..autograd import Tensor
 from .module import Module
 
-__all__ = ["Sequential", "ModuleList"]
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        for i, m in enumerate(modules):
-            setattr(self, str(i), m)
-        self._n = len(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for i in range(self._n):
-            x = getattr(self, str(i))(x)
-        return x
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self) -> Iterator[Module]:
-        return (getattr(self, str(i)) for i in range(self._n))
-
-    def __getitem__(self, i: int) -> Module:
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return getattr(self, str(i % self._n))
-
-    def append(self, module: Module) -> "Sequential":
-        setattr(self, str(self._n), module)
-        object.__setattr__(self, "_n", self._n + 1)
-        return self
+__all__ = ["ModuleList"]
 
 
 class ModuleList(Module):
@@ -70,6 +38,3 @@ class ModuleList(Module):
         if not -self._n <= i < self._n:
             raise IndexError(i)
         setattr(self, str(i % self._n), module)
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList has no forward; iterate over it")

@@ -8,13 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, conv_nd, conv_transpose_nd, tuplify
-from ..backend.conv_plan import ConvPlan, plan_conv
 from ..utils.seeding import make_rng
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["ConvNd", "Conv2d", "Conv3d", "ConvTransposeNd",
-           "ConvTranspose2d", "ConvTranspose3d"]
+__all__ = ["ConvNd", "ConvTransposeNd"]
 
 
 class ConvNd(Module):
@@ -60,19 +58,6 @@ class ConvNd(Module):
         return conv_nd(x, self.weight, self.bias,
                        stride=self.stride, padding=self.padding)
 
-    def plan_for(self, x_shape: tuple[int, ...], dtype=None) -> ConvPlan:
-        """The (memoized) engine geometry this layer uses for an input shape.
-
-        Exposes the backend conv plan for profiling and tests: the same
-        plan object drives :func:`repro.autograd.conv_nd` at call time.
-        ``dtype`` is the *input* dtype (plans are dtype-sensitive — the
-        column chunk holds half as many float64 columns); defaults to the
-        weight dtype, which is correct whenever inputs and weights share
-        precision.
-        """
-        return plan_conv(x_shape, self.weight.shape, self.stride,
-                         self.padding, dtype or self.weight.dtype)
-
     def __repr__(self) -> str:
         return (f"ConvNd({self.ndim}d, {self.in_channels}->{self.out_channels}, "
                 f"k={self.kernel_size}, s={self.stride}, p={self.padding})")
@@ -113,23 +98,3 @@ class ConvTransposeNd(Module):
         return (f"ConvTransposeNd({self.ndim}d, "
                 f"{self.in_channels}->{self.out_channels}, "
                 f"k={self.kernel_size}, s={self.stride})")
-
-
-class Conv2d(ConvNd):
-    def __init__(self, in_channels: int, out_channels: int, **kwargs) -> None:
-        super().__init__(2, in_channels, out_channels, **kwargs)
-
-
-class Conv3d(ConvNd):
-    def __init__(self, in_channels: int, out_channels: int, **kwargs) -> None:
-        super().__init__(3, in_channels, out_channels, **kwargs)
-
-
-class ConvTranspose2d(ConvTransposeNd):
-    def __init__(self, in_channels: int, out_channels: int, **kwargs) -> None:
-        super().__init__(2, in_channels, out_channels, **kwargs)
-
-
-class ConvTranspose3d(ConvTransposeNd):
-    def __init__(self, in_channels: int, out_channels: int, **kwargs) -> None:
-        super().__init__(3, in_channels, out_channels, **kwargs)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..backend.dtype import get_default_dtype
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "calculate_fan"]
+__all__ = ["kaiming_normal", "zeros", "calculate_fan"]
 
 
 def calculate_fan(shape: tuple[int, ...], mode: str = "fan_in") -> int:
@@ -34,25 +34,6 @@ def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator,
     gain = math.sqrt(2.0 / (1.0 + negative_slope ** 2))
     std = gain / math.sqrt(fan)
     return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                    negative_slope: float = 0.0, mode: str = "fan_in",
-                    dtype=None) -> np.ndarray:
-    dtype = dtype or get_default_dtype()
-    fan = calculate_fan(shape, mode)
-    gain = math.sqrt(2.0 / (1.0 + negative_slope ** 2))
-    bound = gain * math.sqrt(3.0 / fan)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                   dtype=None) -> np.ndarray:
-    dtype = dtype or get_default_dtype()
-    fan_in = calculate_fan(shape, "fan_in")
-    fan_out = calculate_fan(shape, "fan_out")
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def zeros(shape: tuple[int, ...], dtype=None) -> np.ndarray:

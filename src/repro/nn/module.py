@@ -85,9 +85,6 @@ class Module:
         for m in self._modules.values():
             yield from m.modules()
 
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
     def num_parameters(self) -> int:
         """Total scalar parameter count (the paper's ``Nw``)."""
         return int(sum(p.size for p in self.parameters()))
@@ -114,10 +111,6 @@ class Module:
             yield self
         finally:
             self.train(was_training)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -20,7 +20,7 @@ from ..autograd import Tensor, conv_nd, is_grad_enabled
 from ..backend import ops as B
 from ..utils.seeding import make_rng, spawn_rngs
 from .activation import LeakyReLU, Sigmoid
-from .container import ModuleList, Sequential
+from .container import ModuleList
 from .conv import ConvNd, ConvTransposeNd
 from .module import Module
 from .norm import BatchNorm

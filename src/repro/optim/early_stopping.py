@@ -48,10 +48,3 @@ class EarlyStopping:
         if self.epoch >= self.min_epochs and self.count >= self.patience:
             self.stopped = True
         return self.stopped
-
-    def reset(self) -> None:
-        self.best = math.inf
-        self.best_epoch = -1
-        self.count = 0
-        self.epoch = 0
-        self.stopped = False

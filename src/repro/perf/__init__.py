@@ -6,10 +6,8 @@ from .model import (ring_allreduce_time, step_time, epoch_time,
                     ScalingPoint, strong_scaling_study,
                     compute_time_at_resolution)
 from .measure import EpochTimePoint, measure_epoch_time, measure_sample_time
-from .fit import PowerLawFit, fit_power_law
 
 __all__ = [
-    "PowerLawFit", "fit_power_law",
     "ClusterSpec", "AZURE_NDV2", "BRIDGES2_CPU",
     "ring_allreduce_time", "step_time", "epoch_time",
     "ScalingPoint", "strong_scaling_study", "compute_time_at_resolution",

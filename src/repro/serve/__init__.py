@@ -61,7 +61,7 @@ from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
 from .server import PredictionServer, ServerConfig, ServerStats
 from .telemetry import (
-    NULL_SPAN, NULL_TRACER, Counter, MetricsRegistry, NullSpan, NullTracer,
+    NULL_SPAN, NULL_TRACER, MetricsRegistry, NullSpan, NullTracer,
     QuantileSketch, Span, Telemetry, Tracer, export_jsonl, format_summary,
     parse_jsonl, summarize_spans,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "tiled_forward", "tiled_predict",
     "stream_tiled_forward", "stream_tiled_predict",
     "Telemetry", "Tracer", "Span", "NullSpan", "NullTracer",
-    "NULL_SPAN", "NULL_TRACER", "Counter", "QuantileSketch",
+    "NULL_SPAN", "NULL_TRACER", "QuantileSketch",
     "MetricsRegistry", "export_jsonl", "parse_jsonl",
     "summarize_spans", "format_summary",
 ]

@@ -13,12 +13,13 @@ a unit of serving compute runs:
   it holds OpenBLAS at one thread from construction to ``close``: the
   workers are the parallelism, and BLAS threads on top oversubscribed
   the cores.
-* :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Full GIL
-  escape for CPU-bound fleets.  Each worker re-initialises its array
-  backend and dtype policy on startup (``reset_after_fork``): forked
-  children must never reuse the parent's backend instances, whose locked
-  state does not survive a fork.  Each also runs OpenBLAS on one thread,
-  as data-parallel rank processes do.
+* :class:`ProcessExecutor` — forked worker processes.  Full GIL
+  escape for CPU-bound fleets; a worker that dies fails the call with
+  ``BrokenProcessPool`` instead of hanging it.  Each worker
+  re-initialises its array backend and dtype policy on startup
+  (``reset_after_fork``): forked children must never reuse the parent's
+  backend instances, whose locked state does not survive a fork.  Each
+  also runs OpenBLAS on one thread, as data-parallel rank processes do.
 
 Task functions submitted to a :class:`ProcessExecutor` must be module
 level (picklable); per-worker state such as unpickled models is cached in
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
+                                ThreadPoolExecutor, as_completed)
 
 import numpy as np
 
@@ -119,39 +121,34 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class ThreadExecutor(Executor):
-    """Shared thread pool; pool threads run the creator's backend/dtype.
+class _PoolExecutor(Executor):
+    """A lazily built ``concurrent.futures`` pool whose workers run the
+    creator's backend and dtype.
 
-    The array-backend choice is thread-local (see
-    :mod:`repro.backend.registry`), so without the initializer a pool
-    thread would silently fall back to the process default backend
-    instead of the one the caller configured.  With more than one worker
-    the executor holds OpenBLAS at one thread until :meth:`close`.
+    ``map`` and ``imap_unordered`` submit every item, yield as results
+    land and cancel what is left when the caller stops or a task raises.
+    A pool that breaks (a process worker died) is shut down and dropped:
+    the call raises ``BrokenExecutor`` and the next call builds a fresh
+    pool.  The two subclasses differ only in the pool they build.
     """
-
-    kind = "thread"
 
     def __init__(self, workers: int | None = None) -> None:
         self._workers = max(1, int(workers or default_workers()))
         self._backend, self._dtype = _capture_context()
         self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._holds_blas = self._workers > 1
-        if self._holds_blas:
-            hold_one_blas_thread()
+        self._pool = None
 
     @property
     def workers(self) -> int:
         return self._workers
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _new_pool(self):
+        raise NotImplementedError
+
+    def _ensure_pool(self):
         with self._lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="repro-exec",
-                    initializer=_thread_worker_init,
-                    initargs=(self._backend, self._dtype))
+                self._pool = self._new_pool()
             return self._pool
 
     def map(self, fn, items) -> list:
@@ -160,7 +157,10 @@ class ThreadExecutor(Executor):
             return []
         span = self._map_span(len(items))
         try:
-            return list(self._ensure_pool().map(fn, items))
+            out = [None] * len(items)
+            for i, result in self.imap_unordered(fn, items):
+                out[i] = result
+            return out
         finally:
             span.finish()
 
@@ -169,10 +169,18 @@ class ThreadExecutor(Executor):
         if not items:
             return
         pool = self._ensure_pool()
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
+        futures = {}
         try:
+            for i, item in enumerate(items):
+                futures[pool.submit(fn, item)] = i
             for fut in as_completed(futures):
                 yield futures[fut], fut.result()
+        except BrokenExecutor:
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=True)
+            raise
         finally:
             # A consumer that closes the stream early (or a task that
             # raised) must not leave the queued remainder computing.
@@ -185,83 +193,64 @@ class ThreadExecutor(Executor):
     def close(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
-            held, self._holds_blas = self._holds_blas, False
         if pool is not None:
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+class ThreadExecutor(_PoolExecutor):
+    """Shared thread pool; pool threads run the creator's backend/dtype.
+
+    The array-backend choice is thread-local (see
+    :mod:`repro.backend.registry`), so without the initializer a pool
+    thread would silently fall back to the process default backend
+    instead of the one the caller configured.  With more than one worker
+    the executor holds OpenBLAS at one thread until :meth:`close`.
+    """
+
+    kind = "thread"
+
+    def __init__(self, workers: int | None = None) -> None:
+        super().__init__(workers)
+        self._holds_blas = self._workers > 1
+        if self._holds_blas:
+            hold_one_blas_thread()
+
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self._workers, thread_name_prefix="repro-exec",
+            initializer=_thread_worker_init,
+            initargs=(self._backend, self._dtype))
+
+    def close(self) -> None:
+        super().close()
+        with self._lock:
+            held, self._holds_blas = self._holds_blas, False
         if held:
             release_blas_thread()
 
 
-class ProcessExecutor(Executor):
-    """``multiprocessing`` pool with per-worker backend re-initialisation
+class ProcessExecutor(_PoolExecutor):
+    """Forked worker processes with per-worker backend re-initialisation
     and OpenBLAS pinned to one thread in every worker.
 
     The pool is created lazily (spinning up processes is not free) and
-    the default start method prefers ``fork`` where available: children
-    inherit loaded modules copy-on-write, so startup cost stays low even
-    for a large serving process.
+    forks every worker at once when it is built: children inherit loaded
+    modules copy-on-write, so startup cost stays low even for a large
+    serving process, and ``warm`` forks them before any serving thread
+    exists.
     """
 
     kind = "process"
 
-    def __init__(self, workers: int | None = None,
-                 start_method: str | None = None) -> None:
-        self._workers = max(1, int(workers or default_workers()))
-        self._backend, self._dtype = _capture_context()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._start_method = start_method
-        self._lock = threading.Lock()
-        self._pool = None
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def start_method(self) -> str:
-        return self._start_method
-
-    def _ensure_pool(self):
-        with self._lock:
-            if self._pool is None:
-                ctx = multiprocessing.get_context(self._start_method)
-                self._pool = ctx.Pool(
-                    processes=self._workers,
-                    initializer=_process_worker_init,
-                    initargs=(self._backend, self._dtype))
-            return self._pool
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        if not items:
-            return []
-        span = self._map_span(len(items))
-        try:
-            # chunksize=1: serving tasks are coarse (a tile or a fused
-            # forward each); load balance beats batched dispatch.
-            return self._ensure_pool().map(fn, items, chunksize=1)
-        finally:
-            span.finish()
-
-    def imap_unordered(self, fn, items):
-        items = list(items)
-        if not items:
-            return
-        pool = self._ensure_pool()
-        payloads = [(fn, i, item) for i, item in enumerate(items)]
-        yield from pool.imap_unordered(_indexed_call, payloads, chunksize=1)
-
-    def warm(self) -> None:
-        self._ensure_pool()
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    def _new_pool(self) -> ProcessPoolExecutor:
+        pool = ProcessPoolExecutor(
+            max_workers=self._workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_process_worker_init,
+            initargs=(self._backend, self._dtype))
+        # A fork-context pool forks all its workers on the first submit.
+        pool.submit(int).result()
+        return pool
 
 
 def check_executor_kind(kind: str) -> None:
@@ -279,16 +268,6 @@ def make_executor(kind: str, workers: int | None = None) -> Executor:
     if kind == "thread":
         return ThreadExecutor(workers)
     return ProcessExecutor(workers)
-
-
-def _indexed_call(payload):
-    """Module-level shim for the process ``imap_unordered`` path.
-
-    ``fn`` must itself be module level (picklable); the index rides along
-    so completion-order results keep their positional identity.
-    """
-    fn, index, item = payload
-    return index, fn(item)
 
 
 # --------------------------------------------------------------------- #

@@ -315,10 +315,6 @@ class ShardedFleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def running(self) -> bool:
-        return any(shard.server.running for shard in self.shards)
-
     def enable_telemetry(self, telemetry) -> None:
         """Thread one telemetry bundle through the whole fleet.
 
@@ -739,11 +735,6 @@ class ShardedFleet:
             if hang:
                 self._count("hangs")
 
-    @property
-    def healthy_shards(self) -> list[str]:
-        with self._lock:
-            return [s.id for s in self.shards if s.healthy]
-
     def check_health(self) -> list[str]:
         """Probe every ejected shard; re-admit the ones that answer.
         Returns the re-admitted ids.
@@ -886,7 +877,7 @@ class ShardedFleet:
         return merged
 
     def __repr__(self) -> str:
-        healthy = len(self.healthy_shards)
+        healthy = self.stats.healthy_shards
         return (f"ShardedFleet(shards={len(self.shards)}, "
                 f"healthy={healthy}, replicas={self._r}, "
                 f"models={list(self.names())})")

@@ -74,9 +74,6 @@ class HashRing:
     def nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self._nodes))
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 

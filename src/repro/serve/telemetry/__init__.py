@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 
-from .metrics import Counter, MetricsRegistry, QuantileSketch
+from .metrics import MetricsRegistry, QuantileSketch
 from .trace import (NULL_SPAN, NULL_TRACER, NullSpan, NullTracer, Span,
                     Tracer, export_jsonl, format_summary, parse_jsonl,
                     summarize_spans)
@@ -39,7 +39,7 @@ from .trace import (NULL_SPAN, NULL_TRACER, NullSpan, NullTracer, Span,
 __all__ = [
     "Telemetry",
     "Span", "Tracer", "NullSpan", "NullTracer", "NULL_SPAN", "NULL_TRACER",
-    "Counter", "QuantileSketch", "MetricsRegistry",
+    "QuantileSketch", "MetricsRegistry",
     "export_jsonl", "parse_jsonl", "summarize_spans", "format_summary",
 ]
 

@@ -1,9 +1,7 @@
-"""Metrics registry: counters, quantile sketches, views.
+"""Metrics registry: quantile sketches and views.
 
-One queryable surface for every number the serving stack produces.
-Two instrument kinds plus views:
+One queryable surface for every number the serving stack produces:
 
-* :class:`Counter` — monotone event count.
 * :class:`QuantileSketch` — p50/p99 without storing raw samples: a
   geometric-bucket histogram (2% relative resolution) whose memory is
   O(distinct buckets), not O(observations).
@@ -24,28 +22,7 @@ import json
 import math
 import threading
 
-__all__ = ["Counter", "QuantileSketch", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotone event counter."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, n: int | float = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self):
-        return self._value
+__all__ = ["QuantileSketch", "MetricsRegistry"]
 
 
 class QuantileSketch:
@@ -132,32 +109,23 @@ class QuantileSketch:
 class MetricsRegistry:
     """Named instruments plus views over the stack's legacy stats.
 
-    ``counter``/``histogram`` get-or-create; a name may hold
-    exactly one kind.  ``register_view(name, fn)`` binds a zero-arg
-    callable evaluated at read time — re-registering the same name
-    replaces the view (enabling telemetry twice is harmless).
+    ``histogram`` gets or creates; a name may hold exactly one
+    kind.  ``register_view(name, fn)`` binds a zero-arg callable evaluated
+    at read time — re-registering the same name replaces the view (enabling
+    telemetry twice is harmless).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
         self._hists: dict[str, QuantileSketch] = {}
         self._views: dict[str, object] = {}
 
     def _check_name(self, name: str, own: dict) -> None:
-        for kind in (self._counters, self._hists, self._views):
+        for kind in (self._hists, self._views):
             if kind is not own and name in kind:
                 raise ValueError(
                     f"metric name {name!r} already registered as a "
                     "different kind")
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            inst = self._counters.get(name)
-            if inst is None:
-                self._check_name(name, self._counters)
-                inst = self._counters[name] = Counter(name)
-            return inst
 
     def histogram(self, name: str, gamma: float = 1.02) -> QuantileSketch:
         with self._lock:
@@ -175,8 +143,6 @@ class MetricsRegistry:
     def value(self, name: str):
         """Read one metric by name (view names evaluate their callable)."""
         with self._lock:
-            if name in self._counters:
-                return self._counters[name].value
             if name in self._hists:
                 return self._hists[name].summary()
             view = self._views.get(name)
@@ -186,8 +152,7 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._counters) | set(self._hists)
-                          | set(self._views))
+            return sorted(set(self._hists) | set(self._views))
 
     def snapshot(self) -> dict:
         """Flat name -> value dict of everything, views evaluated now.
@@ -196,11 +161,9 @@ class MetricsRegistry:
         ``name.p50`` / ``name.p99`` so the snapshot stays scalar-only
         (easy to diff, easy to jsonl)."""
         with self._lock:
-            counters = {n: c.value for n, c in self._counters.items()}
             hists = {n: h.summary() for n, h in self._hists.items()}
             views = dict(self._views)
         out: dict[str, object] = {}
-        out.update(counters)
         for name, summary in hists.items():
             for key in ("count", "mean", "p50", "p99"):
                 out[f"{name}.{key}"] = summary[key]

@@ -76,10 +76,6 @@ class Span:
         self.end: float | None = None
         self.attrs = attrs
 
-    def set(self, **attrs) -> "Span":
-        self.attrs.update(attrs)
-        return self
-
     def finish(self, **attrs) -> "Span":
         if self.end is None:
             if attrs:
@@ -131,9 +127,6 @@ class NullSpan:
     end = 0.0
     attrs: dict = {}
 
-    def set(self, **attrs) -> "NullSpan":
-        return self
-
     def finish(self, **attrs) -> "NullSpan":
         return self
 
@@ -176,9 +169,6 @@ class Tracer:
         self._roots = count()
         self._sample_every = int(sample_every)
 
-    def __bool__(self) -> bool:
-        return True
-
     def start(self, name: str, parent=None, **attrs):
         """Open a span.  ``parent`` is a prior span (the context token)
         or ``None`` for a new root; a root may sample out, in which
@@ -205,9 +195,6 @@ class Tracer:
     def clear(self) -> None:
         self._ring.clear()
 
-    def export_jsonl(self) -> str:
-        return export_jsonl(self.spans())
-
 
 class NullTracer:
     """The disabled tracer: falsy, allocation-free, returns NULL_SPAN."""
@@ -222,12 +209,6 @@ class NullTracer:
 
     def spans(self) -> list:
         return []
-
-    def clear(self) -> None:
-        return None
-
-    def export_jsonl(self) -> str:
-        return ""
 
 
 NULL_TRACER = NullTracer()

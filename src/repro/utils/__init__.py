@@ -1,13 +1,11 @@
-"""Shared utilities: seeding, logging, text visualization, VTK output."""
+"""Shared utilities: seeding, text tables, VTK output."""
 
-from .seeding import make_rng, spawn_rngs, seed_everything
-from .logging import get_logger, Stopwatch
-from .viz import ascii_field, write_csv, format_table
-from .vtk import write_vti, read_vti
+from .seeding import make_rng, spawn_rngs
+from .viz import write_csv, format_table
+from .vtk import write_vti
 
 __all__ = [
-    "make_rng", "spawn_rngs", "seed_everything",
-    "get_logger", "Stopwatch",
-    "ascii_field", "write_csv", "format_table",
-    "write_vti", "read_vti",
+    "make_rng", "spawn_rngs",
+    "write_csv", "format_table",
+    "write_vti",
 ]

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "seed_everything"]
-
-_GLOBAL_SEED: int | None = None
+__all__ = ["make_rng", "spawn_rngs"]
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
     """Return a Generator; pass-through if one is given."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None and _GLOBAL_SEED is not None:
-        seed = _GLOBAL_SEED
     return np.random.default_rng(seed)
 
 
@@ -29,9 +25,3 @@ def spawn_rngs(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` statistically independent child generators."""
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
-
-def seed_everything(seed: int) -> None:
-    """Set a process-wide default seed used when no explicit rng is given."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
-    np.random.seed(seed % (2 ** 32))

@@ -1,9 +1,4 @@
-"""Text-mode field visualization and CSV report helpers.
-
-The paper's Tables 3-5/7 show heat-map comparisons of predicted vs FEM
-fields; without a display stack we render ASCII heat maps and dump CSV so
-results remain inspectable from a terminal.
-"""
+"""Text tables and CSV report helpers."""
 
 from __future__ import annotations
 
@@ -11,33 +6,7 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-__all__ = ["ascii_field", "write_csv", "format_table"]
-
-_RAMP = " .:-=+*#%@"
-
-
-def ascii_field(field: np.ndarray, width: int = 32, height: int = 16,
-                vmin: float | None = None, vmax: float | None = None) -> str:
-    """Render a 2D array (or mid-slice of a 3D array) as ASCII art."""
-    f = np.asarray(field, dtype=np.float64)
-    if f.ndim == 3:
-        f = f[f.shape[0] // 2]
-    if f.ndim != 2:
-        raise ValueError(f"expected 2D/3D field, got ndim={f.ndim}")
-    # Downsample by striding to the target character grid.
-    ys = np.linspace(0, f.shape[0] - 1, num=min(height, f.shape[0])).astype(int)
-    xs = np.linspace(0, f.shape[1] - 1, num=min(width, f.shape[1])).astype(int)
-    sub = f[np.ix_(ys, xs)]
-    lo = vmin if vmin is not None else float(sub.min())
-    hi = vmax if vmax is not None else float(sub.max())
-    if hi - lo < 1e-30:
-        hi = lo + 1.0
-    norm = np.clip((sub - lo) / (hi - lo), 0.0, 1.0)
-    idx = (norm * (len(_RAMP) - 1)).astype(int)
-    lines = ["".join(_RAMP[i] for i in row) for row in idx]
-    return "\n".join(lines)
+__all__ = ["write_csv", "format_table"]
 
 
 def write_csv(path: str | Path, header: Sequence[str],

@@ -4,8 +4,8 @@ The paper's software stack writes ``.vtu`` files 'in binary format with
 compression enabled' via ZLib (Appendix, library dependencies).  Our
 fields live on uniform grids, so the natural VTK container is ImageData
 (``.vti``) — same XML family, structured variant.  This module writes
-zlib-compressed binary ``.vti`` files (readable by ParaView/VisIt) and
-includes a reader for round-trip verification.
+zlib-compressed binary ``.vti`` files (readable by ParaView/VisIt);
+``tests/vti_reader.py`` reads them back.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
-__all__ = ["write_vti", "read_vti"]
+__all__ = ["write_vti"]
 
 _HEADER_DTYPE = "UInt64"
 
@@ -33,14 +33,6 @@ def _encode_block(raw: bytes, level: int = 6) -> str:
     header = struct.pack("<4Q", 1, len(raw), len(raw), len(compressed))
     return (base64.b64encode(header).decode("ascii")
             + base64.b64encode(compressed).decode("ascii"))
-
-
-def _decode_block(text: str) -> bytes:
-    header_len = len(base64.b64encode(b"\0" * 32))  # 4 x UInt64 -> 44 chars
-    header = base64.b64decode(text[:header_len])
-    _, _, _, comp_size = struct.unpack("<4Q", header)
-    payload = base64.b64decode(text[header_len:])
-    return zlib.decompress(payload[:comp_size])
 
 
 def write_vti(path: str | Path, fields: dict[str, np.ndarray],
@@ -94,29 +86,3 @@ def write_vti(path: str | Path, fields: dict[str, np.ndarray],
     ElementTree.ElementTree(root).write(path, xml_declaration=True,
                                         encoding="UTF-8")
     return path
-
-
-def read_vti(path: str | Path) -> tuple[dict[str, np.ndarray], float]:
-    """Read back a ``.vti`` written by :func:`write_vti`.
-
-    Returns (fields, spacing); one-cell-thick volumes are squeezed back
-    to 2D.
-    """
-    tree = ElementTree.parse(path)
-    root = tree.getroot()
-    image = root.find("ImageData")
-    if image is None:
-        raise ValueError("not an ImageData .vti file")
-    spacing = float(image.get("Spacing").split()[0])
-    extent = [int(v) for v in image.get("WholeExtent").split()]
-    dims = (extent[1] + 1, extent[3] + 1, extent[5] + 1)
-
-    fields: dict[str, np.ndarray] = {}
-    for da in image.iter("DataArray"):
-        raw = _decode_block(da.text.strip())
-        flat = np.frombuffer(raw, dtype=np.float64)
-        arr = flat.reshape(dims[::-1]).T  # undo the x-fastest transpose
-        if dims[2] == 1:
-            arr = arr[:, :, 0]
-        fields[da.get("Name")] = arr.copy()
-    return fields, spacing

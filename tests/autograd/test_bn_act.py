@@ -17,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd import Tensor, batch_norm, gradcheck, leaky_relu
+from repro.autograd import Tensor, batch_norm, leaky_relu
 from repro.autograd.profiler import profile
 from repro.backend import dtype_scope
 from repro.nn import BatchNorm
+
+from tests.gradcheck import gradcheck
 
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 

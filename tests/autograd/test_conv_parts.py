@@ -4,39 +4,56 @@ the concatenation (the engine copies each part into its own rows of the
 column scratch).
 
 Finite-difference gradchecks, and bit-for-bit parity with the
-composition ``concat`` + conv, kept here as the reference the way
-``conv_transpose_nd_composed`` is kept for the transposed convolution:
-outputs and every gradient op by op, the U-Net's ``UpBlock`` in training
-and in folded evaluation mode, and one V-cycle of 3-D multigrid training
-at the benchmark's size.
+composition ``concat`` + conv, kept here as the reference (``_Concat``,
+the op the U-Net applied before its conv took parts): outputs and every
+gradient op by op, the U-Net's ``UpBlock`` in training and in folded
+evaluation mode, and one V-cycle of 3-D multigrid training at the
+benchmark's size.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from repro import MGDiffNet, MGTrainConfig, MultigridTrainer, PoissonProblem3D
-from repro.autograd import Tensor, concat, conv_nd, gradcheck, no_grad
+from repro.autograd import Context, Function, Tensor, conv_nd, no_grad
 from repro.nn.unet import UpBlock
 
 from tests.conftest import t64
+from tests.gradcheck import gradcheck
 
 # (spatial dims, stride, kernel): padding k // 2 throughout.
 CASES = [(nd, stride, k) for nd in (2, 3) for stride in (1, 2) for k in (1, 3)]
+
+
+class _Concat(Function):
+    """The parts joined along the channel axis; the gradient is split back."""
+
+    @staticmethod
+    def forward(ctx: Context, *parts: np.ndarray) -> np.ndarray:
+        ctx.meta["sizes"] = [part.shape[1] for part in parts]
+        return np.concatenate(parts, axis=1)
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray):
+        return tuple(np.split(grad, list(accumulate(ctx.meta["sizes"]))[:-1],
+                              axis=1))
 
 
 def conv_nd_composed(parts, w, b=None, stride=1, padding=0,
                      negative_slope=None):
     """Reference semantics of a multi-part ``conv_nd``: concatenate the
     parts along the channels, then convolve."""
-    return conv_nd(concat(list(parts), axis=1), w, b, stride, padding,
+    return conv_nd(_Concat.apply(*parts), w, b, stride, padding,
                    negative_slope)
 
 
 def up_block_composed(self, x, skip):
     """Reference semantics of :meth:`UpBlock.forward`."""
-    return self.block(concat([self.upconv(x), skip], axis=1))
+    return self.block(_Concat.apply(self.upconv(x), skip))
 
 
 def _operands(nd, k, dtype, rng):

@@ -15,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, conv_nd, conv_transpose_nd, gradcheck, no_grad
+from repro.autograd import Tensor, conv_nd, conv_transpose_nd, no_grad
 from repro.autograd.ops_conv import tuplify
 
 from tests.conftest import t64
+from tests.gradcheck import gradcheck
 from tests.conv_oracles import ORACLES, tap_loop_grads
 
 

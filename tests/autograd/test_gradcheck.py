@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor
 from repro.autograd.function import Context, Function
+
+from tests.gradcheck import gradcheck
 
 
 class _WrongGrad(Function):

@@ -6,9 +6,10 @@ import pytest
 
 from repro.autograd import (Tensor, conv_nd, conv_transpose_nd, max_pool_nd,
                             conv_output_shape, conv_transpose_output_shape,
-                            gradcheck, tuplify)
+                            tuplify)
 
 from tests.conftest import t64
+from tests.gradcheck import gradcheck
 
 
 @pytest.fixture

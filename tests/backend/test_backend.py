@@ -246,10 +246,10 @@ class TestBackendThroughStack:
 
     def test_conv_module_matches_direct_numpy(self):
         from repro.autograd import Tensor
-        from repro.nn.conv import Conv2d
+        from repro.nn.conv import ConvNd
 
         rng = np.random.default_rng(0)
-        layer = Conv2d(3, 8, kernel_size=3, padding=1, rng=7)
+        layer = ConvNd(2, 3, 8, kernel_size=3, padding=1, rng=7)
         x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
         with use_backend("numpy"):
             y = layer(Tensor(x))

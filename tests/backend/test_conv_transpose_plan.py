@@ -3,7 +3,8 @@
 ``conv_transpose_nd`` runs the engine's primitives with their roles
 swapped (forward = the adjoint conv's data gradient).  It must be
 numerically interchangeable with the original composition (zero-stuff,
-pad, flip, stride-1 conv) for every supported (stride, padding,
+pad, flip, stride-1 conv), written here in float64 NumPy over the tap
+loop of ``tests/conv_oracles.py``, for every supported (stride, padding,
 output_padding) combination, in forward and in every gradient — that is
 what lets it be the only production path.  Also pinned: it plans through
 the one memo, per-axis ``output_padding`` validation, and gradcheck.
@@ -12,25 +13,50 @@ the one memo, per-axis ``output_padding`` validation, and gradcheck.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, conv_transpose_nd, gradcheck
-from repro.autograd.ops_conv import conv_transpose_nd_composed
+from repro.autograd import Tensor, conv_transpose_nd, tuplify
 from repro.backend.conv_plan import (
     clear_plan_cache, plan_cache_info, plan_conv,
 )
 
+from tests.conv_oracles import tap_loop, tap_loop_grads
+from tests.gradcheck import gradcheck
 
-def _both_modes(x, w, b, st, p, op):
-    results = {}
-    for mode, fn in (("scatter", conv_transpose_nd),
-                     ("compose", conv_transpose_nd_composed)):
-        xt = Tensor(x.copy(), requires_grad=True)
-        wt = Tensor(w.copy(), requires_grad=True)
-        bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
-        y = fn(xt, wt, bt, stride=st, padding=p, output_padding=op)
-        (y * y).sum().backward()
-        results[mode] = (y.numpy(), xt.grad.copy(), wt.grad.copy(),
-                         bt.grad.copy() if bt is not None else None)
-    return results
+
+def _engine(x, w, b, st, p, op):
+    """``y`` and the gradients of ``sum(y * y)`` through the autograd op."""
+    xt = Tensor(x.copy(), requires_grad=True)
+    wt = Tensor(w.copy(), requires_grad=True)
+    bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
+    y = conv_transpose_nd(xt, wt, bt, stride=st, padding=p, output_padding=op)
+    (y * y).sum().backward()
+    return y.numpy(), xt.grad, wt.grad, bt.grad if bt is not None else None
+
+
+def _composed(x, w, b, st, p, op):
+    """The same four arrays from the composition: zero-stuff ``x`` by the
+    stride, pad it by ``k - 1 - p`` (plus ``output_padding`` on the high
+    side) and convolve at stride 1 with the flipped, channel-transposed
+    kernel.  ``sum(y * y)`` is quadratic, so the tap loop's adjoint of
+    ``2 y`` is its gradient exactly."""
+    nd = x.ndim - 2
+    st, p, op = (tuplify(v, nd) for v in (st, p, op))
+    every = (slice(None),) * 2 + tuple(slice(None, None, s) for s in st)
+    stuffed = np.zeros(x.shape[:2] + tuple((n - 1) * s + 1 for n, s in
+                                           zip(x.shape[2:], st)))
+    stuffed[every] = x
+    pads = [(k - 1 - pp, k - 1 - pp + o)
+            for k, pp, o in zip(w.shape[2:], p, op)]
+    xp = np.pad(stuffed, [(0, 0), (0, 0)] + pads)
+    axes = tuple(range(2, 2 + nd))
+    wt = np.moveaxis(np.flip(w, axes), 0, 1)
+    y = tap_loop(xp, wt, (1,) * nd, (0,) * nd)
+    if b is not None:
+        y = y + b.reshape((1, -1) + (1,) * nd)
+    dxp, dwt = tap_loop_grads(xp, wt, 2 * y, (1,) * nd, (0,) * nd)
+    inner = (slice(None),) * 2 + tuple(
+        slice(lo, lo + n) for (lo, _), n in zip(pads, stuffed.shape[2:]))
+    return (y, dxp[inner][every], np.flip(np.moveaxis(dwt, 0, 1), axes),
+            None if b is None else (2 * y).sum(axis=(0,) + axes))
 
 
 CASES = [
@@ -53,9 +79,9 @@ class TestScatterParity:
         x = rng.standard_normal((N, ci) + (S,) * nd)
         w = rng.standard_normal((ci, co) + (k,) * nd)
         b = rng.standard_normal(co) if bias else None
-        res = _both_modes(x, w, b, st, p, op)
         for name, s_val, c_val in zip(("y", "dx", "dw", "db"),
-                                      res["scatter"], res["compose"]):
+                                      _engine(x, w, b, st, p, op),
+                                      _composed(x, w, b, st, p, op)):
             if s_val is None:
                 continue
             assert s_val.shape == c_val.shape, name

@@ -93,13 +93,13 @@ class TestEquivalence:
         assert np.isnan(hi) and np.isnan(lo)
 
     def test_autograd_training_step(self):
-        from repro.autograd import Tensor
+        from repro.autograd import Tensor, sigmoid
 
         def step():
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((16, 8)), requires_grad=True)
             w = Tensor(rng.standard_normal((8,)), requires_grad=True)
-            y = (x * w).sum(axis=1).sigmoid()
+            y = sigmoid((x * w).sum(axis=1))
             loss = (y * y).mean()
             loss.backward()
             return loss.numpy(), x.grad.copy(), w.grad.copy()
@@ -113,13 +113,14 @@ class TestEquivalence:
         np.testing.assert_array_equal(we, np.asarray(wl))
 
     def test_gradcheck_under_lazy(self):
-        from repro.autograd import Tensor, gradcheck
+        from repro.autograd import Tensor, leaky_relu, sigmoid
+        from tests.gradcheck import gradcheck
 
         set_backend("lazy")
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        gradcheck(lambda a, b: ((a * b).sigmoid() + a.leaky_relu(0.1)).sum(),
+        gradcheck(lambda a, b: (sigmoid(a * b) + leaky_relu(a, 0.1)).sum(),
                   (a, b))
 
     def test_gmg_vcycle_identical(self):
@@ -247,8 +248,7 @@ class TestInterpreter:
         n = realize(B.sqrt((a * a).sum()))
         stats = lazy_stats()
         # tanh(a * 2) + a; sum(a * a); sqrt of the realized sum.
-        assert stats == {"clusters": 3, "fused_ops": 6,
-                         "interpreted_runs": 3}
+        assert stats == {"clusters": 3, "fused_ops": 6}
         np.testing.assert_array_equal(np.asarray(y),
                                       np.tanh(base * 2.0) + base)
         assert float(n) == np.sqrt((base * base).sum())

@@ -77,7 +77,7 @@ def test_adam_is_the_one_optimizer() -> None:
     from repro.core.trainer import TrainConfig, make_optimizer
     from repro.nn import Parameter
     from repro.optim import Adam, Optimizer
-    from tests.autograd.test_op_reach import defined_subclasses
+    from tests.test_reach import defined_subclasses
 
     opt = make_optimizer(TrainConfig(lr=3e-3), [Parameter(np.ones(2))])
     assert type(opt) is Adam and opt.lr == 3e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.presets import (PAPER_CPU_SCALING, PAPER_GPU_SCALING,
-                                paper_multigrid_config, paper_unet)
+                                paper_unet)
 
 
 class TestPaperUNet:
@@ -35,17 +35,6 @@ class TestPaperUNet:
 
 
 class TestPaperConfigs:
-    def test_multigrid_study_hyperparameters(self):
-        cfg = paper_multigrid_config()
-        assert cfg.batch_size == 64
-        assert cfg.lr == pytest.approx(1e-5)
-        from repro.core.trainer import make_optimizer
-        from repro.nn import Parameter
-        from repro.optim import Adam
-
-        opt = make_optimizer(cfg, [Parameter(np.zeros(1))])
-        assert type(opt) is Adam and opt.lr == cfg.lr  # 'Adam optimizer'
-
     def test_gpu_scaling_setup(self):
         s = PAPER_GPU_SCALING
         assert s.resolution == 256

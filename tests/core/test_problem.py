@@ -48,7 +48,7 @@ class TestMasks:
         chi_int, _ = p.masks(res)
         bc = p.bc(res)
         np.testing.assert_allclose(
-            chi_int[0, 0] + bc.boundary_indicator(), 1.0)
+            chi_int[0, 0] + bc.mask, 1.0)
 
     def test_u_bc_values(self):
         p = PoissonProblem2D(16)

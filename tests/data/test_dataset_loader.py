@@ -21,8 +21,6 @@ class TestDataset:
     def test_cache_identity(self, dataset):
         a = dataset.inputs_at(8)
         assert dataset.inputs_at(8) is a
-        dataset.clear_cache(8)
-        assert dataset.inputs_at(8) is not a
 
     def test_log_transform_default(self, dataset):
         x = dataset.inputs_at(8)
@@ -41,11 +39,6 @@ class TestDataset:
 
     def test_padding_noop_when_divisible(self, dataset):
         assert dataset.padded_to_multiple(5) is dataset
-
-    def test_subset(self, dataset):
-        sub = dataset.subset(np.array([1, 3]))
-        assert len(sub) == 2
-        np.testing.assert_array_equal(sub.omegas[1], dataset.omegas[3])
 
     def test_explicit_omegas(self):
         om = np.zeros((3, 4))

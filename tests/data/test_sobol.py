@@ -36,13 +36,6 @@ class TestSampler:
         batch = SobolSampler(3).sample(16)
         np.testing.assert_array_equal(chunks, batch)
 
-    def test_reset(self):
-        s = SobolSampler(2)
-        a = s.sample(8)
-        s.reset()
-        s.sample(1)  # re-skip the zero point consumed at construction
-        np.testing.assert_array_equal(s.sample(7), a[:7])
-
     def test_range(self):
         pts = SobolSampler(4).sample(256)
         assert pts.min() >= 0.0 and pts.max() < 1.0

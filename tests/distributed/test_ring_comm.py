@@ -77,51 +77,18 @@ class TestCommunicator:
         assert comm.log.allreduce_calls == 1
         assert comm.log.allreduce_bytes > 0
 
-    def test_has_no_point_to_point_send(self):
-        # The fleet was its only caller; the DP collectives stay.
-        assert not hasattr(SimulatedCommunicator, "send")
-        assert {"allreduce", "broadcast", "allgather", "barrier"} <= set(
-            dir(SimulatedCommunicator))
-
-    def test_broadcast(self):
-        comm = SimulatedCommunicator(4)
-        out = comm.broadcast(np.arange(3), root=0)
-        assert len(out) == 4
-        for o in out:
-            np.testing.assert_array_equal(o, [0, 1, 2])
-        # Copies, not views.
-        out[0][0] = 99
-        assert out[1][0] == 0
-
-    def test_broadcast_invalid_root(self):
-        with pytest.raises(ValueError):
-            SimulatedCommunicator(2).broadcast(np.ones(1), root=5)
-
-    def test_allgather(self):
-        comm = SimulatedCommunicator(2)
-        out = comm.allgather([np.array([1.0]), np.array([2.0])])
-        assert len(out) == 2
-        np.testing.assert_array_equal(out[0][1], [2.0])
-
-    def test_barrier_counted(self):
-        comm = SimulatedCommunicator(2)
-        comm.barrier()
-        assert comm.log.barrier_calls == 1
+    def test_allreduce_is_the_one_collective(self):
+        # The fleet was the only caller of ``send``; data parallelism
+        # calls only ``allreduce``.
+        for gone in ("send", "broadcast", "allgather", "barrier"):
+            assert not hasattr(SimulatedCommunicator, gone)
+        assert hasattr(SimulatedCommunicator, "allreduce")
 
     def test_virtual_clock_charged(self):
         comm = SimulatedCommunicator(
             4, time_model=lambda nbytes, p: nbytes * 1e-9 * p)
         comm.allreduce([np.ones(1000) for _ in range(4)])
         assert comm.log.virtual_comm_seconds > 0
-
-    @pytest.mark.parametrize("collective", ["broadcast", "allgather"])
-    def test_every_collective_charges_the_virtual_clock(self, collective):
-        comm = SimulatedCommunicator(4, time_model=lambda nbytes, p: 1e-3)
-        if collective == "broadcast":
-            comm.broadcast(np.ones(8), root=1)
-        else:
-            comm.allgather([np.ones(8) for _ in range(4)])
-        assert comm.log.virtual_comm_seconds == pytest.approx(1e-3)
 
     def test_wrong_buffer_count(self):
         comm = SimulatedCommunicator(3)

@@ -1,10 +1,9 @@
 """The stencil builder as it was before K was stored as its upper half:
-all 3^d diagonals formed by slice-adds, every local pair ``(a, b)`` on
-the diagonal ``flat(b) - flat(a)`` at its column nodes, and the CSR taken
+all 3^d diagonals formed by slice-adds, every local pair ``(a, b)`` on the
+diagonal ``flat(b) - flat(a)`` at its column nodes, and the CSR taken
 straight from that full DIA matrix.  ``tests/fem/test_half_stencil.py``
-holds ``assemble_stiffness`` and ``assemble_mass`` equal to it, array for
-array.  It imports only the element tensors and basis tables from
-``repro.fem``, no builder code.
+holds ``assemble_stiffness`` equal to it, array for array.  It imports only
+the element tensors and basis tables from ``repro.fem``, no builder code.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fem import (GaussRule, UniformGrid, element_stiffness_tensors,
-                       local_nodes, shape_values)
+                       local_nodes)
 from repro.fem.basis import gauss_interp
 
 
@@ -40,10 +39,3 @@ def stiffness(grid: UniformGrid, nu: np.ndarray,
                        gauss_interp(np.asarray(nu, dtype=np.float64),
                                     rule)).tocsr()
 
-
-def mass(grid: UniformGrid, rule: GaussRule) -> sp.csr_matrix:
-    values = shape_values(rule.points)
-    m_local = (np.einsum("g,ga,gb->ab", rule.weights, values, values)
-               * (grid.h / 2.0) ** grid.ndim)
-    return full_matrix(m_local[None],
-                       np.ones((1,) + grid.element_shape)).tocsr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fem import (UniformGrid, GaussRule, assemble_stiffness,
-                       assemble_load, assemble_mass, interpolate_to_gauss,
+                       assemble_load, interpolate_to_gauss,
                        canonical_bc)
 
 
@@ -49,7 +49,7 @@ class TestStiffness:
         with row diagonal 8/3 (for h-independent 2D scaling)."""
         grid = UniformGrid(2, 5)
         k = assemble_stiffness(grid, np.ones(grid.shape)).toarray()
-        center = grid.ravel_index((np.array([2]), np.array([2])))[0]
+        center = np.ravel_multi_index((2, 2), grid.shape)
         assert k[center, center] == pytest.approx(8.0 / 3.0)
 
     def test_scaling_with_nu(self, rng):
@@ -61,13 +61,7 @@ class TestStiffness:
         assert abs(k2 - 2.0 * k1).max() < 1e-12
 
 
-class TestMassAndLoad:
-    @pytest.mark.parametrize("ndim,res", [(2, 6), (3, 4)])
-    def test_mass_total_is_volume(self, ndim, res):
-        grid = UniformGrid(ndim, res)
-        m = assemble_mass(grid)
-        assert m.sum() == pytest.approx(1.0)  # unit hypercube volume
-
+class TestLoad:
     def test_load_of_one_integrates_to_volume(self):
         grid = UniformGrid(2, 8)
         b = assemble_load(grid, np.ones(grid.shape))

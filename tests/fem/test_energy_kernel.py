@@ -2,9 +2,9 @@
 
 ``EnergyLoss.per_sample`` is one ``Function`` over one kernel
 (``fem.stencil.apply_stiffness`` -> ``backend.conv_plan.conv_energy``).
-Over random dimension, resolution, Gauss order, batch size, forcing,
-Neumann fluxes and dtype its value must equal the tape-recorded chain it
-replaced (``energy_oracle.chain_energy``), its gradient must equal ``K u -
+Over random dimension, resolution, Gauss order, batch size, forcing
+and dtype its value must equal the op-by-op chain it replaced
+(``energy_oracle.chain_energy``), its gradient must equal ``K u -
 b`` of the stored stencil, and a sample's energy must not depend on what
 else is in the batch — bitwise.
 """
@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, gradcheck, no_grad
-from repro.fem import (EnergyLoss, GaussRule, NeumannBC, UniformGrid,
-                       assemble_load, assemble_neumann_load)
+from repro.autograd import Tensor, no_grad
+from repro.fem import EnergyLoss, GaussRule, UniformGrid, assemble_load
 from repro.fem.stencil import StencilOperator, apply_stiffness
 from tests.fem.energy_oracle import chain_energy
+from tests.gradcheck import gradcheck
 from tests.peak_rss import PEAK_MB
 
 # float32: a few ulp per Gauss-point term, summed in float64.
@@ -34,61 +34,55 @@ GRAD_RTOL = 1e-12
 def problems(test):
     for ndim, resolution in ((1, 2), (3, 2), (3, 9)):
         test = example(ndim=ndim, resolution=resolution, order=3, batch=3,
-                       forcing=True, neumann=True, dtype=np.float32,
+                       forcing=True, dtype=np.float32,
                        seed=0)(test)
     return settings(max_examples=40, deadline=None)(given(
         ndim=st.integers(1, 3), resolution=st.integers(2, 9),
         order=st.sampled_from((2, 3)), batch=st.integers(1, 3),
-        forcing=st.booleans(), neumann=st.booleans(),
+        forcing=st.booleans(),
         dtype=st.sampled_from((np.float32, np.float64)),
         seed=st.integers(0, 2 ** 32 - 1))(test))
 
 
-def make(ndim, resolution, order, batch, forcing, neumann, dtype, seed):
+def make(ndim, resolution, order, batch, forcing, dtype, seed):
     grid = UniformGrid(ndim, resolution)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((batch, 1) + grid.shape).astype(dtype)
     nu = np.exp(rng.standard_normal((batch, 1) + grid.shape)).astype(dtype)
     f = rng.standard_normal(grid.shape) if forcing else None
-    # Faces need ndim >= 2; one uniform and one nodal flux.
-    bcs = [NeumannBC(0, 1, 1.3),
-           NeumannBC(ndim - 1, 0, rng.standard_normal(
-               (resolution,) * (ndim - 1)))] if neumann and ndim > 1 else []
     rule = GaussRule.create(ndim, order)
-    return grid, rule, u, nu, f, bcs
+    return grid, rule, u, nu, f
 
 
 @problems
 def test_value_matches_the_chain(ndim, resolution, order, batch, forcing,
-                                 neumann, dtype, seed) -> None:
-    grid, rule, u, nu, f, bcs = make(ndim, resolution, order, batch, forcing,
-                                     neumann, dtype, seed)
-    loss = EnergyLoss(grid, rule=rule, forcing=f, neumann=bcs)
+                                 dtype, seed) -> None:
+    grid, rule, u, nu, f = make(ndim, resolution, order, batch, forcing,
+                                dtype, seed)
+    loss = EnergyLoss(grid, rule=rule, forcing=f)
     fused = loss.per_sample(Tensor(u), nu).data
     assert fused.dtype == dtype and fused.shape == (batch,)
     # Compare against the chain in float64: J can cancel to ~0 between its
     # quadratic and linear parts, so the scale is the sum of their sizes.
-    u64 = Tensor(u.astype(np.float64))
-    oracle = chain_energy(u64, nu.astype(np.float64), grid, rule, f, bcs).data
-    quadratic = chain_energy(u64, nu.astype(np.float64), grid, rule).data
+    u64 = u.astype(np.float64)
+    oracle = chain_energy(u64, nu.astype(np.float64), grid, rule, f)
+    quadratic = chain_energy(u64, nu.astype(np.float64), grid, rule)
     scale = np.abs(quadratic) + np.abs(oracle - quadratic)
     assert np.all(np.abs(fused - oracle) <= VALUE_RTOL[dtype] * scale)
     if dtype is np.float32:
-        chain32 = chain_energy(Tensor(u), nu, grid, rule, f, bcs).data
+        chain32 = chain_energy(u, nu, grid, rule, f)
         assert np.all(np.abs(fused - chain32) <= 1e-5 * scale)
 
 
 @problems
 def test_gradient_is_the_residual(ndim, resolution, order, batch, forcing,
-                                  neumann, dtype, seed) -> None:
-    grid, rule, u, nu, f, bcs = make(ndim, resolution, order, batch, forcing,
-                                     neumann, np.float64, seed)
+                                  dtype, seed) -> None:
+    grid, rule, u, nu, f = make(ndim, resolution, order, batch, forcing,
+                                np.float64, seed)
     ut = Tensor(u, requires_grad=True)
-    EnergyLoss(grid, rule=rule, forcing=f, neumann=bcs,
+    EnergyLoss(grid, rule=rule, forcing=f,
                reduction="sum")(ut, nu).backward()
     b = assemble_load(grid, f, rule)
-    if bcs:
-        b = b + assemble_neumann_load(grid, bcs)
     for i in range(batch):
         ku = StencilOperator(grid, nu[i, 0], rule).matvec(u[i, 0])
         scale = max(np.abs(ku).max(), np.abs(b).max())
@@ -98,11 +92,10 @@ def test_gradient_is_the_residual(ndim, resolution, order, batch, forcing,
 
 @problems
 def test_a_sample_does_not_see_its_batch(ndim, resolution, order, batch,
-                                         forcing, neumann, dtype,
-                                         seed) -> None:
-    grid, rule, u, nu, f, bcs = make(ndim, resolution, order, batch, forcing,
-                                     neumann, dtype, seed)
-    loss = EnergyLoss(grid, rule=rule, forcing=f, neumann=bcs)
+                                         forcing, dtype, seed) -> None:
+    grid, rule, u, nu, f = make(ndim, resolution, order, batch, forcing,
+                                dtype, seed)
+    loss = EnergyLoss(grid, rule=rule, forcing=f)
     ut = Tensor(u, requires_grad=True)
     together = loss.per_sample(ut, nu)
     together.sum().backward()
@@ -117,9 +110,9 @@ def test_a_sample_does_not_see_its_batch(ndim, resolution, order, batch,
 @pytest.mark.parametrize("ndim,resolution,order", [(1, 5, 2), (2, 4, 3),
                                                    (3, 3, 2)])
 def test_gradcheck(ndim, resolution, order) -> None:
-    grid, rule, u, nu, f, bcs = make(ndim, resolution, order, 2, True, True,
-                                     np.float64, 7)
-    loss = EnergyLoss(grid, rule=rule, forcing=f, neumann=bcs)
+    grid, rule, u, nu, f = make(ndim, resolution, order, 2, True,
+                                np.float64, 7)
+    loss = EnergyLoss(grid, rule=rule, forcing=f)
     assert gradcheck(lambda t: loss.per_sample(t, nu),
                      [Tensor(u, requires_grad=True)])
 
@@ -129,7 +122,7 @@ def test_no_grad_skips_the_adjoint_and_keeps_the_value(monkeypatch) -> None:
     same J bitwise, no ``K u``."""
     from repro.fem import energy as energy_module
 
-    grid, rule, u, nu, f, bcs = make(3, 6, 2, 2, True, False, np.float32, 3)
+    grid, rule, u, nu, f = make(3, 6, 2, 2, True, np.float32, 3)
     loss = EnergyLoss(grid, rule=rule, forcing=f)
     adjoints = []
 

@@ -1,10 +1,9 @@
 """K stored as its upper half, and the multigrid cycle run in float32
 under the float64 residual.
 
-* ``assemble_stiffness`` and ``assemble_mass`` mirror the stored half into
-  the CSR the full 3^d-diagonal builder (``stencil_oracle``) made, array
-  for array: same structure, same bits (for a 3-point mass rule, the bits
-  of the old upper triangle — its lower one was 1 ulp asymmetric).
+* ``assemble_stiffness`` mirrors the stored half into the CSR the full
+  3^d-diagonal builder (``stencil_oracle``) made, array for array: same
+  structure, same bits.
 * ``GeometricMultigrid.solve`` is iterative refinement: the float64
   residual decides, so for random ω the mixed-precision V/W/F solve meets
   ``tol`` in float64 in exactly the cycles the float64 cycle
@@ -19,13 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import PoissonProblem3D
 from repro.fem import (GaussRule, GeometricMultigrid, UniformGrid,
-                       assemble_mass, assemble_stiffness, canonical_bc,
+                       assemble_stiffness, canonical_bc,
                        conjugate_gradient, gmg_preconditioner)
 from repro.fem.gmg import CYCLE_DTYPE, full_multigrid_solve
 
@@ -50,16 +48,6 @@ def test_assembly_is_the_full_builders_csr(ndim, resolution, order, seed):
     rule = GaussRule.create(ndim, order)
     _same_csr(assemble_stiffness(grid, nu, rule),
               stencil_oracle.stiffness(grid, nu, rule))
-    mass, old = assemble_mass(grid, rule), stencil_oracle.mass(grid, rule)
-    _same_csr(sp.triu(mass, format="csr"), sp.triu(old, format="csr"))
-    assert (mass != mass.T).nnz == 0
-    if order == 2:
-        _same_csr(mass, old)
-    else:
-        # ``einsum("g,ga,gb->ab")`` multiplies (w v_a) v_b: at 3 points the
-        # old lower triangle sat 1 ulp off the upper one it now mirrors.
-        np.testing.assert_allclose(mass.toarray(), old.toarray(),
-                                   rtol=1e-15, atol=0)
 
 
 def _float64_cycle(monkeypatch) -> None:

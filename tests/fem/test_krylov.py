@@ -46,6 +46,20 @@ class TestPlainCG:
         _, rep_warm = conjugate_gradient(a, b, x0=x, tol=1e-10)
         assert rep_warm.iterations <= 1
 
+    def test_history_starts_at_the_residual_of_x0(self):
+        from scipy.sparse.linalg import spsolve
+
+        _, _, _, a, b = _interior_system()
+        x0 = np.random.default_rng(1).standard_normal(b.size)
+        _, rep = conjugate_gradient(a, b, x0=x0, tol=1e-10)
+        assert rep.residual_history[0] == pytest.approx(
+            np.linalg.norm(b - a @ x0) / np.linalg.norm(b), rel=1e-12)
+        exact = spsolve(a.tocsc(), b)
+        x, rep = conjugate_gradient(a, b, x0=exact, tol=1e-10)
+        assert rep.iterations == 0 and rep.converged
+        assert rep.residual_history == [rep.residual]
+        np.testing.assert_array_equal(x, exact)
+
     def test_maxiter_respected(self):
         _, _, _, a, b = _interior_system()
         _, rep = conjugate_gradient(a, b, tol=1e-16, maxiter=3)

@@ -12,7 +12,7 @@ and who walks an element's local nodes.
 The FEM energy loss is one fused op over that same operator applied
 matrix-free (``apply_stiffness`` -> ``backend.conv_plan.conv_energy``); the
 op-by-op chain on the autograd tape (a ``conv_nd`` with the derivative
-kernels, ``Mul``s, axis ``sum``s, an autograd Neumann term) was measured
+kernels, ``Mul``s, axis ``sum``s) was measured
 and moved to ``tests/fem/energy_oracle.py``; its names are denylist rows
 too, and this pins the one op's callers.
 """
@@ -45,7 +45,6 @@ def _local_node_walkers(source: str) -> list[str]:
 def test_local_nodes_are_walked_in_few_places() -> None:
     walkers = {path.name: _local_node_walkers(path.read_text())
                for path in FILES if path.name != "basis.py"}
-    assert not walkers["neumann.py"], "a face load is assemble_load on the face grid"
     found = [f"{name}:{fn}" for name, fns in walkers.items() for fn in fns]
     assert len(found) <= MAX_LOCAL_NODE_WALKERS, (
         "interpolate with basis.gauss_interp and build matrices with "
@@ -58,7 +57,7 @@ def test_every_consumer_takes_k_from_the_one_builder() -> None:
     users = {path.name: {_called(n) for n in ast.walk(ast.parse(path.read_text()))
                          if isinstance(n, ast.Call)} for path in FILES}
     assert [name for name, calls in users.items()
-            if "stencil_matrix" in calls] == ["assembly.py", "stencil.py"]
+            if "stencil_matrix" in calls] == ["stencil.py"]
     for name in ("assembly.py", "gmg.py", "solver.py"):
         assert "StencilOperator" in users[name], name
     assert "GeometricMultigrid" in users["gmg.py"]      # FMG's one hierarchy

@@ -18,7 +18,7 @@ class TestDirichletBC:
     def test_indicator_partition(self):
         grid = UniformGrid(3, 4)
         bc = canonical_bc(grid)
-        total = bc.interior_indicator() + bc.boundary_indicator()
+        total = bc.interior_indicator() + bc.mask
         np.testing.assert_allclose(total, 1.0)
 
     def test_lift(self):

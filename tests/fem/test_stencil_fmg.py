@@ -42,16 +42,6 @@ class TestStencilOperator:
         assert float(w @ op.matvec(v)) == pytest.approx(
             float(v @ op.matvec(w)), rel=1e-10)
 
-    def test_matrix_free_solve_matches_assembled(self, rng):
-        grid = UniformGrid(2, 17)
-        nu = np.exp(0.3 * rng.standard_normal(grid.shape))
-        bc = canonical_bc(grid)
-        ref = FEMSolver(grid).solve(nu, bc, method="direct")
-        op = StencilOperator(grid, nu)
-        u = op.solve_interior(bc, tol=1e-12)
-        np.testing.assert_allclose(u, ref, atol=1e-7)
-        assert op.last_report.converged
-
     def test_shape_validation(self, rng):
         grid = UniformGrid(2, 8)
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backend import ops as B
-from .tensor import Tensor
+from repro.autograd import Tensor
+from repro.backend import ops as B
 
 __all__ = ["gradcheck", "numerical_gradient"]
 

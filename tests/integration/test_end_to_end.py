@@ -50,7 +50,7 @@ class TestTrainingApproachesFEM:
                                  strategy="half_v", levels=2, config=cfg)
         mg = mg_tr.train()
 
-        assert mg.final_loss <= base.best_loss * 1.25
+        assert mg.final_loss <= min(base.losses) * 1.25
 
     def test_3d_pipeline_runs(self):
         """3D code path exercised end to end (tiny)."""

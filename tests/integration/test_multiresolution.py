@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import MGDiffNet, PoissonProblem2D, Trainer, TrainConfig
-from repro.multigrid import restrict_field
+from repro.multigrid import resample_linear
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ class TestCoarseToFineTransfer:
         omega = dataset.omegas[0]
         u_fine = model.predict(problem, omega, resolution=16)
         u_coarse = model.predict(problem, omega, resolution=8)
-        u_fine_restricted = restrict_field(u_fine)
+        u_fine_restricted = resample_linear(u_fine, 8)
         corr = np.corrcoef(u_fine_restricted.ravel(), u_coarse.ravel())[0, 1]
         assert corr > 0.9
 

@@ -10,8 +10,7 @@ from repro.multigrid import (GridHierarchy, CycleStep, cycle_levels,
 class TestHierarchy:
     def test_resolutions(self):
         h = GridHierarchy(64, 3)
-        assert h.resolutions == [64, 32, 16]
-        assert h.resolution(1) == 64
+        assert [h.resolution(lv) for lv in (1, 2, 3)] == [64, 32, 16]
         assert h.coarsest_resolution == 16
 
     def test_indivisible_raises(self):
@@ -33,12 +32,9 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             h.resolution(3)
 
-    def test_iter(self):
-        assert list(GridHierarchy(32, 3)) == [1, 2, 3]
-
     def test_single_level(self):
         h = GridHierarchy(16, 1)
-        assert h.resolutions == [16]
+        assert h.resolution(1) == h.coarsest_resolution == 16
 
 
 class TestCycleSequences:

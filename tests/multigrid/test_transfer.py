@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.multigrid import resample_linear, restrict_field, prolong_field
+from repro.multigrid import resample_linear
 
 
 @pytest.fixture
@@ -49,28 +49,10 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_linear(np.zeros(1), 4)
 
-
-class TestRestrictProlong:
-    def test_restrict_halves(self, rng):
-        f = rng.standard_normal((16, 16))
-        assert restrict_field(f).shape == (8, 8)
-
-    def test_prolong_doubles(self, rng):
-        f = rng.standard_normal((8, 8))
-        assert prolong_field(f).shape == (16, 16)
-
-    def test_batched(self, rng):
-        f = rng.standard_normal((4, 1, 16, 16))
-        assert restrict_field(f, spatial_axes=(2, 3)).shape == (4, 1, 8, 8)
-
-    def test_anisotropic_raises(self, rng):
-        with pytest.raises(ValueError):
-            restrict_field(rng.standard_normal((16, 8)))
-
     def test_restrict_then_prolong_close_on_smooth(self):
         x = np.linspace(0, 1, 32)
         f = np.sin(np.pi * np.add.outer(x, x))
-        roundtrip = prolong_field(restrict_field(f))
+        roundtrip = resample_linear(resample_linear(f, 16), 32)
         assert np.abs(roundtrip - f).max() < 0.05
 
     @given(n=st.sampled_from([8, 16, 32]))
@@ -79,6 +61,6 @@ class TestRestrictProlong:
         """Linear interpolation cannot create new extrema."""
         rng = np.random.default_rng(n)
         f = rng.standard_normal((n, n))
-        out = restrict_field(f)
+        out = resample_linear(f, n // 2)
         assert out.min() >= f.min() - 1e-12
         assert out.max() <= f.max() + 1e-12

@@ -35,6 +35,9 @@ BATCHING = SERVE + "batching.py"
 WATCHDOG = "tests/serve/test_fleet_faults.py::TestHangWatchdog"
 ADAPTIVE = "tests/serve/test_batching_server.py::TestAdaptiveHold"
 DENY = "tests/test_denylist.py::test_row_is_absent"
+REACH = "tests/test_reach.py::test_every_def_is_entered_or_in_the_ledger"
+DEAD_WORKER = ("tests/serve/test_executor.py::TestDeadWorker::"
+               "test_a_killed_worker_fails_the_call_and_the_next_call_works")
 
 MUTANTS: list[Mutant] = [
     # -- the micro-batcher and the request queue (PRs 32, 37) ------------ #
@@ -141,6 +144,17 @@ MUTANTS: list[Mutant] = [
            SERVE + "executor.py", "    set_backend(backend)\n", "",
            ("tests/serve/test_executor.py::TestMapSemantics::"
             "test_thread_workers_pin_creator_backend",)),
+    # -- a dead process worker (PR 47) ------------------------------------ #
+    Mutant("the executor ignores a dead worker", SERVE + "executor.py",
+           "                yield futures[fut], fut.result()",
+           "                if fut.exception() is None:\n"
+           "                    yield futures[fut], fut.result()",
+           (DEAD_WORKER,)),
+    Mutant("a broken pool is kept for the next call", SERVE + "executor.py",
+           "                if self._pool is pool:\n"
+           "                    self._pool = None\n",
+           "                pass\n",
+           (DEAD_WORKER,)),
     # -- the data-parallel trainer (PR 33) ------------------------------- #
     Mutant("each rank process decides its own stop",
            "src/repro/distributed/data_parallel.py",
@@ -251,7 +265,7 @@ MUTANTS: list[Mutant] = [
            "src/repro/autograd/ops_conv.py",
            "        return conv_forward(plan, parts, w, None if b is None "
            "else realize(b),\n                            negative_slope)",
-           "        return ob.moveaxis(ob.moveaxis(conv_forward(\n"
+           "        return B.moveaxis(B.moveaxis(conv_forward(\n"
            "            plan, parts, w, None if b is None else realize(b),\n"
            "            negative_slope), 1, -1), -1, 1)",
            ("tests/backend/test_one_conv_engine.py::"
@@ -285,11 +299,22 @@ MUTANTS: list[Mutant] = [
            "    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:\n"
            "        return B.tanh(a)\n\n\n"
            "class Sigmoid(Function):",
-           ("tests/autograd/test_op_reach.py::test_every_op_is_reached",)),
+           (REACH,)),
+    # -- the reach ledger (PR 47) ----------------------------------------- #
+    Mutant("the ledger skips nested defs", "tests/test_reach.py",
+           '                    walk(child, f"{prefix}{child.name}.<locals>.")',
+           "                    pass",
+           ("tests/test_reach.py::test_a_planted_module_is_walked_def_by_def",)),
     # -- the FEM loss and the GMG baseline (PRs 19, 21, 25, 26) ---------- #
     Mutant("the energy drops its one half", "src/repro/backend/conv_plan.py",
            "    energy *= 0.5\n", "    energy *= 0.25\n",
            ("tests/fem/test_energy_kernel.py::test_value_matches_the_chain",)),
+    Mutant("CG's history starts at the residual of zero, not of x0",
+           "src/repro/fem/krylov.py",
+           "history = [math.sqrt(inner(r, r)) / norm_b]",
+           "history = [math.sqrt(inner(b, b)) / norm_b]",
+           ("tests/fem/test_krylov.py::TestPlainCG::"
+            "test_history_starts_at_the_residual_of_x0",)),
     Mutant("one more pre-smoothing sweep", "src/repro/fem/gmg.py",
            "x = self._smooth(level, None, b, self.n_pre)",
            "x = self._smooth(level, None, b, self.n_pre + 1)",

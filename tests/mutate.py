@@ -4,7 +4,9 @@
 
 Copies ``src/`` and ``tests/`` side by side into a temporary directory
 (the guards find ``src/repro`` from their own ``__file__``, so a copy of
-``src/`` alone would leave them reading the unmutated tree), checks
+``src/`` alone would leave them reading the unmutated tree), with what
+the reach ledger runs and reads (``bench/``, ``examples/``, README.md,
+ROADMAP.md), checks
 that every snippet of ``tests/mutants.py`` occurs exactly once, runs the
 union of the killing tests once on the clean copy (they must pass, or a
 "kill" proves nothing), then applies one mutant at a time and runs only
@@ -69,11 +71,12 @@ def main() -> int:
         return 1
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "bench", "examples"):
             shutil.copytree(ROOT / tree, work / tree,
                             ignore=shutil.ignore_patterns(
                                 "__pycache__", ".hypothesis", ".pytest_cache"))
-        shutil.copy2(ROOT / "pytest.ini", work / "pytest.ini")
+        for name in ("pytest.ini", "README.md", "ROADMAP.md"):
+            shutil.copy2(ROOT / name, work / name)
         ids = sorted({test for m in MUTANTS for test in m.killers})
         code, wall = _pytest(work, ids, timeout=TIMEOUT_S * 4)
         print(f"clean run of {len(ids)} killing tests: "

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import (Conv2d, Conv3d, ConvTranspose2d, ConvTranspose3d,
-                      BatchNorm, LeakyReLU, Sigmoid, MaxPool, init)
+from repro.nn import (ConvNd, ConvTransposeNd, BatchNorm, LeakyReLU, Sigmoid,
+                      MaxPool, init)
 
 
 @pytest.fixture
@@ -15,43 +15,43 @@ def rng():
 
 class TestConvLayers:
     def test_conv2d_shape(self, rng):
-        layer = Conv2d(1, 4, kernel_size=3, padding=1, rng=rng)
+        layer = ConvNd(2, 1, 4, kernel_size=3, padding=1, rng=rng)
         x = Tensor(rng.standard_normal((2, 1, 8, 8)).astype(np.float32))
         assert layer(x).shape == (2, 4, 8, 8)
 
     def test_conv3d_stride(self, rng):
-        layer = Conv3d(2, 3, kernel_size=2, stride=2, rng=rng)
+        layer = ConvNd(3, 2, 3, kernel_size=2, stride=2, rng=rng)
         x = Tensor(rng.standard_normal((1, 2, 8, 8, 8)).astype(np.float32))
         assert layer(x).shape == (1, 3, 4, 4, 4)
 
     def test_wrong_rank_raises(self, rng):
-        layer = Conv2d(1, 1, rng=rng)
+        layer = ConvNd(2, 1, 1, rng=rng)
         with pytest.raises(ValueError):
             layer(Tensor(np.zeros((1, 1, 4, 4, 4), dtype=np.float32)))
 
     def test_no_bias(self, rng):
-        layer = Conv2d(1, 2, bias=False, rng=rng)
+        layer = ConvNd(2, 1, 2, bias=False, rng=rng)
         assert layer.bias is None
         assert len(layer.parameters()) == 1
 
     def test_transpose2d_upsamples(self, rng):
-        layer = ConvTranspose2d(4, 2, kernel_size=2, stride=2, rng=rng)
+        layer = ConvTransposeNd(2, 4, 2, kernel_size=2, stride=2, rng=rng)
         x = Tensor(rng.standard_normal((1, 4, 5, 5)).astype(np.float32))
         assert layer(x).shape == (1, 2, 10, 10)
 
     def test_transpose3d_upsamples(self, rng):
-        layer = ConvTranspose3d(2, 1, kernel_size=2, stride=2, rng=rng)
+        layer = ConvTransposeNd(3, 2, 1, kernel_size=2, stride=2, rng=rng)
         x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)).astype(np.float32))
         assert layer(x).shape == (1, 1, 8, 8, 8)
 
     def test_transpose_wrong_rank_raises(self, rng):
-        layer = ConvTranspose2d(1, 1, rng=rng)
+        layer = ConvTransposeNd(2, 1, 1, rng=rng)
         with pytest.raises(ValueError):
             layer(Tensor(np.zeros((1, 1, 4), dtype=np.float32)))
 
     def test_deterministic_init_by_seed(self):
-        l1 = Conv2d(2, 3, rng=99)
-        l2 = Conv2d(2, 3, rng=99)
+        l1 = ConvNd(2, 2, 3, rng=99)
+        l2 = ConvNd(2, 2, 3, rng=99)
         np.testing.assert_array_equal(l1.weight.data, l2.weight.data)
 
 
@@ -108,16 +108,6 @@ class TestInit:
         w = init.kaiming_normal((256, 128, 3, 3), rng)
         expected = np.sqrt(2.0 / (128 * 9))
         assert w.std() == pytest.approx(expected, rel=0.05)
-
-    def test_kaiming_uniform_bound(self, rng):
-        w = init.kaiming_uniform((64, 32, 3, 3), rng)
-        bound = np.sqrt(2.0) * np.sqrt(3.0 / (32 * 9))
-        assert np.abs(w).max() <= bound
-
-    def test_xavier_uniform_bound(self, rng):
-        w = init.xavier_uniform((64, 32), rng)
-        bound = np.sqrt(6.0 / (64 + 32))
-        assert np.abs(w).max() <= bound
 
     def test_zeros(self):
         assert np.all(init.zeros((3, 3)) == 0)

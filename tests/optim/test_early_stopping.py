@@ -39,15 +39,6 @@ class TestEarlyStopping:
         assert es.best == 1.0
         assert es.best_epoch == 2
 
-    def test_reset(self):
-        es = EarlyStopping(patience=1)
-        es.update(1.0)
-        es.update(1.0)
-        assert es.stopped
-        es.reset()
-        assert not es.stopped
-        assert es.epoch == 0
-
     def test_invalid_patience(self):
         with pytest.raises(ValueError):
             EarlyStopping(patience=0)

@@ -6,6 +6,10 @@ order-deterministic), process workers re-initialise their backend, and
 the server's worker fleet runs correctly over every executor kind.
 """
 
+import os
+import signal
+from concurrent.futures import BrokenExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,8 @@ from repro.serve import (
     tiled_predict,
 )
 from repro.serve.executor import default_workers
+
+from tests.distributed.test_rank_processes import _children, _deadline
 
 RNG = np.random.default_rng(23)
 
@@ -41,6 +47,12 @@ def _default_dtype(_):
     from repro.backend import get_default_dtype
 
     return np.dtype(get_default_dtype()).name
+
+
+def _kill_own_worker(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
 
 
 def _pool_identity(_):
@@ -143,6 +155,20 @@ class TestMapSemantics:
         with ProcessExecutor(2) as ex:
             pids = {pid for pid, _ in ex.map(_pool_identity, range(6))}
         assert os.getpid() not in pids
+
+
+class TestDeadWorker:
+    def test_a_killed_worker_fails_the_call_and_the_next_call_works(self):
+        """A task that kills its own worker process: the call raises in
+        bounded time, no worker is left behind, and the executor builds
+        a fresh pool for the next call."""
+        before = _children()
+        with _deadline(20), ProcessExecutor(2) as ex:
+            with pytest.raises(BrokenExecutor):
+                ex.map(_kill_own_worker, range(4))
+            assert _children() <= before
+            assert ex.map(_square, range(4)) == [0, 1, 4, 9]
+        assert _children() <= before
 
 
 class TestTiledParity:

@@ -57,6 +57,7 @@ from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
     FleetConfig, FleetUnavailable, ServerConfig, ShardedFleet, Telemetry,
+    export_jsonl,
 )
 
 CONSERVED = ("served", "rejected", "expired", "errors", "cancelled",
@@ -503,7 +504,7 @@ def run_program(seed: int, steps: int = 120) -> str:
         sim.decommissioned_stay_down()
         sim.span_trees_are_well_formed()
     sim.teardown()
-    return sim.telemetry.tracer.export_jsonl(), sim
+    return export_jsonl(sim.telemetry.tracer.spans()), sim
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ class TestSolve:
         assert main(["solve", "--resolution", "9",
                      "--output", str(out_path)]) == 0
         assert out_path.exists()
-        from repro.utils.vtk import read_vti
+        from tests.vti_reader import read_vti
 
         fields, _ = read_vti(out_path)
         assert "u" in fields and "nu" in fields

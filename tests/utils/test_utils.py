@@ -1,12 +1,8 @@
-"""Utility tests: seeding, viz, logging."""
-
-import logging
+"""Utility tests: seeding, text tables, CSV."""
 
 import numpy as np
-import pytest
 
-from repro.utils import (make_rng, spawn_rngs, seed_everything, get_logger,
-                         Stopwatch, ascii_field, write_csv, format_table)
+from repro.utils import make_rng, spawn_rngs, write_csv, format_table
 
 
 class TestSeeding:
@@ -23,61 +19,8 @@ class TestSeeding:
         vals = [c.integers(10 ** 9) for c in children]
         assert len(set(vals)) == 3
 
-    def test_seed_everything_sets_default(self):
-        seed_everything(77)
-        a = make_rng().integers(10 ** 9)
-        seed_everything(77)
-        b = make_rng().integers(10 ** 9)
-        assert a == b
-
-
-class TestStopwatchLogger:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        first = sw.elapsed
-        with sw:
-            pass
-        assert sw.elapsed >= first
-
-    def test_stopwatch_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_logger_singleton_handler(self):
-        l1 = get_logger("repro-test")
-        l2 = get_logger("repro-test")
-        assert l1 is l2
-        assert len(l1.handlers) == 1
-        assert isinstance(l1, logging.Logger)
-
 
 class TestViz:
-    def test_ascii_2d(self):
-        field = np.linspace(0, 1, 64).reshape(8, 8)
-        art = ascii_field(field, width=8, height=4)
-        lines = art.splitlines()
-        assert len(lines) == 4
-        assert all(len(l) == 8 for l in lines)
-
-    def test_ascii_3d_takes_midslice(self):
-        field = np.zeros((4, 8, 8))
-        field[2] = 1.0
-        art = ascii_field(field, width=4, height=4)
-        assert isinstance(art, str)
-
-    def test_ascii_constant_field_no_nan(self):
-        art = ascii_field(np.full((4, 4), 2.0))
-        assert "nan" not in art
-
-    def test_ascii_invalid_ndim(self):
-        with pytest.raises(ValueError):
-            ascii_field(np.zeros(5))
-
     def test_write_csv(self, tmp_path):
         path = write_csv(tmp_path / "sub" / "out.csv", ["a", "b"],
                          [[1, 2], [3, 4]])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.utils.vtk import write_vti, read_vti
+from repro.utils.vtk import write_vti
+
+from tests.vti_reader import read_vti
 
 
 @pytest.fixture
