@@ -69,11 +69,11 @@ def conv_output_shape(spatial: Sequence[int], kernel: Sequence[int],
 
 
 def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
-                                stride: Sequence[int], padding: Sequence[int],
-                                output_padding: Sequence[int]) -> tuple[int, ...]:
+                                stride: Sequence[int], padding: Sequence[int]
+                                ) -> tuple[int, ...]:
     """Spatial output shape of an N-d transposed convolution."""
-    return tuple((s - 1) * st - 2 * p + k + op
-                 for s, k, st, p, op in zip(spatial, kernel, stride, padding, output_padding))
+    return tuple((s - 1) * st - 2 * p + k
+                 for s, k, st, p in zip(spatial, kernel, stride, padding))
 
 
 def _add_bias(out: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -164,8 +164,8 @@ class ConvTransposeNd(Function):
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                stride: tuple[int, ...], padding: tuple[int, ...],
-                output_padding: tuple[int, ...]) -> np.ndarray:
+                stride: tuple[int, ...], padding: tuple[int, ...]
+                ) -> np.ndarray:
         # The engine works on concrete strided buffers: crossing into it
         # is a realize barrier for the lazy backend.
         x, w = realize(x), realize(w)
@@ -174,7 +174,7 @@ class ConvTransposeNd(Function):
             raise ValueError(f"weight C_in {cin} != input C_in {x.shape[1]}")
 
         out_spatial = conv_transpose_output_shape(
-            x.shape[2:], w.shape[2:], stride, padding, output_padding)
+            x.shape[2:], w.shape[2:], stride, padding)
         plan = plan_conv((x.shape[0], cout) + out_spatial, w.shape, stride,
                          padding, np.result_type(x.dtype, w.dtype))
         ctx.save_for_backward(x, w)
@@ -189,7 +189,7 @@ class ConvTransposeNd(Function):
         grad = realize(grad)
         return (conv_forward(plan, grad, w) if need_x else None,
                 conv_backward_weight(plan, grad, x) if need_w else None,
-                _bias_grad(ctx.needs_input_grad[2], grad), None, None, None)
+                _bias_grad(ctx.needs_input_grad[2], grad), None, None)
 
 
 class MaxPoolNd(Function):
@@ -241,30 +241,16 @@ def conv_nd(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
                         negative_slope, *parts)
 
 
-def _conv_transpose_args(x: Tensor, w: Tensor, stride, padding,
-                         output_padding):
-    """Per-axis ``(stride, padding, output_padding)`` of a transposed
-    convolution, validated against the kernel."""
-    nd = x.ndim - 2
-    stride_t = tuplify(stride, nd)
-    padding_t = tuplify(padding, nd)
-    outpad_t = tuplify(output_padding, nd)
-    for k, st, p, op in zip(w.shape[2:], stride_t, padding_t, outpad_t):
-        if k - 1 - p < 0:
-            raise ValueError("padding larger than kernel-1 is unsupported")
-        if op >= st:
-            raise ValueError("output_padding must be < stride on every axis")
-    return stride_t, padding_t, outpad_t
-
-
 def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
                       stride: int | Sequence[int] = 1,
-                      padding: int | Sequence[int] = 0,
-                      output_padding: int | Sequence[int] = 0) -> Tensor:
+                      padding: int | Sequence[int] = 0) -> Tensor:
     """Functional N-d transposed convolution (:class:`ConvTransposeNd`):
     the conv engine run as an adjoint — no zero-stuffed intermediate."""
-    return ConvTransposeNd.apply(
-        x, w, b, *_conv_transpose_args(x, w, stride, padding, output_padding))
+    nd = x.ndim - 2
+    stride, padding = tuplify(stride, nd), tuplify(padding, nd)
+    if any(k - 1 - p < 0 for k, p in zip(w.shape[2:], padding)):
+        raise ValueError("padding larger than kernel-1 is unsupported")
+    return ConvTransposeNd.apply(x, w, b, stride, padding)
 
 
 def max_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:

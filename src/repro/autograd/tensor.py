@@ -11,7 +11,7 @@ each is fully general (arbitrary rank, broadcasting where meaningful).
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..backend import ops as B
 from ..backend import is_lazy, realize
 from ..backend.dtype import get_default_dtype, set_default_dtype
 from . import profiler
-from .function import Context, Function, is_grad_enabled
+from .function import Context, Function
 
 __all__ = ["Tensor", "set_default_dtype", "get_default_dtype"]
 

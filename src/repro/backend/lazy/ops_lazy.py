@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..numpy_backend import NumpyBackend
-from .graph import LazyArray, _realize_index, realize, realize_all
+from .graph import LazyArray, _realize_index, realize_all
 
 __all__ = ["LazyBackend"]
 

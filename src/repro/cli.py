@@ -10,8 +10,9 @@ Subcommands
     checkpoint whose metadata records the architecture.
 ``predict``
     Load a checkpoint, run inference for an omega, optionally compare
-    against FEM and export fields.  ``--tile``/``--halo`` switch to the
-    tiled megavoxel path (exact, bounded memory).
+    against FEM and export fields.  ``--tile`` switches to the tiled
+    megavoxel path (exact, bounded memory: each tile's halo is the
+    network's receptive field).
 ``serve``
     Load checkpoints into a :class:`repro.serve.ModelRegistry` and run
     the batching/caching prediction server against a request load
@@ -98,12 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="N",
                    help="tiled inference with this core tile size "
                         "(multiple of 2**depth)")
-    p.add_argument("--halo", type=int, default=None,
-                   help="even halo of the emitting tile sweep for --tile "
-                        "(default: the decoder tail's radius)")
     p.add_argument("--stream", action="store_true",
                    help="stream tile cores as they complete (tiled path; "
-                        "honours --tile/--halo/--executor) and report "
+                        "honours --tile/--executor) and report "
                         "first-tile vs full-field latency")
     p.add_argument("--executor", default="serial",
                    choices=("serial", "thread", "process"),
@@ -281,7 +279,7 @@ def _cmd_predict(args) -> int:
         with make_executor(args.executor, args.executor_workers) as executor:
             for _, sl, core in stream_tiled_predict(
                     model, problem, args.omega, resolution=resolution,
-                    tile=args.tile, halo=args.halo, executor=executor):
+                    tile=args.tile, executor=executor):
                 if out is None:
                     first_s = time.perf_counter() - t_start
                     out = np.empty((core.shape[0],)
@@ -444,7 +442,7 @@ def _cmd_serve(args) -> int:
             wall = time.perf_counter() - t0
     except (RegistryError, ValueError, OSError) as exc:
         # A missing checkpoint or --omega-file, an unparsable ω row, a
-        # bad server setting, bad request parameters (ω arity, tile/halo
+        # bad server setting, bad request parameters (ω arity, tile
         # alignment, ...).
         print(f"error: {exc}", file=sys.stderr)
         return 1

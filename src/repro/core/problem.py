@@ -9,8 +9,6 @@ for every multigrid level.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..data.dataset import DiffusivityDataset

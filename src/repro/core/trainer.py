@@ -44,7 +44,6 @@ class TrainConfig:
     min_epochs: int = 3
     seed: int = 0
     shuffle: bool = True
-    max_time: float | None = None
     # Multigrid phase budgets (Sec. 3.1.2), read by MultigridTrainer:
     # epochs per restriction visit, epoch cap per prolongation visit.
     restriction_epochs: int = 4
@@ -161,14 +160,10 @@ class Trainer:
             patience=cfg.patience, min_delta=cfg.min_delta,
             min_epochs=cfg.min_epochs))
 
-    def _agree(self, early: bool, late: bool) -> tuple[bool, bool]:
-        """The (early-stopped, out-of-time) verdict every worker acts on;
-        one process acts on its own."""
-        return early, late
-
     def _train(self, resolution: int, max_epochs: int,
                stopper: EarlyStopping | None) -> TrainResult:
-        cfg = self.config
+        """The phase loop.  Every process of a data-parallel call sees the
+        same epoch losses, so each stops at the same epoch on its own."""
         result = self._new_result(resolution)
         start = time.perf_counter()
         for _ in range(max_epochs):
@@ -177,12 +172,8 @@ class Trainer:
             result.epoch_times.append(time.perf_counter() - t0)
             result.losses.append(loss)
             result.epochs_run += 1
-            early, late = self._agree(
-                stopper is not None and stopper.update(loss),
-                cfg.max_time is not None
-                and time.perf_counter() - start >= cfg.max_time)
-            result.stopped_early = early
-            if early or late:
+            if stopper is not None and stopper.update(loss):
+                result.stopped_early = True
                 break
         result.wall_time = time.perf_counter() - start
         return result

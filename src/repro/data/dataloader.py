@@ -23,18 +23,16 @@ class BatchSampler:
     """Yields index arrays of global mini-batches for a given epoch."""
 
     def __init__(self, n_samples: int, batch_size: int, seed: int = 0,
-                 shuffle: bool = True, drop_last: bool = False) -> None:
+                 shuffle: bool = True) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.n_samples = n_samples
         self.batch_size = batch_size
         self.seed = seed
         self.shuffle = shuffle
-        self.drop_last = drop_last
 
     def num_batches(self) -> int:
-        if self.drop_last:
-            return self.n_samples // self.batch_size
+        """Every sample once: the last batch may be short."""
         return -(-self.n_samples // self.batch_size)
 
     def epoch_indices(self, epoch: int) -> np.ndarray:

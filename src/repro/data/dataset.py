@@ -7,8 +7,6 @@ network at the different multigrid levels (Fig. 1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..fem.grid import UniformGrid

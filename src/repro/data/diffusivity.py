@@ -12,7 +12,7 @@ functional form (documented as a substitution in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -87,23 +87,9 @@ class SobolSampler:
 
 
 def sample_omega(n: int, m: int = 4, omega_range: tuple[float, float] = (-3.0, 3.0),
-                 skip: int = 1, engine: str = "own") -> np.ndarray:
-    """Sobol-sample ``n`` parameter vectors ω in ``omega_range^m``.
-
-    ``engine='own'`` uses :class:`SobolSampler`; ``engine='scipy'`` uses
-    :class:`scipy.stats.qmc.Sobol` (scrambling disabled so both are
-    deterministic).
-    """
+                 skip: int = 1) -> np.ndarray:
+    """Sobol-sample ``n`` parameter vectors ω in ``omega_range^m`` with
+    :class:`SobolSampler` (bitwise unscrambled :class:`scipy.stats.qmc.Sobol`
+    with the same ``skip``, which the tests hold it to)."""
     lo, hi = omega_range
-    if engine == "own":
-        pts = SobolSampler(m, skip=skip).sample(n)
-    elif engine == "scipy":
-        from scipy.stats import qmc
-
-        sampler = qmc.Sobol(d=m, scramble=False)
-        if skip:
-            sampler.fast_forward(skip)
-        pts = sampler.random(n)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return lo + (hi - lo) * pts
+    return lo + (hi - lo) * SobolSampler(m, skip=skip).sample(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import RingStats, ring_allreduce
+from .ring import ring_allreduce
 
 __all__ = ["CommLog", "SimulatedCommunicator"]
 

@@ -21,7 +21,8 @@ the processes meet at a barrier over rows of one anonymous shared
 mapping — every rank's flattened gradient, loss and compute time — and
 every process runs the same ring all-reduce over all rows and keeps its
 own, so the parameters are bitwise those of one process running every
-rank.  Stop verdicts are rank 0's, published the same way.  At the end
+rank.  Every process averages the same loss rows, so every process
+reaches the same early-stopping decision without exchanging it.  At the end
 of the call each forked process hands its ranks' model and optimizer
 state back through the mapping and exits, so between calls the calling
 process holds every rank's state.
@@ -366,7 +367,7 @@ class DataParallelTrainer(Trainer):
         state = ref.state_dict()
         self._buffers = _segments(ref.named_buffers())
         self._state = _segments(state.items()) if self.config.check_sync else []
-        widths = {"step": ref.num_parameters() + 2, "verdict": 2,
+        widths = {"step": ref.num_parameters() + 2,
                   "bn": sum(s.stop - s.start for _, s, _, _ in self._buffers),
                   "sync": sum(s.stop - s.start for _, s, _, _ in self._state)}
         return _RankGroup(self.config.world_size, procs, widths,
@@ -416,14 +417,6 @@ class DataParallelTrainer(Trainer):
         failed call leaves the replicas synchronized."""
         for r in range(1, self.config.world_size):
             self._set_rank_state(r, copy.deepcopy(self._rank_state(0)))
-
-    def _agree(self, early: bool, late: bool) -> tuple[bool, bool]:
-        """Rank 0's stop verdict, published to every process."""
-        table = self._group.table("verdict")
-        if 0 in self._group.ranks:
-            table[0] = early, late
-        self._group.wait()
-        return bool(table[0, 0]), bool(table[0, 1])
 
     def run_epoch(self, resolution: int,
                   result: DPResult | None = None) -> float:

@@ -157,7 +157,7 @@ class GeometricMultigrid:
         r = (b - level.cycle_op @ x)
         r *= ~level.dirichlet
         coarse = self.levels[li + 1]
-        rc = restrict_nested(r.reshape(level.grid.shape), mode="dual").ravel()
+        rc = restrict_nested(r.reshape(level.grid.shape)).ravel()
         rc[coarse.dirichlet] = 0.0
         first, *rest = _COARSE_VISITS[cycle]
         ec = self._cycle(li + 1, rc, first)     # the coarse error starts at 0

@@ -8,7 +8,7 @@ Fields are stored as dense arrays of nodal values with shape ``(R,)*d``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

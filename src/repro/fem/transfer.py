@@ -3,8 +3,7 @@ solver (Sec. 2.3 substrate).
 
 These operate on nodal arrays of resolution ``2^k + 1`` where coarse nodes
 coincide with even-index fine nodes.  Prolongation is multilinear
-interpolation; restriction is its scaled transpose (full weighting in the
-interior).
+interpolation; restriction is its transpose.
 """
 
 from __future__ import annotations
@@ -26,15 +25,12 @@ def _prolong_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     return B.moveaxis(out, 0, axis)
 
 
-def _restrict_axis(arr: np.ndarray, axis: int, normalize: bool) -> np.ndarray:
+def _restrict_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """Transpose of :func:`_prolong_axis` along one axis: 2n-1 -> n points.
 
     coarse[j] = fine[2j] + fine[2j-1]/2 + fine[2j+1]/2 (half-stencil at the
-    ends).  With ``normalize=True`` each output is divided by its stencil
-    weight sum (2 in the interior, 1.5 at the ends), giving classic full
-    weighting of *function values* that preserves constants; without it,
-    the raw adjoint P^T restricts FEM residuals (dual vectors carrying an
-    h^d factor).
+    ends): the raw adjoint P^T, which restricts FEM residuals (dual vectors
+    carrying an h^d factor).
     """
     arr = B.moveaxis(arr, axis, 0)
     nf = arr.shape[0]
@@ -45,10 +41,6 @@ def _restrict_axis(arr: np.ndarray, axis: int, normalize: bool) -> np.ndarray:
     out[:] = arr[::2]
     out[:-1] += 0.5 * arr[1::2]
     out[1:] += 0.5 * arr[1::2]
-    if normalize:
-        weights = np.full((nc,) + (1,) * (arr.ndim - 1), 2.0, dtype=arr.dtype)
-        weights[0] = weights[-1] = 1.5
-        out /= weights
     return B.moveaxis(out, 0, axis)
 
 
@@ -60,17 +52,11 @@ def prolong_nested(coarse: np.ndarray) -> np.ndarray:
     return out
 
 
-def restrict_nested(fine: np.ndarray, mode: str = "value") -> np.ndarray:
-    """Restriction to the nested coarser grid.
-
-    ``mode='value'`` is full weighting of nodal function values (weights
-    sum to 1 per axis); ``mode='dual'`` is the unscaled adjoint P^T, which
-    is the correct transfer for FEM residual vectors:
-    ``<restrict(r), c> == <r, prolong(c)>`` exactly.
+def restrict_nested(fine: np.ndarray) -> np.ndarray:
+    """Restriction of a FEM residual to the nested coarser grid: the
+    unscaled adjoint P^T, ``<restrict(r), c> == <r, prolong(c)>`` exactly.
     """
-    if mode not in ("value", "dual"):
-        raise ValueError(f"unknown restriction mode {mode!r}")
     out = fine
     for ax in range(fine.ndim):
-        out = _restrict_axis(out, ax, normalize=mode == "value")
+        out = _restrict_axis(out, ax)
     return out

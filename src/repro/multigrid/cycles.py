@@ -23,7 +23,6 @@ Cycle shapes over L levels (1 = finest):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = ["CycleStep", "cycle_levels", "build_schedule", "STRATEGIES"]
 

@@ -70,7 +70,6 @@ class ConvTransposeNd(Module):
                  kernel_size: int | tuple[int, ...] = 2,
                  stride: int | tuple[int, ...] = 2,
                  padding: int | tuple[int, ...] = 0,
-                 output_padding: int | tuple[int, ...] = 0,
                  bias: bool = True,
                  rng: np.random.Generator | int | None = None) -> None:
         super().__init__()
@@ -81,7 +80,6 @@ class ConvTransposeNd(Module):
         self.kernel_size = tuplify(kernel_size, ndim)
         self.stride = tuplify(stride, ndim)
         self.padding = tuplify(padding, ndim)
-        self.output_padding = tuplify(output_padding, ndim)
         wshape = (in_channels, out_channels, *self.kernel_size)
         self.weight = Parameter(init.kaiming_normal(wshape, rng))
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
@@ -91,8 +89,7 @@ class ConvTransposeNd(Module):
             raise ValueError(
                 f"expected {self.ndim + 2}-d input (N, C, spatial), got {x.ndim}-d")
         return conv_transpose_nd(x, self.weight, self.bias,
-                                 stride=self.stride, padding=self.padding,
-                                 output_padding=self.output_padding)
+                                 stride=self.stride, padding=self.padding)
 
     def __repr__(self) -> str:
         return (f"ConvTransposeNd({self.ndim}d, "

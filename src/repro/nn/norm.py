@@ -17,16 +17,17 @@ class BatchNorm(Module):
     """Batch normalization over (N, *spatial) per channel.
 
     Training mode normalizes with batch statistics and updates exponential
-    running averages; evaluation mode uses the running averages — matching
-    the behaviour assumed by the paper's U-Net blocks.
+    running averages (weight ``momentum``); evaluation mode uses the
+    running averages — matching the behaviour assumed by the paper's U-Net
+    blocks.  ``eps`` and ``momentum`` are torch's defaults.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1) -> None:
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
         dtype = get_default_dtype()
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
         self.beta = Parameter(init.zeros((num_features,)))
@@ -67,4 +68,4 @@ class BatchNorm(Module):
                           negative_slope=negative_slope)
 
     def __repr__(self) -> str:
-        return f"BatchNorm({self.num_features}, eps={self.eps}, momentum={self.momentum})"
+        return f"BatchNorm({self.num_features})"

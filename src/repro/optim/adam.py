@@ -4,32 +4,23 @@ paper's experiments (lr 1e-5 for the multigrid study, 1e-4 for scaling).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from ..nn.module import Parameter
 from .optimizer import Optimizer
 
 __all__ = ["Adam"]
 
 
 class Adam(Optimizer):
-    """Adam with bias correction.
+    """Adam with bias correction, at torch's default constants
+    b1 = 0.9, b2 = 0.999, eps = 1e-8.
 
     m = b1*m + (1-b1)*g ;  v = b2*v + (1-b2)*g^2
     p -= lr * m_hat / (sqrt(v_hat) + eps)
     """
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8) -> None:
-        super().__init__(params, lr)
-        b1, b2 = betas
-        if not 0.0 <= b1 < 1.0 or not 0.0 <= b2 < 1.0:
-            raise ValueError(f"invalid betas {betas}")
-        self.betas = (float(b1), float(b2))
-        self.eps = float(eps)
+    betas = (0.9, 0.999)
+    eps = 1e-8
 
     def step(self) -> None:
         self._step_count += 1

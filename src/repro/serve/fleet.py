@@ -97,7 +97,6 @@ class FleetConfig:
 
     shards: int = 2                   # simulated hosts
     replicas: int = 2                 # R-way replication (capped at shards)
-    vnodes: int = 64                  # ring points per shard
     # Hang budget, measured from dispatch to answer — the shard's queue
     # wait counts, so set it above the worst-case backlog + compute time
     # or a merely busy shard will be ejected as hung.  False ejections
@@ -236,8 +235,7 @@ class ShardedFleet:
             shard = self._make_shard(f"shard-{i:02d}")
             self.shards.append(shard)
             self._by_id[shard.id] = shard
-        self._ring = HashRing([s.id for s in self.shards],
-                              vnodes=self.config.vnodes)
+        self._ring = HashRing([s.id for s in self.shards])
         self._catalog: dict[str, str] = {}      # model name -> version
         self._latencies: list[float] = []
         self._probe_seq = 0
@@ -792,8 +790,7 @@ class ShardedFleet:
             shard.healthy = False
             self.shards.remove(shard)
             self._retired.append(shard)
-            new_ring = HashRing([s.id for s in self.shards],
-                                vnodes=self.config.vnodes)
+            new_ring = HashRing([s.id for s in self.shards])
             moves = self._reconcile(new_ring)
             self._ring = new_ring
             del self._by_id[shard.id]

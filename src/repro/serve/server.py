@@ -61,11 +61,11 @@ from ..core.inference import predict_batch
 from .batching import MicroBatcher, PredictRequest, RequestQueue
 from .cache import LRUCache, result_key
 from .errors import DeadlineExceeded, ServerOverloaded
-from .executor import (Executor, SerialExecutor, check_executor_kind,
+from .executor import (Executor, check_executor_kind,
                        make_executor)
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import NULL_SPAN, NULL_TRACER
-from .tiling import check_halo, tiled_predict
+from .tiling import tiled_predict
 
 __all__ = ["ServerConfig", "ServerStats", "PredictionServer"]
 
@@ -96,7 +96,6 @@ class ServerConfig:
     cache_bytes: int = 64 * 1024 * 1024
     tile_threshold_voxels: int = 2 ** 21  # tile forwards above ~2M voxels
     tile: int | None = None           # set: force tiling at this tile size
-    halo: int | None = None           # None: the emitting sweep's own
     executor: str = "serial"          # compute layer: serial|thread|process
     max_pending: int = 0              # >0: bound the queue (backpressure)
     default_deadline_s: float | None = None  # latency budget default
@@ -104,9 +103,9 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         """Reject a setting no forward could run with, here rather than
-        as an error counted on every request.  The halo and the executor
-        kind go through their owners' checks; ``max_batch`` and
-        ``max_wait_ms`` are the batcher's, which the server builds."""
+        as an error counted on every request.  The executor kind goes
+        through its owner's check; ``max_batch`` and ``max_wait_ms`` are
+        the batcher's, which the server builds."""
         lowest = dict(workers=1, cache_bytes=0, tile_threshold_voxels=0,
                       max_pending=0)
         if self.tile is not None:
@@ -115,8 +114,6 @@ class ServerConfig:
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got "
                                  f"{getattr(self, name)!r}")
-        if self.halo is not None:
-            check_halo(self.halo)
         check_executor_kind(self.executor)
 
 
@@ -589,13 +586,13 @@ class PredictionServer:
                                   (entry.model, entry.problem)),
                        omegas, resolution)
             return executor.map(_predict_batch_remote, [payload])[0]
-        tile = halo = None
+        tile = None
         if tiled:
             with self._stats_lock:
                 self.stats.tiled_forwards += 1
-            tile, halo = self._tile_params(entry, resolution)
+            tile = self._tile_size(entry, resolution)
         return tiled_predict(entry.model, entry.problem, omegas,
-                             resolution=resolution, tile=tile, halo=halo,
+                             resolution=resolution, tile=tile,
                              executor=executor, net_ref=self._net_ref(entry),
                              tracer=self.tracer if tiled else NULL_TRACER,
                              trace_parent=trace)
@@ -631,10 +628,8 @@ class PredictionServer:
                         del blobs[version]
         return blob
 
-    def _tile_params(self, entry: ModelEntry,
-                     resolution: int) -> tuple[int, int | None]:
-        """``(tile, halo)`` for the tile engine (``halo`` None: the
-        engine's default, the emitting sweep's own radius)."""
+    def _tile_size(self, entry: ModelEntry, resolution: int) -> int:
+        """Tile size for the tile engine, whose halo is the network's."""
         multiple = 2 ** entry.model.net.depth
         tile = self.config.tile
         if tile is None:
@@ -644,7 +639,7 @@ class PredictionServer:
                 self.config.tile_threshold_voxels
                 ** (1.0 / entry.problem.ndim))))
             tile = min(resolution, (target // multiple) * multiple)
-        return tile, self.config.halo
+        return tile
 
     def _key(self, entry: ModelEntry, omega: np.ndarray,
              resolution: int) -> tuple:

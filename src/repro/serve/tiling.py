@@ -129,7 +129,8 @@ def receptive_halo(model) -> int:
     """Default ``halo`` of a plan for an MGDiffNet/UNet: the margin of the
     emitting (level-0 up) sweep — encoder block, decoder block, refinements
     and output conv, read from their kernel sizes.  The coarser sweeps size
-    their own halos the same way; a wider ``halo`` stays exact."""
+    their own halos the same way; a plan with a wider ``halo`` stays
+    exact."""
     return _sweep_halo(getattr(model, "net", model), 0, up=True)
 
 
@@ -139,13 +140,6 @@ def _blocks(shape: tuple[int, ...], tile: int):
     per_axis = [[(start, min(start + tile, s)) for start in range(0, s, tile)]
                 for s in shape]
     return tuple(itertools.product(*per_axis))
-
-
-def check_halo(halo: int) -> None:
-    """Reject a halo that is negative or odd: a padded block must map
-    onto whole cells of the next level."""
-    if halo < 0 or halo % 2:
-        raise ValueError(f"halo {halo} must be even and non-negative")
 
 
 def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
@@ -160,7 +154,8 @@ def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
     if tile < multiple or tile % multiple:
         raise ValueError(
             f"tile {tile} must be a positive multiple of {multiple}")
-    check_halo(halo)
+    if halo < 0 or halo % 2:
+        raise ValueError(f"halo {halo} must be even and non-negative")
     for s in shape:
         if s % multiple:
             raise ValueError(
@@ -169,17 +164,15 @@ def plan_tiles(shape: tuple[int, ...], tile: int, halo: int,
                     multiple=multiple, blocks=_blocks(shape, tile))
 
 
-def _resolve_plan(model, shape: tuple[int, ...], tile: int | None,
-                  halo: int | None) -> TilePlan:
+def _resolve_plan(model, shape: tuple[int, ...], tile: int | None) -> TilePlan:
     """The tiling prologue of every predict path: alignment unit from the
-    network depth, the emitting sweep's halo and the untiled size as
-    defaults."""
+    network depth, the emitting sweep's halo (:func:`receptive_halo`, so
+    a predicted field is the network's own), and the untiled size as the
+    default tile."""
     multiple = 2 ** model.net.depth
-    if halo is None:
-        halo = receptive_halo(model)
     if tile is None:
         tile = max(multiple, min(shape))
-    return plan_tiles(shape, tile, halo, multiple)
+    return plan_tiles(shape, tile, receptive_halo(model), multiple)
 
 
 def _tile_indices(plan: TilePlan, tiles=None) -> list[int]:
@@ -502,8 +495,7 @@ def tiled_forward(net, x: np.ndarray, plan: TilePlan,
 
 def stream_tiled_predict(model, problem, omegas: np.ndarray,
                          resolution: int | None = None,
-                         tile: int | None = None, halo: int | None = None,
-                         executor=None,
+                         tile: int | None = None, executor=None,
                          net_ref: tuple[str, bytes] | None = None,
                          tiles=None, tracer=None, trace_parent=None):
     """Tiled, streaming counterpart of
@@ -516,13 +508,13 @@ def stream_tiled_predict(model, problem, omegas: np.ndarray,
     (Algorithm 1 line 8) is pointwise, so masking each core is bitwise
     identical to masking the stitched field.
 
-    ``tile``/``halo`` default to the untiled size and the network's
+    ``tile`` defaults to the untiled size and the halo is the network's
     receptive-field halo; the remaining arguments are
     :func:`stream_tiled_forward`'s.  The generator holds the model in
     eval mode only while it is being consumed.
     """
     log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
-    plan = _resolve_plan(model, log_nu.shape[2:], tile, halo)
+    plan = _resolve_plan(model, log_nu.shape[2:], tile)
     with model.evaluating():
         for i, core_dst, core in stream_tiled_forward(
                 model.net, log_nu, plan, executor=executor, net_ref=net_ref,
@@ -533,16 +525,15 @@ def stream_tiled_predict(model, problem, omegas: np.ndarray,
 
 def tiled_predict(model, problem, omegas: np.ndarray,
                   resolution: int | None = None,
-                  tile: int | None = None, halo: int | None = None,
-                  executor=None,
+                  tile: int | None = None, executor=None,
                   net_ref: tuple[str, bytes] | None = None,
                   tracer=None, trace_parent=None) -> np.ndarray:
     """Tiled counterpart of :func:`repro.core.inference.predict_batch`.
 
     Produces the same ``(B, *grid.shape)`` full-field predictions, but
     never materializes activations for more than one ``tile + 2*halo``
-    block at a time (per worker).  With the default (receptive-field)
-    halo the result matches the single-pass forward to float roundoff.
+    block at a time (per worker).  The halo is the network's receptive
+    field, so the result matches the single-pass forward to float roundoff.
     ``executor`` fans independent tiles across a worker pool; the
     stitched field is identical to the sequential result.  A fold over
     :func:`stream_tiled_predict` (same arguments).
@@ -550,7 +541,7 @@ def tiled_predict(model, problem, omegas: np.ndarray,
     shape = problem.grid(resolution or problem.resolution).shape
     out = None
     for _, core_dst, core in stream_tiled_predict(
-            model, problem, omegas, resolution, tile=tile, halo=halo,
+            model, problem, omegas, resolution, tile=tile,
             executor=executor, net_ref=net_ref,
             tracer=tracer, trace_parent=trace_parent):
         if out is None:

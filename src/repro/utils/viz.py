@@ -22,13 +22,13 @@ def write_csv(path: str | Path, header: Sequence[str],
     return path
 
 
-def format_table(header: Sequence[str], rows: Iterable[Sequence],
-                 float_fmt: str = "{:.4g}") -> str:
-    """Format rows as a fixed-width text table (paper-style report)."""
+def format_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Format rows as a fixed-width text table (paper-style report), each
+    float to four significant digits."""
     str_rows = []
     for row in rows:
         str_rows.append([
-            float_fmt.format(v) if isinstance(v, float) else str(v) for v in row])
+            f"{v:.4g}" if isinstance(v, float) else str(v) for v in row])
     widths = [len(h) for h in header]
     for row in str_rows:
         for i, cell in enumerate(row):

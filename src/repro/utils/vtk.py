@@ -36,8 +36,9 @@ def _encode_block(raw: bytes, level: int = 6) -> str:
 
 
 def write_vti(path: str | Path, fields: dict[str, np.ndarray],
-              spacing: float | None = None, origin=(0.0, 0.0, 0.0)) -> Path:
-    """Write nodal fields on a uniform grid to a compressed ``.vti`` file.
+              spacing: float | None = None) -> Path:
+    """Write nodal fields on a uniform grid with its origin at 0 to a
+    compressed ``.vti`` file.
 
     Parameters
     ----------
@@ -66,7 +67,7 @@ def write_vti(path: str | Path, fields: dict[str, np.ndarray],
         "compressor": "vtkZLibDataCompressor"})
     image = ElementTree.SubElement(root, "ImageData", {
         "WholeExtent": extent,
-        "Origin": " ".join(str(float(o)) for o in origin),
+        "Origin": "0.0 0.0 0.0",
         "Spacing": f"{h} {h} {h}"})
     piece = ElementTree.SubElement(image, "Piece", {"Extent": extent})
     pdata = ElementTree.SubElement(piece, "PointData",

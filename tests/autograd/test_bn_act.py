@@ -124,7 +124,7 @@ class TestModule:
     @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (2, 3, 4, 5, 6)])
     def test_running_statistics_match_the_old_update(self, dtype, shape):
         with dtype_scope(dtype):
-            bn = BatchNorm(shape[1], momentum=0.3)
+            bn = BatchNorm(shape[1])
         rm = np.zeros(shape[1], dtype)
         rv = np.ones(shape[1], dtype)
         for seed in range(3):
@@ -133,8 +133,8 @@ class TestModule:
             # The module before the fused op: axis reductions, momentum,
             # unbiased variance.
             n = x.size // shape[1]
-            rm = (0.7 * rm + 0.3 * x.mean(axis=_axes(x))).astype(dtype)
-            rv = (0.7 * rv + 0.3 * x.var(axis=_axes(x)) * (n / (n - 1))
+            rm = (0.9 * rm + 0.1 * x.mean(axis=_axes(x))).astype(dtype)
+            rv = (0.9 * rv + 0.1 * x.var(axis=_axes(x)) * (n / (n - 1))
                   ).astype(dtype)
             _close(bn.running_mean, rm, TOL[dtype])
             _close(bn.running_var, rv, TOL[dtype])

@@ -31,13 +31,13 @@ class TestShapeAlgebra:
         with pytest.raises(ValueError):
             conv_output_shape((2,), (5,), (1,), (0,))
 
-    @pytest.mark.parametrize("s,k,st,p,op,expected", [
-        (4, 2, 2, 0, 0, 8),     # upsample x2
-        (4, 3, 1, 1, 0, 4),     # 'same'
-        (4, 4, 2, 1, 0, 8),
+    @pytest.mark.parametrize("s,k,st,p,expected", [
+        (4, 2, 2, 0, 8),        # upsample x2
+        (4, 3, 1, 1, 4),        # 'same'
+        (4, 4, 2, 1, 8),
     ])
-    def test_transpose_output(self, s, k, st, p, op, expected):
-        assert conv_transpose_output_shape((s,), (k,), (st,), (p,), (op,)) == (expected,)
+    def test_transpose_output(self, s, k, st, p, expected):
+        assert conv_transpose_output_shape((s,), (k,), (st,), (p,)) == (expected,)
 
     def test_tuplify(self):
         assert tuplify(3, 2) == (3, 3)

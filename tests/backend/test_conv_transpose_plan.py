@@ -4,10 +4,10 @@
 swapped (forward = the adjoint conv's data gradient).  It must be
 numerically interchangeable with the original composition (zero-stuff,
 pad, flip, stride-1 conv), written here in float64 NumPy over the tap
-loop of ``tests/conv_oracles.py``, for every supported (stride, padding,
-output_padding) combination, in forward and in every gradient — that is
-what lets it be the only production path.  Also pinned: it plans through
-the one memo, per-axis ``output_padding`` validation, and gradcheck.
+loop of ``tests/conv_oracles.py``, for every supported (stride, padding)
+combination, in forward and in every gradient — that is what lets it be
+the only production path.  Also pinned: it plans through the one memo,
+and gradcheck.
 """
 
 import numpy as np
@@ -22,30 +22,28 @@ from tests.conv_oracles import tap_loop, tap_loop_grads
 from tests.gradcheck import gradcheck
 
 
-def _engine(x, w, b, st, p, op):
+def _engine(x, w, b, st, p):
     """``y`` and the gradients of ``sum(y * y)`` through the autograd op."""
     xt = Tensor(x.copy(), requires_grad=True)
     wt = Tensor(w.copy(), requires_grad=True)
     bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
-    y = conv_transpose_nd(xt, wt, bt, stride=st, padding=p, output_padding=op)
+    y = conv_transpose_nd(xt, wt, bt, stride=st, padding=p)
     (y * y).sum().backward()
     return y.numpy(), xt.grad, wt.grad, bt.grad if bt is not None else None
 
 
-def _composed(x, w, b, st, p, op):
+def _composed(x, w, b, st, p):
     """The same four arrays from the composition: zero-stuff ``x`` by the
-    stride, pad it by ``k - 1 - p`` (plus ``output_padding`` on the high
-    side) and convolve at stride 1 with the flipped, channel-transposed
-    kernel.  ``sum(y * y)`` is quadratic, so the tap loop's adjoint of
+    stride, pad it by ``k - 1 - p`` and convolve at stride 1 with the
+    flipped, channel-transposed kernel.  ``sum(y * y)`` is quadratic, so the tap loop's adjoint of
     ``2 y`` is its gradient exactly."""
     nd = x.ndim - 2
-    st, p, op = (tuplify(v, nd) for v in (st, p, op))
+    st, p = tuplify(st, nd), tuplify(p, nd)
     every = (slice(None),) * 2 + tuple(slice(None, None, s) for s in st)
     stuffed = np.zeros(x.shape[:2] + tuple((n - 1) * s + 1 for n, s in
                                            zip(x.shape[2:], st)))
     stuffed[every] = x
-    pads = [(k - 1 - pp, k - 1 - pp + o)
-            for k, pp, o in zip(w.shape[2:], p, op)]
+    pads = [(k - 1 - pp,) * 2 for k, pp in zip(w.shape[2:], p)]
     xp = np.pad(stuffed, [(0, 0), (0, 0)] + pads)
     axes = tuple(range(2, 2 + nd))
     wt = np.moveaxis(np.flip(w, axes), 0, 1)
@@ -60,28 +58,27 @@ def _composed(x, w, b, st, p, op):
 
 
 CASES = [
-    # (nd, N, Cin, Cout, S, k, stride, padding, output_padding, bias)
-    (1, 2, 3, 4, 9, 3, 2, 1, 1, True),
-    (1, 1, 2, 2, 7, 4, 3, 2, 0, False),
-    (2, 2, 3, 2, 6, 3, 2, 1, 1, True),
-    (2, 1, 2, 3, 5, 2, 2, 0, 0, True),
-    (2, 2, 2, 2, 5, 3, 1, 1, 0, False),
-    (3, 1, 2, 2, 4, 2, 2, 0, 1, True),
-    (3, 2, 1, 2, 3, 3, 1, 1, 0, True),
+    # (nd, N, Cin, Cout, S, k, stride, padding, bias)
+    (1, 2, 3, 4, 9, 3, 2, 1, True),
+    (1, 1, 2, 2, 7, 4, 3, 2, False),
+    (2, 2, 3, 2, 6, 3, 2, 1, True),
+    (2, 1, 2, 3, 5, 2, 2, 0, True),
+    (2, 2, 2, 2, 5, 3, 1, 1, False),
+    (3, 1, 2, 2, 4, 2, 2, 0, True),
+    (3, 2, 1, 2, 3, 3, 1, 1, True),
 ]
 
 
 class TestScatterParity:
-    @pytest.mark.parametrize("nd,N,ci,co,S,k,st,p,op,bias", CASES)
-    def test_matches_composed_path(self, nd, N, ci, co, S, k, st, p, op,
-                                   bias):
+    @pytest.mark.parametrize("nd,N,ci,co,S,k,st,p,bias", CASES)
+    def test_matches_composed_path(self, nd, N, ci, co, S, k, st, p, bias):
         rng = np.random.default_rng(nd * 100 + st * 10 + p)
         x = rng.standard_normal((N, ci) + (S,) * nd)
         w = rng.standard_normal((ci, co) + (k,) * nd)
         b = rng.standard_normal(co) if bias else None
         for name, s_val, c_val in zip(("y", "dx", "dw", "db"),
-                                      _engine(x, w, b, st, p, op),
-                                      _composed(x, w, b, st, p, op)):
+                                      _engine(x, w, b, st, p),
+                                      _composed(x, w, b, st, p)):
             if s_val is None:
                 continue
             assert s_val.shape == c_val.shape, name
@@ -96,7 +93,7 @@ class TestScatterGradcheck:
         w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
         gradcheck(lambda x, w, b: conv_transpose_nd(
-            x, w, b, stride=2, padding=1, output_padding=1), (x, w, b))
+            x, w, b, stride=2, padding=1), (x, w, b))
 
     def test_gradcheck_3d(self):
         rng = np.random.default_rng(2)
@@ -121,13 +118,3 @@ class TestPlanning:
         assert plan.signature.out_spatial == x.shape[2:]
         clear_plan_cache()
 
-
-class TestOutputPaddingValidation:
-    def test_checked_against_the_axis_own_stride(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
-        w = Tensor(np.zeros((2, 2, 3, 3)))
-        # 1 < max(stride) but not < the second axis's stride of 1.
-        with pytest.raises(ValueError, match="output_padding"):
-            conv_transpose_nd(x, w, stride=(2, 1), output_padding=(0, 1))
-        y = conv_transpose_nd(x, w, stride=(2, 1), output_padding=(1, 0))
-        assert y.shape == (1, 2, 10, 6)

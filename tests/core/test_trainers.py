@@ -52,11 +52,6 @@ class TestTrainer:
         assert r.stopped_early
         assert r.epochs_run <= 10
 
-    def test_max_time_budget(self, make_trainer):
-        t = make_trainer(batch_size=4, max_time=0.0)
-        r = t.train_epochs(16, 100)
-        assert r.epochs_run == 1  # stops after the first epoch check
-
     def test_deterministic_given_seed(self, make_trainer):
         r1 = make_trainer(batch_size=4, seed=5).train_epochs(16, 2)
         r2 = make_trainer(batch_size=4, seed=5).train_epochs(16, 2)

@@ -64,7 +64,6 @@ class TestBatchSampler:
 
     def test_num_batches(self):
         assert BatchSampler(10, 3).num_batches() == 4
-        assert BatchSampler(10, 3, drop_last=True).num_batches() == 3
         assert BatchSampler(9, 3).num_batches() == 3
 
     def test_epoch_determinism(self):

@@ -89,6 +89,11 @@ DEAD_WORKER = ("tests/serve/test_executor.py::TestDeadWorker::"
                "test_a_killed_worker_fails_the_call_and_the_next_call_works")
 ADAM = "tests/core/test_one_training_loop.py::test_adam_is_the_one_optimizer"
 INTERPRETER = "tests/backend/test_lazy.py::TestInterpreter"
+STOP = ("tests/distributed/test_rank_processes.py::TestParity::"
+        "test_train_until_converged")
+EXACT_TILES = "tests/serve/test_tiling.py::TestExactness2D"
+TRANSPOSE = ("tests/backend/test_conv_transpose_plan.py::TestScatterParity::"
+             "test_matches_composed_path")
 # No behavioural test sees these grow back (a ``/`` rebuilt on ``Mul``
 # applies no new op): the row is its own guard.
 ROW = "tests/test_denylist.py::test_row_is_absent"
@@ -248,4 +253,42 @@ ROWS: list[Row] = [
     Row("field", "TrainConfig.log_every", "", 47, REACH),
     Row("field", "EnergyLoss.neumann", "", 47, ENERGY),
     Row("field", "ProcessExecutor.start_method", "", 47, DEAD_WORKER),
+    # Options no caller set to a second value, now constants.
+    # Every process computes the epoch loss from the same rows, so early
+    # stopping needs no exchanged verdict (and there is no time budget).
+    Row("field", "TrainConfig.max_time", "", 48, STOP),
+    Row("def", "_agree", "", 48, STOP),
+    Row("ident", "verdict", "distributed/", 48, STOP),
+    # The predict paths tile with the network's own halo.
+    Row("flag", "--halo", "cli.py", 48, EXACT_TILES),
+    *_rows("field", ("ServerConfig.halo", "tiled_predict.halo",
+                     "stream_tiled_predict.halo", "_resolve_plan.halo"), "",
+           48, EXACT_TILES),
+    *_rows("field", ("restrict_nested.mode", "_restrict_axis.normalize"), "",
+           48, "tests/fem/test_gmg.py::TestNestedTransfer::"
+           "test_restriction_is_adjoint"),
+    Row("field", "sample_omega.engine", "", 48,
+        "tests/data/test_sobol.py::TestAgainstScipy"),
+    *_rows("field", ("ConvTransposeNd.output_padding",
+                     "conv_transpose_nd.output_padding",
+                     "conv_transpose_output_shape.output_padding"), "", 48,
+           TRANSPOSE),
+    Row("ident", "output_padding", "autograd/ nn/ backend/", 48, TRANSPOSE),
+    *_rows("field", ("Adam.betas", "Adam.eps"), "", 48,
+           "tests/optim/test_optimizers.py::TestAdam::"
+           "test_first_step_magnitude_is_lr"),
+    *_rows("field", ("BatchNorm.eps", "BatchNorm.momentum"), "nn/", 48,
+           "tests/autograd/test_bn_act.py::TestModule::"
+           "test_running_statistics_match_the_old_update"),
+    Row("field", "BatchSampler.drop_last", "", 48,
+        "tests/data/test_dataset_loader.py::TestBatchSampler::"
+        "test_covers_all_indices"),
+    *_rows("field", ("calculate_fan.mode", "kaiming_normal.mode",
+                     "kaiming_normal.dtype"), "", 48,
+           "tests/nn/test_layers.py::TestInit"),
+    Row("field", "FleetConfig.vnodes", "", 48, RING_ORDER),
+    Row("field", "write_vti.origin", "", 48,
+        "tests/utils/test_vtk.py::TestRoundtrip"),
+    Row("field", "format_table.float_fmt", "", 48,
+        "tests/utils/test_utils.py::TestViz::test_format_table"),
 ]

@@ -178,33 +178,6 @@ class TestParity:
         assert got[0] == want[0] and len(got[0]) < 20
         _assert_same(got[1], want[1])
 
-    def test_max_time_is_rank0s(self, monkeypatch, problem, dataset):
-        """Rank 0's clock ends the call, and every rank stops with it:
-        here the caller's clock jumps an hour per reading, while a
-        forked rank's own clock would let it train on."""
-        from repro.core import trainer as core_trainer
-
-        caller, real, jumps = os.getpid(), time.perf_counter, []
-
-        def perf_counter():
-            if os.getpid() == caller:
-                jumps.append(1)
-            return real() + 3600.0 * len(jumps)
-
-        monkeypatch.setattr(core_trainer, "time",
-                            type("Clock", (), {"perf_counter": perf_counter}))
-        cfg = dict(world_size=4, batch_size=4, max_time=60.0)
-
-        def drive(t):
-            r = t.train_epochs(RES, 5)
-            assert r.epochs_run == 1 and not r.stopped_early
-            return r.losses
-
-        want = _run(monkeypatch, 1, problem, dataset, drive, **cfg)
-        got = _run(monkeypatch, 2, problem, dataset, drive, **cfg)
-        assert got[0] == want[0]
-        _assert_same(got[1], want[1])
-
     def test_ranks_run_in_forked_processes(self, monkeypatch, problem,
                                            dataset):
         forks, real_fork = [], os.fork

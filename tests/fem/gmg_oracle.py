@@ -46,7 +46,7 @@ def cycle(gmg, li, b, kind, exact=False):
     r = b - _operator(level, exact) @ x
     r *= ~level.dirichlet
     coarse = gmg.levels[li + 1]
-    rc = restrict_nested(r.reshape(level.grid.shape), mode="dual").ravel()
+    rc = restrict_nested(r.reshape(level.grid.shape)).ravel()
     rc[coarse.dirichlet] = 0.0
     ec = np.zeros_like(rc)
     for sub in COARSE_VISITS[kind]:

@@ -23,25 +23,18 @@ class TestNestedTransfer:
         fine = prolong_nested(x)
         np.testing.assert_allclose(fine, np.linspace(0, 1, 9), atol=1e-14)
 
-    def test_value_restriction_preserves_constants(self):
-        c = np.full((9, 9), 3.0)
-        np.testing.assert_allclose(restrict_nested(c, mode="value"), 3.0)
-
-    def test_dual_restriction_is_adjoint(self, rng):
-        """<R r, c> == <r, P c> for the dual-mode restriction."""
+    def test_restriction_is_adjoint(self, rng):
+        """<R r, c> == <r, P c>: restriction is the prolongation's
+        transpose."""
         r = rng.standard_normal((9, 9))
         c = rng.standard_normal((5, 5))
-        lhs = float((restrict_nested(r, mode="dual") * c).sum())
+        lhs = float((restrict_nested(r) * c).sum())
         rhs = float((r * prolong_nested(c)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_even_size_raises(self):
         with pytest.raises(ValueError):
             restrict_nested(np.zeros((8, 8)))
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            restrict_nested(np.zeros((5, 5)), mode="nope")
 
 
 class TestGMGSolver:

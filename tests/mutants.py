@@ -156,12 +156,12 @@ MUTANTS: list[Mutant] = [
            "                pass\n",
            (DEAD_WORKER,)),
     # -- the data-parallel trainer (PR 33) ------------------------------- #
-    Mutant("each rank process decides its own stop",
+    Mutant("each process averages only its own ranks' losses",
            "src/repro/distributed/data_parallel.py",
-           "return bool(table[0, 0]), bool(table[0, 1])",
-           "return early, late",
+           "loss = float(B.mean(rows[:, n].tolist()))",
+           "loss = float(B.mean(rows[list(group.ranks), n].tolist()))",
            ("tests/distributed/test_rank_processes.py::TestParity::"
-            "test_max_time_is_rank0s",)),
+            "test_train_until_converged",)),
     Mutant("ring all-reduce averages over one rank too few",
            "src/repro/distributed/ring.py",
            "            w /= p\n", "            w /= p - 1\n",
@@ -191,7 +191,8 @@ MUTANTS: list[Mutant] = [
     # -- server settings -------------------------------------------------- #
     Mutant("an odd halo accepted", SERVE + "tiling.py",
            "    if halo < 0 or halo % 2:\n", "    if halo < 0:\n",
-           ("tests/serve/test_batching_server.py::TestServerConfig",)),
+           ("tests/serve/test_tiling.py::TestPlan::"
+            "test_misaligned_halo_rejected",)),
     Mutant("an unknown executor accepted", SERVE + "executor.py",
            "    if kind not in EXECUTOR_KINDS:\n", "    if False:\n",
            ("tests/serve/test_batching_server.py::TestServerConfig",)),
@@ -243,6 +244,12 @@ MUTANTS: list[Mutant] = [
     Mutant("the emitting halo forgets the refinements", SERVE + "tiling.py",
            "stage += [net.refinements, net.out_conv]",
            "stage += [net.out_conv]",
+           ("tests/serve/test_tiling.py::TestExactness2D",)),
+    Mutant("the predict paths plan below the receptive halo",
+           SERVE + "tiling.py",
+           "return plan_tiles(shape, tile, receptive_halo(model), multiple)",
+           "return plan_tiles(shape, tile, receptive_halo(model) - 2, "
+           "multiple)",
            ("tests/serve/test_tiling.py::TestExactness2D",)),
     Mutant("a receptive-field constant in the halo", SERVE + "tiling.py",
            "    return radius + radius % 2\n",

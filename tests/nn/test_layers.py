@@ -57,20 +57,23 @@ class TestConvLayers:
 
 class TestBatchNormModule:
     def test_running_stats_update(self, rng):
-        bn = BatchNorm(2, momentum=0.5)
+        bn = BatchNorm(2)
         x = Tensor((rng.standard_normal((8, 2, 4, 4)) * 3 + 1).astype(np.float32))
         bn(x)
         assert not np.allclose(bn.running_mean, 0.0)
         assert int(bn.num_batches_tracked) == 1
 
     def test_eval_mode_uses_running_stats(self, rng):
-        bn = BatchNorm(2, momentum=1.0)  # running stats = last batch stats
+        bn = BatchNorm(2)
         x = Tensor(rng.standard_normal((16, 2, 5, 5)).astype(np.float32))
-        y_train = bn(x).data
+        # At momentum 0.1, 200 updates on one batch leave 0.9**200 < 1e-9
+        # of the initial estimate: the running stats are the batch stats
+        # (up to the biased/unbiased variance correction), so the
+        # outputs nearly agree.
+        for _ in range(200):
+            y_train = bn(x).data
         bn.eval()
         y_eval = bn(x).data
-        # momentum=1 makes running stats equal batch stats (up to the
-        # biased/unbiased variance correction) so outputs nearly agree.
         np.testing.assert_allclose(y_train, y_eval, atol=1e-2)
 
     def test_channel_mismatch_raises(self, rng):
@@ -97,8 +100,8 @@ class TestActivationsPooling:
 
 class TestInit:
     def test_fan_conv(self):
-        assert init.calculate_fan((8, 4, 3, 3), "fan_in") == 4 * 9
-        assert init.calculate_fan((8, 4, 3, 3), "fan_out") == 8 * 9
+        assert init.calculate_fan((8, 4, 3, 3)) == 4 * 9
+        assert init.calculate_fan((8, 4)) == 4
 
     def test_fan_requires_2d(self):
         with pytest.raises(ValueError):

@@ -49,11 +49,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
-    def test_invalid_betas(self):
-        p = Parameter(np.ones(1))
-        with pytest.raises(ValueError):
-            Adam([p], betas=(1.0, 0.999))
-
     def test_state_per_parameter(self):
         p1 = Parameter(np.zeros(2, dtype=np.float64))
         p2 = Parameter(np.zeros(3, dtype=np.float64))

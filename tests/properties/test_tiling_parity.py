@@ -4,13 +4,15 @@ single forward, over the architectures and grids it has to serve.
 For any U-Net the repo can build — 2-D/3-D, depth 1-3, 2-4 base filters,
 0-2 architectural adaptations, conv or max-pool down-sampling — on ragged
 grids (the last tile may be shorter than the halo), any aligned tile
-size, the default or a wider halo and batch 1-3:
+size and batch 1-3:
 
 * tiled == ``predict_batch`` to 1e-5;
-* serial == thread == process executors *bitwise*;
 * the one-block plan is the plain forward, bitwise ``predict_batch``;
-* a stream restricted to ``tiles=S`` delivers exactly ``S``, once each,
-  with cores bit-equal to the full stream's.
+* over a plan with the network's halo or a wider one (built with
+  ``plan_tiles``; the predict paths take the network's), the tiled bare
+  network == its single forward to 1e-5, serial == thread == process
+  executors *bitwise*, and a stream restricted to ``tiles=S`` delivers
+  exactly ``S``, once each, with cores bit-equal to the full stream's.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.autograd import Tensor, no_grad
-from repro.core.inference import predict_batch
+from repro.core.inference import predict_batch, prepare_batch_inputs
 from repro.serve import (make_executor, plan_tiles, receptive_halo,
-                         stream_tiled_predict, tiled_predict)
+                         stream_tiled_forward, tiled_forward, tiled_predict)
 
 TOLERANCE = 1e-5
 
@@ -73,28 +75,31 @@ def _build(case):
 def test_tiled_inference_parity(executors, case):
     model, problem, omegas, rng = _build(case)
     tile = case["tile"]
-    halo = receptive_halo(model) + case["extra_halo"]
     ref = predict_batch(model, problem, omegas)
 
-    serial = tiled_predict(model, problem, omegas, tile=tile, halo=halo)
-    assert serial.shape == ref.shape
-    assert np.abs(serial - ref).max() <= TOLERANCE
-
-    for executor in executors:
-        got = tiled_predict(model, problem, omegas, tile=tile, halo=halo,
-                            executor=executor)
-        np.testing.assert_array_equal(got, serial, err_msg=executor.kind)
-
+    tiled = tiled_predict(model, problem, omegas, tile=tile)
+    assert tiled.shape == ref.shape
+    assert np.abs(tiled - ref).max() <= TOLERANCE
     np.testing.assert_array_equal(
         tiled_predict(model, problem, omegas), ref)      # the one-block plan
 
-    plan = plan_tiles(problem.grid(case["resolution"]).shape, tile, halo,
+    x = prepare_batch_inputs(problem, omegas)[0]
+    plan = plan_tiles(x.shape[2:], tile,
+                      receptive_halo(model) + case["extra_halo"],
                       2 ** case["depth"])
-    subset = [int(i) for i in rng.permutation(plan.num_tiles)
-              [:int(rng.integers(1, plan.num_tiles + 1))]]
-    records = list(stream_tiled_predict(model, problem, omegas, tile=tile,
-                                        halo=halo, tiles=subset))
+    with model.evaluating(), no_grad():
+        full = model.net(Tensor(x)).numpy()
+        serial = tiled_forward(model.net, x, plan)
+        assert np.abs(serial - full).max() <= TOLERANCE
+
+        for executor in executors:
+            got = tiled_forward(model.net, x, plan, executor=executor)
+            np.testing.assert_array_equal(got, serial, err_msg=executor.kind)
+
+        subset = [int(i) for i in rng.permutation(plan.num_tiles)
+                  [:int(rng.integers(1, plan.num_tiles + 1))]]
+        records = list(stream_tiled_forward(model.net, x, plan, tiles=subset))
     assert sorted(i for i, _, _ in records) == sorted(subset)
     for i, sl, core in records:
         assert sl == tuple(slice(a, b) for a, b in plan.blocks[i])
-        np.testing.assert_array_equal(core, serial[(slice(None),) + sl])
+        np.testing.assert_array_equal(core, serial[(slice(None),) * 2 + sl])

@@ -88,7 +88,7 @@ class TestServerConfig:
     an error counted on every request."""
 
     @pytest.mark.parametrize("field,value", [
-        ("executor", "bogus"), ("halo", 3), ("halo", -2), ("tile", 0),
+        ("executor", "bogus"), ("tile", 0),
         ("workers", 0), ("cache_bytes", -5), ("cache_bytes", float("nan")),
         ("tile_threshold_voxels", -1), ("max_pending", -1),
     ])
@@ -97,7 +97,7 @@ class TestServerConfig:
             ServerConfig(**{field: value})
 
     def test_edge_values_construct(self):
-        ServerConfig(cache_bytes=0, max_wait_ms=0.0, halo=0, tile=1,
+        ServerConfig(cache_bytes=0, max_wait_ms=0.0, tile=1,
                      max_pending=0, tile_threshold_voxels=0,
                      default_deadline_s=-1.0, executor="process")
 

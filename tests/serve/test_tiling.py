@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.autograd import Tensor, no_grad
 from repro.backend import set_backend
-from repro.core.inference import predict_batch
+from repro.core.inference import predict_batch, prepare_batch_inputs
 from repro.serve import (
     Executor, make_executor, plan_tiles, receptive_halo,
     stream_tiled_forward, stream_tiled_predict, tiled_forward, tiled_predict,
@@ -27,6 +27,17 @@ RNG = np.random.default_rng(7)
 
 def _omegas(n=3):
     return RNG.uniform(-3.0, 3.0, size=(n, 4))
+
+
+def _wide(model, problem, omegas, tile, halo, executor=None):
+    """``(tiled, full)`` bare-network fields of ``omegas``: over a plan
+    whose ``halo`` the caller picks (the predict paths always take
+    :func:`receptive_halo`), and by the single forward."""
+    x = prepare_batch_inputs(problem, omegas)[0]
+    plan = plan_tiles(x.shape[2:], tile, halo, 2 ** model.net.depth)
+    with model.evaluating(), no_grad():
+        return (tiled_forward(model.net, x, plan, executor=executor),
+                model.net(Tensor(x)).numpy())
 
 
 class TestPlan:
@@ -168,12 +179,9 @@ class TestExactness2D:
 
     @pytest.mark.parametrize("extra", [0, 4, 8])
     def test_wider_halo_stays_exact(self, extra):
-        problem = PoissonProblem2D(16)
         model = MGDiffNet(ndim=2, base_filters=4, depth=2, rng=2)
-        omegas = _omegas(2)
-        ref = predict_batch(model, problem, omegas)
-        halo = receptive_halo(model) + extra
-        got = tiled_predict(model, problem, omegas, tile=8, halo=halo)
+        got, ref = _wide(model, PoissonProblem2D(16), _omegas(2), 8,
+                         receptive_halo(model) + extra)
         assert np.abs(got - ref).max() <= 1e-5
 
     def test_ragged_tiling_exact(self):
@@ -244,28 +252,25 @@ class TestRaggedHaloParallel:
         problem = PoissonProblem3D(12)
         model = MGDiffNet(ndim=3, base_filters=4, depth=1, rng=5)
         omegas = _omegas(2)
-        ref = predict_batch(model, problem, omegas)
-        serial = tiled_predict(model, problem, omegas, tile=8, halo=8)
+        serial, ref = _wide(model, problem, omegas, 8, 8)
         return problem, model, omegas, ref, serial
 
     def test_serial_stitch_exact_vs_full_field(self, ragged3d):
         problem, model, omegas, ref, serial = ragged3d
         # halo (8) > remainder (12 - 8 = 4) on every axis.
-        assert serial.shape == ref.shape == (2, 12, 12, 12)
+        assert serial.shape == ref.shape == (2, 1, 12, 12, 12)
         assert np.abs(serial - ref).max() <= 1e-5
 
     def test_process_executor_stitch_bitwise_equal(self, ragged3d):
         problem, model, omegas, _, serial = ragged3d
         with make_executor("process", 2) as executor:
-            got = tiled_predict(model, problem, omegas, tile=8, halo=8,
-                                executor=executor)
+            got, _ = _wide(model, problem, omegas, 8, 8, executor)
         np.testing.assert_array_equal(got, serial)
 
     def test_thread_executor_stitch_bitwise_equal(self, ragged3d):
         problem, model, omegas, _, serial = ragged3d
         with make_executor("thread", 2) as executor:
-            got = tiled_predict(model, problem, omegas, tile=8, halo=8,
-                                executor=executor)
+            got, _ = _wide(model, problem, omegas, 8, 8, executor)
         np.testing.assert_array_equal(got, serial)
 
 
@@ -595,11 +600,14 @@ class TestStreamTiling:
         problem = PoissonProblem3D(12)
         model = MGDiffNet(ndim=3, base_filters=4, depth=1, rng=5)
         omegas = _omegas(2)
-        ref = predict_batch(model, problem, omegas)
-        exact = tiled_predict(model, problem, omegas, tile=8, halo=8)
-        got, ids = _assemble(
-            stream_tiled_predict(model, problem, omegas, tile=8, halo=8),
-            (12, 12, 12), 2)
+        exact, ref = _wide(model, problem, omegas, 8, 8)
+        x = prepare_batch_inputs(problem, omegas)[0]
+        with model.evaluating():
+            got, ids = _assemble(
+                ((i, (slice(None),) + sl, core) for i, sl, core in
+                 stream_tiled_forward(model.net, x,
+                                      plan_tiles((12,) * 3, 8, 8, 2))),
+                (1, 12, 12, 12), 2, np.float32)
         np.testing.assert_array_equal(got, exact)
         assert np.abs(got - ref).max() <= 1e-5
         assert sorted(ids) == list(range(8))
