@@ -11,7 +11,7 @@ Public surface::
 """
 
 from .function import Function, Context, no_grad, is_grad_enabled
-from .tensor import Tensor, set_default_dtype, get_default_dtype
+from .tensor import Tensor
 from .ops_basic import add, sub, mul
 from .ops_reduce import sum_ as sum, mean  # noqa: A001
 from .ops_activation import sigmoid, leaky_relu
@@ -24,7 +24,6 @@ from .profiler import profile, Profile, OpStats
 
 __all__ = [
     "Tensor", "Function", "Context", "no_grad", "is_grad_enabled",
-    "set_default_dtype", "get_default_dtype",
     "add", "sub", "mul", "sum", "mean", "sigmoid", "leaky_relu",
     "conv_nd", "conv_transpose_nd", "max_pool_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",

@@ -17,11 +17,11 @@ import numpy as np
 
 from ..backend import ops as B
 from ..backend import is_lazy, realize
-from ..backend.dtype import get_default_dtype, set_default_dtype
+from ..backend.dtype import get_default_dtype
 from . import profiler
 from .function import Context, Function
 
-__all__ = ["Tensor", "set_default_dtype", "get_default_dtype"]
+__all__ = ["Tensor"]
 
 
 class Tensor:

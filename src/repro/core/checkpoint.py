@@ -14,7 +14,8 @@ import numpy as np
 
 from ..optim.optimizer import Optimizer
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint",
+           "read_checkpoint_meta"]
 
 _PREFIX_PARAM = "model::"
 _PREFIX_OPT = "opt::"
@@ -111,10 +112,22 @@ def load_checkpoint(path: str | Path, model, optimizer: Optimizer | None = None
                 entry[name] = int(value) if name == "t" else value.copy()
             optimizer.state = state
 
-        meta = {}
-        for k in data.files:
-            if k.startswith(_PREFIX_META):
-                value = data[k]
-                meta[k[len(_PREFIX_META):]] = (
-                    value.item() if value.ndim == 0 else value.copy())
-        return meta
+        return _meta(data)
+
+
+def read_checkpoint_meta(path: str | Path) -> dict:
+    """The metadata dict of a :func:`save_checkpoint` file, without
+    loading any state (what a caller reads to rebuild the architecture
+    before :func:`load_checkpoint`)."""
+    with np.load(Path(path), allow_pickle=False) as data:
+        return _meta(data)
+
+
+def _meta(data) -> dict:
+    meta = {}
+    for k in data.files:
+        if k.startswith(_PREFIX_META):
+            value = data[k]
+            meta[k[len(_PREFIX_META):]] = (
+                value.item() if value.ndim == 0 else value.copy())
+    return meta

@@ -4,9 +4,12 @@ inspires MGDiffNet's training cycles.
 
 Implements rediscretized coarse operators (ν restricted by injection),
 damped-Jacobi smoothing, full-weighting restriction / multilinear
-prolongation, and V / W / F cycles.  Dirichlet conditions are handled in
-residual-correction form: every level solves a homogeneous-Dirichlet error
-equation, so corrections vanish on constrained nodes.
+prolongation, and V / W / F cycles.  The coarse cycles a cycle makes
+below its level come from :data:`repro.multigrid.cycles.COARSE_VISITS`,
+the one table the training schedules of paper Fig. 3 walk too.
+Dirichlet conditions are handled in residual-correction form: every
+level solves a homogeneous-Dirichlet error equation, so corrections
+vanish on constrained nodes.
 
 Cycles run in ``CYCLE_DTYPE`` (float32) under a float64 residual, as
 classical iterative refinement: ``solve`` keeps iterate, residual and
@@ -28,6 +31,7 @@ import scipy.sparse.linalg as spla
 
 from ..backend import ops as B
 from ..backend import realize
+from ..multigrid.cycles import COARSE_VISITS
 
 from .assembly import assemble_load
 from .grid import UniformGrid
@@ -43,10 +47,6 @@ COARSE_SIZE = 729
 
 # The precision every multigrid cycle runs in (see the module docstring).
 CYCLE_DTYPE = np.float32
-
-# The coarse-level cycles one cycle makes at every level (paper Fig. 3,
-# `repro.multigrid.cycles`): V recurses once, W twice, F into F then V.
-_COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
 
 
 @dataclass
@@ -159,7 +159,7 @@ class GeometricMultigrid:
         coarse = self.levels[li + 1]
         rc = restrict_nested(r.reshape(level.grid.shape)).ravel()
         rc[coarse.dirichlet] = 0.0
-        first, *rest = _COARSE_VISITS[cycle]
+        first, *rest = COARSE_VISITS[cycle]
         ec = self._cycle(li + 1, rc, first)     # the coarse error starts at 0
         for sub_cycle in rest:
             ec = ec + self._cycle(li + 1, rc - coarse.cycle_op @ ec,
@@ -184,9 +184,9 @@ class GeometricMultigrid:
 
         ``cycle``: 'v', 'w' or 'f' (paper Fig. 3).
         """
-        if cycle not in _COARSE_VISITS:
+        if cycle not in COARSE_VISITS:
             raise ValueError(f"unknown cycle {cycle!r}; choose from "
-                             f"{sorted(_COARSE_VISITS)}")
+                             f"{sorted(COARSE_VISITS)}")
         fine = self.levels[0]
         b = assemble_load(fine.grid, f_nodal, self.rule)
         lift = self.bc.lift().ravel()

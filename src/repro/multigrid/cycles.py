@@ -11,22 +11,30 @@ Our generators mark the **last** visit of each level as a prolongation
 visit and all earlier visits as restriction visits, which realizes that
 rule for every cycle shape.
 
-Cycle shapes over L levels (1 = finest):
+Cycle shapes over L levels (1 = finest).  V, W and F are one recursion
+over :data:`COARSE_VISITS`, the coarse cycles each cycle makes below its
+level; a level's repeated visits merge into one:
 
 * ``V``      : 1 2 ... L ... 2 1
-* ``half_v`` : L L-1 ... 1           (no training before the coarsest)
-* ``W``      : recursive gamma=2, e.g. L=3: 1 2 3 2 3 2 1
-* ``F``      : V-shaped descent with a dip to the coarsest after each
-  level is reached on the way up, e.g. L=4: 1 2 3 4 3 4 3 2 3 4 3 2 1
+* ``W``      : two coarse W cycles, e.g. L=4: 1 2 3 4 3 4 3 2 3 4 3 4 3 2 1
+* ``F``      : a coarse F cycle, then a coarse V cycle, e.g. L=4:
+  1 2 3 4 3 4 3 2 3 4 3 2 1
+* ``half_v`` : V's up-leg, L L-1 ... 1  (no training before the coarsest)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CycleStep", "cycle_levels", "build_schedule", "STRATEGIES"]
+__all__ = ["CycleStep", "cycle_levels", "build_schedule", "STRATEGIES",
+           "COARSE_VISITS"]
 
-STRATEGIES = ("v", "w", "f", "half_v")
+# The coarse-level cycles one cycle makes at every level (paper Fig. 3):
+# V recurses once, W twice, F into F then V.  The training schedules
+# below and the GMG solver (`repro.fem.gmg`) both walk this one table.
+COARSE_VISITS = {"v": "v", "w": "ww", "f": "fv"}
+
+STRATEGIES = (*COARSE_VISITS, "half_v")
 
 
 @dataclass(frozen=True)
@@ -41,61 +49,29 @@ class CycleStep:
             raise ValueError(f"unknown phase {self.phase!r}")
 
 
-def _merge_adjacent(seq: list[int]) -> list[int]:
-    out: list[int] = []
-    for level in seq:
-        if not out or out[-1] != level:
-            out.append(level)
-    return out
-
-
-def _v_levels(levels: int) -> list[int]:
-    down = list(range(1, levels + 1))
-    up = list(range(levels - 1, 0, -1))
-    return down + up
-
-
-def _half_v_levels(levels: int) -> list[int]:
-    return list(range(levels, 0, -1))
-
-
-def _w_levels(levels: int) -> list[int]:
-    def rec(l: int) -> list[int]:
-        if l == levels:
-            return [levels]
-        return [l] + rec(l + 1) + rec(l + 1) + [l]
-
-    return _merge_adjacent(rec(1))
-
-
-def _f_levels(levels: int) -> list[int]:
-    def v(l: int) -> list[int]:
-        if l == levels:
-            return [levels]
-        return [l] + v(l + 1) + [l]
-
-    def f(l: int) -> list[int]:
-        if l == levels:
-            return [levels]
-        return [l] + f(l + 1) + v(l + 1) + [l]
-
-    return _merge_adjacent(f(1))
+def _walk(cycle: str, level: int, levels: int) -> list[int]:
+    """Levels one ``cycle`` at ``level`` visits: this level, then each
+    coarse cycle of ``COARSE_VISITS[cycle]`` in turn, then this level
+    again (repeats of a level not yet merged)."""
+    if level == levels:
+        return [levels]
+    seq = [level]
+    for sub in COARSE_VISITS[cycle]:
+        seq += _walk(sub, level + 1, levels)
+    return seq + [level]
 
 
 def cycle_levels(strategy: str, levels: int) -> list[int]:
     """Level visit order of a strategy (1 = finest)."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    strategy = strategy.lower().replace("-", "_").replace(" ", "_")
-    if strategy in ("v", "v_cycle"):
-        return _v_levels(levels)
-    if strategy in ("w", "w_cycle"):
-        return _w_levels(levels)
-    if strategy in ("f", "f_cycle"):
-        return _f_levels(levels)
-    if strategy in ("half_v", "halfv", "half_v_cycle"):
-        return _half_v_levels(levels)
-    raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if strategy == "half_v":
+        return cycle_levels("v", levels)[levels - 1:]
+    if strategy not in COARSE_VISITS:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    seq = _walk(strategy, 1, levels)
+    return [l for i, l in enumerate(seq) if i == 0 or l != seq[i - 1]]
 
 
 def build_schedule(strategy: str, levels: int) -> list[CycleStep]:

@@ -21,6 +21,11 @@ a unit of serving compute runs:
   backend instances, whose locked state does not survive a fork.  Each
   also runs OpenBLAS on one thread, as data-parallel rank processes do.
 
+Every executor has one ordered ``map``, on the base class, built on its
+``imap_unordered``.  An executor opens no span: a fan-out belongs to its
+caller's trace, and the tile engine opens its "executor.map" span under
+the request's.
+
 Task functions submitted to a :class:`ProcessExecutor` must be module
 level (picklable); per-worker state such as unpickled models is cached in
 the child keyed by content version (see :mod:`repro.serve.tiling`).
@@ -45,7 +50,6 @@ from ..backend.tuning import (
     default_workers, hold_one_blas_thread, pin_blas_threads,
     release_blas_thread,
 )
-from .telemetry.trace import NULL_TRACER
 
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
            "ProcessExecutor", "make_executor", "default_workers",
@@ -59,23 +63,17 @@ class Executor:
 
     kind = "serial"
 
-    # A server with telemetry enabled binds its tracer here; parallel
-    # executors wrap each ``map`` fan-out in an "executor.map" span.
-    # The class-level null tracer keeps the default free.
-    tracer = NULL_TRACER
-
     @property
     def workers(self) -> int:
         return 1
 
     def map(self, fn, items) -> list:
         """Apply ``fn`` to every item; results in input order."""
-        raise NotImplementedError
-
-    def _map_span(self, n: int):
-        """Open the fan-out span for an ``n``-item map."""
-        return self.tracer.start("executor.map", kind=self.kind, items=n,
-                                 workers=self.workers)
+        items = list(items)
+        out = [None] * len(items)
+        for i, result in self.imap_unordered(fn, items):
+            out[i] = result
+        return out
 
     def imap_unordered(self, fn, items):
         """Yield ``(index, fn(item))`` pairs in *completion* order.
@@ -117,16 +115,14 @@ class SerialExecutor(Executor):
 
     kind = "serial"
 
-    def map(self, fn, items) -> list:
-        return [fn(item) for item in items]
-
 
 class _PoolExecutor(Executor):
     """A lazily built ``concurrent.futures`` pool whose workers run the
     creator's backend and dtype.
 
-    ``map`` and ``imap_unordered`` submit every item, yield as results
-    land and cancel what is left when the caller stops or a task raises.
+    ``imap_unordered`` (and so ``map``) submits every item, yields as
+    results land and cancels what is left when the caller stops or a
+    task raises.
     A pool that breaks (a process worker died) is shut down and dropped:
     the call raises ``BrokenExecutor`` and the next call builds a fresh
     pool.  The two subclasses differ only in the pool they build.
@@ -150,19 +146,6 @@ class _PoolExecutor(Executor):
             if self._pool is None:
                 self._pool = self._new_pool()
             return self._pool
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        if not items:
-            return []
-        span = self._map_span(len(items))
-        try:
-            out = [None] * len(items)
-            for i, result in self.imap_unordered(fn, items):
-                out[i] = result
-            return out
-        finally:
-            span.finish()
 
     def imap_unordered(self, fn, items):
         items = list(items)

@@ -68,12 +68,10 @@ import numpy as np
 from .errors import FleetUnavailable, verdict
 from .hashring import HashRing
 from .registry import ModelEntry, ModelRegistry, RegistryError, state_version
-from .server import PredictionServer, ServerConfig, _LatencyPercentiles
-from .telemetry import NULL_SPAN, NULL_TRACER
+from .server import PredictionServer, ServerConfig
+from .telemetry import NULL_SPAN, NULL_TRACER, QuantileSketch
 
 __all__ = ["FleetConfig", "FleetStats", "Shard", "ShardedFleet"]
-
-_LAT_WINDOW = 10_000
 
 # The fleet's event counts: FleetStats fields the counter ledger owns
 # (``ShardedFleet._c``), named ``stats.fleet.<term>`` in the metrics
@@ -129,8 +127,12 @@ class Shard:
 
 
 @dataclass
-class FleetStats(_LatencyPercentiles):
-    """Merged fleet counters + summed per-shard serving statistics."""
+class FleetStats:
+    """Merged fleet counters + summed per-shard serving statistics.
+
+    ``p50``/``p99`` are the fleet latency sketch's (submit to answer, in
+    seconds) when the snapshot was taken; ``cache_hits`` sums every
+    shard's cache, retired shards included."""
 
     shards: int = 0
     healthy_shards: int = 0
@@ -157,7 +159,8 @@ class FleetStats(_LatencyPercentiles):
     batches: int = 0
     batched_requests: int = 0
     tiled_forwards: int = 0
-    latencies: list = field(default_factory=list)
+    p50: float = 0.0
+    p99: float = 0.0
     per_shard: dict = field(default_factory=dict)
 
     @property
@@ -237,7 +240,7 @@ class ShardedFleet:
             self._by_id[shard.id] = shard
         self._ring = HashRing([s.id for s in self.shards])
         self._catalog: dict[str, str] = {}      # model name -> version
-        self._latencies: list[float] = []
+        self._latency = QuantileSketch("fleet.latency")
         self._probe_seq = 0
         # In-flight attempts, oldest dispatch first: every dispatch
         # re-inserts its request at the back, delivery removes it, so
@@ -671,12 +674,9 @@ class ShardedFleet:
         now = time.monotonic()
         if not live:
             counter = "cancelled"
-        with self._lock:
-            self._count(counter)
-            if live and exc is None:
-                self._latencies.append(now - state.submitted_at)
-                if len(self._latencies) > _LAT_WINDOW:
-                    del self._latencies[:len(self._latencies) - _LAT_WINDOW]
+        self._count(counter)
+        if live and exc is None:
+            self._latency.observe(now - state.submitted_at)
         # Root span outcome == the conservation-law term counted.
         state.trace.finish(outcome=counter)
         if live:
@@ -846,7 +846,7 @@ class ShardedFleet:
             merged = FleetStats(
                 shards=len(self.shards),
                 healthy_shards=sum(s.healthy for s in self.shards),
-                latencies=list(self._latencies),
+                p50=self._latency.p50, p99=self._latency.p99,
                 **self._c)
             live = list(self.shards)
             retired = list(self._retired)
@@ -855,7 +855,7 @@ class ShardedFleet:
         for shard in live + retired:
             s = shard.server.stats
             merged.requests += s.requests
-            merged.cache_hits += s.cache_hits
+            merged.cache_hits += shard.server.cache.stats.hits
             merged.dedup_hits += s.dedup_hits
             merged.batches += s.batches
             merged.batched_requests += s.batched_requests
@@ -866,7 +866,7 @@ class ShardedFleet:
                 "healthy": shard.healthy,
                 "faults": shard.fault_count,
                 "requests": s.requests,
-                "cache_hits": s.cache_hits,
+                "cache_hits": shard.server.cache.stats.hits,
                 "errors": s.errors,
                 "queue_depth": shard.server.queue_depth(),
                 "models": list(shard.server.registry.names()),

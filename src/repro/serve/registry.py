@@ -18,7 +18,8 @@ from typing import Any
 
 import numpy as np
 
-from ..core.checkpoint import CheckpointError, load_checkpoint
+from ..core.checkpoint import (CheckpointError, load_checkpoint,
+                               read_checkpoint_meta)
 from ..core.mgdiffnet import MGDiffNet
 from ..core.problem import PoissonProblem
 
@@ -86,10 +87,7 @@ class ModelRegistry:
         if not path.exists():
             raise RegistryError(f"checkpoint {path} does not exist")
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = {k.split("::", 1)[1]: data[k].item()
-                        for k in data.files if k.startswith("meta::")
-                        and data[k].ndim == 0}
+            meta = read_checkpoint_meta(path)
         except (OSError, ValueError) as exc:
             raise RegistryError(f"checkpoint {path} is not readable: {exc}"
                                 ) from exc

@@ -64,12 +64,10 @@ from .errors import DeadlineExceeded, ServerOverloaded
 from .executor import (Executor, check_executor_kind,
                        make_executor)
 from .registry import ModelEntry, ModelRegistry
-from .telemetry import NULL_SPAN, NULL_TRACER
+from .telemetry import NULL_SPAN, NULL_TRACER, QuantileSketch
 from .tiling import tiled_predict
 
 __all__ = ["ServerConfig", "ServerStats", "PredictionServer"]
-
-_LAT_WINDOW = 10_000
 
 # Per-process cache of unpickled (model, problem) pairs inside process-
 # pool workers, keyed by registry content version.
@@ -117,30 +115,15 @@ class ServerConfig:
         check_executor_kind(self.executor)
 
 
-class _LatencyPercentiles:
-    """p50/p99 over a ``latencies`` window (seconds) — the reading both
-    :class:`ServerStats` and the fleet's merged ``FleetStats`` report."""
-
-    def percentile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
-
 @dataclass
-class ServerStats(_LatencyPercentiles):
-    """Aggregate serving statistics (latencies in seconds)."""
+class ServerStats:
+    """Aggregate serving statistics (latencies in seconds).
+
+    ``latency`` sketches every answered request's submit-to-result time;
+    p50/p99 read it.  Cache hits are the cache's own count,
+    ``server.cache.stats.hits``."""
 
     requests: int = 0
-    cache_hits: int = 0
     dedup_hits: int = 0
     batches: int = 0
     batched_requests: int = 0
@@ -149,12 +132,16 @@ class ServerStats(_LatencyPercentiles):
     rejected: int = 0          # max_pending backpressure rejections
     expired: int = 0           # deadlines missed before a fused forward
     queue_depth: int = 0       # gauge: pending + in-flight at last read
-    latencies: list = field(default_factory=list)
+    latency: QuantileSketch = field(
+        default_factory=lambda: QuantileSketch("server.latency"))
 
-    def observe_latency(self, seconds: float) -> None:
-        self.latencies.append(seconds)
-        if len(self.latencies) > _LAT_WINDOW:
-            del self.latencies[:len(self.latencies) - _LAT_WINDOW]
+    @property
+    def p50(self) -> float:
+        return self.latency.p50
+
+    @property
+    def p99(self) -> float:
+        return self.latency.p99
 
     @property
     def mean_batch_size(self) -> float:
@@ -221,35 +208,34 @@ class PredictionServer:
             if self._executor is None:
                 self._executor = make_executor(self.config.executor,
                                                self.config.workers)
-                self._executor.tracer = self.tracer
             return self._executor
 
     def enable_telemetry(self, telemetry,
                          register_views: bool = True) -> None:
         """Attach a :class:`~repro.serve.telemetry.Telemetry` bundle.
 
-        Threads the tracer through the batcher and executor and — with
-        ``register_views`` (the standalone-server default) — registers
-        this server's :class:`ServerStats` fields as ``stats.server.*``
-        read-time views on the registry.  A fleet enabling telemetry on
+        Threads the tracer through the batcher and the tile engine and —
+        with ``register_views`` (the standalone-server default) —
+        registers this server's :class:`ServerStats` fields and its
+        cache's hit count as ``stats.server.*`` read-time views on the
+        registry.  A fleet enabling telemetry on
         its shards passes ``register_views=False``: per-shard numbers
         would collide on one name, and the fleet's merged stats already
         cover them.
         """
         self.telemetry = telemetry
         self.tracer = self._batcher.tracer = telemetry.tracer
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.tracer = telemetry.tracer
         if register_views:
             m = telemetry.metrics
             s = self.stats
-            for name in ("requests", "cache_hits", "dedup_hits", "batches",
+            for name in ("requests", "dedup_hits", "batches",
                          "batched_requests", "tiled_forwards", "errors",
                          "rejected", "expired", "queue_depth", "p50",
                          "p99", "mean_batch_size"):
                 m.register_view(f"stats.server.{name}",
                                 lambda s=s, n=name: getattr(s, n))
+            m.register_view("stats.server.cache_hits",
+                            lambda c=self.cache.stats: c.hits)
 
     def start(self) -> "PredictionServer":
         """Spawn the worker-thread pool (idempotent)."""
@@ -364,8 +350,7 @@ class PredictionServer:
         if cached is not None:
             with self._stats_lock:
                 self.stats.requests += 1
-                self.stats.cache_hits += 1
-                self.stats.observe_latency(
+                self.stats.latency.observe(
                     time.perf_counter() - request.enqueued_at)
             future.set_result(cached)
             span.finish(outcome="cache_hit")
@@ -543,7 +528,7 @@ class PredictionServer:
             self.stats.batches += 1
             self.stats.batched_requests += len(group)
             for req in group:
-                self.stats.observe_latency(now - req.enqueued_at)
+                self.stats.latency.observe(now - req.enqueued_at)
         for req, u in zip(group, fields):
             key = req.key if req.key is not None \
                 else self._key(entry, req.omega, r)
@@ -650,4 +635,4 @@ class PredictionServer:
         s = self.stats
         return (f"PredictionServer(models={list(self.registry.names())}, "
                 f"running={self.running}, requests={s.requests}, "
-                f"cache_hits={s.cache_hits}, batches={s.batches})")
+                f"cache_hits={self.cache.stats.hits}, batches={s.batches})")

@@ -11,7 +11,7 @@ Two halves; the tracer runs on one forgeable clock:
 
 :class:`Telemetry` bundles both.  Tracing is a null object, not a
 ``None`` seam: every layer that can open a span (fleet, server,
-batcher, executor, tiling) holds :data:`NULL_TRACER` by default and
+batcher, tiling) holds :data:`NULL_TRACER` by default and
 every span slot defaults to :data:`NULL_SPAN`, so span sites are
 unconditional and a traced, a sampled-out and a telemetry-off request
 run the same code.  ``enable_telemetry`` on a server or fleet swaps the

@@ -4,7 +4,8 @@ One queryable surface for every number the serving stack produces:
 
 * :class:`QuantileSketch` — p50/p99 without storing raw samples: a
   geometric-bucket histogram (2% relative resolution) whose memory is
-  O(distinct buckets), not O(observations).
+  O(distinct buckets), not O(observations).  ``ServerStats`` and
+  ``FleetStats`` read their latency quantiles from one each.
 
 Views (:meth:`MetricsRegistry.register_view`) name numbers the stack
 already keeps — ``ServerStats`` / ``FleetStats``, whose event counts

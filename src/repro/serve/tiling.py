@@ -350,7 +350,8 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
     "tile.compute" span per block of every sweep (and one around the
     levels run whole) on the sequential and thread paths and one
     "tile.wave" span per dispatch wave on the process path (the parent
-    cannot time inside a child process).
+    cannot time inside a child process), and one "executor.map" span per
+    parallel wave; all of them hang under ``trace_parent``.
     """
     if x.shape[2:] != plan.shape:
         raise ValueError(
@@ -434,8 +435,8 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
             else:  # thread executor: share the model and the input
                 wave_span = NULL_SPAN
                 fn, tasks = run, wave_ids
-            fan_out = tracer.start("executor.map", kind=kind,
-                                   items=len(wave_ids),
+            fan_out = tracer.start("executor.map", parent=trace_parent,
+                                   kind=kind, items=len(wave_ids),
                                    workers=executor.workers)
             try:
                 for pos, core in executor.imap_unordered(fn, tasks):

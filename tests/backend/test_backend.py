@@ -120,10 +120,6 @@ class TestDtypePolicy:
         with pytest.raises(ValueError, match="float32 or float64"):
             set_default_dtype(np.int64)
 
-    def test_autograd_reexports_policy(self):
-        from repro.autograd import get_default_dtype as ag_get
-        assert ag_get() is get_default_dtype()
-
 
 class TestBufferPool:
     def test_clear_drops_buffers(self):

@@ -77,6 +77,13 @@ TELEMETRY_LAW = ("tests/serve/test_telemetry.py::TestConservationCrossCheck::"
 CONV_ORACLE = ("tests/backend/test_conv_plan.py::TestEngineProperty::"
                "test_forward_dx_dw_match_the_tap_loop")
 EQ15 = "tests/distributed/test_data_parallel.py::TestWorkerInvariance"
+GMG_ORDER = ("tests/fem/test_gmg.py::TestGMGSolver::"
+             "test_cycle_visits_levels_in_the_training_schedule_order")
+CYCLE_PINS = "tests/multigrid/test_hierarchy_cycles.py::TestCycleSequences"
+SUBMIT_LATENCY = ("tests/serve/test_fleet_faults.py::TestSingleFaultFailover::"
+                  "test_hang_fault_ejected_via_timeout")
+FAN_OUT_SPANS = ("tests/serve/test_executor.py::TestServerExecutors::"
+                 "test_parallel_tiled_spans_hang_under_their_request")
 ONE_LOOP = ("tests/core/test_trainers.py::TestMultigridTrainer::"
             "test_cycle_over_one_worker_equals_the_plain_cycle_bitwise")
 K_ONCE = "tests/fem/test_operator.py::test_matches_a_naive_dense_assembly"
@@ -291,4 +298,26 @@ ROWS: list[Row] = [
         "tests/utils/test_vtk.py::TestRoundtrip"),
     Row("field", "format_table.float_fmt", "", 48,
         "tests/utils/test_utils.py::TestViz::test_format_table"),
+    # One copy of each.  Fig. 3's coarse-visit table lives in
+    # multigrid/cycles.py, which both the schedules and GMG walk.
+    Row("ident", "_COARSE_VISITS", "fem/", 49, GMG_ORDER),
+    *_rows("def", ("_v_levels", "_w_levels", "_f_levels", "_half_v_levels"),
+           "", 49, CYCLE_PINS),
+    # One latency quantile: the stats read a QuantileSketch.
+    Row("def", "_LatencyPercentiles", "", 49, SUBMIT_LATENCY),
+    Row("ident", "_LAT_WINDOW", "serve/", 49, SUBMIT_LATENCY),
+    *_rows("field", ("ServerStats.latencies", "FleetStats.latencies"), "",
+           49, SUBMIT_LATENCY),
+    # One cache-hit count: the cache's own.
+    Row("field", "ServerStats.cache_hits", "", 49,
+        "tests/serve/test_batching_server.py::TestSyncFrontend::"
+        "test_cache_hit_on_repeat"),
+    # One ordered map, and no tracer inside the executor.
+    Row("def", "_map_span", "", 49, FAN_OUT_SPANS),
+    Row("ident", "tracer", "serve/executor.py", 49, FAN_OUT_SPANS),
+    Row("ident", "*executor.tracer", "serve/", 49, FAN_OUT_SPANS),
+    # The checkpoint format is read in core/checkpoint.py alone.
+    Row("text", "meta::", "serve/", 49,
+        "tests/serve/test_registry.py::TestErrors::"
+        "test_missing_architecture_metadata"),
 ]

@@ -60,6 +60,19 @@ class TestPlainCG:
         assert rep.residual_history == [rep.residual]
         np.testing.assert_array_equal(x, exact)
 
+    def test_history_starts_at_one_from_zero(self):
+        """With no ``x0`` the first residual is ``b`` itself, reported
+        relative to ``|b|``: exactly 1; from the direct solution CG runs
+        no iteration and reports convergence."""
+        from scipy.sparse.linalg import spsolve
+
+        _, _, _, a, b = _interior_system()     # |b| ~ 3.9, not 1
+        _, rep = conjugate_gradient(a, b, tol=1e-10)
+        assert rep.residual_history[0] == 1.0
+        _, rep = conjugate_gradient(a, b, x0=spsolve(a.tocsc(), b),
+                                    tol=1e-10)
+        assert rep.iterations == 0 and rep.converged
+
     def test_maxiter_respected(self):
         _, _, _, a, b = _interior_system()
         _, rep = conjugate_gradient(a, b, tol=1e-16, maxiter=3)

@@ -62,9 +62,14 @@ class TestCycleSequences:
         assert seq[0] == 1 and seq[-1] == 1
         assert seq.count(4) >= 2  # extra coarsest visits vs V
 
-    def test_strategy_aliases(self):
-        assert cycle_levels("V Cycle", 3) == cycle_levels("v", 3)
-        assert cycle_levels("Half-V", 3) == cycle_levels("half_v", 3)
+    def test_w_4_levels(self):
+        """W and F are the same list at <= 3 levels; four tell them (and
+        an edit to the one table both are walked from) apart."""
+        assert cycle_levels("w", 4) == [1, 2, 3, 4, 3, 4, 3, 2, 3, 4, 3, 4,
+                                        3, 2, 1]
+
+    def test_f_4_levels(self):
+        assert cycle_levels("f", 4) == [1, 2, 3, 4, 3, 4, 3, 2, 3, 4, 3, 2, 1]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

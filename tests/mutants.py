@@ -32,6 +32,7 @@ SERVE = "src/repro/serve/"
 FLEET = SERVE + "fleet.py"
 SERVER = SERVE + "server.py"
 BATCHING = SERVE + "batching.py"
+CYCLES = "src/repro/multigrid/cycles.py"
 WATCHDOG = "tests/serve/test_fleet_faults.py::TestHangWatchdog"
 ADAPTIVE = "tests/serve/test_batching_server.py::TestAdaptiveHold"
 DENY = "tests/test_denylist.py::test_row_is_absent"
@@ -333,11 +334,29 @@ MUTANTS: list[Mutant] = [
            "list(_pool.map(run, self.blocks[:-1]))",
            ("tests/fem/test_parallel_stencil.py::"
             "test_the_split_product_is_the_matrix_product_bitwise",)),
-    Mutant("the half-V schedule skips the coarsest level",
-           "src/repro/multigrid/cycles.py",
-           "    return list(range(levels, 0, -1))",
-           "    return list(range(levels - 1, 0, -1))",
+    Mutant("the half-V schedule skips the coarsest level", CYCLES,
+           'return cycle_levels("v", levels)[levels - 1:]',
+           'return cycle_levels("v", levels)[levels:]',
            ("tests/multigrid/test_hierarchy_cycles.py",)),
+    # -- one table, one quantile, one map (PR 49) -------------------------- #
+    Mutant("W makes a V as its second coarse cycle", CYCLES,
+           '"w": "ww"', '"w": "wv"',
+           ("tests/multigrid/test_hierarchy_cycles.py::TestCycleSequences::"
+            "test_w_4_levels",)),
+    Mutant("the first CG residual is not normalised",
+           "src/repro/fem/krylov.py",
+           "history = [math.sqrt(inner(r, r)) / norm_b]",
+           "history = [math.sqrt(inner(r, r))]",
+           ("tests/fem/test_krylov.py::TestPlainCG::"
+            "test_history_starts_at_one_from_zero",)),
+    Mutant("the fleet measures latency from the last dispatch", FLEET,
+           "self._latency.observe(now - state.submitted_at)",
+           "self._latency.observe(now - state.attempt_started)",
+           ("tests/serve/test_fleet_faults.py::TestSingleFaultFailover::"
+            "test_hang_fault_ejected_via_timeout",)),
+    Mutant("the ordered map writes a result at the wrong index",
+           SERVE + "executor.py", "out[i] = result", "out[-1 - i] = result",
+           ("tests/serve/test_executor.py::TestMapSemantics",)),
     # -- deleted names grown back, one per checker kind ------------------- #
     Mutant("an environment switch in the conv engine",
            "src/repro/backend/conv_plan.py",

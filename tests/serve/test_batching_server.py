@@ -118,7 +118,6 @@ class TestSyncFrontend:
         first = server.predict("m", omega)
         again = server.predict("m", omega)
         np.testing.assert_array_equal(first, again)
-        assert server.stats.cache_hits == 1
         assert server.cache.stats.hits == 1
 
     def test_a_restarted_server_starts_cold(self, served):
@@ -141,7 +140,7 @@ class TestSyncFrontend:
         omega = RNG.uniform(-3, 3, 4)
         server.predict("m", omega)
         server.predict("m", omega + 1e-8)
-        assert server.stats.cache_hits == 1
+        assert server.cache.stats.hits == 1
 
     @pytest.mark.parametrize("omega,match", [
         ([0.0, 0.0, 0.0], "length 4"),

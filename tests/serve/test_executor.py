@@ -295,6 +295,36 @@ class TestServerExecutors:
         np.testing.assert_allclose(got, ref, atol=1e-5)
         assert server.stats.tiled_forwards >= 1
 
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_parallel_tiled_spans_hang_under_their_request(self, served,
+                                                           kind):
+        """A parallel tiled forward's fan-out ("executor.map") spans sit
+        in their request's tree: every span has a ``server.request``
+        root, so a sampled-out request records no span and leaves the
+        sampler's root count to the requests alone."""
+        from repro.serve import Telemetry
+
+        *_, registry = served
+        telemetry = Telemetry(trace_sample=2)
+        server = PredictionServer(registry, ServerConfig(
+            workers=2, executor=kind, tile=16, cache_bytes=0))
+        server.enable_telemetry(telemetry)
+        try:
+            for omega in RNG.uniform(-3, 3, size=(4, 4)):
+                server.predict("m", omega)
+        finally:
+            server.close()
+        spans = {span.span_id: span for span in telemetry.tracer.spans()}
+        assert "executor.map" in {span.name for span in spans.values()}
+
+        def root(span):
+            while span.parent_id is not None:
+                span = spans[span.parent_id]
+            return span
+
+        roots = {root(span).span_id for span in spans.values()}
+        assert [spans[i].name for i in sorted(roots)] == ["server.request"] * 2
+
     def test_executor_error_propagates(self, served):
         *_, registry = served
         server = PredictionServer(registry, ServerConfig(

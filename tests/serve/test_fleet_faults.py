@@ -685,7 +685,7 @@ class TestCheckHealth:
             assert not primary.healthy
         first, second = (args[1] for args, _ in calls)
         assert not np.array_equal(first, second)
-        assert primary.server.stats.cache_hits == 0
+        assert primary.server.cache.stats.hits == 0
         s = fleet.stats
         assert s.probes == 2 and s.readmissions == 1
 

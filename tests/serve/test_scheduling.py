@@ -428,7 +428,7 @@ class TestDeadlines:
         server.predict("m", omega)
         u = server.predict("m", omega, deadline_s=0.0)
         assert u.shape == (16, 16)
-        assert server.stats.cache_hits == 1
+        assert server.cache.stats.hits == 1
 
 
 class TestBackpressure:

@@ -6,7 +6,7 @@ arrive *at once*.  These tests release N threads from a barrier onto
 overlapping request sets and then check the accounting identities that
 only hold if every hand-off is race-free:
 
-    requests == cache_hits + dedup_hits + batched_requests   (errors 0)
+    requests == cache.hits + dedup_hits + batched_requests   (errors 0)
 
 i.e. every submitted request is answered exactly once, by exactly one of
 the three paths, and nothing is computed twice or leaked in flight.
@@ -104,19 +104,19 @@ class TestThreadStorm:
                                 np.stack([w for w, _ in rows]))
             np.testing.assert_allclose(got, ref, atol=1e-6)
 
-        s = server.stats
+        s, hits = server.stats, server.cache.stats.hits
         total = self.N_THREADS * (self.N_SHARED + self.N_DISTINCT)
         assert s.requests == total
         assert s.errors == 0
         # Conservation: each request answered by exactly one path.
-        assert s.cache_hits + s.dedup_hits + s.batched_requests == total
+        assert hits + s.dedup_hits + s.batched_requests == total
         # Each shared ω computed exactly once across all 8 threads (the
         # cache is filled *before* the in-flight entry drops, so a twin
         # hits one of the two — never neither, never a second forward);
         # each distinct ω computed exactly once trivially.
         n_unique = self.N_SHARED + self.N_THREADS * self.N_DISTINCT
         assert s.batched_requests == n_unique
-        assert s.cache_hits + s.dedup_hits == total - n_unique
+        assert hits + s.dedup_hits == total - n_unique
         # No future leaks: nothing left in flight, nothing unresolved.
         assert not server._inflight
         assert server._queue.qsize() == 0
@@ -190,10 +190,10 @@ class TestProcessExecutorStorm:
             ref = predict_batch(model, problem,
                                 np.stack([w for w, _ in rows]))
             np.testing.assert_allclose(got, ref, atol=1e-6)
-        s = server.stats
+        s, hits = server.stats, server.cache.stats.hits
         total = n_threads * 4
         assert s.errors == 0
-        assert s.cache_hits + s.dedup_hits + s.batched_requests == total
+        assert hits + s.dedup_hits + s.batched_requests == total
         assert not server._inflight
         # close() released the pool; the next use would rebuild lazily.
         assert server._executor is None

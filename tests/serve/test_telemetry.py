@@ -274,8 +274,7 @@ class TestTracer:
         serve = Path(__file__).resolve().parents[2] / "src/repro/serve"
         users = {p.name for p in serve.glob("*.py")
                  if "NULL_TRACER" in p.read_text()}
-        assert {"fleet.py", "server.py", "batching.py", "executor.py",
-                "tiling.py"} <= users
+        assert {"fleet.py", "server.py", "batching.py", "tiling.py"} <= users
 
     def test_unsampled_parent_suppresses_subtree(self):
         tracer = Tracer(sample_every=2)
