@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..backend.tuning import apply_training_policy
 from ..data.dataloader import BatchSampler
 from ..data.dataset import DiffusivityDataset
 from ..optim import Adam, EarlyStopping, Optimizer
@@ -163,8 +164,11 @@ class Trainer:
     def _train(self, resolution: int, max_epochs: int,
                stopper: EarlyStopping | None) -> TrainResult:
         """The phase loop.  Every process of a data-parallel call sees the
-        same epoch losses, so each stops at the same epoch on its own."""
+        same epoch losses, so each stops at the same epoch on its own.
+        One BLAS thread keeps the bits off the host's core count, and
+        fixed malloc thresholds keep a warm step from page-faulting."""
         result = self._new_result(resolution)
+        apply_training_policy()
         start = time.perf_counter()
         for _ in range(max_epochs):
             t0 = time.perf_counter()

@@ -333,7 +333,9 @@ class DataParallelTrainer(Trainer):
             raise ValueError(f"world_size must be >= 1, got {world}")
         if batch % world:
             raise ValueError("global batch size must divide by world size")
-        pin_blas_threads()      # rank processes must not oversubscribe cores
+        # Rank processes must not oversubscribe cores; the phase loop's
+        # pin comes after ``_train`` has counted processes and forked.
+        pin_blas_threads()
         # Build replicas and broadcast rank-0 weights.
         self.replicas = [model_factory() for _ in range(world)]
         state = self.replicas[0].state_dict()

@@ -53,8 +53,8 @@ from .errors import (
     DeadlineExceeded, FleetUnavailable, ServeError, ServerOverloaded,
 )
 from .executor import (
-    EXECUTOR_KINDS, Executor, ProcessExecutor, SerialExecutor,
-    ThreadExecutor, default_workers, make_executor,
+    EXECUTOR_KINDS, Executor, ProcessExecutor, ThreadExecutor,
+    default_workers, make_executor,
 )
 from .fleet import FleetConfig, FleetStats, Shard, ShardedFleet
 from .hashring import HashRing
@@ -74,8 +74,8 @@ __all__ = [
     "MicroBatcher", "PredictRequest", "RequestQueue",
     "CacheStats", "LRUCache", "quantize_omega", "result_key",
     "ServeError", "DeadlineExceeded", "ServerOverloaded", "FleetUnavailable",
-    "EXECUTOR_KINDS", "Executor", "SerialExecutor", "ThreadExecutor",
-    "ProcessExecutor", "default_workers", "make_executor",
+    "EXECUTOR_KINDS", "Executor", "ThreadExecutor", "ProcessExecutor",
+    "default_workers", "make_executor",
     "FleetConfig", "FleetStats", "Shard", "ShardedFleet", "HashRing",
     "ModelEntry", "ModelRegistry", "RegistryError", "state_version",
     "PredictionServer", "ServerConfig", "ServerStats",

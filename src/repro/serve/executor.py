@@ -5,8 +5,9 @@ work; the conv engines release the GIL inside BLAS but the dispatch,
 planning and stitching around them do not.  This module abstracts *where*
 a unit of serving compute runs:
 
-* :class:`SerialExecutor` — inline on the calling thread.  Zero overhead,
-  the right default for small fields and single-core hosts.
+* :class:`Executor` itself — inline on the calling thread (kind
+  ``serial``).  Zero overhead, the right default for small fields and
+  single-core hosts.
 * :class:`ThreadExecutor` — a shared ``ThreadPoolExecutor``.  Cheap
   fan-out that wins whenever tasks spend their time inside GIL-releasing
   BLAS calls (tiled megavoxel forwards do).  With more than one worker
@@ -51,15 +52,15 @@ from ..backend.tuning import (
     release_blas_thread,
 )
 
-__all__ = ["Executor", "SerialExecutor", "ThreadExecutor",
-           "ProcessExecutor", "make_executor", "default_workers",
-           "EXECUTOR_KINDS"]
+__all__ = ["Executor", "ThreadExecutor", "ProcessExecutor", "make_executor",
+           "default_workers", "EXECUTOR_KINDS"]
 
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 class Executor:
-    """Common surface: ordered ``map``, explicit ``close``, context use."""
+    """Common surface: ordered ``map``, explicit ``close``, context use.
+    An ``Executor`` itself runs every task inline on the calling thread."""
 
     kind = "serial"
 
@@ -108,12 +109,6 @@ class Executor:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialExecutor(Executor):
-    """Run every task inline on the calling thread."""
-
-    kind = "serial"
 
 
 class _PoolExecutor(Executor):
@@ -247,7 +242,7 @@ def make_executor(kind: str, workers: int | None = None) -> Executor:
     """Build an executor by kind: ``serial`` | ``thread`` | ``process``."""
     check_executor_kind(kind)
     if kind == "serial":
-        return SerialExecutor()
+        return Executor()
     if kind == "thread":
         return ThreadExecutor(workers)
     return ProcessExecutor(workers)

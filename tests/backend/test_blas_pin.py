@@ -1,10 +1,13 @@
-"""Building a ``DataParallelTrainer`` pins numpy's bundled OpenBLAS to
-one thread; importing ``repro`` leaves the host's setting alone.
+"""Training pins numpy's bundled OpenBLAS to one thread (from the first
+phase loop on, and when a ``DataParallelTrainer`` is built); importing
+``repro`` leaves the host's setting alone.
 
 Two BLAS threads change how a GEMM splits its reduction, so without the
 pin a conv weight gradient — and the weights trained from it — depend on
-the host's core count.  Each case runs in a fresh interpreter, with the
-thread count a host would set through ``OPENBLAS_NUM_THREADS``.
+the host's core count.  Each end-to-end case runs in a fresh
+interpreter, with the thread count a host would set through
+``OPENBLAS_NUM_THREADS``; the holds' own bookkeeping runs against a fake
+OpenBLAS that counts the setter's calls.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import MGDiffNet, PoissonProblem2D, Trainer
+from repro.backend import tuning
 from repro.backend.tuning import blas_threads, default_workers
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -47,6 +52,29 @@ for x_shape, w_shape in [((2, 16, 64, 64), (8, 16, 3, 3)),
 print(h.hexdigest())
 """
 
+# One seeded multigrid cycle at the smallest grid whose trained bits
+# differed between one and two BLAS threads before training pinned it:
+# 16^3 over two levels, batch 4 (8^3, or batch 2, summed alike).
+CYCLE = """
+import hashlib
+import numpy as np
+from repro import MGDiffNet, MGTrainConfig, MultigridTrainer, PoissonProblem3D
+from repro.backend.tuning import blas_threads
+
+problem = PoissonProblem3D(16)
+model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=0)
+mg = MultigridTrainer(model, problem, problem.make_dataset(4), strategy="v",
+                      levels=2, config=MGTrainConfig(
+                          batch_size=4, restriction_epochs=1,
+                          max_epochs_per_level=1, patience=10 ** 6))
+h = hashlib.sha256()
+for record in mg.train().records:
+    h.update(np.asarray(record.result.losses).tobytes())
+for value in model.state_dict().values():
+    h.update(np.ascontiguousarray(value).tobytes())
+print(h.hexdigest(), blas_threads())
+"""
+
 THREADS = """
 import repro
 from repro.backend.tuning import blas_threads
@@ -69,6 +97,15 @@ def _run(code: str, threads: int) -> str:
 @needs_openblas
 def test_weight_gradients_do_not_depend_on_the_thread_count():
     assert _run(DIGEST, 1) == _run(DIGEST, 2)
+
+
+@needs_openblas
+def test_trained_weights_do_not_depend_on_the_thread_count():
+    """Losses and weights of one multigrid cycle hash alike on one and
+    two BLAS threads, and BLAS stays on one thread after the cycle."""
+    one, two = _run(CYCLE, 1).split(), _run(CYCLE, 2).split()
+    assert one[0] == two[0]
+    assert two[1] == "1"
 
 
 @needs_openblas
@@ -132,3 +169,72 @@ def test_executor_workers_run_blas_on_one_thread():
     last of them closes (also when six threads open and close them at
     once), and a one-worker executor leaves it alone."""
     assert _run(EXECUTORS, 2) == "[1] 1 1 2 2"
+
+
+class FakeOpenBLAS:
+    """The two entry points ``tuning`` calls, counting the setter."""
+
+    def __init__(self, threads: int) -> None:
+        self.threads, self.sets = threads, []
+
+    def scipy_openblas_get_num_threads64_(self) -> int:
+        return self.threads
+
+    def scipy_openblas_set_num_threads64_(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def fake_openblas(monkeypatch):
+    """A factory for a fake OpenBLAS at a thread count, with no hold
+    open and the malloc thresholds left alone."""
+    monkeypatch.setattr(tuning, "_holds", 0)
+    monkeypatch.setattr(tuning, "_held_from", None)
+    monkeypatch.setattr(tuning, "_fix_malloc_thresholds", lambda: None)
+
+    def make(threads: int) -> FakeOpenBLAS:
+        lib = FakeOpenBLAS(threads)
+        monkeypatch.setattr(tuning, "_numpy_openblas", lambda: lib)
+        return lib
+    return make
+
+
+def test_a_hold_on_one_thread_calls_no_setter(fake_openblas):
+    lib = fake_openblas(1)
+    tuning.hold_one_blas_thread()
+    tuning.hold_one_blas_thread()
+    tuning.release_blas_thread()
+    tuning.release_blas_thread()
+    assert lib.sets == []
+
+
+def test_a_hold_on_two_threads_sets_one_then_restores_two(fake_openblas):
+    lib = fake_openblas(2)
+    tuning.hold_one_blas_thread()
+    tuning.hold_one_blas_thread()
+    tuning.release_blas_thread()
+    assert lib.sets == [1]
+    tuning.release_blas_thread()
+    assert lib.sets == [1, 2]
+
+
+def test_a_pin_inside_a_hold_outlives_it(fake_openblas):
+    lib = fake_openblas(2)
+    tuning.hold_one_blas_thread()
+    tuning.pin_blas_threads()
+    tuning.release_blas_thread()
+    assert lib.sets == [1] and lib.threads == 1
+
+
+@pytest.mark.parametrize("threads, sets", [(1, []), (2, [1])])
+def test_the_phase_loop_pins_one_thread_once(fake_openblas, threads, sets):
+    """Two phase loops set one thread at most once, and not at all in a
+    process already on one (a forked rank, or ``taskset -c 0``)."""
+    lib = fake_openblas(threads)
+    problem = PoissonProblem2D(8)
+    trainer = Trainer(MGDiffNet(ndim=2, base_filters=2, depth=1, rng=0),
+                      problem, problem.make_dataset(2))
+    trainer.train_epochs(8, 1)
+    trainer.train_until_converged(8, 1)
+    assert lib.sets == sets and lib.threads == 1

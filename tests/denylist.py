@@ -316,6 +316,10 @@ ROWS: list[Row] = [
     Row("def", "_map_span", "", 49, FAN_OUT_SPANS),
     Row("ident", "tracer", "serve/executor.py", 49, FAN_OUT_SPANS),
     Row("ident", "*executor.tracer", "serve/", 49, FAN_OUT_SPANS),
+    # The serial executor is the base class (its body was its kind).
+    Row("def", "SerialExecutor", "", 50,
+        "tests/serve/test_executor.py::TestTiledParity::"
+        "test_serial_executor_is_neutral"),
     # The checkpoint format is read in core/checkpoint.py alone.
     Row("text", "meta::", "serve/", 49,
         "tests/serve/test_registry.py::TestErrors::"

@@ -33,6 +33,8 @@ FLEET = SERVE + "fleet.py"
 SERVER = SERVE + "server.py"
 BATCHING = SERVE + "batching.py"
 CYCLES = "src/repro/multigrid/cycles.py"
+TUNING = "src/repro/backend/tuning.py"
+BLAS_PIN = "tests/backend/test_blas_pin.py"
 WATCHDOG = "tests/serve/test_fleet_faults.py::TestHangWatchdog"
 ADAPTIVE = "tests/serve/test_batching_server.py::TestAdaptiveHold"
 DENY = "tests/test_denylist.py::test_row_is_absent"
@@ -357,6 +359,25 @@ MUTANTS: list[Mutant] = [
     Mutant("the ordered map writes a result at the wrong index",
            SERVE + "executor.py", "out[i] = result", "out[-1 - i] = result",
            ("tests/serve/test_executor.py::TestMapSemantics",)),
+    # -- the training policy: one BLAS thread, fixed malloc thresholds --- #
+    Mutant("the phase loop does not hold BLAS at one thread", TUNING,
+           "    _fix_malloc_thresholds()\n    pin_blas_threads()\n",
+           "    _fix_malloc_thresholds()\n",
+           (f"{BLAS_PIN}::test_trained_weights_do_not_depend_on_the_thread_count",
+            f"{BLAS_PIN}::test_the_phase_loop_pins_one_thread_once")),
+    Mutant("the malloc policy is never applied", TUNING,
+           "    _fix_malloc_thresholds()\n    pin_blas_threads()\n",
+           "    pin_blas_threads()\n",
+           ("tests/core/test_training_faults.py::"
+            "test_a_warm_v_cycle_does_not_page_fault",)),
+    Mutant("the hold calls OpenBLAS when already at one thread", TUNING,
+           "    if found != 1:\n        lib.scipy_openblas_set_num_threads64_(1)",
+           "    if True:\n        lib.scipy_openblas_set_num_threads64_(1)",
+           (f"{BLAS_PIN}::test_a_hold_on_one_thread_calls_no_setter",
+            f"{BLAS_PIN}::test_the_phase_loop_pins_one_thread_once")),
+    Mutant("the last release resets one thread through OpenBLAS", TUNING,
+           "if not _holds and _held_from != 1:", "if not _holds:",
+           (f"{BLAS_PIN}::test_a_hold_on_one_thread_calls_no_setter",)),
     # -- deleted names grown back, one per checker kind ------------------- #
     Mutant("an environment switch in the conv engine",
            "src/repro/backend/conv_plan.py",

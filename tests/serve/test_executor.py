@@ -16,8 +16,8 @@ import pytest
 from repro import MGDiffNet, PoissonProblem2D
 from repro.core.inference import predict_batch
 from repro.serve import (
-    EXECUTOR_KINDS, ModelRegistry, PredictionServer, ProcessExecutor,
-    SerialExecutor, ServerConfig, ThreadExecutor, make_executor,
+    EXECUTOR_KINDS, Executor, ModelRegistry, PredictionServer,
+    ProcessExecutor, ServerConfig, ThreadExecutor, make_executor,
     tiled_predict,
 )
 from repro.serve.executor import default_workers
@@ -85,7 +85,7 @@ class TestConstruction:
         assert default_workers() >= 1
 
     def test_worker_counts(self):
-        assert SerialExecutor().workers == 1
+        assert Executor().workers == 1
         assert ThreadExecutor(3).workers == 3
         assert ProcessExecutor(2).workers == 2
 
@@ -207,7 +207,7 @@ class TestTiledParity:
         omegas = RNG.uniform(-3, 3, size=(2, 4))
         sequential = tiled_predict(model, problem, omegas, tile=8)
         got = tiled_predict(model, problem, omegas, tile=8,
-                            executor=SerialExecutor())
+                            executor=make_executor("serial"))
         np.testing.assert_array_equal(got, sequential)
 
 
