@@ -163,6 +163,8 @@ class ConvPlan:
     # the zero-padding and the space-to-depth split as one strided copy.
     phases: tuple[tuple[Index, Index], ...]
     dense: bool                   # the phase copies cover the whole grid
+    # Per spatial axis, the input indices no phase reads: dx is 0 there.
+    uncovered: tuple[tuple[int, ...], ...]
     lead: int                     # the largest flat tap shift
     run: int                      # v: unit-shift taps read from one block
     blocks: tuple[Block, ...]     # cols of the input, one block per run
@@ -236,6 +238,9 @@ def _geometry(sig: ConvSignature) -> ConvPlan:
         phases=tuple(phases),
         dense=all(g_sl == every + tuple(slice(0, g) for g in grid)
                   for _, g_sl in phases),
+        uncovered=tuple(tuple(sorted(set(range(s)).difference(*(
+            range(s)[x_sl[2 + d]] for x_sl, _ in phases))))
+            for d, s in enumerate(sig.x_shape[2:])),
         lead=lead, run=v,
         blocks=_merge([(ph * cin, cin, shift) for ph, shift in runs]),
         # The gradient of tap i of a run reads v-1-i columns into the
@@ -413,7 +418,9 @@ def conv_backward_data(plan: ConvPlan, g: np.ndarray,
     cout, cin = w.shape[:2]
     v = plan.run
     wt = w.reshape(cout, cin, -1)
-    dx = np.zeros(sig.x_shape, dtype)
+    dx = np.empty(sig.x_shape, dtype)       # the phases write the rest
+    for d, rows in enumerate(plan.uncovered):
+        dx[(slice(None),) * (2 + d) + (list(rows),)] = 0
     dxt = dx.swapaxes(0, 1)
     width = min(plan.back_chunk, plan.total) + v - 1
     with _scratch(dtype, cout * (plan.lead + plan.total),

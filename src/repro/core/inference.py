@@ -30,21 +30,22 @@ class InferenceTiming:
 
 
 def prepare_batch_inputs(problem: PoissonProblem, omegas: np.ndarray,
-                         resolution: int | None = None
+                         resolution: int | None = None, box=None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network input batch and BC masks for full-field inference.
 
     The single source of the inference input transform — shared by the
     one-shot path below and the tiled megavoxel path in
     :mod:`repro.serve.tiling`, so the two can never diverge.  Returns
-    ``(log_nu, chi_int, u_bc)`` with ``log_nu`` of shape (B, 1, *grid).
+    ``(log_nu, chi_int, u_bc)``: ``log_nu`` of shape (B, 1, *grid), or
+    (B, 1, *box) on a ``box`` of per-axis ``(start, stop)`` node ranges,
+    bitwise the whole input's slice (a tiled sweep reads its blocks so);
+    the masks are :meth:`~repro.core.problem.PoissonProblem.masks`'.
     """
     r = resolution or problem.resolution
-    grid = problem.grid(r)
     omegas = np.atleast_2d(np.asarray(omegas, dtype=np.float64))
-    log_nu = problem.field.log_nu(omegas, grid)[:, None].astype(np.float32)
-    chi_int, u_bc = problem.masks(r)
-    return log_nu, chi_int, u_bc
+    log_nu = problem.field.log_nu(omegas, problem.grid(r), box, np.float32)
+    return (log_nu[:, None],) + problem.masks(r)
 
 
 def apply_bc_masks(u_net: np.ndarray, chi_int: np.ndarray,
@@ -53,10 +54,11 @@ def apply_bc_masks(u_net: np.ndarray, chi_int: np.ndarray,
 
     Mirrors the Tensor expression inside :meth:`MGDiffNet.forward`; used
     by inference paths that run the bare network (e.g. per tile) and
-    impose the boundary data afterwards.  Returns shape (B, *grid).
+    impose the boundary data afterwards.  The masks broadcast: the
+    x-profiles of :meth:`~repro.core.problem.PoissonProblem.masks`, or
+    their rows of a tile's core.  Returns shape (B, *grid).
     """
-    u = u_net * chi_int.astype(u_net.dtype) + u_bc.astype(u_net.dtype)
-    return u[:, 0].copy()
+    return u_net[:, 0] * chi_int[:, 0] + u_bc[:, 0]
 
 
 def predict_batch(model: MGDiffNet, problem: PoissonProblem,

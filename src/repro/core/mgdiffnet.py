@@ -50,7 +50,7 @@ class MGDiffNet(Module):
             Input fields, shape (N, 1, \\*spatial).
         chi_int, u_bc:
             Masks from :meth:`repro.core.problem.PoissonProblem.masks` at
-            the same resolution, shape (1, 1, \\*spatial).
+            the same resolution: x-profiles that broadcast to the field.
         """
         u_int = self.net(x)
         return u_int * Tensor(np.asarray(chi_int, dtype=x.dtype.type)) + \

@@ -72,19 +72,21 @@ class PoissonProblem:
 
     def masks(self, resolution: int | None = None,
               dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-        """BC masking arrays for Algorithm 1 line 8.
+        """BC masking arrays for Algorithm 1 line 8, as profiles along x.
 
-        Returns ``(chi_int, u_bc)`` of shape ``(1, 1, *grid.shape)``:
-        ``u = u_net * chi_int + u_bc`` imposes the Dirichlet data exactly
-        (``u_bc`` is already multiplied by chi_b).
+        Returns ``(chi_int, u_bc)`` of shape ``(1, 1, R, 1[, 1])``: the
+        canonical BC constrains the x = 0 and x = 1 faces alone, so both
+        broadcast against a ``(B, 1, *grid.shape)`` field, and neither
+        they nor :meth:`bc` is built on the whole grid.  ``u = u_net *
+        chi_int + u_bc`` imposes the Dirichlet data exactly.
         """
         r = resolution or self.resolution
         key = (r, np.dtype(dtype).type)
         if key not in self._masks:
-            bc = self.bc(r)
-            chi_int = bc.interior_indicator()[None, None].astype(dtype)
-            u_bc = bc.lift()[None, None].astype(dtype)
-            self._masks[key] = (chi_int, u_bc)
+            bc = canonical_bc(UniformGrid(1, r))      # the x-axis alone
+            shape = (1, 1, r) + (1,) * (self.ndim - 1)
+            self._masks[key] = tuple(a.reshape(shape).astype(dtype) for a
+                                     in (bc.interior_indicator(), bc.lift()))
         return self._masks[key]
 
     # ------------------------------------------------------------------ #

@@ -13,6 +13,7 @@ functional form (documented as a substitution in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,23 +49,33 @@ class LogPermeabilityField:
     def m(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def lambdas(self) -> np.ndarray:
         a = np.asarray(self.a, dtype=np.float64)
-        return 1.0 / (1.0 + 0.25 * a * a)
+        lambdas = 1.0 / (1.0 + 0.25 * a * a)
+        lambdas.flags.writeable = False
+        return lambdas
 
     # ------------------------------------------------------------------ #
-    def _mode_1d(self, t: np.ndarray) -> np.ndarray:
-        """xi_i(t) for all modes: shape (m, len(t))."""
+    @lru_cache(maxsize=16)
+    def _modes(self, grid: UniformGrid) -> np.ndarray:
+        """xi_i(t) for all modes on ``grid``'s axis: (m, R), read-only."""
         a = np.asarray(self.a, dtype=np.float64)[:, None]
-        t = np.asarray(t, dtype=np.float64)[None, :]
-        return (a / 2.0) * np.cos(a * t) + np.sin(a * t)
+        t = grid.axes[0][None, :]
+        mode = (a / 2.0) * np.cos(a * t) + np.sin(a * t)
+        mode.flags.writeable = False
+        return mode
 
-    def log_nu(self, omega: np.ndarray, grid: UniformGrid) -> np.ndarray:
-        """Log-diffusivity field(s) on ``grid``.
+    def log_nu(self, omega: np.ndarray, grid: UniformGrid, box=None,
+               dtype=np.float64) -> np.ndarray:
+        """Log-diffusivity field(s) on ``grid``, or on its ``box`` alone:
+        per-axis ``(start, stop)`` node ranges, ``None`` the whole grid.
 
-        ``omega``: (m,) for a single field or (B, m) for a batch.
-        Returns ``grid.shape`` or ``(B, *grid.shape)``.
+        ``omega``: (m,) for a single field or (B, m) for a batch; returns
+        the box's shape or ``(B, *shape)``, summed in float64 and stored
+        as ``dtype``.  Each node is the same ordered sum over the modes,
+        ``sum_i (c_i X_i) (Y_i Z_i)``, whatever the box: a box is bitwise
+        the whole field's slice (a GEMM is not).
         """
         if grid.ndim != self.ndim:
             raise ValueError(f"grid ndim {grid.ndim} != field ndim {self.ndim}")
@@ -74,15 +85,24 @@ class LogPermeabilityField:
         if omegas.shape[1] != self.m:
             raise ValueError(f"omega has {omegas.shape[1]} modes, expected {self.m}")
 
-        # The field is rank-m separable, sum_m c_bm X_mi (Y_mj Z_mk): one
-        # (B*R, m) x (m, R**(ndim-1)) GEMM, never the (m, R**ndim) basis.
-        mode = self._mode_1d(grid.axes[0])                      # (m, R)
-        rest = np.ones((self.m, 1))
-        for _ in range(self.ndim - 1):
-            rest = (rest[:, :, None] * mode[:, None, :]).reshape(self.m, -1)
-        left = (omegas * self.lambdas)[:, None, :] * mode.T     # (B, R, m)
-        out = (left.reshape(-1, self.m) @ rest).reshape(
-            len(omegas), *grid.shape)
+        # Rank-m separable: per mode, (B*X) rows times a (Y*Z) plane.
+        box = box or [(0, r) for r in grid.shape]
+        xs, *rest = [self._modes(grid)[:, a:b] for a, b in box]
+        plane = rest[0] if rest else np.ones((self.m, 1))
+        for zs in rest[1:]:
+            plane = (plane[:, :, None] * zs[:, None, :]).reshape(self.m, -1)
+        left = ((omegas * self.lambdas).T[:, :, None] * xs[:, None, :]
+                ).reshape(self.m, -1, 1)                        # (m, B*X, 1)
+        out = np.empty((left.shape[1], plane.shape[1]), dtype)
+        rows = max(1, (1 << 14) // plane.shape[1])    # ~16 K nodes, in cache
+        terms = np.empty((self.m, min(rows, len(out)), plane.shape[1]))
+        for r in range(0, len(out), rows):
+            acc, *more = np.multiply(left[:, r:r + rows], plane[:, None],
+                                     out=terms[:, :len(out[r:r + rows])])
+            for term in more:
+                acc += term
+            out[r:r + rows] = acc
+        out = out.reshape((len(omegas),) + tuple(b - a for a, b in box))
         return out[0] if single else out
 
     def evaluate(self, omega: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -96,7 +116,6 @@ class LogPermeabilityField:
         ``log=True`` returns the log-field (the smooth KL-expansion sum),
         which is the default network input transform.
         """
-        fields = self.log_nu(omegas, grid)
-        if not log:
-            fields = np.exp(fields)
-        return fields[:, None].astype(dtype)
+        if log:
+            return self.log_nu(omegas, grid, dtype=dtype)[:, None]
+        return np.exp(self.log_nu(omegas, grid))[:, None].astype(dtype)

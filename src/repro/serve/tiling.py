@@ -17,17 +17,21 @@ still open — and stitches an exact full-field result:
   conv reads the up-sampled map and the skip as two channel parts (their
   concatenation is never built); at level 0 it also runs the network head
   and emits the tile's core.  The full-resolution skip is never stored:
-  only the coarse pyramid (input and result of the deeper levels,
-  ~``base_filters / 2`` field sizes in total) outlives a block.  Within a
-  block, the conv engine's scratch is one arena per thread, as large as
-  the largest conv call (the pool's, :meth:`BufferPool.arena`), so a
-  worker's memory is that block's activations plus one arena;
+  only the output, the coarse pyramid (input and result of the deeper
+  levels, ~``base_filters / 2`` field sizes in total) and the conv
+  arenas outlive a block — the level-0 sweeps read each padded block
+  from a *block source*, which :func:`stream_tiled_predict` evaluates on
+  the block's box, and each core is masked by its rows of the x-profile
+  masks.  Within a block, the conv engine's scratch is one arena per
+  thread, as large as the largest conv call (the pool's,
+  :meth:`BufferPool.arena`), so a worker's memory is that block's
+  activations plus one arena;
 * every sweep's halo is the radius of the layers its stage chains, read
   from their kernel sizes and kept even so a padded block maps onto whole
   cells of the level below — no block pays the network's receptive field;
 * at the physical domain boundary a block is cropped instead of padded
-  (:func:`extract_padded_block`), so the network's own zero padding
-  applies there as in the full-field forward.
+  (:func:`_grown`), so the network's own zero padding applies there as
+  in the full-field forward.
 
 In eval mode every layer of MGDiffNet is spatially local (convolutions,
 transposed convolutions, pointwise activations, BatchNorm with running
@@ -66,9 +70,8 @@ from ..autograd import Tensor, no_grad
 from ..core.inference import apply_bc_masks, prepare_batch_inputs
 from .telemetry.trace import NULL_SPAN, NULL_TRACER
 
-__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "extract_padded_block",
-           "tiled_forward", "tiled_predict", "stream_tiled_forward",
-           "stream_tiled_predict"]
+__all__ = ["TilePlan", "receptive_halo", "plan_tiles", "tiled_forward",
+           "tiled_predict", "stream_tiled_forward", "stream_tiled_predict"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class TilePlan:
 
     ``blocks`` holds, per tile, a tuple of per-axis ``(start, stop)``
     core ranges; halos are resolved at execution time against the domain
-    boundary by :func:`extract_padded_block`.
+    boundary by :func:`_grown`.
     """
 
     shape: tuple[int, ...]
@@ -214,8 +217,7 @@ def _cone(net, shape, tile: int, halo: int, needed, level: int = 0):
     chain of radii, so the sweeps above it stay restricted.
     """
     def grown(boxes, margin):
-        return [tuple((max(a - margin, 0), min(b + margin, s))
-                      for (a, b), s in zip(box, shape)) for box in boxes]
+        return [_grown(box, shape, margin) for box in boxes]
 
     if level == net.depth:
         return [], grown(needed, _radius(net.bottleneck))
@@ -240,47 +242,35 @@ def _cone(net, shape, tile: int, halo: int, needed, level: int = 0):
     return ([(down, up)] if tiled else []) + deeper, reads
 
 
-def extract_padded_block(x: np.ndarray, axis: int, start: int, stop: int,
-                         halo: int) -> tuple[np.ndarray, int]:
-    """Slice ``x[..., start:stop, ...]`` along ``axis`` with up to ``halo``
-    extra layers of neighbouring data on each side.
-
-    Where a neighbour exists the halo is real data, and at the domain
-    boundary the block is simply *cropped* (no zero fill), so a 'same'
-    convolution applied to the block pads the physical boundary exactly
-    like the full-field computation does.
-
-    Returns ``(block, core_offset)`` where ``block`` is a view of ``x`` and
-    ``core_offset`` is the index of ``start`` inside it along ``axis``.
-    """
-    size = x.shape[axis]
-    if not (0 <= start < stop <= size):
-        raise ValueError(f"block [{start}, {stop}) outside axis of size {size}")
-    if halo < 0:
-        raise ValueError("halo must be >= 0")
-    lo = max(start - halo, 0)
-    hi = min(stop + halo, size)
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(lo, hi)
-    return x[tuple(index)], start - lo
+def _grown(box, shape, margin: int):
+    """``box`` grown by ``margin`` cells on every side and cropped — not
+    padded — at the domain boundary, so a 'same' conv applied to the
+    grown block pads the physical boundary exactly like the full-field
+    computation does."""
+    return tuple((max(a - margin, 0), min(b + margin, s))
+                 for (a, b), s in zip(box, shape))
 
 
-def _stage_inputs(x: np.ndarray, coarse, block, halo: int):
-    """Views one stage reads for one block: the halo-padded block of
-    ``x`` (cropped, not padded, at the domain boundary), the matching
-    slab of ``coarse`` (up sweep; ``None`` on a down sweep) and the core
-    slices into the stage's output — which a down sweep halves."""
-    padded = x
-    core, slab = [], []
-    for d, (start, stop) in enumerate(block):
-        padded, off = extract_padded_block(
-            padded, axis=2 + d, start=start, stop=stop, halo=halo)
-        core.append((off, off + stop - start))
-        slab.append((start - off, start - off + padded.shape[2 + d]))
+def _block(x, box) -> np.ndarray:
+    """The (N, C, *box) block of an input that is an array (a view of
+    it) or a block source (a callable of the box)."""
+    return x(box) if callable(x) else x[(slice(None), slice(None))
+                                        + _slices(box)]
+
+
+def _stage_inputs(x, shape, coarse, block, halo: int):
+    """What one stage reads for one block of the ``shape``-sized input
+    ``x`` (an array or a block source): its halo-padded block, the
+    matching slab of ``coarse`` (up sweep; ``None`` on a down sweep) and
+    the core slices into the stage's output — which a down sweep
+    halves."""
+    padded = _grown(block, shape, halo)
+    core = tuple((a - lo, b - lo) for (a, b), (lo, _) in zip(block, padded))
     lead = (slice(None), slice(None))
     if coarse is None:
-        return padded, None, lead + _slices(_halved(core))
-    return padded, coarse[lead + _slices(_halved(slab))], lead + _slices(core)
+        return _block(x, padded), None, lead + _slices(_halved(core))
+    return (_block(x, padded), coarse[lead + _slices(_halved(padded))],
+            lead + _slices(core))
 
 
 def _run_stage(net, level: int, x: np.ndarray, coarse, core) -> np.ndarray:
@@ -317,12 +307,17 @@ def _run_stage_task(task) -> np.ndarray:
     return _run_stage(net, level, x, coarse, core)
 
 
-def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
+def stream_tiled_forward(net, x, plan: TilePlan, executor=None,
                          net_ref: tuple[str, bytes] | None = None,
                          tiles=None, tracer=None, trace_parent=None):
     """Run ``net`` (a :class:`~repro.nn.UNet` in eval mode) over ``x``
-    (shape (N, C, *spatial)) by level-wise tile sweeps, streaming the
-    cores of ``plan``'s tiles as the emitting sweep completes them.
+    by level-wise tile sweeps, streaming the cores of ``plan``'s tiles as
+    the emitting sweep completes them.  ``x`` is the input, shape
+    (N, C, *spatial), or its *block source*: a callable returning the
+    (N, C, *box) input on a box of per-axis ``(start, stop)`` ranges.
+    The level-0 sweeps read every halo-padded block through the source
+    (an array's is a view of it), so a source that evaluates its boxes
+    never holds the whole input.
 
     Yields ``(tile_index, core_slices, core)`` records where
     ``tile_index`` is the tile's position in ``plan.blocks`` (a stable
@@ -353,7 +348,7 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
     cannot time inside a child process), and one "executor.map" span per
     parallel wave; all of them hang under ``trace_parent``.
     """
-    if x.shape[2:] != plan.shape:
+    if not callable(x) and x.shape[2:] != plan.shape:
         raise ValueError(
             f"input spatial shape {x.shape[2:]} != plan shape {plan.shape}")
     indices = _tile_indices(plan, tiles)
@@ -376,7 +371,8 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
 
     if plan.num_tiles == 1 or not indices:
         for i in indices:
-            yield i, _slices(plan.blocks[i]), whole(0, x)
+            yield i, _slices(plan.blocks[i]), whole(0, _block(
+                x, plan.blocks[i]))
         return
 
     if parallel and kind == "process":
@@ -386,10 +382,11 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
             blob = pickle.dumps(net)
             version = hashlib.sha1(blob).hexdigest()[:12]
 
-    def sweep(level: int, x: np.ndarray, coarse, ids, halo: int):
-        """Run one sweep's stage on blocks ``ids`` of ``x``, yielding
-        ``(block_index, destination slices, core)`` as they complete."""
-        blocks = _blocks(x.shape[2:], plan.tile)
+    def sweep(level: int, x, shape, coarse, ids, halo: int):
+        """Run one sweep's stage on blocks ``ids`` of the ``shape``-sized
+        input ``x``, yielding ``(block_index, destination slices, core)``
+        as they complete."""
+        blocks = _blocks(shape, plan.tile)
 
         def dst(i: int) -> tuple[slice, ...]:
             return _slices(_halved(blocks[i]) if coarse is None else blocks[i])
@@ -402,7 +399,8 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
             # conv copies it into column scratch anyway.
             try:
                 return _run_stage(net, level,
-                                  *_stage_inputs(x, coarse, blocks[i], halo))
+                                  *_stage_inputs(x, shape, coarse,
+                                                 blocks[i], halo))
             finally:
                 span.finish()
 
@@ -412,7 +410,8 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
             return
 
         def remote_task(i: int):
-            padded, slab, core = _stage_inputs(x, coarse, blocks[i], halo)
+            padded, slab, core = _stage_inputs(x, shape, coarse,
+                                               blocks[i], halo)
             # Contiguous copies: a view pickles its whole base.
             if slab is not None:
                 slab = np.ascontiguousarray(slab)
@@ -460,23 +459,25 @@ def stream_tiled_forward(net, x: np.ndarray, plan: TilePlan, executor=None,
     cone, _ = _cone(net, plan.shape, plan.tile, plan.halo,
                     [plan.blocks[i] for i in indices])
 
-    def below(level: int, x: np.ndarray, levels) -> np.ndarray:
+    def below(level: int, x, shape, levels) -> np.ndarray:
         """The result of level ``level + 1`` from the input of ``level``:
         that level's down sweep, then the deeper levels — swept the same
         way, or whole from the first that fits in one block.  Only the
         coarse pyramid (this input and result per level) outlives a
         block; a level's skip is recomputed by its up sweep instead."""
         (down, _), *deeper = levels
-        shape = tuple(s // 2 for s in x.shape[2:])
-        x = gather(sweep(level, x, None, down,
-                         _sweep_halo(net, level, up=False)), shape)
+        half = tuple(s // 2 for s in shape)
+        x = gather(sweep(level, x, shape, None, down,
+                         _sweep_halo(net, level, up=False)), half)
         level += 1
         if not deeper:
             return whole(level, x)
-        return gather(sweep(level, x, below(level, x, deeper), deeper[0][1],
-                            _sweep_halo(net, level, up=True)), shape)
+        return gather(sweep(level, x, half, below(level, x, half, deeper),
+                            deeper[0][1], _sweep_halo(net, level, up=True)),
+                      half)
 
-    yield from sweep(0, x, below(0, x, cone), indices, plan.halo)
+    yield from sweep(0, x, plan.shape, below(0, x, plan.shape, cone),
+                     indices, plan.halo)
 
 
 def tiled_forward(net, x: np.ndarray, plan: TilePlan,
@@ -505,23 +506,31 @@ def stream_tiled_predict(model, problem, omegas: np.ndarray,
     Yields ``(tile_index, core_slices, core)`` records where ``core`` is
     the *masked* prediction for that core region, shape
     ``(B, *core_shape)``, and ``core_slices`` indexes the spatial axes of
-    the assembled ``(B, *grid.shape)`` field.  Dirichlet masking
-    (Algorithm 1 line 8) is pointwise, so masking each core is bitwise
-    identical to masking the stitched field.
+    the assembled ``(B, *grid.shape)`` field.  The sweeps read each
+    block's input from :func:`~repro.core.inference.prepare_batch_inputs`
+    on that block's box (bitwise the whole input's slice), and Dirichlet
+    masking (Algorithm 1 line 8) is pointwise, with masks that vary along
+    x alone, so each core is masked by its rows of the profiles: bitwise
+    the stitched field masked whole.  No whole-field input or mask exists.
 
     ``tile`` defaults to the untiled size and the halo is the network's
     receptive-field halo; the remaining arguments are
     :func:`stream_tiled_forward`'s.  The generator holds the model in
     eval mode only while it is being consumed.
     """
-    log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas, resolution)
-    plan = _resolve_plan(model, log_nu.shape[2:], tile)
+    r = resolution or problem.resolution
+    chi_int, u_bc = problem.masks(r)
+    plan = _resolve_plan(model, problem.grid(r).shape, tile)
+
+    def source(box):
+        return prepare_batch_inputs(problem, omegas, r, box)[0]
+
     with model.evaluating():
         for i, core_dst, core in stream_tiled_forward(
-                model.net, log_nu, plan, executor=executor, net_ref=net_ref,
+                model.net, source, plan, executor=executor, net_ref=net_ref,
                 tiles=tiles, tracer=tracer, trace_parent=trace_parent):
-            mask = (slice(None), slice(None)) + core_dst
-            yield i, core_dst, apply_bc_masks(core, chi_int[mask], u_bc[mask])
+            rows = (slice(None), slice(None), core_dst[0])
+            yield i, core_dst, apply_bc_masks(core, chi_int[rows], u_bc[rows])
 
 
 def tiled_predict(model, problem, omegas: np.ndarray,

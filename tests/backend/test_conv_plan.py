@@ -164,6 +164,54 @@ class TestEngineProperty:
         assert rows * plan.chunk * 4 <= conv_plan.COLS_CHUNK_BYTES
 
 
+class _UnwrittenIsNaN:
+    """``numpy`` as the engine sees it, but ``empty`` fills with NaN: an
+    element of a result the engine does not write reads NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
+class TestInputGradientCoverage:
+    """``conv_backward_data`` allocates ``dx`` uninitialised: the phase
+    copies write every element they cover, and the plan zeroes the rest."""
+
+    def test_kernel_1_stride_2_is_zero_where_no_tap_reads(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((3, 2, 1, 1))
+        g = rng.standard_normal((1, 3, 4, 4))
+        plan = plan_conv((1, 2, 8, 8), w.shape, (2, 2), (0, 0), np.float64)
+        assert plan.uncovered == ((1, 3, 5, 7), (1, 3, 5, 7))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conv_plan, "np", _UnwrittenIsNaN())
+            dx = conv_backward_data(plan, g, w)
+        assert (dx[:, :, 1::2] == 0).all() and (dx[:, :, :, 1::2] == 0).all()
+        np.testing.assert_allclose(
+            dx[:, :, ::2, ::2], np.einsum("nohw,oc->nchw", g, w[:, :, 0, 0]),
+            rtol=1e-12)
+
+    @pytest.mark.parametrize("w_shape, stride, padding", [
+        ((4, 4, 3, 3, 3), (1, 1, 1), (1, 1, 1)),      # MGDiffNet's convs
+        ((4, 4, 2, 2, 2), (2, 2, 2), (0, 0, 0)),      # its 2x down/up
+    ])
+    def test_the_networks_convs_cover_every_input(self, w_shape, stride,
+                                                  padding):
+        plan = plan_conv((1, 4, 8, 8, 8), w_shape, stride, padding,
+                         np.float32)
+        assert plan.uncovered == ((), (), ())
+
+    @given(case=_conv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_no_element_is_left_unwritten(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conv_plan, "np", _UnwrittenIsNaN())
+            _check_against_the_tap_loop(case)
+
+
 # --------------------------------------------------------------------- #
 def _digest(x_shape, w_shape, stride, padding, dtype) -> str:
     """SHA-256 over forward, dx and dw.  Inputs are multiples of 1/8 so

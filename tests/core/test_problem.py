@@ -57,11 +57,24 @@ class TestMasks:
         assert np.all(u_bc[0, 0, -1] == 0.0)   # x = 1 face
         assert np.all(u_bc[0, 0, 1:-1] == 0.0)  # interior
 
-    def test_masks_shape(self):
-        p = PoissonProblem3D(8)
-        chi_int, u_bc = p.masks()
-        assert chi_int.shape == (1, 1, 8, 8, 8)
-        assert u_bc.shape == (1, 1, 8, 8, 8)
+    @pytest.mark.parametrize("make, shape", [
+        (PoissonProblem2D, (1, 1, 8, 1)), (PoissonProblem3D, (1, 1, 8, 1, 1))])
+    def test_masks_are_profiles_along_x(self, make, shape):
+        chi_int, u_bc = make(8).masks()
+        assert chi_int.shape == u_bc.shape == shape
+
+    @pytest.mark.parametrize("make", [PoissonProblem2D, PoissonProblem3D])
+    @pytest.mark.parametrize("res", [2, 5, 8, 17])
+    def test_profiles_broadcast_to_the_dirichlet_bc(self, make, res):
+        p = make(16)
+        chi_int, u_bc = p.masks(res, dtype=np.float64)
+        assert not p._bcs          # built without the whole-grid BC
+        bc = p.bc(res)
+        np.testing.assert_array_equal(
+            np.broadcast_to(chi_int[0, 0], bc.mask.shape),
+            bc.interior_indicator())
+        np.testing.assert_array_equal(
+            np.broadcast_to(u_bc[0, 0], bc.mask.shape), bc.lift())
 
 
 class TestFEMReference:

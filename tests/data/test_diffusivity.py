@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data import LogPermeabilityField, DEFAULT_A
 from repro.fem import UniformGrid
@@ -76,13 +77,13 @@ class TestEvaluation:
         np.testing.assert_allclose(ln, expected, atol=1e-12)
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
-    def test_gemm_matches_materialised_basis(self, ndim):
-        """The rank-m GEMM equals the (m, R**ndim) tensor-product basis
-        contraction it replaced (kept here as the reference)."""
+    def test_matches_materialised_basis(self, ndim):
+        """The per-mode ordered sum equals the (m, R**ndim) tensor-product
+        basis contraction (kept here as the reference)."""
         f = LogPermeabilityField(ndim)
         grid = UniformGrid(ndim, 7)
         omegas = np.random.default_rng(ndim).uniform(-3, 3, (3, f.m))
-        mode = f._mode_1d(grid.axes[0])
+        mode = f._modes(grid)
         basis = mode
         for _ in range(ndim - 1):
             basis = basis[..., None] * mode.reshape(
@@ -120,3 +121,43 @@ class TestEvaluation:
             f.log_nu(np.zeros(3), UniformGrid(2, 5))
         with pytest.raises(ValueError):
             LogPermeabilityField(5)
+
+
+@st.composite
+def _box_cases(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    # Large enough that the whole field and a box split their rows into
+    # different chunks (~16 K nodes each).
+    res = draw(st.integers(2, 200 if ndim == 2 else 40))
+    box = []
+    for _ in range(ndim):
+        start = draw(st.one_of(st.just(0), st.integers(0, res - 1)))
+        stop = draw(st.one_of(st.just(res), st.integers(start + 1, res)))
+        box.append((start, stop))
+    return ndim, res, tuple(box), draw(st.integers(1, 3)), draw(
+        st.integers(0, 2 ** 31))
+
+
+class TestBoxes:
+    """Tiled inference evaluates its input block by block: a box must be
+    the whole field's slice bit for bit, not to a tolerance."""
+
+    @given(case=_box_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_a_box_is_bitwise_the_whole_fields_slice(self, case):
+        ndim, res, box, batch, seed = case
+        f = LogPermeabilityField(ndim)
+        grid = UniformGrid(ndim, res)
+        omegas = np.random.default_rng(seed).uniform(-3, 3, (batch, f.m))
+        whole = f.log_nu(omegas, grid)
+        got = f.log_nu(omegas, grid, box)
+        np.testing.assert_array_equal(
+            got, whole[(slice(None),) + tuple(slice(a, b) for a, b in box)])
+        np.testing.assert_array_equal(f.log_nu(omegas[0], grid, box), got[0])
+
+    def test_the_whole_box_is_the_default(self):
+        f = LogPermeabilityField(3)
+        grid = UniformGrid(3, 9)
+        omega = np.array([0.3, 1.5, 0.1, -1.2])
+        np.testing.assert_array_equal(
+            f.log_nu(omega, grid, ((0, 9),) * 3), f.log_nu(omega, grid))

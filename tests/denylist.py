@@ -320,6 +320,10 @@ ROWS: list[Row] = [
     Row("def", "SerialExecutor", "", 50,
         "tests/serve/test_executor.py::TestTiledParity::"
         "test_serial_executor_is_neutral"),
+    # Tiled inference reads each padded block through one block source
+    # (an array's view, or the log-nu evaluator on the block's box).
+    Row("def", "extract_padded_block", "", 52,
+        "tests/serve/test_tiling.py::TestPaddedBlock"),
     # The checkpoint format is read in core/checkpoint.py alone.
     Row("text", "meta::", "serve/", 49,
         "tests/serve/test_registry.py::TestErrors::"

@@ -403,4 +403,20 @@ MUTANTS: list[Mutant] = [
            "        if world < 1 and dataset.backward():\n",
            (f"{DENY}[ident:*.backward@core/ distributed/ perf/ "
             "!core/trainer.py]",)),
+    # -- tile-sized inference memory -------------------------------------- #
+    Mutant("the box evaluator is one cell off", "src/repro/data/diffusivity.py",
+           "xs, *rest = [self._modes(grid)[:, a:b] for a, b in box]",
+           "xs, *rest = [self._modes(grid)[:, a + (a > 0):b + (a > 0)]"
+           " for a, b in box]",
+           ("tests/data/test_diffusivity.py::TestBoxes",)),
+    Mutant("the mask profile runs along the last axis",
+           "src/repro/core/problem.py",
+           "shape = (1, 1, r) + (1,) * (self.ndim - 1)",
+           "shape = (1, 1) + (1,) * (self.ndim - 1) + (r,)",
+           ("tests/core/test_problem.py::TestMasks",)),
+    Mutant("conv_backward_data leaves uncovered elements unzeroed",
+           "src/repro/backend/conv_plan.py",
+           "for d, rows in enumerate(plan.uncovered):",
+           "for d, rows in enumerate(plan.uncovered[:0]):",
+           ("tests/backend/test_conv_plan.py::TestInputGradientCoverage",)),
 ]

@@ -143,7 +143,8 @@ def test_one_stage_runner_behind_both_sweeps_and_the_process_task() -> None:
 
 
 def test_one_block_extractor_in_the_tile_engine() -> None:
-    assert _definitions("extract_padded_block") == ["serve/tiling.py"]
+    for name in ("_block", "_stage_inputs", "_grown"):
+        assert _definitions(name) == ["serve/tiling.py"], name
 
 def test_the_fleet_has_no_policy_seam() -> None:
     seams = _init_public_attributes(

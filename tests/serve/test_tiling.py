@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
 from repro.autograd import Tensor, no_grad
 from repro.backend import set_backend
-from repro.core.inference import predict_batch, prepare_batch_inputs
+from repro.core.inference import (apply_bc_masks, predict_batch,
+                                  prepare_batch_inputs)
 from repro.serve import (
     Executor, make_executor, plan_tiles, receptive_halo,
     stream_tiled_forward, stream_tiled_predict, tiled_forward, tiled_predict,
 )
 from repro.serve.telemetry.trace import NULL_SPAN
-from repro.serve.tiling import extract_padded_block
+from repro.serve.tiling import _stage_inputs
 from tests.peak_rss import PEAK_MB
 
 RNG = np.random.default_rng(7)
@@ -92,48 +93,51 @@ class TestPlan:
 @st.composite
 def _block_cases(draw):
     shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
-    axis = draw(st.integers(0, len(shape) - 1))
-    start = draw(st.integers(0, shape[axis] - 1))
-    stop = draw(st.integers(start + 1, shape[axis]))
-    return shape, axis, start, stop, draw(st.integers(0, 8))
+    block = []
+    for size in shape:
+        start = draw(st.integers(0, size - 1))
+        block.append((start, draw(st.integers(start + 1, size))))
+    return shape, tuple(block), draw(st.integers(0, 8))
 
 
-class TestExtractPaddedBlock:
+def _padded(x, block, halo):
+    """``(padded block, core slices)`` of an up-sweep stage reading the
+    array ``x`` (N, C, *shape)."""
+    padded, _, core = _stage_inputs(x, x.shape[2:], x, block, halo)
+    return padded, core
+
+
+class TestPaddedBlock:
     @given(case=_block_cases())
     @settings(max_examples=100, deadline=None)
     def test_block_is_the_cropped_halo_view(self, case):
-        shape, axis, start, stop, halo = case
-        x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
-        block, off = extract_padded_block(x, axis, start, stop, halo)
-        lo = max(start - halo, 0)
-        hi = min(stop + halo, shape[axis])
+        shape, block, halo = case
+        x = np.arange(np.prod(shape), dtype=np.float64).reshape((1, 1) + shape)
+        padded, core = _padded(x, block, halo)
+        box = tuple(slice(max(a - halo, 0), min(b + halo, size))
+                    for (a, b), size in zip(block, shape))
+        np.testing.assert_array_equal(padded, x[(slice(None),) * 2 + box])
         np.testing.assert_array_equal(
-            block, np.take(x, np.arange(lo, hi), axis=axis))
-        assert off == start - lo
-        assert not block.flags.owndata and np.shares_memory(block, x)
-
-    @pytest.mark.parametrize("start, stop, halo", [
-        (-1, 2, 0), (2, 2, 0), (3, 2, 0), (0, 9, 0), (0, 2, -1)])
-    def test_bad_range_or_halo_raises(self, start, stop, halo):
-        x = np.zeros((2, 8))
-        with pytest.raises(ValueError):
-            extract_padded_block(x, 1, start, stop, halo)
+            padded[core], x[(slice(None),) * 2 + tuple(
+                slice(a, b) for a, b in block)])
+        assert not padded.flags.owndata and np.shares_memory(padded, x)
 
     def test_halo_is_neighbour_data_cropped_at_boundary(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 1, 8)
-        left, off = extract_padded_block(x, 2, 0, 4, halo=1)
+        left, core = _padded(x, ((0, 4),), halo=1)
         np.testing.assert_array_equal(left[0, 0], [0, 1, 2, 3, 4])
-        assert off == 0
-        right, off = extract_padded_block(x, 2, 4, 8, halo=1)
+        assert core[2] == slice(0, 4)
+        right, core = _padded(x, ((4, 8),), halo=1)
         np.testing.assert_array_equal(right[0, 0], [3, 4, 5, 6, 7])
-        assert off == 1
+        assert core[2] == slice(1, 5)
 
     def test_zero_halo_is_the_core_view(self):
-        x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        block, off = extract_padded_block(x, 1, 1, 2, halo=0)
-        assert off == 0 and block.shape == (2, 1, 4)
+        x = np.arange(24, dtype=np.float64).reshape(1, 2, 3, 4)
+        block, core = _padded(x, ((1, 2), (0, 4)), halo=0)
+        assert core[2:] == (slice(0, 1), slice(0, 4))
+        assert block.shape == (1, 2, 1, 4)
         assert not block.flags.owndata and np.shares_memory(block, x)
-        np.testing.assert_array_equal(block, x[:, 1:2])
+        np.testing.assert_array_equal(block, x[:, :, 1:2])
 
 
 class TestReceptiveHalo:
@@ -274,6 +278,40 @@ class TestRaggedHaloParallel:
         np.testing.assert_array_equal(got, serial)
 
 
+class TestEvaluatedBlocks:
+    """``stream_tiled_predict`` reads each level-0 block from the log-nu
+    evaluator on its box and masks each core by its rows of the x-profile
+    masks; the array path (the whole input, the stitched bare field, the
+    masks broadcast once) must give the same bits on every executor."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        problem = PoissonProblem3D(16)
+        model = MGDiffNet(ndim=3, base_filters=2, depth=2, rng=3)
+        omegas = _omegas(2)
+        log_nu, chi_int, u_bc = prepare_batch_inputs(problem, omegas)
+        plan = plan_tiles(log_nu.shape[2:], 8, receptive_halo(model), 4)
+        with model.evaluating():
+            u_net = tiled_forward(model.net, log_nu, plan)
+        return problem, model, omegas, apply_bc_masks(u_net, chi_int, u_bc)
+
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    def test_matches_the_array_path_bitwise(self, case, kind):
+        problem, model, omegas, ref = case
+        with make_executor(kind, 2) as executor:
+            got = tiled_predict(model, problem, omegas, tile=8,
+                                executor=executor)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_a_tile_subset_matches_bitwise(self, case):
+        problem, model, omegas, ref = case
+        got = list(stream_tiled_predict(model, problem, omegas, tile=8,
+                                        tiles=[6, 1]))
+        assert [i for i, _, _ in got] == [6, 1]
+        for _, dst, core in got:
+            np.testing.assert_array_equal(core, ref[(slice(None),) + dst])
+
+
 class _SweepCounter:
     """Tracer counting ``tile.compute`` spans per (level, sweep)."""
 
@@ -362,24 +400,29 @@ print(peak)
 
 
 @pytest.mark.slow
-def test_a_256_cubed_field_fits_in_640_mb() -> None:
+def test_a_256_cubed_field_fits_in_300_mb() -> None:
     """16.8 M voxels through the level-wise sweeps in one process: the
-    float64/float32 input fields, the masks, the stitched output and the
-    coarse pyramid — measured 474 MB on a 2-vCPU x86-64 VM (512 MB with a
-    pooled scratch buffer per size class and the decoder's skip
-    concatenated; the whole-network halo engine peaked at 709 MB)."""
+    stitched output, the coarse pyramid and the conv arena, with each
+    block's input evaluated on its box and the masks x-profiles —
+    measured 265 MB on a 2-vCPU x86-64 VM; the bound leaves 13 %.  With
+    the whole field's float64/float32 input and whole-field masks it
+    read 463 MB (474 MB earlier; 512 MB with a pooled scratch buffer per
+    size class and the decoder's skip concatenated; the whole-network
+    halo engine peaked at 709 MB)."""
     done = subprocess.run([sys.executable, "-c", FIELD_256], text=True,
                           capture_output=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 640.0
+    assert float(done.stdout) <= 300.0
 
 
 def test_a_warm_tiled_field_allocates_no_skip_concatenation() -> None:
     """Every allocation of one warm 64^3 field by 32^3 tiles, traced: the
     cores, the coarse pyramid and each block's activations — but no
     ``concat([up, skip])`` per up-sweep block, which the decoder conv
-    now reads as two channel parts.  Measured 5.18 MiB; with the
-    concatenation the same field peaked at 5.90 MiB."""
+    now reads as two channel parts, and no whole-field input or mask:
+    each block's input is evaluated on its box.  Measured 4.33 MiB; the
+    bound leaves 6 %.  With the whole input field and whole-field masks
+    it read 5.18 MiB, and with the concatenation as well 5.90 MiB."""
     import tracemalloc
 
     model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=1)
@@ -393,7 +436,7 @@ def test_a_warm_tiled_field_allocates_no_skip_concatenation() -> None:
     finally:
         tracemalloc.stop()
     assert field.shape == (1, 64, 64, 64)
-    assert peak < 5.5 * 2 ** 20, peak / 2 ** 20
+    assert peak < 4.6 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
