@@ -16,7 +16,7 @@ from .ops_basic import add, sub, mul
 from .ops_reduce import sum_ as sum, mean  # noqa: A001
 from .ops_activation import sigmoid, leaky_relu
 from .ops_conv import (
-    conv_nd, conv_transpose_nd, max_pool_nd,
+    conv_nd, conv_transpose_nd,
     conv_output_shape, conv_transpose_output_shape, tuplify,
 )
 from .ops_norm import batch_norm
@@ -25,7 +25,7 @@ from .profiler import profile, Profile, OpStats
 __all__ = [
     "Tensor", "Function", "Context", "no_grad", "is_grad_enabled",
     "add", "sub", "mul", "sum", "mean", "sigmoid", "leaky_relu",
-    "conv_nd", "conv_transpose_nd", "max_pool_nd",
+    "conv_nd", "conv_transpose_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",
     "batch_norm",
     "profile", "Profile", "OpStats",

@@ -1,4 +1,4 @@
-"""N-dimensional convolution, transposed convolution and max pooling.
+"""N-dimensional convolution and transposed convolution.
 
 The convolution is dimension agnostic (the same code path serves the 2D
 and 3D MGDiffNet variants).  Both :class:`ConvNd` and
@@ -39,7 +39,7 @@ from .function import Context, Function
 from .tensor import Tensor
 
 __all__ = [
-    "conv_nd", "conv_transpose_nd", "max_pool_nd",
+    "conv_nd", "conv_transpose_nd",
     "conv_output_shape", "conv_transpose_output_shape", "tuplify",
 ]
 
@@ -192,40 +192,6 @@ class ConvTransposeNd(Function):
                 _bias_grad(ctx.needs_input_grad[2], grad), None, None)
 
 
-class MaxPoolNd(Function):
-    """Non-overlapping max pooling (stride == kernel); sizes must divide."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
-        nd = x.ndim - 2
-        spatial = x.shape[2:]
-        for s, k in zip(spatial, kernel):
-            if s % k:
-                raise ValueError(f"spatial size {s} not divisible by pool {k}")
-        new_shape = x.shape[:2]
-        for s, k in zip(spatial, kernel):
-            new_shape += (s // k, k)
-        windows = x.reshape(new_shape)
-        pool_axes = tuple(3 + 2 * i for i in range(nd))
-        out = windows.max(axis=pool_axes, keepdims=True)
-        mask = windows == out
-        counts = mask.sum(axis=pool_axes, keepdims=True)
-        ctx.meta.update(mask=mask, counts=counts, pool_axes=pool_axes,
-                        x_shape=x.shape, new_shape=new_shape)
-        return out.squeeze(axis=pool_axes)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        mask = ctx.meta["mask"]
-        counts = ctx.meta["counts"]
-        pool_axes = ctx.meta["pool_axes"]
-        g = grad
-        for ax in pool_axes:
-            g = B.expand_dims(g, ax)
-        dx = (mask * (g / counts)).reshape(ctx.meta["x_shape"])
-        return dx, None
-
-
 def conv_nd(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
             stride: int | Sequence[int] = 1,
             padding: int | Sequence[int] = 0,
@@ -251,8 +217,3 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
     if any(k - 1 - p < 0 for k, p in zip(w.shape[2:], padding)):
         raise ValueError("padding larger than kernel-1 is unsupported")
     return ConvTransposeNd.apply(x, w, b, stride, padding)
-
-
-def max_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:
-    nd = x.ndim - 2
-    return MaxPoolNd.apply(x, tuplify(kernel, nd))

@@ -7,7 +7,7 @@ import numpy as np
 from ..backend import ops as B
 from ..backend import realize
 from .function import Context, Function
-from .ops_activation import leaky_factor, leaky_forward, leaky_relu
+from .ops_activation import leaky_factor, leaky_forward
 from .tensor import Tensor
 
 __all__ = ["batch_norm", "batch_stats"]
@@ -95,39 +95,16 @@ class BatchNorm(Function):
         return dx, dgamma, dbeta, None, None, None
 
 
-class BatchNormInference(Function):
-    """Evaluation-mode batch norm using fixed running statistics: one
-    per-channel affine map ``x * scale + shift``, forward only (nothing
-    trains through an evaluation-mode network)."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                running_mean: np.ndarray, running_var: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
-        nd = x.ndim - 2
-        gshape = (1, -1) + (1,) * nd
-        inv_std = 1.0 / B.sqrt(running_var + eps)
-        scale = gamma * inv_std
-        shift = beta - running_mean * scale
-        return x * scale.reshape(gshape) + shift.reshape(gshape)
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: np.ndarray | None = None,
-               running_var: np.ndarray | None = None,
-               training: bool = True, eps: float = 1e-5,
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                batch_stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                negative_slope: float | None = None) -> Tensor:
-    """Apply batch normalization; see :class:`repro.nn.norm.BatchNorm`.
+    """Training-mode batch normalization; see :class:`BatchNorm` and
+    :class:`repro.nn.norm.BatchNorm`.
 
     ``batch_stats`` is the already-computed :func:`batch_stats` of ``x``
-    for training mode (see :class:`BatchNorm`).  With
-    ``negative_slope`` the result goes through LeakyReLU: fused into the
-    op in training mode, a separate op in evaluation mode.
+    (see :class:`BatchNorm`).  With ``negative_slope`` the result goes
+    through LeakyReLU, fused into the op.  There is no evaluation-mode
+    op: :class:`repro.nn.unet.ConvBlock` folds the running statistics
+    into its convolution.
     """
-    if training:
-        return BatchNorm.apply(x, gamma, beta, eps, batch_stats, negative_slope)
-    if running_mean is None or running_var is None:
-        raise ValueError("running statistics required in eval mode")
-    out = BatchNormInference.apply(x, gamma, beta, running_mean, running_var, eps)
-    return out if negative_slope is None else leaky_relu(out, negative_slope)
+    return BatchNorm.apply(x, gamma, beta, eps, batch_stats, negative_slope)

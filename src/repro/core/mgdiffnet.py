@@ -30,14 +30,13 @@ class MGDiffNet(Module):
     """
 
     def __init__(self, ndim: int, base_filters: int = 16, depth: int = 3,
-                 negative_slope: float = 0.01, downsample: str = "conv",
-                 use_batchnorm: bool = True,
+                 negative_slope: float = 0.01, use_batchnorm: bool = True,
                  rng: np.random.Generator | int | None = None) -> None:
         super().__init__()
         self.ndim = ndim
         self.net = UNet(ndim=ndim, in_channels=1, out_channels=1,
                         base_filters=base_filters, depth=depth,
-                        negative_slope=negative_slope, downsample=downsample,
+                        negative_slope=negative_slope,
                         use_batchnorm=use_batchnorm, rng=make_rng(rng))
 
     # ------------------------------------------------------------------ #

@@ -103,12 +103,11 @@ class PoissonProblem:
         return solver.solve(self.nu(omega, r), self.bc(r), method=method)
 
     def make_dataset(self, n_samples: int, skip: int = 1,
-                     input_transform: str = "log",
                      dtype=np.float32) -> DiffusivityDataset:
         """Sobol-sampled training dataset over this problem's family."""
         return DiffusivityDataset(self.field, n_samples,
                                   omega_range=self.omega_range, skip=skip,
-                                  dtype=dtype, input_transform=input_transform)
+                                  dtype=dtype)
 
     def __repr__(self) -> str:
         return (f"PoissonProblem({self.ndim}d, resolution={self.resolution}, "

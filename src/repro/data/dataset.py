@@ -27,22 +27,17 @@ class DiffusivityDataset:
         Number of ω samples.
     omega_range:
         Box for ω (paper: [-3, 3]^4).
-    input_transform:
-        'log' feeds the network the KL-expansion log-field (well
-        conditioned); 'identity' feeds raw ν.  The energy loss always
-        receives raw ν regardless.
+
+    The network reads the KL-expansion log-field (well conditioned); the
+    energy loss reads raw ν.
     """
 
     def __init__(self, field: LogPermeabilityField, n_samples: int,
                  omega_range: tuple[float, float] = (-3.0, 3.0),
                  skip: int = 1, dtype=np.float32,
-                 input_transform: str = "log",
                  omegas: np.ndarray | None = None) -> None:
-        if input_transform not in ("log", "identity"):
-            raise ValueError(f"unknown input transform {input_transform!r}")
         self.field = field
         self.dtype = dtype
-        self.input_transform = input_transform
         if omegas is not None:
             omegas = np.asarray(omegas, dtype=np.float64)
             if omegas.ndim != 2 or omegas.shape[1] != field.m:
@@ -62,13 +57,13 @@ class DiffusivityDataset:
 
     # ------------------------------------------------------------------ #
     def inputs_at(self, resolution: int) -> np.ndarray:
-        """Network inputs ``(N, 1, *R)`` at the given resolution (cached)."""
+        """Network inputs, log ν ``(N, 1, *R)``, at the given resolution
+        (cached)."""
         key = (resolution, "in")
         if key not in self._cache:
             grid = UniformGrid(self.ndim, resolution)
             self._cache[key] = self.field.evaluate_batch(
-                self.omegas, grid, dtype=self.dtype,
-                log=self.input_transform == "log")
+                self.omegas, grid, dtype=self.dtype, log=True)
         return self._cache[key]
 
     def nu_at(self, resolution: int) -> np.ndarray:
@@ -95,5 +90,4 @@ class DiffusivityDataset:
         extra = multiple - (n % multiple)
         omegas = np.concatenate([self.omegas, self.omegas[:extra]], axis=0)
         return DiffusivityDataset(self.field, 0, dtype=self.dtype,
-                                  input_transform=self.input_transform,
                                   omegas=omegas)

@@ -114,7 +114,7 @@ class LogPermeabilityField:
         """Batched network-layout fields: ``(B, 1, *grid.shape)``.
 
         ``log=True`` returns the log-field (the smooth KL-expansion sum),
-        which is the default network input transform.
+        the network's input.
         """
         if log:
             return self.log_nu(omegas, grid, dtype=dtype)[:, None]

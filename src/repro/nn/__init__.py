@@ -1,7 +1,7 @@
 """Neural-network layers built on :mod:`repro.autograd`.
 
 Provides the Module/Parameter system, convolution / normalization /
-activation / pooling layers, containers, initialization schemes, and the
+activation layers, containers, initialization schemes, and the
 dimension-agnostic :class:`UNet` used by MGDiffNet.
 """
 
@@ -10,14 +10,13 @@ from .container import ModuleList
 from .conv import ConvNd, ConvTransposeNd
 from .norm import BatchNorm
 from .activation import LeakyReLU, Sigmoid
-from .pooling import MaxPool
 from .unet import UNet, ConvBlock, UpBlock, RefinementBlock
 from . import init
 
 __all__ = [
     "Module", "Parameter", "ModuleList",
     "ConvNd", "ConvTransposeNd",
-    "BatchNorm", "LeakyReLU", "Sigmoid", "MaxPool",
+    "BatchNorm", "LeakyReLU", "Sigmoid",
     "UNet", "ConvBlock", "UpBlock", "RefinementBlock",
     "init",
 ]

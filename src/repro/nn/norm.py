@@ -16,10 +16,12 @@ __all__ = ["BatchNorm"]
 class BatchNorm(Module):
     """Batch normalization over (N, *spatial) per channel.
 
-    Training mode normalizes with batch statistics and updates exponential
-    running averages (weight ``momentum``); evaluation mode uses the
-    running averages — matching the behaviour assumed by the paper's U-Net
-    blocks.  ``eps`` and ``momentum`` are torch's defaults.
+    The module is the training op: it normalizes with batch statistics
+    and updates exponential running averages (weight ``momentum``).  In
+    evaluation mode :class:`~repro.nn.unet.ConvBlock` folds the running
+    averages into its convolution and never calls the module, so an
+    evaluation-mode call raises.  ``eps`` and ``momentum`` are torch's
+    defaults.
     """
 
     eps = 1e-5
@@ -36,36 +38,30 @@ class BatchNorm(Module):
         self.register_buffer("num_batches_tracked", np.zeros((), dtype=np.int64))
 
     def forward(self, x: Tensor, negative_slope: float | None = None) -> Tensor:
-        """``negative_slope`` appends a LeakyReLU, fused into the op in
-        training mode (what :class:`~repro.nn.unet.ConvBlock` passes)."""
+        """``negative_slope`` appends a LeakyReLU, fused into the op
+        (what :class:`~repro.nn.unet.ConvBlock` passes)."""
         if x.shape[1] != self.num_features:
             raise ValueError(
                 f"BatchNorm expected {self.num_features} channels, got {x.shape[1]}")
-        if self.training:
-            # One reduction feeds the running estimates and the op.
-            stats = batch_stats(x.data)
-            batch_mean, batch_var = stats[:2]
-            m = self.momentum
-            stat_dtype = np.asarray(self.running_mean).dtype
-            self.update_buffer(
-                "running_mean",
-                ((1 - m) * self.running_mean + m * batch_mean).astype(stat_dtype))
-            # Unbiased variance for the running estimate (torch convention).
-            n = x.data.size // x.shape[1]
-            unbiased = batch_var * (n / max(n - 1, 1))
-            self.update_buffer(
-                "running_var",
-                ((1 - m) * self.running_var + m * unbiased).astype(stat_dtype))
-            self.update_buffer("num_batches_tracked",
-                               self.num_batches_tracked + 1)
-            return batch_norm(x, self.gamma, self.beta, training=True,
-                              eps=self.eps, batch_stats=stats,
-                              negative_slope=negative_slope)
-        return batch_norm(x, self.gamma, self.beta,
-                          running_mean=self.running_mean,
-                          running_var=self.running_var,
-                          training=False, eps=self.eps,
-                          negative_slope=negative_slope)
+        if not self.training:
+            raise RuntimeError("an evaluation-mode BatchNorm is ConvBlock's fold")
+        # One reduction feeds the running estimates and the op.
+        stats = batch_stats(x.data)
+        batch_mean, batch_var = stats[:2]
+        m = self.momentum
+        stat_dtype = np.asarray(self.running_mean).dtype
+        self.update_buffer(
+            "running_mean",
+            ((1 - m) * self.running_mean + m * batch_mean).astype(stat_dtype))
+        # Unbiased variance for the running estimate (torch convention).
+        n = x.data.size // x.shape[1]
+        unbiased = batch_var * (n / max(n - 1, 1))
+        self.update_buffer(
+            "running_var",
+            ((1 - m) * self.running_var + m * unbiased).astype(stat_dtype))
+        self.update_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+        return batch_norm(x, self.gamma, self.beta, eps=self.eps,
+                          batch_stats=stats, negative_slope=negative_slope)
 
     def __repr__(self) -> str:
         return f"BatchNorm({self.num_features})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, conv_nd, is_grad_enabled
+from ..autograd import Tensor, conv_nd, no_grad
 from ..backend import ops as B
 from ..utils.seeding import make_rng, spawn_rngs
 from .activation import LeakyReLU, Sigmoid
@@ -24,7 +24,6 @@ from .container import ModuleList
 from .conv import ConvNd, ConvTransposeNd
 from .module import Module
 from .norm import BatchNorm
-from .pooling import MaxPool
 
 __all__ = ["ConvBlock", "UpBlock", "RefinementBlock", "UNet"]
 
@@ -33,15 +32,16 @@ class ConvBlock(Module):
     """Conv(k3, same) -> BatchNorm -> LeakyReLU — the paper's basic block
     (``use_batchnorm=False`` drops the norm: conv -> LeakyReLU).
 
-    In evaluation mode under ``no_grad`` a BatchNorm block is *one* engine
-    call: the running-statistics affine ``y * s + t`` is folded into the
-    conv's weights and bias per call (``w * s``, ``b * s + t``: a few
+    In evaluation mode a BatchNorm block is *one* engine call: the
+    running-statistics affine ``y * s + t`` is folded into the conv's
+    weights and bias per call (``w * s``, ``b * s + t``: a few
     microseconds, and never stale) and the engine applies bias and
-    LeakyReLU chunk by chunk.  In training mode a BatchNorm block is two
-    tape ops, the conv and BatchNorm with the LeakyReLU fused in as its
-    epilogue (:class:`repro.autograd.ops_norm.BatchNorm`).  An
-    evaluation-mode block with the tape on, and every block without a
-    norm, runs op by op.
+    LeakyReLU chunk by chunk.  The fold runs under ``no_grad`` even with
+    the tape on: nothing trains through an evaluation-mode network.  In
+    training mode a BatchNorm block is two tape ops, the conv and
+    BatchNorm with the LeakyReLU fused in as its epilogue
+    (:class:`repro.autograd.ops_norm.BatchNorm`).  A block without a norm
+    runs op by op.
     """
 
     def __init__(self, ndim: int, in_channels: int, out_channels: int,
@@ -58,15 +58,16 @@ class ConvBlock(Module):
         parts in a tuple ``x`` (:class:`UpBlock`'s ``(up, skip)``), which
         the conv reads without building it."""
         bn, conv = self.bn, self.conv
-        if bn is not None and not self.training and not is_grad_enabled():
-            w = conv.weight.data
-            scale = bn.gamma.data / B.sqrt(bn.running_var + bn.eps)
-            shift = bn.beta.data - bn.running_mean * scale
-            if conv.bias is not None:
-                shift = shift + conv.bias.data * scale
-            return conv_nd(
-                x, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)),
-                shift, conv.stride, conv.padding, self.act.negative_slope)
+        if bn is not None and not self.training:
+            with no_grad():
+                w = conv.weight.data
+                scale = bn.gamma.data / B.sqrt(bn.running_var + bn.eps)
+                shift = bn.beta.data - bn.running_mean * scale
+                if conv.bias is not None:
+                    shift = shift + conv.bias.data * scale
+                return conv_nd(
+                    x, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)),
+                    shift, conv.stride, conv.padding, self.act.negative_slope)
         x = conv(x)
         if bn is not None:
             return bn(x, negative_slope=self.act.negative_slope)
@@ -128,8 +129,6 @@ class UNet(Module):
     depth:
         Number of down/up-sampling stages (paper: 3).  Input spatial sizes
         must be divisible by ``2**depth``.
-    downsample:
-        ``"conv"`` uses a stride-2 convolution, ``"maxpool"`` a 2x pool.
 
     The output passes through a Sigmoid (paper), whose [0, 1] range
     matches the Dirichlet data.
@@ -137,8 +136,7 @@ class UNet(Module):
 
     def __init__(self, ndim: int, in_channels: int = 1, out_channels: int = 1,
                  base_filters: int = 16, depth: int = 3,
-                 negative_slope: float = 0.01, downsample: str = "conv",
-                 use_batchnorm: bool = True,
+                 negative_slope: float = 0.01, use_batchnorm: bool = True,
                  rng: np.random.Generator | int | None = None) -> None:
         super().__init__()
         rng = make_rng(rng)
@@ -162,13 +160,8 @@ class UNet(Module):
         for i in range(depth):
             self.enc_blocks.append(ConvBlock(
                 ndim, c_in, filters[i], next(rngs), negative_slope, use_batchnorm))
-            if downsample == "conv":
-                self.downs.append(ConvNd(ndim, filters[i], filters[i],
-                                         kernel_size=2, stride=2, rng=next(rngs)))
-            elif downsample == "maxpool":
-                self.downs.append(MaxPool(2))
-            else:
-                raise ValueError(f"unknown downsample {downsample!r}")
+            self.downs.append(ConvNd(ndim, filters[i], filters[i],
+                                     kernel_size=2, stride=2, rng=next(rngs)))
             c_in = filters[i]
 
         self.bottleneck = ConvBlock(ndim, filters[depth - 1], filters[depth],

@@ -120,12 +120,6 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats.bytes_cached = 0
-            self.stats.entries = 0
-
     def __repr__(self) -> str:
         s = self.stats
         return (f"LRUCache(entries={len(self)}, "

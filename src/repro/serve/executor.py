@@ -22,10 +22,11 @@ a unit of serving compute runs:
   backend instances, whose locked state does not survive a fork.  Each
   also runs OpenBLAS on one thread, as data-parallel rank processes do.
 
-Every executor has one ordered ``map``, on the base class, built on its
-``imap_unordered``.  An executor opens no span: a fan-out belongs to its
-caller's trace, and the tile engine opens its "executor.map" span under
-the request's.
+Every pool has one ordered ``map``, built on its ``imap_unordered``;
+the serial executor has neither, since its callers run their tasks
+inline.  An executor opens no span: a fan-out belongs to its caller's
+trace, and the tile engine opens its "executor.map" span under the
+request's.
 
 Task functions submitted to a :class:`ProcessExecutor` must be module
 level (picklable); per-worker state such as unpickled models is cached in
@@ -59,36 +60,12 @@ EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 class Executor:
-    """Common surface: ordered ``map``, explicit ``close``, context use.
-    An ``Executor`` itself runs every task inline on the calling thread."""
+    """Common surface: ``kind``, ``workers``, explicit ``close``, context
+    use.  An ``Executor`` itself is the serial kind: its callers run
+    every task inline on the calling thread."""
 
     kind = "serial"
-
-    @property
-    def workers(self) -> int:
-        return 1
-
-    def map(self, fn, items) -> list:
-        """Apply ``fn`` to every item; results in input order."""
-        items = list(items)
-        out = [None] * len(items)
-        for i, result in self.imap_unordered(fn, items):
-            out[i] = result
-        return out
-
-    def imap_unordered(self, fn, items):
-        """Yield ``(index, fn(item))`` pairs in *completion* order.
-
-        ``index`` is the item's position in the input iterable, so a
-        caller that needs positional identity (e.g. which tile a result
-        belongs to) recovers it regardless of which worker finished
-        first.  The serial implementation is lazy and in input order;
-        parallel executors submit everything and yield as results land,
-        so callers bound what they hand over (the tile engine dispatches
-        in waves of ``2 x workers``).
-        """
-        for i, item in enumerate(items):
-            yield i, fn(item)
+    workers = 1
 
     def warm(self) -> None:
         """Create worker resources now instead of on first ``map``.
@@ -142,7 +119,24 @@ class _PoolExecutor(Executor):
                 self._pool = self._new_pool()
             return self._pool
 
+    def map(self, fn, items) -> list:
+        """Apply ``fn`` to every item; results in input order."""
+        items = list(items)
+        out = [None] * len(items)
+        for i, result in self.imap_unordered(fn, items):
+            out[i] = result
+        return out
+
     def imap_unordered(self, fn, items):
+        """Yield ``(index, fn(item))`` pairs in *completion* order.
+
+        ``index`` is the item's position in the input iterable, so a
+        caller that needs positional identity (e.g. which tile a result
+        belongs to) recovers it regardless of which worker finished
+        first.  Every item is submitted at once, so callers bound what
+        they hand over (the tile engine dispatches in waves of
+        ``2 x workers``).
+        """
         items = list(items)
         if not items:
             return

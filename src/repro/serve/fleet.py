@@ -9,8 +9,8 @@ partition multigrid work across compute units:
 * **Routing** — a consistent-hash ring (:class:`~repro.serve.hashring.
   HashRing`) over ``(model name, content version)`` assigns every model
   an R-way replica set.  Reads go to the primary and fail over along
-  the replica order; writes (``register_model``/``load``/
-  ``unregister``) fan out to every replica.
+  the replica order; writes (``register_model``/``load``) fan out to
+  every replica.
 * **Failover** — a shard that raises, hangs past ``shard_timeout_s`` or
   is killed is *ejected* (marked unhealthy) and its in-flight request is
   re-dispatched to the next replica; the caller sees the replica's
@@ -204,9 +204,9 @@ class ShardedFleet:
     """Consistent-hash-routed front-end over N server shards.
 
     API-compatible with :class:`PredictionServer` where it matters —
-    ``submit`` / ``predict`` / ``predict_many`` / ``start`` / ``stop`` /
-    ``close`` / context manager — so the CLI client loop works unchanged
-    on a fleet: its futures are plain ``Future`` objects.
+    ``submit`` / ``predict`` / ``start`` / ``close`` / context manager —
+    so the CLI client loop works unchanged on a fleet: its futures are
+    plain ``Future`` objects.
 
     Every read takes one path: the ring's replica list in ring order,
     one attempt at a time, the next replica only after a fault.
@@ -300,11 +300,6 @@ class ShardedFleet:
             self._watch_stop.set()
             watchdog.join()
 
-    def stop(self, drain: bool = True) -> None:
-        self._stop_watchdog()
-        for shard in self.shards:
-            shard.server.stop(drain=drain)
-
     def close(self) -> None:
         self._stop_watchdog()
         for shard in self.shards:
@@ -378,12 +373,6 @@ class ShardedFleet:
         entry = scratch.load(name, path, validate=validate)
         return self.register_model(name, entry.model, entry.problem,
                                    path=entry.path, meta=entry.meta)
-
-    def unregister(self, name: str) -> None:
-        for shard in self.shards:
-            shard.server.registry.unregister(name)
-        with self._lock:
-            self._catalog.pop(name, None)
 
     def names(self) -> tuple[str, ...]:
         with self._lock:
@@ -460,17 +449,6 @@ class ShardedFleet:
         """
         return self.submit(model_name, omega, resolution, priority=priority,
                            deadline_s=deadline_s).result(timeout)
-
-    def predict_many(self, model_name: str, omegas: np.ndarray,
-                     resolution: int | None = None,
-                     timeout: float | None = None, *,
-                     priority: int | None = None,
-                     deadline_s: float | None = None) -> np.ndarray:
-        omegas = np.atleast_2d(np.asarray(omegas, dtype=np.float64))
-        futures = [self.submit(model_name, w, resolution, priority=priority,
-                               deadline_s=deadline_s)
-                   for w in omegas]
-        return np.stack([f.result(timeout) for f in futures])
 
     # ------------------------------------------------------------------ #
     # Hang detection

@@ -70,10 +70,6 @@ class HashRing:
         return repr(key).encode()
 
     # ------------------------------------------------------------------ #
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._nodes))
-
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 
@@ -92,16 +88,6 @@ class HashRing:
                 idx += 1
             self._points.insert(idx, point)
             self._owners.insert(idx, node)
-
-    def remove(self, node: str) -> None:
-        """Remove a node and its points (idempotent)."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        keep = [(p, o) for p, o in zip(self._points, self._owners)
-                if o != node]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
 
     def lookup(self, key, n: int = 1) -> list[str]:
         """The ``min(n, len(self))`` distinct nodes owning ``key``.

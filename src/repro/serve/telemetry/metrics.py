@@ -141,20 +141,6 @@ class MetricsRegistry:
             self._check_name(name, self._views)
             self._views[name] = fn
 
-    def value(self, name: str):
-        """Read one metric by name (view names evaluate their callable)."""
-        with self._lock:
-            if name in self._hists:
-                return self._hists[name].summary()
-            view = self._views.get(name)
-        if view is None:
-            raise KeyError(name)
-        return view()
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._hists) | set(self._views))
-
     def snapshot(self) -> dict:
         """Flat name -> value dict of everything, views evaluated now.
 

@@ -140,12 +140,6 @@ class TestModule:
             _close(bn.running_var, rv, TOL[dtype])
         assert int(bn.num_batches_tracked) == 3
 
-    def test_slope_in_eval_mode_is_a_separate_activation(self):
-        bn = BatchNorm(3).eval()
-        x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 4)))
-        np.testing.assert_array_equal(bn(x, negative_slope=0.2).data,
-                                      leaky_relu(bn(x), 0.2).data)
-
 
 class TestBranchFreeLeakyReLU:
     @settings(max_examples=60, deadline=None)

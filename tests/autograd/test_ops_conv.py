@@ -4,7 +4,7 @@ adjointness of conv / conv-transpose."""
 import numpy as np
 import pytest
 
-from repro.autograd import (Tensor, conv_nd, conv_transpose_nd, max_pool_nd,
+from repro.autograd import (Tensor, conv_nd, conv_transpose_nd,
                             conv_output_shape, conv_transpose_output_shape,
                             tuplify)
 
@@ -175,18 +175,3 @@ def _manual_adjoint(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     out.backward(y)
     return x.grad
 
-
-class TestPooling:
-    def test_maxpool_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = max_pool_nd(Tensor(x), 2).data[0, 0]
-        np.testing.assert_allclose(out, [[5, 7], [13, 15]])
-
-    def test_maxpool_grad(self, rng):
-        x = t64(rng.permutation(32).astype(np.float64).reshape(1, 2, 4, 4))
-        gradcheck(lambda x: max_pool_nd(x, 2), [x])
-
-    def test_indivisible_raises(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 5, 4)).astype(np.float32))
-        with pytest.raises(ValueError):
-            max_pool_nd(x, 2)

@@ -46,23 +46,3 @@ class TestTrainingMode:
         gradcheck(lambda x, g, b: batch_norm(x, g, b), [x, g, b],
                   rtol=1e-3, atol=1e-5)
 
-
-class TestInferenceMode:
-    def test_uses_running_stats(self, rng):
-        x = Tensor(rng.standard_normal((4, 2, 3, 3)), dtype=np.float64)
-        g = Tensor(np.ones(2, dtype=np.float64))
-        b = Tensor(np.zeros(2, dtype=np.float64))
-        mean = np.array([1.0, -1.0])
-        var = np.array([4.0, 9.0])
-        y = batch_norm(x, g, b, running_mean=mean, running_var=var,
-                       training=False).data
-        expected = (x.data - mean.reshape(1, 2, 1, 1)) / np.sqrt(
-            var.reshape(1, 2, 1, 1) + 1e-5)
-        np.testing.assert_allclose(y, expected, rtol=1e-6)
-
-    def test_missing_stats_raises(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 3, 3)))
-        g = Tensor(np.ones(2))
-        b = Tensor(np.zeros(2))
-        with pytest.raises(ValueError):
-            batch_norm(x, g, b, training=False)

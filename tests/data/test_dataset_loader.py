@@ -27,11 +27,6 @@ class TestDataset:
         nu = dataset.nu_at(8)
         np.testing.assert_allclose(np.exp(x), nu, rtol=1e-4)
 
-    def test_identity_transform(self):
-        ds = DiffusivityDataset(LogPermeabilityField(2), 4,
-                                input_transform="identity")
-        np.testing.assert_allclose(ds.inputs_at(8), ds.nu_at(8))
-
     def test_padding_multiple(self, dataset):
         padded = dataset.padded_to_multiple(4)
         assert len(padded) == 12
@@ -49,11 +44,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             DiffusivityDataset(LogPermeabilityField(2), 0,
                                omegas=np.zeros((3, 2)))
-
-    def test_invalid_transform(self):
-        with pytest.raises(ValueError):
-            DiffusivityDataset(LogPermeabilityField(2), 2,
-                               input_transform="sqrt")
 
 
 class TestBatchSampler:

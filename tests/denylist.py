@@ -101,6 +101,8 @@ STOP = ("tests/distributed/test_rank_processes.py::TestParity::"
 EXACT_TILES = "tests/serve/test_tiling.py::TestExactness2D"
 TRANSPOSE = ("tests/backend/test_conv_transpose_plan.py::TestScatterParity::"
              "test_matches_composed_path")
+EVAL_FOLD = ("tests/nn/test_conv_block_fold.py::TestFoldedBlock::"
+             "test_equals_the_numpy_oracle")
 # No behavioural test sees these grow back (a ``/`` rebuilt on ``Mul``
 # applies no new op): the row is its own guard.
 ROW = "tests/test_denylist.py::test_row_is_absent"
@@ -324,6 +326,42 @@ ROWS: list[Row] = [
     # (an array's view, or the log-nu evaluator on the block's box).
     Row("def", "extract_padded_block", "", 52,
         "tests/serve/test_tiling.py::TestPaddedBlock"),
+    # One down-sampling, the stride-2 conv: MaxPool only served an
+    # ablation no figure is made from.
+    *_rows("def", ("MaxPoolNd", "max_pool_nd", "MaxPool"), "", 54,
+           TILING_PARITY),
+    Row("import", "pooling", "", 54, TILING_PARITY),
+    *_rows("field", ("UNet.downsample", "MGDiffNet.downsample"), "", 54,
+           TILING_PARITY),
+    # The network reads log nu; there is no input-transform switch.
+    *_rows("field", ("DiffusivityDataset.input_transform",
+                     "make_dataset.input_transform"), "", 54,
+           "tests/data/test_dataset_loader.py::TestDataset::"
+           "test_log_transform_default"),
+    # Evaluation mode is ConvBlock's fold, tape on or off: no
+    # running-statistics op, and batch_norm is the training op.
+    Row("def", "BatchNormInference", "", 54, EVAL_FOLD),
+    *_rows("field", ("batch_norm.running_mean", "batch_norm.running_var",
+                     "batch_norm.training"), "", 54, EVAL_FOLD),
+    # Serving methods nothing called.
+    Row("def", "ShardedFleet.predict_many", "", 54,
+        "tests/serve/test_fleet.py::TestRoutedServing::"
+        "test_predict_matches_single_server"),
+    Row("def", "ShardedFleet.unregister", "", 54,
+        "tests/serve/test_fleet.py::TestRegistryFanOut::"
+        "test_reregister_updates_catalog_version"),
+    Row("def", "ShardedFleet.stop", "", 54,
+        "tests/serve/test_fleet_faults.py::TestHangWatchdog::"
+        "test_one_watchdog_per_started_fleet_stopped_with_it"),
+    *_rows("def", ("HashRing.remove", "HashRing.nodes"), "", 54,
+           "tests/properties/test_hash_ring.py::TestMinimalDisruption::"
+           "test_remove_moves_only_orphaned_keys"),
+    Row("def", "LRUCache.clear", "", 54, ROW),
+    *_rows("def", ("MetricsRegistry.names", "MetricsRegistry.value"), "", 54,
+           TELEMETRY_LAW),
+    *_rows("def", ("Executor.workers", "Executor.imap_unordered"), "", 54,
+           "tests/serve/test_executor.py::TestTiledParity::"
+           "test_serial_executor_is_neutral"),
     # The checkpoint format is read in core/checkpoint.py alone.
     Row("text", "meta::", "serve/", 49,
         "tests/serve/test_registry.py::TestErrors::"

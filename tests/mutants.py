@@ -403,6 +403,13 @@ MUTANTS: list[Mutant] = [
            "        if world < 1 and dataset.backward():\n",
            (f"{DENY}[ident:*.backward@core/ distributed/ perf/ "
             "!core/trainer.py]",)),
+    # -- evaluation mode is one fold --------------------------------------- #
+    Mutant("the eval-mode fold ignores the running mean",
+           "src/repro/nn/unet.py",
+           "shift = bn.beta.data - bn.running_mean * scale",
+           "shift = bn.beta.data - 0 * scale",
+           ("tests/nn/test_conv_block_fold.py::TestFoldedBlock::"
+            "test_equals_the_numpy_oracle",)),
     # -- tile-sized inference memory -------------------------------------- #
     Mutant("the box evaluator is one cell off", "src/repro/data/diffusivity.py",
            "xs, *rest = [self._modes(grid)[:, a:b] for a, b in box]",

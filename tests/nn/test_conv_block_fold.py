@@ -1,8 +1,8 @@
-"""An evaluation-mode BatchNorm ``ConvBlock`` under ``no_grad`` is one
-engine call — BatchNorm folded into the weights and bias, bias and
-LeakyReLU applied by the engine — a training-mode BatchNorm block is the
-conv plus one BatchNorm op with LeakyReLU fused in, and every other block
-is the op-by-op chain it always was.
+"""An evaluation-mode BatchNorm ``ConvBlock`` is one engine call —
+BatchNorm folded into the weights and bias, bias and LeakyReLU applied by
+the engine — with the tape on or off; a training-mode BatchNorm block is
+the conv plus one BatchNorm op with LeakyReLU fused in, and a block
+without a norm is the op-by-op chain it always was.
 """
 
 from __future__ import annotations
@@ -41,10 +41,24 @@ def _input(ndim, dtype) -> Tensor:
 
 
 def _op_by_op(block: ConvBlock, x: Tensor) -> Tensor:
+    """The training or norm-free block as separate ops."""
     y = block.conv(x)
     if block.bn is not None:
         y = block.bn(y)
     return block.act(y)
+
+
+def _eval_oracle(block: ConvBlock, x: Tensor) -> np.ndarray:
+    """Evaluation-mode BatchNorm + LeakyReLU on the conv's output, in
+    plain NumPy: ``y * s + t`` with the running statistics, then
+    ``where(z > 0, z, slope * z)``."""
+    bn, slope = block.bn, block.act.negative_slope
+    y = block.conv(x).data
+    s = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    t = bn.beta.data - bn.running_mean * s
+    shape = (1, -1) + (1,) * (y.ndim - 2)
+    z = y * s.reshape(shape) + t.reshape(shape)
+    return np.where(z > 0, z, slope * z)
 
 
 def _fused_oracle(block: ConvBlock, y: np.ndarray) -> np.ndarray:
@@ -73,23 +87,31 @@ class TestFoldedBlock:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5),
                                            (np.float64, 1e-12)])
-    def test_equals_the_op_by_op_block(self, ndim, bias, dtype, tol):
+    def test_equals_the_numpy_oracle(self, ndim, bias, dtype, tol):
         block = _block(ndim, dtype, bias=bias).eval()
         x = _input(ndim, dtype)
-        ref = _op_by_op(block, x).data          # the tape is on: op by op
+        ref = _eval_oracle(block, x)
+        taped = block(x).data                   # the tape is on
         with no_grad():
             got = block(x).data
-        assert got.dtype == dtype and got.shape == ref.shape
-        assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
+        for out in (taped, got):
+            assert out.dtype == dtype and out.shape == ref.shape
+            assert np.abs(out - ref).max() <= tol * max(1.0, np.abs(ref).max())
 
-    def test_is_one_conv_call(self):
-        block = _block(3, np.float32).eval()
-        x = _input(3, np.float32)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_the_tape_on_block_is_the_no_grad_block(self, ndim):
+        """One fold: with the tape on the block is the same one engine
+        call, bit for bit, and an input that requires grad still runs."""
+        block = _block(ndim, np.float32).eval()
+        x = _input(ndim, np.float32)
         with no_grad():
+            ref = block(x).data
             assert _applies(lambda: block(x)) == {"ConvNd": 1}
-        # With the tape on the same block records three ops.
-        assert _applies(lambda: block(x)) == {
-            "ConvNd": 1, "BatchNormInference": 1, "LeakyReLU": 1}
+        assert _applies(lambda: block(x)) == {"ConvNd": 1}
+        x.requires_grad = True
+        out = block(x)
+        assert not out.requires_grad
+        np.testing.assert_array_equal(out.data, ref)
 
     def test_the_fold_follows_the_parameters(self):
         """Folded per call: new statistics or weights are picked up."""
@@ -100,7 +122,7 @@ class TestFoldedBlock:
             block.bn.update_buffer("running_mean", block.bn.running_mean + 1.0)
             block.conv.weight.data = block.conv.weight.data * 0.5
             after = block(x).data
-        np.testing.assert_allclose(after, _op_by_op(block, x).data,
+        np.testing.assert_allclose(after, _eval_oracle(block, x),
                                    rtol=1e-12, atol=1e-12)
         assert np.abs(after - before).max() > 1e-3
 
@@ -151,18 +173,21 @@ class TestWholeNetwork:
             (1, 1) + (resolution,) * ndim).astype(np.float32))
         with no_grad():
             names = _applies(lambda: model.net(x))
-        assert "LeakyReLU" not in names and "BatchNormInference" not in names
+        assert "LeakyReLU" not in names and "BatchNorm" not in names
         # 5 ConvBlocks + 2 stride-2 down convs + the 1x1 head.
         assert names["ConvNd"] == 8 and names["ConvTransposeNd"] == 2
 
-    def test_eval_forward_matches_the_taped_forward(self):
-        model = MGDiffNet(ndim=3, base_filters=4, depth=2, rng=2).eval()
+    @pytest.mark.parametrize("ndim,resolution", [(2, 16), (3, 8)])
+    def test_eval_forward_with_the_tape_on_equals_no_grad(self, ndim,
+                                                          resolution):
+        model = MGDiffNet(ndim=ndim, base_filters=4, depth=2, rng=2).eval()
         x = Tensor(np.random.default_rng(0).standard_normal(
-            (1, 1, 16, 16, 16)).astype(np.float32))
-        ref = model.net(x).data
+            (1, 1) + (resolution,) * ndim).astype(np.float32),
+            requires_grad=True)
+        taped = model.net(x).data
         with no_grad():
             got = model.net(x).data
-        assert np.abs(got - ref).max() <= 1e-5
+        np.testing.assert_array_equal(taped, got)
 
     def test_lazy_equals_eager(self):
         model = MGDiffNet(ndim=2, base_filters=4, depth=2, rng=5).eval()

@@ -1,11 +1,10 @@
-"""Layer behaviour: conv wrappers, batchnorm module, activations, pooling."""
+"""Layer behaviour: conv wrappers, batchnorm module, activations."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import (ConvNd, ConvTransposeNd, BatchNorm, LeakyReLU, Sigmoid,
-                      MaxPool, init)
+from repro.nn import ConvNd, ConvTransposeNd, BatchNorm, LeakyReLU, Sigmoid, init
 
 
 @pytest.fixture
@@ -63,18 +62,17 @@ class TestBatchNormModule:
         assert not np.allclose(bn.running_mean, 0.0)
         assert int(bn.num_batches_tracked) == 1
 
-    def test_eval_mode_uses_running_stats(self, rng):
+    def test_eval_mode_raises(self, rng):
+        """Evaluation mode is ConvBlock's fold: the module neither
+        normalizes with batch statistics nor moves its running ones."""
         bn = BatchNorm(2)
-        x = Tensor(rng.standard_normal((16, 2, 5, 5)).astype(np.float32))
-        # At momentum 0.1, 200 updates on one batch leave 0.9**200 < 1e-9
-        # of the initial estimate: the running stats are the batch stats
-        # (up to the biased/unbiased variance correction), so the
-        # outputs nearly agree.
-        for _ in range(200):
-            y_train = bn(x).data
+        bn(Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)))
+        state = {k: v.copy() for k, v in bn.state_dict().items()}
         bn.eval()
-        y_eval = bn(x).data
-        np.testing.assert_allclose(y_train, y_eval, atol=1e-2)
+        with pytest.raises(RuntimeError, match="fold"):
+            bn(Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)))
+        for k, v in bn.state_dict().items():
+            np.testing.assert_array_equal(v, state[k])
 
     def test_channel_mismatch_raises(self, rng):
         bn = BatchNorm(3)
@@ -82,7 +80,7 @@ class TestBatchNormModule:
             bn(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
 
 
-class TestActivationsPooling:
+class TestActivations:
     def test_leaky_relu_layer(self):
         act = LeakyReLU(0.2)
         x = Tensor(np.array([-1.0, 1.0]))
@@ -92,10 +90,6 @@ class TestActivationsPooling:
         act = Sigmoid()
         y = act(Tensor(rng.standard_normal(100).astype(np.float32))).data
         assert np.all((y > 0) & (y < 1))
-
-    def test_maxpool_layer(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 4, 4)).astype(np.float32))
-        assert MaxPool(2)(x).shape == (1, 1, 2, 2)
 
 
 class TestInit:

@@ -137,7 +137,7 @@ class TestContainers:
         ml = ModuleList([LeakyReLU(), LeakyReLU()])
         ml[1] = Sigmoid()
         assert isinstance(ml[1], Sigmoid)
-        assert len(list(iter(ml))) == 2
+        assert len(list(iter(ml))) == len(ml) == 2
 
     def test_modulelist_forward_raises(self):
         ml = ModuleList([])

@@ -48,8 +48,6 @@ class TestShapes:
             UNet(ndim=4, rng=0)
         with pytest.raises(ValueError):
             UNet(ndim=2, depth=0, rng=0)
-        with pytest.raises(ValueError):
-            UNet(ndim=2, downsample="bilinear", rng=0)
 
 
 class TestBehaviour:
@@ -57,10 +55,6 @@ class TestBehaviour:
         net = UNet(ndim=2, base_filters=4, depth=1, rng=0)
         y = net(_x(rng, (2, 1, 8, 8))).data
         assert np.all((y >= 0) & (y <= 1))
-
-    def test_maxpool_downsample_variant(self, rng):
-        net = UNet(ndim=2, base_filters=4, depth=2, downsample="maxpool", rng=0)
-        assert net(_x(rng, (1, 1, 16, 16))).shape == (1, 1, 16, 16)
 
     def test_no_batchnorm_variant(self, rng):
         net = UNet(ndim=2, base_filters=4, depth=2, use_batchnorm=False, rng=0)

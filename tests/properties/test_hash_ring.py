@@ -8,7 +8,8 @@ The fleet's routing correctness rests on four properties of
   v=128; gated loosely at 1.8 / 0.4 so the test pins the mechanism,
   not the noise);
 * **minimal disruption** — adding a shard moves only keys *onto* the
-  new shard (~K/(N+1) of them); removing one moves only the keys it
+  new shard (~K/(N+1) of them); a ring rebuilt without one (what
+  ``ShardedFleet.decommission_shard`` builds) moves only the keys it
   owned.  No third shard's assignment ever changes;
 * **replica distinctness** — ``lookup(key, n)`` never places two
   replicas on one shard and returns exactly ``min(n, len(nodes))``;
@@ -89,13 +90,13 @@ class TestBalance:
     @given(trial=st.integers(0, 10_000), n_nodes=st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
     def test_primary_load_bounded(self, trial, n_nodes):
-        ring = HashRing(_nodes(trial, n_nodes), vnodes=VNODES)
+        nodes = _nodes(trial, n_nodes)
+        ring = HashRing(nodes, vnodes=VNODES)
         keys = _keys(trial, 250 * n_nodes)
         loads = Counter(ring.lookup(key)[0] for key in keys)
         mean = len(keys) / n_nodes
         assert max(loads.values()) <= 1.8 * mean
-        assert min(loads.get(node, 0)
-                   for node in ring.nodes) >= 0.4 * mean
+        assert min(loads.get(node, 0) for node in nodes) >= 0.4 * mean
 
 
 class TestMinimalDisruption:
@@ -126,20 +127,12 @@ class TestMinimalDisruption:
         keys = _keys(trial, 200 * n_nodes)
         before = {key: ring.lookup(key)[0] for key in keys}
         victim = nodes[trial % n_nodes]
-        ring.remove(victim)
+        ring = HashRing([n for n in nodes if n != victim], vnodes=VNODES)
         for key in keys:
             if before[key] != victim:
                 assert ring.lookup(key)[0] == before[key]
             else:
                 assert ring.lookup(key)[0] != victim
-
-    def test_add_remove_round_trips(self):
-        ring = HashRing(_nodes(7, 4), vnodes=VNODES)
-        keys = _keys(7, 400)
-        before = [ring.lookup(key, n=2) for key in keys]
-        ring.add("transient")
-        ring.remove("transient")
-        assert [ring.lookup(key, n=2) for key in keys] == before
 
 
 _SUBPROCESS_SNIPPET = """

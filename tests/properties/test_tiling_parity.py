@@ -2,7 +2,7 @@
 single forward, over the architectures and grids it has to serve.
 
 For any U-Net the repo can build — 2-D/3-D, depth 1-3, 2-4 base filters,
-0-2 architectural adaptations, conv or max-pool down-sampling — on ragged
+0-2 architectural adaptations, stride-2 conv down-sampling — on ragged
 grids (the last tile may be shorter than the halo), any aligned tile
 size and batch 1-3:
 
@@ -47,7 +47,6 @@ def cases(draw):
         tile=unit * draw(st.integers(1, cells)),
         base_filters=draw(st.integers(2, 4)),
         adaptations=draw(st.integers(0, 2)),
-        downsample=draw(st.sampled_from(["conv", "maxpool"])),
         extra_halo=draw(st.sampled_from([0, 0, 2, 6])),
         batch=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 10 ** 6)))
@@ -56,8 +55,7 @@ def cases(draw):
 def _build(case):
     rng = np.random.default_rng(case["seed"])
     model = MGDiffNet(ndim=case["ndim"], base_filters=case["base_filters"],
-                      depth=case["depth"], downsample=case["downsample"],
-                      rng=case["seed"])
+                      depth=case["depth"], rng=case["seed"])
     for _ in range(case["adaptations"]):
         model.adapt(rng=int(rng.integers(1 << 30)))
     # One training-mode forward so eval-mode BatchNorm is not the identity.

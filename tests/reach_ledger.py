@@ -14,11 +14,17 @@ A row is ``Row(module, qualname, kind, carrier)``.  ``kind`` is one of
 * ``example``: only an example the probe does not run; its path;
 * ``oracle``: only a test's reference implementation calls it; the test;
 * ``api``: one method of a protocol the system implements whole (a
-  context manager's ``__exit__``, a scalar on the left of ``*``) that no
-  surface happens to call; the test that pins it;
+  context manager's ``__exit__``, a scalar on the left of ``*``, a
+  container's ``__len__``) that no surface happens to call; the test
+  that pins it, or that uses it as a fixture;
+* ``paper``: only a ``benchmarks/bench_*.py`` script that reproduces a
+  paper figure, table or ablation runs it; the script's path.  The
+  script must name the row's public entry: ``entry`` when the row gives
+  one (the call through which the script reaches a helper, e.g.
+  ``adapt=``), else the qualname's last name that is not a dunder;
 * ``reserved``: the open ROADMAP item that calls it (``ROADMAP 3``);
   ``ROADMAP 1(d)`` is the re-based benchmark suite that takes over
-  ``benchmarks/``, whose scripts are the only callers today, and
+  ``benchmarks/``, whose CI smoke gates are the only callers today, and
   ``ROADMAP 2`` deletes the lazy backend and the dispatch layer whole.
 
 The table only shrinks: a def that goes unreached without a row fails
@@ -29,7 +35,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-KINDS = ("error", "child", "traced", "example", "oracle", "api", "reserved")
+KINDS = ("error", "child", "traced", "example", "oracle", "api", "paper",
+         "reserved")
 
 
 class Row(NamedTuple):
@@ -37,10 +44,11 @@ class Row(NamedTuple):
     qualname: str
     kind: str
     carrier: str
+    entry: str | None = None
 
 
-def _rows(module, qualnames, kind, carrier):
-    return [Row(module, q, kind, carrier) for q in qualnames.split()]
+def _rows(module, qualnames, kind, carrier, entry=None):
+    return [Row(module, q, kind, carrier, entry) for q in qualnames.split()]
 
 
 # Carriers named by more than one row.
@@ -59,6 +67,9 @@ DECOMMISSION = "tests/serve/test_fleet.py::TestDecommissionProperties"
 TRACER = "tests/serve/test_telemetry.py::TestTracer"
 MATRIX_ENERGY = ("tests/fem/test_energy.py::TestExactness::"
                  "test_value_equals_matrix_energy")
+TABLE2 = "benchmarks/bench_table2_adaptation.py"
+BC_ABLATION = "benchmarks/bench_ablation_bc_imposition.py"
+SEC43 = "benchmarks/bench_sec43_inference_vs_fem.py"
 BENCHMARKS = "ROADMAP 1(d)"
 LAZY = "ROADMAP 2"
 CERTIFY = "ROADMAP 3"
@@ -156,52 +167,58 @@ ROWS: list[Row] = [
     Row("repro.backend.pool", "BufferPool.clear", "api",
         "tests/backend/test_backend.py::TestBufferPool::"
         "test_clear_drops_buffers"),
-    Row("repro.nn.container", "ModuleList.__setitem__", "api",
-        "tests/nn/test_module.py::TestContainers::test_modulelist_set_get"),
+    *_rows("repro.nn.container", "ModuleList.__len__ ModuleList.__setitem__",
+           "api", "tests/nn/test_module.py::TestContainers::"
+           "test_modulelist_set_get"),
     Row("repro.distributed.data_parallel", "DataParallelTrainer.adapt",
         "api", "tests/core/test_trainers.py::TestMultigridTrainer::"
         "test_adaptation_keeps_replicas_synchronized"),
-    *_rows("repro.serve.cache", "LRUCache.__contains__ LRUCache.__len__ "
-           "LRUCache.clear", "api", "tests/serve/test_cache.py::TestLRU"),
-    Row("repro.serve.executor", "Executor.imap_unordered", "api",
-        "tests/serve/test_tiling.py::TestNetBlobReuse"),
-    Row("repro.serve.executor", "Executor.workers", "api",
-        "tests/serve/test_executor.py::TestConstruction::test_worker_counts"),
-    Row("repro.serve.fleet", "ShardedFleet.predict_many", "api",
-        "tests/serve/test_fleet.py::TestRoutedServing::"
-        "test_predict_many_gathers"),
-    Row("repro.serve.fleet", "ShardedFleet.stop", "api",
-        "tests/serve/test_fleet_faults.py::TestHangWatchdog"),
-    Row("repro.serve.fleet", "ShardedFleet.unregister", "api",
-        "tests/serve/test_fleet.py::TestRegistryFanOut"),
+    *_rows("repro.serve.cache", "LRUCache.__contains__ LRUCache.__len__",
+           "api", "tests/serve/test_cache.py::TestLRU"),
     *_rows("repro.serve.registry", "ModelRegistry.__contains__ "
            "ModelRegistry.__len__ ModelRegistry.unregister", "api",
            "tests/serve/test_registry.py::TestRoundtrip"),
     Row("repro.serve.hashring", "HashRing.__contains__", "api",
         "tests/properties/test_hash_ring.py::TestLookupContract"),
-    Row("repro.serve.hashring", "HashRing.nodes", "api",
-        "tests/properties/test_hash_ring.py::TestBalance"),
-    Row("repro.serve.hashring", "HashRing.remove", "api",
-        "tests/properties/test_hash_ring.py::TestMinimalDisruption"),
-    *_rows("repro.serve.telemetry.metrics", "MetricsRegistry.names "
-           "MetricsRegistry.value", "api",
-           "tests/serve/test_telemetry.py::TestConservationCrossCheck"),
     *_rows("repro.serve.telemetry.trace", "Span.__enter__ Span.__exit__ "
            "NullSpan.__enter__ NullSpan.__exit__ NullTracer.spans", "api",
            TRACER),
+    # -- the paper's figures, tables and ablations ------------------------ #
+    # Table 2: architectural adaptation (``MultigridTrainer(adapt=True)``).
+    Row("repro.core.trainer", "Trainer.adapt", "paper", TABLE2),
+    Row("repro.core.mgdiffnet", "MGDiffNet.adapt", "paper", TABLE2),
+    *_rows("repro.nn.unet", "UNet.adapt_decoder RefinementBlock.__init__ "
+           "RefinementBlock.forward", "paper", TABLE2, "adapt="),
+    Row("repro.optim.optimizer", "Optimizer.sync_params", "paper", TABLE2,
+        "adapt="),
+    Row("repro.nn.unet", "UNet.num_adaptations", "paper", TABLE2),
+    # The BC-imposition ablation: the penalty loss exact masking replaces.
+    *_rows("repro.core.penalty", "BoundaryPenaltyLoss.__init__ "
+           "BoundaryPenaltyLoss.__call__ "
+           "BoundaryPenaltyLoss.boundary_violation", "paper", BC_ABLATION),
+    *_rows("repro.autograd.ops_basic", "Sub.forward Sub.backward sub",
+           "paper", BC_ABLATION, "BoundaryPenaltyLoss"),
+    *_rows("repro.autograd.ops_reduce", "Sum.forward Sum.backward sum_",
+           "paper", BC_ABLATION, "BoundaryPenaltyLoss"),
+    *_rows("repro.autograd.tensor", "Tensor.__sub__ Tensor.sum", "paper",
+           BC_ABLATION, "BoundaryPenaltyLoss"),
+    *_rows("repro.core.inference", "InferenceTiming.speedup "
+           "time_inference_vs_fem", "paper", SEC43),
+    Row("repro.core.inference", "_timed", "paper", SEC43,
+        "time_inference_vs_fem"),
+    Row("repro.core.mg_trainer", "MGResult.loss_history", "paper",
+        "benchmarks/bench_fig8_loss_curves.py"),
+    Row("repro.core.mg_trainer", "MGResult.time_fraction_per_level", "paper",
+        "benchmarks/bench_fig7_level_time.py"),
+    Row("repro.core.mg_trainer", "MultigridTrainer.train_baseline", "paper",
+        "benchmarks/bench_table1_strategies.py"),
+    Row("repro.core.presets", "paper_unet", "paper",
+        "benchmarks/bench_fig9_gpu_scaling.py"),
+    Row("repro.perf.measure", "measure_epoch_time", "paper",
+        "benchmarks/bench_fig2_epoch_time.py"),
+    Row("repro.perf.model", "compute_time_at_resolution", "paper",
+        "benchmarks/bench_fig9_gpu_scaling.py"),
     # -- reserved: the benchmark suite's port (item 1(d)) ----------------- #
-    *_rows("repro.core.inference", "InferenceTiming.speedup _timed "
-           "time_inference_vs_fem", "reserved", BENCHMARKS),
-    *_rows("repro.core.mg_trainer", "MGResult.loss_history "
-           "MGResult.time_fraction_per_level MultigridTrainer.train_baseline",
-           "reserved", BENCHMARKS),
-    Row("repro.core.penalty", "BoundaryPenaltyLoss.boundary_violation",
-        "reserved", BENCHMARKS),
-    Row("repro.core.presets", "paper_unet", "reserved", BENCHMARKS),
-    Row("repro.nn.unet", "UNet.num_adaptations", "reserved", BENCHMARKS),
-    Row("repro.perf.measure", "measure_epoch_time", "reserved", BENCHMARKS),
-    Row("repro.perf.model", "compute_time_at_resolution", "reserved",
-        BENCHMARKS),
     Row("repro.utils.viz", "write_csv", "reserved", BENCHMARKS),
     *_rows("repro.fem.krylov", "gmg_preconditioner "
            "gmg_preconditioner.<locals>.apply", "reserved", BENCHMARKS),

@@ -100,12 +100,6 @@ class TestLRU:
         src[:] = -1.0
         np.testing.assert_array_equal(cache.get(("k",)), _field(1.0))
 
-    def test_clear(self):
-        cache = LRUCache(max_bytes=1 << 20)
-        cache.put(("k",), _field(1.0))
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.bytes_cached == 0
-
 
 class TestConcurrentMemoryTier:
     """The memory tier is the whole cache: its one lock keeps the byte

@@ -80,17 +80,6 @@ class TestRegistryFanOut:
             f.register_model("m", model, problem)
         assert a.replicas_for("m") == b.replicas_for("m")
 
-    def test_unregister_fans_out_everywhere(self, served):
-        model, problem = served
-        fleet = _fleet()
-        fleet.register_model("m", model, problem)
-        fleet.unregister("m")
-        assert fleet.names() == ()
-        assert all("m" not in s.server.registry.names()
-                   for s in fleet.shards)
-        with pytest.raises(RegistryError):
-            fleet.get("m")
-
     def test_unknown_model_raises_keyed_registry_error(self, served):
         fleet = _fleet()
         with pytest.raises(RegistryError, match="fleet"):
@@ -132,16 +121,6 @@ class TestRoutedServing:
                             for w in omegas])
         ref = predict_batch(model, problem, omegas)
         np.testing.assert_allclose(got, ref, atol=1e-5)
-
-    def test_predict_many_gathers(self, served):
-        model, problem = served
-        fleet = _fleet()
-        fleet.register_model("m", model, problem)
-        omegas = RNG.uniform(-3, 3, (5, 4))
-        with fleet:
-            got = fleet.predict_many("m", omegas, timeout=30)
-        np.testing.assert_allclose(got, predict_batch(model, problem, omegas),
-                                   atol=1e-5)
 
     def test_sync_frontend_without_start(self, served):
         model, problem = served

@@ -333,7 +333,7 @@ class TestHangWatchdog:
             assert _watchdogs() == before
 
     def test_one_watchdog_per_started_fleet_stopped_with_it(self, served):
-        """Starting twice runs one watchdog; ``stop`` wakes it from its
+        """Starting twice runs one watchdog; ``close`` wakes it from its
         wait (far shorter than the budget) and joins it; a restart runs
         a fresh one, which ``close`` joins too."""
         fleet = _fleet(shard_timeout_s=100.0)
@@ -343,7 +343,7 @@ class TestHangWatchdog:
         first = _watchdogs() - before
         assert len(first) == 1
         t0 = time.monotonic()
-        fleet.stop()
+        fleet.close()
         assert time.monotonic() - t0 < 50.0
         assert not any(t.is_alive() for t in first)
         fleet.start()

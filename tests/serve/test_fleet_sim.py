@@ -369,9 +369,9 @@ class FleetSim(RuleBasedStateMachine):
         stats = self.fleet.stats
         assert stats.submitted == sum(
             getattr(stats, t) for t in CONSERVED) + len(self.live)
-        reg = self.telemetry.metrics
+        snap = self.telemetry.metrics.snapshot()
         for name in ("submitted",) + CONSERVED:
-            view = reg.value(f"stats.fleet.{name}")
+            view = snap[f"stats.fleet.{name}"]
             assert view == getattr(stats, name), name
 
     @invariant()

@@ -100,13 +100,13 @@ class TestSampling:
 def _assert_reconciled(fleet, telemetry):
     """The registry's views satisfy the law and agree term by term with
     ``fleet.stats``."""
-    reg = telemetry.metrics
+    snap = telemetry.metrics.snapshot()
     stats = fleet.stats
     assert stats.lost == 0
-    submitted = reg.value("stats.fleet.submitted")
-    assert submitted == sum(reg.value(f"stats.fleet.{k}") for k in CONSERVED)
+    submitted = snap["stats.fleet.submitted"]
+    assert submitted == sum(snap[f"stats.fleet.{k}"] for k in CONSERVED)
     for name in ("submitted",) + CONSERVED:
-        view = reg.value(f"stats.fleet.{name}")
+        view = snap[f"stats.fleet.{name}"]
         assert view == getattr(stats, name), (
             f"{name}: view={view} stats={getattr(stats, name)}")
 
@@ -118,7 +118,7 @@ class TestConservationCrossCheck:
         exactly when it is an outcome term; the machinery counts
         (failovers, hangs, probes, ...) never close the law."""
         fleet, telemetry = _inline_run(served, 4, kill_primary=True)
-        names = telemetry.metrics.names()
+        names = telemetry.metrics.snapshot()
         assert not [n for n in names if n.startswith("fleet.")]
         terms = set(fleet._c)
         assert {f"stats.fleet.{t}" for t in terms} <= set(names)
@@ -174,7 +174,7 @@ class TestConservationCrossCheck:
         """The fleet has no resilience seam, so telemetry names no
         retry, hedge or breaker counters."""
         _, telemetry = _inline_run(served, 3, kill_primary=True)
-        assert not [n for n in telemetry.metrics.names()
+        assert not [n for n in telemetry.metrics.snapshot()
                     if n.startswith(("stats.retry.", "stats.hedge.",
                                      "stats.breaker.", "fleet.retr"))]
 
@@ -188,17 +188,20 @@ class TestConservationCrossCheck:
         fleet.register_model("m", model, problem)
         telemetry = Telemetry()
         fleet.enable_telemetry(telemetry)
-        reg = telemetry.metrics
-        assert reg.value("stats.fleet.healthy_shards") == 3
+
+        def view(name):
+            return telemetry.metrics.snapshot()[f"stats.fleet.{name}"]
+
+        assert view("healthy_shards") == 3
         victim = fleet.shards[0]
         fleet._eject(victim, RuntimeError("flap"))
-        assert reg.value("stats.fleet.healthy_shards") == 2
-        assert reg.value("stats.fleet.shard_faults") == 1
+        assert view("healthy_shards") == 2
+        assert view("shard_faults") == 1
         with fleet:
             assert fleet.check_health() == [victim.id]
-        assert reg.value("stats.fleet.healthy_shards") == 3
-        assert reg.value("stats.fleet.probes") == 1
-        assert reg.value("stats.fleet.readmissions") == 1
+        assert view("healthy_shards") == 3
+        assert view("probes") == 1
+        assert view("readmissions") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -230,7 +233,7 @@ class TestMetricsInstruments:
         reg = MetricsRegistry()
         reg.register_view("v", lambda: 1)
         reg.register_view("v", lambda: 2)          # idempotent re-enable
-        assert reg.value("v") == 2
+        assert reg.snapshot() == {"v": 2}
 
     def test_name_kind_collision_is_loud(self):
         reg = MetricsRegistry()
@@ -240,8 +243,6 @@ class TestMetricsInstruments:
         reg.register_view("y", lambda: 0)
         with pytest.raises(ValueError, match="different kind"):
             reg.histogram("y")
-        with pytest.raises(KeyError):
-            reg.value("missing")
 
     def test_snapshot_flattens_histograms(self):
         reg = MetricsRegistry()
@@ -252,7 +253,7 @@ class TestMetricsInstruments:
         assert snap["h.count"] == 1 and snap["h.mean"] == 10.0
         parsed = json.loads(reg.to_json())
         assert parsed["v"] == 7
-        assert reg.names() == ["h", "v"]
+        assert sorted(snap) == ["h.count", "h.mean", "h.p50", "h.p99", "v"]
 
 
 # --------------------------------------------------------------------- #

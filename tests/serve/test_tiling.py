@@ -482,16 +482,18 @@ def test_a_warm_tiled_field_parks_one_arena_per_thread_and_nothing_else(
 
 
 class _InlineProcessExecutor(Executor):
-    """Executor that *claims* to be a process pool but runs inline (the
-    base class's serial ``imap_unordered``) — the tiled path takes its
-    pickled-blob branch deterministically, with no real multiprocessing
-    underneath."""
+    """Executor that *claims* to be a process pool but runs inline — the
+    tiled path takes its pickled-blob branch deterministically, with no
+    real multiprocessing underneath."""
 
     kind = "process"
     workers = 2
 
     def map(self, fn, items):
         return [fn(item) for item in items]
+
+    def imap_unordered(self, fn, items):
+        return enumerate(self.map(fn, items))
 
     def warm(self):
         pass

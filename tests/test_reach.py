@@ -10,13 +10,19 @@ reports the code objects it entered:
   (against FEM with ``--output``; tiled, ``--stream``, a thread
   executor), ``serve`` (one server; a sharded fleet with metrics and
   trace files) and ``trace summarize``;
-* multigrid training under all four cycle strategies, a data-parallel
-  epoch, MaxPool training with adaptation, tiled prediction, an
-  evaluation-mode forward with the tape on and the boundary-penalty loss;
+* multigrid training under all four cycle strategies (the CLI's
+  ``--strategy`` choices), a data-parallel epoch and tiled prediction;
 * the lazy backend (``REPRO_BACKEND=lazy``): a GMG solve and an epoch;
 * each bench workload's ``setup``, a short ``measure`` and ``check``;
 * ``examples/serving.py``, ``examples/serving_fleet.py`` and the
   README's Training section.
+
+Nothing else is called by hand: a surface is what a user or the
+benchmark runs.  What only a ``benchmarks/`` script reproducing a paper
+figure, table or ablation reaches (adaptation for Table 2, the penalty
+loss for the BC-imposition ablation) is a ``paper`` row of the ledger,
+and ``test_every_paper_carrier_imports`` collects those scripts so a
+deletion cannot strand their imports.
 
 Ranks stay in the probe's process (``default_workers`` is patched to
 1): a forked rank's calls would not come back.  The distributed example
@@ -149,9 +155,7 @@ def _training() -> None:
     import numpy as np
 
     from repro import (MGDiffNet, MGTrainConfig, MultigridTrainer,
-                       PoissonProblem2D, Trainer, TrainConfig)
-    from repro.autograd import Tensor
-    from repro.core.penalty import BoundaryPenaltyLoss
+                       PoissonProblem2D)
     from repro.distributed import DataParallelTrainer, DPConfig
     from repro.serve import tiled_predict
 
@@ -169,21 +173,8 @@ def _training() -> None:
     DataParallelTrainer(lambda: model(use_batchnorm=False), problem, dataset,
                         DPConfig(world_size=2, batch_size=2)
                         ).train_epochs(8, 1)
-    pooled = Trainer(model(downsample="maxpool"), problem, dataset,
-                     TrainConfig(batch_size=2))
-    pooled.adapt(4)
-    pooled.train_epochs(8, 1)
-
-    rng = np.random.default_rng(0)
-    net = model()
-    tiled_predict(net, problem, rng.uniform(-1, 1, 4), tile=8)
-    x = Tensor(rng.standard_normal((2, 1, 8, 8)).astype(np.float32))
-    net.eval()(x, *problem.masks(8))                # the tape stays on
-    net.train()
-    u = net(x, *problem.masks(8))
-    nu = np.ones((2, 1, 8, 8), dtype=np.float32)
-    BoundaryPenaltyLoss(problem.energy(8), problem.bc(8), 1.0)(
-        u, nu).backward()
+    tiled_predict(model(), problem,
+                  np.random.default_rng(0).uniform(-1, 1, 4), tile=8)
 
 
 def _lazy() -> None:
@@ -377,12 +368,24 @@ def _open_items() -> set[str]:
 @pytest.mark.parametrize("row", ROWS, ids=lambda r: f"{r.module}:{r.qualname}")
 def test_every_row_names_its_carrier(row: Row) -> None:
     assert row.kind in KINDS, row
+    assert row.entry is None or row.kind == "paper", row
     if row.kind == "reserved":
         item = re.fullmatch(r"ROADMAP (\d+)(\([a-z]\))?", row.carrier)
         assert item and item.group(1) in _open_items(), row
         return
     path, *names = row.carrier.split("::")
     assert (ROOT / path).is_file(), row
+    if row.kind == "paper":
+        assert re.fullmatch(r"benchmarks/bench_\w+\.py", path), row
+        assert not names, row
+        source = (ROOT / path).read_text()
+        if row.entry is not None:
+            assert row.entry in source, row
+        else:
+            name = [n for n in row.qualname.split(".")
+                    if not n.startswith("__")][-1]
+            assert re.search(rf"\b{name}\b", source), row
+        return
     if row.kind == "example":
         assert path.startswith("examples/") and not names, row
     elif row.kind == "traced":
@@ -390,6 +393,18 @@ def test_every_row_names_its_carrier(row: Row) -> None:
     else:
         assert path.startswith("tests/") and names, row
     assert set(names) <= _defined(ROOT / path), row
+
+
+def test_every_paper_carrier_imports() -> None:
+    """The probe no longer enters what only the paper scripts run, so a
+    deletion that strands one of their imports fails here instead."""
+    carriers = sorted({row.carrier for row in ROWS if row.kind == "paper"})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *carriers], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 def test_rows_are_unique() -> None:
