@@ -97,10 +97,11 @@ def test_table2_adaptation(benchmark):
     assert adapt[6] <= no_adapt[6] * 1.15
     # And it lands at/below the deep baseline's loss too.
     assert adapt[6] <= adapt[5] * 1.15
-    # Wall-clock stays in the same regime as its deep baseline.  (The
-    # paper's 3.07x emerges at 512^2, where fine epochs dwarf the
-    # post-adaptation relearning cost; at 64^2 relearning dominates —
-    # recorded in EXPERIMENTS.md as a known scale effect.)
+    # Wall-clock stays in the same regime as its deep baseline.  The
+    # paper's 3.07x is a scale effect this run cannot show: at 512^2 the
+    # fine epochs the adapted run saves dwarf the mini-batches it spends
+    # relearning after each adaptation, while at 64^2 that relearning
+    # dominates.  So the gate is the regime, not the paper's speed-up.
     assert adapt[7] > 0.5
 
 

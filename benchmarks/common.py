@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at
-downscaled size (see DESIGN.md's per-experiment index), prints the
-paper-style rows, and writes a CSV under ``benchmarks/results/``.
+downscaled size (its docstring names which, and the sizes it runs at),
+prints the paper-style rows, and writes a CSV under
+``benchmarks/results/``.
 
 Every ``bench_*.py`` accepts a shared CLI when run as a script::
 

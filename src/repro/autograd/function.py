@@ -7,7 +7,9 @@ positional input.  ``Function.apply`` wires the op into the autodiff graph.
 
 The design mirrors the classic tape-based reverse-mode pattern: the graph is
 built eagerly during the forward pass and traversed in reverse topological
-order by :meth:`repro.autograd.tensor.Tensor.backward`.
+order by :meth:`repro.autograd.tensor.Tensor.backward`.  A :class:`Node` is
+the op, its ``ctx`` and its parents' nodes, never an output array; the walk
+drops each node's ``ctx`` and edges as it runs, so a graph runs backward once.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ class Context:
         self.saved = arrays
 
 
+class Node:
+    """One recorded op: its Function, its ctx, and for each positional
+    argument the node of the tensor that needs a gradient (else None)."""
+
+    __slots__ = ("fn", "ctx", "parents")
+
+    def __init__(self, fn: type["Function"], ctx: Context | None,
+                 parents: tuple | None) -> None:
+        self.fn, self.ctx, self.parents = fn, ctx, parents
+
+
 class Function:
     """Base class for differentiable operations.
 
@@ -109,9 +122,9 @@ class Function:
         requires = any(ctx.needs_input_grad)
         out = Tensor(out_data, requires_grad=requires)
         if requires:
-            out._ctx = ctx
-            out._fn = cls
-            out._parents = tuple(a if isinstance(a, Tensor) else None for a in args)
+            out._node = Node(cls, ctx, tuple(
+                (a._node or a) if needed else None
+                for a, needed in zip(args, ctx.needs_input_grad)))
         if profiles:
             profiler.record(profiles, "forward", cls.__name__,
                             time.perf_counter() - t0)

@@ -29,16 +29,26 @@ class Sigmoid(Function):
         return (grad * out * (1.0 - out),)
 
 
+LEAKY_CHUNK = 1 << 16     # elements: a 256 KiB float32 temporary
+
+
 def leaky_forward(a: np.ndarray, negative_slope: float,
                   inplace: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Branch-free LeakyReLU: ``max(a, s*a)`` (``min`` for s > 1), bitwise
     ``where(a > 0, a, s*a)``.  Returns ``(out, a > 0)``, the mask being
-    what :func:`leaky_factor` takes; ``inplace`` writes ``out`` over ``a``."""
+    what :func:`leaky_factor` takes; ``inplace`` writes ``out`` over ``a``,
+    a C-contiguous ndarray in chunks of ``LEAKY_CHUNK`` elements, so that
+    ``s*a`` never exists whole."""
     mask = a > 0
-    sa = negative_slope * a
-    out = (B.maximum if negative_slope <= 1 else B.minimum)(
-        a, sa, out=a if inplace else sa)
-    return out, mask
+    pick = B.maximum if negative_slope <= 1 else B.minimum
+    if not (inplace and isinstance(a, np.ndarray) and a.flags.c_contiguous):
+        sa = negative_slope * a
+        return pick(a, sa, out=a if inplace else sa), mask
+    flat = a.reshape(-1)
+    for i in range(0, flat.size, LEAKY_CHUNK):
+        chunk = flat[i:i + LEAKY_CHUNK]
+        pick(chunk, negative_slope * chunk, out=chunk)
+    return a, mask
 
 
 def leaky_factor(mask: np.ndarray, negative_slope: float,

@@ -76,11 +76,12 @@ class BatchNorm(Function):
     def backward(ctx: Context, grad: np.ndarray):
         meta = ctx.meta
         xhat = meta["xhat"]
-        grad = realize(grad)
+        shape, grad = grad.shape, realize(grad)
         g = grad.reshape(xhat.shape)
         if meta["mask"] is not None:
             g = leaky_factor(meta["mask"], meta["slope"], g.dtype)
             g *= grad.reshape(xhat.shape)
+        del grad    # read once: it dies here unless the caller holds it
         m = xhat.size // xhat.shape[1]
         dbeta = _channel_sum(g)
         dgamma = _channel_sum(g * xhat)
@@ -91,7 +92,7 @@ class BatchNorm(Function):
             dx -= (dbeta / m)[:, None]
             dx -= xhat * (dgamma / m)[:, None]
             dx *= (meta["gamma"] * meta["inv_std"])[:, None]
-            dx = dx.reshape(grad.shape)
+            dx = dx.reshape(shape)
         return dx, dgamma, dbeta, None, None, None
 
 

@@ -1,8 +1,9 @@
 """The :class:`Tensor` class: a NumPy array plus reverse-mode autodiff.
 
-Tensors form a DAG as operations are applied; ``Tensor.backward`` performs a
-reverse topological traversal accumulating gradients into ``.grad`` of every
-leaf with ``requires_grad=True``.
+Operations record a DAG of data-free nodes (:class:`~.function.Node`);
+``Tensor.backward`` performs a reverse topological traversal accumulating
+gradients into ``.grad`` of every leaf with ``requires_grad=True``,
+releasing each node as it goes.
 
 Only the operations needed by the MGDiffNet reproduction are provided, but
 each is fully general (arbitrary rank, broadcasting where meaningful).
@@ -19,7 +20,7 @@ from ..backend import ops as B
 from ..backend import is_lazy, realize
 from ..backend.dtype import get_default_dtype
 from . import profiler
-from .function import Context, Function
+from .function import Node
 
 __all__ = ["Tensor"]
 
@@ -27,7 +28,7 @@ __all__ = ["Tensor"]
 class Tensor:
     """N-dimensional array with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_ctx", "_fn", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data: Any, requires_grad: bool = False, dtype: Any = None) -> None:
         if isinstance(data, Tensor):
@@ -43,9 +44,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad)
-        self._ctx: Context | None = None
-        self._fn: type[Function] | None = None
-        self._parents: tuple = ()
+        self._node: Node | None = None   # set by the op that made it
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -93,9 +92,11 @@ class Tensor:
             raise ValueError(
                 f"grad shape {grad.shape} != tensor shape {self.shape}")
 
-        topo: list[Tensor] = []
+        # Nodes in topological order; a leaf's node is the leaf itself.
+        root = self._node or self
+        topo: list[Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -105,41 +106,45 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p is not None and p.requires_grad:
-                    stack.append((p, False))
+            if isinstance(node, Node):
+                if node.ctx is None:
+                    raise RuntimeError(
+                        "backward through a graph that was released: a "
+                        "graph runs backward once")
+                stack.extend((p, False) for p in node.parents if p is not None)
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._fn is None:
+        grads: dict[int, np.ndarray] = {id(root): grad}
+        while topo:
+            node = topo.pop()
+            if isinstance(node, Tensor):
                 # Leaf: accumulate.
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
+                g = grads.pop(id(node), None)
+                if g is not None:
+                    node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            # Only leaves keep a gradient, and a run node keeps nothing:
+            # the walk holds O(the nodes not yet run), not O(graph).
+            fn, ctx, parents = node.fn, node.ctx, node.parents
+            node.ctx = node.parents = None
+            if id(node) not in grads:
                 continue
             profiles = profiler.running
             t0 = time.perf_counter() if profiles else 0.0
-            parent_grads = node._fn.backward(node._ctx, g)
+            # The backward alone holds its incoming gradient.
+            parent_grads = fn.backward(ctx, grads.pop(id(node)))
             if profiles:
-                profiler.record(profiles, "backward", node._fn.__name__,
+                profiler.record(profiles, "backward", fn.__name__,
                                 time.perf_counter() - t0)
             if not isinstance(parent_grads, tuple):
                 parent_grads = (parent_grads,)
-            for p, pg in zip(node._parents, parent_grads):
-                if p is None or pg is None or not p.requires_grad:
+            for p, pg in zip(parents, parent_grads):
+                if p is None or pg is None:
                     continue
                 if id(p) in grads:
                     grads[id(p)] = grads[id(p)] + pg
                 else:
                     grads[id(p)] = pg
-            # Interior-node gradients are deliberately not retained: only
-            # leaves accumulate into ``.grad`` (see the leaf branch above),
-            # which keeps memory at O(parameters) instead of O(graph).
-            # Use ``.detach()``-free leaf tensors to inspect interior grads.
+            parent_grads = pg = None    # a summed-away pg dies now
 
     # ------------------------------------------------------------------ #
     # Arithmetic (operator protocol) — implementations in ops_basic

@@ -5,9 +5,10 @@
 with a = (1.72, 4.05, 6.85, 9.82), lambda_i = 1 / (1 + 0.25 a_i^2) and
 xi_i(t) = (a_i / 2) cos(a_i t) + sin(a_i t) (same form for eta and zeta).
 
-The paper states the 2D form; for 3D inputs we use the natural
-tensor-product extension with a third factor zeta_i(z) of the same
-functional form (documented as a substitution in DESIGN.md).
+The paper states the 2D form only; for 3D inputs this module substitutes
+its tensor-product extension: a third factor zeta_i(z) of xi_i's form, with
+the same a_i, lambda_i and omega_i (four parameters, as in 2D).  Each mode
+stays a product of 1-D factors, so a box is evaluated from their slices.
 """
 
 from __future__ import annotations

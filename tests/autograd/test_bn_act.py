@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, batch_norm, leaky_relu
+from repro.autograd.ops_activation import LEAKY_CHUNK, leaky_forward
 from repro.autograd.profiler import profile
 from repro.backend import dtype_scope
 from repro.nn import BatchNorm
@@ -164,3 +165,19 @@ class TestBranchFreeLeakyReLU:
         # Signed zeros too: array_equal treats -0.0 == 0.0.
         np.testing.assert_array_equal(np.signbit(x.grad),
                                       np.signbit(np.where(mask, g, slope * g)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_over_several_chunks(self, order):
+        """The in-place form, which a C-contiguous array takes chunk by
+        chunk, writes every element as the out-of-place form does."""
+        size = 2 * LEAKY_CHUNK + 3
+        a = np.random.default_rng(7).standard_normal(
+            (size, 2)).astype(np.float32)
+        a[::5] = -0.0
+        a = np.asarray(a, order=order)
+        want, want_mask = leaky_forward(a.copy(), 0.01)
+        out, mask = leaky_forward(a, 0.01, inplace=True)
+        assert out is a
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(want))
+        np.testing.assert_array_equal(a, want)

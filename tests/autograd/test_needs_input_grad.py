@@ -18,6 +18,7 @@ from repro import MGDiffNet, PoissonProblem, TrainConfig, Trainer
 from repro.autograd import (Context, Function, Tensor, conv_nd,
                             conv_transpose_nd, is_grad_enabled, no_grad)
 from repro.autograd import ops_conv
+from repro.autograd.function import Node
 from repro.core.trainer import backward_pass
 from repro.fem import stencil
 
@@ -80,11 +81,13 @@ class TestOpsSkipUnreadGradients:
     def test_mul_and_add_return_none_for_a_constant_operand(self, rng, op):
         a = _t(rng, 2, 3, requires_grad=True)
         mask = _t(rng, 1, 3, requires_grad=False)
-        out = op(a, mask)
-        assert out._ctx.needs_input_grad == (True, False)
-        ga, gmask = out._fn.backward(out._ctx, np.ones((2, 3)))
+        node = op(a, mask)._node
+        assert node.ctx.needs_input_grad == (True, False)
+        assert node.parents == (a, None)
+        ga, gmask = node.fn.backward(node.ctx, np.ones((2, 3)))
         assert ga.shape == (2, 3) and gmask is None
-        gmask, ga = op(mask, a)._fn.backward(op(mask, a)._ctx, np.ones((2, 3)))
+        node = op(mask, a)._node
+        gmask, ga = node.fn.backward(node.ctx, np.ones((2, 3)))
         assert ga.shape == (2, 3) and gmask is None
 
     def test_flags_are_all_false_when_the_tape_is_off(self, rng):
@@ -114,8 +117,9 @@ def _unpruned_apply(cls, *args, **kwargs):
         isinstance(a, Tensor) and a.requires_grad for a in args)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
-        out._ctx, out._fn = ctx, cls
-        out._parents = tuple(a if isinstance(a, Tensor) else None for a in args)
+        out._node = Node(cls, ctx, tuple(
+            (a._node or a) if isinstance(a, Tensor) and a.requires_grad
+            else None for a in args))
     return out
 
 

@@ -99,6 +99,38 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    def test_a_second_backward_through_a_released_graph_raises(self):
+        """Backward releases each node it runs, so a graph runs backward
+        once; the second call raises before touching any ``.grad``."""
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        a = x * x
+        y = (a * 3.0).sum()
+        y.backward()
+        with pytest.raises(RuntimeError, match="graph that was released"):
+            y.backward()
+        # A new graph over the released one's interior node reaches it too.
+        with pytest.raises(RuntimeError, match="graph that was released"):
+            (a * 2.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [12.0])
+
+    def test_backward_drops_what_each_node_saved(self):
+        """After backward no node holds a ``ctx`` or an edge, and a graph
+        node never holds its op's output array."""
+        x = Tensor(np.array([2.0, 1.0]), requires_grad=True)
+        a = x * x
+        y = (a * x).sum()
+        node = a._node
+        assert node.parents == (x, x)
+        assert not any(v is a.data for v in vars_of(node))
+        y.backward()
+        for n in (node, y._node):
+            assert n.ctx is None and n.parents is None
+        np.testing.assert_allclose(x.grad, [12.0, 3.0])
+
+
+def vars_of(node):
+    return [getattr(node, slot) for slot in type(node).__slots__]
+
 
 class TestNoGrad:
     def test_no_grad_context(self):
@@ -109,7 +141,7 @@ class TestNoGrad:
             y = x * 2.0
         assert is_grad_enabled()
         assert not y.requires_grad
-        assert y._fn is None
+        assert y._node is None
 
     def test_no_grad_nested(self):
         with no_grad():

@@ -362,6 +362,10 @@ ROWS: list[Row] = [
     *_rows("def", ("Executor.workers", "Executor.imap_unordered"), "", 54,
            "tests/serve/test_executor.py::TestTiledParity::"
            "test_serial_executor_is_neutral"),
+    # A graph edge is a data-free Node, not the output Tensor.
+    *_rows("ident", ("_ctx", "_fn", "_parents"), "autograd/", 55,
+           "tests/autograd/test_tensor.py::TestBackward::"
+           "test_backward_drops_what_each_node_saved"),
     # The checkpoint format is read in core/checkpoint.py alone.
     Row("text", "meta::", "serve/", 49,
         "tests/serve/test_registry.py::TestErrors::"

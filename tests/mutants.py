@@ -38,6 +38,7 @@ BLAS_PIN = "tests/backend/test_blas_pin.py"
 WATCHDOG = "tests/serve/test_fleet_faults.py::TestHangWatchdog"
 ADAPTIVE = "tests/serve/test_batching_server.py::TestAdaptiveHold"
 DENY = "tests/test_denylist.py::test_row_is_absent"
+STEP_BYTES = "tests/core/test_step_bytes.py"
 REACH = "tests/test_reach.py::test_every_def_is_entered_or_in_the_ledger"
 DEAD_WORKER = ("tests/serve/test_executor.py::TestDeadWorker::"
                "test_a_killed_worker_fails_the_call_and_the_next_call_works")
@@ -426,4 +427,21 @@ MUTANTS: list[Mutant] = [
            "for d, rows in enumerate(plan.uncovered):",
            "for d, rows in enumerate(plan.uncovered[:0]):",
            ("tests/backend/test_conv_plan.py::TestInputGradientCoverage",)),
+    # -- the tape keeps only what backward reads -------------------------- #
+    # A node the walk has run is unreachable once its edges go, so a kept
+    # ctx shows only while the edges are kept too: the row drops both.
+    Mutant("backward keeps each node's ctx after running it",
+           "src/repro/autograd/tensor.py",
+           "            node.ctx = node.parents = None\n", "",
+           (STEP_BYTES,)),
+    Mutant("graph edges hold the parent Tensor instead of its node",
+           "src/repro/autograd/function.py",
+           "(a._node or a) if needed else None", "a if needed else None",
+           (STEP_BYTES,)),
+    Mutant("the in-place LeakyReLU skips each chunk's last element",
+           "src/repro/autograd/ops_activation.py",
+           "chunk = flat[i:i + LEAKY_CHUNK]",
+           "chunk = flat[i:i + LEAKY_CHUNK - 1]",
+           ("tests/autograd/test_bn_act.py::TestBranchFreeLeakyReLU::"
+            "test_in_place_over_several_chunks",)),
 ]
